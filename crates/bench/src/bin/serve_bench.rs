@@ -10,10 +10,14 @@
 //!
 //! Correctness is gated, throughput mostly is not: the single-session
 //! client transcript and every broadcast subscriber transcript must be
-//! byte-identical to the reference driver's output, and the event loop
-//! must hold a `relative_to_in_process` ratio at 64 sessions no worse
-//! than the threaded model measured *in the same run* — the one perf
-//! assertion, since both models face identical noise. Broadcast
+//! byte-identical to the reference driver's output, and — on a one-core
+//! machine, where both models serialize on the same CPU — the event
+//! loop must hold a `relative_to_in_process` ratio at 64 sessions no
+//! worse than the threaded model measured *in the same run*: the one
+//! perf assertion, since both models face identical noise. With more
+//! cores the threaded model runs its sessions in parallel and the
+//! single-threaded loop does not, so the comparison is recorded, not
+//! asserted (ROADMAP: multi-core claims stay unasserted). Broadcast
 //! throughput is recorded, never asserted.
 //!
 //! Per-session wire bytes are recorded so the fan-out amplification
@@ -233,12 +237,16 @@ fn main() {
             // On a 1-core runner both models serialize on the same CPU
             // and their true gap is smaller than run-to-run noise, so
             // the assertion carries a 10% band; the recorded JSON keeps
-            // the strict comparison for readers.
-            assert!(
-                ev >= th * 0.9,
-                "event loop regressed below the threaded model at 64 sessions \
-                 ({ev:.3}x vs {th:.3}x in the same run, >10% gap)"
-            );
+            // the strict comparison for readers. On more cores the
+            // threaded model uses all of them and one loop thread does
+            // not: recorded only.
+            if cores == 1 {
+                assert!(
+                    ev >= th * 0.9,
+                    "event loop regressed below the threaded model at 64 sessions \
+                     ({ev:.3}x vs {th:.3}x in the same run, >10% gap)"
+                );
+            }
             ev >= th
         }
         // Non-unix: only the threaded model exists; nothing to compare.
@@ -379,8 +387,9 @@ fn main() {
         "  \"gates\": {{\"single_session_byte_identical\": true, \
          \"broadcast_subscribers_byte_identical\": {}, \
          \"eventloop_holds_threaded_ratio_at_64\": {eventloop_ok}, \
-         \"speedup_asserted\": false}}\n}}",
-        !brows.is_empty()
+         \"eventloop_ratio_asserted\": {}, \"speedup_asserted\": false}}\n}}",
+        !brows.is_empty(),
+        cores == 1
     );
     std::fs::write(&out_path, json).expect("write BENCH_serve.json");
     println!("\nwrote {out_path}");

@@ -28,13 +28,22 @@
 //!   counter starts at zero from that document — the same numbering a
 //!   fresh solo session would produce.
 //!
-//! Per-subscriber output queues are bounded by the serve options; the
+//! Fan-out is staged per *result*, not per (result × subscriber): the
+//! sink writes each determined result's payload once into a byte arena
+//! with one fixed-size record naming the entry it belongs to, and the
+//! event loop expands that record over the entry's subscribers when it
+//! drains ([`Hub::deliveries`]), encoding each frame straight into the
+//! receiving connection's write buffer. Nothing is allocated, wrapped
+//! or reference-counted per delivered frame; the only per-subscriber
+//! work is the copy into that subscriber's buffer.
+//!
+//! Per-connection output queues are bounded by the serve options; the
 //! *block* policy pauses the feeder until every queue drains (total
 //! broadcast, lock-step with the slowest subscriber) while the *drop*
 //! policy discards RESULT/UPDATE frames for saturated subscribers and
 //! counts them (`dropped_broadcast` in STAT). Queue accounting lives
 //! in the event loop, which owns the sockets; this module only stages
-//! `(token, frame)` pairs.
+//! replies.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -43,7 +52,7 @@ use std::time::Instant;
 use xsq_core::{PlanCache, QueryId, QueryIndex, QuerySink, XsqEngine, XsqMode};
 use xsq_xml::{ParsePoll, PushParser, StreamParser};
 
-use crate::proto::{err_payload, errcode, frame_bytes, json_escape, op, Frame, WireBound};
+use crate::proto::{err_payload, errcode, json_escape, op, WireBound};
 use crate::session::{
     bound_diagnostics, query_diagnostics, wire_bound, SessionLimits, TransportStats,
 };
@@ -65,11 +74,65 @@ struct Entry {
     subs: Vec<SubRef>,
 }
 
+/// Who a staged reply is for.
+#[derive(Clone, Copy)]
+enum Recipient {
+    /// One logical session.
+    Session { token: u64, sid: Option<u32> },
+    /// Every subscriber of entry `slot` that is live in global document
+    /// `doc` (a mid-document joiner is live from the next one).
+    Entry { slot: u32, doc: u32 },
+}
+
+/// One staged reply: a fixed-size record; the payload is
+/// `arena[start..end]`.
+struct Staged {
+    to: Recipient,
+    op: u8,
+    start: usize,
+    end: usize,
+}
+
+/// Staged replies in staging order, and their payload bytes. Both keep
+/// their capacity across drains.
+#[derive(Default)]
+struct Staging {
+    staged: Vec<Staged>,
+    arena: Vec<u8>,
+}
+
+impl Staging {
+    /// Stage one reply whose payload is `parts` back to back.
+    fn push(&mut self, to: Recipient, op: u8, parts: &[&[u8]]) {
+        let start = self.arena.len();
+        for part in parts {
+            self.arena.extend_from_slice(part);
+        }
+        self.staged.push(Staged {
+            to,
+            op,
+            start,
+            end: self.arena.len(),
+        });
+    }
+}
+
+/// One reply frame for one logical session, as [`Hub::deliveries`]
+/// yields it: encode `op | [sid] | payload` for connection `token`.
+pub struct Delivery<'a> {
+    pub token: u64,
+    pub sid: Option<u32>,
+    pub op: u8,
+    pub payload: &'a [u8],
+}
+
 /// The broadcast hub: protocol roles, the shared index, and result
-/// fan-out staging. The event loop drains [`Hub::out`] into the
-/// per-connection write queues (applying the overflow policy) and
-/// marks every token in [`Hub::closes`] for flush-and-close.
-pub(crate) struct Hub {
+/// fan-out staging. After handling a connection's frames the event
+/// loop drains [`Hub::deliveries`] into the per-connection write
+/// buffers (applying the overflow policy), calls
+/// [`Hub::clear_staged`], and marks every token in [`Hub::closes`] for
+/// flush-and-close.
+pub struct Hub {
     engine: XsqEngine,
     limits: SessionLimits,
     cache: Arc<PlanCache>,
@@ -89,8 +152,7 @@ pub(crate) struct Hub {
     updates: u64,
     bytes_in: u64,
     ingest_nanos: u64,
-    /// Staged outgoing frames, drained by the event loop.
-    pub out: Vec<(u64, Arc<Vec<u8>>)>,
+    staging: Staging,
     /// Connections to flush-and-close, drained by the event loop.
     pub closes: Vec<u64>,
 }
@@ -115,7 +177,7 @@ impl Hub {
             updates: 0,
             bytes_in: 0,
             ingest_nanos: 0,
-            out: Vec::new(),
+            staging: Staging::default(),
             closes: Vec::new(),
         }
     }
@@ -134,10 +196,41 @@ impl Hub {
         self.sub_entry.len()
     }
 
-    /// Frame a reply in the subscriber's negotiated wire framing.
+    /// Every staged reply in staging order, entry-wide results expanded
+    /// over the subscribers live in their document. Subscriber lists
+    /// change only on subscriber-connection frames and teardown, and
+    /// the loop drains after each connection's frames, so a result is
+    /// expanded over the list it was determined under.
+    pub fn deliveries(&self) -> impl Iterator<Item = Delivery<'_>> {
+        self.staging.staged.iter().flat_map(move |s| {
+            let (one, subs, doc) = match s.to {
+                Recipient::Session { token, sid } => (Some((token, sid)), &[][..], 0),
+                Recipient::Entry { slot, doc } => {
+                    let entry = self.entries[slot as usize].as_ref();
+                    (None, entry.map_or(&[][..], |e| &e.subs[..]), doc)
+                }
+            };
+            let live = subs.iter().filter(move |sub| sub.active_from <= doc);
+            one.into_iter()
+                .chain(live.map(|sub| (sub.token, sub.sid)))
+                .map(move |(token, sid)| Delivery {
+                    token,
+                    sid,
+                    op: s.op,
+                    payload: &self.staging.arena[s.start..s.end],
+                })
+        })
+    }
+
+    /// Forget the staged replies once they are delivered.
+    pub fn clear_staged(&mut self) {
+        self.staging.staged.clear();
+        self.staging.arena.clear();
+    }
+
     fn stage(&mut self, token: u64, sid: Option<u32>, opcode: u8, payload: &[u8]) {
-        self.out
-            .push((token, Arc::new(reply_frame(sid, opcode, payload))));
+        let to = Recipient::Session { token, sid };
+        self.staging.push(to, opcode, &[payload]);
     }
 
     fn stage_err(&mut self, token: u64, sid: Option<u32>, code: &str, message: &str) {
@@ -145,20 +238,22 @@ impl Hub {
         self.stage(token, sid, op::ERR, &payload);
     }
 
-    /// Handle one frame from connection `token` / logical session
-    /// `sid`. `transport` carries the loop's counters for STAT.
+    /// Handle one frame (`opcode`, `payload` past any session prefix)
+    /// from connection `token` / logical session `sid`. `transport`
+    /// carries the loop's counters for STAT.
     pub fn dispatch(
         &mut self,
         token: u64,
         sid: Option<u32>,
-        frame: &Frame,
+        opcode: u8,
+        payload: &[u8],
         transport: &TransportStats,
         backend: &'static str,
     ) {
-        match frame.op {
-            op::SUB => self.on_sub(token, sid, &frame.payload),
+        match opcode {
+            op::SUB => self.on_sub(token, sid, payload),
             op::FEEDER => self.on_feeder(token, sid),
-            op::FEED => self.on_feed(token, sid, &frame.payload),
+            op::FEED => self.on_feed(token, sid, payload),
             op::END_DOC => self.on_end_doc(token, sid),
             op::UNSUB => self.stage_err(
                 token,
@@ -358,44 +453,24 @@ impl Hub {
             self.fail_stream(token, sid, &e);
             return;
         }
-        {
-            let Hub {
-                index,
-                entries,
-                id_entry,
-                id_local,
-                out,
-                docs,
-                results,
-                updates,
-                ..
-            } = self;
-            let mut sink = FanSink {
-                entries,
-                id_entry,
-                id_local,
-                cur_doc: *docs,
-                out,
-                results: 0,
-                updates: 0,
-            };
-            let _ = index.finish(&mut sink);
-            *results += sink.results;
-            *updates += sink.updates;
-        }
+        let (mut sink, index, _) = self.fan_sink();
+        let _ = index.finish(&mut sink);
+        let (results, updates) = (sink.results, sink.updates);
+        self.results += results;
+        self.updates += updates;
         self.ingest_nanos += t0.elapsed().as_nanos() as u64;
         // DOC_OK per active subscriber, numbered from each one's own
         // first document (what a private session would report)…
-        let mut acks: Vec<(u64, Option<u32>, u32)> = Vec::new();
-        for entry in self.entries.iter().flatten() {
-            for sub in &entry.subs {
-                if sub.active_from <= self.docs {
-                    acks.push((sub.token, sub.sid, self.docs - sub.active_from));
-                }
+        let docs = self.docs;
+        for sub in self.entries.iter().flatten().flat_map(|e| &e.subs) {
+            if sub.active_from <= docs {
+                let to = Recipient::Session {
+                    token: sub.token,
+                    sid: sub.sid,
+                };
+                let di = docs - sub.active_from;
+                self.staging.push(to, op::DOC_OK, &[&di.to_le_bytes()]);
             }
-        }
-        for (t, s, di) in acks {
-            self.stage(t, s, op::DOC_OK, &di.to_le_bytes());
         }
         // …and one global ack to the feeder.
         self.stage(token, sid, op::DOC_OK, &self.docs.to_le_bytes());
@@ -407,27 +482,7 @@ impl Hub {
     /// Drain every event the parser can currently produce through the
     /// shared index, fanning results as they are determined.
     fn pump(&mut self) -> Option<xsq_xml::Error> {
-        let Hub {
-            index,
-            parser,
-            entries,
-            id_entry,
-            id_local,
-            out,
-            docs,
-            results,
-            updates,
-            ..
-        } = self;
-        let mut sink = FanSink {
-            entries,
-            id_entry,
-            id_local,
-            cur_doc: *docs,
-            out,
-            results: 0,
-            updates: 0,
-        };
+        let (mut sink, index, parser) = self.fan_sink();
         let failed = loop {
             match parser.poll_raw() {
                 Ok(ParsePoll::Event(ev)) => index.feed_raw(&ev, &mut sink),
@@ -435,9 +490,24 @@ impl Hub {
                 Err(e) => break Some(e),
             }
         };
-        *results += sink.results;
-        *updates += sink.updates;
+        let (results, updates) = (sink.results, sink.updates);
+        self.results += results;
+        self.updates += updates;
         failed
+    }
+
+    /// The result sink over this hub's staging, with the index and
+    /// parser it is fed from (disjoint borrows of one `Hub`).
+    fn fan_sink(&mut self) -> (FanSink<'_>, &mut QueryIndex, &mut PushParser) {
+        let sink = FanSink {
+            id_entry: &self.id_entry,
+            id_local: &self.id_local,
+            cur_doc: self.docs,
+            staging: &mut self.staging,
+            results: 0,
+            updates: 0,
+        };
+        (sink, &mut self.index, &mut self.parser)
     }
 
     /// A parse error poisons the shared stream for everyone: there is
@@ -483,34 +553,25 @@ impl Hub {
             .copied()
             .collect();
         for key in gone {
-            let slot = self.sub_entry.remove(&key).expect("mapped subscriber");
-            let Some(entry) = self.entries[slot].as_mut() else {
-                continue;
-            };
-            entry.subs.retain(|s| !(s.token == key.0 && s.sid == key.1));
-            // Each SUB checked one reference out of the cache.
-            self.cache.release(&entry.key.clone());
-            if entry.subs.is_empty() {
-                let entry = self.entries[slot].take().expect("live entry");
-                for id in entry.ids {
-                    self.index.unsubscribe(id);
-                }
-                self.by_key.remove(&entry.key);
-            }
+            self.detach(key);
         }
     }
 
     /// Close a logical v2 session without closing the connection.
     pub fn session_closed(&mut self, token: u64, sid: u32) -> bool {
-        let key = (token, Some(sid));
+        self.detach((token, Some(sid)))
+    }
+
+    /// Detach one logical subscriber from its entry; `false` if it was
+    /// not subscribed.
+    fn detach(&mut self, key: (u64, Option<u32>)) -> bool {
         let Some(slot) = self.sub_entry.remove(&key) else {
             return false;
         };
         if let Some(entry) = self.entries[slot].as_mut() {
-            entry
-                .subs
-                .retain(|s| !(s.token == token && s.sid == Some(sid)));
-            self.cache.release(&entry.key.clone());
+            entry.subs.retain(|s| (s.token, s.sid) != key);
+            // Each SUB checked one reference out of the cache.
+            self.cache.release(&entry.key);
             if entry.subs.is_empty() {
                 let entry = self.entries[slot].take().expect("live entry");
                 for id in entry.ids {
@@ -538,6 +599,7 @@ impl Hub {
              \"doc_active\":{},\"events\":{},\"results\":{},\"updates\":{},\
              \"bytes_in\":{},\"ingest_mb_per_sec\":{:.2},\
              \"connections\":{},\"sessions\":{},\"queue_depth_hwm\":{},\
+             \"queued_bytes_hwm\":{},\
              \"dropped_broadcast\":{},\"plan_cache_entries\":{},\
              \"plan_cache_hits\":{},\"plan_cache_misses\":{},\"kernel\":\"{}\"}}",
             json_escape(match self.engine.mode() {
@@ -558,6 +620,7 @@ impl Hub {
             transport.connections,
             self.subscriber_count(),
             transport.queue_depth_hwm,
+            transport.queued_bytes_hwm,
             transport.dropped_broadcast,
             cache.entries,
             cache.hits,
@@ -567,74 +630,42 @@ impl Hub {
     }
 }
 
-/// Encode a reply frame in a subscriber's framing: wire v2 sessions
-/// get the session-id prefix, v1 connections the bare payload.
-pub(crate) fn reply_frame(sid: Option<u32>, opcode: u8, payload: &[u8]) -> Vec<u8> {
-    match sid {
-        Some(sid) => {
-            let mut p = Vec::with_capacity(4 + payload.len());
-            p.extend_from_slice(&sid.to_le_bytes());
-            p.extend_from_slice(payload);
-            frame_bytes(opcode, &p)
-        }
-        None => frame_bytes(opcode, payload),
-    }
-}
-
-/// Routes each determined result to every active subscriber of its
-/// entry. The v1 encoding is built once per result and `Arc`-shared
-/// across all v1 subscribers; v2 frames differ per session id.
+/// Stages each determined result once — payload into the arena, one
+/// record naming its entry — whatever the audience size. The payload
+/// carries the batch-local query id, the id a private session would
+/// have reported.
 struct FanSink<'a> {
-    entries: &'a [Option<Entry>],
     id_entry: &'a [u32],
     id_local: &'a [u32],
     cur_doc: u32,
-    out: &'a mut Vec<(u64, Arc<Vec<u8>>)>,
+    staging: &'a mut Staging,
     results: u64,
     updates: u64,
 }
 
 impl FanSink<'_> {
-    fn fan(&mut self, id: QueryId, encode: impl Fn(u32, Option<u32>) -> Vec<u8>) {
+    fn fan(&mut self, id: QueryId, opcode: u8, value: &[u8]) {
         let Some(&slot) = self.id_entry.get(id.0 as usize) else {
             return;
         };
-        let Some(entry) = self.entries[slot as usize].as_ref() else {
-            return;
+        let to = Recipient::Entry {
+            slot,
+            doc: self.cur_doc,
         };
         let local = self.id_local[id.0 as usize];
-        let mut shared_v1: Option<Arc<Vec<u8>>> = None;
-        for sub in &entry.subs {
-            if sub.active_from > self.cur_doc {
-                continue; // joined mid-document; live from the next one
-            }
-            let bytes = match sub.sid {
-                None => Arc::clone(shared_v1.get_or_insert_with(|| Arc::new(encode(local, None)))),
-                Some(sid) => Arc::new(encode(local, Some(sid))),
-            };
-            self.out.push((sub.token, bytes));
-        }
+        self.staging
+            .push(to, opcode, &[&local.to_le_bytes(), value]);
     }
 }
 
 impl QuerySink for FanSink<'_> {
     fn result(&mut self, id: QueryId, value: &str) {
         self.results += 1;
-        self.fan(id, |local, sid| {
-            let mut p = Vec::with_capacity(4 + value.len());
-            p.extend_from_slice(&local.to_le_bytes());
-            p.extend_from_slice(value.as_bytes());
-            reply_frame(sid, op::RESULT, &p)
-        });
+        self.fan(id, op::RESULT, value.as_bytes());
     }
 
     fn aggregate_update(&mut self, id: QueryId, value: f64) {
         self.updates += 1;
-        self.fan(id, |local, sid| {
-            let mut p = [0u8; 12];
-            p[..4].copy_from_slice(&local.to_le_bytes());
-            p[4..].copy_from_slice(&value.to_le_bytes());
-            reply_frame(sid, op::UPDATE, &p)
-        });
+        self.fan(id, op::UPDATE, &value.to_le_bytes());
     }
 }

@@ -12,11 +12,12 @@
 //!
 //! * **Reads** land in a per-connection [`conn::FrameBuf`]; complete
 //!   frames dispatch immediately, partial frames wait for more bytes.
-//! * **Writes** stage into a per-connection [`conn::WriteBuf`] and
-//!   flush as far as the socket allows; `EPOLLOUT` interest exists
-//!   only while the queue is non-empty. A queue deeper than the serve
-//!   option's `queue_depth` pauses *reading* that connection — the
-//!   same backpressure the threaded model's bounded channel applies.
+//! * **Writes** are encoded once, in place, into a per-connection
+//!   contiguous [`conn::WriteBuf`] and flushed with one `write` per
+//!   readiness; `EPOLLOUT` interest exists only while the queue is
+//!   non-empty. A queue deeper than the serve option's `queue_depth`
+//!   frames pauses *reading* that connection — the same backpressure
+//!   the threaded model's bounded channel applies.
 //! * **Wire v2 multiplexing**: a connection that opens with HELLO ≥ 2
 //!   prefixes every later frame with a `u32` logical-session id and
 //!   may run many [`Session`]s over one socket. A fatal error in one
@@ -45,13 +46,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::proto::{
-    err_payload, errcode, frame_bytes, op, Frame, CONTROL_SESSION, WIRE_V1, WIRE_V2,
-};
+use crate::proto::{err_payload, errcode, op, Frame, CONTROL_SESSION, WIRE_V1, WIRE_V2};
 use crate::server::{BroadcastPolicy, ServeOptions, Shared};
 use crate::session::{Action, Session, TransportStats};
 
-use broadcast::{reply_frame, Hub};
+use broadcast::Hub;
 use conn::{FrameBuf, FrameError, WriteBuf};
 use poller::{PollEvent, Poller};
 
@@ -101,6 +100,17 @@ pub(crate) fn spawn(
     Ok(threads)
 }
 
+/// Fold a connection's queue high-water marks into the server-wide
+/// ones STAT reports.
+fn note_queue_hwm(shared: &Shared, write: &WriteBuf) {
+    shared
+        .queue_hwm
+        .fetch_max(write.depth_hwm(), Ordering::Relaxed);
+    shared
+        .queue_bytes_hwm
+        .fetch_max(write.queued_bytes_hwm(), Ordering::Relaxed);
+}
+
 /// One connection's loop-side state.
 struct Conn {
     stream: TcpStream,
@@ -139,7 +149,7 @@ impl Conn {
             stream,
             fd,
             frames: FrameBuf::new(max_frame),
-            write: WriteBuf::new(),
+            write: WriteBuf::default(),
             version: WIRE_V1,
             saw_frame: false,
             legacy: None,
@@ -167,7 +177,7 @@ impl Conn {
     }
 
     fn stage_reply(&mut self, sid: Option<u32>, opcode: u8, payload: &[u8]) {
-        self.write.push(Arc::new(reply_frame(sid, opcode, payload)));
+        self.write.push(opcode, sid, payload);
     }
 
     fn stage_err(&mut self, code: &str, message: &str) {
@@ -382,10 +392,7 @@ impl EventLoop {
             let client = u32::from_le_bytes(bytes);
             conn.version = client.clamp(WIRE_V1, WIRE_V2);
             // The negotiation reply itself is never session-prefixed.
-            conn.write.push(Arc::new(frame_bytes(
-                op::HELLO_OK,
-                &conn.version.to_le_bytes(),
-            )));
+            conn.stage_reply(None, op::HELLO_OK, &conn.version.to_le_bytes());
             return;
         }
         conn.saw_frame = true;
@@ -397,7 +404,7 @@ impl EventLoop {
                 "this server is not in broadcast mode",
             );
         } else if conn.version >= WIRE_V2 {
-            self.dispatch_v2(token, conn, &frame);
+            self.dispatch_v2(conn, &frame);
         } else {
             self.dispatch_v1(conn, &frame);
         }
@@ -412,18 +419,13 @@ impl EventLoop {
             conn.legacy = Some(s);
             self.shared.sessions.fetch_add(1, Ordering::Relaxed);
         }
-        let transport = self.transport(conn.write.depth_hwm());
         let session = conn.legacy.as_mut().expect("legacy session");
         if frame.op == op::STAT {
-            session.set_transport(transport);
+            session.set_transport(self.transport(&conn.write));
         }
-        let mut staged: Vec<Vec<u8>> = Vec::new();
-        let mut out = |opcode: u8, payload: &[u8]| staged.push(frame_bytes(opcode, payload));
-        let action = session.handle_frame(frame, &mut out);
-        for bytes in staged {
-            conn.write.push(Arc::new(bytes));
-        }
-        if action == Action::Close {
+        let write = &mut conn.write;
+        let mut out = |opcode: u8, payload: &[u8]| write.push(opcode, None, payload);
+        if session.handle_frame(frame, &mut out) == Action::Close {
             conn.closing = true;
         }
     }
@@ -431,8 +433,7 @@ impl EventLoop {
     /// Wire v2: route by the leading session id. Fatal session errors
     /// close only that logical session; sibling sessions on the same
     /// connection keep running.
-    fn dispatch_v2(&mut self, token: u64, conn: &mut Conn, frame: &Frame) {
-        let _ = token;
+    fn dispatch_v2(&mut self, conn: &mut Conn, frame: &Frame) {
         if frame.payload.len() < 4 {
             conn.stage_err(
                 errcode::PROTOCOL,
@@ -458,12 +459,9 @@ impl EventLoop {
             }
             return;
         }
-        let inner = Frame {
-            op: frame.op,
-            payload: frame.payload[4..].to_vec(),
-        };
+        let inner = &frame.payload[4..];
         if let std::collections::hash_map::Entry::Vacant(slot) = conn.sessions.entry(sid) {
-            if inner.op == op::SUB {
+            if frame.op == op::SUB {
                 // A logical session opens with its first SUB.
                 let mut s = Session::with_limits(self.opts.engine, self.opts.limits.clone());
                 s.set_plan_cache(Arc::clone(&self.shared.cache));
@@ -482,28 +480,22 @@ impl EventLoop {
                 return;
             }
         }
-        let transport = self.transport(conn.write.depth_hwm());
         let session = conn.sessions.get_mut(&sid).expect("routed session");
-        if inner.op == op::STAT {
-            session.set_transport(transport);
+        if frame.op == op::STAT {
+            session.set_transport(self.transport(&conn.write));
         }
-        let mut staged: Vec<Vec<u8>> = Vec::new();
-        let mut out =
-            |opcode: u8, payload: &[u8]| staged.push(reply_frame(Some(sid), opcode, payload));
-        let action = session.handle_frame(&inner, &mut out);
-        for bytes in staged {
-            conn.write.push(Arc::new(bytes));
-        }
-        if action == Action::Close {
+        let write = &mut conn.write;
+        let mut out = |opcode: u8, payload: &[u8]| write.push(opcode, Some(sid), payload);
+        if session.handle(frame.op, inner, &mut out) == Action::Close {
             conn.sessions.remove(&sid);
             self.shared.sessions.fetch_sub(1, Ordering::Relaxed);
         }
     }
 
     fn dispatch_broadcast(&mut self, token: u64, conn: &mut Conn, frame: &Frame) {
-        let transport = self.transport(conn.write.depth_hwm());
+        let transport = self.transport(&conn.write);
         let backend = self.poller.backend_name();
-        let (sid, inner): (Option<u32>, Frame) = if conn.version >= WIRE_V2 {
+        let (sid, inner): (Option<u32>, &[u8]) = if conn.version >= WIRE_V2 {
             if frame.payload.len() < 4 {
                 conn.stage_err(
                     errcode::PROTOCOL,
@@ -512,10 +504,6 @@ impl EventLoop {
                 return;
             }
             let sid = u32::from_le_bytes(frame.payload[..4].try_into().unwrap());
-            let inner = Frame {
-                op: frame.op,
-                payload: frame.payload[4..].to_vec(),
-            };
             if sid == CONTROL_SESSION && frame.op == op::SUB {
                 conn.stage_err(errcode::PROTOCOL, "SUB must address a real session id");
                 return;
@@ -539,55 +527,61 @@ impl EventLoop {
                 }
                 return;
             }
-            (Some(sid), inner)
+            (Some(sid), &frame.payload[4..])
         } else {
-            (None, frame.clone())
+            (None, &frame.payload[..])
         };
         let hub = self.hub.as_mut().expect("broadcast hub");
-        hub.dispatch(token, sid, &inner, &transport, backend);
+        hub.dispatch(token, sid, frame.op, inner, &transport, backend);
     }
 
     /// Drain the hub's staged fan-out into connection write queues,
     /// applying the overflow policy, then apply staged closes. `cur`
     /// is the connection currently checked out of the map, if any.
     fn pump_staged(&mut self, cur: Option<(u64, &mut Conn)>) {
-        let (cur_token, mut cur_conn): (Option<u64>, Option<&mut Conn>) = match cur {
-            Some((t, c)) => (Some(t), Some(c)),
-            None => (None, None),
-        };
-        let Some(hub) = self.hub.as_mut() else { return };
-        let out = std::mem::take(&mut hub.out);
-        let closes = std::mem::take(&mut hub.closes);
-        let bopts = self.opts.broadcast.expect("broadcast options");
+        let (cur_token, mut cur_conn) = cur.unzip();
+        let EventLoop {
+            hub,
+            conns,
+            shared,
+            opts,
+            ..
+        } = self;
+        let Some(hub) = hub.as_mut() else { return };
+        let bopts = opts.broadcast.expect("broadcast options");
         let cap = bopts.queue.max(1);
         let mut touched: Vec<u64> = Vec::new();
-        for (t, bytes) in out {
-            let target: &mut Conn = if Some(t) == cur_token {
-                cur_conn.as_deref_mut().expect("current connection")
+        // One connection lookup per run of deliveries to the same
+        // connection (every session multiplexed on it, back to back).
+        let mut deliveries = hub.deliveries().peekable();
+        while let Some(t) = deliveries.peek().map(|d| d.token) {
+            let mut target: Option<&mut Conn> = if Some(t) == cur_token {
+                cur_conn.as_deref_mut()
             } else {
-                match self.conns.get_mut(&t) {
-                    Some(c) => {
-                        touched.push(t);
-                        c
-                    }
-                    None => continue,
-                }
+                conns.get_mut(&t).inspect(|_| touched.push(t))
             };
-            // Drop policy sheds only result traffic: control replies
-            // and DOC_OK document boundaries always get through, so a
-            // lossy subscriber still sees a consistent protocol.
-            let opcode = bytes[4];
-            let droppable = opcode == op::RESULT || opcode == op::UPDATE;
-            if bopts.policy == BroadcastPolicy::Drop && droppable && target.write.len() >= cap {
-                self.shared.dropped.fetch_add(1, Ordering::Relaxed);
-                continue;
+            while let Some(d) = deliveries.next_if(|d| d.token == t) {
+                let Some(target) = target.as_deref_mut() else {
+                    continue;
+                };
+                // Drop policy sheds only result traffic: control replies
+                // and DOC_OK document boundaries always get through, so a
+                // lossy subscriber still sees a consistent protocol.
+                let droppable = d.op == op::RESULT || d.op == op::UPDATE;
+                if bopts.policy == BroadcastPolicy::Drop && droppable && target.write.len() >= cap {
+                    shared.dropped.fetch_add(1, Ordering::Relaxed);
+                    continue;
+                }
+                target.write.push(d.op, d.sid, d.payload);
             }
-            target.write.push(bytes);
         }
+        drop(deliveries);
+        hub.clear_staged();
+        let closes = std::mem::take(&mut hub.closes);
         for t in closes {
             if Some(t) == cur_token {
                 cur_conn.as_deref_mut().expect("current connection").closing = true;
-            } else if let Some(c) = self.conns.get_mut(&t) {
+            } else if let Some(c) = conns.get_mut(&t) {
                 c.closing = true;
                 touched.push(t);
             }
@@ -639,24 +633,13 @@ impl EventLoop {
             }
         }
         if cur_token == Some(ft) {
-            let f = cur_conn.expect("current connection");
-            if f.feeder_paused {
-                if !busy {
-                    f.feeder_paused = false;
-                }
-            } else if over {
-                f.feeder_paused = true;
-            }
+            // Paused stays paused while busy; running pauses once over.
             // The caller's finish_io applies the interest change.
+            let f = cur_conn.expect("current connection");
+            f.feeder_paused = if f.feeder_paused { busy } else { over };
         } else if let Some(mut f) = self.conns.remove(&ft) {
             let was = f.feeder_paused;
-            if f.feeder_paused {
-                if !busy {
-                    f.feeder_paused = false;
-                }
-            } else if over {
-                f.feeder_paused = true;
-            }
+            f.feeder_paused = if was { busy } else { over };
             let dead = if f.feeder_paused != was {
                 self.finish_io(ft, &mut f)
             } else {
@@ -676,9 +659,7 @@ impl EventLoop {
         if !conn.write.is_empty() && conn.write.flush_into(&mut conn.stream).is_err() {
             return true;
         }
-        self.shared
-            .queue_hwm
-            .fetch_max(conn.write.depth_hwm(), Ordering::Relaxed);
+        note_queue_hwm(&self.shared, &conn.write);
         let depth = conn.write.len();
         if conn.backpressured {
             if depth <= self.opts.queue_depth / 2 {
@@ -715,9 +696,7 @@ impl EventLoop {
         if live > 0 {
             self.shared.sessions.fetch_sub(live, Ordering::Relaxed);
         }
-        self.shared
-            .queue_hwm
-            .fetch_max(conn.write.depth_hwm(), Ordering::Relaxed);
+        note_queue_hwm(&self.shared, &conn.write);
         drop(conn);
         if self.hub.is_some() {
             // The hub may stage frames (feeder loss fans an error to
@@ -799,7 +778,8 @@ impl EventLoop {
             || c.sessions.values().any(|s| s.doc_active())
     }
 
-    fn transport(&self, conn_hwm: u64) -> TransportStats {
+    fn transport(&self, write: &WriteBuf) -> TransportStats {
+        note_queue_hwm(&self.shared, write);
         TransportStats {
             model: if self.hub.is_some() {
                 "broadcast"
@@ -808,7 +788,8 @@ impl EventLoop {
             },
             connections: self.shared.connections.load(Ordering::Relaxed),
             sessions: self.shared.sessions.load(Ordering::Relaxed),
-            queue_depth_hwm: self.shared.queue_hwm.load(Ordering::Relaxed).max(conn_hwm),
+            queue_depth_hwm: self.shared.queue_hwm.load(Ordering::Relaxed),
+            queued_bytes_hwm: self.shared.queue_bytes_hwm.load(Ordering::Relaxed),
             dropped_broadcast: self.shared.dropped.load(Ordering::Relaxed),
         }
     }
@@ -817,19 +798,19 @@ impl EventLoop {
     /// logical session is addressed, so no engine counters).
     fn server_stat_json(&self, conn: &Conn) -> String {
         let cache = self.shared.cache.stats();
+        let transport = self.transport(&conn.write);
         format!(
             "{{\"model\":\"eventloop\",\"backend\":\"{}\",\"connections\":{},\
-             \"sessions\":{},\"queue_depth_hwm\":{},\"dropped_broadcast\":{},\
+             \"sessions\":{},\"queue_depth_hwm\":{},\"queued_bytes_hwm\":{},\
+             \"dropped_broadcast\":{},\
              \"plan_cache_entries\":{},\"plan_cache_hits\":{},\
              \"plan_cache_misses\":{}}}",
             self.poller.backend_name(),
-            self.shared.connections.load(Ordering::Relaxed),
-            self.shared.sessions.load(Ordering::Relaxed),
-            self.shared
-                .queue_hwm
-                .load(Ordering::Relaxed)
-                .max(conn.write.depth_hwm()),
-            self.shared.dropped.load(Ordering::Relaxed),
+            transport.connections,
+            transport.sessions,
+            transport.queue_depth_hwm,
+            transport.queued_bytes_hwm,
+            transport.dropped_broadcast,
             cache.entries,
             cache.hits,
             cache.misses,

@@ -85,14 +85,26 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
-/// Serialize a frame into a standalone byte buffer (what the writer
-/// thread queues and sends).
-pub fn frame_bytes(op: u8, payload: &[u8]) -> Vec<u8> {
-    let len = (payload.len() + 1) as u32;
-    let mut buf = Vec::with_capacity(5 + payload.len());
-    buf.extend_from_slice(&len.to_le_bytes());
+/// The one frame encoder: append `len | op | [sid] | payload` to `buf`.
+/// `sid` is the wire-v2 logical-session prefix; the length prefix
+/// counts it as payload. Every reply path encodes through here, in
+/// place, into the buffer the bytes are sent from.
+pub fn encode_frame(buf: &mut Vec<u8>, op: u8, sid: Option<u32>, payload: &[u8]) {
+    let len = 1 + sid.map_or(0, |_| 4) + payload.len();
+    buf.reserve(4 + len);
+    buf.extend_from_slice(&(len as u32).to_le_bytes());
     buf.push(op);
+    if let Some(sid) = sid {
+        buf.extend_from_slice(&sid.to_le_bytes());
+    }
     buf.extend_from_slice(payload);
+}
+
+/// Serialize a frame into a standalone byte buffer (what the threaded
+/// model's writer thread queues and sends).
+pub fn frame_bytes(op: u8, payload: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    encode_frame(&mut buf, op, None, payload);
     buf
 }
 
@@ -306,6 +318,19 @@ mod tests {
         assert!(read_frame(&mut &bytes[bytes.len()..], MAX_FRAME)
             .unwrap()
             .is_none());
+    }
+
+    #[test]
+    fn session_prefix_is_counted_as_payload() {
+        let mut buf = frame_bytes(op::DOC_OK, b"x");
+        encode_frame(&mut buf, op::RESULT, Some(7), b"value");
+        let mut wire = &buf[..];
+        let first = read_frame(&mut wire, MAX_FRAME).unwrap().unwrap();
+        assert_eq!((first.op, &first.payload[..]), (op::DOC_OK, &b"x"[..]));
+        let second = read_frame(&mut wire, MAX_FRAME).unwrap().unwrap();
+        assert_eq!(second.op, op::RESULT);
+        assert_eq!(second.payload, [&7u32.to_le_bytes()[..], b"value"].concat());
+        assert!(wire.is_empty());
     }
 
     #[test]

@@ -80,7 +80,9 @@ pub enum BroadcastPolicy {
 /// Broadcast-mode settings (`xsq serve --broadcast`).
 #[derive(Debug, Clone, Copy)]
 pub struct BroadcastOptions {
-    /// Per-subscriber bounded output queue, in frames.
+    /// Bounded output queue per subscriber *connection*, in frames:
+    /// wire-v2 sessions multiplexed on one connection share its queue
+    /// and its bound.
     pub queue: usize,
     pub policy: BroadcastPolicy,
 }
@@ -107,7 +109,9 @@ pub struct ServeOptions {
     pub idle_timeout: Duration,
     /// Per-frame size cap.
     pub max_frame: usize,
-    /// Bounded reply-queue depth per connection (frames).
+    /// Bounded reply-queue depth, in frames, per *connection* — not
+    /// per logical session: every wire-v2 session multiplexed on a
+    /// connection shares that connection's queue.
     pub queue_depth: usize,
     /// Engine every session compiles against.
     pub engine: XsqEngine,
@@ -155,6 +159,7 @@ pub(crate) struct Shared {
     pub connections: AtomicU64,
     pub sessions: AtomicU64,
     pub queue_hwm: AtomicU64,
+    pub queue_bytes_hwm: AtomicU64,
     pub dropped: AtomicU64,
 }
 
@@ -168,6 +173,7 @@ impl Shared {
             connections: AtomicU64::new(0),
             sessions: AtomicU64::new(0),
             queue_hwm: AtomicU64::new(0),
+            queue_bytes_hwm: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
         }
     }
@@ -371,6 +377,7 @@ fn handle_connection(
                         // The writer-thread queue has no depth probe;
                         // the event loop reports a real high-water mark.
                         queue_depth_hwm: 0,
+                        queued_bytes_hwm: 0,
                         dropped_broadcast: shared.dropped.load(Ordering::SeqCst),
                     });
                 }

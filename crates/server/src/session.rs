@@ -73,6 +73,8 @@ pub enum Action {
 /// wire) the moment its membership is decided, not at END-DOC.
 struct FrameSink<'a> {
     out: &'a mut dyn Outbox,
+    /// The session's reusable RESULT payload buffer (`id | value`).
+    scratch: &'a mut Vec<u8>,
     results: u64,
     updates: u64,
 }
@@ -80,10 +82,10 @@ struct FrameSink<'a> {
 impl QuerySink for FrameSink<'_> {
     fn result(&mut self, id: QueryId, value: &str) {
         self.results += 1;
-        let mut payload = Vec::with_capacity(4 + value.len());
-        payload.extend_from_slice(&id.0.to_le_bytes());
-        payload.extend_from_slice(value.as_bytes());
-        self.out.send(op::RESULT, &payload);
+        self.scratch.clear();
+        self.scratch.extend_from_slice(&id.0.to_le_bytes());
+        self.scratch.extend_from_slice(value.as_bytes());
+        self.out.send(op::RESULT, self.scratch);
     }
 
     fn aggregate_update(&mut self, id: QueryId, value: f64) {
@@ -125,8 +127,10 @@ pub struct TransportStats {
     /// Logical sessions across all connections (≥ connections once
     /// clients multiplex).
     pub sessions: u64,
-    /// Highest observed per-subscriber reply-queue depth (frames).
+    /// Highest observed per-connection reply-queue depth (frames).
     pub queue_depth_hwm: u64,
+    /// Most reply bytes ever queued on one connection at once.
+    pub queued_bytes_hwm: u64,
     /// Broadcast frames dropped against slow subscribers (drop policy).
     pub dropped_broadcast: u64,
 }
@@ -138,6 +142,7 @@ impl Default for TransportStats {
             connections: 0,
             sessions: 0,
             queue_depth_hwm: 0,
+            queued_bytes_hwm: 0,
             dropped_broadcast: 0,
         }
     }
@@ -182,6 +187,8 @@ pub struct Session {
     /// Every batch this session subscribed, for cache accounting.
     batches: Vec<BatchRef>,
     transport: TransportStats,
+    /// RESULT payloads are built here, one after another.
+    scratch: Vec<u8>,
 }
 
 impl Session {
@@ -208,6 +215,7 @@ impl Session {
             cache: None,
             batches: Vec::new(),
             transport: TransportStats::default(),
+            scratch: Vec::new(),
         }
     }
 
@@ -236,11 +244,17 @@ impl Session {
 
     /// Handle one decoded frame, emitting replies through `out`.
     pub fn handle_frame(&mut self, frame: &Frame, out: &mut dyn Outbox) -> Action {
+        self.handle(frame.op, &frame.payload, out)
+    }
+
+    /// [`Session::handle_frame`] on a borrowed payload: a transport
+    /// that strips a session prefix passes the rest of its buffer.
+    pub fn handle(&mut self, opcode: u8, payload: &[u8], out: &mut dyn Outbox) -> Action {
         self.stats.frames_in += 1;
-        match frame.op {
-            op::SUB => self.on_sub(&frame.payload, out),
-            op::UNSUB => self.on_unsub(&frame.payload, out),
-            op::FEED => self.on_feed(&frame.payload, out),
+        match opcode {
+            op::SUB => self.on_sub(payload, out),
+            op::UNSUB => self.on_unsub(payload, out),
+            op::FEED => self.on_feed(payload, out),
             op::END_DOC => self.on_end_doc(out),
             op::STAT => {
                 let json = self.stat_json();
@@ -476,6 +490,7 @@ impl Session {
         }
         let mut sink = FrameSink {
             out,
+            scratch: &mut self.scratch,
             results: 0,
             updates: 0,
         };
@@ -532,12 +547,18 @@ impl Session {
     /// (fail-fast, like the sharded driver's lowest-doc report) and
     /// the connection closes.
     fn pump(&mut self, out: &mut dyn Outbox) -> Action {
+        let Session {
+            index,
+            parser,
+            scratch,
+            ..
+        } = self;
         let mut sink = FrameSink {
             out,
+            scratch,
             results: 0,
             updates: 0,
         };
-        let Session { index, parser, .. } = self;
         let failed = loop {
             match parser.poll_raw() {
                 Ok(ParsePoll::Event(ev)) => index.feed_raw(&ev, &mut sink),
@@ -584,7 +605,8 @@ impl Session {
              \"peak_configs\":{},\"bytes_in\":{},\"frames_in\":{},\
              \"ingest_mb_per_sec\":{:.2},\"events_per_sec\":{:.0},\
              \"model\":\"{}\",\"connections\":{},\"sessions\":{},\
-             \"queue_depth_hwm\":{},\"dropped_broadcast\":{},\
+             \"queue_depth_hwm\":{},\"queued_bytes_hwm\":{},\
+             \"dropped_broadcast\":{},\
              \"plan_cache_entries\":{},\"plan_cache_hits\":{},\
              \"plan_cache_misses\":{},\"kernel\":\"{}\"}}",
             json_escape(self.engine_name),
@@ -607,6 +629,7 @@ impl Session {
             self.transport.connections,
             self.transport.sessions,
             self.transport.queue_depth_hwm,
+            self.transport.queued_bytes_hwm,
             self.transport.dropped_broadcast,
             cache.entries,
             cache.hits,

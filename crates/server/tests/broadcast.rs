@@ -442,3 +442,154 @@ fn broadcast_role_violations_are_framed_errors() {
     assert_eq!(recv(&mut conns[1].0).op, op::STAT_OK);
     server.shutdown();
 }
+
+/// What a private in-process session replies to one SUB batch and a
+/// corpus: the oracle for "byte-identical to a solo session".
+fn solo_transcript(queries: &[&str], docs: &[Vec<u8>]) -> Vec<(u8, Vec<u8>)> {
+    let mut session = xsq_server::Session::new(XsqEngine::full());
+    let mut replies: Vec<(u8, Vec<u8>)> = Vec::new();
+    let mut out = |opcode: u8, payload: &[u8]| replies.push((opcode, payload.to_vec()));
+    session.handle(op::SUB, queries.join("\n").as_bytes(), &mut out);
+    for doc in docs {
+        session.handle(op::FEED, doc, &mut out);
+        session.handle(op::END_DOC, &[], &mut out);
+    }
+    replies
+}
+
+fn raw_conn(addr: &str) -> (BufReader<TcpStream>, TcpStream) {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    (BufReader::new(stream.try_clone().unwrap()), stream)
+}
+
+/// Drop policy sheds *whole frames*: a saturated subscriber's byte
+/// stream still decodes frame by frame to EOF, every boundary is
+/// there, and what it received plus what the server counted as dropped
+/// is exactly what a solo session would have been sent.
+#[test]
+fn drop_policy_sheds_whole_frames_and_accounts_for_each() {
+    let server = start_broadcast(8, BroadcastPolicy::Drop);
+    let addr = server.addr().to_string();
+    let (docs, _) = heavy_corpus();
+    let queries = ["//book/name/text()", "//book/count()"];
+
+    let (mut sreader, mut swriter) = raw_conn(&addr);
+    swriter
+        .write_all(&frame_bytes(op::SUB, queries.join("\n").as_bytes()))
+        .unwrap();
+    assert_eq!(
+        read_frame(&mut sreader, MAX_FRAME).unwrap().unwrap().op,
+        op::SUB_OK
+    );
+
+    // The subscriber reads nothing while the corpus is fed.
+    let fopts = FeedOptions {
+        chunk: 64 * 1024,
+        wait_subs: Some(1),
+        want_stats: true,
+    };
+    let feed = broadcast_feed(&addr, &docs, &fopts).expect("feeder never blocks under drop");
+    let stats = feed.stats_json.expect("STAT");
+    let dropped = stat_field_u64(&stats, "dropped_broadcast").unwrap();
+    assert!(dropped > 0, "expected drops, stats: {stats}");
+
+    // BYE, then decode everything the server ever queued, to EOF.
+    swriter.write_all(&frame_bytes(op::BYE, &[])).unwrap();
+    let (mut received, mut doc_oks) = (0u64, 0u32);
+    let mut last = 0u8;
+    while let Some(f) = read_frame(&mut sreader, MAX_FRAME).expect("whole frames only") {
+        match f.op {
+            op::RESULT | op::UPDATE => received += 1,
+            op::DOC_OK => {
+                assert_eq!(f.payload, doc_oks.to_le_bytes(), "boundary out of order");
+                doc_oks += 1;
+            }
+            op::OK => {}
+            other => panic!("unexpected opcode 0x{other:02x}"),
+        }
+        last = f.op;
+    }
+    assert_eq!(last, op::OK, "the BYE ack is the last frame before EOF");
+    assert_eq!(doc_oks as usize, docs.len());
+    let solo = solo_transcript(&queries, &docs)
+        .iter()
+        .filter(|(o, _)| matches!(*o, op::RESULT | op::UPDATE))
+        .count() as u64;
+    assert_eq!(received + dropped, solo, "every shed frame is counted once");
+    server.shutdown();
+}
+
+/// One audience, both framings: wire-v2 sessions multiplexed on one
+/// connection beside v1 subscribers on their own connections, all on
+/// the same SUB batch (one shared entry). Every session's transcript —
+/// SUB_OK through the last DOC_OK — is byte-identical to a solo
+/// session's.
+#[test]
+fn mixed_v1_and_multiplexed_v2_audience_matches_solo_sessions() {
+    use xsq_server::proto::WIRE_V2;
+
+    let server = start_broadcast(1024, BroadcastPolicy::Block);
+    let addr = server.addr().to_string();
+    let docs = corpus();
+    let queries = ["//book/name/text()", "//price/sum()", "//book/@id"];
+    let batch = queries.join("\n");
+    let expected = solo_transcript(&queries, &docs);
+    const V2_SESSIONS: u32 = 3;
+    const V1_CONNS: usize = 2;
+
+    let (mut mreader, mut mwriter) = raw_conn(&addr);
+    mwriter
+        .write_all(&frame_bytes(op::HELLO, &WIRE_V2.to_le_bytes()))
+        .unwrap();
+    assert_eq!(
+        read_frame(&mut mreader, MAX_FRAME).unwrap().unwrap().op,
+        op::HELLO_OK
+    );
+    for sid in 1..=V2_SESSIONS {
+        let payload = [&sid.to_le_bytes()[..], batch.as_bytes()].concat();
+        mwriter.write_all(&frame_bytes(op::SUB, &payload)).unwrap();
+    }
+    let mut v1: Vec<_> = (0..V1_CONNS).map(|_| raw_conn(&addr)).collect();
+    for (_, writer) in &mut v1 {
+        writer
+            .write_all(&frame_bytes(op::SUB, batch.as_bytes()))
+            .unwrap();
+    }
+
+    let fopts = FeedOptions {
+        chunk: 113,
+        wait_subs: Some(u64::from(V2_SESSIONS) + V1_CONNS as u64),
+        want_stats: false,
+    };
+    broadcast_feed(&addr, &docs, &fopts).expect("feed completes");
+
+    // Demultiplex the v2 connection by session id.
+    let mut by_sid: Vec<Vec<(u8, Vec<u8>)>> = vec![Vec::new(); V2_SESSIONS as usize];
+    let mut open = V2_SESSIONS as usize;
+    while open > 0 {
+        let f = read_frame(&mut mreader, MAX_FRAME).unwrap().unwrap();
+        let sid = u32::from_le_bytes(f.payload[..4].try_into().unwrap());
+        let transcript = &mut by_sid[sid as usize - 1];
+        transcript.push((f.op, f.payload[4..].to_vec()));
+        if transcript.len() == expected.len() {
+            open -= 1;
+        }
+    }
+    for (i, got) in by_sid.iter().enumerate() {
+        assert_eq!(got, &expected, "v2 session {} diverged", i + 1);
+    }
+    for (i, (reader, _)) in v1.iter_mut().enumerate() {
+        let got: Vec<(u8, Vec<u8>)> = (0..expected.len())
+            .map(|_| {
+                let f = read_frame(reader, MAX_FRAME).unwrap().unwrap();
+                (f.op, f.payload)
+            })
+            .collect();
+        assert_eq!(got, expected, "v1 subscriber {i} diverged");
+    }
+    server.shutdown();
+}
