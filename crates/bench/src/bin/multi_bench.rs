@@ -5,7 +5,7 @@
 //! interest at most a handful of queries. This is the workload where
 //! per-event cost separates the two multi-query paths:
 //!
-//! - **loop**: `MultiRunner::feed_all` steps all N runners per event
+//! - **loop**: one `Runner` per query, all N stepped on every event
 //!   (touches = events × N);
 //! - **index**: `QueryIndex` routes each event through the inverted
 //!   dispatch index to interested runners only.
@@ -105,13 +105,21 @@ fn measure(n: usize, events: &[SaxEvent], queries: &[String]) -> Measurement {
     let (_, prune_stats) = xsq_core::prune(&merged);
 
     // Loop path: every event steps every runner.
+    let compiled: Vec<_> = texts
+        .iter()
+        .map(|q| XsqEngine::full().compile_str(q).expect("queries compile"))
+        .collect();
     let (loop_secs, loop_results) = best_of(reps, || {
-        let mut runner = set.runner();
+        let mut runners: Vec<_> = compiled.iter().map(|c| c.runner()).collect();
         let mut sinks: Vec<CountingSink> = (0..n).map(|_| CountingSink::new()).collect();
         for ev in events {
-            runner.feed_all(ev, &mut sinks);
+            for (runner, sink) in runners.iter_mut().zip(&mut sinks) {
+                runner.feed(ev, sink);
+            }
         }
-        runner.finish_all(&mut sinks);
+        for (runner, sink) in runners.into_iter().zip(&mut sinks) {
+            runner.finish(sink);
+        }
         sinks.iter().map(|s| s.results).sum::<u64>()
     });
 

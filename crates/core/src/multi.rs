@@ -7,29 +7,18 @@
 //! all of them over a single pass of the stream — one parse, N
 //! evaluations, with per-query result attribution.
 //!
-//! Two execution paths share this interface:
-//!
-//! - The **grouped path** (default, used by [`QuerySet::run_document`]):
-//!   the set is planned into prefix-sharing groups and driven through a
-//!   [`QueryIndex`], so each event touches only the runners whose
-//!   dispatch buckets match it — see [`crate::qindex`].
-//! - The **loop path** ([`QuerySet::runner`] → [`MultiRunner`]): one
-//!   independent runner per query, every event stepped through all of
-//!   them. It is the baseline the `multi_query` ablation measures the
-//!   index against, and remains available for callers that need one
-//!   runner per query (e.g. per-query tracers).
+//! The set is planned into prefix-sharing groups and driven through a
+//! [`QueryIndex`], so each event touches only the runners whose dispatch
+//! buckets match it — see [`crate::qindex`]. A caller that wants one
+//! independent runner per query (a per-query tracer, the `multi-bench`
+//! baseline) steps its own `Vec` of [`crate::CompiledQuery::runner`]s.
 
 use std::io::BufRead;
 
-use xsq_xml::{RawEvent, SaxEvent};
-
-use crate::engine::{CompiledQuery, XsqEngine};
+use crate::engine::XsqEngine;
 use crate::error::{CompileError, EngineError};
 use crate::qindex::prefix::{plan_groups, QueryGroup};
-use crate::qindex::{QueryId, QueryIndex, QuerySink, VecQuerySink};
-use crate::report::MemoryStats;
-use crate::runtime::{RunStats, Runner};
-use crate::sink::Sink;
+use crate::qindex::{QueryIndex, VecQuerySink};
 
 /// A set of compiled queries sharing one stream pass.
 ///
@@ -49,7 +38,7 @@ use crate::sink::Sink;
 #[derive(Debug)]
 pub struct QuerySet {
     engine: XsqEngine,
-    queries: Vec<(String, CompiledQuery)>,
+    queries: Vec<String>,
     /// Prefix-sharing group plan (compiled once, instantiated per run).
     plan: Vec<QueryGroup>,
 }
@@ -58,24 +47,22 @@ impl QuerySet {
     /// Compile a set of query strings with one engine. Fails on the
     /// first malformed or unsupported query, naming it.
     pub fn compile(engine: XsqEngine, queries: &[&str]) -> Result<QuerySet, (usize, CompileError)> {
-        let mut compiled = Vec::with_capacity(queries.len());
         let mut parsed = Vec::with_capacity(queries.len());
         for (i, q) in queries.iter().enumerate() {
             match xsq_xpath::parse_query(q) {
                 Ok(p) => parsed.push(p),
                 Err(e) => return Err((i, e.into())),
             }
-            match engine.compile_str(q) {
-                Ok(c) => compiled.push((q.to_string(), c)),
-                Err(e) => return Err((i, e)),
-            }
+            // Planning checks the grammar; this checks the engine variant
+            // (XSQ-NC refuses closures).
+            engine.compile_str(q).map_err(|e| (i, e))?;
         }
         // Every query compiled individually, so planning can only fail on
         // pathological inputs; attribute such an error to the whole set.
         let plan = plan_groups(&parsed).map_err(|e| (0, e))?;
         Ok(QuerySet {
             engine,
-            queries: compiled,
+            queries: queries.iter().map(|q| q.to_string()).collect(),
             plan,
         })
     }
@@ -92,7 +79,7 @@ impl QuerySet {
 
     /// The original query strings.
     pub fn texts(&self) -> impl Iterator<Item = &str> {
-        self.queries.iter().map(|(s, _)| s.as_str())
+        self.queries.iter().map(String::as_str)
     }
 
     /// Number of runner groups after prefix sharing (≤ [`Self::len`]).
@@ -111,20 +98,10 @@ impl QuerySet {
         &self.plan
     }
 
-    /// Start a grouped run: fresh runtime state over the precompiled
-    /// prefix-sharing plan, with dispatch-indexed event routing. This is
-    /// the default execution path.
+    /// Start a run: fresh runtime state over the precompiled
+    /// prefix-sharing plan, with dispatch-indexed event routing.
     pub fn index(&self) -> QueryIndex {
-        let texts: Vec<String> = self.queries.iter().map(|(s, _)| s.clone()).collect();
-        QueryIndex::from_plan(self.engine, &texts, &self.plan)
-    }
-
-    /// Start a loop-path run: one independent runner per query.
-    pub fn runner(&self) -> MultiRunner<'_> {
-        MultiRunner {
-            runners: self.queries.iter().map(|(_, c)| c.runner()).collect(),
-            events: 0,
-        }
+        QueryIndex::from_plan(self.engine, &self.queries, &self.plan)
     }
 
     /// Evaluate the whole set over one document in a single pass,
@@ -143,106 +120,6 @@ impl QuerySet {
             per_query[id.0 as usize].push(value);
         }
         Ok(per_query)
-    }
-}
-
-/// Tags one runner's output with its query id before it reaches the
-/// shared [`QuerySink`] — how the loop path keeps attribution.
-struct AttributeAs<'a> {
-    id: QueryId,
-    inner: &'a mut dyn QuerySink,
-}
-
-impl Sink for AttributeAs<'_> {
-    fn result(&mut self, value: &str) {
-        self.inner.result(self.id, value);
-    }
-
-    fn aggregate_update(&mut self, value: f64) {
-        self.inner.aggregate_update(self.id, value);
-    }
-}
-
-/// Incremental multi-query evaluation state (the loop path: every event
-/// steps every runner).
-pub struct MultiRunner<'q> {
-    runners: Vec<Runner<'q>>,
-    events: u64,
-}
-
-impl<'q> MultiRunner<'q> {
-    /// Feed one owned event to every query, each with its own sink.
-    pub fn feed_all<S: Sink>(&mut self, event: &SaxEvent, sinks: &mut [S]) {
-        self.feed_all_raw(&event.as_raw(), sinks);
-    }
-
-    /// Feed one borrowed event to every query, each with its own sink.
-    pub fn feed_all_raw<S: Sink>(&mut self, event: &RawEvent<'_>, sinks: &mut [S]) {
-        debug_assert_eq!(self.runners.len(), sinks.len());
-        self.events += 1;
-        for (runner, sink) in self.runners.iter_mut().zip(sinks.iter_mut()) {
-            runner.feed_raw(event, sink);
-        }
-    }
-
-    /// Feed one owned event, routing every query's results to one shared
-    /// sink, each tagged with the query's id (its index in the set).
-    pub fn feed_shared(&mut self, event: &SaxEvent, sink: &mut dyn QuerySink) {
-        self.feed_shared_raw(&event.as_raw(), sink);
-    }
-
-    /// Feed one borrowed event to the shared sink — the zero-copy path.
-    pub fn feed_shared_raw(&mut self, event: &RawEvent<'_>, sink: &mut dyn QuerySink) {
-        self.events += 1;
-        for (i, runner) in self.runners.iter_mut().enumerate() {
-            let mut tagged = AttributeAs {
-                id: QueryId(i as u32),
-                inner: &mut *sink,
-            };
-            runner.feed_raw(event, &mut tagged);
-        }
-    }
-
-    /// Finish all runs, returning per-query stats.
-    pub fn finish_all<S: Sink>(self, sinks: &mut [S]) -> Vec<RunStats> {
-        self.runners
-            .into_iter()
-            .zip(sinks.iter_mut())
-            .map(|(r, s)| r.finish(s))
-            .collect()
-    }
-
-    /// Finish all runs into one shared sink, keeping attribution.
-    pub fn finish_shared(self, sink: &mut dyn QuerySink) -> Vec<RunStats> {
-        self.runners
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
-                let mut tagged = AttributeAs {
-                    id: QueryId(i as u32),
-                    inner: &mut *sink,
-                };
-                r.finish(&mut tagged)
-            })
-            .collect()
-    }
-
-    /// Aggregate memory across the set (the grouped system's footprint).
-    pub fn memory(&self) -> MemoryStats {
-        let mut total = MemoryStats::default();
-        for r in &self.runners {
-            let m = r.memory();
-            total.peak_bytes += m.peak_bytes;
-            total.peak_items += m.peak_items;
-            total.peak_buffered_items += m.peak_buffered_items;
-            total.peak_configs += m.peak_configs;
-        }
-        total
-    }
-
-    /// Events dispatched so far.
-    pub fn events(&self) -> u64 {
-        self.events
     }
 }
 
@@ -321,28 +198,6 @@ mod tests {
         let err = QuerySet::compile(XsqEngine::no_closure(), &["/a/b", "//c"]).unwrap_err();
         assert_eq!(err.0, 1);
         assert!(matches!(err.1, CompileError::Unsupported { .. }));
-    }
-
-    #[test]
-    fn incremental_multi_run_with_shared_sink() {
-        let set =
-            QuerySet::compile(XsqEngine::full(), &["//name/text()", "//author/text()"]).unwrap();
-        let mut runner = set.runner();
-        let mut sink = VecQuerySink::new();
-        for ev in xsq_xml::parse_to_events(DOC).unwrap() {
-            runner.feed_shared(&ev, &mut sink);
-        }
-        assert!(runner.events() > 0);
-        assert!(runner.memory().peak_configs >= 2);
-        runner.finish_shared(&mut sink);
-        // Both queries' results interleave in stream order, and every
-        // value says which query produced it.
-        let tagged: Vec<(u32, &str)> = sink
-            .results
-            .iter()
-            .map(|(id, v)| (id.0, v.as_str()))
-            .collect();
-        assert_eq!(tagged, [(0, "First"), (1, "A"), (0, "Second")]);
     }
 
     #[test]

@@ -104,7 +104,7 @@ pub struct PlanCacheStats {
 }
 
 /// A keyed, reference-counted compiled-plan cache, shared across every
-/// connection of one server (threaded and event-loop models alike).
+/// connection of one server, or private to one bare session.
 pub struct PlanCache {
     /// Bounds are schema-dependent; the cache is built with the same
     /// DTD the server's admission policy uses, so cached bounds are

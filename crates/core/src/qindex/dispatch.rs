@@ -1,7 +1,7 @@
 //! The inverted dispatch index: event name → interested runners.
 //!
-//! `MultiRunner::feed_all` steps every query's HPDT on every event, so
-//! per-event cost is O(N queries) even when almost no query cares about
+//! Stepping every query's HPDT on every event makes the
+//! per-event cost O(N queries) even when almost no query cares about
 //! the element name — the exact failure mode Koch et al.'s schema-based
 //! scheduling work identifies for structured-stream engines at scale.
 //! This index inverts the question: for each (event kind, element name)

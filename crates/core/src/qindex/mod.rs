@@ -3,9 +3,8 @@
 //! The paper evaluates XSQ one query at a time; real deployments (stock
 //! feeds, pub/sub over document streams) hold hundreds of standing
 //! queries against the same stream. Running N independent
-//! [`crate::runtime::Runner`]s works — [`crate::multi::MultiRunner`]
-//! does exactly that — but costs O(N) automaton steps per SAX event
-//! even when almost no query could possibly react.
+//! [`crate::runtime::Runner`]s works, but costs O(N) automaton steps
+//! per SAX event even when almost no query could possibly react.
 //!
 //! This module makes the query set a first-class, indexed object:
 //!

@@ -598,8 +598,8 @@ impl QueryIndex {
         self.events
     }
 
-    /// Runner-group feeds performed so far. `feed_all` over N separate
-    /// queries would accumulate `events × N`; the dispatch index keeps
+    /// Runner-group feeds performed so far. Stepping N separate
+    /// runners would accumulate `events × N`; the dispatch index keeps
     /// this close to the number of events that actually matter.
     pub fn touches(&self) -> u64 {
         self.touches
@@ -731,7 +731,7 @@ mod tests {
         let mut sink = VecQuerySink::new();
         index.run_document(DOC, &mut sink).unwrap();
         assert_eq!(sink.of(watched), ["2002"]);
-        // feed_all would touch 9 runners per event; dispatch must do far
+        // A runner per query would touch 9 per event; dispatch must do far
         // better. Brackets and `pub` begin/end touch everyone, but inner
         // book/name/... events only the matching bucket.
         assert!(

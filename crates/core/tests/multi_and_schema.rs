@@ -39,21 +39,26 @@ fn a_subscription_workload_over_one_stream() {
 }
 
 #[test]
-fn multi_runner_memory_is_additive_and_bounded() {
-    let set =
-        QuerySet::compile(XsqEngine::full(), &["//a[z]/v/text()", "//a[z]/w/text()"]).unwrap();
+fn one_runner_per_query_matches_and_buffers_independently() {
+    let compiled: Vec<_> = ["//a[z]/v/text()", "//a[z]/w/text()"]
+        .iter()
+        .map(|q| XsqEngine::full().compile_str(q).unwrap())
+        .collect();
     let doc = "<r><a><v>1</v><w>2</w><z/></a></r>".to_string();
     let doc = format!("<all>{doc}</all>");
     // Invalid nesting? <all><r>... is fine.
-    let mut runner = set.runner();
+    let mut runners: Vec<_> = compiled.iter().map(|c| c.runner()).collect();
     let mut sinks = vec![VecSink::new(), VecSink::new()];
     for ev in xsq_xml::parse_to_events(doc.as_bytes()).unwrap() {
-        runner.feed_all(&ev, &mut sinks);
+        for (runner, sink) in runners.iter_mut().zip(&mut sinks) {
+            runner.feed(&ev, sink);
+        }
     }
-    let mem = runner.memory();
-    assert!(mem.peak_configs >= 2);
-    let stats = runner.finish_all(&mut sinks);
-    assert_eq!(stats.len(), 2);
+    let configs: u64 = runners.iter().map(|r| r.memory().peak_configs).sum();
+    assert!(configs >= 2);
+    for (runner, sink) in runners.into_iter().zip(&mut sinks) {
+        runner.finish(sink);
+    }
     assert_eq!(sinks[0].results, ["1"]);
     assert_eq!(sinks[1].results, ["2"]);
 }

@@ -52,10 +52,8 @@ use std::time::Instant;
 use xsq_core::{PlanCache, QueryId, QueryIndex, QuerySink, XsqEngine, XsqMode};
 use xsq_xml::{ParsePoll, PushParser, StreamParser};
 
-use crate::proto::{err_payload, errcode, json_escape, op, WireBound};
-use crate::session::{
-    bound_diagnostics, query_diagnostics, wire_bound, SessionLimits, TransportStats,
-};
+use crate::proto::{err_payload, errcode, json_escape, op};
+use crate::session::{admit_sub, SessionLimits, TransportStats};
 
 /// One subscriber of one entry: the connection token, the logical
 /// session id on that connection (wire v2; `None` for v1), and the
@@ -328,87 +326,39 @@ impl Hub {
             );
             return;
         }
-        let Ok(text) = std::str::from_utf8(payload) else {
-            self.stage_err(token, sid, errcode::PROTOCOL, "SUB payload is not UTF-8");
-            return;
-        };
-        let queries: Vec<&str> = text
-            .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty() && !l.starts_with('#'))
-            .collect();
-        if queries.is_empty() {
-            self.stage_err(token, sid, errcode::BAD_QUERY, "SUB carried no queries");
-            return;
-        }
-        let plan = match self.cache.checkout(self.engine, &queries) {
-            Ok(plan) => plan,
-            Err((i, e)) => {
-                let payload = err_payload(
-                    errcode::BAD_QUERY,
-                    &format!("query {} ({}): {e}", i + 1, queries[i]),
-                    &query_diagnostics(queries[i], &e),
-                );
-                self.stage(token, sid, op::ERR, &payload);
-                return;
-            }
-        };
-        if let Some(budget) = self.limits.max_bound {
-            if let Some(i) = plan.bounds().iter().position(|b| !b.admits(budget)) {
-                let payload = err_payload(
-                    errcode::OVER_BUDGET,
-                    &format!(
-                        "query {} ({}): static memory bound {} exceeds the \
-                         server budget of {budget} buffered item(s)",
-                        i + 1,
-                        queries[i],
-                        plan.bounds()[i],
-                    ),
-                    &bound_diagnostics(queries[i], self.limits.dtd.as_deref()),
-                );
-                self.cache.release(plan.key());
-                self.stage(token, sid, op::ERR, &payload);
-                return;
-            }
-        }
-        let slot = match self.by_key.get(plan.key()) {
-            Some(&slot) => slot,
-            None => {
-                let ids = self.index.subscribe_plan(&plan);
-                let slot = self.entries.len();
-                for (local, id) in ids.iter().enumerate() {
-                    debug_assert_eq!(id.0 as usize, self.id_entry.len());
-                    self.id_entry.push(slot as u32);
-                    self.id_local.push(local as u32);
+        let (engine, limits, cache) = (self.engine, &self.limits, &self.cache);
+        let (opcode, reply) = admit_sub(engine, limits, cache, payload, |plan| {
+            let slot = match self.by_key.get(plan.key()) {
+                Some(&slot) => slot,
+                None => {
+                    let ids = self.index.subscribe_plan(plan);
+                    let slot = self.entries.len();
+                    for (local, id) in ids.iter().enumerate() {
+                        debug_assert_eq!(id.0 as usize, self.id_entry.len());
+                        self.id_entry.push(slot as u32);
+                        self.id_local.push(local as u32);
+                    }
+                    self.entries.push(Some(Entry {
+                        key: plan.key().to_string(),
+                        ids,
+                        subs: Vec::new(),
+                    }));
+                    self.by_key.insert(plan.key().to_string(), slot);
+                    slot
                 }
-                self.entries.push(Some(Entry {
-                    key: plan.key().to_string(),
-                    ids,
-                    subs: Vec::new(),
-                }));
-                self.by_key.insert(plan.key().to_string(), slot);
-                slot
-            }
-        };
-        let entry = self.entries[slot].as_mut().expect("live entry");
-        entry.subs.push(SubRef {
-            token,
-            sid,
-            active_from: self.docs + u32::from(self.doc_active),
+            };
+            let entry = self.entries[slot].as_mut().expect("live entry");
+            entry.subs.push(SubRef {
+                token,
+                sid,
+                active_from: self.docs + u32::from(self.doc_active),
+            });
+            self.sub_entry.insert((token, sid), slot);
+            // SUB_OK carries *local* ids 0..n-1 — the ids a private
+            // session would have allocated for the same batch.
+            (0..plan.len() as u32).map(QueryId).collect()
         });
-        self.sub_entry.insert((token, sid), slot);
-        // SUB_OK carries *local* ids 0..n-1 — the ids a private session
-        // would have allocated for the same batch — plus the bounds.
-        let n = plan.len();
-        let mut reply = Vec::with_capacity(4 + (4 + WireBound::SIZE) * n);
-        reply.extend_from_slice(&(n as u32).to_le_bytes());
-        for local in 0..n as u32 {
-            reply.extend_from_slice(&local.to_le_bytes());
-        }
-        for bound in plan.bounds() {
-            wire_bound(bound).encode(&mut reply);
-        }
-        self.stage(token, sid, op::SUB_OK, &reply);
+        self.stage(token, sid, opcode, &reply);
     }
 
     fn on_feed(&mut self, token: u64, sid: Option<u32>, payload: &[u8]) {
@@ -592,16 +542,11 @@ impl Hub {
         } else {
             0.0
         };
-        let cache = self.cache.stats();
-        format!(
-            "{{\"engine\":\"{}\",\"model\":\"broadcast\",\"backend\":\"{}\",\
+        let mut json = format!(
+            "{{\"engine\":\"{}\",\"backend\":\"{}\",\
              \"subscribers\":{},\"feeder\":{},\"entries\":{},\"docs\":{},\
              \"doc_active\":{},\"events\":{},\"results\":{},\"updates\":{},\
-             \"bytes_in\":{},\"ingest_mb_per_sec\":{:.2},\
-             \"connections\":{},\"sessions\":{},\"queue_depth_hwm\":{},\
-             \"queued_bytes_hwm\":{},\
-             \"dropped_broadcast\":{},\"plan_cache_entries\":{},\
-             \"plan_cache_hits\":{},\"plan_cache_misses\":{},\"kernel\":\"{}\"}}",
+             \"bytes_in\":{},\"ingest_mb_per_sec\":{:.2},",
             json_escape(match self.engine.mode() {
                 XsqMode::Full => "xsq-f",
                 XsqMode::NoClosure => "xsq-nc",
@@ -617,16 +562,14 @@ impl Hub {
             self.updates,
             self.bytes_in,
             mb_per_sec,
-            transport.connections,
-            self.subscriber_count(),
-            transport.queue_depth_hwm,
-            transport.queued_bytes_hwm,
-            transport.dropped_broadcast,
-            cache.entries,
-            cache.hits,
-            cache.misses,
-            xsq_xml::scan::active_kernel(),
-        )
+        );
+        // Logical sessions here are the attached subscribers.
+        let transport = TransportStats {
+            sessions: self.subscriber_count() as u64,
+            ..*transport
+        };
+        transport.finish_stat_json(self.cache.stats(), &mut json);
+        json
     }
 }
 

@@ -1,8 +1,7 @@
 //! Non-blocking framing buffers for the event loop.
 //!
-//! The threaded server reads frames with blocking calls and writes
-//! through a dedicated writer thread; the event loop instead owns a
-//! pair of buffers per connection and lets readiness drive them:
+//! The event loop owns a pair of buffers per connection and lets
+//! readiness drive them:
 //!
 //! * [`FrameBuf`] accumulates whatever bytes the socket yields and
 //!   decodes complete frames incrementally. A frame split across any

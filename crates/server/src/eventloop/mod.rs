@@ -1,14 +1,11 @@
-//! The readiness-based serving model: one thread (optionally sharded
-//! to `--loop-threads N`) multiplexes every connection over an epoll
-//! (or `poll(2)`) readiness loop instead of parking a thread pair per
-//! connection.
+//! The serving model: one thread (optionally sharded to
+//! `--loop-threads N`) multiplexes every connection over an epoll (or
+//! `poll(2)`) readiness loop.
 //!
-//! The threaded model burns two OS threads per connection (reader +
-//! writer) and caps concurrency at the worker count; this loop holds
-//! thousands of mostly-idle subscriber connections at a fixed thread
-//! cost, which is what broadcast fan-out needs. The protocol machine
-//! is unchanged — the same [`Session`] state machine the threaded
-//! server drives blockingly is driven here by readiness:
+//! The loop holds thousands of mostly-idle subscriber connections at a
+//! fixed thread cost, which is what broadcast fan-out needs. The
+//! protocol machine is the transport-agnostic [`Session`]; readiness
+//! drives it:
 //!
 //! * **Reads** land in a per-connection [`conn::FrameBuf`]; complete
 //!   frames dispatch immediately, partial frames wait for more bytes.
@@ -16,28 +13,32 @@
 //!   contiguous [`conn::WriteBuf`] and flushed with one `write` per
 //!   readiness; `EPOLLOUT` interest exists only while the queue is
 //!   non-empty. A queue deeper than the serve option's `queue_depth`
-//!   frames pauses *reading* that connection — the same backpressure
-//!   the threaded model's bounded channel applies.
-//! * **Wire v2 multiplexing**: a connection that opens with HELLO ≥ 2
-//!   prefixes every later frame with a `u32` logical-session id and
-//!   may run many [`Session`]s over one socket. A fatal error in one
-//!   logical session (parse failure, unknown opcode) closes that
-//!   session only; framing-level faults (oversized frame, zero-length
-//!   frame) still close the connection, because the byte stream itself
-//!   is no longer trustworthy.
+//!   frames pauses *reading* that connection, so backpressure reaches
+//!   the client as TCP flow control instead of unbounded buffering.
+//! * **One session table, two framings**: a connection that opens with
+//!   HELLO ≥ 2 prefixes every later frame with a `u32` logical-session
+//!   id and may run many [`Session`]s over one socket; a wire-v1
+//!   connection runs the one session that has no id. [`split_sid`] is
+//!   the only code that knows the difference in framing, and two
+//!   policies are the only difference in behaviour: the session with no
+//!   id opens on its first frame and takes the connection with it when
+//!   it closes (parse failure, unknown opcode, BYE), while a session
+//!   with an id opens on SUB and closes alone. Framing-level faults
+//!   (oversized frame, zero-length frame) close the connection under
+//!   either framing, because the byte stream itself is no longer
+//!   trustworthy.
 //! * **Broadcast**: with `--broadcast` the loop hosts a
 //!   [`broadcast::Hub`] — one feeder, one shared index, fan-out to
 //!   every subscriber (see that module's identity contract).
 //!
 //! Timers (idle timeout, shutdown drain grace, flush grace on closing
-//! connections) ride the 100 ms poll tick, mirroring the threaded
-//! model's `POLL_INTERVAL` wakeups.
+//! connections) ride the 100 ms poll tick.
 
 pub mod broadcast;
 pub mod conn;
 pub mod poller;
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::io::{self, ErrorKind, Read};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
@@ -57,8 +58,7 @@ use poller::{PollEvent, Poller};
 /// The listener's poller token; connections start at 1 and never reuse
 /// a token, so a stale event can never address a new connection.
 const LISTENER: u64 = 0;
-/// Poll tick: granularity of idle/drain timers (the threaded model's
-/// `POLL_INTERVAL`).
+/// Poll tick: granularity of idle/drain timers.
 const TICK: Duration = Duration::from_millis(100);
 /// How long an in-flight document (or an unflushed close) may linger
 /// after shutdown begins.
@@ -120,10 +120,9 @@ struct Conn {
     /// Negotiated wire version; v1 until a leading HELLO says v2.
     version: u32,
     saw_frame: bool,
-    /// The wire-v1 session (one per connection, created lazily).
-    legacy: Option<Session>,
-    /// Wire-v2 logical sessions by session id.
-    sessions: HashMap<u32, Session>,
+    /// Logical sessions by session id; wire v1's one session is the
+    /// one with no id (the key `broadcast::Hub` uses too).
+    sessions: HashMap<Option<u32>, Session>,
     /// Completion time of the last decoded frame (the idle clock; a
     /// dribbled partial frame does not reset it).
     last_frame: Instant,
@@ -152,7 +151,6 @@ impl Conn {
             write: WriteBuf::default(),
             version: WIRE_V1,
             saw_frame: false,
-            legacy: None,
             sessions: HashMap::new(),
             last_frame: Instant::now(),
             closing: false,
@@ -164,10 +162,6 @@ impl Conn {
             drain_deadline: None,
             close_deadline: None,
         }
-    }
-
-    fn live_sessions(&self) -> u64 {
-        u64::from(self.legacy.is_some()) + self.sessions.len() as u64
     }
 
     /// Connection-level replies respect the negotiated framing: wire
@@ -366,8 +360,7 @@ impl EventLoop {
                     conn.closing = true;
                     return false;
                 }
-                // Zero-length frame: abrupt close with no reply, the
-                // same as the threaded model's framing error path.
+                // Zero-length frame: abrupt close with no reply.
                 Err(FrameError::Zero) => return true,
             }
         }
@@ -396,60 +389,32 @@ impl EventLoop {
             return;
         }
         conn.saw_frame = true;
-        if self.hub.is_some() {
-            self.dispatch_broadcast(token, conn, &frame);
-        } else if frame.op == op::FEEDER {
-            conn.stage_err(
-                errcode::BROADCAST_ROLE,
-                "this server is not in broadcast mode",
-            );
-        } else if conn.version >= WIRE_V2 {
-            self.dispatch_v2(conn, &frame);
-        } else {
-            self.dispatch_v1(conn, &frame);
-        }
-    }
-
-    /// Wire v1: the whole connection is one session, exactly the
-    /// threaded model's semantics (`Action::Close` closes the socket).
-    fn dispatch_v1(&mut self, conn: &mut Conn, frame: &Frame) {
-        if conn.legacy.is_none() {
-            let mut s = Session::with_limits(self.opts.engine, self.opts.limits.clone());
-            s.set_plan_cache(Arc::clone(&self.shared.cache));
-            conn.legacy = Some(s);
-            self.shared.sessions.fetch_add(1, Ordering::Relaxed);
-        }
-        let session = conn.legacy.as_mut().expect("legacy session");
-        if frame.op == op::STAT {
-            session.set_transport(self.transport(&conn.write));
-        }
-        let write = &mut conn.write;
-        let mut out = |opcode: u8, payload: &[u8]| write.push(opcode, None, payload);
-        if session.handle_frame(frame, &mut out) == Action::Close {
-            conn.closing = true;
-        }
-    }
-
-    /// Wire v2: route by the leading session id. Fatal session errors
-    /// close only that logical session; sibling sessions on the same
-    /// connection keep running.
-    fn dispatch_v2(&mut self, conn: &mut Conn, frame: &Frame) {
-        if frame.payload.len() < 4 {
+        let Some((sid, inner)) = split_sid(conn.version, &frame.payload) else {
             conn.stage_err(
                 errcode::PROTOCOL,
                 "wire v2 frames begin with a u32 session id",
             );
             return;
+        };
+        if self.hub.is_some() {
+            self.dispatch_broadcast(token, conn, sid, frame.op, inner);
+            return;
         }
-        let sid = u32::from_le_bytes(frame.payload[..4].try_into().unwrap());
-        if sid == CONTROL_SESSION {
+        if frame.op == op::FEEDER {
+            conn.stage_err(
+                errcode::BROADCAST_ROLE,
+                "this server is not in broadcast mode",
+            );
+            return;
+        }
+        if sid == Some(CONTROL_SESSION) {
             match frame.op {
                 op::STAT => {
                     let json = self.server_stat_json(conn);
-                    conn.stage_reply(Some(CONTROL_SESSION), op::STAT_OK, json.as_bytes());
+                    conn.stage_reply(sid, op::STAT_OK, json.as_bytes());
                 }
                 op::BYE => {
-                    conn.stage_reply(Some(CONTROL_SESSION), op::OK, &[op::BYE]);
+                    conn.stage_reply(sid, op::OK, &[op::BYE]);
                     conn.closing = true;
                 }
                 _ => conn.stage_err(
@@ -459,80 +424,75 @@ impl EventLoop {
             }
             return;
         }
-        let inner = &frame.payload[4..];
-        if let std::collections::hash_map::Entry::Vacant(slot) = conn.sessions.entry(sid) {
-            if frame.op == op::SUB {
-                // A logical session opens with its first SUB.
+        let session = match conn.sessions.entry(sid) {
+            Entry::Occupied(open) => open.into_mut(),
+            Entry::Vacant(slot) => {
+                // The session with no id opens on its first frame; one
+                // with an id opens on its first SUB.
+                if let Some(id) = sid.filter(|_| frame.op != op::SUB) {
+                    let message =
+                        format!("session {id} is not open (a session opens with its first SUB)");
+                    let err = err_payload(errcode::BAD_SESSION, &message, &[]);
+                    conn.write.push(op::ERR, sid, &err);
+                    return;
+                }
                 let mut s = Session::with_limits(self.opts.engine, self.opts.limits.clone());
                 s.set_plan_cache(Arc::clone(&self.shared.cache));
-                slot.insert(s);
                 self.shared.sessions.fetch_add(1, Ordering::Relaxed);
-            } else {
-                conn.stage_reply(
-                    Some(sid),
-                    op::ERR,
-                    &err_payload(
-                        errcode::BAD_SESSION,
-                        &format!("session {sid} is not open (a session opens with its first SUB)"),
-                        &[],
-                    ),
-                );
-                return;
+                slot.insert(s)
             }
-        }
-        let session = conn.sessions.get_mut(&sid).expect("routed session");
+        };
         if frame.op == op::STAT {
             session.set_transport(self.transport(&conn.write));
         }
         let write = &mut conn.write;
-        let mut out = |opcode: u8, payload: &[u8]| write.push(opcode, Some(sid), payload);
+        let mut out = |opcode: u8, payload: &[u8]| write.push(opcode, sid, payload);
         if session.handle(frame.op, inner, &mut out) == Action::Close {
-            conn.sessions.remove(&sid);
-            self.shared.sessions.fetch_sub(1, Ordering::Relaxed);
+            // A fatal error or BYE closes a session with an id alone;
+            // the session with no id is the whole connection.
+            if sid.is_none() {
+                conn.closing = true;
+            } else {
+                conn.sessions.remove(&sid);
+                self.shared.sessions.fetch_sub(1, Ordering::Relaxed);
+            }
         }
     }
 
-    fn dispatch_broadcast(&mut self, token: u64, conn: &mut Conn, frame: &Frame) {
+    fn dispatch_broadcast(
+        &mut self,
+        token: u64,
+        conn: &mut Conn,
+        sid: Option<u32>,
+        opcode: u8,
+        inner: &[u8],
+    ) {
         let transport = self.transport(&conn.write);
         let backend = self.poller.backend_name();
-        let (sid, inner): (Option<u32>, &[u8]) = if conn.version >= WIRE_V2 {
-            if frame.payload.len() < 4 {
-                conn.stage_err(
-                    errcode::PROTOCOL,
-                    "wire v2 frames begin with a u32 session id",
-                );
-                return;
-            }
-            let sid = u32::from_le_bytes(frame.payload[..4].try_into().unwrap());
-            if sid == CONTROL_SESSION && frame.op == op::SUB {
+        let hub = self.hub.as_mut().expect("broadcast hub");
+        match sid {
+            Some(CONTROL_SESSION) if opcode == op::SUB => {
                 conn.stage_err(errcode::PROTOCOL, "SUB must address a real session id");
-                return;
             }
-            if sid != CONTROL_SESSION && frame.op == op::BYE {
-                // Session-scoped BYE: detach this logical subscriber,
-                // keep the connection.
-                let hub = self.hub.as_mut().expect("broadcast hub");
-                if hub.session_closed(token, sid) {
-                    conn.stage_reply(Some(sid), op::OK, &[op::BYE]);
+            // Session-scoped BYE: detach this logical subscriber, keep
+            // the connection.
+            Some(s) if s != CONTROL_SESSION && opcode == op::BYE => {
+                if hub.session_closed(token, s) {
+                    conn.stage_reply(sid, op::OK, &[op::BYE]);
                 } else {
                     conn.stage_reply(
-                        Some(sid),
+                        sid,
                         op::ERR,
                         &err_payload(
                             errcode::BAD_SESSION,
-                            &format!("session {sid} is not open"),
+                            &format!("session {s} is not open"),
                             &[],
                         ),
                     );
                 }
-                return;
             }
-            (Some(sid), &frame.payload[4..])
-        } else {
-            (None, &frame.payload[..])
-        };
-        let hub = self.hub.as_mut().expect("broadcast hub");
-        hub.dispatch(token, sid, frame.op, inner, &transport, backend);
+            _ => hub.dispatch(token, sid, opcode, inner, &transport, backend),
+        }
     }
 
     /// Drain the hub's staged fan-out into connection write queues,
@@ -692,10 +652,9 @@ impl EventLoop {
         let _ = self.poller.deregister(conn.fd);
         let _ = conn.stream.shutdown(Shutdown::Both);
         self.shared.connections.fetch_sub(1, Ordering::Relaxed);
-        let live = conn.live_sessions();
-        if live > 0 {
-            self.shared.sessions.fetch_sub(live, Ordering::Relaxed);
-        }
+        self.shared
+            .sessions
+            .fetch_sub(conn.sessions.len() as u64, Ordering::Relaxed);
         note_queue_hwm(&self.shared, &conn.write);
         drop(conn);
         if self.hub.is_some() {
@@ -725,8 +684,7 @@ impl EventLoop {
             if !c.closing {
                 // A read paused by backpressure or the block policy is
                 // the server's own doing — the idle clock does not run
-                // against the client then (the threaded model's clock
-                // also stops while its bounded queue blocks).
+                // against the client then.
                 let paused = c.backpressured || c.feeder_paused;
                 if !paused && now.duration_since(c.last_frame) >= self.opts.idle_timeout {
                     c.stage_err(
@@ -774,8 +732,7 @@ impl EventLoop {
         if let Some(hub) = &self.hub {
             return hub.doc_active() && hub.feeder_token() == Some(token);
         }
-        c.legacy.as_ref().is_some_and(|s| s.doc_active())
-            || c.sessions.values().any(|s| s.doc_active())
+        c.sessions.values().any(|s| s.doc_active())
     }
 
     fn transport(&self, write: &WriteBuf) -> TransportStats {
@@ -797,23 +754,20 @@ impl EventLoop {
     /// The control-session STAT reply: server-wide counters (no
     /// logical session is addressed, so no engine counters).
     fn server_stat_json(&self, conn: &Conn) -> String {
-        let cache = self.shared.cache.stats();
-        let transport = self.transport(&conn.write);
-        format!(
-            "{{\"model\":\"eventloop\",\"backend\":\"{}\",\"connections\":{},\
-             \"sessions\":{},\"queue_depth_hwm\":{},\"queued_bytes_hwm\":{},\
-             \"dropped_broadcast\":{},\
-             \"plan_cache_entries\":{},\"plan_cache_hits\":{},\
-             \"plan_cache_misses\":{}}}",
-            self.poller.backend_name(),
-            transport.connections,
-            transport.sessions,
-            transport.queue_depth_hwm,
-            transport.queued_bytes_hwm,
-            transport.dropped_broadcast,
-            cache.entries,
-            cache.hits,
-            cache.misses,
-        )
+        let mut json = format!("{{\"backend\":\"{}\",", self.poller.backend_name());
+        self.transport(&conn.write)
+            .finish_stat_json(self.shared.cache.stats(), &mut json);
+        json
     }
+}
+
+/// The one place that knows how the two wire versions frame a session:
+/// a wire-v2 payload leads with a `u32` session id, and wire v1 is the
+/// session with no id. `None` for a v2 payload too short to carry one.
+fn split_sid(version: u32, payload: &[u8]) -> Option<(Option<u32>, &[u8])> {
+    if version < WIRE_V2 {
+        return Some((None, payload));
+    }
+    let (sid, inner) = payload.split_first_chunk::<4>()?;
+    Some((Some(u32::from_le_bytes(*sid)), inner))
 }

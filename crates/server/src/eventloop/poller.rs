@@ -6,8 +6,8 @@
 //! four epoll entry points `extern "C"` is enough to use them. The
 //! fallback backend drives the same interface over `poll(2)`, which
 //! every Unix provides; it is also selectable at runtime
-//! (`XSQ_POLLER=poll`) so the CI suite can exercise both backends on
-//! the same machine.
+//! (`XSQ_POLLER=poll`), which is how CI runs the server suites on both
+//! backends of the same Linux machine.
 //!
 //! The interface is deliberately tiny — register / modify / deregister
 //! an fd with a `u64` token and level-triggered read/write interest,

@@ -4,9 +4,8 @@
 //! this crate supplies the network front end that makes that literal:
 //! clients subscribe standing queries over TCP and push XML
 //! incrementally, results stream back the moment their membership is
-//! decided. Everything is `std`-only — `std::net` sockets plus the
-//! fixed thread-pool patterns of `xsq_core::shard`; no async runtime,
-//! no external crates.
+//! decided. Everything is `std`-only — `std::net` sockets under a
+//! hand-rolled readiness loop; no async runtime, no external crates.
 //!
 //! * [`proto`] — the length-prefixed binary framing (SUB / UNSUB /
 //!   FEED / END-DOC / STAT / BYE requests; SUB_OK / RESULT / UPDATE /
@@ -16,12 +15,13 @@
 //!   [`xsq_core::QueryIndex`] partition fed through the zero-copy
 //!   `RawEvent` path by a [`xsq_xml::PushParser`], so FEED chunks may
 //!   split tokens, UTF-8 sequences, or `]]>` at any byte boundary.
-//! * [`server`] — serving-model dispatch (event loop vs. threaded),
-//!   bounded per-connection reply queues (backpressure), idle
-//!   timeouts, graceful drain on shutdown.
-//! * [`eventloop`] (Unix) — the readiness-based model: an epoll/poll
-//!   poller over raw syscalls, wire-v2 session multiplexing, and
-//!   broadcast fan-out through one shared [`xsq_core::QueryIndex`].
+//! * [`server`] — configuration, the state loop threads share, and
+//!   the handle that drains and stops them.
+//! * [`eventloop`] (Unix) — the serving model: an epoll/poll poller
+//!   over raw syscalls, bounded per-connection reply queues
+//!   (backpressure), idle timeouts, one session table for wire v1 and
+//!   v2, and broadcast fan-out through one shared
+//!   [`xsq_core::QueryIndex`].
 //! * [`client`] — the reference client: replays a corpus and renders
 //!   replies byte-identically to the sequential in-process driver.
 
@@ -38,7 +38,5 @@ pub use client::{
     FeedReport,
 };
 pub use proto::{read_frame, write_frame, Frame, WireBound, MAX_FRAME};
-pub use server::{
-    serve, BroadcastOptions, BroadcastPolicy, ServeModel, ServeOptions, ServerHandle,
-};
+pub use server::{serve, BroadcastOptions, BroadcastPolicy, ServeOptions, ServerHandle};
 pub use session::{Action, Outbox, Session, SessionLimits, SessionStats, TransportStats};

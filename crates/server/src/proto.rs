@@ -100,8 +100,8 @@ pub fn encode_frame(buf: &mut Vec<u8>, op: u8, sid: Option<u32>, payload: &[u8])
     buf.extend_from_slice(payload);
 }
 
-/// Serialize a frame into a standalone byte buffer (what the threaded
-/// model's writer thread queues and sends).
+/// Serialize a frame into a standalone byte buffer (what a blocking
+/// client writes).
 pub fn frame_bytes(op: u8, payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::new();
     encode_frame(&mut buf, op, None, payload);

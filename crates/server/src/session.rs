@@ -6,8 +6,10 @@
 //! same state machine runs under the TCP server and under in-process
 //! tests with no socket at all. Per connection it owns:
 //!
-//! * a private [`QueryIndex`] (sessions never share compiled state, so
-//!   one slow client cannot stall another's dispatch),
+//! * a private [`QueryIndex`] (sessions never share runtime state, so
+//!   one slow client cannot stall another's dispatch) whose plans come
+//!   out of a [`PlanCache`] — the server's shared one, or the session's
+//!   own when nothing shares it,
 //! * a [`PushParser`] fed FEED payloads exactly as they arrive off the
 //!   wire — chunks may split tokens, multi-byte UTF-8 sequences, or
 //!   `]]>` anywhere; the push layer guarantees the event stream is
@@ -24,8 +26,8 @@
 use std::sync::Arc;
 
 use xsq_core::{
-    CachedPlan, CompileError, MemoryBound, PlanCache, QueryId, QueryIndex, QuerySet, QuerySink,
-    XsqEngine, XsqMode,
+    CachedPlan, CompileError, MemoryBound, PlanCache, PlanCacheStats, QueryId, QueryIndex,
+    QuerySink, XsqEngine, XsqMode,
 };
 use xsq_xml::dtd::Dtd;
 use xsq_xml::{ParsePoll, PushParser, StreamParser};
@@ -46,9 +48,9 @@ pub struct SessionLimits {
     pub dtd: Option<Arc<Dtd>>,
 }
 
-/// Where a session's reply frames go. The TCP server backs this with a
-/// bounded queue to a writer thread (backpressure); tests back it with
-/// a `Vec`.
+/// Where a session's reply frames go. The TCP server backs this with
+/// the connection's write buffer (whose depth is the backpressure
+/// signal); tests back it with a `Vec`.
 pub trait Outbox {
     fn send(&mut self, op: u8, payload: &[u8]);
 }
@@ -119,8 +121,8 @@ pub struct SessionStats {
 /// water marks, and broadcast drop totals arrive from outside.
 #[derive(Debug, Clone, Copy)]
 pub struct TransportStats {
-    /// Serving model name (`threaded`, `eventloop`, `broadcast`,
-    /// `inproc` for a bare session).
+    /// Serving model name (`eventloop`, `broadcast`, `inproc` for a
+    /// bare session).
     pub model: &'static str,
     /// Open TCP connections on the server.
     pub connections: u64,
@@ -148,21 +150,40 @@ impl Default for TransportStats {
     }
 }
 
-/// One SUB batch either compiled privately or checked out of the
-/// shared plan cache; cached batches owe the cache a release once the
+impl TransportStats {
+    /// Close a STAT_OK object with the members every reply shares —
+    /// transport, plan cache, scan kernel — so a counter added here
+    /// shows up under every STAT at once. `json` holds the opening
+    /// brace and the caller's own members, each followed by a comma.
+    pub(crate) fn finish_stat_json(&self, cache: PlanCacheStats, json: &mut String) {
+        use std::fmt::Write as _;
+        let _ = write!(
+            json,
+            "\"model\":\"{}\",\"connections\":{},\"sessions\":{},\
+             \"queue_depth_hwm\":{},\"queued_bytes_hwm\":{},\
+             \"dropped_broadcast\":{},\
+             \"plan_cache_entries\":{},\"plan_cache_hits\":{},\
+             \"plan_cache_misses\":{},\"kernel\":\"{}\"}}",
+            json_escape(self.model),
+            self.connections,
+            self.sessions,
+            self.queue_depth_hwm,
+            self.queued_bytes_hwm,
+            self.dropped_broadcast,
+            cache.entries,
+            cache.hits,
+            cache.misses,
+            xsq_xml::scan::active_kernel(),
+        );
+    }
+}
+
+/// One subscribed SUB batch. It owes the plan cache a release once its
 /// last member unsubscribes (or the session drops).
 struct BatchRef {
     ids: Vec<QueryId>,
     live: usize,
-    cache_key: Option<String>,
-}
-
-/// A SUB promised mid-document, applied at the next boundary.
-struct PendingSub {
-    texts: Vec<String>,
-    /// Already checked out of the cache at SUB time (so the boundary
-    /// application cannot fail and the reference is already counted).
-    plan: Option<Arc<CachedPlan>>,
+    key: String,
 }
 
 /// One connection's protocol state machine.
@@ -175,15 +196,17 @@ pub struct Session {
     /// A FEED arrived since the last document boundary.
     doc_active: bool,
     /// SUB batches promised mid-document, applied at the next boundary.
-    pending_subs: Vec<PendingSub>,
+    /// Each was checked out of the cache at SUB time, so applying it
+    /// cannot fail and its reference is already counted.
+    pending_subs: Vec<Arc<CachedPlan>>,
     /// UNSUBs received mid-document, applied after pending subs.
     pending_unsubs: Vec<QueryId>,
     /// Ids promised to pending subs but not yet allocated by the index.
     promised: u32,
     limits: SessionLimits,
-    /// Shared compiled-plan cache (the server wires one across every
-    /// connection); `None` compiles privately, as before.
-    cache: Option<Arc<PlanCache>>,
+    /// Where SUB batches compile: the server's cross-connection cache,
+    /// or one of this session's own.
+    cache: Arc<PlanCache>,
     /// Every batch this session subscribed, for cache accounting.
     batches: Vec<BatchRef>,
     transport: TransportStats,
@@ -211,19 +234,21 @@ impl Session {
             pending_subs: Vec::new(),
             pending_unsubs: Vec::new(),
             promised: 0,
+            // The cache analyzes bounds against the admission DTD.
+            cache: PlanCache::new(limits.dtd.clone()),
             limits,
-            cache: None,
             batches: Vec::new(),
             transport: TransportStats::default(),
             scratch: Vec::new(),
         }
     }
 
-    /// Route SUB compilation through a shared [`PlanCache`]. The cache
-    /// must have been built with the same DTD as this session's limits,
-    /// so cached bounds equal what the private path would compute.
+    /// Route SUB compilation through a shared [`PlanCache`] in place
+    /// of the session's own; call before the first SUB. The cache must
+    /// have been built with the same DTD as this session's limits, so
+    /// its bounds are the ones the admission budget is about.
     pub fn set_plan_cache(&mut self, cache: Arc<PlanCache>) {
-        self.cache = Some(cache);
+        self.cache = cache;
     }
 
     /// Inject transport-level counters for the next STAT reply.
@@ -280,138 +305,27 @@ impl Session {
     }
 
     fn on_sub(&mut self, payload: &[u8], out: &mut dyn Outbox) -> Action {
-        let Ok(text) = std::str::from_utf8(payload) else {
-            out.send(
-                op::ERR,
-                &err_payload(errcode::PROTOCOL, "SUB payload is not UTF-8", &[]),
-            );
-            return Action::Continue;
-        };
-        let queries: Vec<&str> = text
-            .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty() && !l.starts_with('#'))
-            .collect();
-        if queries.is_empty() {
-            out.send(
-                op::ERR,
-                &err_payload(errcode::BAD_QUERY, "SUB carried no queries", &[]),
-            );
-            return Action::Continue;
-        }
-        // Validate the whole batch up front, so a promised id can never
-        // fail later. With a shared cache the validation *is* the
-        // checkout: the first connection to ask compiles, everyone
-        // after shares the plan (and its precomputed bounds).
-        let plan: Option<Arc<CachedPlan>> = match &self.cache {
-            Some(cache) => match cache.checkout(self.engine, &queries) {
-                Ok(plan) => Some(plan),
-                Err((i, e)) => {
-                    out.send(
-                        op::ERR,
-                        &err_payload(
-                            errcode::BAD_QUERY,
-                            &format!("query {} ({}): {e}", i + 1, queries[i]),
-                            &query_diagnostics(queries[i], &e),
-                        ),
-                    );
-                    return Action::Continue;
-                }
-            },
-            None => {
-                if let Err((i, e)) = QuerySet::compile(self.engine, &queries) {
-                    out.send(
-                        op::ERR,
-                        &err_payload(
-                            errcode::BAD_QUERY,
-                            &format!("query {} ({}): {e}", i + 1, queries[i]),
-                            &query_diagnostics(queries[i], &e),
-                        ),
-                    );
-                    return Action::Continue;
-                }
-                None
+        let (engine, limits, cache) = (self.engine, &self.limits, &self.cache);
+        let (opcode, reply) = admit_sub(engine, limits, cache, payload, |plan| {
+            if self.doc_active {
+                // Promise the ids now; the index changes at the boundary.
+                let base = self.index.len() as u32 + self.promised;
+                self.promised += plan.len() as u32;
+                self.pending_subs.push(Arc::clone(plan));
+                (base..self.index.len() as u32 + self.promised)
+                    .map(QueryId)
+                    .collect()
+            } else {
+                let ids = self.index.subscribe_plan(plan);
+                self.batches.push(BatchRef {
+                    live: ids.len(),
+                    ids: ids.clone(),
+                    key: plan.key().to_string(),
+                });
+                ids
             }
-        };
-        // Admission control: every query's static memory bound is
-        // computed before any id is promised, so a rejected batch
-        // changes nothing (recoverable ERR, session stays usable).
-        let dtd = self.limits.dtd.as_deref();
-        let bounds: Vec<MemoryBound> = match &plan {
-            Some(plan) => plan.bounds().to_vec(),
-            None => queries
-                .iter()
-                .map(|q| query_bound(self.engine, q, dtd))
-                .collect(),
-        };
-        if let Some(budget) = self.limits.max_bound {
-            if let Some(i) = bounds.iter().position(|b| !b.admits(budget)) {
-                if let (Some(plan), Some(cache)) = (&plan, &self.cache) {
-                    cache.release(plan.key());
-                }
-                out.send(
-                    op::ERR,
-                    &err_payload(
-                        errcode::OVER_BUDGET,
-                        &format!(
-                            "query {} ({}): static memory bound {} exceeds the \
-                             server budget of {budget} buffered item(s)",
-                            i + 1,
-                            queries[i],
-                            bounds[i],
-                        ),
-                        &bound_diagnostics(queries[i], dtd),
-                    ),
-                );
-                return Action::Continue;
-            }
-        }
-        let ids: Vec<QueryId> = if self.doc_active {
-            let base = self.index.len() as u32 + self.promised;
-            let ids: Vec<QueryId> = (0..queries.len() as u32)
-                .map(|k| QueryId(base + k))
-                .collect();
-            self.promised += queries.len() as u32;
-            self.pending_subs.push(PendingSub {
-                texts: queries.iter().map(|q| q.to_string()).collect(),
-                plan: plan.clone(),
-            });
-            ids
-        } else {
-            let subscribed = match &plan {
-                Some(plan) => Ok(self.index.subscribe_plan(plan)),
-                None => self.index.subscribe_group(&queries),
-            };
-            match subscribed {
-                Ok(ids) => {
-                    self.batches.push(BatchRef {
-                        live: ids.len(),
-                        ids: ids.clone(),
-                        cache_key: plan.as_ref().map(|p| p.key().to_string()),
-                    });
-                    ids
-                }
-                Err(e) => {
-                    // Unreachable after validation, but never trust it.
-                    out.send(
-                        op::ERR,
-                        &err_payload(errcode::BAD_QUERY, &e.to_string(), &[]),
-                    );
-                    return Action::Continue;
-                }
-            }
-        };
-        // SUB_OK: count, ids, then one WireBound per query (clients that
-        // predate the bounds read only count + ids and ignore the tail).
-        let mut reply = Vec::with_capacity(4 + (4 + WireBound::SIZE) * ids.len());
-        reply.extend_from_slice(&(ids.len() as u32).to_le_bytes());
-        for id in &ids {
-            reply.extend_from_slice(&id.0.to_le_bytes());
-        }
-        for bound in &bounds {
-            wire_bound(bound).encode(&mut reply);
-        }
-        out.send(op::SUB_OK, &reply);
+        });
+        out.send(opcode, &reply);
         Action::Continue
     }
 
@@ -455,11 +369,9 @@ impl Session {
         let Some(batch) = self.batches.iter_mut().find(|b| b.ids.contains(&id)) else {
             return;
         };
-        batch.live = batch.live.saturating_sub(1);
+        batch.live -= 1;
         if batch.live == 0 {
-            if let (Some(key), Some(cache)) = (batch.cache_key.take(), self.cache.as_ref()) {
-                cache.release(&key);
-            }
+            self.cache.release(&batch.key);
         }
     }
 
@@ -505,33 +417,12 @@ impl Session {
         self.parser.reset_push();
         // Deferred subscription changes: promised subs first (their ids
         // must exist before an interleaved UNSUB can name them).
-        for batch in std::mem::take(&mut self.pending_subs) {
-            let ids = match &batch.plan {
-                // The checkout at SUB time already validated and
-                // counted the reference; applying it cannot fail.
-                Some(plan) => self.index.subscribe_plan(plan),
-                None => {
-                    let texts: Vec<&str> = batch.texts.iter().map(String::as_str).collect();
-                    match self.index.subscribe_group(&texts) {
-                        Ok(ids) => ids,
-                        Err(e) => {
-                            out.send(
-                                op::ERR,
-                                &err_payload(
-                                    errcode::BAD_QUERY,
-                                    &format!("deferred subscription failed: {e}"),
-                                    &[],
-                                ),
-                            );
-                            return Action::Close;
-                        }
-                    }
-                }
-            };
+        for plan in std::mem::take(&mut self.pending_subs) {
+            let ids = self.index.subscribe_plan(&plan);
             self.batches.push(BatchRef {
                 live: ids.len(),
                 ids,
-                cache_key: batch.plan.as_ref().map(|p| p.key().to_string()),
+                key: plan.key().to_string(),
             });
         }
         self.promised = 0;
@@ -597,18 +488,12 @@ impl Session {
         } else {
             (0.0, 0.0)
         };
-        let cache = self.cache.as_ref().map(|c| c.stats()).unwrap_or_default();
-        format!(
+        let mut json = format!(
             "{{\"engine\":\"{}\",\"queries\":{},\"active\":{},\"groups\":{},\
              \"docs\":{},\"doc_active\":{},\"events\":{},\"touches\":{},\
              \"results\":{},\"updates\":{},\"peak_buffered_bytes\":{},\
              \"peak_configs\":{},\"bytes_in\":{},\"frames_in\":{},\
-             \"ingest_mb_per_sec\":{:.2},\"events_per_sec\":{:.0},\
-             \"model\":\"{}\",\"connections\":{},\"sessions\":{},\
-             \"queue_depth_hwm\":{},\"queued_bytes_hwm\":{},\
-             \"dropped_broadcast\":{},\
-             \"plan_cache_entries\":{},\"plan_cache_hits\":{},\
-             \"plan_cache_misses\":{},\"kernel\":\"{}\"}}",
+             \"ingest_mb_per_sec\":{:.2},\"events_per_sec\":{:.0},",
             json_escape(self.engine_name),
             self.index.len(),
             self.index.active_len(),
@@ -625,17 +510,10 @@ impl Session {
             self.stats.frames_in,
             mb_per_sec,
             events_per_sec,
-            json_escape(self.transport.model),
-            self.transport.connections,
-            self.transport.sessions,
-            self.transport.queue_depth_hwm,
-            self.transport.queued_bytes_hwm,
-            self.transport.dropped_broadcast,
-            cache.entries,
-            cache.hits,
-            cache.misses,
-            xsq_xml::scan::active_kernel(),
-        )
+        );
+        self.transport
+            .finish_stat_json(self.cache.stats(), &mut json);
+        json
     }
 }
 
@@ -644,39 +522,95 @@ impl Drop for Session {
     /// still holding a cache reference (including ones promised but
     /// never applied) releases it here.
     fn drop(&mut self) {
-        let Some(cache) = &self.cache else { return };
-        for batch in &mut self.batches {
+        for batch in &self.batches {
             if batch.live > 0 {
-                if let Some(key) = batch.cache_key.take() {
-                    cache.release(&key);
-                }
+                self.cache.release(&batch.key);
             }
         }
-        for pending in self.pending_subs.drain(..) {
-            if let Some(plan) = pending.plan {
-                cache.release(plan.key());
-            }
+        for plan in &self.pending_subs {
+            self.cache.release(plan.key());
         }
     }
 }
 
-/// The static bound of one already-validated query. Validation happened
-/// a moment ago, so a compile failure here is a defensive fiction: it
-/// maps to `Unbounded`, which every budget rejects.
-fn query_bound(engine: XsqEngine, query: &str, dtd: Option<&Dtd>) -> MemoryBound {
-    match engine.compile_str_with_dtd(query, dtd) {
-        Ok(c) => c.bound().clone(),
-        Err(e) => MemoryBound::Unbounded {
-            reason: format!("bound analysis failed: {e}"),
-            span: xsq_xpath::Span::new(0, 0),
-        },
+/// The one SUB admission path, for a private session and the broadcast
+/// hub alike: payload text → plan-cache checkout → budget check →
+/// `subscribe` → SUB_OK. Returns the reply frame. Every query's static
+/// memory bound is known before `subscribe` runs or any id is promised,
+/// so a rejected batch changes nothing: the ERR is recoverable and the
+/// cache reference the checkout took is given back.
+///
+/// `subscribe` receives the admitted plan — whose cache reference is
+/// now the caller's to release — and returns the ids SUB_OK reports.
+pub(crate) fn admit_sub(
+    engine: XsqEngine,
+    limits: &SessionLimits,
+    cache: &PlanCache,
+    payload: &[u8],
+    subscribe: impl FnOnce(&Arc<CachedPlan>) -> Vec<QueryId>,
+) -> (u8, Vec<u8>) {
+    let Ok(text) = std::str::from_utf8(payload) else {
+        let err = err_payload(errcode::PROTOCOL, "SUB payload is not UTF-8", &[]);
+        return (op::ERR, err);
+    };
+    let queries: Vec<&str> = text
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .collect();
+    if queries.is_empty() {
+        let err = err_payload(errcode::BAD_QUERY, "SUB carried no queries", &[]);
+        return (op::ERR, err);
     }
+    // The checkout is the validation: the first session to ask
+    // compiles, everyone after shares the plan and its bounds.
+    let plan = match cache.checkout(engine, &queries) {
+        Ok(plan) => plan,
+        Err((i, e)) => {
+            let err = err_payload(
+                errcode::BAD_QUERY,
+                &format!("query {} ({}): {e}", i + 1, queries[i]),
+                &query_diagnostics(queries[i], &e),
+            );
+            return (op::ERR, err);
+        }
+    };
+    let bounds = plan.bounds();
+    if let Some(budget) = limits.max_bound {
+        if let Some(i) = bounds.iter().position(|b| !b.admits(budget)) {
+            let err = err_payload(
+                errcode::OVER_BUDGET,
+                &format!(
+                    "query {} ({}): static memory bound {} exceeds the \
+                     server budget of {budget} buffered item(s)",
+                    i + 1,
+                    queries[i],
+                    bounds[i],
+                ),
+                &bound_diagnostics(queries[i], limits.dtd.as_deref()),
+            );
+            cache.release(plan.key());
+            return (op::ERR, err);
+        }
+    }
+    let ids = subscribe(&plan);
+    // SUB_OK: count, ids, then one WireBound per query (clients that
+    // predate the bounds read only count + ids and ignore the tail).
+    let mut reply = Vec::with_capacity(4 + (4 + WireBound::SIZE) * ids.len());
+    reply.extend_from_slice(&(ids.len() as u32).to_le_bytes());
+    for id in &ids {
+        reply.extend_from_slice(&id.0.to_le_bytes());
+    }
+    for bound in bounds {
+        wire_bound(bound).encode(&mut reply);
+    }
+    (op::SUB_OK, reply)
 }
 
 /// Diagnostics for an over-budget rejection: the analyzer's full
 /// derivation trace, so the client sees *why* the bound is what it is
 /// (which multiplicity is starred, which step stays undecided).
-pub(crate) fn bound_diagnostics(query: &str, dtd: Option<&Dtd>) -> Vec<ErrDiagnostic> {
+fn bound_diagnostics(query: &str, dtd: Option<&Dtd>) -> Vec<ErrDiagnostic> {
     let Ok(parsed) = xsq_xpath::parse_query(query) else {
         return Vec::new();
     };
@@ -700,7 +634,7 @@ pub(crate) fn bound_diagnostics(query: &str, dtd: Option<&Dtd>) -> Vec<ErrDiagno
 
 /// `MemoryBound` → its wire form (the derivation stays server-side;
 /// SUB_OK carries only the verdict).
-pub(crate) fn wire_bound(bound: &MemoryBound) -> WireBound {
+fn wire_bound(bound: &MemoryBound) -> WireBound {
     match bound {
         MemoryBound::Zero => WireBound::Zero,
         MemoryBound::Items(k) => WireBound::Items(*k),
@@ -713,7 +647,7 @@ pub(crate) fn wire_bound(bound: &MemoryBound) -> WireBound {
 /// itself first, then whatever the static analyzer can add (it sees
 /// queries that parse but misbuild; a parse failure carries only the
 /// parser's message).
-pub(crate) fn query_diagnostics(query: &str, error: &CompileError) -> Vec<ErrDiagnostic> {
+fn query_diagnostics(query: &str, error: &CompileError) -> Vec<ErrDiagnostic> {
     let mut out = vec![ErrDiagnostic {
         severity: "error",
         code: "compile-error".into(),
@@ -1076,6 +1010,56 @@ mod tests {
             0,
             "rejected batch must not consume ids"
         );
+    }
+
+    fn stat_frame() -> Frame {
+        Frame {
+            op: op::STAT,
+            payload: Vec::new(),
+        }
+    }
+
+    fn plan_cache_entries(replies: &[(u8, Vec<u8>)]) -> Option<u64> {
+        let stat = replies.iter().rev().find(|(o, _)| *o == op::STAT_OK)?;
+        crate::stat_field_u64(std::str::from_utf8(&stat.1).ok()?, "plan_cache_entries")
+    }
+
+    #[test]
+    fn a_bare_session_releases_its_private_plan_entries() {
+        let mut session = Session::new(XsqEngine::full());
+        let replies = drive(
+            &mut session,
+            &[sub_frame("/a/b/text()\n//b/count()"), stat_frame()],
+        );
+        assert_eq!(plan_cache_entries(&replies), Some(1));
+        let unsub = |id: u32| Frame {
+            op: op::UNSUB,
+            payload: id.to_le_bytes().to_vec(),
+        };
+        let replies = drive(&mut session, &[unsub(0), stat_frame()]);
+        assert_eq!(plan_cache_entries(&replies), Some(1), "one member is live");
+        let replies = drive(&mut session, &[unsub(1), stat_frame()]);
+        assert_eq!(plan_cache_entries(&replies), Some(0));
+    }
+
+    #[test]
+    fn dropping_a_session_releases_live_and_promised_batches() {
+        let cache = PlanCache::new(None);
+        let mut session = Session::new(XsqEngine::full());
+        session.set_plan_cache(Arc::clone(&cache));
+        let replies = drive(
+            &mut session,
+            &[
+                sub_frame("/a/b/text()"),
+                feed_frame(b"<a>"),
+                // Promised mid-document, never applied.
+                sub_frame("//b/text()"),
+            ],
+        );
+        assert_eq!(replies.len(), 2);
+        assert_eq!(cache.stats().entries, 2);
+        drop(session);
+        assert_eq!(cache.stats().entries, 0);
     }
 
     #[test]

@@ -12,7 +12,6 @@ use xsq_server::{serve, ServeOptions, ServerHandle, SessionLimits};
 
 fn start_server(configure: impl FnOnce(&mut ServeOptions)) -> ServerHandle {
     let mut opts = ServeOptions::new("127.0.0.1:0");
-    opts.workers = 2;
     opts.idle_timeout = Duration::from_secs(5);
     configure(&mut opts);
     serve(opts).expect("server binds")

@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use xsq_core::XsqEngine;
 use xsq_server::{
-    reference_output, run_corpus, serve, stat_field_u64, ConnectOptions, ServeModel, ServeOptions,
+    reference_output, run_corpus, serve, stat_field_u64, ConnectOptions, ServeOptions,
 };
 
 /// Figure 1 of the paper (annotated bookstore document), plus a
@@ -46,9 +46,8 @@ fn corpus() -> Vec<Vec<u8>> {
     ]
 }
 
-fn start_server(workers: usize) -> xsq_server::ServerHandle {
+fn start_server() -> xsq_server::ServerHandle {
     let mut opts = ServeOptions::new("127.0.0.1:0");
-    opts.workers = workers;
     opts.idle_timeout = Duration::from_secs(10);
     serve(opts).expect("server binds")
 }
@@ -66,7 +65,7 @@ fn client_output(addr: &str, queries: &[&str], docs: &[Vec<u8>], chunk: usize) -
 
 #[test]
 fn loopback_output_is_byte_identical_to_sequential_driver() {
-    let server = start_server(2);
+    let server = start_server();
     let addr = server.addr().to_string();
     let docs = corpus();
     let expected = reference_output(XsqEngine::full(), QUERIES, &docs, true).unwrap();
@@ -83,7 +82,7 @@ fn sessions_reuse_parser_and_index_across_many_documents() {
     // One session, 32 documents: the push parser is reset between
     // documents and the index runners are finished/rearmed each time;
     // any state leak shows up as a diff against the per-doc oracle.
-    let server = start_server(1);
+    let server = start_server();
     let addr = server.addr().to_string();
     let docs: Vec<Vec<u8>> = (0..32)
         .map(|i| match i % 3 {
@@ -100,7 +99,7 @@ fn sessions_reuse_parser_and_index_across_many_documents() {
 
 #[test]
 fn concurrent_sessions_are_isolated() {
-    let server = start_server(4);
+    let server = start_server();
     let addr = server.addr().to_string();
     // Each session subscribes a different slice of the suite over a
     // different corpus; outputs must match each session's own oracle.
@@ -129,7 +128,7 @@ fn concurrent_sessions_are_isolated() {
 
 #[test]
 fn stat_frame_reports_session_metrics() {
-    let server = start_server(1);
+    let server = start_server();
     let addr = server.addr().to_string();
     let docs = corpus();
     let mut out = Vec::new();
@@ -156,95 +155,70 @@ fn stat_frame_reports_session_metrics() {
     server.shutdown();
 }
 
-/// Both serving models answer the same corpus byte-identically — the
-/// event loop replaced thread-per-session behind an unchanged wire.
+/// The compiled-plan cache is cross-connection: a second connection
+/// subscribing the same batch hits the cache.
 #[test]
-fn threaded_model_stays_byte_identical_to_sequential_driver() {
-    let mut opts = ServeOptions::new("127.0.0.1:0");
-    opts.workers = 2;
-    opts.idle_timeout = Duration::from_secs(10);
-    opts.model = ServeModel::Threaded;
-    let server = serve(opts).expect("server binds");
+fn plan_cache_is_shared_across_connections() {
+    let server = start_server();
     let addr = server.addr().to_string();
-    let docs = corpus();
-    let expected = reference_output(XsqEngine::full(), QUERIES, &docs, true).unwrap();
-    for chunk in [64 * 1024, 7, 1] {
-        let got = client_output(&addr, QUERIES, &docs, chunk);
-        assert_eq!(got, expected, "threaded model diverged at chunk {chunk}");
-    }
+    let docs = vec![FIG1.as_bytes().to_vec()];
+    let copts = ConnectOptions {
+        chunk: 64 * 1024,
+        running: false,
+        want_stats: true,
+    };
+    // Entries are evicted on last unsubscribe, so the first
+    // subscription must still be live when the second arrives.
+    use std::io::{BufReader, Write};
+    use xsq_server::proto::{frame_bytes, op, read_frame};
+    use xsq_server::MAX_FRAME;
+    let holder = std::net::TcpStream::connect(&addr).unwrap();
+    holder.set_nodelay(true).unwrap();
+    holder
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut hreader = BufReader::new(holder.try_clone().unwrap());
+    let mut hwriter = holder;
+    hwriter
+        .write_all(&frame_bytes(op::SUB, QUERIES.join("\n").as_bytes()))
+        .unwrap();
+    hwriter.flush().unwrap();
+    let subok = read_frame(&mut hreader, MAX_FRAME).unwrap().unwrap();
+    assert_eq!(subok.op, op::SUB_OK);
+
+    let mut out = Vec::new();
+    let report = run_corpus(&addr, QUERIES, &docs, &copts, &mut out).unwrap();
+    let stats = report.stats_json.expect("STAT_OK payload");
+    let hits = stat_field_u64(&stats, "plan_cache_hits")
+        .unwrap_or_else(|| panic!("no plan_cache_hits in {stats}"));
+    assert!(
+        hits >= 1,
+        "second identical SUB batch should hit the live plan cache: {stats}"
+    );
+
+    // After the holder unsubscribes too, the entry is evicted: a
+    // fresh identical batch misses again.
+    hwriter.write_all(&frame_bytes(op::BYE, &[])).unwrap();
+    hwriter.flush().unwrap();
+    assert_eq!(
+        read_frame(&mut hreader, MAX_FRAME).unwrap().unwrap().op,
+        op::OK
+    );
+    drop(hwriter);
+    let mut out = Vec::new();
+    let report = run_corpus(&addr, QUERIES, &docs, &copts, &mut out).unwrap();
+    let stats = report.stats_json.expect("STAT_OK payload");
+    assert_eq!(
+        stat_field_u64(&stats, "plan_cache_entries"),
+        Some(1),
+        "only the fresh checkout remains after eviction: {stats}"
+    );
     server.shutdown();
-}
-
-/// The compiled-plan cache is cross-connection in both serving models:
-/// a second connection subscribing the same batch hits the cache.
-#[test]
-fn plan_cache_is_shared_across_connections_in_both_models() {
-    for model in [ServeModel::EventLoop, ServeModel::Threaded] {
-        let mut opts = ServeOptions::new("127.0.0.1:0");
-        opts.workers = 2;
-        opts.idle_timeout = Duration::from_secs(10);
-        opts.model = model;
-        let server = serve(opts).expect("server binds");
-        let addr = server.addr().to_string();
-        let docs = vec![FIG1.as_bytes().to_vec()];
-        let copts = ConnectOptions {
-            chunk: 64 * 1024,
-            running: false,
-            want_stats: true,
-        };
-        // Entries are evicted on last unsubscribe, so the first
-        // subscription must still be live when the second arrives.
-        use std::io::{BufReader, Write};
-        use xsq_server::proto::{frame_bytes, op, read_frame};
-        use xsq_server::MAX_FRAME;
-        let holder = std::net::TcpStream::connect(&addr).unwrap();
-        holder.set_nodelay(true).unwrap();
-        holder
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let mut hreader = BufReader::new(holder.try_clone().unwrap());
-        let mut hwriter = holder;
-        hwriter
-            .write_all(&frame_bytes(op::SUB, QUERIES.join("\n").as_bytes()))
-            .unwrap();
-        hwriter.flush().unwrap();
-        let subok = read_frame(&mut hreader, MAX_FRAME).unwrap().unwrap();
-        assert_eq!(subok.op, op::SUB_OK);
-
-        let mut out = Vec::new();
-        let report = run_corpus(&addr, QUERIES, &docs, &copts, &mut out).unwrap();
-        let stats = report.stats_json.expect("STAT_OK payload");
-        let hits = stat_field_u64(&stats, "plan_cache_hits")
-            .unwrap_or_else(|| panic!("no plan_cache_hits in {stats}"));
-        assert!(
-            hits >= 1,
-            "second identical SUB batch should hit the live plan cache ({model:?}): {stats}"
-        );
-
-        // After the holder unsubscribes too, the entry is evicted: a
-        // fresh identical batch misses again.
-        hwriter.write_all(&frame_bytes(op::BYE, &[])).unwrap();
-        hwriter.flush().unwrap();
-        assert_eq!(
-            read_frame(&mut hreader, MAX_FRAME).unwrap().unwrap().op,
-            op::OK
-        );
-        drop(hwriter);
-        let mut out = Vec::new();
-        let report = run_corpus(&addr, QUERIES, &docs, &copts, &mut out).unwrap();
-        let stats = report.stats_json.expect("STAT_OK payload");
-        assert_eq!(
-            stat_field_u64(&stats, "plan_cache_entries"),
-            Some(1),
-            "only the fresh checkout remains after eviction ({model:?}): {stats}"
-        );
-        server.shutdown();
-    }
 }
 
 #[test]
 fn shutdown_drains_idle_sessions_and_joins() {
-    let server = start_server(2);
+    let server = start_server();
     let addr = server.addr().to_string();
     // A completed conversation, then a lingering idle connection.
     let docs = vec![FIG1.as_bytes().to_vec()];

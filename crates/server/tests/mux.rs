@@ -1,7 +1,7 @@
 //! Wire-v2 session multiplexing: HELLO negotiation, interleaved
 //! logical sessions on one connection, recoverable bad-session errors,
-//! per-session fatality isolation, and v1 coexistence — all against
-//! the event-loop server (the only model that speaks v2).
+//! per-session fatality isolation, and wire v1 as the session with no
+//! id — the same replies, minus the prefix.
 
 #![cfg(unix)]
 
@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use xsq_core::XsqEngine;
 use xsq_server::proto::{errcode, frame_bytes, op, read_frame, CONTROL_SESSION, WIRE_V2};
-use xsq_server::{reference_output, serve, Frame, ServeModel, ServeOptions, MAX_FRAME};
+use xsq_server::{reference_output, serve, Frame, ServeOptions, MAX_FRAME};
 
 const DOC_A: &str = r#"<pub><book id="1"><name>First</name><price>10</price></book>
 <book id="2"><name>Second</name><price>20</price></book></pub>"#;
@@ -20,7 +20,6 @@ const DOC_B: &str = r#"<pub><pub><book id="7"><name>Inner</name><price>9.99</pri
 
 fn start_server() -> xsq_server::ServerHandle {
     let mut opts = ServeOptions::new("127.0.0.1:0");
-    opts.model = ServeModel::EventLoop;
     opts.idle_timeout = Duration::from_secs(10);
     serve(opts).expect("server binds")
 }
@@ -375,5 +374,107 @@ fn per_session_stat_reports_transport_counters() {
     ] {
         assert!(json.contains(needle), "missing {needle} in {json}");
     }
+    server.shutdown();
+}
+
+/// Send `script` as logical session `sid` (`None`: wire v1, no prefix)
+/// and collect the replies up to the fatal parse error that ends it,
+/// session prefix stripped.
+fn replay(m: &mut Mux, sid: Option<u32>, script: &[(u8, Vec<u8>)]) -> Vec<Frame> {
+    for (opcode, payload) in script {
+        match sid {
+            Some(sid) => m.send(sid, *opcode, payload),
+            None => m.send_raw(*opcode, payload),
+        }
+    }
+    let mut replies = Vec::new();
+    loop {
+        let f = match sid {
+            Some(sid) => m.recv_for(sid),
+            None => m.recv_raw(),
+        };
+        let last =
+            f.op == op::ERR && xsq_server::proto::err_code(&f.payload) == Some(errcode::PARSE);
+        replies.push(f);
+        if last {
+            return replies;
+        }
+    }
+}
+
+/// The member names of a flat STAT_OK object.
+fn stat_keys(json: &[u8]) -> Vec<String> {
+    let json = std::str::from_utf8(json).unwrap();
+    json.trim_matches(|c| c == '{' || c == '}')
+        .split(',')
+        .map(|member| member.split(':').next().unwrap().to_string())
+        .collect()
+}
+
+/// Wire v1 is the v2 session with no id: the same frames through either
+/// framing produce the same replies, byte for byte, once the v2 prefix
+/// is stripped — admission, streaming, document boundaries, a
+/// recoverable error and a fatal one alike.
+#[test]
+fn wire_v1_replies_equal_a_single_v2_session_minus_the_prefix() {
+    let server = start_server();
+    let addr = server.addr().to_string();
+    let queries = [
+        "//pub[year>2000]//book//name/text()",
+        "//book/@id",
+        "//price/sum()",
+        "//book/count()",
+    ];
+    let mut script: Vec<(u8, Vec<u8>)> = vec![
+        (op::SUB, b"/a[".to_vec()),
+        (op::SUB, queries.join("\n").into_bytes()),
+    ];
+    for doc in [DOC_A, DOC_B, DOC_A] {
+        script.extend(doc.as_bytes().chunks(13).map(|c| (op::FEED, c.to_vec())));
+        script.push((op::END_DOC, Vec::new()));
+    }
+    script.push((op::STAT, Vec::new()));
+    script.push((op::FEED, b"<pub><book></pub>".to_vec()));
+
+    let v1 = replay(&mut Mux::connect(&addr), None, &script);
+    let mut m = Mux::hello(&addr);
+    let v2 = replay(&mut m, Some(5), &script);
+
+    let ops = |frames: &[Frame]| frames.iter().map(|f| f.op).collect::<Vec<_>>();
+    assert_eq!(ops(&v1), ops(&v2));
+    for want in [op::ERR, op::SUB_OK, op::RESULT, op::UPDATE, op::DOC_OK] {
+        assert!(ops(&v1).contains(&want), "no 0x{want:02x} reply in the run");
+    }
+    assert_eq!(err_code_of(&v1[0]), errcode::BAD_QUERY);
+    for (a, b) in v1.iter().zip(&v2) {
+        if a.op == op::STAT_OK {
+            // Counters differ (connections, queue marks); the shape may not.
+            assert_eq!(stat_keys(&a.payload), stat_keys(&b.payload));
+        } else {
+            assert_eq!(a.payload, b.payload, "opcode 0x{:02x} diverged", a.op);
+        }
+    }
+    // The one policy difference: the fatal error took only session 5,
+    // not the v2 connection.
+    sub(&mut m, 6, &["//a/count()"]);
+    server.shutdown();
+}
+
+#[test]
+fn a_v2_frame_too_short_for_a_session_id_is_recoverable() {
+    let server = start_server();
+    let addr = server.addr().to_string();
+    let mut m = Mux::hello(&addr);
+    let qa = ["//book/name/text()"];
+    sub(&mut m, 1, &qa);
+
+    m.send_raw(op::FEED, b"ab");
+    let f = m.recv_for(CONTROL_SESSION);
+    assert_eq!(err_code_of(&f), errcode::PROTOCOL);
+
+    let mut out = String::new();
+    feed_doc(&mut m, 1, DOC_A, 0, 9, &mut out);
+    let expect = reference_output(XsqEngine::full(), &qa, &[DOC_A.as_bytes()], false).unwrap();
+    assert_eq!(out, expect);
     server.shutdown();
 }

@@ -32,8 +32,7 @@
 //!                   rewrite provably-child closures and skip provably
 //!                   empty queries
 //! xsq --dot QUERY                      print the HPDT as Graphviz
-//! xsq serve [--addr A] [--model eventloop|threaded] [--workers N]
-//!           [--loop-threads N] [--dtd FILE] [--max-bound K]
+//! xsq serve [--addr A] [--loop-threads N] [--dtd FILE] [--max-bound K]
 //!           [--broadcast] [--broadcast-queue N]
 //!           [--broadcast-policy block|drop]
 //!                                      streaming query server: framed
@@ -93,8 +92,6 @@ struct Options {
     shard: usize,
     /// Bind/connect address for `serve` / `connect`.
     addr: String,
-    /// Accept workers for `serve` (0 = one per CPU).
-    workers: usize,
     /// FEED chunk size for `connect`.
     chunk: usize,
     /// Idle timeout in seconds for `serve`.
@@ -114,8 +111,6 @@ struct Options {
     dtd: Option<String>,
     /// `serve`: per-subscription static-bound budget (buffered items).
     max_bound: Option<u64>,
-    /// `serve`: serving model (`eventloop` default on Unix, `threaded`).
-    model: Option<String>,
     /// `serve`: event-loop shard count.
     loop_threads: usize,
     /// `serve`: broadcast mode (one feeder, shared index, fan-out).
@@ -141,7 +136,6 @@ fn parse_args() -> Result<Options, String> {
         queries: None,
         shard: 0,
         addr: "127.0.0.1:7878".into(),
-        workers: 0,
         chunk: 64 * 1024,
         idle_timeout: 30.0,
         verify: false,
@@ -157,7 +151,6 @@ fn parse_args() -> Result<Options, String> {
         analyze: false,
         dtd: None,
         max_bound: None,
-        model: None,
         loop_threads: 1,
         broadcast: false,
         broadcast_queue: 1024,
@@ -186,13 +179,6 @@ fn parse_args() -> Result<Options, String> {
             }
             "--addr" => {
                 o.addr = args.next().ok_or("--addr needs HOST:PORT")?;
-            }
-            "--workers" => {
-                o.workers = args
-                    .next()
-                    .ok_or("--workers needs a thread count")?
-                    .parse()
-                    .map_err(|_| "--workers needs a number (0 = one per CPU)".to_string())?;
             }
             "--chunk" => {
                 let n: usize = args
@@ -233,9 +219,6 @@ fn parse_args() -> Result<Options, String> {
                         .parse()
                         .map_err(|_| "--max-bound needs a non-negative number".to_string())?,
                 );
-            }
-            "--model" => {
-                o.model = Some(args.next().ok_or("--model needs eventloop or threaded")?);
             }
             "--loop-threads" => {
                 let n: usize = args
@@ -283,6 +266,7 @@ fn parse_args() -> Result<Options, String> {
                 );
             }
             "--help" | "-h" => return Err(String::new()),
+            _ if a.starts_with("--") => return Err(format!("unknown option '{a}'")),
             _ => o.positional.push(a),
         }
     }
@@ -806,7 +790,7 @@ fn run_analyze(query: &str, opts: &Options) -> ExitCode {
     }
 }
 
-/// `xsq serve [--addr A] [--workers N] [--engine E] [--idle-timeout S]`:
+/// `xsq serve [--addr A] [--engine E] [--idle-timeout S]`:
 /// run the streaming query server until stdin reaches EOF, then drain
 /// in-flight sessions and exit. The stdin gate is the clean-shutdown
 /// hook: interactively Ctrl-D stops the server; in scripts, holding a
@@ -818,7 +802,6 @@ fn run_serve(opts: &Options) -> ExitCode {
         other => return usage(&format!("serve runs on xsq-f or xsq-nc, not '{other}'")),
     };
     let mut sopts = xsq::server::ServeOptions::new(opts.addr.clone());
-    sopts.workers = opts.workers;
     sopts.engine = engine;
     sopts.idle_timeout = Duration::from_secs_f64(opts.idle_timeout.max(0.1));
     // Admission control: `--max-bound K` refuses subscriptions whose
@@ -841,12 +824,6 @@ fn run_serve(opts: &Options) -> ExitCode {
         max_bound: opts.max_bound,
         dtd,
     };
-    sopts.model = match opts.model.as_deref() {
-        None => xsq::server::ServeModel::platform_default(),
-        Some("eventloop") => xsq::server::ServeModel::EventLoop,
-        Some("threaded") => xsq::server::ServeModel::Threaded,
-        Some(other) => return usage(&format!("--model is eventloop or threaded, not '{other}'")),
-    };
     sopts.loop_threads = opts.loop_threads;
     if opts.broadcast {
         let policy = match opts.broadcast_policy.as_str() {
@@ -863,10 +840,11 @@ fn run_serve(opts: &Options) -> ExitCode {
             policy,
         });
     }
-    let model_label = match (opts.broadcast, sopts.model) {
-        (true, _) => "broadcast",
-        (false, xsq::server::ServeModel::EventLoop) => "eventloop",
-        (false, xsq::server::ServeModel::Threaded) => "threaded",
+    // Broadcast keeps every connection on one loop thread.
+    let (model_label, loop_threads) = if opts.broadcast {
+        ("broadcast", 1)
+    } else {
+        ("eventloop", opts.loop_threads)
     };
     let handle = match xsq::server::serve(sopts) {
         Ok(h) => h,
@@ -877,15 +855,12 @@ fn run_serve(opts: &Options) -> ExitCode {
     println!("{}", handle.addr());
     let _ = std::io::stdout().flush();
     eprintln!(
-        "# xsq serve: listening on {} (model={model_label}, workers={}, \
+        "# xsq serve: listening on {} (model={model_label}, \
+         loop-threads={loop_threads}, poller={}, \
          engine={}, idle={}s, scan-kernel={}, max-bound={}); EOF on stdin \
          shuts down; STAT replies carry ingest MB/s and events/s",
         handle.addr(),
-        if opts.workers == 0 {
-            "auto".to_string()
-        } else {
-            opts.workers.to_string()
-        },
+        xsq::server::eventloop::poller::Poller::new().map_or("none", |p| p.backend_name()),
         opts.engine,
         opts.idle_timeout,
         xsq::xml::scan::active_kernel(),
@@ -1646,10 +1621,9 @@ fn usage(err: &str) -> ExitCode {
          \u{20}          static analysis: verifier diagnostics, dead-state pruning,\n\
          \u{20}          buffer classes, engine auto-selection, and (with --dtd) the\n\
          \u{20}          static memory bound + derivation; exits nonzero on errors\n\
-         \u{20}      xsq serve [--addr A] [--model eventloop|threaded] [--workers N] \\\n\
-         \u{20}                [--loop-threads N] [--idle-timeout S] [--dtd FILE] \\\n\
-         \u{20}                [--max-bound K] [--broadcast] [--broadcast-queue N] \\\n\
-         \u{20}                [--broadcast-policy block|drop]\n\
+         \u{20}      xsq serve [--addr A] [--loop-threads N] [--idle-timeout S] \\\n\
+         \u{20}                [--dtd FILE] [--max-bound K] [--broadcast] \\\n\
+         \u{20}                [--broadcast-queue N] [--broadcast-policy block|drop]\n\
          \u{20}          streaming query server; prints the bound address, runs\n\
          \u{20}          until stdin reaches EOF, then drains and exits;\n\
          \u{20}          --max-bound K rejects subscriptions whose static memory\n\

@@ -135,6 +135,23 @@ fn unknown_engine_is_a_usage_error() {
     assert!(stderr.contains("unknown engine"));
 }
 
+/// `serve` has one model: the flags that used to pick and size the other
+/// one are unknown options now, with the usage exit code of any other.
+#[test]
+fn retired_serve_flags_are_usage_errors() {
+    let exit_code = |args: &[&str]| {
+        let out = xsq().args(args).stdin(Stdio::null()).output().unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("unknown option"), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: xsq"), "{args:?}: {stderr}");
+        out.status.code()
+    };
+    let unknown = exit_code(&["serve", "--no-such-flag"]);
+    assert_eq!(unknown, Some(2));
+    assert_eq!(exit_code(&["serve", "--workers", "2"]), unknown);
+    assert_eq!(exit_code(&["serve", "--model", "threaded"]), unknown);
+}
+
 #[test]
 fn dataset_stats_prints_fig15_row() {
     let dir = std::env::temp_dir().join("xsq_cli_test");
