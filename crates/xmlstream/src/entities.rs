@@ -6,7 +6,9 @@ use crate::error::{Error, Result};
 /// Decode a single entity *name* (the text between `&` and `;`).
 ///
 /// Supports the five predefined entities (`amp`, `lt`, `gt`, `apos`,
-/// `quot`) and decimal/hexadecimal character references (`#65`, `#x41`).
+/// `quot`) and decimal/hexadecimal character references (`#65`, `#x41`):
+/// digits only, and only code points in the XML 1.0 `Char` production
+/// (§4.1 WFC *Legal Character*).
 pub fn decode_entity(name: &str, offset: u64) -> Result<char> {
     match name {
         "amp" => Ok('&'),
@@ -15,21 +17,30 @@ pub fn decode_entity(name: &str, offset: u64) -> Result<char> {
         "apos" => Ok('\''),
         "quot" => Ok('"'),
         _ => {
-            if let Some(rest) = name.strip_prefix("#x").or_else(|| name.strip_prefix("#X")) {
-                u32::from_str_radix(rest, 16)
-                    .ok()
-                    .and_then(char::from_u32)
-                    .ok_or_else(|| bad(name, offset))
-            } else if let Some(rest) = name.strip_prefix('#') {
-                rest.parse::<u32>()
-                    .ok()
-                    .and_then(char::from_u32)
-                    .ok_or_else(|| bad(name, offset))
-            } else {
-                Err(bad(name, offset))
+            let (digits, radix) = match name.strip_prefix('#') {
+                Some(rest) => match rest.strip_prefix(['x', 'X']) {
+                    Some(hex) => (hex, 16),
+                    None => (rest, 10),
+                },
+                None => return Err(bad(name, offset)),
+            };
+            // `from_str_radix` alone would let a sign through.
+            if !digits.bytes().all(|b| b.is_ascii_hexdigit()) {
+                return Err(bad(name, offset));
             }
+            u32::from_str_radix(digits, radix)
+                .ok()
+                .and_then(char::from_u32)
+                .filter(|&c| is_xml_char(c))
+                .ok_or_else(|| bad(name, offset))
         }
     }
+}
+
+/// XML 1.0 §2.2 `Char`: `#x9 | #xA | #xD | [#x20-#xD7FF] | [#xE000-#xFFFD]
+/// | [#x10000-#x10FFFF]` (a `char` already excludes the surrogates).
+fn is_xml_char(c: char) -> bool {
+    matches!(c, '\t' | '\n' | '\r' | ' '..='\u{FFFD}' | '\u{10000}'..)
 }
 
 fn bad(name: &str, offset: u64) -> Error {
@@ -156,6 +167,38 @@ mod tests {
         let mut s = String::new();
         assert!(decode_into("&#xD800;", 0, &mut s).is_err()); // surrogate
         assert!(decode_into("&#99999999;", 0, &mut s).is_err());
+    }
+
+    #[test]
+    fn char_refs_outside_the_char_production_are_errors() {
+        for raw in [
+            "&#0;",
+            "&#x1;",
+            "&#x1F;",
+            "&#xFFFE;",
+            "&#xFFFF;",
+            "&#xD800;",
+            "&#x110000;",
+        ] {
+            let mut s = String::new();
+            let err = decode_into(raw, 7, &mut s).unwrap_err();
+            assert!(matches!(err, Error::BadEntity { offset: 7, .. }), "{raw}");
+        }
+        assert_eq!(
+            decode("&#9;&#10;&#13;&#x20;&#xD7FF;&#xE000;&#xFFFD;&#x10000;"),
+            "\t\n\r \u{D7FF}\u{E000}\u{FFFD}\u{10000}"
+        );
+    }
+
+    #[test]
+    fn char_refs_take_digits_only() {
+        for raw in [
+            "&#+65;", "&#x+41;", "&#-65;", "&#;", "&#x;", "&#6 5;", "&#xG;",
+        ] {
+            let mut s = String::new();
+            assert!(decode_into(raw, 0, &mut s).is_err(), "{raw}");
+        }
+        assert_eq!(decode("&#65;&#x41;&#X41;&#0065;"), "AAAA");
     }
 
     #[test]

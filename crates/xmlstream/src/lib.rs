@@ -16,9 +16,14 @@
 //!
 //! The crate provides:
 //!
-//! * [`parser::StreamParser`] — a pull parser producing [`event::SaxEvent`]s
-//!   from any [`std::io::BufRead`], with entity decoding, comment/CDATA/PI
-//!   handling, and well-formedness checking;
+//! * [`parser::StreamParser`] — the one streaming parser, with entity
+//!   decoding, comment/CDATA/PI handling, and well-formedness checking.
+//!   All input goes through one window whose boundary scanner
+//!   ([`push`]) hands the parser whole tokens. Push is the native
+//!   interface ([`PushParser`]: `push` chunks split anywhere, `poll_raw`
+//!   the events they complete, `finish`); pulling [`event::RawEvent`]s or
+//!   [`event::SaxEvent`]s from any [`std::io::BufRead`] is the same core
+//!   plus a loop that refills the window from the reader;
 //! * [`pda::WellFormednessPda`] — the "simple PDA" of Fig. 4(a): a pushdown
 //!   automaton that accepts exactly well-formed event streams;
 //! * [`writer::XmlWriter`] — escaping serializer (used for `*̄` catchall
@@ -47,7 +52,7 @@ pub use event::{Attribute, RawEvent, SaxEvent};
 pub use parser::{ParsePoll, StreamParser};
 pub use pda::WellFormednessPda;
 pub use pure::PureParser;
-pub use push::{ChunkBuf, PushParser};
+pub use push::PushParser;
 pub use stats::{dataset_stats, DatasetStats};
 pub use symbol::Sym;
 pub use writer::{DocumentWriter, WriteError, XmlWriter};

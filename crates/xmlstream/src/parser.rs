@@ -1,19 +1,30 @@
-//! The streaming pull parser: bytes in, depth-extended SAX events out.
+//! The streaming parser: bytes in, depth-extended SAX events out.
 //!
-//! [`StreamParser`] reads from any [`BufRead`] and never materializes the
-//! document: memory use is bounded by the size of a single token (one tag
-//! or one run of character data). Well-formedness is enforced with the tag
+//! [`StreamParser`] never materializes the document: memory use is
+//! bounded by the size of a single token (one tag or one run of character
+//! data) plus one input step. Well-formedness is enforced with the tag
 //! stack exactly as the paper's "simple PDA" (§3.1) does: every end event
 //! must match the top of the stack.
 //!
-//! The primary interface is [`StreamParser::next_raw`], which lends out a
-//! [`RawEvent`] borrowing the parser's scratch buffers — element names are
-//! interned [`Sym`]s, attribute storage and the text accumulator are
-//! reused across events, and delimiter scanning runs the runtime-dispatched
-//! SIMD kernels ([`crate::scan`]). In steady state (all names interned,
-//! buffers grown to the document's token sizes) pulling an event performs
-//! **zero heap allocations**. [`StreamParser::next_event`] is the owned
-//! convenience wrapper for consumers that retain events.
+//! Input goes through one owned window whose boundary scanner
+//! ([`crate::push`]) hands out whole tokens; everything here parses a
+//! slice it knows is complete — name, attributes, end-tag compare, entity
+//! decode — with index arithmetic and no I/O. Push is the native
+//! interface: [`StreamParser::poll_raw`] reports
+//! [`ParsePoll::NeedMore`] when the window holds no complete token. The
+//! pull interface over a [`BufRead`] is the same core plus a fill loop:
+//! [`StreamParser::next_raw`] answers `NeedMore` by copying a bounded
+//! step from the reader into the window, and signals end of input when
+//! the reader runs dry.
+//!
+//! Events are lent out as [`RawEvent`]s borrowing the parser's scratch
+//! buffers — element names are interned [`Sym`]s, attribute storage and
+//! the text accumulator are reused across events, and delimiter scanning
+//! runs the runtime-dispatched SIMD kernels ([`crate::scan`]). In steady
+//! state (all names interned, buffers grown to the document's token
+//! sizes) producing an event performs **zero heap allocations**.
+//! [`StreamParser::next_event`] is the owned convenience wrapper for
+//! consumers that retain events.
 
 use std::collections::VecDeque;
 use std::io::BufRead;
@@ -21,6 +32,7 @@ use std::io::BufRead;
 use crate::entities::decode_into;
 use crate::error::{Error, Result};
 use crate::event::{Attribute, RawEvent, SaxEvent};
+use crate::push::{Token, TokenKind, Window, CDATA_CLOSE, CDATA_OPEN};
 use crate::scan;
 use crate::symbol::Sym;
 
@@ -44,40 +56,35 @@ impl Default for ParserOptions {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DocState {
-    /// Nothing emitted yet.
-    Init,
-    /// `StartDocument` emitted, document element not yet seen.
+    /// Document element not yet seen.
     BeforeRoot,
     /// Inside the document element.
     InRoot,
     /// Document element closed; only misc content allowed.
     AfterRoot,
-    /// `EndDocument` emitted.
+    /// `EndDocument` queued.
     Done,
 }
 
-/// Outcome of one non-blocking pull on a parser whose input may be
-/// incomplete (see [`crate::push::PushParser`]). Ordinary pull parsers
-/// over a [`BufRead`] never observe `NeedMore`: an empty `fill_buf`
-/// means end of input for them.
+/// Outcome of one non-blocking pull ([`StreamParser::poll_raw`]).
 #[derive(Debug)]
 pub enum ParsePoll<'a> {
     /// The next event.
     Event(RawEvent<'a>),
-    /// The buffered input ends mid-construct and more may be pushed;
-    /// nothing was lost — poll again after the next push (or after
-    /// end-of-input is signalled).
+    /// The buffered input ends mid-token and more may arrive; nothing
+    /// was lost — poll again after the next push (or after end-of-input
+    /// is signalled).
     NeedMore,
     /// `EndDocument` has already been delivered.
     End,
 }
 
-/// What one [`StreamParser::advance`] call achieved.
-enum Advance {
-    /// Events were queued or the document ended.
-    Progress,
-    /// Soft input ran dry at a resumable point (push mode only).
-    Starved,
+/// [`ParsePoll`] before the event borrows the scratch buffers, so the
+/// pull loop can refill between steps.
+enum Step {
+    Event(Pending),
+    NeedMore,
+    End,
 }
 
 /// A parsed-but-not-yet-delivered event descriptor. `Copy`-small: the
@@ -86,6 +93,7 @@ enum Advance {
 /// [`RawEvent`].
 #[derive(Debug, Clone, Copy)]
 enum Pending {
+    StartDocument,
     EndDocument,
     /// Attributes are `attrs[..attrs_len]` at materialization time.
     Begin {
@@ -103,7 +111,12 @@ enum Pending {
     },
 }
 
-/// A streaming, pull-based XML parser.
+/// Largest step the pull loop copies from its reader into the window at
+/// once: the window stays token-sized however large a slice the reader
+/// offers (a `&[u8]` reader offers the whole document).
+const FILL_STEP: usize = 64 * 1024;
+
+/// A streaming XML parser, pull- or push-fed.
 ///
 /// ```
 /// use xsq_xml::{StreamParser, SaxEvent};
@@ -117,15 +130,18 @@ enum Pending {
 /// }
 /// assert_eq!(names, ["a@1", "b@2"]);
 /// ```
-pub struct StreamParser<R: BufRead> {
+pub struct StreamParser<R> {
     reader: R,
-    offset: u64,
+    /// The unconsumed input and its token-boundary scanner.
+    pub(crate) window: Window,
+    /// Everything downstream of a whole token.
+    doc: Document,
+}
+
+/// Document-level parse state and the scratch buffers events borrow:
+/// consumes whole-token slices, produces [`Pending`] descriptors.
+struct Document {
     options: ParserOptions,
-    /// When true (push mode), an empty `fill_buf` means "no more bytes
-    /// buffered *yet*" rather than end of input: [`Self::poll_raw`]
-    /// reports [`ParsePoll::NeedMore`] instead of finishing the
-    /// document. Flipped off when the push layer signals end-of-input.
-    soft_input: bool,
     state: DocState,
     /// Open-element stack; `stack.len()` is the current depth. Each entry
     /// carries the interned name's `&'static str` so closing-tag checks
@@ -146,7 +162,8 @@ pub struct StreamParser<R: BufRead> {
     /// capacity for reuse by the next tag.
     attrs: Vec<Attribute>,
     attrs_len: usize,
-    /// Scratch buffer for raw token bytes.
+    /// Copy of a run or attribute value that needs whitespace
+    /// normalization (the window's bytes are parsed in place otherwise).
     scratch: Vec<u8>,
     /// Lock-free fast path for [`Sym::intern`]: names this parser has
     /// already resolved. Documents repeat a tiny tag vocabulary millions
@@ -154,11 +171,66 @@ pub struct StreamParser<R: BufRead> {
     /// entirely. Keys are the table's leaked `&'static str`s, so misses
     /// allocate nothing here either.
     sym_cache: std::collections::HashMap<&'static str, Sym, crate::symbol::FnvBuild>,
-    /// One-entry memo in front of `sym_cache`: the last name resolved.
-    /// Record-shaped documents repeat the same tag in runs, so a single
-    /// byte compare often replaces the FNV hash + map probe. Interned
-    /// symbols are process-global, so the memo survives `reset` safely.
-    last_name: Option<(&'static str, Sym)>,
+    /// Direct-mapped memo in front of `sym_cache`, indexed by a name's
+    /// first byte and length: a document's handful of tag names mostly
+    /// land in distinct slots, so one byte compare usually replaces the
+    /// UTF-8 check + FNV hash + map probe. Interned symbols are
+    /// process-global, so the memo survives `reset` safely.
+    recent_names: [Option<(&'static str, Sym)>; 16],
+}
+
+impl<R> StreamParser<R> {
+    /// Current byte offset in the input: everything before it has been
+    /// turned into events.
+    pub fn offset(&self) -> u64 {
+        self.window.offset()
+    }
+
+    /// Rearm the parser for a new document on the *same* reader (see
+    /// [`reset_with`](Self::reset_with) for what is kept).
+    pub fn reset(&mut self) {
+        self.window.clear();
+        self.doc.reset();
+    }
+
+    /// Pull the next event from the bytes buffered so far:
+    /// [`ParsePoll::NeedMore`] means they end mid-token (nothing is lost;
+    /// poll again after more input arrives), and never occurs once end of
+    /// input has been signalled. The returned view is invalidated by the
+    /// next call.
+    pub fn poll_raw(&mut self) -> Result<ParsePoll<'_>> {
+        Ok(match step(&mut self.window, &mut self.doc)? {
+            Step::Event(p) => ParsePoll::Event(self.doc.materialize(p)),
+            Step::NeedMore => ParsePoll::NeedMore,
+            Step::End => ParsePoll::End,
+        })
+    }
+}
+
+/// Parse tokens until an event is queued, the window runs out of complete
+/// tokens, or the document ends. Tokens are only parsed when `pending` is
+/// empty, so the scratch buffers they overwrite are no longer referenced.
+///
+/// Not a method: it does not depend on the reader type, so it is compiled
+/// once, in this crate, beside the scanner and the token parser it calls,
+/// instead of once per reader type in every crate that pulls events.
+fn step(window: &mut Window, doc: &mut Document) -> Result<Step> {
+    loop {
+        if let Some(p) = doc.pending.pop_front() {
+            return Ok(Step::Event(p));
+        }
+        if doc.state == DocState::Done {
+            return Ok(Step::End);
+        }
+        match window.next_token() {
+            Some(token) => {
+                let (bytes, at) = window.bytes(&token);
+                doc.token(&token, bytes, at)?;
+            }
+            None if window.is_finished() => doc.end_of_input(window.offset())?,
+            None => return Ok(Step::NeedMore),
+        }
+    }
 }
 
 impl<R: BufRead> StreamParser<R> {
@@ -169,12 +241,9 @@ impl<R: BufRead> StreamParser<R> {
 
     /// Create a parser with explicit options.
     pub fn with_options(reader: R, options: ParserOptions) -> Self {
-        StreamParser {
-            reader,
-            offset: 0,
+        let mut doc = Document {
             options,
-            soft_input: false,
-            state: DocState::Init,
+            state: DocState::BeforeRoot,
             stack: Vec::new(),
             pending: VecDeque::new(),
             text_acc: String::new(),
@@ -183,13 +252,14 @@ impl<R: BufRead> StreamParser<R> {
             attrs_len: 0,
             scratch: Vec::new(),
             sym_cache: std::collections::HashMap::default(),
-            last_name: None,
+            recent_names: [None; 16],
+        };
+        doc.reset();
+        StreamParser {
+            reader,
+            window: Window::new(),
+            doc,
         }
-    }
-
-    /// Current byte offset in the input.
-    pub fn offset(&self) -> u64 {
-        self.offset
     }
 
     /// Rearm the parser for a new document, keeping every warmed scratch
@@ -198,45 +268,14 @@ impl<R: BufRead> StreamParser<R> {
     /// A long-lived consumer (one worker of the sharded multi-document
     /// driver, a socket server handling documents back to back) parses
     /// thousands of documents on one thread; constructing a fresh parser
-    /// each time would re-grow the text/attribute/token buffers and
-    /// re-resolve every tag name through the global symbol table. After
-    /// the first few documents of a corpus this method restores the
+    /// each time would re-grow the window and the text/attribute buffers
+    /// and re-resolve every tag name through the global symbol table.
+    /// After the first few documents of a corpus this method restores the
     /// zero-allocation steady state immediately.
     pub fn reset_with(&mut self, reader: R) -> R {
         let old = std::mem::replace(&mut self.reader, reader);
         self.reset();
         old
-    }
-
-    /// Rearm the parser for a new document on the *same* reader (see
-    /// [`reset_with`](Self::reset_with) for what is kept). The push
-    /// layer uses this to reuse one parser across the documents of a
-    /// session after clearing its chunk buffer.
-    pub fn reset(&mut self) {
-        self.offset = 0;
-        self.state = DocState::Init;
-        self.stack.clear();
-        self.pending.clear();
-        self.text_acc.clear();
-        self.text_out.clear();
-        self.attrs_len = 0;
-    }
-
-    /// Direct access to the underlying reader (the push layer feeds its
-    /// chunk buffer through this).
-    pub(crate) fn reader_mut(&mut self) -> &mut R {
-        &mut self.reader
-    }
-
-    /// Shared access to the underlying reader.
-    pub(crate) fn reader_ref(&self) -> &R {
-        &self.reader
-    }
-
-    /// Switch between soft input (empty buffer = not yet) and final
-    /// input (empty buffer = end of document).
-    pub(crate) fn set_soft_input(&mut self, soft: bool) {
-        self.soft_input = soft;
     }
 
     /// Pull the next event as an owned [`SaxEvent`], or `Ok(None)` after
@@ -250,49 +289,48 @@ impl<R: BufRead> StreamParser<R> {
     /// parser's scratch buffers, or `Ok(None)` after `EndDocument`. The
     /// returned view is invalidated by the next call.
     ///
-    /// Requires final input (an empty `fill_buf` is end of document);
-    /// push-fed parsers must use [`poll_raw`](Self::poll_raw) until
-    /// end-of-input has been signalled.
+    /// This is [`poll_raw`](Self::poll_raw) plus the fill loop: whenever
+    /// the window runs out of complete tokens, the next step of the
+    /// reader's bytes is copied in, and end of input is signalled when the
+    /// reader has none left. (A push-fed parser's reader never has any, so
+    /// calling this on one ends its document where the pushes stopped.)
     pub fn next_raw(&mut self) -> Result<Option<RawEvent<'_>>> {
-        let offset = self.offset;
-        match self.poll_raw()? {
-            ParsePoll::Event(ev) => Ok(Some(ev)),
-            ParsePoll::End => Ok(None),
-            ParsePoll::NeedMore => Err(Error::UnexpectedEof {
-                offset,
-                context: "push-mode input not finished (use poll_raw)",
-            }),
-        }
-    }
-
-    /// Pull the next event without treating an empty buffer as end of
-    /// input: in push mode a starved parser reports
-    /// [`ParsePoll::NeedMore`] and resumes cleanly after more bytes are
-    /// pushed. For ordinary pull parsers this behaves like
-    /// [`next_raw`](Self::next_raw) (`NeedMore` never occurs).
-    pub fn poll_raw(&mut self) -> Result<ParsePoll<'_>> {
         loop {
-            if let Some(p) = self.pending.pop_front() {
-                return Ok(ParsePoll::Event(self.materialize(p)));
-            }
-            match self.state {
-                DocState::Init => {
-                    self.state = DocState::BeforeRoot;
-                    return Ok(ParsePoll::Event(RawEvent::StartDocument));
-                }
-                DocState::Done => return Ok(ParsePoll::End),
-                _ => {
-                    if let Advance::Starved = self.advance()? {
-                        return Ok(ParsePoll::NeedMore);
+            match step(&mut self.window, &mut self.doc)? {
+                Step::Event(p) => return Ok(Some(self.doc.materialize(p))),
+                Step::End => return Ok(None),
+                Step::NeedMore => {
+                    let read_to = self.window.end_offset();
+                    let buf = self.reader.fill_buf().map_err(|e| Error::io(read_to, e))?;
+                    if buf.is_empty() {
+                        self.window.finish();
+                    } else {
+                        let n = buf.len().min(FILL_STEP);
+                        self.window.push(&buf[..n]);
+                        self.reader.consume(n);
                     }
                 }
             }
         }
     }
+}
+
+impl Document {
+    /// Rearm for a new document, keeping buffers and the name cache.
+    fn reset(&mut self) {
+        self.state = DocState::BeforeRoot;
+        self.stack.clear();
+        self.pending.clear();
+        self.pending.push_back(Pending::StartDocument);
+        self.text_acc.clear();
+        self.text_out.clear();
+        self.attrs_len = 0;
+    }
 
     /// Attach the scratch-buffer payloads to a pending descriptor.
     fn materialize(&self, p: Pending) -> RawEvent<'_> {
         match p {
+            Pending::StartDocument => RawEvent::StartDocument,
             Pending::EndDocument => RawEvent::EndDocument,
             Pending::Begin { name, depth } => RawEvent::Begin {
                 name,
@@ -308,73 +346,101 @@ impl<R: BufRead> StreamParser<R> {
         }
     }
 
-    /// Parse input until at least one event lands in `pending` (or the
-    /// document ends). Only runs when `pending` is empty, so the scratch
-    /// buffers it overwrites are no longer referenced.
+    /// Parse one token: `bytes` is all of it and `at` its input offset.
+    /// Markup that yields no event (comments, PIs, declarations) is
+    /// dropped; text accumulates in `text_acc` and is flushed lazily when
+    /// a tag arrives, so comment- and CDATA-adjacent runs coalesce into
+    /// one `Text` event.
     ///
-    /// In push mode the input can run dry only at resumable points: the
-    /// chunk buffer exposes markup tokens whole, so starvation happens
-    /// between tokens (here) or inside a text run — whose accumulated
-    /// prefix persists in `text_acc` across polls.
-    fn advance(&mut self) -> Result<Advance> {
-        loop {
-            match self.next_byte()? {
-                None => {
-                    if self.soft_input {
-                        return Ok(Advance::Starved);
-                    }
-                    self.end_of_input()?;
-                    return Ok(Advance::Progress);
+    /// An incomplete token only ever arrives as the last one of a
+    /// truncated input; running off its end is the `UnexpectedEof` a
+    /// truncated file earns.
+    fn token(&mut self, token: &Token, bytes: &[u8], at: u64) -> Result<()> {
+        let truncated = |context| {
+            Err(Error::UnexpectedEof {
+                offset: at + bytes.len() as u64,
+                context,
+            })
+        };
+        match token.kind {
+            TokenKind::Text { amp, cr } => self.text(bytes, at, amp, cr),
+            TokenKind::Tag => match bytes.get(1) {
+                None => truncated("markup after '<'"),
+                Some(b'/') => {
+                    self.flush_text();
+                    self.end_tag(bytes, at)
                 }
-                Some(b'<') => {
-                    self.parse_markup()?;
-                    if !self.pending.is_empty() {
-                        return Ok(Advance::Progress);
-                    }
-                    // Comments/PIs produce no events; keep scanning.
+                Some(_) => {
+                    self.flush_text();
+                    self.start_tag(bytes, at)
                 }
-                Some(b) => {
-                    self.read_text(b)?;
-                    // Text is flushed lazily when markup or EOF arrives, so
-                    // keep scanning: the loop re-enters at the '<'.
+            },
+            TokenKind::Cdata => {
+                if self.state != DocState::InRoot {
+                    return Err(Error::ContentOutsideRoot { offset: at });
                 }
+                if !token.complete {
+                    return truncated("CDATA section");
+                }
+                // CDATA content is raw character data: no entity decoding.
+                let raw = &bytes[CDATA_OPEN..bytes.len() - CDATA_CLOSE];
+                let raw = normalize_line_endings(raw, &mut self.scratch);
+                let raw = std::str::from_utf8(raw)
+                    .map_err(|_| Error::syntax(at, "invalid UTF-8 in CDATA"))?;
+                self.text_acc.push_str(raw);
+                Ok(())
+            }
+            TokenKind::Comment if !token.complete => truncated("comment"),
+            TokenKind::Pi if !token.complete => truncated("processing instruction"),
+            TokenKind::Comment | TokenKind::Pi => Ok(()),
+            TokenKind::Decl => {
+                // `<!-x` or `<![CDAT?`: an opener that went wrong part-way.
+                let marker: &[u8] = match bytes.get(2) {
+                    Some(b'-') => b"--",
+                    Some(b'[') => b"[CDATA[",
+                    _ => b"",
+                };
+                let got = &bytes[2..];
+                let matched = marker.iter().zip(got).take_while(|(m, g)| m == g).count();
+                if matched < marker.len() {
+                    let bad = (got.len() > matched) as u64;
+                    return Err(Error::syntax(
+                        at + 2 + matched as u64 + bad,
+                        format!("malformed declaration (expected byte {matched} of marker)"),
+                    ));
+                }
+                if !token.complete {
+                    return truncated("declaration");
+                }
+                Ok(())
             }
         }
     }
 
-    /// Accumulate character data starting with byte `b` until the next `<`.
-    fn read_text(&mut self, b: u8) -> Result<()> {
-        let start_offset = self.offset - 1;
-        self.scratch.clear();
-        self.scratch.push(b);
-        let (mut saw_amp, mut saw_cr) = self.take_text_run()?;
-        saw_amp |= b == b'&';
-        saw_cr |= b == b'\r';
-        // The run scan already noted whether any `\r` or `&` occurred, so
+    /// One character-data run.
+    fn text(&mut self, bytes: &[u8], at: u64, amp: bool, cr: bool) -> Result<()> {
+        // The scanner already noted whether any `\r` or `&` occurred, so
         // the normalization and entity-decode passes are skipped outright
-        // for the overwhelming majority of runs instead of each paying
-        // its own gating scan over the bytes.
-        if saw_cr {
-            normalize_line_endings(&mut self.scratch);
-        }
-        let raw = std::str::from_utf8(&self.scratch)
-            .map_err(|_| Error::syntax(start_offset, "invalid UTF-8 in character data"))?;
+        // for the overwhelming majority of runs.
+        let raw = if cr {
+            normalize_line_endings(bytes, &mut self.scratch)
+        } else {
+            bytes
+        };
+        let raw = std::str::from_utf8(raw)
+            .map_err(|_| Error::syntax(at, "invalid UTF-8 in character data"))?;
         if self.state != DocState::InRoot {
             if raw.chars().all(char::is_whitespace) {
                 return Ok(());
             }
-            return Err(Error::ContentOutsideRoot {
-                offset: start_offset,
-            });
+            return Err(Error::ContentOutsideRoot { offset: at });
         }
-        // Entity references decode straight into the accumulator —
-        // `raw` borrows `scratch`, a disjoint field from `text_acc`.
-        if !saw_amp {
-            self.text_acc.push_str(raw);
+        if amp {
+            decode_into(raw, at, &mut self.text_acc)
         } else {
-            decode_into(raw, start_offset, &mut self.text_acc)?;
+            self.text_acc.push_str(raw);
+            Ok(())
         }
-        Ok(())
     }
 
     /// Emit any buffered text as a `Text` event.
@@ -396,52 +462,39 @@ impl<R: BufRead> StreamParser<R> {
         }
     }
 
-    /// Handle a token that begins with `<` (the `<` is already consumed).
-    fn parse_markup(&mut self) -> Result<()> {
-        let markup_offset = self.offset - 1;
-        match self.peek_byte()? {
-            None => Err(Error::UnexpectedEof {
-                offset: self.offset,
-                context: "markup after '<'",
-            }),
-            Some(b'/') => {
-                self.next_byte()?;
-                self.flush_text();
-                self.parse_end_tag(markup_offset)
-            }
-            Some(b'!') => {
-                self.next_byte()?;
-                self.parse_declaration(markup_offset)
-            }
-            Some(b'?') => {
-                self.next_byte()?;
-                self.skip_past_terminator(b'?', 1, "processing instruction")
-            }
-            Some(_) => {
-                self.flush_text();
-                self.parse_start_tag(markup_offset)
-            }
-        }
-    }
-
     /// `<name attr="v" …>` or `<name/>`.
-    fn parse_start_tag(&mut self, markup_offset: u64) -> Result<()> {
+    fn start_tag(&mut self, bytes: &[u8], at: u64) -> Result<()> {
+        let mut i = name_end(bytes, 1);
+        let (name, name_str) = self.resolve_name(&bytes[1..i], at)?;
         match self.state {
             DocState::BeforeRoot => self.state = DocState::InRoot,
             DocState::InRoot => {}
             DocState::AfterRoot => {
-                // Peek the name for the error message.
-                let (_, name) = self.read_name(markup_offset)?;
                 return Err(Error::MultipleRoots {
-                    offset: markup_offset,
-                    tag: name.to_string(),
-                });
+                    offset: at,
+                    tag: name_str.to_string(),
+                })
             }
-            _ => unreachable!("start tag in state {:?}", self.state),
+            DocState::Done => unreachable!("start tag after EndDocument"),
         }
-        let (name, name_str) = self.read_name(markup_offset)?;
         self.attrs_len = 0;
-        let self_closing = self.parse_attributes(markup_offset)?;
+        let self_closing = loop {
+            i = skip_whitespace(bytes, i);
+            match bytes.get(i) {
+                None => {
+                    return Err(Error::UnexpectedEof {
+                        offset: at + i as u64,
+                        context: "start tag",
+                    })
+                }
+                Some(b'>') => break false,
+                Some(b'/') => match bytes.get(i + 1) {
+                    Some(b'>') => break true,
+                    _ => return Err(Error::syntax(at, "expected '>' after '/'")),
+                },
+                Some(_) => i = self.attribute(bytes, i, at)?,
+            }
+        };
         self.stack.push((name, name_str));
         let depth = self.stack.len() as u32;
         self.pending.push_back(Pending::Begin { name, depth });
@@ -455,39 +508,105 @@ impl<R: BufRead> StreamParser<R> {
         Ok(())
     }
 
-    /// `</name>` — must match the innermost open element.
-    fn parse_end_tag(&mut self, markup_offset: u64) -> Result<()> {
-        self.scratch.clear();
-        self.take_until(|b| !is_name_byte(b))?;
-        // Well-formed XML closes the innermost open element, whose symbol
-        // sits on top of the stack: one byte compare against its cached
-        // name resolves the tag without hashing or a table lookup.
-        let name = match self.stack.last().copied() {
-            Some((open, open_name)) if self.scratch.as_slice() == open_name.as_bytes() => open,
-            _ => self.resolve_scratch_name(markup_offset)?.0,
-        };
-        // `</name>` with no trailing space is the only shape real
-        // documents produce; skip the whitespace scan when `>` is next.
-        if self.peek_byte()? != Some(b'>') {
-            self.skip_whitespace()?;
+    /// One `name = "value"` of the tag `bytes`, starting at `i`, into the
+    /// reusable `attrs` buffer. Returns the index after the closing quote.
+    fn attribute(&mut self, bytes: &[u8], i: usize, at: u64) -> Result<usize> {
+        let end = name_end(bytes, i);
+        let (name, _) = self.resolve_name(&bytes[i..end], at)?;
+        // XML 1.0 §3.1 WFC: Unique Att Spec.
+        if self.attrs[..self.attrs_len].iter().any(|a| a.name == name) {
+            return Err(Error::syntax(at, format!("duplicate attribute '{name}'")));
         }
-        match self.next_byte()? {
-            Some(b'>') => {}
-            Some(_) => return Err(Error::syntax(markup_offset, "junk in closing tag")),
+        let mut i = skip_whitespace(bytes, end);
+        if bytes.get(i) != Some(&b'=') {
+            return Err(Error::syntax(at, format!("attribute '{name}' missing '='")));
+        }
+        i = skip_whitespace(bytes, i + 1);
+        let quote = match bytes.get(i) {
+            Some(&q @ (b'"' | b'\'')) => q,
+            _ => {
+                return Err(Error::syntax(
+                    at,
+                    format!("attribute '{name}' value must be quoted"),
+                ))
+            }
+        };
+        let start = i + 1;
+        let value_offset = at + start as u64;
+        let rest = &bytes[start..];
+        let len = scan::find_byte2(rest, quote, b'<').unwrap_or(rest.len());
+        match rest.get(len) {
+            Some(&b) if b == quote => {}
+            Some(_) => {
+                return Err(Error::syntax(
+                    value_offset,
+                    "'<' not allowed in attribute value",
+                ))
+            }
             None => {
                 return Err(Error::UnexpectedEof {
-                    offset: self.offset,
-                    context: "closing tag",
+                    offset: at + bytes.len() as u64,
+                    context: "attribute value",
                 })
             }
         }
+        let raw = normalize_attr_whitespace(&rest[..len], &mut self.scratch);
+        let raw = std::str::from_utf8(raw)
+            .map_err(|_| Error::syntax(value_offset, "invalid UTF-8 in attribute value"))?;
+        // Reuse the slot (and its value's capacity) past the live prefix
+        // if one exists; decode straight into it.
+        if self.attrs_len == self.attrs.len() {
+            self.attrs.push(Attribute {
+                name,
+                value: String::new(),
+            });
+        }
+        let slot = &mut self.attrs[self.attrs_len];
+        slot.name = name;
+        slot.value.clear();
+        if scan::find_byte(raw.as_bytes(), b'&').is_none() {
+            slot.value.push_str(raw);
+        } else {
+            decode_into(raw, value_offset, &mut slot.value)?;
+        }
+        self.attrs_len += 1;
+        Ok(start + len + 1)
+    }
+
+    /// `</name>` — must match the innermost open element.
+    fn end_tag(&mut self, bytes: &[u8], at: u64) -> Result<()> {
+        let name = match self.stack.last().copied() {
+            // Well-formed XML closes the innermost open element, and real
+            // documents spell it `</name>`: one byte compare against the
+            // name cached on the stack settles the whole tag without a
+            // name scan, hashing or a table lookup.
+            Some((open, open_name))
+                if bytes[2..].strip_suffix(b">") == Some(open_name.as_bytes()) =>
+            {
+                open
+            }
+            _ => {
+                let end = name_end(bytes, 2);
+                let name = self.resolve_name(&bytes[2..end], at)?.0;
+                match bytes.get(skip_whitespace(bytes, end)) {
+                    Some(b'>') => name,
+                    Some(_) => return Err(Error::syntax(at, "junk in closing tag")),
+                    None => {
+                        return Err(Error::UnexpectedEof {
+                            offset: at + bytes.len() as u64,
+                            context: "closing tag",
+                        })
+                    }
+                }
+            }
+        };
         match self.stack.pop() {
             None => Err(Error::UnbalancedClose {
-                offset: markup_offset,
+                offset: at,
                 tag: name.as_str().to_string(),
             }),
             Some((open, _)) if open != name => Err(Error::TagMismatch {
-                offset: markup_offset,
+                offset: at,
                 expected: open.as_str().to_string(),
                 found: name.as_str().to_string(),
             }),
@@ -502,492 +621,52 @@ impl<R: BufRead> StreamParser<R> {
         }
     }
 
-    /// `<!--…-->`, `<![CDATA[…]]>`, or `<!DOCTYPE …>`.
-    fn parse_declaration(&mut self, markup_offset: u64) -> Result<()> {
-        if self.try_consume(b"--")? {
-            return self.skip_past_terminator(b'-', 2, "comment");
-        }
-        if self.try_consume(b"[CDATA[")? {
-            return self.read_cdata(markup_offset);
-        }
-        // DOCTYPE or other declaration: skip to the matching '>', honoring
-        // nested '[' … ']' internal subsets. The kernels bulk-skip to the
-        // next structurally interesting byte instead of inspecting each.
-        let mut bracket_depth = 0i32;
-        loop {
-            match self.skip_to_byte3(b'[', b']', b'>', "declaration")? {
-                b'[' => bracket_depth += 1,
-                b']' => bracket_depth -= 1,
-                _ => {
-                    if bracket_depth <= 0 {
-                        return Ok(());
-                    }
-                }
-            }
-        }
-    }
-
-    /// CDATA content is raw character data (no entity decoding).
-    ///
-    /// The body is copied a bulk run at a time (everything up to the next
-    /// `]`), then runs of consecutive `]` are counted: a `>` arriving with
-    /// two or more pending brackets terminates the section, with any
-    /// brackets beyond the final two restored as literal content.
-    fn read_cdata(&mut self, markup_offset: u64) -> Result<()> {
-        if self.state != DocState::InRoot {
-            return Err(Error::ContentOutsideRoot {
-                offset: markup_offset,
-            });
-        }
-        self.scratch.clear();
-        'section: loop {
-            self.take_until_byte(b']')?;
-            if self.next_byte()?.is_none() {
-                return Err(Error::UnexpectedEof {
-                    offset: self.offset,
-                    context: "CDATA section",
-                });
-            }
-            let mut pending = 1usize;
-            loop {
-                match self.peek_byte()? {
-                    Some(b']') => {
-                        self.next_byte()?;
-                        pending += 1;
-                    }
-                    Some(b'>') if pending >= 2 => {
-                        self.next_byte()?;
-                        let keep = self.scratch.len() + pending - 2;
-                        self.scratch.resize(keep, b']');
-                        break 'section;
-                    }
-                    _ => {
-                        // All pending brackets were literal content; a
-                        // trailing EOF surfaces on the next bulk scan.
-                        let keep = self.scratch.len() + pending;
-                        self.scratch.resize(keep, b']');
-                        break;
-                    }
-                }
-            }
-        }
-        normalize_line_endings(&mut self.scratch);
-        let raw = std::str::from_utf8(&self.scratch)
-            .map_err(|_| Error::syntax(markup_offset, "invalid UTF-8 in CDATA"))?;
-        self.text_acc.push_str(raw);
-        Ok(())
-    }
-
-    /// Read an element or attribute name and intern it. Interning
-    /// allocates only the first time a name is seen process-wide.
-    fn read_name(&mut self, markup_offset: u64) -> Result<(Sym, &'static str)> {
-        self.scratch.clear();
-        self.take_until(|b| !is_name_byte(b))?;
-        self.resolve_scratch_name(markup_offset)
-    }
-
-    /// Resolve the name sitting in `scratch` through the parser-local
+    /// Intern an element or attribute name through the parser-local
     /// cache, returning the symbol together with the table's interned
     /// `&'static str` (so callers never pay a table lookup for it).
-    fn resolve_scratch_name(&mut self, markup_offset: u64) -> Result<(Sym, &'static str)> {
-        if self.scratch.is_empty() {
-            return Err(Error::syntax(markup_offset, "expected a name"));
+    /// Interning allocates only the first time a name is seen
+    /// process-wide.
+    fn resolve_name(&mut self, raw: &[u8], at: u64) -> Result<(Sym, &'static str)> {
+        if raw.is_empty() {
+            return Err(Error::syntax(at, "expected a name"));
         }
-        if let Some((name, sym)) = self.last_name {
-            if self.scratch.as_slice() == name.as_bytes() {
+        let recent = &mut self.recent_names[(raw[0] as usize ^ raw.len()) % 16];
+        if let Some((name, sym)) = *recent {
+            if raw == name.as_bytes() {
                 return Ok((sym, name));
             }
         }
-        let raw = std::str::from_utf8(&self.scratch)
-            .map_err(|_| Error::syntax(markup_offset, "invalid UTF-8 in name"))?;
-        if let Some((&name, &sym)) = self.sym_cache.get_key_value(raw) {
-            self.last_name = Some((name, sym));
-            return Ok((sym, name));
-        }
-        let sym = Sym::intern(raw);
-        let name = sym.as_str();
-        self.sym_cache.insert(name, sym);
-        self.last_name = Some((name, sym));
+        let raw =
+            std::str::from_utf8(raw).map_err(|_| Error::syntax(at, "invalid UTF-8 in name"))?;
+        let (name, sym) = match self.sym_cache.get_key_value(raw) {
+            Some((&name, &sym)) => (name, sym),
+            None => {
+                let sym = Sym::intern(raw);
+                self.sym_cache.insert(sym.as_str(), sym);
+                (sym.as_str(), sym)
+            }
+        };
+        *recent = Some((name, sym));
         Ok((sym, name))
     }
 
-    /// Parse attributes up to `>` or `/>` into the reusable `attrs`
-    /// buffer (`attrs[..attrs_len]`). Returns `true` if self-closing.
-    fn parse_attributes(&mut self, markup_offset: u64) -> Result<bool> {
-        // The overwhelmingly common shape is `<name>` with no attributes:
-        // settle it with a single buffered read before the general loop.
-        if self.peek_byte()? == Some(b'>') {
-            self.next_byte()?;
-            return Ok(false);
-        }
-        loop {
-            self.skip_whitespace()?;
-            match self.peek_byte()? {
-                None => {
-                    return Err(Error::UnexpectedEof {
-                        offset: self.offset,
-                        context: "start tag",
-                    })
-                }
-                Some(b'>') => {
-                    self.next_byte()?;
-                    return Ok(false);
-                }
-                Some(b'/') => {
-                    self.next_byte()?;
-                    match self.next_byte()? {
-                        Some(b'>') => return Ok(true),
-                        _ => return Err(Error::syntax(markup_offset, "expected '>' after '/'")),
-                    }
-                }
-                Some(_) => {
-                    let (name, _) = self.read_name(markup_offset)?;
-                    self.skip_whitespace()?;
-                    match self.next_byte()? {
-                        Some(b'=') => {}
-                        _ => {
-                            return Err(Error::syntax(
-                                markup_offset,
-                                format!("attribute '{name}' missing '='"),
-                            ))
-                        }
-                    }
-                    self.skip_whitespace()?;
-                    let quote = match self.next_byte()? {
-                        Some(q @ (b'"' | b'\'')) => q,
-                        _ => {
-                            return Err(Error::syntax(
-                                markup_offset,
-                                format!("attribute '{name}' value must be quoted"),
-                            ))
-                        }
-                    };
-                    let value_offset = self.offset;
-                    self.scratch.clear();
-                    self.take_until_byte2(quote, b'<')?;
-                    match self.next_byte()? {
-                        Some(b) if b == quote => {}
-                        Some(_) => {
-                            return Err(Error::syntax(
-                                value_offset,
-                                "'<' not allowed in attribute value",
-                            ))
-                        }
-                        None => {
-                            return Err(Error::UnexpectedEof {
-                                offset: self.offset,
-                                context: "attribute value",
-                            })
-                        }
-                    }
-                    normalize_attr_whitespace(&mut self.scratch);
-                    let raw = std::str::from_utf8(&self.scratch).map_err(|_| {
-                        Error::syntax(value_offset, "invalid UTF-8 in attribute value")
-                    })?;
-                    // Reuse the slot (and its value's capacity) past the
-                    // live prefix if one exists; decode straight into it.
-                    if self.attrs_len == self.attrs.len() {
-                        self.attrs.push(Attribute {
-                            name,
-                            value: String::new(),
-                        });
-                    }
-                    let slot = &mut self.attrs[self.attrs_len];
-                    slot.name = name;
-                    slot.value.clear();
-                    if scan::find_byte(raw.as_bytes(), b'&').is_none() {
-                        slot.value.push_str(raw);
-                    } else {
-                        decode_into(raw, value_offset, &mut slot.value)?;
-                    }
-                    self.attrs_len += 1;
-                }
-            }
-        }
-    }
-
-    /// End of input: verify balance and emit `EndDocument`.
-    fn end_of_input(&mut self) -> Result<()> {
+    /// End of input at `offset`: verify balance and emit `EndDocument`.
+    fn end_of_input(&mut self, offset: u64) -> Result<()> {
         if !self.stack.is_empty() {
             return Err(Error::UnclosedElements {
-                offset: self.offset,
+                offset,
                 open: self.stack.iter().map(|&(_, n)| n.to_string()).collect(),
             });
         }
         if self.state == DocState::BeforeRoot {
             return Err(Error::UnexpectedEof {
-                offset: self.offset,
+                offset,
                 context: "document element",
             });
         }
         self.state = DocState::Done;
         self.pending.push_back(Pending::EndDocument);
         Ok(())
-    }
-
-    // ---- byte-level helpers -------------------------------------------
-
-    /// Bulk-append input bytes into `scratch` until `stop` matches (the
-    /// stopping byte is left unconsumed) or the input ends. Scans whole
-    /// `fill_buf` slices instead of byte-at-a-time. Used for names, where
-    /// the stop set is a predicate; the single/double-delimiter hot paths
-    /// go through the SWAR variants below.
-    fn take_until(&mut self, stop: impl Fn(u8) -> bool) -> Result<()> {
-        self.take_until_with(|buf| buf.iter().position(|&b| stop(b)))
-    }
-
-    /// [`take_until`](Self::take_until) specialized to one delimiter,
-    /// scanning 8 bytes per step — the character-data hot path.
-    fn take_until_byte(&mut self, stop: u8) -> Result<()> {
-        self.take_until_with(|buf| scan::find_byte(buf, stop))
-    }
-
-    /// [`take_until`](Self::take_until) specialized to two delimiters —
-    /// the attribute-value hot path (closing quote or stray `<`).
-    fn take_until_byte2(&mut self, s1: u8, s2: u8) -> Result<()> {
-        self.take_until_with(|buf| scan::find_byte2(buf, s1, s2))
-    }
-
-    fn take_until_with(&mut self, find: impl Fn(&[u8]) -> Option<usize>) -> Result<()> {
-        loop {
-            let buf = self
-                .reader
-                .fill_buf()
-                .map_err(|e| Error::io(self.offset, e))?;
-            if buf.is_empty() {
-                return Ok(());
-            }
-            match find(buf) {
-                Some(0) => return Ok(()),
-                Some(n) => {
-                    self.scratch.extend_from_slice(&buf[..n]);
-                    self.reader.consume(n);
-                    self.offset += n as u64;
-                    return Ok(());
-                }
-                None => {
-                    let n = buf.len();
-                    self.scratch.extend_from_slice(buf);
-                    self.reader.consume(n);
-                    self.offset += n as u64;
-                }
-            }
-        }
-    }
-
-    fn next_byte(&mut self) -> Result<Option<u8>> {
-        let buf = self
-            .reader
-            .fill_buf()
-            .map_err(|e| Error::io(self.offset, e))?;
-        if buf.is_empty() {
-            return Ok(None);
-        }
-        let b = buf[0];
-        self.reader.consume(1);
-        self.offset += 1;
-        Ok(Some(b))
-    }
-
-    fn peek_byte(&mut self) -> Result<Option<u8>> {
-        let buf = self
-            .reader
-            .fill_buf()
-            .map_err(|e| Error::io(self.offset, e))?;
-        Ok(buf.first().copied())
-    }
-
-    fn skip_whitespace(&mut self) -> Result<()> {
-        loop {
-            let buf = self
-                .reader
-                .fill_buf()
-                .map_err(|e| Error::io(self.offset, e))?;
-            if buf.is_empty() {
-                return Ok(());
-            }
-            let len = buf.len();
-            let run = buf
-                .iter()
-                .position(|b| !b.is_ascii_whitespace())
-                .unwrap_or(len);
-            if run > 0 {
-                self.reader.consume(run);
-                self.offset += run as u64;
-            }
-            if run < len {
-                return Ok(());
-            }
-        }
-    }
-
-    /// Consume `expected` if it is next in the input; single-byte lookahead
-    /// is not enough, so this backtracks by buffering into `pending`? No —
-    /// it is only called right after a known prefix where a partial match
-    /// cannot occur in valid XML, so a mismatch mid-way is a syntax error.
-    fn try_consume(&mut self, expected: &[u8]) -> Result<bool> {
-        match self.peek_byte()? {
-            Some(b) if b == expected[0] => {}
-            _ => return Ok(false),
-        }
-        for (i, &e) in expected.iter().enumerate() {
-            match self.next_byte()? {
-                Some(b) if b == e => {}
-                _ => {
-                    return Err(Error::syntax(
-                        self.offset,
-                        format!("malformed declaration (expected byte {i} of marker)"),
-                    ))
-                }
-            }
-        }
-        Ok(true)
-    }
-
-    /// Skip to (and past) the terminator `marker`×`min_repeat` followed by
-    /// `>` — the shared shape of `-->` (marker `-`, 2) and `?>` (`?`, 1).
-    /// The kernels bulk-skip to each candidate marker; only the short
-    /// marker run itself is inspected per byte.
-    fn skip_past_terminator(
-        &mut self,
-        marker: u8,
-        min_repeat: usize,
-        context: &'static str,
-    ) -> Result<()> {
-        loop {
-            self.skip_to_byte(marker, context)?;
-            let mut run = 1usize;
-            loop {
-                match self.peek_byte()? {
-                    Some(b) if b == marker => {
-                        self.next_byte()?;
-                        run += 1;
-                    }
-                    Some(b'>') if run >= min_repeat => {
-                        self.next_byte()?;
-                        return Ok(());
-                    }
-                    Some(_) => break,
-                    None => {
-                        return Err(Error::UnexpectedEof {
-                            offset: self.offset,
-                            context,
-                        })
-                    }
-                }
-            }
-        }
-    }
-
-    /// Discard input up to and including the next `needle`.
-    fn skip_to_byte(&mut self, needle: u8, context: &'static str) -> Result<()> {
-        loop {
-            let buf = self
-                .reader
-                .fill_buf()
-                .map_err(|e| Error::io(self.offset, e))?;
-            if buf.is_empty() {
-                return Err(Error::UnexpectedEof {
-                    offset: self.offset,
-                    context,
-                });
-            }
-            match scan::find_byte(buf, needle) {
-                Some(n) => {
-                    self.reader.consume(n + 1);
-                    self.offset += n as u64 + 1;
-                    return Ok(());
-                }
-                None => {
-                    let len = buf.len();
-                    self.reader.consume(len);
-                    self.offset += len as u64;
-                }
-            }
-        }
-    }
-
-    /// Discard input up to and including the next occurrence of any of
-    /// three bytes, returning the byte found.
-    fn skip_to_byte3(&mut self, n1: u8, n2: u8, n3: u8, context: &'static str) -> Result<u8> {
-        loop {
-            let buf = self
-                .reader
-                .fill_buf()
-                .map_err(|e| Error::io(self.offset, e))?;
-            if buf.is_empty() {
-                return Err(Error::UnexpectedEof {
-                    offset: self.offset,
-                    context,
-                });
-            }
-            match scan::find_byte3(buf, n1, n2, n3) {
-                Some(n) => {
-                    let b = buf[n];
-                    self.reader.consume(n + 1);
-                    self.offset += n as u64 + 1;
-                    return Ok(b);
-                }
-                None => {
-                    let len = buf.len();
-                    self.reader.consume(len);
-                    self.offset += len as u64;
-                }
-            }
-        }
-    }
-
-    /// Bulk-append character data into `scratch` until the next `<` (left
-    /// unconsumed) or end of input, reporting whether any `&` or `\r` was
-    /// seen along the way. One fused [`scan::classify_run`] pass settles
-    /// the run boundary *and* the flags that decide whether the line-ending
-    /// normalization and entity-decode passes can be skipped.
-    fn take_text_run(&mut self) -> Result<(bool, bool)> {
-        let mut saw_amp = false;
-        let mut saw_cr = false;
-        loop {
-            let buf = self
-                .reader
-                .fill_buf()
-                .map_err(|e| Error::io(self.offset, e))?;
-            if buf.is_empty() {
-                return Ok((saw_amp, saw_cr));
-            }
-            let mut consumed = 0usize;
-            let mut stop = false;
-            loop {
-                let rest = &buf[consumed..];
-                let n = scan::classify_run(rest);
-                if n == rest.len() {
-                    consumed = buf.len();
-                    break;
-                }
-                match rest[n] {
-                    b'<' => {
-                        consumed += n;
-                        stop = true;
-                        break;
-                    }
-                    b'&' => {
-                        saw_amp = true;
-                        consumed += n + 1;
-                    }
-                    b'\r' => {
-                        saw_cr = true;
-                        consumed += n + 1;
-                    }
-                    // `]` is ordinary content here; it is in the delimiter
-                    // set for the push pre-scanner's `]]>` tracking.
-                    _ => consumed += n + 1,
-                }
-            }
-            self.scratch.extend_from_slice(&buf[..consumed]);
-            self.reader.consume(consumed);
-            self.offset += consumed as u64;
-            if stop {
-                return Ok((saw_amp, saw_cr));
-            }
-        }
     }
 }
 
@@ -1010,19 +689,37 @@ const fn build_name_byte_table() -> [bool; 256] {
     table
 }
 
-fn is_name_byte(b: u8) -> bool {
-    NAME_BYTE[b as usize]
+/// Index of the first non-name byte of `bytes` at or after `from`.
+fn name_end(bytes: &[u8], from: usize) -> usize {
+    let rest = &bytes[from..];
+    from + rest
+        .iter()
+        .position(|&b| !NAME_BYTE[b as usize])
+        .unwrap_or(rest.len())
+}
+
+/// Index of the first non-whitespace byte of `bytes` at or after `from`.
+fn skip_whitespace(bytes: &[u8], from: usize) -> usize {
+    let rest = &bytes[from..];
+    from + rest
+        .iter()
+        .position(|b| !b.is_ascii_whitespace())
+        .unwrap_or(rest.len())
 }
 
 /// XML 1.0 §2.11: `\r\n` and bare `\r` become `\n` in character data.
-/// Runs on the raw bytes of one accumulated run (names and markup never
+/// Runs on the raw bytes of one whole run (names and markup never
 /// contain `\r`), before entity decoding so `&#13;` stays a literal CR.
-/// In-place compaction; a run with no `\r` — the overwhelming majority —
-/// costs one SWAR scan and no writes.
-fn normalize_line_endings(buf: &mut Vec<u8>) {
-    let Some(first) = scan::find_byte(buf, b'\r') else {
-        return;
+/// A run with no `\r` — the overwhelming majority — costs one kernel
+/// scan and is returned as is; otherwise the normalized copy in
+/// `scratch` is.
+fn normalize_line_endings<'a>(raw: &'a [u8], scratch: &'a mut Vec<u8>) -> &'a [u8] {
+    let Some(first) = scan::find_byte(raw, b'\r') else {
+        return raw;
     };
+    scratch.clear();
+    scratch.extend_from_slice(raw);
+    let buf = scratch;
     let len = buf.len();
     let (mut r, mut w) = (first, first);
     while r < len {
@@ -1039,17 +736,22 @@ fn normalize_line_endings(buf: &mut Vec<u8>) {
         w += 1;
     }
     buf.truncate(w);
+    buf
 }
 
 /// XML 1.0 §3.3.3 (CDATA-type attributes): after line-ending
 /// normalization, every literal whitespace character in an attribute
 /// value becomes a single space — so `\r\n` collapses to one space, and
 /// `\t`/`\n`/`\r` each become one. Character references (`&#10;`, `&#9;`)
-/// are exempt: they decode after this pass and stay literal.
-fn normalize_attr_whitespace(buf: &mut Vec<u8>) {
-    let Some(first) = scan::find_byte3(buf, b'\t', b'\r', b'\n') else {
-        return;
+/// are exempt: they decode after this pass and stay literal. Same
+/// borrowed-or-`scratch` contract as [`normalize_line_endings`].
+fn normalize_attr_whitespace<'a>(raw: &'a [u8], scratch: &'a mut Vec<u8>) -> &'a [u8] {
+    let Some(first) = scan::find_byte3(raw, b'\t', b'\r', b'\n') else {
+        return raw;
     };
+    scratch.clear();
+    scratch.extend_from_slice(raw);
+    let buf = scratch;
     let len = buf.len();
     let (mut r, mut w) = (first, first);
     while r < len {
@@ -1068,6 +770,7 @@ fn normalize_attr_whitespace(buf: &mut Vec<u8>) {
         w += 1;
     }
     buf.truncate(w);
+    buf
 }
 
 /// Whitespace-only test with a byte-wise ASCII fast path; the `chars()`
@@ -1366,6 +1069,85 @@ mod tests {
     fn bad_attribute_syntax_is_rejected() {
         assert!(matches!(err("<a id=1/>"), Error::Syntax { .. }));
         assert!(matches!(err("<a id></a>"), Error::Syntax { .. }));
+    }
+
+    /// The error of `input` pushed one byte at a time.
+    fn err_at_one_byte_pushes(input: &str) -> Error {
+        crate::push::tests::push_parse(input.as_bytes(), 1).unwrap_err()
+    }
+
+    #[test]
+    fn repeated_attribute_name_is_rejected_at_the_tag() {
+        // XML 1.0 §3.1 WFC: Unique Att Spec.
+        for doc in [
+            "<r><a x=\"1\" x=\"2\">t</a></r>",
+            "<r><a x='1' y='2' x='3'/></r>",
+        ] {
+            let e = err(doc);
+            assert!(
+                matches!(&e, Error::Syntax { offset: 3, message } if message.contains("duplicate attribute 'x'")),
+                "{doc}: {e:?}"
+            );
+            assert_eq!(err_at_one_byte_pushes(doc), e, "{doc}");
+        }
+        // Same name on different tags is fine.
+        assert_eq!(events("<a x='1'><b x='1'/></a>").len(), 6);
+    }
+
+    #[test]
+    fn illegal_character_reference_is_rejected_in_text_and_attributes() {
+        // XML 1.0 §4.1 WFC: Legal Character.
+        for (doc, offset) in [("<a>&#0;</a>", 3), ("<a v='x&#x1;'/>", 7)] {
+            let e = err(doc);
+            assert!(
+                matches!(e, Error::BadEntity { offset: o, .. } if o == offset),
+                "{doc}: {e:?}"
+            );
+            assert_eq!(err_at_one_byte_pushes(doc), e, "{doc}");
+        }
+    }
+
+    #[test]
+    fn malformed_markup_openers_report_the_offending_byte() {
+        for (doc, offset, byte) in [
+            ("<a><!-x--></a>", 7, 1),
+            ("<a><![CDAXA[]]></a>", 10, 4),
+            ("<a><!-", 6, 1),
+            ("<a><![CD", 8, 3),
+        ] {
+            let e = err(doc);
+            assert!(
+                matches!(&e, Error::Syntax { offset: o, message }
+                    if *o == offset && message.contains(&format!("byte {byte} of marker"))),
+                "{doc}: {e:?}"
+            );
+            assert_eq!(err_at_one_byte_pushes(doc), e, "{doc}");
+        }
+    }
+
+    #[test]
+    fn truncated_markup_is_unexpected_eof_at_the_end_of_input() {
+        for (doc, context) in [
+            ("<a><", "markup after '<'"),
+            ("<a><b", "start tag"),
+            ("<a><b x='1", "attribute value"),
+            ("<a></a", "closing tag"),
+            ("<a><!-- c --", "comment"),
+            ("<a><![CDATA[x]]", "CDATA section"),
+            ("<a><?pi ?", "processing instruction"),
+            ("<!DOCTYPE a [ <!ELEMENT a ANY> ", "declaration"),
+        ] {
+            let e = err(doc);
+            assert_eq!(
+                e,
+                Error::UnexpectedEof {
+                    offset: doc.len() as u64,
+                    context
+                },
+                "{doc}"
+            );
+            assert_eq!(err_at_one_byte_pushes(doc), e, "{doc}");
+        }
     }
 
     #[test]

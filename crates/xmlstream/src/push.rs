@@ -1,54 +1,50 @@
-//! Push-based incremental parsing: network chunks in, events out.
+//! The input window and its token-boundary scanner — the one place that
+//! knows where an XML token ends — plus the push surface built on it.
 //!
-//! The pull parser ([`StreamParser`]) owns its input and demands the
-//! next byte whenever it wants one — fine for files, wrong for sockets,
-//! where bytes arrive in chunks that split tokens, multi-byte UTF-8
-//! sequences, and the CDATA `]]>` terminator at arbitrary boundaries.
-//! This module inverts the flow without duplicating the tokenizer:
+//! Bytes arrive in chunks that split tokens, multi-byte UTF-8
+//! sequences, entity references and the CDATA `]]>` terminator at
+//! arbitrary boundaries. [`Window`] owns the unconsumed bytes and runs
+//! one resumable state machine ([`Scan`]) over them, on the
+//! runtime-dispatched scan kernels ([`crate::scan`]):
+//! [`Window::next_token`] yields the next **complete** token as a kind
+//! plus a byte range — a text run once the `<` that ends it has arrived
+//! (so a split UTF-8 sequence, the `\r` of a `\r\n` pair or an
+//! unterminated `&entity;` is never half-processed), a tag once its
+//! quote-aware `>` has, a comment / CDATA section / PI / declaration
+//! once its terminator has — and `None` while the tail is still in
+//! flight. The parser above ([`crate::parser`]) therefore parses slices
+//! it knows are whole, with index arithmetic and no I/O, and never looks
+//! for a terminator itself.
 //!
-//! * [`ChunkBuf`] is a [`BufRead`] the *caller* appends to. A one-pass
-//!   **token-boundary pre-scanner** runs over every appended chunk and
-//!   tracks how far the buffer can safely be exposed to the pull
-//!   parser: markup tokens (`<…>`, `<!--…-->`, `<![CDATA[…]]>`,
-//!   `<?…?>`, `<!DOCTYPE…>`) are exposed only once complete, and a text
-//!   run only once its terminating `<` has arrived. The pull parser
-//!   therefore never begins a token it cannot finish, and never
-//!   processes a text run whose tail (a split UTF-8 sequence, a `\r` of
-//!   a `\r\n` pair, an unterminated `&entity;`) is still in flight.
-//! * [`PushParser`] (= `StreamParser<ChunkBuf>`) adds the push surface:
-//!   [`push`](StreamParser::push) appends a chunk,
-//!   [`poll_raw`](StreamParser::poll_raw) pulls events until it reports
-//!   [`ParsePoll::NeedMore`], and [`finish`](StreamParser::finish)
-//!   marks end-of-input so the final token and well-formedness checks
-//!   run.
+//! The scanner keeps its position (`scanned`) and grammar state between
+//! calls, so every byte is examined once however the input is chunked:
+//! a megabyte comment pushed one byte at a time costs a megabyte of
+//! scanning, not a rescan from the token's start on every push.
 //!
-//! The pre-scanner mirrors the tokenizer's delimiter rules exactly
-//! (quote-aware tags, bracket-aware DOCTYPE, rolling `-->`/`]]>`/`?>`
-//! matches), so a document fed in 1-byte chunks produces the event
-//! stream — and the errors — of a whole-buffer parse. The chunked
-//! differential tests pin that equivalence. It runs on the same
-//! runtime-dispatched scan kernels ([`crate::scan`]) as the tokenizer:
-//! every state bulk-skips to its next structurally interesting byte, so
-//! server and transform ingest pay vector-speed per byte, not a
-//! state-machine step.
+//! [`PushParser`] is the parser fed through that window directly:
+//! [`push`](StreamParser::push) appends a chunk,
+//! [`poll_raw`](StreamParser::poll_raw) returns events until it reports
+//! [`ParsePoll::NeedMore`](crate::ParsePoll::NeedMore), and
+//! [`finish`](StreamParser::finish) marks end of input, which hands the
+//! unfinished tail to the parser so a truncated document gets the
+//! positioned error it deserves. A document fed in 1-byte chunks
+//! produces the event stream — and the errors — of a whole-buffer
+//! parse; the chunked differential tests pin that.
 //!
-//! Memory is bounded by the largest single token plus one chunk, the
-//! same bound the pull parser's scratch buffers already have: consumed
-//! bytes are compacted away as the buffer refills.
-
-use std::io::{BufRead, Read};
+//! Memory is bounded by the largest single token plus one chunk:
+//! consumed bytes are compacted away as the window refills.
 
 use crate::parser::{ParserOptions, StreamParser};
 use crate::scan;
 
-/// Pre-scanner state: where in the raw XML grammar the last appended
-/// byte sits. Only completeness of tokens is tracked — validity is the
-/// pull parser's job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Scanner state: where in the raw XML grammar the byte at `scanned`
+/// sits, relative to the token that starts at `pos`. Only completeness
+/// of tokens is tracked — validity is the parser's job.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Scan {
-    /// Outside markup (character data, or between tokens).
-    #[default]
-    Text,
+    /// Character data (or between tokens); `amp` / `cr` record whether
+    /// the run so far holds a `&` / `\r`.
+    Text { amp: bool, cr: bool },
     /// Consumed `<`, nothing after it yet.
     Lt,
     /// Inside a start/end tag. `quote` is the active attribute-value
@@ -59,327 +55,369 @@ enum Scan {
     Bang,
     /// Consumed `<!-`.
     BangDash,
-    /// Inside `<!--`; `matched` is the length of the `-->` terminator
-    /// prefix currently pending (0–2).
-    Comment { matched: u8 },
     /// Inside `<![`, matching the `[CDATA[` opener; `matched` bytes of
     /// it are confirmed.
     CdataOpen { matched: u8 },
-    /// Inside `<![CDATA[`; `matched` is the pending `]]>` prefix (0–2).
-    Cdata { matched: u8 },
-    /// Inside `<?`; `qmark` means the previous byte was `?`.
-    Pi { qmark: bool },
+    /// Inside a comment, CDATA section or PI (`kind`); `matched` is the
+    /// length of the [terminator](TokenKind::terminator) prefix
+    /// currently pending.
+    Body { kind: TokenKind, matched: u8 },
     /// Inside `<!DOCTYPE` (or any other `<!…` declaration); `depth` is
-    /// the internal-subset bracket nesting, mirroring the tokenizer's
-    /// skip loop.
+    /// the internal-subset bracket nesting.
     Decl { depth: i32 },
 }
 
-/// Compact once the consumed prefix passes this size (or the buffer is
+/// The state between tokens.
+const BETWEEN: Scan = Scan::Text {
+    amp: false,
+    cr: false,
+};
+
+/// What a [`Token`]'s bytes are.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TokenKind {
+    /// A whole character-data run (everything up to the next `<` or the
+    /// end of input). The flags let the parser skip the line-ending and
+    /// entity passes for runs that hold no `\r` / `&`.
+    Text { amp: bool, cr: bool },
+    /// `<name …>`, `<name …/>` or `</name>`.
+    Tag,
+    /// `<![CDATA[…]]>`; the payload sits between [`CDATA_OPEN`] and
+    /// [`CDATA_CLOSE`] bytes.
+    Cdata,
+    /// `<!--…-->`.
+    Comment,
+    /// `<?…?>`.
+    Pi,
+    /// `<!DOCTYPE …>` or any other `<!…>` declaration, internal subset
+    /// included.
+    Decl,
+}
+
+impl TokenKind {
+    /// `(marker, run)` of a comment, CDATA section or PI: it ends at the
+    /// first `>` that directly follows at least `run` consecutive
+    /// `marker` bytes — `-->`, `]]>`, `?>`.
+    fn terminator(self) -> (u8, u8) {
+        match self {
+            TokenKind::Comment => (b'-', 2),
+            TokenKind::Cdata => (b']', 2),
+            TokenKind::Pi => (b'?', 1),
+            _ => unreachable!("{self:?} has no fixed terminator"),
+        }
+    }
+}
+
+/// Length of the `<![CDATA[` opener.
+pub(crate) const CDATA_OPEN: usize = 9;
+/// Length of the `]]>` terminator.
+pub(crate) const CDATA_CLOSE: usize = 3;
+
+/// One token of the window: `start..end` index the window's buffer and
+/// stay valid until the next [`Window::push`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Token {
+    pub(crate) kind: TokenKind,
+    start: usize,
+    end: usize,
+    /// False only for the unterminated markup left when the input ended:
+    /// the bytes run to the end of input, not to the token's terminator.
+    pub(crate) complete: bool,
+}
+
+/// What one scan achieved: how many bytes it examined, and the token
+/// they complete — or the state to resume in when more arrive.
+type Progress = (usize, Result<TokenKind, Scan>);
+
+// One function per scanner state. Each starts at `tail[i]`, runs until a
+// token completes or `tail` is used up, and moves to the next state by
+// calling it — the grammar is a chain (text → `<` → tag | `<!` → …) with
+// loops only inside a state — so [`Scan`] is consulted once per call, to
+// resume, and never between states. Every state bulk-skips to its next
+// structurally interesting byte on the scan kernels.
+
+/// Character data. `in_run`: the run already holds bytes from earlier
+/// scans. One fused pass settles the run boundary *and* the flags that
+/// let the parser skip its normalization and decode passes.
+fn text(tail: &[u8], mut amp: bool, mut cr: bool, in_run: bool) -> Progress {
+    let mut i = 0;
+    loop {
+        // A tag directly after a tag needs no kernel call to see its `<`.
+        if tail.get(i) != Some(&b'<') {
+            i += scan::classify_run(&tail[i..]);
+        }
+        match tail.get(i) {
+            None => return (i, Err(Scan::Text { amp, cr })),
+            // The run is whole; its `<` is scanned but belongs to the
+            // next token.
+            Some(b'<') if in_run || i > 0 => return (i + 1, Ok(TokenKind::Text { amp, cr })),
+            Some(b'<') => return lt(tail, i + 1),
+            // `]` is ordinary content in a text run.
+            Some(&b) => {
+                amp |= b == b'&';
+                cr |= b == b'\r';
+                i += 1;
+            }
+        }
+    }
+}
+
+fn lt(tail: &[u8], i: usize) -> Progress {
+    match tail.get(i) {
+        None => (i, Err(Scan::Lt)),
+        Some(b'!') => bang(tail, i + 1),
+        Some(b'?') => body(tail, i + 1, TokenKind::Pi, 0),
+        // Start/end tag (or junk the parser will reject).
+        Some(_) => tag(tail, i, 0),
+    }
+}
+
+fn tag(tail: &[u8], mut i: usize, mut quote: u8) -> Progress {
+    loop {
+        let found = match quote {
+            0 => scan::find_byte3(&tail[i..], b'>', b'"', b'\''),
+            _ => scan::find_byte(&tail[i..], quote),
+        };
+        let Some(j) = found else {
+            return (tail.len(), Err(Scan::Tag { quote }));
+        };
+        i += j + 1;
+        quote = match (quote, tail[i - 1]) {
+            (0, b'>') => return (i, Ok(TokenKind::Tag)),
+            (0, opening) => opening,
+            _ => 0,
+        };
+    }
+}
+
+fn bang(tail: &[u8], i: usize) -> Progress {
+    match tail.get(i) {
+        None => (i, Err(Scan::Bang)),
+        Some(b'-') => bang_dash(tail, i + 1),
+        Some(b'[') => cdata_open(tail, i + 1, 1),
+        Some(_) => decl(tail, i, 0),
+    }
+}
+
+fn bang_dash(tail: &[u8], i: usize) -> Progress {
+    match tail.get(i) {
+        None => (i, Err(Scan::BangDash)),
+        Some(b'-') => body(tail, i + 1, TokenKind::Comment, 0),
+        // `<!-x…` is not a comment; the parser rejects it when it gets
+        // the token. Scan it like a declaration so it still reaches a
+        // boundary.
+        Some(_) => decl(tail, i, 0),
+    }
+}
+
+fn cdata_open(tail: &[u8], mut i: usize, mut matched: u8) -> Progress {
+    const OPENER: &[u8] = b"[CDATA[";
+    while (matched as usize) < OPENER.len() {
+        match tail.get(i) {
+            None => return (i, Err(Scan::CdataOpen { matched })),
+            Some(&b) if b == OPENER[matched as usize] => {
+                i += 1;
+                matched += 1;
+            }
+            // Not a CDATA section after all (`<![foo…`): the parser
+            // rejects it; scan like a declaration whose `[` is already
+            // open.
+            Some(_) => return decl(tail, i, 1),
+        }
+    }
+    body(tail, i, TokenKind::Cdata, 0)
+}
+
+/// The inside of a comment, CDATA section or PI, up to its terminator.
+fn body(tail: &[u8], mut i: usize, kind: TokenKind, mut matched: u8) -> Progress {
+    let (marker, run) = kind.terminator();
+    loop {
+        // With no terminator prefix pending, the only interesting byte
+        // is the next `marker`: bulk-skip to it.
+        if matched == 0 {
+            match scan::find_byte(&tail[i..], marker) {
+                None => return (tail.len(), Err(Scan::Body { kind, matched })),
+                Some(j) => i += j,
+            }
+        }
+        match tail.get(i) {
+            None => return (i, Err(Scan::Body { kind, matched })),
+            Some(&b) if b == marker => matched = (matched + 1).min(run),
+            Some(b'>') if matched >= run => return (i + 1, Ok(kind)),
+            Some(_) => matched = 0,
+        }
+        i += 1;
+    }
+}
+
+fn decl(tail: &[u8], mut i: usize, mut depth: i32) -> Progress {
+    loop {
+        let Some(j) = scan::find_byte3(&tail[i..], b'[', b']', b'>') else {
+            return (tail.len(), Err(Scan::Decl { depth }));
+        };
+        i += j + 1;
+        match tail[i - 1] {
+            b'[' => depth = depth.saturating_add(1),
+            b']' => depth = depth.saturating_sub(1),
+            _ if depth <= 0 => return (i, Ok(TokenKind::Decl)),
+            _ => {}
+        }
+    }
+}
+
+/// Compact once the consumed prefix passes this size (or the window is
 /// fully drained, which is free).
 const COMPACT_THRESHOLD: usize = 4096;
 
-/// A growable chunk buffer with a token-boundary pre-scanner: the
-/// [`BufRead`] side exposes only bytes that form complete tokens, so
-/// the pull parser layered on top can always run to a resumable point.
-#[derive(Debug, Default)]
-pub struct ChunkBuf {
+/// The unconsumed input and the boundary scanner over it.
+#[derive(Debug)]
+pub(crate) struct Window {
     data: Vec<u8>,
-    /// Read position of the consumer side.
+    /// Input offset of `data[0]`.
+    base: u64,
+    /// Start of the next token; everything before it is consumed.
     pos: usize,
-    /// Exposure limit: `data[pos..safe]` is servable. Always a token
-    /// boundary (or the start of the pending token) unless `eof`.
-    safe: usize,
-    /// Pre-scanner progress (`scanned ≥ safe`).
+    /// Scanner progress (`pos ≤ scanned ≤ data.len()`): bytes before it
+    /// are never examined again.
     scanned: usize,
     state: Scan,
-    /// End-of-input signalled: expose everything, complete or not.
+    /// End of input signalled: the tail is a token, complete or not.
     eof: bool,
 }
 
-impl ChunkBuf {
-    pub fn new() -> Self {
-        ChunkBuf::default()
+impl Window {
+    pub(crate) fn new() -> Self {
+        Window {
+            data: Vec::new(),
+            base: 0,
+            pos: 0,
+            scanned: 0,
+            state: BETWEEN,
+            eof: false,
+        }
     }
 
-    /// Append a chunk and advance the pre-scanner over it.
-    pub fn push(&mut self, chunk: &[u8]) {
-        // Compact the consumed prefix before growing: cheap when fully
+    /// Append a chunk. Invalidates outstanding [`Token`]s.
+    pub(crate) fn push(&mut self, chunk: &[u8]) {
+        // Compact the consumed prefix before growing: free when fully
         // drained, amortized otherwise.
-        if self.pos == self.data.len() {
-            self.data.clear();
-            self.pos = 0;
-            self.safe = 0;
-            self.scanned = 0;
-        } else if self.pos >= COMPACT_THRESHOLD {
+        if self.pos == self.data.len() || self.pos >= COMPACT_THRESHOLD {
             self.data.copy_within(self.pos.., 0);
             self.data.truncate(self.data.len() - self.pos);
-            self.safe -= self.pos;
+            self.base += self.pos as u64;
             self.scanned -= self.pos;
             self.pos = 0;
         }
         self.data.extend_from_slice(chunk);
-        self.rescan();
     }
 
-    /// Signal end of input: everything buffered becomes servable (an
-    /// incomplete trailing token is now the pull parser's error to
-    /// report, exactly as a truncated file would be).
-    pub fn finish(&mut self) {
+    /// Signal end of input: whatever is left becomes the last token (an
+    /// unterminated one is the parser's error to report, exactly as a
+    /// truncated file would be).
+    pub(crate) fn finish(&mut self) {
         self.eof = true;
     }
 
-    /// Rearm for a new input stream, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.data.clear();
-        self.pos = 0;
-        self.safe = 0;
-        self.scanned = 0;
-        self.state = Scan::Text;
-        self.eof = false;
-    }
-
-    /// Bytes appended but not yet consumed by the parser.
-    pub fn buffered(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
-    /// End-of-input already signalled?
-    pub fn is_finished(&self) -> bool {
+    /// End of input signalled?
+    pub(crate) fn is_finished(&self) -> bool {
         self.eof
     }
 
-    /// Advance the scanner over `data[scanned..]`, moving `safe` past
-    /// every token that completes.
-    fn rescan(&mut self) {
-        let data = &self.data;
-        let len = data.len();
-        let mut i = self.scanned;
-        let mut state = self.state;
-        let mut safe = self.safe;
-        while i < len {
-            state = match state {
-                Scan::Text => match scan::find_byte(&data[i..], b'<') {
-                    None => {
-                        i = len;
-                        Scan::Text
-                    }
-                    Some(j) => {
-                        // Text up to the `<` is a complete run; the `<`
-                        // itself stays unexposed until its token ends.
-                        safe = i + j;
-                        i += j + 1;
-                        Scan::Lt
-                    }
-                },
-                Scan::Lt => match data[i] {
-                    b'!' => {
-                        i += 1;
-                        Scan::Bang
-                    }
-                    b'?' => {
-                        i += 1;
-                        Scan::Pi { qmark: false }
-                    }
-                    // Start/end tag (or junk the tokenizer will reject);
-                    // reprocess this byte in the tag state.
-                    _ => Scan::Tag { quote: 0 },
-                },
-                Scan::Tag { quote: 0 } => match scan::find_byte3(&data[i..], b'>', b'"', b'\'') {
-                    None => {
-                        i = len;
-                        Scan::Tag { quote: 0 }
-                    }
-                    Some(j) => {
-                        let b = data[i + j];
-                        i += j + 1;
-                        if b == b'>' {
-                            safe = i;
-                            Scan::Text
-                        } else {
-                            Scan::Tag { quote: b }
-                        }
-                    }
-                },
-                Scan::Tag { quote } => match scan::find_byte(&data[i..], quote) {
-                    None => {
-                        i = len;
-                        Scan::Tag { quote }
-                    }
-                    Some(j) => {
-                        i += j + 1;
-                        Scan::Tag { quote: 0 }
-                    }
-                },
-                Scan::Bang => match data[i] {
-                    b'-' => {
-                        i += 1;
-                        Scan::BangDash
-                    }
-                    b'[' => {
-                        i += 1;
-                        Scan::CdataOpen { matched: 1 }
-                    }
-                    b'>' => {
-                        i += 1;
-                        safe = i;
-                        Scan::Text
-                    }
-                    _ => Scan::Decl { depth: 0 },
-                },
-                Scan::BangDash => match data[i] {
-                    b'-' => {
-                        i += 1;
-                        Scan::Comment { matched: 0 }
-                    }
-                    // `<!-x…` is not a comment; the tokenizer rejects it
-                    // when it reads the token. Scan it like a declaration
-                    // so it still reaches a boundary.
-                    _ => Scan::Decl { depth: 0 },
-                },
-                // With no terminator prefix pending, the only interesting
-                // byte is the next `-`: bulk-skip the comment body to it.
-                Scan::Comment { matched: 0 } => match scan::find_byte(&data[i..], b'-') {
-                    None => {
-                        i = len;
-                        Scan::Comment { matched: 0 }
-                    }
-                    Some(j) => {
-                        i += j + 1;
-                        Scan::Comment { matched: 1 }
-                    }
-                },
-                Scan::Comment { matched } => {
-                    let b = data[i];
-                    i += 1;
-                    if b == b'-' {
-                        Scan::Comment {
-                            matched: (matched + 1).min(2),
-                        }
-                    } else if b == b'>' && matched >= 2 {
-                        safe = i;
-                        Scan::Text
-                    } else {
-                        Scan::Comment { matched: 0 }
-                    }
-                }
-                Scan::CdataOpen { matched } => {
-                    const OPENER: &[u8] = b"[CDATA[";
-                    if data[i] == OPENER[matched as usize] {
-                        i += 1;
-                        if matched as usize + 1 == OPENER.len() {
-                            Scan::Cdata { matched: 0 }
-                        } else {
-                            Scan::CdataOpen {
-                                matched: matched + 1,
-                            }
-                        }
-                    } else {
-                        // Not a CDATA section after all (`<![foo…`): the
-                        // tokenizer rejects it; scan like a declaration
-                        // whose `[` is already open, reprocessing this
-                        // byte there.
-                        Scan::Decl { depth: 1 }
-                    }
-                }
-                // Same shape as the comment body: bulk-skip to the next
-                // `]` when no `]]>` prefix is pending.
-                Scan::Cdata { matched: 0 } => match scan::find_byte(&data[i..], b']') {
-                    None => {
-                        i = len;
-                        Scan::Cdata { matched: 0 }
-                    }
-                    Some(j) => {
-                        i += j + 1;
-                        Scan::Cdata { matched: 1 }
-                    }
-                },
-                Scan::Cdata { matched } => {
-                    let b = data[i];
-                    i += 1;
-                    if b == b']' {
-                        Scan::Cdata {
-                            matched: (matched + 1).min(2),
-                        }
-                    } else if b == b'>' && matched >= 2 {
-                        safe = i;
-                        Scan::Text
-                    } else {
-                        Scan::Cdata { matched: 0 }
-                    }
-                }
-                Scan::Pi { qmark: false } => match scan::find_byte(&data[i..], b'?') {
-                    None => {
-                        i = len;
-                        Scan::Pi { qmark: false }
-                    }
-                    Some(j) => {
-                        i += j + 1;
-                        Scan::Pi { qmark: true }
-                    }
-                },
-                Scan::Pi { qmark: true } => {
-                    let b = data[i];
-                    i += 1;
-                    if b == b'>' {
-                        safe = i;
-                        Scan::Text
-                    } else {
-                        Scan::Pi { qmark: b == b'?' }
-                    }
-                }
-                Scan::Decl { depth } => match scan::find_byte3(&data[i..], b'[', b']', b'>') {
-                    None => {
-                        i = len;
-                        Scan::Decl { depth }
-                    }
-                    Some(j) => {
-                        let b = data[i + j];
-                        i += j + 1;
-                        match b {
-                            b'[' => Scan::Decl { depth: depth + 1 },
-                            b']' => Scan::Decl { depth: depth - 1 },
-                            _ if depth <= 0 => {
-                                safe = i;
-                                Scan::Text
-                            }
-                            _ => Scan::Decl { depth },
-                        }
-                    }
-                },
-            };
-        }
-        self.scanned = i;
-        self.state = state;
-        self.safe = safe;
-    }
-}
-
-impl Read for ChunkBuf {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let avail = self.fill_buf()?;
-        let n = avail.len().min(buf.len());
-        buf[..n].copy_from_slice(&avail[..n]);
-        self.consume(n);
-        Ok(n)
-    }
-}
-
-impl BufRead for ChunkBuf {
-    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
-        let end = if self.eof { self.data.len() } else { self.safe };
-        Ok(&self.data[self.pos..end])
+    /// Rearm for a new input stream, keeping the allocation.
+    pub(crate) fn clear(&mut self) {
+        self.data.clear();
+        self.base = 0;
+        self.pos = 0;
+        self.scanned = 0;
+        self.state = BETWEEN;
+        self.eof = false;
     }
 
-    fn consume(&mut self, amt: usize) {
-        self.pos += amt;
-        debug_assert!(self.pos <= self.data.len());
+    /// Bytes appended but not yet handed out as tokens.
+    pub(crate) fn buffered(&self) -> usize {
+        self.data.len() - self.pos
+    }
+
+    /// Input offset of the next token (= bytes consumed so far).
+    pub(crate) fn offset(&self) -> u64 {
+        self.base + self.pos as u64
+    }
+
+    /// Input offset one past the last byte appended.
+    pub(crate) fn end_offset(&self) -> u64 {
+        self.base + self.data.len() as u64
+    }
+
+    /// The token's bytes and the input offset of the first of them.
+    pub(crate) fn bytes(&self, token: &Token) -> (&[u8], u64) {
+        (
+            &self.data[token.start..token.end],
+            self.base + token.start as u64,
+        )
+    }
+
+    /// Consume and return the next complete token, or `None` when the
+    /// bytes after `pos` do not (yet) hold one. After
+    /// [`finish`](Self::finish) the unterminated tail, if any, is
+    /// returned as a last token with `complete == false`.
+    ///
+    /// The scan resumes at `scanned` in `state` and is handed only the
+    /// bytes from there on, so no byte is examined twice.
+    pub(crate) fn next_token(&mut self) -> Option<Token> {
+        let tail = &self.data[self.scanned..];
+        let (examined, outcome) = match self.state {
+            Scan::Text { amp, cr } => text(tail, amp, cr, self.scanned > self.pos),
+            Scan::Lt => lt(tail, 0),
+            Scan::Tag { quote } => tag(tail, 0, quote),
+            Scan::Bang => bang(tail, 0),
+            Scan::BangDash => bang_dash(tail, 0),
+            Scan::CdataOpen { matched } => cdata_open(tail, 0, matched),
+            Scan::Body { kind, matched } => body(tail, 0, kind, matched),
+            Scan::Decl { depth } => decl(tail, 0, depth),
+        };
+        self.scanned += examined;
+        let start = self.pos;
+        let (kind, end, complete) = match outcome {
+            // The `<` that ended a text run opens the next token.
+            Ok(kind @ TokenKind::Text { .. }) => {
+                self.state = Scan::Lt;
+                (kind, self.scanned - 1, true)
+            }
+            Ok(kind) => {
+                self.state = BETWEEN;
+                (kind, self.scanned, true)
+            }
+            Err(state) if self.eof && start < self.scanned => {
+                self.state = BETWEEN;
+                let (kind, complete) = match state {
+                    Scan::Text { amp, cr } => (TokenKind::Text { amp, cr }, true),
+                    Scan::Lt | Scan::Tag { .. } => (TokenKind::Tag, false),
+                    Scan::Body { kind, .. } => (kind, false),
+                    Scan::Bang | Scan::BangDash | Scan::CdataOpen { .. } | Scan::Decl { .. } => {
+                        (TokenKind::Decl, false)
+                    }
+                };
+                (kind, self.scanned, complete)
+            }
+            Err(state) => {
+                self.state = state;
+                return None;
+            }
+        };
+        self.pos = end;
+        Some(Token {
+            kind,
+            start,
+            end,
+            complete,
+        })
     }
 }
 
 /// A push-fed [`StreamParser`]: bytes go in through
 /// [`push`](StreamParser::push), events come out through
-/// [`poll_raw`](StreamParser::poll_raw).
+/// [`poll_raw`](StreamParser::poll_raw). It is the pull parser with a
+/// reader that has nothing to add: every byte comes from `push`.
 ///
 /// ```
 /// use xsq_xml::{ParsePoll, RawEvent, StreamParser};
@@ -410,9 +448,9 @@ impl BufRead for ChunkBuf {
 /// }
 /// assert_eq!(texts, ["café"]);
 /// ```
-pub type PushParser = StreamParser<ChunkBuf>;
+pub type PushParser = StreamParser<std::io::Empty>;
 
-impl StreamParser<ChunkBuf> {
+impl StreamParser<std::io::Empty> {
     /// A push-fed parser with default options.
     pub fn push_mode() -> PushParser {
         Self::push_mode_with_options(ParserOptions::default())
@@ -420,16 +458,14 @@ impl StreamParser<ChunkBuf> {
 
     /// A push-fed parser with explicit options.
     pub fn push_mode_with_options(options: ParserOptions) -> PushParser {
-        let mut parser = StreamParser::with_options(ChunkBuf::new(), options);
-        parser.set_soft_input(true);
-        parser
+        StreamParser::with_options(std::io::empty(), options)
     }
 
     /// Append a chunk of the document. Chunks may split anything —
     /// tags, multi-byte UTF-8 sequences, entity references, `]]>` —
     /// at any byte boundary.
     pub fn push(&mut self, chunk: &[u8]) {
-        self.reader_mut().push(chunk);
+        self.window.push(chunk);
     }
 
     /// Signal end of input. After this, [`poll_raw`](Self::poll_raw)
@@ -437,28 +473,25 @@ impl StreamParser<ChunkBuf> {
     /// remaining events, reports the errors a truncated document
     /// deserves, and ends with [`crate::ParsePoll::End`].
     pub fn finish(&mut self) {
-        self.reader_mut().finish();
-        self.set_soft_input(false);
+        self.window.finish();
     }
 
     /// Rearm for the next document of the session, keeping every warmed
-    /// scratch buffer, the interned-name cache, and the chunk buffer's
-    /// allocation — the push-mode analogue of
-    /// [`reset_with`](Self::reset_with).
+    /// scratch buffer, the interned-name cache, and the window's
+    /// allocation — [`reset`](Self::reset) under the name the push
+    /// callers use.
     pub fn reset_push(&mut self) {
-        self.reader_mut().clear();
         self.reset();
-        self.set_soft_input(true);
     }
 
     /// Bytes pushed but not yet consumed by the tokenizer.
     pub fn buffered(&self) -> usize {
-        self.reader_ref().buffered()
+        self.window.buffered()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::error::Error;
     use crate::event::SaxEvent;
@@ -466,7 +499,7 @@ mod tests {
 
     /// Drive a push parser over `doc` in `chunk`-byte pieces, polling
     /// to exhaustion between pushes, and collect owned events.
-    fn push_parse(doc: &[u8], chunk: usize) -> crate::Result<Vec<SaxEvent>> {
+    pub(crate) fn push_parse(doc: &[u8], chunk: usize) -> crate::Result<Vec<SaxEvent>> {
         let mut parser = StreamParser::push_mode();
         let mut events = Vec::new();
         for piece in doc.chunks(chunk.max(1)) {
@@ -664,6 +697,41 @@ mod tests {
             }
         }
         assert_eq!(names, ["c", "c"]);
+    }
+
+    #[test]
+    fn scanner_work_is_linear_in_bytes_pushed() {
+        // Giant tokens fed one byte at a time: `next_token` sees only
+        // `data[scanned..]`, so the bytes it examines in one poll are the
+        // distance `scanned` moves. The scanner must sit exactly at the
+        // end of the input after every poll — never behind it, and never
+        // rewound to the start of the unfinished token.
+        let big = if cfg!(miri) { 2 << 10 } else { 1 << 20 };
+        let doc = format!(
+            "<a v=\"{}\">{}<!--{}--><![CDATA[{}]]></a>",
+            ">".repeat(big / 4),
+            "t".repeat(big),
+            "c-".repeat(big / 2),
+            "d]".repeat(big / 2),
+        );
+        let mut p = StreamParser::push_mode();
+        let mut events = Vec::new();
+        let mut examined = 0;
+        for (pushed, byte) in doc.as_bytes().iter().enumerate() {
+            let before = p.window.base + p.window.scanned as u64;
+            assert_eq!(before, pushed as u64, "scanner fell behind or rewound");
+            p.push(std::slice::from_ref(byte));
+            while let ParsePoll::Event(ev) = p.poll_raw().unwrap() {
+                events.push(ev.to_owned());
+            }
+            examined += p.window.base + p.window.scanned as u64 - before;
+        }
+        assert_eq!(examined, doc.len() as u64);
+        p.finish();
+        while let ParsePoll::Event(ev) = p.poll_raw().unwrap() {
+            events.push(ev.to_owned());
+        }
+        assert_eq!(events, parse_to_events(doc.as_bytes()).unwrap());
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Runtime-dispatched delimiter-scan kernels: the tokenizer's memchr.
 //!
-//! The parser spends most of its time finding the next `<` in character
-//! data and the closing quote of an attribute value, and the push-mode
-//! pre-scanner ([`crate::push::ChunkBuf`]) spends its time finding token
-//! boundaries. Scanning those runs byte-at-a-time leaves most of every
-//! cache line on the floor, so this module provides a family of kernels
-//! and picks the fastest one the CPU supports, once, at first use:
+//! The input window's boundary scanner ([`crate::push`]) spends its time
+//! finding where tokens end — the next `<` in character data, the `>` or
+//! quote in a tag, the terminator of a comment — and the parser finding
+//! the closing quote of an attribute value. Scanning those runs
+//! byte-at-a-time leaves most of every cache line on the floor, so this
+//! module provides a family of kernels and picks the fastest one the CPU
+//! supports, once, at first use:
 //!
 //! * **`avx2`** — 32 bytes per step via `core::arch::x86_64` intrinsics
 //!   (`vpcmpeqb` + `vpmovmskb`), selected when `is_x86_feature_detected!`

@@ -5,28 +5,10 @@
 //! No external property-testing crate is available, so generation runs
 //! on a small seeded LCG: deterministic, reproducible by seed.
 
+mod common;
+
+use common::Lcg;
 use xsq_xml::dtd::{Dtd, Occurs};
-
-/// Minimal deterministic PRNG (Numerical Recipes LCG constants).
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    fn chance(&mut self, pct: u64) -> bool {
-        self.next() % 100 < pct
-    }
-}
 
 const NAMES: &[&str] = &[
     "a", "bb", "c-c", "d.d", "e:e", "f_f", "g1", "hh", "ii", "jj",
@@ -86,7 +68,7 @@ fn declaration(rng: &mut Lcg, parent: &'static str) -> (String, Vec<&'static str
 #[test]
 fn generated_dtds_parse_with_the_expected_child_graph() {
     for seed in 0..200u64 {
-        let mut rng = Lcg(seed.wrapping_mul(0x9e3779b97f4a7c15) | 1);
+        let mut rng = Lcg::seeded(seed);
         let mut text = String::new();
         let mut expected: Vec<(&str, Vec<&str>)> = Vec::new();
         // Distinct parents per DTD (duplicate declarations merge, which

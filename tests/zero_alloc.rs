@@ -149,11 +149,11 @@ fn steady_state_no_match_loop_performs_zero_allocations() {
     );
 
     // --- push-mode parser hot loop ------------------------------------
-    // The push path buffers bytes in a ChunkBuf that the pre-scanner
-    // walks with the same dispatch kernels as the pull path. Feed the
-    // document in 1 KiB chunks, polling to exhaustion between pushes so
-    // the buffer compacts: once the first half has sized the scratch
-    // buffers and the ChunkBuf, the second half must not allocate.
+    // Pushed bytes land in the same input window the pull path fills,
+    // walked by the same boundary scanner. Feed the document in 1 KiB
+    // chunks, polling to exhaustion between pushes so the window
+    // compacts: once the first half has sized the event buffers and the
+    // window, the second half must not allocate.
     let mut parser = StreamParser::push_mode();
     let mut fed = 0u64;
     let mut baseline = 0u64;
