@@ -114,7 +114,7 @@ fn measure(n: usize, events: &[SaxEvent], queries: &[String]) -> Measurement {
         let mut sinks: Vec<CountingSink> = (0..n).map(|_| CountingSink::new()).collect();
         for ev in events {
             for (runner, sink) in runners.iter_mut().zip(&mut sinks) {
-                runner.feed(ev, sink);
+                runner.feed_raw(&ev.as_raw(), sink);
             }
         }
         for (runner, sink) in runners.into_iter().zip(&mut sinks) {
@@ -128,7 +128,7 @@ fn measure(n: usize, events: &[SaxEvent], queries: &[String]) -> Measurement {
         let mut index = set.index();
         let mut sink = CountingQuerySink::default();
         for ev in events {
-            index.feed(ev, &mut sink);
+            index.feed_raw(&ev.as_raw(), &mut sink);
         }
         index.finish(&mut sink);
         (sink.results, index.touches())
@@ -143,7 +143,7 @@ fn measure(n: usize, events: &[SaxEvent], queries: &[String]) -> Measurement {
         }
         let mut sink = CountingQuerySink::default();
         for ev in events {
-            index.feed(ev, &mut sink);
+            index.feed_raw(&ev.as_raw(), &mut sink);
         }
         index.finish(&mut sink);
         (sink.results, index.touches())

@@ -11,7 +11,7 @@ use std::io::BufRead;
 use std::sync::Arc;
 use std::time::Instant;
 
-use xsq_xml::{SaxEvent, StreamParser};
+use xsq_xml::StreamParser;
 use xsq_xpath::{parse_query, Query};
 
 use crate::build::{build_hpdt, Hpdt};
@@ -54,6 +54,19 @@ impl XsqEngine {
         self.mode
     }
 
+    /// The engine-variant check, ahead of any HPDT construction: XSQ-NC
+    /// refuses the closure axis. Single compiles and batch compiles
+    /// ([`crate::multi::QuerySet::compile`]) both reject through here.
+    pub(crate) fn check(&self, query: &Query) -> Result<(), CompileError> {
+        if self.mode == XsqMode::NoClosure && query.has_closure() {
+            return Err(CompileError::Unsupported {
+                feature: "the closure axis //".into(),
+                engine: "XSQ-NC".into(),
+            });
+        }
+        Ok(())
+    }
+
     /// Compile a query string.
     pub fn compile_str(&self, query: &str) -> Result<CompiledQuery, CompileError> {
         self.compile(&parse_query(query)?)
@@ -85,12 +98,7 @@ impl XsqEngine {
         query: &Query,
         dtd: Option<&xsq_xml::dtd::Dtd>,
     ) -> Result<CompiledQuery, CompileError> {
-        if self.mode == XsqMode::NoClosure && query.has_closure() {
-            return Err(CompileError::Unsupported {
-                feature: "the closure axis //".into(),
-                engine: "XSQ-NC".into(),
-            });
-        }
+        self.check(query)?;
         let hpdt = build_hpdt(query)?;
         crate::analyze::reject_malformed(&crate::analyze::verify(&hpdt))?;
         let (hpdt, _) = crate::analyze::prune(&hpdt);
@@ -198,15 +206,6 @@ impl CompiledQuery {
             runner.feed_raw(&ev, sink);
         }
         Ok(runner.finish(sink))
-    }
-
-    /// Run over pre-parsed events (benchmarks that exclude parse cost).
-    pub fn run_events(&self, events: &[SaxEvent], sink: &mut dyn Sink) -> RunStats {
-        let mut runner = self.runner();
-        for ev in events {
-            runner.feed(ev, sink);
-        }
-        runner.finish(sink)
     }
 }
 

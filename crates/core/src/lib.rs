@@ -68,7 +68,7 @@ pub use depth_vector::DepthVector;
 pub use engine::{evaluate, CompiledQuery, XsqEngine, XsqF, XsqMode, XsqNc};
 pub use error::{CompileError, EngineError};
 pub use ids::BpdtId;
-pub use multi::QuerySet;
+pub use multi::{query_lines, QuerySet};
 pub use plancache::{CachedPlan, PlanCache, PlanCacheStats};
 pub use projector::Projector;
 pub use qindex::{QueryId, QueryIndex, QuerySink, VecQuerySink};

@@ -14,13 +14,27 @@
 //! baseline) steps its own `Vec` of [`crate::CompiledQuery::runner`]s.
 
 use std::io::BufRead;
+use std::sync::Arc;
 
+use crate::build::Hpdt;
 use crate::engine::XsqEngine;
 use crate::error::{CompileError, EngineError};
 use crate::qindex::prefix::{plan_groups, QueryGroup};
 use crate::qindex::{QueryIndex, VecQuerySink};
 
-/// A set of compiled queries sharing one stream pass.
+/// The queries of a query file or SUB payload: one per line, trimmed,
+/// blank lines and `#` comments skipped.
+pub fn query_lines(text: &str) -> Vec<&str> {
+    text.lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .collect()
+}
+
+/// A set of compiled queries sharing one stream pass — the one compiled
+/// batch: the CLI drivers, the sharded workers, [`QueryIndex`]
+/// subscriptions and the server's plan cache all hold this artifact and
+/// instantiate it through [`QueryIndex::subscribe_set`].
 ///
 /// ```
 /// use xsq_core::{QuerySet, XsqEngine};
@@ -44,27 +58,36 @@ pub struct QuerySet {
 }
 
 impl QuerySet {
-    /// Compile a set of query strings with one engine. Fails on the
-    /// first malformed or unsupported query, naming it.
+    /// Compile a set of query strings with one engine — the only batch
+    /// compiler: parse, engine-variant check (XSQ-NC refuses closures),
+    /// then prefix-sharing planning, which builds, verifies and prunes
+    /// each group's HPDT. Fails naming the offending query's index.
     pub fn compile(engine: XsqEngine, queries: &[&str]) -> Result<QuerySet, (usize, CompileError)> {
         let mut parsed = Vec::with_capacity(queries.len());
         for (i, q) in queries.iter().enumerate() {
-            match xsq_xpath::parse_query(q) {
-                Ok(p) => parsed.push(p),
-                Err(e) => return Err((i, e.into())),
-            }
-            // Planning checks the grammar; this checks the engine variant
-            // (XSQ-NC refuses closures).
-            engine.compile_str(q).map_err(|e| (i, e))?;
+            let query = xsq_xpath::parse_query(q).map_err(|e| (i, e.into()))?;
+            engine.check(&query).map_err(|e| (i, e))?;
+            parsed.push(query);
         }
-        // Every query compiled individually, so planning can only fail on
-        // pathological inputs; attribute such an error to the whole set.
-        let plan = plan_groups(&parsed).map_err(|e| (0, e))?;
         Ok(QuerySet {
             engine,
             queries: queries.iter().map(|q| q.to_string()).collect(),
-            plan,
+            plan: plan_groups(&parsed)?,
         })
+    }
+
+    /// Wrap one externally compiled (possibly merged) HPDT as a
+    /// single-group set answering `hpdt.merged`, in tag order. The caller
+    /// has verified it ([`QueryIndex::subscribe_compiled`]).
+    pub(crate) fn of_group(engine: XsqEngine, hpdt: Arc<Hpdt>) -> QuerySet {
+        QuerySet {
+            engine,
+            queries: hpdt.merged.iter().map(|q| q.to_string()).collect(),
+            plan: vec![QueryGroup {
+                members: (0..hpdt.merged.len()).collect(),
+                hpdt,
+            }],
+        }
     }
 
     /// Number of queries.
@@ -92,16 +115,18 @@ impl QuerySet {
         self.engine
     }
 
-    /// The compiled prefix-sharing plan — what the sharded driver hands
-    /// each worker to instantiate its own runtime state from.
-    pub(crate) fn plan(&self) -> &[QueryGroup] {
+    /// The compiled prefix-sharing groups; members index into
+    /// [`Self::texts`].
+    pub(crate) fn groups(&self) -> &[QueryGroup] {
         &self.plan
     }
 
     /// Start a run: fresh runtime state over the precompiled
     /// prefix-sharing plan, with dispatch-indexed event routing.
     pub fn index(&self) -> QueryIndex {
-        QueryIndex::from_plan(self.engine, &self.queries, &self.plan)
+        let mut index = QueryIndex::new(self.engine);
+        index.subscribe_set(self);
+        index
     }
 
     /// Evaluate the whole set over one document in a single pass,
@@ -191,6 +216,20 @@ mod tests {
     fn bad_query_is_reported_with_its_index() {
         let err = QuerySet::compile(XsqEngine::full(), &["/a/b", "/a[", "/c"]).unwrap_err();
         assert_eq!(err.0, 1);
+    }
+
+    #[test]
+    fn an_unsupported_query_is_reported_with_its_index() {
+        let batch = ["/a/b/text()", "/a/c/text()", "/a/b[last()]/text()"];
+        let err = QuerySet::compile(XsqEngine::full(), &batch).unwrap_err();
+        assert_eq!(err.0, 2);
+        assert!(err.1.to_string().contains("last()"), "{}", err.1);
+    }
+
+    #[test]
+    fn query_lines_skips_blanks_and_comments() {
+        assert_eq!(query_lines(" /a \n\n# note\n//b\r\n"), ["/a", "//b"]);
+        assert!(query_lines("# only\n  \n").is_empty());
     }
 
     #[test]

@@ -6,11 +6,16 @@
 //! parse, HPDT build, merge, verify, prune, bound analysis — once per
 //! connection. [`PlanCache`] compiles a batch **once per distinct
 //! (engine mode, batch text)** and hands out a shared
-//! [`CachedPlan`]: the prefix-sharing group plan (each group an
+//! [`CachedPlan`]: the compiled [`QuerySet`] (each group an
 //! `Arc<Hpdt>`) plus the per-query static memory bounds. Subscribing a
-//! cached plan into a [`QueryIndex`] is pure runtime-state
+//! cached set into a [`QueryIndex`] is pure runtime-state
 //! instantiation — no compilation at all — via
-//! [`QueryIndex::subscribe_plan`].
+//! [`QueryIndex::subscribe_set`], the same call every other holder of
+//! a `QuerySet` makes, so the artifact that was bounded at admission
+//! is the artifact that runs.
+//!
+//! [`QueryIndex`]: crate::qindex::QueryIndex
+//! [`QueryIndex::subscribe_set`]: crate::qindex::QueryIndex::subscribe_set
 //!
 //! Entries are reference-counted by checkout: every [`PlanCache::checkout`]
 //! must be paired with a [`PlanCache::release`] (the server does this on
@@ -22,23 +27,19 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use xsq_xml::dtd::Dtd;
-use xsq_xpath::Query;
 
 use crate::analyze::MemoryBound;
 use crate::engine::{XsqEngine, XsqMode};
 use crate::error::CompileError;
-use crate::qindex::prefix::{plan_groups, QueryGroup};
+use crate::multi::QuerySet;
 
-/// One compiled batch: the original texts in input order, the
-/// prefix-sharing group plan, and each query's static memory bound
-/// (derived against the cache's DTD, if any). Immutable and shared —
-/// every subscriber of the same batch holds the same `Arc`.
+/// One cached batch: the compiled [`QuerySet`] and each query's static
+/// memory bound (derived against the cache's DTD, if any). Immutable
+/// and shared — every subscriber of the same batch holds the same `Arc`.
 #[derive(Debug)]
 pub struct CachedPlan {
     key: String,
-    mode: XsqMode,
-    texts: Vec<String>,
-    groups: Vec<QueryGroup>,
+    set: QuerySet,
     bounds: Vec<MemoryBound>,
 }
 
@@ -49,29 +50,9 @@ impl CachedPlan {
         &self.key
     }
 
-    /// The engine mode the batch compiled under.
-    pub fn mode(&self) -> XsqMode {
-        self.mode
-    }
-
-    /// Number of queries in the batch.
-    pub fn len(&self) -> usize {
-        self.texts.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.texts.is_empty()
-    }
-
-    /// Query texts in input order.
-    pub fn texts(&self) -> &[String] {
-        &self.texts
-    }
-
-    /// The compiled prefix-sharing groups (members index into
-    /// [`CachedPlan::texts`]).
-    pub fn groups(&self) -> &[QueryGroup] {
-        &self.groups
+    /// The compiled batch.
+    pub fn set(&self) -> &QuerySet {
+        &self.set
     }
 
     /// Per-query static memory bounds, in input order.
@@ -134,9 +115,9 @@ impl PlanCache {
     }
 
     /// Fetch (or compile) the plan for a batch, taking one reference.
-    /// Errors are attributed to the offending query index, mirroring
-    /// [`crate::multi::QuerySet::compile`]; a failed checkout takes no
-    /// reference and caches nothing.
+    /// A miss compiles through [`QuerySet::compile`], whose error names
+    /// the offending query index; a failed checkout takes no reference
+    /// and caches nothing.
     pub fn checkout(
         &self,
         engine: XsqEngine,
@@ -197,21 +178,9 @@ impl PlanCache {
         queries: &[&str],
         key: String,
     ) -> Result<CachedPlan, (usize, CompileError)> {
-        let mut parsed: Vec<Query> = Vec::with_capacity(queries.len());
-        for (i, q) in queries.iter().enumerate() {
-            let query = xsq_xpath::parse_query(q).map_err(|e| (i, e.into()))?;
-            if engine.mode() == XsqMode::NoClosure && query.has_closure() {
-                return Err((
-                    i,
-                    CompileError::Unsupported {
-                        feature: "the closure axis //".into(),
-                        engine: "XSQ-NC".into(),
-                    },
-                ));
-            }
-            parsed.push(query);
-        }
-        let groups = plan_groups(&parsed).map_err(|e| (0, e))?;
+        let set = QuerySet::compile(engine, queries)?;
+        // Bounds are the cache's own work, against its DTD: a per-query
+        // analysis that plain subscriptions never pay for.
         let dtd = self.dtd.as_deref();
         let bounds = queries
             .iter()
@@ -223,13 +192,7 @@ impl PlanCache {
                 },
             })
             .collect();
-        Ok(CachedPlan {
-            key,
-            mode: engine.mode(),
-            texts: queries.iter().map(|q| q.to_string()).collect(),
-            groups,
-            bounds,
-        })
+        Ok(CachedPlan { key, set, bounds })
     }
 }
 
@@ -259,13 +222,13 @@ mod tests {
         let a = cache.checkout(XsqEngine::full(), &batch).unwrap();
         let b = cache.checkout(XsqEngine::full(), &batch).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "second checkout must hit");
-        assert!(Arc::ptr_eq(&a.groups()[0].hpdt, &b.groups()[0].hpdt));
+        assert_eq!(a.set().group_count(), 1);
         let stats = cache.stats();
         assert_eq!((stats.entries, stats.hits, stats.misses), (1, 1, 1));
     }
 
     #[test]
-    fn subscribe_plan_matches_subscribe_group_results() {
+    fn a_cached_set_subscribes_like_subscribe_group() {
         let cache = PlanCache::new(None);
         let batch = [
             "/pub/book/name/text()",
@@ -276,7 +239,7 @@ mod tests {
         let plan = cache.checkout(XsqEngine::full(), &batch).unwrap();
 
         let mut cached = QueryIndex::new(XsqEngine::full());
-        let cached_ids = cached.subscribe_plan(&plan);
+        let cached_ids = cached.subscribe_set(plan.set());
         let mut direct = QueryIndex::new(XsqEngine::full());
         let direct_ids = direct.subscribe_group(&batch).unwrap();
         assert_eq!(cached_ids, direct_ids);
@@ -330,6 +293,12 @@ mod tests {
             .unwrap_err();
         assert_eq!(i, 1);
         assert!(matches!(e, CompileError::Unsupported { .. }));
+        // An unsupported construct deep in a merged group is still blamed
+        // on the query that carries it, not on the group's first member.
+        let batch = ["/a/b/text()", "/a/c/text()", "/a/b[position()=2]/text()"];
+        let (i, e) = cache.checkout(XsqEngine::full(), &batch).unwrap_err();
+        assert_eq!(i, 2);
+        assert!(e.to_string().contains("position()"), "{e}");
         assert_eq!(cache.stats().entries, 0);
     }
 

@@ -22,7 +22,7 @@
 //! stream; for `//`-rooted queries it degrades gracefully to a no-op,
 //! matching the real tool's behavior.
 
-use xsq_xml::SaxEvent;
+use xsq_xml::{RawEvent, SaxEvent};
 use xsq_xpath::{Axis, Output, Predicate, Query};
 
 /// A streaming event filter specialized to one query.
@@ -35,7 +35,7 @@ use xsq_xpath::{Axis, Output, Predicate, Query};
 ///     b"<r><keep><v>x</v></keep><skip><deep>y</deep></skip></r>",
 /// ).unwrap();
 /// let mut p = Projector::new(&query);
-/// let kept: Vec<_> = events.iter().filter(|e| p.keep(e)).collect();
+/// let kept: Vec<_> = events.iter().filter(|e| p.keep(&e.as_raw())).collect();
 /// assert!(kept.len() < events.len());
 /// assert!(p.dropped_events() > 0);
 /// ```
@@ -96,11 +96,11 @@ impl Projector {
     }
 
     /// Should this event be forwarded to the consumer?
-    pub fn keep(&mut self, event: &SaxEvent) -> bool {
+    pub fn keep(&mut self, event: &RawEvent<'_>) -> bool {
         let n = self.steps.len();
         let decision = match event {
-            SaxEvent::StartDocument | SaxEvent::EndDocument => true,
-            SaxEvent::Begin { name, .. } => {
+            RawEvent::StartDocument | RawEvent::EndDocument => true,
+            RawEvent::Begin { name, .. } => {
                 let parent = self.stack.last().copied().unwrap_or(Frame {
                     kept: true,
                     bits: 1, // zero steps matched at the document node
@@ -142,8 +142,8 @@ impl Projector {
                 });
                 kept
             }
-            SaxEvent::End { .. } => self.stack.pop().map(|f| f.kept).unwrap_or(true),
-            SaxEvent::Text { .. } => self.stack.last().is_some_and(|f| f.kept),
+            RawEvent::End { .. } => self.stack.pop().map(|f| f.kept).unwrap_or(true),
+            RawEvent::Text { .. } => self.stack.last().is_some_and(|f| f.kept),
         };
         if decision {
             self.kept += 1;
@@ -177,7 +177,11 @@ impl Projector {
 /// Project a whole event sequence (tests, offline pipelines).
 pub fn project_events(query: &Query, events: &[SaxEvent]) -> Vec<SaxEvent> {
     let mut p = Projector::new(query);
-    events.iter().filter(|e| p.keep(e)).cloned().collect()
+    events
+        .iter()
+        .filter(|e| p.keep(&e.as_raw()))
+        .cloned()
+        .collect()
 }
 
 #[cfg(test)]
@@ -191,13 +195,22 @@ mod tests {
         let q = parse_query(query).unwrap();
         let events = xsq_xml::parse_to_events(doc).unwrap();
         let mut p = Projector::new(&q);
-        let projected: Vec<SaxEvent> = events.iter().filter(|e| p.keep(e)).cloned().collect();
+        let projected: Vec<SaxEvent> = events
+            .iter()
+            .filter(|e| p.keep(&e.as_raw()))
+            .cloned()
+            .collect();
         let compiled = XsqEngine::full().compile(&q).unwrap();
-        let mut s1 = VecSink::new();
-        compiled.run_events(&events, &mut s1);
-        let mut s2 = VecSink::new();
-        compiled.run_events(&projected, &mut s2);
-        (s1.results, s2.results, p.selectivity())
+        let run = |events: &[SaxEvent]| {
+            let mut sink = VecSink::new();
+            let mut runner = compiled.runner();
+            for e in events {
+                runner.feed_raw(&e.as_raw(), &mut sink);
+            }
+            runner.finish(&mut sink);
+            sink.results
+        };
+        (run(&events), run(&projected), p.selectivity())
     }
 
     #[test]

@@ -39,8 +39,9 @@ pub struct QueryGroup {
 /// prefix worth merging, and separate groups keep the dispatch index's
 /// buckets fine-grained. Group order follows first appearance, and
 /// members keep their input order inside a group, so result attribution
-/// is stable across runs.
-pub fn plan_groups(queries: &[Query]) -> Result<Vec<QueryGroup>, CompileError> {
+/// is stable across runs. A failure names the offending query by its
+/// index in `queries`.
+pub fn plan_groups(queries: &[Query]) -> Result<Vec<QueryGroup>, (usize, CompileError)> {
     // (representative first step, member indices) in first-seen order.
     let mut buckets: Vec<(usize, Vec<usize>)> = Vec::new();
     let mut singles: Vec<usize> = Vec::new();
@@ -59,25 +60,26 @@ pub fn plan_groups(queries: &[Query]) -> Result<Vec<QueryGroup>, CompileError> {
     }
 
     let mut groups = Vec::with_capacity(buckets.len() + singles.len());
-    for (_, members) in buckets {
-        let hpdt = if members.len() == 1 {
+    for members in buckets
+        .into_iter()
+        .map(|(_, members)| members)
+        .chain(singles.into_iter().map(|i| vec![i]))
+    {
+        let built = if members.len() == 1 {
             // A lone query compiles on the classic single-query path,
             // bit-identical to what `XsqEngine::compile` produces.
-            build_hpdt(&queries[members[0]])?
+            build_hpdt(&queries[members[0]])
         } else {
             let group: Vec<Query> = members.iter().map(|&i| queries[i].clone()).collect();
-            build_merged_hpdt(&group)?
+            build_merged_hpdt(&group)
         };
-        groups.push(QueryGroup {
-            hpdt: Arc::new(checked(hpdt)?),
-            members,
-        });
-    }
-    for i in singles {
-        groups.push(QueryGroup {
-            hpdt: Arc::new(checked(build_hpdt(&queries[i])?)?),
-            members: vec![i],
-        });
+        match built.and_then(checked) {
+            Ok(hpdt) => groups.push(QueryGroup {
+                hpdt: Arc::new(hpdt),
+                members,
+            }),
+            Err(e) => return Err(blame(queries, &members, e)),
+        }
     }
     Ok(groups)
 }
@@ -89,6 +91,17 @@ fn checked(hpdt: Hpdt) -> Result<Hpdt, CompileError> {
     crate::analyze::reject_malformed(&crate::analyze::verify(&hpdt))?;
     let (pruned, _) = crate::analyze::prune(&hpdt);
     Ok(pruned)
+}
+
+/// Attribute a group's build failure to one member: the first that does
+/// not build alone, with its own error (an unsupported step names that
+/// query's step). A failure only the merge exhibits — the state ceiling
+/// — falls to the group's first member. Runs on the error path only.
+fn blame(queries: &[Query], members: &[usize], error: CompileError) -> (usize, CompileError) {
+    members
+        .iter()
+        .find_map(|&i| build_hpdt(&queries[i]).err().map(|e| (i, e)))
+        .unwrap_or((members[0], error))
 }
 
 #[cfg(test)]
@@ -135,6 +148,18 @@ mod tests {
         assert_eq!(groups[0].members, [1]);
         assert_eq!(groups[1].members, [0]);
         assert_eq!(groups[2].members, [2]);
+    }
+
+    #[test]
+    fn a_build_failure_names_the_offending_member() {
+        // Query 2 shares a first step with 0 and 1, so the failure
+        // surfaces from the merged build; query 3 fails alone.
+        let qs = queries(&["/a/b/text()", "/a/c/text()", "/a/b[position()=2]/text()"]);
+        let (i, e) = plan_groups(&qs).unwrap_err();
+        assert_eq!(i, 2);
+        assert!(e.to_string().contains("position()"), "{e}");
+        let qs = queries(&["/a/b/text()", "/x/y/text()", "/z/preceding-sibling::w"]);
+        assert_eq!(plan_groups(&qs).unwrap_err().0, 2);
     }
 
     #[test]

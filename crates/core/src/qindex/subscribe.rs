@@ -6,12 +6,14 @@
 //! ([`super::dispatch`]); callers interact only in terms of
 //! [`QueryId`]s:
 //!
-//! - [`QueryIndex::subscribe`] / [`QueryIndex::subscribe_group`] add
-//!   queries (a batch compiles with prefix sharing),
-//! - [`QueryIndex::feed`] pushes one SAX event to every *interested*
+//! - [`QueryIndex::subscribe`] / [`QueryIndex::subscribe_group`] compile
+//!   queries into a [`QuerySet`] (a batch compiles with prefix sharing)
+//!   and [`QueryIndex::subscribe_set`] — the one way in — instantiates
+//!   it,
+//! - [`QueryIndex::feed_raw`] pushes one SAX event to every *interested*
 //!   runner,
-//! - results land either in a per-subscriber [`Sink`] or in the shared
-//!   [`QuerySink`], tagged with the originating `QueryId`,
+//! - results land in the shared [`QuerySink`], tagged with the
+//!   originating `QueryId`,
 //! - [`QueryIndex::unsubscribe`] mutes a query immediately, without
 //!   recompiling anything.
 //!
@@ -19,24 +21,25 @@
 //! document: its runner starts at the HPDT start state, whose only arc
 //! consumes the document-start event. [`QueryIndex::finish`] emits
 //! pending aggregates, then resets every runner so the same index can
-//! process the next document in the stream.
+//! process the next document in the stream;
+//! [`QueryIndex::abort_document`] is the same reset without the
+//! emission, for a document that broke off mid-stream.
 
 use std::io::BufRead;
 use std::sync::Arc;
 
-use xsq_xml::{RawEvent, SaxEvent, StreamParser};
-use xsq_xpath::Query;
+use xsq_xml::{RawEvent, StreamParser};
 
 use crate::arcs::StateId;
 use crate::build::Hpdt;
 use crate::engine::{XsqEngine, XsqMode};
 use crate::error::{CompileError, EngineError};
+use crate::multi::QuerySet;
 use crate::report::MemoryStats;
 use crate::runtime::{RunStats, RunnerCore};
-use crate::sink::{Sink, TaggedSink};
+use crate::sink::TaggedSink;
 
 use super::dispatch::{DispatchIndex, GroupInterest, StateInterest};
-use super::prefix::plan_groups;
 
 /// Stable handle for one subscribed query. Ids are never reused, so a
 /// stale handle after `unsubscribe` is harmless.
@@ -90,7 +93,6 @@ struct Sub {
     /// This query's tag inside its group's (possibly merged) HPDT.
     tag: u32,
     active: bool,
-    sink: Option<Box<dyn Sink>>,
 }
 
 /// One compiled group and its runtime state.
@@ -124,36 +126,26 @@ struct Group {
 /// or above it, the reindex traffic itself is the bottleneck.
 const STATIC_INTEREST_CUTOFF: usize = 32;
 
-/// Routes a group's tagged results to the owning subscription's private
-/// sink, or to the shared [`QuerySink`] with the `QueryId` attached.
+/// Routes a group's tagged results to the shared [`QuerySink`] with the
+/// owning subscription's `QueryId` attached; muted subscriptions drop.
 struct RouteSink<'a> {
     members: &'a [QueryId],
-    subs: &'a mut [Sub],
+    subs: &'a [Sub],
     shared: &'a mut dyn QuerySink,
 }
 
 impl TaggedSink for RouteSink<'_> {
     fn result(&mut self, tag: u32, value: &str) {
         let id = self.members[tag as usize];
-        let sub = &mut self.subs[id.0 as usize];
-        if !sub.active {
-            return;
-        }
-        match &mut sub.sink {
-            Some(s) => s.result(value),
-            None => self.shared.result(id, value),
+        if self.subs[id.0 as usize].active {
+            self.shared.result(id, value);
         }
     }
 
     fn aggregate_update(&mut self, tag: u32, value: f64) {
         let id = self.members[tag as usize];
-        let sub = &mut self.subs[id.0 as usize];
-        if !sub.active {
-            return;
-        }
-        match &mut sub.sink {
-            Some(s) => s.aggregate_update(value),
-            None => self.shared.aggregate_update(id, value),
+        if self.subs[id.0 as usize].active {
+            self.shared.aggregate_update(id, value);
         }
     }
 }
@@ -189,30 +181,31 @@ impl QueryIndex {
         self.engine.mode() == XsqMode::Full
     }
 
-    /// Build an index from an already-compiled plan — the
-    /// [`crate::multi::QuerySet`] grouped path, which plans once at
-    /// compile time and instantiates fresh runtime state per run.
-    /// `plan[g].members` index into `texts`.
-    pub(crate) fn from_plan(
-        engine: XsqEngine,
-        texts: &[String],
-        plan: &[super::prefix::QueryGroup],
-    ) -> Self {
-        let mut index = QueryIndex::new(engine);
-        for t in texts {
-            index.subs.push(Sub {
-                text: t.clone(),
-                group: 0,
-                tag: 0,
-                active: true,
-                sink: None,
-            });
+    /// Instantiate a compiled [`QuerySet`]: one subscription per query,
+    /// one runner group per planned group — the only code that turns a
+    /// compiled batch into runtime state, whoever compiled it (a
+    /// subscribe call here, a CLI driver, a shard worker, the server's
+    /// plan cache). Pure instantiation: no parsing, no HPDT build, no
+    /// verification — the set's groups were verified and pruned when it
+    /// compiled. Returns one id per query, in input order.
+    pub fn subscribe_set(&mut self, set: &QuerySet) -> Vec<QueryId> {
+        assert_eq!(
+            set.engine().mode(),
+            self.engine.mode(),
+            "query set compiled for a different engine mode"
+        );
+        let base = self.subs.len() as u32;
+        self.subs.extend(set.texts().map(|t| Sub {
+            text: t.to_string(),
+            group: 0,
+            tag: 0,
+            active: true,
+        }));
+        for g in set.groups() {
+            let members = g.members.iter().map(|&i| QueryId(base + i as u32));
+            self.add_group(Arc::clone(&g.hpdt), members.collect());
         }
-        for g in plan {
-            let members = g.members.iter().map(|&i| QueryId(i as u32)).collect();
-            index.add_group(Arc::clone(&g.hpdt), members);
-        }
-        index
+        (base..self.subs.len() as u32).map(QueryId).collect()
     }
 
     /// Register `hpdt` as a new group answering `members` (already
@@ -265,33 +258,10 @@ impl QueryIndex {
         self.groups.push(group);
     }
 
-    /// Subscribe one query; results go to the shared sink passed to
-    /// [`QueryIndex::feed`]. Compiles a private HPDT — use
-    /// [`QueryIndex::subscribe_group`] to share prefixes across a batch.
+    /// Subscribe one query: a batch of one (see
+    /// [`QueryIndex::subscribe_group`]).
     pub fn subscribe(&mut self, query: &str) -> Result<QueryId, CompileError> {
-        let compiled = self.engine.compile_str(query)?;
-        let id = QueryId(self.subs.len() as u32);
-        self.subs.push(Sub {
-            text: query.to_string(),
-            group: 0,
-            tag: 0,
-            active: true,
-            sink: None,
-        });
-        self.add_group(compiled.hpdt_arc(), vec![id]);
-        Ok(id)
-    }
-
-    /// Subscribe one query with a private sink: its results bypass the
-    /// shared sink entirely.
-    pub fn subscribe_with_sink(
-        &mut self,
-        query: &str,
-        sink: Box<dyn Sink>,
-    ) -> Result<QueryId, CompileError> {
-        let id = self.subscribe(query)?;
-        self.subs[id.0 as usize].sink = Some(sink);
-        Ok(id)
+        Ok(self.subscribe_group(&[query])?[0])
     }
 
     /// Subscribe a batch at once: queries sharing a leading location-step
@@ -299,77 +269,8 @@ impl QueryIndex {
     /// to the divergence point. Returns one id per query, in input order.
     /// On error nothing is registered.
     pub fn subscribe_group(&mut self, queries: &[&str]) -> Result<Vec<QueryId>, CompileError> {
-        let parsed: Vec<Query> = queries
-            .iter()
-            .map(|q| {
-                let query = xsq_xpath::parse_query(q)?;
-                if self.engine.mode() == XsqMode::NoClosure && query.has_closure() {
-                    return Err(CompileError::Unsupported {
-                        feature: "the closure axis //".into(),
-                        engine: "XSQ-NC".into(),
-                    });
-                }
-                Ok(query)
-            })
-            .collect::<Result<_, CompileError>>()?;
-        let plan = plan_groups(&parsed)?;
-
-        let base = self.subs.len() as u32;
-        for q in queries {
-            self.subs.push(Sub {
-                text: q.to_string(),
-                group: 0,
-                tag: 0,
-                active: true,
-                sink: None,
-            });
-        }
-        for g in plan {
-            let members = g
-                .members
-                .iter()
-                .map(|&i| QueryId(base + i as u32))
-                .collect();
-            self.add_group(g.hpdt, members);
-        }
-        Ok((0..queries.len())
-            .map(|i| QueryId(base + i as u32))
-            .collect())
-    }
-
-    /// Subscribe a batch from an already-compiled, already-verified
-    /// [`crate::plancache::CachedPlan`] — pure runtime-state
-    /// instantiation, no parsing or HPDT construction. The plan's
-    /// groups were verified and pruned when the cache built them
-    /// ([`super::prefix::plan_groups`]), so re-verification here would
-    /// only re-prove the same artifact on every subscriber. Returns one
-    /// id per query, in input order, exactly like
-    /// [`QueryIndex::subscribe_group`] on the same batch.
-    pub fn subscribe_plan(&mut self, plan: &crate::plancache::CachedPlan) -> Vec<QueryId> {
-        assert_eq!(
-            plan.mode(),
-            self.engine.mode(),
-            "cached plan compiled for a different engine mode"
-        );
-        let base = self.subs.len() as u32;
-        for t in plan.texts() {
-            self.subs.push(Sub {
-                text: t.clone(),
-                group: 0,
-                tag: 0,
-                active: true,
-                sink: None,
-            });
-        }
-        for g in plan.groups() {
-            let members = g
-                .members
-                .iter()
-                .map(|&i| QueryId(base + i as u32))
-                .collect();
-            self.add_group(Arc::clone(&g.hpdt), members);
-        }
-        (0..plan.len() as u32).map(|i| QueryId(base + i)).collect()
+        let set = QuerySet::compile(self.engine, queries).map_err(|(_, e)| e)?;
+        Ok(self.subscribe_set(&set))
     }
 
     /// Subscribe an externally compiled (possibly merged) HPDT. The
@@ -380,38 +281,10 @@ impl QueryIndex {
     /// Returns one id per merged query, in tag order.
     pub fn subscribe_compiled(&mut self, hpdt: Arc<Hpdt>) -> Result<Vec<QueryId>, CompileError> {
         crate::analyze::reject_malformed(&crate::analyze::verify(&hpdt))?;
-        if self.engine.mode() == XsqMode::NoClosure && !hpdt.deterministic {
-            return Err(CompileError::Unsupported {
-                feature: "the closure axis //".into(),
-                engine: "XSQ-NC".into(),
-            });
+        for query in &hpdt.merged {
+            self.engine.check(query)?;
         }
-        let base = self.subs.len() as u32;
-        let ids: Vec<QueryId> = (0..hpdt.merged.len())
-            .map(|i| QueryId(base + i as u32))
-            .collect();
-        for q in &hpdt.merged {
-            self.subs.push(Sub {
-                text: q.to_string(),
-                group: 0,
-                tag: 0,
-                active: true,
-                sink: None,
-            });
-        }
-        self.add_group(hpdt, ids.clone());
-        Ok(ids)
-    }
-
-    /// Attach (or replace) a private sink on an existing subscription.
-    pub fn attach_sink(&mut self, id: QueryId, sink: Box<dyn Sink>) {
-        self.subs[id.0 as usize].sink = Some(sink);
-    }
-
-    /// Detach a private sink, returning it; the query reverts to the
-    /// shared sink.
-    pub fn detach_sink(&mut self, id: QueryId) -> Option<Box<dyn Sink>> {
-        self.subs[id.0 as usize].sink.take()
+        Ok(self.subscribe_set(&QuerySet::of_group(self.engine, hpdt)))
     }
 
     /// Mute a query immediately. Its group keeps running while other
@@ -431,12 +304,6 @@ impl QueryIndex {
             self.dispatch.remove_group(gi, &group.interest);
         }
         true
-    }
-
-    /// Push one owned event — convenience wrapper over
-    /// [`QueryIndex::feed_raw`].
-    pub fn feed(&mut self, event: &SaxEvent, shared: &mut dyn QuerySink) {
-        self.feed_raw(&event.as_raw(), shared);
     }
 
     /// Push one borrowed event. Only runners whose dispatch buckets match
@@ -499,9 +366,33 @@ impl QueryIndex {
             results: 0,
             memory: MemoryStats::default(),
         };
+        let subs = &self.subs[..];
+        for group in self.groups.iter_mut().filter(|g| g.live > 0) {
+            let mut route = RouteSink {
+                members: &group.members,
+                subs,
+                shared: &mut *shared,
+            };
+            let stats = group.core.finish(&mut route);
+            total.results += stats.results;
+            total.memory.peak_bytes += stats.memory.peak_bytes;
+            total.memory.peak_items += stats.memory.peak_items;
+            total.memory.peak_buffered_items += stats.memory.peak_buffered_items;
+            total.memory.peak_configs += stats.memory.peak_configs;
+        }
+        self.abort_document();
+        total
+    }
+
+    /// Drop the document in flight, emitting nothing: every live runner
+    /// — configurations, buffered items, aggregates — and its dispatch
+    /// interest go back to the document start, so the next document
+    /// evaluates exactly as on a fresh index. The one reset: a driver
+    /// whose parser failed mid-document calls this, and
+    /// [`QueryIndex::finish`] ends with it.
+    pub fn abort_document(&mut self) {
         let Self {
             groups,
-            subs,
             dispatch,
             scratch_states,
             ..
@@ -510,36 +401,19 @@ impl QueryIndex {
             if group.live == 0 {
                 continue;
             }
-            let Group {
-                hpdt,
-                core,
-                members,
-                interest,
-                state_cache,
-                last_frontier,
-                static_interest,
-                ..
-            } = group;
-            let mut route = RouteSink {
-                members,
-                subs,
-                shared: &mut *shared,
-            };
-            let stats = core.finish(&mut route);
-            total.results += stats.results;
-            total.memory.peak_bytes += stats.memory.peak_bytes;
-            total.memory.peak_items += stats.memory.peak_items;
-            total.memory.peak_buffered_items += stats.memory.peak_buffered_items;
-            total.memory.peak_configs += stats.memory.peak_configs;
-            core.reset(hpdt);
-            if !*static_interest {
-                core.frontier_states(scratch_states);
-                last_frontier.clear();
-                last_frontier.extend_from_slice(scratch_states);
-                dispatch.reindex(gi as u32, hpdt, scratch_states, state_cache, interest);
+            group.core.reset(&group.hpdt);
+            if !group.static_interest {
+                group.core.frontier_states(scratch_states);
+                group.last_frontier.clone_from(scratch_states);
+                dispatch.reindex(
+                    gi as u32,
+                    &group.hpdt,
+                    scratch_states,
+                    &mut group.state_cache,
+                    &mut group.interest,
+                );
             }
         }
-        total
     }
 
     /// Run one complete serialized document through the index.
@@ -551,17 +425,34 @@ impl QueryIndex {
         self.run_reader(document, shared)
     }
 
-    /// Run one complete document from any buffered reader.
+    /// Run one complete document from any buffered reader. On a parse
+    /// error the document is aborted and the index stays usable.
     pub fn run_reader<R: BufRead>(
         &mut self,
         reader: R,
         shared: &mut dyn QuerySink,
     ) -> Result<RunStats, EngineError> {
-        let mut parser = StreamParser::new(reader);
-        while let Some(ev) = parser.next_raw()? {
-            self.feed_raw(&ev, shared);
+        self.run_parser(&mut StreamParser::new(reader), shared)
+    }
+
+    /// [`QueryIndex::run_reader`] over a caller-owned parser already
+    /// positioned at a document start (the shard workers reuse one
+    /// parser, and its scratch buffers, across documents).
+    pub(crate) fn run_parser<R: BufRead>(
+        &mut self,
+        parser: &mut StreamParser<R>,
+        shared: &mut dyn QuerySink,
+    ) -> Result<RunStats, EngineError> {
+        loop {
+            match parser.next_raw() {
+                Ok(Some(ev)) => self.feed_raw(&ev, shared),
+                Ok(None) => return Ok(self.finish(shared)),
+                Err(e) => {
+                    self.abort_document();
+                    return Err(e.into());
+                }
+            }
         }
-        Ok(self.finish(shared))
     }
 
     /// Total subscriptions ever made (including unsubscribed ones).
@@ -621,8 +512,7 @@ impl std::fmt::Debug for QueryIndex {
 mod tests {
     use super::*;
     use crate::engine::evaluate;
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use xsq_xml::SaxEvent;
 
     const DOC: &[u8] = b"<pub><book id=\"1\"><name>First</name><author>A</author>\
                          <price>10</price></book><book id=\"2\"><name>Second</name>\
@@ -659,31 +549,6 @@ mod tests {
             .unwrap();
         assert_eq!(index.len(), 3);
         assert_eq!(index.group_count(), 1);
-    }
-
-    #[test]
-    fn private_sinks_bypass_the_shared_sink() {
-        #[derive(Default)]
-        struct Shared(Rc<RefCell<Vec<String>>>);
-        impl Sink for Shared {
-            fn result(&mut self, value: &str) {
-                self.0.borrow_mut().push(value.to_string());
-            }
-        }
-
-        let mut index = QueryIndex::new(XsqEngine::full());
-        let private = Rc::new(RefCell::new(Vec::new()));
-        index
-            .subscribe_with_sink(
-                "/pub/book/name/text()",
-                Box::new(Shared(Rc::clone(&private))),
-            )
-            .unwrap();
-        let years = index.subscribe("/pub/year/text()").unwrap();
-        let mut shared = VecQuerySink::new();
-        index.run_document(DOC, &mut shared).unwrap();
-        assert_eq!(*private.borrow(), ["First", "Second"]);
-        assert_eq!(shared.results, [(years, "2002".to_string())]);
     }
 
     #[test]
@@ -801,48 +666,33 @@ mod tests {
         let mut index = QueryIndex::new(XsqEngine::full());
         let first = index.subscribe("/a/b/text()").unwrap();
         let mut sink = VecQuerySink::new();
-        index.feed(&SaxEvent::StartDocument, &mut sink);
-        index.feed(
-            &SaxEvent::Begin {
-                name: "a".into(),
-                attributes: vec![],
-                depth: 1,
-            },
-            &mut sink,
-        );
+        let begin = |name: &str, depth| SaxEvent::Begin {
+            name: name.into(),
+            attributes: vec![],
+            depth,
+        };
+        let end = |name: &str, depth| SaxEvent::End {
+            name: name.into(),
+            depth,
+        };
+        index.feed_raw(&SaxEvent::StartDocument.as_raw(), &mut sink);
+        index.feed_raw(&begin("a", 1).as_raw(), &mut sink);
         // Late subscriber: misses this document entirely.
         let late = index.subscribe("/a/b/text()").unwrap();
-        index.feed(
-            &SaxEvent::Begin {
-                name: "b".into(),
-                attributes: vec![],
-                depth: 2,
-            },
-            &mut sink,
-        );
-        index.feed(
-            &SaxEvent::Text {
+        let rest = [
+            begin("b", 2),
+            SaxEvent::Text {
                 element: "b".into(),
                 text: "x".into(),
                 depth: 2,
             },
-            &mut sink,
-        );
-        index.feed(
-            &SaxEvent::End {
-                name: "b".into(),
-                depth: 2,
-            },
-            &mut sink,
-        );
-        index.feed(
-            &SaxEvent::End {
-                name: "a".into(),
-                depth: 1,
-            },
-            &mut sink,
-        );
-        index.feed(&SaxEvent::EndDocument, &mut sink);
+            end("b", 2),
+            end("a", 1),
+            SaxEvent::EndDocument,
+        ];
+        for ev in &rest {
+            index.feed_raw(&ev.as_raw(), &mut sink);
+        }
         index.finish(&mut sink);
         assert_eq!(sink.of(first), ["x"]);
         assert_eq!(sink.of(late), Vec::<&str>::new());

@@ -27,7 +27,7 @@
 //! no self-referential borrows. [`Runner`] is the single-query facade
 //! that pairs a core with one `&Hpdt` for the classic borrowed API.
 
-use xsq_xml::{RawEvent, SaxEvent};
+use xsq_xml::RawEvent;
 use xsq_xpath::Output;
 
 use crate::aggregate::Aggregator;
@@ -201,13 +201,6 @@ impl RunnerCore {
         // queue peaks the fresh stores reset above; without this a
         // reused runner reports the previous document's peak.
         self.peak_configs = 1;
-    }
-
-    /// Process one owned SAX event — convenience wrapper over
-    /// [`Self::feed_raw`] for callers holding `SaxEvent`s (tests, stored
-    /// event sequences).
-    pub fn feed(&mut self, hpdt: &Hpdt, event: &SaxEvent, sink: &mut dyn TaggedSink) -> bool {
-        self.feed_raw(hpdt, &event.as_raw(), sink)
     }
 
     /// Process one borrowed SAX event, pushing any newly determined
@@ -644,12 +637,6 @@ impl<'q> Runner<'q> {
         self.core.set_queue_hint(per_queue);
     }
 
-    /// Process one owned SAX event, pushing any newly determined results
-    /// into the sink.
-    pub fn feed(&mut self, event: &SaxEvent, sink: &mut dyn Sink) {
-        self.feed_raw(&event.as_raw(), sink);
-    }
-
     /// Process one borrowed SAX event — the zero-copy hot path for
     /// callers driving [`xsq_xml::StreamParser::next_raw`].
     pub fn feed_raw(&mut self, event: &RawEvent<'_>, sink: &mut dyn Sink) {
@@ -706,7 +693,7 @@ mod tests {
         let mut sink = VecSink::new();
         let events = xsq_xml::parse_to_events(doc.as_bytes()).unwrap();
         for e in &events {
-            runner.feed(e, &mut sink);
+            runner.feed_raw(&e.as_raw(), &mut sink);
         }
         assert_eq!(runner.buffered_entries(), 0, "buffers must drain");
         runner.finish(&mut sink);
@@ -803,7 +790,7 @@ mod tests {
             let mut runner = Runner::new(&hpdt, scan_all);
             let mut sink = VecSink::new();
             for e in &events {
-                runner.feed(e, &mut sink);
+                runner.feed_raw(&e.as_raw(), &mut sink);
             }
             runner.finish(&mut sink);
             outs.push(sink.results);
@@ -820,7 +807,7 @@ mod tests {
         let events = xsq_xml::parse_to_events(b"<a><b>early</b><c/></a>").unwrap();
         // Feed only through </b>.
         for e in &events[..5] {
-            runner.feed(e, &mut sink);
+            runner.feed_raw(&e.as_raw(), &mut sink);
         }
         assert_eq!(sink.results, ["early"]);
     }
@@ -831,7 +818,7 @@ mod tests {
         let mut runner = Runner::new(&hpdt, true);
         let mut sink = VecSink::new();
         for e in xsq_xml::parse_to_events(b"<a><b/><b/><b/></a>").unwrap() {
-            runner.feed(&e, &mut sink);
+            runner.feed_raw(&e.as_raw(), &mut sink);
         }
         runner.finish(&mut sink);
         assert_eq!(sink.updates, vec![1.0, 2.0, 3.0]);
@@ -846,7 +833,7 @@ mod tests {
         let events = xsq_xml::parse_to_events(b"<a><z>skip</z><b>hit</b></a>").unwrap();
         let mut fired = Vec::new();
         for e in &events {
-            fired.push(core.feed(&hpdt, e, &mut sink));
+            fired.push(core.feed_raw(&hpdt, &e.as_raw(), &mut sink));
         }
         // StartDocument, <a>, <b>, text, </b>, </a>, EndDocument all move
         // configurations; <z> and its text do not.
@@ -862,7 +849,7 @@ mod tests {
         for _ in 0..2 {
             let mut sink = crate::sink::TaggedVecSink::new();
             for e in xsq_xml::parse_to_events(b"<a><b/><b/></a>").unwrap() {
-                core.feed(&hpdt, &e, &mut sink);
+                core.feed_raw(&hpdt, &e.as_raw(), &mut sink);
             }
             core.finish(&mut sink);
             assert_eq!(sink.of(0), ["2"]);
@@ -882,7 +869,7 @@ mod tests {
         let mut sink = crate::sink::TaggedVecSink::new();
         let doc = br#"<a><b id="7">x</b><c>y</c></a>"#;
         for e in xsq_xml::parse_to_events(doc).unwrap() {
-            core.feed(&hpdt, &e, &mut sink);
+            core.feed_raw(&hpdt, &e.as_raw(), &mut sink);
         }
         core.finish(&mut sink);
         assert_eq!(sink.of(0), ["x"]);

@@ -11,11 +11,11 @@
 //!   a bounded channel (backpressure: at most `queue_depth` documents
 //!   are in flight beyond the ones being parsed),
 //! - each worker owns a private [`QueryIndex`] instantiated from the
-//!   [`QuerySet`]'s compiled plan via
-//!   [`QueryIndex::subscribe_compiled`] — re-verified registration of
-//!   the shared, analyzer-checked HPDTs, no recompilation — plus one
-//!   reusable [`StreamParser`] whose scratch buffers and symbol cache
-//!   persist across the documents it processes,
+//!   shared [`QuerySet`] ([`QuerySet::index`]: fresh runtime state over
+//!   the set's analyzer-checked HPDTs, no recompilation, ids equal to
+//!   the set's query indices) plus one reusable [`StreamParser`] whose
+//!   scratch buffers and symbol cache persist across the documents it
+//!   processes,
 //! - per-document result buffers are merged back in **global document
 //!   order**: results stream out for document *i* as soon as every
 //!   document `< i` has been emitted, and within a document they keep
@@ -32,17 +32,14 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Mutex};
 
 use xsq_xml::StreamParser;
 
-use crate::engine::XsqEngine;
 use crate::error::EngineError;
 use crate::multi::QuerySet;
-use crate::qindex::prefix::QueryGroup;
-use crate::qindex::{QueryId, QueryIndex, QuerySink, VecQuerySink};
+use crate::qindex::{QueryId, QueryIndex, VecQuerySink};
 use crate::report::MemoryStats;
-use crate::runtime::RunStats;
 
 /// Tuning knobs for the worker pool.
 #[derive(Debug, Clone, Default)]
@@ -150,48 +147,24 @@ impl std::error::Error for ShardError {
     }
 }
 
-/// Swallows results during post-error cleanup.
-struct DiscardSink;
-
-impl QuerySink for DiscardSink {
-    fn result(&mut self, _id: QueryId, _value: &str) {}
-}
-
-/// One worker's evaluation state: a private index over the shared plan,
-/// a reusable parser, and the local→global query-id remap.
+/// One worker's evaluation state: a private index over the shared set
+/// and a reusable parser.
 struct Worker<'d> {
     index: QueryIndex,
     parser: Option<StreamParser<&'d [u8]>>,
-    /// `remap[local_id] = global query index`. [`subscribe_compiled`]
-    /// assigns dense local ids per group in tag order; the plan's
-    /// `members` say which set-level query each tag answers.
-    ///
-    /// [`subscribe_compiled`]: QueryIndex::subscribe_compiled
-    remap: Vec<u32>,
 }
 
 impl<'d> Worker<'d> {
-    fn new(engine: XsqEngine, plan: &[QueryGroup]) -> Self {
-        let mut index = QueryIndex::new(engine);
-        let mut remap = Vec::new();
-        for g in plan {
-            // The plan's HPDTs passed verification when the set compiled;
-            // re-verification here is cheap and cannot fail.
-            let ids = index
-                .subscribe_compiled(Arc::clone(&g.hpdt))
-                .expect("plan HPDT verified at compile time");
-            debug_assert_eq!(ids.len(), g.members.len());
-            remap.extend(g.members.iter().map(|&m| m as u32));
-        }
+    fn new(set: &QuerySet) -> Self {
         Worker {
-            index,
+            index: set.index(),
             parser: None,
-            remap,
         }
     }
 
-    /// Run one document through the private index. On error the runner
-    /// state is reset so the worker stays usable for in-flight drains.
+    /// Run one document through the private index. On error the index
+    /// has aborted the document, so the worker stays usable for
+    /// in-flight drains.
     fn run_doc(&mut self, doc: &'d [u8]) -> Result<DocOutput, EngineError> {
         let parser = match &mut self.parser {
             Some(p) => {
@@ -202,38 +175,13 @@ impl<'d> Worker<'d> {
         };
         let events_before = self.index.events();
         let mut sink = VecQuerySink::new();
-        let fed = (|| -> Result<(), EngineError> {
-            while let Some(ev) = parser.next_raw()? {
-                self.index.feed_raw(&ev, &mut sink);
-            }
-            Ok(())
-        })();
-        if let Err(e) = fed {
-            // Reset mid-document runner state; drop anything it emits.
-            self.index.finish(&mut DiscardSink);
-            return Err(e);
-        }
-        let stats = self.index.finish(&mut sink);
-        Ok(self.attribute(sink, stats, events_before))
-    }
-
-    /// Remap a document's locally-tagged sink contents to global ids.
-    fn attribute(&self, sink: VecQuerySink, stats: RunStats, events_before: u64) -> DocOutput {
-        let global = |id: QueryId| QueryId(self.remap[id.0 as usize]);
-        DocOutput {
-            results: sink
-                .results
-                .into_iter()
-                .map(|(id, v)| (global(id), v))
-                .collect(),
-            updates: sink
-                .updates
-                .into_iter()
-                .map(|(id, v)| (global(id), v))
-                .collect(),
+        let stats = self.index.run_parser(parser, &mut sink)?;
+        Ok(DocOutput {
+            results: sink.results,
+            updates: sink.updates,
             events: self.index.events() - events_before,
             memory: stats.memory,
-        }
+        })
     }
 }
 
@@ -245,7 +193,7 @@ pub fn run_sequential_with(
     docs: &[impl AsRef<[u8]>],
     mut emit: impl FnMut(usize, DocOutput),
 ) -> Result<usize, ShardError> {
-    let mut worker = Worker::new(set.engine(), set.plan());
+    let mut worker = Worker::new(set);
     for (di, doc) in docs.iter().enumerate() {
         match worker.run_doc(doc.as_ref()) {
             Ok(out) => emit(di, out),
@@ -280,8 +228,6 @@ pub fn run_sharded_with(
         return run_sequential_with(set, docs, emit);
     }
     let depth = opts.resolve_depth(workers);
-    let engine = set.engine();
-    let plan = set.plan();
 
     // Feed: bounded, so a huge corpus never piles up unparsed beyond the
     // backpressure window. Results: unbounded, because every entry is a
@@ -299,7 +245,7 @@ pub fn run_sharded_with(
             let out_tx = out_tx.clone();
             let (feed_rx, abort) = (&feed_rx, &abort);
             s.spawn(move || {
-                let mut worker = Worker::new(engine, plan);
+                let mut worker = Worker::new(set);
                 loop {
                     // Hold the lock only to receive, not to parse.
                     let msg = feed_rx.lock().expect("feed lock").recv();
@@ -379,6 +325,7 @@ pub fn run_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::XsqEngine;
 
     fn corpus(n: usize) -> Vec<Vec<u8>> {
         (0..n)

@@ -128,7 +128,7 @@ mod tests {
             for ev in
                 xsq_xml::parse_to_events(b"<pub><name>N</name><year>2002</year></pub>").unwrap()
             {
-                runner.feed(&ev, &mut sink);
+                runner.feed_raw(&ev.as_raw(), &mut sink);
             }
             runner.finish(&mut sink);
         }
@@ -165,7 +165,7 @@ mod tests {
             let mut r = Runner::new(&hpdt, true);
             let mut s = VecSink::new();
             for e in &events {
-                r.feed(e, &mut s);
+                r.feed_raw(&e.as_raw(), &mut s);
             }
             r.finish(&mut s);
             s.results
@@ -177,7 +177,7 @@ mod tests {
             r.set_tracer(&mut tracer);
             let mut s = VecSink::new();
             for e in &events {
-                r.feed(e, &mut s);
+                r.feed_raw(&e.as_raw(), &mut s);
             }
             r.finish(&mut s);
             s.results

@@ -4,7 +4,7 @@
 use std::collections::BTreeSet;
 
 use xsq_core::schema::{analyze, optimize, rewrite};
-use xsq_core::{QuerySet, VecSink, XsqEngine};
+use xsq_core::{QueryId, QueryIndex, QuerySet, VecQuerySink, VecSink, XsqEngine};
 use xsq_xml::dtd::Dtd;
 use xsq_xpath::parse_query;
 
@@ -39,6 +39,33 @@ fn a_subscription_workload_over_one_stream() {
 }
 
 #[test]
+fn an_index_whose_document_failed_runs_the_next_like_a_fresh_index() {
+    // The dead document leaves a buffered `stale` (its `a` never saw
+    // the `c` that would decide it), a count of one, and configurations
+    // deep inside `a`; none of it may reach the next document.
+    let queries = ["//a[c]/b/text()", "//b/count()"];
+    let dead = b"<r><a><b>stale</b></x>";
+    let next = b"<r><a><c/><b>fresh</b></a></r>";
+    let mut fresh = QueryIndex::new(XsqEngine::full());
+    fresh.subscribe_group(&queries).unwrap();
+    let mut want = VecQuerySink::new();
+    fresh.run_document(next, &mut want).unwrap();
+    assert_eq!(
+        want.results,
+        [(QueryId(0), "fresh".into()), (QueryId(1), "1".into())]
+    );
+
+    let mut index = QueryIndex::new(XsqEngine::full());
+    index.subscribe_group(&queries).unwrap();
+    let mut got = VecQuerySink::new();
+    assert!(index.run_document(dead, &mut got).is_err());
+    got = VecQuerySink::new();
+    index.run_document(next, &mut got).unwrap();
+    assert_eq!(got.results, want.results);
+    assert_eq!(got.updates, want.updates);
+}
+
+#[test]
 fn one_runner_per_query_matches_and_buffers_independently() {
     let compiled: Vec<_> = ["//a[z]/v/text()", "//a[z]/w/text()"]
         .iter()
@@ -51,7 +78,7 @@ fn one_runner_per_query_matches_and_buffers_independently() {
     let mut sinks = vec![VecSink::new(), VecSink::new()];
     for ev in xsq_xml::parse_to_events(doc.as_bytes()).unwrap() {
         for (runner, sink) in runners.iter_mut().zip(&mut sinks) {
-            runner.feed(&ev, sink);
+            runner.feed_raw(&ev.as_raw(), sink);
         }
     }
     let configs: u64 = runners.iter().map(|r| r.memory().peak_configs).sum();
@@ -144,7 +171,7 @@ fn trace_step_counts_match_events_for_multi_runner_queries() {
     let mut sink = VecSink::new();
     let events = xsq_xml::parse_to_events(b"<a><b>1</b><c/></a>").unwrap();
     for e in &events {
-        runner.feed(e, &mut sink);
+        runner.feed_raw(&e.as_raw(), &mut sink);
     }
     runner.finish(&mut sink);
     assert_eq!(steps, events.len());

@@ -38,7 +38,7 @@ fn example_5_walkthrough_operations_fire_at_the_narrated_events() {
     let mut emissions: Vec<(usize, String)> = Vec::new();
     for (i, ev) in events.iter().enumerate() {
         let before = sink.results.len();
-        runner.feed(ev, &mut sink);
+        runner.feed_raw(&ev.as_raw(), &mut sink);
         for v in &sink.results[before..] {
             emissions.push((i, v.clone()));
         }
@@ -123,7 +123,7 @@ fn failed_predicate_path_clears_at_the_end_tag() {
     runner.set_tracer(&mut tracer);
     let mut sink = VecSink::new();
     for ev in xsq_xml::parse_to_events(doc.as_bytes()).unwrap() {
-        runner.feed(&ev, &mut sink);
+        runner.feed_raw(&ev.as_raw(), &mut sink);
     }
     runner.finish(&mut sink);
     assert!(sink.results.is_empty());

@@ -10,14 +10,11 @@
 //! per-session index, result streaming) is an identity transform on
 //! the engine's output.
 
-use std::fmt::Write as _;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
-use xsq_core::{run_sequential_with, QuerySet, XsqEngine};
+use xsq_core::{run_sequential_with, QueryId, QuerySet, XsqEngine};
 
 use crate::proto::{err_code, op, read_frame, write_frame, Frame, WireBound, MAX_FRAME};
 
@@ -43,13 +40,13 @@ pub struct ClientReport {
 /// derives the fan-out amplification factor from these).
 struct Counted<S> {
     inner: S,
-    n: Arc<AtomicU64>,
+    n: u64,
 }
 
 impl<S: Read> Read for Counted<S> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         let n = self.inner.read(buf)?;
-        self.n.fetch_add(n as u64, Ordering::Relaxed);
+        self.n += n as u64;
         Ok(n)
     }
 }
@@ -57,7 +54,7 @@ impl<S: Read> Read for Counted<S> {
 impl<S: Write> Write for Counted<S> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         let n = self.inner.write(buf)?;
-        self.n.fetch_add(n as u64, Ordering::Relaxed);
+        self.n += n as u64;
         Ok(n)
     }
     fn flush(&mut self) -> std::io::Result<()> {
@@ -158,81 +155,98 @@ fn remote_err(payload: &[u8]) -> ClientError {
     ClientError::Remote { code, message }
 }
 
-/// Replay `docs` against a server, writing rendered results to `out`.
-///
-/// One SUB carries the whole query set, so the server's prefix-shared
-/// plan is structurally identical to the in-process [`QuerySet`] plan
-/// and results arrive in the same order the sequential driver emits
-/// them. Per document the client batches RESULT/UPDATE frames until
-/// DOC_OK, then renders updates (if enabled) before results — the
-/// `run_sequential_with` presentation.
-pub fn run_corpus(
-    addr: &str,
-    queries: &[&str],
-    docs: &[impl AsRef<[u8]>],
-    opts: &ConnectOptions,
-    out: &mut impl Write,
-) -> Result<ClientReport, ClientError> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    // A correctness client, not a soak client: a stuck server should
-    // fail the run rather than hang it.
-    stream.set_read_timeout(Some(Duration::from_secs(60)))?;
-    let wire_in = Arc::new(AtomicU64::new(0));
-    let wire_out = Arc::new(AtomicU64::new(0));
-    let mut reader = BufReader::new(Counted {
-        inner: stream.try_clone()?,
-        n: Arc::clone(&wire_in),
-    });
-    let mut writer = BufWriter::new(Counted {
-        inner: stream,
-        n: Arc::clone(&wire_out),
-    });
+/// One client conversation: a connection whose wire bytes are counted
+/// in both directions, and the request/reply steps every role shares.
+struct Conversation {
+    reader: BufReader<Counted<TcpStream>>,
+    writer: BufWriter<Counted<TcpStream>>,
+}
 
-    let mut next = |writer: &mut BufWriter<Counted<TcpStream>>| -> Result<Frame, ClientError> {
-        writer.flush()?;
-        match read_frame(&mut reader, MAX_FRAME)? {
-            Some(f) => Ok(f),
-            None => Err(ClientError::Protocol(
-                "server closed the connection mid-conversation".into(),
-            )),
+impl Conversation {
+    /// Connect. A correctness client, not a soak client: a server
+    /// silent for `patience_secs` fails the run rather than hanging it.
+    fn open(addr: &str, patience_secs: u64) -> Result<Conversation, ClientError> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(Duration::from_secs(patience_secs)))?;
+        Ok(Conversation {
+            reader: BufReader::new(Counted {
+                inner: stream.try_clone()?,
+                n: 0,
+            }),
+            writer: BufWriter::new(Counted {
+                inner: stream,
+                n: 0,
+            }),
+        })
+    }
+
+    /// Queue one request frame (sent by the next [`Self::next`]).
+    fn send(&mut self, opcode: u8, payload: &[u8]) -> Result<(), ClientError> {
+        Ok(write_frame(&mut self.writer, opcode, payload)?)
+    }
+
+    /// Flush what is queued and read the next reply frame.
+    fn next(&mut self) -> Result<Frame, ClientError> {
+        self.writer.flush()?;
+        read_frame(&mut self.reader, MAX_FRAME)?.ok_or_else(|| {
+            ClientError::Protocol("server closed the connection mid-conversation".into())
+        })
+    }
+
+    /// Read the next reply, which must be `want` (`what`, in words): an
+    /// ERR is the server's refusal, anything else a protocol breach.
+    fn expect(&mut self, want: u8, what: &str) -> Result<Frame, ClientError> {
+        let frame = self.next()?;
+        match frame.op {
+            op if op == want => Ok(frame),
+            op::ERR => Err(remote_err(&frame.payload)),
+            other => Err(ClientError::Protocol(format!(
+                "expected {what}, got opcode 0x{other:02x}"
+            ))),
         }
-    };
+    }
 
-    write_frame(&mut writer, op::SUB, queries.join("\n").as_bytes())?;
-    let reply = next(&mut writer)?;
-    let bounds = parse_sub_ok(&reply, queries.len())?;
+    /// Send one request and read its reply.
+    fn request(
+        &mut self,
+        opcode: u8,
+        payload: &[u8],
+        want: u8,
+        what: &str,
+    ) -> Result<Frame, ClientError> {
+        self.send(opcode, payload)?;
+        self.expect(want, what)
+    }
 
-    let mut report = ClientReport {
-        bounds,
-        ..ClientReport::default()
-    };
-    let chunk = opts.chunk.max(1);
-    for (di, doc) in docs.iter().enumerate() {
-        for piece in doc.as_ref().chunks(chunk) {
-            write_frame(&mut writer, op::FEED, piece)?;
-        }
-        write_frame(&mut writer, op::END_DOC, &[])?;
-        let mut results: Vec<(u32, String)> = Vec::new();
-        let mut updates: Vec<(u32, f64)> = Vec::new();
+    /// SUB the whole batch; returns the bounds tail of SUB_OK.
+    fn subscribe(&mut self, queries: &[&str]) -> Result<Vec<WireBound>, ClientError> {
+        let reply = self.request(op::SUB, queries.join("\n").as_bytes(), op::SUB_OK, "SUB_OK")?;
+        parse_sub_ok(&reply.payload, queries.len())
+    }
+
+    /// Collect RESULT/UPDATE frames up to the next DOC_OK, render them
+    /// as document `report.docs` and count them.
+    fn render_next_doc(
+        &mut self,
+        report: &mut ClientReport,
+        running: bool,
+        out: &mut impl Write,
+    ) -> Result<(), ClientError> {
+        let (mut results, mut updates) = (Vec::new(), Vec::new());
         loop {
-            let frame = next(&mut writer)?;
+            let frame = self.next()?;
             match frame.op {
-                op::RESULT => {
-                    if frame.payload.len() < 4 {
-                        return Err(ClientError::Protocol("short RESULT".into()));
+                op::RESULT | op::UPDATE => {
+                    let short = || ClientError::Protocol("short RESULT or UPDATE".into());
+                    let (id, value) = frame.payload.split_first_chunk::<4>().ok_or_else(short)?;
+                    let id = QueryId(u32::from_le_bytes(*id));
+                    if frame.op == op::RESULT {
+                        results.push((id, String::from_utf8_lossy(value).into_owned()));
+                    } else {
+                        let value = <[u8; 8]>::try_from(value).map_err(|_| short())?;
+                        updates.push((id, f64::from_le_bytes(value)));
                     }
-                    let id = u32::from_le_bytes(frame.payload[..4].try_into().unwrap());
-                    let value = String::from_utf8_lossy(&frame.payload[4..]).into_owned();
-                    results.push((id, value));
-                }
-                op::UPDATE => {
-                    if frame.payload.len() != 12 {
-                        return Err(ClientError::Protocol("short UPDATE".into()));
-                    }
-                    let id = u32::from_le_bytes(frame.payload[..4].try_into().unwrap());
-                    let value = f64::from_le_bytes(frame.payload[4..].try_into().unwrap());
-                    updates.push((id, value));
                 }
                 op::DOC_OK => break,
                 op::ERR => return Err(remote_err(&frame.payload)),
@@ -243,64 +257,87 @@ pub fn run_corpus(
                 }
             }
         }
+        render_doc(out, report.docs, &results, &updates, running)?;
         report.docs += 1;
         report.results += results.len() as u64;
         report.updates += updates.len() as u64;
-        if opts.running {
-            for (id, v) in &updates {
-                writeln!(out, "# running[{di}:{id}]: {v}").map_err(ClientError::Io)?;
-            }
-        }
-        for (id, v) in &results {
-            writeln!(out, "{di}\t{id}\t{v}").map_err(ClientError::Io)?;
-        }
+        Ok(())
     }
 
+    /// STAT; returns the JSON.
+    fn stat(&mut self) -> Result<String, ClientError> {
+        let frame = self.request(op::STAT, &[], op::STAT_OK, "STAT_OK")?;
+        Ok(String::from_utf8_lossy(&frame.payload).into_owned())
+    }
+
+    /// BYE; returns the wire bytes `(read, written)` over the whole
+    /// conversation.
+    fn bye(mut self) -> Result<(u64, u64), ClientError> {
+        self.request(op::BYE, &[], op::OK, "OK for BYE")?;
+        Ok((self.reader.get_ref().n, self.writer.get_ref().n))
+    }
+}
+
+/// Render one document's replies in the sequential driver's format:
+/// running aggregate updates first (when asked for), then results, each
+/// a `doc<TAB>query<TAB>value` line. The one renderer — what the wire
+/// clients print is what `xsq multi` prints.
+pub fn render_doc(
+    out: &mut impl Write,
+    di: usize,
+    results: &[(QueryId, String)],
+    updates: &[(QueryId, f64)],
+    running: bool,
+) -> std::io::Result<()> {
+    if running {
+        for (id, v) in updates {
+            writeln!(out, "# running[{di}:{}]: {v}", id.0)?;
+        }
+    }
+    for (id, v) in results {
+        writeln!(out, "{di}\t{}\t{v}", id.0)?;
+    }
+    Ok(())
+}
+
+/// Replay `docs` against a server, writing rendered results to `out`.
+///
+/// One SUB carries the whole query set, so the server's prefix-shared
+/// plan is the very [`QuerySet`] the in-process driver compiles and
+/// results arrive in the same order the sequential driver emits them.
+/// Per document the client batches RESULT/UPDATE frames until DOC_OK,
+/// then renders updates (if enabled) before results — the
+/// `run_sequential_with` presentation.
+pub fn run_corpus(
+    addr: &str,
+    queries: &[&str],
+    docs: &[impl AsRef<[u8]>],
+    opts: &ConnectOptions,
+    out: &mut impl Write,
+) -> Result<ClientReport, ClientError> {
+    let mut conn = Conversation::open(addr, 60)?;
+    let mut report = ClientReport {
+        bounds: conn.subscribe(queries)?,
+        ..ClientReport::default()
+    };
+    for doc in docs {
+        for piece in doc.as_ref().chunks(opts.chunk.max(1)) {
+            conn.send(op::FEED, piece)?;
+        }
+        conn.send(op::END_DOC, &[])?;
+        conn.render_next_doc(&mut report, opts.running, out)?;
+    }
     if opts.want_stats {
-        write_frame(&mut writer, op::STAT, &[])?;
-        let frame = next(&mut writer)?;
-        match frame.op {
-            op::STAT_OK => {
-                report.stats_json = Some(String::from_utf8_lossy(&frame.payload).into_owned());
-            }
-            op::ERR => return Err(remote_err(&frame.payload)),
-            other => {
-                return Err(ClientError::Protocol(format!(
-                    "expected STAT_OK, got opcode 0x{other:02x}"
-                )))
-            }
-        }
+        report.stats_json = Some(conn.stat()?);
     }
-
-    write_frame(&mut writer, op::BYE, &[])?;
-    let frame = next(&mut writer)?;
-    if frame.op != op::OK {
-        return Err(ClientError::Protocol(format!(
-            "expected OK for BYE, got opcode 0x{:02x}",
-            frame.op
-        )));
-    }
-    writer.flush()?;
-    report.wire_in = wire_in.load(Ordering::Relaxed);
-    report.wire_out = wire_out.load(Ordering::Relaxed);
+    (report.wire_in, report.wire_out) = conn.bye()?;
     Ok(report)
 }
 
-/// Validate a SUB_OK reply and decode its bounds tail.
-fn parse_sub_ok(reply: &Frame, expected: usize) -> Result<Vec<WireBound>, ClientError> {
-    let count = match reply.op {
-        op::SUB_OK => {
-            if reply.payload.len() < 4 {
-                return Err(ClientError::Protocol("short SUB_OK".into()));
-            }
-            u32::from_le_bytes(reply.payload[..4].try_into().unwrap())
-        }
-        op::ERR => return Err(remote_err(&reply.payload)),
-        other => {
-            return Err(ClientError::Protocol(format!(
-                "expected SUB_OK, got opcode 0x{other:02x}"
-            )))
-        }
+/// Check a SUB_OK payload's count and decode its bounds tail.
+fn parse_sub_ok(payload: &[u8], expected: usize) -> Result<Vec<WireBound>, ClientError> {
+    let Some(count) = payload.first_chunk::<4>().map(|b| u32::from_le_bytes(*b)) else {
+        return Err(ClientError::Protocol("short SUB_OK".into()));
     };
     if count as usize != expected {
         return Err(ClientError::Protocol(format!(
@@ -309,21 +346,16 @@ fn parse_sub_ok(reply: &Frame, expected: usize) -> Result<Vec<WireBound>, Client
     }
     // ids then (on servers that compute them) one WireBound per query;
     // older servers simply end the payload after the ids.
-    let tail = reply.payload.get(4 + 4 * count as usize..).unwrap_or(&[]);
-    let mut bounds = Vec::new();
-    if tail.len() == count as usize * WireBound::SIZE {
-        for raw in tail.chunks_exact(WireBound::SIZE) {
-            match WireBound::decode(raw) {
-                Some(b) => bounds.push(b),
-                None => {
-                    return Err(ClientError::Protocol(
-                        "malformed bound in SUB_OK tail".into(),
-                    ))
-                }
-            }
-        }
+    let tail = payload.get(4 + 4 * count as usize..).unwrap_or(&[]);
+    if tail.len() != count as usize * WireBound::SIZE {
+        return Ok(Vec::new());
     }
-    Ok(bounds)
+    tail.chunks_exact(WireBound::SIZE)
+        .map(|raw| {
+            WireBound::decode(raw)
+                .ok_or_else(|| ClientError::Protocol("malformed bound in SUB_OK tail".into()))
+        })
+        .collect()
 }
 
 /// Feeder settings for [`broadcast_feed`].
@@ -367,122 +399,38 @@ pub fn broadcast_feed(
     docs: &[impl AsRef<[u8]>],
     opts: &FeedOptions,
 ) -> Result<FeedReport, ClientError> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(Duration::from_secs(60)))?;
-    let wire_in = Arc::new(AtomicU64::new(0));
-    let wire_out = Arc::new(AtomicU64::new(0));
-    let mut reader = BufReader::new(Counted {
-        inner: stream.try_clone()?,
-        n: Arc::clone(&wire_in),
-    });
-    let mut writer = BufWriter::new(Counted {
-        inner: stream,
-        n: Arc::clone(&wire_out),
-    });
-    let mut next = |writer: &mut BufWriter<Counted<TcpStream>>| -> Result<Frame, ClientError> {
-        writer.flush()?;
-        match read_frame(&mut reader, MAX_FRAME)? {
-            Some(f) => Ok(f),
-            None => Err(ClientError::Protocol(
-                "server closed the connection mid-conversation".into(),
-            )),
-        }
-    };
-
-    write_frame(&mut writer, op::FEEDER, &[])?;
-    let reply = next(&mut writer)?;
-    match reply.op {
-        op::OK => {}
-        op::ERR => return Err(remote_err(&reply.payload)),
-        other => {
-            return Err(ClientError::Protocol(format!(
-                "expected OK for FEEDER, got opcode 0x{other:02x}"
-            )))
-        }
-    }
-
+    let mut conn = Conversation::open(addr, 60)?;
+    conn.request(op::FEEDER, &[], op::OK, "OK for FEEDER")?;
     if let Some(want) = opts.wait_subs {
-        loop {
-            write_frame(&mut writer, op::STAT, &[])?;
-            let frame = next(&mut writer)?;
-            match frame.op {
-                op::STAT_OK => {
-                    let json = String::from_utf8_lossy(&frame.payload).into_owned();
-                    if stat_field_u64(&json, "subscribers").unwrap_or(0) >= want {
-                        break;
-                    }
-                }
-                op::ERR => return Err(remote_err(&frame.payload)),
-                other => {
-                    return Err(ClientError::Protocol(format!(
-                        "expected STAT_OK, got opcode 0x{other:02x}"
-                    )))
-                }
-            }
+        while stat_field_u64(&conn.stat()?, "subscribers").unwrap_or(0) < want {
             std::thread::sleep(Duration::from_millis(20));
         }
     }
 
     let mut report = FeedReport::default();
-    let chunk = opts.chunk.max(1);
     for (di, doc) in docs.iter().enumerate() {
         let doc = doc.as_ref();
         report.bytes += doc.len() as u64;
-        for piece in doc.chunks(chunk) {
-            write_frame(&mut writer, op::FEED, piece)?;
+        for piece in doc.chunks(opts.chunk.max(1)) {
+            conn.send(op::FEED, piece)?;
         }
-        write_frame(&mut writer, op::END_DOC, &[])?;
-        let frame = next(&mut writer)?;
-        match frame.op {
-            op::DOC_OK => {
-                let acked = frame
-                    .payload
-                    .get(..4)
-                    .map(|b| u32::from_le_bytes(b.try_into().unwrap()));
-                if acked != Some(di as u32) {
-                    return Err(ClientError::Protocol(format!(
-                        "fed document {di}, server acked {acked:?}"
-                    )));
-                }
-            }
-            op::ERR => return Err(remote_err(&frame.payload)),
-            other => {
-                return Err(ClientError::Protocol(format!(
-                    "expected DOC_OK, got opcode 0x{other:02x}"
-                )))
-            }
+        conn.send(op::END_DOC, &[])?;
+        let ack = conn.expect(op::DOC_OK, "DOC_OK")?;
+        let acked = ack
+            .payload
+            .first_chunk::<4>()
+            .map(|b| u32::from_le_bytes(*b));
+        if acked != Some(di as u32) {
+            return Err(ClientError::Protocol(format!(
+                "fed document {di}, server acked {acked:?}"
+            )));
         }
         report.docs += 1;
     }
-
     if opts.want_stats {
-        write_frame(&mut writer, op::STAT, &[])?;
-        let frame = next(&mut writer)?;
-        match frame.op {
-            op::STAT_OK => {
-                report.stats_json = Some(String::from_utf8_lossy(&frame.payload).into_owned());
-            }
-            op::ERR => return Err(remote_err(&frame.payload)),
-            other => {
-                return Err(ClientError::Protocol(format!(
-                    "expected STAT_OK, got opcode 0x{other:02x}"
-                )))
-            }
-        }
+        report.stats_json = Some(conn.stat()?);
     }
-
-    write_frame(&mut writer, op::BYE, &[])?;
-    let frame = next(&mut writer)?;
-    if frame.op != op::OK {
-        return Err(ClientError::Protocol(format!(
-            "expected OK for BYE, got opcode 0x{:02x}",
-            frame.op
-        )));
-    }
-    writer.flush()?;
-    report.wire_in = wire_in.load(Ordering::Relaxed);
-    report.wire_out = wire_out.load(Ordering::Relaxed);
+    (report.wire_in, report.wire_out) = conn.bye()?;
     Ok(report)
 }
 
@@ -497,96 +445,18 @@ pub fn broadcast_subscribe(
     running: bool,
     out: &mut impl Write,
 ) -> Result<ClientReport, ClientError> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(Duration::from_secs(120)))?;
-    let wire_in = Arc::new(AtomicU64::new(0));
-    let wire_out = Arc::new(AtomicU64::new(0));
-    let mut reader = BufReader::new(Counted {
-        inner: stream.try_clone()?,
-        n: Arc::clone(&wire_in),
-    });
-    let mut writer = BufWriter::new(Counted {
-        inner: stream,
-        n: Arc::clone(&wire_out),
-    });
-    let mut next = |writer: &mut BufWriter<Counted<TcpStream>>| -> Result<Frame, ClientError> {
-        writer.flush()?;
-        match read_frame(&mut reader, MAX_FRAME)? {
-            Some(f) => Ok(f),
-            None => Err(ClientError::Protocol(
-                "server closed the connection mid-conversation".into(),
-            )),
-        }
-    };
-
-    write_frame(&mut writer, op::SUB, queries.join("\n").as_bytes())?;
-    let reply = next(&mut writer)?;
-    let bounds = parse_sub_ok(&reply, queries.len())?;
+    let mut conn = Conversation::open(addr, 120)?;
     let mut report = ClientReport {
-        bounds,
+        bounds: conn.subscribe(queries)?,
         ..ClientReport::default()
     };
-
     // Passive from here: the feeder drives the stream; this side only
     // collects each document's frames and renders at DOC_OK, counting
     // documents from its own first boundary like a private session.
     while report.docs < expect_docs {
-        let mut results: Vec<(u32, String)> = Vec::new();
-        let mut updates: Vec<(u32, f64)> = Vec::new();
-        loop {
-            let frame = next(&mut writer)?;
-            match frame.op {
-                op::RESULT => {
-                    if frame.payload.len() < 4 {
-                        return Err(ClientError::Protocol("short RESULT".into()));
-                    }
-                    let id = u32::from_le_bytes(frame.payload[..4].try_into().unwrap());
-                    let value = String::from_utf8_lossy(&frame.payload[4..]).into_owned();
-                    results.push((id, value));
-                }
-                op::UPDATE => {
-                    if frame.payload.len() != 12 {
-                        return Err(ClientError::Protocol("short UPDATE".into()));
-                    }
-                    let id = u32::from_le_bytes(frame.payload[..4].try_into().unwrap());
-                    let value = f64::from_le_bytes(frame.payload[4..].try_into().unwrap());
-                    updates.push((id, value));
-                }
-                op::DOC_OK => break,
-                op::ERR => return Err(remote_err(&frame.payload)),
-                other => {
-                    return Err(ClientError::Protocol(format!(
-                        "unexpected opcode 0x{other:02x} during broadcast"
-                    )))
-                }
-            }
-        }
-        let di = report.docs;
-        report.docs += 1;
-        report.results += results.len() as u64;
-        report.updates += updates.len() as u64;
-        if running {
-            for (id, v) in &updates {
-                writeln!(out, "# running[{di}:{id}]: {v}").map_err(ClientError::Io)?;
-            }
-        }
-        for (id, v) in &results {
-            writeln!(out, "{di}\t{id}\t{v}").map_err(ClientError::Io)?;
-        }
+        conn.render_next_doc(&mut report, running, out)?;
     }
-
-    write_frame(&mut writer, op::BYE, &[])?;
-    let frame = next(&mut writer)?;
-    if frame.op != op::OK {
-        return Err(ClientError::Protocol(format!(
-            "expected OK for BYE, got opcode 0x{:02x}",
-            frame.op
-        )));
-    }
-    writer.flush()?;
-    report.wire_in = wire_in.load(Ordering::Relaxed);
-    report.wire_out = wire_out.load(Ordering::Relaxed);
+    (report.wire_in, report.wire_out) = conn.bye()?;
     Ok(report)
 }
 
@@ -600,17 +470,11 @@ pub fn reference_output(
 ) -> Result<String, String> {
     let set = QuerySet::compile(engine, queries)
         .map_err(|(i, e)| format!("query {} ({}): {e}", i + 1, queries[i]))?;
-    let mut text = String::new();
+    let mut text = Vec::new();
     run_sequential_with(&set, docs, |di, out| {
-        if running {
-            for (id, v) in &out.updates {
-                let _ = writeln!(text, "# running[{di}:{}]: {v}", id.0);
-            }
-        }
-        for (id, v) in &out.results {
-            let _ = writeln!(text, "{di}\t{}\t{v}", id.0);
-        }
+        render_doc(&mut text, di, &out.results, &out.updates, running)
+            .expect("writing to a Vec cannot fail");
     })
     .map_err(|e| e.to_string())?;
-    Ok(text)
+    Ok(String::from_utf8(text).expect("rendered from strings"))
 }

@@ -1,4 +1,4 @@
-//! Broadcast mode: one ingest stream, one shared [`QueryIndex`], many
+//! Broadcast mode: one ingest stream, one shared `QueryIndex`, many
 //! subscribers.
 //!
 //! `xsq serve --broadcast` inverts the per-session model. A single
@@ -46,13 +46,13 @@
 //! replies.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::Instant;
 
-use xsq_core::{PlanCache, QueryId, QueryIndex, QuerySink, XsqEngine, XsqMode};
-use xsq_xml::{ParsePoll, PushParser, StreamParser};
+use xsq_core::{PlanCache, QueryId, QuerySink, XsqEngine};
 
-use crate::proto::{err_payload, errcode, json_escape, op};
+use crate::ingest::Ingest;
+use crate::proto::{err_payload, errcode, op};
 use crate::session::{admit_sub, SessionLimits, TransportStats};
 
 /// One subscriber of one entry: the connection token, the logical
@@ -124,8 +124,8 @@ pub struct Delivery<'a> {
     pub payload: &'a [u8],
 }
 
-/// The broadcast hub: protocol roles, the shared index, and result
-/// fan-out staging. After handling a connection's frames the event
+/// The broadcast hub: protocol roles, the shared ingest core, and
+/// result fan-out staging. After handling a connection's frames the event
 /// loop drains [`Hub::deliveries`] into the per-connection write
 /// buffers (applying the overflow policy), calls
 /// [`Hub::clear_staged`], and marks every token in [`Hub::closes`] for
@@ -134,8 +134,7 @@ pub struct Hub {
     engine: XsqEngine,
     limits: SessionLimits,
     cache: Arc<PlanCache>,
-    index: QueryIndex,
-    parser: PushParser,
+    ingest: Ingest,
     entries: Vec<Option<Entry>>,
     by_key: HashMap<String, usize>,
     /// Global query id → entry slot / local position.
@@ -144,12 +143,6 @@ pub struct Hub {
     /// (token, sid) → entry slot, one batch per logical session.
     sub_entry: HashMap<(u64, Option<u32>), usize>,
     feeder: Option<u64>,
-    doc_active: bool,
-    docs: u32,
-    results: u64,
-    updates: u64,
-    bytes_in: u64,
-    ingest_nanos: u64,
     staging: Staging,
     /// Connections to flush-and-close, drained by the event loop.
     pub closes: Vec<u64>,
@@ -161,27 +154,20 @@ impl Hub {
             engine,
             limits,
             cache,
-            index: QueryIndex::new(engine),
-            parser: StreamParser::push_mode(),
+            ingest: Ingest::new(engine),
             entries: Vec::new(),
             by_key: HashMap::new(),
             id_entry: Vec::new(),
             id_local: Vec::new(),
             sub_entry: HashMap::new(),
             feeder: None,
-            doc_active: false,
-            docs: 0,
-            results: 0,
-            updates: 0,
-            bytes_in: 0,
-            ingest_nanos: 0,
             staging: Staging::default(),
             closes: Vec::new(),
         }
     }
 
     pub fn doc_active(&self) -> bool {
-        self.doc_active
+        self.ingest.doc_active()
     }
 
     pub fn feeder_token(&self) -> Option<u64> {
@@ -331,7 +317,7 @@ impl Hub {
             let slot = match self.by_key.get(plan.key()) {
                 Some(&slot) => slot,
                 None => {
-                    let ids = self.index.subscribe_plan(plan);
+                    let ids = self.ingest.index.subscribe_set(plan.set());
                     let slot = self.entries.len();
                     for (local, id) in ids.iter().enumerate() {
                         debug_assert_eq!(id.0 as usize, self.id_entry.len());
@@ -351,12 +337,12 @@ impl Hub {
             entry.subs.push(SubRef {
                 token,
                 sid,
-                active_from: self.docs + u32::from(self.doc_active),
+                active_from: self.ingest.docs() + u32::from(self.ingest.doc_active()),
             });
             self.sub_entry.insert((token, sid), slot);
             // SUB_OK carries *local* ids 0..n-1 — the ids a private
             // session would have allocated for the same batch.
-            (0..plan.len() as u32).map(QueryId).collect()
+            (0..plan.set().len() as u32).map(QueryId).collect()
         });
         self.stage(token, sid, opcode, &reply);
     }
@@ -371,14 +357,9 @@ impl Hub {
             );
             return;
         }
-        self.doc_active = true;
-        self.bytes_in += payload.len() as u64;
-        let t0 = Instant::now();
-        self.parser.push(payload);
-        let failed = self.pump();
-        self.ingest_nanos += t0.elapsed().as_nanos() as u64;
-        if let Some(e) = failed {
-            self.fail_stream(token, sid, &e);
+        let (mut sink, ingest) = self.fan_sink();
+        if let Err(message) = ingest.feed(payload, &mut sink) {
+            self.fail_stream(token, sid, &message);
         }
     }
 
@@ -392,26 +373,17 @@ impl Hub {
             );
             return;
         }
-        if !self.doc_active {
+        if !self.ingest.doc_active() {
             self.stage_err(token, sid, errcode::PROTOCOL, "END-DOC without any FEED");
             return;
         }
-        let t0 = Instant::now();
-        self.parser.finish();
-        if let Some(e) = self.pump() {
-            self.ingest_nanos += t0.elapsed().as_nanos() as u64;
-            self.fail_stream(token, sid, &e);
-            return;
-        }
-        let (mut sink, index, _) = self.fan_sink();
-        let _ = index.finish(&mut sink);
-        let (results, updates) = (sink.results, sink.updates);
-        self.results += results;
-        self.updates += updates;
-        self.ingest_nanos += t0.elapsed().as_nanos() as u64;
+        let (mut sink, ingest) = self.fan_sink();
+        let docs = match ingest.end_doc(&mut sink) {
+            Ok(docs) => docs,
+            Err(message) => return self.fail_stream(token, sid, &message),
+        };
         // DOC_OK per active subscriber, numbered from each one's own
         // first document (what a private session would report)…
-        let docs = self.docs;
         for sub in self.entries.iter().flatten().flat_map(|e| &e.subs) {
             if sub.active_from <= docs {
                 let to = Recipient::Session {
@@ -423,59 +395,35 @@ impl Hub {
             }
         }
         // …and one global ack to the feeder.
-        self.stage(token, sid, op::DOC_OK, &self.docs.to_le_bytes());
-        self.docs += 1;
-        self.doc_active = false;
-        self.parser.reset_push();
+        self.stage(token, sid, op::DOC_OK, &docs.to_le_bytes());
     }
 
-    /// Drain every event the parser can currently produce through the
-    /// shared index, fanning results as they are determined.
-    fn pump(&mut self) -> Option<xsq_xml::Error> {
-        let (mut sink, index, parser) = self.fan_sink();
-        let failed = loop {
-            match parser.poll_raw() {
-                Ok(ParsePoll::Event(ev)) => index.feed_raw(&ev, &mut sink),
-                Ok(ParsePoll::NeedMore) | Ok(ParsePoll::End) => break None,
-                Err(e) => break Some(e),
-            }
-        };
-        let (results, updates) = (sink.results, sink.updates);
-        self.results += results;
-        self.updates += updates;
-        failed
-    }
-
-    /// The result sink over this hub's staging, with the index and
-    /// parser it is fed from (disjoint borrows of one `Hub`).
-    fn fan_sink(&mut self) -> (FanSink<'_>, &mut QueryIndex, &mut PushParser) {
+    /// The result sink over this hub's staging, with the ingest core it
+    /// is fed from (disjoint borrows of one `Hub`).
+    fn fan_sink(&mut self) -> (FanSink<'_>, &mut Ingest) {
         let sink = FanSink {
             id_entry: &self.id_entry,
             id_local: &self.id_local,
-            cur_doc: self.docs,
+            cur_doc: self.ingest.docs(),
             staging: &mut self.staging,
-            results: 0,
-            updates: 0,
         };
-        (sink, &mut self.index, &mut self.parser)
+        (sink, &mut self.ingest)
     }
 
     /// A parse error poisons the shared stream for everyone: there is
-    /// no per-subscriber recovery from a corrupt broadcast document.
-    /// Every attached connection gets a framed parse error and closes.
-    fn fail_stream(&mut self, feeder_token: u64, feeder_sid: Option<u32>, e: &xsq_xml::Error) {
-        let message = format!("document {}: {e}", self.docs);
-        self.stage_err(feeder_token, feeder_sid, errcode::PARSE, &message);
+    /// no per-subscriber recovery from a corrupt broadcast document (the
+    /// ingest core already dropped it). Every attached connection gets
+    /// the framed parse error and closes.
+    fn fail_stream(&mut self, feeder_token: u64, feeder_sid: Option<u32>, message: &str) {
+        self.stage_err(feeder_token, feeder_sid, errcode::PARSE, message);
         self.closes.push(feeder_token);
         let subs: Vec<(u64, Option<u32>)> = self.sub_entry.keys().copied().collect();
         for (t, s) in subs {
-            self.stage_err(t, s, errcode::PARSE, &message);
+            self.stage_err(t, s, errcode::PARSE, message);
             if t != feeder_token {
                 self.closes.push(t);
             }
         }
-        self.doc_active = false;
-        self.parser.reset_push();
     }
 
     /// A connection went away: release its subscriptions (and cache
@@ -485,15 +433,14 @@ impl Hub {
     pub fn conn_closed(&mut self, token: u64) {
         if self.feeder == Some(token) {
             self.feeder = None;
-            if self.doc_active {
-                let message = format!("feeder disconnected inside document {}", self.docs);
+            if self.ingest.doc_active() {
+                let message = format!("feeder disconnected inside document {}", self.ingest.docs());
                 let subs: Vec<(u64, Option<u32>)> = self.sub_entry.keys().copied().collect();
                 for (t, s) in subs {
                     self.stage_err(t, s, errcode::PROTOCOL, &message);
                     self.closes.push(t);
                 }
-                self.doc_active = false;
-                self.parser.reset_push();
+                self.ingest.abort();
             }
         }
         let gone: Vec<(u64, Option<u32>)> = self
@@ -525,7 +472,7 @@ impl Hub {
             if entry.subs.is_empty() {
                 let entry = self.entries[slot].take().expect("live entry");
                 for id in entry.ids {
-                    self.index.unsubscribe(id);
+                    self.ingest.index.unsubscribe(id);
                 }
                 self.by_key.remove(&entry.key);
             }
@@ -533,35 +480,17 @@ impl Hub {
         true
     }
 
-    /// The broadcast STAT reply: shared-stream counters plus the
-    /// loop-level transport numbers.
+    /// The broadcast STAT reply: the shared stream's ingest counters,
+    /// the hub's roles, then the loop-level transport numbers.
     fn stat_json(&self, transport: &TransportStats, backend: &'static str) -> String {
-        let secs = self.ingest_nanos as f64 / 1e9;
-        let mb_per_sec = if secs > 0.0 {
-            self.bytes_in as f64 / (1024.0 * 1024.0) / secs
-        } else {
-            0.0
-        };
-        let mut json = format!(
-            "{{\"engine\":\"{}\",\"backend\":\"{}\",\
-             \"subscribers\":{},\"feeder\":{},\"entries\":{},\"docs\":{},\
-             \"doc_active\":{},\"events\":{},\"results\":{},\"updates\":{},\
-             \"bytes_in\":{},\"ingest_mb_per_sec\":{:.2},",
-            json_escape(match self.engine.mode() {
-                XsqMode::Full => "xsq-f",
-                XsqMode::NoClosure => "xsq-nc",
-            }),
-            backend,
+        let mut json = String::new();
+        self.ingest.write_stat(&mut json);
+        let _ = write!(
+            json,
+            "\"backend\":\"{backend}\",\"subscribers\":{},\"feeder\":{},\"entries\":{},",
             self.subscriber_count(),
             self.feeder.is_some(),
             self.by_key.len(),
-            self.docs,
-            self.doc_active,
-            self.index.events(),
-            self.results,
-            self.updates,
-            self.bytes_in,
-            mb_per_sec,
         );
         // Logical sessions here are the attached subscribers.
         let transport = TransportStats {
@@ -582,8 +511,6 @@ struct FanSink<'a> {
     id_local: &'a [u32],
     cur_doc: u32,
     staging: &'a mut Staging,
-    results: u64,
-    updates: u64,
 }
 
 impl FanSink<'_> {
@@ -603,12 +530,10 @@ impl FanSink<'_> {
 
 impl QuerySink for FanSink<'_> {
     fn result(&mut self, id: QueryId, value: &str) {
-        self.results += 1;
         self.fan(id, op::RESULT, value.as_bytes());
     }
 
     fn aggregate_update(&mut self, id: QueryId, value: f64) {
-        self.updates += 1;
         self.fan(id, op::UPDATE, &value.to_le_bytes());
     }
 }

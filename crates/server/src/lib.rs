@@ -11,10 +11,12 @@
 //!   FEED / END-DOC / STAT / BYE requests; SUB_OK / RESULT / UPDATE /
 //!   DOC_OK / STAT_OK / OK / ERR replies). The wire contract is
 //!   specified in `DESIGN.md`.
-//! * [`session`] — the per-connection state machine: a private
-//!   [`xsq_core::QueryIndex`] partition fed through the zero-copy
-//!   `RawEvent` path by a [`xsq_xml::PushParser`], so FEED chunks may
-//!   split tokens, UTF-8 sequences, or `]]>` at any byte boundary.
+//! * [`session`] — the per-connection state machine: SUB/UNSUB
+//!   bookkeeping around a private ingest core (a
+//!   [`xsq_core::QueryIndex`] fed through the zero-copy `RawEvent` path
+//!   by a [`xsq_xml::PushParser`], so FEED chunks may split tokens,
+//!   UTF-8 sequences, or `]]>` at any byte boundary). The broadcast hub
+//!   owns the same core, shared.
 //! * [`server`] — configuration, the state loop threads share, and
 //!   the handle that drains and stops them.
 //! * [`eventloop`] (Unix) — the serving model: an epoll/poll poller
@@ -28,12 +30,13 @@
 pub mod client;
 #[cfg(unix)]
 pub mod eventloop;
+mod ingest;
 pub mod proto;
 pub mod server;
 pub mod session;
 
 pub use client::{
-    broadcast_feed, broadcast_subscribe, reference_output, run_corpus, stat_field_str,
+    broadcast_feed, broadcast_subscribe, reference_output, render_doc, run_corpus, stat_field_str,
     stat_field_u64, stat_transport_summary, ClientError, ClientReport, ConnectOptions, FeedOptions,
     FeedReport,
 };

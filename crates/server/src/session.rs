@@ -1,20 +1,18 @@
-//! One client session: a protocol state machine around a
-//! [`QueryIndex`] partition and a push-fed parser.
+//! One client session: a protocol state machine around a private
+//! ingest core.
 //!
 //! The session is transport-agnostic — it consumes decoded
 //! [`Frame`]s and emits reply frames through an [`Outbox`], so the
 //! same state machine runs under the TCP server and under in-process
 //! tests with no socket at all. Per connection it owns:
 //!
-//! * a private [`QueryIndex`] (sessions never share runtime state, so
-//!   one slow client cannot stall another's dispatch) whose plans come
-//!   out of a [`PlanCache`] — the server's shared one, or the session's
-//!   own when nothing shares it,
-//! * a [`PushParser`] fed FEED payloads exactly as they arrive off the
-//!   wire — chunks may split tokens, multi-byte UTF-8 sequences, or
-//!   `]]>` anywhere; the push layer guarantees the event stream is
-//!   identical to a one-shot parse,
-//! * the metrics reported by STAT.
+//! * a private [`Ingest`] — a `QueryIndex` (sessions never share
+//!   runtime state, so one slow client cannot stall another's dispatch)
+//!   behind a push parser fed FEED payloads exactly as they arrive off
+//!   the wire, with the counters STAT reports,
+//! * the SUB/UNSUB bookkeeping: compiled batches come out of a
+//!   [`PlanCache`] — the server's shared one, or the session's own when
+//!   nothing shares it — and every checkout is released exactly once.
 //!
 //! Subscription changes that arrive *mid-document* (between the first
 //! FEED and its END-DOC) are deferred to the document boundary: the
@@ -26,12 +24,12 @@
 use std::sync::Arc;
 
 use xsq_core::{
-    CachedPlan, CompileError, MemoryBound, PlanCache, PlanCacheStats, QueryId, QueryIndex,
-    QuerySink, XsqEngine, XsqMode,
+    query_lines, CachedPlan, CompileError, MemoryBound, PlanCache, PlanCacheStats, QueryId,
+    QuerySink, XsqEngine,
 };
 use xsq_xml::dtd::Dtd;
-use xsq_xml::{ParsePoll, PushParser, StreamParser};
 
+use crate::ingest::Ingest;
 use crate::proto::{err_payload, errcode, json_escape, op, ErrDiagnostic, Frame, WireBound};
 
 /// Per-session admission policy, shared by every connection of one
@@ -77,13 +75,10 @@ struct FrameSink<'a> {
     out: &'a mut dyn Outbox,
     /// The session's reusable RESULT payload buffer (`id | value`).
     scratch: &'a mut Vec<u8>,
-    results: u64,
-    updates: u64,
 }
 
 impl QuerySink for FrameSink<'_> {
     fn result(&mut self, id: QueryId, value: &str) {
-        self.results += 1;
         self.scratch.clear();
         self.scratch.extend_from_slice(&id.0.to_le_bytes());
         self.scratch.extend_from_slice(value.as_bytes());
@@ -91,7 +86,6 @@ impl QuerySink for FrameSink<'_> {
     }
 
     fn aggregate_update(&mut self, id: QueryId, value: f64) {
-        self.updates += 1;
         let mut payload = [0u8; 12];
         payload[..4].copy_from_slice(&id.0.to_le_bytes());
         payload[4..].copy_from_slice(&value.to_le_bytes());
@@ -99,10 +93,11 @@ impl QuerySink for FrameSink<'_> {
     }
 }
 
-/// Session metrics (the STAT reply), accumulated across documents.
+/// Ingest metrics (the STAT reply), accumulated across documents.
 #[derive(Debug, Default, Clone)]
 pub struct SessionStats {
     pub bytes_in: u64,
+    /// Frames a private session handled (the broadcast hub counts none).
     pub frames_in: u64,
     pub docs: u32,
     pub results: u64,
@@ -189,12 +184,7 @@ struct BatchRef {
 /// One connection's protocol state machine.
 pub struct Session {
     engine: XsqEngine,
-    index: QueryIndex,
-    parser: PushParser,
-    engine_name: &'static str,
-    stats: SessionStats,
-    /// A FEED arrived since the last document boundary.
-    doc_active: bool,
+    ingest: Ingest,
     /// SUB batches promised mid-document, applied at the next boundary.
     /// Each was checked out of the cache at SUB time, so applying it
     /// cannot fail and its reference is already counted.
@@ -223,14 +213,7 @@ impl Session {
     pub fn with_limits(engine: XsqEngine, limits: SessionLimits) -> Session {
         Session {
             engine,
-            index: QueryIndex::new(engine),
-            parser: StreamParser::push_mode(),
-            engine_name: match engine.mode() {
-                XsqMode::Full => "xsq-f",
-                XsqMode::NoClosure => "xsq-nc",
-            },
-            stats: SessionStats::default(),
-            doc_active: false,
+            ingest: Ingest::new(engine),
             pending_subs: Vec::new(),
             pending_unsubs: Vec::new(),
             promised: 0,
@@ -260,11 +243,11 @@ impl Session {
     /// The server uses this to decide how hard it may drain on
     /// shutdown.
     pub fn doc_active(&self) -> bool {
-        self.doc_active
+        self.ingest.doc_active()
     }
 
     pub fn stats(&self) -> &SessionStats {
-        &self.stats
+        &self.ingest.stats
     }
 
     /// Handle one decoded frame, emitting replies through `out`.
@@ -275,7 +258,7 @@ impl Session {
     /// [`Session::handle_frame`] on a borrowed payload: a transport
     /// that strips a session prefix passes the rest of its buffer.
     pub fn handle(&mut self, opcode: u8, payload: &[u8], out: &mut dyn Outbox) -> Action {
-        self.stats.frames_in += 1;
+        self.ingest.stats.frames_in += 1;
         match opcode {
             op::SUB => self.on_sub(payload, out),
             op::UNSUB => self.on_unsub(payload, out),
@@ -307,22 +290,16 @@ impl Session {
     fn on_sub(&mut self, payload: &[u8], out: &mut dyn Outbox) -> Action {
         let (engine, limits, cache) = (self.engine, &self.limits, &self.cache);
         let (opcode, reply) = admit_sub(engine, limits, cache, payload, |plan| {
-            if self.doc_active {
+            if self.ingest.doc_active() {
                 // Promise the ids now; the index changes at the boundary.
-                let base = self.index.len() as u32 + self.promised;
-                self.promised += plan.len() as u32;
+                let base = self.ingest.index.len() as u32 + self.promised;
+                self.promised += plan.set().len() as u32;
                 self.pending_subs.push(Arc::clone(plan));
-                (base..self.index.len() as u32 + self.promised)
+                (base..self.ingest.index.len() as u32 + self.promised)
                     .map(QueryId)
                     .collect()
             } else {
-                let ids = self.index.subscribe_plan(plan);
-                self.batches.push(BatchRef {
-                    live: ids.len(),
-                    ids: ids.clone(),
-                    key: plan.key().to_string(),
-                });
-                ids
+                apply_sub(&mut self.ingest, &mut self.batches, plan)
             }
         });
         out.send(opcode, &reply);
@@ -338,7 +315,7 @@ impl Session {
             return Action::Continue;
         };
         let id = QueryId(u32::from_le_bytes(bytes));
-        if id.0 >= self.index.len() as u32 + self.promised {
+        if id.0 >= self.ingest.index.len() as u32 + self.promised {
             out.send(
                 op::ERR,
                 &err_payload(
@@ -349,7 +326,7 @@ impl Session {
             );
             return Action::Continue;
         }
-        if self.doc_active {
+        if self.ingest.doc_active() {
             self.pending_unsubs.push(id);
         } else {
             self.apply_unsub(id);
@@ -363,7 +340,7 @@ impl Session {
     /// cache reference is released (evicting the compiled plan if this
     /// was its last subscriber anywhere).
     fn apply_unsub(&mut self, id: QueryId) {
-        if !self.index.unsubscribe(id) {
+        if !self.ingest.index.unsubscribe(id) {
             return;
         }
         let Some(batch) = self.batches.iter_mut().find(|b| b.ids.contains(&id)) else {
@@ -376,54 +353,36 @@ impl Session {
     }
 
     fn on_feed(&mut self, payload: &[u8], out: &mut dyn Outbox) -> Action {
-        self.doc_active = true;
-        self.stats.bytes_in += payload.len() as u64;
-        let t0 = std::time::Instant::now();
-        self.parser.push(payload);
-        let action = self.pump(out);
-        self.stats.ingest_nanos += t0.elapsed().as_nanos() as u64;
-        action
+        let mut sink = FrameSink {
+            out,
+            scratch: &mut self.scratch,
+        };
+        match self.ingest.feed(payload, &mut sink) {
+            Ok(()) => Action::Continue,
+            Err(message) => fail_stream(&message, out),
+        }
     }
 
     fn on_end_doc(&mut self, out: &mut dyn Outbox) -> Action {
-        if !self.doc_active {
+        if !self.ingest.doc_active() {
             out.send(
                 op::ERR,
                 &err_payload(errcode::PROTOCOL, "END-DOC without any FEED", &[]),
             );
             return Action::Continue;
         }
-        let t0 = std::time::Instant::now();
-        self.parser.finish();
-        let drained = self.pump(out);
-        self.stats.ingest_nanos += t0.elapsed().as_nanos() as u64;
-        if drained == Action::Close {
-            return Action::Close;
-        }
         let mut sink = FrameSink {
             out,
             scratch: &mut self.scratch,
-            results: 0,
-            updates: 0,
         };
-        let run = self.index.finish(&mut sink);
-        self.stats.results += sink.results;
-        self.stats.updates += sink.updates;
-        self.stats.peak_buffered_bytes = self.stats.peak_buffered_bytes.max(run.memory.peak_bytes);
-        self.stats.peak_configs = self.stats.peak_configs.max(run.memory.peak_configs);
-        out.send(op::DOC_OK, &self.stats.docs.to_le_bytes());
-        self.stats.docs += 1;
-        self.doc_active = false;
-        self.parser.reset_push();
+        match self.ingest.end_doc(&mut sink) {
+            Ok(doc) => out.send(op::DOC_OK, &doc.to_le_bytes()),
+            Err(message) => return fail_stream(&message, out),
+        }
         // Deferred subscription changes: promised subs first (their ids
         // must exist before an interleaved UNSUB can name them).
         for plan in std::mem::take(&mut self.pending_subs) {
-            let ids = self.index.subscribe_plan(&plan);
-            self.batches.push(BatchRef {
-                live: ids.len(),
-                ids,
-                key: plan.key().to_string(),
-            });
+            apply_sub(&mut self.ingest, &mut self.batches, &plan);
         }
         self.promised = 0;
         for id in std::mem::take(&mut self.pending_unsubs) {
@@ -432,89 +391,37 @@ impl Session {
         Action::Continue
     }
 
-    /// Drain every event the parser can currently produce into the
-    /// index. A parse error is fatal for the session: the byte stream
-    /// position is unrecoverable, so the client gets one framed error
-    /// (fail-fast, like the sharded driver's lowest-doc report) and
-    /// the connection closes.
-    fn pump(&mut self, out: &mut dyn Outbox) -> Action {
-        let Session {
-            index,
-            parser,
-            scratch,
-            ..
-        } = self;
-        let mut sink = FrameSink {
-            out,
-            scratch,
-            results: 0,
-            updates: 0,
-        };
-        let failed = loop {
-            match parser.poll_raw() {
-                Ok(ParsePoll::Event(ev)) => index.feed_raw(&ev, &mut sink),
-                Ok(ParsePoll::NeedMore) | Ok(ParsePoll::End) => break None,
-                Err(e) => break Some(e),
-            }
-        };
-        self.stats.results += sink.results;
-        self.stats.updates += sink.updates;
-        match failed {
-            None => Action::Continue,
-            Some(e) => {
-                out.send(
-                    op::ERR,
-                    &err_payload(
-                        errcode::PARSE,
-                        &format!("document {}: {e}", self.stats.docs),
-                        &[],
-                    ),
-                );
-                Action::Close
-            }
-        }
-    }
-
-    /// The STAT reply: RunReport-style counters plus wire totals and
-    /// ingest throughput (bytes and events over time spent inside
-    /// FEED/END-DOC handling, so kernel wins show up per session).
+    /// The STAT reply: the ingest counters, this session's wire totals,
+    /// then the transport and cache members every STAT shares.
     fn stat_json(&self) -> String {
-        let secs = self.stats.ingest_nanos as f64 / 1e9;
-        let (mb_per_sec, events_per_sec) = if secs > 0.0 {
-            (
-                self.stats.bytes_in as f64 / (1024.0 * 1024.0) / secs,
-                self.index.events() as f64 / secs,
-            )
-        } else {
-            (0.0, 0.0)
-        };
-        let mut json = format!(
-            "{{\"engine\":\"{}\",\"queries\":{},\"active\":{},\"groups\":{},\
-             \"docs\":{},\"doc_active\":{},\"events\":{},\"touches\":{},\
-             \"results\":{},\"updates\":{},\"peak_buffered_bytes\":{},\
-             \"peak_configs\":{},\"bytes_in\":{},\"frames_in\":{},\
-             \"ingest_mb_per_sec\":{:.2},\"events_per_sec\":{:.0},",
-            json_escape(self.engine_name),
-            self.index.len(),
-            self.index.active_len(),
-            self.index.group_count(),
-            self.stats.docs,
-            self.doc_active,
-            self.index.events(),
-            self.index.touches(),
-            self.stats.results,
-            self.stats.updates,
-            self.stats.peak_buffered_bytes,
-            self.stats.peak_configs,
-            self.stats.bytes_in,
-            self.stats.frames_in,
-            mb_per_sec,
-            events_per_sec,
-        );
+        use std::fmt::Write as _;
+        let mut json = String::new();
+        self.ingest.write_stat(&mut json);
+        let _ = write!(json, "\"frames_in\":{},", self.ingest.stats.frames_in);
         self.transport
             .finish_stat_json(self.cache.stats(), &mut json);
         json
     }
+}
+
+/// Instantiate an admitted batch in the index and file it for cache
+/// accounting. Returns the ids the index allocated.
+fn apply_sub(ingest: &mut Ingest, batches: &mut Vec<BatchRef>, plan: &CachedPlan) -> Vec<QueryId> {
+    let ids = ingest.index.subscribe_set(plan.set());
+    batches.push(BatchRef {
+        live: ids.len(),
+        ids: ids.clone(),
+        key: plan.key().to_string(),
+    });
+    ids
+}
+
+/// A parse error is fatal for the session: the byte stream position is
+/// unrecoverable, so the client gets one framed error (fail-fast, like
+/// the sharded driver's lowest-doc report) and the connection closes.
+fn fail_stream(message: &str, out: &mut dyn Outbox) -> Action {
+    out.send(op::ERR, &err_payload(errcode::PARSE, message, &[]));
+    Action::Close
 }
 
 impl Drop for Session {
@@ -553,11 +460,7 @@ pub(crate) fn admit_sub(
         let err = err_payload(errcode::PROTOCOL, "SUB payload is not UTF-8", &[]);
         return (op::ERR, err);
     };
-    let queries: Vec<&str> = text
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .collect();
+    let queries = query_lines(text);
     if queries.is_empty() {
         let err = err_payload(errcode::BAD_QUERY, "SUB carried no queries", &[]);
         return (op::ERR, err);

@@ -90,6 +90,16 @@ fn broadcast_serves_256_subscribers_byte_identically() {
     let stats = feed.stats_json.expect("STAT after feed");
     assert_eq!(stat_field_u64(&stats, "docs"), Some(docs.len() as u64));
     assert_eq!(stat_field_u64(&stats, "dropped_broadcast"), Some(0));
+    // The hub reports the shared index through the same ingest core a
+    // private session does: six queries over the four batches, however
+    // many of their subscribers have already said BYE.
+    assert_eq!(stat_field_u64(&stats, "queries"), Some(6));
+    for key in ["groups", "touches", "peak_buffered_bytes", "peak_configs"] {
+        assert!(stat_field_u64(&stats, key) > Some(0), "{key} in {stats}");
+    }
+    for key in ["active", "events_per_sec"] {
+        assert!(stat_field_u64(&stats, key).is_some(), "{key} in {stats}");
+    }
 
     for t in threads {
         let (i, got) = t.join().expect("subscriber thread");

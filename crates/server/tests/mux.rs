@@ -425,8 +425,12 @@ fn wire_v1_replies_equal_a_single_v2_session_minus_the_prefix() {
         "//price/sum()",
         "//book/count()",
     ];
+    // The second SUB's third query is unsupported; it shares a prefix
+    // group with the first two, so the rejection surfaces from planning.
+    let unsupported = "/a/b/text()\n/a/c/text()\n/a/b[position()=2]/text()";
     let mut script: Vec<(u8, Vec<u8>)> = vec![
         (op::SUB, b"/a[".to_vec()),
+        (op::SUB, unsupported.as_bytes().to_vec()),
         (op::SUB, queries.join("\n").into_bytes()),
     ];
     for doc in [DOC_A, DOC_B, DOC_A] {
@@ -446,6 +450,19 @@ fn wire_v1_replies_equal_a_single_v2_session_minus_the_prefix() {
         assert!(ops(&v1).contains(&want), "no 0x{want:02x} reply in the run");
     }
     assert_eq!(err_code_of(&v1[0]), errcode::BAD_QUERY);
+    // A rejected batch names the query that carries the offence — text
+    // and diagnostics alike — in either framing (payloads compare below).
+    assert_eq!(err_code_of(&v1[1]), errcode::BAD_QUERY);
+    let rejected = String::from_utf8_lossy(&v1[1].payload).into_owned();
+    assert!(
+        rejected.contains("query 3 (/a/b[position()=2]/text())"),
+        "{rejected}"
+    );
+    assert!(!rejected.contains("query 1"), "{rejected}");
+    assert!(
+        rejected.contains("\"diagnostics\":[") && rejected.contains("step `/b[position()=2]`"),
+        "{rejected}"
+    );
     for (a, b) in v1.iter().zip(&v2) {
         if a.op == op::STAT_OK {
             // Counters differ (connections, queue marks); the shape may not.

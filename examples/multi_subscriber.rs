@@ -91,7 +91,10 @@ fn main() {
     let query = parse_query("/root/pub/book[author]/name/text()").unwrap();
     let mut projector = Projector::new(&query);
     let events = xsq::xml::parse_to_events(feed[0]).unwrap();
-    let kept: Vec<_> = events.iter().filter(|e| projector.keep(e)).collect();
+    let kept: Vec<_> = events
+        .iter()
+        .filter(|e| projector.keep(&e.as_raw()))
+        .collect();
     println!(
         "\nprojection for {}: kept {} of {} events ({:.0}% dropped)",
         query,

@@ -98,15 +98,15 @@ fn main() {
         },
     ];
     for ev in &prologue {
-        select_run.feed(ev, &mut select_sink);
-        max_run.feed(ev, &mut max_sink);
+        select_run.feed_raw(&ev.as_raw(), &mut select_sink);
+        max_run.feed_raw(&ev.as_raw(), &mut max_sink);
     }
 
     for i in 0..12 {
         println!("tick {i}:");
         for ev in trade_events(i) {
-            select_run.feed(&ev, &mut select_sink);
-            max_run.feed(&ev, &mut max_sink);
+            select_run.feed_raw(&ev.as_raw(), &mut select_sink);
+            max_run.feed_raw(&ev.as_raw(), &mut max_sink);
         }
     }
 

@@ -73,7 +73,8 @@ use std::time::{Duration, Instant};
 
 use xsq::baselines::{GalaxLike, JoostLike, SaxonLike, XmltkLike, XqEngineLike};
 use xsq::engine::{
-    run_sharded_with, QueryId, QuerySet, QuerySink, ShardOptions, Sink, XPathEngine, XsqEngine,
+    query_lines, run_sharded_with, QueryId, QuerySet, QuerySink, ShardOptions, Sink, XPathEngine,
+    XsqEngine,
 };
 
 /// Distinct exit codes per error class, so scripts (and CI) can tell
@@ -171,32 +172,15 @@ fn parse_args() -> Result<Options, String> {
                 o.queries = Some(args.next().ok_or("--queries needs a file")?);
             }
             "--shard" => {
-                o.shard = args
-                    .next()
-                    .ok_or("--shard needs a worker count")?
-                    .parse()
-                    .map_err(|_| "--shard needs a number (0 = one per CPU)".to_string())?;
+                o.shard = number(&mut args, "--shard", "a worker count (0 = one per CPU)")?
             }
             "--addr" => {
                 o.addr = args.next().ok_or("--addr needs HOST:PORT")?;
             }
-            "--chunk" => {
-                let n: usize = args
-                    .next()
-                    .ok_or("--chunk needs a byte count")?
-                    .parse()
-                    .map_err(|_| "--chunk needs a positive number".to_string())?;
-                if n == 0 {
-                    return Err("--chunk needs a positive number".into());
-                }
-                o.chunk = n;
-            }
+            "--chunk" => o.chunk = positive(&mut args, "--chunk", "a byte count")?,
             "--idle-timeout" => {
-                o.idle_timeout = args
-                    .next()
-                    .ok_or("--idle-timeout needs seconds")?
-                    .parse()
-                    .map_err(|_| "--idle-timeout needs seconds (may be fractional)".to_string())?;
+                o.idle_timeout =
+                    number(&mut args, "--idle-timeout", "seconds (may be fractional)")?;
             }
             "--verify" => o.verify = true,
             "--stats" => o.stats = true,
@@ -212,36 +196,13 @@ fn parse_args() -> Result<Options, String> {
             "--dtd" => {
                 o.dtd = Some(args.next().ok_or("--dtd needs a file")?);
             }
-            "--max-bound" => {
-                o.max_bound = Some(
-                    args.next()
-                        .ok_or("--max-bound needs an item count")?
-                        .parse()
-                        .map_err(|_| "--max-bound needs a non-negative number".to_string())?,
-                );
-            }
+            "--max-bound" => o.max_bound = Some(number(&mut args, "--max-bound", "an item count")?),
             "--loop-threads" => {
-                let n: usize = args
-                    .next()
-                    .ok_or("--loop-threads needs a thread count")?
-                    .parse()
-                    .map_err(|_| "--loop-threads needs a positive number".to_string())?;
-                if n == 0 {
-                    return Err("--loop-threads needs a positive number".into());
-                }
-                o.loop_threads = n;
+                o.loop_threads = positive(&mut args, "--loop-threads", "a thread count")?;
             }
             "--broadcast" => o.broadcast = true,
             "--broadcast-queue" => {
-                let n: usize = args
-                    .next()
-                    .ok_or("--broadcast-queue needs a frame count")?
-                    .parse()
-                    .map_err(|_| "--broadcast-queue needs a positive number".to_string())?;
-                if n == 0 {
-                    return Err("--broadcast-queue needs a positive number".into());
-                }
-                o.broadcast_queue = n;
+                o.broadcast_queue = positive(&mut args, "--broadcast-queue", "a frame count")?;
             }
             "--broadcast-policy" => {
                 o.broadcast_policy = args
@@ -251,19 +212,10 @@ fn parse_args() -> Result<Options, String> {
             "--broadcast-feed" => o.broadcast_feed = true,
             "--broadcast-sub" => o.broadcast_sub = true,
             "--expect-docs" => {
-                o.expect_docs = args
-                    .next()
-                    .ok_or("--expect-docs needs a document count")?
-                    .parse()
-                    .map_err(|_| "--expect-docs needs a number".to_string())?;
+                o.expect_docs = number(&mut args, "--expect-docs", "a document count")?
             }
             "--wait-subs" => {
-                o.wait_subs = Some(
-                    args.next()
-                        .ok_or("--wait-subs needs a subscriber count")?
-                        .parse()
-                        .map_err(|_| "--wait-subs needs a number".to_string())?,
-                );
+                o.wait_subs = Some(number(&mut args, "--wait-subs", "a subscriber count")?);
             }
             "--help" | "-h" => return Err(String::new()),
             _ if a.starts_with("--") => return Err(format!("unknown option '{a}'")),
@@ -271,6 +223,29 @@ fn parse_args() -> Result<Options, String> {
         }
     }
     Ok(o)
+}
+
+/// The value of numeric option `flag` — `what`, in words, for the error.
+fn number<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> Result<T, String> {
+    args.next()
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| format!("{flag} needs {what}"))
+}
+
+/// [`number`], at least 1.
+fn positive(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> Result<usize, String> {
+    match number(args, flag, what)? {
+        0 => Err(format!("{flag} needs {what}, at least 1")),
+        n => Ok(n),
+    }
 }
 
 struct StdoutSink {
@@ -358,30 +333,79 @@ impl QuerySink for QueryStdoutSink {
     }
 }
 
+/// The native engine `name` selects, if it names one.
+fn native_engine(name: &str) -> Option<XsqEngine> {
+    match name {
+        "xsq-f" => Some(XsqEngine::full()),
+        "xsq-nc" => Some(XsqEngine::no_closure()),
+        _ => None,
+    }
+}
+
+/// What every query-batch mode starts from: the native engine, the
+/// batch text (`--queries QFILE`, else the first of `rest` as the one
+/// QUERY) and the FILE arguments after it. A batch with no query in it
+/// is a usage error, whichever way it was given.
+fn batch_inputs<'a>(
+    opts: &Options,
+    rest: &'a [String],
+    what: &str,
+) -> Result<(XsqEngine, String, &'a [String]), ExitCode> {
+    let Some(engine) = native_engine(&opts.engine) else {
+        return Err(usage(&format!(
+            "{what} runs on xsq-f or xsq-nc, not '{}'",
+            opts.engine
+        )));
+    };
+    let (text, files) = match &opts.queries {
+        Some(qfile) => match std::fs::read_to_string(qfile) {
+            Ok(t) => (t, rest),
+            Err(e) => return Err(fail_io(&format!("reading {qfile}: {e}"))),
+        },
+        None => match rest.split_first() {
+            Some((q, files)) => (q.clone(), files),
+            None => return Err(usage(&format!("{what} needs a QUERY (or --queries QFILE)"))),
+        },
+    };
+    if query_lines(&text).is_empty() {
+        return Err(usage(&format!("{what} needs at least one query")));
+    }
+    Ok((engine, text, files))
+}
+
+fn compile_set(engine: XsqEngine, queries: &[&str]) -> Result<QuerySet, ExitCode> {
+    QuerySet::compile(engine, queries)
+        .map_err(|(i, e)| fail_query(&format!("query {} ({}): {e}", i + 1, queries[i])))
+}
+
+fn read_docs(files: &[String]) -> Result<Vec<Vec<u8>>, ExitCode> {
+    files
+        .iter()
+        .map(|f| read_input(Some(f)).map_err(|e| fail_io(&e)))
+        .collect()
+}
+
+fn load_dtd(path: Option<&String>) -> Result<Option<xsq::xml::dtd::Dtd>, ExitCode> {
+    let Some(path) = path else { return Ok(None) };
+    let text =
+        std::fs::read_to_string(path).map_err(|e| fail_io(&format!("reading {path}: {e}")))?;
+    match xsq::xml::dtd::Dtd::parse(&text) {
+        Ok(dtd) => Ok(Some(dtd)),
+        Err(e) => Err(fail_run(&format!("parsing {path}: {e}"))),
+    }
+}
+
 /// `--queries FILE` mode: the whole standing query set evaluates in one
 /// pass per document via the query index (prefix-shared compilation,
 /// dispatch-indexed event routing).
-fn run_query_file(path: &str, opts: &Options) -> ExitCode {
-    let engine = match opts.engine.as_str() {
-        "xsq-f" => XsqEngine::full(),
-        "xsq-nc" => XsqEngine::no_closure(),
-        other => return usage(&format!("--queries runs on xsq-f or xsq-nc, not '{other}'")),
+fn run_query_file(opts: &Options) -> ExitCode {
+    let (engine, text, _) = match batch_inputs(opts, &opts.positional, "--queries") {
+        Ok(inputs) => inputs,
+        Err(code) => return code,
     };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => return fail_io(&format!("reading {path}: {e}")),
-    };
-    let queries: Vec<&str> = text
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .collect();
-    if queries.is_empty() {
-        return fail_query(&format!("{path} contains no queries"));
-    }
-    let set = match QuerySet::compile(engine, &queries) {
+    let set = match compile_set(engine, &query_lines(&text)) {
         Ok(s) => s,
-        Err((i, e)) => return fail_query(&format!("query {} ({}): {e}", i + 1, queries[i])),
+        Err(code) => return code,
     };
 
     let files: Vec<Option<String>> = if opts.positional.is_empty() {
@@ -436,44 +460,21 @@ fn run_query_file(path: &str, opts: &Options) -> ExitCode {
 /// default) sizes the pool to the machine; `--shard 1` is the sequential
 /// driver with identical output.
 fn run_multi(opts: &Options) -> ExitCode {
-    let engine = match opts.engine.as_str() {
-        "xsq-f" => XsqEngine::full(),
-        "xsq-nc" => XsqEngine::no_closure(),
-        other => return usage(&format!("multi runs on xsq-f or xsq-nc, not '{other}'")),
+    let (engine, text, files) = match batch_inputs(opts, &opts.positional[1..], "multi") {
+        Ok(inputs) => inputs,
+        Err(code) => return code,
     };
-    let rest = &opts.positional[1..];
-    let (query_text, files): (String, &[String]) = match &opts.queries {
-        Some(qfile) => match std::fs::read_to_string(qfile) {
-            Ok(t) => (t, rest),
-            Err(e) => return fail_io(&format!("reading {qfile}: {e}")),
-        },
-        None => match rest.split_first() {
-            Some((q, files)) => (q.clone(), files),
-            None => return usage("multi needs a QUERY (or --queries QFILE)"),
-        },
-    };
-    let queries: Vec<&str> = query_text
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .collect();
-    if queries.is_empty() {
-        return usage("multi needs at least one query");
-    }
     if files.is_empty() {
         return usage("multi needs at least one FILE");
     }
-    let set = match QuerySet::compile(engine, &queries) {
+    let set = match compile_set(engine, &query_lines(&text)) {
         Ok(s) => s,
-        Err((i, e)) => return fail_query(&format!("query {} ({}): {e}", i + 1, queries[i])),
+        Err(code) => return code,
     };
-    let mut docs = Vec::with_capacity(files.len());
-    for f in files {
-        match std::fs::read(f) {
-            Ok(d) => docs.push(d),
-            Err(e) => return fail_io(&format!("reading {f}: {e}")),
-        }
-    }
+    let docs = match read_docs(files) {
+        Ok(d) => d,
+        Err(code) => return code,
+    };
 
     let t0 = Instant::now();
     let shard_opts = ShardOptions::with_workers(opts.shard);
@@ -485,25 +486,24 @@ fn run_multi(opts: &Options) -> ExitCode {
         if opts.quiet {
             return;
         }
+        if !opts.json {
+            // The same renderer the wire clients print through.
+            let mut stdout = std::io::stdout().lock();
+            xsq::server::render_doc(&mut stdout, di, &out.results, &out.updates, opts.running)
+                .expect("failed printing to stdout");
+            return;
+        }
         if opts.running {
             for (id, v) in &out.updates {
-                if opts.json {
-                    println!("{{\"doc\":{di},\"query\":{},\"running\":{v}}}", id.0);
-                } else {
-                    println!("# running[{di}:{}]: {v}", id.0);
-                }
+                println!("{{\"doc\":{di},\"query\":{},\"running\":{v}}}", id.0);
             }
         }
         for (id, v) in &out.results {
-            if opts.json {
-                println!(
-                    "{{\"doc\":{di},\"query\":{},\"result\":\"{}\"}}",
-                    id.0,
-                    json_escape(v)
-                );
-            } else {
-                println!("{di}\t{}\t{v}", id.0);
-            }
+            println!(
+                "{{\"doc\":{di},\"query\":{},\"result\":\"{}\"}}",
+                id.0,
+                json_escape(v)
+            );
         }
     });
     match run {
@@ -634,18 +634,9 @@ fn run_analyze(query: &str, opts: &Options) -> ExitCode {
             ExitCode::SUCCESS
         };
     }
-    let dtd = match &opts.dtd {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => return fail_io(&format!("reading {path}: {e}")),
-            };
-            match xsq::xml::dtd::Dtd::parse(&text) {
-                Ok(dtd) => Some(dtd),
-                Err(e) => return fail_run(&format!("parsing {path}: {e}")),
-            }
-        }
-        None => None,
+    let dtd = match load_dtd(opts.dtd.as_ref()) {
+        Ok(dtd) => dtd,
+        Err(code) => return code,
     };
     let analysis = match xsq::engine::analyze_with_dtd(&parsed, dtd.as_ref()) {
         Ok(a) => a,
@@ -796,10 +787,11 @@ fn run_analyze(query: &str, opts: &Options) -> ExitCode {
 /// hook: interactively Ctrl-D stops the server; in scripts, holding a
 /// pipe open keeps it serving and closing the pipe shuts it down.
 fn run_serve(opts: &Options) -> ExitCode {
-    let engine = match opts.engine.as_str() {
-        "xsq-f" => XsqEngine::full(),
-        "xsq-nc" => XsqEngine::no_closure(),
-        other => return usage(&format!("serve runs on xsq-f or xsq-nc, not '{other}'")),
+    let Some(engine) = native_engine(&opts.engine) else {
+        return usage(&format!(
+            "serve runs on xsq-f or xsq-nc, not '{}'",
+            opts.engine
+        ));
     };
     let mut sopts = xsq::server::ServeOptions::new(opts.addr.clone());
     sopts.engine = engine;
@@ -807,18 +799,9 @@ fn run_serve(opts: &Options) -> ExitCode {
     // Admission control: `--max-bound K` refuses subscriptions whose
     // static memory bound exceeds K buffered items; `--dtd FILE` gives
     // the analyzer the schema to prove bounds against.
-    let dtd = match &opts.dtd {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => return fail_io(&format!("reading {path}: {e}")),
-            };
-            match xsq::xml::dtd::Dtd::parse(&text) {
-                Ok(dtd) => Some(std::sync::Arc::new(dtd)),
-                Err(e) => return fail_run(&format!("parsing {path}: {e}")),
-            }
-        }
-        None => None,
+    let dtd = match load_dtd(opts.dtd.as_ref()) {
+        Ok(dtd) => dtd.map(std::sync::Arc::new),
+        Err(code) => return code,
     };
     sopts.limits = xsq::server::SessionLimits {
         max_bound: opts.max_bound,
@@ -888,50 +871,32 @@ fn run_serve(opts: &Options) -> ExitCode {
 /// With `--verify`, the output is additionally byte-compared against
 /// the in-process sequential driver.
 fn run_connect(opts: &Options) -> ExitCode {
-    let engine = match opts.engine.as_str() {
-        "xsq-f" => XsqEngine::full(),
-        "xsq-nc" => XsqEngine::no_closure(),
-        other => return usage(&format!("connect runs on xsq-f or xsq-nc, not '{other}'")),
-    };
-    if opts.broadcast_feed {
+    // The feeder subscribes nothing, so it has no batch to read — but a
+    // bad --engine is still refused below.
+    if opts.broadcast_feed && native_engine(&opts.engine).is_some() {
         return run_broadcast_feed(opts);
     }
-    if opts.broadcast_sub {
-        return run_broadcast_sub(engine, opts);
-    }
-    let rest = &opts.positional[1..];
-    let (query_text, files): (String, &[String]) = match &opts.queries {
-        Some(qfile) => match std::fs::read_to_string(qfile) {
-            Ok(t) => (t, rest),
-            Err(e) => return fail_io(&format!("reading {qfile}: {e}")),
-        },
-        None => match rest.split_first() {
-            Some((q, files)) => (q.clone(), files),
-            None => return usage("connect needs a QUERY (or --queries QFILE)"),
-        },
-    };
-    let queries: Vec<&str> = query_text
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .collect();
-    if queries.is_empty() {
-        return usage("connect needs at least one query");
-    }
-    let mut docs = Vec::new();
-    if files.is_empty() {
-        match read_input(None) {
-            Ok(d) => docs.push(d),
-            Err(e) => return fail_io(&e),
-        }
+    let what = if opts.broadcast_sub {
+        "connect --broadcast-sub"
     } else {
-        for f in files {
-            match std::fs::read(f) {
-                Ok(d) => docs.push(d),
-                Err(e) => return fail_io(&format!("reading {f}: {e}")),
-            }
-        }
+        "connect"
+    };
+    let (engine, text, files) = match batch_inputs(opts, &opts.positional[1..], what) {
+        Ok(inputs) => inputs,
+        Err(code) => return code,
+    };
+    let queries = query_lines(&text);
+    if opts.broadcast_sub {
+        return run_broadcast_sub(engine, &queries, files, opts);
     }
+    let docs = match files {
+        [] => read_input(None).map(|d| vec![d]).map_err(|e| fail_io(&e)),
+        files => read_docs(files),
+    };
+    let docs = match docs {
+        Ok(d) => d,
+        Err(code) => return code,
+    };
 
     let copts = xsq::server::ConnectOptions {
         chunk: opts.chunk,
@@ -942,16 +907,10 @@ fn run_connect(opts: &Options) -> ExitCode {
     let mut out = Vec::new();
     let report = match xsq::server::run_corpus(&opts.addr, &queries, &docs, &copts, &mut out) {
         Ok(r) => r,
-        Err(xsq::server::ClientError::Io(e)) => {
-            return fail_io(&format!("talking to {}: {e}", opts.addr))
-        }
-        Err(e) => return fail_protocol(&e.to_string()),
+        Err(e) => return fail_client(&opts.addr, e),
     };
-    if !opts.quiet {
-        if std::io::stdout().write_all(&out).is_err() {
-            return fail_io("writing results to stdout");
-        }
-        let _ = std::io::stdout().flush();
+    if let Err(code) = print_results(&out, opts) {
+        return code;
     }
     if opts.stats {
         eprintln!(
@@ -964,36 +923,78 @@ fn run_connect(opts: &Options) -> ExitCode {
             queries.len(),
             opts.chunk,
         );
-        if let Some(json) = &report.stats_json {
-            eprintln!("# stat: {json}");
-            if let Some(summary) = xsq::server::stat_transport_summary(json) {
-                eprintln!("# transport: {summary}");
-            }
-        }
-        eprintln!(
-            "# wire: {} bytes out, {} bytes in",
-            report.wire_out, report.wire_in
+        print_wire_stats(
+            report.stats_json.as_deref(),
+            report.wire_out,
+            report.wire_in,
         );
     }
     if opts.verify {
-        let expected = match xsq::server::reference_output(engine, &queries, &docs, opts.running) {
-            Ok(t) => t,
-            Err(e) => return fail_run(&format!("reference run: {e}")),
-        };
-        if out != expected.as_bytes() {
-            eprintln!(
-                "error: server output diverged from the sequential driver \
-                 ({} vs {} bytes)",
-                out.len(),
-                expected.len()
-            );
-            return ExitCode::from(EXIT_VERIFY);
-        }
-        eprintln!(
-            "# verify: output matches the sequential driver ({} bytes)",
-            out.len()
-        );
+        return verify_against_driver("server", engine, &queries, &docs, &out, opts);
     }
+    ExitCode::SUCCESS
+}
+
+/// A failed conversation: a dead socket is an I/O failure, anything
+/// else the peer's (or the protocol's) fault.
+fn fail_client(addr: &str, e: xsq::server::ClientError) -> ExitCode {
+    match e {
+        xsq::server::ClientError::Io(e) => fail_io(&format!("talking to {addr}: {e}")),
+        e => fail_protocol(&e.to_string()),
+    }
+}
+
+/// A client's rendered transcript goes to stdout unless `--quiet`.
+fn print_results(out: &[u8], opts: &Options) -> Result<(), ExitCode> {
+    if opts.quiet {
+        return Ok(());
+    }
+    let mut stdout = std::io::stdout();
+    stdout
+        .write_all(out)
+        .and_then(|()| stdout.flush())
+        .map_err(|_| fail_io("writing results to stdout"))
+}
+
+/// The `--stats` tail of every client role: the server's STAT (when it
+/// was asked for) and this side's wire footprint.
+fn print_wire_stats(stats_json: Option<&str>, wire_out: u64, wire_in: u64) {
+    if let Some(json) = stats_json {
+        eprintln!("# stat: {json}");
+        if let Some(summary) = xsq::server::stat_transport_summary(json) {
+            eprintln!("# transport: {summary}");
+        }
+    }
+    eprintln!("# wire: {wire_out} bytes out, {wire_in} bytes in");
+}
+
+/// `--verify`: byte-compare a client's transcript (`what` output) with
+/// the in-process sequential driver over the same queries and corpus.
+fn verify_against_driver(
+    what: &str,
+    engine: XsqEngine,
+    queries: &[&str],
+    docs: &[Vec<u8>],
+    out: &[u8],
+    opts: &Options,
+) -> ExitCode {
+    let expected = match xsq::server::reference_output(engine, queries, docs, opts.running) {
+        Ok(t) => t,
+        Err(e) => return fail_run(&format!("reference run: {e}")),
+    };
+    if out != expected.as_bytes() {
+        eprintln!(
+            "error: {what} output diverged from the sequential driver \
+             ({} vs {} bytes)",
+            out.len(),
+            expected.len()
+        );
+        return ExitCode::from(EXIT_VERIFY);
+    }
+    eprintln!(
+        "# verify: {what} output matches the sequential driver ({} bytes)",
+        out.len()
+    );
     ExitCode::SUCCESS
 }
 
@@ -1007,13 +1008,10 @@ fn run_broadcast_feed(opts: &Options) -> ExitCode {
     if files.is_empty() {
         return usage("connect --broadcast-feed needs at least one FILE");
     }
-    let mut docs = Vec::with_capacity(files.len());
-    for f in files {
-        match std::fs::read(f) {
-            Ok(d) => docs.push(d),
-            Err(e) => return fail_io(&format!("reading {f}: {e}")),
-        }
-    }
+    let docs = match read_docs(files) {
+        Ok(d) => d,
+        Err(code) => return code,
+    };
     let fopts = xsq::server::FeedOptions {
         chunk: opts.chunk,
         wait_subs: opts.wait_subs,
@@ -1022,10 +1020,7 @@ fn run_broadcast_feed(opts: &Options) -> ExitCode {
     let t0 = Instant::now();
     let report = match xsq::server::broadcast_feed(&opts.addr, &docs, &fopts) {
         Ok(r) => r,
-        Err(xsq::server::ClientError::Io(e)) => {
-            return fail_io(&format!("talking to {}: {e}", opts.addr))
-        }
-        Err(e) => return fail_protocol(&e.to_string()),
+        Err(e) => return fail_client(&opts.addr, e),
     };
     if opts.stats {
         eprintln!(
@@ -1035,15 +1030,10 @@ fn run_broadcast_feed(opts: &Options) -> ExitCode {
             report.bytes,
             t0.elapsed().as_secs_f64() * 1e3,
         );
-        if let Some(json) = &report.stats_json {
-            eprintln!("# stat: {json}");
-            if let Some(summary) = xsq::server::stat_transport_summary(json) {
-                eprintln!("# transport: {summary}");
-            }
-        }
-        eprintln!(
-            "# wire: {} bytes out, {} bytes in",
-            report.wire_out, report.wire_in
+        print_wire_stats(
+            report.stats_json.as_deref(),
+            report.wire_out,
+            report.wire_in,
         );
     }
     ExitCode::SUCCESS
@@ -1055,46 +1045,26 @@ fn run_broadcast_feed(opts: &Options) -> ExitCode {
 /// With `--verify` and the corpus FILEs given, the received output is
 /// byte-compared against the in-process sequential driver over those
 /// files — the CI smoke gate.
-fn run_broadcast_sub(engine: XsqEngine, opts: &Options) -> ExitCode {
-    let rest = &opts.positional[1..];
-    let (query_text, files): (String, &[String]) = match &opts.queries {
-        Some(qfile) => match std::fs::read_to_string(qfile) {
-            Ok(t) => (t, rest),
-            Err(e) => return fail_io(&format!("reading {qfile}: {e}")),
-        },
-        None => match rest.split_first() {
-            Some((q, files)) => (q.clone(), files),
-            None => return usage("connect --broadcast-sub needs a QUERY (or --queries QFILE)"),
-        },
-    };
-    let queries: Vec<&str> = query_text
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .collect();
-    if queries.is_empty() {
-        return usage("connect --broadcast-sub needs at least one query");
-    }
+fn run_broadcast_sub(
+    engine: XsqEngine,
+    queries: &[&str],
+    files: &[String],
+    opts: &Options,
+) -> ExitCode {
     let t0 = Instant::now();
     let mut out = Vec::new();
     let report = match xsq::server::broadcast_subscribe(
         &opts.addr,
-        &queries,
+        queries,
         opts.expect_docs,
         opts.running,
         &mut out,
     ) {
         Ok(r) => r,
-        Err(xsq::server::ClientError::Io(e)) => {
-            return fail_io(&format!("talking to {}: {e}", opts.addr))
-        }
-        Err(e) => return fail_protocol(&e.to_string()),
+        Err(e) => return fail_client(&opts.addr, e),
     };
-    if !opts.quiet {
-        if std::io::stdout().write_all(&out).is_err() {
-            return fail_io("writing results to stdout");
-        }
-        let _ = std::io::stdout().flush();
+    if let Err(code) = print_results(&out, opts) {
+        return code;
     }
     if opts.stats {
         eprintln!(
@@ -1106,39 +1076,16 @@ fn run_broadcast_sub(engine: XsqEngine, opts: &Options) -> ExitCode {
             t0.elapsed().as_secs_f64() * 1e3,
             queries.len(),
         );
-        eprintln!(
-            "# wire: {} bytes out, {} bytes in",
-            report.wire_out, report.wire_in
-        );
+        print_wire_stats(None, report.wire_out, report.wire_in);
     }
     if opts.verify {
         if files.is_empty() {
             return usage("--verify on --broadcast-sub needs the corpus FILEs to compare against");
         }
-        let mut docs = Vec::with_capacity(files.len());
-        for f in files {
-            match std::fs::read(f) {
-                Ok(d) => docs.push(d),
-                Err(e) => return fail_io(&format!("reading {f}: {e}")),
-            }
-        }
-        let expected = match xsq::server::reference_output(engine, &queries, &docs, opts.running) {
-            Ok(t) => t,
-            Err(e) => return fail_run(&format!("reference run: {e}")),
+        return match read_docs(files) {
+            Ok(docs) => verify_against_driver("broadcast", engine, queries, &docs, &out, opts),
+            Err(code) => code,
         };
-        if out != expected.as_bytes() {
-            eprintln!(
-                "error: broadcast output diverged from the sequential driver \
-                 ({} vs {} bytes)",
-                out.len(),
-                expected.len()
-            );
-            return ExitCode::from(EXIT_VERIFY);
-        }
-        eprintln!(
-            "# verify: broadcast output matches the sequential driver ({} bytes)",
-            out.len()
-        );
     }
     ExitCode::SUCCESS
 }
@@ -1351,8 +1298,8 @@ fn main() -> ExitCode {
         _ => {}
     }
 
-    if let Some(qfile) = &opts.queries {
-        return run_query_file(qfile, &opts);
+    if opts.queries.is_some() {
+        return run_query_file(&opts);
     }
 
     let Some(mut query) = opts.positional.first().cloned() else {
@@ -1397,15 +1344,8 @@ fn main() -> ExitCode {
         // The native engines stream directly from the source in constant
         // memory unless a feature needs the whole document (DTD
         // extraction for --schema-optimize) or another engine runs.
-        let streamable = matches!(opts.engine.as_str(), "xsq-f" | "xsq-nc")
-            && !opts.schema_optimize
-            && !opts.trace;
-        if streamable {
-            let engine = if opts.engine == "xsq-f" {
-                XsqEngine::full()
-            } else {
-                XsqEngine::no_closure()
-            };
+        let native = native_engine(&opts.engine);
+        if let Some(engine) = native.filter(|_| !opts.schema_optimize && !opts.trace) {
             let compiled = match engine.compile_str(&query) {
                 Ok(c) => c,
                 Err(e) => return fail_query(&e.to_string()),
@@ -1448,15 +1388,10 @@ fn main() -> ExitCode {
             Ok(d) => d,
             Err(e) => return fail_io(&e),
         };
-        let outcome: Result<(u64, String), String> = match opts.engine.as_str() {
+        let outcome: Result<(u64, String), String> = match (native, opts.engine.as_str()) {
             // The native engines stream through a sink (results appear as
             // soon as they are determined).
-            "xsq-f" | "xsq-nc" => {
-                let engine = if opts.engine == "xsq-f" {
-                    XsqEngine::full()
-                } else {
-                    XsqEngine::no_closure()
-                };
+            (Some(engine), _) => {
                 // Schema-aware rewrite (paper §5's future-work item):
                 // prove emptiness or remove redundant closures using the
                 // document's internal DTD.
@@ -1532,7 +1467,7 @@ fn main() -> ExitCode {
                     })
             }
             // The study baselines run whole-document.
-            name => {
+            (None, name) => {
                 let engine: &dyn XPathEngine = match name {
                     "saxon" => &SaxonLike,
                     "galax" => &GalaxLike,

@@ -152,6 +152,47 @@ fn retired_serve_flags_are_usage_errors() {
     assert_eq!(exit_code(&["serve", "--model", "threaded"]), unknown);
 }
 
+/// A query file with no query in it is the same usage error (exit 2)
+/// wherever it is read; a query in it that does not compile is the
+/// query error (exit 4), blamed on its own line.
+#[test]
+fn query_files_fail_alike_in_every_batch_mode() {
+    let dir = std::env::temp_dir().join("xsq_cli_qfile_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (empty, bad, doc) = (dir.join("empty.q"), dir.join("bad.q"), dir.join("d.xml"));
+    std::fs::write(&empty, "# nothing\n\n   \n").unwrap();
+    std::fs::write(
+        &bad,
+        "/a/b/text()\n/a/c/text()\n/a/b[position()=2]/text()\n",
+    )
+    .unwrap();
+    std::fs::write(&doc, DOC).unwrap();
+    let run = |mode: &[&str], qfile: &std::path::Path| {
+        let out = xsq()
+            .args(mode)
+            .arg("--queries")
+            .arg(qfile)
+            .arg(&doc)
+            .stdin(Stdio::null())
+            .output()
+            .unwrap();
+        (out.status.code(), String::from_utf8(out.stderr).unwrap())
+    };
+    for mode in [&[][..], &["multi"], &["connect", "--addr", "127.0.0.1:1"]] {
+        let (code, stderr) = run(mode, &empty);
+        assert_eq!(code, Some(2), "{mode:?}: {stderr}");
+        assert!(stderr.contains("needs at least one query"), "{stderr}");
+    }
+    for mode in [&[][..], &["multi"]] {
+        let (code, stderr) = run(mode, &bad);
+        assert_eq!(code, Some(4), "{mode:?}: {stderr}");
+        assert!(
+            stderr.contains("query 3 (/a/b[position()=2]/text())"),
+            "{stderr}"
+        );
+    }
+}
+
 #[test]
 fn dataset_stats_prints_fig15_row() {
     let dir = std::env::temp_dir().join("xsq_cli_test");

@@ -1,411 +1,435 @@
 //! Differential property tests: XSQ against the DOM oracle.
 //!
-//! Random documents × random queries; the streaming engines must return
-//! exactly what the in-memory evaluators return, in the same order:
+//! Random documents × random queries, seeded; the streaming engines must
+//! return exactly what the in-memory evaluators return, in the same
+//! order:
 //!
 //! * XSQ-F ≡ DOM (stepwise) ≡ DOM (pathcheck) on *everything*;
 //! * XSQ-NC ≡ DOM on closure-free queries;
 //! * XMLTK ≡ DOM on predicate-free `text()`/`@attr`/`count()` queries;
+//! * every road a compiled query batch can take into a `QueryIndex`
+//!   ≡ the solo runners ≡ DOM;
 //! * the well-formedness PDA accepts every generated document's events.
-
-// Property tests are opt-in (`RUSTFLAGS="--cfg xsq_proptest"`): the proptest
-// dependency needs network access, and the default test run is hermetic.
-#![cfg(xsq_proptest)]
-
-use proptest::prelude::*;
+//!
+//! Every property runs [`CASES`] cases, case `i` on
+//! `StdRng::seed_from_u64(i)`; a failing case prints its seed, and
+//! `cases(seed..seed + 1, …)` in the failing test replays it alone.
 
 use xsq::baselines::dom::{eval_pathcheck, eval_stepwise, Document};
-use xsq::engine::{VecSink, XsqEngine};
+use xsq::datagen::rng::StdRng;
+use xsq::engine::{
+    run_sequential, PlanCache, QueryIndex, QuerySet, Runner, VecQuerySink, VecSink, XPathEngine,
+    XsqEngine,
+};
+use xsq::xml::SaxEvent;
 use xsq::xpath::parse_query;
 
-// ---- random document generation ---------------------------------------
+const CASES: u64 = 512;
 
-/// A small element tree over a tiny alphabet, so tag collisions (the hard
-/// cases: predicate child = next step, recursive nesting) are frequent.
-#[derive(Debug, Clone)]
-enum Tree {
-    Element {
-        tag: usize,
-        attr: Option<(usize, i32)>,
-        children: Vec<Tree>,
-    },
-    Text(i32),
-    /// Non-numeric character data (string comparisons, NaN paths).
-    Word(usize),
+/// Names the seed of the case in flight if the test panics inside it.
+struct Case(u64);
+
+impl Drop for Case {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("differential: failing seed {}", self.0);
+        }
+    }
 }
+
+fn cases(seeds: std::ops::Range<u64>, property: impl Fn(&mut StdRng)) {
+    for seed in seeds {
+        let _case = Case(seed);
+        property(&mut StdRng::seed_from_u64(seed));
+    }
+}
+
+// ---- random document generation ---------------------------------------
 
 /// Small word pool; includes substrings of each other so `contains`
 /// has interesting cases.
 const WORDS: [&str; 4] = ["x", "xy", "love", "lovely"];
 
+/// A tiny alphabet, so tag collisions (the hard cases: predicate child =
+/// next step, recursive nesting) are frequent.
 const TAGS: [&str; 4] = ["a", "b", "c", "d"];
 const ATTRS: [&str; 2] = ["x", "y"];
 
-fn tree_strategy() -> impl Strategy<Value = Tree> {
-    let leaf = prop_oneof![
-        (-3..4i32).prop_map(Tree::Text),
-        (0..WORDS.len()).prop_map(Tree::Word),
-        (
-            0..TAGS.len(),
-            proptest::option::of((0..ATTRS.len(), -3..4i32))
-        )
-            .prop_map(|(tag, attr)| Tree::Element {
-                tag,
-                attr,
-                children: vec![],
-            }),
-    ];
-    leaf.prop_recursive(4, 24, 4, |inner| {
-        (
-            0..TAGS.len(),
-            proptest::option::of((0..ATTRS.len(), -3..4i32)),
-            prop::collection::vec(inner, 0..4),
-        )
-            .prop_map(|(tag, attr, children)| Tree::Element {
-                tag,
-                attr,
-                children,
-            })
-    })
+fn pick<'a>(rng: &mut StdRng, pool: &[&'a str]) -> &'a str {
+    pool[rng.gen_range(0..pool.len())]
 }
 
-fn render(tree: &Tree, out: &mut String) {
-    match tree {
-        Tree::Text(v) => out.push_str(&v.to_string()),
-        Tree::Word(w) => out.push_str(WORDS[*w]),
-        Tree::Element {
-            tag,
-            attr,
-            children,
-        } => {
-            out.push('<');
-            out.push_str(TAGS[*tag]);
-            if let Some((a, v)) = attr {
-                out.push_str(&format!(" {}=\"{}\"", ATTRS[*a], v));
-            }
-            out.push('>');
-            for c in children {
-                render(c, out);
-            }
-            out.push_str("</");
-            out.push_str(TAGS[*tag]);
-            out.push('>');
-        }
+/// Render one random node: numeric text, a word (string comparisons,
+/// NaN paths), or — three times in five — an element.
+fn gen_node(rng: &mut StdRng, depth: u32, out: &mut String) {
+    match rng.gen_range(0..5) {
+        0 => out.push_str(&rng.gen_range(-3..4).to_string()),
+        1 => out.push_str(pick(rng, &WORDS)),
+        _ => gen_element(rng, depth, 0, out),
     }
 }
 
-fn doc_strategy() -> impl Strategy<Value = String> {
-    (0..TAGS.len(), prop::collection::vec(tree_strategy(), 0..5)).prop_map(|(tag, children)| {
-        let mut s = String::new();
-        render(
-            &Tree::Element {
-                tag,
-                attr: None,
-                children,
-            },
-            &mut s,
-        );
-        s
-    })
+/// An element with `min_children..=5` children while `depth` lasts.
+fn gen_element(rng: &mut StdRng, depth: u32, min_children: u32, out: &mut String) {
+    let tag = pick(rng, &TAGS);
+    out.push('<');
+    out.push_str(tag);
+    if rng.gen_bool(0.5) {
+        let (name, value) = (pick(rng, &ATTRS), rng.gen_range(-3..4));
+        out.push_str(&format!(" {name}=\"{value}\""));
+    }
+    out.push('>');
+    if depth > 0 {
+        for _ in 0..rng.gen_range(min_children..6) {
+            gen_node(rng, depth - 1, out);
+        }
+    }
+    out.push_str(&format!("</{tag}>"));
+}
+
+fn gen_doc(rng: &mut StdRng) -> String {
+    let mut doc = String::new();
+    gen_element(rng, 4, 2, &mut doc);
+    doc
 }
 
 // ---- random query generation -------------------------------------------
 
-fn pred_strategy() -> impl Strategy<Value = String> {
-    let op = prop_oneof![
-        Just("="),
-        Just("!="),
-        Just("<"),
-        Just("<="),
-        Just(">"),
-        Just(">="),
-    ];
-    prop_oneof![
+const REL_OPS: [&str; 6] = ["=", "!=", "<", "<=", ">", ">="];
+
+fn gen_pred(rng: &mut StdRng) -> String {
+    let (tag, attr, word) = (pick(rng, &TAGS), pick(rng, &ATTRS), pick(rng, &WORDS));
+    let (op, v) = (pick(rng, &REL_OPS), rng.gen_range(-2..3));
+    match rng.gen_range(0..8) {
         // String-valued comparisons and substring tests.
-        (
-            0..TAGS.len(),
-            prop_oneof![Just("="), Just("!="), Just("%")],
-            0..WORDS.len()
-        )
-            .prop_map(|(t, op, w)| format!("[{}{}\"{}\"]", TAGS[t], op, WORDS[w])),
-        (prop_oneof![Just("="), Just("%")], 0..WORDS.len())
-            .prop_map(|(op, w)| format!("[text(){}\"{}\"]", op, WORDS[w])),
-        (0..ATTRS.len()).prop_map(|a| format!("[@{}]", ATTRS[a])),
-        (0..ATTRS.len(), op.clone(), -2..3i32)
-            .prop_map(|(a, op, v)| format!("[@{}{}{}]", ATTRS[a], op, v)),
-        (op.clone(), -2..3i32).prop_map(|(op, v)| format!("[text(){}{}]", op, v)),
-        (0..TAGS.len()).prop_map(|t| format!("[{}]", TAGS[t])),
-        (0..TAGS.len(), 0..ATTRS.len(), op.clone(), -2..3i32)
-            .prop_map(|(t, a, op, v)| format!("[{}@{}{}{}]", TAGS[t], ATTRS[a], op, v)),
-        (0..TAGS.len(), op, -2..3i32).prop_map(|(t, op, v)| format!("[{}{}{}]", TAGS[t], op, v)),
-    ]
+        0 => format!("[{tag}{}\"{word}\"]", pick(rng, &["=", "!=", "%"])),
+        1 => format!("[text(){}\"{word}\"]", pick(rng, &["=", "%"])),
+        2 => format!("[@{attr}]"),
+        3 => format!("[@{attr}{op}{v}]"),
+        4 => format!("[text(){op}{v}]"),
+        5 => format!("[{tag}]"),
+        6 => format!("[{tag}@{attr}{op}{v}]"),
+        _ => format!("[{tag}{op}{v}]"),
+    }
 }
 
-fn step_strategy() -> impl Strategy<Value = String> {
-    (
-        prop::bool::ANY,
-        prop_oneof![
-            (0..TAGS.len()).prop_map(|t| TAGS[t].to_string()),
-            Just("*".to_string())
-        ],
-        proptest::option::of(pred_strategy()),
-    )
-        .prop_map(|(closure, test, pred)| {
-            format!(
-                "{}{}{}",
-                if closure { "//" } else { "/" },
-                test,
-                pred.unwrap_or_default()
-            )
-        })
+/// One to three location steps; `closures` allows `//`, `preds` allows a
+/// predicate per step.
+fn gen_steps(rng: &mut StdRng, closures: bool, preds: bool) -> String {
+    let mut steps = String::new();
+    for _ in 0..rng.gen_range(1..4) {
+        steps.push_str(if closures && rng.gen_bool(0.6) {
+            "//"
+        } else {
+            "/"
+        });
+        steps.push_str(if rng.gen_bool(0.25) {
+            "*"
+        } else {
+            pick(rng, &TAGS)
+        });
+        if preds && rng.gen_bool(0.4) {
+            steps.push_str(&gen_pred(rng));
+        }
+    }
+    steps
 }
 
-fn query_strategy() -> impl Strategy<Value = String> {
-    (
-        prop::collection::vec(step_strategy(), 1..4),
-        prop_oneof![
-            Just("".to_string()),
-            Just("/text()".to_string()),
-            (0..ATTRS.len()).prop_map(|a| format!("/@{}", ATTRS[a])),
-            Just("/count()".to_string()),
-            Just("/sum()".to_string()),
-        ],
-    )
-        .prop_map(|(steps, output)| format!("{}{}", steps.concat(), output))
+/// Scalar outputs (the XMLTK fragment; it emits whole elements at their
+/// *end* tag, so element output is out of its comparison).
+fn gen_scalar_output(rng: &mut StdRng) -> String {
+    match rng.gen_range(0..3) {
+        0 => "/text()".into(),
+        1 => format!("/@{}", pick(rng, &ATTRS)),
+        _ => "/count()".into(),
+    }
 }
 
-/// Closure-free queries (the XSQ-NC fragment): child axes only.
-fn closure_free_query_strategy() -> impl Strategy<Value = String> {
-    let step = (
-        prop_oneof![
-            (0..TAGS.len()).prop_map(|t| TAGS[t].to_string()),
-            Just("*".to_string())
-        ],
-        proptest::option::of(pred_strategy()),
-    )
-        .prop_map(|(test, pred)| format!("/{}{}", test, pred.unwrap_or_default()));
-    (
-        prop::collection::vec(step, 1..4),
-        prop_oneof![
-            Just("".to_string()),
-            Just("/text()".to_string()),
-            (0..ATTRS.len()).prop_map(|a| format!("/@{}", ATTRS[a])),
-            Just("/count()".to_string()),
-            Just("/sum()".to_string()),
-        ],
-    )
-        .prop_map(|(steps, output)| format!("{}{}", steps.concat(), output))
+fn gen_output(rng: &mut StdRng) -> String {
+    match rng.gen_range(0..5) {
+        0 => String::new(),
+        1 => "/sum()".into(),
+        _ => gen_scalar_output(rng),
+    }
 }
 
-/// Predicate-free path queries with scalar outputs (the XMLTK fragment).
-fn path_query_strategy() -> impl Strategy<Value = String> {
-    let step = (
-        prop::bool::ANY,
-        prop_oneof![
-            (0..TAGS.len()).prop_map(|t| TAGS[t].to_string()),
-            Just("*".to_string())
-        ],
-    )
-        .prop_map(|(closure, test)| format!("{}{}", if closure { "//" } else { "/" }, test));
-    (
-        prop::collection::vec(step, 1..4),
-        prop_oneof![
-            Just("/text()".to_string()),
-            (0..ATTRS.len()).prop_map(|a| format!("/@{}", ATTRS[a])),
-            Just("/count()".to_string()),
-        ],
-    )
-        .prop_map(|(steps, output)| format!("{}{}", steps.concat(), output))
+fn gen_query(rng: &mut StdRng) -> String {
+    gen_steps(rng, true, true) + &gen_output(rng)
 }
 
-fn xsq_run(engine: XsqEngine, query: &str, doc: &[u8]) -> Option<Vec<String>> {
-    let compiled = engine.compile_str(query).ok()?;
+// ---- runners -------------------------------------------------------------
+
+fn xsq_run(engine: XsqEngine, query: &str, doc: &[u8]) -> Vec<String> {
+    let compiled = engine
+        .compile_str(query)
+        .expect("generated queries compile");
     let mut sink = VecSink::new();
     compiled
         .run_document(doc, &mut sink)
         .expect("well-formed doc");
-    Some(sink.results)
+    sink.results
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 256,
-        ..ProptestConfig::default()
-    })]
+fn dom_run(query: &str, doc: &str) -> Vec<String> {
+    let parsed = parse_query(query).expect("generated queries parse");
+    let tree = Document::parse(doc.as_bytes()).expect("generated docs are well-formed");
+    eval_stepwise(&tree, &parsed)
+}
 
-    #[test]
-    fn xsq_f_matches_the_dom_oracle(doc in doc_strategy(), query in query_strategy()) {
+fn events_of(doc: &str) -> Vec<SaxEvent> {
+    xsq::xml::parse_to_events(doc.as_bytes()).expect("well-formed")
+}
+
+/// Feed stored events to a runner; the caller finishes it (or not).
+fn feed_all(runner: &mut Runner<'_>, events: &[SaxEvent], sink: &mut VecSink) {
+    for e in events {
+        runner.feed_raw(&e.as_raw(), sink);
+    }
+}
+
+// ---- the properties --------------------------------------------------------
+
+#[test]
+fn xsq_f_matches_the_dom_oracle() {
+    cases(0..CASES, |rng| {
+        let (doc, query) = (gen_doc(rng), gen_query(rng));
         let parsed = parse_query(&query).expect("generated queries parse");
         let tree = Document::parse(doc.as_bytes()).expect("generated docs are well-formed");
         let expected = eval_stepwise(&tree, &parsed);
         // The two DOM strategies must agree with each other…
-        prop_assert_eq!(&eval_pathcheck(&tree, &parsed), &expected,
-            "DOM strategies disagree on {} over {}", query, doc);
+        assert_eq!(
+            eval_pathcheck(&tree, &parsed),
+            expected,
+            "DOM strategies disagree on {query} over {doc}"
+        );
         // …and the streaming engine with both.
-        let got = xsq_run(XsqEngine::full(), &query, doc.as_bytes()).expect("XSQ-F supports all");
-        prop_assert_eq!(&got, &expected, "XSQ-F disagrees on {} over {}", query, doc);
-    }
+        let got = xsq_run(XsqEngine::full(), &query, doc.as_bytes());
+        assert_eq!(got, expected, "XSQ-F disagrees on {query} over {doc}");
+    });
+}
 
-    #[test]
-    fn xsq_nc_matches_on_closure_free_queries(
-        doc in doc_strategy(),
-        query in closure_free_query_strategy(),
-    ) {
-        let parsed = parse_query(&query).expect("generated queries parse");
-        debug_assert!(!parsed.has_closure());
-        let tree = Document::parse(doc.as_bytes()).expect("well-formed");
-        let expected = eval_stepwise(&tree, &parsed);
-        let got = xsq_run(XsqEngine::no_closure(), &query, doc.as_bytes()).expect("closure-free");
-        prop_assert_eq!(&got, &expected, "XSQ-NC disagrees on {} over {}", query, doc);
-    }
+#[test]
+fn xsq_nc_matches_on_closure_free_queries() {
+    cases(0..CASES, |rng| {
+        let doc = gen_doc(rng);
+        let query = gen_steps(rng, false, true) + &gen_output(rng);
+        let got = xsq_run(XsqEngine::no_closure(), &query, doc.as_bytes());
+        assert_eq!(
+            got,
+            dom_run(&query, &doc),
+            "XSQ-NC disagrees on {query} over {doc}"
+        );
+    });
+}
 
-    #[test]
-    fn xmltk_matches_on_predicate_free_queries(
-        doc in doc_strategy(),
-        query in path_query_strategy(),
-    ) {
-        // XMLTK emits whole elements at their *end* tag (completion
-        // order), so the strategy restricts outputs to scalars.
-        let parsed = parse_query(&query).expect("generated queries parse");
-        let tree = Document::parse(doc.as_bytes()).expect("well-formed");
-        let expected = eval_stepwise(&tree, &parsed);
-        use xsq::engine::XPathEngine as _;
+#[test]
+fn xmltk_matches_on_predicate_free_queries() {
+    cases(0..CASES, |rng| {
+        let doc = gen_doc(rng);
+        let query = gen_steps(rng, true, false) + &gen_scalar_output(rng);
         let report = xsq::baselines::XmltkLike.run(&query, doc.as_bytes());
         let got = report.expect("path query supported").results;
-        prop_assert_eq!(&got, &expected, "XMLTK disagrees on {} over {}", query, doc);
-    }
+        assert_eq!(
+            got,
+            dom_run(&query, &doc),
+            "XMLTK disagrees on {query} over {doc}"
+        );
+    });
+}
 
-    #[test]
-    fn naive_flags_engine_matches_on_text_queries(
-        doc in doc_strategy(),
-        query in prop::collection::vec(step_strategy(), 1..4)
-            .prop_map(|steps| format!("{}/text()", steps.concat())),
-    ) {
-        use xsq::engine::XPathEngine as _;
+#[test]
+fn naive_flags_engine_matches_on_text_queries() {
+    cases(0..CASES, |rng| {
+        let doc = gen_doc(rng);
+        let query = gen_steps(rng, true, true) + "/text()";
         let naive = xsq::baselines::NaiveFlags
             .run(&query, doc.as_bytes())
             .expect("text queries supported")
             .results;
-        let expected = xsq_run(XsqEngine::full(), &query, doc.as_bytes()).expect("supported");
-        prop_assert_eq!(&naive, &expected, "naive disagrees on {} over {}", query, doc);
-    }
+        let expected = xsq_run(XsqEngine::full(), &query, doc.as_bytes());
+        assert_eq!(naive, expected, "naive disagrees on {query} over {doc}");
+    });
+}
 
-    #[test]
-    fn projection_is_lossless(doc in doc_strategy(), query in query_strategy()) {
-        // Running the query on the projected stream must be identical to
-        // running it on the full stream — for every query class, with
-        // the kept set staying a well-formed event sequence.
+#[test]
+fn projection_is_lossless() {
+    // Running the query on the projected stream must be identical to
+    // running it on the full stream — for every query class, with the
+    // kept set staying a well-formed event sequence.
+    cases(0..CASES, |rng| {
+        let (doc, query) = (gen_doc(rng), gen_query(rng));
         let parsed = parse_query(&query).expect("generated queries parse");
-        let events = xsq::xml::parse_to_events(doc.as_bytes()).expect("well-formed");
+        let events = events_of(&doc);
         let projected = xsq::engine::projector::project_events(&parsed, &events);
-        prop_assert!(xsq::xml::WellFormednessPda::accepts(&projected),
-            "projection broke well-formedness on {} over {}", query, doc);
-        let compiled = XsqEngine::full().compile(&parsed).expect("compiles");
-        let mut full = VecSink::new();
-        compiled.run_events(&events, &mut full);
-        let mut proj = VecSink::new();
-        compiled.run_events(&projected, &mut proj);
-        prop_assert_eq!(full.results, proj.results,
-            "projection lost results on {} over {}", query, doc);
-    }
-
-    #[test]
-    fn multi_query_runs_equal_single_runs(
-        doc in doc_strategy(),
-        queries in prop::collection::vec(query_strategy(), 1..5),
-    ) {
-        let refs: Vec<&str> = queries.iter().map(String::as_str).collect();
-        let set = xsq::engine::QuerySet::compile(XsqEngine::full(), &refs)
-            .expect("generated queries compile");
-        let multi = set.run_document(doc.as_bytes()).expect("well-formed");
-        for (i, q) in refs.iter().enumerate() {
-            let single = xsq_run(XsqEngine::full(), q, doc.as_bytes()).expect("supported");
-            prop_assert_eq!(&multi[i], &single, "multi vs single on {} over {}", q, doc);
-        }
-    }
-
-    #[test]
-    fn emission_is_prefix_stable(
-        doc in doc_strategy(),
-        query in query_strategy(),
-        cut_seed in any::<u32>(),
-    ) {
-        // Streaming monotonicity: whatever has been emitted after any
-        // event prefix must be a prefix of the final result list — the
-        // engine never emits something it would later retract or
-        // reorder.
-        let parsed = parse_query(&query).expect("generated queries parse");
-        prop_assume!(!parsed.is_aggregation()); // running updates differ by design
-        let compiled = XsqEngine::full().compile(&parsed).expect("compiles");
-        let events = xsq::xml::parse_to_events(doc.as_bytes()).expect("well-formed");
-        let mut full = VecSink::new();
-        compiled.run_events(&events, &mut full);
-        let cut = (cut_seed as usize) % (events.len() + 1);
-        let mut partial = VecSink::new();
-        let mut runner = compiled.runner();
-        for e in &events[..cut] {
-            runner.feed(e, &mut partial);
-        }
-        prop_assert!(
-            partial.results.len() <= full.results.len()
-                && partial.results[..] == full.results[..partial.results.len()],
-            "prefix after {} events {:?} is not a prefix of {:?} ({} over {})",
-            cut, partial.results, full.results, query, doc
+        assert!(
+            xsq::xml::WellFormednessPda::accepts(&projected),
+            "projection broke well-formedness on {query} over {doc}"
         );
-    }
+        let compiled = XsqEngine::full().compile(&parsed).expect("compiles");
+        let run = |events: &[SaxEvent]| {
+            let (mut runner, mut sink) = (compiled.runner(), VecSink::new());
+            feed_all(&mut runner, events, &mut sink);
+            runner.finish(&mut sink);
+            sink.results
+        };
+        assert_eq!(
+            run(&events),
+            run(&projected),
+            "projection lost results on {query} over {doc}"
+        );
+    });
+}
 
-    #[test]
-    fn pruned_hpdt_results_equal_unpruned(doc in doc_strategy(), query in query_strategy()) {
-        // Dead-state pruning must be invisible: the raw builder output
-        // (which `XsqEngine::compile` never exposes anymore) and its
-        // pruned twin produce identical result streams on every
-        // document. The generated predicate pool includes relational
-        // comparisons against non-numeric words, so genuinely prunable
-        // automata appear regularly.
+/// One random batch down each road a compiled set can take into an
+/// index — `QuerySet::index()`, `QueryIndex::subscribe_group`, a
+/// `PlanCache` checkout subscribed with `subscribe_set`, and the
+/// sequential corpus driver — over a two-document corpus (so each
+/// road's document reset is in play). All four must produce the solo
+/// runners' results, which must be the DOM oracle's: the roads are one.
+#[test]
+fn multi_query_runs_equal_single_runs() {
+    cases(0..CASES, |rng| {
+        let docs = [gen_doc(rng), gen_doc(rng)];
+        let queries: Vec<String> = (0..rng.gen_range(1..5)).map(|_| gen_query(rng)).collect();
+        let refs: Vec<&str> = queries.iter().map(String::as_str).collect();
+        let engine = XsqEngine::full();
+        let set = QuerySet::compile(engine, &refs).expect("generated queries compile");
+        let cache = PlanCache::new(None);
+        let plan = cache.checkout(engine, &refs).expect("compiles");
+
+        let mut by_set = set.index();
+        let mut by_group = QueryIndex::new(engine);
+        by_group.subscribe_group(&refs).expect("compiles");
+        let mut by_cache = QueryIndex::new(engine);
+        by_cache.subscribe_set(plan.set());
+        let sequential = run_sequential(&set, &docs).expect("well-formed");
+
+        for (di, doc) in docs.iter().enumerate() {
+            let mut want = Vec::new();
+            for q in &refs {
+                let single = xsq_run(engine, q, doc.as_bytes());
+                assert_eq!(single, dom_run(q, doc), "solo vs DOM on {q} over {doc}");
+                want.push(single);
+            }
+            let per_query = |results: &[(xsq::QueryId, String)]| {
+                let mut got = vec![Vec::new(); refs.len()];
+                for (id, v) in results {
+                    got[id.0 as usize].push(v.clone());
+                }
+                got
+            };
+            let roads = [
+                ("QuerySet::index", &mut by_set),
+                ("subscribe_group", &mut by_group),
+                ("PlanCache::checkout", &mut by_cache),
+            ];
+            for (road, index) in roads {
+                let mut sink = VecQuerySink::new();
+                index
+                    .run_document(doc.as_bytes(), &mut sink)
+                    .expect("well-formed");
+                assert_eq!(
+                    per_query(&sink.results),
+                    want,
+                    "{road} vs solo on {refs:?} over {doc}"
+                );
+            }
+            assert_eq!(
+                per_query(&sequential.per_doc[di].results),
+                want,
+                "run_sequential vs solo on {refs:?} over {doc}"
+            );
+        }
+        cache.release(plan.key());
+    });
+}
+
+#[test]
+fn emission_is_prefix_stable() {
+    // Streaming monotonicity: whatever has been emitted after any event
+    // prefix must be a prefix of the final result list — the engine
+    // never emits something it would later retract or reorder.
+    cases(0..CASES, |rng| {
+        let (doc, query) = (gen_doc(rng), gen_query(rng));
+        let parsed = parse_query(&query).expect("generated queries parse");
+        if parsed.is_aggregation() {
+            return; // running updates differ by design
+        }
+        let compiled = XsqEngine::full().compile(&parsed).expect("compiles");
+        let events = events_of(&doc);
+        let (mut runner, mut full) = (compiled.runner(), VecSink::new());
+        feed_all(&mut runner, &events, &mut full);
+        runner.finish(&mut full);
+        let cut = rng.gen_range(0..=events.len());
+        let (mut runner, mut partial) = (compiled.runner(), VecSink::new());
+        feed_all(&mut runner, &events[..cut], &mut partial);
+        assert!(
+            full.results.starts_with(&partial.results),
+            "prefix after {cut} events {:?} is not a prefix of {:?} ({query} over {doc})",
+            partial.results,
+            full.results,
+        );
+    });
+}
+
+#[test]
+fn pruned_hpdt_results_equal_unpruned() {
+    // Dead-state pruning must be invisible: the raw builder output
+    // (which `XsqEngine::compile` never exposes anymore) and its pruned
+    // twin produce identical result streams on every document. The
+    // generated predicate pool includes relational comparisons against
+    // non-numeric words, so genuinely prunable automata appear
+    // regularly.
+    cases(0..CASES, |rng| {
+        let (doc, query) = (gen_doc(rng), gen_query(rng));
         let parsed = parse_query(&query).expect("generated queries parse");
         let original = xsq::engine::build_hpdt(&parsed).expect("builds");
         let (pruned, stats) = xsq::engine::prune(&original);
-        prop_assert!(stats.states_after <= stats.states_before);
-        let events = xsq::xml::parse_to_events(doc.as_bytes()).expect("well-formed");
-        let mut before = VecSink::new();
-        let mut runner = xsq::engine::Runner::new(&original, true);
-        for e in &events {
-            runner.feed(e, &mut before);
-        }
-        runner.finish(&mut before);
-        let mut after = VecSink::new();
-        let mut runner = xsq::engine::Runner::new(&pruned, true);
-        for e in &events {
-            runner.feed(e, &mut after);
-        }
-        runner.finish(&mut after);
-        prop_assert_eq!(&before.results, &after.results,
-            "pruning changed results on {} over {}", query, doc);
-    }
+        assert!(stats.states_after <= stats.states_before);
+        let events = events_of(&doc);
+        let run = |hpdt| {
+            let (mut runner, mut sink) = (Runner::new(hpdt, true), VecSink::new());
+            feed_all(&mut runner, &events, &mut sink);
+            runner.finish(&mut sink);
+            sink.results
+        };
+        assert_eq!(
+            run(&original),
+            run(&pruned),
+            "pruning changed results on {query} over {doc}"
+        );
+    });
+}
 
-    #[test]
-    fn parser_writer_roundtrip_and_pda(doc in doc_strategy()) {
-        let events = xsq::xml::parse_to_events(doc.as_bytes()).expect("well-formed");
-        prop_assert!(xsq::xml::WellFormednessPda::accepts(&events));
+#[test]
+fn parser_writer_roundtrip_and_pda() {
+    cases(0..CASES, |rng| {
+        let events = events_of(&gen_doc(rng));
+        assert!(xsq::xml::WellFormednessPda::accepts(&events));
         let rewritten = xsq::xml::writer::events_to_string(&events);
-        let events2 = xsq::xml::parse_to_events(rewritten.as_bytes()).expect("round-trip");
-        prop_assert_eq!(events, events2);
-    }
+        assert_eq!(events, events_of(&rewritten));
+    });
+}
 
-    #[test]
-    fn buffers_drain_by_end_of_document(doc in doc_strategy(), query in query_strategy()) {
+#[test]
+fn buffers_drain_by_end_of_document() {
+    cases(0..CASES, |rng| {
+        let (doc, query) = (gen_doc(rng), gen_query(rng));
         let compiled = XsqEngine::full().compile_str(&query).expect("parses");
-        let events = xsq::xml::parse_to_events(doc.as_bytes()).expect("well-formed");
-        let mut runner = compiled.runner();
-        let mut sink = VecSink::new();
-        for e in &events {
-            runner.feed(e, &mut sink);
-        }
+        let (mut runner, mut sink) = (compiled.runner(), VecSink::new());
+        feed_all(&mut runner, &events_of(&doc), &mut sink);
         // The paper's invariant: every buffered item resolves by the end
         // event of the element named in the first location step — a
         // fortiori by end of document.
-        prop_assert_eq!(runner.buffered_entries(), 0,
-            "buffers leak on {} over {}", query, doc);
-        prop_assert_eq!(runner.config_count(), 1, "one start configuration must remain");
-    }
+        assert_eq!(
+            runner.buffered_entries(),
+            0,
+            "buffers leak on {query} over {doc}"
+        );
+        assert_eq!(
+            runner.config_count(),
+            1,
+            "one start configuration must remain"
+        );
+    });
 }

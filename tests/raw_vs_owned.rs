@@ -1,8 +1,9 @@
 //! Differential coverage for the zero-copy event path.
 //!
-//! The engine exposes two ways to drive a document: the owned
-//! `SaxEvent` API (`parse_to_events` + `feed`) and the borrowed
-//! `RawEvent` API (`next_raw` + `feed_raw`). Both must produce
+//! `RawEvent` is the engine's only input. The parser produces events two
+//! ways — owned `SaxEvent`s (`parse_to_events`, i.e. `next_event`) that
+//! a caller stores and later lends with `as_raw`, and borrowed
+//! `RawEvent`s straight off `next_raw`. Both must drive the engine to
 //! bit-identical results on identical input — same values, same
 //! document order — for the paper-walkthrough query and for the
 //! multi-query sets exercised by `qindex_grouped`.
@@ -21,13 +22,13 @@ const FIG1: &str = r#"<root><pub>
     <year>2002</year>
 </pub></root>"#;
 
-/// Drive a single query through the owned-event path.
+/// Drive a single query from stored owned events, lent as raw ones.
 fn owned_path(query: &str, doc: &[u8]) -> Vec<String> {
     let compiled = XsqEngine::full().compile_str(query).expect("compiles");
     let mut runner = compiled.runner();
     let mut sink = VecSink::new();
     for ev in xsq::xml::parse_to_events(doc).expect("parses") {
-        runner.feed(&ev, &mut sink);
+        runner.feed_raw(&ev.as_raw(), &mut sink);
     }
     runner.finish(&mut sink);
     sink.results
@@ -116,7 +117,7 @@ fn entity_heavy_documents_agree_across_paths() {
     check_queries(&queries, shake_doc.as_bytes(), "shake");
 }
 
-/// The multi-query index must also agree between its owned and raw feeds.
+/// The multi-query index must also agree between stored and borrowed events.
 #[test]
 fn query_index_feed_and_feed_raw_agree() {
     let queries = [
@@ -138,7 +139,7 @@ fn query_index_feed_and_feed_raw_agree() {
     let owned_ids = owned_index.subscribe_group(&queries).expect("compiles");
     let mut owned_sink = VecQuerySink::new();
     for ev in xsq::xml::parse_to_events(doc.as_bytes()).expect("parses") {
-        owned_index.feed(&ev, &mut owned_sink);
+        owned_index.feed_raw(&ev.as_raw(), &mut owned_sink);
     }
     owned_index.finish(&mut owned_sink);
 

@@ -4,7 +4,7 @@
 
 use xsq::datagen;
 use xsq::engine::{Sink, VecSink, XsqEngine};
-use xsq::xml::SaxEvent;
+use xsq::xml::{RawEvent, SaxEvent};
 
 fn events_of(doc: &str) -> Vec<SaxEvent> {
     xsq::xml::parse_to_events(doc.as_bytes()).unwrap()
@@ -21,11 +21,11 @@ fn memory_stays_flat_while_the_stream_grows() {
     let one = "<rec><value>0123456789</value><flag>1</flag></rec>";
     let mut runner = compiled.runner();
     let mut sink = VecSink::new();
-    runner.feed(&SaxEvent::StartDocument, &mut sink);
-    runner.feed(
-        &SaxEvent::Begin {
+    runner.feed_raw(&SaxEvent::StartDocument.as_raw(), &mut sink);
+    runner.feed_raw(
+        &RawEvent::Begin {
             name: "feed".into(),
-            attributes: vec![],
+            attributes: &[],
             depth: 1,
         },
         &mut sink,
@@ -41,7 +41,7 @@ fn memory_stays_flat_while_the_stream_grows() {
     let mut peaks = Vec::new();
     for _ in 0..50 {
         for ev in &group_events {
-            runner.feed(ev, &mut sink);
+            runner.feed_raw(&ev.as_raw(), &mut sink);
         }
         peaks.push(runner.memory().peak_bytes);
     }
@@ -58,11 +58,11 @@ fn aggregation_over_an_unbounded_feed_emits_running_values() {
         .unwrap();
     let mut runner = compiled.runner();
     let mut sink = VecSink::new();
-    runner.feed(&SaxEvent::StartDocument, &mut sink);
-    runner.feed(
-        &SaxEvent::Begin {
+    runner.feed_raw(&SaxEvent::StartDocument.as_raw(), &mut sink);
+    runner.feed_raw(
+        &RawEvent::Begin {
             name: "feed".into(),
-            attributes: vec![],
+            attributes: &[],
             depth: 1,
         },
         &mut sink,
@@ -109,7 +109,7 @@ fn aggregation_over_an_unbounded_feed_emits_running_values() {
                     }
                 }
             };
-            runner.feed(&ev, &mut sink);
+            runner.feed_raw(&ev.as_raw(), &mut sink);
         }
     }
     // Running sums 1, 3, 6, 10, 15 appeared while the feed was open.
@@ -192,7 +192,7 @@ fn runner_reset_reuses_the_compiled_query() {
         runner.reset();
         let mut sink = VecSink::new();
         for ev in events_of(doc) {
-            runner.feed(&ev, &mut sink);
+            runner.feed_raw(&ev.as_raw(), &mut sink);
         }
         assert_eq!(sink.results, expected, "{doc}");
         assert_eq!(runner.buffered_entries(), 0);
