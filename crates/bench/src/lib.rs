@@ -1,9 +1,9 @@
 //! # xsq-bench — the experiment harness for §6 of the paper
 //!
 //! One function per table/figure of the evaluation section
-//! ([`experiments`]), shared by the `experiments` binary (which prints
-//! paper-style tables) and the Criterion benches (which measure the same
-//! workloads under a statistics harness).
+//! ([`experiments`]), printed as paper-style tables by the `experiments`
+//! binary — this crate's only one. Everything else that measures is
+//! `xsq-benchmark` (`crates/benchmark`), the repository's one referee.
 //!
 //! Methodology notes (matching §6):
 //!

@@ -345,66 +345,58 @@ mod tests {
 
     /// Model-based check: the bitmap implementation behaves exactly like
     /// a plain vector under arbitrary push/pop sequences, including
-    /// around the 64-depth boundary. Opt-in (`RUSTFLAGS="--cfg xsq_proptest"`):
-    /// the dependency needs network access.
-    #[cfg(xsq_proptest)]
-    mod props {
-        use super::super::*;
-        use proptest::prelude::*;
-
-        #[derive(Debug, Clone)]
-        enum Op {
-            Push(u32),
-            Pop,
-        }
-
-        fn ops() -> impl Strategy<Value = Vec<Op>> {
-            prop::collection::vec(
-                prop_oneof![(1u32..10).prop_map(Op::Push), Just(Op::Pop)],
-                0..120,
-            )
-        }
-
-        proptest! {
-            #[test]
-            fn matches_the_vec_model(ops in ops(), probe_n in 0usize..6) {
-                let mut dv = DepthVector::new();
-                let mut model: Vec<u32> = Vec::new();
-                let mut snapshots: Vec<(DepthVector, Vec<u32>)> = Vec::new();
-                for op in ops {
-                    match op {
-                        Op::Push(step) => {
-                            // Keep entries strictly increasing like real runs.
-                            let d = model.last().copied().unwrap_or(0) + step;
-                            if d > 200 { continue; }
-                            dv.push_mut(d);
-                            model.push(d);
-                        }
-                        Op::Pop => {
-                            dv.pop_mut();
-                            model.pop();
-                        }
+    /// around the 64-depth boundary. Seeded; see `datagen::rng::cases`.
+    #[test]
+    fn matches_the_vec_model() {
+        let mut crossed = 0u32;
+        xsq_datagen::rng::cases(0..1024, |rng| {
+            let probe_n = rng.gen_range(0..6usize);
+            let mut dv = DepthVector::new();
+            let mut model: Vec<u32> = Vec::new();
+            let mut snapshots: Vec<(DepthVector, Vec<u32>)> = Vec::new();
+            let mut went_wide = false;
+            for _ in 0..rng.gen_range(0..120u32) {
+                if rng.gen_bool(0.5) {
+                    // Keep entries strictly increasing like real runs.
+                    let d = model.last().copied().unwrap_or(0) + rng.gen_range(1..10u32);
+                    if d > 200 {
+                        continue;
                     }
-                    prop_assert_eq!(dv.len(), model.len());
-                    prop_assert_eq!(dv.top(), model.last().copied().unwrap_or(0));
-                    prop_assert_eq!(dv.to_depths(), model.clone());
-                    snapshots.push((dv.clone(), model.clone()));
+                    dv.push_mut(d);
+                    model.push(d);
+                } else {
+                    dv.pop_mut();
+                    model.pop();
                 }
-                // Cross-compare prefix_matches on saved states against the
-                // model definition.
-                for (dva, ma) in snapshots.iter().rev().take(8) {
-                    for (dvb, mb) in snapshots.iter().take(8) {
-                        let expect = ma.len() >= probe_n
-                            && mb.len() >= probe_n
-                            && ma[..probe_n] == mb[..probe_n];
-                        prop_assert_eq!(
-                            dva.prefix_matches(dvb, probe_n),
-                            expect,
-                            "prefix {} of {:?} vs {:?}", probe_n, ma, mb
-                        );
-                    }
+                assert_eq!(dv.len(), model.len());
+                assert_eq!(dv.top(), model.last().copied().unwrap_or(0));
+                assert_eq!(dv.to_depths(), model);
+                // Canonical: the same depths built afresh compare equal,
+                // whichever side of the boundary the history visited.
+                assert_eq!(dv, DepthVector::from_depths(&model));
+                went_wide |= !dv.is_inline();
+                snapshots.push((dv.clone(), model.clone()));
+            }
+            crossed += u32::from(went_wide && dv.is_inline());
+            // Cross-compare prefix_matches on saved states against the
+            // model definition.
+            for (dva, ma) in snapshots.iter().rev().take(8) {
+                for (dvb, mb) in snapshots.iter().take(8) {
+                    let expect = ma.len() >= probe_n
+                        && mb.len() >= probe_n
+                        && ma[..probe_n] == mb[..probe_n];
+                    assert_eq!(
+                        dva.prefix_matches(dvb, probe_n),
+                        expect,
+                        "prefix {probe_n} of {ma:?} vs {mb:?}"
+                    );
                 }
             }
-        }
+        });
+        // The walk must keep reaching past depth 63 and coming back.
+        assert!(
+            crossed >= 32,
+            "only {crossed} cases crossed the boundary twice"
+        );
     }
 }

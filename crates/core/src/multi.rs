@@ -10,8 +10,8 @@
 //! The set is planned into prefix-sharing groups and driven through a
 //! [`QueryIndex`], so each event touches only the runners whose dispatch
 //! buckets match it — see [`crate::qindex`]. A caller that wants one
-//! independent runner per query (a per-query tracer, the `multi-bench`
-//! baseline) steps its own `Vec` of [`crate::CompiledQuery::runner`]s.
+//! independent runner per query (a per-query tracer) steps its own `Vec`
+//! of [`crate::CompiledQuery::runner`]s.
 
 use std::io::BufRead;
 use std::sync::Arc;

@@ -27,8 +27,8 @@
 //!   still emitted.
 //!
 //! [`run_sequential`] is the same merge contract on one thread and the
-//! reference the equivalence tests (and the `multi_bench` shard
-//! ablation) hold the pool to: byte-identical output, any worker count.
+//! reference the equivalence tests (`tests/shard_equivalence.rs`) hold
+//! the pool to: byte-identical output, any worker count.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};

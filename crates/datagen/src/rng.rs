@@ -53,6 +53,29 @@ impl StdRng {
     }
 }
 
+/// Run `property` once per seed, case `i` on `StdRng::seed_from_u64(i)`.
+///
+/// The randomized test suites are loops over this function. If a case
+/// panics, `failing seed N` is printed after the panic message, and
+/// `cases(N..N + 1, …)` in the failing test replays that case alone.
+pub fn cases(seeds: Range<u64>, mut property: impl FnMut(&mut StdRng)) {
+    /// Names the seed of the case in flight if the test panics inside it.
+    struct Case(u64);
+
+    impl Drop for Case {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                eprintln!("failing seed {}", self.0);
+            }
+        }
+    }
+
+    for seed in seeds {
+        let _case = Case(seed);
+        property(&mut StdRng::seed_from_u64(seed));
+    }
+}
+
 /// Types with a natural uniform distribution for [`StdRng::gen`].
 pub trait Standard {
     fn sample(rng: &mut StdRng) -> Self;

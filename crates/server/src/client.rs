@@ -36,8 +36,8 @@ pub struct ClientReport {
 }
 
 /// A `Read`/`Write` wrapper that counts bytes as they cross the
-/// socket, so a session can report its wire footprint (serve-bench
-/// derives the fan-out amplification factor from these).
+/// socket, so a session can report its wire footprint (result bytes
+/// in over corpus bytes out is the fan-out amplification factor).
 struct Counted<S> {
     inner: S,
     n: u64,

@@ -38,6 +38,11 @@ const RULE_SETS: &[&str] = &[
     "//parlist => rename(pl)\n//text => wrap(t)",
     // Drop with matches inside the dropped region.
     "//description => drop\n//parlist => rename(never)",
+    // Two deferred rules at once; a closure below a closure; a text
+    // function on every line of a play.
+    "//inproceedings[author] => wrap(talk)\n//article[year=2002] => rename(recent)",
+    "//parlist//text => rename(t)\n//bidder => drop",
+    "//LINE[contains(text(),the)] => wrap(hit)",
 ];
 
 fn corpus() -> Vec<(&'static str, String)> {

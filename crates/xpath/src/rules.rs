@@ -200,7 +200,8 @@ fn find_unquoted(s: &str, needle: &str) -> Option<usize> {
             Some(q) if b == q => quote = None,
             Some(_) => {}
             None if b == b'"' || b == b'\'' => quote = Some(b),
-            None if s[i..].starts_with(needle) => return Some(i),
+            // Bytes, not `s[i..]`: `i` may sit inside a multi-byte char.
+            None if bytes[i..].starts_with(needle.as_bytes()) => return Some(i),
             None => {}
         }
         i += 1;
@@ -423,6 +424,29 @@ mod tests {
                 e.message
             );
         }
+    }
+
+    #[test]
+    fn non_ascii_text_is_an_error_or_data_never_a_panic() {
+        // The arrow search used to slice the line at every byte offset
+        // and panicked inside the two-byte `é`.
+        let e = RuleSet::parse("//café => drop").unwrap_err();
+        assert_eq!((e.line, e.col), (1, 6), "{e}");
+        assert!(e.message.contains("unexpected character 'é'"), "{e}");
+
+        // Where the language takes free text, non-ASCII is just text.
+        let rs = RuleSet::parse(
+            "# règle: marquer les cafés\n\
+             //shop[@name=\"café => thé\"] => +@kind=\"crème\"\n\
+             # fin — ☕\n",
+        )
+        .unwrap();
+        assert_eq!(rs.rules.len(), 1);
+        assert_eq!(rs.rules[0].line, 2);
+        assert_eq!(
+            rs.rules[0].action.attr_ops,
+            vec![AttrOp::Set("kind".into(), "crème".into())]
+        );
     }
 
     #[test]

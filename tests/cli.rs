@@ -193,6 +193,49 @@ fn query_files_fail_alike_in_every_batch_mode() {
     }
 }
 
+/// A rules file is bytes from outside: a character the pattern language
+/// has no use for is a positioned compile error (exit 4) — it used to
+/// abort the process (exit 101) — and is plain data inside a quoted
+/// value or a comment.
+#[test]
+fn transform_rules_with_non_ascii_text_are_diagnosed_not_fatal() {
+    let dir = std::env::temp_dir().join("xsq_cli_xfm_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (bad, good, doc) = (dir.join("bad.xfm"), dir.join("good.xfm"), dir.join("d.xml"));
+    std::fs::write(&bad, "//café => drop\n").unwrap();
+    std::fs::write(
+        &good,
+        "# règle ☕\n//name => rename(nom) +@lang=\"français\"\n",
+    )
+    .unwrap();
+    std::fs::write(&doc, DOC).unwrap();
+    let run = |rules: &std::path::Path| {
+        let out = xsq()
+            .arg("transform")
+            .arg(rules)
+            .arg(&doc)
+            .output()
+            .unwrap();
+        (
+            out.status.code(),
+            String::from_utf8(out.stdout).unwrap(),
+            String::from_utf8(out.stderr).unwrap(),
+        )
+    };
+    let (code, _, stderr) = run(&bad);
+    assert_eq!(code, Some(4), "{stderr}");
+    assert!(
+        stderr.contains("line 1, column 6: unexpected character 'é'"),
+        "{stderr}"
+    );
+    let (code, stdout, stderr) = run(&good);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(
+        stdout.contains("<nom lang=\"français\">N</nom>"),
+        "{stdout}"
+    );
+}
+
 #[test]
 fn dataset_stats_prints_fig15_row() {
     let dir = std::env::temp_dir().join("xsq_cli_test");

@@ -11,12 +11,13 @@
 //!   ≡ the solo runners ≡ DOM;
 //! * the well-formedness PDA accepts every generated document's events.
 //!
-//! Every property runs [`CASES`] cases, case `i` on
-//! `StdRng::seed_from_u64(i)`; a failing case prints its seed, and
-//! `cases(seed..seed + 1, …)` in the failing test replays it alone.
+//! Every property runs [`CASES`] cases through `datagen::rng::cases`
+//! (case `i` on `StdRng::seed_from_u64(i)`); a failing case prints its
+//! seed, and `cases(seed..seed + 1, …)` in the failing test replays it
+//! alone.
 
 use xsq::baselines::dom::{eval_pathcheck, eval_stepwise, Document};
-use xsq::datagen::rng::StdRng;
+use xsq::datagen::rng::{cases, StdRng};
 use xsq::engine::{
     run_sequential, PlanCache, QueryIndex, QuerySet, Runner, VecQuerySink, VecSink, XPathEngine,
     XsqEngine,
@@ -25,24 +26,6 @@ use xsq::xml::SaxEvent;
 use xsq::xpath::parse_query;
 
 const CASES: u64 = 512;
-
-/// Names the seed of the case in flight if the test panics inside it.
-struct Case(u64);
-
-impl Drop for Case {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            eprintln!("differential: failing seed {}", self.0);
-        }
-    }
-}
-
-fn cases(seeds: std::ops::Range<u64>, property: impl Fn(&mut StdRng)) {
-    for seed in seeds {
-        let _case = Case(seed);
-        property(&mut StdRng::seed_from_u64(seed));
-    }
-}
 
 // ---- random document generation ---------------------------------------
 

@@ -1,14 +1,13 @@
 //! Property tests for the schema optimizer: on documents *conforming* to
 //! a DTD, (a) queries proven unsatisfiable return nothing, and (b) the
 //! closure-elimination rewrite never changes results.
-
-// Property tests are opt-in (`RUSTFLAGS="--cfg xsq_proptest"`): the proptest
-// dependency needs network access, and the default test run is hermetic.
-#![cfg(xsq_proptest)]
+//!
+//! Seeded (`datagen::rng::cases`): a failing case prints its seed, and
+//! `cases(seed..seed + 1, …)` replays it alone.
 
 use std::collections::BTreeSet;
 
-use proptest::prelude::*;
+use xsq::datagen::rng::{cases, StdRng};
 use xsq::engine::schema::{analyze, optimize};
 use xsq::xml::dtd::Dtd;
 use xsq::xpath::parse_query;
@@ -17,24 +16,10 @@ const TAGS: [&str; 5] = ["t0", "t1", "t2", "t3", "t4"];
 
 /// A random *acyclic* child relation: tag i may contain only tags > i
 /// (so conforming documents always terminate), rooted at t0.
-fn dtd_strategy() -> impl Strategy<Value = Vec<Vec<usize>>> {
-    // children[i] ⊆ {i+1..5}
-    (
-        prop::collection::vec(prop::bool::ANY, 4), // t0 -> t1..t4
-        prop::collection::vec(prop::bool::ANY, 3), // t1 -> t2..t4
-        prop::collection::vec(prop::bool::ANY, 2), // t2 -> t3..t4
-        prop::collection::vec(prop::bool::ANY, 1), // t3 -> t4
-    )
-        .prop_map(|(a, b, c, d)| {
-            let pick = |flags: &[bool], base: usize| -> Vec<usize> {
-                flags
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, &on)| on.then_some(base + i))
-                    .collect()
-            };
-            vec![pick(&a, 1), pick(&b, 2), pick(&c, 3), pick(&d, 4), vec![]]
-        })
+fn gen_children(rng: &mut StdRng) -> Vec<Vec<usize>> {
+    (0..TAGS.len())
+        .map(|i| (i + 1..TAGS.len()).filter(|_| rng.gen_bool(0.5)).collect())
+        .collect()
 }
 
 fn build_dtd(children: &[Vec<usize>]) -> Dtd {
@@ -48,73 +33,79 @@ fn build_dtd(children: &[Vec<usize>]) -> Dtd {
 }
 
 /// Generate a document conforming to the child relation, rooted at t0.
-fn conforming_doc(children: &[Vec<usize>], choices: &mut impl Iterator<Item = u8>) -> String {
+fn conforming_doc(children: &[Vec<usize>], rng: &mut StdRng) -> String {
     fn emit(
         tag: usize,
         children: &[Vec<usize>],
-        choices: &mut impl Iterator<Item = u8>,
+        rng: &mut StdRng,
         out: &mut String,
         budget: &mut u32,
     ) {
         out.push_str(&format!("<{}>", TAGS[tag]));
-        let c = choices.next().unwrap_or(0);
-        out.push_str(&(c % 10).to_string());
-        let kid_count = (choices.next().unwrap_or(0) % 3) as usize;
-        for _ in 0..kid_count {
+        out.push_str(&rng.gen_range(0..10u32).to_string());
+        for _ in 0..rng.gen_range(0..3u32) {
             if *budget == 0 || children[tag].is_empty() {
                 break;
             }
             *budget -= 1;
-            let pick = choices.next().unwrap_or(0) as usize % children[tag].len();
-            emit(children[tag][pick], children, choices, out, budget);
+            let pick = rng.gen_range(0..children[tag].len());
+            emit(children[tag][pick], children, rng, out, budget);
         }
         out.push_str(&format!("</{}>", TAGS[tag]));
     }
     let mut out = String::new();
     let mut budget = 40;
-    emit(0, children, choices, &mut out, &mut budget);
+    emit(0, children, rng, &mut out, &mut budget);
     out
 }
 
-fn query_strategy() -> impl Strategy<Value = String> {
-    let step = (prop::bool::ANY, 0..TAGS.len(), prop::bool::ANY).prop_map(|(closure, t, pred)| {
-        format!(
-            "{}{}{}",
-            if closure { "//" } else { "/" },
-            TAGS[t],
-            if pred { "[text()>=0]" } else { "" }
-        )
-    });
-    prop::collection::vec(step, 1..4).prop_map(|steps| format!("{}/text()", steps.concat()))
+fn gen_query(rng: &mut StdRng) -> String {
+    let steps: String = (0..rng.gen_range(1..4u32))
+        .map(|_| {
+            format!(
+                "{}{}{}",
+                if rng.gen_bool(0.5) { "//" } else { "/" },
+                TAGS[rng.gen_range(0..TAGS.len())],
+                if rng.gen_bool(0.5) { "[text()>=0]" } else { "" }
+            )
+        })
+        .collect();
+    format!("{steps}/text()")
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
-
-    #[test]
-    fn optimizer_is_sound_on_conforming_documents(
-        children in dtd_strategy(),
-        raw_choices in prop::collection::vec(any::<u8>(), 0..160),
-        query in query_strategy(),
-    ) {
+#[test]
+fn optimizer_is_sound_on_conforming_documents() {
+    let (mut proven_empty, mut rewritten_differs) = (0u32, 0u32);
+    cases(0..1024, |rng| {
+        let children = gen_children(rng);
         let dtd = build_dtd(&children);
-        let mut choices = raw_choices.into_iter();
-        let doc = conforming_doc(&children, &mut choices);
+        let doc = conforming_doc(&children, rng);
+        let query = gen_query(rng);
         let parsed = parse_query(&query).expect("generated queries parse");
         let roots: BTreeSet<String> = [TAGS[0].to_string()].into();
         let analysis = analyze(&parsed, &dtd, &roots);
 
         let original = xsq::engine::evaluate(&query, doc.as_bytes()).expect("conforming doc");
         if !analysis.satisfiable {
-            prop_assert!(original.is_empty(),
-                "proven-empty query {} returned {:?} on {}", query, original, doc);
+            proven_empty += 1;
+            assert!(
+                original.is_empty(),
+                "proven-empty query {query} returned {original:?} on {doc}"
+            );
         }
 
         // The default-roots rewrite must also be sound (root inference).
         let (optimized, _) = optimize(&parsed, &dtd);
-        let rewritten = xsq::engine::evaluate(&optimized.to_string(), doc.as_bytes())
-            .expect("rewritten query runs");
-        prop_assert_eq!(&original, &rewritten,
-            "rewrite {} -> {} changed results on {}", query, optimized, doc);
-    }
+        let optimized = optimized.to_string();
+        rewritten_differs += u32::from(optimized != parsed.to_string());
+        let rewritten =
+            xsq::engine::evaluate(&optimized, doc.as_bytes()).expect("rewritten query runs");
+        assert_eq!(
+            original, rewritten,
+            "rewrite {query} -> {optimized} changed results on {doc}"
+        );
+    });
+    // The generators must keep reaching both properties.
+    assert!(proven_empty >= 64, "only {proven_empty} proven-empty cases");
+    assert!(rewritten_differs >= 64, "only {rewritten_differs} rewrites");
 }

@@ -93,7 +93,7 @@ fn sharded_output_is_byte_identical_to_sequential() {
     let seq = run_sequential(&set, &docs).expect("sequential run");
     assert!(seq.result_count() > 0, "corpus must produce results");
 
-    for workers in [2, 3, 4, 8] {
+    for workers in [1, 2, 3, 4, 8] {
         let shard =
             run_sharded(&set, &docs, &ShardOptions::with_workers(workers)).expect("sharded run");
         assert_eq!(
