@@ -35,7 +35,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use xsq_xml::dtd::{Dtd, Occurs};
 use xsq_xpath::{classify, Axis, Output, Predicate, Query, Span};
 
-use super::buffers::BufferPlan;
 use crate::schema;
 
 /// The bound lattice: `Zero < Items(K) < PerDepth(K) < Unbounded`.
@@ -133,16 +132,18 @@ impl BoundAnalysis {
     }
 }
 
-/// Compute the static memory bound of `query` given its buffer plan and
-/// an optional DTD.
-pub fn analyze_bounds(query: &Query, plan: &BufferPlan, dtd: Option<&Dtd>) -> BoundAnalysis {
+/// Compute the static memory bound of `query` given an optional DTD and
+/// whether its compiled HPDT can enqueue at all (`buffered`: for a solo
+/// compile [`crate::build::Hpdt::buffered`], for a member of a merged
+/// group its entry in `Hpdt::buffered_members`).
+pub fn analyze_bounds(query: &Query, buffered: bool, dtd: Option<&Dtd>) -> BoundAnalysis {
     let mut out = BoundAnalysis {
         bound: MemoryBound::Zero,
         trace: Vec::new(),
         elidable_predicates: Vec::new(),
     };
 
-    if !plan.buffered {
+    if !buffered {
         return out
             .rule(
                 "buffer-free",
@@ -487,16 +488,14 @@ pub fn elide_always_true(query: &Query, dtd: &Dtd) -> (Query, Vec<usize>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::{analyze_buffers, prune};
+    use crate::analyze::checked;
     use crate::build::build_hpdt;
     use xsq_xpath::parse_query;
 
     fn bound(q: &str, dtd: Option<&Dtd>) -> BoundAnalysis {
         let query = parse_query(q).unwrap();
-        let hpdt = build_hpdt(&query).unwrap();
-        let (pruned, _) = prune(&hpdt);
-        let plan = analyze_buffers(&pruned);
-        analyze_bounds(&query, &plan, dtd)
+        let hpdt = checked(build_hpdt(&query).unwrap()).unwrap();
+        analyze_bounds(&query, hpdt.buffered, dtd)
     }
 
     fn dblp_dtd() -> Dtd {

@@ -2,26 +2,29 @@
 //!
 //! The paper builds one HPDT per query and leaves all reasoning about it
 //! to the nondeterministic runtime. This module adds the missing
-//! compile-time layer, run between `build` and execution for every HPDT
-//! (including merged multi-query HPDTs from `qindex`):
+//! compile-time layer. Every HPDT — a single query's or a merged
+//! multi-query group's from `qindex` — passes through `checked`
+//! (items 1–3) between `build` and execution:
 //!
-//! 1. **Structural verifier** ([`verify`]) — checks the invariants the
+//! 1. **Structural verifier** ([`verify()`]) — checks the invariants the
 //!    builder is supposed to maintain (reachability, buffer release/clear
 //!    arcs, depth-vector discipline, BPDT tree positions) and returns
 //!    machine-readable [`Diagnostic`]s instead of letting the runtime
 //!    panic deep inside `execute`.
-//! 2. **Dead-state pruning** ([`prune`]) — removes arcs whose guards are
+//! 2. **Dead-state pruning** ([`prune()`]) — removes arcs whose guards are
 //!    statically unsatisfiable, deduplicates action-free arcs, and drops
 //!    states unreachable from the start state, shrinking the
 //!    configuration sets the runtime scans and the `qindex` dispatch
 //!    buckets.
 //! 3. **Determinism proof** ([`prove_deterministic`]) — detects automata
-//!    with no closure arcs so `XsqEngine` can auto-route them to the
-//!    XSQ-NC first-match fast path.
+//!    with no closure arcs. Pruning records the verdict in the artifact
+//!    (`Hpdt::deterministic`), and every runner of it — solo or inside
+//!    an index group — takes the XSQ-NC first-match fast path from that.
 //! 4. **Buffer-necessity analysis** ([`analyze_buffers`]) — classifies
-//!    each buffer per §3.2's predicate templates; queries whose every
-//!    predicate resolves before its output node closes get direct
-//!    emission with buffering statically elided.
+//!    each buffer per §3.2's predicate templates, for `xsq analyze`. The
+//!    one bit the engine acts on — can anything enqueue at all — is the
+//!    artifact's own `Hpdt::buffered`: when false, results emit directly,
+//!    no queue is allocated and the static bound is zero.
 
 pub mod bounds;
 pub mod buffers;
@@ -146,8 +149,8 @@ pub fn has_errors(diagnostics: &[Diagnostic]) -> bool {
 }
 
 /// Convert verifier output into a [`CompileError`] if any finding is an
-/// error. Used by the engine and `qindex` to reject malformed transducers
-/// before they reach the runtime.
+/// error: malformed transducers are rejected before they reach the
+/// runtime.
 pub fn reject_malformed(diagnostics: &[Diagnostic]) -> Result<(), CompileError> {
     match diagnostics.iter().find(|d| d.is_error()) {
         Some(d) => Err(CompileError::Malformed {
@@ -155,6 +158,18 @@ pub fn reject_malformed(diagnostics: &[Diagnostic]) -> Result<(), CompileError> 
         }),
         None => Ok(()),
     }
+}
+
+/// The one post-build step, for a single query's HPDT and a merged
+/// group's alike: verify the builder's invariants, then prune dead
+/// structure — merged transducers accumulate duplicate closure
+/// self-loops (one per trie child expanding a shared state) that pruning
+/// folds back to one. The result carries its own determinism proof
+/// (`deterministic`) and buffering verdict (`buffered`), which is what
+/// the runtime and the bound analysis read.
+pub(crate) fn checked(hpdt: Hpdt) -> Result<Hpdt, CompileError> {
+    reject_malformed(&verify(&hpdt))?;
+    Ok(prune(&hpdt).0)
 }
 
 /// Determinism proof over the compiled artifact: with no closure self-loop
@@ -311,8 +326,8 @@ pub struct Analysis {
 }
 
 /// Analyze a parsed query end to end. This is the backend of
-/// `xsq analyze`; the engine itself runs the same verify/prune pipeline
-/// inline in `compile`.
+/// `xsq analyze`; the engine runs the same verify/prune pipeline through
+/// `checked` and keeps only the pruned transducer.
 pub fn analyze(query: &Query) -> Result<Analysis, CompileError> {
     analyze_with_dtd(query, None)
 }
@@ -334,7 +349,7 @@ pub fn analyze_with_dtd(
     let (pruned, stats) = prune(&original);
     let proven_deterministic = prove_deterministic(&pruned);
     let plan = analyze_buffers(&pruned);
-    let bound = analyze_bounds(query, &plan, dtd);
+    let bound = analyze_bounds(query, pruned.buffered, dtd);
     let engine = if proven_deterministic {
         "XSQ-NC (auto)"
     } else {
@@ -443,6 +458,21 @@ mod tests {
             let parsed = parse_query(q).unwrap();
             assert!(lint_streamability(&parsed).is_empty(), "spurious: {q}");
         }
+    }
+
+    #[test]
+    fn a_dead_output_step_is_bounded_by_what_the_engine_runs() {
+        // The only `Emit` sits below an unsatisfiable guard and is pruned;
+        // the upload arcs of the live `[b]`/`[d]` steps stay, so the
+        // per-queue plan still shows a fed queue. Nothing can enqueue, the
+        // runner allocates no queues, and explainer and compiler both say
+        // so: the bound is read off the artifact.
+        let q = parse_query("/a[b]/c[d]/e[@x>nope]/text()").unwrap();
+        let a = analyze(&q).unwrap();
+        assert!(a.plan.buffered && !a.pruned.buffered);
+        assert_eq!(a.bound.bound, MemoryBound::Zero);
+        let compiled = crate::XsqEngine::full().compile(&q).unwrap();
+        assert_eq!(compiled.bound(), &MemoryBound::Zero);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! copies value bytes into one contiguous bump arena owned by the
 //! runner. Allocation is a pointer bump; freeing is wholesale: the arena
 //! resets when the store is provably quiescent (see
-//! [`crate::items::ItemStore::try_recycle`]) and unconditionally between
+//! [`crate::items::ItemStore::recyclable`]) and unconditionally between
 //! documents, so a matching steady state touches the allocator exactly
 //! zero times once the arena has grown to the working-set high-water
 //! mark.

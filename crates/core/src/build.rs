@@ -76,6 +76,19 @@ impl Hpdt {
         self.arcs.iter().map(Vec::len).sum()
     }
 
+    /// [`Self::buffered`] per answered query, in tag order: does any
+    /// action enqueue a value of `merged[t]` into a buffer? A merged
+    /// group answers for each member what that member's own HPDT would.
+    pub(crate) fn buffered_members(&self) -> Vec<bool> {
+        let mut buffered = vec![false; self.merged.len()];
+        for action in self.arcs.iter().flatten().flat_map(|arc| &arc.actions) {
+            if let Action::Emit { to, tag, .. } | Action::ElementStart { to, tag } = action {
+                buffered[*tag as usize] |= !matches!(to, Disposition::Direct);
+            }
+        }
+        buffered
+    }
+
     /// Human-readable dump of states and arcs (debugging, tests).
     pub fn dump(&self) -> String {
         use std::fmt::Write;

@@ -8,7 +8,6 @@
 //! [`XsqEngine`] here and share the HPDT compiler and runtime.
 
 use std::io::BufRead;
-use std::sync::Arc;
 use std::time::Instant;
 
 use xsq_xml::StreamParser;
@@ -72,9 +71,10 @@ impl XsqEngine {
         self.compile(&parse_query(query)?)
     }
 
-    /// Compile a parsed query: build the HPDT, verify the builder's
-    /// structural invariants, prune dead states/arcs, and prove (or fail
-    /// to prove) determinism for automatic XSQ-NC routing.
+    /// Compile a parsed query: build the HPDT, then verify the builder's
+    /// structural invariants and prune dead states/arcs
+    /// (`analyze::checked`, which also settles whether the artifact is
+    /// deterministic and so runs first-match).
     pub fn compile(&self, query: &Query) -> Result<CompiledQuery, CompileError> {
         self.compile_with_dtd(query, None)
     }
@@ -99,17 +99,12 @@ impl XsqEngine {
         dtd: Option<&xsq_xml::dtd::Dtd>,
     ) -> Result<CompiledQuery, CompileError> {
         self.check(query)?;
-        let hpdt = build_hpdt(query)?;
-        crate::analyze::reject_malformed(&crate::analyze::verify(&hpdt))?;
-        let (hpdt, _) = crate::analyze::prune(&hpdt);
-        let auto_nc = crate::analyze::prove_deterministic(&hpdt);
-        let plan = crate::analyze::analyze_buffers(&hpdt);
-        let bound = crate::analyze::analyze_bounds(query, &plan, dtd);
+        let hpdt = crate::analyze::checked(build_hpdt(query)?)?;
+        let bound = crate::analyze::analyze_bounds(query, hpdt.buffered, dtd).bound;
         Ok(CompiledQuery {
-            hpdt: Arc::new(hpdt),
+            hpdt,
             mode: self.mode,
-            auto_nc,
-            bound: bound.bound,
+            bound,
         })
     }
 }
@@ -117,11 +112,8 @@ impl XsqEngine {
 /// A query compiled to an HPDT, ready to run over any number of streams.
 #[derive(Debug)]
 pub struct CompiledQuery {
-    hpdt: Arc<Hpdt>,
+    hpdt: Hpdt,
     mode: XsqMode,
-    /// The analyzer proved the pruned automaton free of closure arcs, so
-    /// first-match execution is exact even under `XsqMode::Full`.
-    auto_nc: bool,
     /// Static memory bound (conservative `Unbounded` when compiled
     /// without a DTD and the query buffers).
     bound: crate::analyze::MemoryBound,
@@ -133,21 +125,15 @@ impl CompiledQuery {
         &self.hpdt
     }
 
-    /// A shared handle to the compiled automaton — what the multi-query
-    /// index stores next to the runtime state it drives.
-    pub fn hpdt_arc(&self) -> Arc<Hpdt> {
-        Arc::clone(&self.hpdt)
-    }
-
     /// The engine variant this query was compiled for.
     pub fn mode(&self) -> XsqMode {
         self.mode
     }
 
-    /// Did the analyzer prove this query deterministic, auto-routing it
-    /// to the XSQ-NC fast path despite `XsqMode::Full`?
+    /// Did pruning leave the automaton deterministic, auto-routing a
+    /// query compiled for `XsqMode::Full` onto the XSQ-NC fast path?
     pub fn auto_nc(&self) -> bool {
-        self.mode == XsqMode::Full && self.auto_nc
+        self.mode == XsqMode::Full && self.hpdt.deterministic
     }
 
     /// The engine that actually runs this query: `"XSQ-NC"` when the
@@ -156,7 +142,7 @@ impl CompiledQuery {
     pub fn engine_label(&self) -> &'static str {
         match self.mode {
             XsqMode::NoClosure => "XSQ-NC",
-            XsqMode::Full if self.auto_nc => "XSQ-NC (auto)",
+            XsqMode::Full if self.auto_nc() => "XSQ-NC (auto)",
             XsqMode::Full => "XSQ-F",
         }
     }
@@ -170,11 +156,7 @@ impl CompiledQuery {
     /// they arrive; results reach the sink as soon as the semantics
     /// permit.
     pub fn runner(&self) -> Runner<'_> {
-        // XSQ-F scans every arc of a state; XSQ-NC stops at the first
-        // match where the compiler proved that safe (§6.2). Full-mode
-        // queries the analyzer proved deterministic take the same fast
-        // path automatically.
-        let mut runner = Runner::new(&self.hpdt, self.mode == XsqMode::Full && !self.auto_nc);
+        let mut runner = Runner::new(&self.hpdt);
         // A proven Items(K) bound pre-sizes the queues: no mid-stream
         // queue growth on schema-valid input.
         if let Some(k) = self.bound.items() {

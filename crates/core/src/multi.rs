@@ -14,9 +14,7 @@
 //! of [`crate::CompiledQuery::runner`]s.
 
 use std::io::BufRead;
-use std::sync::Arc;
 
-use crate::build::Hpdt;
 use crate::engine::XsqEngine;
 use crate::error::{CompileError, EngineError};
 use crate::qindex::prefix::{plan_groups, QueryGroup};
@@ -74,20 +72,6 @@ impl QuerySet {
             queries: queries.iter().map(|q| q.to_string()).collect(),
             plan: plan_groups(&parsed)?,
         })
-    }
-
-    /// Wrap one externally compiled (possibly merged) HPDT as a
-    /// single-group set answering `hpdt.merged`, in tag order. The caller
-    /// has verified it ([`QueryIndex::subscribe_compiled`]).
-    pub(crate) fn of_group(engine: XsqEngine, hpdt: Arc<Hpdt>) -> QuerySet {
-        QuerySet {
-            engine,
-            queries: hpdt.merged.iter().map(|q| q.to_string()).collect(),
-            plan: vec![QueryGroup {
-                members: (0..hpdt.merged.len()).collect(),
-                hpdt,
-            }],
-        }
     }
 
     /// Number of queries.

@@ -7,9 +7,9 @@
 //! connection. [`PlanCache`] compiles a batch **once per distinct
 //! (engine mode, batch text)** and hands out a shared
 //! [`CachedPlan`]: the compiled [`QuerySet`] (each group an
-//! `Arc<Hpdt>`) plus the per-query static memory bounds. Subscribing a
-//! cached set into a [`QueryIndex`] is pure runtime-state
-//! instantiation — no compilation at all — via
+//! `Arc<Hpdt>`) plus the per-query static memory bounds, read off those
+//! same groups. Subscribing a cached set into a [`QueryIndex`] is pure
+//! runtime-state instantiation — no compilation at all — via
 //! [`QueryIndex::subscribe_set`], the same call every other holder of
 //! a `QuerySet` makes, so the artifact that was bounded at admission
 //! is the artifact that runs.
@@ -17,18 +17,18 @@
 //! [`QueryIndex`]: crate::qindex::QueryIndex
 //! [`QueryIndex::subscribe_set`]: crate::qindex::QueryIndex::subscribe_set
 //!
-//! Entries are reference-counted by checkout: every [`PlanCache::checkout`]
-//! must be paired with a [`PlanCache::release`] (the server does this on
-//! the batch's last unsubscribe, or when the owning session drops), and
-//! the entry is evicted when the last reference goes away, so a burst of
-//! one-off queries cannot grow the cache without bound.
+//! A plan lives exactly as long as someone holds its `Arc`: the cache
+//! keeps only a `Weak`, so the holders (the server keeps a batch's `Arc`
+//! until its last member unsubscribes or the session drops) are the
+//! whole lifetime protocol, and a burst of one-off queries cannot grow
+//! the cache without bound.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 
 use xsq_xml::dtd::Dtd;
 
-use crate::analyze::MemoryBound;
+use crate::analyze::{analyze_bounds, MemoryBound};
 use crate::engine::{XsqEngine, XsqMode};
 use crate::error::CompileError;
 use crate::multi::QuerySet;
@@ -44,8 +44,8 @@ pub struct CachedPlan {
 }
 
 impl CachedPlan {
-    /// The cache key this plan is filed under (pass to
-    /// [`PlanCache::release`]).
+    /// The cache key this plan is filed under: engine mode and batch
+    /// text, so equal keys mean the same plan.
     pub fn key(&self) -> &str {
         &self.key
     }
@@ -61,16 +61,22 @@ impl CachedPlan {
     }
 }
 
-struct Slot {
-    plan: Arc<CachedPlan>,
-    refs: usize,
-}
-
 #[derive(Default)]
 struct Inner {
-    entries: HashMap<String, Slot>,
+    entries: HashMap<String, Weak<CachedPlan>>,
     hits: u64,
     misses: u64,
+}
+
+impl Inner {
+    fn get(&self, key: &str) -> Option<Arc<CachedPlan>> {
+        self.entries.get(key).and_then(Weak::upgrade)
+    }
+
+    /// Forget the plans nobody holds any more.
+    fn sweep(&mut self) {
+        self.entries.retain(|_, plan| plan.strong_count() > 0);
+    }
 }
 
 /// Cache observability counters (surfaced through STAT).
@@ -84,8 +90,8 @@ pub struct PlanCacheStats {
     pub misses: u64,
 }
 
-/// A keyed, reference-counted compiled-plan cache, shared across every
-/// connection of one server, or private to one bare session.
+/// A keyed compiled-plan cache, shared across every connection of one
+/// server, or private to one bare session.
 pub struct PlanCache {
     /// Bounds are schema-dependent; the cache is built with the same
     /// DTD the server's admission policy uses, so cached bounds are
@@ -114,10 +120,10 @@ impl PlanCache {
         key
     }
 
-    /// Fetch (or compile) the plan for a batch, taking one reference.
-    /// A miss compiles through [`QuerySet::compile`], whose error names
-    /// the offending query index; a failed checkout takes no reference
-    /// and caches nothing.
+    /// Fetch (or compile) the plan for a batch. The entry stays live
+    /// while any returned `Arc` does. A miss compiles through
+    /// [`QuerySet::compile`], whose error names the offending query
+    /// index; a failed checkout caches nothing.
     pub fn checkout(
         &self,
         engine: XsqEngine,
@@ -126,9 +132,7 @@ impl PlanCache {
         let key = Self::cache_key(engine.mode(), queries);
         {
             let mut inner = self.inner.lock().unwrap();
-            if let Some(slot) = inner.entries.get_mut(&key) {
-                slot.refs += 1;
-                let plan = Arc::clone(&slot.plan);
+            if let Some(plan) = inner.get(&key) {
                 inner.hits += 1;
                 return Ok(plan);
             }
@@ -136,35 +140,24 @@ impl PlanCache {
         // Compile outside the lock: a slow build must not stall every
         // other connection's checkout. Two racing misses both compile;
         // the loser's work is discarded below.
-        let plan = Arc::new(self.build(engine, queries, key)?);
+        let set = QuerySet::compile(engine, queries)?;
+        let bounds = self.bounds(&set);
+        let plan = Arc::new(CachedPlan { key, set, bounds });
         let mut inner = self.inner.lock().unwrap();
         inner.misses += 1;
-        let slot = inner
-            .entries
-            .entry(plan.key.clone())
-            .or_insert_with(|| Slot {
-                plan: Arc::clone(&plan),
-                refs: 0,
-            });
-        slot.refs += 1;
-        Ok(Arc::clone(&slot.plan))
-    }
-
-    /// Drop one reference to a batch; the entry is evicted when the
-    /// last reference goes away. Unknown keys are ignored (the entry
-    /// may already be gone if release races a session teardown).
-    pub fn release(&self, key: &str) {
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(slot) = inner.entries.get_mut(key) {
-            slot.refs = slot.refs.saturating_sub(1);
-            if slot.refs == 0 {
-                inner.entries.remove(key);
-            }
+        if let Some(winner) = inner.get(&plan.key) {
+            return Ok(winner);
         }
+        inner.sweep();
+        inner
+            .entries
+            .insert(plan.key.clone(), Arc::downgrade(&plan));
+        Ok(plan)
     }
 
     pub fn stats(&self) -> PlanCacheStats {
-        let inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock().unwrap();
+        inner.sweep();
         PlanCacheStats {
             entries: inner.entries.len(),
             hits: inner.hits,
@@ -172,27 +165,20 @@ impl PlanCache {
         }
     }
 
-    fn build(
-        &self,
-        engine: XsqEngine,
-        queries: &[&str],
-        key: String,
-    ) -> Result<CachedPlan, (usize, CompileError)> {
-        let set = QuerySet::compile(engine, queries)?;
-        // Bounds are the cache's own work, against its DTD: a per-query
-        // analysis that plain subscriptions never pay for.
-        let dtd = self.dtd.as_deref();
-        let bounds = queries
-            .iter()
-            .map(|q| match engine.compile_str_with_dtd(q, dtd) {
-                Ok(c) => c.bound().clone(),
-                Err(e) => MemoryBound::Unbounded {
-                    reason: format!("bound analysis failed: {e}"),
-                    span: xsq_xpath::Span::new(0, 0),
-                },
-            })
-            .collect();
-        Ok(CachedPlan { key, set, bounds })
+    /// Each query's static bound against the cache's DTD, read off the
+    /// group that runs it: the parsed query and whether that member can
+    /// enqueue both come from the group's HPDT. The cache's own work —
+    /// plain subscriptions never pay for it.
+    fn bounds(&self, set: &QuerySet) -> Vec<MemoryBound> {
+        let mut bounds = vec![MemoryBound::Zero; set.len()];
+        for group in set.groups() {
+            let buffered = group.hpdt.buffered_members();
+            for (tag, &member) in group.members.iter().enumerate() {
+                let query = &group.hpdt.merged[tag];
+                bounds[member] = analyze_bounds(query, buffered[tag], self.dtd.as_deref()).bound;
+            }
+        }
+        bounds
     }
 }
 
@@ -254,21 +240,19 @@ mod tests {
     }
 
     #[test]
-    fn release_evicts_on_last_reference() {
+    fn a_plan_lives_as_long_as_someone_holds_it() {
         let cache = PlanCache::new(None);
         let batch = ["/a/b/text()"];
         let a = cache.checkout(XsqEngine::full(), &batch).unwrap();
         let b = cache.checkout(XsqEngine::full(), &batch).unwrap();
-        let key = a.key().to_string();
-        cache.release(&key);
-        assert_eq!(cache.stats().entries, 1, "one reference still live");
-        cache.release(&key);
-        assert_eq!(cache.stats().entries, 0, "last release evicts");
+        drop(a);
+        assert_eq!(cache.stats().entries, 1, "one holder still live");
+        drop(b);
+        assert_eq!(cache.stats().entries, 0, "the last holder evicts");
         // Re-checkout after eviction recompiles into a fresh entry.
-        let c = cache.checkout(XsqEngine::full(), &batch).unwrap();
-        assert!(!Arc::ptr_eq(&b, &c));
-        assert_eq!(cache.stats().misses, 2);
-        cache.release(c.key());
+        let _c = cache.checkout(XsqEngine::full(), &batch).unwrap();
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.hits, stats.misses), (1, 1, 2));
     }
 
     #[test]

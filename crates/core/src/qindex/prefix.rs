@@ -73,7 +73,7 @@ pub fn plan_groups(queries: &[Query]) -> Result<Vec<QueryGroup>, (usize, Compile
             let group: Vec<Query> = members.iter().map(|&i| queries[i].clone()).collect();
             build_merged_hpdt(&group)
         };
-        match built.and_then(checked) {
+        match built.and_then(crate::analyze::checked) {
             Ok(hpdt) => groups.push(QueryGroup {
                 hpdt: Arc::new(hpdt),
                 members,
@@ -82,15 +82,6 @@ pub fn plan_groups(queries: &[Query]) -> Result<Vec<QueryGroup>, (usize, Compile
         }
     }
     Ok(groups)
-}
-
-/// Verify a freshly built group HPDT and prune dead structure — merged
-/// transducers accumulate duplicate closure self-loops (one per trie
-/// child expanding a shared state) that pruning folds back to one.
-fn checked(hpdt: Hpdt) -> Result<Hpdt, CompileError> {
-    crate::analyze::reject_malformed(&crate::analyze::verify(&hpdt))?;
-    let (pruned, _) = crate::analyze::prune(&hpdt);
-    Ok(pruned)
 }
 
 /// Attribute a group's build failure to one member: the first that does

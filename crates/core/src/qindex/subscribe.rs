@@ -32,7 +32,7 @@ use xsq_xml::{RawEvent, StreamParser};
 
 use crate::arcs::StateId;
 use crate::build::Hpdt;
-use crate::engine::{XsqEngine, XsqMode};
+use crate::engine::XsqEngine;
 use crate::error::{CompileError, EngineError};
 use crate::multi::QuerySet;
 use crate::report::MemoryStats;
@@ -46,7 +46,7 @@ use super::dispatch::{DispatchIndex, GroupInterest, StateInterest};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct QueryId(pub u32);
 
-/// Where shared-mode results go: like [`Sink`], but every callback says
+/// Where shared-mode results go: like [`crate::sink::Sink`], but every callback says
 /// which query produced the value.
 pub trait QuerySink {
     fn result(&mut self, id: QueryId, value: &str);
@@ -177,10 +177,6 @@ impl QueryIndex {
         }
     }
 
-    fn scan_all_mode(&self) -> bool {
-        self.engine.mode() == XsqMode::Full
-    }
-
     /// Instantiate a compiled [`QuerySet`]: one subscription per query,
     /// one runner group per planned group — the only code that turns a
     /// compiled batch into runtime state, whoever compiled it (a
@@ -217,7 +213,7 @@ impl QueryIndex {
             sub.group = gi;
             sub.tag = tag as u32;
         }
-        let core = RunnerCore::new(&hpdt, self.scan_all_mode());
+        let core = RunnerCore::new(&hpdt);
         let mut group = Group {
             live: members.len(),
             hpdt,
@@ -271,20 +267,6 @@ impl QueryIndex {
     pub fn subscribe_group(&mut self, queries: &[&str]) -> Result<Vec<QueryId>, CompileError> {
         let set = QuerySet::compile(self.engine, queries).map_err(|(_, e)| e)?;
         Ok(self.subscribe_set(&set))
-    }
-
-    /// Subscribe an externally compiled (possibly merged) HPDT. The
-    /// transducer is re-verified before registration: a malformed
-    /// artifact — hand-built, corrupted in transit, or produced by a
-    /// buggy external compiler — is rejected with
-    /// [`CompileError::Malformed`] instead of panicking mid-stream.
-    /// Returns one id per merged query, in tag order.
-    pub fn subscribe_compiled(&mut self, hpdt: Arc<Hpdt>) -> Result<Vec<QueryId>, CompileError> {
-        crate::analyze::reject_malformed(&crate::analyze::verify(&hpdt))?;
-        for query in &hpdt.merged {
-            self.engine.check(query)?;
-        }
-        Ok(self.subscribe_set(&QuerySet::of_group(self.engine, hpdt)))
     }
 
     /// Mute a query immediately. Its group keeps running while other
@@ -625,40 +607,6 @@ mod tests {
         assert!(matches!(err, CompileError::Unsupported { .. }));
         // The failed batch registered nothing.
         assert_eq!(index.len(), 0);
-    }
-
-    #[test]
-    fn subscribe_compiled_accepts_verified_hpdts() {
-        let mut index = QueryIndex::new(XsqEngine::full());
-        let compiled = XsqEngine::full()
-            .compile_str("/pub/book/name/text()")
-            .unwrap();
-        let ids = index.subscribe_compiled(compiled.hpdt_arc()).unwrap();
-        assert_eq!(ids.len(), 1);
-        let mut sink = VecQuerySink::new();
-        index.run_document(DOC, &mut sink).unwrap();
-        assert_eq!(sink.of(ids[0]), ["First", "Second"]);
-        assert_eq!(index.text(ids[0]), "/pub/book/name/text()");
-    }
-
-    #[test]
-    fn subscribe_compiled_rejects_corrupted_hpdts() {
-        let mut index = QueryIndex::new(XsqEngine::full());
-        let compiled = XsqEngine::full().compile_str("/a[b]/c/text()").unwrap();
-        let mut hpdt =
-            crate::build::build_hpdt(&xsq_xpath::parse_query("/a[b]/c/text()").unwrap()).unwrap();
-        // Drop a queue slot the runtime would `expect` on: the verifier
-        // must catch this before any event is fed.
-        let victim = *hpdt.queue_index.keys().max_by_key(|id| id.layer).unwrap();
-        hpdt.queue_index.remove(&victim);
-        let err = index.subscribe_compiled(Arc::new(hpdt)).unwrap_err();
-        assert!(
-            matches!(&err, CompileError::Malformed { diagnostic } if diagnostic.contains("queue")),
-            "unexpected error: {err}"
-        );
-        // The clean twin still subscribes fine.
-        assert!(index.subscribe_compiled(compiled.hpdt_arc()).is_ok());
-        assert_eq!(index.len(), 1);
     }
 
     #[test]

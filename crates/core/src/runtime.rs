@@ -17,9 +17,11 @@
 //!   order), independent of when predicates resolve.
 //!
 //! The deterministic fast path (XSQ-NC, §6.2) runs the same machinery but
-//! stops scanning a state's arcs at the first match whenever the builder
-//! proved the state deterministic — the paper's "XSQ-NC can stop searching
-//! after it finds one match".
+//! stops scanning a state's arcs at the first match — the paper's "XSQ-NC
+//! can stop searching after it finds one match". Which path runs is read
+//! off the automaton: first-match wherever `hpdt.deterministic` holds and
+//! the state's arcs cannot overlap (`!hpdt.scan_all[state]`), so a solo
+//! runner and an index group over the same HPDT run alike.
 //!
 //! The runtime state lives in [`RunnerCore`], which borrows the compiled
 //! [`Hpdt`] only for the duration of each call — that is what lets the
@@ -70,8 +72,6 @@ pub struct RunStats {
 /// HPDT every result carries tag 0, while a merged multi-query HPDT tags
 /// each result with the index of its originating query in `hpdt.merged`.
 pub struct RunnerCore {
-    /// When false (XSQ-NC), deterministic states stop at the first match.
-    scan_all_mode: bool,
     /// Mirror of `hpdt.buffered`: when false, buffer-necessity analysis
     /// proved no action ever enqueues, so no queues are allocated and the
     /// flush/upload/clear actions (which still exist on some arcs) are
@@ -120,13 +120,10 @@ fn make_aggs(hpdt: &Hpdt) -> (Vec<Option<Aggregator>>, usize) {
 }
 
 impl RunnerCore {
-    /// Create runtime state for a compiled HPDT. `scan_all_mode` selects
-    /// the nondeterministic (XSQ-F) arc scan; pass `false` only for
-    /// closure-free queries (XSQ-NC).
-    pub fn new(hpdt: &Hpdt, scan_all_mode: bool) -> Self {
+    /// Create runtime state for a compiled HPDT.
+    pub fn new(hpdt: &Hpdt) -> Self {
         let (aggs, agg_count) = make_aggs(hpdt);
         RunnerCore {
-            scan_all_mode,
             buffered: hpdt.buffered,
             configs: vec![Config {
                 state: hpdt.start,
@@ -245,7 +242,7 @@ impl RunnerCore {
         let key = crate::arcs::raw_event_key(event);
         for (ci, cfg) in self.configs.iter().enumerate() {
             let arcs = &hpdt.arcs[cfg.state as usize];
-            let stop_early = !self.scan_all_mode && !hpdt.scan_all[cfg.state as usize];
+            let stop_early = hpdt.deterministic && !hpdt.scan_all[cfg.state as usize];
             if let Some(table) = &hpdt.arc_tables[cfg.state as usize] {
                 // Keyed candidates come out in ascending arc order, so
                 // stop-early sees the same first match as a linear scan.
@@ -607,13 +604,11 @@ pub struct Runner<'q> {
 }
 
 impl<'q> Runner<'q> {
-    /// Create a runner over a compiled HPDT. `scan_all_mode` selects the
-    /// nondeterministic (XSQ-F) arc scan; pass `false` only for
-    /// closure-free queries (XSQ-NC).
-    pub fn new(hpdt: &'q Hpdt, scan_all_mode: bool) -> Self {
+    /// Create a runner over a compiled HPDT.
+    pub fn new(hpdt: &'q Hpdt) -> Self {
         Runner {
             hpdt,
-            core: RunnerCore::new(hpdt, scan_all_mode),
+            core: RunnerCore::new(hpdt),
             tracer: None,
         }
     }
@@ -689,7 +684,7 @@ mod tests {
 
     fn run(query: &str, doc: &str) -> Vec<String> {
         let hpdt = build_hpdt(&parse_query(query).unwrap()).unwrap();
-        let mut runner = Runner::new(&hpdt, true);
+        let mut runner = Runner::new(&hpdt);
         let mut sink = VecSink::new();
         let events = xsq_xml::parse_to_events(doc.as_bytes()).unwrap();
         for e in &events {
@@ -782,12 +777,13 @@ mod tests {
         let doc = "<pub><book><price>10</price><author>A</author></book>\
                    <book><price>14</price><author>B</author></book>\
                    <year>2002</year></pub>";
-        let hpdt = build_hpdt(&parse_query(q).unwrap()).unwrap();
+        let mut hpdt = build_hpdt(&parse_query(q).unwrap()).unwrap();
         assert!(hpdt.deterministic);
         let events = xsq_xml::parse_to_events(doc.as_bytes()).unwrap();
         let mut outs = Vec::new();
-        for scan_all in [true, false] {
-            let mut runner = Runner::new(&hpdt, scan_all);
+        for deterministic in [false, true] {
+            hpdt.deterministic = deterministic;
+            let mut runner = Runner::new(&hpdt);
             let mut sink = VecSink::new();
             for e in &events {
                 runner.feed_raw(&e.as_raw(), &mut sink);
@@ -802,7 +798,7 @@ mod tests {
     #[test]
     fn streaming_results_appear_before_document_end() {
         let hpdt = build_hpdt(&parse_query("/a/b/text()").unwrap()).unwrap();
-        let mut runner = Runner::new(&hpdt, true);
+        let mut runner = Runner::new(&hpdt);
         let mut sink = VecSink::new();
         let events = xsq_xml::parse_to_events(b"<a><b>early</b><c/></a>").unwrap();
         // Feed only through </b>.
@@ -815,7 +811,7 @@ mod tests {
     #[test]
     fn running_aggregate_updates_stream() {
         let hpdt = build_hpdt(&parse_query("//b/count()").unwrap()).unwrap();
-        let mut runner = Runner::new(&hpdt, true);
+        let mut runner = Runner::new(&hpdt);
         let mut sink = VecSink::new();
         for e in xsq_xml::parse_to_events(b"<a><b/><b/><b/></a>").unwrap() {
             runner.feed_raw(&e.as_raw(), &mut sink);
@@ -828,7 +824,7 @@ mod tests {
     #[test]
     fn core_feed_reports_whether_arcs_fired() {
         let hpdt = build_hpdt(&parse_query("/a/b/text()").unwrap()).unwrap();
-        let mut core = RunnerCore::new(&hpdt, true);
+        let mut core = RunnerCore::new(&hpdt);
         let mut sink = crate::sink::TaggedVecSink::new();
         let events = xsq_xml::parse_to_events(b"<a><z>skip</z><b>hit</b></a>").unwrap();
         let mut fired = Vec::new();
@@ -845,7 +841,7 @@ mod tests {
     #[test]
     fn core_reset_supports_multiple_documents() {
         let hpdt = build_hpdt(&parse_query("//b/count()").unwrap()).unwrap();
-        let mut core = RunnerCore::new(&hpdt, true);
+        let mut core = RunnerCore::new(&hpdt);
         for _ in 0..2 {
             let mut sink = crate::sink::TaggedVecSink::new();
             for e in xsq_xml::parse_to_events(b"<a><b/><b/></a>").unwrap() {
@@ -865,7 +861,7 @@ mod tests {
             .map(|q| parse_query(q).unwrap())
             .collect();
         let hpdt = build_merged_hpdt(&queries).unwrap();
-        let mut core = RunnerCore::new(&hpdt, true);
+        let mut core = RunnerCore::new(&hpdt);
         let mut sink = crate::sink::TaggedVecSink::new();
         let doc = br#"<a><b id="7">x</b><c>y</c></a>"#;
         for e in xsq_xml::parse_to_events(doc).unwrap() {

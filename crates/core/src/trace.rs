@@ -122,7 +122,7 @@ mod tests {
         let mut steps: Vec<TraceStep> = Vec::new();
         {
             let mut tracer = |s: TraceStep| steps.push(s);
-            let mut runner = Runner::new(&hpdt, true);
+            let mut runner = Runner::new(&hpdt);
             runner.set_tracer(&mut tracer);
             let mut sink = VecSink::new();
             for ev in
@@ -162,7 +162,7 @@ mod tests {
                     <year>2002</year></pub></root>";
         let events = xsq_xml::parse_to_events(doc).unwrap();
         let plain = {
-            let mut r = Runner::new(&hpdt, true);
+            let mut r = Runner::new(&hpdt);
             let mut s = VecSink::new();
             for e in &events {
                 r.feed_raw(&e.as_raw(), &mut s);
@@ -173,7 +173,7 @@ mod tests {
         let mut count = 0usize;
         let traced = {
             let mut tracer = |_s: TraceStep| count += 1;
-            let mut r = Runner::new(&hpdt, true);
+            let mut r = Runner::new(&hpdt);
             r.set_tracer(&mut tracer);
             let mut s = VecSink::new();
             for e in &events {

@@ -49,7 +49,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use xsq_core::{PlanCache, QueryId, QuerySink, XsqEngine};
+use xsq_core::{CachedPlan, PlanCache, QueryId, QuerySink, XsqEngine};
 
 use crate::ingest::Ingest;
 use crate::proto::{err_payload, errcode, op};
@@ -64,10 +64,11 @@ struct SubRef {
     active_from: u32,
 }
 
-/// One shared SUB batch: the plan-cache key, the global ids its index
-/// subscriptions got, and everyone attached to it.
+/// One shared SUB batch: its cached plan (held until the last
+/// subscriber detaches), the global ids its index subscriptions got,
+/// and everyone attached to it.
 struct Entry {
-    key: String,
+    plan: Arc<CachedPlan>,
     ids: Vec<QueryId>,
     subs: Vec<SubRef>,
 }
@@ -325,7 +326,7 @@ impl Hub {
                         self.id_local.push(local as u32);
                     }
                     self.entries.push(Some(Entry {
-                        key: plan.key().to_string(),
+                        plan: Arc::clone(plan),
                         ids,
                         subs: Vec::new(),
                     }));
@@ -426,8 +427,8 @@ impl Hub {
         }
     }
 
-    /// A connection went away: release its subscriptions (and cache
-    /// references), tear down entries that lost their last subscriber,
+    /// A connection went away: release its subscriptions, tear down
+    /// entries that lost their last subscriber (and their cached plans),
     /// or — if it was the feeder mid-document — poison the stream for
     /// every subscriber, exactly like a parse failure.
     pub fn conn_closed(&mut self, token: u64) {
@@ -467,14 +468,12 @@ impl Hub {
         };
         if let Some(entry) = self.entries[slot].as_mut() {
             entry.subs.retain(|s| (s.token, s.sid) != key);
-            // Each SUB checked one reference out of the cache.
-            self.cache.release(&entry.key);
             if entry.subs.is_empty() {
                 let entry = self.entries[slot].take().expect("live entry");
                 for id in entry.ids {
                     self.ingest.index.unsubscribe(id);
                 }
-                self.by_key.remove(&entry.key);
+                self.by_key.remove(entry.plan.key());
             }
         }
         true

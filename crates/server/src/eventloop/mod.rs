@@ -18,7 +18,7 @@
 //! * **One session table, two framings**: a connection that opens with
 //!   HELLO ≥ 2 prefixes every later frame with a `u32` logical-session
 //!   id and may run many [`Session`]s over one socket; a wire-v1
-//!   connection runs the one session that has no id. [`split_sid`] is
+//!   connection runs the one session that has no id. `split_sid` is
 //!   the only code that knows the difference in framing, and two
 //!   policies are the only difference in behaviour: the session with no
 //!   id opens on its first frame and takes the connection with it when

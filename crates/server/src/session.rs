@@ -6,13 +6,14 @@
 //! same state machine runs under the TCP server and under in-process
 //! tests with no socket at all. Per connection it owns:
 //!
-//! * a private [`Ingest`] — a `QueryIndex` (sessions never share
+//! * a private `Ingest` — a `QueryIndex` (sessions never share
 //!   runtime state, so one slow client cannot stall another's dispatch)
 //!   behind a push parser fed FEED payloads exactly as they arrive off
 //!   the wire, with the counters STAT reports,
 //! * the SUB/UNSUB bookkeeping: compiled batches come out of a
 //!   [`PlanCache`] — the server's shared one, or the session's own when
-//!   nothing shares it — and every checkout is released exactly once.
+//!   nothing shares it — and the session holds each plan's `Arc` for as
+//!   long as a member of the batch is subscribed or promised.
 //!
 //! Subscription changes that arrive *mid-document* (between the first
 //! FEED and its END-DOC) are deferred to the document boundary: the
@@ -173,12 +174,13 @@ impl TransportStats {
     }
 }
 
-/// One subscribed SUB batch. It owes the plan cache a release once its
-/// last member unsubscribes (or the session drops).
+/// One subscribed SUB batch: ids `first..first + plan.set().len()`.
+/// Holding `plan` is what keeps it cached; the batch is dropped when
+/// its last member unsubscribes.
 struct BatchRef {
-    ids: Vec<QueryId>,
+    first: u32,
     live: usize,
-    key: String,
+    plan: Arc<CachedPlan>,
 }
 
 /// One connection's protocol state machine.
@@ -187,7 +189,7 @@ pub struct Session {
     ingest: Ingest,
     /// SUB batches promised mid-document, applied at the next boundary.
     /// Each was checked out of the cache at SUB time, so applying it
-    /// cannot fail and its reference is already counted.
+    /// cannot fail.
     pending_subs: Vec<Arc<CachedPlan>>,
     /// UNSUBs received mid-document, applied after pending subs.
     pending_unsubs: Vec<QueryId>,
@@ -197,7 +199,7 @@ pub struct Session {
     /// Where SUB batches compile: the server's cross-connection cache,
     /// or one of this session's own.
     cache: Arc<PlanCache>,
-    /// Every batch this session subscribed, for cache accounting.
+    /// The batches with a live member.
     batches: Vec<BatchRef>,
     transport: TransportStats,
     /// RESULT payloads are built here, one after another.
@@ -299,7 +301,7 @@ impl Session {
                     .map(QueryId)
                     .collect()
             } else {
-                apply_sub(&mut self.ingest, &mut self.batches, plan)
+                apply_sub(&mut self.ingest, &mut self.batches, Arc::clone(plan))
             }
         });
         out.send(opcode, &reply);
@@ -335,20 +337,19 @@ impl Session {
         Action::Continue
     }
 
-    /// Unsubscribe `id` and keep the plan-cache accounting straight:
-    /// when the last live member of a cached batch goes away, the
-    /// cache reference is released (evicting the compiled plan if this
-    /// was its last subscriber anywhere).
+    /// Unsubscribe `id`; the last live member of a batch takes the
+    /// batch — and this session's hold on its cached plan — with it.
     fn apply_unsub(&mut self, id: QueryId) {
         if !self.ingest.index.unsubscribe(id) {
             return;
         }
-        let Some(batch) = self.batches.iter_mut().find(|b| b.ids.contains(&id)) else {
+        let of_id = |b: &BatchRef| (b.first..b.first + b.plan.set().len() as u32).contains(&id.0);
+        let Some(at) = self.batches.iter().position(of_id) else {
             return;
         };
-        batch.live -= 1;
-        if batch.live == 0 {
-            self.cache.release(&batch.key);
+        self.batches[at].live -= 1;
+        if self.batches[at].live == 0 {
+            self.batches.swap_remove(at);
         }
     }
 
@@ -382,7 +383,7 @@ impl Session {
         // Deferred subscription changes: promised subs first (their ids
         // must exist before an interleaved UNSUB can name them).
         for plan in std::mem::take(&mut self.pending_subs) {
-            apply_sub(&mut self.ingest, &mut self.batches, &plan);
+            apply_sub(&mut self.ingest, &mut self.batches, plan);
         }
         self.promised = 0;
         for id in std::mem::take(&mut self.pending_unsubs) {
@@ -404,14 +405,19 @@ impl Session {
     }
 }
 
-/// Instantiate an admitted batch in the index and file it for cache
-/// accounting. Returns the ids the index allocated.
-fn apply_sub(ingest: &mut Ingest, batches: &mut Vec<BatchRef>, plan: &CachedPlan) -> Vec<QueryId> {
+/// Instantiate an admitted batch in the index and keep its plan.
+/// Returns the ids the index allocated.
+fn apply_sub(
+    ingest: &mut Ingest,
+    batches: &mut Vec<BatchRef>,
+    plan: Arc<CachedPlan>,
+) -> Vec<QueryId> {
+    let first = ingest.index.len() as u32;
     let ids = ingest.index.subscribe_set(plan.set());
     batches.push(BatchRef {
+        first,
         live: ids.len(),
-        ids: ids.clone(),
-        key: plan.key().to_string(),
+        plan,
     });
     ids
 }
@@ -424,31 +430,16 @@ fn fail_stream(message: &str, out: &mut dyn Outbox) -> Action {
     Action::Close
 }
 
-impl Drop for Session {
-    /// A vanished connection must not pin cache entries: every batch
-    /// still holding a cache reference (including ones promised but
-    /// never applied) releases it here.
-    fn drop(&mut self) {
-        for batch in &self.batches {
-            if batch.live > 0 {
-                self.cache.release(&batch.key);
-            }
-        }
-        for plan in &self.pending_subs {
-            self.cache.release(plan.key());
-        }
-    }
-}
-
 /// The one SUB admission path, for a private session and the broadcast
 /// hub alike: payload text → plan-cache checkout → budget check →
 /// `subscribe` → SUB_OK. Returns the reply frame. Every query's static
 /// memory bound is known before `subscribe` runs or any id is promised,
 /// so a rejected batch changes nothing: the ERR is recoverable and the
-/// cache reference the checkout took is given back.
+/// plan, which nobody kept, leaves the cache.
 ///
-/// `subscribe` receives the admitted plan — whose cache reference is
-/// now the caller's to release — and returns the ids SUB_OK reports.
+/// `subscribe` receives the admitted plan — which stays cached for as
+/// long as the caller holds a clone — and returns the ids SUB_OK
+/// reports.
 pub(crate) fn admit_sub(
     engine: XsqEngine,
     limits: &SessionLimits,
@@ -492,7 +483,6 @@ pub(crate) fn admit_sub(
                 ),
                 &bound_diagnostics(queries[i], limits.dtd.as_deref()),
             );
-            cache.release(plan.key());
             return (op::ERR, err);
         }
     }
@@ -855,6 +845,9 @@ mod tests {
         let text = std::str::from_utf8(&replies[0].1).unwrap();
         assert!(text.contains("memory-bound"), "{text}");
         assert!(text.contains("outermost-undecided-step"), "{text}");
+        // Nobody kept the rejected batch's plan.
+        let replies = drive(&mut session, &[stat_frame()]);
+        assert_eq!(plan_cache_entries(&replies), Some(0));
         // The session survives and still admits bufferless queries…
         let replies = drive(
             &mut session,

@@ -476,6 +476,50 @@ fn raw_conn(addr: &str) -> (BufReader<TcpStream>, TcpStream) {
     (BufReader::new(stream.try_clone().unwrap()), stream)
 }
 
+/// A broadcast entry holds its cached plan: the plan outlives the first
+/// of two identical subscribers and leaves the cache with the last.
+#[test]
+fn the_last_subscriber_of_an_entry_takes_its_cached_plan_along() {
+    let server = start_broadcast(1024, BroadcastPolicy::Block);
+    let addr = server.addr().to_string();
+    let send = |w: &mut TcpStream, opc: u8, p: &[u8]| {
+        w.write_all(&frame_bytes(opc, p)).unwrap();
+        w.flush().unwrap();
+    };
+    let recv = |r: &mut BufReader<TcpStream>| read_frame(r, MAX_FRAME).unwrap().unwrap();
+    let (mut feeder_r, mut feeder_w) = raw_conn(&addr);
+    send(&mut feeder_w, op::FEEDER, &[]);
+    assert_eq!(recv(&mut feeder_r).op, op::OK);
+    let mut subscribers: Vec<_> = (0..2).map(|_| raw_conn(&addr)).collect();
+    for (r, w) in &mut subscribers {
+        send(w, op::SUB, b"//name/text()\n//book/count()");
+        assert_eq!(recv(r).op, op::SUB_OK);
+    }
+    // The feeder's STAT, once the hub has seen `attached` subscribers.
+    let mut stat_at = |attached: u64| {
+        for _ in 0..500 {
+            send(&mut feeder_w, op::STAT, &[]);
+            let json = String::from_utf8(recv(&mut feeder_r).payload).unwrap();
+            if stat_field_u64(&json, "subscribers") == Some(attached) {
+                return json;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        panic!("the hub never reported {attached} subscriber(s)");
+    };
+    let entries = |json: &str| stat_field_u64(json, "plan_cache_entries");
+    assert_eq!(entries(&stat_at(2)), Some(1));
+    subscribers.pop();
+    assert_eq!(
+        entries(&stat_at(1)),
+        Some(1),
+        "one subscriber still holds it"
+    );
+    subscribers.pop();
+    assert_eq!(entries(&stat_at(0)), Some(0), "nobody holds the plan");
+    server.shutdown();
+}
+
 /// Drop policy sheds *whole frames*: a saturated subscriber's byte
 /// stream still decodes frame by frame to EOF, every boundary is
 /// there, and what it received plus what the server counted as dropped

@@ -36,24 +36,6 @@ use crate::push::{Token, TokenKind, Window, CDATA_CLOSE, CDATA_OPEN};
 use crate::scan;
 use crate::symbol::Sym;
 
-/// Configuration for [`StreamParser`].
-#[derive(Debug, Clone)]
-pub struct ParserOptions {
-    /// Drop text events consisting only of whitespace (indentation between
-    /// elements). The engines in this reproduction never match on
-    /// whitespace-only text, and skipping it is what SAX-based systems in
-    /// the paper's study effectively do. Default: `true`.
-    pub skip_whitespace_text: bool,
-}
-
-impl Default for ParserOptions {
-    fn default() -> Self {
-        ParserOptions {
-            skip_whitespace_text: true,
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DocState {
     /// Document element not yet seen.
@@ -141,7 +123,6 @@ pub struct StreamParser<R> {
 /// Document-level parse state and the scratch buffers events borrow:
 /// consumes whole-token slices, produces [`Pending`] descriptors.
 struct Document {
-    options: ParserOptions,
     state: DocState,
     /// Open-element stack; `stack.len()` is the current depth. Each entry
     /// carries the interned name's `&'static str` so closing-tag checks
@@ -234,15 +215,9 @@ fn step(window: &mut Window, doc: &mut Document) -> Result<Step> {
 }
 
 impl<R: BufRead> StreamParser<R> {
-    /// Create a parser with default options.
+    /// Create a parser reading from `reader`.
     pub fn new(reader: R) -> Self {
-        Self::with_options(reader, ParserOptions::default())
-    }
-
-    /// Create a parser with explicit options.
-    pub fn with_options(reader: R, options: ParserOptions) -> Self {
         let mut doc = Document {
-            options,
             state: DocState::BeforeRoot,
             stack: Vec::new(),
             pending: VecDeque::new(),
@@ -448,8 +423,10 @@ impl Document {
         if self.text_acc.is_empty() {
             return;
         }
-        let keep = !self.options.skip_whitespace_text || !is_all_whitespace(&self.text_acc);
-        if keep && !self.stack.is_empty() {
+        // Whitespace-only text (indentation between elements) is dropped:
+        // the engines never match on it, and skipping it is what the
+        // SAX-based systems in the paper's study effectively do.
+        if !is_all_whitespace(&self.text_acc) && !self.stack.is_empty() {
             let element = self.stack.last().expect("in root").0;
             let depth = self.stack.len() as u32;
             // Swap instead of clone: `text_out` is free once `pending`
@@ -776,6 +753,10 @@ fn normalize_attr_whitespace<'a>(raw: &'a [u8], scratch: &'a mut Vec<u8>) -> &'a
 /// Whitespace-only test with a byte-wise ASCII fast path; the `chars()`
 /// pass only runs when a non-ASCII-whitespace byte shows up (it could
 /// still be Unicode whitespace, which `char::is_whitespace` accepts).
+/// Out of line on purpose: inlined into `flush_text`, and through it
+/// into every token handler, both scans cost the referee's `scan_dblp`
+/// 2–3 % of tokenizer throughput.
+#[inline(never)]
 fn is_all_whitespace(s: &str) -> bool {
     s.bytes().all(|b| b.is_ascii_whitespace()) || s.chars().all(char::is_whitespace)
 }
@@ -880,27 +861,12 @@ mod tests {
     }
 
     #[test]
-    fn whitespace_only_text_is_skipped_by_default() {
+    fn whitespace_only_text_is_skipped() {
         let evs = events("<a>\n  <b>x</b>\n</a>");
         assert!(evs
             .iter()
             .filter(|e| e.is_text())
             .all(|e| matches!(e, SaxEvent::Text { text, .. } if text == "x")));
-    }
-
-    #[test]
-    fn whitespace_text_kept_when_requested() {
-        let opts = ParserOptions {
-            skip_whitespace_text: false,
-        };
-        let mut p = StreamParser::with_options(&b"<a> <b>x</b></a>"[..], opts);
-        let mut texts = Vec::new();
-        while let Some(ev) = p.next_event().unwrap() {
-            if let SaxEvent::Text { text, .. } = ev {
-                texts.push(text);
-            }
-        }
-        assert_eq!(texts, vec![" ".to_string(), "x".to_string()]);
     }
 
     #[test]

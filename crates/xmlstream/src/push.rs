@@ -3,10 +3,10 @@
 //!
 //! Bytes arrive in chunks that split tokens, multi-byte UTF-8
 //! sequences, entity references and the CDATA `]]>` terminator at
-//! arbitrary boundaries. [`Window`] owns the unconsumed bytes and runs
-//! one resumable state machine ([`Scan`]) over them, on the
+//! arbitrary boundaries. `Window` owns the unconsumed bytes and runs
+//! one resumable state machine (`Scan`) over them, on the
 //! runtime-dispatched scan kernels ([`crate::scan`]):
-//! [`Window::next_token`] yields the next **complete** token as a kind
+//! `Window::next_token` yields the next **complete** token as a kind
 //! plus a byte range — a text run once the `<` that ends it has arrived
 //! (so a split UTF-8 sequence, the `\r` of a `\r\n` pair or an
 //! unterminated `&entity;` is never half-processed), a tag once its
@@ -34,7 +34,7 @@
 //! Memory is bounded by the largest single token plus one chunk:
 //! consumed bytes are compacted away as the window refills.
 
-use crate::parser::{ParserOptions, StreamParser};
+use crate::parser::StreamParser;
 use crate::scan;
 
 /// Scanner state: where in the raw XML grammar the byte at `scanned`
@@ -451,14 +451,9 @@ impl Window {
 pub type PushParser = StreamParser<std::io::Empty>;
 
 impl StreamParser<std::io::Empty> {
-    /// A push-fed parser with default options.
+    /// A push-fed parser.
     pub fn push_mode() -> PushParser {
-        Self::push_mode_with_options(ParserOptions::default())
-    }
-
-    /// A push-fed parser with explicit options.
-    pub fn push_mode_with_options(options: ParserOptions) -> PushParser {
-        StreamParser::with_options(std::io::empty(), options)
+        StreamParser::new(std::io::empty())
     }
 
     /// Append a chunk of the document. Chunks may split anything —

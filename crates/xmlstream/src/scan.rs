@@ -20,7 +20,7 @@
 //!   differential tests compare every other tier against.
 //!
 //! The selected kernel is cached in a function-pointer table
-//! ([`Vtable`]) behind a `OnceLock`, so steady-state dispatch is one
+//! (`Vtable`) behind a `OnceLock`, so steady-state dispatch is one
 //! indirect call with no feature re-detection. `XSQ_SCAN_KERNEL=scalar|
 //! swar|sse2|avx2` overrides selection (CI pins each tier with it); an
 //! unknown name panics loudly, a known-but-unavailable tier falls back
@@ -31,7 +31,7 @@
 //!
 //! The SSE2/AVX2 implementations are `unsafe fn`s marked
 //! `#[target_feature(...)]`. They are sound to call because (a) their
-//! safe wrappers are only reachable through a [`Vtable`] that is
+//! safe wrappers are only reachable through a `Vtable` that is
 //! installed after `is_x86_feature_detected!` confirms the feature, or
 //! through [`Kernel`] methods that assert [`Kernel::is_available`]
 //! first, and (b) every pointer they read is derived from the haystack

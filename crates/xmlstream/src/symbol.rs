@@ -5,7 +5,7 @@
 //! dozens of distinct tags), so the per-event cost of owning a `String`
 //! per name — one malloc on creation, one memcmp per arc match — is
 //! pure waste. Following FluXQuery and the compressed-index XPath work,
-//! names are interned once into a process-wide [`SymbolTable`] and flow
+//! names are interned once into a process-wide symbol table and flow
 //! through the pipeline as dense [`Sym`] codes: arc matching, dispatch
 //! indexing, and stack maintenance become `u32` compares and `Vec`
 //! indexing.

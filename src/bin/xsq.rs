@@ -76,6 +76,7 @@ use xsq::engine::{
     query_lines, run_sharded_with, QueryId, QuerySet, QuerySink, ShardOptions, Sink, XPathEngine,
     XsqEngine,
 };
+use xsq::server::proto::json_escape;
 
 /// Distinct exit codes per error class, so scripts (and CI) can tell
 /// a bad query from a dead server from an unreadable file.
@@ -253,23 +254,6 @@ struct StdoutSink {
     running: bool,
     json: bool,
     results: u64,
-}
-
-/// Minimal JSON string escaping (the result values are arbitrary text).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl Sink for StdoutSink {

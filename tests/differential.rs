@@ -16,14 +16,20 @@
 //! seed, and `cases(seed..seed + 1, …)` in the failing test replays it
 //! alone.
 
+use std::sync::Arc;
+
 use xsq::baselines::dom::{eval_pathcheck, eval_stepwise, Document};
 use xsq::datagen::rng::{cases, StdRng};
 use xsq::engine::{
-    run_sequential, PlanCache, QueryIndex, QuerySet, Runner, VecQuerySink, VecSink, XPathEngine,
-    XsqEngine,
+    analyze_with_dtd, run_sequential, PlanCache, QueryIndex, QuerySet, Runner, VecQuerySink,
+    VecSink, XPathEngine, XsqEngine,
 };
+use xsq::xml::dtd::Dtd;
 use xsq::xml::SaxEvent;
 use xsq::xpath::parse_query;
+
+#[path = "common/schema_gen.rs"]
+mod schema_gen;
 
 const CASES: u64 = 512;
 
@@ -99,23 +105,26 @@ fn gen_pred(rng: &mut StdRng) -> String {
 /// One to three location steps; `closures` allows `//`, `preds` allows a
 /// predicate per step.
 fn gen_steps(rng: &mut StdRng, closures: bool, preds: bool) -> String {
-    let mut steps = String::new();
-    for _ in 0..rng.gen_range(1..4) {
-        steps.push_str(if closures && rng.gen_bool(0.6) {
-            "//"
-        } else {
-            "/"
-        });
-        steps.push_str(if rng.gen_bool(0.25) {
-            "*"
-        } else {
-            pick(rng, &TAGS)
-        });
-        if preds && rng.gen_bool(0.4) {
-            steps.push_str(&gen_pred(rng));
-        }
+    (0..rng.gen_range(1..4))
+        .map(|_| gen_step(rng, closures, preds))
+        .collect()
+}
+
+fn gen_step(rng: &mut StdRng, closures: bool, preds: bool) -> String {
+    let mut step = String::from(if closures && rng.gen_bool(0.6) {
+        "//"
+    } else {
+        "/"
+    });
+    step.push_str(if rng.gen_bool(0.25) {
+        "*"
+    } else {
+        pick(rng, &TAGS)
+    });
+    if preds && rng.gen_bool(0.4) {
+        step.push_str(&gen_pred(rng));
     }
-    steps
+    step
 }
 
 /// Scalar outputs (the XMLTK fragment; it emits whole elements at their
@@ -138,6 +147,25 @@ fn gen_output(rng: &mut StdRng) -> String {
 
 fn gen_query(rng: &mut StdRng) -> String {
     gen_steps(rng, true, true) + &gen_output(rng)
+}
+
+/// Two to four queries that agree on their first location step and
+/// select no whole elements — the planner merges them into one group.
+fn gen_merging_batch(rng: &mut StdRng, closures: bool) -> Vec<String> {
+    let first = gen_step(rng, closures, true);
+    (0..rng.gen_range(2..5))
+        .map(|_| {
+            let tail: String = (0..rng.gen_range(0..3))
+                .map(|_| gen_step(rng, closures, true))
+                .collect();
+            let output = if rng.gen_bool(0.2) {
+                "/sum()".into()
+            } else {
+                gen_scalar_output(rng)
+            };
+            format!("{first}{tail}{output}")
+        })
+        .collect()
 }
 
 // ---- runners -------------------------------------------------------------
@@ -323,8 +351,116 @@ fn multi_query_runs_equal_single_runs() {
                 "run_sequential vs solo on {refs:?} over {doc}"
             );
         }
-        cache.release(plan.key());
     });
+}
+
+/// Run mode is read off the automaton, in an index group as in a solo
+/// runner: closure-free sets — merged groups included — run first-match
+/// inside a `QueryIndex` under `XsqEngine::full()`, and must produce
+/// what the scan-all runtime does. Scan-all is forced the only way it
+/// can be: on an HPDT the test built itself, by clearing its
+/// `deterministic` flag.
+#[test]
+fn first_match_index_groups_equal_forced_scan_all_solo_runners() {
+    cases(0..CASES, |rng| {
+        let docs = [gen_doc(rng), gen_doc(rng)];
+        let mut queries = gen_merging_batch(rng, false);
+        queries.extend(
+            (0..rng.gen_range(0..3)).map(|_| gen_steps(rng, false, true) + &gen_output(rng)),
+        );
+        let refs: Vec<&str> = queries.iter().map(String::as_str).collect();
+        let mut index = QueryIndex::new(XsqEngine::full());
+        let ids = index
+            .subscribe_group(&refs)
+            .expect("generated queries compile");
+        assert!(index.group_count() < refs.len(), "{refs:?} did not merge");
+        for doc in &docs {
+            let mut sink = VecQuerySink::new();
+            index
+                .run_document(doc.as_bytes(), &mut sink)
+                .expect("well-formed");
+            let events = events_of(doc);
+            for (q, &id) in refs.iter().zip(&ids) {
+                let parsed = parse_query(q).expect("generated queries parse");
+                let mut hpdt = xsq::engine::build_hpdt(&parsed).expect("builds");
+                assert!(hpdt.deterministic, "{q} is closure-free");
+                hpdt.deterministic = false;
+                let (mut runner, mut want) = (Runner::new(&hpdt), VecSink::new());
+                feed_all(&mut runner, &events, &mut want);
+                runner.finish(&mut want);
+                assert_eq!(sink.of(id), want.results, "{q} in {refs:?} over {doc}");
+            }
+        }
+    });
+}
+
+/// What a compile reports about `queries` — solo, and as one batch
+/// through a plan cache built on `dtd` — is what `analyze_with_dtd`
+/// (the backend of `xsq analyze`) derives for each query alone: every
+/// member's static bound, and for a solo compile the automaton's size
+/// and the engine that runs it. Returns the batch's group count.
+fn assert_compiled_matches_analysis(queries: &[&str], dtd: Option<&Arc<Dtd>>) -> usize {
+    let engine = XsqEngine::full();
+    let cache = PlanCache::new(dtd.cloned());
+    let dtd = dtd.map(|d| &**d);
+    let mut bounds = Vec::new();
+    for q in queries {
+        let parsed = parse_query(q).expect("generated queries parse");
+        let analysis = analyze_with_dtd(&parsed, dtd).expect("analyzes");
+        let solo = engine.compile_str_with_dtd(q, dtd).expect("compiles");
+        assert_eq!(solo.bound(), &analysis.bound.bound, "solo bound of {q}");
+        // The artifact's one-bit verdict against the per-queue plan.
+        assert_eq!(
+            analysis.pruned.buffered, analysis.plan.buffered,
+            "buffering of {q}"
+        );
+        assert_eq!(
+            (solo.hpdt().states.len(), solo.hpdt().arc_count()),
+            (analysis.pruned.states.len(), analysis.pruned.arc_count()),
+            "solo automaton of {q}"
+        );
+        assert_eq!(solo.engine_label(), analysis.engine, "engine of {q}");
+        let plan = cache.checkout(engine, &[q]).expect("compiles");
+        assert_eq!(plan.bounds(), [solo.bound().clone()], "plan of {q}");
+        bounds.push(analysis.bound.bound);
+    }
+    let plan = cache.checkout(engine, queries).expect("compiles");
+    assert_eq!(plan.bounds(), bounds, "batch {queries:?}");
+    plan.set().group_count()
+}
+
+#[test]
+fn compiled_plans_report_what_the_analyzer_explains() {
+    // No schema: the generated query pool, alone and in merging batches.
+    cases(0..CASES, |rng| {
+        let batch = gen_merging_batch(rng, true);
+        let refs: Vec<&str> = batch.iter().map(String::as_str).collect();
+        assert_eq!(assert_compiled_matches_analysis(&refs, None), 1);
+        assert_compiled_matches_analysis(&[&gen_query(rng)], None);
+    });
+    // Generated DTDs: four queries merge whenever two agree on step one.
+    let mut merged = 0u32;
+    cases(0..CASES, |rng| {
+        let dtd = Arc::new(schema_gen::build_dtd(&schema_gen::gen_children(rng)));
+        let batch: Vec<String> = (0..4).map(|_| schema_gen::gen_query(rng)).collect();
+        let refs: Vec<&str> = batch.iter().map(String::as_str).collect();
+        let groups = assert_compiled_matches_analysis(&refs, Some(&dtd));
+        merged += u32::from(groups < refs.len());
+    });
+    assert!(merged >= 64, "only {merged} batches merged");
+    // The dblp admission queries (`tests/bounds.rs`): one shared group.
+    let text = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/data/dblp.dtd"));
+    let dtd = Arc::new(Dtd::parse(&text.expect("data/dblp.dtd readable")).expect("parses"));
+    let dblp = [
+        "/dblp/article/title/text()",
+        "/dblp/article/@key",
+        "/dblp/inproceedings[author]/title/text()",
+        "/dblp/inproceedings[author]/year/text()",
+        "/dblp/inproceedings[booktitle]/title/text()",
+        "/dblp/inproceedings[author]/booktitle/text()",
+        "/dblp/inproceedings[booktitle]/author/text()",
+    ];
+    assert_eq!(assert_compiled_matches_analysis(&dblp, Some(&dtd)), 1);
 }
 
 #[test]
@@ -371,7 +507,7 @@ fn pruned_hpdt_results_equal_unpruned() {
         assert!(stats.states_after <= stats.states_before);
         let events = events_of(&doc);
         let run = |hpdt| {
-            let (mut runner, mut sink) = (Runner::new(hpdt, true), VecSink::new());
+            let (mut runner, mut sink) = (Runner::new(hpdt), VecSink::new());
             feed_all(&mut runner, &events, &mut sink);
             runner.finish(&mut sink);
             sink.results

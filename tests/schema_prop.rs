@@ -9,28 +9,11 @@ use std::collections::BTreeSet;
 
 use xsq::datagen::rng::{cases, StdRng};
 use xsq::engine::schema::{analyze, optimize};
-use xsq::xml::dtd::Dtd;
 use xsq::xpath::parse_query;
 
-const TAGS: [&str; 5] = ["t0", "t1", "t2", "t3", "t4"];
-
-/// A random *acyclic* child relation: tag i may contain only tags > i
-/// (so conforming documents always terminate), rooted at t0.
-fn gen_children(rng: &mut StdRng) -> Vec<Vec<usize>> {
-    (0..TAGS.len())
-        .map(|i| (i + 1..TAGS.len()).filter(|_| rng.gen_bool(0.5)).collect())
-        .collect()
-}
-
-fn build_dtd(children: &[Vec<usize>]) -> Dtd {
-    let edges: Vec<(&str, Vec<&str>)> = children
-        .iter()
-        .enumerate()
-        .map(|(i, kids)| (TAGS[i], kids.iter().map(|&k| TAGS[k]).collect()))
-        .collect();
-    let borrowed: Vec<(&str, &[&str])> = edges.iter().map(|(t, k)| (*t, k.as_slice())).collect();
-    Dtd::from_edges(&borrowed)
-}
+#[path = "common/schema_gen.rs"]
+mod schema_gen;
+use schema_gen::{build_dtd, gen_children, gen_query, TAGS};
 
 /// Generate a document conforming to the child relation, rooted at t0.
 fn conforming_doc(children: &[Vec<usize>], rng: &mut StdRng) -> String {
@@ -57,20 +40,6 @@ fn conforming_doc(children: &[Vec<usize>], rng: &mut StdRng) -> String {
     let mut budget = 40;
     emit(0, children, rng, &mut out, &mut budget);
     out
-}
-
-fn gen_query(rng: &mut StdRng) -> String {
-    let steps: String = (0..rng.gen_range(1..4u32))
-        .map(|_| {
-            format!(
-                "{}{}{}",
-                if rng.gen_bool(0.5) { "//" } else { "/" },
-                TAGS[rng.gen_range(0..TAGS.len())],
-                if rng.gen_bool(0.5) { "[text()>=0]" } else { "" }
-            )
-        })
-        .collect();
-    format!("{steps}/text()")
 }
 
 #[test]
