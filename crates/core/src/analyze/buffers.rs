@@ -71,66 +71,37 @@ impl BufferPlan {
 
 /// Classify every queue of a compiled HPDT.
 pub fn analyze_buffers(hpdt: &Hpdt) -> BufferPlan {
-    let mut order: Vec<(usize, BpdtId)> = hpdt
-        .queue_index
+    let mut buffers: Vec<BufferInfo> = hpdt
+        .queues
         .iter()
-        .map(|(&id, &slot)| (slot, id))
-        .collect();
-    order.sort_unstable();
-
-    let mut buffers: Vec<BufferInfo> = order
-        .iter()
-        .map(|&(_, bpdt)| BufferInfo {
+        .map(|&bpdt| BufferInfo {
             bpdt,
             class: BufferClass::Unused,
         })
         .collect();
-    let slot_of = |id: BpdtId| hpdt.queue_index.get(&id).copied();
 
     // `UpstreamPredicate` (someone routes *into* this queue from below)
     // dominates `OwnPredicate` (the queue holds only its owner's pending
-    // values), so apply own-queue routing first and upgrades second.
-    for arcs in &hpdt.arcs {
-        for arc in arcs {
-            for action in &arc.actions {
-                if let Action::Emit {
-                    to: Disposition::OwnQueue,
-                    ..
-                }
-                | Action::ElementStart {
-                    to: Disposition::OwnQueue,
-                    ..
-                } = action
-                {
-                    if let Some(slot) = slot_of(arc.owner) {
-                        if buffers[slot].class == BufferClass::Unused {
-                            buffers[slot].class = BufferClass::OwnPredicate;
+    // values): an own-queue routing never downgrades a slot.
+    for arc in hpdt.arcs.iter().flatten() {
+        for action in &arc.actions {
+            match action {
+                Action::Emit { to, .. } | Action::ElementStart { to, .. } => match to {
+                    Disposition::Direct => {}
+                    Disposition::OwnQueue => {
+                        let own = &mut buffers[arc.owner.slot as usize];
+                        if own.class == BufferClass::Unused {
+                            own.class = BufferClass::OwnPredicate;
                         }
                     }
-                }
-            }
-        }
-    }
-    for arcs in &hpdt.arcs {
-        for arc in arcs {
-            for action in &arc.actions {
-                let upstream = match action {
-                    Action::UploadSelf(t) => Some(*t),
-                    Action::Emit {
-                        to: Disposition::Queue(id),
-                        ..
+                    Disposition::Queue(q) => {
+                        buffers[q.slot as usize].class = BufferClass::UpstreamPredicate
                     }
-                    | Action::ElementStart {
-                        to: Disposition::Queue(id),
-                        ..
-                    } => Some(*id),
-                    _ => None,
-                };
-                if let Some(id) = upstream {
-                    if let Some(slot) = slot_of(id) {
-                        buffers[slot].class = BufferClass::UpstreamPredicate;
-                    }
+                },
+                Action::UploadSelf(q) => {
+                    buffers[q.slot as usize].class = BufferClass::UpstreamPredicate
                 }
+                _ => {}
             }
         }
     }

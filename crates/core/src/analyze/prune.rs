@@ -5,24 +5,23 @@
 //! 1. **Unsatisfiable-guard arcs** are deleted. XPath 1.0 relational
 //!    comparisons are always numeric, so a guard like `@price < "abc"`
 //!    (NaN right-hand side) rejects every event; the arc can never fire.
-//! 2. **Exact duplicate arcs with no actions** are deduplicated. The
-//!    merged multi-query builder adds one closure self-loop per trie
-//!    child expanding a shared state; firing N identical action-free
-//!    arcs derives N identical successor configurations that the runtime
-//!    dedups anyway — one arc suffices. (Duplicates *with* actions are
-//!    kept: collapsing them would drop repeated effects.)
+//! 2. **Exact duplicate arcs with no actions** are deduplicated. Firing
+//!    N identical action-free arcs derives N identical successor
+//!    configurations that the runtime dedups anyway — one arc suffices.
+//!    The merged builder's per-child closure self-loops on a shared state
+//!    are the usual case; to the runtime those are already one stays bit
+//!    (a bit-OR, `compute_stays`), so folding them only keeps dumps and
+//!    analyses small. (Duplicates *with* actions are kept: collapsing
+//!    them would drop repeated effects.)
 //! 3. **States unreachable from the start state** are removed, with
-//!    state ids remapped and the queue index re-densified over the
+//!    state ids remapped and the queue slots re-densified over the
 //!    buffers still referenced.
 //!
 //! The result is a smaller configuration set for the nondeterministic
 //! runtime to scan and smaller dispatch buckets in the multi-query index.
 
-use std::collections::HashMap;
-
-use crate::arcs::{compute_arc_tables, Action, Arc, Disposition, StateId};
+use crate::arcs::{compute_arc_tables, compute_stays, Action, Arc, Disposition, QueueRef, StateId};
 use crate::build::{compute_scan_all, uses_buffers, Hpdt};
-use crate::ids::BpdtId;
 
 use super::{comparison_unsatisfiable, prove_deterministic};
 
@@ -51,6 +50,24 @@ fn guard_unsatisfiable(arc: &Arc) -> bool {
         }
         _ => false,
     }
+}
+
+/// Every queue an arc addresses: its owner's, and its actions' upload
+/// and enqueue targets.
+fn queue_refs(arc: &mut Arc) -> impl Iterator<Item = &mut QueueRef> {
+    let targets = arc.actions.iter_mut().filter_map(|action| match action {
+        Action::UploadSelf(q)
+        | Action::Emit {
+            to: Disposition::Queue(q),
+            ..
+        }
+        | Action::ElementStart {
+            to: Disposition::Queue(q),
+            ..
+        } => Some(q),
+        _ => None,
+    });
+    std::iter::once(&mut arc.owner).chain(targets)
 }
 
 /// Prune one compiled HPDT, returning the reduced transducer and the
@@ -113,6 +130,14 @@ pub fn prune(hpdt: &Hpdt) -> (Hpdt, PruneStats) {
             states.push(hpdt.states[s].clone());
         }
     }
+    // The one pass that rewrites every surviving arc: retarget it, and
+    // note which queues are still addressed — arc owners (the runtime
+    // resolves every acting arc's own queue), upload targets and enqueue
+    // destinations, plus the root, which anchors the id tree.
+    let mut used = vec![false; hpdt.queues.len()];
+    if let Some(root) = used.first_mut() {
+        *root = true;
+    }
     let mut arcs: Vec<Vec<Arc>> = Vec::with_capacity(states.len());
     for s in 0..n {
         if !reachable[s] {
@@ -121,61 +146,44 @@ pub fn prune(hpdt: &Hpdt) -> (Hpdt, PruneStats) {
         let mut outgoing = std::mem::take(&mut kept_arcs[s]);
         for arc in &mut outgoing {
             arc.target = remap[arc.target as usize].expect("kept arcs target reachable states");
+            for q in queue_refs(arc) {
+                used[q.slot as usize] = true;
+            }
         }
         arcs.push(outgoing);
     }
 
-    // Re-densify the queue index over the buffers still referenced: arc
-    // owners (the runtime resolves every acting arc's own queue), upload
-    // targets, and enqueue destinations — plus the root, which anchors
-    // the id tree.
-    let mut referenced: Vec<BpdtId> = vec![BpdtId::ROOT];
-    for arc in arcs.iter().flatten() {
-        referenced.push(arc.owner);
-        for action in &arc.actions {
-            match action {
-                Action::UploadSelf(t) => referenced.push(*t),
-                Action::Emit {
-                    to: Disposition::Queue(id),
-                    ..
-                }
-                | Action::ElementStart {
-                    to: Disposition::Queue(id),
-                    ..
-                } => referenced.push(*id),
-                _ => {}
+    // Re-densify the slots, keeping their order (a single-query HPDT
+    // keeps its layer-major queue layout). Arcs are only touched again
+    // when a queue actually went away.
+    let mut queues = hpdt.queues.clone();
+    if used.contains(&false) {
+        let mut slot_of = vec![0u32; used.len()];
+        let mut next = 0;
+        for (old, &u) in used.iter().enumerate() {
+            slot_of[old] = next;
+            next += u as u32;
+        }
+        let mut keep = used.iter();
+        queues.retain(|_| *keep.next().expect("one flag per queue"));
+        for arc in arcs.iter_mut().flatten() {
+            for q in queue_refs(arc) {
+                q.slot = slot_of[q.slot as usize];
             }
         }
     }
-    // Preserve the original slot order so single-query HPDTs keep their
-    // layer-major queue layout.
-    let mut old_order: Vec<(usize, BpdtId)> = hpdt
-        .queue_index
-        .iter()
-        .map(|(&id, &slot)| (slot, id))
-        .collect();
-    old_order.sort_unstable();
-    let mut queue_index: HashMap<BpdtId, usize> = HashMap::new();
-    for (_, id) in old_order {
-        if referenced.contains(&id) {
-            let next = queue_index.len();
-            queue_index.entry(id).or_insert(next);
-        }
-    }
 
-    let scan_all = compute_scan_all(&arcs);
-    let arc_tables = compute_arc_tables(&arcs);
-    let buffered = uses_buffers(&arcs);
     let start = remap[hpdt.start as usize].expect("start state is always reachable");
     let mut pruned = Hpdt {
-        bpdt_count: queue_index.len(),
+        bpdt_count: queues.len(),
         start,
-        scan_all,
-        arc_tables,
-        buffered,
+        scan_all: compute_scan_all(&arcs),
+        stays: compute_stays(&arcs),
+        arc_tables: compute_arc_tables(&arcs),
+        buffered: uses_buffers(&arcs),
         states,
         arcs,
-        queue_index,
+        queues,
         layers: hpdt.layers,
         deterministic: hpdt.deterministic,
         query: hpdt.query.clone(),
@@ -220,7 +228,7 @@ mod tests {
             assert_eq!(p.states.len(), h.states.len());
             assert_eq!(p.arc_count(), h.arc_count());
             assert_eq!(p.bpdt_count, h.bpdt_count);
-            assert_eq!(p.queue_index, h.queue_index);
+            assert_eq!(p.queues, h.queues);
             assert_eq!(p.scan_all, h.scan_all);
             assert_eq!(p.buffered, h.buffered);
         }

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 
 use xsq_xpath::classify::{classify, StepCategory};
 
-use crate::arcs::{Action, Arc, ArcLabel, Disposition};
+use crate::arcs::{execution_order, Action, Arc, ArcLabel, Disposition, QueueRef};
 use crate::build::{compute_scan_all, Hpdt};
 use crate::ids::BpdtId;
 
@@ -75,13 +75,14 @@ fn check_arc_targets(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
                     .at_state(s as u32),
                 );
             }
-            if arc.owner_layer != arc.owner.layer {
+            if arc.order != execution_order(arc.owner.id.layer, &arc.actions) {
                 out.push(
                     Diagnostic::error(
-                        "owner-layer-mismatch",
+                        "arc-order-stale",
                         format!(
-                            "arc {:?} from state ${s} caches owner layer {} but its owner is {}",
-                            arc.label, arc.owner_layer, arc.owner
+                            "arc {:?} from state ${s} caches execution order {} but its \
+                             owner {} and actions {:?} give another",
+                            arc.label, arc.order, arc.owner, arc.actions
                         ),
                     )
                     .at_state(s as u32),
@@ -91,19 +92,23 @@ fn check_arc_targets(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Every buffer-addressing id the runtime will look up must be in the
-/// dense queue index — this is exactly the `queue_idx` lookup that
-/// `expect`s at runtime, surfaced as a diagnostic instead.
+/// Every queue an executing arc addresses must resolve: the slot it
+/// carries is in range and belongs to the BPDT it names — the runtime
+/// indexes its queues by that slot unchecked, so a stale one is surfaced
+/// here as a diagnostic instead.
 fn check_queue_index(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
-    let require = |id: BpdtId, what: &str, state: usize, out: &mut Vec<Diagnostic>| {
-        if !hpdt.queue_index.contains_key(&id) {
+    let require = |q: QueueRef, what: &str, state: usize, out: &mut Vec<Diagnostic>| {
+        if hpdt.queues.get(q.slot as usize) != Some(&q.id) {
             out.push(
                 Diagnostic::error(
                     "queue-index-missing",
-                    format!("{what} addresses {id}, which has no queue slot"),
+                    format!(
+                        "{what} addresses {} in slot {}, which is not its queue",
+                        q.id, q.slot
+                    ),
                 )
                 .at_state(state as u32)
-                .at_bpdt(id),
+                .at_bpdt(q.id),
             );
         }
     };
@@ -116,36 +121,35 @@ fn check_queue_index(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
                 match action {
                     Action::UploadSelf(target) => require(*target, "an upload", s, out),
                     Action::Emit {
-                        to: Disposition::Queue(id),
+                        to: Disposition::Queue(q),
                         ..
                     }
                     | Action::ElementStart {
-                        to: Disposition::Queue(id),
+                        to: Disposition::Queue(q),
                         ..
-                    } => require(*id, "an enqueue", s, out),
+                    } => require(*q, "an enqueue", s, out),
                     _ => {}
                 }
             }
         }
     }
-    // Density: the queue index maps BPDTs to slots 0..bpdt_count with no
-    // gaps or duplicates (queues are stored in a dense Vec).
-    if hpdt.queue_index.len() != hpdt.bpdt_count {
+    // Density: one queue per BPDT, each BPDT once.
+    if hpdt.queues.len() != hpdt.bpdt_count {
         out.push(Diagnostic::error(
             "queue-index-dense",
             format!(
-                "bpdt_count is {} but the queue index has {} entries",
+                "bpdt_count is {} but {} queues are registered",
                 hpdt.bpdt_count,
-                hpdt.queue_index.len()
+                hpdt.queues.len()
             ),
         ));
     }
-    let mut slots: Vec<usize> = hpdt.queue_index.values().copied().collect();
-    slots.sort_unstable();
-    if slots.iter().enumerate().any(|(i, &v)| i != v) {
+    let mut ids = hpdt.queues.clone();
+    ids.sort_unstable_by_key(|id| (id.layer, id.seq));
+    if ids.windows(2).any(|w| w[0] == w[1]) {
         out.push(Diagnostic::error(
             "queue-index-dense",
-            "queue slots are not the dense range 0..bpdt_count".to_string(),
+            "a BPDT is registered under two queue slots".to_string(),
         ));
     }
 }
@@ -204,15 +208,15 @@ fn check_buffer_release(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
                 match action {
                     Action::Emit { to, .. } | Action::ElementStart { to, .. } => match to {
                         Disposition::OwnQueue => {
-                            receives.insert(arc.owner, ());
+                            receives.insert(arc.owner.id, ());
                         }
-                        Disposition::Queue(id) => {
-                            receives.insert(*id, ());
+                        Disposition::Queue(q) => {
+                            receives.insert(q.id, ());
                         }
                         Disposition::Direct => {}
                     },
                     Action::UploadSelf(target) => {
-                        receives.insert(*target, ());
+                        receives.insert(target.id, ());
                     }
                     _ => {}
                 }
@@ -223,7 +227,7 @@ fn check_buffer_release(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
         let mut has_clear = false;
         let mut has_release = false;
         for arcs in &hpdt.arcs {
-            for arc in arcs.iter().filter(|a| a.owner == id) {
+            for arc in arcs.iter().filter(|a| a.owner.id == id) {
                 for action in &arc.actions {
                     match action {
                         Action::ClearSelf => has_clear = true,
@@ -330,7 +334,7 @@ fn check_depth_discipline(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
                             ),
                         )
                         .at_state(s as u32)
-                        .at_bpdt(arc.owner),
+                        .at_bpdt(arc.owner.id),
                     );
                 }
             }
@@ -384,7 +388,7 @@ fn buffer_op_depth(arc: &Arc) -> Option<u16> {
                 Action::FlushSelf | Action::UploadSelf(_) | Action::ClearSelf
             )
         })
-        .then_some(arc.owner.layer)
+        .then_some(arc.owner.id.layer)
 }
 
 /// The stored per-state `scan_all` flags must match a fresh conservative
@@ -439,7 +443,7 @@ fn check_deterministic_flag(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
 /// Merged HPDTs use fresh per-layer sequence numbers, where the encoding
 /// intentionally does not apply.
 fn check_tree_positions(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
-    for &id in hpdt.queue_index.keys() {
+    for &id in &hpdt.queues {
         if id == BpdtId::ROOT {
             continue;
         }
@@ -454,7 +458,7 @@ fn check_tree_positions(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
             continue;
         }
         match id.parent() {
-            Some(p) if p == BpdtId::ROOT || hpdt.queue_index.contains_key(&p) => {}
+            Some(p) if p == BpdtId::ROOT || hpdt.queues.contains(&p) => {}
             _ => {
                 out.push(
                     Diagnostic::error(
@@ -494,7 +498,7 @@ fn check_tree_positions(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
     // a warning, not an error.
     for l in 1..=hpdt.layers {
         let spine = BpdtId::new(l, (1u64 << l) - 1);
-        if !hpdt.queue_index.contains_key(&spine) {
+        if !hpdt.queues.contains(&spine) {
             out.push(
                 Diagnostic::warning(
                     "bpdt-spine-missing",
@@ -547,10 +551,10 @@ mod tests {
     #[test]
     fn missing_queue_slot_is_caught() {
         let mut h = built("/a[b]/c/text()");
-        // Corrupt the transducer the way a builder bug would: drop the
-        // queue registration the runtime's `queue_idx` would panic on.
+        // Corrupt the transducer the way a builder bug would: drop a
+        // queue registration, so the slots arcs carry point elsewhere.
         let id = BpdtId::new(1, 1);
-        h.queue_index.remove(&id);
+        h.queues.retain(|q| *q != id);
         h.bpdt_count -= 1;
         let diags = verify(&h);
         assert!(

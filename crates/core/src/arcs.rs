@@ -7,6 +7,11 @@
 //! event, closure entry arcs (the paper's `=`-marked arcs) that accept
 //! their tag at any depth, and the catchall `*̄` that accepts any event
 //! strictly below the current anchor (used for whole-element output).
+//!
+//! Everything the runtime would otherwise recompute per firing is
+//! resolved when an arc is created: its place in the within-event
+//! execution order ([`Arc::order`]) and the dense queue slot of every
+//! BPDT it addresses ([`QueueRef`]).
 
 use xsq_xml::{RawEvent, Sym};
 use xsq_xpath::{Comparison, FnTest};
@@ -74,7 +79,10 @@ pub enum ArcLabel {
     /// (`e.d > dv.top()`).
     BeginAnyDepth(NamePat),
     /// The `//` self-loop on a closure step's START state: any begin
-    /// event, no state or depth-vector change.
+    /// event, no state or depth-vector change. Never matched as a
+    /// transition: it compiles to the state's *stays* bit
+    /// (`compute_stays`); the arc is kept for dumps, `--dot` and the
+    /// analyses.
     ClosureSelfLoop,
     /// An end event at the anchor depth: `e.d == dv.top()`.
     End(NamePat),
@@ -107,6 +115,22 @@ pub enum Guard {
     TextFn { test: FnTest },
 }
 
+/// A BPDT's queue as an arc addresses it: the id the figures, dumps and
+/// analyses name, and the dense slot the runtime indexes with
+/// (`Hpdt::queues[slot] == id`) — known when the arc is created, because
+/// the builder registers every BPDT before an arc can address it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QueueRef {
+    pub id: BpdtId,
+    pub slot: u32,
+}
+
+impl std::fmt::Display for QueueRef {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.id.fmt(f)
+    }
+}
+
 /// Where a freshly produced result value is routed (the disposition is
 /// fixed at compile time from the leaf BPDT's id, §4.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,7 +143,7 @@ pub enum Disposition {
     OwnQueue,
     /// The leaf's predicate is true but an ancestor's is not: buffer in
     /// the queue of the nearest undecided ancestor (the upload target).
-    Queue(BpdtId),
+    Queue(QueueRef),
 }
 
 /// The value extracted for a result item.
@@ -142,7 +166,7 @@ pub enum Action {
     FlushSelf,
     /// Predicate resolved true but an ancestor is undecided: move the
     /// depth-matching items to the target BPDT's queue.
-    UploadSelf(BpdtId),
+    UploadSelf(QueueRef),
     /// Predicate resolved false (end event from the NA side): drop the
     /// depth-matching items from this BPDT's queue.
     ClearSelf,
@@ -171,21 +195,62 @@ pub struct Arc {
     pub label: ArcLabel,
     pub guard: Option<Guard>,
     pub target: StateId,
-    /// Layer of the owning BPDT. Within one input event, matched arcs are
-    /// executed deepest-layer-first so that uploads from closing inner
-    /// elements arrive in an ancestor's queue *before* the ancestor's own
-    /// flush/clear on the same event (cf. Fig. 8 placing the upload on
-    /// `</child>`).
-    pub owner_layer: u16,
     /// The BPDT owning this arc (whose queue `*Self` actions address).
-    pub owner: BpdtId,
+    pub owner: QueueRef,
+    /// Place in the execution order among arcs fired by one input event
+    /// (ascending; see [`execution_order`]), fixed when the arc is
+    /// created.
+    pub order: u32,
     pub actions: Vec<Action>,
 }
 
+/// The within-event execution order of an arc owned by a BPDT of `layer`
+/// carrying `actions`, as one ascending key. Matched arcs execute
+/// **deepest layer first**, so that uploads from closing inner elements
+/// arrive in an ancestor's queue *before* the ancestor's own flush/clear
+/// on the same event (cf. Fig. 8 placing the upload on `</child>`).
+/// Within a layer, value production runs before the flush or upload that
+/// would release it (an event can be both the witness and the value, e.g.
+/// `//a[text()=2]/text()`), and flush/upload before a clear that would
+/// otherwise drop the same entries (witness-true and NA-side
+/// configurations resolving on one end event).
+pub fn execution_order(layer: u16, actions: &[Action]) -> u32 {
+    let mut p = 1;
+    for a in actions {
+        match a {
+            Action::Emit { .. } | Action::ElementStart { .. } => {
+                p = 0;
+                break;
+            }
+            Action::ClearSelf => p = 2,
+            _ => {}
+        }
+    }
+    (u32::from(u16::MAX - layer) << 2) | p
+}
+
 impl Arc {
+    pub fn new(
+        label: ArcLabel,
+        guard: Option<Guard>,
+        target: StateId,
+        owner: QueueRef,
+        actions: Vec<Action>,
+    ) -> Self {
+        Arc {
+            label,
+            guard,
+            target,
+            owner,
+            order: execution_order(owner.id.layer, &actions),
+            actions,
+        }
+    }
+
     /// Does this arc accept `event` for a configuration whose depth
     /// vector is `dv`? (Guards are evaluated separately.) Tag checks are
-    /// `u32` compares on interned symbols.
+    /// `u32` compares on interned symbols. (A `//` self-loop accepts
+    /// nothing: it is the state's stays bit.)
     #[inline]
     pub fn label_matches(&self, event: &RawEvent<'_>, dv: &DepthVector) -> bool {
         use RawEvent as E;
@@ -198,7 +263,6 @@ impl Arc {
             (ArcLabel::BeginAnyDepth(pat), E::Begin { name, depth, .. }) => {
                 *depth > dv.top() && pat.matches(*name)
             }
-            (ArcLabel::ClosureSelfLoop, E::Begin { depth, .. }) => *depth > dv.top(),
             (ArcLabel::End(pat), E::End { name, depth }) => {
                 *depth == dv.top() && pat.matches(*name)
             }
@@ -241,25 +305,6 @@ impl Arc {
     /// paper's dv rules only apply to real transitions: `s' ≠ s`).
     pub fn changes_state(&self, source: StateId) -> bool {
         self.target != source
-    }
-
-    /// Execution priority among arcs of the *same layer* fired by the
-    /// same input event: value production must run before the flush or
-    /// upload that would release it (an event can be both the witness
-    /// and the value, e.g. `//a[text()=2]/text()`), and flush/upload must
-    /// run before a clear that would otherwise drop the same entries
-    /// (witness-true and NA-side configurations resolving on one end
-    /// event).
-    pub fn priority(&self) -> u8 {
-        let mut p = 1;
-        for a in &self.actions {
-            match a {
-                Action::Emit { .. } | Action::ElementStart { .. } => return 0,
-                Action::ClearSelf => p = 2,
-                _ => {}
-            }
-        }
-        p
     }
 }
 
@@ -360,11 +405,19 @@ impl ArcTable {
     }
 }
 
-/// Below this many arcs a linear scan beats the probe+merge.
+/// Below this many arcs a state is scanned linearly. Swept over {4, 8,
+/// 16} (EXPERIMENTS.md, *Step only what moves*, lever 3): `multi_sub`
+/// and the 512-query pace gate are flat (their hot states have hundreds
+/// of arcs or fewer than four), `match_recursive` reads ≈ 4 % faster at
+/// 4 than at 8 or 16 — the probe is not slower than the scan even on
+/// small states, so the constant buys nothing measurable and is a
+/// candidate for deletion (always build the table), not for tuning.
 const ARC_TABLE_CUTOFF: usize = 8;
 
 /// Build per-state arc tables for the HPDT's transition function. States
-/// whose arc count is below the cutoff get `None` (linear scan).
+/// whose arc count is below the cutoff get `None` (linear scan). `//`
+/// self-loops are not transitions (see `compute_stays`) and are filed
+/// nowhere.
 pub(crate) fn compute_arc_tables(arcs: &[Vec<Arc>]) -> Vec<Option<ArcTable>> {
     arcs.iter()
         .map(|state_arcs| {
@@ -375,11 +428,30 @@ pub(crate) fn compute_arc_tables(arcs: &[Vec<Arc>]) -> Vec<Option<ArcTable>> {
             for (ai, arc) in state_arcs.iter().enumerate() {
                 match label_dispatch_key(&arc.label) {
                     Some(key) => table.named.push((key, ai as u32)),
+                    None if arc.label == ArcLabel::ClosureSelfLoop => {}
                     None => table.rest.push(ai as u32),
                 }
             }
             table.named.sort_unstable();
             Some(table)
+        })
+        .collect()
+}
+
+/// Per state: does it carry a `//` self-loop? The loop has no guard, no
+/// action and target = source, so firing it would only keep the
+/// configuration where it is; the runtime reads this bit instead: when a
+/// begin event below the anchor (`e.d > dv.top()`) fires an entry arc,
+/// the configuration survives beside its successors. (One that matches
+/// nothing survives anyway — §4.3's "simply ignores the event" — so the
+/// bit costs nothing on events the state has no arc for.) Several
+/// self-loops on one state, as the merged builder leaves, are one bit.
+pub(crate) fn compute_stays(arcs: &[Vec<Arc>]) -> Vec<bool> {
+    arcs.iter()
+        .map(|outgoing| {
+            outgoing
+                .iter()
+                .any(|a| a.label == ArcLabel::ClosureSelfLoop)
         })
         .collect()
 }
@@ -415,14 +487,11 @@ mod tests {
     }
 
     fn arc(label: ArcLabel) -> Arc {
-        Arc {
-            label,
-            guard: None,
-            target: 1,
-            owner_layer: 0,
-            owner: BpdtId::ROOT,
-            actions: vec![],
-        }
+        let root = QueueRef {
+            id: BpdtId::ROOT,
+            slot: 0,
+        };
+        Arc::new(label, None, 1, root, vec![])
     }
 
     fn matches(a: &Arc, ev: &SaxEvent, dv: &DepthVector) -> bool {
@@ -452,13 +521,35 @@ mod tests {
     }
 
     #[test]
-    fn closure_self_loop_accepts_any_begin_below() {
+    fn closure_self_loop_is_a_stays_bit_not_a_transition() {
         let a = arc(ArcLabel::ClosureSelfLoop);
         let dv = DepthVector::from_depths(&[0, 3]);
-        assert!(matches(&a, &begin("anything", 4), &dv));
-        assert!(matches(&a, &begin("x", 9), &dv));
-        assert!(!matches(&a, &begin("x", 3), &dv));
+        assert!(!matches(&a, &begin("anything", 4), &dv));
         assert!(!matches(&a, &text("x", "t", 5), &dv));
+        let entry = arc(ArcLabel::BeginAnyDepth(NamePat::Name("b".into())));
+        // Duplicate self-loops (the merged builder's) fold into one bit.
+        let states = [vec![a.clone(), entry.clone(), a], vec![entry]];
+        assert_eq!(compute_stays(&states), [true, false]);
+    }
+
+    #[test]
+    fn execution_order_is_deepest_layer_first_then_value_release_clear() {
+        let to = Disposition::Direct;
+        let emit = Action::Emit {
+            source: ValueSource::Text,
+            to,
+            tag: 0,
+        };
+        let keys = [
+            execution_order(3, &[Action::ElementEnd, emit.clone()]),
+            execution_order(3, &[Action::FlushSelf]),
+            execution_order(3, &[]),
+            execution_order(3, &[Action::ElementEnd, Action::ClearSelf]),
+            execution_order(2, &[emit]),
+            execution_order(0, &[Action::ClearSelf]),
+        ];
+        assert_eq!(keys[1], keys[2]);
+        assert!(keys[0] < keys[1] && keys[2] < keys[3] && keys[3] < keys[4] && keys[4] < keys[5]);
     }
 
     #[test]

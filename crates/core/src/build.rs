@@ -13,15 +13,13 @@
 //! predicate-true transition flushes (all ancestor bits set) or uploads
 //! (to the nearest zero bit), and where produced values are routed.
 
-use std::collections::HashMap;
-
 use xsq_xml::Sym;
 use xsq_xpath::classify::{classify, StepCategory};
 use xsq_xpath::{AggFunc, Axis, FnArg, NodeTest, Output, Predicate, Query, Step};
 
 use crate::arcs::{
-    compute_arc_tables, Action, Arc, ArcLabel, ArcTable, Disposition, Guard, NamePat, StateId,
-    StateInfo, StateRole, ValueSource,
+    compute_arc_tables, compute_stays, Action, Arc, ArcLabel, ArcTable, Disposition, Guard,
+    NamePat, QueueRef, StateId, StateInfo, StateRole, ValueSource,
 };
 use crate::error::CompileError;
 use crate::ids::BpdtId;
@@ -40,6 +38,8 @@ pub struct Hpdt {
     /// Per state: `true` when several arcs might accept the same event,
     /// so a runtime must scan all arcs even in deterministic mode.
     pub scan_all: Vec<bool>,
+    /// Per state: the `//` self-loop, compiled (`compute_stays`).
+    pub(crate) stays: Vec<bool>,
     /// Per state: keyed index over the outgoing arcs, present only where
     /// the arc count makes probing cheaper than a linear scan (merged
     /// frontier states with hundreds of named arcs). Shared by every
@@ -47,8 +47,9 @@ pub struct Hpdt {
     pub(crate) arc_tables: Vec<Option<ArcTable>>,
     /// The global start state.
     pub start: StateId,
-    /// Dense queue index for every BPDT (buffer storage at runtime).
-    pub queue_index: HashMap<BpdtId, usize>,
+    /// The BPDT behind every dense queue slot (buffer storage at
+    /// runtime); arcs carry the slot beside the id ([`QueueRef`]).
+    pub queues: Vec<BpdtId>,
     /// Number of BPDTs (= number of queues).
     pub bpdt_count: usize,
     /// Number of location steps (for a merged HPDT: the longest path).
@@ -132,7 +133,7 @@ struct Builder {
     query: Query,
     states: Vec<StateInfo>,
     arcs: Vec<Vec<Arc>>,
-    queue_index: HashMap<BpdtId, usize>,
+    queues: Vec<BpdtId>,
 }
 
 /// The externally visible states of a freshly built BPDT.
@@ -153,7 +154,7 @@ struct PredCx {
     all_true: bool,
     /// Nearest ancestor whose predicate is undecided (upload target);
     /// `None` iff `all_true`.
-    upload: Option<BpdtId>,
+    upload: Option<QueueRef>,
 }
 
 impl PredCx {
@@ -170,7 +171,7 @@ impl PredCx {
 
     /// Context of a child entered from this BPDT's NA state: this BPDT
     /// becomes the nearest undecided ancestor.
-    fn na_side(self, parent: BpdtId) -> PredCx {
+    fn na_side(self, parent: QueueRef) -> PredCx {
         PredCx {
             all_true: false,
             upload: Some(parent),
@@ -184,7 +185,7 @@ impl Builder {
             query,
             states: Vec::new(),
             arcs: Vec::new(),
-            queue_index: HashMap::new(),
+            queues: Vec::new(),
         }
     }
 
@@ -207,22 +208,49 @@ impl Builder {
         label: ArcLabel,
         guard: Option<Guard>,
         target: StateId,
-        owner: BpdtId,
+        owner: QueueRef,
         actions: Vec<Action>,
     ) {
-        self.arcs[from as usize].push(Arc {
-            label,
-            guard,
-            target,
-            owner_layer: owner.layer,
-            owner,
-            actions,
-        });
+        self.arcs[from as usize].push(Arc::new(label, guard, target, owner, actions));
     }
 
-    fn register_queue(&mut self, id: BpdtId) {
-        let next = self.queue_index.len();
-        self.queue_index.entry(id).or_insert(next);
+    /// Give `id` the next queue slot. Each BPDT is registered once,
+    /// before any arc that addresses it is created.
+    fn register_queue(&mut self, id: BpdtId) -> QueueRef {
+        let slot = self.queues.len() as u32;
+        self.queues.push(id);
+        QueueRef { id, slot }
+    }
+
+    /// Root BPDT (Fig. 12): START --StartDoc--> TRUE; TRUE --EndDoc-->
+    /// START. Returns `(START, TRUE)`.
+    fn build_root(&mut self) -> Result<(StateId, StateId), CompileError> {
+        let root = self.register_queue(BpdtId::ROOT);
+        let start = self.add_state(BpdtId::ROOT, StateRole::Start)?;
+        let root_true = self.add_state(BpdtId::ROOT, StateRole::True)?;
+        self.add_arc(start, ArcLabel::StartDoc, None, root_true, root, vec![]);
+        self.add_arc(root_true, ArcLabel::EndDoc, None, start, root, vec![]);
+        Ok((start, root_true))
+    }
+
+    /// Seal the arcs into an [`Hpdt`], deriving what the runtime reads
+    /// per state.
+    fn finish(self, start: StateId, layers: u16, deterministic: bool, merged: Vec<Query>) -> Hpdt {
+        Hpdt {
+            bpdt_count: self.queues.len(),
+            start,
+            scan_all: compute_scan_all(&self.arcs),
+            stays: compute_stays(&self.arcs),
+            arc_tables: compute_arc_tables(&self.arcs),
+            buffered: uses_buffers(&self.arcs),
+            states: self.states,
+            arcs: self.arcs,
+            queues: self.queues,
+            layers,
+            deterministic,
+            merged,
+            query: self.query,
+        }
     }
 
     fn build(mut self) -> Result<Hpdt, CompileError> {
@@ -230,26 +258,7 @@ impl Builder {
         let n = steps.len() as u16;
         debug_assert!(n > 0, "parser guarantees at least one step");
 
-        // Root BPDT (Fig. 12): START --StartDoc--> TRUE; TRUE --EndDoc--> START.
-        let start = self.add_state(BpdtId::ROOT, StateRole::Start)?;
-        let root_true = self.add_state(BpdtId::ROOT, StateRole::True)?;
-        self.add_arc(
-            start,
-            ArcLabel::StartDoc,
-            None,
-            root_true,
-            BpdtId::ROOT,
-            vec![],
-        );
-        self.add_arc(
-            root_true,
-            ArcLabel::EndDoc,
-            None,
-            start,
-            BpdtId::ROOT,
-            vec![],
-        );
-        self.register_queue(BpdtId::ROOT);
+        let (start, root_true) = self.build_root()?;
 
         // Layer-by-layer expansion. The root has no NA state, so its right
         // child is NULL and layer 1 contains only bpdt(1,1).
@@ -263,11 +272,11 @@ impl Builder {
             let mut next = Vec::new();
             for (id, cx, start_state) in frontier {
                 debug_assert_eq!(id.layer, layer);
-                self.register_queue(id);
-                let built = self.build_bpdt(step, id, cx, start_state, leaf_specs)?;
+                let own = self.register_queue(id);
+                let built = self.build_bpdt(step, own, cx, start_state, leaf_specs)?;
                 if !is_leaf {
                     if let Some(na) = built.na {
-                        next.push((id.right_child(), cx.na_side(id), na));
+                        next.push((id.right_child(), cx.na_side(own), na));
                     }
                     next.push((id.left_child(), cx.true_side(), built.true_state));
                 }
@@ -275,23 +284,9 @@ impl Builder {
             frontier = next;
         }
 
-        let scan_all = compute_scan_all(&self.arcs);
-        let arc_tables = compute_arc_tables(&self.arcs);
         let deterministic = !self.query.has_closure();
-        Ok(Hpdt {
-            bpdt_count: self.queue_index.len(),
-            start,
-            scan_all,
-            arc_tables,
-            buffered: uses_buffers(&self.arcs),
-            states: self.states,
-            arcs: self.arcs,
-            queue_index: self.queue_index,
-            layers: n,
-            deterministic,
-            merged: vec![self.query.clone()],
-            query: self.query,
-        })
+        let merged = vec![self.query.clone()];
+        Ok(self.finish(start, n, deterministic, merged))
     }
 
     /// Instantiate the template for one location step as `bpdt(id)`,
@@ -303,11 +298,12 @@ impl Builder {
     fn build_bpdt(
         &mut self,
         step: &Step,
-        id: BpdtId,
+        own: QueueRef,
         cx: PredCx,
         start: StateId,
         leaf_specs: &[(u32, Output)],
     ) -> Result<BuiltBpdt, CompileError> {
+        let id = own.id;
         let tag = name_pat(&step.test);
         if !step.axis.is_forward() {
             return Err(CompileError::Unsupported {
@@ -325,7 +321,7 @@ impl Builder {
         // Closure steps: `//` self-loop on the START state so the search
         // keeps descending, and any-depth (`=`-marked) entry arcs.
         if closure {
-            self.add_arc(start, ArcLabel::ClosureSelfLoop, None, start, id, vec![]);
+            self.add_arc(start, ArcLabel::ClosureSelfLoop, None, start, own, vec![]);
         }
         let entry_label = if closure {
             ArcLabel::BeginAnyDepth(tag)
@@ -354,8 +350,8 @@ impl Builder {
         let built = match category {
             StepCategory::NoPredicate => {
                 let t = self.add_state(id, StateRole::True)?;
-                self.add_arc(start, entry_label, None, t, id, entry_value(disp_true));
-                self.add_arc(t, ArcLabel::End(tag), None, start, id, vec![]);
+                self.add_arc(start, entry_label, None, t, own, entry_value(disp_true));
+                self.add_arc(t, ArcLabel::End(tag), None, start, own, vec![]);
                 BuiltBpdt {
                     na: None,
                     true_state: t,
@@ -399,10 +395,10 @@ impl Builder {
                     entry_label,
                     Some(guard),
                     t,
-                    id,
+                    own,
                     entry_value(disp_true),
                 );
-                self.add_arc(t, ArcLabel::End(tag), None, start, id, vec![]);
+                self.add_arc(t, ArcLabel::End(tag), None, start, own, vec![]);
                 BuiltBpdt {
                     na: None,
                     true_state: t,
@@ -424,7 +420,7 @@ impl Builder {
                     entry_label,
                     None,
                     na,
-                    id,
+                    own,
                     entry_value(Disposition::OwnQueue),
                 );
                 // Witness: the element's own text satisfying the test.
@@ -433,7 +429,7 @@ impl Builder {
                     ArcLabel::TextSelf(tag),
                     Some(guard),
                     t,
-                    id,
+                    own,
                     vec![resolution.clone()],
                 );
                 self.add_arc(
@@ -441,10 +437,10 @@ impl Builder {
                     ArcLabel::End(tag),
                     None,
                     start,
-                    id,
+                    own,
                     vec![Action::ClearSelf],
                 );
-                self.add_arc(t, ArcLabel::End(tag), None, start, id, vec![]);
+                self.add_arc(t, ArcLabel::End(tag), None, start, own, vec![]);
                 BuiltBpdt {
                     na: Some(na),
                     true_state: t,
@@ -470,7 +466,7 @@ impl Builder {
                     entry_label,
                     None,
                     na,
-                    id,
+                    own,
                     entry_value(Disposition::OwnQueue),
                 );
                 // Witness child: enter at its begin event (guard checks
@@ -483,7 +479,7 @@ impl Builder {
                     ArcLabel::BeginChild(NamePat::Name(child)),
                     guard,
                     wit,
-                    id,
+                    own,
                     vec![],
                 );
                 self.add_arc(
@@ -491,7 +487,7 @@ impl Builder {
                     ArcLabel::End(NamePat::Name(child)),
                     None,
                     t,
-                    id,
+                    own,
                     vec![resolution.clone()],
                 );
                 self.add_arc(
@@ -499,10 +495,10 @@ impl Builder {
                     ArcLabel::End(tag),
                     None,
                     start,
-                    id,
+                    own,
                     vec![Action::ClearSelf],
                 );
-                self.add_arc(t, ArcLabel::End(tag), None, start, id, vec![]);
+                self.add_arc(t, ArcLabel::End(tag), None, start, own, vec![]);
                 BuiltBpdt {
                     na: Some(na),
                     true_state: t,
@@ -522,7 +518,7 @@ impl Builder {
                     entry_label,
                     None,
                     na,
-                    id,
+                    own,
                     entry_value(Disposition::OwnQueue),
                 );
                 // Fig. 9: descend into each child, test its text, come
@@ -536,7 +532,7 @@ impl Builder {
                     ArcLabel::BeginChild(NamePat::Name(child)),
                     None,
                     child_na,
-                    id,
+                    own,
                     vec![],
                 );
                 self.add_arc(
@@ -546,7 +542,7 @@ impl Builder {
                         cmp: Some(cmp.clone()),
                     }),
                     child_true,
-                    id,
+                    own,
                     vec![resolution.clone()],
                 );
                 self.add_arc(
@@ -554,7 +550,7 @@ impl Builder {
                     ArcLabel::End(NamePat::Name(child)),
                     None,
                     na,
-                    id,
+                    own,
                     vec![],
                 );
                 // The second resolution on `</child>` is Example 7 / the
@@ -567,7 +563,7 @@ impl Builder {
                     ArcLabel::End(NamePat::Name(child)),
                     None,
                     t,
-                    id,
+                    own,
                     vec![resolution.clone()],
                 );
                 self.add_arc(
@@ -575,10 +571,10 @@ impl Builder {
                     ArcLabel::End(tag),
                     None,
                     start,
-                    id,
+                    own,
                     vec![Action::ClearSelf],
                 );
-                self.add_arc(t, ArcLabel::End(tag), None, start, id, vec![]);
+                self.add_arc(t, ArcLabel::End(tag), None, start, own, vec![]);
                 BuiltBpdt {
                     na: Some(na),
                     true_state: t,
@@ -587,7 +583,7 @@ impl Builder {
         };
 
         if !leaf_specs.is_empty() {
-            self.attach_leaf_output(id, start, &built, &tag, disp_true, leaf_specs)?;
+            self.attach_leaf_output(own, start, &built, &tag, disp_true, leaf_specs)?;
         }
         Ok(built)
     }
@@ -596,7 +592,7 @@ impl Builder {
     /// layer.
     fn attach_leaf_output(
         &mut self,
-        id: BpdtId,
+        own: QueueRef,
         start: StateId,
         built: &BuiltBpdt,
         tag: &NamePat,
@@ -609,13 +605,13 @@ impl Builder {
         let actions = text_value_actions(leaf_specs, Disposition::OwnQueue);
         if !actions.is_empty() {
             if let Some(na) = built.na {
-                self.add_arc(na, ArcLabel::TextSelf(*tag), None, na, id, actions);
+                self.add_arc(na, ArcLabel::TextSelf(*tag), None, na, own, actions);
             }
         }
         let actions = text_value_actions(leaf_specs, disp_true);
         if !actions.is_empty() {
             let t = built.true_state;
-            self.add_arc(t, ArcLabel::TextSelf(*tag), None, t, id, actions);
+            self.add_arc(t, ArcLabel::TextSelf(*tag), None, t, own, actions);
         }
         // Whole-element output (`*̄` catchall, Fig. 10): every event
         // strictly inside the matched element is appended, plus the
@@ -634,7 +630,7 @@ impl Builder {
                     ArcLabel::Catchall,
                     None,
                     s,
-                    id,
+                    own,
                     vec![Action::ElementAppend],
                 );
                 self.add_arc(
@@ -642,7 +638,7 @@ impl Builder {
                     ArcLabel::TextSelf(*tag),
                     None,
                     s,
-                    id,
+                    own,
                     vec![Action::ElementAppend],
                 );
             }
@@ -793,25 +789,7 @@ pub fn build_merged_hpdt(queries: &[Query]) -> Result<Hpdt, CompileError> {
     // id encoding cannot describe fan-out beyond two — and (b) the
     // predicate context carried explicitly.
     let mut b = Builder::new(first.clone());
-    let start = b.add_state(BpdtId::ROOT, StateRole::Start)?;
-    let root_true = b.add_state(BpdtId::ROOT, StateRole::True)?;
-    b.add_arc(
-        start,
-        ArcLabel::StartDoc,
-        None,
-        root_true,
-        BpdtId::ROOT,
-        vec![],
-    );
-    b.add_arc(
-        root_true,
-        ArcLabel::EndDoc,
-        None,
-        start,
-        BpdtId::ROOT,
-        vec![],
-    );
-    b.register_queue(BpdtId::ROOT);
+    let (start, root_true) = b.build_root()?;
 
     let mut layer: u16 = 1;
     let mut layers: u16 = 0;
@@ -823,13 +801,12 @@ pub fn build_merged_hpdt(queries: &[Query]) -> Result<Hpdt, CompileError> {
         layers = layer;
         let mut next = Vec::new();
         for (seq, (node_idx, cx, start_state)) in frontier.into_iter().enumerate() {
-            let id = BpdtId::new(layer, seq as u64);
-            b.register_queue(id);
+            let own = b.register_queue(BpdtId::new(layer, seq as u64));
             let node = &nodes[node_idx];
-            let built = b.build_bpdt(&node.step, id, cx, start_state, &node.leaf)?;
+            let built = b.build_bpdt(&node.step, own, cx, start_state, &node.leaf)?;
             for &child in &nodes[node_idx].children {
                 if let Some(na) = built.na {
-                    next.push((child, cx.na_side(id), na));
+                    next.push((child, cx.na_side(own), na));
                 }
                 next.push((child, cx.true_side(), built.true_state));
             }
@@ -838,23 +815,8 @@ pub fn build_merged_hpdt(queries: &[Query]) -> Result<Hpdt, CompileError> {
         layer += 1;
     }
 
-    let scan_all = compute_scan_all(&b.arcs);
-    let arc_tables = compute_arc_tables(&b.arcs);
     let deterministic = queries.iter().all(|q| !q.has_closure());
-    Ok(Hpdt {
-        bpdt_count: b.queue_index.len(),
-        start,
-        scan_all,
-        arc_tables,
-        buffered: uses_buffers(&b.arcs),
-        states: b.states,
-        arcs: b.arcs,
-        queue_index: b.queue_index,
-        layers,
-        deterministic,
-        query: first.clone(),
-        merged: queries.to_vec(),
-    })
+    Ok(b.finish(start, layers, deterministic, queries.to_vec()))
 }
 
 /// Does any action enqueue a value into a buffer? When nothing ever
@@ -941,7 +903,7 @@ mod tests {
             BpdtId::new(3, 6),
             BpdtId::new(3, 7),
         ] {
-            assert!(h.queue_index.contains_key(&id), "missing {id}");
+            assert!(h.queues.contains(&id), "missing {id}");
         }
     }
 
@@ -958,8 +920,8 @@ mod tests {
         let h = hpdt("/a[@id]/b/text()");
         // Category 1 is decided at begin: right child of layer 1 is NULL.
         assert_eq!(h.bpdt_count, 3); // root, (1,1), (2,3)
-        assert!(h.queue_index.contains_key(&BpdtId::new(2, 3)));
-        assert!(!h.queue_index.contains_key(&BpdtId::new(2, 2)));
+        assert!(h.queues.contains(&BpdtId::new(2, 3)));
+        assert!(!h.queues.contains(&BpdtId::new(2, 2)));
     }
 
     #[test]
@@ -1025,12 +987,15 @@ mod tests {
         let mut saw_flush = false;
         let mut saw_upload_to_11 = false;
         for a in h.arcs.iter().flatten() {
-            if a.owner == BpdtId::new(2, 3) && a.actions.contains(&Action::FlushSelf) {
+            if a.owner.id == BpdtId::new(2, 3) && a.actions.contains(&Action::FlushSelf) {
                 saw_flush = true;
             }
-            if a.owner == BpdtId::new(2, 2)
-                && a.actions.contains(&Action::UploadSelf(BpdtId::new(1, 1)))
-            {
+            // The upload names its target both ways: id and queue slot.
+            let to_11 = |act: &Action| {
+                matches!(act, Action::UploadSelf(q)
+                    if q.id == BpdtId::new(1, 1) && h.queues[q.slot as usize] == q.id)
+            };
+            if a.owner.id == BpdtId::new(2, 2) && a.actions.iter().any(to_11) {
                 saw_upload_to_11 = true;
             }
         }

@@ -8,14 +8,18 @@
 //! it keeps the set of runner groups whose *current* frontier states
 //! have an arc that could accept such an event. A `Begin`/`End`/`Text`
 //! event then touches only the groups in its bucket (plus the wildcard
-//! bucket for closure self-loops, `*` tests, and catchalls), instead of
-//! all N.
+//! bucket for `*` tests and catchalls), instead of all N. A `//`
+//! self-loop registers no interest: it is not a transition (a closure
+//! state that descends past a begin event does not move — see
+//! [`crate::runtime`]), so a closure group is dispatched on the tags of
+//! its entry arcs, not on every begin event.
 //!
 //! Names are the global [`xsq_xml::Sym`] symbols the parser already interned, so
 //! the per-event lookup is a dense `Vec` index — no hashing, no string
 //! comparison. The index is maintained incrementally: a runner's
-//! interest only changes when one of its arcs fires (its configuration
-//! set moves), so the common skipped event costs one array index total.
+//! interest only changes when one of its arcs fires (the only way its
+//! configuration set moves), so the common skipped event costs one array
+//! index total.
 //! Interest is a deliberate *over*-approximation — it ignores the depth
 //! discipline and guards that [`crate::arcs::Arc::label_matches`]
 //! enforces — so a dispatched group may still match nothing; skipping a
@@ -118,7 +122,8 @@ impl DispatchIndex {
                     NamePat::Name(n) => si.keys.push(event_key(KIND_BEGIN, *n)),
                     NamePat::Any => si.wild[KIND_BEGIN as usize] = true,
                 },
-                ArcLabel::ClosureSelfLoop => si.wild[KIND_BEGIN as usize] = true,
+                // The stays bit, not a transition: nothing to wake for.
+                ArcLabel::ClosureSelfLoop => {}
                 ArcLabel::End(pat) => match pat {
                     NamePat::Name(n) => si.keys.push(event_key(KIND_END, *n)),
                     NamePat::Any => si.wild[KIND_END as usize] = true,
@@ -312,17 +317,27 @@ mod tests {
     }
 
     #[test]
-    fn closures_and_wildcards_land_in_the_wildcard_bucket() {
-        let hpdt = build_hpdt(&parse_query("//b/text()").unwrap()).unwrap();
+    fn wildcards_land_in_the_wildcard_bucket_and_named_closures_do_not() {
+        // Every state of every group registered, as a static-interest
+        // group would: group 0 is a named closure, 1–3 are wildcards.
         let mut idx = DispatchIndex::new();
-        let mut cache = Vec::new();
-        let mut cur = GroupInterest::default();
-        let root_true = hpdt.arcs[hpdt.start as usize][0].target;
-        idx.reindex(0, &hpdt, &[root_true], &mut cache, &mut cur);
+        for (g, q) in ["//b/text()", "//*/text()", "/a/*/c", "//b"]
+            .iter()
+            .enumerate()
+        {
+            let hpdt = build_hpdt(&parse_query(q).unwrap()).unwrap();
+            let states: Vec<StateId> = (0..hpdt.arcs.len() as StateId).collect();
+            let (mut cache, mut cur) = (Vec::new(), GroupInterest::default());
+            idx.reindex(g as u32, &hpdt, &states, &mut cache, &mut cur);
+        }
         let mut out = Vec::new();
-        // The closure self-loop accepts any begin event.
+        // The `//` self-loop wakes nobody: a named closure is a candidate
+        // for its own tag only; `*` tests and element-output catchalls
+        // still hear every begin event.
+        candidates(&idx, &begin("b", 3), &mut out);
+        assert_eq!(out, [0, 1, 2, 3]);
         candidates(&idx, &begin("anything", 3), &mut out);
-        assert_eq!(out, [0]);
+        assert_eq!(out, [1, 2, 3]);
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! each one to a private HPDT repeats the shared prefix N times: N
 //! copies of the same BPDT chain, N buffer queues holding the same
 //! items, N arcs scanned per event. [`plan_groups`] instead partitions
-//! the set so queries that share a leading location step compile into
-//! one merged HPDT (see [`crate::build::build_merged_hpdt`]): the trie
-//! underneath shares every common step prefix, fanning out only at the
-//! divergence point, and tags each query's leaves so results stay
+//! the set so queries whose first step has the same axis and node test
+//! compile into one merged HPDT (see [`crate::build::build_merged_hpdt`]):
+//! the trie underneath shares every common step prefix, fanning out only
+//! at the divergence point — a differing predicate, at the first step as
+//! at any other — and tags each query's leaves so results stay
 //! attributed.
 //!
 //! Element-output queries get singleton groups — their catchall
@@ -34,15 +35,19 @@ pub struct QueryGroup {
 
 /// Partition `queries` into prefix-sharing groups and compile each.
 ///
-/// Grouping is by equality of the first location step (axis, node test,
-/// predicate): queries that don't even agree on step one share no
-/// prefix worth merging, and separate groups keep the dispatch index's
-/// buckets fine-grained. Group order follows first appearance, and
+/// Grouping is by the first location step's axis and node test — what
+/// the dispatch index can tell apart. Queries that disagree there wake
+/// on different events, and separate groups keep the buckets
+/// fine-grained; queries that agree wake on the same events whatever
+/// their predicates say, so N subscriptions differing in a predicate
+/// constant are one group (one dispatch touch, one trie root per distinct
+/// predicate) rather than N. Group order follows first appearance, and
 /// members keep their input order inside a group, so result attribution
 /// is stable across runs. A failure names the offending query by its
 /// index in `queries`.
 pub fn plan_groups(queries: &[Query]) -> Result<Vec<QueryGroup>, (usize, CompileError)> {
-    // (representative first step, member indices) in first-seen order.
+    // (representative of the first step, member indices) in first-seen
+    // order.
     let mut buckets: Vec<(usize, Vec<usize>)> = Vec::new();
     let mut singles: Vec<usize> = Vec::new();
     for (i, q) in queries.iter().enumerate() {
@@ -50,10 +55,11 @@ pub fn plan_groups(queries: &[Query]) -> Result<Vec<QueryGroup>, (usize, Compile
             singles.push(i);
             continue;
         }
-        match buckets
-            .iter_mut()
-            .find(|(rep, _)| queries[*rep].steps[0] == q.steps[0])
-        {
+        let first = &q.steps[0];
+        match buckets.iter_mut().find(|(rep, _)| {
+            let rep = &queries[*rep].steps[0];
+            rep.axis == first.axis && rep.test == first.test
+        }) {
             Some((_, members)) => members.push(i),
             None => buckets.push((i, vec![i])),
         }
@@ -123,10 +129,33 @@ mod tests {
     }
 
     #[test]
-    fn predicate_differences_on_step_one_split_groups() {
-        let qs = queries(&["/a[b]/c/text()", "/a/c/text()"]);
-        let groups = plan_groups(&qs).unwrap();
-        assert_eq!(groups.len(), 2);
+    fn predicate_differences_on_step_one_share_a_group() {
+        use crate::runtime::RunnerCore;
+        use crate::sink::TaggedVecSink;
+        let texts = ["/a[b]/c/text()", "/a/c/text()"];
+        let groups = plan_groups(&queries(&texts)).unwrap();
+        assert_eq!(groups.len(), 1);
+        assert_eq!(groups[0].members, [0, 1]);
+        // Same name, other axis: woken by other events, so another group.
+        assert_eq!(
+            plan_groups(&queries(&["/a/c/text()", "//a/c/text()"]))
+                .unwrap()
+                .len(),
+            2
+        );
+
+        let doc = b"<r><a><c>1</c><b/><c>2</c></a><a><c>3</c></a></r>";
+        let hpdt = &groups[0].hpdt;
+        let mut core = RunnerCore::new(hpdt);
+        let mut sink = TaggedVecSink::new();
+        for e in xsq_xml::parse_to_events(doc).unwrap() {
+            core.feed_raw(hpdt, &e.as_raw(), &mut sink);
+        }
+        core.finish(&mut sink);
+        for (tag, q) in texts.iter().enumerate() {
+            let solo = crate::engine::evaluate(q, doc).unwrap();
+            assert_eq!(sink.of(tag as u32), solo, "{q}");
+        }
     }
 
     #[test]

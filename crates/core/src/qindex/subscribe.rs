@@ -103,11 +103,10 @@ struct Group {
     members: Vec<QueryId>,
     interest: GroupInterest,
     state_cache: Vec<Option<StateInterest>>,
-    /// Frontier as of the last reindex. Closure states report "fired" on
-    /// every descent they track, but their frontier (and therefore the
-    /// dispatch buckets) usually hasn't moved — comparing against this
-    /// cache keeps the steady-state loop free of interest rebuilds (and
-    /// their allocations).
+    /// Frontier as of the last reindex. A fired arc need not move it — a
+    /// value self-loop (`TextSelf` back onto its own state) fires and
+    /// stays put — and comparing against this cache keeps those events
+    /// free of interest rebuilds (and their allocations).
     last_frontier: Vec<StateId>,
     /// When true, the group's registered interest is the union over *all*
     /// its states, fixed at subscribe time, and per-event reindexing is
@@ -123,7 +122,14 @@ struct Group {
 
 /// Named-key count at which a group switches to static interest. Below
 /// it, frontier-diff reindexing keeps dispatch sharp (the skip win); at
-/// or above it, the reindex traffic itself is the bottleneck.
+/// or above it, the reindex traffic itself is the bottleneck. Swept over
+/// {16, 32, ∞} (EXPERIMENTS.md, *Step only what moves*, lever 3): the
+/// cutoff has to exist — at ∞ the 512-query pace gate falls from 2.0 to
+/// 0.21 — but 32 is not where the cost changes sign: `multi_sub`'s
+/// `/dblp` group has 18 named keys, reindexes on every record, and runs
+/// 1.90 MB/s at 16 against 1.50 at 32 with the same touches. A key count
+/// is the wrong observable; the reindex rate a group actually shows is
+/// the right one (ROADMAP, first item).
 const STATIC_INTEREST_CUTOFF: usize = 32;
 
 /// Routes a group's tagged results to the shared [`QuerySink`] with the
@@ -270,7 +276,9 @@ impl QueryIndex {
     }
 
     /// Mute a query immediately. Its group keeps running while other
-    /// members need it; once the last member unsubscribes the group is
+    /// members need it — and a group is every subscription of its batch
+    /// whose first step has the same axis and name, whatever their
+    /// predicates; once the last member unsubscribes the group is
     /// dropped from the dispatch index and costs nothing per event.
     /// Returns false if the id was already unsubscribed.
     pub fn unsubscribe(&mut self, id: QueryId) -> bool {
@@ -322,13 +330,11 @@ impl QueryIndex {
             };
             let fired = core.feed_raw(hpdt, event, &mut route);
             if fired && !*static_interest {
-                // The configuration set moved: re-derive what this group
-                // can react to next and update the buckets by diff — but
-                // only if the frontier actually changed. Closure states
-                // fire on every tracked descent with the same frontier;
-                // skipping the rebuild keeps that loop allocation-free.
-                // Static-interest groups never reindex: their buckets
-                // already cover every state.
+                // An arc fired: re-derive what this group can react to
+                // next and update the buckets by diff — but only if the
+                // frontier actually changed (a value self-loop fires
+                // without moving it). Static-interest groups never
+                // reindex: their buckets already cover every state.
                 core.frontier_states(scratch_states);
                 if scratch_states.as_slice() != last_frontier.as_slice() {
                     last_frontier.clear();
@@ -590,7 +596,7 @@ mod tests {
     }
 
     #[test]
-    fn closure_queries_stay_reachable_through_the_wildcard_bucket() {
+    fn closure_queries_are_reached_through_their_own_tags() {
         let mut index = QueryIndex::new(XsqEngine::full());
         let deep = index.subscribe("//name/text()").unwrap();
         let mut sink = VecQuerySink::new();

@@ -7,12 +7,21 @@
 //! each producing a successor; configurations that match nothing simply
 //! ignore the event (the paper's rule).
 //!
+//! An event costs what it moves. The `//` self-loop never fires: it is a
+//! per-state *stays* bit, read only for a configuration some other arc
+//! moved, which then survives beside its successors — so a closure state
+//! pays nothing for the begin events it merely descends past. The set is
+//! kept sorted and duplicate-free (§4.3: closures can re-derive the same
+//! `(state, dv)` along several arcs) by sorting the successors alone and
+//! merging them into the survivors, which already are in order.
+//!
 //! Two orderings matter:
 //!
 //! * Within one input event, matched arcs execute **deepest layer first**,
 //!   so that an inner element's upload lands in an ancestor's queue before
 //!   that ancestor's own flush/clear runs on the same event (this is why
-//!   Fig. 8 resolves `[child]` on `</child>`).
+//!   Fig. 8 resolves `[child]` on `</child>`) — the order each arc
+//!   carries, resolved when it was created ([`crate::arcs::Arc::order`]).
 //! * Result emission is globally ordered by the item store (document
 //!   order), independent of when predicates resolve.
 //!
@@ -33,7 +42,7 @@ use xsq_xml::RawEvent;
 use xsq_xpath::Output;
 
 use crate::aggregate::Aggregator;
-use crate::arcs::{Action, Disposition, StateId, ValueSource};
+use crate::arcs::{Action, Disposition, QueueRef, StateId, ValueSource};
 use crate::buffers::QueueSet;
 use crate::build::Hpdt;
 use crate::depth_vector::DepthVector;
@@ -94,10 +103,15 @@ pub struct RunnerCore {
     // Scratch buffers reused across events (the hot loop allocates
     // nothing on the no-match and single-match paths, and nothing on the
     // match path either once capacities have warmed up).
-    scratch_matches: Vec<(usize, StateId, u32)>,
+    /// `(arc order, configuration, arc)` per match: sorts into execution
+    /// order as plain integers.
+    scratch_matches: Vec<(u32, u32, u32)>,
+    /// Per configuration: how many more times this event reads it — once
+    /// per matched arc, plus once if it survives.
     scratch_uses: Vec<u32>,
     scratch_candidates: Vec<u32>,
     scratch_ser: String,
+    scratch_successors: Vec<Config>,
     spare_configs: Vec<Config>,
 }
 
@@ -143,6 +157,7 @@ impl RunnerCore {
             scratch_uses: Vec::new(),
             scratch_candidates: Vec::new(),
             scratch_ser: String::new(),
+            scratch_successors: Vec::new(),
             spare_configs: Vec::new(),
         }
     }
@@ -201,11 +216,11 @@ impl RunnerCore {
     }
 
     /// Process one borrowed SAX event, pushing any newly determined
-    /// results into the sink. Returns `true` when at least one arc fired
-    /// — i.e. the configuration set may have moved (the dispatch index
-    /// uses this to know when a runner's frontier needs re-indexing).
-    /// This is the zero-copy hot path: an event no arc accepts performs
-    /// no heap allocation.
+    /// results into the sink. Returns `true` when an arc fired — the only
+    /// way the configuration set moves (the dispatch index re-indexes a
+    /// runner's frontier on it); a begin event a closure state merely
+    /// descends past returns `false`. This is the zero-copy hot path: an
+    /// event no arc accepts performs no heap allocation.
     pub fn feed_raw(
         &mut self,
         hpdt: &Hpdt,
@@ -234,11 +249,8 @@ impl RunnerCore {
         // dispatch key plus the wildcard bucket, instead of scanning all
         // of them — the fix for the N=512 dispatch cliff.
         let mut matches = std::mem::take(&mut self.scratch_matches);
-        let mut uses = std::mem::take(&mut self.scratch_uses);
         let mut cand = std::mem::take(&mut self.scratch_candidates);
         matches.clear();
-        uses.clear();
-        uses.resize(self.configs.len(), 0);
         let key = crate::arcs::raw_event_key(event);
         for (ci, cfg) in self.configs.iter().enumerate() {
             let arcs = &hpdt.arcs[cfg.state as usize];
@@ -250,8 +262,7 @@ impl RunnerCore {
                 for &ai in &cand {
                     let arc = &arcs[ai as usize];
                     if arc.label_matches(event, &cfg.dv) && arc.guard_passes(event) {
-                        matches.push((ci, cfg.state, ai));
-                        uses[ci] += 1;
+                        matches.push((arc.order, ci as u32, ai));
                         if stop_early {
                             break;
                         }
@@ -260,8 +271,7 @@ impl RunnerCore {
             } else {
                 for (ai, arc) in arcs.iter().enumerate() {
                     if arc.label_matches(event, &cfg.dv) && arc.guard_passes(event) {
-                        matches.push((ci, cfg.state, ai as u32));
-                        uses[ci] += 1;
+                        matches.push((arc.order, ci as u32, ai as u32));
                         if stop_early {
                             break;
                         }
@@ -274,7 +284,6 @@ impl RunnerCore {
             // Every configuration ignores the event (the common case on
             // data the query does not touch): nothing moves.
             self.scratch_matches = matches;
-            self.scratch_uses = uses;
             self.drain(sink);
             if let Some(tracer) = tracer {
                 self.emit_trace(event, Vec::new(), tracer);
@@ -282,34 +291,43 @@ impl RunnerCore {
             return false;
         }
 
-        // Phase 2: execute matches deepest-layer-first (uploads from a
-        // closing inner element precede the enclosing flush/clear on the
-        // same event); within a layer, value production → flush/upload →
-        // clear (see `Arc::priority`). The `(ci, ai)` tail reproduces the
-        // insertion order a stable sort would keep, without a stable
-        // sort's temporary buffer.
-        matches.sort_unstable_by_key(|&(ci, state, ai)| {
-            let arc = &hpdt.arcs[state as usize][ai as usize];
-            (std::cmp::Reverse(arc.owner_layer), arc.priority(), ci, ai)
-        });
+        // Phase 2: execute matches in the order their arcs carry — deepest
+        // layer first, within a layer value production → flush/upload →
+        // clear (see `arcs::execution_order`). The `(ci, ai)` tail
+        // reproduces the insertion order a stable sort would keep,
+        // without a stable sort's temporary buffer.
+        if matches.len() > 1 {
+            matches.sort_unstable();
+        }
+        // Survival: a configuration nothing moves ignores the event; one
+        // that moves also stays where `//` keeps it searching — the
+        // self-loop's own depth test, `e.d > dv.top()`.
+        let mut uses = std::mem::take(&mut self.scratch_uses);
+        uses.clear();
+        uses.resize(self.configs.len(), 0);
+        for &(_, ci, _) in &matches {
+            uses[ci as usize] += 1;
+        }
+        for (left, cfg) in uses.iter_mut().zip(&self.configs) {
+            let survives = *left == 0
+                || (hpdt.stays[cfg.state as usize]
+                    && matches!(event, RawEvent::Begin { depth, .. } if *depth > cfg.dv.top()));
+            *left += survives as u32;
+        }
 
         // Trace steps are materialized only when a tracer is attached;
         // the untraced path never touches `FiredArc`.
         let mut fired: Option<Vec<crate::trace::FiredArc>> =
             tracer.is_some().then(|| Vec::with_capacity(matches.len()));
         let mut cur = std::mem::take(&mut self.configs);
-        let mut next = std::mem::take(&mut self.spare_configs);
-        next.clear();
-        // Unmatched configurations survive unchanged; move them over.
-        for (ci, &n) in uses.iter().enumerate() {
-            if n == 0 {
-                next.push(std::mem::take(&mut cur[ci]));
-            }
-        }
-        for &(ci, state, ai) in &matches {
+        let mut successors = std::mem::take(&mut self.scratch_successors);
+        for &(_, ci, ai) in &matches {
+            let ci = ci as usize;
+            let state = cur[ci].state;
             let arc = &hpdt.arcs[state as usize][ai as usize];
             // Last use of this configuration moves its depth vector;
-            // earlier (forking) uses clone it.
+            // earlier (forking) uses, and every use of one that also
+            // survives, clone it.
             uses[ci] -= 1;
             let (cfg_item, mut dv) = if uses[ci] == 0 {
                 let c = &mut cur[ci];
@@ -335,24 +353,38 @@ impl RunnerCore {
             }
             let mut new_item = cfg_item;
             for action in &arc.actions {
-                self.execute(hpdt, action, arc.owner, event, &dv, cfg_item, &mut new_item);
+                self.execute(action, arc.owner, event, &dv, cfg_item, &mut new_item);
             }
             if changes && matches!(event, RawEvent::End { .. } | RawEvent::EndDocument) {
                 dv.pop_mut();
             }
-            next.push(Config {
+            successors.push(Config {
                 state: arc.target,
                 dv,
                 item: new_item,
             });
         }
-        // Deduplicate successors (closures can re-derive the same
-        // (state, dv) along several arcs). Sort+dedup keeps the per-event
-        // cost O(n log n) even when recursion inflates the set.
-        if next.len() > 1 {
-            next.sort_unstable();
-            next.dedup();
+        // Deduplicate (closures re-derive the same (state, dv) along
+        // several arcs, and an element's end returns its configuration
+        // onto the closure state that stayed behind): sort the successors
+        // and merge them into the survivors — every configuration with a
+        // use left, a subsequence of the sorted set.
+        if successors.len() > 1 {
+            successors.sort_unstable();
+            successors.dedup();
         }
+        let mut next = std::mem::take(&mut self.spare_configs);
+        next.clear();
+        let mut incoming = successors.drain(..).peekable();
+        for (c, _) in cur.iter_mut().zip(&uses).filter(|(_, &left)| left > 0) {
+            while let Some(s) = incoming.next_if(|s| *s < *c) {
+                next.push(s);
+            }
+            incoming.next_if(|s| *s == *c);
+            next.push(std::mem::take(c));
+        }
+        next.extend(incoming);
+        self.scratch_successors = successors;
         self.spare_configs = cur;
         self.configs = next;
         self.peak_configs = self.peak_configs.max(self.configs.len());
@@ -395,19 +427,17 @@ impl RunnerCore {
         });
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn execute(
         &mut self,
-        hpdt: &Hpdt,
         action: &Action,
-        owner: crate::ids::BpdtId,
+        owner: QueueRef,
         event: &RawEvent<'_>,
         inside_dv: &DepthVector,
         current_item: Option<ItemId>,
         new_item: &mut Option<ItemId>,
     ) {
-        let own = queue_idx(hpdt, owner);
-        let prefix = owner.layer as usize + 1;
+        let own = owner.slot as usize;
+        let prefix = owner.id.layer as usize + 1;
         match action {
             // The three pure buffer operations are no-ops when nothing
             // ever enqueues (`!self.buffered` — no queues are allocated).
@@ -419,8 +449,8 @@ impl RunnerCore {
             }
             Action::UploadSelf(target) => {
                 if self.buffered {
-                    let dst = queue_idx(hpdt, *target);
-                    self.queues.upload_matching(own, dst, inside_dv, prefix);
+                    self.queues
+                        .upload_matching(own, target.slot as usize, inside_dv, prefix);
                 }
             }
             Action::ClearSelf => {
@@ -440,7 +470,7 @@ impl RunnerCore {
                 };
                 if let Some(v) = value {
                     let item = self.items.anchor(*tag, v, true);
-                    self.route(hpdt, item, to, own, inside_dv);
+                    self.route(item, to, own, inside_dv);
                 }
             }
             Action::ElementStart { to, tag } => {
@@ -448,7 +478,7 @@ impl RunnerCore {
                 xsq_xml::writer::write_raw_event_into(event, &mut self.scratch_ser);
                 let item = self.items.anchor(*tag, &self.scratch_ser, false);
                 *new_item = Some(item);
-                self.route(hpdt, item, to, own, inside_dv);
+                self.route(item, to, own, inside_dv);
             }
             Action::ElementAppend => {
                 if let Some(item) = current_item {
@@ -471,23 +501,16 @@ impl RunnerCore {
         }
     }
 
-    fn route(
-        &mut self,
-        hpdt: &Hpdt,
-        item: ItemId,
-        to: &Disposition,
-        own_queue: usize,
-        inside_dv: &DepthVector,
-    ) {
+    fn route(&mut self, item: ItemId, to: &Disposition, own_queue: usize, inside_dv: &DepthVector) {
         match to {
             Disposition::Direct => self.items.mark_output(item),
             Disposition::OwnQueue => {
                 self.queues
                     .enqueue(own_queue, item, inside_dv, &mut self.items)
             }
-            Disposition::Queue(id) => {
-                let q = queue_idx(hpdt, *id);
-                self.queues.enqueue(q, item, inside_dv, &mut self.items)
+            Disposition::Queue(q) => {
+                self.queues
+                    .enqueue(q.slot as usize, item, inside_dv, &mut self.items)
             }
         }
     }
@@ -668,13 +691,6 @@ impl<'q> Runner<'q> {
     }
 }
 
-fn queue_idx(hpdt: &Hpdt, id: crate::ids::BpdtId) -> usize {
-    *hpdt
-        .queue_index
-        .get(&id)
-        .expect("compiled disposition targets an existing BPDT")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -836,6 +852,48 @@ mod tests {
         assert!(fired[0] && fired[1]);
         assert!(!fired[2] && !fired[3], "irrelevant element must not fire");
         assert_eq!(sink.of(0), ["hit"]);
+    }
+
+    #[test]
+    fn a_descent_only_the_closure_self_loop_would_accept_fires_nothing() {
+        let hpdt = build_hpdt(&parse_query("//b/text()").unwrap()).unwrap();
+        let mut core = RunnerCore::new(&hpdt);
+        let mut sink = crate::sink::TaggedVecSink::new();
+        let events = xsq_xml::parse_to_events(b"<a><z><b>hit</b></z></a>").unwrap();
+        let fired: Vec<bool> = events
+            .iter()
+            .map(|e| core.feed_raw(&hpdt, &e.as_raw(), &mut sink))
+            .collect();
+        // StartDocument fires; <a> and <z> are begin events below the
+        // closure state's anchor that only `//` accepts: the state keeps
+        // searching, no arc fires, the set does not move.
+        assert_eq!(fired[..3], [true, false, false]);
+        // <b> fires the entry arc — and the closure configuration stays
+        // beside its successor; text and </b> fire, </z> and </a> do not.
+        assert_eq!(fired[3..8], [true, true, true, false, false]);
+        assert_eq!(sink.of(0), ["hit"]);
+    }
+
+    #[test]
+    fn survival_maintains_the_same_set_the_self_loop_did() {
+        // The Fig. 20 shape the referee's `match_recursive` runs, at
+        // 64 KiB: the peak is the value measured with the `//` self-loop
+        // fired as a transition and the whole set re-sorted per event.
+        let params = xsq_datagen::xmlgen::XmlGenParams {
+            nested_levels: 15,
+            max_repeats: 20,
+            seed: 2003,
+        };
+        let doc = xsq_datagen::xmlgen::generate(params, 64 * 1024);
+        let query = parse_query("//pub[year>2000]//book[price]/title/text()").unwrap();
+        let hpdt = build_hpdt(&query).unwrap();
+        let mut runner = Runner::new(&hpdt);
+        let mut sink = VecSink::new();
+        for e in xsq_xml::parse_to_events(doc.as_bytes()).unwrap() {
+            runner.feed_raw(&e.as_raw(), &mut sink);
+        }
+        let stats = runner.finish(&mut sink);
+        assert_eq!((stats.memory.peak_configs, stats.results), (47, 484));
     }
 
     #[test]

@@ -5,6 +5,11 @@
 //! buffer operation executes). [`TraceStep`] captures exactly that for
 //! every input event; the CLI's `--trace` flag prints it. Tracing is
 //! opt-in and costs nothing when off (a single branch per event).
+//!
+//! The `//` self-loop is not listed among the fired arcs: a closure
+//! state that keeps searching does not move (the runtime reads the
+//! state's stays bit instead of firing an arc). `configs_after` shows the
+//! configuration it keeps alive.
 
 use std::fmt;
 

@@ -40,11 +40,11 @@ fn paper_queries_analyze_clean() {
 fn corrupted_hpdt_yields_a_useful_diagnostic() {
     let mut hpdt = build_hpdt(&parse_query("/a[b]/c/text()").unwrap()).unwrap();
     let victim = *hpdt
-        .queue_index
-        .keys()
+        .queues
+        .iter()
         .max_by_key(|id| (id.layer, id.seq))
         .unwrap();
-    hpdt.queue_index.remove(&victim);
+    hpdt.queues.retain(|id| *id != victim);
     let diags = xsq_core::verify(&hpdt);
     assert!(xsq_core::analyze::has_errors(&diags));
     // The diagnostic names the missing buffer, not just "invalid".

@@ -291,66 +291,134 @@ fn projection_is_lossless() {
     });
 }
 
-/// One random batch down each road a compiled set can take into an
-/// index — `QuerySet::index()`, `QueryIndex::subscribe_group`, a
-/// `PlanCache` checkout subscribed with `subscribe_set`, and the
-/// sequential corpus driver — over a two-document corpus (so each
-/// road's document reset is in play). All four must produce the solo
-/// runners' results, which must be the DOM oracle's: the roads are one.
+/// Three to six queries whose first step has one axis and one name but
+/// different predicates — attribute, child-exists and child-text
+/// categories in rotation, then none — one of them an aggregate. The
+/// planner groups by (axis, name), so they are one group whose trie
+/// fans out at the root. `tag` is the document root's on the child axis
+/// (anything else matches nothing).
+fn gen_same_name_batch(rng: &mut StdRng, root_tag: &str) -> Vec<String> {
+    let (axis, tag) = if rng.gen_bool(0.5) {
+        ("/", root_tag)
+    } else {
+        ("//", pick(rng, &TAGS))
+    };
+    let aggregate = rng.gen_range(0..3);
+    (0..rng.gen_range(3..7))
+        .map(|i| {
+            let (child, attr) = (pick(rng, &TAGS), pick(rng, &ATTRS));
+            let (op, v) = (pick(rng, &REL_OPS), rng.gen_range(-2..3));
+            let pred = match i % 4 {
+                0 => format!("[@{attr}{op}{v}]"),
+                1 => format!("[{child}]"),
+                2 => format!("[{child}{op}{v}]"),
+                _ => String::new(),
+            };
+            let tail: String = (0..rng.gen_range(0..3))
+                .map(|_| gen_step(rng, true, true))
+                .collect();
+            let output = if i == aggregate {
+                pick(rng, &["/count()", "/sum()"]).to_string()
+            } else {
+                gen_scalar_output(rng)
+            };
+            format!("{axis}{tag}{pred}{tail}{output}")
+        })
+        .collect()
+}
+
+/// One batch down each road a compiled set can take into an index —
+/// `QuerySet::index()`, `QueryIndex::subscribe_group`, a `PlanCache`
+/// checkout subscribed with `subscribe_set`, and the sequential corpus
+/// driver — over a two-document corpus (so each road's document reset
+/// is in play). All four must produce the solo runners' results, which
+/// must be the DOM oracle's: the roads are one.
+///
+/// What is compared, and so what is guaranteed: each subscription's
+/// results, in document order; and that the roads — four instantiations
+/// of one plan — interleave different subscriptions' results
+/// identically, i.e. the interleaving is deterministic run to run. What
+/// is not: *which* interleaving. Results of different subscriptions
+/// determined by the same input event come out in group order, so a
+/// planner that groups differently permutes them.
+fn assert_the_four_roads_agree(docs: &[String; 2], refs: &[&str]) -> QuerySet {
+    let engine = XsqEngine::full();
+    let set = QuerySet::compile(engine, refs).expect("generated queries compile");
+    let cache = PlanCache::new(None);
+    let plan = cache.checkout(engine, refs).expect("compiles");
+
+    let mut by_set = set.index();
+    let mut by_group = QueryIndex::new(engine);
+    by_group.subscribe_group(refs).expect("compiles");
+    let mut by_cache = QueryIndex::new(engine);
+    by_cache.subscribe_set(plan.set());
+    let sequential = run_sequential(&set, docs).expect("well-formed");
+
+    for (di, doc) in docs.iter().enumerate() {
+        let mut want = Vec::new();
+        for q in refs {
+            let single = xsq_run(engine, q, doc.as_bytes());
+            assert_eq!(single, dom_run(q, doc), "solo vs DOM on {q} over {doc}");
+            want.push(single);
+        }
+        let per_query = |results: &[(xsq::QueryId, String)]| {
+            let mut got = vec![Vec::new(); refs.len()];
+            for (id, v) in results {
+                got[id.0 as usize].push(v.clone());
+            }
+            got
+        };
+        let roads = [
+            ("QuerySet::index", &mut by_set),
+            ("subscribe_group", &mut by_group),
+            ("PlanCache::checkout", &mut by_cache),
+        ];
+        let interleaved = &sequential.per_doc[di].results;
+        for (road, index) in roads {
+            let mut sink = VecQuerySink::new();
+            index
+                .run_document(doc.as_bytes(), &mut sink)
+                .expect("well-formed");
+            assert_eq!(
+                per_query(&sink.results),
+                want,
+                "{road} vs solo on {refs:?} over {doc}"
+            );
+            assert_eq!(
+                &sink.results, interleaved,
+                "{road} interleaves unlike run_sequential on {refs:?} over {doc}"
+            );
+        }
+        assert_eq!(
+            per_query(interleaved),
+            want,
+            "run_sequential vs solo on {refs:?} over {doc}"
+        );
+    }
+    set
+}
+
 #[test]
 fn multi_query_runs_equal_single_runs() {
     cases(0..CASES, |rng| {
         let docs = [gen_doc(rng), gen_doc(rng)];
         let queries: Vec<String> = (0..rng.gen_range(1..5)).map(|_| gen_query(rng)).collect();
         let refs: Vec<&str> = queries.iter().map(String::as_str).collect();
-        let engine = XsqEngine::full();
-        let set = QuerySet::compile(engine, &refs).expect("generated queries compile");
-        let cache = PlanCache::new(None);
-        let plan = cache.checkout(engine, &refs).expect("compiles");
+        assert_the_four_roads_agree(&docs, &refs);
+    });
+}
 
-        let mut by_set = set.index();
-        let mut by_group = QueryIndex::new(engine);
-        by_group.subscribe_group(&refs).expect("compiles");
-        let mut by_cache = QueryIndex::new(engine);
-        by_cache.subscribe_set(plan.set());
-        let sequential = run_sequential(&set, &docs).expect("well-formed");
-
-        for (di, doc) in docs.iter().enumerate() {
-            let mut want = Vec::new();
-            for q in &refs {
-                let single = xsq_run(engine, q, doc.as_bytes());
-                assert_eq!(single, dom_run(q, doc), "solo vs DOM on {q} over {doc}");
-                want.push(single);
-            }
-            let per_query = |results: &[(xsq::QueryId, String)]| {
-                let mut got = vec![Vec::new(); refs.len()];
-                for (id, v) in results {
-                    got[id.0 as usize].push(v.clone());
-                }
-                got
-            };
-            let roads = [
-                ("QuerySet::index", &mut by_set),
-                ("subscribe_group", &mut by_group),
-                ("PlanCache::checkout", &mut by_cache),
-            ];
-            for (road, index) in roads {
-                let mut sink = VecQuerySink::new();
-                index
-                    .run_document(doc.as_bytes(), &mut sink)
-                    .expect("well-formed");
-                assert_eq!(
-                    per_query(&sink.results),
-                    want,
-                    "{road} vs solo on {refs:?} over {doc}"
-                );
-            }
-            assert_eq!(
-                per_query(&sequential.per_doc[di].results),
-                want,
-                "run_sequential vs solo on {refs:?} over {doc}"
-            );
-        }
+/// The same property on the batches the planner regroups: members share
+/// a first-step name and differ in its predicate, so one merged group —
+/// one runner, one dispatch touch — answers what were separate groups.
+#[test]
+fn same_name_batches_merge_and_still_equal_single_runs() {
+    cases(0..CASES, |rng| {
+        let docs = [gen_doc(rng), gen_doc(rng)];
+        let queries = gen_same_name_batch(rng, &docs[0][1..2]);
+        let refs: Vec<&str> = queries.iter().map(String::as_str).collect();
+        let set = assert_the_four_roads_agree(&docs, &refs);
+        assert_eq!(set.group_count(), 1, "{refs:?} did not merge");
     });
 }
 

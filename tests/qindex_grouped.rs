@@ -5,7 +5,8 @@
 //! generated documents, including deeply recursive ones where closures
 //! create many simultaneous match paths.
 
-use xsq::datagen::{xmark, xmlgen, xmlgen::XmlGenParams};
+use xsq::datagen::rng::StdRng;
+use xsq::datagen::{dblp, words, xmark, xmlgen, xmlgen::XmlGenParams};
 use xsq::engine::evaluate;
 use xsq::{QueryIndex, QuerySet, VecQuerySink, XsqEngine};
 
@@ -288,6 +289,98 @@ fn dispatch_touches_a_fraction_of_what_a_runner_loop_would() {
                 stats.states_after
             );
         }
+    }
+}
+
+// ---- Dispatch gate on a feed whose subscriptions share tags -----------
+//
+// The opposite shape: every subscription watches the same few record
+// tags and differs from its neighbours in a predicate constant (the
+// referee's `multi_sub` mix). Grouping by the first step's axis and
+// name makes that one group per distinct first step, and a closure
+// group wakes on its own tags, not on every begin event.
+
+#[test]
+fn shared_tag_subscriptions_are_one_group_per_first_step_name() {
+    const RECORDS: [&str; 2] = ["article", "inproceedings"];
+    const FIELDS: [&str; 3] = ["title/text()", "pages/text()", "@key"];
+    let doc = dblp::generate(2003, 48 * 1024);
+    // Half the names are authors the document has, half may be nobody's.
+    let mut authors = evaluate("//author/text()", doc.as_bytes()).expect("runs");
+    authors.sort();
+    authors.dedup();
+    let mut rng = StdRng::seed_from_u64(2003);
+    let mut queries: Vec<String> = Vec::new();
+    for i in 0..64 {
+        let name = match i % 2 {
+            0 => authors[rng.gen_range(0..authors.len())].clone(),
+            _ => words::name(&mut rng),
+        };
+        queries.push(format!("//{}[author=\"{name}\"]/@key", RECORDS[i % 2]));
+    }
+    for i in 0..64 {
+        let (year, field) = (1980 + rng.gen_range(0..25), FIELDS[i % 3]);
+        queries.push(format!("/dblp/{}[year={year}]/{field}", RECORDS[i % 2]));
+    }
+    let texts: Vec<&str> = queries.iter().map(String::as_str).collect();
+    let mut first_steps: Vec<String> = texts
+        .iter()
+        .map(|q| {
+            let step = &xsq::xpath::parse_query(q).expect("parses").steps[0];
+            format!("{:?} {:?}", step.axis, step.test)
+        })
+        .collect();
+    first_steps.sort();
+    first_steps.dedup();
+    assert_eq!(first_steps.len(), 3, "//article, //inproceedings, /dblp");
+
+    let mut index = QueryIndex::new(XsqEngine::full());
+    let ids = index.subscribe_group(&texts).expect("queries compile");
+    assert!(
+        index.group_count() <= first_steps.len(),
+        "{} groups for {} distinct first steps",
+        index.group_count(),
+        first_steps.len()
+    );
+    let mut sink = VecQuerySink::new();
+    index.run_document(doc.as_bytes(), &mut sink).expect("run");
+    let (events, touches) = (index.events(), index.touches());
+    assert!(
+        touches <= 2 * events,
+        "{touches} touches over {events} events: more than 2 per event"
+    );
+    let expected = individually(&texts, doc.as_bytes());
+    assert!(
+        expected[..64].iter().any(|r| !r.is_empty()),
+        "closures fire"
+    );
+    assert!(expected[64..].iter().any(|r| !r.is_empty()), "paths fire");
+    for ((q, &id), want) in texts.iter().zip(&ids).zip(&expected) {
+        assert_eq!(&sink.of(id), want, "{q}");
+    }
+
+    // Unsubscribing every member of one name drops that group from
+    // dispatch: the next document costs what it costs an index that
+    // never had them.
+    let (gone, kept): (Vec<usize>, Vec<usize>) =
+        (0..texts.len()).partition(|&i| texts[i].starts_with("//article"));
+    for &i in &gone {
+        assert!(index.unsubscribe(ids[i]));
+    }
+    let mut sink = VecQuerySink::new();
+    index.run_document(doc.as_bytes(), &mut sink).expect("run");
+    let kept_texts: Vec<&str> = kept.iter().map(|&i| texts[i]).collect();
+    let mut fresh = merged_index(&kept_texts);
+    fresh
+        .run_document(doc.as_bytes(), &mut VecQuerySink::new())
+        .expect("run");
+    assert_eq!(index.touches() - touches, fresh.touches());
+    assert!(fresh.touches() < touches);
+    for &i in &gone {
+        assert!(sink.of(ids[i]).is_empty());
+    }
+    for &i in &kept {
+        assert_eq!(sink.of(ids[i]), expected[i], "{}", texts[i]);
     }
 }
 
