@@ -98,7 +98,10 @@ pub fn analyze_buffers(hpdt: &Hpdt) -> BufferPlan {
                         buffers[q.slot as usize].class = BufferClass::UpstreamPredicate
                     }
                 },
-                Action::UploadSelf(q) => {
+                // A keyed resolve releases into its target like an upload;
+                // the keyed queue itself classifies like any other — by
+                // who routes values into it.
+                Action::UploadSelf(q) | Action::ResolveKeyed(Some(q)) => {
                     buffers[q.slot as usize].class = BufferClass::UpstreamPredicate
                 }
                 _ => {}
@@ -148,6 +151,32 @@ mod tests {
             .buffers
             .iter()
             .any(|b| b.class == BufferClass::OwnPredicate));
+    }
+
+    #[test]
+    fn a_keyed_queue_classifies_by_who_routes_into_it() {
+        let plan = |batch: [&str; 2]| {
+            let queries: Vec<_> = batch.iter().map(|q| parse_query(q).unwrap()).collect();
+            let h = crate::build::build_merged_hpdt(&queries).unwrap();
+            let keyed = h.keyed[0].bpdt;
+            let p = analyze_buffers(&h);
+            assert_eq!(p.buffered, h.buffered);
+            let class = |id| p.buffers.iter().find(|b| b.bpdt == id).unwrap().class;
+            (class(keyed), class(BpdtId::new(1, 0)))
+        };
+        use BufferClass::*;
+        // The keyed step is the leaf: only its own values wait in it.
+        assert_eq!(plan(["/r/a[k=1]/@id", "/r/a[k=2]/@id"]).0, OwnPredicate);
+        // A step below routes into it.
+        assert_eq!(
+            plan(["/r/a[k=1]/v/text()", "/r/a[k=2]/v/text()"]).0,
+            UpstreamPredicate
+        );
+        // Under an undecided ancestor the resolve uploads into that one's.
+        assert_eq!(
+            plan(["/r[z]/a[k=1]/@id", "/r[z]/a[k=2]/@id"]),
+            (OwnPredicate, UpstreamPredicate)
+        );
     }
 
     #[test]

@@ -57,6 +57,7 @@ fn guard_unsatisfiable(arc: &Arc) -> bool {
 fn queue_refs(arc: &mut Arc) -> impl Iterator<Item = &mut QueueRef> {
     let targets = arc.actions.iter_mut().filter_map(|action| match action {
         Action::UploadSelf(q)
+        | Action::ResolveKeyed(Some(q))
         | Action::Emit {
             to: Disposition::Queue(q),
             ..
@@ -188,6 +189,8 @@ pub fn prune(hpdt: &Hpdt) -> (Hpdt, PruneStats) {
         deterministic: hpdt.deterministic,
         query: hpdt.query.clone(),
         merged: hpdt.merged.clone(),
+        keyed: hpdt.keyed.clone(),
+        leaf_tags: hpdt.leaf_tags.clone(),
     };
     // Pruning can delete every closure arc of a query that textually
     // uses `//` (an unsatisfiable guard upstream of the closure); the

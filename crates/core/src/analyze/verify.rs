@@ -119,7 +119,22 @@ fn check_queue_index(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
             }
             for action in &arc.actions {
                 match action {
-                    Action::UploadSelf(target) => require(*target, "an upload", s, out),
+                    Action::UploadSelf(target) | Action::ResolveKeyed(Some(target)) => {
+                        require(*target, "an upload", s, out)
+                    }
+                    Action::RecordKey { table, .. }
+                        if hpdt.keyed.get(*table as usize).map(|k| k.bpdt)
+                            != Some(arc.owner.id) =>
+                    {
+                        out.push(
+                            Diagnostic::error(
+                                "key-table-missing",
+                                format!("{} probes key table {table}, not its own", arc.owner),
+                            )
+                            .at_state(s as u32)
+                            .at_bpdt(arc.owner.id),
+                        );
+                    }
                     Action::Emit {
                         to: Disposition::Queue(q),
                         ..
@@ -215,7 +230,7 @@ fn check_buffer_release(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
                         }
                         Disposition::Direct => {}
                     },
-                    Action::UploadSelf(target) => {
+                    Action::UploadSelf(target) | Action::ResolveKeyed(Some(target)) => {
                         receives.insert(target.id, ());
                     }
                     _ => {}
@@ -232,6 +247,8 @@ fn check_buffer_release(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
                     match action {
                         Action::ClearSelf => has_clear = true,
                         Action::FlushSelf | Action::UploadSelf(_) => has_release = true,
+                        // A keyed resolve is both: release, then clear.
+                        Action::ResolveKeyed(_) => (has_clear, has_release) = (true, true),
                         _ => {}
                     }
                 }
@@ -385,7 +402,11 @@ fn buffer_op_depth(arc: &Arc) -> Option<u16> {
         .any(|a| {
             matches!(
                 a,
-                Action::FlushSelf | Action::UploadSelf(_) | Action::ClearSelf
+                Action::FlushSelf
+                    | Action::UploadSelf(_)
+                    | Action::ClearSelf
+                    | Action::RecordKey { .. }
+                    | Action::ResolveKeyed(_)
             )
         })
         .then_some(arc.owner.id.layer)

@@ -13,7 +13,10 @@
 //! execution order ([`Arc::order`]) and the dense queue slot of every
 //! BPDT it addresses ([`QueueRef`]).
 
+use std::collections::HashMap;
+
 use xsq_xml::{RawEvent, Sym};
+use xsq_xpath::value::{str_to_number, XPathValue};
 use xsq_xpath::{Comparison, FnTest};
 
 use crate::depth_vector::DepthVector;
@@ -157,6 +160,73 @@ pub enum ValueSource {
     Unit,
 }
 
+/// What an `=` literal compares by — the key of a keyed step. A text
+/// literal matches the stream value byte for byte; a numeric literal
+/// matches whatever `number()` maps to the same value, so it is keyed by
+/// the canonical bits of that value (`-0` folded into `0`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KeyVal<'a> {
+    Text(&'a str),
+    Num(u64),
+}
+
+fn num_key(v: f64) -> Option<u64> {
+    // NaN equals nothing, itself included: never a key, never a hit.
+    (!v.is_nan()).then(|| (v + 0.0).to_bits())
+}
+
+impl<'a> KeyVal<'a> {
+    /// The key of a comparison's right-hand side, if it has one.
+    pub fn of(rhs: &'a XPathValue) -> Option<Self> {
+        match rhs {
+            XPathValue::Text(s) => Some(KeyVal::Text(s)),
+            XPathValue::Number { value, .. } => num_key(*value).map(KeyVal::Num),
+        }
+    }
+}
+
+/// The literals of one keyed step, each mapped to its dense key id: one
+/// hash probe per witnessed value answers, for every `[… = literal]`
+/// sibling at once, what `Comparison::eval` would answer one by one.
+#[derive(Debug, Clone, Default)]
+pub struct KeyTable {
+    text: HashMap<String, u32>,
+    num: HashMap<u64, u32>,
+}
+
+impl KeyTable {
+    /// Number of distinct keys.
+    pub(crate) fn len(&self) -> usize {
+        self.text.len() + self.num.len()
+    }
+
+    /// The id of `key`, assigned on first sight.
+    pub(crate) fn intern(&mut self, key: KeyVal<'_>) -> u32 {
+        let next = self.len() as u32;
+        match key {
+            KeyVal::Text(s) => match self.text.get(s) {
+                Some(&id) => id,
+                None => *self.text.entry(s.to_string()).or_insert(next),
+            },
+            KeyVal::Num(bits) => *self.num.entry(bits).or_insert(next),
+        }
+    }
+
+    /// Call `hit` with the id of every key a stream value equals — at
+    /// most one text key and one numeric key.
+    #[inline]
+    pub fn probe(&self, lhs: &str, mut hit: impl FnMut(u32)) {
+        if let Some(&id) = self.text.get(lhs) {
+            hit(id);
+        }
+        if !self.num.is_empty() {
+            if let Some(&id) = num_key(str_to_number(lhs)).and_then(|bits| self.num.get(&bits)) {
+                hit(id);
+            }
+        }
+    }
+}
+
 /// Buffer and output operations attached to an arc. `Self` refers to the
 /// BPDT owning the arc.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -187,6 +257,34 @@ pub enum Action {
     ElementAppend,
     /// Whole-element output: append the end tag and close the item.
     ElementEnd,
+    /// Keyed step, at a witness event: probe `Hpdt::keyed[table]` with the
+    /// event's text (or its `attr` attribute) and record every key hit as
+    /// a depth-scoped *truth* entry in this BPDT's queue.
+    RecordKey { table: u32, attr: Option<Sym> },
+    /// Keyed step, at its element's end tag: bind every depth-matching
+    /// buffered item to the query tags its leaf lists under the keys
+    /// witnessed for this instance (`Hpdt::leaf_tags`) — released to the
+    /// output when every ancestor predicate is true (`None`), uploaded as
+    /// tag-bound entries to the nearest undecided ancestor otherwise —
+    /// then drop the instance's entries, truths included.
+    ResolveKeyed(Option<QueueRef>),
+}
+
+impl Action {
+    /// The action in the figures' notation (`--dot`, `--trace`, dumps).
+    pub fn name(&self) -> &'static str {
+        match self {
+            Action::FlushSelf => "queue.flush()",
+            Action::UploadSelf(_) => "queue.upload()",
+            Action::ClearSelf => "queue.clear()",
+            Action::Emit { .. } => "emit",
+            Action::ElementStart { .. } => "element.start",
+            Action::ElementAppend => "element.append",
+            Action::ElementEnd => "element.end",
+            Action::RecordKey { .. } => "key.record",
+            Action::ResolveKeyed(_) => "key.resolve",
+        }
+    }
 }
 
 /// One transition arc.
@@ -213,7 +311,8 @@ pub struct Arc {
 /// would release it (an event can be both the witness and the value, e.g.
 /// `//a[text()=2]/text()`), and flush/upload before a clear that would
 /// otherwise drop the same entries (witness-true and NA-side
-/// configurations resolving on one end event).
+/// configurations resolving on one end event). A keyed resolve releases
+/// and clears in one step and takes the clear's place.
 pub fn execution_order(layer: u16, actions: &[Action]) -> u32 {
     let mut p = 1;
     for a in actions {
@@ -222,7 +321,7 @@ pub fn execution_order(layer: u16, actions: &[Action]) -> u32 {
                 p = 0;
                 break;
             }
-            Action::ClearSelf => p = 2,
+            Action::ClearSelf | Action::ResolveKeyed(_) => p = 2,
             _ => {}
         }
     }
@@ -610,6 +709,67 @@ mod tests {
         assert!(passes(&a, &text("year", "2002", 1)));
         assert!(!passes(&a, &text("year", "1999", 1)));
         assert!(!passes(&a, &begin("year", 1)));
+    }
+
+    #[test]
+    fn key_table_probe_agrees_with_comparison_eval() {
+        let literals = [
+            XPathValue::number(1990.0),
+            XPathValue::number_raw(1990.0, "1990.0"),
+            XPathValue::text("1990"),
+            XPathValue::text(" 1990 "),
+            XPathValue::number(0.0),
+            XPathValue::number(-0.0),
+            XPathValue::number(2.5),
+            XPathValue::text("Ada Lovelace"),
+            XPathValue::text(""),
+            XPathValue::number(f64::NAN),
+        ];
+        let mut table = KeyTable::default();
+        let ids: Vec<Option<u32>> = literals
+            .iter()
+            .map(|l| KeyVal::of(l).map(|k| table.intern(k)))
+            .collect();
+        // 1990 ≡ 1990.0 and 0 ≡ -0 share a key; a NaN literal has none.
+        assert_eq!(ids[0], ids[1]);
+        assert_eq!(ids[4], ids[5]);
+        assert_ne!(ids[0], ids[2]);
+        assert_eq!(ids[9], None);
+        assert_eq!(table.len(), 7);
+        for text in [
+            "1990",
+            " 1990 ",
+            "1990.0",
+            "01990",
+            "1990.",
+            "1991",
+            "0",
+            "-0",
+            "0.0",
+            "-0.0",
+            "2.5",
+            "2.50",
+            "+2.5",
+            "25e-1",
+            "Ada Lovelace",
+            "ada lovelace",
+            "",
+            " ",
+            "NaN",
+            "nan",
+            "inf",
+        ] {
+            let mut hits = Vec::new();
+            table.probe(text, |id| hits.push(id));
+            for (literal, id) in literals.iter().zip(&ids) {
+                let cmp = Comparison {
+                    op: CmpOp::Eq,
+                    rhs: literal.clone(),
+                };
+                let hit = id.is_some_and(|id| hits.contains(&id));
+                assert_eq!(hit, cmp.eval(text), "{text:?} against literal {literal}");
+            }
+        }
     }
 
     #[test]

@@ -15,14 +15,15 @@
 
 use xsq_xml::Sym;
 use xsq_xpath::classify::{classify, StepCategory};
-use xsq_xpath::{AggFunc, Axis, FnArg, NodeTest, Output, Predicate, Query, Step};
+use xsq_xpath::{AggFunc, Axis, CmpOp, FnArg, NodeTest, Output, Predicate, Query, Step};
 
 use crate::arcs::{
     compute_arc_tables, compute_stays, Action, Arc, ArcLabel, ArcTable, Disposition, Guard,
-    NamePat, QueueRef, StateId, StateInfo, StateRole, ValueSource,
+    KeyTable, KeyVal, NamePat, QueueRef, StateId, StateInfo, StateRole, ValueSource,
 };
 use crate::error::CompileError;
 use crate::ids::BpdtId;
+use crate::items::LEAF_BIT;
 
 /// Hard cap on generated states. The binary tree of BPDTs is exponential
 /// in the number of *predicated* steps, which is tiny for real queries;
@@ -69,6 +70,24 @@ pub struct Hpdt {
     /// every predicate resolves before its output node closes, so results
     /// are emitted directly and the runner allocates no queues at all.
     pub buffered: bool,
+    /// The keyed steps of a merged HPDT (`Action::RecordKey` indexes
+    /// here); empty for a single query.
+    pub keyed: Vec<KeyedStep>,
+    /// Per leaf at or below a keyed step (items anchored under
+    /// `LEAF_BIT | leaf`): the `(key, query tag)` pairs it answers, sorted
+    /// — a resolve binds an item to the tags listed under the keys its
+    /// instance witnessed.
+    pub leaf_tags: Vec<Vec<(u32, u32)>>,
+}
+
+/// A family of sibling steps equal up to the literal of an `=` predicate,
+/// compiled as one BPDT (see [`build_merged_hpdt`]).
+#[derive(Debug, Clone)]
+pub struct KeyedStep {
+    pub bpdt: BpdtId,
+    /// The step with the literal erased, e.g. `article[year=?×25]`.
+    pub step: String,
+    pub table: KeyTable,
 }
 
 impl Hpdt {
@@ -84,7 +103,14 @@ impl Hpdt {
         let mut buffered = vec![false; self.merged.len()];
         for action in self.arcs.iter().flatten().flat_map(|arc| &arc.actions) {
             if let Action::Emit { to, tag, .. } | Action::ElementStart { to, tag } = action {
-                buffered[*tag as usize] |= !matches!(to, Disposition::Direct);
+                let enqueues = !matches!(to, Disposition::Direct);
+                if tag & LEAF_BIT == 0 {
+                    buffered[*tag as usize] |= enqueues;
+                } else {
+                    for &(_, t) in &self.leaf_tags[(tag & !LEAF_BIT) as usize] {
+                        buffered[t as usize] |= enqueues;
+                    }
+                }
             }
         }
         buffered
@@ -120,6 +146,13 @@ impl Hpdt {
                 );
             }
         }
+        for k in &self.keyed {
+            let _ = writeln!(
+                s,
+                "  keyed {}: {} — key.record at the witness, key.resolve at the end tag",
+                k.bpdt, k.step
+            );
+        }
         s
     }
 }
@@ -134,6 +167,8 @@ struct Builder {
     states: Vec<StateInfo>,
     arcs: Vec<Vec<Arc>>,
     queues: Vec<BpdtId>,
+    keyed: Vec<KeyedStep>,
+    leaf_tags: Vec<Vec<(u32, u32)>>,
 }
 
 /// The externally visible states of a freshly built BPDT.
@@ -186,6 +221,8 @@ impl Builder {
             states: Vec::new(),
             arcs: Vec::new(),
             queues: Vec::new(),
+            keyed: Vec::new(),
+            leaf_tags: Vec::new(),
         }
     }
 
@@ -250,6 +287,8 @@ impl Builder {
             deterministic,
             merged,
             query: self.query,
+            keyed: self.keyed,
+            leaf_tags: self.leaf_tags,
         }
     }
 
@@ -289,6 +328,76 @@ impl Builder {
         Ok(self.finish(start, n, deterministic, merged))
     }
 
+    /// The label of a step's entry arcs. Closure steps: `//` self-loop on
+    /// the START state so the search keeps descending, and any-depth
+    /// (`=`-marked) entry arcs.
+    fn entry_label(&mut self, step: &Step, start: StateId, own: QueueRef) -> ArcLabel {
+        let tag = name_pat(&step.test);
+        if step.axis == Axis::Closure {
+            self.add_arc(start, ArcLabel::ClosureSelfLoop, None, start, own, vec![]);
+            ArcLabel::BeginAnyDepth(tag)
+        } else {
+            ArcLabel::BeginChild(tag)
+        }
+    }
+
+    /// Instantiate a keyed step — a family of siblings equal up to the
+    /// literal of `[witness = literal]` — as one BPDT that never reaches
+    /// TRUE: the witness events probe the family's key table and record
+    /// the hits, values buffer in the own queue as for any undecided
+    /// predicate, and the element's end tag resolves them per key
+    /// ([`Action::ResolveKeyed`]). Returns the NA state, the only one
+    /// children hang off.
+    fn build_keyed_bpdt(
+        &mut self,
+        step: &Step,
+        table: &KeyTable,
+        own: QueueRef,
+        cx: PredCx,
+        start: StateId,
+        leaf_specs: &[(u32, Output)],
+    ) -> Result<StateId, CompileError> {
+        self.keyed.push(KeyedStep {
+            bpdt: own.id,
+            step: keyed_step_name(step, table.len()),
+            table: table.clone(),
+        });
+        let table = self.keyed.len() as u32 - 1;
+        let (witness, _) = keyable(step).expect("a keyed node's step is keyable");
+        let tag = name_pat(&step.test);
+        let entry_label = self.entry_label(step, start, own);
+        let na = self.add_state(own.id, StateRole::Na)?;
+        let entry_values = entry_value_actions(leaf_specs, Disposition::OwnQueue);
+        self.add_arc(start, entry_label, None, na, own, entry_values);
+        let record = |attr| Action::RecordKey { table, attr };
+        let mut own_text = text_value_actions(leaf_specs, Disposition::OwnQueue);
+        match witness {
+            Witness::SelfText => own_text.insert(0, record(None)),
+            // Through a state of its own, as in Fig. 9: the witness child
+            // may carry the next step's tag, and its begin event then both
+            // enters the witness and continues the path.
+            Witness::ChildText(child) => {
+                let child = NamePat::Name(Sym::intern(child));
+                let w = self.add_state(own.id, StateRole::Witness)?;
+                self.add_arc(na, ArcLabel::BeginChild(child), None, w, own, vec![]);
+                let probe = vec![record(None)];
+                self.add_arc(w, ArcLabel::TextSelf(child), None, w, own, probe);
+                self.add_arc(w, ArcLabel::End(child), None, na, own, vec![]);
+            }
+            Witness::ChildAttr(child, attr) => {
+                let label = ArcLabel::BeginChild(NamePat::Name(Sym::intern(child)));
+                let probe = vec![record(Some(Sym::intern(attr)))];
+                self.add_arc(na, label, None, na, own, probe);
+            }
+        }
+        if !own_text.is_empty() {
+            self.add_arc(na, ArcLabel::TextSelf(tag), None, na, own, own_text);
+        }
+        let resolve = vec![Action::ResolveKeyed(cx.upload)];
+        self.add_arc(na, ArcLabel::End(tag), None, start, own, resolve);
+        Ok(na)
+    }
+
     /// Instantiate the template for one location step as `bpdt(id)`,
     /// entered from `start` (the parent's TRUE or NA state). `leaf_specs`
     /// lists the queries whose *last* step this is, as `(tag, output)`
@@ -315,19 +424,8 @@ impl Builder {
                 engine: "hpdt".into(),
             });
         }
-        let closure = step.axis == Axis::Closure;
         let category = classify(step);
-
-        // Closure steps: `//` self-loop on the START state so the search
-        // keeps descending, and any-depth (`=`-marked) entry arcs.
-        if closure {
-            self.add_arc(start, ArcLabel::ClosureSelfLoop, None, start, own, vec![]);
-        }
-        let entry_label = if closure {
-            ArcLabel::BeginAnyDepth(tag)
-        } else {
-            ArcLabel::BeginChild(tag)
-        };
+        let entry_label = self.entry_label(step, start, own);
 
         // Dispositions and the predicate-true resolution action are fixed
         // by the BPDT's position (§4.2), carried in the explicit context.
@@ -720,8 +818,147 @@ fn name_pat(test: &NodeTest) -> NamePat {
 struct TrieNode {
     step: Step,
     children: Vec<usize>,
-    /// Queries whose last step this is, as `(tag, output)`.
+    /// Queries whose last step this is, as `(tag, output)`. At or below a
+    /// keyed node: the node's leaves instead, one per distinct value
+    /// source among those queries, as `(LEAF_BIT | leaf, output)` — the
+    /// queries themselves are filed in `leaf_tags[leaf]`.
     leaf: Vec<(u32, Output)>,
+    /// Set on a keyed node: `step` stands for its whole family, whose
+    /// literals these are.
+    keyed: Option<KeyTable>,
+}
+
+impl TrieNode {
+    fn new(step: Step) -> Self {
+        TrieNode {
+            step,
+            children: Vec::new(),
+            leaf: Vec::new(),
+            keyed: None,
+        }
+    }
+}
+
+/// Where a keyable predicate reads the value it compares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Witness<'a> {
+    /// Category 2, `[text() = lit]`.
+    SelfText,
+    /// Category 5, `[child = lit]`.
+    ChildText(&'a str),
+    /// Category 4, `[child@attr = lit]`.
+    ChildAttr(&'a str, &'a str),
+}
+
+/// Is the step's predicate an `=` comparison of a *buffering* category —
+/// one whose values wait in a queue anyway? Category 1 (`[@attr = lit]`)
+/// is not: it is decided at the begin event and buffers nothing, so
+/// keying it would add a buffer.
+fn keyable(step: &Step) -> Option<(Witness<'_>, KeyVal<'_>)> {
+    let (witness, cmp) = match step.predicate.as_ref()? {
+        Predicate::Text { cmp: Some(cmp) } => (Witness::SelfText, cmp),
+        Predicate::ChildText { child, cmp } => (Witness::ChildText(child), cmp),
+        Predicate::ChildAttr {
+            child,
+            attr,
+            cmp: Some(cmp),
+        } => (Witness::ChildAttr(child, attr), cmp),
+        _ => return None,
+    };
+    let keyed = cmp.op == CmpOp::Eq && step.axis.is_forward();
+    Some((witness, KeyVal::of(&cmp.rhs).filter(|_| keyed)?))
+}
+
+/// Fold `from`'s subtree into `into`'s, every query in it filed under the
+/// family member `key` it came through: a query ending at a node joins
+/// the node's leaf for its value source (text-anchored outputs share the
+/// text, `count()` the unit) — one shared item per event per leaf,
+/// whichever side of an undecided ancestor reaches it. Steps below merge
+/// by equality, as they do everywhere in the trie.
+fn graft(
+    nodes: &mut Vec<TrieNode>,
+    leaf_tags: &mut Vec<Vec<(u32, u32)>>,
+    into: usize,
+    from: usize,
+    key: u32,
+) {
+    for (tag, output) in std::mem::take(&mut nodes[from].leaf) {
+        let source = match output {
+            Output::Attr(_) | Output::Aggregate(AggFunc::Count) | Output::Element => output,
+            Output::Text | Output::Aggregate(_) => Output::Text,
+        };
+        let leaves = &mut nodes[into].leaf;
+        let leaf = match leaves.iter().find(|(_, o)| *o == source) {
+            Some((leaf, _)) => leaf & !LEAF_BIT,
+            None => {
+                leaves.push((LEAF_BIT | leaf_tags.len() as u32, source));
+                leaf_tags.push(Vec::new());
+                leaf_tags.len() as u32 - 1
+            }
+        };
+        leaf_tags[leaf as usize].push((key, tag));
+    }
+    for child in std::mem::take(&mut nodes[from].children) {
+        let twin = nodes[into]
+            .children
+            .iter()
+            .copied()
+            .find(|&c| nodes[c].step == nodes[child].step);
+        let twin = twin.unwrap_or_else(|| {
+            nodes.push(TrieNode::new(nodes[child].step.clone()));
+            let new = nodes.len() - 1;
+            nodes[into].children.push(new);
+            new
+        });
+        graft(nodes, leaf_tags, twin, child, key);
+    }
+}
+
+/// Among `siblings`, replace every family — same axis, node test and
+/// witness, ≥ 2 distinct `=` literals — by one keyed node holding the
+/// members' merged subtrees; then do the same below every node that stayed
+/// classic. Nothing below a keyed node is keyed again: a path has at most
+/// one keyed step, its first. A batch without a family is left as it was.
+fn key_families(
+    nodes: &mut Vec<TrieNode>,
+    leaf_tags: &mut Vec<Vec<(u32, u32)>>,
+    siblings: &mut Vec<usize>,
+) {
+    for i in 0.. {
+        let Some(&head) = siblings.get(i) else { break };
+        let first = &nodes[head].step;
+        let Some((witness, _)) = keyable(first) else {
+            continue;
+        };
+        let mut table = KeyTable::default();
+        let family: Vec<(usize, u32)> = siblings[i..]
+            .iter()
+            .filter_map(|&s| {
+                let step = &nodes[s].step;
+                let (w, key) = keyable(step)?;
+                (w == witness && step.axis == first.axis && step.test == first.test)
+                    .then(|| (s, table.intern(key)))
+            })
+            .collect();
+        if table.len() < 2 {
+            continue;
+        }
+        nodes.push(TrieNode::new(nodes[head].step.clone()));
+        let node = nodes.len() - 1;
+        for &(member, key) in &family {
+            graft(nodes, leaf_tags, node, member, key);
+        }
+        nodes[node].keyed = Some(table);
+        siblings[i] = node;
+        siblings.retain(|s| family.iter().all(|(member, _)| member != s));
+    }
+    for &s in siblings.iter() {
+        if nodes[s].keyed.is_none() {
+            let mut children = std::mem::take(&mut nodes[s].children);
+            key_families(nodes, leaf_tags, &mut children);
+            nodes[s].children = children;
+        }
+    }
 }
 
 /// Build one HPDT answering several queries at once. Queries whose
@@ -766,11 +1003,7 @@ pub fn build_merged_hpdt(queries: &[Query]) -> Result<Hpdt, CompileError> {
                 Some(c) => c,
                 None => {
                     let c = nodes.len();
-                    nodes.push(TrieNode {
-                        step: step.clone(),
-                        children: Vec::new(),
-                        leaf: Vec::new(),
-                    });
+                    nodes.push(TrieNode::new(step.clone()));
                     match parent {
                         Some(p) => nodes[p].children.push(c),
                         None => roots.push(c),
@@ -789,6 +1022,10 @@ pub fn build_merged_hpdt(queries: &[Query]) -> Result<Hpdt, CompileError> {
     // id encoding cannot describe fan-out beyond two — and (b) the
     // predicate context carried explicitly.
     let mut b = Builder::new(first.clone());
+    key_families(&mut nodes, &mut b.leaf_tags, &mut roots);
+    for tags in &mut b.leaf_tags {
+        tags.sort_unstable();
+    }
     let (start, root_true) = b.build_root()?;
 
     let mut layer: u16 = 1;
@@ -803,12 +1040,24 @@ pub fn build_merged_hpdt(queries: &[Query]) -> Result<Hpdt, CompileError> {
         for (seq, (node_idx, cx, start_state)) in frontier.into_iter().enumerate() {
             let own = b.register_queue(BpdtId::new(layer, seq as u64));
             let node = &nodes[node_idx];
-            let built = b.build_bpdt(&node.step, own, cx, start_state, &node.leaf)?;
-            for &child in &nodes[node_idx].children {
-                if let Some(na) = built.na {
+            let (na, true_state) = match &node.keyed {
+                None => {
+                    let built = b.build_bpdt(&node.step, own, cx, start_state, &node.leaf)?;
+                    (built.na, Some(built.true_state))
+                }
+                Some(family) => {
+                    let step = &node.step;
+                    let na = b.build_keyed_bpdt(step, family, own, cx, start_state, &node.leaf)?;
+                    (Some(na), None)
+                }
+            };
+            for &child in &node.children {
+                if let Some(na) = na {
                     next.push((child, cx.na_side(own), na));
                 }
-                next.push((child, cx.true_side(), built.true_state));
+                if let Some(t) = true_state {
+                    next.push((child, cx.true_side(), t));
+                }
             }
         }
         frontier = next;
@@ -817,6 +1066,13 @@ pub fn build_merged_hpdt(queries: &[Query]) -> Result<Hpdt, CompileError> {
 
     let deterministic = queries.iter().all(|q| !q.has_closure());
     Ok(b.finish(start, layers, deterministic, queries.to_vec()))
+}
+
+/// A keyed step as dumps name it: `tag[child=?×N]`.
+fn keyed_step_name(step: &Step, literals: usize) -> String {
+    let text = step.to_string();
+    let (head, _) = text.split_once('=').expect("a keyed step compares by `=`");
+    format!("{}=?×{literals}]", head.trim_start_matches('/'))
 }
 
 /// Does any action enqueue a value into a buffer? When nothing ever
@@ -1000,6 +1256,160 @@ mod tests {
             }
         }
         assert!(saw_flush && saw_upload_to_11);
+    }
+
+    fn merged(queries: &[String]) -> Hpdt {
+        let parsed: Vec<_> = queries.iter().map(|q| parse_query(q).unwrap()).collect();
+        build_merged_hpdt(&parsed).unwrap()
+    }
+
+    #[test]
+    fn a_family_is_one_bpdt_however_many_literals_it_has() {
+        let family = |n: usize| -> Vec<String> {
+            (0..n)
+                .flat_map(|y| {
+                    [
+                        format!("/dblp/article[year={}]/title/text()", 1900 + y),
+                        format!("/dblp/article[year={}]/@key", 1900 + y),
+                    ]
+                })
+                .collect()
+        };
+        let (two, many) = (merged(&family(2)), merged(&family(64)));
+        // root, dblp, the keyed article step, title: NA and witness state
+        // once, however many subscriptions hang off them.
+        assert_eq!((two.states.len(), two.bpdt_count), (6, 4));
+        assert_eq!((many.states.len(), many.bpdt_count), (6, 4));
+        assert_eq!(many.arc_count(), two.arc_count());
+        assert_eq!(many.keyed.len(), 1);
+        assert_eq!(many.keyed[0].step, "article[year=?×64]");
+        assert_eq!(many.keyed[0].table.len(), 64);
+        // One leaf per value source; each lists its 64 (key, tag) pairs.
+        assert_eq!(many.leaf_tags.len(), 2);
+        assert!(many.leaf_tags.iter().all(|tags| tags.len() == 64));
+        assert_eq!(many.buffered_members(), [true; 128]);
+        assert!(many.dump().contains("keyed bpdt(2,0): article[year=?×64]"));
+        for hpdt in [&two, &many] {
+            let diags = crate::analyze::verify(hpdt);
+            assert!(!crate::analyze::has_errors(&diags), "{diags:?}");
+            let (pruned, stats) = crate::analyze::prune(hpdt);
+            assert!(!stats.changed(), "{stats:?}");
+            assert_eq!(pruned.leaf_tags, hpdt.leaf_tags);
+        }
+    }
+
+    #[test]
+    fn every_buffering_category_keys_and_category_one_does_not() {
+        for (a, b, name) in [
+            (
+                "/r/a[text()=1]/@x",
+                "/r/a[text()=\"one\"]/@x",
+                "a[text()=?×2]",
+            ),
+            ("//a[b=1]/c/text()", "//a[b=2]/c/count()", "a[b=?×2]"),
+            ("/r/*[b@x=1]/text()", "/r/*[b@x=2]/c/text()", "*[b@x=?×2]"),
+        ] {
+            let h = merged(&[a.into(), b.into()]);
+            assert_eq!(h.keyed.len(), 1, "{a} + {b}");
+            assert_eq!(h.keyed[0].step, name);
+            let diags = crate::analyze::verify(&h);
+            assert!(!crate::analyze::has_errors(&diags), "{a} + {b}: {diags:?}");
+        }
+        // Decided at the begin event, buffers nothing: stays per literal.
+        // So do other operators, and literals that are one value.
+        for (a, b) in [
+            ("/r/a[@x=1]/c/text()", "/r/a[@x=2]/c/text()"),
+            ("/r/a[b>1]/c/text()", "/r/a[b>2]/c/text()"),
+            ("/r/a[b!=1]/c/text()", "/r/a[b!=2]/c/text()"),
+            ("/r/a[b=1]/c/text()", "/r/a[b=1.0]/d/text()"),
+        ] {
+            assert!(merged(&[a.into(), b.into()]).keyed.is_empty(), "{a} + {b}");
+        }
+    }
+
+    #[test]
+    fn only_the_first_keyable_step_of_a_path_is_keyed() {
+        let h = merged(&[
+            "/r/a[k=1]/b[y=1]/text()".into(),
+            "/r/a[k=1]/b[y=2]/text()".into(),
+            "/r/a[k=2]/b[y=1]/text()".into(),
+            "/r/a[k=2]/b[y=3]/text()".into(),
+        ]);
+        assert_eq!(h.keyed.len(), 1);
+        assert_eq!(h.keyed[0].step, "a[k=?×2]");
+        // Below it b[y=1], b[y=2], b[y=3] are three classic BPDTs — each
+        // hanging off the keyed NA state only — with their guards intact.
+        assert_eq!(h.bpdt_count, 3 + 3);
+        let guards = h.arcs.iter().flatten().filter(|a| a.guard.is_some());
+        assert_eq!(guards.count(), 3);
+        // A lone literal at the first keyable step leaves it classic and
+        // moves the keyed step down the path.
+        let h = merged(&[
+            "/r/a[k=1]/b[y=1]/text()".into(),
+            "/r/a[k=1]/b[y=2]/text()".into(),
+        ]);
+        assert_eq!(h.keyed[0].step, "b[y=?×2]");
+    }
+
+    /// FNV-1a of a dump, for pinning the builder's output.
+    fn fnv(s: &str) -> u64 {
+        s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn batches_without_a_family_build_what_they_always_built() {
+        // Dump hashes taken from the builder as it was before keyed steps
+        // existed: the referee's `serve_bulk` and `broadcast_fanout`
+        // batches, and a batch of one-literal "families" (1 ≡ 1.0),
+        // relational and category-1 siblings.
+        let pinned: [(&[&str], u64, usize, usize); 3] = [
+            (
+                &[
+                    "/dblp/inproceedings[booktitle]/title/text()",
+                    "/dblp/article/@key",
+                    "/dblp/article[year>1995]/author/text()",
+                    "//year/count()",
+                ],
+                0x6ba3_3716_ada2_5f2f,
+                16,
+                10,
+            ),
+            (
+                &[
+                    "//pub[year]//book[@id]/title/text()",
+                    "//pub/book/title/text()",
+                    "//book/@id",
+                    "//book/price/text()",
+                    "//price/sum()",
+                    "//book/count()",
+                ],
+                0xc750_8ee4_4858_8c24,
+                15,
+                12,
+            ),
+            (
+                &[
+                    "/r/a[k=1]/v/text()",
+                    "/r/a[k=1]/w/text()",
+                    "/r/a[k=1.0]/v/@id",
+                    "/r/a[k>1]/v/text()",
+                    "/r/a[@k=1]/v/text()",
+                    "/r/a[@k=2]/v/text()",
+                ],
+                0x6b86_237d_e4cd_2340,
+                27,
+                17,
+            ),
+        ];
+        for (batch, hash, states, bpdts) in pinned {
+            let queries: Vec<String> = batch.iter().map(|q| q.to_string()).collect();
+            let h = merged(&queries);
+            assert!(h.keyed.is_empty() && h.leaf_tags.is_empty());
+            assert_eq!((h.states.len(), h.bpdt_count), (states, bpdts), "{batch:?}");
+            assert_eq!(fnv(&h.dump()), hash, "{batch:?}\n{}", h.dump());
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use std::fmt::Write;
 
-use crate::arcs::{Action, ArcLabel, NamePat, StateRole};
+use crate::arcs::{ArcLabel, NamePat, StateRole};
 use crate::build::Hpdt;
 use crate::ids::BpdtId;
 
@@ -41,10 +41,14 @@ pub fn to_dot_named(hpdt: &Hpdt, graph_name: &str, title: &str) -> String {
     bpdts.dedup();
     for bpdt in bpdts {
         let _ = writeln!(out, "  subgraph \"cluster_{}_{}\" {{", bpdt.layer, bpdt.seq);
+        // A keyed step's box names the family it stands for.
+        let keyed = hpdt.keyed.iter().find(|k| k.bpdt == bpdt);
         let _ = writeln!(
             out,
-            "    label=\"bpdt({},{})\"; style=rounded;",
-            bpdt.layer, bpdt.seq
+            "    label=\"bpdt({},{}){}\"; style=rounded;",
+            bpdt.layer,
+            bpdt.seq,
+            keyed.map_or(String::new(), |k| format!(" {}", escape(&k.step)))
         );
         for (i, info) in hpdt.states.iter().enumerate() {
             if info.owner != bpdt {
@@ -73,7 +77,7 @@ pub fn to_dot_named(hpdt: &Hpdt, graph_name: &str, title: &str) -> String {
             }
             for a in &arc.actions {
                 label.push_str("\\n{");
-                label.push_str(action_text(a));
+                label.push_str(a.name());
                 label.push('}');
             }
             let style = match arc.label {
@@ -115,18 +119,6 @@ fn label_text(label: &ArcLabel) -> String {
     }
 }
 
-fn action_text(a: &Action) -> &'static str {
-    match a {
-        Action::FlushSelf => "queue.flush()",
-        Action::UploadSelf(_) => "queue.upload()",
-        Action::ClearSelf => "queue.clear()",
-        Action::Emit { .. } => "emit",
-        Action::ElementStart { .. } => "element.start",
-        Action::ElementAppend => "element.append",
-        Action::ElementEnd => "element.end",
-    }
-}
-
 fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
@@ -155,6 +147,17 @@ mod tests {
         assert!(dot.contains("queue.clear()"));
         // Closure machinery rendered.
         assert!(dot.contains("style=dashed"));
+    }
+
+    #[test]
+    fn keyed_steps_are_named_in_their_cluster_and_on_their_arcs() {
+        let queries: Vec<_> = ["//a[k=1]/v/text()", "//a[k=\"x\"]/v/text()"]
+            .iter()
+            .map(|q| parse_query(q).unwrap())
+            .collect();
+        let dot = to_dot(&crate::build::build_merged_hpdt(&queries).unwrap());
+        assert!(dot.contains("label=\"bpdt(1,0) a[k=?×2]\""), "{dot}");
+        assert!(dot.contains("{key.record}") && dot.contains("{key.resolve}"));
     }
 
     #[test]

@@ -29,8 +29,14 @@ use crate::arena::{ByteArena, Span};
 /// Index of an item in the store.
 pub type ItemId = u32;
 
-/// Sentinel for "no next segment".
+/// Sentinel for "no next segment" / "no next binding".
 const NIL: u32 = u32::MAX;
+
+/// Set in the tag of an item anchored by a leaf at or below a keyed step:
+/// the low bits name the leaf (`Hpdt::leaf_tags`), not a query. Such an
+/// item is shared by every subscription of the family and reaches the sink
+/// once per query tag it was [`ItemStore::bind`]-bound to.
+pub const LEAF_BIT: u32 = 1 << 31;
 
 /// Lifecycle of an item.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,6 +76,8 @@ struct Item {
     /// Ordinal of the last event appended (deduplicates appends when
     /// several configurations feed the same element item).
     last_append_event: u64,
+    /// First link of the bound-tag chain (`NIL`: unbound).
+    bind_head: u32,
 }
 
 /// The store of result items plus the emission cursor.
@@ -77,6 +85,8 @@ struct Item {
 pub struct ItemStore {
     items: Vec<Item>,
     segs: Vec<Seg>,
+    /// `(query tag, next)` links of the items' bound-tag chains.
+    binds: Vec<(u32, u32)>,
     data: ByteArena,
     /// Assembly buffer for multi-segment values at emission time.
     emit_buf: String,
@@ -133,6 +143,7 @@ impl ItemStore {
             closed,
             refs: 0,
             last_append_event: self.current_event,
+            bind_head: NIL,
         });
         self.live_bytes += value.len();
         self.live_items += 1;
@@ -149,17 +160,54 @@ impl ItemStore {
     }
 
     /// A buffer entry referencing the item was removed (cleared or
-    /// flushed). A pending item with no remaining references is dead.
+    /// flushed). A pending item with no remaining references is decided:
+    /// output under the tags it was bound to, dead if there are none.
     pub fn release_ref(&mut self, id: ItemId) {
         let item = &mut self.items[id as usize];
         debug_assert!(item.refs > 0, "release without ref");
         item.refs -= 1;
         self.outstanding_refs -= 1;
         if item.refs == 0 && item.state == ItemState::Pending {
+            if item.bind_head != NIL {
+                item.state = ItemState::Output;
+                return;
+            }
             item.state = ItemState::Dead;
             self.live_bytes -= item.len as usize;
             item.len = 0;
             self.live_items -= 1;
+        }
+    }
+
+    /// The tag the item was anchored under.
+    pub fn tag(&self, id: ItemId) -> u32 {
+        self.items[id as usize].tag
+    }
+
+    /// Make the item a result of query `tag` as well (idempotent per
+    /// tag). It is emitted once per bound tag, in bind order, when its last
+    /// reference is released: another open instance of the keyed element
+    /// may still bind more. Ignored once the item is decided — the cursor
+    /// only ever passes decided items.
+    pub fn bind(&mut self, id: ItemId, tag: u32) {
+        let item = &mut self.items[id as usize];
+        if item.state != ItemState::Pending {
+            return;
+        }
+        let mut last = NIL;
+        let mut link = item.bind_head;
+        while link != NIL {
+            let (bound, next) = self.binds[link as usize];
+            if bound == tag {
+                return;
+            }
+            (last, link) = (link, next);
+        }
+        let new = self.binds.len() as u32;
+        self.binds.push((tag, NIL));
+        match last {
+            NIL => item.bind_head = new,
+            last => self.binds[last as usize].1 = new,
         }
     }
 
@@ -221,6 +269,7 @@ impl ItemStore {
         let Self {
             items,
             segs,
+            binds,
             data,
             emit_buf,
             cursor,
@@ -237,9 +286,9 @@ impl ItemStore {
                     item.len = 0;
                     *live_items -= 1;
                     *cursor += 1;
-                    if single {
+                    let value = if single {
                         // One segment: emit straight from the arena.
-                        f(tag, data.get_str(segs[head as usize].span));
+                        data.get_str(segs[head as usize].span)
                     } else {
                         emit_buf.clear();
                         let mut s = head;
@@ -248,7 +297,18 @@ impl ItemStore {
                             emit_buf.push_str(data.get_str(seg.span));
                             s = seg.next;
                         }
-                        f(tag, emit_buf);
+                        emit_buf.as_str()
+                    };
+                    // A bound item goes out once per bound tag; any other
+                    // under the tag it was anchored with.
+                    let mut link = item.bind_head;
+                    if link == NIL {
+                        f(tag, value);
+                    }
+                    while link != NIL {
+                        let (bound, next) = binds[link as usize];
+                        f(bound, value);
+                        link = next;
                     }
                 }
                 ItemState::Dead => {
@@ -290,6 +350,7 @@ impl ItemStore {
         debug_assert!(self.recyclable());
         self.items.clear();
         self.segs.clear();
+        self.binds.clear();
         self.data.reset();
         self.cursor = 0;
         self.current_items.clear();
@@ -303,6 +364,7 @@ impl ItemStore {
     pub fn reset(&mut self) {
         self.items.clear();
         self.segs.clear();
+        self.binds.clear();
         self.data.reset();
         self.emit_buf.clear();
         self.cursor = 0;
@@ -413,6 +475,50 @@ mod tests {
         let mut out = Vec::new();
         s.drain(|_, v| out.push(v.to_string()));
         assert_eq!(out, ["kept"]);
+    }
+
+    #[test]
+    fn bound_items_emit_once_per_tag_when_the_last_reference_goes() {
+        let mut s = ItemStore::new();
+        s.begin_event(1);
+        let a = s.anchor(LEAF_BIT | 3, "shared", true);
+        assert_eq!(s.tag(a), LEAF_BIT | 3);
+        s.add_ref(a); // inner instance of the keyed element
+        s.add_ref(a); // outer instance
+        s.bind(a, 7);
+        s.bind(a, 2);
+        s.bind(a, 7); // idempotent per (item, tag)
+        s.release_ref(a);
+        let mut out = Vec::new();
+        s.drain(|t, v| out.push((t, v.to_string())));
+        assert!(out.is_empty(), "the outer instance may still bind more");
+        s.bind(a, 5);
+        s.release_ref(a);
+        assert_eq!(s.state(a), ItemState::Output);
+        s.drain(|t, v| out.push((t, v.to_string())));
+        // Bind order, each tag once, never the leaf tag itself.
+        let shared = |t| (t, "shared".to_string());
+        assert_eq!(out, [shared(7), shared(2), shared(5)]);
+        // A bind after emission is a no-op.
+        s.bind(a, 9);
+        s.drain(|t, v| out.push((t, v.to_string())));
+        assert_eq!(out.len(), 3);
+        assert!(s.recyclable());
+    }
+
+    #[test]
+    fn an_unbound_item_dies_with_its_last_reference() {
+        let mut s = ItemStore::new();
+        s.begin_event(1);
+        let a = s.anchor(LEAF_BIT, "nobody asked", true);
+        s.add_ref(a);
+        s.release_ref(a);
+        assert_eq!(s.state(a), ItemState::Dead);
+        s.bind(a, 1); // too late: ignored
+        let mut out = Vec::new();
+        s.drain(|t, v| out.push((t, v.to_string())));
+        assert!(out.is_empty());
+        assert_eq!(s.peak_live_items(), 1);
     }
 
     #[test]

@@ -94,6 +94,12 @@ impl QuerySet {
         self.plan.len()
     }
 
+    /// The compiled automaton of every group, in group order — what
+    /// `xsq --queries FILE --dump` prints.
+    pub fn hpdts(&self) -> impl Iterator<Item = &crate::build::Hpdt> {
+        self.plan.iter().map(|g| &*g.hpdt)
+    }
+
     /// The engine variant the set compiled for.
     pub(crate) fn engine(&self) -> XsqEngine {
         self.engine

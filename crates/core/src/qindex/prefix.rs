@@ -10,7 +10,10 @@
 //! the trie underneath shares every common step prefix, fanning out only
 //! at the divergence point — a differing predicate, at the first step as
 //! at any other — and tags each query's leaves so results stay
-//! attributed.
+//! attributed. Siblings that differ in nothing but the literal of an `=`
+//! comparison do not even fan out: the first such family on a path is
+//! one *keyed* step — one BPDT, one hash probe on the witnessed value,
+//! one buffered copy — whatever the number of literals.
 //!
 //! Element-output queries get singleton groups — their catchall
 //! serialization machinery assumes sole ownership of a config's item
@@ -40,8 +43,9 @@ pub struct QueryGroup {
 /// on different events, and separate groups keep the buckets
 /// fine-grained; queries that agree wake on the same events whatever
 /// their predicates say, so N subscriptions differing in a predicate
-/// constant are one group (one dispatch touch, one trie root per distinct
-/// predicate) rather than N. Group order follows first appearance, and
+/// constant are one group (one dispatch touch; one trie root per distinct
+/// predicate, except that roots differing only in an `=` literal are one
+/// keyed root) rather than N. Group order follows first appearance, and
 /// members keep their input order inside a group, so result attribution
 /// is stable across runs. A failure names the offending query by its
 /// index in `queries`.

@@ -353,7 +353,7 @@ impl RunnerCore {
             }
             let mut new_item = cfg_item;
             for action in &arc.actions {
-                self.execute(action, arc.owner, event, &dv, cfg_item, &mut new_item);
+                self.execute(hpdt, action, arc.owner, event, &dv, cfg_item, &mut new_item);
             }
             if changes && matches!(event, RawEvent::End { .. } | RawEvent::EndDocument) {
                 dv.pop_mut();
@@ -427,8 +427,10 @@ impl RunnerCore {
         });
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn execute(
         &mut self,
+        hpdt: &Hpdt,
         action: &Action,
         owner: QueueRef,
         event: &RawEvent<'_>,
@@ -471,6 +473,27 @@ impl RunnerCore {
                 if let Some(v) = value {
                     let item = self.items.anchor(*tag, v, true);
                     self.route(item, to, own, inside_dv);
+                }
+            }
+            Action::RecordKey { table, attr } => {
+                let value = match (attr, event) {
+                    (Some(a), _) => event.attribute_sym(*a),
+                    (None, RawEvent::Text { text, .. }) => Some(*text),
+                    _ => None,
+                };
+                if let (Some(v), true) = (value, self.buffered) {
+                    let queues = &mut self.queues;
+                    hpdt.keyed[*table as usize]
+                        .table
+                        .probe(v, |key| queues.record_truth(own, key, inside_dv));
+                }
+            }
+            Action::ResolveKeyed(target) => {
+                if self.buffered {
+                    let upload = target.map(|t| t.slot as usize);
+                    let (tags, items) = (&hpdt.leaf_tags, &mut self.items);
+                    self.queues
+                        .resolve_keyed(own, upload, inside_dv, prefix, tags, items);
                 }
             }
             Action::ElementStart { to, tag } => {

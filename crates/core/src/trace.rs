@@ -103,13 +103,8 @@ fn label_str(arc: &Arc) -> String {
 
 fn action_str(a: &Action) -> String {
     match a {
-        Action::FlushSelf => "queue.flush()".into(),
-        Action::UploadSelf(t) => format!("queue.upload()→{t}"),
-        Action::ClearSelf => "queue.clear()".into(),
-        Action::Emit { .. } => "emit".into(),
-        Action::ElementStart { .. } => "element.start".into(),
-        Action::ElementAppend => "element.append".into(),
-        Action::ElementEnd => "element.end".into(),
+        Action::UploadSelf(t) | Action::ResolveKeyed(Some(t)) => format!("{}→{t}", a.name()),
+        _ => a.name().into(),
     }
 }
 
@@ -157,6 +152,35 @@ mod tests {
             .join("\n");
         assert!(text.contains("--<pub>-->"));
         assert!(text.contains("dv=(0,1)"));
+    }
+
+    #[test]
+    fn a_keyed_step_traces_its_probe_and_its_resolve() {
+        use crate::runtime::RunnerCore;
+        let queries: Vec<_> = ["/r[z]/a[k=1]/v/text()", "/r[z]/a[k=2]/v/text()"]
+            .iter()
+            .map(|q| parse_query(q).unwrap())
+            .collect();
+        let hpdt = crate::build::build_merged_hpdt(&queries).unwrap();
+        let mut core = RunnerCore::new(&hpdt);
+        let mut sink = crate::sink::TaggedVecSink::new();
+        let mut steps: Vec<TraceStep> = Vec::new();
+        let mut tracer = |s: TraceStep| steps.push(s);
+        let doc = b"<r><a><v>one</v><k>1</k></a><z/></r>";
+        for ev in xsq_xml::parse_to_events(doc).unwrap() {
+            core.feed_traced(&hpdt, &ev.as_raw(), &mut sink, Some(&mut tracer));
+        }
+        core.finish(&mut sink);
+        assert_eq!((sink.of(0), sink.of(1)), (vec!["one"], vec![]));
+        let text = steps
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join("\n");
+        // The probe fires at the witness text; the resolve at </a>, and
+        // under the undecided [z] it uploads to the ancestor's queue.
+        assert!(text.contains("--<k.text()>--> $6  bpdt(2,0) dv=(0,1,2,3) {key.record}"));
+        assert!(text.contains("--</a>--> $2  bpdt(2,0) dv=(0,1,2) {key.resolve→bpdt(1,0)}"));
     }
 
     #[test]

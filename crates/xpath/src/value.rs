@@ -74,9 +74,37 @@ impl fmt::Display for XPathValue {
     }
 }
 
-/// XPath 1.0 `number()` on a string: trim whitespace, parse, NaN on failure.
+/// XPath 1.0 `number()` on a string: optional whitespace, an optional
+/// `-`, then `Digits ('.' Digits?)? | '.' Digits`, optional whitespace —
+/// anything else is NaN. Narrower than `f64::from_str`, which also reads
+/// `inf`, `infinity`, `nan`, exponents (`1e3`) and a leading `+`. The one
+/// parser predicates, aggregates, the baselines and keyed-step probes
+/// share; guards call it once per candidate text, so the usual case — a
+/// plain integer of at most 15 digits, exact in an `f64` — is read in the
+/// one pass that checks the grammar.
 pub fn str_to_number(s: &str) -> f64 {
-    s.trim().parse::<f64>().unwrap_or(f64::NAN)
+    let text = s.trim_matches([' ', '\t', '\r', '\n']);
+    let digits = text.strip_prefix('-').unwrap_or(text);
+    let (mut int, mut any_digit, mut dot) = (0u64, false, false);
+    for b in digits.bytes() {
+        match b {
+            b'0'..=b'9' => {
+                any_digit = true;
+                int = int.wrapping_mul(10).wrapping_add(u64::from(b - b'0'));
+            }
+            b'.' if !dot => dot = true,
+            _ => return f64::NAN,
+        }
+    }
+    if !any_digit {
+        f64::NAN
+    } else if dot || digits.len() > 15 {
+        text.parse().unwrap_or(f64::NAN)
+    } else if digits.len() < text.len() {
+        -(int as f64)
+    } else {
+        int as f64
+    }
 }
 
 /// Render a number the way XPath's `string()` would for the common cases:
@@ -135,6 +163,95 @@ mod tests {
         assert!(compare("2000", CmpOp::Ge, &n));
         assert!(compare("2000.0", CmpOp::Eq, &n));
         assert!(compare("1999", CmpOp::Ne, &n));
+    }
+
+    #[test]
+    fn str_to_number_reads_exactly_the_xpath_1_0_number_grammar() {
+        for (text, want) in [
+            ("1990", 1990.0),
+            (" 1990 ", 1990.0),
+            ("\t\r\n12.5\n", 12.5),
+            ("1990.0", 1990.0),
+            ("5.", 5.0),
+            (".5", 0.5),
+            ("-.5", -0.5),
+            ("-3", -3.0),
+            ("007", 7.0),
+        ] {
+            assert_eq!(str_to_number(text), want, "{text:?}");
+        }
+        assert!(str_to_number("-0").is_sign_negative() && str_to_number("-0") == 0.0);
+        // The integer fast path and `f64::from_str` agree where they meet.
+        for text in [
+            "0",
+            "-7",
+            "999999999999999",
+            "1000000000000000",
+            "-12345678901234567890",
+        ] {
+            assert_eq!(str_to_number(text), text.parse::<f64>().unwrap(), "{text}");
+        }
+        for text in [
+            "",
+            " ",
+            ".",
+            "-",
+            "-.",
+            "+5",
+            "1e3",
+            "1E3",
+            "inf",
+            "-inf",
+            "infinity",
+            "Infinity",
+            "nan",
+            "NaN",
+            "0x10",
+            "1 2",
+            "1.2.3",
+            "--1",
+            "- 1",
+            "1-",
+            "١٢",
+            "\u{a0}5",
+            "5\u{2003}",
+        ] {
+            assert!(str_to_number(text).is_nan(), "{text:?} must be NaN");
+        }
+    }
+
+    #[test]
+    fn str_to_number_matches_the_grammar_spelled_out() {
+        // The grammar as the spec writes it, then `f64::from_str`.
+        fn reference(s: &str) -> f64 {
+            let s = s.trim_matches([' ', '\t', '\r', '\n']);
+            let digits = s.strip_prefix('-').unwrap_or(s);
+            let (int, frac) = digits.split_once('.').unwrap_or((digits, ""));
+            let all_digits = |d: &str| d.bytes().all(|b| b.is_ascii_digit());
+            if int.len() + frac.len() == 0 || !all_digits(int) || !all_digits(frac) {
+                return f64::NAN;
+            }
+            s.parse().unwrap_or(f64::NAN)
+        }
+        const ALPHABET: &[u8] = b"0123456789009..-- \te+x";
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..200_000 {
+            let len = next() % 20;
+            let text: String = (0..len)
+                .map(|_| ALPHABET[(next() % ALPHABET.len() as u64) as usize] as char)
+                .collect();
+            let (got, want) = (str_to_number(&text), reference(&text));
+            assert!(
+                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                "{text:?}: {got} vs {want}"
+            );
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //!                                      tagged doc<TAB>query<TAB>value
 //! xsq --dataset-stats FILE...          print Fig. 15-style statistics
 //! xsq --dump QUERY                     print the compiled HPDT
+//! xsq --queries FILE (--dump | --dot)  print every group's merged HPDT
 //! xsq analyze [--json] [--dot] [--dtd FILE] QUERY
 //!                                      static analysis: verifier
 //!                                      diagnostics, dead-state pruning,
@@ -391,6 +392,18 @@ fn run_query_file(opts: &Options) -> ExitCode {
         Ok(s) => s,
         Err(code) => return code,
     };
+    if opts.dump || opts.dot {
+        for (g, hpdt) in set.hpdts().enumerate() {
+            if opts.dot {
+                let title = format!("group {g}: HPDT for {} queries", hpdt.merged.len());
+                let name = format!("group{g}");
+                print!("{}", xsq::engine::dot::to_dot_named(hpdt, &name, &title));
+            } else {
+                print!("{}", hpdt.dump());
+            }
+        }
+        return ExitCode::SUCCESS;
+    }
 
     let files: Vec<Option<String>> = if opts.positional.is_empty() {
         vec![None]
@@ -1536,6 +1549,7 @@ fn usage(err: &str) -> ExitCode {
          \u{20}          output merged in document order, doc<TAB>query<TAB>value\n\
          \u{20}      xsq --dataset-stats FILE...\n\
          \u{20}      xsq --dump QUERY\n\
+         \u{20}      xsq --queries QFILE (--dump | --dot)   every group's merged HPDT\n\
          \u{20}      xsq analyze [--json] [--dot] [--dtd FILE] QUERY\n\
          \u{20}          static analysis: verifier diagnostics, dead-state pruning,\n\
          \u{20}          buffer classes, engine auto-selection, and (with --dtd) the\n\

@@ -8,7 +8,8 @@
 //! * XSQ-NC ≡ DOM on closure-free queries;
 //! * XMLTK ≡ DOM on predicate-free `text()`/`@attr`/`count()` queries;
 //! * every road a compiled query batch can take into a `QueryIndex`
-//!   ≡ the solo runners ≡ DOM;
+//!   ≡ the solo runners ≡ DOM — on random batches, on batches that merge
+//!   into one group, and on batches that compile to a keyed step;
 //! * the well-formedness PDA accepts every generated document's events.
 //!
 //! Every property runs [`CASES`] cases through `datagen::rng::cases`
@@ -20,6 +21,7 @@ use std::sync::Arc;
 
 use xsq::baselines::dom::{eval_pathcheck, eval_stepwise, Document};
 use xsq::datagen::rng::{cases, StdRng};
+use xsq::datagen::xmlgen::{self, XmlGenParams};
 use xsq::engine::{
     analyze_with_dtd, run_sequential, PlanCache, QueryIndex, QuerySet, Runner, VecQuerySink,
     VecSink, XPathEngine, XsqEngine,
@@ -419,6 +421,201 @@ fn same_name_batches_merge_and_still_equal_single_runs() {
         let refs: Vec<&str> = queries.iter().map(String::as_str).collect();
         let set = assert_the_four_roads_agree(&docs, &refs);
         assert_eq!(set.group_count(), 1, "{refs:?} did not merge");
+    });
+}
+
+/// A small recursive `xmlgen` document — `pub`s nest in `pub`s, each with
+/// its own `year` — whose years are redrawn from four values in three
+/// spellings (`1991`, ` 1991 `, `1991.0`: one number, three strings), some
+/// of them twice over: a repeated witness, and elements that witness two
+/// keys at once.
+fn gen_keyed_doc(rng: &mut StdRng) -> String {
+    let params = XmlGenParams {
+        nested_levels: rng.gen_range(2..7),
+        max_repeats: rng.gen_range(2..6),
+        seed: rng.next_u64(),
+    };
+    let raw = xmlgen::generate(params, 1536);
+    let mut pieces = raw.split("<year>");
+    let mut doc = pieces
+        .next()
+        .expect("split yields a first piece")
+        .to_string();
+    for piece in pieces {
+        let (_, rest) = piece.split_once("</year>").expect("years are closed");
+        for _ in 0..rng.gen_range(1..3) {
+            let year = 1990 + rng.gen_range(0..4);
+            doc += &match rng.gen_range(0..4) {
+                0 => format!("<year> {year} </year>"),
+                1 => format!("<year>{year}.0</year>"),
+                _ => format!("<year>{year}</year>"),
+            };
+        }
+        doc += rest;
+    }
+    doc
+}
+
+/// Three to seven subscriptions that differ in the literal of one
+/// `[… = literal]` step — one family, so one keyed BPDT — and in what
+/// they select below it. The keyed step sits on the child or the closure
+/// axis, under nothing, a plain path, or an ancestor whose predicate is
+/// still undecided when the keyed element ends (the upload path); its
+/// witness is a child's text (also under `*`, and with the witness child
+/// `year` as the next step), the element's own text, or a child's
+/// attribute. Below it: both axes, predicates, `count()`/`sum()`. Literals
+/// come numeric, in a second numeric spelling and as strings; some miss;
+/// some subscriptions come twice.
+fn gen_keyed_batch(rng: &mut StdRng, doc: &str) -> Vec<String> {
+    let ids: Vec<&str> = doc
+        .split("id=\"")
+        .skip(1)
+        .filter_map(|p| p.split('"').next())
+        .collect();
+    let shape = match rng.gen_range(0..5) {
+        4 if ids.len() < 2 => 1,
+        shape => shape,
+    };
+    let above = ["", "/site", "//pub[book]", "//pub[year]", "/site/pub[pub]"];
+    let prefix = above[rng.gen_range(usize::from(shape == 0)..above.len())];
+    let below = [
+        "/text()",
+        "/count()",
+        "/book/title/text()",
+        "//book/@id",
+        "/book[price]/title/text()",
+        "//book[price>40]/@id",
+        "/year/text()",
+        "/pub/year/text()",
+        "/pub[year]//title/text()",
+        "//price/sum()",
+        "//title/count()",
+    ];
+    let mut batch: Vec<String> = (0..rng.gen_range(3..7))
+        .map(|i| {
+            // The first two literals differ: the family is a family.
+            let year = 1990 + if i < 2 { i } else { rng.gen_range(0..5) };
+            let literal = match (shape, rng.gen_range(0..4)) {
+                (4, _) if i < 2 => ids[i as usize * (ids.len() - 1)].to_string(),
+                (4, _) => pick(rng, &ids).to_string(),
+                (_, 0) if i >= 2 => format!("\"{year}\""),
+                (_, 1) => format!("{year}.0"),
+                _ => year.to_string(),
+            };
+            let step = match shape {
+                0 => format!("/pub[year={literal}]"),
+                1 => format!("//pub[year={literal}]"),
+                2 => format!("//*[year={literal}]"),
+                3 => format!("//year[text()={literal}]"),
+                _ => format!("//pub[book@id={literal}]"),
+            };
+            let tail = below[rng.gen_range(0..if shape == 3 { 2 } else { below.len() })];
+            format!("{prefix}{step}{tail}")
+        })
+        .collect();
+    if rng.gen_bool(0.4) {
+        batch.push(batch[rng.gen_range(0..batch.len())].clone());
+    }
+    batch
+}
+
+/// The same family shapes over the tiny alphabet of [`gen_doc`], where
+/// tags collide at every turn — the keyed element nests in itself, the
+/// witness child is the next step or the keyed tag itself — with random
+/// steps above and below the keyed one.
+fn gen_tiny_keyed_batch(rng: &mut StdRng, root_tag: &str) -> Vec<String> {
+    let above = match rng.gen_range(0..3) {
+        0 => String::new(),
+        1 => format!("/{root_tag}"),
+        _ => gen_step(rng, true, true),
+    };
+    let axis = if above.is_empty() || rng.gen_bool(0.5) {
+        "//"
+    } else {
+        "/"
+    };
+    let (tag, child, attr) = (
+        pick(rng, &["a", "b", "*"]),
+        pick(rng, &TAGS),
+        pick(rng, &ATTRS),
+    );
+    let witness = match rng.gen_range(0..3) {
+        0 => "text()".to_string(),
+        1 => child.to_string(),
+        _ => format!("{child}@{attr}"),
+    };
+    let literals = ["-1", "0", "1", "1.0", "2", "\"1\"", "\"x\"", "\"love\""];
+    (0..rng.gen_range(2..6))
+        .map(|i| {
+            let literal = if i < 2 {
+                literals[i]
+            } else {
+                pick(rng, &literals)
+            };
+            let tail: String = (0..rng.gen_range(0..3))
+                .map(|_| gen_step(rng, true, true))
+                .collect();
+            let output = if rng.gen_bool(0.2) {
+                "/sum()".into()
+            } else {
+                gen_scalar_output(rng)
+            };
+            format!("{above}{axis}{tag}[{witness}={literal}]{tail}{output}")
+        })
+        .collect()
+}
+
+/// The four roads on batches that compile to a keyed step, over recursive
+/// documents — `xmlgen`'s, and the tiny-alphabet ones: nested instances of
+/// the keyed element witness different keys, and an item under both is
+/// bound by each in turn. Then the same batch with one member muted,
+/// across both documents.
+#[test]
+fn keyed_batches_equal_single_runs() {
+    cases(0..CASES, |rng| {
+        let (docs, queries) = if rng.gen_bool(0.5) {
+            let docs = [gen_keyed_doc(rng), gen_keyed_doc(rng)];
+            let queries = gen_keyed_batch(rng, &docs[0]);
+            (docs, queries)
+        } else {
+            let docs = [gen_doc(rng), gen_doc(rng)];
+            let queries = gen_tiny_keyed_batch(rng, &docs[0][1..2]);
+            (docs, queries)
+        };
+        let refs: Vec<&str> = queries.iter().map(String::as_str).collect();
+        let set = assert_the_four_roads_agree(&docs, &refs);
+        assert_eq!(set.group_count(), 1, "{refs:?} did not merge");
+        // One family: one keyed step, instantiated once per side of every
+        // undecided ancestor.
+        let mut keyed: Vec<&str> = set
+            .hpdts()
+            .flat_map(|h| h.keyed.iter().map(|k| k.step.as_str()))
+            .collect();
+        keyed.dedup();
+        assert_eq!(keyed.len(), 1, "{refs:?} compiled to keyed steps {keyed:?}");
+
+        let mut index = set.index();
+        let muted = xsq::QueryId(rng.gen_range(0..refs.len() as u32));
+        index.unsubscribe(muted);
+        for doc in &docs {
+            let mut sink = VecQuerySink::new();
+            index
+                .run_document(doc.as_bytes(), &mut sink)
+                .expect("well-formed");
+            for (i, q) in refs.iter().enumerate() {
+                let id = xsq::QueryId(i as u32);
+                let want = if id == muted {
+                    Vec::new()
+                } else {
+                    xsq_run(XsqEngine::full(), q, doc.as_bytes())
+                };
+                assert_eq!(
+                    sink.of(id),
+                    want,
+                    "{q} (muted: {muted:?}) in {refs:?} over {doc}"
+                );
+            }
+        }
     });
 }
 

@@ -384,6 +384,91 @@ fn shared_tag_subscriptions_are_one_group_per_first_step_name() {
     }
 }
 
+/// The referee's `multi_sub` mix: 40 % `/dblp/R[year=Y]/F`, 40 %
+/// `/dblp/R[author="N"]/title/text()`, 20 % `//R[author="N"]/@key`, years
+/// and names from the generator's own vocabulary.
+fn pubsub_subscriptions(seed: u64, n: usize) -> Vec<String> {
+    const RECORDS: [&str; 2] = ["article", "inproceedings"];
+    const FIELDS: [&str; 4] = ["title/text()", "author/text()", "pages/text()", "@key"];
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| {
+            let record = RECORDS[rng.gen_range(0..RECORDS.len())];
+            match rng.gen_range(0..10) {
+                0..=3 => {
+                    let year = 1980 + rng.gen_range(0..25);
+                    let field = FIELDS[rng.gen_range(0..FIELDS.len())];
+                    format!("/dblp/{record}[year={year}]/{field}")
+                }
+                4..=7 => {
+                    let name = words::name(&mut rng);
+                    format!("/dblp/{record}[author=\"{name}\"]/title/text()")
+                }
+                _ => format!("//{record}[author=\"{}\"]/@key", words::name(&mut rng)),
+            }
+        })
+        .collect()
+}
+
+/// The structural half of what keyed steps buy, pinned as counts: a
+/// family of `[child = literal]` siblings is one BPDT, so what the index
+/// holds per record does not grow with the number of subscriptions, and
+/// every subscription still gets exactly what its own engine gives it.
+/// Configurations: no more at 512 than at 64. Buffered entries: the
+/// items are the record's, whoever subscribed; what can still grow is
+/// the truth entries — one per witness child that hits a subscribed
+/// literal, so at most one per `year` and, in the `/dblp` and in the `//`
+/// group alike, one per `author` of the open record. (Sibling BPDTs per
+/// literal held 366 entries at 512 subscriptions where these hold 19.)
+#[test]
+fn pubsub_templates_cost_the_same_at_512_subscriptions_as_at_64() {
+    let doc = dblp::generate(2003, 256 * 1024);
+    let events = xsq::xml::parse_to_events(doc.as_bytes()).expect("dblp parses");
+    let mut peaks = Vec::new();
+    for n in [64, 512] {
+        let queries = pubsub_subscriptions(2003, n);
+        let texts: Vec<&str> = queries.iter().map(String::as_str).collect();
+        let mut index = merged_index(&texts);
+        assert!(index.group_count() <= 3, "{} groups", index.group_count());
+        let mut sink = VecQuerySink::new();
+        for ev in &events {
+            index.feed_raw(&ev.as_raw(), &mut sink);
+        }
+        let stats = index.finish(&mut sink);
+        let mut fired = 0;
+        for (i, q) in texts.iter().enumerate() {
+            let compiled = XsqEngine::full().compile_str(q).expect("compiles");
+            let (mut runner, mut solo) = (compiled.runner(), xsq::engine::VecSink::new());
+            for ev in &events {
+                runner.feed_raw(&ev.as_raw(), &mut solo);
+            }
+            runner.finish(&mut solo);
+            assert_eq!(
+                sink.of(xsq::QueryId(i as u32)),
+                solo.results,
+                "{q} at N = {n}"
+            );
+            fired += usize::from(!solo.results.is_empty());
+        }
+        assert!(fired * 4 >= n, "only {fired} of {n} subscriptions fire");
+        peaks.push((stats.memory.peak_configs, stats.memory.peak_buffered_items));
+    }
+    let most_authors = doc
+        .split("</article>")
+        .flat_map(|part| part.split("</inproceedings>"))
+        .map(|record| record.matches("<author>").count() as u64)
+        .max()
+        .expect("records");
+    println!(
+        "(peak_configs, peak_buffered_items) at N = 64, 512: {peaks:?}; \
+         at most {most_authors} authors a record"
+    );
+    assert!(
+        peaks[1].0 <= peaks[0].0 && peaks[1].1 <= peaks[0].1 + 2 * most_authors + 1,
+        "per-record state grew with the subscription count: {peaks:?}"
+    );
+}
+
 /// The N=512 dispatch cliff: one merged group used to run ~13× slower
 /// than one group per query (ratio 0.07) — dispatch won on touches, but
 /// the frontier state's O(N) arc scan and per-record reindex ate it.
