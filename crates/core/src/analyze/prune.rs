@@ -20,7 +20,9 @@
 //! The result is a smaller configuration set for the nondeterministic
 //! runtime to scan and smaller dispatch buckets in the multi-query index.
 
-use crate::arcs::{compute_arc_tables, compute_stays, Action, Arc, Disposition, QueueRef, StateId};
+use crate::arcs::{
+    compute_arc_tables, compute_stays, Action, AnyDepthArcs, Arc, Disposition, QueueRef, StateId,
+};
 use crate::build::{compute_scan_all, uses_buffers, Hpdt};
 
 use super::{comparison_unsatisfiable, prove_deterministic};
@@ -181,6 +183,7 @@ pub fn prune(hpdt: &Hpdt) -> (Hpdt, PruneStats) {
         scan_all: compute_scan_all(&arcs),
         stays: compute_stays(&arcs),
         arc_tables: compute_arc_tables(&arcs),
+        any_depth: AnyDepthArcs::new(&arcs),
         buffered: uses_buffers(&arcs),
         states,
         arcs,

@@ -504,14 +504,19 @@ impl ArcTable {
     }
 }
 
-/// Below this many arcs a state is scanned linearly. Swept over {4, 8,
-/// 16} (EXPERIMENTS.md, *Step only what moves*, lever 3): `multi_sub`
-/// and the 512-query pace gate are flat (their hot states have hundreds
-/// of arcs or fewer than four), `match_recursive` reads ≈ 4 % faster at
-/// 4 than at 8 or 16 — the probe is not slower than the scan even on
-/// small states, so the constant buys nothing measurable and is a
-/// candidate for deletion (always build the table), not for tuning.
+/// Below this many arcs a state is scanned linearly. Re-swept over {4,
+/// 8, 16, always} on the anchor-ordered loop (EXPERIMENTS.md, *The set
+/// is the stack*): `throughput_mb_s` is flat on `match_recursive` and
+/// `multi_sub` — the probe is no slower than the scan — but *always*,
+/// even as one flat index per HPDT, costs every small compile its
+/// build: `setup_s` read +12 % on `match_recursive` and +28 % on
+/// `scan_dblp` in ten pairs, with `scan_dblp` throughput 0.89×. What
+/// the constant buys is that a query whose states have a handful of
+/// arcs builds no table at all.
 const ARC_TABLE_CUTOFF: usize = 8;
+
+/// The candidates of a state below the cutoff: every arc, in order.
+pub(crate) static LINEAR_SCAN: [u32; ARC_TABLE_CUTOFF] = [0, 1, 2, 3, 4, 5, 6, 7];
 
 /// Build per-state arc tables for the HPDT's transition function. States
 /// whose arc count is below the cutoff get `None` (linear scan). `//`
@@ -535,6 +540,66 @@ pub(crate) fn compute_arc_tables(arcs: &[Vec<Arc>]) -> Vec<Option<ArcTable>> {
             Some(table)
         })
         .collect()
+}
+
+/// Per state, the arcs that accept an event at *any* depth below the
+/// anchor. Every other label pins the anchor to the event's depth or the
+/// one above (`label_matches`), so a configuration anchored any shallower
+/// can fire only these — which most states, and most HPDTs, do not have.
+/// Stored flat: one allocation pair per HPDT, none for an HPDT without
+/// closures or whole-element output.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct AnyDepthArcs {
+    /// Per state, where its begin-event run (`BeginAnyDepth`, `Catchall`)
+    /// and its text/end-event run (`Catchall`) start in `arcs`; a
+    /// sentinel closes the last state's. Empty when `arcs` is.
+    spans: Vec<(u32, u32)>,
+    /// Arc indices, each run ascending — first-match stays first-match.
+    arcs: Vec<u32>,
+}
+
+impl AnyDepthArcs {
+    pub(crate) fn new(arcs: &[Vec<Arc>]) -> Self {
+        let any_depth: fn(&ArcLabel) -> bool =
+            |l| matches!(l, ArcLabel::BeginAnyDepth(_) | ArcLabel::Catchall);
+        let mut index = AnyDepthArcs::default();
+        if !arcs.iter().flatten().any(|a| any_depth(&a.label)) {
+            return index;
+        }
+        index.spans.reserve_exact(arcs.len() + 1);
+        for state_arcs in arcs {
+            let indices_of = |keep: fn(&ArcLabel) -> bool| {
+                (0u32..)
+                    .zip(state_arcs)
+                    .filter_map(move |(ai, a)| keep(&a.label).then_some(ai))
+            };
+            let begin = index.arcs.len() as u32;
+            index.arcs.extend(indices_of(any_depth));
+            index.spans.push((begin, index.arcs.len() as u32));
+            index.arcs.extend(indices_of(|l| *l == ArcLabel::Catchall));
+        }
+        let end = index.arcs.len() as u32;
+        index.spans.push((end, end));
+        index
+    }
+
+    /// The arcs of `state` that can accept a begin event (`begin`), or a
+    /// text or end event, from a configuration anchored above the
+    /// event's parent (above the event's own element, for an end).
+    #[inline]
+    pub(crate) fn of(&self, state: StateId, begin: bool) -> &[u32] {
+        let Some(&[(begin_at, other_at), (next, _)]) =
+            self.spans.get(state as usize..state as usize + 2)
+        else {
+            return &[];
+        };
+        let (from, to) = if begin {
+            (begin_at, other_at)
+        } else {
+            (other_at, next)
+        };
+        &self.arcs[from as usize..to as usize]
+    }
 }
 
 /// Per state: does it carry a `//` self-loop? The loop has no guard, no
@@ -827,5 +892,47 @@ mod tests {
         // Small states skip the table entirely.
         let small = compute_arc_tables(&[vec![arc(ArcLabel::Catchall)]]);
         assert!(small[0].is_none());
+    }
+
+    #[test]
+    fn any_depth_arcs_are_all_a_shallower_anchor_can_fire() {
+        let name = |n: &str| NamePat::Name(n.into());
+        let labels = [
+            ArcLabel::BeginChild(name("a")),
+            ArcLabel::BeginAnyDepth(name("a")),
+            ArcLabel::ClosureSelfLoop,
+            ArcLabel::Catchall,
+            ArcLabel::End(name("a")),
+            ArcLabel::TextSelf(name("a")),
+            ArcLabel::TextChild(name("a")),
+            ArcLabel::BeginAnyDepth(NamePat::Any),
+            ArcLabel::EndDoc,
+        ];
+        let states = [
+            vec![arc(ArcLabel::TextSelf(NamePat::Any))],
+            labels.iter().cloned().map(arc).collect::<Vec<_>>(),
+        ];
+        let index = AnyDepthArcs::new(&states);
+        assert_eq!(index.of(1, true), [1, 3, 7]);
+        assert_eq!(index.of(1, false), [3]);
+        assert!(index.of(0, true).is_empty() && index.of(0, false).is_empty());
+        // An HPDT without such arcs stores nothing and answers alike.
+        let none = AnyDepthArcs::new(&states[..1]);
+        assert!(none.spans.is_empty() && none.of(0, true).is_empty());
+        // The lists are exact: anchored at depth 1, an event at depth 3
+        // (4 for the element whose end it is) is accepted by those arcs
+        // and no others.
+        let dv = DepthVector::from_depths(&[0, 1]);
+        for (ev, begin) in [
+            (begin("a", 3), true),
+            (text("a", "t", 3), false),
+            (end("a", 2), false),
+        ] {
+            let accepted: Vec<u32> = (0u32..)
+                .zip(&states[1])
+                .filter_map(|(ai, a)| matches(a, &ev, &dv).then_some(ai))
+                .collect();
+            assert_eq!(accepted, index.of(1, begin), "{ev:?}");
+        }
     }
 }

@@ -7,9 +7,23 @@
 //! (Example 6). There is deliberately no `dequeue`: items leave a queue
 //! only wholesale, via flush, clear, or upload.
 //!
+//! **Queues are bucketed by scope prefix.** Every operation on the queue
+//! of `bpdt(l, k)` scopes by the same number of leading depths, `l + 1`
+//! (the anchors of layers `0..=l`), so a queue is a short list of
+//! *buckets*, one per distinct prefix of that length among its entries:
+//! an enqueue files the reference under its vector's prefix, and a
+//! scoped operation takes the one bucket its configuration's prefix
+//! names, whole — it never looks at an entry it does not take. An upload
+//! appends the bucket to the target queue's bucket for the (shorter)
+//! prefix of the ancestor. A queue holds at most one bucket per open
+//! instance of its step, so buckets are found by a reverse linear scan
+//! (the innermost instance is the likeliest), and bucket storage is
+//! pooled: the steady state allocates nothing.
+//!
 //! Emission *order* is handled globally by [`crate::items::ItemStore`]
-//! (items are anchored in document order), so queues here are unordered
-//! reference bags; `flush` marks rather than writes.
+//! (items are anchored in document order); `flush` marks rather than
+//! writes. Within a bucket entries keep insertion order, which is the
+//! order a scan of one flat queue would visit them in.
 
 use crate::depth_vector::DepthVector;
 use crate::items::{ItemId, ItemStore, LEAF_BIT};
@@ -32,15 +46,28 @@ pub struct Entry {
     pub dv: DepthVector,
 }
 
+/// The entries of one queue whose depth vectors share `key`, the queue's
+/// scope prefix. Never empty: created by the first push, taken whole.
+#[derive(Debug)]
+struct Bucket {
+    key: DepthVector,
+    entries: Vec<Entry>,
+}
+
+/// One BPDT's queue: its scope-prefix length and its live buckets.
+#[derive(Debug, Default)]
+struct Queue {
+    prefix: usize,
+    buckets: Vec<Bucket>,
+}
+
 /// All BPDT queues, indexed densely by queue slot (see
 /// [`crate::arcs::QueueRef`]).
 #[derive(Debug)]
 pub struct QueueSet {
-    queues: Vec<Vec<Entry>>,
-    /// Reusable staging buffer for `upload_matching` and `resolve_keyed`
-    /// (moving entries between two queues of the same set needs a third
-    /// place to stand; owning it keeps the steady state allocation-free).
-    scratch: Vec<Entry>,
+    queues: Vec<Queue>,
+    /// Emptied bucket storage, capacity kept.
+    pool: Vec<Vec<Entry>>,
     /// The keys one `resolve_keyed` call found witnessed.
     scratch_keys: Vec<u32>,
     live_entries: usize,
@@ -48,37 +75,44 @@ pub struct QueueSet {
 }
 
 impl QueueSet {
-    pub fn new(count: usize) -> Self {
-        QueueSet {
-            queues: (0..count).map(|_| Vec::new()).collect(),
-            scratch: Vec::new(),
+    /// One queue per entry of `prefixes`: the number of leading depths
+    /// its operations scope by (`layer + 1` of the owning BPDT).
+    pub fn new(prefixes: impl ExactSizeIterator<Item = usize>) -> Self {
+        let mut set = QueueSet {
+            queues: Vec::new(),
+            pool: Vec::new(),
             scratch_keys: Vec::new(),
             live_entries: 0,
             peak_entries: 0,
-        }
+        };
+        set.reset(prefixes);
+        set
     }
 
-    /// Reset for a fresh document, keeping the queues' allocations when
-    /// the count is unchanged (multi-document feeds).
-    pub fn reset(&mut self, count: usize) {
-        self.queues.resize_with(count, Vec::new);
-        self.queues.truncate(count);
-        for q in &mut self.queues {
-            q.clear();
+    /// Reset for a fresh document, keeping every allocation when the
+    /// queue count is unchanged (multi-document feeds).
+    pub fn reset(&mut self, prefixes: impl ExactSizeIterator<Item = usize>) {
+        self.queues.resize_with(prefixes.len(), Queue::default);
+        for (queue, prefix) in self.queues.iter_mut().zip(prefixes) {
+            queue.prefix = prefix;
+            for mut bucket in queue.buckets.drain(..) {
+                bucket.entries.clear();
+                self.pool.push(bucket.entries);
+            }
         }
-        self.scratch.clear();
         self.live_entries = 0;
         self.peak_entries = 0;
     }
 
-    /// Pre-size every queue from a static bound: a query the analyzer
-    /// proved `Items(K)` never re-allocates its queues mid-stream.
+    /// Pre-size from a static bound: one pooled bucket of `per_queue`
+    /// entries per queue, so a query the analyzer proved `Items(K)` does
+    /// not grow its buckets mid-stream.
     pub fn reserve(&mut self, per_queue: usize) {
-        for q in &mut self.queues {
-            let have = q.capacity();
-            if have < per_queue {
-                q.reserve_exact(per_queue - have);
-            }
+        let want = self.queues.len();
+        self.pool.resize_with(self.pool.len().max(want), Vec::new);
+        let spare = self.pool.len() - want;
+        for entries in &mut self.pool[spare..] {
+            entries.reserve_exact(per_queue);
         }
     }
 
@@ -92,13 +126,49 @@ impl QueueSet {
     }
 
     fn push(&mut self, queue: usize, item: u32, bound: u32, dv: &DepthVector) {
-        self.queues[queue].push(Entry {
+        let Some(key) = dv.prefix(self.queues[queue].prefix) else {
+            debug_assert!(false, "{dv} is shorter than its queue's scope");
+            return;
+        };
+        self.bucket(queue, key).push(Entry {
             item,
             bound,
             dv: dv.clone(),
         });
         self.live_entries += 1;
         self.peak_entries = self.peak_entries.max(self.live_entries);
+    }
+
+    /// The entries of `queue` filed under `key`: a live bucket, or a new
+    /// one on pooled storage.
+    fn bucket(&mut self, queue: usize, key: DepthVector) -> &mut Vec<Entry> {
+        let buckets = &mut self.queues[queue].buckets;
+        let at = buckets
+            .iter()
+            .rposition(|b| b.key == key)
+            .unwrap_or_else(|| {
+                let entries = self.pool.pop().unwrap_or_default();
+                buckets.push(Bucket { key, entries });
+                buckets.len() - 1
+            });
+        &mut buckets[at].entries
+    }
+
+    /// Take the bucket `dv` addresses out of `queue`: the entries a
+    /// scoped operation applies to, all of them and nothing else. The
+    /// caller hands the storage back through [`Self::recycle`].
+    fn take(&mut self, queue: usize, dv: &DepthVector) -> Option<Vec<Entry>> {
+        let queue = &mut self.queues[queue];
+        let key = dv.prefix(queue.prefix)?;
+        let at = queue.buckets.iter().rposition(|b| b.key == key)?;
+        let bucket = queue.buckets.swap_remove(at);
+        self.live_entries -= bucket.entries.len();
+        Some(bucket.entries)
+    }
+
+    fn recycle(&mut self, mut entries: Vec<Entry>) {
+        entries.clear();
+        self.pool.push(entries);
     }
 
     /// A keyed step witnessed `key` for the instance `dv` runs under:
@@ -117,27 +187,17 @@ impl QueueSet {
         queue: usize,
         upload: Option<usize>,
         dv: &DepthVector,
-        prefix: usize,
         leaf_tags: &[Vec<(u32, u32)>],
         items: &mut ItemStore,
     ) {
-        let mut staged = std::mem::take(&mut self.scratch);
+        let Some(taken) = self.take(queue, dv) else {
+            return;
+        };
         let mut keys = std::mem::take(&mut self.scratch_keys);
-        debug_assert!(staged.is_empty() && keys.is_empty());
-        self.queues[queue].retain(|entry| {
-            if !entry.dv.prefix_matches(dv, prefix) {
-                return true;
-            }
-            match entry.bound {
-                TRUTH => keys.push(entry.item),
-                _ => staged.push(entry.clone()),
-            }
-            false
-        });
-        self.live_entries -= keys.len() + staged.len();
+        keys.extend(taken.iter().filter(|e| e.bound == TRUTH).map(|e| e.item));
         keys.sort_unstable();
         keys.dedup();
-        for entry in staged.drain(..) {
+        for entry in taken.iter().filter(|e| e.bound != TRUTH) {
             let tags = &leaf_tags[(items.tag(entry.item) & !LEAF_BIT) as usize];
             for &key in &keys {
                 let from = tags.partition_point(|&(k, _)| k < key);
@@ -154,77 +214,55 @@ impl QueueSet {
             items.release_ref(entry.item);
         }
         keys.clear();
-        self.scratch = staged;
         self.scratch_keys = keys;
+        self.recycle(taken);
     }
 
     /// `Q.flush()` — mark every depth-matching item as output (bind it,
     /// when the entry carries the tag a keyed step resolved it for) and
     /// drop the references (they are "sent to the output", §3.3; actual
     /// emission order is the item store's job).
-    pub fn flush_matching(
-        &mut self,
-        queue: usize,
-        dv: &DepthVector,
-        prefix: usize,
-        items: &mut ItemStore,
-    ) {
-        let live = &mut self.live_entries;
-        self.queues[queue].retain(|entry| {
-            if entry.dv.prefix_matches(dv, prefix) {
-                match entry.bound {
-                    UNBOUND => items.mark_output(entry.item),
-                    tag => items.bind(entry.item, tag),
-                }
-                items.release_ref(entry.item);
-                *live -= 1;
-                false
-            } else {
-                true
+    pub fn flush_matching(&mut self, queue: usize, dv: &DepthVector, items: &mut ItemStore) {
+        let Some(taken) = self.take(queue, dv) else {
+            return;
+        };
+        for entry in &taken {
+            match entry.bound {
+                UNBOUND => items.mark_output(entry.item),
+                tag => items.bind(entry.item, tag),
             }
-        });
+            items.release_ref(entry.item);
+        }
+        self.recycle(taken);
     }
 
     /// `Q.clear()` — drop the depth-matching references; items with no
     /// remaining references die.
-    pub fn clear_matching(
-        &mut self,
-        queue: usize,
-        dv: &DepthVector,
-        prefix: usize,
-        items: &mut ItemStore,
-    ) {
-        let live = &mut self.live_entries;
-        self.queues[queue].retain(|entry| {
-            if entry.dv.prefix_matches(dv, prefix) {
-                items.release_ref(entry.item);
-                *live -= 1;
-                false
-            } else {
-                true
-            }
-        });
+    pub fn clear_matching(&mut self, queue: usize, dv: &DepthVector, items: &mut ItemStore) {
+        let Some(taken) = self.take(queue, dv) else {
+            return;
+        };
+        for entry in &taken {
+            items.release_ref(entry.item);
+        }
+        self.recycle(taken);
     }
 
     /// `Q.upload()` — move the depth-matching references to the target
     /// queue (the nearest ancestor BPDT whose predicate is undecided,
-    /// §4.3). Reference counts are unchanged.
-    pub fn upload_matching(&mut self, from: usize, to: usize, dv: &DepthVector, prefix: usize) {
-        debug_assert_ne!(from, to);
-        // Stage through the set's owned scratch rather than a fresh Vec:
-        // we cannot borrow two queues mutably at once, and the scratch
-        // keeps its capacity across calls.
-        let scratch = &mut self.scratch;
-        debug_assert!(scratch.is_empty());
-        self.queues[from].retain(|entry| {
-            if entry.dv.prefix_matches(dv, prefix) {
-                scratch.push(entry.clone());
-                false
-            } else {
-                true
-            }
-        });
-        self.queues[to].append(&mut self.scratch);
+    /// §4.3), whose scope is a shorter prefix of the same vector: the
+    /// bucket lands in one target bucket. Reference counts are unchanged.
+    pub fn upload_matching(&mut self, from: usize, to: usize, dv: &DepthVector) {
+        debug_assert!(self.queues[to].prefix < self.queues[from].prefix);
+        let Some(mut taken) = self.take(from, dv) else {
+            return;
+        };
+        self.live_entries += taken.len();
+        let key = dv
+            .prefix(self.queues[to].prefix)
+            .expect("a prefix of a prefix");
+        self.bucket(to, key).append(&mut taken);
+        self.recycle(taken);
     }
 
     /// Number of references currently buffered across all queues.
@@ -239,12 +277,39 @@ impl QueueSet {
 
     /// Entries in one queue (tests, invariant checks).
     pub fn len(&self, queue: usize) -> usize {
-        self.queues[queue].len()
+        self.queues[queue]
+            .buckets
+            .iter()
+            .map(|b| b.entries.len())
+            .sum()
     }
 
     /// Are all queues empty? (Must hold at end of document.)
     pub fn all_empty(&self) -> bool {
         self.live_entries == 0
+    }
+
+    /// The bucket invariants (debug builds check them after every fired
+    /// event): a bucket's entries share its key, a queue holds one bucket
+    /// per key and none empty, and `live_entries` counts them all.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn assert_invariants(&self) {
+        let mut live = 0;
+        for queue in &self.queues {
+            for (i, bucket) in queue.buckets.iter().enumerate() {
+                assert!(!bucket.entries.is_empty(), "empty bucket {}", bucket.key);
+                assert!(
+                    queue.buckets[..i].iter().all(|b| b.key != bucket.key),
+                    "two buckets keyed {}",
+                    bucket.key
+                );
+                for entry in &bucket.entries {
+                    assert_eq!(entry.dv.prefix(queue.prefix).as_ref(), Some(&bucket.key));
+                }
+                live += bucket.entries.len();
+            }
+        }
+        assert_eq!(live, self.live_entries);
     }
 }
 
@@ -258,7 +323,8 @@ mod tests {
     }
 
     fn setup() -> (QueueSet, ItemStore, ItemId, ItemId) {
-        let mut qs = QueueSet::new(3);
+        // Queue 0 scopes by two depths; queue 1, its upload target, by one.
+        let mut qs = QueueSet::new([2, 1].into_iter());
         let mut items = ItemStore::new();
         items.begin_event(1);
         let a = items.anchor(0, "A", true);
@@ -272,7 +338,7 @@ mod tests {
     #[test]
     fn flush_is_depth_scoped() {
         let (mut qs, mut items, a, b) = setup();
-        qs.flush_matching(0, &dv(&[0, 1]), 2, &mut items);
+        qs.flush_matching(0, &dv(&[0, 1]), &mut items);
         assert_eq!(items.state(a), crate::items::ItemState::Output);
         assert_eq!(items.state(b), crate::items::ItemState::Pending);
         assert_eq!(qs.len(0), 1);
@@ -281,7 +347,7 @@ mod tests {
     #[test]
     fn clear_is_depth_scoped_and_kills() {
         let (mut qs, mut items, a, b) = setup();
-        qs.clear_matching(0, &dv(&[0, 2]), 2, &mut items);
+        qs.clear_matching(0, &dv(&[0, 2]), &mut items);
         assert_eq!(items.state(a), crate::items::ItemState::Pending);
         assert_eq!(items.state(b), crate::items::ItemState::Dead);
         assert_eq!(qs.live_entries(), 1);
@@ -290,13 +356,61 @@ mod tests {
     #[test]
     fn upload_moves_without_changing_refs() {
         let (mut qs, mut items, a, _b) = setup();
-        qs.upload_matching(0, 1, &dv(&[0, 1]), 2);
+        qs.upload_matching(0, 1, &dv(&[0, 1]));
         assert_eq!(qs.len(0), 1);
         assert_eq!(qs.len(1), 1);
         assert_eq!(items.state(a), crate::items::ItemState::Pending);
         // Now a flush on the target queue resolves the moved item.
-        qs.flush_matching(1, &dv(&[0, 1]), 2, &mut items);
+        qs.flush_matching(1, &dv(&[0, 1]), &mut items);
         assert_eq!(items.state(a), crate::items::ItemState::Output);
+    }
+
+    #[test]
+    fn an_upload_lands_in_the_target_bucket_of_the_shorter_prefix() {
+        let (mut qs, mut items, a, b) = setup();
+        // Both instances upload: two source buckets, (0,1) and (0,2),
+        // become one target bucket keyed (0), in upload order.
+        qs.upload_matching(0, 1, &dv(&[0, 2]));
+        qs.upload_matching(0, 1, &dv(&[0, 1, 7]));
+        assert_eq!((qs.len(0), qs.len(1), qs.live_entries()), (0, 2, 2));
+        assert_eq!(qs.queues[1].buckets.len(), 1);
+        let bucket = &qs.queues[1].buckets[0];
+        assert_eq!(bucket.key, dv(&[0]));
+        assert_eq!(
+            bucket.entries.iter().map(|e| e.item).collect::<Vec<_>>(),
+            [b, a]
+        );
+        qs.assert_invariants();
+        // A vector too short to name a bucket addresses nothing.
+        qs.clear_matching(0, &dv(&[0]), &mut items);
+        qs.clear_matching(1, &dv(&[0, 5]), &mut items);
+        assert!(qs.all_empty());
+        assert_eq!(qs.peak_entries(), 2);
+    }
+
+    #[test]
+    fn reset_after_a_warm_document_performs_no_allocation() {
+        // Storage identity stands in for an allocator hook (which
+        // `tests/zero_alloc.rs` has): the buckets the second document
+        // fills are the first document's, through the pool, and the
+        // bucket list kept its capacity.
+        let (mut qs, mut items, ..) = setup();
+        let storage = |qs: &QueueSet| {
+            let q = &qs.queues[0];
+            let mut at: Vec<_> = q.buckets.iter().map(|b| b.entries.as_ptr()).collect();
+            at.sort_unstable();
+            (q.buckets.capacity(), at)
+        };
+        let warm = storage(&qs);
+        qs.reset([2, 1].into_iter());
+        assert!(qs.all_empty() && qs.peak_entries() == 0 && qs.len(0) == 0);
+        assert_eq!(qs.pool.len(), 2);
+        let c = items.anchor(0, "C", true);
+        qs.enqueue(0, c, &dv(&[0, 4, 5]), &mut items);
+        qs.enqueue(0, c, &dv(&[0, 6, 7]), &mut items);
+        assert!(qs.pool.is_empty(), "both buckets came from the pool");
+        assert_eq!(storage(&qs), warm);
+        qs.assert_invariants();
     }
 
     #[test]
@@ -310,7 +424,7 @@ mod tests {
     /// different keys. Leaf 0 answers tag 10 under key 0, tags 11 and 12
     /// under key 1.
     fn keyed_setup() -> (QueueSet, ItemStore, ItemId) {
-        let mut qs = QueueSet::new(2);
+        let mut qs = QueueSet::new([2, 2].into_iter());
         let mut items = ItemStore::new();
         items.begin_event(1);
         let z = items.anchor(LEAF_BIT, "Z", true);
@@ -338,12 +452,12 @@ mod tests {
         let (mut qs, mut items, z) = keyed_setup();
         let leaf_tags = leaf_tags();
         // The inner instance (1,9) ends: its truths bind its entry only.
-        qs.resolve_keyed(0, None, &dv(&[1, 9]), 2, &leaf_tags, &mut items);
+        qs.resolve_keyed(0, None, &dv(&[1, 9]), &leaf_tags, &mut items);
         assert_eq!(qs.len(0), 2, "the other instance keeps entry and truth");
         assert_eq!(items.state(z), crate::items::ItemState::Pending);
         assert!(drained(&mut items).is_empty());
         // The outer instance ends having witnessed key 0 alone.
-        qs.resolve_keyed(0, None, &dv(&[1, 2]), 2, &leaf_tags, &mut items);
+        qs.resolve_keyed(0, None, &dv(&[1, 2]), &leaf_tags, &mut items);
         assert!(qs.all_empty());
         assert_eq!(drained(&mut items), [11, 12, 10]);
         assert!(items.recyclable());
@@ -353,15 +467,15 @@ mod tests {
     fn resolve_keyed_uploads_tag_bound_entries_with_refs_balanced() {
         let (mut qs, mut items, z) = keyed_setup();
         let leaf_tags = leaf_tags();
-        qs.resolve_keyed(0, Some(1), &dv(&[1, 9]), 2, &leaf_tags, &mut items);
-        qs.resolve_keyed(0, Some(1), &dv(&[1, 2]), 2, &leaf_tags, &mut items);
+        qs.resolve_keyed(0, Some(1), &dv(&[1, 9]), &leaf_tags, &mut items);
+        qs.resolve_keyed(0, Some(1), &dv(&[1, 2]), &leaf_tags, &mut items);
         // One entry per (item, tag), under the entry's own depth vector.
         assert_eq!((qs.len(0), qs.len(1), qs.live_entries()), (0, 3, 3));
         assert_eq!(items.state(z), crate::items::ItemState::Pending);
         // The ancestor clears one match path and flushes the other: a
         // flush of a bound entry binds instead of marking.
-        qs.clear_matching(1, &dv(&[1, 2]), 2, &mut items);
-        qs.flush_matching(1, &dv(&[1, 9]), 2, &mut items);
+        qs.clear_matching(1, &dv(&[1, 2]), &mut items);
+        qs.flush_matching(1, &dv(&[1, 9]), &mut items);
         assert!(qs.all_empty());
         assert_eq!(drained(&mut items), [11, 12]);
         assert!(items.recyclable(), "every reference was released");
@@ -370,8 +484,8 @@ mod tests {
     #[test]
     fn an_instance_without_a_witnessed_key_drops_its_entries() {
         let (mut qs, mut items, z) = keyed_setup();
-        qs.resolve_keyed(0, None, &dv(&[1, 9]), 2, &[vec![(5, 10)]], &mut items);
-        qs.resolve_keyed(0, None, &dv(&[1, 2]), 2, &[vec![]], &mut items);
+        qs.resolve_keyed(0, None, &dv(&[1, 9]), &[vec![(5, 10)]], &mut items);
+        qs.resolve_keyed(0, None, &dv(&[1, 2]), &[vec![]], &mut items);
         assert!(qs.all_empty());
         assert_eq!(items.state(z), crate::items::ItemState::Dead);
     }
@@ -380,7 +494,8 @@ mod tests {
     fn peak_entries_track_high_water_mark() {
         let (mut qs, mut items, _, _) = setup();
         assert_eq!(qs.peak_entries(), 2);
-        qs.clear_matching(0, &dv(&[0]), 1, &mut items);
+        qs.clear_matching(0, &dv(&[0, 1]), &mut items);
+        qs.clear_matching(0, &dv(&[0, 2]), &mut items);
         assert!(qs.all_empty());
         assert_eq!(qs.peak_entries(), 2);
     }
@@ -391,16 +506,16 @@ mod tests {
         // pub on line 2, and (1,9,10,11) via the pub on line 9. Clearing
         // at </pub> of line 9 (config dv (1,9)) must keep the other
         // reference alive.
-        let mut qs = QueueSet::new(1);
+        let mut qs = QueueSet::new([2].into_iter());
         let mut items = ItemStore::new();
         items.begin_event(1);
         let z = items.anchor(0, "Z", true);
         qs.enqueue(0, z, &dv(&[1, 2, 10, 11]), &mut items);
         qs.enqueue(0, z, &dv(&[1, 9, 10, 11]), &mut items);
-        qs.clear_matching(0, &dv(&[1, 9]), 2, &mut items);
+        qs.clear_matching(0, &dv(&[1, 9]), &mut items);
         assert_eq!(items.state(z), crate::items::ItemState::Pending);
         // The correct match later flushes with config dv (1,2).
-        qs.flush_matching(0, &dv(&[1, 2]), 2, &mut items);
+        qs.flush_matching(0, &dv(&[1, 2]), &mut items);
         assert_eq!(items.state(z), crate::items::ItemState::Output);
         assert!(qs.all_empty());
     }

@@ -18,8 +18,8 @@ use xsq_xpath::classify::{classify, StepCategory};
 use xsq_xpath::{AggFunc, Axis, CmpOp, FnArg, NodeTest, Output, Predicate, Query, Step};
 
 use crate::arcs::{
-    compute_arc_tables, compute_stays, Action, Arc, ArcLabel, ArcTable, Disposition, Guard,
-    KeyTable, KeyVal, NamePat, QueueRef, StateId, StateInfo, StateRole, ValueSource,
+    compute_arc_tables, compute_stays, Action, AnyDepthArcs, Arc, ArcLabel, ArcTable, Disposition,
+    Guard, KeyTable, KeyVal, NamePat, QueueRef, StateId, StateInfo, StateRole, ValueSource,
 };
 use crate::error::CompileError;
 use crate::ids::BpdtId;
@@ -46,6 +46,9 @@ pub struct Hpdt {
     /// frontier states with hundreds of named arcs). Shared by every
     /// runner of this HPDT.
     pub(crate) arc_tables: Vec<Option<ArcTable>>,
+    /// Per state: the arcs a configuration anchored above the event's
+    /// parent can still fire (closure entry arcs, the catchall).
+    pub(crate) any_depth: AnyDepthArcs,
     /// The global start state.
     pub start: StateId,
     /// The BPDT behind every dense queue slot (buffer storage at
@@ -279,6 +282,7 @@ impl Builder {
             scan_all: compute_scan_all(&self.arcs),
             stays: compute_stays(&self.arcs),
             arc_tables: compute_arc_tables(&self.arcs),
+            any_depth: AnyDepthArcs::new(&self.arcs),
             buffered: uses_buffers(&self.arcs),
             states: self.states,
             arcs: self.arcs,

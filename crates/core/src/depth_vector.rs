@@ -195,6 +195,29 @@ impl DepthVector {
         }
     }
 
+    /// The first `n` entries as a vector of their own — the key a scoped
+    /// buffer operation addresses — or `None` when there are fewer:
+    /// `a.prefix_matches(b, n)` ⇔ `a.prefix(n) == b.prefix(n) ≠ None`.
+    /// Canonical like every vector, so the prefix of a wide vector that
+    /// fits the bitmap *is* a bitmap.
+    pub fn prefix(&self, n: usize) -> Option<DepthVector> {
+        match &self.0 {
+            Repr::Bits(bits) => {
+                // Strip the n lowest set bits; what is left is the rest.
+                let mut rest = *bits;
+                for _ in 0..n {
+                    if rest == 0 {
+                        return None;
+                    }
+                    rest &= rest - 1;
+                }
+                Some(DepthVector(Repr::Bits(bits ^ rest)))
+            }
+            Repr::Wide(v) if v.len() == n => Some(self.clone()),
+            Repr::Wide(v) => v.get(..n).map(DepthVector::from_depths),
+        }
+    }
+
     /// Explicit depths, in stack order (diagnostics, wide-path compares).
     pub fn to_depths(&self) -> Vec<u32> {
         match &self.0 {
@@ -343,6 +366,25 @@ mod tests {
         assert!(!deep.prefix_matches(&shallow, 3));
     }
 
+    #[test]
+    fn prefix_keeps_the_first_entries_or_nothing() {
+        let dv = DepthVector::from_depths(&[1, 2, 30, 63]);
+        assert_eq!(dv.prefix(0), Some(DepthVector::new()));
+        assert_eq!(dv.prefix(2), Some(DepthVector::from_depths(&[1, 2])));
+        assert_eq!(dv.prefix(4), Some(dv.clone()));
+        assert_eq!(dv.prefix(5), None);
+        // A wide vector's prefix is canonical: a bitmap where it fits.
+        let wide = DepthVector::from_depths(&[1, 2, 63, 64, 70]);
+        assert!(wide.prefix(3).unwrap().is_inline());
+        assert_eq!(
+            wide.prefix(3),
+            DepthVector::from_depths(&[1, 2, 63]).prefix(3)
+        );
+        assert_eq!(wide.prefix(4).unwrap().to_depths(), [1, 2, 63, 64]);
+        assert_eq!(wide.prefix(5), Some(wide.clone()));
+        assert_eq!(wide.prefix(6), None);
+    }
+
     /// Model-based check: the bitmap implementation behaves exactly like
     /// a plain vector under arbitrary push/pop sequences, including
     /// around the 64-depth boundary. Seeded; see `datagen::rng::cases`.
@@ -374,6 +416,11 @@ mod tests {
                 // Canonical: the same depths built afresh compare equal,
                 // whichever side of the boundary the history visited.
                 assert_eq!(dv, DepthVector::from_depths(&model));
+                // The scope key is the model's slice, or nothing.
+                assert_eq!(
+                    dv.prefix(probe_n),
+                    model.get(..probe_n).map(DepthVector::from_depths)
+                );
                 went_wide |= !dv.is_inline();
                 snapshots.push((dv.clone(), model.clone()));
             }
@@ -390,6 +437,8 @@ mod tests {
                         expect,
                         "prefix {probe_n} of {ma:?} vs {mb:?}"
                     );
+                    let (ka, kb) = (dva.prefix(probe_n), dvb.prefix(probe_n));
+                    assert_eq!(ka.is_some() && ka == kb, expect);
                 }
             }
         });

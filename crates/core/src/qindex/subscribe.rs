@@ -352,6 +352,8 @@ impl QueryIndex {
         let mut total = RunStats {
             events: self.events,
             results: 0,
+            firings: 0,
+            probed: 0,
             memory: MemoryStats::default(),
         };
         let subs = &self.subs[..];
@@ -363,6 +365,8 @@ impl QueryIndex {
             };
             let stats = group.core.finish(&mut route);
             total.results += stats.results;
+            total.firings += stats.firings;
+            total.probed += stats.probed;
             total.memory.peak_bytes += stats.memory.peak_bytes;
             total.memory.peak_items += stats.memory.peak_items;
             total.memory.peak_buffered_items += stats.memory.peak_buffered_items;

@@ -7,13 +7,27 @@
 //! each producing a successor; configurations that match nothing simply
 //! ignore the event (the paper's rule).
 //!
+//! **The set is the stack.** Every depth test an arc makes compares the
+//! event's depth with the top of the configuration's depth vector — its
+//! *anchor*: a child's begin or text needs `top == d − 1`, the anchor's
+//! own text or end needs `top == d`, and only a closure entry arc and the
+//! catchall accept a shallower anchor. So the duplicate-free set (§4.3:
+//! closures can re-derive the same `(state, dv)` along several arcs) is
+//! kept ordered by `(top, state, dv, item)`, which makes it the element
+//! stack: the configurations an event can address are the tail of the
+//! vector. An event probes the arcs of that tail, asks every shallower
+//! configuration only for its state's any-depth arcs
+//! (`arcs::AnyDepthArcs`, usually an empty slice), and
+//! rewrites the set only from the first place it changes — for a begin
+//! event in a recursive document that is the end: successors anchored at
+//! the new depth are appended.
+//!
 //! An event costs what it moves. The `//` self-loop never fires: it is a
 //! per-state *stays* bit, read only for a configuration some other arc
 //! moved, which then survives beside its successors — so a closure state
-//! pays nothing for the begin events it merely descends past. The set is
-//! kept sorted and duplicate-free (§4.3: closures can re-derive the same
-//! `(state, dv)` along several arcs) by sorting the successors alone and
-//! merging them into the survivors, which already are in order.
+//! pays nothing for the begin events it merely descends past, and a
+//! configuration nothing matched is not looked at again: it survives
+//! where it is.
 //!
 //! Two orderings matter:
 //!
@@ -51,13 +65,36 @@ use crate::report::MemoryStats;
 use crate::sink::{IgnoreTags, Sink, TaggedSink};
 use crate::trace::TraceStep;
 
-/// One runtime configuration.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// One runtime configuration. Field order is sort order: by anchor
+/// depth first (see the module docs).
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct Config {
+    /// `dv.top()`, the depth of the open element this configuration is
+    /// anchored at.
+    top: u32,
     state: StateId,
     dv: DepthVector,
     /// Open element item being serialized (whole-element output only).
     item: Option<ItemId>,
+}
+
+/// `Config::state` of a configuration that left the set during the
+/// current event, until the merge drops it.
+const LEFT: StateId = StateId::MAX;
+
+impl Config {
+    fn new(state: StateId, dv: DepthVector, item: Option<ItemId>) -> Self {
+        Config {
+            top: dv.top(),
+            state,
+            dv,
+            item,
+        }
+    }
+
+    fn start(hpdt: &Hpdt) -> Self {
+        Config::new(hpdt.start, DepthVector::new(), None)
+    }
 }
 
 /// Statistics of one completed run.
@@ -68,6 +105,12 @@ pub struct RunStats {
     /// Results emitted (for aggregations: 1 per aggregation query, the
     /// final value).
     pub results: u64,
+    /// Arcs fired (a `//` self-loop is not an arc that fires).
+    pub firings: u64,
+    /// Configurations whose arcs were probed in full, summed over the
+    /// events that fired something: the tail of the set an event could
+    /// address. Stays below `firings` while a step touches what moves.
+    pub probed: u64,
     /// Peak memory held by the engine.
     pub memory: MemoryStats,
 }
@@ -96,6 +139,8 @@ pub struct RunnerCore {
     ordinal: u64,
     events: u64,
     results: u64,
+    firings: u64,
+    probed: u64,
     peak_configs: usize,
     /// Per-queue capacity to pre-reserve, from a static `Items(K)` bound
     /// (0 = no hint). Re-applied on every reset.
@@ -103,11 +148,11 @@ pub struct RunnerCore {
     // Scratch buffers reused across events (the hot loop allocates
     // nothing on the no-match and single-match paths, and nothing on the
     // match path either once capacities have warmed up).
-    /// `(arc order, configuration, arc)` per match: sorts into execution
-    /// order as plain integers.
-    scratch_matches: Vec<(u32, u32, u32)>,
-    /// Per configuration: how many more times this event reads it — once
-    /// per matched arc, plus once if it survives.
+    /// `(arc order, state, configuration, arc)` per match: sorts into
+    /// execution order as plain integers.
+    scratch_matches: Vec<(u32, StateId, u32, u32)>,
+    /// Per configuration: how many matched arcs have yet to read it. All
+    /// zero between events.
     scratch_uses: Vec<u32>,
     scratch_candidates: Vec<u32>,
     scratch_ser: String,
@@ -119,6 +164,13 @@ pub struct RunnerCore {
 /// a huge-but-finite bound, and reserving it eagerly would trade the
 /// allocation win for a memory loss.
 const QUEUE_HINT_CAP: usize = 1024;
+
+/// The scope-prefix length of every queue the runtime allocates: none
+/// when buffer-necessity analysis proved nothing ever enqueues.
+fn queue_scopes(hpdt: &Hpdt) -> impl ExactSizeIterator<Item = usize> + '_ {
+    let queues = if hpdt.buffered { &hpdt.queues[..] } else { &[] };
+    queues.iter().map(|q| q.layer as usize + 1)
+}
 
 fn make_aggs(hpdt: &Hpdt) -> (Vec<Option<Aggregator>>, usize) {
     let aggs: Vec<Option<Aggregator>> = hpdt
@@ -139,18 +191,16 @@ impl RunnerCore {
         let (aggs, agg_count) = make_aggs(hpdt);
         RunnerCore {
             buffered: hpdt.buffered,
-            configs: vec![Config {
-                state: hpdt.start,
-                dv: DepthVector::new(),
-                item: None,
-            }],
+            configs: vec![Config::start(hpdt)],
             items: ItemStore::new(),
-            queues: QueueSet::new(if hpdt.buffered { hpdt.bpdt_count } else { 0 }),
+            queues: QueueSet::new(queue_scopes(hpdt)),
             aggs,
             agg_count,
             ordinal: 0,
             events: 0,
             results: 0,
+            firings: 0,
+            probed: 0,
             peak_configs: 1,
             queue_hint: 0,
             scratch_matches: Vec::new(),
@@ -175,15 +225,10 @@ impl RunnerCore {
     /// allocated scratch buffers (multi-document feeds).
     pub fn reset(&mut self, hpdt: &Hpdt) {
         self.configs.clear();
-        self.configs.push(Config {
-            state: hpdt.start,
-            dv: DepthVector::new(),
-            item: None,
-        });
+        self.configs.push(Config::start(hpdt));
         self.items.reset();
         self.buffered = hpdt.buffered;
-        self.queues
-            .reset(if hpdt.buffered { hpdt.bpdt_count } else { 0 });
+        self.queues.reset(queue_scopes(hpdt));
         if self.queue_hint > 0 {
             self.queues.reserve(self.queue_hint);
         }
@@ -208,7 +253,10 @@ impl RunnerCore {
             self.agg_count = agg_count;
         }
         self.ordinal = 0;
+        self.events = 0;
         self.results = 0;
+        self.firings = 0;
+        self.probed = 0;
         // The config high-water mark is per-document, like the item and
         // queue peaks the fresh stores reset above; without this a
         // reused runner reports the previous document's peak.
@@ -243,38 +291,48 @@ impl RunnerCore {
         self.events += 1;
         self.items.begin_event(self.ordinal);
 
-        // Phase 1: find every (configuration, arc) match. A configuration
-        // sitting on a high-fanout state (a merged frontier with one named
-        // arc per query) probes only the arcs filed under the event's
-        // dispatch key plus the wildcard bucket, instead of scanning all
-        // of them — the fix for the N=512 dispatch cliff.
+        // Phase 1: find every (configuration, arc) match. The set is
+        // ordered by anchor depth, so the configurations whose child,
+        // own-text or own-end arcs the event can satisfy are its tail;
+        // those probe their arcs — a high-fanout state (a merged frontier
+        // with one named arc per query) through its keyed table, so it
+        // costs the arcs filed under the event's key, not all of them. A
+        // shallower configuration can only fire an arc that accepts any
+        // depth below its anchor, and most states have none.
         let mut matches = std::mem::take(&mut self.scratch_matches);
         let mut cand = std::mem::take(&mut self.scratch_candidates);
         matches.clear();
         let key = crate::arcs::raw_event_key(event);
+        let (floor, begin) = match event {
+            RawEvent::Begin { depth, .. } => (depth.saturating_sub(1), true),
+            RawEvent::Text { depth, .. } => (depth.saturating_sub(1), false),
+            RawEvent::End { depth, .. } => (*depth, false),
+            RawEvent::StartDocument | RawEvent::EndDocument => (0, false),
+        };
+        let tail = self
+            .configs
+            .iter()
+            .rposition(|c| c.top < floor)
+            .map_or(0, |i| i + 1);
         for (ci, cfg) in self.configs.iter().enumerate() {
             let arcs = &hpdt.arcs[cfg.state as usize];
-            let stop_early = hpdt.deterministic && !hpdt.scan_all[cfg.state as usize];
-            if let Some(table) = &hpdt.arc_tables[cfg.state as usize] {
+            let candidates = if ci < tail {
+                hpdt.any_depth.of(cfg.state, begin)
+            } else if let Some(table) = &hpdt.arc_tables[cfg.state as usize] {
                 // Keyed candidates come out in ascending arc order, so
                 // stop-early sees the same first match as a linear scan.
                 table.candidates(key, &mut cand);
-                for &ai in &cand {
-                    let arc = &arcs[ai as usize];
-                    if arc.label_matches(event, &cfg.dv) && arc.guard_passes(event) {
-                        matches.push((arc.order, ci as u32, ai));
-                        if stop_early {
-                            break;
-                        }
-                    }
-                }
+                &cand
             } else {
-                for (ai, arc) in arcs.iter().enumerate() {
-                    if arc.label_matches(event, &cfg.dv) && arc.guard_passes(event) {
-                        matches.push((arc.order, ci as u32, ai as u32));
-                        if stop_early {
-                            break;
-                        }
+                &crate::arcs::LINEAR_SCAN[..arcs.len()]
+            };
+            let stop_early = hpdt.deterministic && !hpdt.scan_all[cfg.state as usize];
+            for &ai in candidates {
+                let arc = &arcs[ai as usize];
+                if arc.label_matches(event, &cfg.dv) && arc.guard_passes(event) {
+                    matches.push((arc.order, cfg.state, ci as u32, ai));
+                    if stop_early {
+                        break;
                     }
                 }
             }
@@ -290,29 +348,22 @@ impl RunnerCore {
             }
             return false;
         }
+        self.firings += matches.len() as u64;
+        self.probed += (self.configs.len() - tail) as u64;
 
         // Phase 2: execute matches in the order their arcs carry — deepest
         // layer first, within a layer value production → flush/upload →
-        // clear (see `arcs::execution_order`). The `(ci, ai)` tail
-        // reproduces the insertion order a stable sort would keep,
-        // without a stable sort's temporary buffer.
+        // clear (see `arcs::execution_order`) — and within one order by
+        // state, then position in the set, then arc.
         if matches.len() > 1 {
             matches.sort_unstable();
         }
-        // Survival: a configuration nothing moves ignores the event; one
-        // that moves also stays where `//` keeps it searching — the
-        // self-loop's own depth test, `e.d > dv.top()`.
         let mut uses = std::mem::take(&mut self.scratch_uses);
-        uses.clear();
-        uses.resize(self.configs.len(), 0);
-        for &(_, ci, _) in &matches {
-            uses[ci as usize] += 1;
+        if uses.len() < self.configs.len() {
+            uses.resize(self.configs.len(), 0);
         }
-        for (left, cfg) in uses.iter_mut().zip(&self.configs) {
-            let survives = *left == 0
-                || (hpdt.stays[cfg.state as usize]
-                    && matches!(event, RawEvent::Begin { depth, .. } if *depth > cfg.dv.top()));
-            *left += survives as u32;
+        for &(_, _, ci, _) in &matches {
+            uses[ci as usize] += 1;
         }
 
         // Trace steps are materialized only when a tracer is attached;
@@ -321,20 +372,28 @@ impl RunnerCore {
             tracer.is_some().then(|| Vec::with_capacity(matches.len()));
         let mut cur = std::mem::take(&mut self.configs);
         let mut successors = std::mem::take(&mut self.scratch_successors);
-        for &(_, ci, ai) in &matches {
+        let mut first_left = cur.len();
+        for &(_, state, ci, ai) in &matches {
             let ci = ci as usize;
-            let state = cur[ci].state;
             let arc = &hpdt.arcs[state as usize][ai as usize];
-            // Last use of this configuration moves its depth vector;
-            // earlier (forking) uses, and every use of one that also
-            // survives, clone it.
+            // Survival is decided for matched configurations only, on
+            // their last use (one nothing matched ignores the event and
+            // stays where it is): a matched one stays where `//` keeps it
+            // searching — the self-loop's own depth test, `e.d > top` —
+            // and otherwise leaves, giving its depth vector to the last
+            // successor; earlier (forking) uses clone it.
             uses[ci] -= 1;
-            let (cfg_item, mut dv) = if uses[ci] == 0 {
-                let c = &mut cur[ci];
-                (c.item, std::mem::take(&mut c.dv))
+            let c = &mut cur[ci];
+            let cfg_item = c.item;
+            let stays = uses[ci] > 0
+                || (hpdt.stays[state as usize]
+                    && matches!(event, RawEvent::Begin { depth, .. } if *depth > c.top));
+            let mut dv = if stays {
+                c.dv.clone()
             } else {
-                let c = &cur[ci];
-                (c.item, c.dv.clone())
+                first_left = first_left.min(ci);
+                c.state = LEFT;
+                std::mem::take(&mut c.dv)
             };
             // Depth-vector discipline (§4.3): real transitions push the
             // depth of a begin event and pop at an end event; self-loops
@@ -358,40 +417,46 @@ impl RunnerCore {
             if changes && matches!(event, RawEvent::End { .. } | RawEvent::EndDocument) {
                 dv.pop_mut();
             }
-            successors.push(Config {
-                state: arc.target,
-                dv,
-                item: new_item,
-            });
+            successors.push(Config::new(arc.target, dv, new_item));
         }
-        // Deduplicate (closures re-derive the same (state, dv) along
+
+        // Phase 3: merge. Closures re-derive the same (state, dv) along
         // several arcs, and an element's end returns its configuration
-        // onto the closure state that stayed behind): sort the successors
-        // and merge them into the survivors — every configuration with a
-        // use left, a subsequence of the sorted set.
-        if successors.len() > 1 {
+        // onto the closure state that stayed behind, so successors are
+        // deduplicated among themselves and against the set — which
+        // changes only from the first configuration that left or the
+        // first successor's place, whichever comes first. Everything
+        // before is untouched; for a begin event below closure states
+        // that is the whole set, and the successors are appended.
+        if !successors.windows(2).all(|w| w[0] < w[1]) {
             successors.sort_unstable();
             successors.dedup();
         }
-        let mut next = std::mem::take(&mut self.spare_configs);
-        next.clear();
+        let from = cur[..first_left]
+            .iter()
+            .rposition(|c| *c < successors[0])
+            .map_or(0, |i| i + 1);
+        let mut displaced = std::mem::take(&mut self.spare_configs);
+        displaced.extend(cur.drain(from..).filter(|c| c.state != LEFT));
         let mut incoming = successors.drain(..).peekable();
-        for (c, _) in cur.iter_mut().zip(&uses).filter(|(_, &left)| left > 0) {
-            while let Some(s) = incoming.next_if(|s| *s < *c) {
-                next.push(s);
+        for c in displaced.drain(..) {
+            while let Some(s) = incoming.next_if(|s| *s < c) {
+                cur.push(s);
             }
-            incoming.next_if(|s| *s == *c);
-            next.push(std::mem::take(c));
+            incoming.next_if(|s| *s == c);
+            cur.push(c);
         }
-        next.extend(incoming);
+        cur.extend(incoming);
         self.scratch_successors = successors;
-        self.spare_configs = cur;
-        self.configs = next;
+        self.spare_configs = displaced;
+        self.configs = cur;
         self.peak_configs = self.peak_configs.max(self.configs.len());
         self.scratch_matches = matches;
         self.scratch_uses = uses;
+        #[cfg(debug_assertions)]
+        self.assert_invariants();
 
-        // Phase 3: emit whatever is now determined, in document order.
+        // Emit whatever is now determined, in document order.
         self.drain(sink);
 
         // Quiescent-point recycling: when every item produced so far has
@@ -409,6 +474,17 @@ impl RunnerCore {
             self.emit_trace(event, fired.unwrap_or_default(), tracer);
         }
         true
+    }
+
+    /// What every fired event must leave behind: the set strictly
+    /// ascending in `(top, state, dv, item)` with `top` in step with the
+    /// depth vector, and the queues' buckets consistent.
+    #[cfg(debug_assertions)]
+    fn assert_invariants(&self) {
+        assert!(self.configs.windows(2).all(|w| w[0] < w[1]));
+        assert!(self.configs.iter().all(|c| c.top == c.dv.top()));
+        assert!(self.scratch_uses.iter().all(|&n| n == 0));
+        self.queues.assert_invariants();
     }
 
     #[cold]
@@ -439,26 +515,23 @@ impl RunnerCore {
         new_item: &mut Option<ItemId>,
     ) {
         let own = owner.slot as usize;
-        let prefix = owner.id.layer as usize + 1;
         match action {
             // The three pure buffer operations are no-ops when nothing
             // ever enqueues (`!self.buffered` — no queues are allocated).
             Action::FlushSelf => {
                 if self.buffered {
-                    self.queues
-                        .flush_matching(own, inside_dv, prefix, &mut self.items);
+                    self.queues.flush_matching(own, inside_dv, &mut self.items);
                 }
             }
             Action::UploadSelf(target) => {
                 if self.buffered {
                     self.queues
-                        .upload_matching(own, target.slot as usize, inside_dv, prefix);
+                        .upload_matching(own, target.slot as usize, inside_dv);
                 }
             }
             Action::ClearSelf => {
                 if self.buffered {
-                    self.queues
-                        .clear_matching(own, inside_dv, prefix, &mut self.items);
+                    self.queues.clear_matching(own, inside_dv, &mut self.items);
                 }
             }
             Action::Emit { source, to, tag } => {
@@ -493,7 +566,7 @@ impl RunnerCore {
                     let upload = target.map(|t| t.slot as usize);
                     let (tags, items) = (&hpdt.leaf_tags, &mut self.items);
                     self.queues
-                        .resolve_keyed(own, upload, inside_dv, prefix, tags, items);
+                        .resolve_keyed(own, upload, inside_dv, tags, items);
                 }
             }
             Action::ElementStart { to, tag } => {
@@ -588,6 +661,8 @@ impl RunnerCore {
         RunStats {
             events: self.events,
             results: self.results,
+            firings: self.firings,
+            probed: self.probed,
             memory: self.memory(),
         }
     }
@@ -917,21 +992,31 @@ mod tests {
         }
         let stats = runner.finish(&mut sink);
         assert_eq!((stats.memory.peak_configs, stats.results), (47, 484));
+        // A step touches what moves: the configurations probed in full
+        // are the tail of the set the event addresses — fewer than the
+        // arcs that fire. Walking the whole set again would read about
+        // twice the firings here; a count fails, not a timing.
+        assert_eq!(stats.firings, 114_198);
+        assert!(stats.probed <= stats.firings, "probed {}", stats.probed);
     }
 
     #[test]
     fn core_reset_supports_multiple_documents() {
         let hpdt = build_hpdt(&parse_query("//b/count()").unwrap()).unwrap();
         let mut core = RunnerCore::new(&hpdt);
+        let mut stats = Vec::new();
         for _ in 0..2 {
             let mut sink = crate::sink::TaggedVecSink::new();
             for e in xsq_xml::parse_to_events(b"<a><b/><b/></a>").unwrap() {
                 core.feed_raw(&hpdt, &e.as_raw(), &mut sink);
             }
-            core.finish(&mut sink);
+            stats.push(core.finish(&mut sink));
             assert_eq!(sink.of(0), ["2"]);
             core.reset(&hpdt);
         }
+        // Every count is per document, the event count included.
+        assert_eq!(stats[0].events, 8);
+        assert_eq!(stats[0], stats[1]);
     }
 
     #[test]

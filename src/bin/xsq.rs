@@ -25,7 +25,8 @@
 //! Options:
 //!   --engine NAME   xsq-f (default) | xsq-nc | saxon | galax | xmltk |
 //!                   joost | xqengine
-//!   --stats         print events / results / memory / time to stderr
+//!   --stats         print events / results / arc firings / configurations
+//!                   probed / memory / time to stderr
 //!   --running       for aggregations, print running updates as they occur
 //!   --quiet         suppress result output (timing runs)
 //!   --json          emit results as JSON lines ({"result": …})
@@ -432,7 +433,7 @@ fn run_query_file(opts: &Options) -> ExitCode {
                 if opts.stats {
                     eprintln!(
                         "# {}: {} results in {:.1} ms [{} queries, {} groups] engine={} \
-                         events={} touches={} (loop path: {})",
+                         events={} firings={} probed={} touches={} (loop path: {})",
                         file.as_deref().unwrap_or("<stdin>"),
                         sink.results,
                         t0.elapsed().as_secs_f64() * 1e3,
@@ -440,6 +441,8 @@ fn run_query_file(opts: &Options) -> ExitCode {
                         set.group_count(),
                         opts.engine,
                         stats.events,
+                        stats.firings,
+                        stats.probed,
                         index.touches(),
                         stats.events * set.len() as u64,
                     );
@@ -1366,13 +1369,15 @@ fn main() -> ExitCode {
                     if opts.stats {
                         eprintln!(
                             "# {}: {} results in {:.1} ms [{}] engine={} events={} \
-                             peak_buffered_bytes={} peak_configs={}",
+                             firings={} probed={} peak_buffered_bytes={} peak_configs={}",
                             file.as_deref().unwrap_or("<stdin>"),
                             sink.results,
                             t0.elapsed().as_secs_f64() * 1e3,
                             query,
                             opts.engine,
                             stats.events,
+                            stats.firings,
+                            stats.probed,
                             stats.memory.peak_bytes,
                             stats.memory.peak_configs,
                         );

@@ -9,7 +9,8 @@
 //! * XMLTK ≡ DOM on predicate-free `text()`/`@attr`/`count()` queries;
 //! * every road a compiled query batch can take into a `QueryIndex`
 //!   ≡ the solo runners ≡ DOM — on random batches, on batches that merge
-//!   into one group, and on batches that compile to a keyed step;
+//!   into one group, on batches that compile to a keyed step, and on
+//!   documents nested past the 64 levels a bitmap depth vector holds;
 //! * the well-formedness PDA accepts every generated document's events.
 //!
 //! Every property runs [`CASES`] cases through `datagen::rng::cases`
@@ -616,6 +617,72 @@ fn keyed_batches_equal_single_runs() {
                 );
             }
         }
+    });
+}
+
+/// One spine of a deep document: `<p>` in `<p>` (one level in five a
+/// `<q>`) down to `levels`, each level with its own optional `<k>`
+/// witness before or after the nested child, a `<w/>`, and `<v>` values
+/// on either side — always around depths 61–66, where a depth vector
+/// leaves the 64-bit bitmap on the way down and re-enters it on the way
+/// up.
+fn gen_spine(rng: &mut StdRng, depth: u32, levels: u32, out: &mut String) {
+    if depth > levels {
+        out.push_str("<v>leaf</v>");
+        return;
+    }
+    let tag = if rng.gen_bool(0.2) { "q" } else { "p" };
+    let witness = |rng: &mut StdRng, out: &mut String| {
+        if rng.gen_bool(0.3) {
+            out.push_str(&format!("<k>{}</k>", rng.gen_range(0..4)));
+        }
+    };
+    let value = |rng: &mut StdRng, out: &mut String, side: &str| {
+        if rng.gen_bool(0.1) || (61..=66).contains(&depth) {
+            out.push_str(&format!("<v>{depth}{side}</v>"));
+        }
+    };
+    out.push_str(&format!("<{tag}>"));
+    witness(rng, out);
+    value(rng, out, "a");
+    if rng.gen_bool(0.4) {
+        out.push_str("<w/>");
+    }
+    gen_spine(rng, depth + 1, levels, out);
+    value(rng, out, "z");
+    witness(rng, out);
+    out.push_str(&format!("</{tag}>"));
+}
+
+/// Documents nested deeper than a bitmap depth vector reaches: every
+/// suite above stays under depth 8, so nothing else runs the wide
+/// representation — whose `top` orders the configuration set and whose
+/// prefixes key the queue buckets — through the engine. One document
+/// goes well past depth 64 and one stops around it; the queries are the
+/// shapes that lean on depth vectors: a closure under a buffering
+/// predicate, Example 6/7's same-name nesting, a keyed family, and
+/// whole-element output (the catchall path).
+#[test]
+fn documents_deeper_than_the_bitmap_equal_the_dom_oracle() {
+    let queries = [
+        "//p[k>1]//v/text()",
+        "//p[k>1]//p[w]/v/text()",
+        "//p[k=1]//v/text()",
+        "//p[k=2]//v/text()",
+        "//q[k<2]//v",
+        "//p[w]/p/v",
+    ];
+    cases(0..CASES / 64, |rng| {
+        let docs = [rng.gen_range(66..80), rng.gen_range(58..66)].map(|levels| {
+            let mut doc = String::from("<r>");
+            gen_spine(rng, 2, levels, &mut doc);
+            doc + "</r>"
+        });
+        let set = assert_the_four_roads_agree(&docs, &queries);
+        assert!(
+            set.hpdts().any(|h| !h.keyed.is_empty()),
+            "the [k=…] family did not compile to a keyed step"
+        );
     });
 }
 
