@@ -17,9 +17,13 @@
 //!   BPDT predicate timings of §3.2 (plus the transform-only
 //!   `position()`/`last()` predicates the selection engines reject);
 //! * a [`rewrite`] stage that streams decided regions immediately and
-//!   buffers only regions whose verdict is still pending — the transform
-//!   analogue of the paper's output buffers, with `peak_buffered`
-//!   reported so the cost is observable.
+//!   holds back only regions whose verdict is still pending — the
+//!   transform analogue of the paper's output buffers, with
+//!   `peak_buffered` reported so the cost is observable.
+//!
+//! Matcher and rewriter allocate while a session warms up and then
+//! stop: frames are pooled, held-back output is one ordered log, and the
+//! tables both keep are emptied whenever nothing is pending.
 //!
 //! At compile time, every pattern already went through
 //! [`xsq_xpath::rules::RuleSet::parse`]'s streamability gate; patterns in
@@ -32,7 +36,7 @@ pub mod rewrite;
 
 use std::fmt;
 
-use matcher::{MatchDecision, Matcher};
+use matcher::{MatchDecision, Matcher, Program};
 use rewrite::{BeginDecision, Rewriter};
 use xsq_xml::dtd::Dtd;
 use xsq_xml::{ParsePoll, PushParser, RawEvent, StreamParser};
@@ -45,6 +49,8 @@ pub use xsq_core::MemoryBound;
 #[derive(Debug)]
 pub struct Transformer {
     rules: RuleSet,
+    /// The patterns as the matcher runs them.
+    program: Program,
     /// Non-fatal findings from the rule compiler (unsatisfiable
     /// predicates, structural lints from the HPDT verifier).
     pub warnings: Vec<String>,
@@ -133,6 +139,7 @@ impl Transformer {
             }
         }
         Ok(Transformer {
+            program: Program::new(&rules),
             rules,
             warnings,
             bounds,
@@ -165,7 +172,8 @@ impl Transformer {
     /// Transform a complete document held in memory.
     pub fn transform(&self, input: &[u8]) -> Result<TransformOutput, TransformError> {
         let mut session = self.session();
-        let mut xml = session.push(input)?;
+        let mut xml = String::new();
+        session.push_into(input, &mut xml)?;
         let tail = session.finish()?;
         xml.push_str(&tail.xml);
         Ok(TransformOutput {
@@ -179,7 +187,7 @@ impl Transformer {
     pub fn session(&self) -> TransformSession<'_> {
         TransformSession {
             parser: StreamParser::push_mode(),
-            matcher: Matcher::new(&self.rules),
+            matcher: Matcher::new(&self.program),
             rewriter: Rewriter::new(&self.rules.rules),
             failed: false,
         }
@@ -195,37 +203,54 @@ pub struct TransformSession<'t> {
 }
 
 impl TransformSession<'_> {
+    /// Feed a chunk and append the output bytes that became final to
+    /// `out`. A caller that hands the same (cleared) buffer to every
+    /// call transforms without allocating once the session has warmed
+    /// up. On error, `out` holds the output up to the offending token.
+    pub fn push_into(&mut self, chunk: &[u8], out: &mut String) -> Result<(), TransformError> {
+        self.parser.push(chunk);
+        self.drain(out)
+    }
+
     /// Feed a chunk and return the output bytes that became final.
     pub fn push(&mut self, chunk: &[u8]) -> Result<String, TransformError> {
-        self.parser.push(chunk);
-        self.drain()?;
-        Ok(self.rewriter.flush())
+        let mut out = String::new();
+        self.push_into(chunk, &mut out).map(|()| out)
     }
 
     /// Signal end of input and return the remaining output plus stats.
     pub fn finish(mut self) -> Result<TransformOutput, TransformError> {
         self.parser.finish();
-        self.drain()?;
+        let mut xml = String::new();
+        self.drain(&mut xml)?;
         debug_assert_eq!(self.matcher.open_pendings(), 0);
-        let (xml, stats) = self.rewriter.finish();
+        let stats = self.rewriter.finish();
         Ok(TransformOutput { xml, stats })
     }
 
-    fn drain(&mut self) -> Result<(), TransformError> {
+    fn drain(&mut self, out: &mut String) -> Result<(), TransformError> {
         if self.failed {
             return Ok(());
         }
+        let before = out.len();
+        let polled = self.poll_events(out);
+        self.rewriter.stats.bytes_out += (out.len() - before) as u64;
+        polled
+    }
+
+    fn poll_events(&mut self, out: &mut String) -> Result<(), TransformError> {
         loop {
-            // The raw event borrows the parser, so the match body can't
-            // call parser methods — matcher/rewriter are separate fields.
-            match self.parser.poll_raw() {
+            // The raw event borrows the parser and the resolutions borrow
+            // the matcher, so the loop body touches the three stages only
+            // as separate fields.
+            let resolutions = match self.parser.poll_raw() {
                 Err(e) => {
                     self.failed = true;
                     return Err(e.into());
                 }
                 Ok(ParsePoll::NeedMore) | Ok(ParsePoll::End) => return Ok(()),
                 Ok(ParsePoll::Event(ev)) => match ev {
-                    RawEvent::StartDocument | RawEvent::EndDocument => {}
+                    RawEvent::StartDocument | RawEvent::EndDocument => continue,
                     RawEvent::Begin {
                         name, attributes, ..
                     } => {
@@ -234,26 +259,21 @@ impl TransformSession<'_> {
                             MatchDecision::Decided(r) => BeginDecision::Decided(r),
                             MatchDecision::Pending(p) => BeginDecision::Pending(p),
                         };
-                        self.rewriter.begin(name, attributes, d);
-                        for r in resolutions {
-                            self.rewriter.resolve(r.pending, r.rule);
-                        }
+                        self.rewriter.begin(out, name, attributes, d);
+                        resolutions
                     }
                     RawEvent::Text { element, text, .. } => {
-                        let resolutions = self.matcher.text_of(element, text);
-                        self.rewriter.text(text);
-                        for r in resolutions {
-                            self.rewriter.resolve(r.pending, r.rule);
-                        }
+                        self.rewriter.text(out, text);
+                        self.matcher.text_of(element, text)
                     }
                     RawEvent::End { .. } => {
-                        let resolutions = self.matcher.end();
-                        self.rewriter.end();
-                        for r in resolutions {
-                            self.rewriter.resolve(r.pending, r.rule);
-                        }
+                        self.rewriter.end(out);
+                        self.matcher.end()
                     }
                 },
+            };
+            for r in resolutions {
+                self.rewriter.resolve(out, r.pending, r.rule);
             }
         }
     }
@@ -339,6 +359,16 @@ mod tests {
     }
 
     #[test]
+    fn last_on_the_root_step_settles_when_the_root_closes() {
+        // The document has no end event to confirm the root's `last()`;
+        // without one the whole document stayed held back.
+        let out = run("/*[last()]/b => rename(x)", "<a><b>1</b><c/></a>");
+        assert_eq!(out, "<a><x>1</x><c></c></a>");
+        let out = run("/a[last()] => wrap(only)", "<a><b/></a>");
+        assert_eq!(out, "<only><a><b></b></a></only>");
+    }
+
+    #[test]
     fn chunked_output_concatenates_identically() {
         let rules = "//b[c] => rename(x)\n//d => drop";
         let doc = "<a><b><c>1</c></b><b>2</b><d>gone</d>t &lt; u</a>";
@@ -348,7 +378,7 @@ mod tests {
             let mut session = t.session();
             let mut out = String::new();
             for piece in doc.as_bytes().chunks(chunk) {
-                out.push_str(&session.push(piece).unwrap());
+                session.push_into(piece, &mut out).unwrap();
             }
             let fin = session.finish().unwrap();
             out.push_str(&fin.xml);

@@ -30,18 +30,36 @@
 //! an element is the lowest-numbered matching rule — which may stay
 //! undecided while an earlier rule's conditions are pending even if a
 //! later rule already matched.
-
-use std::collections::HashMap;
+//!
+//! # Storage
+//!
+//! The matcher allocates while it warms up and then stops. Rules are
+//! compiled once into a [`Program`] (flat steps, names interned), so an
+//! event compares symbols, not strings. Per-element frames are pooled
+//! by depth: an end event leaves the frame where it is and the next begin
+//! at that depth clears and refills it. A state's condition set is a span
+//! in its frame's `cond_ids`; a candidate's is a span in the shared
+//! `cand_conds` arena, where candidates are built in place and either
+//! truncated away (verdict known) or left as the pending element's
+//! record. Conditions, dependents and pending elements are append-only
+//! arenas indexed by id, emptied wholesale at *quiescent points* — no
+//! live condition, no open pending element, no condition id held by a
+//! frame on the stack — which on record-shaped data is every record
+//! boundary; ids restart from zero there.
 
 use xsq_xml::{Attribute, Sym};
-use xsq_xpath::{Comparison, FnArg, FnTest, NodeTest, Predicate, RuleSet};
+use xsq_xpath::{Axis, Comparison, FnArg, FnTest, NodeTest, Predicate, RuleSet};
 
 /// Index of a condition in the matcher's arena.
 type CondId = u32;
 
 /// Identifier handed to the rewriter for an element whose verdict is
-/// still open; the eventual [`Resolution`] carries it back.
+/// still open; the eventual [`Resolution`] carries it back. Ids are dense
+/// and restart at every quiescent point, when none is outstanding.
 pub type PendingId = u32;
+
+/// End of a dependents list.
+const NIL: u32 = u32::MAX;
 
 /// The matcher's verdict for one element, delivered at its begin event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +82,7 @@ pub struct Resolution {
 }
 
 /// How a text-owned condition tests a text run.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum TextTest {
     /// `[text()]` — any text run at all.
     Exists,
@@ -74,454 +92,629 @@ enum TextTest {
     Fn(FnTest),
 }
 
-impl TextTest {
-    fn eval(&self, text: &str) -> bool {
-        match self {
-            TextTest::Exists => true,
-            TextTest::Cmp(c) => c.eval(text),
-            TextTest::Fn(f) => f.eval(text),
+/// A step's predicate with its names interned, grouped by when the
+/// stream decides it.
+#[derive(Debug)]
+enum Pred {
+    None,
+    /// Decided at the begin event: `[@attr…]`.
+    Attr {
+        name: Sym,
+        cmp: Option<Comparison>,
+    },
+    /// Decided at the begin event: a function over an attribute.
+    AttrFn {
+        name: Sym,
+        test: FnTest,
+    },
+    /// Decided at the begin event from the parent's sibling counter
+    /// `slot` ([`NIL`]: the step is a wildcard and counts every child).
+    Position {
+        cmp: Comparison,
+        slot: u32,
+    },
+    /// Watches the element's own text runs.
+    Text(TextTest),
+    /// Watches child begin events: `[child]`, or `[child@attr…]` when
+    /// `attr` is set.
+    Child {
+        child: Sym,
+        attr: Option<(Sym, Option<Comparison>)>,
+    },
+    /// Watches the text runs of `child` children.
+    ChildText {
+        child: Sym,
+        cmp: Comparison,
+    },
+    /// `last()`: owned by the candidate's parent; falsified by a later
+    /// sibling passing the step's node test, confirmed at the owner's end.
+    Last,
+}
+
+/// One location step of one rule's pattern.
+#[derive(Debug)]
+struct Step {
+    rule: u32,
+    closure: bool,
+    /// The pattern ends here: matching this step yields a candidate.
+    last: bool,
+    /// `None` is the wildcard.
+    test: Option<Sym>,
+    pred: Pred,
+}
+
+impl Step {
+    fn accepts(&self, name: Sym) -> bool {
+        self.test.is_none_or(|t| t == name)
+    }
+}
+
+/// A rule set compiled for the matcher: every pattern's steps in one
+/// flat table, names interned once.
+#[derive(Debug)]
+pub struct Program {
+    steps: Vec<Step>,
+    /// First step of each rule, in rule order: the document frame's
+    /// frontier.
+    entry: Vec<u32>,
+    /// Tags whose siblings some `position()` step counts; a frame keeps
+    /// one counter per entry.
+    counted: Vec<Sym>,
+}
+
+impl Program {
+    pub fn new(rules: &RuleSet) -> Program {
+        let patterns = rules.rules.iter().map(|r| &r.pattern.steps);
+        let mut prog = Program {
+            steps: Vec::with_capacity(patterns.map(Vec::len).sum()),
+            entry: Vec::with_capacity(rules.rules.len()),
+            counted: Vec::new(),
+        };
+        for (r, rule) in rules.rules.iter().enumerate() {
+            prog.entry.push(prog.steps.len() as u32);
+            let n = rule.pattern.steps.len();
+            for (i, step) in rule.pattern.steps.iter().enumerate() {
+                let test = match &step.test {
+                    NodeTest::Name(n) => Some(Sym::intern(n)),
+                    NodeTest::Wildcard => None,
+                };
+                let pred = prog.compile_pred(step.predicate.as_ref(), test);
+                prog.steps.push(Step {
+                    rule: r as u32,
+                    closure: step.axis == Axis::Closure,
+                    last: i + 1 == n,
+                    test,
+                    pred,
+                });
+            }
+        }
+        prog
+    }
+
+    fn compile_pred(&mut self, pred: Option<&Predicate>, test: Option<Sym>) -> Pred {
+        let Some(pred) = pred else {
+            return Pred::None;
+        };
+        match pred {
+            Predicate::Attr { name, cmp } => Pred::Attr {
+                name: Sym::intern(name),
+                cmp: cmp.clone(),
+            },
+            Predicate::Func {
+                arg: FnArg::Attr(attr),
+                test,
+            } => Pred::AttrFn {
+                name: Sym::intern(attr),
+                test: test.clone(),
+            },
+            Predicate::Func {
+                arg: FnArg::Text,
+                test,
+            } => Pred::Text(TextTest::Fn(test.clone())),
+            Predicate::Position { cmp } => {
+                let slot = test.map_or(NIL, |t| {
+                    let known = self.counted.iter().position(|&s| s == t);
+                    known.unwrap_or_else(|| {
+                        self.counted.push(t);
+                        self.counted.len() - 1
+                    }) as u32
+                });
+                Pred::Position {
+                    cmp: cmp.clone(),
+                    slot,
+                }
+            }
+            Predicate::Text { cmp } => Pred::Text(match cmp {
+                None => TextTest::Exists,
+                Some(c) => TextTest::Cmp(c.clone()),
+            }),
+            Predicate::Child { name } => Pred::Child {
+                child: Sym::intern(name),
+                attr: None,
+            },
+            Predicate::ChildAttr { child, attr, cmp } => Pred::Child {
+                child: Sym::intern(child),
+                attr: Some((Sym::intern(attr), cmp.clone())),
+            },
+            Predicate::ChildText { child, cmp } => Pred::ChildText {
+                child: Sym::intern(child),
+                cmp: cmp.clone(),
+            },
+            Predicate::Last => Pred::Last,
         }
     }
 }
 
-/// A condition watching child begin events of its owner.
-#[derive(Debug, Clone)]
-struct ChildCond {
-    cond: CondId,
-    child: Sym,
-    /// `[child]` when `None`; `[child@attr…]` when `Some`.
-    attr: Option<(Sym, Option<Comparison>)>,
+/// A run of ids in an arena.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    start: u32,
+    len: u32,
 }
 
-/// A condition watching text events of matching child elements.
-#[derive(Debug, Clone)]
-struct ChildTextCond {
-    cond: CondId,
-    child: Sym,
-    cmp: Comparison,
+impl Span {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
 }
 
-/// A `last()` condition: owned by the candidate's parent; falsified by a
-/// later sibling begin passing `test`, confirmed at the owner's end.
-#[derive(Debug, Clone)]
-struct LastCond {
-    cond: CondId,
-    test: NodeTest,
-}
-
-/// One partial-match state: pattern steps `0..step` of `rule` matched on
-/// the path to the owning element, contingent on `conds`.
-#[derive(Debug, Clone, PartialEq)]
+/// One partial-match state: the pattern steps before `step` matched on
+/// the path to the owning element, contingent on `conds` (a span of the
+/// frame's `cond_ids`).
+#[derive(Debug, Clone, Copy)]
 struct State {
-    rule: u32,
     step: u32,
-    conds: Vec<CondId>,
+    conds: Span,
 }
 
-/// One completed pattern at an element.
-#[derive(Debug, Clone)]
+/// One completed pattern at an element; `conds` spans `cand_conds`.
+#[derive(Debug, Clone, Copy)]
 struct Candidate {
     rule: u32,
-    conds: Vec<CondId>,
+    conds: Span,
 }
 
-/// An element whose verdict is awaiting condition resolutions.
-#[derive(Debug)]
+/// An element whose verdict awaits conditions; `cands` spans `cands`,
+/// sorted by rule.
+#[derive(Debug, Clone, Copy)]
 struct PendingElem {
-    candidates: Vec<Candidate>,
+    cands: Span,
+    open: bool,
 }
 
-/// Per-open-element matcher bookkeeping.
+/// A deferred predicate instance some frame is listening for.
+#[derive(Debug, Clone, Copy)]
+struct Watch {
+    cond: CondId,
+    step: u32,
+}
+
+/// Per-open-element matcher bookkeeping; pooled by depth.
 #[derive(Debug, Default)]
 struct Frame {
     /// States whose next step is matched against this element's children
     /// (or, for closure steps, any descendant).
     states: Vec<State>,
+    /// The states' condition sets, back to back.
+    cond_ids: Vec<CondId>,
     /// Conditions watching this element's own text runs.
-    text_conds: Vec<(CondId, TextTest)>,
+    text_conds: Vec<Watch>,
     /// Conditions watching this element's child begin events.
-    child_conds: Vec<ChildCond>,
+    child_conds: Vec<Watch>,
     /// Conditions watching text events of this element's children.
-    child_text_conds: Vec<ChildTextCond>,
+    child_text_conds: Vec<Watch>,
     /// `last()` conditions owned by this element as the candidates'
     /// parent.
-    last_conds: Vec<LastCond>,
-    /// Element children seen so far, by tag — the `position()` counters.
-    child_counts: HashMap<Sym, u32>,
+    last_conds: Vec<Watch>,
+    /// Element children seen so far per [`Program::counted`] tag — the
+    /// `position()` counters.
+    child_counts: Vec<u32>,
     /// Total element children seen so far (wildcard positions).
     total_children: u32,
 }
 
-/// The streaming matcher. Feed it the begin/text/end events of one
-/// document; it returns verdicts and resolutions.
-pub struct Matcher<'r> {
-    rules: &'r RuleSet,
-    /// `stack[0]` is the virtual document frame; elements above it.
-    stack: Vec<Frame>,
-    /// Condition values; `None` while pending.
-    conds: Vec<Option<bool>>,
-    /// Count of unresolved conditions (tracked incrementally — the arena
-    /// is append-only, so recounting it per event would be quadratic).
-    live_conds: usize,
-    /// Pending elements whose verdict depends on each condition.
-    dependents: HashMap<CondId, Vec<PendingId>>,
-    pending: HashMap<PendingId, PendingElem>,
-    next_pending: PendingId,
-    /// Peak live condition count, for the stats report.
-    pub peak_conds: usize,
-}
-
-impl<'r> Matcher<'r> {
-    pub fn new(rules: &'r RuleSet) -> Self {
-        let mut doc = Frame::default();
-        for (r, _) in rules.rules.iter().enumerate() {
-            doc.states.push(State {
-                rule: r as u32,
-                step: 0,
-                conds: Vec::new(),
-            });
-        }
-        Matcher {
-            rules,
-            stack: vec![doc],
-            conds: Vec::new(),
-            live_conds: 0,
-            dependents: HashMap::new(),
-            pending: HashMap::new(),
-            next_pending: 0,
-            peak_conds: 0,
-        }
+impl Frame {
+    /// Empty the frame for a new element, keeping every capacity.
+    fn reset(&mut self, counters: usize) {
+        self.states.clear();
+        self.cond_ids.clear();
+        self.text_conds.clear();
+        self.child_conds.clear();
+        self.child_text_conds.clear();
+        self.last_conds.clear();
+        self.child_counts.clear();
+        self.child_counts.resize(counters, 0);
+        self.total_children = 0;
     }
 
-    fn new_cond(&mut self) -> CondId {
-        let id = self.conds.len() as CondId;
-        self.conds.push(None);
-        self.live_conds += 1;
-        self.peak_conds = self.peak_conds.max(self.live_conds);
-        id
+    /// Condition ids this frame holds: none of them may dangle, so the
+    /// arena is not recycled while any live frame holds one.
+    fn holds(&self) -> usize {
+        self.cond_ids.len()
+            + self.text_conds.len()
+            + self.child_conds.len()
+            + self.child_text_conds.len()
+            + self.last_conds.len()
+    }
+
+    /// Add the state `(step, inherited ∪ extra)` unless it is already
+    /// there: two derivations that agree on step and conditions are one.
+    fn add_state(&mut self, step: u32, inherited: &[CondId], extra: Option<CondId>) {
+        let conds = append_conds(&mut self.cond_ids, inherited, extra);
+        let (old, new) = self.cond_ids.split_at(conds.start as usize);
+        if self
+            .states
+            .iter()
+            .any(|s| s.step == step && old[s.conds.range()] == *new)
+        {
+            self.cond_ids.truncate(conds.start as usize);
+            return;
+        }
+        self.states.push(State { step, conds });
+    }
+}
+
+/// Append the condition set `inherited ∪ extra` to `arena`.
+fn append_conds(arena: &mut Vec<CondId>, inherited: &[CondId], extra: Option<CondId>) -> Span {
+    let start = arena.len();
+    arena.extend_from_slice(inherited);
+    arena.extend(extra.filter(|c| !inherited.contains(c)));
+    Span {
+        start: start as u32,
+        len: (arena.len() - start) as u32,
+    }
+}
+
+/// One condition: its value (`None` while pending) and the list of
+/// pending elements waiting on it, threaded through `Matcher::deps`.
+#[derive(Debug, Clone, Copy)]
+struct Cond {
+    value: Option<bool>,
+    dep_head: u32,
+    dep_tail: u32,
+}
+
+/// The condition arena with its live count.
+#[derive(Debug, Default)]
+struct Conds {
+    vals: Vec<Cond>,
+    /// Unresolved conditions.
+    live: usize,
+}
+
+impl Conds {
+    fn alloc(&mut self) -> CondId {
+        self.vals.push(Cond {
+            value: None,
+            dep_head: NIL,
+            dep_tail: NIL,
+        });
+        self.live += 1;
+        (self.vals.len() - 1) as CondId
+    }
+
+    fn value(&self, id: CondId) -> Option<bool> {
+        self.vals[id as usize].value
+    }
+
+    /// Resolve `id` unless it already is; newly resolved ids queue on
+    /// `settled` for the dependents walk.
+    fn settle(&mut self, id: CondId, value: bool, settled: &mut Vec<CondId>) {
+        let c = &mut self.vals[id as usize];
+        if c.value.is_none() {
+            c.value = Some(value);
+            self.live -= 1;
+            settled.push(id);
+        }
+    }
+}
+
+/// Outcome of evaluating one predicate instance at a begin event.
+#[derive(Debug, Clone, Copy)]
+enum Outcome {
+    True,
+    False,
+    Deferred(CondId),
+}
+
+impl From<bool> for Outcome {
+    fn from(b: bool) -> Outcome {
+        if b {
+            Outcome::True
+        } else {
+            Outcome::False
+        }
+    }
+}
+
+/// The streaming matcher. Feed it the begin/text/end events of one
+/// document; it returns verdicts and resolutions. The resolution slice an
+/// event returns is valid until the next event.
+pub struct Matcher<'p> {
+    prog: &'p Program,
+    /// The frame pool: `stack[0]` is the virtual document frame,
+    /// `stack[..=depth]` are live, anything above is kept for reuse.
+    stack: Vec<Frame>,
+    depth: usize,
+    conds: Conds,
+    /// Condition ids held by live frames (see [`Frame::holds`]).
+    held: usize,
+    /// Dependents lists: `(pending element, next entry)`.
+    deps: Vec<(PendingId, u32)>,
+    pending: Vec<PendingElem>,
+    open_pendings: usize,
+    /// Candidates of pending elements and, at the tail during `begin`, of
+    /// the element being decided.
+    cands: Vec<Candidate>,
+    cand_conds: Vec<CondId>,
+    /// One predicate instance per step at one element, shared across
+    /// derivations (`[b]` asked twice is the same question): the outcome
+    /// is valid when its stamp is the current begin event's.
+    memo: Vec<(u64, Outcome)>,
+    stamp: u64,
+    /// Conditions the current event resolved.
+    settled: Vec<CondId>,
+    resolutions: Vec<Resolution>,
+}
+
+impl<'p> Matcher<'p> {
+    pub fn new(prog: &'p Program) -> Self {
+        let mut doc = Frame::default();
+        doc.reset(prog.counted.len());
+        doc.states.extend(prog.entry.iter().map(|&step| State {
+            step,
+            conds: Span::default(),
+        }));
+        Matcher {
+            prog,
+            stack: vec![doc],
+            depth: 0,
+            conds: Conds::default(),
+            held: 0,
+            deps: Vec::new(),
+            pending: Vec::new(),
+            open_pendings: 0,
+            cands: Vec::new(),
+            cand_conds: Vec::new(),
+            memo: Vec::new(),
+            stamp: 0,
+            settled: Vec::new(),
+            resolutions: Vec::new(),
+        }
     }
 
     /// Process a begin event. Returns the verdict for the new element and
     /// any resolutions of earlier pending elements this event triggered
     /// (child-condition confirmations, `last()` falsifications).
-    pub fn begin(
-        &mut self,
-        name: Sym,
-        attributes: &[Attribute],
-    ) -> (MatchDecision, Vec<Resolution>) {
-        let mut resolved: Vec<CondId> = Vec::new();
+    pub fn begin(&mut self, name: Sym, attributes: &[Attribute]) -> (MatchDecision, &[Resolution]) {
+        let prog = self.prog;
+        self.settled.clear();
+        if self.stack.len() < self.depth + 2 {
+            self.stack.push(Frame::default());
+        }
+        let (live, spare) = self.stack.split_at_mut(self.depth + 1);
+        let (parent, frame) = (&mut live[self.depth], &mut spare[0]);
+        frame.reset(prog.counted.len());
 
         // Parent bookkeeping: sibling counters, last() falsification,
         // child-condition confirmation — all *before* this element's own
         // conditions exist.
-        {
-            let parent = self.stack.last_mut().expect("document frame");
-            parent.total_children += 1;
-            *parent.child_counts.entry(name).or_insert(0) += 1;
-
-            for lc in &parent.last_conds {
-                if self.conds[lc.cond as usize].is_none() && last_test_matches(&lc.test, name) {
-                    self.conds[lc.cond as usize] = Some(false);
-                    self.live_conds -= 1;
-                    resolved.push(lc.cond);
-                }
+        parent.total_children += 1;
+        if let Some(k) = prog.counted.iter().position(|&s| s == name) {
+            parent.child_counts[k] += 1;
+        }
+        // A resolved last() condition has nothing left to hear; dropping
+        // it keeps a long sibling run from rescanning every predecessor.
+        let watching = parent.last_conds.len();
+        parent.last_conds.retain(|w| {
+            if prog.steps[w.step as usize].accepts(name) {
+                self.conds.settle(w.cond, false, &mut self.settled);
             }
-            for cc in &parent.child_conds {
-                if self.conds[cc.cond as usize].is_none() && cc.child == name {
-                    let holds = match &cc.attr {
-                        None => true,
-                        Some((attr, cmp)) => attributes
-                            .iter()
-                            .find(|a| a.name == *attr)
-                            .is_some_and(|a| cmp.as_ref().is_none_or(|c| c.eval(&a.value))),
-                    };
-                    if holds {
-                        self.conds[cc.cond as usize] = Some(true);
-                        self.live_conds -= 1;
-                        resolved.push(cc.cond);
-                    }
-                }
+            self.conds.value(w.cond).is_none()
+        });
+        self.held -= watching - parent.last_conds.len();
+        for w in &parent.child_conds {
+            let Pred::Child { child, attr } = &prog.steps[w.step as usize].pred else {
+                unreachable!("child watches come from child predicates");
+            };
+            let holds = *child == name
+                && attr.as_ref().is_none_or(|(attr, cmp)| {
+                    attributes
+                        .iter()
+                        .find(|a| a.name == *attr)
+                        .is_some_and(|a| cmp.as_ref().is_none_or(|c| c.eval(&a.value)))
+                });
+            if holds {
+                self.conds.settle(w.cond, true, &mut self.settled);
             }
         }
 
-        // Advance the frontier into the new element.
-        let tag = name.as_str();
-        let mut frame = Frame::default();
-        let mut candidates: Vec<Candidate> = Vec::new();
-        // One predicate instance per (rule, step) at this element, shared
-        // across derivations: `[b]` asked twice is the same question.
-        let mut pred_cache: HashMap<(u32, u32), PredOutcome> = HashMap::new();
-        // Conditions to attach to the *parent* (last() only), deferred to
-        // dodge the double borrow.
-        let mut parent_last: Vec<LastCond> = Vec::new();
-
-        let parent_idx = self.stack.len() - 1;
-        let parent_states = std::mem::take(&mut self.stack[parent_idx].states);
-        for state in &parent_states {
-            let step = &self.rules.rules[state.rule as usize].pattern.steps[state.step as usize];
-            if step.axis == xsq_xpath::Axis::Closure && !frame.states.contains(state) {
+        // Advance the frontier into the new element. Candidates are
+        // built at the tail of the pending arenas: `decide` either
+        // truncates them away or leaves them as the pending record.
+        let cands_from = self.cands.len();
+        let cand_conds_from = self.cand_conds.len();
+        self.stamp += 1;
+        if self.memo.len() < prog.steps.len() {
+            self.memo.resize(prog.steps.len(), (0, Outcome::False));
+        }
+        let watching = parent.last_conds.len();
+        for si in 0..parent.states.len() {
+            let state = parent.states[si];
+            let step = &prog.steps[state.step as usize];
+            let inherited = &parent.cond_ids[state.conds.range()];
+            if step.closure {
                 // Descendant steps stay live arbitrarily deep.
-                frame.states.push(state.clone());
+                frame.add_state(state.step, inherited, None);
             }
-            if !step.test.matches(tag) {
+            if !step.accepts(name) {
                 continue;
             }
-            let outcome = match pred_cache.get(&(state.rule, state.step)) {
-                Some(o) => o.clone(),
-                None => {
-                    let o = self.eval_predicate(
-                        state.rule,
-                        state.step,
-                        name,
-                        attributes,
-                        &mut frame,
-                        &mut parent_last,
-                    );
-                    pred_cache.insert((state.rule, state.step), o.clone());
-                    o
-                }
-            };
-            let mut conds = state.conds.clone();
-            match outcome {
-                PredOutcome::False => continue,
-                PredOutcome::True => {}
-                PredOutcome::Deferred(cid) => {
-                    if !conds.contains(&cid) {
-                        conds.push(cid);
-                    }
-                }
+            let memo = &mut self.memo[state.step as usize];
+            if memo.0 != self.stamp {
+                let outcome = eval_predicate(
+                    state.step,
+                    step,
+                    attributes,
+                    (&parent.child_counts, parent.total_children),
+                    &mut parent.last_conds,
+                    frame,
+                    &mut self.conds,
+                );
+                *memo = (self.stamp, outcome);
             }
-            let pattern_len = self.rules.rules[state.rule as usize].pattern.steps.len() as u32;
-            if state.step + 1 == pattern_len {
-                candidates.push(Candidate {
-                    rule: state.rule,
+            let extra = match memo.1 {
+                Outcome::False => continue,
+                Outcome::True => None,
+                Outcome::Deferred(cid) => Some(cid),
+            };
+            if step.last {
+                let conds = append_conds(&mut self.cand_conds, inherited, extra);
+                self.cands.push(Candidate {
+                    rule: step.rule,
                     conds,
                 });
             } else {
-                let next = State {
-                    rule: state.rule,
-                    step: state.step + 1,
-                    conds,
-                };
-                if !frame.states.contains(&next) {
-                    frame.states.push(next);
-                }
+                frame.add_state(state.step + 1, inherited, extra);
             }
         }
-        self.stack[parent_idx].states = parent_states;
-        self.stack[parent_idx].last_conds.extend(parent_last);
-        self.stack.push(frame);
+        self.held += frame.holds() + parent.last_conds.len() - watching;
+        self.depth += 1;
 
-        // Verdict for the new element.
-        let decision = self.decide(candidates);
-        (decision, self.drain_resolutions(resolved))
+        let decision = self.decide(cands_from, cand_conds_from);
+        self.drain_resolutions();
+        (decision, &self.resolutions)
     }
 
     /// Process a text event, with the owning element's tag (needed to
     /// check the parent's `[child op v]` conditions).
-    pub fn text_of(&mut self, element: Sym, text: &str) -> Vec<Resolution> {
-        let mut resolved: Vec<CondId> = Vec::new();
-        let top = self.stack.len() - 1;
-        for (cid, test) in &self.stack[top].text_conds {
-            if self.conds[*cid as usize].is_none() && test.eval(text) {
-                self.conds[*cid as usize] = Some(true);
-                self.live_conds -= 1;
-                resolved.push(*cid);
+    pub fn text_of(&mut self, element: Sym, text: &str) -> &[Resolution] {
+        let prog = self.prog;
+        self.settled.clear();
+        for w in &self.stack[self.depth].text_conds {
+            let Pred::Text(test) = &prog.steps[w.step as usize].pred else {
+                unreachable!("text watches come from text predicates");
+            };
+            let holds = match test {
+                TextTest::Exists => true,
+                TextTest::Cmp(c) => c.eval(text),
+                TextTest::Fn(f) => f.eval(text),
+            };
+            if holds {
+                self.conds.settle(w.cond, true, &mut self.settled);
             }
         }
-        if top >= 1 {
-            for ctc in &self.stack[top - 1].child_text_conds {
-                if self.conds[ctc.cond as usize].is_none()
-                    && ctc.child == element
-                    && ctc.cmp.eval(text)
-                {
-                    self.conds[ctc.cond as usize] = Some(true);
-                    self.live_conds -= 1;
-                    resolved.push(ctc.cond);
+        if self.depth >= 1 {
+            for w in &self.stack[self.depth - 1].child_text_conds {
+                let Pred::ChildText { child, cmp } = &prog.steps[w.step as usize].pred else {
+                    unreachable!("child-text watches come from child-text predicates");
+                };
+                if *child == element && cmp.eval(text) {
+                    self.conds.settle(w.cond, true, &mut self.settled);
                 }
             }
         }
-        self.drain_resolutions(resolved)
+        self.drain_resolutions();
+        &self.resolutions
     }
 
     /// Process the end event of the current element: every condition it
     /// owns resolves now — text/child conditions that never fired are
     /// false, `last()` conditions that were never falsified are true.
-    pub fn end(&mut self) -> Vec<Resolution> {
-        let frame = self.stack.pop().expect("balanced events");
-        let mut resolved: Vec<CondId> = Vec::new();
-        let mut settle = |cid: CondId, value: bool| {
-            if self.conds[cid as usize].is_none() {
-                self.conds[cid as usize] = Some(value);
-                self.live_conds -= 1;
-                resolved.push(cid);
+    pub fn end(&mut self) -> &[Resolution] {
+        self.settled.clear();
+        let frame = &self.stack[self.depth];
+        self.depth -= 1;
+        let unheard = [
+            &frame.text_conds,
+            &frame.child_conds,
+            &frame.child_text_conds,
+        ];
+        for w in unheard.into_iter().flatten() {
+            self.conds.settle(w.cond, false, &mut self.settled);
+        }
+        for w in &frame.last_conds {
+            self.conds.settle(w.cond, true, &mut self.settled);
+        }
+        self.held -= frame.holds();
+        if self.depth == 0 {
+            // The root element closed. The document frame never gets an
+            // end event of its own, and a document has one root: nothing
+            // can follow it, so a `last()` on the root step holds.
+            let doc = &mut self.stack[0];
+            for w in doc.last_conds.drain(..) {
+                self.conds.settle(w.cond, true, &mut self.settled);
+                self.held -= 1;
             }
-        };
-        for (cid, _) in &frame.text_conds {
-            settle(*cid, false);
         }
-        for cc in &frame.child_conds {
-            settle(cc.cond, false);
+        self.drain_resolutions();
+        if self.conds.live == 0 && self.open_pendings == 0 && self.held == 0 {
+            // Quiescent: nothing refers to a condition or a pending
+            // element any more, so the arenas start over.
+            self.conds.vals.clear();
+            self.deps.clear();
+            self.pending.clear();
+            self.cands.clear();
+            self.cand_conds.clear();
         }
-        for ctc in &frame.child_text_conds {
-            settle(ctc.cond, false);
-        }
-        for lc in &frame.last_conds {
-            settle(lc.cond, true);
-        }
-        self.drain_resolutions(resolved)
+        &self.resolutions
     }
 
-    /// Evaluate the predicate of `rules[rule].steps[step]` against the
-    /// element now beginning. Immediate predicates return a boolean;
-    /// deferred ones allocate a condition on the right owner.
-    fn eval_predicate(
-        &mut self,
-        rule: u32,
-        step: u32,
-        name: Sym,
-        attributes: &[Attribute],
-        frame: &mut Frame,
-        parent_last: &mut Vec<LastCond>,
-    ) -> PredOutcome {
-        // Copy the long-lived rules reference out of `self` so predicate
-        // borrows don't pin `self` (deferred arms need `&mut self`).
-        let rules = self.rules;
-        let step_ref = &rules.rules[rule as usize].pattern.steps[step as usize];
-        let Some(pred) = &step_ref.predicate else {
-            return PredOutcome::True;
-        };
-        let attr_value = |n: &str| attributes.iter().find(|a| a.name == *n).map(|a| &a.value);
-        match pred {
-            Predicate::Attr { name: attr, cmp } => match attr_value(attr) {
-                None => PredOutcome::False,
-                Some(v) => bool_outcome(cmp.as_ref().is_none_or(|c| c.eval(v))),
-            },
-            Predicate::Func {
-                arg: FnArg::Attr(attr),
-                test,
-            } => bool_outcome(attr_value(attr).is_some_and(|v| test.eval(v))),
-            Predicate::Position { cmp } => {
-                // Counters were incremented before matching, so the count
-                // for this tag is this element's 1-based position among
-                // siblings passing the step's node test.
-                let parent = &self.stack[self.stack.len() - 1];
-                let pos = match &step_ref.test {
-                    NodeTest::Name(_) => parent.child_counts.get(&name).copied().unwrap_or(1),
-                    NodeTest::Wildcard => parent.total_children,
-                };
-                bool_outcome(xsq_xpath::value::num_compare(
-                    pos as f64,
-                    cmp.op,
-                    cmp.rhs.as_number(),
-                ))
-            }
-            Predicate::Text { cmp } => {
-                let cid = self.new_cond();
-                let test = match cmp {
-                    None => TextTest::Exists,
-                    Some(c) => TextTest::Cmp(c.clone()),
-                };
-                frame.text_conds.push((cid, test));
-                PredOutcome::Deferred(cid)
-            }
-            Predicate::Func {
-                arg: FnArg::Text,
-                test,
-            } => {
-                let cid = self.new_cond();
-                frame.text_conds.push((cid, TextTest::Fn(test.clone())));
-                PredOutcome::Deferred(cid)
-            }
-            Predicate::Child { name: child } => {
-                let cid = self.new_cond();
-                frame.child_conds.push(ChildCond {
-                    cond: cid,
-                    child: Sym::intern(child),
-                    attr: None,
-                });
-                PredOutcome::Deferred(cid)
-            }
-            Predicate::ChildAttr { child, attr, cmp } => {
-                let cid = self.new_cond();
-                frame.child_conds.push(ChildCond {
-                    cond: cid,
-                    child: Sym::intern(child),
-                    attr: Some((Sym::intern(attr), cmp.clone())),
-                });
-                PredOutcome::Deferred(cid)
-            }
-            Predicate::ChildText { child, cmp } => {
-                let cid = self.new_cond();
-                frame.child_text_conds.push(ChildTextCond {
-                    cond: cid,
-                    child: Sym::intern(child),
-                    cmp: cmp.clone(),
-                });
-                PredOutcome::Deferred(cid)
-            }
-            Predicate::Last => {
-                let cid = self.new_cond();
-                parent_last.push(LastCond {
-                    cond: cid,
-                    test: step_ref.test.clone(),
-                });
-                PredOutcome::Deferred(cid)
-            }
-        }
-    }
-
-    /// Turn an element's candidate list into a verdict, registering a
-    /// pending entry when the stream hasn't decided yet.
-    fn decide(&mut self, candidates: Vec<Candidate>) -> MatchDecision {
-        if candidates.is_empty() {
+    /// Turn the candidates built at the tail of the arenas into a
+    /// verdict, leaving them in place as a pending entry when the stream
+    /// hasn't decided yet.
+    fn decide(&mut self, cands_from: usize, cand_conds_from: usize) -> MatchDecision {
+        if self.cands.len() == cands_from {
             return MatchDecision::Decided(None);
         }
-        match self.verdict(&candidates) {
-            Some(v) => MatchDecision::Decided(v),
-            None => {
-                let id = self.next_pending;
-                self.next_pending += 1;
-                for cand in &candidates {
-                    for &cid in &cand.conds {
-                        if self.conds[cid as usize].is_none() {
-                            self.dependents.entry(cid).or_default().push(id);
-                        }
-                    }
+        self.cands[cands_from..].sort_unstable_by_key(|c| c.rule);
+        let span = Span {
+            start: cands_from as u32,
+            len: (self.cands.len() - cands_from) as u32,
+        };
+        if let Some(v) = self.verdict(span) {
+            self.cands.truncate(cands_from);
+            self.cand_conds.truncate(cand_conds_from);
+            return MatchDecision::Decided(v);
+        }
+        let id = self.pending.len() as PendingId;
+        for &cid in &self.cand_conds[cand_conds_from..] {
+            let cond = &mut self.conds.vals[cid as usize];
+            if cond.value.is_none() {
+                let entry = self.deps.len() as u32;
+                self.deps.push((id, NIL));
+                match cond.dep_tail {
+                    NIL => cond.dep_head = entry,
+                    tail => self.deps[tail as usize].1 = entry,
                 }
-                self.pending.insert(id, PendingElem { candidates });
-                MatchDecision::Pending(id)
+                cond.dep_tail = entry;
             }
         }
+        self.pending.push(PendingElem {
+            cands: span,
+            open: true,
+        });
+        self.open_pendings += 1;
+        MatchDecision::Pending(id)
     }
 
-    /// First-match-wins evaluation over the candidate list. `None` means
-    /// "still pending"; `Some(None)` means "no rule matches".
-    fn verdict(&self, candidates: &[Candidate]) -> Option<Option<usize>> {
+    /// First-match-wins evaluation over candidates sorted by rule. `None`
+    /// means "still pending"; `Some(None)` means "no rule matches".
+    fn verdict(&self, cands: Span) -> Option<Option<usize>> {
         // Walk rules in priority order; a rule's own candidates OR
         // together.
-        let mut rules: Vec<u32> = candidates.iter().map(|c| c.rule).collect();
-        rules.sort_unstable();
-        rules.dedup();
-        for rule in rules {
+        let mut cands = self.cands[cands.range()].iter().peekable();
+        while let Some(first) = cands.peek() {
+            let rule = first.rule;
             let mut any_pending = false;
-            for cand in candidates.iter().filter(|c| c.rule == rule) {
-                let mut all_true = true;
-                let mut dead = false;
-                for &cid in &cand.conds {
-                    match self.conds[cid as usize] {
-                        Some(true) => {}
-                        Some(false) => {
-                            dead = true;
-                            break;
-                        }
-                        None => all_true = false,
-                    }
-                }
-                if dead {
+            while let Some(cand) = cands.next_if(|c| c.rule == rule) {
+                let mut values = self.cand_conds[cand.conds.range()]
+                    .iter()
+                    .map(|&cid| self.conds.value(cid));
+                if values.clone().any(|v| v == Some(false)) {
                     continue;
                 }
-                if all_true {
+                if values.all(|v| v == Some(true)) {
                     return Some(Some(rule as usize));
                 }
                 any_pending = true;
@@ -535,97 +728,122 @@ impl<'r> Matcher<'r> {
         Some(None)
     }
 
-    /// Re-evaluate pending elements touched by newly resolved conditions.
-    fn drain_resolutions(&mut self, resolved: Vec<CondId>) -> Vec<Resolution> {
-        let mut out = Vec::new();
-        for cid in resolved {
-            let Some(deps) = self.dependents.remove(&cid) else {
-                continue;
-            };
-            for pid in deps {
-                let Some(pe) = self.pending.get(&pid) else {
+    /// Re-evaluate the pending elements waiting on the conditions this
+    /// event settled; verdicts land in `resolutions`.
+    fn drain_resolutions(&mut self) {
+        self.resolutions.clear();
+        for i in 0..self.settled.len() {
+            let mut entry = self.conds.vals[self.settled[i] as usize].dep_head;
+            while entry != NIL {
+                let (pid, next) = self.deps[entry as usize];
+                entry = next;
+                let pe = self.pending[pid as usize];
+                if !pe.open {
                     continue;
-                };
-                if let Some(v) = self.verdict(&pe.candidates) {
-                    self.pending.remove(&pid);
-                    out.push(Resolution {
-                        pending: pid,
-                        rule: v,
-                    });
+                }
+                if let Some(rule) = self.verdict(pe.cands) {
+                    self.pending[pid as usize].open = false;
+                    self.open_pendings -= 1;
+                    self.resolutions.push(Resolution { pending: pid, rule });
                 }
             }
         }
-        out
     }
 
     /// Pending verdicts still open (must be 0 after the root closes).
     pub fn open_pendings(&self) -> usize {
-        self.pending.len()
+        self.open_pendings
     }
 }
 
-/// Outcome of evaluating one predicate instance at a begin event.
-#[derive(Debug, Clone)]
-enum PredOutcome {
-    True,
-    False,
-    Deferred(CondId),
-}
-
-fn bool_outcome(b: bool) -> PredOutcome {
-    if b {
-        PredOutcome::True
-    } else {
-        PredOutcome::False
-    }
-}
-
-fn last_test_matches(test: &NodeTest, name: Sym) -> bool {
-    match test {
-        NodeTest::Name(n) => name == n.as_str(),
-        NodeTest::Wildcard => true,
-    }
+/// Evaluate `step`'s predicate against the element now beginning.
+/// Immediate predicates return a boolean; deferred ones allocate a
+/// condition and register its watch on the right owner — the new
+/// element's `frame`, or for `last()` the parent.
+fn eval_predicate(
+    id: u32,
+    step: &Step,
+    attributes: &[Attribute],
+    (child_counts, total_children): (&[u32], u32),
+    parent_last: &mut Vec<Watch>,
+    frame: &mut Frame,
+    conds: &mut Conds,
+) -> Outcome {
+    let attr_value = |n: Sym| attributes.iter().find(|a| a.name == n).map(|a| &a.value);
+    let watches = match &step.pred {
+        Pred::None => return Outcome::True,
+        Pred::Attr { name, cmp } => {
+            return attr_value(*name)
+                .is_some_and(|v| cmp.as_ref().is_none_or(|c| c.eval(v)))
+                .into()
+        }
+        Pred::AttrFn { name, test } => {
+            return attr_value(*name).is_some_and(|v| test.eval(v)).into()
+        }
+        Pred::Position { cmp, slot } => {
+            // Counters were incremented before matching, so the count
+            // for this tag is this element's 1-based position among
+            // siblings passing the step's node test.
+            let pos = match *slot {
+                NIL => total_children,
+                slot => child_counts[slot as usize],
+            };
+            return xsq_xpath::value::num_compare(pos as f64, cmp.op, cmp.rhs.as_number()).into();
+        }
+        Pred::Text(_) => &mut frame.text_conds,
+        Pred::Child { .. } => &mut frame.child_conds,
+        Pred::ChildText { .. } => &mut frame.child_text_conds,
+        Pred::Last => parent_last,
+    };
+    let cond = conds.alloc();
+    watches.push(Watch { cond, step: id });
+    Outcome::Deferred(cond)
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use xsq_xml::parse_to_events;
     use xsq_xml::SaxEvent;
 
     /// Run the matcher over a document, returning each element's final
-    /// verdict in begin-event order.
+    /// verdict in begin-event order. Pending ids restart at quiescent
+    /// points, so an id names an element only while its verdict is open.
     fn verdicts(rules: &str, doc: &str) -> Vec<Option<usize>> {
         let rs = RuleSet::parse(rules).unwrap();
-        let mut m = Matcher::new(&rs);
+        let prog = Program::new(&rs);
+        let mut m = Matcher::new(&prog);
         let events = parse_to_events(doc.as_bytes()).unwrap();
-        let mut order: Vec<MatchDecision> = Vec::new();
-        let mut settled: HashMap<PendingId, Option<usize>> = HashMap::new();
+        let mut order: Vec<Option<usize>> = Vec::new();
+        let mut open: HashMap<PendingId, usize> = HashMap::new();
         for ev in &events {
-            let res = match ev {
+            let res: &[Resolution] = match ev {
                 SaxEvent::Begin {
                     name, attributes, ..
                 } => {
                     let (d, res) = m.begin(*name, attributes);
-                    order.push(d);
+                    match d {
+                        MatchDecision::Decided(v) => order.push(v),
+                        MatchDecision::Pending(id) => {
+                            assert!(open.insert(id, order.len()).is_none(), "id {id} reused");
+                            order.push(None);
+                        }
+                    }
                     res
                 }
                 SaxEvent::Text { element, text, .. } => m.text_of(*element, text),
                 SaxEvent::End { .. } => m.end(),
-                _ => Vec::new(),
+                _ => &[],
             };
             for r in res {
-                settled.insert(r.pending, r.rule);
+                order[open.remove(&r.pending).expect("an open id")] = r.rule;
             }
         }
         assert_eq!(m.open_pendings(), 0, "verdicts must settle by EOF");
+        assert!(open.is_empty());
         order
-            .into_iter()
-            .map(|d| match d {
-                MatchDecision::Decided(v) => v,
-                MatchDecision::Pending(id) => settled[&id],
-            })
-            .collect()
     }
 
     #[test]
@@ -663,6 +881,10 @@ mod tests {
         assert_eq!(v, [None, None, Some(0), None]);
         let v = verdicts("/a/b[last()] => drop", "<a><b/><b/><c/></a>");
         assert_eq!(v, [None, None, Some(0), None]);
+        // The root is the last (only) child of the document, which has
+        // no end event of its own: the verdict lands at the root's.
+        let v = verdicts("/*[last()]/b => drop", "<a><b/><c/></a>");
+        assert_eq!(v, [None, Some(0), None]);
         // last() among a name test ignores other tags.
         let v = verdicts("/a/b[position()=last()] => drop", "<a><b/><c/></a>");
         assert_eq!(v, [None, Some(0), None]);

@@ -111,18 +111,26 @@ pub fn escape_text_into(text: &str, out: &mut String) {
 /// normalization (XML 1.0 §3.3.3) turns the literal characters into
 /// spaces on reparse, so emitting them raw loses the value.
 pub fn escape_attr_into(value: &str, out: &mut String) {
-    for c in value.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\t' => out.push_str("&#9;"),
-            '\n' => out.push_str("&#10;"),
-            '\r' => out.push_str("&#13;"),
-            _ => out.push(c),
-        }
+    // The seven specials are ASCII, so cutting at them is UTF-8 safe;
+    // the clean run before each is appended wholesale. Attribute values
+    // are short, so the scan is a plain byte loop, not a kernel call.
+    let mut clean = 0;
+    for (i, b) in value.bytes().enumerate() {
+        let reference = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' => "&quot;",
+            b'\t' => "&#9;",
+            b'\n' => "&#10;",
+            b'\r' => "&#13;",
+            _ => continue,
+        };
+        out.push_str(&value[clean..i]);
+        out.push_str(reference);
+        clean = i + 1;
     }
+    out.push_str(&value[clean..]);
 }
 
 #[cfg(test)]

@@ -165,6 +165,51 @@ fn whitespace_attributes_survive_roundtrip() {
 }
 
 #[test]
+fn attribute_escaping_is_exact_at_every_run_boundary() {
+    // Specials first, last, doubled, and hard against multi-byte
+    // characters: clean runs are copied by byte range, so a range off by
+    // one would split a character or lose a neighbour.
+    let mut esc = String::new();
+    xsq_xml::entities::escape_attr_into("\"\u{e9}\t\u{1F600}\n\r\u{20AC}&<>x\"", &mut esc);
+    assert_eq!(
+        esc,
+        "&quot;\u{e9}&#9;\u{1F600}&#10;&#13;\u{20AC}&amp;&lt;&gt;x&quot;"
+    );
+    // Against the char-by-char definition, over every pair of fragments.
+    fn reference(value: &str) -> String {
+        let mut out = String::new();
+        for c in value.chars() {
+            match c {
+                '&' => out.push_str("&amp;"),
+                '<' => out.push_str("&lt;"),
+                '>' => out.push_str("&gt;"),
+                '"' => out.push_str("&quot;"),
+                '\t' => out.push_str("&#9;"),
+                '\n' => out.push_str("&#10;"),
+                '\r' => out.push_str("&#13;"),
+                _ => out.push(c),
+            }
+        }
+        out
+    }
+    let edges = ["", "\"", "\t", "\n", "\r", "\u{e9}", "\u{1F600}", "'"];
+    for a in TEXTS.iter().chain(&edges) {
+        for b in TEXTS.iter().chain(&edges) {
+            let value = format!("{a}{b}");
+            let mut esc = String::from("kept:");
+            xsq_xml::entities::escape_attr_into(&value, &mut esc);
+            assert_eq!(esc, format!("kept:{}", reference(&value)), "{value:?}");
+            // And the value survives a parse of the escaped form.
+            let doc = format!("<a v=\"{}\"/>", &esc["kept:".len()..]);
+            match &parse_to_events(doc.as_bytes()).unwrap()[1] {
+                SaxEvent::Begin { attributes, .. } => assert_eq!(attributes[0].value, value),
+                other => panic!("expected a begin event, got {other:?}"),
+            }
+        }
+    }
+}
+
+#[test]
 fn comment_and_pi_emission_is_always_well_formed() {
     for c in COMMENTS {
         let mut w = XmlWriter::new();

@@ -1164,14 +1164,16 @@ fn run_transform(opts: &Options) -> ExitCode {
                 out.write_all(piece.as_bytes())
                     .map_err(|e| format!("writing output: {e}"))
             };
+            // One output buffer for the whole document: after the first
+            // few chunks a push allocates nothing.
+            let mut piece = String::new();
             for chunk in data.chunks(opts.chunk.max(1)) {
-                match session.push(chunk) {
-                    Ok(piece) => {
-                        if let Err(e) = emit(&piece, &mut out) {
-                            return fail_io(&e);
-                        }
-                    }
-                    Err(e) => return fail_run(&format!("{label}: {e}")),
+                piece.clear();
+                if let Err(e) = session.push_into(chunk, &mut piece) {
+                    return fail_run(&format!("{label}: {e}"));
+                }
+                if let Err(e) = emit(&piece, &mut out) {
+                    return fail_io(&e);
                 }
             }
             let tail = match session.finish() {
