@@ -9,9 +9,10 @@
 //! This module makes the query set a first-class, indexed object:
 //!
 //! - [`dispatch`] — an inverted index from (event kind, element name)
-//!   to the groups whose *current* frontier states have a matching arc,
-//!   maintained incrementally as runners move. Events touch interested
-//!   runners only.
+//!   to the states, of any group, that have a matching arc — filed once,
+//!   when a group is added — gated by one bit per state that says
+//!   whether the group has a configuration there now. Events touch
+//!   interested runners only.
 //! - [`prefix`] — compile-time prefix sharing: queries with a common
 //!   leading location step merge into one HPDT whose step trie shares
 //!   the common chain and fans out at the divergence point, with

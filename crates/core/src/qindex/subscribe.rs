@@ -30,7 +30,6 @@ use std::sync::Arc;
 
 use xsq_xml::{RawEvent, StreamParser};
 
-use crate::arcs::StateId;
 use crate::build::Hpdt;
 use crate::engine::XsqEngine;
 use crate::error::{CompileError, EngineError};
@@ -39,7 +38,7 @@ use crate::report::MemoryStats;
 use crate::runtime::{RunStats, RunnerCore};
 use crate::sink::TaggedSink;
 
-use super::dispatch::{DispatchIndex, GroupInterest, StateInterest};
+use super::dispatch::DispatchIndex;
 
 /// Stable handle for one subscribed query. Ids are never reused, so a
 /// stale handle after `unsubscribe` is harmless.
@@ -101,36 +100,9 @@ struct Group {
     core: RunnerCore,
     /// `members[tag]` = the QueryId whose results carry that tag.
     members: Vec<QueryId>,
-    interest: GroupInterest,
-    state_cache: Vec<Option<StateInterest>>,
-    /// Frontier as of the last reindex. A fired arc need not move it — a
-    /// value self-loop (`TextSelf` back onto its own state) fires and
-    /// stays put — and comparing against this cache keeps those events
-    /// free of interest rebuilds (and their allocations).
-    last_frontier: Vec<StateId>,
-    /// When true, the group's registered interest is the union over *all*
-    /// its states, fixed at subscribe time, and per-event reindexing is
-    /// skipped entirely. Chosen for broad groups (merged frontiers with
-    /// many named keys) where the frontier oscillates on every record and
-    /// per-record diffing costs more than the over-dispatch it avoids —
-    /// the N=512 cliff's second half. Safe because interest is an
-    /// over-approximation: an over-dispatched no-match feed is a no-op.
-    static_interest: bool,
     /// Active member count; at 0 the group leaves the dispatch index.
     live: usize,
 }
-
-/// Named-key count at which a group switches to static interest. Below
-/// it, frontier-diff reindexing keeps dispatch sharp (the skip win); at
-/// or above it, the reindex traffic itself is the bottleneck. Swept over
-/// {16, 32, ∞} (EXPERIMENTS.md, *Step only what moves*, lever 3): the
-/// cutoff has to exist — at ∞ the 512-query pace gate falls from 2.0 to
-/// 0.21 — but 32 is not where the cost changes sign: `multi_sub`'s
-/// `/dblp` group has 18 named keys, reindexes on every record, and runs
-/// 1.90 MB/s at 16 against 1.50 at 32 with the same touches. A key count
-/// is the wrong observable; the reindex rate a group actually shows is
-/// the right one (ROADMAP, first item).
-const STATIC_INTEREST_CUTOFF: usize = 32;
 
 /// Routes a group's tagged results to the shared [`QuerySink`] with the
 /// owning subscription's `QueryId` attached; muted subscriptions drop.
@@ -163,8 +135,9 @@ pub struct QueryIndex {
     subs: Vec<Sub>,
     dispatch: DispatchIndex,
     scratch_candidates: Vec<u32>,
-    scratch_states: Vec<StateId>,
     events: u64,
+    /// `events` as of the start of the document in flight.
+    events_before: u64,
     touches: u64,
 }
 
@@ -177,8 +150,8 @@ impl QueryIndex {
             subs: Vec::new(),
             dispatch: DispatchIndex::new(),
             scratch_candidates: Vec::new(),
-            scratch_states: Vec::new(),
             events: 0,
+            events_before: 0,
             touches: 0,
         }
     }
@@ -211,7 +184,8 @@ impl QueryIndex {
     }
 
     /// Register `hpdt` as a new group answering `members` (already
-    /// appended to `subs`, in tag order) and index its start frontier.
+    /// appended to `subs`, in tag order): file its states in the dispatch
+    /// table and mark its start frontier live.
     fn add_group(&mut self, hpdt: Arc<Hpdt>, members: Vec<QueryId>) {
         let gi = self.groups.len() as u32;
         for (tag, &id) in members.iter().enumerate() {
@@ -220,44 +194,14 @@ impl QueryIndex {
             sub.tag = tag as u32;
         }
         let core = RunnerCore::new(&hpdt);
-        let mut group = Group {
+        assert_eq!(self.dispatch.add_group(&hpdt), gi);
+        self.dispatch.mark(gi, &core);
+        self.groups.push(Group {
             live: members.len(),
             hpdt,
             core,
             members,
-            interest: GroupInterest::default(),
-            state_cache: Vec::new(),
-            last_frontier: Vec::new(),
-            static_interest: false,
-        };
-        // Probe the group's *full* interest (union over every state). A
-        // broad group registers it permanently and never reindexes; a
-        // narrow one re-registers just its start frontier and tracks the
-        // frontier dynamically.
-        self.scratch_states.clear();
-        self.scratch_states
-            .extend(0..group.hpdt.arcs.len() as StateId);
-        self.dispatch.reindex(
-            gi,
-            &group.hpdt,
-            &self.scratch_states,
-            &mut group.state_cache,
-            &mut group.interest,
-        );
-        if group.interest.named_keys() >= STATIC_INTEREST_CUTOFF {
-            group.static_interest = true;
-        } else {
-            group.core.frontier_states(&mut self.scratch_states);
-            self.dispatch.reindex(
-                gi,
-                &group.hpdt,
-                &self.scratch_states,
-                &mut group.state_cache,
-                &mut group.interest,
-            );
-            group.last_frontier.clone_from(&self.scratch_states);
-        }
-        self.groups.push(group);
+        });
     }
 
     /// Subscribe one query: a batch of one (see
@@ -291,7 +235,7 @@ impl QueryIndex {
         let group = &mut self.groups[gi as usize];
         group.live -= 1;
         if group.live == 0 {
-            self.dispatch.remove_group(gi, &group.interest);
+            self.dispatch.remove_group(gi, &group.hpdt);
         }
         true
     }
@@ -306,51 +250,39 @@ impl QueryIndex {
             subs,
             dispatch,
             scratch_candidates,
-            scratch_states,
             touches,
             ..
         } = self;
         dispatch.candidates(event, scratch_candidates);
+        *touches += scratch_candidates.len() as u64;
         for &gi in scratch_candidates.iter() {
             let Group {
                 hpdt,
                 core,
                 members,
-                interest,
-                state_cache,
-                last_frontier,
-                static_interest,
                 ..
             } = &mut groups[gi as usize];
-            *touches += 1;
             let mut route = RouteSink {
                 members,
                 subs,
                 shared: &mut *shared,
             };
-            let fired = core.feed_raw(hpdt, event, &mut route);
-            if fired && !*static_interest {
-                // An arc fired: re-derive what this group can react to
-                // next and update the buckets by diff — but only if the
-                // frontier actually changed (a value self-loop fires
-                // without moving it). Static-interest groups never
-                // reindex: their buckets already cover every state.
-                core.frontier_states(scratch_states);
-                if scratch_states.as_slice() != last_frontier.as_slice() {
-                    last_frontier.clear();
-                    last_frontier.extend_from_slice(scratch_states);
-                    dispatch.reindex(gi, hpdt, scratch_states, state_cache, interest);
-                }
+            // Only a fired arc moves the configuration set, and with it
+            // which of the group's states are live.
+            if core.feed_raw(hpdt, event, &mut route) {
+                dispatch.mark(gi, core);
             }
+            #[cfg(debug_assertions)]
+            dispatch.assert_marked(gi, core);
         }
     }
 
     /// End of document: emit pending aggregates, then reset every runner
-    /// (and its dispatch interest) so the index is ready for the next
-    /// document. Stats aggregate over all live groups.
+    /// (and its live states) so the index is ready for the next
+    /// document. Stats are this document's, summed over all live groups.
     pub fn finish(&mut self, shared: &mut dyn QuerySink) -> RunStats {
         let mut total = RunStats {
-            events: self.events,
+            events: self.events - self.events_before,
             results: 0,
             firings: 0,
             probed: 0,
@@ -377,33 +309,17 @@ impl QueryIndex {
     }
 
     /// Drop the document in flight, emitting nothing: every live runner
-    /// — configurations, buffered items, aggregates — and its dispatch
-    /// interest go back to the document start, so the next document
-    /// evaluates exactly as on a fresh index. The one reset: a driver
-    /// whose parser failed mid-document calls this, and
-    /// [`QueryIndex::finish`] ends with it.
+    /// — configurations, buffered items, aggregates — and its live states
+    /// go back to the document start, so the next document evaluates
+    /// exactly as on a fresh index. The one reset: a driver whose parser
+    /// failed mid-document calls this, and [`QueryIndex::finish`] ends
+    /// with it.
     pub fn abort_document(&mut self) {
-        let Self {
-            groups,
-            dispatch,
-            scratch_states,
-            ..
-        } = self;
-        for (gi, group) in groups.iter_mut().enumerate() {
-            if group.live == 0 {
-                continue;
-            }
-            group.core.reset(&group.hpdt);
-            if !group.static_interest {
-                group.core.frontier_states(scratch_states);
-                group.last_frontier.clone_from(scratch_states);
-                dispatch.reindex(
-                    gi as u32,
-                    &group.hpdt,
-                    scratch_states,
-                    &mut group.state_cache,
-                    &mut group.interest,
-                );
+        self.events_before = self.events;
+        for (gi, group) in self.groups.iter_mut().enumerate() {
+            if group.live > 0 {
+                group.core.reset(&group.hpdt);
+                self.dispatch.mark(gi as u32, &group.core);
             }
         }
     }
@@ -486,6 +402,14 @@ impl QueryIndex {
     /// this close to the number of events that actually matter.
     pub fn touches(&self) -> u64 {
         self.touches
+    }
+
+    /// `(named buckets, entries, longest bucket)` of the dispatch table:
+    /// an event walks the entries of its bucket, live or not, so a
+    /// subscription set drifting toward many groups under one tag shows
+    /// here before it shows in `touches`.
+    pub fn dispatch_shape(&self) -> (usize, usize, usize) {
+        self.dispatch.shape()
     }
 }
 

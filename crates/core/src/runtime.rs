@@ -27,7 +27,21 @@
 //! moved, which then survives beside its successors — so a closure state
 //! pays nothing for the begin events it merely descends past, and a
 //! configuration nothing matched is not looked at again: it survives
-//! where it is.
+//! where it is. Two rules make the common steps cost that little:
+//!
+//! * **Decide first, keep books after.** A feed looks for matches before
+//!   it touches anything else, and an event nothing matches (§4.3: the
+//!   configurations "simply ignore" it) returns there: no per-event
+//!   anchor reset in the item store, no drain, no recycling check —
+//!   nothing can have become determined since the previous event's
+//!   drain. Only a tracer still hears of it.
+//! * **One configuration, one arc, in place.** When exactly one match
+//!   fired — the deterministic step §6.2 prices at one lookup — the
+//!   successor is computed by the same per-arc step as any other
+//!   (`step_arc`) and written back where the configuration stood, or,
+//!   when that would break the order, moved by binary search. The use
+//!   counts, the successor list and the merge are for the general case,
+//!   which is also what every traced run takes.
 //!
 //! Two orderings matter:
 //!
@@ -136,7 +150,7 @@ pub struct RunnerCore {
     /// an aggregation query).
     aggs: Vec<Option<Aggregator>>,
     agg_count: usize,
-    ordinal: u64,
+    /// Events fed this document; the current one's ordinal.
     events: u64,
     results: u64,
     firings: u64,
@@ -185,6 +199,12 @@ fn make_aggs(hpdt: &Hpdt) -> (Vec<Option<Aggregator>>, usize) {
     (aggs, count)
 }
 
+/// Does `//` keep a configuration that fired an arc searching where it
+/// is? The self-loop's own depth test: a begin event below the anchor.
+fn closure_keeps(hpdt: &Hpdt, state: StateId, event: &RawEvent<'_>, top: u32) -> bool {
+    hpdt.stays[state as usize] && matches!(event, RawEvent::Begin { depth, .. } if *depth > top)
+}
+
 impl RunnerCore {
     /// Create runtime state for a compiled HPDT.
     pub fn new(hpdt: &Hpdt) -> Self {
@@ -196,7 +216,6 @@ impl RunnerCore {
             queues: QueueSet::new(queue_scopes(hpdt)),
             aggs,
             agg_count,
-            ordinal: 0,
             events: 0,
             results: 0,
             firings: 0,
@@ -252,7 +271,6 @@ impl RunnerCore {
             self.aggs = aggs;
             self.agg_count = agg_count;
         }
-        self.ordinal = 0;
         self.events = 0;
         self.results = 0;
         self.firings = 0;
@@ -265,8 +283,8 @@ impl RunnerCore {
 
     /// Process one borrowed SAX event, pushing any newly determined
     /// results into the sink. Returns `true` when an arc fired — the only
-    /// way the configuration set moves (the dispatch index re-indexes a
-    /// runner's frontier on it); a begin event a closure state merely
+    /// way the configuration set moves (the dispatch index re-marks a
+    /// runner's live states on it); a begin event a closure state merely
     /// descends past returns `false`. This is the zero-copy hot path: an
     /// event no arc accepts performs no heap allocation.
     pub fn feed_raw(
@@ -287,9 +305,7 @@ impl RunnerCore {
         sink: &mut dyn TaggedSink,
         tracer: Option<&mut dyn FnMut(TraceStep)>,
     ) -> bool {
-        self.ordinal += 1;
         self.events += 1;
-        self.items.begin_event(self.ordinal);
 
         // Phase 1: find every (configuration, arc) match. The set is
         // ordered by anchor depth, so the configurations whose child,
@@ -299,9 +315,7 @@ impl RunnerCore {
         // costs the arcs filed under the event's key, not all of them. A
         // shallower configuration can only fire an arc that accepts any
         // depth below its anchor, and most states have none.
-        let mut matches = std::mem::take(&mut self.scratch_matches);
-        let mut cand = std::mem::take(&mut self.scratch_candidates);
-        matches.clear();
+        self.scratch_matches.clear();
         let key = crate::arcs::raw_event_key(event);
         let (floor, begin) = match event {
             RawEvent::Begin { depth, .. } => (depth.saturating_sub(1), true),
@@ -321,8 +335,8 @@ impl RunnerCore {
             } else if let Some(table) = &hpdt.arc_tables[cfg.state as usize] {
                 // Keyed candidates come out in ascending arc order, so
                 // stop-early sees the same first match as a linear scan.
-                table.candidates(key, &mut cand);
-                &cand
+                table.candidates(key, &mut self.scratch_candidates);
+                &self.scratch_candidates
             } else {
                 &crate::arcs::LINEAR_SCAN[..arcs.len()]
             };
@@ -330,34 +344,156 @@ impl RunnerCore {
             for &ai in candidates {
                 let arc = &arcs[ai as usize];
                 if arc.label_matches(event, &cfg.dv) && arc.guard_passes(event) {
-                    matches.push((arc.order, cfg.state, ci as u32, ai));
+                    self.scratch_matches
+                        .push((arc.order, cfg.state, ci as u32, ai));
                     if stop_early {
                         break;
                     }
                 }
             }
         }
-        self.scratch_candidates = cand;
-        if matches.is_empty() {
+        if self.scratch_matches.is_empty() {
             // Every configuration ignores the event (the common case on
-            // data the query does not touch): nothing moves.
-            self.scratch_matches = matches;
-            self.drain(sink);
+            // data the query does not touch): nothing moves, and nothing
+            // is looked at — the item store, the queues and the sink are
+            // where the previous event's drain left them.
             if let Some(tracer) = tracer {
                 self.emit_trace(event, Vec::new(), tracer);
             }
             return false;
         }
-        self.firings += matches.len() as u64;
+        self.items.begin_event(self.events);
+        self.firings += self.scratch_matches.len() as u64;
         self.probed += (self.configs.len() - tail) as u64;
 
+        // Phases 2 and 3. Trace steps are materialized only when a tracer
+        // is attached; the untraced paths never touch `FiredArc`.
+        let fired = match (&self.scratch_matches[..], &tracer) {
+            (&[(_, state, ci, ai)], None) => {
+                self.step_in_place(hpdt, event, state, ci as usize, ai);
+                Vec::new()
+            }
+            _ => self.step_set(hpdt, event, tracer.is_some()),
+        };
+        self.peak_configs = self.peak_configs.max(self.configs.len());
+        #[cfg(debug_assertions)]
+        self.assert_invariants();
+
+        // Emit whatever is now determined, in document order.
+        self.drain(sink);
+
+        // Quiescent-point recycling: when every item produced so far has
+        // left the store (emitted or dead), no queue entry holds a
+        // reference, and no configuration is mid-serialization, all
+        // outstanding `ItemId`s are spent — the store's arena can be
+        // reused wholesale. On per-record streams this point recurs at
+        // every record boundary, which is what keeps the matching steady
+        // state allocation-free.
+        if self.items.recyclable() && self.configs.iter().all(|c| c.item.is_none()) {
+            self.items.recycle();
+        }
+
+        if let Some(tracer) = tracer {
+            self.emit_trace(event, fired, tracer);
+        }
+        true
+    }
+
+    /// One fired arc: the depth-vector discipline (§4.3) around the arc's
+    /// actions, and the successor. Real transitions push the depth of a
+    /// begin event and pop at an end event; self-loops and text events
+    /// leave the vector unchanged. Actions see the "inside" vector —
+    /// after the push, before the pop.
+    ///
+    /// Inlined into both steps, and [`Self::execute`] into it: as calls
+    /// they cost `match_recursive`, at ≈ 16 firings an event, 6–10 %.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn step_arc(
+        &mut self,
+        hpdt: &Hpdt,
+        event: &RawEvent<'_>,
+        state: StateId,
+        arc: &crate::arcs::Arc,
+        mut dv: DepthVector,
+        cfg_item: Option<ItemId>,
+        fired: Option<&mut Vec<crate::trace::FiredArc>>,
+    ) -> Config {
+        let changes = arc.changes_state(state);
+        if changes {
+            match event {
+                RawEvent::StartDocument => dv.push_mut(0),
+                RawEvent::Begin { depth, .. } => dv.push_mut(*depth),
+                _ => {}
+            }
+        }
+        if let Some(fired) = fired {
+            fired.push(crate::trace::fired_arc(arc, state, &dv));
+        }
+        let mut new_item = cfg_item;
+        for action in &arc.actions {
+            self.execute(hpdt, action, arc.owner, event, &dv, cfg_item, &mut new_item);
+        }
+        if changes && matches!(event, RawEvent::End { .. } | RawEvent::EndDocument) {
+            dv.pop_mut();
+        }
+        Config::new(arc.target, dv, new_item)
+    }
+
+    /// The step when one configuration took one arc and nobody is
+    /// tracing — a deterministic step, which §6.2 prices at one lookup:
+    /// the successor goes where the configuration stood if it is still in
+    /// order between its neighbours, else to its place by binary search
+    /// (an end event can return it onto a configuration that stayed
+    /// behind: equal, so dropped). The same set [`Self::step_set`] would
+    /// leave, without its use counts, sort and merge.
+    fn step_in_place(
+        &mut self,
+        hpdt: &Hpdt,
+        event: &RawEvent<'_>,
+        state: StateId,
+        ci: usize,
+        ai: u32,
+    ) {
+        let c = &mut self.configs[ci];
+        let stays = closure_keeps(hpdt, state, event, c.top);
+        let item = c.item;
+        let dv = if stays {
+            c.dv.clone()
+        } else {
+            std::mem::take(&mut c.dv)
+        };
+        let arc = &hpdt.arcs[state as usize][ai as usize];
+        let successor = self.step_arc(hpdt, event, state, arc, dv, item, None);
+        let set = &mut self.configs;
+        if !stays {
+            let in_order = (ci == 0 || set[ci - 1] < successor)
+                && set.get(ci + 1).is_none_or(|next| successor < *next);
+            if in_order {
+                set[ci] = successor;
+                return;
+            }
+            set.remove(ci);
+        }
+        if let Err(at) = set.binary_search(&successor) {
+            set.insert(at, successor);
+        }
+    }
+
+    /// The general step: execute the matches in order, then merge their
+    /// successors into the set. Returns the fired arcs when `traced`.
+    fn step_set(
+        &mut self,
+        hpdt: &Hpdt,
+        event: &RawEvent<'_>,
+        traced: bool,
+    ) -> Vec<crate::trace::FiredArc> {
         // Phase 2: execute matches in the order their arcs carry — deepest
         // layer first, within a layer value production → flush/upload →
         // clear (see `arcs::execution_order`) — and within one order by
         // state, then position in the set, then arc.
-        if matches.len() > 1 {
-            matches.sort_unstable();
-        }
+        let mut matches = std::mem::take(&mut self.scratch_matches);
+        matches.sort_unstable();
         let mut uses = std::mem::take(&mut self.scratch_uses);
         if uses.len() < self.configs.len() {
             uses.resize(self.configs.len(), 0);
@@ -366,10 +502,7 @@ impl RunnerCore {
             uses[ci as usize] += 1;
         }
 
-        // Trace steps are materialized only when a tracer is attached;
-        // the untraced path never touches `FiredArc`.
-        let mut fired: Option<Vec<crate::trace::FiredArc>> =
-            tracer.is_some().then(|| Vec::with_capacity(matches.len()));
+        let mut fired = Vec::with_capacity(if traced { matches.len() } else { 0 });
         let mut cur = std::mem::take(&mut self.configs);
         let mut successors = std::mem::take(&mut self.scratch_successors);
         let mut first_left = cur.len();
@@ -379,45 +512,20 @@ impl RunnerCore {
             // Survival is decided for matched configurations only, on
             // their last use (one nothing matched ignores the event and
             // stays where it is): a matched one stays where `//` keeps it
-            // searching — the self-loop's own depth test, `e.d > top` —
-            // and otherwise leaves, giving its depth vector to the last
-            // successor; earlier (forking) uses clone it.
+            // searching, and otherwise leaves, giving its depth vector to
+            // the last successor; earlier (forking) uses clone it.
             uses[ci] -= 1;
             let c = &mut cur[ci];
-            let cfg_item = c.item;
-            let stays = uses[ci] > 0
-                || (hpdt.stays[state as usize]
-                    && matches!(event, RawEvent::Begin { depth, .. } if *depth > c.top));
-            let mut dv = if stays {
+            let dv = if uses[ci] > 0 || closure_keeps(hpdt, state, event, c.top) {
                 c.dv.clone()
             } else {
                 first_left = first_left.min(ci);
                 c.state = LEFT;
                 std::mem::take(&mut c.dv)
             };
-            // Depth-vector discipline (§4.3): real transitions push the
-            // depth of a begin event and pop at an end event; self-loops
-            // and text events leave the vector unchanged. Actions see the
-            // "inside" vector — after the push, before the pop.
-            let changes = arc.changes_state(state);
-            if changes {
-                match event {
-                    RawEvent::StartDocument => dv.push_mut(0),
-                    RawEvent::Begin { depth, .. } => dv.push_mut(*depth),
-                    _ => {}
-                }
-            }
-            if let Some(fired) = fired.as_mut() {
-                fired.push(crate::trace::fired_arc(arc, state, &dv));
-            }
-            let mut new_item = cfg_item;
-            for action in &arc.actions {
-                self.execute(hpdt, action, arc.owner, event, &dv, cfg_item, &mut new_item);
-            }
-            if changes && matches!(event, RawEvent::End { .. } | RawEvent::EndDocument) {
-                dv.pop_mut();
-            }
-            successors.push(Config::new(arc.target, dv, new_item));
+            let item = c.item;
+            let fired = traced.then_some(&mut fired);
+            successors.push(self.step_arc(hpdt, event, state, arc, dv, item, fired));
         }
 
         // Phase 3: merge. Closures re-derive the same (state, dv) along
@@ -450,30 +558,9 @@ impl RunnerCore {
         self.scratch_successors = successors;
         self.spare_configs = displaced;
         self.configs = cur;
-        self.peak_configs = self.peak_configs.max(self.configs.len());
         self.scratch_matches = matches;
         self.scratch_uses = uses;
-        #[cfg(debug_assertions)]
-        self.assert_invariants();
-
-        // Emit whatever is now determined, in document order.
-        self.drain(sink);
-
-        // Quiescent-point recycling: when every item produced so far has
-        // left the store (emitted or dead), no queue entry holds a
-        // reference, and no configuration is mid-serialization, all
-        // outstanding `ItemId`s are spent — the store's arena can be
-        // reused wholesale. On per-record streams this point recurs at
-        // every record boundary, which is what keeps the matching steady
-        // state allocation-free.
-        if self.items.recyclable() && self.configs.iter().all(|c| c.item.is_none()) {
-            self.items.recycle();
-        }
-
-        if let Some(tracer) = tracer {
-            self.emit_trace(event, fired.unwrap_or_default(), tracer);
-        }
-        true
+        fired
     }
 
     /// What every fired event must leave behind: the set strictly
@@ -495,7 +582,7 @@ impl RunnerCore {
         tracer: &mut dyn FnMut(TraceStep),
     ) {
         tracer(TraceStep {
-            ordinal: self.ordinal,
+            ordinal: self.events,
             event: event.to_string(),
             fired,
             configs_after: self.configs.len(),
@@ -504,6 +591,7 @@ impl RunnerCore {
     }
 
     #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
     fn execute(
         &mut self,
         hpdt: &Hpdt,
@@ -691,13 +779,14 @@ impl RunnerCore {
         self.configs.len()
     }
 
-    /// The states of the live configurations, deduplicated — the frontier
-    /// the dispatch index derives a runner's event interest from.
-    pub fn frontier_states(&self, out: &mut Vec<StateId>) {
-        out.clear();
-        out.extend(self.configs.iter().map(|c| c.state));
-        out.sort_unstable();
-        out.dedup();
+    /// Set the bit `base + s` of `live` for every state *s* a
+    /// configuration is in — the frontier, as the dispatch index gates a
+    /// group's bucket entries by it. The caller cleared the bits.
+    pub fn mark_frontier(&self, live: &mut [u64], base: usize) {
+        for c in &self.configs {
+            let bit = base + c.state as usize;
+            live[bit / 64] |= 1 << (bit % 64);
+        }
     }
 
     /// The running aggregate value of query `tag`, if it aggregates.
@@ -950,6 +1039,53 @@ mod tests {
         assert!(fired[0] && fired[1]);
         assert!(!fired[2] && !fired[3], "irrelevant element must not fire");
         assert_eq!(sink.of(0), ["hit"]);
+    }
+
+    #[test]
+    fn an_event_nothing_matches_is_rejected_before_any_bookkeeping() {
+        // Whole-element output and a running count: the first leans on the
+        // item store's per-event ordinal (appends are deduplicated by it),
+        // the second talks to the sink from `drain`.
+        let doc = b"<a><z>skip</z><b><c>x</c></b><z>t</z><b>2</b><z/></a>";
+        let events = xsq_xml::parse_to_events(doc).unwrap();
+        // What each ignores: the three `z` elements (two with text); the
+        // count also everything inside a `b`.
+        for (query, want, ignores) in [
+            ("/a/b", vec!["<b><c>x</c></b>", "<b>2</b>"], 8),
+            ("/a/b/count()", vec!["2"], 8 + 4),
+        ] {
+            let hpdt = build_hpdt(&parse_query(query).unwrap()).unwrap();
+            let mut core = RunnerCore::new(&hpdt);
+            let mut sink = crate::sink::TaggedVecSink::new();
+            let mut ignored = 0;
+            for (i, e) in events.iter().enumerate() {
+                let before = (
+                    core.configs.clone(),
+                    core.items.total_items(),
+                    core.items.pending_items(),
+                    core.memory(),
+                    (sink.results.len(), sink.updates.len()),
+                );
+                let fired = core.feed_raw(&hpdt, &e.as_raw(), &mut sink);
+                let after = (
+                    core.configs.clone(),
+                    core.items.total_items(),
+                    core.items.pending_items(),
+                    core.memory(),
+                    (sink.results.len(), sink.updates.len()),
+                );
+                if !fired {
+                    assert_eq!(before, after, "{query}: {e:?} fired nothing");
+                    ignored += 1;
+                }
+                // Ignored events still count: the next firing is anchored
+                // at its own ordinal, not at the last one that fired.
+                assert_eq!(core.events, i as u64 + 1);
+            }
+            assert_eq!(ignored, ignores, "{query}");
+            core.finish(&mut sink);
+            assert_eq!(sink.of(0), want, "{query}");
+        }
     }
 
     #[test]

@@ -173,13 +173,12 @@ impl<'d> Worker<'d> {
             }
             None => self.parser.insert(StreamParser::new(doc)),
         };
-        let events_before = self.index.events();
         let mut sink = VecQuerySink::new();
         let stats = self.index.run_parser(parser, &mut sink)?;
         Ok(DocOutput {
             results: sink.results,
             updates: sink.updates,
-            events: self.index.events() - events_before,
+            events: stats.events,
             memory: stats.memory,
         })
     }

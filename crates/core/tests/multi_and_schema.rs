@@ -65,6 +65,28 @@ fn an_index_whose_document_failed_runs_the_next_like_a_fresh_index() {
     assert_eq!(got.updates, want.updates);
 }
 
+/// Every number `QueryIndex::finish` reports is the finished document's:
+/// the same document twice gives the same `RunStats` twice (`events` was
+/// the index's cumulative count beside per-document everything else),
+/// while `events()` keeps counting for STAT.
+#[test]
+fn two_documents_report_equal_run_stats() {
+    let doc = b"<r><a><c/><b>x</b></a><a><b>y</b></a></r>";
+    let mut index = QueryIndex::new(XsqEngine::full());
+    index
+        .subscribe_group(&["//a[c]/b/text()", "//b/count()", "/r/a/b"])
+        .unwrap();
+    let mut sink = VecQuerySink::new();
+    let first = index.run_document(doc, &mut sink).unwrap();
+    // A document that breaks off counts toward `events()` only.
+    assert!(index.run_document(b"<r><a></x>", &mut sink).is_err());
+    let aborted = index.events() - first.events;
+    let second = index.run_document(doc, &mut sink).unwrap();
+    assert_eq!(first, second);
+    assert_eq!(first.events, 16);
+    assert_eq!(index.events(), 2 * first.events + aborted);
+}
+
 #[test]
 fn one_runner_per_query_matches_and_buffers_independently() {
     let compiled: Vec<_> = ["//a[z]/v/text()", "//a[z]/w/text()"]

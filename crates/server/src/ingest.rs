@@ -148,11 +148,13 @@ impl Ingest {
     pub(crate) fn write_stat(&self, json: &mut String) {
         let secs = self.stats.ingest_nanos as f64 / 1e9;
         let per_sec = |n: f64| if secs > 0.0 { n / secs } else { 0.0 };
+        let (buckets, entries, longest_bucket) = self.index.dispatch_shape();
         let _ = write!(
             json,
             "{{\"engine\":\"{}\",\"queries\":{},\"active\":{},\"groups\":{},\
              \"docs\":{},\"doc_active\":{},\"events\":{},\"touches\":{},\
-             \"results\":{},\"updates\":{},\"peak_buffered_bytes\":{},\
+             \"dispatch_buckets\":{buckets},\"dispatch_entries\":{entries},\
+             \"dispatch_longest_bucket\":{longest_bucket},\"results\":{},\"updates\":{},\"peak_buffered_bytes\":{},\
              \"peak_configs\":{},\"bytes_in\":{},\
              \"ingest_mb_per_sec\":{:.2},\"events_per_sec\":{:.0},",
             json_escape(self.engine_name),

@@ -100,6 +100,22 @@ fn broadcast_serves_256_subscribers_byte_identically() {
     for key in ["active", "events_per_sec"] {
         assert!(stat_field_u64(&stats, key).is_some(), "{key} in {stats}");
     }
+    // The dispatch table's shape is current, not cumulative: a group
+    // leaves the table with its last member, so once nobody is
+    // subscribed it is empty. Its keys are prefixed because the hub has
+    // an `entries` of its own (its plan entries): one flat object, no
+    // key twice.
+    let nobody = stat_field_u64(&stats, "active") == Some(0);
+    for key in [
+        "dispatch_buckets",
+        "dispatch_entries",
+        "dispatch_longest_bucket",
+    ] {
+        let shape = stat_field_u64(&stats, key);
+        assert!(shape.is_some(), "{key} in {stats}");
+        assert_eq!(shape == Some(0), nobody, "{key} in {stats}");
+    }
+    assert_eq!(stats.matches("\"entries\":").count(), 1, "{stats}");
 
     for t in threads {
         let (i, got) = t.join().expect("subscriber thread");

@@ -431,9 +431,11 @@ fn run_query_file(opts: &Options) -> ExitCode {
             Err(e) => return fail_run(&e.to_string()),
             Ok(stats) => {
                 if opts.stats {
+                    let (buckets, entries, longest_bucket) = index.dispatch_shape();
                     eprintln!(
                         "# {}: {} results in {:.1} ms [{} queries, {} groups] engine={} \
-                         events={} firings={} probed={} touches={} (loop path: {})",
+                         events={} firings={} probed={} touches={} (loop path: {}) \
+                         buckets={buckets} entries={entries} longest_bucket={longest_bucket}",
                         file.as_deref().unwrap_or("<stdin>"),
                         sink.results,
                         t0.elapsed().as_secs_f64() * 1e3,

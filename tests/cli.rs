@@ -193,6 +193,33 @@ fn query_files_fail_alike_in_every_batch_mode() {
     }
 }
 
+/// `--queries --stats` says what a dispatch walk costs beside what it
+/// touched: three groups filed under thirteen named buckets, their few
+/// states all in one word of the live bits, so one entry a bucket.
+#[test]
+fn multi_query_stats_report_the_dispatch_table_shape() {
+    let dir = std::env::temp_dir().join("xsq_cli_stats_shape_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let qfile = dir.join("q.txt");
+    std::fs::write(
+        &qfile,
+        "/pub/book/name/text()\n/pub/year/text()\n//author/text()\n//name/count()\n",
+    )
+    .unwrap();
+    let (stdout, stderr, ok) =
+        run_with_stdin(&["--queries", qfile.to_str().unwrap(), "--stats"], DOC);
+    assert!(ok, "{stderr}");
+    assert_eq!(stdout, "0\tN\n2\tA\n1\t2002\n3\t1\n");
+    let line = stderr.lines().find(|l| l.starts_with("# ")).expect(&stderr);
+    assert!(line.contains("[4 queries, 3 groups]"), "{line}");
+    let tail = &line[line.find("events=").expect(line)..];
+    assert_eq!(
+        tail,
+        "events=15 firings=21 probed=19 touches=21 (loop path: 60) \
+         buckets=13 entries=13 longest_bucket=1"
+    );
+}
+
 /// A rules file is bytes from outside: a character the pattern language
 /// has no use for is a positioned compile error (exit 4) — it used to
 /// abort the process (exit 101) — and is plain data inside a quoted

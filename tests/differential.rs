@@ -24,8 +24,8 @@ use xsq::baselines::dom::{eval_pathcheck, eval_stepwise, Document};
 use xsq::datagen::rng::{cases, StdRng};
 use xsq::datagen::xmlgen::{self, XmlGenParams};
 use xsq::engine::{
-    analyze_with_dtd, run_sequential, PlanCache, QueryIndex, QuerySet, Runner, VecQuerySink,
-    VecSink, XPathEngine, XsqEngine,
+    analyze_with_dtd, run_sequential, Hpdt, PlanCache, QueryIndex, QuerySet, Runner, RunnerCore,
+    TaggedVecSink, VecQuerySink, VecSink, XPathEngine, XsqEngine,
 };
 use xsq::xml::dtd::Dtd;
 use xsq::xml::SaxEvent;
@@ -654,35 +654,112 @@ fn gen_spine(rng: &mut StdRng, depth: u32, levels: u32, out: &mut String) {
     out.push_str(&format!("</{tag}>"));
 }
 
+/// The shapes that lean on depth vectors: a closure under a buffering
+/// predicate, Example 6/7's same-name nesting, a keyed family, and
+/// whole-element output (the catchall path).
+const DEEP_QUERIES: [&str; 6] = [
+    "//p[k>1]//v/text()",
+    "//p[k>1]//p[w]/v/text()",
+    "//p[k=1]//v/text()",
+    "//p[k=2]//v/text()",
+    "//q[k<2]//v",
+    "//p[w]/p/v",
+];
+
 /// Documents nested deeper than a bitmap depth vector reaches: every
 /// suite above stays under depth 8, so nothing else runs the wide
 /// representation — whose `top` orders the configuration set and whose
 /// prefixes key the queue buckets — through the engine. One document
-/// goes well past depth 64 and one stops around it; the queries are the
-/// shapes that lean on depth vectors: a closure under a buffering
-/// predicate, Example 6/7's same-name nesting, a keyed family, and
-/// whole-element output (the catchall path).
+/// goes well past depth 64 and one stops around it; the queries are
+/// [`DEEP_QUERIES`].
 #[test]
 fn documents_deeper_than_the_bitmap_equal_the_dom_oracle() {
-    let queries = [
-        "//p[k>1]//v/text()",
-        "//p[k>1]//p[w]/v/text()",
-        "//p[k=1]//v/text()",
-        "//p[k=2]//v/text()",
-        "//q[k<2]//v",
-        "//p[w]/p/v",
-    ];
     cases(0..CASES / 64, |rng| {
         let docs = [rng.gen_range(66..80), rng.gen_range(58..66)].map(|levels| {
             let mut doc = String::from("<r>");
             gen_spine(rng, 2, levels, &mut doc);
             doc + "</r>"
         });
-        let set = assert_the_four_roads_agree(&docs, &queries);
+        let set = assert_the_four_roads_agree(&docs, &DEEP_QUERIES);
         assert!(
             set.hpdts().any(|h| !h.keyed.is_empty()),
             "the [k=…] family did not compile to a keyed step"
         );
+    });
+}
+
+/// One compiled group over a corpus, through one `RunnerCore` reset
+/// between documents: whether each event fired and how many
+/// configurations and buffered entries it left, the tagged results and
+/// running aggregates in arrival order, and each document's `RunStats`.
+/// With `traced`, a tracer is attached — which must hear of every event,
+/// fired or not.
+fn run_group(
+    hpdt: &Hpdt,
+    corpus: &[Vec<SaxEvent>],
+    traced: bool,
+) -> (Vec<(bool, usize, usize)>, String) {
+    let mut core = RunnerCore::new(hpdt);
+    let (mut fired, mut seen) = (Vec::new(), String::new());
+    for events in corpus {
+        let mut sink = TaggedVecSink::new();
+        let mut steps = 0;
+        let mut tracer = |step: xsq::engine::trace::TraceStep| {
+            steps += 1;
+            assert_eq!(step.ordinal, steps);
+        };
+        for e in events {
+            let tracer: Option<&mut dyn FnMut(_)> = traced.then_some(&mut tracer);
+            let moved = core.feed_traced(hpdt, &e.as_raw(), &mut sink, tracer);
+            fired.push((moved, core.config_count(), core.buffered_entries()));
+        }
+        assert_eq!(steps, if traced { events.len() as u64 } else { 0 });
+        let stats = core.finish(&mut sink);
+        seen += &format!("{:?} {:?} {stats:?}\n", sink.results, sink.updates);
+        core.reset(hpdt);
+    }
+    (fired, seen)
+}
+
+/// The runner has two ways to take a step — one configuration moved in
+/// place, or the set rebuilt by a merge — and a tracer forces the second
+/// on every event. Both must leave the same set behind: over every corpus
+/// and query family of the four-roads suites above (random batches,
+/// same-name batches, keyed batches, and the documents deeper than the
+/// bitmap), each compiled group fires on the same events and produces the
+/// same results, updates and `RunStats` with a tracer attached as without.
+#[test]
+fn traced_runs_equal_untraced_runs() {
+    let check = |docs: &[String; 2], queries: &[String]| {
+        let refs: Vec<&str> = queries.iter().map(String::as_str).collect();
+        let set = QuerySet::compile(XsqEngine::full(), &refs).expect("generated queries compile");
+        let corpus = [events_of(&docs[0]), events_of(&docs[1])];
+        for hpdt in set.hpdts() {
+            let (untraced, traced) = (
+                run_group(hpdt, &corpus, false),
+                run_group(hpdt, &corpus, true),
+            );
+            assert_eq!(untraced, traced, "{refs:?} over {docs:?}");
+        }
+    };
+    cases(0..CASES, |rng| {
+        let docs = [gen_doc(rng), gen_doc(rng)];
+        let queries = (0..rng.gen_range(1..5))
+            .map(|_| gen_query(rng))
+            .collect::<Vec<_>>();
+        check(&docs, &queries);
+        check(&docs, &gen_same_name_batch(rng, &docs[0][1..2]));
+        check(&docs, &gen_tiny_keyed_batch(rng, &docs[0][1..2]));
+        let docs = [gen_keyed_doc(rng), gen_keyed_doc(rng)];
+        check(&docs, &gen_keyed_batch(rng, &docs[0]));
+    });
+    cases(0..CASES / 64, |rng| {
+        let docs = [rng.gen_range(66..80), rng.gen_range(58..66)].map(|levels| {
+            let mut doc = String::from("<r>");
+            gen_spine(rng, 2, levels, &mut doc);
+            doc + "</r>"
+        });
+        check(&docs, &DEEP_QUERIES.map(String::from));
     });
 }
 

@@ -292,6 +292,82 @@ fn dispatch_touches_a_fraction_of_what_a_runner_loop_would() {
     }
 }
 
+/// The opposite feed: every record is `<t{k}><x>v</x></t{k}>`, so all
+/// subscriptions `/feed/t{k}/x/text()` share their inner tag and every
+/// group is filed under `x`.
+fn generate_shared_inner_feed(records: usize) -> String {
+    let mut out = String::from("<feed>");
+    for r in 0..records {
+        let k = r % FEED_TAGS;
+        out.push_str(&format!("<t{k}><x>v{r}</x></t{k}>"));
+    }
+    out.push_str("</feed>");
+    out
+}
+
+fn shared_inner_queries(n: usize) -> Vec<String> {
+    (0..n).map(|k| format!("/feed/t{k}/x/text()")).collect()
+}
+
+/// A group is heard on a key only while one of its live states has an
+/// arc for it, however many keys it is filed under. 64 subscriptions on
+/// a feed of 512 record tags that all contain `<x>`: merged, they are
+/// one group of 129 named keys, and it must hear `x` only inside the
+/// records it subscribed to — exactly five events a record, plus the
+/// feed's and the document's brackets. (A group registered under the
+/// union of all its states' keys, as broad groups once were, hears every
+/// `x` of the feed: 3 × 1 024 touches more.)
+#[test]
+fn a_broad_merged_group_is_heard_only_where_it_is_live() {
+    let doc = generate_shared_inner_feed(2 * FEED_TAGS);
+    let queries = shared_inner_queries(64);
+    let texts: Vec<&str> = queries.iter().map(String::as_str).collect();
+    let mut solo = solo_index(&texts);
+    let mut solo_sink = VecQuerySink::new();
+    solo.run_document(doc.as_bytes(), &mut solo_sink)
+        .expect("solo run");
+    let mut merged = merged_index(&texts);
+    assert_eq!(merged.group_count(), 1);
+    let (buckets, entries, longest) = merged.dispatch_shape();
+    assert!(buckets >= 32 && entries >= buckets, "{buckets} buckets");
+    assert!(longest <= 3, "one group, {longest} entries in a bucket");
+    let mut merged_sink = VecQuerySink::new();
+    merged
+        .run_document(doc.as_bytes(), &mut merged_sink)
+        .expect("merged run");
+    assert_eq!(merged_sink.results.len(), 2 * 64);
+    assert_eq!(merged_sink.results, solo_sink.results);
+    assert_eq!(merged.touches(), 2 + 2 + 5 * 2 * 64);
+    assert!(merged.touches() <= solo.touches());
+    // Solo, the `x` bucket holds a state of each of the 64 groups, a
+    // word's worth of groups to an entry, and an event walks them all.
+    let (_, _, longest) = solo.dispatch_shape();
+    println!("64 solo groups: the x bucket has {longest} entries");
+    assert!(1 < longest && longest < 64 / 4, "{longest}");
+}
+
+/// The referee's `serve_bulk` subscription on a seeded 256 KiB DBLP
+/// document: the groups move on almost every record, and dispatch must
+/// stay exactly as sharp as a per-event mirror of each group's frontier
+/// in the buckets was — 14 023 touches over these events, the count
+/// measured with that mirror in place.
+#[test]
+fn the_serve_bulk_queries_touch_what_a_frontier_mirror_touched() {
+    let doc = dblp::generate(2003, 256 * 1024);
+    let mut index = merged_index(&[
+        "/dblp/inproceedings[booktitle]/title/text()",
+        "/dblp/article/@key",
+        "/dblp/article[year>1995]/author/text()",
+        "//year/count()",
+    ]);
+    assert_eq!(index.group_count(), 2);
+    let mut sink = VecQuerySink::new();
+    let stats = index.run_document(doc.as_bytes(), &mut sink).expect("run");
+    assert_eq!(sink.results.len(), 1713);
+    assert_eq!(index.touches(), 14_023);
+    assert!(index.touches() < stats.events, "{} events", stats.events);
+}
+
 // ---- Dispatch gate on a feed whose subscriptions share tags -----------
 //
 // The opposite shape: every subscription watches the same few record
@@ -506,5 +582,51 @@ fn merged_index_keeps_pace_with_solo_groups_at_512_queries() {
     assert!(
         ratio >= 1.0,
         "the merged index fell off the dispatch cliff: {ratio:.2}× the solo grouping's pace"
+    );
+}
+
+/// The price of a static table: a bucket walk is linear in the groups
+/// filed under the key, live or not. 512 separately subscribed groups
+/// that all watch `x` make every `x` event walk 512 entries to find the
+/// one that is live; the same 512 on the one-tag-per-query feed walk
+/// one. That walk is a sequential read of 16-byte entries and must stay
+/// a small multiple of the sharp case (measures ≈ 1.3–2.2; registering
+/// every group under all its keys with no liveness gate measured 17×).
+/// Same process, feeding alone timed, best of three.
+#[test]
+#[ignore = "timing; CI runs it in release with --include-ignored"]
+fn a_shared_inner_tag_costs_solo_groups_a_bounded_bucket_walk() {
+    let best_of_3 = |doc: String, queries: Vec<String>| {
+        let events = xsq::xml::parse_to_events(doc.as_bytes()).expect("feed parses");
+        let texts: Vec<&str> = queries.iter().map(String::as_str).collect();
+        (0..3)
+            .map(|_| {
+                let mut index = solo_index(&texts);
+                let mut sink = VecQuerySink::new();
+                let t0 = std::time::Instant::now();
+                for ev in &events {
+                    index.feed_raw(&ev.as_raw(), &mut sink);
+                }
+                index.finish(&mut sink);
+                let secs = t0.elapsed().as_secs_f64();
+                assert!(sink.results.len() >= 64 * (512 - 512 / 8));
+                secs / events.len() as f64
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let distinct = best_of_3(generate_feed(64 * FEED_TAGS), feed_queries(512));
+    let shared = best_of_3(
+        generate_shared_inner_feed(64 * FEED_TAGS),
+        shared_inner_queries(512),
+    );
+    let ratio = shared / distinct;
+    println!(
+        "512 solo groups, ns/event: shared inner tag {:.0}, distinct tags {:.0}, ratio {ratio:.2}",
+        shared * 1e9,
+        distinct * 1e9
+    );
+    assert!(
+        ratio <= 3.0,
+        "walking the shared bucket costs {ratio:.2}× the one-entry walk"
     );
 }
