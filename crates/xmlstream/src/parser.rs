@@ -20,7 +20,7 @@
 //! Events are lent out as [`RawEvent`]s borrowing the parser's scratch
 //! buffers — element names are interned [`Sym`]s, attribute storage and
 //! the text accumulator are reused across events, and delimiter scanning
-//! runs the runtime-dispatched SIMD kernels ([`crate::scan`]). In steady
+//! runs the SIMD delimiter kernels ([`crate::scan`]). In steady
 //! state (all names interned, buffers grown to the document's token
 //! sizes) producing an event performs **zero heap allocations**.
 //! [`StreamParser::next_event`] is the owned convenience wrapper for

@@ -5,7 +5,7 @@
 //! sequences, entity references and the CDATA `]]>` terminator at
 //! arbitrary boundaries. `Window` owns the unconsumed bytes and runs
 //! one resumable state machine (`Scan`) over them, on the
-//! runtime-dispatched scan kernels ([`crate::scan`]):
+//! delimiter-scan kernels ([`crate::scan`]):
 //! `Window::next_token` yields the next **complete** token as a kind
 //! plus a byte range — a text run once the `<` that ends it has arrived
 //! (so a split UTF-8 sequence, the `\r` of a `\r\n` pair or an

@@ -1,141 +1,97 @@
-//! Runtime-dispatched delimiter-scan kernels: the tokenizer's memchr.
+//! Delimiter-scan kernels: the tokenizer's memchr.
 //!
 //! The input window's boundary scanner ([`crate::push`]) spends its time
 //! finding where tokens end — the next `<` in character data, the `>` or
-//! quote in a tag, the terminator of a comment — and the parser finding
-//! the closing quote of an attribute value. Scanning those runs
-//! byte-at-a-time leaves most of every cache line on the floor, so this
-//! module provides a family of kernels and picks the fastest one the CPU
-//! supports, once, at first use:
+//! quote in a tag, the terminator of a comment — the parser finding the
+//! closing quote of an attribute value, and the serializer's escape loop
+//! the next byte to escape. Scanning those runs byte-at-a-time leaves
+//! most of every cache line on the floor, so the finders here examine 16
+//! bytes per step, on one kernel per target that the compiler picks:
 //!
-//! * **`avx2`** — 32 bytes per step via `core::arch::x86_64` intrinsics
-//!   (`vpcmpeqb` + `vpmovmskb`), selected when `is_x86_feature_detected!`
-//!   reports AVX2.
-//! * **`sse2`** — 16 bytes per step; the x86_64 baseline (every x86_64
-//!   CPU has SSE2, so on that arch this tier is always available).
-//! * **`swar`** — two unrolled `u64` lanes (16 bytes per step) of the
-//!   classic "haszero" SIMD-within-a-register trick; portable, the
-//!   default on non-x86 targets and under Miri.
-//! * **`scalar`** — a plain byte loop; the always-correct reference the
-//!   differential tests compare every other tier against.
+//! * **`sse2`** — 16-byte `core::arch::x86_64` vectors (`pcmpeqb` +
+//!   `pmovmskb`) on x86_64, where SSE2 is part of the baseline ABI;
+//!   inputs shorter than one vector take the SWAR path.
+//! * **`swar`** — two unrolled `u64` lanes of the classic "haszero"
+//!   SIMD-within-a-register trick; portable, the kernel on every other
+//!   target and under Miri (which cannot execute vendor intrinsics).
 //!
-//! The selected kernel is cached in a function-pointer table
-//! (`Vtable`) behind a `OnceLock`, so steady-state dispatch is one
-//! indirect call with no feature re-detection. `XSQ_SCAN_KERNEL=scalar|
-//! swar|sse2|avx2` overrides selection (CI pins each tier with it); an
-//! unknown name panics loudly, a known-but-unavailable tier falls back
-//! down the chain (`avx2 → sse2 → swar`) and the active kernel is
-//! reported by [`active_kernel`] so benches record what actually ran.
+//! One `cfg`'d `use … as imp` makes the choice, so every finder is a
+//! direct call that inlines into its caller: there is no dispatch table,
+//! no CPU detection and no override. Wider vectors have nothing to buy
+//! here — over DBLP, 92 % of scans end within 16 bytes and the mean is
+//! under 10 (EXPERIMENTS.md, *One kernel per target*).
+//! [`Kernel`] names the tiers this build compiles so the differential
+//! tests can sweep each one, and [`active_kernel`] reports which one the
+//! finders call, so benches and STAT replies record what ran.
 //!
 //! # Safety
 //!
-//! The SSE2/AVX2 implementations are `unsafe fn`s marked
-//! `#[target_feature(...)]`. They are sound to call because (a) their
-//! safe wrappers are only reachable through a `Vtable` that is
-//! installed after `is_x86_feature_detected!` confirms the feature, or
-//! through [`Kernel`] methods that assert [`Kernel::is_available`]
-//! first, and (b) every pointer they read is derived from the haystack
-//! slice and stays in `[ptr, ptr + len)`: the main loop only loads full
-//! vectors at `i` with `i + W <= len`, and the tail uses one *overlapped*
-//! load at `len - W` (only taken when `len >= W`). Unaligned loads
-//! (`loadu`) are used throughout, so alignment is irrelevant. The
-//! overlapped tail window re-examines bytes already proven match-free,
-//! so the first set bit in its mask is always a genuine first match.
+//! Every SSE2 load is a full 16-byte window inside the haystack, and a
+//! safe SWAR twin, swept by the differential tests, returns the same
+//! answers. No runtime detection has to be true for the code to be sound.
 //!
 //! SWAR positional correctness: `match_mask` can set spurious high bits,
 //! but only at byte positions *above* the first true match (the borrow
 //! in `wrapping_sub` propagates low→high), so `trailing_zeros()/8` is
 //! exact and OR-combining several needle masks preserves that property.
 
-use std::sync::OnceLock;
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+use sse2 as imp;
+#[cfg(not(all(target_arch = "x86_64", not(miri))))]
+use swar as imp;
 
-/// One tier of the scan-kernel family.
+/// One tier of the scan-kernel family, as compiled into this build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kernel {
-    /// Plain byte loop; always available; the differential reference.
-    Scalar,
-    /// Portable two-lane `u64` SWAR; always available.
+    /// Portable two-lane `u64` SWAR; every target.
     Swar,
-    /// 16-byte `core::arch` vectors; x86_64 only (and not under Miri).
+    /// 16-byte `core::arch` vectors; x86_64 outside Miri.
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
     Sse2,
-    /// 32-byte `core::arch` vectors; x86_64 with runtime-detected AVX2.
-    Avx2,
+}
+
+/// Call `$kernel`'s implementation of `$find`.
+macro_rules! on_kernel {
+    ($kernel:expr, $find:ident($($arg:expr),+)) => {
+        match $kernel {
+            Kernel::Swar => swar::$find($($arg),+),
+            #[cfg(all(target_arch = "x86_64", not(miri)))]
+            Kernel::Sse2 => sse2::$find($($arg),+),
+        }
+    };
 }
 
 impl Kernel {
-    /// The name used by `XSQ_SCAN_KERNEL` and recorded in bench JSON.
+    /// The name recorded in bench JSON, STAT replies and the serve banner.
     pub fn name(self) -> &'static str {
         match self {
-            Kernel::Scalar => "scalar",
             Kernel::Swar => "swar",
+            #[cfg(all(target_arch = "x86_64", not(miri)))]
             Kernel::Sse2 => "sse2",
-            Kernel::Avx2 => "avx2",
         }
     }
 
-    /// Parse an `XSQ_SCAN_KERNEL` value.
-    pub fn from_name(name: &str) -> Option<Kernel> {
-        match name {
-            "scalar" => Some(Kernel::Scalar),
-            "swar" => Some(Kernel::Swar),
-            "sse2" => Some(Kernel::Sse2),
-            "avx2" => Some(Kernel::Avx2),
-            _ => None,
-        }
-    }
-
-    /// Whether this tier can run on the current CPU / build.
-    pub fn is_available(self) -> bool {
-        match self {
-            Kernel::Scalar | Kernel::Swar => true,
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            Kernel::Sse2 => std::arch::is_x86_feature_detected!("sse2"),
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            Kernel::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
-            #[cfg(not(all(target_arch = "x86_64", not(miri))))]
-            Kernel::Sse2 | Kernel::Avx2 => false,
-        }
-    }
-
-    fn vtable(self) -> &'static Vtable {
-        assert!(
-            self.is_available(),
-            "scan kernel `{}` is not available on this CPU/build",
-            self.name()
-        );
-        match self {
-            Kernel::Scalar => &SCALAR_VT,
-            Kernel::Swar => &SWAR_VT,
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            Kernel::Sse2 => &SSE2_VT,
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            Kernel::Avx2 => &AVX2_VT,
-            #[cfg(not(all(target_arch = "x86_64", not(miri))))]
-            Kernel::Sse2 | Kernel::Avx2 => unreachable!(),
-        }
-    }
-
-    /// [`find_byte`] forced onto this tier (differential tests).
+    /// [`find_byte`] on this tier (differential tests).
     pub fn find_byte(self, haystack: &[u8], n1: u8) -> Option<usize> {
-        (self.vtable().find1)(haystack, n1)
+        on_kernel!(self, find1(haystack, n1))
     }
 
-    /// [`find_byte2`] forced onto this tier.
+    /// [`find_byte2`] on this tier.
     pub fn find_byte2(self, haystack: &[u8], n1: u8, n2: u8) -> Option<usize> {
-        (self.vtable().find2)(haystack, n1, n2)
+        on_kernel!(self, find2(haystack, n1, n2))
     }
 
-    /// [`find_byte3`] forced onto this tier.
+    /// [`find_byte3`] on this tier.
     pub fn find_byte3(self, haystack: &[u8], n1: u8, n2: u8, n3: u8) -> Option<usize> {
-        (self.vtable().find3)(haystack, n1, n2, n3)
+        on_kernel!(self, find3(haystack, n1, n2, n3))
     }
 
-    /// [`find_byte4`] forced onto this tier.
+    /// [`find_byte4`] on this tier.
     pub fn find_byte4(self, haystack: &[u8], n1: u8, n2: u8, n3: u8, n4: u8) -> Option<usize> {
-        (self.vtable().find4)(haystack, n1, n2, n3, n4)
+        on_kernel!(self, find4(haystack, n1, n2, n3, n4))
     }
 
-    /// [`classify_run`] forced onto this tier.
+    /// [`classify_run`] on this tier.
     pub fn classify_run(self, haystack: &[u8]) -> usize {
         let [a, b, c, d] = TEXT_DELIMS;
         self.find_byte4(haystack, a, b, c, d)
@@ -149,23 +105,32 @@ impl std::fmt::Display for Kernel {
     }
 }
 
-/// Every tier runnable on this CPU/build, slowest first.
+/// Every tier this build compiles; the last is the one the finders call.
 pub fn available_kernels() -> Vec<Kernel> {
-    [Kernel::Scalar, Kernel::Swar, Kernel::Sse2, Kernel::Avx2]
-        .into_iter()
-        .filter(|k| k.is_available())
-        .collect()
+    vec![
+        Kernel::Swar,
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        Kernel::Sse2,
+    ]
 }
 
-/// The tier the process-wide dispatch table selected (detection plus
-/// any `XSQ_SCAN_KERNEL` override).
+/// The tier the module-level finders call: SSE2 on x86_64, SWAR on
+/// every other target and under Miri.
 pub fn active_kernel() -> Kernel {
-    table().kernel
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    {
+        Kernel::Sse2
+    }
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+    {
+        Kernel::Swar
+    }
 }
 
 /// Comma-joined list of scan-relevant CPU features detected at runtime
 /// (empty on non-x86 targets) — recorded in bench JSON so throughput
-/// numbers are interpretable across containers.
+/// numbers are interpretable across containers. Reporting only: no
+/// kernel choice depends on it.
 pub fn cpu_features() -> String {
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     {
@@ -198,113 +163,28 @@ pub fn cpu_features() -> String {
 /// (the `]]>`-in-content well-formedness check).
 pub const TEXT_DELIMS: [u8; 4] = *b"<&\r]";
 
-struct Vtable {
-    kernel: Kernel,
-    find1: fn(&[u8], u8) -> Option<usize>,
-    find2: fn(&[u8], u8, u8) -> Option<usize>,
-    find3: fn(&[u8], u8, u8, u8) -> Option<usize>,
-    find4: fn(&[u8], u8, u8, u8, u8) -> Option<usize>,
-}
-
-static SCALAR_VT: Vtable = Vtable {
-    kernel: Kernel::Scalar,
-    find1: scalar::find1,
-    find2: scalar::find2,
-    find3: scalar::find3,
-    find4: scalar::find4,
-};
-
-static SWAR_VT: Vtable = Vtable {
-    kernel: Kernel::Swar,
-    find1: swar::find1,
-    find2: swar::find2,
-    find3: swar::find3,
-    find4: swar::find4,
-};
-
-#[cfg(all(target_arch = "x86_64", not(miri)))]
-static SSE2_VT: Vtable = Vtable {
-    kernel: Kernel::Sse2,
-    find1: sse2::find1,
-    find2: sse2::find2,
-    find3: sse2::find3,
-    find4: sse2::find4,
-};
-
-#[cfg(all(target_arch = "x86_64", not(miri)))]
-static AVX2_VT: Vtable = Vtable {
-    kernel: Kernel::Avx2,
-    find1: avx2::find1,
-    find2: avx2::find2,
-    find3: avx2::find3,
-    find4: avx2::find4,
-};
-
-fn detect_best() -> &'static Vtable {
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return &AVX2_VT;
-        }
-        if std::arch::is_x86_feature_detected!("sse2") {
-            return &SSE2_VT;
-        }
-    }
-    &SWAR_VT
-}
-
-fn select() -> &'static Vtable {
-    match std::env::var("XSQ_SCAN_KERNEL") {
-        Ok(name) => {
-            let requested = Kernel::from_name(&name).unwrap_or_else(|| {
-                panic!(
-                    "XSQ_SCAN_KERNEL={name:?} is not a scan kernel \
-                     (expected scalar|swar|sse2|avx2)"
-                )
-            });
-            // A requested-but-unavailable vector tier falls back down
-            // the chain instead of crashing: the override is a floor
-            // on portability, not a promise the CPU can keep.
-            let chain: &[Kernel] = match requested {
-                Kernel::Avx2 => &[Kernel::Avx2, Kernel::Sse2, Kernel::Swar],
-                Kernel::Sse2 => &[Kernel::Sse2, Kernel::Swar],
-                Kernel::Swar => &[Kernel::Swar],
-                Kernel::Scalar => &[Kernel::Scalar],
-            };
-            let k = chain.iter().copied().find(|k| k.is_available()).unwrap();
-            k.vtable()
-        }
-        Err(_) => detect_best(),
-    }
-}
-
-fn table() -> &'static Vtable {
-    static TABLE: OnceLock<&'static Vtable> = OnceLock::new();
-    TABLE.get_or_init(select)
-}
-
 /// Position of the first occurrence of `needle` in `haystack`.
 #[inline]
 pub fn find_byte(haystack: &[u8], needle: u8) -> Option<usize> {
-    (table().find1)(haystack, needle)
+    imp::find1(haystack, needle)
 }
 
 /// Position of the first occurrence of either `n1` or `n2` in `haystack`.
 #[inline]
 pub fn find_byte2(haystack: &[u8], n1: u8, n2: u8) -> Option<usize> {
-    (table().find2)(haystack, n1, n2)
+    imp::find2(haystack, n1, n2)
 }
 
 /// Position of the first occurrence of `n1`, `n2`, or `n3`.
 #[inline]
 pub fn find_byte3(haystack: &[u8], n1: u8, n2: u8, n3: u8) -> Option<usize> {
-    (table().find3)(haystack, n1, n2, n3)
+    imp::find3(haystack, n1, n2, n3)
 }
 
 /// Position of the first occurrence of `n1`, `n2`, `n3`, or `n4`.
 #[inline]
 pub fn find_byte4(haystack: &[u8], n1: u8, n2: u8, n3: u8, n4: u8) -> Option<usize> {
-    (table().find4)(haystack, n1, n2, n3, n4)
+    imp::find4(haystack, n1, n2, n3, n4)
 }
 
 /// Length of the leading clean character-data run: the number of bytes
@@ -315,21 +195,6 @@ pub fn find_byte4(haystack: &[u8], n1: u8, n2: u8, n3: u8, n4: u8) -> Option<usi
 pub fn classify_run(haystack: &[u8]) -> usize {
     let [a, b, c, d] = TEXT_DELIMS;
     find_byte4(haystack, a, b, c, d).unwrap_or(haystack.len())
-}
-
-mod scalar {
-    macro_rules! define_scalar {
-        ($name:ident, $($n:ident),+) => {
-            pub(super) fn $name(haystack: &[u8], $($n: u8),+) -> Option<usize> {
-                haystack.iter().position(|&b| $(b == $n)||+)
-            }
-        };
-    }
-
-    define_scalar!(find1, n1);
-    define_scalar!(find2, n1, n2);
-    define_scalar!(find3, n1, n2, n3);
-    define_scalar!(find4, n1, n2, n3, n4);
 }
 
 mod swar {
@@ -413,10 +278,8 @@ mod sse2 {
         __m128i, _mm_cmpeq_epi8, _mm_loadu_si128, _mm_movemask_epi8, _mm_set1_epi8,
     };
 
-    // SSE2 is part of the x86_64 baseline ABI, so these need no
-    // `#[target_feature]` gate or runtime check: they are plain safe
-    // functions that inline freely — including into the AVX2 tier's
-    // short-input path — keeping sub-vector scans call-free.
+    // SSE2 is part of the x86_64 baseline ABI, so these are plain safe
+    // functions with no feature gate: they inline into every caller.
     macro_rules! define_sse2 {
         ($name:ident, $($v:ident = $n:ident),+) => {
             #[inline]
@@ -426,10 +289,10 @@ mod sse2 {
                     return super::swar::$name(haystack, $($n),+);
                 }
                 let ptr = haystack.as_ptr();
-                // SAFETY: SSE2 is unconditionally available on x86_64,
-                // and every load below is a full 16-byte window inside
-                // `haystack` (`i + 16 <= len`, or the overlapped tail at
-                // `len - 16` with `len >= 16`).
+                // SAFETY: every load below is a full 16-byte window
+                // inside `haystack` (`i + 16 <= len`, or the overlapped
+                // tail at `len - 16` with `len >= 16`), and unaligned
+                // (`loadu`), so alignment is irrelevant.
                 unsafe {
                     $(let $v = _mm_set1_epi8($n as i8);)+
                     let mut i = 0usize;
@@ -462,65 +325,6 @@ mod sse2 {
     define_sse2!(find2, v1 = n1, v2 = n2);
     define_sse2!(find3, v1 = n1, v2 = n2, v3 = n3);
     define_sse2!(find4, v1 = n1, v2 = n2, v3 = n3, v4 = n4);
-}
-
-#[cfg(all(target_arch = "x86_64", not(miri)))]
-mod avx2 {
-    use core::arch::x86_64::{
-        __m256i, _mm256_cmpeq_epi8, _mm256_loadu_si256, _mm256_movemask_epi8, _mm256_set1_epi8,
-    };
-
-    macro_rules! define_avx2 {
-        ($name:ident, $imp:ident, $($v:ident = $n:ident),+) => {
-            /// # Safety
-            /// Caller must ensure the CPU supports AVX2. All loads stay
-            /// inside `haystack` (see the module-level safety argument).
-            #[target_feature(enable = "avx2")]
-            unsafe fn $imp(haystack: &[u8], $($n: u8),+) -> Option<usize> {
-                let len = haystack.len();
-                if len < 32 {
-                    // Short inputs take the SSE2 tier (which itself
-                    // hands lengths < 16 to SWAR); AVX2 implies SSE2.
-                    return super::sse2::$name(haystack, $($n),+);
-                }
-                let ptr = haystack.as_ptr();
-                $(let $v = _mm256_set1_epi8($n as i8);)+
-                let mut i = 0usize;
-                while i + 32 <= len {
-                    let w = _mm256_loadu_si256(ptr.add(i) as *const __m256i);
-                    let m = ($(_mm256_movemask_epi8(_mm256_cmpeq_epi8(w, $v)))|+) as u32;
-                    if m != 0 {
-                        return Some(i + m.trailing_zeros() as usize);
-                    }
-                    i += 32;
-                }
-                if i < len {
-                    // Overlapped final window (see sse2): prior bytes in
-                    // the window are match-free, first set bit is exact.
-                    let j = len - 32;
-                    let w = _mm256_loadu_si256(ptr.add(j) as *const __m256i);
-                    let m = ($(_mm256_movemask_epi8(_mm256_cmpeq_epi8(w, $v)))|+) as u32;
-                    if m != 0 {
-                        return Some(j + m.trailing_zeros() as usize);
-                    }
-                }
-                None
-            }
-
-            pub(super) fn $name(haystack: &[u8], $($n: u8),+) -> Option<usize> {
-                // SAFETY: reachable only via a vtable installed after
-                // `is_x86_feature_detected!("avx2")` (or the equivalent
-                // `Kernel::is_available` assert); the intrinsic loads
-                // are in-bounds per the module safety argument.
-                unsafe { $imp(haystack, $($n),+) }
-            }
-        };
-    }
-
-    define_avx2!(find1, find1_impl, v1 = n1);
-    define_avx2!(find2, find2_impl, v1 = n1, v2 = n2);
-    define_avx2!(find3, find3_impl, v1 = n1, v2 = n2, v3 = n3);
-    define_avx2!(find4, find4_impl, v1 = n1, v2 = n2, v3 = n3, v4 = n4);
 }
 
 #[cfg(test)]
@@ -612,18 +416,9 @@ mod tests {
     }
 
     #[test]
-    fn kernel_names_round_trip() {
-        for k in [Kernel::Scalar, Kernel::Swar, Kernel::Sse2, Kernel::Avx2] {
-            assert_eq!(Kernel::from_name(k.name()), Some(k));
-        }
-        assert_eq!(Kernel::from_name("neon"), None);
-    }
-
-    #[test]
     fn active_kernel_is_available() {
-        assert!(active_kernel().is_available());
-        // Scalar and SWAR are available everywhere.
-        assert!(available_kernels().contains(&Kernel::Scalar));
+        assert!(available_kernels().contains(&active_kernel()));
+        // SWAR is compiled everywhere.
         assert!(available_kernels().contains(&Kernel::Swar));
     }
 }

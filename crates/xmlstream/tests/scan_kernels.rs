@@ -1,23 +1,27 @@
 //! Differential property tests for the scan-kernel family.
 //!
-//! Every tier available on this machine (scalar, SWAR, SSE2, AVX2) must
-//! be byte-identical to a naive reference scan across:
+//! Every tier this build compiles (SWAR everywhere, SSE2 on x86_64
+//! outside Miri) must be byte-identical to a naive reference scan
+//! across:
 //!
 //! - haystack lengths 0–130 (spans the 8-byte SWAR step, the 16-byte
-//!   two-lane/SSE2 blocks, the 32-byte AVX2 blocks, and every tail
-//!   remainder shape);
+//!   two-lane/SSE2 blocks, and every tail remainder shape);
 //! - every needle position within each length, including positions that
 //!   land in the final partial block (needle-in-remainder) and the
 //!   needle-absent case;
 //! - misaligned slice starts (offsets 0–31 into a larger buffer), so
 //!   unaligned vector loads are exercised at every phase.
 //!
+//! SWAR is swept on x86_64 too: it is SSE2's path for inputs under 16
+//! bytes there, and the whole path elsewhere. The module-level finders
+//! the tokenizer calls are swept the same way
+//! (`the_build_picks_one_kernel_per_target`).
+//!
 //! Under Miri the sweeps shrink (Miri is ~1000× slower) but still cover
-//! each block-size boundary; the vector tiers are compiled out under
-//! Miri, so only scalar and SWAR run there — which is exactly the pair
-//! Miri can check for UB.
+//! each block-size boundary; SSE2 is compiled out under Miri, so SWAR —
+//! the build's kernel there — is what Miri checks.
 
-use xsq_xml::scan::{available_kernels, Kernel, TEXT_DELIMS};
+use xsq_xml::scan::{self, active_kernel, available_kernels, Kernel, TEXT_DELIMS};
 
 /// The always-correct reference all tiers are measured against.
 fn naive(haystack: &[u8], needles: &[u8]) -> Option<usize> {
@@ -31,6 +35,17 @@ fn run(kernel: Kernel, haystack: &[u8], needles: &[u8]) -> Option<usize> {
         [a, b] => kernel.find_byte2(haystack, a, b),
         [a, b, c] => kernel.find_byte3(haystack, a, b, c),
         [a, b, c, d] => kernel.find_byte4(haystack, a, b, c, d),
+        _ => unreachable!("finders are arity 1–4"),
+    }
+}
+
+/// The module-level finder of matching arity: what the tokenizer calls.
+fn run_module(haystack: &[u8], needles: &[u8]) -> Option<usize> {
+    match *needles {
+        [a] => scan::find_byte(haystack, a),
+        [a, b] => scan::find_byte2(haystack, a, b),
+        [a, b, c] => scan::find_byte3(haystack, a, b, c),
+        [a, b, c, d] => scan::find_byte4(haystack, a, b, c, d),
         _ => unreachable!("finders are arity 1–4"),
     }
 }
@@ -207,23 +222,45 @@ fn classify_run_matches_find_byte4() {
     }
 }
 
-/// The dispatching module-level functions agree with the tier they claim
-/// to be running (the active kernel).
+/// The compiler, not the CPU, picks the kernel: SSE2 on x86_64 outside
+/// Miri, SWAR everywhere else. The module-level finders are what the
+/// tokenizer calls, with no table between them and that kernel, so they
+/// take the same length × position × offset sweep as each tier.
 #[test]
-fn dispatch_matches_active_kernel() {
-    let active = xsq_xml::scan::active_kernel();
-    assert!(available_kernels().contains(&active));
-    let buf: Vec<u8> = (0..160)
-        .map(|i| if i == 97 { b'<' } else { b'x' })
-        .collect();
-    assert_eq!(xsq_xml::scan::find_byte(&buf, b'<'), Some(97));
-    assert_eq!(active.find_byte(&buf, b'<'), Some(97));
-    assert_eq!(xsq_xml::scan::find_byte2(&buf, b'&', b'<'), Some(97));
-    assert_eq!(xsq_xml::scan::find_byte3(&buf, b'&', b']', b'<'), Some(97));
-    assert_eq!(
-        xsq_xml::scan::find_byte4(&buf, b'&', b']', b'\r', b'<'),
-        Some(97)
-    );
-    let clean = vec![b'x'; 33];
-    assert_eq!(xsq_xml::scan::classify_run(&clean), 33);
+fn the_build_picks_one_kernel_per_target() {
+    let expected = if cfg!(all(target_arch = "x86_64", not(miri))) {
+        "sse2"
+    } else {
+        "swar"
+    };
+    assert_eq!(active_kernel().name(), expected);
+    assert_eq!(available_kernels().last(), Some(&active_kernel()));
+
+    let needle_sets: [&[u8]; 4] = [b"<", b"<&", b"<&\r", &TEXT_DELIMS];
+    let mut page = [b'x'; 32 + 130 + 32];
+    for needles in needle_sets {
+        for &off in &offsets() {
+            for len in 0..=max_len() {
+                // A needle just past the slice end must not be found.
+                page[off + len] = needles[0];
+                let slice = &page[off..off + len];
+                assert_eq!(
+                    run_module(slice, needles),
+                    None,
+                    "off={off} len={len} absent"
+                );
+                assert_eq!(scan::classify_run(slice), len, "off={off} len={len} clean");
+                page[off + len] = b'x';
+                for pos in 0..len {
+                    page[off + pos] = needles[pos % needles.len()];
+                    let slice = &page[off..off + len];
+                    let at = format!("off={off} len={len} pos={pos} needles={needles:?}");
+                    assert_eq!(run_module(slice, needles), Some(pos), "{at}");
+                    let run = naive(slice, &TEXT_DELIMS).unwrap_or(len);
+                    assert_eq!(scan::classify_run(slice), run, "{at}");
+                    page[off + pos] = b'x';
+                }
+            }
+        }
+    }
 }
