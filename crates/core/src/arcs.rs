@@ -400,6 +400,16 @@ impl Arc {
         }
     }
 
+    /// True when firing this arc sets the open element item of every
+    /// configuration that takes it alike (whole-element output opening or
+    /// closing one), which can make configurations that differed only in
+    /// their item equal.
+    pub(crate) fn sets_item(&self) -> bool {
+        self.actions
+            .iter()
+            .any(|a| matches!(a, Action::ElementStart { .. } | Action::ElementEnd))
+    }
+
     /// True when firing this arc changes the configuration's state (the
     /// paper's dv rules only apply to real transitions: `s' ≠ s`).
     pub fn changes_state(&self, source: StateId) -> bool {
@@ -556,6 +566,12 @@ pub(crate) struct AnyDepthArcs {
     spans: Vec<(u32, u32)>,
     /// Arc indices, each run ascending — first-match stays first-match.
     arcs: Vec<u32>,
+    /// The dispatch keys of the named `BeginAnyDepth` arcs, sorted.
+    begin_keys: Vec<u64>,
+    /// Is there a `BeginAnyDepth(*)` or a `Catchall` (every begin event
+    /// may fire it)? A `Catchall` (every text and end event may)?
+    any_begin: bool,
+    catchall: bool,
 }
 
 impl AnyDepthArcs {
@@ -580,7 +596,29 @@ impl AnyDepthArcs {
         }
         let end = index.arcs.len() as u32;
         index.spans.push((end, end));
+        for label in arcs.iter().flatten().map(|a| &a.label) {
+            match (label, label_dispatch_key(label)) {
+                (ArcLabel::BeginAnyDepth(_), Some(key)) => index.begin_keys.push(key),
+                (ArcLabel::BeginAnyDepth(_), None) => index.any_begin = true,
+                (ArcLabel::Catchall, _) => (index.any_begin, index.catchall) = (true, true),
+                _ => {}
+            }
+        }
+        index.begin_keys.sort_unstable();
+        index.begin_keys.dedup();
         index
+    }
+
+    /// Can some state's any-depth arc accept an event with dispatch `key`
+    /// (`begin`: a begin event)? If not, no configuration anchored above
+    /// the event's parent has anything to fire.
+    #[inline]
+    pub(crate) fn may_accept(&self, key: Option<u64>, begin: bool) -> bool {
+        if begin {
+            self.any_begin || key.is_some_and(|k| self.begin_keys.binary_search(&k).is_ok())
+        } else {
+            self.catchall
+        }
     }
 
     /// The arcs of `state` that can accept a begin event (`begin`), or a
@@ -919,6 +957,16 @@ mod tests {
         // An HPDT without such arcs stores nothing and answers alike.
         let none = AnyDepthArcs::new(&states[..1]);
         assert!(none.spans.is_empty() && none.of(0, true).is_empty());
+        // Which events a shallower anchor can fire on at all: with a
+        // catchall or `=<*>`, every begin (and with a catchall every other
+        // event); with named entry arcs alone, a begin of those names.
+        let key = |n: &str| raw_event_key(&begin(n, 3).as_raw());
+        let text_key = raw_event_key(&text("a", "t", 3).as_raw());
+        assert!(index.may_accept(key("zz"), true) && index.may_accept(text_key, false));
+        let named = AnyDepthArcs::new(&[vec![arc(ArcLabel::BeginAnyDepth(name("a")))]]);
+        assert!(named.may_accept(key("a"), true));
+        assert!(!named.may_accept(key("b"), true) && !named.may_accept(text_key, false));
+        assert!(!none.may_accept(key("a"), true) && !none.may_accept(None, false));
         // The lists are exact: anchored at depth 1, an event at depth 3
         // (4 for the element whose end it is) is accepted by those arcs
         // and no others.

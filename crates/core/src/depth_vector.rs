@@ -27,14 +27,24 @@
 //! deeper documents fall back to an explicit vector. Representations are
 //! canonical: any vector whose depths all fit 0..=63 is stored as bits,
 //! so equality and ordering are representation-independent.
+//!
+//! **Order.** Vectors compare as depth sets from the top down: the
+//! greater is the one holding the deepest depth the two do not share —
+//! which is the bitmap's integer order, extended to wide vectors. Pushing
+//! one depth above both of two vectors, or popping a top they share,
+//! keeps them in order under it; the runtime relies on that to step a run
+//! of configurations anchored at one element as one block (see
+//! `runtime.rs`). Lexicographic order on the depth lists would not: it
+//! ranks (2,65,70) above (1,66,70), and their pops the other way round.
 
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
 const BITS_MAX_DEPTH: u32 = 63;
 
 /// A depth vector: a strictly increasing stack of event depths.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum Repr {
     /// Depths ≤ 63 as a bitmask (the common case; the paper's bitmaps).
     Bits(u64),
@@ -46,8 +56,27 @@ enum Repr {
 }
 
 /// See module docs.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DepthVector(Repr);
+
+impl Ord for DepthVector {
+    /// Top-down set order (see the module docs). A wide vector holds a
+    /// depth above 63, so it follows every bitmap.
+    fn cmp(&self, other: &Self) -> Ordering {
+        match (&self.0, &other.0) {
+            (Repr::Bits(a), Repr::Bits(b)) => a.cmp(b),
+            (Repr::Wide(a), Repr::Wide(b)) => a.iter().rev().cmp(b.iter().rev()),
+            (Repr::Bits(_), Repr::Wide(_)) => Ordering::Less,
+            (Repr::Wide(_), Repr::Bits(_)) => Ordering::Greater,
+        }
+    }
+}
+
+impl PartialOrd for DepthVector {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl Default for DepthVector {
     fn default() -> Self {
@@ -383,6 +412,43 @@ mod tests {
         assert_eq!(wide.prefix(4).unwrap().to_depths(), [1, 2, 63, 64]);
         assert_eq!(wide.prefix(5), Some(wide.clone()));
         assert_eq!(wide.prefix(6), None);
+    }
+
+    /// The order is the model's depth lists compared from the top down,
+    /// whichever representation each side is in, and a push above both
+    /// sides or a pop of the top they share never reorders them — the
+    /// property a lock-step run's successors rely on, across the bitmap
+    /// boundary too.
+    #[test]
+    fn order_is_top_down_and_survives_a_shared_push_or_pop() {
+        let model_cmp = |a: &[u32], b: &[u32]| a.iter().rev().cmp(b.iter().rev());
+        let mut crossed = 0u32;
+        xsq_datagen::rng::cases(0..4096, |rng| {
+            let top = rng.gen_range(1..90u32);
+            let mut side = || {
+                let mut v: Vec<u32> = (0..top).filter(|_| rng.gen_bool(0.3)).collect();
+                v.push(top);
+                v
+            };
+            let (a, b) = (side(), side());
+            let (da, db) = (DepthVector::from_depths(&a), DepthVector::from_depths(&b));
+            assert_eq!(da.cmp(&db), model_cmp(&a, &b), "{a:?} vs {b:?}");
+            let d = top + rng.gen_range(1..8u32);
+            let (mut pa, mut pb) = (da.clone(), db.clone());
+            pa.push_mut(d);
+            pb.push_mut(d);
+            assert_eq!(pa.cmp(&pb), da.cmp(&db), "push {d} on {a:?} vs {b:?}");
+            let (mut qa, mut qb) = (da.clone(), db.clone());
+            qa.pop_mut();
+            qb.pop_mut();
+            assert_eq!(qa.cmp(&qb), da.cmp(&db), "pop of {a:?} vs {b:?}");
+            crossed +=
+                u32::from(da.is_inline() != pa.is_inline() || da.is_inline() != qa.is_inline());
+        });
+        assert!(
+            crossed >= 64,
+            "only {crossed} cases crossed the bitmap boundary"
+        );
     }
 
     /// Model-based check: the bitmap implementation behaves exactly like

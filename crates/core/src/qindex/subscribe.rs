@@ -285,6 +285,7 @@ impl QueryIndex {
             events: self.events - self.events_before,
             results: 0,
             firings: 0,
+            steps: 0,
             probed: 0,
             memory: MemoryStats::default(),
         };
@@ -298,6 +299,7 @@ impl QueryIndex {
             let stats = group.core.finish(&mut route);
             total.results += stats.results;
             total.firings += stats.firings;
+            total.steps += stats.steps;
             total.probed += stats.probed;
             total.memory.peak_bytes += stats.memory.peak_bytes;
             total.memory.peak_items += stats.memory.peak_items;

@@ -27,7 +27,7 @@
 //! moved, which then survives beside its successors — so a closure state
 //! pays nothing for the begin events it merely descends past, and a
 //! configuration nothing matched is not looked at again: it survives
-//! where it is. Two rules make the common steps cost that little:
+//! where it is. Three rules make the common steps cost that little:
 //!
 //! * **Decide first, keep books after.** A feed looks for matches before
 //!   it touches anything else, and an event nothing matches (§4.3: the
@@ -35,13 +35,21 @@
 //!   anchor reset in the item store, no drain, no recycling check —
 //!   nothing can have become determined since the previous event's
 //!   drain. Only a tracer still hears of it.
-//! * **One configuration, one arc, in place.** When exactly one match
-//!   fired — the deterministic step §6.2 prices at one lookup — the
-//!   successor is computed by the same per-arc step as any other
-//!   (`step_arc`) and written back where the configuration stood, or,
-//!   when that would break the order, moved by binary search. The use
-//!   counts, the successor list and the merge are for the general case,
-//!   which is also what every traced run takes.
+//! * **Lock-step runs step once.** A closure over recursive data keeps
+//!   *k* configurations in one state anchored at one element — one per
+//!   enclosing match — and they sit together in the set, a run of equal
+//!   `(top, state)`. Which arcs a configuration takes, and whether it
+//!   survives, depend on its state, its anchor and the event only, so a
+//!   run is matched, survived, sorted and merged once; only the depth
+//!   vector's push or pop and the actions that scope by prefix run per
+//!   member (`step_arc`). On `match_recursive` an event that fires fires
+//!   ≈ 17 arcs in ≈ 4.4 runs. A run that leaves along one arc is
+//!   rewritten where it stands (the top-down order of depth vectors
+//!   keeps it ascending), and moves only if it fell out of order.
+//! * **One run, one arc, in place.** When exactly one run took one arc —
+//!   for a lone configuration, the deterministic step §6.2 prices at one
+//!   lookup — there are no use counts and no sort. The general step is
+//!   also what every traced run takes.
 //!
 //! Two orderings matter:
 //!
@@ -65,6 +73,8 @@
 //! multi-query index own `Arc<Hpdt>`s and runner states side by side with
 //! no self-referential borrows. [`Runner`] is the single-query facade
 //! that pairs a core with one `&Hpdt` for the classic borrowed API.
+
+use std::ops::Range;
 
 use xsq_xml::RawEvent;
 use xsq_xpath::Output;
@@ -96,6 +106,15 @@ struct Config {
 /// current event, until the merge drops it.
 const LEFT: StateId = StateId::MAX;
 
+/// Take `c` out of the set, leaving it marked [`LEFT`].
+fn leave(c: &mut Config) -> Config {
+    Config {
+        state: std::mem::replace(&mut c.state, LEFT),
+        dv: std::mem::take(&mut c.dv),
+        ..*c
+    }
+}
+
 impl Config {
     fn new(state: StateId, dv: DepthVector, item: Option<ItemId>) -> Self {
         Config {
@@ -119,10 +138,15 @@ pub struct RunStats {
     /// Results emitted (for aggregations: 1 per aggregation query, the
     /// final value).
     pub results: u64,
-    /// Arcs fired (a `//` self-loop is not an arc that fires).
+    /// Arcs fired, one per configuration that took one (a `//` self-loop
+    /// is not an arc that fires).
     pub firings: u64,
-    /// Configurations whose arcs were probed in full, summed over the
-    /// events that fired something: the tail of the set an event could
+    /// Arcs fired, counted once per lock-step run: *k* configurations of
+    /// one state anchored at one element that take an arc together are
+    /// one step and *k* firings.
+    pub steps: u64,
+    /// Runs whose arcs were probed in full, summed over the events that
+    /// fired something: the runs in the tail of the set an event could
     /// address. Stays below `firings` while a step touches what moves.
     pub probed: u64,
     /// Peak memory held by the engine.
@@ -154,6 +178,7 @@ pub struct RunnerCore {
     events: u64,
     results: u64,
     firings: u64,
+    steps: u64,
     probed: u64,
     peak_configs: usize,
     /// Per-queue capacity to pre-reserve, from a static `Items(K)` bound
@@ -162,15 +187,18 @@ pub struct RunnerCore {
     // Scratch buffers reused across events (the hot loop allocates
     // nothing on the no-match and single-match paths, and nothing on the
     // match path either once capacities have warmed up).
-    /// `(arc order, state, configuration, arc)` per match: sorts into
-    /// execution order as plain integers.
-    scratch_matches: Vec<(u32, StateId, u32, u32)>,
-    /// Per configuration: how many matched arcs have yet to read it. All
-    /// zero between events.
+    /// `(arc order, state, run start, run length, arc)` per match of a
+    /// run: sorts into execution order as plain integers.
+    scratch_matches: Vec<(u32, StateId, u32, u32, u32)>,
+    /// Per run, at its first position: how many matched arcs have yet to
+    /// read it. All zero between events.
     scratch_uses: Vec<u32>,
     scratch_candidates: Vec<u32>,
     scratch_ser: String,
     scratch_successors: Vec<Config>,
+    /// The runs phase 2 rewrote in place, with the state and arc that
+    /// moved them.
+    scratch_rewritten: Vec<(Range<usize>, StateId, u32)>,
     spare_configs: Vec<Config>,
 }
 
@@ -219,6 +247,7 @@ impl RunnerCore {
             events: 0,
             results: 0,
             firings: 0,
+            steps: 0,
             probed: 0,
             peak_configs: 1,
             queue_hint: 0,
@@ -227,6 +256,7 @@ impl RunnerCore {
             scratch_candidates: Vec::new(),
             scratch_ser: String::new(),
             scratch_successors: Vec::new(),
+            scratch_rewritten: Vec::new(),
             spare_configs: Vec::new(),
         }
     }
@@ -274,6 +304,7 @@ impl RunnerCore {
         self.events = 0;
         self.results = 0;
         self.firings = 0;
+        self.steps = 0;
         self.probed = 0;
         // The config high-water mark is per-document, like the item and
         // queue peaks the fresh stores reset above; without this a
@@ -307,14 +338,17 @@ impl RunnerCore {
     ) -> bool {
         self.events += 1;
 
-        // Phase 1: find every (configuration, arc) match. The set is
-        // ordered by anchor depth, so the configurations whose child,
-        // own-text or own-end arcs the event can satisfy are its tail;
-        // those probe their arcs — a high-fanout state (a merged frontier
-        // with one named arc per query) through its keyed table, so it
-        // costs the arcs filed under the event's key, not all of them. A
-        // shallower configuration can only fire an arc that accepts any
-        // depth below its anchor, and most states have none.
+        // Phase 1: find every (run, arc) match. The set is ordered by
+        // anchor depth, so the configurations whose child, own-text or
+        // own-end arcs the event can satisfy are its tail; those probe
+        // their arcs — a high-fanout state (a merged frontier with one
+        // named arc per query) through its keyed table, so it costs the
+        // arcs filed under the event's key, not all of them. A shallower
+        // configuration can only fire an arc that accepts any depth below
+        // its anchor — most states have none, and when no state has one
+        // for this event the shallower part is not visited at all. A run
+        // of equal `(top, state)` probes once, through its first member:
+        // a label reads only the anchor and a guard only the event.
         self.scratch_matches.clear();
         let key = crate::arcs::raw_event_key(event);
         let (floor, begin) = match event {
@@ -323,34 +357,45 @@ impl RunnerCore {
             RawEvent::End { depth, .. } => (*depth, false),
             RawEvent::StartDocument | RawEvent::EndDocument => (0, false),
         };
-        let tail = self
-            .configs
-            .iter()
-            .rposition(|c| c.top < floor)
-            .map_or(0, |i| i + 1);
-        for (ci, cfg) in self.configs.iter().enumerate() {
+        let tail = self.configs.partition_point(|c| c.top < floor);
+        let (mut probed, mut firings) = (0, 0);
+        let mut start = if hpdt.any_depth.may_accept(key, begin) {
+            0
+        } else {
+            tail
+        };
+        while let Some(cfg) = self.configs.get(start) {
+            let len = self.configs[start..]
+                .iter()
+                .position(|c| (c.top, c.state) != (cfg.top, cfg.state))
+                .unwrap_or(self.configs.len() - start);
             let arcs = &hpdt.arcs[cfg.state as usize];
-            let candidates = if ci < tail {
+            let candidates = if start < tail {
                 hpdt.any_depth.of(cfg.state, begin)
-            } else if let Some(table) = &hpdt.arc_tables[cfg.state as usize] {
-                // Keyed candidates come out in ascending arc order, so
-                // stop-early sees the same first match as a linear scan.
-                table.candidates(key, &mut self.scratch_candidates);
-                &self.scratch_candidates
             } else {
-                &crate::arcs::LINEAR_SCAN[..arcs.len()]
+                probed += 1;
+                if let Some(table) = &hpdt.arc_tables[cfg.state as usize] {
+                    // Keyed candidates come out in ascending arc order, so
+                    // stop-early sees the same first match as a scan.
+                    table.candidates(key, &mut self.scratch_candidates);
+                    &self.scratch_candidates
+                } else {
+                    &crate::arcs::LINEAR_SCAN[..arcs.len()]
+                }
             };
             let stop_early = hpdt.deterministic && !hpdt.scan_all[cfg.state as usize];
             for &ai in candidates {
                 let arc = &arcs[ai as usize];
                 if arc.label_matches(event, &cfg.dv) && arc.guard_passes(event) {
+                    firings += len as u64;
                     self.scratch_matches
-                        .push((arc.order, cfg.state, ci as u32, ai));
+                        .push((arc.order, cfg.state, start as u32, len as u32, ai));
                     if stop_early {
                         break;
                     }
                 }
             }
+            start += len;
         }
         if self.scratch_matches.is_empty() {
             // Every configuration ignores the event (the common case on
@@ -363,14 +408,16 @@ impl RunnerCore {
             return false;
         }
         self.items.begin_event(self.events);
-        self.firings += self.scratch_matches.len() as u64;
-        self.probed += (self.configs.len() - tail) as u64;
+        self.steps += self.scratch_matches.len() as u64;
+        self.firings += firings;
+        self.probed += probed;
 
         // Phases 2 and 3. Trace steps are materialized only when a tracer
         // is attached; the untraced paths never touch `FiredArc`.
         let fired = match (&self.scratch_matches[..], &tracer) {
-            (&[(_, state, ci, ai)], None) => {
-                self.step_in_place(hpdt, event, state, ci as usize, ai);
+            (&[(_, state, start, len, ai)], None) => {
+                let run = start as usize..(start + len) as usize;
+                self.step_in_place(hpdt, event, state, run, ai);
                 Vec::new()
             }
             _ => self.step_set(hpdt, event, tracer.is_some()),
@@ -399,15 +446,17 @@ impl RunnerCore {
         true
     }
 
-    /// One fired arc: the depth-vector discipline (§4.3) around the arc's
-    /// actions, and the successor. Real transitions push the depth of a
-    /// begin event and pop at an end event; self-loops and text events
-    /// leave the vector unchanged. Actions see the "inside" vector —
-    /// after the push, before the pop.
+    /// One fired arc, for one member `c` of the run that took it, which
+    /// becomes its successor in place: the depth-vector discipline (§4.3)
+    /// around the arc's actions. Real transitions push the depth of a
+    /// begin event and pop at an end event — the same depth, or the same
+    /// top, for every member — while self-loops and text events leave the
+    /// vector unchanged. Actions see the "inside" vector — after the push,
+    /// before the pop — which is what tells members' buckets apart.
     ///
-    /// Inlined into both steps, and [`Self::execute`] into it: as calls
-    /// they cost `match_recursive`, at ≈ 16 firings an event, 6–10 %.
-    #[allow(clippy::too_many_arguments)]
+    /// Inlined into [`Self::step_members`], and [`Self::execute`] into it:
+    /// as calls they cost `match_recursive`, at ≈ 17 firings (4.4 steps) a
+    /// fired event, 6–10 %.
     #[inline(always)]
     fn step_arc(
         &mut self,
@@ -415,73 +464,96 @@ impl RunnerCore {
         event: &RawEvent<'_>,
         state: StateId,
         arc: &crate::arcs::Arc,
-        mut dv: DepthVector,
-        cfg_item: Option<ItemId>,
+        c: &mut Config,
         fired: Option<&mut Vec<crate::trace::FiredArc>>,
-    ) -> Config {
+    ) {
         let changes = arc.changes_state(state);
         if changes {
             match event {
-                RawEvent::StartDocument => dv.push_mut(0),
-                RawEvent::Begin { depth, .. } => dv.push_mut(*depth),
+                RawEvent::StartDocument => c.dv.push_mut(0),
+                RawEvent::Begin { depth, .. } => c.dv.push_mut(*depth),
                 _ => {}
             }
         }
         if let Some(fired) = fired {
-            fired.push(crate::trace::fired_arc(arc, state, &dv));
+            fired.push(crate::trace::fired_arc(arc, state, &c.dv));
         }
-        let mut new_item = cfg_item;
+        let item = c.item;
         for action in &arc.actions {
-            self.execute(hpdt, action, arc.owner, event, &dv, cfg_item, &mut new_item);
+            self.execute(hpdt, action, arc.owner, event, &c.dv, item, &mut c.item);
         }
         if changes && matches!(event, RawEvent::End { .. } | RawEvent::EndDocument) {
-            dv.pop_mut();
+            c.dv.pop_mut();
         }
-        Config::new(arc.target, dv, new_item)
+        c.top = c.dv.top();
+        c.state = arc.target;
     }
 
-    /// The step when one configuration took one arc and nobody is
-    /// tracing — a deterministic step, which §6.2 prices at one lookup:
-    /// the successor goes where the configuration stood if it is still in
-    /// order between its neighbours, else to its place by binary search
-    /// (an end event can return it onto a configuration that stayed
-    /// behind: equal, so dropped). The same set [`Self::step_set`] would
-    /// leave, without its use counts, sort and merge.
+    /// The step when one run took one arc and nobody is tracing — for a
+    /// lone configuration, the deterministic step §6.2 prices at one
+    /// lookup. A run that leaves is rewritten where it stands
+    /// ([`Self::rewrite_run`]); one that stays keeps its place and its
+    /// successors are merged in. The same set [`Self::step_set`] would
+    /// leave, without its use counts and sort.
     fn step_in_place(
         &mut self,
         hpdt: &Hpdt,
         event: &RawEvent<'_>,
         state: StateId,
-        ci: usize,
+        run: Range<usize>,
         ai: u32,
     ) {
-        let c = &mut self.configs[ci];
-        let stays = closure_keeps(hpdt, state, event, c.top);
-        let item = c.item;
-        let dv = if stays {
-            c.dv.clone()
-        } else {
-            std::mem::take(&mut c.dv)
-        };
         let arc = &hpdt.arcs[state as usize][ai as usize];
-        let successor = self.step_arc(hpdt, event, state, arc, dv, item, None);
-        let set = &mut self.configs;
-        if !stays {
-            let in_order = (ci == 0 || set[ci - 1] < successor)
-                && set.get(ci + 1).is_none_or(|next| successor < *next);
-            if in_order {
-                set[ci] = successor;
-                return;
+        if closure_keeps(hpdt, state, event, self.configs[run.start].top) {
+            let mut block = std::mem::take(&mut self.scratch_successors);
+            block.extend_from_slice(&self.configs[run]);
+            self.step_members(hpdt, event, state, arc, &mut block, None);
+            self.merge(&mut block, self.configs.len());
+            self.scratch_successors = block;
+        } else {
+            self.rewrite_run(hpdt, event, state, arc, run.clone(), None);
+            if !self.stands_in_order(run.clone(), arc) {
+                self.move_run(run);
             }
-            set.remove(ci);
-        }
-        if let Err(at) = set.binary_search(&successor) {
-            set.insert(at, successor);
         }
     }
 
-    /// The general step: execute the matches in order, then merge their
-    /// successors into the set. Returns the fired arcs when `traced`.
+    /// Put `run` — rewritten in place, out of order with its neighbours —
+    /// where it belongs: rotated into the one gap it fits whole, or, when
+    /// it is one configuration the set already holds, dropped (an end
+    /// event returning it onto the closure state that stayed behind).
+    /// Anything else is taken out and merged back.
+    fn move_run(&mut self, run: Range<usize>) {
+        let set = &mut self.configs;
+        let members = &set[run.clone()];
+        let (first, last) = (&members[0], &members[members.len() - 1]);
+        if members.windows(2).all(|w| w[0] < w[1]) {
+            if run.start > 0 && set[run.start - 1] >= *first {
+                let at = set[..run.start].partition_point(|c| c < first);
+                if *last < set[at] {
+                    set[at..run.end].rotate_right(run.len());
+                    return;
+                }
+                if run.len() == 1 && *first == set[at] {
+                    set.remove(run.start);
+                    return;
+                }
+            } else {
+                let at = run.end + set[run.end..].partition_point(|c| c < first);
+                if set.get(at).is_none_or(|next| last < next) {
+                    set[run.start..at].rotate_left(run.len());
+                    return;
+                }
+            }
+        }
+        let mut block = std::mem::take(&mut self.scratch_successors);
+        self.take_out(run.clone(), &mut block);
+        self.merge(&mut block, run.start);
+        self.scratch_successors = block;
+    }
+
+    /// The general step: execute the matches in order, then bring the set
+    /// back in order. Returns the fired arcs when `traced`.
     fn step_set(
         &mut self,
         hpdt: &Hpdt,
@@ -491,76 +563,217 @@ impl RunnerCore {
         // Phase 2: execute matches in the order their arcs carry — deepest
         // layer first, within a layer value production → flush/upload →
         // clear (see `arcs::execution_order`) — and within one order by
-        // state, then position in the set, then arc.
+        // state, then position in the set, then arc. A run's members are
+        // adjacent in the set, so a run executes member by member, each
+        // member taking every arc its run took at that order.
         let mut matches = std::mem::take(&mut self.scratch_matches);
         matches.sort_unstable();
         let mut uses = std::mem::take(&mut self.scratch_uses);
         if uses.len() < self.configs.len() {
             uses.resize(self.configs.len(), 0);
         }
-        for &(_, _, ci, _) in &matches {
-            uses[ci as usize] += 1;
+        for &(_, _, start, ..) in &matches {
+            uses[start as usize] += 1;
         }
 
-        let mut fired = Vec::with_capacity(if traced { matches.len() } else { 0 });
-        let mut cur = std::mem::take(&mut self.configs);
+        let mut fired = Vec::new();
         let mut successors = std::mem::take(&mut self.scratch_successors);
-        let mut first_left = cur.len();
-        for &(_, state, ci, ai) in &matches {
-            let ci = ci as usize;
-            let arc = &hpdt.arcs[state as usize][ai as usize];
-            // Survival is decided for matched configurations only, on
-            // their last use (one nothing matched ignores the event and
-            // stays where it is): a matched one stays where `//` keeps it
-            // searching, and otherwise leaves, giving its depth vector to
-            // the last successor; earlier (forking) uses clone it.
-            uses[ci] -= 1;
-            let c = &mut cur[ci];
-            let dv = if uses[ci] > 0 || closure_keeps(hpdt, state, event, c.top) {
-                c.dv.clone()
-            } else {
-                first_left = first_left.min(ci);
-                c.state = LEFT;
-                std::mem::take(&mut c.dv)
-            };
-            let item = c.item;
-            let fired = traced.then_some(&mut fired);
-            successors.push(self.step_arc(hpdt, event, state, arc, dv, item, fired));
+        let mut rewritten = std::mem::take(&mut self.scratch_rewritten);
+        let mut first_left = self.configs.len();
+        let mut ascending = true;
+        for taken in matches.chunk_by(|a, b| (a.0, a.2) == (b.0, b.2)) {
+            let (_, state, start, len, _) = taken[0];
+            let run = start as usize..(start + len) as usize;
+            // Survival is decided for matched runs only, on their last
+            // use (one nothing matched ignores the event and stays where
+            // it is), and for a whole run at once: `closure_keeps` reads
+            // the state, the event and the anchor. A matched run stays
+            // where `//` keeps it searching, and otherwise leaves, each
+            // member giving its depth vector to its last successor;
+            // earlier (forking) uses clone it.
+            uses[run.start] -= taken.len() as u32;
+            let top = self.configs[run.start].top;
+            let leaves = uses[run.start] == 0 && !closure_keeps(hpdt, state, event, top);
+            if let (true, &[(.., ai)]) = (leaves, taken) {
+                let arc = &hpdt.arcs[state as usize][ai as usize];
+                let fired = traced.then_some(&mut fired);
+                self.rewrite_run(hpdt, event, state, arc, run.clone(), fired);
+                rewritten.push((run, state, ai));
+                continue;
+            }
+            // A run that stays, or forks, steps copies of its members.
+            let block = successors.len();
+            for ci in run.clone() {
+                for (j, &(.., ai)) in taken.iter().enumerate() {
+                    let c = &mut self.configs[ci];
+                    successors.push(if leaves && j + 1 == taken.len() {
+                        leave(c)
+                    } else {
+                        c.clone()
+                    });
+                    let arc = &hpdt.arcs[state as usize][ai as usize];
+                    let fired = traced.then_some(&mut fired);
+                    let at = successors.len() - 1;
+                    self.step_members(hpdt, event, state, arc, &mut successors[at..], fired);
+                }
+            }
+            if leaves {
+                first_left = first_left.min(run.start);
+            }
+            // One arc moves a run's members alike, so its successors come
+            // out ascending (see `rewrite_run`); several interleave theirs.
+            ascending &=
+                taken.len() == 1 && (block == 0 || successors[block - 1] <= successors[block]);
         }
 
-        // Phase 3: merge. Closures re-derive the same (state, dv) along
-        // several arcs, and an element's end returns its configuration
-        // onto the closure state that stayed behind, so successors are
-        // deduplicated among themselves and against the set — which
-        // changes only from the first configuration that left or the
-        // first successor's place, whichever comes first. Everything
-        // before is untouched; for a begin event below closure states
-        // that is the whole set, and the successors are appended.
-        if !successors.windows(2).all(|w| w[0] < w[1]) {
-            successors.sort_unstable();
-            successors.dedup();
-        }
-        let from = cur[..first_left]
-            .iter()
-            .rposition(|c| *c < successors[0])
-            .map_or(0, |i| i + 1);
-        let mut displaced = std::mem::take(&mut self.spare_configs);
-        displaced.extend(cur.drain(from..).filter(|c| c.state != LEFT));
-        let mut incoming = successors.drain(..).peekable();
-        for c in displaced.drain(..) {
-            while let Some(s) = incoming.next_if(|s| *s < c) {
-                cur.push(s);
+        // Phase 3: every run rewritten in place must still stand in order
+        // between its neighbours. If one does not — an end event returning
+        // members to a shallower anchor — they all join the successors,
+        // which are merged in block by block when the blocks came out in
+        // order.
+        if !rewritten.iter().all(|(run, state, ai)| {
+            self.stands_in_order(run.clone(), &hpdt.arcs[*state as usize][*ai as usize])
+        }) {
+            for (run, ..) in &rewritten {
+                first_left = first_left.min(run.start);
+                self.take_out(run.clone(), &mut successors);
             }
-            incoming.next_if(|s| *s == c);
-            cur.push(c);
+            ascending = false;
         }
-        cur.extend(incoming);
+        rewritten.clear();
+        if !ascending {
+            successors.sort_unstable();
+        }
+        self.merge(&mut successors, first_left);
+        self.scratch_rewritten = rewritten;
         self.scratch_successors = successors;
-        self.spare_configs = displaced;
-        self.configs = cur;
         self.scratch_matches = matches;
         self.scratch_uses = uses;
         fired
+    }
+
+    /// Every member of `run` takes `arc` and becomes its successor where
+    /// it stands: how a run that leaves along one arc steps. One arc moves
+    /// every member alike — a begin pushes one depth above the top they
+    /// share, an end pops that top — and the top-down order of depth
+    /// vectors keeps them ascending through either, so the successors are
+    /// still a block; only the actions that scope by prefix tell members
+    /// apart.
+    #[inline(always)]
+    fn rewrite_run(
+        &mut self,
+        hpdt: &Hpdt,
+        event: &RawEvent<'_>,
+        state: StateId,
+        arc: &crate::arcs::Arc,
+        run: Range<usize>,
+        fired: Option<&mut Vec<crate::trace::FiredArc>>,
+    ) {
+        let mut set = std::mem::take(&mut self.configs);
+        self.step_members(hpdt, event, state, arc, &mut set[run], fired);
+        self.configs = set;
+    }
+
+    /// Step every configuration of `members` — held outside the set —
+    /// along `arc`, in order: the one loop that runs [`Self::step_arc`].
+    #[inline(always)]
+    fn step_members(
+        &mut self,
+        hpdt: &Hpdt,
+        event: &RawEvent<'_>,
+        state: StateId,
+        arc: &crate::arcs::Arc,
+        members: &mut [Config],
+        mut fired: Option<&mut Vec<crate::trace::FiredArc>>,
+    ) {
+        for c in members {
+            self.step_arc(hpdt, event, state, arc, c, fired.as_deref_mut());
+        }
+    }
+
+    /// Does `run`, rewritten in place by `arc`, still stand strictly
+    /// between its neighbours — and, when the arc gave every member one
+    /// item, are its members still apart? A neighbour on the right that
+    /// left does not count as in order: what follows it is unknown.
+    #[inline(always)]
+    fn stands_in_order(&self, run: Range<usize>, arc: &crate::arcs::Arc) -> bool {
+        let set = &self.configs;
+        let block = &set[run.clone()];
+        debug_assert!(
+            block.windows(2).all(|w| w[0] <= w[1]),
+            "a run's successors form an ascending block"
+        );
+        (run.start == 0 || set[run.start - 1] < block[0])
+            && set
+                .get(run.end)
+                .is_none_or(|next| next.state != LEFT && block[block.len() - 1] < *next)
+            && (block.len() == 1 || !arc.sets_item() || block.windows(2).all(|w| w[0] < w[1]))
+    }
+
+    /// Move `run` out to `successors`, leaving its members marked
+    /// [`LEFT`] for the merge to drop.
+    fn take_out(&mut self, run: Range<usize>, successors: &mut Vec<Config>) {
+        successors.extend(self.configs[run].iter_mut().map(leave));
+    }
+
+    /// Merge `successors` — ascending, repeats allowed — into the set,
+    /// dropping the configurations marked [`LEFT`], none of which stands
+    /// before `first_left`. Closures re-derive the same (state, dv) along
+    /// several arcs, and an element's end returns its configurations onto
+    /// the closure state that stayed behind, so successors are
+    /// deduplicated among themselves and against the set. One the
+    /// untouched part already holds is dropped where a binary search
+    /// finds it, so the set is rewritten only from the first configuration
+    /// that left or the place of the first successor that is new,
+    /// whichever comes first. Everything before is untouched; for a begin
+    /// event below closure states that is the whole set, and the
+    /// successors go in with one splice.
+    fn merge(&mut self, successors: &mut Vec<Config>, first_left: usize) {
+        debug_assert!(
+            successors.windows(2).all(|w| w[0] <= w[1]),
+            "successors ascend"
+        );
+        let cur = &mut self.configs;
+        let kept = &cur[..first_left];
+        let (mut at, mut from) = (0, first_left);
+        successors.retain(|s| {
+            let found = kept[at..].binary_search(s);
+            let (Ok(i) | Err(i)) = found;
+            at += i;
+            if found.is_err() {
+                from = from.min(at);
+            }
+            found.is_err()
+        });
+        if first_left == cur.len()
+            && cur
+                .get(from)
+                .is_none_or(|next| successors.last() < Some(next))
+        {
+            // Nothing left, and the new successors fit one gap.
+            successors.dedup();
+            cur.splice(from..from, successors.drain(..));
+            return;
+        }
+        let mut displaced = std::mem::take(&mut self.spare_configs);
+        displaced.extend(cur.drain(from..).filter(|c| c.state != LEFT));
+        let push_new = |cur: &mut Vec<Config>, s: Config| {
+            if cur.last() != Some(&s) {
+                cur.push(s);
+            }
+        };
+        let mut incoming = successors.drain(..).peekable();
+        for c in displaced.drain(..) {
+            while let Some(s) = incoming.next_if(|s| *s < c) {
+                push_new(cur, s);
+            }
+            while incoming.next_if(|s| *s == c).is_some() {}
+            cur.push(c);
+        }
+        for s in incoming {
+            push_new(cur, s);
+        }
+        self.spare_configs = displaced;
     }
 
     /// What every fired event must leave behind: the set strictly
@@ -750,6 +963,7 @@ impl RunnerCore {
             events: self.events,
             results: self.results,
             firings: self.firings,
+            steps: self.steps,
             probed: self.probed,
             memory: self.memory(),
         }
@@ -1128,12 +1342,18 @@ mod tests {
         }
         let stats = runner.finish(&mut sink);
         assert_eq!((stats.memory.peak_configs, stats.results), (47, 484));
-        // A step touches what moves: the configurations probed in full
-        // are the tail of the set the event addresses — fewer than the
-        // arcs that fire. Walking the whole set again would read about
-        // twice the firings here; a count fails, not a timing.
+        // A step touches what moves: the runs probed in full are the tail
+        // of the set the event addresses — fewer than the arcs that fire.
+        // Walking the whole set again would read about twice the firings
+        // here; a count fails, not a timing.
         assert_eq!(stats.firings, 114_198);
         assert!(stats.probed <= stats.firings, "probed {}", stats.probed);
+        // Configurations anchored at one element in one state move in
+        // lock step: their arcs fire once per run, 3.9 firings a step
+        // here. Stepping members one by one would read `steps ==
+        // firings`.
+        assert_eq!(stats.steps, 29_192);
+        assert!(2 * stats.steps <= stats.firings, "steps {}", stats.steps);
     }
 
     #[test]

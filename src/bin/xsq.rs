@@ -25,8 +25,9 @@
 //! Options:
 //!   --engine NAME   xsq-f (default) | xsq-nc | saxon | galax | xmltk |
 //!                   joost | xqengine
-//!   --stats         print events / results / arc firings / configurations
-//!                   probed / memory / time to stderr
+//!   --stats         print events / results / arc firings / steps (firings
+//!                   of a lock-step run counted once) / runs probed /
+//!                   memory / time to stderr
 //!   --running       for aggregations, print running updates as they occur
 //!   --quiet         suppress result output (timing runs)
 //!   --json          emit results as JSON lines ({"result": …})
@@ -434,7 +435,7 @@ fn run_query_file(opts: &Options) -> ExitCode {
                     let (buckets, entries, longest_bucket) = index.dispatch_shape();
                     eprintln!(
                         "# {}: {} results in {:.1} ms [{} queries, {} groups] engine={} \
-                         events={} firings={} probed={} touches={} (loop path: {}) \
+                         events={} firings={} steps={} probed={} touches={} (loop path: {}) \
                          buckets={buckets} entries={entries} longest_bucket={longest_bucket}",
                         file.as_deref().unwrap_or("<stdin>"),
                         sink.results,
@@ -444,6 +445,7 @@ fn run_query_file(opts: &Options) -> ExitCode {
                         opts.engine,
                         stats.events,
                         stats.firings,
+                        stats.steps,
                         stats.probed,
                         index.touches(),
                         stats.events * set.len() as u64,
@@ -1373,7 +1375,7 @@ fn main() -> ExitCode {
                     if opts.stats {
                         eprintln!(
                             "# {}: {} results in {:.1} ms [{}] engine={} events={} \
-                             firings={} probed={} peak_buffered_bytes={} peak_configs={}",
+                             firings={} steps={} probed={} peak_buffered_bytes={} peak_configs={}",
                             file.as_deref().unwrap_or("<stdin>"),
                             sink.results,
                             t0.elapsed().as_secs_f64() * 1e3,
@@ -1381,6 +1383,7 @@ fn main() -> ExitCode {
                             opts.engine,
                             stats.events,
                             stats.firings,
+                            stats.steps,
                             stats.probed,
                             stats.memory.peak_bytes,
                             stats.memory.peak_configs,

@@ -9,8 +9,10 @@
 //! * XMLTK ≡ DOM on predicate-free `text()`/`@attr`/`count()` queries;
 //! * every road a compiled query batch can take into a `QueryIndex`
 //!   ≡ the solo runners ≡ DOM — on random batches, on batches that merge
-//!   into one group, on batches that compile to a keyed step, and on
-//!   documents nested past the 64 levels a bitmap depth vector holds;
+//!   into one group, on batches that compile to a keyed step, on
+//!   documents nested past the 64 levels a bitmap depth vector holds, and
+//!   on same-name nesting whose configurations move in long lock-step
+//!   runs;
 //! * the well-formedness PDA accepts every generated document's events.
 //!
 //! Every property runs [`CASES`] cases through `datagen::rng::cases`
@@ -685,6 +687,94 @@ fn documents_deeper_than_the_bitmap_equal_the_dom_oracle() {
             set.hpdts().any(|h| !h.keyed.is_empty()),
             "the [k=…] family did not compile to a keyed step"
         );
+    });
+}
+
+/// One spine of same-name nesting: `<pub>` in `<pub>` down to `levels`,
+/// each with a `<year>` witness (2001, 2002 or 1999, before or after its
+/// child, or none) and books — with or without a `<price>`, now and then
+/// one inside another — always at depths 62–67, so that the run of
+/// configurations anchored at one book, one per enclosing `pub`, pushes
+/// its `<title>` across the bitmap's last depth together.
+fn gen_pub_spine(rng: &mut StdRng, depth: u32, levels: u32, out: &mut String) {
+    if depth > levels {
+        return;
+    }
+    let year = |rng: &mut StdRng, out: &mut String| {
+        if rng.gen_bool(0.5) {
+            let year = pick(rng, &["2001", "2002", "1999"]);
+            out.push_str(&format!("<year>{year}</year>"));
+        }
+    };
+    let book = |rng: &mut StdRng, out: &mut String| {
+        if rng.gen_bool(0.3) || (61..=66).contains(&depth) {
+            out.push_str("<book>");
+            if rng.gen_bool(0.5) {
+                out.push_str("<price>1</price>");
+            }
+            out.push_str(&format!("<title>t{depth}</title>"));
+            if rng.gen_bool(0.2) {
+                out.push_str(&format!(
+                    "<book><title>u{depth}</title><price>2</price></book>"
+                ));
+            }
+            out.push_str("</book>");
+        }
+    };
+    out.push_str("<pub>");
+    year(rng, out);
+    book(rng, out);
+    gen_pub_spine(rng, depth + 1, levels, out);
+    book(rng, out);
+    year(rng, out);
+    out.push_str("</pub>");
+}
+
+/// The shapes whose configurations move in lock step: the referee's
+/// closure under a predicate, whole-element output (one item opened and
+/// appended to by every member of a run), a keyed family, and `count()`.
+const LOCK_STEP_QUERIES: [&str; 5] = [
+    "//pub[year>2000]//book[price]/title/text()",
+    "//pub//book",
+    "//pub[year=2001]//title/text()",
+    "//pub[year=2002]//title/text()",
+    "//pub[year>2000]//book/count()",
+];
+
+/// Same-name nesting 20–80 deep makes the runs of equal `(top, state)`
+/// the runtime steps as one long — one member per enclosing `pub` — and
+/// one document of each pair takes them past depth 63 and back, so whole
+/// runs leave the bitmap depth vector together. Every road must still
+/// agree with the DOM oracle, and a traced group (the general step on
+/// every event) with an untraced one.
+#[test]
+fn lock_step_groups_equal_the_dom_oracle() {
+    cases(0..CASES / 64, |rng| {
+        let docs = [rng.gen_range(66..81), rng.gen_range(20..66)].map(|levels| {
+            let mut doc = String::from("<r>");
+            gen_pub_spine(rng, 2, levels, &mut doc);
+            doc + "</r>"
+        });
+        let set = assert_the_four_roads_agree(&docs, &LOCK_STEP_QUERIES);
+        assert!(
+            set.hpdts().any(|h| !h.keyed.is_empty()),
+            "the [year=…] family did not compile to a keyed step"
+        );
+        let corpus = [events_of(&docs[0]), events_of(&docs[1])];
+        for hpdt in set.hpdts() {
+            let (untraced, traced) = (
+                run_group(hpdt, &corpus, false),
+                run_group(hpdt, &corpus, true),
+            );
+            assert_eq!(untraced, traced, "traced vs untraced over {docs:?}");
+        }
+        // The runs are what the family is for: long ones.
+        let stats = XsqEngine::full()
+            .compile_str(LOCK_STEP_QUERIES[0])
+            .expect("compiles")
+            .run_document(docs[0].as_bytes(), &mut VecSink::new())
+            .expect("well-formed");
+        assert!(stats.firings >= 4 * stats.steps, "{stats:?}");
     });
 }
 
