@@ -76,6 +76,6 @@ pub use report::{Capabilities, MemoryStats, PhaseTimings, RunReport, Unsupported
 pub use runtime::{RunStats, Runner, RunnerCore};
 pub use shard::{
     run_sequential, run_sequential_with, run_sharded, run_sharded_with, DocOutput, ShardError,
-    ShardOptions, ShardRun,
+    ShardRun,
 };
 pub use sink::{CountingSink, FnSink, IgnoreTags, Sink, TaggedSink, TaggedVecSink, VecSink};

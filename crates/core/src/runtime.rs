@@ -412,15 +412,18 @@ impl RunnerCore {
         self.firings += firings;
         self.probed += probed;
 
-        // Phases 2 and 3. Trace steps are materialized only when a tracer
-        // is attached; the untraced paths never touch `FiredArc`.
-        let fired = match (&self.scratch_matches[..], &tracer) {
-            (&[(_, state, start, len, ai)], None) => {
+        // Phases 2 and 3, on the same path traced or not. Trace steps are
+        // materialized only when a tracer is attached; the untraced paths
+        // never touch `FiredArc`.
+        let traced = tracer.is_some();
+        let fired = match &self.scratch_matches[..] {
+            &[(_, state, start, len, ai)] => {
+                let mut fired = Vec::new();
                 let run = start as usize..(start + len) as usize;
-                self.step_in_place(hpdt, event, state, run, ai);
-                Vec::new()
+                self.step_in_place(hpdt, event, state, run, ai, traced.then_some(&mut fired));
+                fired
             }
-            _ => self.step_set(hpdt, event, tracer.is_some()),
+            _ => self.step_set(hpdt, event, traced),
         };
         self.peak_configs = self.peak_configs.max(self.configs.len());
         #[cfg(debug_assertions)]
@@ -489,12 +492,12 @@ impl RunnerCore {
         c.state = arc.target;
     }
 
-    /// The step when one run took one arc and nobody is tracing — for a
-    /// lone configuration, the deterministic step §6.2 prices at one
-    /// lookup. A run that leaves is rewritten where it stands
-    /// ([`Self::rewrite_run`]); one that stays keeps its place and its
-    /// successors are merged in. The same set [`Self::step_set`] would
-    /// leave, without its use counts and sort.
+    /// The step when one run took one arc — for a lone configuration,
+    /// the deterministic step §6.2 prices at one lookup. A run that leaves
+    /// is rewritten where it stands ([`Self::rewrite_run`]); one that
+    /// stays keeps its place and its successors are merged in. The same
+    /// set, and the same fired arcs in the same order, that
+    /// [`Self::step_set`] would leave, without its use counts and sort.
     fn step_in_place(
         &mut self,
         hpdt: &Hpdt,
@@ -502,16 +505,17 @@ impl RunnerCore {
         state: StateId,
         run: Range<usize>,
         ai: u32,
+        fired: Option<&mut Vec<crate::trace::FiredArc>>,
     ) {
         let arc = &hpdt.arcs[state as usize][ai as usize];
         if closure_keeps(hpdt, state, event, self.configs[run.start].top) {
             let mut block = std::mem::take(&mut self.scratch_successors);
             block.extend_from_slice(&self.configs[run]);
-            self.step_members(hpdt, event, state, arc, &mut block, None);
+            self.step_members(hpdt, event, state, arc, &mut block, fired);
             self.merge(&mut block, self.configs.len());
             self.scratch_successors = block;
         } else {
-            self.rewrite_run(hpdt, event, state, arc, run.clone(), None);
+            self.rewrite_run(hpdt, event, state, arc, run.clone(), fired);
             if !self.stands_in_order(run.clone(), arc) {
                 self.move_run(run);
             }

@@ -8,7 +8,7 @@
 //! worker. This module provides the driver on top of those guarantees:
 //!
 //! - [`run_sharded`] fans a corpus out over a fixed worker pool through
-//!   a bounded channel (backpressure: at most `queue_depth` documents
+//!   a bounded channel (backpressure: at most two documents per worker
 //!   are in flight beyond the ones being parsed),
 //! - each worker owns a private [`QueryIndex`] instantiated from the
 //!   shared [`QuerySet`] ([`QuerySet::index`]: fresh runtime state over
@@ -40,44 +40,6 @@ use crate::error::EngineError;
 use crate::multi::QuerySet;
 use crate::qindex::{QueryId, QueryIndex, VecQuerySink};
 use crate::report::MemoryStats;
-
-/// Tuning knobs for the worker pool.
-#[derive(Debug, Clone, Default)]
-pub struct ShardOptions {
-    /// Worker threads. `0` (the default) means one per available CPU.
-    pub workers: usize,
-    /// Bounded feed-channel capacity. `0` (the default) means
-    /// `2 × workers`, enough to keep every worker busy without reading
-    /// the whole corpus ahead.
-    pub queue_depth: usize,
-}
-
-impl ShardOptions {
-    /// A pool of exactly `workers` threads.
-    pub fn with_workers(workers: usize) -> Self {
-        ShardOptions {
-            workers,
-            ..Self::default()
-        }
-    }
-
-    fn resolve_workers(&self) -> usize {
-        if self.workers > 0 {
-            return self.workers;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-
-    fn resolve_depth(&self, workers: usize) -> usize {
-        if self.queue_depth > 0 {
-            self.queue_depth
-        } else {
-            2 * workers
-        }
-    }
-}
 
 /// Everything one document produced, in intra-document arrival order.
 /// `QueryId`s are global: the query's index in the [`QuerySet`].
@@ -209,9 +171,10 @@ pub fn run_sequential(set: &QuerySet, docs: &[impl AsRef<[u8]>]) -> Result<Shard
     Ok(ShardRun { per_doc, workers })
 }
 
-/// Fan `docs` out over a worker pool and stream merged output through
-/// `emit(doc_index, output)`, called strictly in document order. Returns
-/// the worker count used.
+/// Fan `docs` out over a pool of `workers` threads (`0` means one per
+/// available CPU) and stream merged output through `emit(doc_index,
+/// output)`, called strictly in document order. Returns the worker
+/// count used.
 ///
 /// With one worker (or zero/one documents) this degrades to
 /// [`run_sequential_with`] on the calling thread — no pool, identical
@@ -219,19 +182,23 @@ pub fn run_sequential(set: &QuerySet, docs: &[impl AsRef<[u8]>]) -> Result<Shard
 pub fn run_sharded_with(
     set: &QuerySet,
     docs: &[impl AsRef<[u8]>],
-    opts: &ShardOptions,
+    workers: usize,
     mut emit: impl FnMut(usize, DocOutput),
 ) -> Result<usize, ShardError> {
-    let workers = opts.resolve_workers().min(docs.len().max(1));
-    if workers <= 1 || docs.len() <= 1 {
+    let workers = match workers {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    }
+    .min(docs.len().max(1));
+    if workers <= 1 {
         return run_sequential_with(set, docs, emit);
     }
-    let depth = opts.resolve_depth(workers);
 
-    // Feed: bounded, so a huge corpus never piles up unparsed beyond the
-    // backpressure window. Results: unbounded, because every entry is a
-    // document that already left the feed window.
-    let (feed_tx, feed_rx) = mpsc::sync_channel::<(usize, &[u8])>(depth);
+    // Feed: bounded to two documents per worker, enough to keep every
+    // worker busy without reading the whole corpus ahead. Results:
+    // unbounded, because every entry is a document that already left
+    // the feed window.
+    let (feed_tx, feed_rx) = mpsc::sync_channel::<(usize, &[u8])>(2 * workers);
     let feed_rx = Mutex::new(feed_rx);
     let (out_tx, out_rx) = mpsc::channel::<(usize, Result<DocOutput, EngineError>)>();
     // Raised on the first failure: the dispatcher stops feeding new
@@ -314,10 +281,10 @@ pub fn run_sharded_with(
 pub fn run_sharded(
     set: &QuerySet,
     docs: &[impl AsRef<[u8]>],
-    opts: &ShardOptions,
+    workers: usize,
 ) -> Result<ShardRun, ShardError> {
     let mut per_doc = Vec::with_capacity(docs.len());
-    let workers = run_sharded_with(set, docs, opts, |_, out| per_doc.push(out))?;
+    let workers = run_sharded_with(set, docs, workers, |_, out| per_doc.push(out))?;
     Ok(ShardRun { per_doc, workers })
 }
 
@@ -360,7 +327,7 @@ mod tests {
         let set = set();
         let seq = run_sequential(&set, &docs).unwrap();
         for workers in [2, 3, 4, 8] {
-            let sharded = run_sharded(&set, &docs, &ShardOptions::with_workers(workers)).unwrap();
+            let sharded = run_sharded(&set, &docs, workers).unwrap();
             assert_eq!(sharded.workers, workers);
             assert_eq!(
                 seq.per_doc, sharded.per_doc,
@@ -373,7 +340,7 @@ mod tests {
     fn merged_per_query_view_is_document_ordered() {
         let docs = corpus(12);
         let set = set();
-        let run = run_sharded(&set, &docs, &ShardOptions::with_workers(4)).unwrap();
+        let run = run_sharded(&set, &docs, 4).unwrap();
         let names = run.of(QueryId(0));
         let expected: Vec<String> = (0..12).map(|i| format!("B{i}")).collect();
         assert_eq!(names, expected);
@@ -384,10 +351,7 @@ mod tests {
         let docs = corpus(25);
         let set = set();
         let mut seen = Vec::new();
-        run_sharded_with(&set, &docs, &ShardOptions::with_workers(4), |di, _| {
-            seen.push(di)
-        })
-        .unwrap();
+        run_sharded_with(&set, &docs, 4, |di, _| seen.push(di)).unwrap();
         let expected: Vec<usize> = (0..25).collect();
         assert_eq!(seen, expected);
     }
@@ -399,10 +363,7 @@ mod tests {
         docs[13] = b"not xml".to_vec();
         let set = set();
         let mut emitted = Vec::new();
-        let err = run_sharded_with(&set, &docs, &ShardOptions::with_workers(4), |di, _| {
-            emitted.push(di)
-        })
-        .unwrap_err();
+        let err = run_sharded_with(&set, &docs, 4, |di, _| emitted.push(di)).unwrap_err();
         let ShardError::Document { doc, .. } = err;
         assert_eq!(doc, 7);
         // The emitted prefix is exactly the documents before the failure.
@@ -420,7 +381,7 @@ mod tests {
         let mut docs = corpus(6);
         docs[5] = b"<a><b>".to_vec();
         let set = set();
-        let err = run_sharded(&set, &docs, &ShardOptions::with_workers(2)).unwrap_err();
+        let err = run_sharded(&set, &docs, 2).unwrap_err();
         let ShardError::Document { doc, .. } = err;
         assert_eq!(doc, 5);
     }
@@ -429,10 +390,10 @@ mod tests {
     fn empty_corpus_and_tiny_pools() {
         let set = set();
         let docs: Vec<Vec<u8>> = Vec::new();
-        let run = run_sharded(&set, &docs, &ShardOptions::default()).unwrap();
+        let run = run_sharded(&set, &docs, 0).unwrap();
         assert!(run.per_doc.is_empty());
         let one = corpus(1);
-        let run = run_sharded(&set, &one, &ShardOptions::with_workers(8)).unwrap();
+        let run = run_sharded(&set, &one, 8).unwrap();
         assert_eq!(run.workers, 1, "one document never needs a pool");
         assert_eq!(run.per_doc.len(), 1);
     }
@@ -441,7 +402,7 @@ mod tests {
     fn aggregates_finalize_per_document() {
         let docs = corpus(5);
         let set = set();
-        let run = run_sharded(&set, &docs, &ShardOptions::with_workers(2)).unwrap();
+        let run = run_sharded(&set, &docs, 2).unwrap();
         // One sum() result per document, not one for the whole corpus.
         assert_eq!(run.of(QueryId(3)).len(), 5);
         let seq = run_sequential(&set, &docs).unwrap();

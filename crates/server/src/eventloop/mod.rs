@@ -1,6 +1,5 @@
-//! The serving model: one thread (optionally sharded to
-//! `--loop-threads N`) multiplexes every connection over an epoll (or
-//! `poll(2)`) readiness loop.
+//! The serving model: one thread multiplexes every connection over an
+//! epoll (or `poll(2)`) readiness loop.
 //!
 //! The loop holds thousands of mostly-idle subscriber connections at a
 //! fixed thread cost, which is what broadcast fan-out needs. The
@@ -42,13 +41,14 @@ use std::collections::hash_map::{Entry, HashMap};
 use std::io::{self, ErrorKind, Read};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use xsq_core::PlanCache;
+
 use crate::proto::{err_payload, errcode, op, Frame, CONTROL_SESSION, WIRE_V1, WIRE_V2};
-use crate::server::{BroadcastPolicy, ServeOptions, Shared};
+use crate::server::{BroadcastPolicy, ServeOptions};
 use crate::session::{Action, Session, TransportStats};
 
 use broadcast::Hub;
@@ -68,48 +68,6 @@ const DRAIN_GRACE: Duration = Duration::from_secs(5);
 /// whatever is left.
 const READ_CHUNK: usize = 64 * 1024;
 const READS_PER_WAKE: usize = 8;
-
-/// Spawn the event-loop threads for an already-bound listener.
-pub(crate) fn spawn(
-    listener: TcpListener,
-    opts: ServeOptions,
-    shared: Arc<Shared>,
-) -> io::Result<Vec<JoinHandle<()>>> {
-    // Broadcast needs every connection on one loop (the hub is
-    // single-threaded state); otherwise shard by listener clone.
-    let loops = if opts.broadcast.is_some() {
-        1
-    } else {
-        opts.loop_threads.max(1)
-    };
-    let mut threads = Vec::with_capacity(loops);
-    for i in 0..loops {
-        let listener = listener.try_clone()?;
-        let opts = opts.clone();
-        let shared = Arc::clone(&shared);
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("xsq-loop-{i}"))
-                .spawn(move || match EventLoop::new(listener, opts, shared) {
-                    Ok(el) => el.run(),
-                    Err(e) => eprintln!("xsq serve: event loop failed to start: {e}"),
-                })
-                .expect("spawn event loop"),
-        );
-    }
-    Ok(threads)
-}
-
-/// Fold a connection's queue high-water marks into the server-wide
-/// ones STAT reports.
-fn note_queue_hwm(shared: &Shared, write: &WriteBuf) {
-    shared
-        .queue_hwm
-        .fetch_max(write.depth_hwm(), Ordering::Relaxed);
-    shared
-        .queue_bytes_hwm
-        .fetch_max(write.queued_bytes_hwm(), Ordering::Relaxed);
-}
 
 /// One connection's loop-side state.
 struct Conn {
@@ -180,11 +138,21 @@ impl Conn {
     }
 }
 
-struct EventLoop {
+pub(crate) struct EventLoop {
     poller: Poller,
     listener: Option<TcpListener>,
     opts: ServeOptions,
-    shared: Arc<Shared>,
+    /// Compiled plans, shared with every session and the hub.
+    cache: Arc<PlanCache>,
+    /// The one value that crosses threads: set by
+    /// [`crate::ServerHandle::shutdown`].
+    shutdown: Arc<AtomicBool>,
+    /// Transport counters STAT surfaces, written only by this loop.
+    connections: u64,
+    sessions: u64,
+    queue_hwm: u64,
+    queue_bytes_hwm: u64,
+    dropped: u64,
     conns: HashMap<u64, Conn>,
     next_token: u64,
     hub: Option<Hub>,
@@ -193,22 +161,33 @@ struct EventLoop {
 }
 
 impl EventLoop {
-    fn new(
+    /// Build the loop around a bound listener: the poller, the
+    /// listener's registration and the broadcast hub.
+    pub(crate) fn new(
         listener: TcpListener,
         opts: ServeOptions,
-        shared: Arc<Shared>,
+        shutdown: Arc<AtomicBool>,
     ) -> io::Result<EventLoop> {
         listener.set_nonblocking(true)?;
         let mut poller = Poller::new()?;
         poller.register(listener.as_raw_fd(), LISTENER, true, false)?;
+        // The cache analyzes bounds against the admission DTD, so a
+        // cached bound is the one `max_bound` is about.
+        let cache = PlanCache::new(opts.limits.dtd.clone());
         let hub = opts
             .broadcast
-            .map(|_| Hub::new(opts.engine, opts.limits.clone(), Arc::clone(&shared.cache)));
+            .map(|_| Hub::new(opts.engine, opts.limits.clone(), Arc::clone(&cache)));
         Ok(EventLoop {
             poller,
             listener: Some(listener),
             opts,
-            shared,
+            cache,
+            shutdown,
+            connections: 0,
+            sessions: 0,
+            queue_hwm: 0,
+            queue_bytes_hwm: 0,
+            dropped: 0,
             conns: HashMap::new(),
             next_token: 1,
             hub,
@@ -217,7 +196,11 @@ impl EventLoop {
         })
     }
 
-    fn run(mut self) {
+    pub(crate) fn backend_name(&self) -> &'static str {
+        self.poller.backend_name()
+    }
+
+    pub(crate) fn run(mut self) {
         let mut last_sweep = Instant::now();
         loop {
             let mut events = std::mem::take(&mut self.events);
@@ -234,11 +217,11 @@ impl EventLoop {
             self.events = events;
             // The sweep walks every connection; under load the poller
             // wakes far more often than the timers it services need.
-            if last_sweep.elapsed() >= TICK || self.shared.shutdown.load(Ordering::SeqCst) {
+            if last_sweep.elapsed() >= TICK || self.shutdown.load(Ordering::SeqCst) {
                 self.sweep();
                 last_sweep = Instant::now();
             }
-            if self.shared.shutdown.load(Ordering::SeqCst)
+            if self.shutdown.load(Ordering::SeqCst)
                 && self.listener.is_none()
                 && self.conns.is_empty()
             {
@@ -263,7 +246,7 @@ impl EventLoop {
                     if self.poller.register(fd, token, true, false).is_err() {
                         continue;
                     }
-                    self.shared.connections.fetch_add(1, Ordering::Relaxed);
+                    self.connections += 1;
                     self.conns
                         .insert(token, Conn::new(stream, fd, self.opts.max_frame));
                 }
@@ -437,8 +420,8 @@ impl EventLoop {
                     return;
                 }
                 let mut s = Session::with_limits(self.opts.engine, self.opts.limits.clone());
-                s.set_plan_cache(Arc::clone(&self.shared.cache));
-                self.shared.sessions.fetch_add(1, Ordering::Relaxed);
+                s.set_plan_cache(Arc::clone(&self.cache));
+                self.sessions += 1;
                 slot.insert(s)
             }
         };
@@ -454,7 +437,7 @@ impl EventLoop {
                 conn.closing = true;
             } else {
                 conn.sessions.remove(&sid);
-                self.shared.sessions.fetch_sub(1, Ordering::Relaxed);
+                self.sessions -= 1;
             }
         }
     }
@@ -503,7 +486,7 @@ impl EventLoop {
         let EventLoop {
             hub,
             conns,
-            shared,
+            dropped,
             opts,
             ..
         } = self;
@@ -529,7 +512,7 @@ impl EventLoop {
                 // lossy subscriber still sees a consistent protocol.
                 let droppable = d.op == op::RESULT || d.op == op::UPDATE;
                 if bopts.policy == BroadcastPolicy::Drop && droppable && target.write.len() >= cap {
-                    shared.dropped.fetch_add(1, Ordering::Relaxed);
+                    *dropped += 1;
                     continue;
                 }
                 target.write.push(d.op, d.sid, d.payload);
@@ -619,7 +602,7 @@ impl EventLoop {
         if !conn.write.is_empty() && conn.write.flush_into(&mut conn.stream).is_err() {
             return true;
         }
-        note_queue_hwm(&self.shared, &conn.write);
+        self.note_queue_hwm(&conn.write);
         let depth = conn.write.len();
         if conn.backpressured {
             if depth <= self.opts.queue_depth / 2 {
@@ -651,11 +634,9 @@ impl EventLoop {
     fn teardown(&mut self, token: u64, conn: Conn) {
         let _ = self.poller.deregister(conn.fd);
         let _ = conn.stream.shutdown(Shutdown::Both);
-        self.shared.connections.fetch_sub(1, Ordering::Relaxed);
-        self.shared
-            .sessions
-            .fetch_sub(conn.sessions.len() as u64, Ordering::Relaxed);
-        note_queue_hwm(&self.shared, &conn.write);
+        self.connections -= 1;
+        self.sessions -= conn.sessions.len() as u64;
+        self.note_queue_hwm(&conn.write);
         drop(conn);
         if self.hub.is_some() {
             // The hub may stage frames (feeder loss fans an error to
@@ -668,7 +649,7 @@ impl EventLoop {
     /// Timer tick: idle timeouts, shutdown drain, closing-flush grace.
     fn sweep(&mut self) {
         let now = Instant::now();
-        let shutting = self.shared.shutdown.load(Ordering::SeqCst);
+        let shutting = self.shutdown.load(Ordering::SeqCst);
         if shutting {
             if let Some(l) = self.listener.take() {
                 let _ = self.poller.deregister(l.as_raw_fd());
@@ -735,28 +716,35 @@ impl EventLoop {
         c.sessions.values().any(|s| s.doc_active())
     }
 
-    fn transport(&self, write: &WriteBuf) -> TransportStats {
-        note_queue_hwm(&self.shared, write);
+    /// Fold a connection's queue high-water marks into the server-wide
+    /// ones STAT reports.
+    fn note_queue_hwm(&mut self, write: &WriteBuf) {
+        self.queue_hwm = self.queue_hwm.max(write.depth_hwm());
+        self.queue_bytes_hwm = self.queue_bytes_hwm.max(write.queued_bytes_hwm());
+    }
+
+    fn transport(&mut self, write: &WriteBuf) -> TransportStats {
+        self.note_queue_hwm(write);
         TransportStats {
             model: if self.hub.is_some() {
                 "broadcast"
             } else {
                 "eventloop"
             },
-            connections: self.shared.connections.load(Ordering::Relaxed),
-            sessions: self.shared.sessions.load(Ordering::Relaxed),
-            queue_depth_hwm: self.shared.queue_hwm.load(Ordering::Relaxed),
-            queued_bytes_hwm: self.shared.queue_bytes_hwm.load(Ordering::Relaxed),
-            dropped_broadcast: self.shared.dropped.load(Ordering::Relaxed),
+            connections: self.connections,
+            sessions: self.sessions,
+            queue_depth_hwm: self.queue_hwm,
+            queued_bytes_hwm: self.queue_bytes_hwm,
+            dropped_broadcast: self.dropped,
         }
     }
 
     /// The control-session STAT reply: server-wide counters (no
     /// logical session is addressed, so no engine counters).
-    fn server_stat_json(&self, conn: &Conn) -> String {
+    fn server_stat_json(&mut self, conn: &Conn) -> String {
         let mut json = format!("{{\"backend\":\"{}\",", self.poller.backend_name());
         self.transport(&conn.write)
-            .finish_stat_json(self.shared.cache.stats(), &mut json);
+            .finish_stat_json(self.cache.stats(), &mut json);
         json
     }
 }

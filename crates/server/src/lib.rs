@@ -17,8 +17,8 @@
 //!   by a [`xsq_xml::PushParser`], so FEED chunks may split tokens,
 //!   UTF-8 sequences, or `]]>` at any byte boundary). The broadcast hub
 //!   owns the same core, shared.
-//! * [`server`] — configuration, the state loop threads share, and
-//!   the handle that drains and stops them.
+//! * [`server`] — configuration, and the handle that drains and stops
+//!   the one loop thread.
 //! * [`eventloop`] (Unix) — the serving model: an epoll/poll poller
 //!   over raw syscalls, bounded per-connection reply queues
 //!   (backpressure), idle timeouts, one session table for wire v1 and

@@ -1,5 +1,5 @@
-//! The TCP front end: server configuration, the state every loop
-//! thread shares, and the handle that stops it.
+//! The TCP front end: server configuration and the handle that stops
+//! the one event-loop thread.
 //!
 //! There is one serving model: the readiness loop in
 //! [`crate::eventloop`] — epoll on Linux, `poll(2)` on any other Unix —
@@ -17,12 +17,12 @@
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use xsq_core::{PlanCache, XsqEngine};
+use xsq_core::XsqEngine;
 
 use crate::proto::MAX_FRAME;
 use crate::session::SessionLimits;
@@ -78,10 +78,8 @@ pub struct ServeOptions {
     /// Admission policy: per-subscription static-bound budget and the
     /// DTD the bound analyzer proves it against (`--max-bound`/`--dtd`).
     pub limits: SessionLimits,
-    /// Number of loop threads sharing the listener.
-    pub loop_threads: usize,
     /// Broadcast mode: one feeder, shared index, fan-out to every
-    /// subscriber (always one loop thread).
+    /// subscriber.
     pub broadcast: Option<BroadcastOptions>,
 }
 
@@ -94,47 +92,19 @@ impl ServeOptions {
             queue_depth: 256,
             engine: XsqEngine::full(),
             limits: SessionLimits::default(),
-            loop_threads: 1,
             broadcast: None,
         }
     }
 }
 
-/// State every loop thread shares: the cross-connection compiled-plan
-/// cache and the transport counters STAT surfaces.
-pub(crate) struct Shared {
-    pub cache: Arc<PlanCache>,
-    pub shutdown: Arc<AtomicBool>,
-    pub connections: AtomicU64,
-    pub sessions: AtomicU64,
-    pub queue_hwm: AtomicU64,
-    pub queue_bytes_hwm: AtomicU64,
-    pub dropped: AtomicU64,
-}
-
-impl Shared {
-    fn new(opts: &ServeOptions, shutdown: Arc<AtomicBool>) -> Shared {
-        Shared {
-            // The cache analyzes bounds against the admission DTD, so
-            // a cached bound is the one `max_bound` is about.
-            cache: PlanCache::new(opts.limits.dtd.clone()),
-            shutdown,
-            connections: AtomicU64::new(0),
-            sessions: AtomicU64::new(0),
-            queue_hwm: AtomicU64::new(0),
-            queue_bytes_hwm: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-        }
-    }
-}
-
 /// A running server. Dropping the handle without calling
-/// [`ServerHandle::shutdown`] leaves the threads serving until the
+/// [`ServerHandle::shutdown`] leaves the loop thread serving until the
 /// process exits.
 pub struct ServerHandle {
     addr: SocketAddr,
+    backend: &'static str,
     shutdown: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
+    thread: JoinHandle<()>,
 }
 
 impl ServerHandle {
@@ -143,28 +113,36 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Stop accepting, drain in-flight sessions, join the loop threads.
-    pub fn shutdown(mut self) {
+    /// The running loop's readiness backend (`epoll` or `poll`).
+    pub fn backend(&self) -> &'static str {
+        self.backend
+    }
+
+    /// Stop accepting, drain in-flight sessions, join the loop thread.
+    pub fn shutdown(self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+        let _ = self.thread.join();
     }
 }
 
-/// Bind and start serving in background threads.
+/// Bind, build the event loop on the calling thread, then run it on a
+/// background thread. A loop that cannot start (no poller, listener
+/// registration refused) is this call's error, not a dead port.
 #[cfg(unix)]
 pub fn serve(opts: ServeOptions) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&opts.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));
-    let shared = Arc::new(Shared::new(&opts, Arc::clone(&shutdown)));
-    let threads = crate::eventloop::spawn(listener, opts, shared)?;
+    let el = crate::eventloop::EventLoop::new(listener, opts, Arc::clone(&shutdown))?;
+    let backend = el.backend_name();
+    let thread = std::thread::Builder::new()
+        .name("xsq-loop".into())
+        .spawn(move || el.run())?;
     Ok(ServerHandle {
         addr,
+        backend,
         shutdown,
-        threads,
+        thread,
     })
 }
 

@@ -95,6 +95,14 @@ impl Mux {
     }
 }
 
+/// The control session's STAT reply: the server-wide counters.
+fn server_stat(m: &mut Mux) -> String {
+    m.send(CONTROL_SESSION, op::STAT, &[]);
+    let f = m.recv_for(CONTROL_SESSION);
+    assert_eq!(f.op, op::STAT_OK);
+    String::from_utf8(f.payload).unwrap()
+}
+
 fn err_code_of(frame: &Frame) -> &str {
     assert_eq!(frame.op, op::ERR, "expected ERR, got 0x{:02x}", frame.op);
     xsq_server::proto::err_code(&frame.payload).expect("coded error")
@@ -338,6 +346,26 @@ fn control_session_serves_server_level_stat() {
         "\"plan_cache_entries\":",
     ] {
         assert!(json.contains(needle), "missing {needle} in {json}");
+    }
+
+    // A second connection with a session counts, and its close is
+    // counted back out.
+    let mut second = Mux::hello(&addr);
+    sub(&mut second, 5, &["//b/text()"]);
+    let json = server_stat(&mut m);
+    assert!(json.contains("\"connections\":2,\"sessions\":2"), "{json}");
+    drop(second);
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        let json = server_stat(&mut m);
+        if json.contains("\"connections\":1,\"sessions\":1") {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "never decremented: {json}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
     }
 
     // SUB cannot address the control session.

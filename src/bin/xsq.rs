@@ -35,13 +35,14 @@
 //!                   rewrite provably-child closures and skip provably
 //!                   empty queries
 //! xsq --dot QUERY                      print the HPDT as Graphviz
-//! xsq serve [--addr A] [--loop-threads N] [--dtd FILE] [--max-bound K]
+//! xsq serve [--addr A] [--dtd FILE] [--max-bound K]
 //!           [--broadcast] [--broadcast-queue N]
 //!           [--broadcast-policy block|drop]
 //!                                      streaming query server: framed
-//!                                      SUB/FEED protocol over TCP; runs
-//!                                      until stdin reaches EOF, then
-//!                                      drains and exits. --max-bound K
+//!                                      SUB/FEED protocol over TCP on one
+//!                                      event-loop thread; runs until
+//!                                      stdin reaches EOF, then drains
+//!                                      and exits. --max-bound K
 //!                                      rejects subscriptions whose
 //!                                      static memory bound (proven
 //!                                      against --dtd) exceeds K
@@ -76,8 +77,7 @@ use std::time::{Duration, Instant};
 
 use xsq::baselines::{GalaxLike, JoostLike, SaxonLike, XmltkLike, XqEngineLike};
 use xsq::engine::{
-    query_lines, run_sharded_with, QueryId, QuerySet, QuerySink, ShardOptions, Sink, XPathEngine,
-    XsqEngine,
+    query_lines, run_sharded_with, QueryId, QuerySet, QuerySink, Sink, XPathEngine, XsqEngine,
 };
 use xsq::server::proto::json_escape;
 
@@ -116,8 +116,6 @@ struct Options {
     dtd: Option<String>,
     /// `serve`: per-subscription static-bound budget (buffered items).
     max_bound: Option<u64>,
-    /// `serve`: event-loop shard count.
-    loop_threads: usize,
     /// `serve`: broadcast mode (one feeder, shared index, fan-out).
     broadcast: bool,
     /// `serve`: per-subscriber broadcast queue bound (frames).
@@ -156,7 +154,6 @@ fn parse_args() -> Result<Options, String> {
         analyze: false,
         dtd: None,
         max_bound: None,
-        loop_threads: 1,
         broadcast: false,
         broadcast_queue: 1024,
         broadcast_policy: "block".into(),
@@ -201,9 +198,6 @@ fn parse_args() -> Result<Options, String> {
                 o.dtd = Some(args.next().ok_or("--dtd needs a file")?);
             }
             "--max-bound" => o.max_bound = Some(number(&mut args, "--max-bound", "an item count")?),
-            "--loop-threads" => {
-                o.loop_threads = positive(&mut args, "--loop-threads", "a thread count")?;
-            }
             "--broadcast" => o.broadcast = true,
             "--broadcast-queue" => {
                 o.broadcast_queue = positive(&mut args, "--broadcast-queue", "a frame count")?;
@@ -481,10 +475,9 @@ fn run_multi(opts: &Options) -> ExitCode {
     };
 
     let t0 = Instant::now();
-    let shard_opts = ShardOptions::with_workers(opts.shard);
     let mut results = 0u64;
     let mut events = 0u64;
-    let run = run_sharded_with(&set, &docs, &shard_opts, |di, out| {
+    let run = run_sharded_with(&set, &docs, opts.shard, |di, out| {
         events += out.events;
         results += out.results.len() as u64;
         if opts.quiet {
@@ -811,7 +804,6 @@ fn run_serve(opts: &Options) -> ExitCode {
         max_bound: opts.max_bound,
         dtd,
     };
-    sopts.loop_threads = opts.loop_threads;
     if opts.broadcast {
         let policy = match opts.broadcast_policy.as_str() {
             "block" => xsq::server::BroadcastPolicy::Block,
@@ -827,15 +819,14 @@ fn run_serve(opts: &Options) -> ExitCode {
             policy,
         });
     }
-    // Broadcast keeps every connection on one loop thread.
-    let (model_label, loop_threads) = if opts.broadcast {
-        ("broadcast", 1)
+    let model_label = if opts.broadcast {
+        "broadcast"
     } else {
-        ("eventloop", opts.loop_threads)
+        "eventloop"
     };
     let handle = match xsq::server::serve(sopts) {
         Ok(h) => h,
-        Err(e) => return fail_io(&format!("binding {}: {e}", opts.addr)),
+        Err(e) => return fail_io(&format!("serving on {}: {e}", opts.addr)),
     };
     // The bound address goes to stdout (machine-readable: with port 0
     // a script learns the real port here), status to stderr.
@@ -843,11 +834,10 @@ fn run_serve(opts: &Options) -> ExitCode {
     let _ = std::io::stdout().flush();
     eprintln!(
         "# xsq serve: listening on {} (model={model_label}, \
-         loop-threads={loop_threads}, poller={}, \
-         engine={}, idle={}s, scan-kernel={}, max-bound={}); EOF on stdin \
+         poller={}, engine={}, idle={}s, scan-kernel={}, max-bound={}); EOF on stdin \
          shuts down; STAT replies carry ingest MB/s and events/s",
         handle.addr(),
-        xsq::server::eventloop::poller::Poller::new().map_or("none", |p| p.backend_name()),
+        handle.backend(),
         opts.engine,
         opts.idle_timeout,
         xsq::xml::scan::active_kernel(),
@@ -1566,11 +1556,12 @@ fn usage(err: &str) -> ExitCode {
          \u{20}          static analysis: verifier diagnostics, dead-state pruning,\n\
          \u{20}          buffer classes, engine auto-selection, and (with --dtd) the\n\
          \u{20}          static memory bound + derivation; exits nonzero on errors\n\
-         \u{20}      xsq serve [--addr A] [--loop-threads N] [--idle-timeout S] \\\n\
-         \u{20}                [--dtd FILE] [--max-bound K] [--broadcast] \\\n\
+         \u{20}      xsq serve [--addr A] [--idle-timeout S] [--dtd FILE] \\\n\
+         \u{20}                [--max-bound K] [--broadcast] \\\n\
          \u{20}                [--broadcast-queue N] [--broadcast-policy block|drop]\n\
-         \u{20}          streaming query server; prints the bound address, runs\n\
-         \u{20}          until stdin reaches EOF, then drains and exits;\n\
+         \u{20}          streaming query server on one event-loop thread; prints\n\
+         \u{20}          the bound address, runs until stdin reaches EOF, then\n\
+         \u{20}          drains and exits;\n\
          \u{20}          --max-bound K rejects subscriptions whose static memory\n\
          \u{20}          bound (proven against --dtd) exceeds K buffered items;\n\
          \u{20}          --broadcast: one feeder fans one stream through a shared\n\

@@ -22,5 +22,5 @@ pub use xsq_xpath as xpath;
 
 // The multi-query surface, re-exported at the root: most downstream
 // users hold a standing query set and only need these names.
-pub use xsq_core::{run_sequential, run_sharded, run_sharded_with, ShardOptions, ShardRun};
+pub use xsq_core::{run_sequential, run_sharded, run_sharded_with, ShardRun};
 pub use xsq_core::{QueryId, QueryIndex, QuerySet, QuerySink, VecQuerySink, XsqEngine};

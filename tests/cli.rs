@@ -150,6 +150,32 @@ fn retired_serve_flags_are_usage_errors() {
     assert_eq!(unknown, Some(2));
     assert_eq!(exit_code(&["serve", "--workers", "2"]), unknown);
     assert_eq!(exit_code(&["serve", "--model", "threaded"]), unknown);
+    assert_eq!(exit_code(&["serve", "--loop-threads", "2"]), unknown);
+}
+
+/// `serve` builds its event loop before it reports anything, so the
+/// banner names the poller the running loop holds; closing stdin drains
+/// it and exits cleanly.
+#[test]
+fn serve_banner_names_the_running_loops_poller() {
+    use std::io::BufRead;
+    let mut child = xsq()
+        .args(["serve", "--addr", "127.0.0.1:0"])
+        .env("XSQ_POLLER", "poll")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stderr = std::io::BufReader::new(child.stderr.take().unwrap());
+    let mut banner = String::new();
+    stderr.read_line(&mut banner).unwrap();
+    assert!(banner.contains("poller=poll"), "{banner}");
+    assert!(!banner.contains("loop-threads="), "{banner}");
+    drop(child.stdin.take());
+    // Keep reading: the drain notice must find stderr open.
+    std::io::copy(&mut stderr, &mut std::io::sink()).unwrap();
+    assert_eq!(child.wait().unwrap().code(), Some(0));
 }
 
 /// A query file with no query in it is the same usage error (exit 2)

@@ -7,7 +7,7 @@
 //! exercising the spec-conformance fixes (CRLF text, wrapped
 //! attributes).
 
-use xsq::engine::{evaluate, run_sequential, run_sharded, ShardError, ShardOptions};
+use xsq::engine::{evaluate, run_sequential, run_sharded, ShardError};
 use xsq::{QueryId, QuerySet, XsqEngine};
 
 /// Figure 1's document (non-recursive, attribute-bearing).
@@ -94,8 +94,7 @@ fn sharded_output_is_byte_identical_to_sequential() {
     assert!(seq.result_count() > 0, "corpus must produce results");
 
     for workers in [1, 2, 3, 4, 8] {
-        let shard =
-            run_sharded(&set, &docs, &ShardOptions::with_workers(workers)).expect("sharded run");
+        let shard = run_sharded(&set, &docs, workers).expect("sharded run");
         assert_eq!(
             shard.per_doc, seq.per_doc,
             "sharded ({workers} workers) diverged from sequential"
@@ -167,13 +166,9 @@ fn parse_error_reports_lowest_doc_with_identical_prefix() {
 
     for workers in [2, 4] {
         let mut emitted = Vec::new();
-        let err = xsq::engine::run_sharded_with(
-            &set,
-            &docs,
-            &ShardOptions::with_workers(workers),
-            |di, out| emitted.push((di, out)),
-        )
-        .expect_err("sharded must fail");
+        let err =
+            xsq::engine::run_sharded_with(&set, &docs, workers, |di, out| emitted.push((di, out)))
+                .expect_err("sharded must fail");
         let ShardError::Document { doc, .. } = err;
         assert_eq!(doc, bad, "{workers} workers report the lowest failing doc");
         // The emitted prefix is exactly the documents before the failure,
