@@ -17,6 +17,14 @@
 //!   the buffer's own length prefixes say where frames end, so the
 //!   depth is kept by walking the prefixes of the bytes the socket has
 //!   fully accepted.
+//!
+//! Both buffers keep their capacity while they are busy and give it
+//! back on the event loop's tick, by one rule: a buffer that took no
+//! bytes since the previous tick shrinks to one read chunk, never below
+//! the bytes it still holds. A connection that fans out megabytes per
+//! document reuses one buffer instead of returning and re-faulting it
+//! per drain, and an idle connection cannot pin a burst in either
+//! direction.
 
 use std::io::{self, ErrorKind, Write};
 
@@ -37,6 +45,8 @@ pub struct FrameBuf {
     buf: Vec<u8>,
     start: usize,
     max_frame: usize,
+    /// Bytes arrived since the last [`FrameBuf::release_idle`].
+    took: bool,
 }
 
 impl FrameBuf {
@@ -45,12 +55,22 @@ impl FrameBuf {
             buf: Vec::new(),
             start: 0,
             max_frame,
+            took: false,
         }
     }
 
     /// Append bytes read off the socket.
     pub fn extend(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
+        self.took = true;
+    }
+
+    /// The tick's release (see the module docs): decoded frames go, a
+    /// buffered partial frame stays intact.
+    pub fn release_idle(&mut self) {
+        if release_idle(&mut self.buf, self.start, &mut self.took) {
+            self.start = 0;
+        }
     }
 
     /// Bytes buffered but not yet decoded (a partial frame, if any).
@@ -108,6 +128,20 @@ fn reclaim_prefix(buf: &mut Vec<u8>, consumed: usize) -> bool {
     }
 }
 
+/// The one release rule of both buffers, run on the idle tick: a buffer
+/// that took no bytes since the previous tick drops its consumed prefix
+/// `buf[..consumed]` and shrinks to one read chunk — `shrink_to` never
+/// cuts below the bytes still held. Returns whether offsets into `buf`
+/// moved.
+fn release_idle(buf: &mut Vec<u8>, consumed: usize, took: &mut bool) -> bool {
+    if std::mem::take(took) {
+        return false;
+    }
+    buf.drain(..consumed);
+    buf.shrink_to(READ_CHUNK);
+    true
+}
+
 /// Outgoing reply frames: encoded once, back to back, into the buffer
 /// the socket is written from.
 #[derive(Default)]
@@ -122,6 +156,8 @@ pub struct WriteBuf {
     frames: usize,
     depth_hwm: u64,
     bytes_hwm: u64,
+    /// Frames pushed since the last [`WriteBuf::release_idle`].
+    took: bool,
 }
 
 impl WriteBuf {
@@ -129,6 +165,7 @@ impl WriteBuf {
     /// the tail of the buffer.
     pub fn push(&mut self, op: u8, sid: Option<u32>, payload: &[u8]) {
         encode_frame(&mut self.buf, op, sid, payload);
+        self.took = true;
         self.frames += 1;
         self.depth_hwm = self.depth_hwm.max(self.frames as u64);
         self.bytes_hwm = self.bytes_hwm.max((self.buf.len() - self.sent) as u64);
@@ -200,16 +237,21 @@ impl WriteBuf {
         }
     }
 
-    /// Reclaim retired frames by [`FrameBuf`]'s rule and, once fully
-    /// drained, give back what a burst grew: an idle connection keeps
-    /// at most one read's worth of reply capacity.
+    /// Reclaim retired frames by [`FrameBuf`]'s rule. The capacity
+    /// stays: the next burst reuses it.
     fn compact(&mut self) {
         if reclaim_prefix(&mut self.buf, self.head) {
             self.sent -= self.head;
             self.head = 0;
         }
-        if self.buf.is_empty() {
-            self.buf.shrink_to(READ_CHUNK);
+    }
+
+    /// The tick's release (see the module docs): retired frames go,
+    /// queued ones stay intact.
+    pub fn release_idle(&mut self) {
+        if release_idle(&mut self.buf, self.head, &mut self.took) {
+            self.sent -= self.head;
+            self.head = 0;
         }
     }
 }
@@ -389,16 +431,94 @@ mod tests {
         }
     }
 
-    #[test]
-    fn drained_write_buf_releases_a_burst() {
-        let mut wb = WriteBuf::default();
+    /// Stage a burst of 16 read chunks' worth of 1 KiB frames.
+    fn push_burst(wb: &mut WriteBuf) {
         let payload = vec![b'x'; 1024];
         for _ in 0..16 * READ_CHUNK / payload.len() {
             wb.push(op::RESULT, Some(1), &payload);
         }
-        assert!(wb.buf.capacity() >= 16 * READ_CHUNK);
+    }
+
+    #[test]
+    fn busy_write_buf_keeps_its_capacity_across_drains() {
+        let mut wb = WriteBuf::default();
+        push_burst(&mut wb);
         assert!(wb.flush_into(&mut io::sink()).unwrap());
-        assert!(wb.buf.capacity() <= READ_CHUNK);
+        let (ptr, capacity) = (wb.buf.as_ptr(), wb.buf.capacity());
+        assert!(capacity >= 16 * READ_CHUNK);
+        // A tick between every drain, but each tick saw a burst.
+        for _ in 0..4 {
+            push_burst(&mut wb);
+            wb.release_idle();
+            assert!(wb.flush_into(&mut io::sink()).unwrap());
+            assert_eq!((wb.buf.as_ptr(), wb.buf.capacity()), (ptr, capacity));
+        }
+    }
+
+    #[test]
+    fn idle_write_buf_releases_a_burst_at_the_first_quiet_tick() {
+        let mut wb = WriteBuf::default();
+        push_burst(&mut wb);
+        assert!(wb.flush_into(&mut io::sink()).unwrap());
+        wb.release_idle();
+        assert!(wb.buf.capacity() >= 16 * READ_CHUNK, "the burst's own tick");
+        wb.release_idle();
+        assert!(wb.buf.capacity() <= READ_CHUNK, "a tick with no pushes");
         assert!(wb.queued_bytes_hwm() >= 16 * READ_CHUNK as u64);
+
+        // A queue the socket stopped taking keeps every unsent byte and
+        // its frame accounting; only the slack and the sent prefix go.
+        push_burst(&mut wb);
+        let mut sink = Throttle {
+            accepted: Vec::new(),
+            per_call: 5 * READ_CHUNK + 7,
+            calls_left: 1,
+        };
+        assert!(!wb.flush_into(&mut sink).unwrap());
+        let queued = wb.len();
+        wb.release_idle();
+        wb.release_idle();
+        assert!(wb.buf.capacity() < 16 * READ_CHUNK);
+        assert_eq!(wb.len(), queued);
+        sink.per_call = usize::MAX;
+        sink.calls_left = usize::MAX;
+        assert!(wb.flush_into(&mut sink).unwrap());
+        let mut expect = Vec::new();
+        for _ in 0..16 * READ_CHUNK / 1024 {
+            encode_frame(&mut expect, op::RESULT, Some(1), &[b'x'; 1024]);
+        }
+        assert_eq!(sink.accepted, expect);
+    }
+
+    #[test]
+    fn idle_frame_buf_releases_a_max_frame_and_keeps_a_partial_one() {
+        let max = 4 * READ_CHUNK;
+        let body: Vec<u8> = (0..max - 1).map(|i| i as u8).collect();
+        let frame = frame_bytes(op::FEED, &body);
+        let (head, tail) = frame.split_at(frame.len() / 2);
+        let mut fb = FrameBuf::new(max);
+        // A max-size frame and the first half of the next, in one read.
+        fb.extend(&frame);
+        fb.extend(head);
+        assert_eq!(fb.next_frame().unwrap().unwrap().payload, body);
+        assert_eq!(fb.next_frame(), Ok(None));
+        let grown = fb.buf.capacity();
+        assert!(grown >= frame.len() + head.len());
+        fb.release_idle();
+        assert_eq!(fb.buf.capacity(), grown, "the bytes' own tick");
+        fb.release_idle();
+        assert_eq!(fb.buffered(), head.len());
+        assert!(
+            fb.buf.capacity() < max,
+            "a quiet tick keeps only the partial frame"
+        );
+
+        // Decoding continues across the release.
+        fb.extend(tail);
+        assert_eq!(fb.next_frame().unwrap().unwrap().payload, body);
+        assert_eq!(fb.next_frame(), Ok(None));
+        fb.release_idle();
+        fb.release_idle();
+        assert!(fb.buf.capacity() <= READ_CHUNK);
     }
 }

@@ -31,7 +31,10 @@
 //!   every subscriber (see that module's identity contract).
 //!
 //! Timers (idle timeout, shutdown drain grace, flush grace on closing
-//! connections) ride the 100 ms poll tick.
+//! connections) ride the 100 ms poll tick, and so does the release of
+//! buffer capacity: a connection's read or write buffer that took no
+//! bytes since the previous tick shrinks back to one read chunk, so a
+//! busy connection reuses its buffers and an idle one pins no burst.
 
 pub mod broadcast;
 pub mod conn;
@@ -158,6 +161,8 @@ pub(crate) struct EventLoop {
     hub: Option<Hub>,
     events: Vec<PollEvent>,
     scratch: Vec<u8>,
+    /// `pump_staged`'s connections to refresh, kept between calls.
+    touched: Vec<u64>,
 }
 
 impl EventLoop {
@@ -193,6 +198,7 @@ impl EventLoop {
             hub,
             events: Vec::new(),
             scratch: vec![0u8; READ_CHUNK],
+            touched: Vec::new(),
         })
     }
 
@@ -488,12 +494,13 @@ impl EventLoop {
             conns,
             dropped,
             opts,
+            touched,
             ..
         } = self;
         let Some(hub) = hub.as_mut() else { return };
+        let mut touched = std::mem::take(touched);
         let bopts = opts.broadcast.expect("broadcast options");
         let cap = bopts.queue.max(1);
-        let mut touched: Vec<u64> = Vec::new();
         // One connection lookup per run of deliveries to the same
         // connection (every session multiplexed on it, back to back).
         let mut deliveries = hub.deliveries().peekable();
@@ -533,7 +540,7 @@ impl EventLoop {
         // refreshed now — their own readiness event may never come.
         touched.sort_unstable();
         touched.dedup();
-        for t in touched {
+        for &t in &touched {
             if let Some(mut c) = self.conns.remove(&t) {
                 if self.finish_io(t, &mut c) {
                     self.teardown(t, c);
@@ -542,6 +549,8 @@ impl EventLoop {
                 }
             }
         }
+        touched.clear();
+        self.touched = touched;
         self.update_feeder_pause(cur_token, cur_conn);
     }
 
@@ -646,7 +655,8 @@ impl EventLoop {
         }
     }
 
-    /// Timer tick: idle timeouts, shutdown drain, closing-flush grace.
+    /// Timer tick: idle timeouts, shutdown drain, closing-flush grace,
+    /// and the release of buffers that took no bytes since the last.
     fn sweep(&mut self) {
         let now = Instant::now();
         let shutting = self.shutdown.load(Ordering::SeqCst);
@@ -703,6 +713,8 @@ impl EventLoop {
             if dead {
                 self.teardown(t, c);
             } else {
+                c.frames.release_idle();
+                c.write.release_idle();
                 self.conns.insert(t, c);
             }
         }

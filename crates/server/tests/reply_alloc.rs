@@ -9,7 +9,10 @@
 //! sessions on one document, then asserts that staging, draining and
 //! flushing the next document allocates nothing at all — bar the one
 //! `String` the *engine* renders an aggregate's final value into at
-//! END-DOC, before the reply path sees it.
+//! END-DOC, before the reply path sees it. It then repeats the audit
+//! with the document as one FEED, whose single drain stages more than
+//! a read chunk: a busy `WriteBuf` must keep that capacity from one
+//! drain to the next instead of giving it back and regrowing it.
 //!
 //! The drain below is `EventLoop::pump_staged` without the sockets: one
 //! buffer lookup per run of deliveries to the same connection.
@@ -110,13 +113,13 @@ impl Rig {
         self.feeder.flush_into(&mut self.wire).unwrap();
     }
 
-    /// One document through the hub; returns the reply bytes it put on
-    /// the wire and the allocations made while feeding it and while
-    /// ending it.
-    fn document(&mut self, doc: &[u8]) -> (usize, u64, u64) {
+    /// One document through the hub in FEED frames of `chunk` bytes;
+    /// returns the reply bytes it put on the wire and the allocations
+    /// made while feeding it and while ending it.
+    fn document(&mut self, doc: &[u8], chunk: usize) -> (usize, u64, u64) {
         let bytes = self.wire.0;
         let start = allocations();
-        for chunk in doc.chunks(97) {
+        for chunk in doc.chunks(chunk) {
             self.request(FEEDER, None, op::FEED, chunk);
         }
         let fed = allocations();
@@ -157,8 +160,8 @@ fn steady_state_broadcast_reply_path_performs_zero_allocations() {
     }
     rig.request(FEEDER, None, op::FEEDER, &[]);
 
-    let (warm, ..) = rig.document(doc.as_bytes());
-    let (steady, feeding, ending) = rig.document(doc.as_bytes());
+    let (warm, ..) = rig.document(doc.as_bytes(), 97);
+    let (steady, feeding, ending) = rig.document(doc.as_bytes(), 97);
 
     // 24 books × (3 RESULTs + 1 UPDATE), sum()'s final RESULT and
     // DOC_OK, to 64 sessions, and the feeder's own DOC_OK: the audited
@@ -177,5 +180,28 @@ fn steady_state_broadcast_reply_path_performs_zero_allocations() {
         ending <= 1,
         "END-DOC allocated {ending} times: beyond the engine's rendering of sum()'s \
          final value, the reply path (its RESULT, 65 DOC_OKs) may not allocate"
+    );
+
+    // Burst phase: the whole document as one FEED, so one drain fans
+    // out more than a read chunk into the subscribers' buffer. A busy
+    // buffer keeps its capacity between drains; giving it back is the
+    // event loop's idle tick, which never runs here.
+    const READ_CHUNK: u64 = 64 * 1024;
+    assert!(rig.subscribers.queued_bytes_hwm() < READ_CHUNK);
+    rig.document(doc.as_bytes(), doc.len());
+    let (burst, feeding, ending) = rig.document(doc.as_bytes(), doc.len());
+    assert_eq!(burst, steady, "one FEED fans the same replies as many");
+    assert!(
+        rig.subscribers.queued_bytes_hwm() > READ_CHUNK,
+        "the FEED's drain staged only {} bytes",
+        rig.subscribers.queued_bytes_hwm()
+    );
+    assert_eq!(
+        feeding, 0,
+        "fanning a burst allocated {feeding} time(s) on a warmed-up document"
+    );
+    assert!(
+        ending <= 1,
+        "END-DOC after a burst allocated {ending} times"
     );
 }

@@ -16,6 +16,11 @@
 //! strings are leaked (names live as `&'static str`); the vocabulary is
 //! bounded by the document schemas seen by the process, which is exactly
 //! the working set any tag-indexed engine must hold anyway.
+//!
+//! Interning takes a lock; reading a name back does not. Every name is
+//! also published into an append-only table of write-once slots before
+//! its `Sym` is handed out, so [`Sym::as_str`] — which the transform
+//! rewriter calls for every name it writes — is two acquire loads.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -58,19 +63,26 @@ pub(crate) type FnvBuild = BuildHasherDefault<Fnv>;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Sym(u32);
 
-struct Table {
-    map: HashMap<&'static str, u32, FnvBuild>,
-    names: Vec<&'static str>,
+/// Name → id, the interning side. Ids are dense: the next one is the
+/// map's length.
+fn table() -> &'static RwLock<HashMap<&'static str, u32, FnvBuild>> {
+    static TABLE: OnceLock<RwLock<HashMap<&'static str, u32, FnvBuild>>> = OnceLock::new();
+    TABLE.get_or_init(Default::default)
 }
 
-fn table() -> &'static RwLock<Table> {
-    static TABLE: OnceLock<RwLock<Table>> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        RwLock::new(Table {
-            map: HashMap::default(),
-            names: Vec::new(),
-        })
-    })
+/// Id → name, the lock-free reading side: segment `k` holds the slots
+/// of ids `2^k - 1 .. 2^(k+1) - 1`. A segment is allocated on first use
+/// and never moves, and a slot is written once, under the interning
+/// lock, before its `Sym` exists — so every `Sym` finds its slot set.
+type Segment = Box<[OnceLock<&'static str>]>;
+const SEGMENTS: usize = u32::BITS as usize + 1;
+static NAMES: [OnceLock<Segment>; SEGMENTS] = [const { OnceLock::new() }; SEGMENTS];
+
+/// The segment and offset of id `id`'s slot.
+fn slot(id: u32) -> (usize, usize) {
+    let n = u64::from(id) + 1;
+    let k = n.ilog2() as usize;
+    (k, (n - (1 << k)) as usize)
 }
 
 impl Sym {
@@ -80,17 +92,19 @@ impl Sym {
     /// hash lookup — no allocation.
     pub fn intern(name: &str) -> Sym {
         let lock = table();
-        if let Some(&id) = lock.read().expect("symbol table poisoned").map.get(name) {
+        if let Some(&id) = lock.read().expect("symbol table poisoned").get(name) {
             return Sym(id);
         }
-        let mut t = lock.write().expect("symbol table poisoned");
-        if let Some(&id) = t.map.get(name) {
+        let mut map = lock.write().expect("symbol table poisoned");
+        if let Some(&id) = map.get(name) {
             return Sym(id);
         }
         let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-        let id = t.names.len() as u32;
-        t.names.push(leaked);
-        t.map.insert(leaked, id);
+        let id = map.len() as u32;
+        let (k, i) = slot(id);
+        let segment = NAMES[k].get_or_init(|| (0..1usize << k).map(|_| OnceLock::new()).collect());
+        segment[i].set(leaked).expect("a fresh id's slot is empty");
+        map.insert(leaked, id);
         Sym(id)
     }
 
@@ -101,15 +115,18 @@ impl Sym {
         table()
             .read()
             .expect("symbol table poisoned")
-            .map
             .get(name)
             .copied()
             .map(Sym)
     }
 
-    /// The interned string.
+    /// The interned string, read without a lock.
     pub fn as_str(self) -> &'static str {
-        table().read().expect("symbol table poisoned").names[self.0 as usize]
+        let (k, i) = slot(self.0);
+        NAMES[k]
+            .get()
+            .and_then(|segment| segment[i].get().copied())
+            .expect("a symbol's name is published before the symbol exists")
     }
 
     /// The dense index (0-based, contiguous): suitable for `Vec`
@@ -121,7 +138,7 @@ impl Sym {
     /// Number of symbols interned so far (the exclusive upper bound of
     /// every live [`Sym::index`]).
     pub fn table_len() -> usize {
-        table().read().expect("symbol table poisoned").names.len()
+        table().read().expect("symbol table poisoned").len()
     }
 }
 
@@ -235,6 +252,22 @@ mod tests {
         assert_eq!(format!("{s:?}"), "\"year\"");
         let from_string: Sym = String::from("year").into();
         assert_eq!(s, from_string);
+    }
+
+    #[test]
+    fn slots_tile_the_id_space_in_order() {
+        let mut next = (0, 0);
+        for id in 0..5000u32 {
+            let (k, i) = slot(id);
+            assert_eq!((k, i), next, "id {id}");
+            next = if i + 1 == 1 << k {
+                (k + 1, 0)
+            } else {
+                (k, i + 1)
+            };
+        }
+        // The last id opens the last segment.
+        assert_eq!(slot(u32::MAX), (SEGMENTS - 1, 0));
     }
 
     #[test]

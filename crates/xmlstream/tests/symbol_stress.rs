@@ -78,3 +78,65 @@ fn concurrent_interning_is_stable_across_threads() {
         }
     }
 }
+
+/// `Sym::as_str` reads without the interning lock: readers resolving
+/// names interned before they started must see exactly those names
+/// while writers keep appending new ones, across new table segments.
+#[test]
+fn lock_free_reads_race_appending_interns() {
+    const WRITERS: usize = 2;
+    const READERS: usize = 2;
+    // Enough new names to open several segments past the existing ones.
+    const NEW: usize = if cfg!(miri) { 40 } else { 2_000 };
+    const READS: usize = if cfg!(miri) { 200 } else { 50_000 };
+
+    let existing: Vec<(Sym, String)> = (0..64)
+        .map(|i| format!("race-existing-{i}"))
+        .map(|name| (Sym::intern(&name), name))
+        .collect();
+    let existing = Arc::new(existing);
+    let barrier = Arc::new(Barrier::new(WRITERS + READERS));
+
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|w| {
+            let barrier = Arc::clone(&barrier);
+            thread::spawn(move || {
+                barrier.wait();
+                (0..NEW)
+                    .map(|i| {
+                        let name = format!("race-new-{w}-{i}");
+                        let sym = Sym::intern(&name);
+                        assert_eq!(sym.as_str(), name, "a fresh name reads back");
+                        (sym, name)
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let readers: Vec<_> = (0..READERS)
+        .map(|r| {
+            let (barrier, existing) = (Arc::clone(&barrier), Arc::clone(&existing));
+            thread::spawn(move || {
+                barrier.wait();
+                for k in 0..READS {
+                    let (sym, name) = &existing[(k * 7 + r) % existing.len()];
+                    assert_eq!(sym.as_str(), name);
+                }
+            })
+        })
+        .collect();
+
+    for h in readers {
+        h.join().unwrap();
+    }
+    let fresh: Vec<(Sym, String)> = writers
+        .into_iter()
+        .flat_map(|h| h.join().unwrap())
+        .collect();
+    // Handed across threads by `join`, every new symbol still reads
+    // back its own name, and the table grew past every one of them.
+    for (sym, name) in fresh.iter().chain(existing.iter()) {
+        assert_eq!(sym.as_str(), name);
+        assert!((sym.index() as usize) < Sym::table_len());
+    }
+}
