@@ -104,18 +104,6 @@ impl QueueSet {
         self.peak_entries = 0;
     }
 
-    /// Pre-size from a static bound: one pooled bucket of `per_queue`
-    /// entries per queue, so a query the analyzer proved `Items(K)` does
-    /// not grow its buckets mid-stream.
-    pub fn reserve(&mut self, per_queue: usize) {
-        let want = self.queues.len();
-        self.pool.resize_with(self.pool.len().max(want), Vec::new);
-        let spare = self.pool.len() - want;
-        for entries in &mut self.pool[spare..] {
-            entries.reserve_exact(per_queue);
-        }
-    }
-
     /// `Q.enqueue(v)` — add a reference under the given depth vector.
     /// Takes the vector by reference: the entry shares the caller's tail
     /// (inline bits are a plain copy; spilled vectors are copy-on-write),

@@ -80,8 +80,8 @@ impl XsqEngine {
     }
 
     /// [`Self::compile_str`] with schema knowledge: the DTD tightens the
-    /// static memory bound and pre-sizes the runner's queues. Semantics
-    /// are unchanged — schema *rewrites* stay behind the explicit
+    /// static memory bound ([`CompiledQuery::bound`]). Semantics are
+    /// unchanged — schema *rewrites* stay behind the explicit
     /// `schema::optimize` / `analyze::elide_always_true` opt-ins.
     pub fn compile_str_with_dtd(
         &self,
@@ -156,15 +156,7 @@ impl CompiledQuery {
     /// they arrive; results reach the sink as soon as the semantics
     /// permit.
     pub fn runner(&self) -> Runner<'_> {
-        let mut runner = Runner::new(&self.hpdt);
-        // A proven Items(K) bound pre-sizes the queues: no mid-stream
-        // queue growth on schema-valid input.
-        if let Some(k) = self.bound.items() {
-            if k > 0 {
-                runner.set_queue_hint(k as usize);
-            }
-        }
-        runner
+        Runner::new(&self.hpdt)
     }
 
     /// Run over a complete serialized document.

@@ -50,7 +50,6 @@ pub mod ids;
 pub mod items;
 pub mod multi;
 pub mod plancache;
-pub mod projector;
 pub mod qindex;
 pub mod report;
 pub mod runtime;
@@ -70,7 +69,6 @@ pub use error::{CompileError, EngineError};
 pub use ids::BpdtId;
 pub use multi::{query_lines, QuerySet};
 pub use plancache::{CachedPlan, PlanCache, PlanCacheStats};
-pub use projector::Projector;
 pub use qindex::{QueryId, QueryIndex, QuerySink, VecQuerySink};
 pub use report::{Capabilities, MemoryStats, PhaseTimings, RunReport, Unsupported, XPathEngine};
 pub use runtime::{RunStats, Runner, RunnerCore};

@@ -390,10 +390,6 @@ impl QueryIndex {
         &self.subs[id.0 as usize].text
     }
 
-    pub fn is_active(&self, id: QueryId) -> bool {
-        self.subs[id.0 as usize].active
-    }
-
     /// Events fed so far (cumulative across documents).
     pub fn events(&self) -> u64 {
         self.events

@@ -181,9 +181,6 @@ pub struct RunnerCore {
     steps: u64,
     probed: u64,
     peak_configs: usize,
-    /// Per-queue capacity to pre-reserve, from a static `Items(K)` bound
-    /// (0 = no hint). Re-applied on every reset.
-    queue_hint: usize,
     // Scratch buffers reused across events (the hot loop allocates
     // nothing on the no-match and single-match paths, and nothing on the
     // match path either once capacities have warmed up).
@@ -201,11 +198,6 @@ pub struct RunnerCore {
     scratch_rewritten: Vec<(Range<usize>, StateId, u32)>,
     spare_configs: Vec<Config>,
 }
-
-/// Ceiling on the per-queue pre-size hint: a pathological DTD can prove
-/// a huge-but-finite bound, and reserving it eagerly would trade the
-/// allocation win for a memory loss.
-const QUEUE_HINT_CAP: usize = 1024;
 
 /// The scope-prefix length of every queue the runtime allocates: none
 /// when buffer-necessity analysis proved nothing ever enqueues.
@@ -250,7 +242,6 @@ impl RunnerCore {
             steps: 0,
             probed: 0,
             peak_configs: 1,
-            queue_hint: 0,
             scratch_matches: Vec::new(),
             scratch_uses: Vec::new(),
             scratch_candidates: Vec::new(),
@@ -261,15 +252,6 @@ impl RunnerCore {
         }
     }
 
-    /// Pre-size every queue to `per_queue` entries, now and after every
-    /// [`Self::reset`] — the engine passes a statically proven `Items(K)`
-    /// bound here so bounded queries never re-allocate mid-stream. A hint
-    /// of 0 clears it.
-    pub fn set_queue_hint(&mut self, per_queue: usize) {
-        self.queue_hint = per_queue.min(QUEUE_HINT_CAP);
-        self.queues.reserve(self.queue_hint);
-    }
-
     /// Reset to the start state for a fresh document, keeping the
     /// allocated scratch buffers (multi-document feeds).
     pub fn reset(&mut self, hpdt: &Hpdt) {
@@ -278,9 +260,6 @@ impl RunnerCore {
         self.items.reset();
         self.buffered = hpdt.buffered;
         self.queues.reset(queue_scopes(hpdt));
-        if self.queue_hint > 0 {
-            self.queues.reserve(self.queue_hint);
-        }
         // Reset the aggregators in place when the shape still matches
         // this HPDT (the usual multi-document reuse); rebuilding is only
         // needed when the caller swapped automata under the core.
@@ -1052,12 +1031,6 @@ impl<'q> Runner<'q> {
     /// unset.
     pub fn set_tracer(&mut self, tracer: &'q mut dyn FnMut(TraceStep)) {
         self.tracer = Some(tracer);
-    }
-
-    /// Pre-size the queues from a static `Items(K)` bound (see
-    /// [`RunnerCore::set_queue_hint`]).
-    pub fn set_queue_hint(&mut self, per_queue: usize) {
-        self.core.set_queue_hint(per_queue);
     }
 
     /// Process one borrowed SAX event — the zero-copy hot path for

@@ -25,11 +25,11 @@
 //! stop: frames are pooled, held-back output is one ordered log, and the
 //! tables both keep are emptied whenever nothing is pending.
 //!
-//! At compile time, every pattern already went through
-//! [`xsq_xpath::rules::RuleSet::parse`]'s streamability gate; patterns in
-//! the classic Fig. 3 surface are additionally pushed through the HPDT
-//! build/verify/lint pipeline of `xsq-core` — its diagnostics (e.g.
-//! statically unsatisfiable predicates) surface as compile warnings.
+//! At compile time, every pattern goes through
+//! [`xsq_xpath::rules::RuleSet::parse`]'s streamability gate and the
+//! query lints of `xsq-core` (e.g. statically unsatisfiable predicates),
+//! which surface as compile warnings. The matcher's program is the only
+//! automaton a rule compiles to: no HPDT is built for it.
 
 pub mod matcher;
 pub mod rewrite;
@@ -38,12 +38,10 @@ use std::fmt;
 
 use matcher::{MatchDecision, Matcher, Program};
 use rewrite::{BeginDecision, Rewriter};
-use xsq_xml::dtd::Dtd;
 use xsq_xml::{ParsePoll, PushParser, RawEvent, StreamParser};
 use xsq_xpath::{RuleError, RuleSet};
 
 pub use rewrite::TransformStats;
-pub use xsq_core::MemoryBound;
 
 /// A compiled transformation.
 #[derive(Debug)]
@@ -52,13 +50,8 @@ pub struct Transformer {
     /// The patterns as the matcher runs them.
     program: Program,
     /// Non-fatal findings from the rule compiler (unsatisfiable
-    /// predicates, structural lints from the HPDT verifier).
+    /// predicates).
     pub warnings: Vec<String>,
-    /// Per-rule static memory bound from the selection analyzer, in
-    /// rule order. `None` for patterns outside the classic HPDT surface
-    /// (`position()`/`last()` predicates), whose pending regions the
-    /// bound model does not cover.
-    bounds: Vec<Option<MemoryBound>>,
 }
 
 /// The result of transforming one document.
@@ -96,77 +89,27 @@ impl From<xsq_xml::Error> for TransformError {
 
 impl Transformer {
     /// Compile a `.xfm` rules file. Non-streamable patterns are rejected
-    /// with a spanned [`RuleError`]; patterns in the classic HPDT surface
-    /// are built and verified through the `xsq-core` analyzer, whose
-    /// lints become [`warnings`](Self::warnings).
+    /// with a spanned [`RuleError`]; the `xsq-core` query lints (e.g.
+    /// statically unsatisfiable predicates) become
+    /// [`warnings`](Self::warnings).
     pub fn compile(rules_text: &str) -> Result<Transformer, RuleError> {
-        Transformer::compile_with_dtd(rules_text, None)
-    }
-
-    /// [`compile`](Self::compile) with a schema: each classic-surface
-    /// pattern additionally gets a static memory bound on its pending
-    /// (verdict-undecided) regions, proven against `dtd` by the
-    /// selection engine's bound analyzer. The bounds are advisory —
-    /// they never change the transformation — and feed
-    /// [`reorder_ready`](Self::reorder_ready).
-    pub fn compile_with_dtd(rules_text: &str, dtd: Option<&Dtd>) -> Result<Transformer, RuleError> {
         let rules = RuleSet::parse(rules_text)?;
         let mut warnings = Vec::new();
-        let mut bounds = Vec::with_capacity(rules.rules.len());
         for rule in &rules.rules {
-            // Query-level lints apply to every pattern.
             for d in xsq_core::analyze::lint_query(&rule.pattern) {
                 warnings.push(format!("rule at line {}: {d}", rule.line));
-            }
-            // Classic-surface patterns also validate through the HPDT
-            // pipeline: build, structural verify, prune. Transform-only
-            // predicates (position()/last()) are outside that surface.
-            if xsq_xpath::streamability(&rule.pattern).hpdt_supported() {
-                match xsq_core::analyze_with_dtd(&rule.pattern, dtd) {
-                    Ok(analysis) => {
-                        for d in analysis.diagnostics.iter().filter(|d| d.is_error()) {
-                            warnings.push(format!("rule at line {}: {d}", rule.line));
-                        }
-                        bounds.push(Some(analysis.bound.bound));
-                    }
-                    Err(e) => {
-                        warnings.push(format!("rule at line {}: hpdt: {e}", rule.line));
-                        bounds.push(None);
-                    }
-                }
-            } else {
-                bounds.push(None);
             }
         }
         Ok(Transformer {
             program: Program::new(&rules),
             rules,
             warnings,
-            bounds,
         })
     }
 
     /// The compiled rule set.
     pub fn rules(&self) -> &RuleSet {
         &self.rules
-    }
-
-    /// Per-rule static memory bounds, in rule order (see the field doc
-    /// on why an entry can be `None`).
-    pub fn rule_bounds(&self) -> &[Option<MemoryBound>] {
-        &self.bounds
-    }
-
-    /// True when every rule's pending-region buffering is statically
-    /// bounded by a document-independent item count (Zero or Items).
-    /// Such a rule set can be scheduled out of document order — e.g.
-    /// fused with a reordering pipeline stage — with bounded memory;
-    /// `PerDepth`, `Unbounded`, and out-of-surface rules cannot make
-    /// that promise.
-    pub fn reorder_ready(&self) -> bool {
-        self.bounds
-            .iter()
-            .all(|b| b.as_ref().is_some_and(|b| b.items().is_some()))
     }
 
     /// Transform a complete document held in memory.
@@ -403,48 +346,28 @@ mod tests {
     }
 
     #[test]
-    fn schema_bounds_gate_reordering_readiness() {
-        let dtd = Dtd::parse(
-            "<!ELEMENT dblp ((article | inproceedings)*)>\
-             <!ELEMENT article (author*, title, year, pages)>\
-             <!ELEMENT inproceedings (author*, title, year, pages, booktitle?)>\
-             <!ELEMENT author (#PCDATA)> <!ELEMENT title (#PCDATA)>\
-             <!ELEMENT year (#PCDATA)> <!ELEMENT pages (#PCDATA)>\
-             <!ELEMENT booktitle (#PCDATA)>",
-        )
-        .unwrap();
-        let rules = "/dblp/inproceedings[author]/title => rename(t)\n\
-                     /dblp/article => copy +@seen=\"1\"";
-        // With the schema, the predicate rule's pending region is proven
-        // bounded, so the whole rule set is reorder-ready.
-        let t = Transformer::compile_with_dtd(rules, Some(&dtd)).unwrap();
-        assert!(
-            matches!(t.rule_bounds()[0], Some(MemoryBound::Items(_))),
-            "{:?}",
-            t.rule_bounds()
-        );
-        assert_eq!(t.rule_bounds()[1], Some(MemoryBound::Zero));
-        assert!(t.reorder_ready());
-        // Without it, the same predicate has no static bound.
-        let bare = Transformer::compile(rules).unwrap();
-        assert!(
-            matches!(bare.rule_bounds()[0], Some(MemoryBound::Unbounded { .. })),
-            "{:?}",
-            bare.rule_bounds()
-        );
-        assert!(!bare.reorder_ready());
-        // Out-of-surface patterns (position()) carry no bound at all and
-        // block reordering even under a schema.
-        let pos = Transformer::compile_with_dtd("/dblp/article[position()=1] => drop", Some(&dtd))
-            .unwrap();
-        assert_eq!(pos.rule_bounds(), [None]);
-        assert!(!pos.reorder_ready());
-        // The bounds are advisory: output is identical with and without.
-        let doc = "<dblp><inproceedings><author>a</author><title>T</title>\
-                   </inproceedings></dblp>";
-        assert_eq!(
-            t.transform(doc.as_bytes()).unwrap().xml,
-            bare.transform(doc.as_bytes()).unwrap().xml,
+    fn long_closure_patterns_compile_without_an_hpdt() {
+        // An HPDT for this pattern would exceed the selection builder's
+        // state cap. The transform runs none, so compiling the rule must
+        // neither build one nor warn about one.
+        let rules = format!("{} => drop", "//a[b]".repeat(16));
+        let t = Transformer::compile(&rules).unwrap();
+        assert!(t.warnings.is_empty(), "{:?}", t.warnings);
+        // Seventeen nested `a`s with a `b` each: the innermost two each
+        // end a 16-step match. The `a` below them has no `b`.
+        let mut doc = String::new();
+        for i in 0..17 {
+            doc.push_str(&format!("<a><b/>{i}"));
+        }
+        doc.push_str("<a><c/></a>");
+        doc.push_str(&"</a>".repeat(17));
+        let parsed = RuleSet::parse(&rules).unwrap();
+        let dom = xsq_baselines::dom::transform::transform_bytes(doc.as_bytes(), &parsed).unwrap();
+        assert_eq!(t.transform(doc.as_bytes()).unwrap().xml, dom);
+        assert_ne!(
+            dom,
+            doc.replace("<b/>", "<b></b>"),
+            "the rule dropped something"
         );
     }
 }

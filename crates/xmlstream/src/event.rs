@@ -13,9 +13,10 @@
 //! * [`RawEvent`] — the zero-copy view the parser lends out: attribute
 //!   lists and text borrow the parser's scratch buffers, valid until the
 //!   next pull. This is the hot-path currency of the engines.
-//! * [`SaxEvent`] — the owned form, for queues, tests, and any consumer
-//!   that retains events past the next pull. [`RawEvent::to_owned`] and
-//!   [`SaxEvent::as_raw`] convert between them.
+//! * [`SaxEvent`] — the owned form, for the whole-document baselines,
+//!   tests, and any consumer that retains events past the next pull.
+//!   [`RawEvent::to_owned`] and [`SaxEvent::as_raw`] convert between
+//!   them.
 
 use std::fmt;
 
@@ -171,27 +172,6 @@ impl SaxEvent {
                 text,
                 depth: *depth,
             },
-        }
-    }
-
-    /// Approximate in-memory footprint of the event, used by the memory
-    /// accounting of the experiment harness (Figs. 19–20). Interned names
-    /// are charged at their string length so the figures stay comparable
-    /// with the paper's per-event accounting.
-    pub fn heap_bytes(&self) -> usize {
-        match self {
-            SaxEvent::StartDocument | SaxEvent::EndDocument => 0,
-            SaxEvent::Begin {
-                name, attributes, ..
-            } => {
-                name.as_str().len()
-                    + attributes
-                        .iter()
-                        .map(|a| a.name.as_str().len() + a.value.len())
-                        .sum::<usize>()
-            }
-            SaxEvent::End { name, .. } => name.as_str().len(),
-            SaxEvent::Text { element, text, .. } => element.as_str().len() + text.len(),
         }
     }
 }
@@ -362,12 +342,6 @@ mod tests {
             depth: 2,
         };
         assert_eq!(e.to_string(), "(/book,2)");
-    }
-
-    #[test]
-    fn heap_bytes_counts_strings() {
-        let b = begin("book", 2);
-        assert_eq!(b.heap_bytes(), 4 + 2 + 1);
     }
 
     #[test]

@@ -26,8 +26,9 @@
 //!   plus a loop that refills the window from the reader;
 //! * [`pda::WellFormednessPda`] — the "simple PDA" of Fig. 4(a): a pushdown
 //!   automaton that accepts exactly well-formed event streams;
-//! * [`writer::XmlWriter`] — escaping serializer (used for `*̄` catchall
-//!   element output and for round-trip property tests);
+//! * [`writer`] — the escaping serializer: `write_raw_event_into` for
+//!   `*̄` catchall element output, [`writer::XmlWriter`] for round-trip
+//!   property tests;
 //! * [`stats`] — the dataset statistics of Fig. 15 (size, text size, element
 //!   count, avg/max depth, avg tag length);
 //! * [`pure::PureParser`] — the paper's throughput yardstick: parses and
@@ -55,7 +56,7 @@ pub use pure::PureParser;
 pub use push::PushParser;
 pub use stats::{dataset_stats, DatasetStats};
 pub use symbol::Sym;
-pub use writer::{DocumentWriter, WriteError, XmlWriter};
+pub use writer::XmlWriter;
 
 /// Parse a complete document held in memory into a vector of events.
 ///

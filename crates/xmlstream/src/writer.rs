@@ -1,8 +1,12 @@
 //! Serializing SAX events back to XML text.
 //!
-//! Used by the engines for the paper's catchall (`*̄`) output expression —
-//! when a query has no output expression, each matching *element* is
-//! emitted whole (§3.4) — and by the round-trip property tests.
+//! [`write_raw_event_into`] is what the engines run for the paper's
+//! catchall (`*̄`) output expression — when a query has no output
+//! expression, each matching *element* is emitted whole (§3.4).
+//! [`XmlWriter`] serializes fragments, including comments, processing
+//! instructions and CDATA, for the round-trip property tests and their
+//! document generators. Nothing here checks that a sequence of events
+//! is a well-formed document; [`crate::pda::WellFormednessPda`] does.
 
 use crate::entities::{escape_attr_into, escape_text_into};
 use crate::event::{RawEvent, SaxEvent};
@@ -130,132 +134,6 @@ pub fn events_to_string(events: &[SaxEvent]) -> String {
         w.write_event(&e.clone());
     }
     w.into_string()
-}
-
-/// A structural error raised by [`DocumentWriter`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WriteError {
-    /// A second top-level element after the root already closed.
-    SecondRoot { name: String },
-    /// An `End` event with no matching open element.
-    UnbalancedEnd { name: String },
-    /// Non-whitespace character data outside the root element.
-    TextOutsideRoot,
-    /// `finish` called with elements still open.
-    UnclosedElements { open: usize },
-    /// `finish` called before any root element was written.
-    NoRoot,
-}
-
-impl std::fmt::Display for WriteError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WriteError::SecondRoot { name } => {
-                write!(f, "element <{name}> would be a second document root")
-            }
-            WriteError::UnbalancedEnd { name } => {
-                write!(f, "end event </{name}> has no matching open element")
-            }
-            WriteError::TextOutsideRoot => {
-                write!(f, "non-whitespace character data outside the root element")
-            }
-            WriteError::UnclosedElements { open } => {
-                write!(f, "document finished with {open} element(s) still open")
-            }
-            WriteError::NoRoot => write!(f, "document has no root element"),
-        }
-    }
-}
-
-impl std::error::Error for WriteError {}
-
-/// A validating whole-document serializer.
-///
-/// [`XmlWriter`] serializes *fragments* and trusts its caller; this
-/// wrapper enforces document well-formedness — exactly one root element,
-/// balanced ends, no stray character data — so bulk producers (the
-/// transformation engine, test generators) get a structural check for
-/// free instead of discovering malformed output at reparse time.
-#[derive(Debug, Default)]
-pub struct DocumentWriter {
-    inner: XmlWriter,
-    open: usize,
-    root_seen: bool,
-}
-
-impl DocumentWriter {
-    /// Create a writer with no XML declaration.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Create a writer that starts with an XML declaration.
-    pub fn with_decl() -> Self {
-        let mut w = Self::default();
-        w.inner
-            .out
-            .push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n");
-        w
-    }
-
-    /// Append one event, validating document structure.
-    pub fn write_event(&mut self, event: &SaxEvent) -> Result<(), WriteError> {
-        match event {
-            SaxEvent::Begin { name, .. } if self.open == 0 && self.root_seen => {
-                return Err(WriteError::SecondRoot {
-                    name: name.as_str().to_string(),
-                });
-            }
-            SaxEvent::Begin { .. } => {
-                self.root_seen = true;
-                self.open += 1;
-            }
-            SaxEvent::End { name, .. } => {
-                if self.open == 0 {
-                    return Err(WriteError::UnbalancedEnd {
-                        name: name.as_str().to_string(),
-                    });
-                }
-                self.open -= 1;
-            }
-            SaxEvent::Text { text, .. } if self.open == 0 => {
-                if !text.chars().all(|c| c.is_ascii_whitespace()) {
-                    return Err(WriteError::TextOutsideRoot);
-                }
-                // Whitespace between the declaration and the root (or
-                // after the root) is legal misc content; pass it through.
-            }
-            SaxEvent::Text { .. } | SaxEvent::StartDocument | SaxEvent::EndDocument => {}
-        }
-        self.inner.write_event(event);
-        Ok(())
-    }
-
-    /// Append a comment (legal anywhere in a document).
-    pub fn write_comment(&mut self, text: &str) {
-        self.inner.write_comment(text);
-    }
-
-    /// Append a processing instruction (legal anywhere in a document).
-    pub fn write_pi(&mut self, target: &str, data: &str) {
-        self.inner.write_pi(target, data);
-    }
-
-    /// Number of currently open elements.
-    pub fn depth(&self) -> usize {
-        self.open
-    }
-
-    /// Validate completeness and return the document text.
-    pub fn finish(self) -> Result<String, WriteError> {
-        if self.open > 0 {
-            return Err(WriteError::UnclosedElements { open: self.open });
-        }
-        if !self.root_seen {
-            return Err(WriteError::NoRoot);
-        }
-        Ok(self.inner.into_string())
-    }
 }
 
 #[cfg(test)]

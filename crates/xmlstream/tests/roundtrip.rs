@@ -6,7 +6,7 @@
 //! The generator is a seeded xorshift PRNG (hermetic — no external
 //! property-testing crate), so failures reproduce exactly.
 
-use xsq_xml::writer::{events_to_string, DocumentWriter, WriteError, XmlWriter};
+use xsq_xml::writer::{events_to_string, XmlWriter};
 use xsq_xml::{parse_to_events, SaxEvent};
 
 /// Minimal deterministic PRNG (xorshift64*).
@@ -243,59 +243,4 @@ fn cdata_sections_decode_to_their_payload() {
             .collect();
         assert_eq!(&text, c);
     }
-}
-
-#[test]
-fn document_writer_validates_structure() {
-    // Balanced document passes.
-    let events = parse_to_events(b"<a><b>x</b></a>").unwrap();
-    let mut w = DocumentWriter::with_decl();
-    for e in &events {
-        w.write_event(e).unwrap();
-    }
-    let doc = w.finish().unwrap();
-    assert!(doc.starts_with("<?xml version=\"1.0\""));
-    assert!(doc.ends_with("</a>"));
-
-    // A second root is rejected.
-    let mut w = DocumentWriter::new();
-    for e in parse_to_events(b"<a/>").unwrap() {
-        if !matches!(e, SaxEvent::EndDocument) {
-            w.write_event(&e).unwrap();
-        }
-    }
-    let second = SaxEvent::Begin {
-        name: "b".into(),
-        attributes: vec![],
-        depth: 1,
-    };
-    assert!(matches!(
-        w.write_event(&second),
-        Err(WriteError::SecondRoot { .. })
-    ));
-
-    // Unclosed elements are rejected at finish.
-    let mut w = DocumentWriter::new();
-    w.write_event(&second).unwrap();
-    assert!(matches!(
-        w.finish(),
-        Err(WriteError::UnclosedElements { open: 1 })
-    ));
-
-    // Empty documents are rejected.
-    assert!(matches!(
-        DocumentWriter::new().finish(),
-        Err(WriteError::NoRoot)
-    ));
-
-    // An end with nothing open is rejected.
-    let mut w = DocumentWriter::new();
-    let stray = SaxEvent::End {
-        name: "a".into(),
-        depth: 1,
-    };
-    assert!(matches!(
-        w.write_event(&stray),
-        Err(WriteError::UnbalancedEnd { .. })
-    ));
 }

@@ -1,17 +1,14 @@
-//! Many standing queries over one stream (§5's YFilter-style grouping),
-//! plus stream projection.
+//! Many standing queries over one stream (§5's YFilter-style grouping).
 //!
 //! A publish/subscribe scenario: several subscribers register XPath
 //! queries over a document feed; the engine parses each document once
-//! and evaluates the whole query set against it. A projector shows how
-//! much of the stream a selective query even needs to see.
+//! and evaluates the whole query set against it.
 //!
 //! ```sh
 //! cargo run --release --example multi_subscriber
 //! ```
 
-use xsq::engine::{projector::Projector, QuerySet, XsqEngine};
-use xsq::xpath::parse_query;
+use xsq::engine::{QuerySet, XsqEngine};
 
 fn main() {
     let subscriptions = [
@@ -84,22 +81,5 @@ fn main() {
         index.events(),
         index.len(),
         index.events() * index.len() as u64
-    );
-
-    // Projection: how much of the stream does a selective subscription
-    // actually need?
-    let query = parse_query("/root/pub/book[author]/name/text()").unwrap();
-    let mut projector = Projector::new(&query);
-    let events = xsq::xml::parse_to_events(feed[0]).unwrap();
-    let kept: Vec<_> = events
-        .iter()
-        .filter(|e| projector.keep(&e.as_raw()))
-        .collect();
-    println!(
-        "\nprojection for {}: kept {} of {} events ({:.0}% dropped)",
-        query,
-        kept.len(),
-        events.len(),
-        projector.selectivity() * 100.0
     );
 }

@@ -71,13 +71,15 @@
 //! 4 query compile error, 5 evaluation error, 6 protocol/server error,
 //! 7 --verify mismatch.
 
-use std::io::{BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use xsq::baselines::{GalaxLike, JoostLike, SaxonLike, XmltkLike, XqEngineLike};
+use xsq::engine::trace::TraceStep;
 use xsq::engine::{
-    query_lines, run_sharded_with, QueryId, QuerySet, QuerySink, Sink, XPathEngine, XsqEngine,
+    query_lines, run_sharded_with, CompiledQuery, EngineError, QueryId, QuerySet, QuerySink,
+    RunStats, Sink, XPathEngine, XsqEngine,
 };
 use xsq::server::proto::json_escape;
 
@@ -1335,180 +1337,154 @@ fn main() -> ExitCode {
         vec![None]
     };
 
+    let native = native_engine(&opts.engine);
     for file in files {
         let t0 = Instant::now();
-        // The native engines stream directly from the source in constant
-        // memory unless a feature needs the whole document (DTD
-        // extraction for --schema-optimize) or another engine runs.
-        let native = native_engine(&opts.engine);
-        if let Some(engine) = native.filter(|_| !opts.schema_optimize && !opts.trace) {
-            let compiled = match engine.compile_str(&query) {
-                Ok(c) => c,
-                Err(e) => return fail_query(&e.to_string()),
+        let Some(engine) = native else {
+            // The study baselines run whole-document.
+            let data = match read_input(file.as_deref()) {
+                Ok(d) => d,
+                Err(e) => return fail_io(&e),
             };
-            let mut sink = StdoutSink {
-                quiet: opts.quiet,
-                running: opts.running,
-                json: opts.json,
-                results: 0,
+            let engine: &dyn XPathEngine = match opts.engine.as_str() {
+                "saxon" => &SaxonLike,
+                "galax" => &GalaxLike,
+                "xmltk" => &XmltkLike,
+                "joost" => &JoostLike,
+                "xqengine" => &XqEngineLike,
+                other => return usage(&format!("unknown engine '{other}'")),
             };
-            let run = match &file {
-                None => compiled.run_reader(BufReader::new(std::io::stdin()), &mut sink),
-                Some(p) => match std::fs::File::open(p) {
-                    Ok(f) => compiled.run_reader(BufReader::new(f), &mut sink),
-                    Err(e) => return fail_io(&format!("reading {p}: {e}")),
-                },
-            };
-            match run {
+            let report = match engine.run(&query, &data) {
+                Ok(r) => r,
                 Err(e) => return fail_run(&e.to_string()),
-                Ok(stats) => {
-                    if opts.stats {
-                        eprintln!(
-                            "# {}: {} results in {:.1} ms [{}] engine={} events={} \
-                             firings={} steps={} probed={} peak_buffered_bytes={} peak_configs={}",
-                            file.as_deref().unwrap_or("<stdin>"),
-                            sink.results,
-                            t0.elapsed().as_secs_f64() * 1e3,
-                            query,
-                            opts.engine,
-                            stats.events,
-                            stats.firings,
-                            stats.steps,
-                            stats.probed,
-                            stats.memory.peak_bytes,
-                            stats.memory.peak_configs,
-                        );
-                    }
+            };
+            if !opts.quiet {
+                for v in &report.results {
+                    println!("{v}");
                 }
+            }
+            if opts.stats {
+                eprintln!(
+                    "# {}: {} results in {:.1} ms [{}] engine={} peak_bytes={}",
+                    file.as_deref().unwrap_or("<stdin>"),
+                    report.results.len(),
+                    t0.elapsed().as_secs_f64() * 1e3,
+                    query,
+                    opts.engine,
+                    report.memory.total_peak_bytes()
+                );
             }
             continue;
-        }
-        let data = match read_input(file.as_deref()) {
-            Ok(d) => d,
-            Err(e) => return fail_io(&e),
         };
-        let outcome: Result<(u64, String), String> = match (native, opts.engine.as_str()) {
-            // The native engines stream through a sink (results appear as
-            // soon as they are determined).
-            (Some(engine), _) => {
-                // Schema-aware rewrite (paper §5's future-work item):
-                // prove emptiness or remove redundant closures using the
-                // document's internal DTD.
-                let mut effective = query.clone();
-                if opts.schema_optimize {
-                    if let Some(dtd) = xsq::xml::dtd::extract_from_document(&data) {
-                        if let Ok(parsed) = xsq::xpath::parse_query(&query) {
-                            let (optimized, analysis) =
-                                xsq::engine::schema::optimize(&parsed, &dtd);
-                            if !analysis.satisfiable {
-                                eprintln!("# schema: query can never match; skipping stream");
-                                continue;
-                            }
-                            // Earliest-flush: drop existence predicates
-                            // the DTD proves always true, so nothing is
-                            // buffered waiting on them. Same validity
-                            // assumption as the closure rewrite, same
-                            // opt-in flag.
-                            let (optimized, dropped) =
-                                xsq::engine::analyze::elide_always_true(&optimized, &dtd);
-                            if !dropped.is_empty() {
-                                eprintln!(
-                                    "# schema: elided {} always-true predicate(s)",
-                                    dropped.len()
-                                );
-                            }
-                            if optimized.to_string() != query {
-                                eprintln!("# schema: rewrote to {optimized}");
-                                effective = optimized.to_string();
-                            }
-                        }
-                    }
-                }
-                engine
-                    .compile_str(&effective)
-                    .map_err(|e| e.to_string())
-                    .and_then(|compiled| {
-                        let mut sink = StdoutSink {
-                            quiet: opts.quiet,
-                            running: opts.running,
-                            json: opts.json,
-                            results: 0,
-                        };
-                        let run = |sink: &mut StdoutSink| -> Result<_, String> {
-                            if opts.trace {
-                                // Example 5-style walkthrough on stderr.
-                                let mut tracer =
-                                    |step: xsq::engine::trace::TraceStep| eprintln!("{step}");
-                                let mut parser = xsq::xml::StreamParser::new(&data[..]);
-                                let mut runner = compiled.runner();
-                                runner.set_tracer(&mut tracer);
-                                while let Some(ev) = parser.next_raw().map_err(|e| e.to_string())? {
-                                    runner.feed_raw(&ev, sink);
-                                }
-                                Ok(runner.finish(sink))
-                            } else {
-                                compiled
-                                    .run_document(&data, sink)
-                                    .map_err(|e| e.to_string())
-                            }
-                        };
-                        run(&mut sink).map(|stats| {
-                            (
-                                sink.results,
-                                format!(
-                                    "events={} peak_buffered_bytes={} peak_configs={}",
-                                    stats.events,
-                                    stats.memory.peak_bytes,
-                                    stats.memory.peak_configs
-                                ),
-                            )
-                        })
-                    })
-            }
-            // The study baselines run whole-document.
-            (None, name) => {
-                let engine: &dyn XPathEngine = match name {
-                    "saxon" => &SaxonLike,
-                    "galax" => &GalaxLike,
-                    "xmltk" => &XmltkLike,
-                    "joost" => &JoostLike,
-                    "xqengine" => &XqEngineLike,
-                    other => return usage(&format!("unknown engine '{other}'")),
-                };
-                engine
-                    .run(&query, &data)
-                    .map_err(|e| e.to_string())
-                    .map(|r| {
-                        if !opts.quiet {
-                            for v in &r.results {
-                                println!("{v}");
-                            }
-                        }
-                        (
-                            r.results.len() as u64,
-                            format!("peak_bytes={}", r.memory.total_peak_bytes()),
-                        )
-                    })
-            }
+        // The native engines stream from the source in constant memory.
+        // Only --schema-optimize reads the whole document first: the DTD
+        // it rewrites the query with is inside it.
+        let (effective, data) = if opts.schema_optimize {
+            let data = match read_input(file.as_deref()) {
+                Ok(d) => d,
+                Err(e) => return fail_io(&e),
+            };
+            let Some(effective) = schema_rewrite(&query, &data) else {
+                eprintln!("# schema: query can never match; skipping stream");
+                continue;
+            };
+            (effective, Some(data))
+        } else {
+            (query.clone(), None)
         };
-        match outcome {
-            Err(e) => return fail_run(&e),
-            Ok((results, mem)) => {
-                if opts.stats {
-                    eprintln!(
-                        "# {}: {} results in {:.1} ms [{}] engine={} {}",
-                        file.as_deref().unwrap_or("<stdin>"),
-                        results,
-                        t0.elapsed().as_secs_f64() * 1e3,
-                        query,
-                        opts.engine,
-                        mem
-                    );
-                }
-            }
+        let compiled = match engine.compile_str(&effective) {
+            Ok(c) => c,
+            Err(e) => return fail_query(&e.to_string()),
+        };
+        let mut sink = StdoutSink {
+            quiet: opts.quiet,
+            running: opts.running,
+            json: opts.json,
+            results: 0,
+        };
+        let reader: Box<dyn BufRead> = match (data, &file) {
+            (Some(data), _) => Box::new(std::io::Cursor::new(data)),
+            (None, None) => Box::new(BufReader::new(std::io::stdin())),
+            (None, Some(p)) => match std::fs::File::open(p) {
+                Ok(f) => Box::new(BufReader::new(f)),
+                Err(e) => return fail_io(&format!("reading {p}: {e}")),
+            },
+        };
+        let stats = match run_solo(&compiled, reader, opts.trace, &mut sink) {
+            Ok(stats) => stats,
+            Err(e) => return fail_run(&e.to_string()),
+        };
+        if opts.stats {
+            eprintln!(
+                "# {}: {} results in {:.1} ms [{}] engine={} events={} \
+                 firings={} steps={} probed={} peak_buffered_bytes={} peak_configs={}",
+                file.as_deref().unwrap_or("<stdin>"),
+                sink.results,
+                t0.elapsed().as_secs_f64() * 1e3,
+                query,
+                opts.engine,
+                stats.events,
+                stats.firings,
+                stats.steps,
+                stats.probed,
+                stats.memory.peak_bytes,
+                stats.memory.peak_configs,
+            );
         }
     }
     ExitCode::SUCCESS
+}
+
+/// Schema-aware rewrite (paper §5's future-work item) for
+/// `--schema-optimize`: prove emptiness or remove redundant closures using
+/// the document's internal DTD. `None` when the query can never match;
+/// the query as given when there is no DTD to use.
+fn schema_rewrite(query: &str, data: &[u8]) -> Option<String> {
+    let (Some(dtd), Ok(parsed)) = (
+        xsq::xml::dtd::extract_from_document(data),
+        xsq::xpath::parse_query(query),
+    ) else {
+        return Some(query.to_string());
+    };
+    let (optimized, analysis) = xsq::engine::schema::optimize(&parsed, &dtd);
+    if !analysis.satisfiable {
+        return None;
+    }
+    // Earliest-flush: drop existence predicates the DTD proves always
+    // true, so nothing is buffered waiting on them. Same validity
+    // assumption as the closure rewrite, same opt-in flag.
+    let (optimized, dropped) = xsq::engine::analyze::elide_always_true(&optimized, &dtd);
+    if !dropped.is_empty() {
+        eprintln!(
+            "# schema: elided {} always-true predicate(s)",
+            dropped.len()
+        );
+    }
+    let optimized = optimized.to_string();
+    if optimized != query {
+        eprintln!("# schema: rewrote to {optimized}");
+    }
+    Some(optimized)
+}
+
+/// Stream `reader` through one native run, printing the Example 5-style
+/// walkthrough to stderr under `--trace`.
+fn run_solo(
+    compiled: &CompiledQuery,
+    reader: impl BufRead,
+    trace: bool,
+    sink: &mut StdoutSink,
+) -> Result<RunStats, EngineError> {
+    let mut tracer = |step: TraceStep| eprintln!("{step}");
+    let mut parser = xsq::xml::StreamParser::new(reader);
+    let mut runner = compiled.runner();
+    if trace {
+        runner.set_tracer(&mut tracer);
+    }
+    while let Some(ev) = parser.next_raw()? {
+        runner.feed_raw(&ev, sink);
+    }
+    Ok(runner.finish(sink))
 }
 
 /// Print `error: …` to stderr and exit with the class's code. Every

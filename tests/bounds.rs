@@ -16,9 +16,8 @@ fn dblp_dtd() -> Dtd {
     Dtd::parse(&text).expect("data/dblp.dtd parses")
 }
 
-/// Run `query` over `doc` (compiled with the DTD, so queue pre-sizing is
-/// active too) and return the observed peak of simultaneous queue
-/// entries.
+/// Run `query` over `doc` (compiled with the DTD) and return the observed
+/// peak of simultaneous queue entries.
 fn observed_peak(query: &str, dtd: &Dtd, doc: &[u8]) -> u64 {
     let compiled = XsqEngine::full()
         .compile_str_with_dtd(query, Some(dtd))
@@ -142,27 +141,4 @@ fn per_depth_bounds_scale_with_observed_nesting_depth() {
         peak <= k * depth,
         "observed peak {peak} > PerDepth({k}) × depth {depth}"
     );
-}
-
-#[test]
-fn queue_presizing_from_the_bound_changes_no_results() {
-    // The Items(K) hint pre-sizes queues; results and counts must be
-    // identical with and without the schema.
-    let dtd = dblp_dtd();
-    let doc = datagen::dblp::generate(11, 60_000);
-    for query in [
-        "/dblp/inproceedings[author]/title/text()",
-        "/dblp/article/title/text()",
-        "/dblp/inproceedings[booktitle]/author/text()",
-    ] {
-        let plain = XsqEngine::full().compile_str(query).unwrap();
-        let hinted = XsqEngine::full()
-            .compile_str_with_dtd(query, Some(&dtd))
-            .unwrap();
-        let mut a = VecSink::new();
-        let mut b = VecSink::new();
-        plain.run_document(doc.as_bytes(), &mut a).unwrap();
-        hinted.run_document(doc.as_bytes(), &mut b).unwrap();
-        assert_eq!(a.results, b.results, "{query}");
-    }
 }

@@ -399,6 +399,31 @@ fn solo_stats_count_a_lock_step_run_once() {
     );
 }
 
+/// A traced run is the same streaming run with a tracer installed: its
+/// `--stats` line counts what the plain run counts, after the transcript.
+#[test]
+fn traced_stats_equal_plain_stats() {
+    let (_, stderr, ok) = run_with_stdin(
+        &[
+            "--trace",
+            "--stats",
+            "//pub[year>2000]//book[price]/title/text()",
+        ],
+        RECURSIVE_DOC,
+    );
+    assert!(ok, "{stderr}");
+    let root = env!("CARGO_MANIFEST_DIR");
+    let golden =
+        std::fs::read_to_string(format!("{root}/tests/golden/trace_recursive.txt")).unwrap();
+    let stats = stderr.strip_prefix(golden.as_str()).expect(&stderr);
+    assert_eq!(stats.lines().count(), 1, "{stats}");
+    let tail = &stats[stats.find("events=").expect(stats)..];
+    assert_eq!(
+        tail,
+        "events=73 firings=254 steps=130 probed=109 peak_buffered_bytes=530 peak_configs=22\n"
+    );
+}
+
 /// The CI bounds smoke contract: with the dblp DTD, the paper's
 /// closure-free buffering query must report a *finite* bound — the
 /// tentpole's showcase tightening — and the text renderer must carry

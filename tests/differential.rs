@@ -267,35 +267,6 @@ fn naive_flags_engine_matches_on_text_queries() {
     });
 }
 
-#[test]
-fn projection_is_lossless() {
-    // Running the query on the projected stream must be identical to
-    // running it on the full stream — for every query class, with the
-    // kept set staying a well-formed event sequence.
-    cases(0..CASES, |rng| {
-        let (doc, query) = (gen_doc(rng), gen_query(rng));
-        let parsed = parse_query(&query).expect("generated queries parse");
-        let events = events_of(&doc);
-        let projected = xsq::engine::projector::project_events(&parsed, &events);
-        assert!(
-            xsq::xml::WellFormednessPda::accepts(&projected),
-            "projection broke well-formedness on {query} over {doc}"
-        );
-        let compiled = XsqEngine::full().compile(&parsed).expect("compiles");
-        let run = |events: &[SaxEvent]| {
-            let (mut runner, mut sink) = (compiled.runner(), VecSink::new());
-            feed_all(&mut runner, events, &mut sink);
-            runner.finish(&mut sink);
-            sink.results
-        };
-        assert_eq!(
-            run(&events),
-            run(&projected),
-            "projection lost results on {query} over {doc}"
-        );
-    });
-}
-
 /// Three to six queries whose first step has one axis and one name but
 /// different predicates — attribute, child-exists and child-text
 /// categories in rotation, then none — one of them an aggregate. The
