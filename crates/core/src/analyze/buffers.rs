@@ -15,7 +15,7 @@
 //! * below an undecided ancestor, values go to the nearest such
 //!   ancestor's queue instead ([`BufferClass::UpstreamPredicate`]).
 
-use crate::arcs::{Action, Disposition};
+use crate::arcs::Action;
 use crate::build::Hpdt;
 use crate::ids::BpdtId;
 
@@ -83,28 +83,19 @@ pub fn analyze_buffers(hpdt: &Hpdt) -> BufferPlan {
     // `UpstreamPredicate` (someone routes *into* this queue from below)
     // dominates `OwnPredicate` (the queue holds only its owner's pending
     // values): an own-queue routing never downgrades a slot.
+    // A keyed resolve releases into its target like an upload; the keyed
+    // queue itself classifies like any other — by who routes values into it.
     for arc in hpdt.arcs.iter().flatten() {
-        for action in &arc.actions {
-            match action {
-                Action::Emit { to, .. } | Action::ElementStart { to, .. } => match to {
-                    Disposition::Direct => {}
-                    Disposition::OwnQueue => {
-                        let own = &mut buffers[arc.owner.slot as usize];
-                        if own.class == BufferClass::Unused {
-                            own.class = BufferClass::OwnPredicate;
-                        }
+        for (_, named) in arc.actions.iter().filter_map(Action::fill) {
+            match named {
+                // `Fill::Own`: a value waiting on the owner's predicate.
+                None => {
+                    let own = &mut buffers[arc.owner.slot as usize];
+                    if own.class == BufferClass::Unused {
+                        own.class = BufferClass::OwnPredicate;
                     }
-                    Disposition::Queue(q) => {
-                        buffers[q.slot as usize].class = BufferClass::UpstreamPredicate
-                    }
-                },
-                // A keyed resolve releases into its target like an upload;
-                // the keyed queue itself classifies like any other — by
-                // who routes values into it.
-                Action::UploadSelf(q) | Action::ResolveKeyed(Some(q)) => {
-                    buffers[q.slot as usize].class = BufferClass::UpstreamPredicate
                 }
-                _ => {}
+                Some(q) => buffers[q.slot as usize].class = BufferClass::UpstreamPredicate,
             }
         }
     }

@@ -17,7 +17,8 @@
 //!    configuration sets the runtime scans and the `qindex` dispatch
 //!    buckets.
 //! 3. **Determinism proof** ([`prove_deterministic`]) — detects automata
-//!    with no closure arcs. Pruning records the verdict in the artifact
+//!    with no closure arcs. `Hpdt::seal`, which the builders and the
+//!    pruner all end in, records the verdict in the artifact
 //!    (`Hpdt::deterministic`), and every runner of it — solo or inside
 //!    an index group — takes the XSQ-NC first-match fast path from that.
 //! 4. **Buffer-necessity analysis** ([`analyze_buffers`]) — classifies
@@ -38,7 +39,7 @@ pub use verify::verify;
 
 use xsq_xpath::{streamability, CmpOp, Comparison, FnTest, IssueKind, Predicate, Query};
 
-use crate::arcs::{ArcLabel, StateId};
+use crate::arcs::{Arc, ArcLabel, StateId};
 use crate::build::{build_hpdt, Hpdt};
 use crate::error::CompileError;
 use crate::ids::BpdtId;
@@ -172,14 +173,15 @@ pub(crate) fn checked(hpdt: Hpdt) -> Result<Hpdt, CompileError> {
     Ok(prune(&hpdt).0)
 }
 
-/// Determinism proof over the compiled artifact: with no closure self-loop
-/// and no any-depth entry arcs, every event matches at most one path, so
-/// the per-state `scan_all` flags make first-match execution exact and the
-/// query can auto-run on the XSQ-NC fast path. Strictly stronger than the
-/// query-level `has_closure` test: pruning can remove every closure arc of
-/// a query that *textually* uses `//`.
-pub fn prove_deterministic(hpdt: &Hpdt) -> bool {
-    !hpdt.arcs.iter().flatten().any(|a| {
+/// Determinism proof over compiled arcs: with no closure self-loop and no
+/// any-depth entry arcs, every event matches at most one path, so the
+/// per-state `scan_all` flags make first-match execution exact and the
+/// query can auto-run on the XSQ-NC fast path. `Hpdt::seal` records it as
+/// `Hpdt::deterministic`. Strictly stronger than the query-level
+/// `has_closure` test: pruning can remove every closure arc of a query
+/// that *textually* uses `//`.
+pub fn prove_deterministic(arcs: &[Vec<Arc>]) -> bool {
+    !arcs.iter().flatten().any(|a| {
         matches!(
             a.label,
             ArcLabel::ClosureSelfLoop | ArcLabel::BeginAnyDepth(_)
@@ -347,7 +349,7 @@ pub fn analyze_with_dtd(
         diagnostics.extend(lint_schema(query, dtd));
     }
     let (pruned, stats) = prune(&original);
-    let proven_deterministic = prove_deterministic(&pruned);
+    let proven_deterministic = pruned.deterministic;
     let plan = analyze_buffers(&pruned);
     let bound = analyze_bounds(query, pruned.buffered, dtd);
     let engine = if proven_deterministic {

@@ -20,12 +20,11 @@
 //! The result is a smaller configuration set for the nondeterministic
 //! runtime to scan and smaller dispatch buckets in the multi-query index.
 
-use crate::arcs::{
-    compute_arc_tables, compute_stays, Action, AnyDepthArcs, Arc, Disposition, QueueRef, StateId,
-};
-use crate::build::{compute_scan_all, uses_buffers, Hpdt};
+use crate::arcs::{Arc, QueueRef, StateId};
+use crate::build::Hpdt;
 
-use super::{comparison_unsatisfiable, prove_deterministic};
+use super::comparison_unsatisfiable;
+use super::verify::reachable_states;
 
 /// Before/after sizes of one pruning pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,22 +53,10 @@ fn guard_unsatisfiable(arc: &Arc) -> bool {
     }
 }
 
-/// Every queue an arc addresses: its owner's, and its actions' upload
-/// and enqueue targets.
+/// Every queue an arc addresses: its owner's, and the queues its actions
+/// fill by name.
 fn queue_refs(arc: &mut Arc) -> impl Iterator<Item = &mut QueueRef> {
-    let targets = arc.actions.iter_mut().filter_map(|action| match action {
-        Action::UploadSelf(q)
-        | Action::ResolveKeyed(Some(q))
-        | Action::Emit {
-            to: Disposition::Queue(q),
-            ..
-        }
-        | Action::ElementStart {
-            to: Disposition::Queue(q),
-            ..
-        } => Some(q),
-        _ => None,
-    });
+    let targets = arc.actions.iter_mut().filter_map(|a| a.fill_mut()?.1);
     std::iter::once(&mut arc.owner).chain(targets)
 }
 
@@ -112,19 +99,7 @@ pub fn prune(hpdt: &Hpdt) -> (Hpdt, PruneStats) {
 
     // Step 3: reachability over the reduced arc set, then remap.
     let n = hpdt.states.len();
-    let mut reachable = vec![false; n];
-    let mut stack = vec![hpdt.start as usize];
-    reachable[hpdt.start as usize] = true;
-    while let Some(s) = stack.pop() {
-        for arc in &kept_arcs[s] {
-            let t = arc.target as usize;
-            if t < n && !reachable[t] {
-                reachable[t] = true;
-                stack.push(t);
-            }
-        }
-    }
-
+    let reachable = reachable_states(&kept_arcs, hpdt.start);
     let mut remap: Vec<Option<StateId>> = vec![None; n];
     let mut states = Vec::new();
     for s in 0..n {
@@ -176,29 +151,20 @@ pub fn prune(hpdt: &Hpdt) -> (Hpdt, PruneStats) {
         }
     }
 
-    let start = remap[hpdt.start as usize].expect("start state is always reachable");
-    let mut pruned = Hpdt {
-        bpdt_count: queues.len(),
-        start,
-        scan_all: compute_scan_all(&arcs),
-        stays: compute_stays(&arcs),
-        arc_tables: compute_arc_tables(&arcs),
-        any_depth: AnyDepthArcs::new(&arcs),
-        buffered: uses_buffers(&arcs),
+    // Sealing re-derives every table from the surviving arcs. Pruning can
+    // delete every closure arc of a query that textually uses `//` (an
+    // unsatisfiable guard upstream of the closure); the artifact is then
+    // deterministic even though the query is not.
+    let pruned = Hpdt::seal(
         states,
         arcs,
+        remap[hpdt.start as usize].expect("start state is always reachable"),
         queues,
-        layers: hpdt.layers,
-        deterministic: hpdt.deterministic,
-        query: hpdt.query.clone(),
-        merged: hpdt.merged.clone(),
-        keyed: hpdt.keyed.clone(),
-        leaf_tags: hpdt.leaf_tags.clone(),
-    };
-    // Pruning can delete every closure arc of a query that textually
-    // uses `//` (an unsatisfiable guard upstream of the closure); the
-    // artifact is then deterministic even though the query is not.
-    pruned.deterministic = pruned.deterministic || prove_deterministic(&pruned);
+        hpdt.layers,
+        hpdt.merged.clone(),
+        hpdt.keyed.clone(),
+        hpdt.leaf_tags.clone(),
+    );
 
     let stats = PruneStats {
         states_before,
@@ -309,6 +275,6 @@ mod tests {
         assert!(!h.deterministic);
         let (p, _) = prune(&h);
         assert!(p.deterministic);
-        assert!(prove_deterministic(&p));
+        assert!(crate::analyze::prove_deterministic(&p.arcs));
     }
 }

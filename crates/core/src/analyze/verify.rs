@@ -7,16 +7,18 @@
 //! builder (or a hand-corrupted transducer) violates them and the runtime
 //! panics deep inside `execute`. The verifier checks them all up front
 //! and returns machine-readable diagnostics instead.
-
-use std::collections::HashMap;
+//!
+//! Every check is linear in the states, arcs and queues (a BPDT lookup is
+//! a binary search of the sorted ids), because a chain of predicated
+//! closure steps builds 3·2ⁿ − 1 states.
 
 use xsq_xpath::classify::{classify, StepCategory};
 
-use crate::arcs::{execution_order, Action, Arc, ArcLabel, Disposition, QueueRef};
+use crate::arcs::{execution_order, Action, Arc, ArcLabel, Fill, QueueRef, StateId};
 use crate::build::{compute_scan_all, Hpdt};
 use crate::ids::BpdtId;
 
-use super::Diagnostic;
+use super::{prove_deterministic, Diagnostic};
 
 /// Run every structural check over one compiled HPDT. An empty result (or
 /// one with only warnings/info) means the transducer is safe to execute.
@@ -46,17 +48,25 @@ pub fn verify(hpdt: &Hpdt) -> Vec<Diagnostic> {
         return out;
     }
 
+    let mut ids = hpdt.queues.clone();
+    ids.sort_unstable();
     check_arc_targets(hpdt, &mut out);
-    check_queue_index(hpdt, &mut out);
+    check_queue_index(hpdt, &ids, &mut out);
     check_reachability(hpdt, &mut out);
     check_buffer_release(hpdt, &mut out);
     check_depth_discipline(hpdt, &mut out);
     check_scan_all(hpdt, &mut out);
     check_deterministic_flag(hpdt, &mut out);
     if hpdt.merged.len() == 1 {
-        check_tree_positions(hpdt, &mut out);
+        check_tree_positions(hpdt, &ids, &mut out);
     }
     out
+}
+
+/// The queue `q` names, when its slot really holds it: a slot that does
+/// not is `check_queue_index`'s finding, and the checks after it skip it.
+fn resolved(hpdt: &Hpdt, q: QueueRef) -> Option<usize> {
+    (hpdt.queues.get(q.slot as usize) == Some(&q.id)).then_some(q.slot as usize)
 }
 
 fn check_arc_targets(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
@@ -95,10 +105,10 @@ fn check_arc_targets(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
 /// Every queue an executing arc addresses must resolve: the slot it
 /// carries is in range and belongs to the BPDT it names — the runtime
 /// indexes its queues by that slot unchecked, so a stale one is surfaced
-/// here as a diagnostic instead.
-fn check_queue_index(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
+/// here as a diagnostic instead. `ids` is the registered ids, sorted.
+fn check_queue_index(hpdt: &Hpdt, ids: &[BpdtId], out: &mut Vec<Diagnostic>) {
     let require = |q: QueueRef, what: &str, state: usize, out: &mut Vec<Diagnostic>| {
-        if hpdt.queues.get(q.slot as usize) != Some(&q.id) {
+        if resolved(hpdt, q).is_none() {
             out.push(
                 Diagnostic::error(
                     "queue-index-missing",
@@ -118,11 +128,10 @@ fn check_queue_index(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
                 require(arc.owner, "an arc with actions", s, out);
             }
             for action in &arc.actions {
-                match action {
-                    Action::UploadSelf(target) | Action::ResolveKeyed(Some(target)) => {
-                        require(*target, "an upload", s, out)
-                    }
-                    Action::RecordKey { table, .. }
+                match (action, action.fill()) {
+                    (_, Some((Fill::Upload, Some(q)))) => require(q, "an upload", s, out),
+                    (_, Some((Fill::Enqueue, Some(q)))) => require(q, "an enqueue", s, out),
+                    (Action::RecordKey { table, .. }, _)
                         if hpdt.keyed.get(*table as usize).map(|k| k.bpdt)
                             != Some(arc.owner.id) =>
                     {
@@ -135,14 +144,6 @@ fn check_queue_index(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
                             .at_bpdt(arc.owner.id),
                         );
                     }
-                    Action::Emit {
-                        to: Disposition::Queue(q),
-                        ..
-                    }
-                    | Action::ElementStart {
-                        to: Disposition::Queue(q),
-                        ..
-                    } => require(*q, "an enqueue", s, out),
                     _ => {}
                 }
             }
@@ -159,8 +160,6 @@ fn check_queue_index(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
             ),
         ));
     }
-    let mut ids = hpdt.queues.clone();
-    ids.sort_unstable_by_key(|id| (id.layer, id.seq));
     if ids.windows(2).any(|w| w[0] == w[1]) {
         out.push(Diagnostic::error(
             "queue-index-dense",
@@ -173,7 +172,7 @@ fn check_queue_index(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
 /// hold a configuration, but they still cost dispatch-index space. The
 /// pruner removes them; here they are a warning.
 fn check_reachability(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
-    let reachable = reachable_states(hpdt);
+    let reachable = reachable_states(&hpdt.arcs, hpdt.start);
     let dead: Vec<usize> = (0..hpdt.states.len()).filter(|&s| !reachable[s]).collect();
     if let Some(&first) = dead.first() {
         out.push(
@@ -192,12 +191,15 @@ fn check_reachability(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
     }
 }
 
-pub(crate) fn reachable_states(hpdt: &Hpdt) -> Vec<bool> {
-    let mut reachable = vec![false; hpdt.states.len()];
-    let mut stack = vec![hpdt.start as usize];
-    reachable[hpdt.start as usize] = true;
+/// Which states `start` reaches over `arcs` (per state, its outgoing
+/// arcs); out-of-range targets lead nowhere. The pruner keeps exactly
+/// these.
+pub(crate) fn reachable_states(arcs: &[Vec<Arc>], start: StateId) -> Vec<bool> {
+    let mut reachable = vec![false; arcs.len()];
+    let mut stack = vec![start as usize];
+    reachable[start as usize] = true;
     while let Some(s) = stack.pop() {
-        for arc in &hpdt.arcs[s] {
+        for arc in &arcs[s] {
             let t = arc.target as usize;
             if t < reachable.len() && !reachable[t] {
                 reachable[t] = true;
@@ -214,47 +216,41 @@ pub(crate) fn reachable_states(hpdt: &Hpdt) -> Vec<bool> {
 /// predicate-true witness. A receiving queue with no clear arc is an
 /// error; one with no release arc merely means its results are provably
 /// unreachable (this legitimately happens after pruning an unsatisfiable
-/// witness), so it is a warning.
+/// witness), so it is a warning. One pass over the arcs gathers three
+/// flags per queue slot; findings follow in slot order.
 fn check_buffer_release(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
-    let mut receives: HashMap<BpdtId, ()> = HashMap::new();
-    for arcs in &hpdt.arcs {
-        for arc in arcs {
-            for action in &arc.actions {
-                match action {
-                    Action::Emit { to, .. } | Action::ElementStart { to, .. } => match to {
-                        Disposition::OwnQueue => {
-                            receives.insert(arc.owner.id, ());
-                        }
-                        Disposition::Queue(q) => {
-                            receives.insert(q.id, ());
-                        }
-                        Disposition::Direct => {}
-                    },
-                    Action::UploadSelf(target) | Action::ResolveKeyed(Some(target)) => {
-                        receives.insert(target.id, ());
-                    }
-                    _ => {}
+    #[derive(Clone, Copy, Default)]
+    struct Life {
+        receives: bool,
+        cleared: bool,
+        released: bool,
+    }
+    let mut life = vec![Life::default(); hpdt.queues.len()];
+    for arc in hpdt.arcs.iter().flatten() {
+        let own = resolved(hpdt, arc.owner);
+        for action in &arc.actions {
+            if let Some((_, named)) = action.fill() {
+                if let Some(slot) = named.map_or(own, |q| resolved(hpdt, q)) {
+                    life[slot].receives = true;
                 }
+            }
+            let Some(own) = own.map(|slot| &mut life[slot]) else {
+                continue;
+            };
+            match action {
+                Action::ClearSelf => own.cleared = true,
+                Action::FlushSelf | Action::UploadSelf(_) => own.released = true,
+                // A keyed resolve is both: release, then clear.
+                Action::ResolveKeyed(_) => (own.cleared, own.released) = (true, true),
+                _ => {}
             }
         }
     }
-    for (&id, _) in receives.iter() {
-        let mut has_clear = false;
-        let mut has_release = false;
-        for arcs in &hpdt.arcs {
-            for arc in arcs.iter().filter(|a| a.owner.id == id) {
-                for action in &arc.actions {
-                    match action {
-                        Action::ClearSelf => has_clear = true,
-                        Action::FlushSelf | Action::UploadSelf(_) => has_release = true,
-                        // A keyed resolve is both: release, then clear.
-                        Action::ResolveKeyed(_) => (has_clear, has_release) = (true, true),
-                        _ => {}
-                    }
-                }
-            }
+    for (&id, life) in hpdt.queues.iter().zip(&life) {
+        if !life.receives {
+            continue;
         }
-        if !has_clear {
+        if !life.cleared {
             out.push(
                 Diagnostic::error(
                     "buffer-never-cleared",
@@ -266,7 +262,7 @@ fn check_buffer_release(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
                 .at_bpdt(id),
             );
         }
-        if !has_release {
+        if !life.released {
             out.push(
                 Diagnostic::warning(
                     "buffer-never-released",
@@ -443,13 +439,7 @@ fn check_scan_all(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
 }
 
 fn check_deterministic_flag(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
-    let has_closure_arcs = hpdt.arcs.iter().flatten().any(|a| {
-        matches!(
-            a.label,
-            ArcLabel::ClosureSelfLoop | ArcLabel::BeginAnyDepth(_)
-        )
-    });
-    if hpdt.deterministic && has_closure_arcs {
+    if hpdt.deterministic && !prove_deterministic(&hpdt.arcs) {
         out.push(Diagnostic::error(
             "deterministic-flag-unsound",
             "HPDT is flagged deterministic but contains closure arcs".to_string(),
@@ -462,8 +452,9 @@ fn check_deterministic_flag(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
 /// spine must be complete, and right children (even sequence numbers)
 /// may only hang off steps whose predicate category has an NA state.
 /// Merged HPDTs use fresh per-layer sequence numbers, where the encoding
-/// intentionally does not apply.
-fn check_tree_positions(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
+/// intentionally does not apply. `ids` is the registered ids, sorted.
+fn check_tree_positions(hpdt: &Hpdt, ids: &[BpdtId], out: &mut Vec<Diagnostic>) {
+    let registered = |id: &BpdtId| ids.binary_search(id).is_ok();
     for &id in &hpdt.queues {
         if id == BpdtId::ROOT {
             continue;
@@ -479,7 +470,7 @@ fn check_tree_positions(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
             continue;
         }
         match id.parent() {
-            Some(p) if p == BpdtId::ROOT || hpdt.queues.contains(&p) => {}
+            Some(p) if p == BpdtId::ROOT || registered(&p) => {}
             _ => {
                 out.push(
                     Diagnostic::error(
@@ -519,7 +510,7 @@ fn check_tree_positions(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
     // a warning, not an error.
     for l in 1..=hpdt.layers {
         let spine = BpdtId::new(l, (1u64 << l) - 1);
-        if !hpdt.queues.contains(&spine) {
+        if !registered(&spine) {
             out.push(
                 Diagnostic::warning(
                     "bpdt-spine-missing",
@@ -535,6 +526,7 @@ fn check_tree_positions(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
 mod tests {
     use super::*;
     use crate::analyze::has_errors;
+    use crate::analyze::Severity::{self, Error, Warning};
     use crate::build::build_hpdt;
     use xsq_xpath::parse_query;
 
@@ -615,6 +607,132 @@ mod tests {
                 .any(|d| d.is_error() && d.code == "scan-all-unsound"),
             "{diags:?}"
         );
+    }
+
+    /// Delete the actions `drop` selects from the arcs `owner` owns, with
+    /// each arc's cached execution order kept honest, so the finding under
+    /// test is the only error.
+    fn strip(h: &mut Hpdt, owner: BpdtId, drop: fn(&Action) -> bool) {
+        for arc in h.arcs.iter_mut().flatten() {
+            if arc.owner.id == owner {
+                arc.actions.retain(|a| !drop(a));
+                arc.order = execution_order(owner.layer, &arc.actions);
+            }
+        }
+    }
+
+    /// Rename a leaf BPDT — nothing uploads or enqueues into a leaf, so
+    /// its queue slot, its states and its arcs are all that name it.
+    fn retag(h: &mut Hpdt, from: BpdtId, to: BpdtId) {
+        for id in h
+            .queues
+            .iter_mut()
+            .chain(h.states.iter_mut().map(|s| &mut s.owner))
+        {
+            if *id == from {
+                *id = to;
+            }
+        }
+        for arc in h.arcs.iter_mut().flatten() {
+            if arc.owner.id == from {
+                arc.owner.id = to;
+            }
+        }
+    }
+
+    /// `(code, bpdt)` of every finding of `severity`, in report order.
+    fn findings(h: &Hpdt, severity: Severity) -> Vec<(&'static str, BpdtId)> {
+        verify(h)
+            .iter()
+            .filter(|d| d.severity == severity)
+            .map(|d| (d.code, d.bpdt.expect("the finding names its BPDT")))
+            .collect()
+    }
+
+    #[test]
+    fn a_queue_no_arc_clears_is_an_error_naming_it() {
+        let mut h = built("/a[b]/c/text()");
+        strip(&mut h, BpdtId::new(1, 1), |a| *a == Action::ClearSelf);
+        assert_eq!(
+            findings(&h, Error),
+            [("buffer-never-cleared", BpdtId::new(1, 1))]
+        );
+    }
+
+    #[test]
+    fn a_queue_no_arc_releases_is_a_warning_naming_it() {
+        let mut h = built("//a[b]//c[d]/text()");
+        strip(&mut h, BpdtId::new(2, 2), |a| {
+            matches!(a, Action::FlushSelf | Action::UploadSelf(_))
+        });
+        assert!(findings(&h, Error).is_empty());
+        assert_eq!(
+            findings(&h, Warning),
+            [("buffer-never-released", BpdtId::new(2, 2))]
+        );
+    }
+
+    #[test]
+    fn a_retagged_bpdt_is_caught_where_it_hangs() {
+        let (orphan, right) = (BpdtId::new(2, 0), BpdtId::new(2, 2));
+        // bpdt(1,0) does not exist: the renamed leaf has no parent.
+        let mut h = built("/a[b]/c/text()");
+        retag(&mut h, BpdtId::new(2, 2), orphan);
+        assert_eq!(findings(&h, Error), [("bpdt-orphan", orphan)]);
+        // `a[@id]` is decided at the begin event: it has no NA state for a
+        // right child to hang off, and the all-true spine loses its leaf.
+        let mut h = built("/a[@id]/b/text()");
+        retag(&mut h, BpdtId::new(2, 3), right);
+        assert_eq!(findings(&h, Error), [("bpdt-position-mismatch", right)]);
+        assert_eq!(
+            findings(&h, Warning),
+            [("bpdt-spine-missing", BpdtId::new(2, 3))]
+        );
+    }
+
+    #[test]
+    fn a_closure_hpdt_flagged_deterministic_is_caught() {
+        let mut h = built("//a/text()");
+        h.deterministic = true;
+        let diags = verify(&h);
+        let codes: Vec<_> = diags
+            .iter()
+            .filter(|d| d.is_error())
+            .map(|d| d.code)
+            .collect();
+        assert_eq!(codes, ["deterministic-flag-unsound"]);
+    }
+
+    #[test]
+    fn out_of_range_slots_are_findings_not_panics() {
+        let mut h = built("//a[b]//c[d]/text()");
+        for arc in h.arcs.iter_mut().flatten() {
+            arc.owner.slot += 100;
+            for q in arc.actions.iter_mut().filter_map(|a| a.fill_mut()?.1) {
+                q.slot += 100;
+            }
+        }
+        let diags = verify(&h);
+        assert!(diags.iter().any(|d| d.code == "queue-index-missing"));
+        assert!(diags
+            .iter()
+            .filter(|d| d.is_error())
+            .all(|d| d.code == "queue-index-missing"));
+    }
+
+    #[test]
+    fn a_malformed_hpdt_is_rejected_with_the_same_message_every_time() {
+        // Two queues no arc clears: the rejection names the lower slot.
+        let mut h = built("/a[b]/c[d]/text()");
+        for id in [BpdtId::new(2, 2), BpdtId::new(2, 3)] {
+            strip(&mut h, id, |a| *a == Action::ClearSelf);
+        }
+        let first = crate::analyze::reject_malformed(&verify(&h)).unwrap_err();
+        assert!(first.to_string().contains("queue of bpdt(2,2)"), "{first}");
+        for _ in 0..20 {
+            let again = crate::analyze::reject_malformed(&verify(&h)).unwrap_err();
+            assert_eq!(again.to_string(), first.to_string());
+        }
     }
 
     #[test]

@@ -285,6 +285,42 @@ impl Action {
             Action::ResolveKeyed(_) => "key.resolve",
         }
     }
+
+    /// Which queue this action fills, and how (§3.3): a produced value
+    /// enqueued in the owner's own queue ([`Fill::Own`], which names no
+    /// queue) or in a named one, or a resolved queue's entries uploaded
+    /// into a named one. The one place that reads this off the variants;
+    /// `&mut` so the pruner can re-slot the named queue in place.
+    pub(crate) fn fill_mut(&mut self) -> Option<(Fill, Option<&mut QueueRef>)> {
+        match self {
+            Action::Emit { to, .. } | Action::ElementStart { to, .. } => match to {
+                Disposition::Direct => None,
+                Disposition::OwnQueue => Some((Fill::Own, None)),
+                Disposition::Queue(q) => Some((Fill::Enqueue, Some(q))),
+            },
+            Action::UploadSelf(q) | Action::ResolveKeyed(Some(q)) => Some((Fill::Upload, Some(q))),
+            _ => None,
+        }
+    }
+
+    /// [`Self::fill_mut`], read through a copy: an action owns no heap data.
+    pub(crate) fn fill(&self) -> Option<(Fill, Option<QueueRef>)> {
+        self.clone()
+            .fill_mut()
+            .map(|(how, queue)| (how, queue.copied()))
+    }
+}
+
+/// How an action fills a queue ([`Action::fill`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fill {
+    /// A produced value, into the owning BPDT's own queue.
+    Own,
+    /// A produced value, into the nearest undecided ancestor's queue.
+    Enqueue,
+    /// A resolved queue's entries, moved up into the nearest undecided
+    /// ancestor's queue (a keyed resolve uploads too).
+    Upload,
 }
 
 /// One transition arc.

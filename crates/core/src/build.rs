@@ -17,9 +17,10 @@ use xsq_xml::Sym;
 use xsq_xpath::classify::{classify, StepCategory};
 use xsq_xpath::{AggFunc, Axis, CmpOp, FnArg, NodeTest, Output, Predicate, Query, Step};
 
+use crate::analyze::prove_deterministic;
 use crate::arcs::{
     compute_arc_tables, compute_stays, Action, AnyDepthArcs, Arc, ArcLabel, ArcTable, Disposition,
-    Guard, KeyTable, KeyVal, NamePat, QueueRef, StateId, StateInfo, StateRole, ValueSource,
+    Fill, Guard, KeyTable, KeyVal, NamePat, QueueRef, StateId, StateInfo, StateRole, ValueSource,
 };
 use crate::error::CompileError;
 use crate::ids::BpdtId;
@@ -66,8 +67,10 @@ pub struct Hpdt {
     /// one entry. Built by [`build_merged_hpdt`] for prefix-shared
     /// multi-query evaluation.
     pub merged: Vec<Query>,
-    /// True when the query has no closure axis: the HPDT is deterministic
-    /// (§3.4) and eligible for the XSQ-NC runtime.
+    /// True when no arc is a closure arc: the HPDT is deterministic (§3.4)
+    /// and eligible for the XSQ-NC runtime. A freshly built HPDT has one
+    /// exactly when its query has no closure axis; pruning can delete
+    /// every closure arc of a query that has one.
     pub deterministic: bool,
     /// True when some action enqueues into a buffer (§3.3). When false,
     /// every predicate resolves before its output node closes, so results
@@ -94,6 +97,43 @@ pub struct KeyedStep {
 }
 
 impl Hpdt {
+    /// Seal arcs into an HPDT. Everything else is derived here, from the
+    /// arcs alone: what the runtime reads per state (`scan_all`, `stays`,
+    /// `arc_tables`, `any_depth`) and the two verdicts the engine acts on
+    /// (`buffered`, `deterministic`). The builders and the pruner all end
+    /// here, so no table can disagree with the arcs it was derived from.
+    /// `merged` is never empty; its first member is [`Self::query`].
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn seal(
+        states: Vec<StateInfo>,
+        arcs: Vec<Vec<Arc>>,
+        start: StateId,
+        queues: Vec<BpdtId>,
+        layers: u16,
+        merged: Vec<Query>,
+        keyed: Vec<KeyedStep>,
+        leaf_tags: Vec<Vec<(u32, u32)>>,
+    ) -> Hpdt {
+        Hpdt {
+            scan_all: compute_scan_all(&arcs),
+            stays: compute_stays(&arcs),
+            arc_tables: compute_arc_tables(&arcs),
+            any_depth: AnyDepthArcs::new(&arcs),
+            buffered: uses_buffers(&arcs),
+            deterministic: prove_deterministic(&arcs),
+            bpdt_count: queues.len(),
+            start,
+            states,
+            arcs,
+            queues,
+            layers,
+            query: merged[0].clone(),
+            merged,
+            keyed,
+            leaf_tags,
+        }
+    }
+
     /// Total number of transition arcs.
     pub fn arc_count(&self) -> usize {
         self.arcs.iter().map(Vec::len).sum()
@@ -162,11 +202,11 @@ impl Hpdt {
 
 /// Build the HPDT for a parsed query.
 pub fn build_hpdt(query: &Query) -> Result<Hpdt, CompileError> {
-    Builder::new(query.clone()).build()
+    Builder::default().build(query)
 }
 
+#[derive(Default)]
 struct Builder {
-    query: Query,
     states: Vec<StateInfo>,
     arcs: Vec<Vec<Arc>>,
     queues: Vec<BpdtId>,
@@ -182,10 +222,11 @@ struct BuiltBpdt {
 
 /// Predicate context of a BPDT: which buffer operations its position in
 /// the tree dictates (§4.2). For the binary tree of a single query this
-/// is exactly what [`BpdtId::all_ancestors_true`] / [`BpdtId::upload_target`]
-/// read off the id bits; carrying it explicitly lets the same templates
-/// build *merged* trees whose fan-out is no longer binary (prefix-shared
-/// multi-query HPDTs), where the bit encoding breaks down.
+/// is exactly what the id bits say — all ones flushes, otherwise the
+/// lowest zero bit names the upload target (pinned on Fig. 11 by
+/// `flush_vs_upload_follows_id_bits`); carrying it explicitly lets the
+/// same templates build *merged* trees whose fan-out is no longer binary
+/// (prefix-shared multi-query HPDTs), where the bit encoding breaks down.
 #[derive(Debug, Clone, Copy)]
 struct PredCx {
     /// Every ancestor predicate on this path is known true.
@@ -218,17 +259,6 @@ impl PredCx {
 }
 
 impl Builder {
-    fn new(query: Query) -> Self {
-        Builder {
-            query,
-            states: Vec::new(),
-            arcs: Vec::new(),
-            queues: Vec::new(),
-            keyed: Vec::new(),
-            leaf_tags: Vec::new(),
-        }
-    }
-
     fn add_state(&mut self, owner: BpdtId, role: StateRole) -> Result<StateId, CompileError> {
         if self.states.len() >= MAX_STATES {
             return Err(CompileError::Unsupported {
@@ -273,42 +303,32 @@ impl Builder {
         Ok((start, root_true))
     }
 
-    /// Seal the arcs into an [`Hpdt`], deriving what the runtime reads
-    /// per state.
-    fn finish(self, start: StateId, layers: u16, deterministic: bool, merged: Vec<Query>) -> Hpdt {
-        Hpdt {
-            bpdt_count: self.queues.len(),
+    /// Seal the arcs into an [`Hpdt`] answering `merged`.
+    fn finish(self, start: StateId, layers: u16, merged: Vec<Query>) -> Hpdt {
+        Hpdt::seal(
+            self.states,
+            self.arcs,
             start,
-            scan_all: compute_scan_all(&self.arcs),
-            stays: compute_stays(&self.arcs),
-            arc_tables: compute_arc_tables(&self.arcs),
-            any_depth: AnyDepthArcs::new(&self.arcs),
-            buffered: uses_buffers(&self.arcs),
-            states: self.states,
-            arcs: self.arcs,
-            queues: self.queues,
+            self.queues,
             layers,
-            deterministic,
             merged,
-            query: self.query,
-            keyed: self.keyed,
-            leaf_tags: self.leaf_tags,
-        }
+            self.keyed,
+            self.leaf_tags,
+        )
     }
 
-    fn build(mut self) -> Result<Hpdt, CompileError> {
-        let steps = self.query.steps.clone();
-        let n = steps.len() as u16;
+    fn build(mut self, query: &Query) -> Result<Hpdt, CompileError> {
+        let n = query.steps.len() as u16;
         debug_assert!(n > 0, "parser guarantees at least one step");
 
         let (start, root_true) = self.build_root()?;
 
         // Layer-by-layer expansion. The root has no NA state, so its right
         // child is NULL and layer 1 contains only bpdt(1,1).
-        let leaf_spec = [(0u32, self.query.output.clone())];
+        let leaf_spec = [(0u32, query.output.clone())];
         let mut frontier: Vec<(BpdtId, PredCx, StateId)> =
             vec![(BpdtId::ROOT.left_child(), PredCx::ROOT, root_true)];
-        for (i, step) in steps.iter().enumerate() {
+        for (i, step) in query.steps.iter().enumerate() {
             let layer = i as u16 + 1;
             let is_leaf = layer == n;
             let leaf_specs: &[(u32, Output)] = if is_leaf { &leaf_spec } else { &[] };
@@ -327,9 +347,7 @@ impl Builder {
             frontier = next;
         }
 
-        let deterministic = !self.query.has_closure();
-        let merged = vec![self.query.clone()];
-        Ok(self.finish(start, n, deterministic, merged))
+        Ok(self.finish(start, n, vec![query.clone()]))
     }
 
     /// The label of a step's entry arcs. Closure steps: `//` self-loop on
@@ -977,12 +995,12 @@ fn key_families(
 /// catchall serialization machinery assumes the configuration's open
 /// item belongs to it alone, which sharing would violate.
 pub fn build_merged_hpdt(queries: &[Query]) -> Result<Hpdt, CompileError> {
-    let Some(first) = queries.first() else {
+    if queries.is_empty() {
         return Err(CompileError::Unsupported {
             feature: "an empty query group".into(),
             engine: "XSQ".into(),
         });
-    };
+    }
     if queries.len() > 1 && queries.iter().any(|q| q.output == Output::Element) {
         return Err(CompileError::Unsupported {
             feature: "element output inside a merged query group".into(),
@@ -1025,7 +1043,7 @@ pub fn build_merged_hpdt(queries: &[Query]) -> Result<Hpdt, CompileError> {
     // builder but with (a) fresh sequence numbers per layer — the binary
     // id encoding cannot describe fan-out beyond two — and (b) the
     // predicate context carried explicitly.
-    let mut b = Builder::new(first.clone());
+    let mut b = Builder::default();
     key_families(&mut nodes, &mut b.leaf_tags, &mut roots);
     for tags in &mut b.leaf_tags {
         tags.sort_unstable();
@@ -1068,8 +1086,7 @@ pub fn build_merged_hpdt(queries: &[Query]) -> Result<Hpdt, CompileError> {
         layer += 1;
     }
 
-    let deterministic = queries.iter().all(|q| !q.has_closure());
-    Ok(b.finish(start, layers, deterministic, queries.to_vec()))
+    Ok(b.finish(start, layers, queries.to_vec()))
 }
 
 /// A keyed step as dumps name it: `tag[child=?×N]`.
@@ -1082,15 +1099,11 @@ fn keyed_step_name(step: &Step, literals: usize) -> String {
 /// Does any action enqueue a value into a buffer? When nothing ever
 /// enqueues, the flush/upload/clear machinery is provably a no-op and the
 /// runner can skip allocating queues entirely (buffer-necessity analysis).
-pub(crate) fn uses_buffers(arcs: &[Vec<Arc>]) -> bool {
-    arcs.iter().flatten().any(|arc| {
-        arc.actions.iter().any(|a| match a {
-            Action::Emit { to, .. } | Action::ElementStart { to, .. } => {
-                !matches!(to, Disposition::Direct)
-            }
-            _ => false,
-        })
-    })
+fn uses_buffers(arcs: &[Vec<Arc>]) -> bool {
+    arcs.iter()
+        .flatten()
+        .flat_map(|arc| &arc.actions)
+        .any(|a| matches!(a.fill(), Some((Fill::Own | Fill::Enqueue, _))))
 }
 
 /// Conservative static check: for each state, could two outgoing arcs
@@ -1241,25 +1254,47 @@ mod tests {
 
     #[test]
     fn flush_vs_upload_follows_id_bits() {
+        // Fig. 11, read off what the builder emits. Writing k = (b1 … bl)₂,
+        // an all-ones id flushes to the output; otherwise its values and
+        // uploads go to the nearest undecided ancestor, the lowest zero bit.
         let h = hpdt("//pub[year>2000]//book[author]//name/text()");
-        // bpdt(2,3) (all ancestors true) resolves with FlushSelf;
-        // bpdt(2,2) uploads to bpdt(1,1).
-        let mut saw_flush = false;
-        let mut saw_upload_to_11 = false;
-        for a in h.arcs.iter().flatten() {
-            if a.owner.id == BpdtId::new(2, 3) && a.actions.contains(&Action::FlushSelf) {
-                saw_flush = true;
-            }
-            // The upload names its target both ways: id and queue slot.
-            let to_11 = |act: &Action| {
-                matches!(act, Action::UploadSelf(q)
-                    if q.id == BpdtId::new(1, 1) && h.queues[q.slot as usize] == q.id)
+        let id = BpdtId::new;
+        // Where `owner`'s arcs send what they release: `None` is straight
+        // to the output. Every named queue is named both ways, by id and
+        // by slot.
+        let routes = |owner: BpdtId, emits: bool| -> Vec<Option<BpdtId>> {
+            let arcs = h.arcs.iter().flatten().filter(|a| a.owner.id == owner);
+            let queue = |q: &QueueRef| {
+                assert_eq!(h.queues[q.slot as usize], q.id);
+                Some(Some(q.id))
             };
-            if a.owner.id == BpdtId::new(2, 2) && a.actions.iter().any(to_11) {
-                saw_upload_to_11 = true;
-            }
-        }
-        assert!(saw_flush && saw_upload_to_11);
+            arcs.flat_map(|a| &a.actions)
+                .filter_map(|act| match (act, emits) {
+                    (Action::Emit { to, .. }, true) => match to {
+                        Disposition::Direct => Some(None),
+                        Disposition::Queue(q) => queue(q),
+                        Disposition::OwnQueue => panic!("the leaf `name` has no predicate"),
+                    },
+                    (Action::FlushSelf, false) => Some(None),
+                    (Action::UploadSelf(q), false) => queue(q),
+                    _ => None,
+                })
+                .collect()
+        };
+        // Example 5: bpdt(3,4) = (100)₂, book and pub undecided — the name
+        // text waits in the book BPDT's queue first.
+        assert_eq!(routes(id(3, 4), true), [Some(id(2, 2))]);
+        // Example 7: bpdt(3,5) = (101)₂, book true and pub undecided — the
+        // text goes straight to bpdt(1,1), skipping bpdt(2,2).
+        assert_eq!(routes(id(3, 5), true), [Some(id(1, 1))]);
+        // bpdt(3,6) = (110)₂: pub true, book undecided.
+        assert_eq!(routes(id(3, 6), true), [Some(id(2, 3))]);
+        // bpdt(3,7) = (111)₂: every predicate true, so straight out.
+        assert_eq!(routes(id(3, 7), true), [None]);
+        // Example 5: bpdt(2,2)'s `[author]` witness uploads to bpdt(1,1);
+        // all-true bpdt(2,3) flushes instead.
+        assert_eq!(routes(id(2, 2), false), [Some(id(1, 1))]);
+        assert_eq!(routes(id(2, 3), false), [None]);
     }
 
     fn merged(queries: &[String]) -> Hpdt {

@@ -11,8 +11,10 @@
 //! layer-(i−1) BPDT on the path is known true** whenever the run is inside
 //! this BPDT. (`b1` corresponds to the root BPDT, whose "predicate" is
 //! vacuously true, so `b1 = 1` always.) All buffer decisions — flush
-//! directly vs. upload, and where to upload — are derived statically from
-//! this id, which is the paper's central trick.
+//! directly vs. upload, and where to upload — are fixed statically by
+//! this position, which is the paper's central trick. The builder carries
+//! them down the tree as it expands it (`PredCx` in `build.rs`), which
+//! also serves merged trees where the bits no longer apply.
 
 use std::fmt;
 
@@ -54,39 +56,6 @@ impl BpdtId {
     pub fn is_left_child(&self) -> bool {
         self.layer > 0 && (self.seq & 1) == 1
     }
-
-    /// Are the predicates of *all* ancestor layers known true here?
-    /// (`k = 2^l − 1`, all id bits set.)
-    pub fn all_ancestors_true(&self) -> bool {
-        self.seq == (1u64 << self.layer) - 1
-    }
-
-    /// The destination of `queue.upload()` issued from this BPDT: the
-    /// nearest ancestor that has this BPDT in its **right** subtree —
-    /// i.e. the deepest ancestor whose predicate is still undecided on
-    /// this path (§4.3). `None` when every ancestor predicate is true, in
-    /// which case the operation is a flush to output instead.
-    pub fn upload_target(&self) -> Option<BpdtId> {
-        // Bit i (0-indexed from the least-significant end) of `seq`
-        // records whether the layer-(l−1−i) ancestor's predicate is true.
-        // The nearest undecided ancestor is the lowest zero bit.
-        for i in 0..self.layer {
-            if (self.seq >> i) & 1 == 0 {
-                let target_layer = self.layer - 1 - i;
-                return Some(BpdtId::new(target_layer, self.seq >> (i + 1)));
-            }
-        }
-        None
-    }
-
-    /// When the run is inside this BPDT, is the predicate of the ancestor
-    /// at `layer` known true? (Reads the id bit; `layer` must be `<
-    /// self.layer`.)
-    pub fn ancestor_true(&self, layer: u16) -> bool {
-        debug_assert!(layer < self.layer);
-        let bit = self.layer - 1 - layer;
-        (self.seq >> bit) & 1 == 1
-    }
 }
 
 impl fmt::Display for BpdtId {
@@ -121,46 +90,6 @@ mod tests {
         assert!(id.is_left_child());
         assert!(!BpdtId::new(3, 4).is_left_child());
         assert_eq!(BpdtId::ROOT.parent(), None);
-    }
-
-    #[test]
-    fn all_ancestors_true_is_the_all_ones_id() {
-        assert!(BpdtId::ROOT.all_ancestors_true());
-        assert!(BpdtId::new(3, 7).all_ancestors_true());
-        assert!(!BpdtId::new(3, 6).all_ancestors_true());
-        assert!(!BpdtId::new(3, 4).all_ancestors_true());
-    }
-
-    #[test]
-    fn upload_targets_match_the_papers_examples() {
-        // bpdt(3,4) = (100)₂: book and pub undecided → upload to bpdt(2,2)
-        // (Example 5: name text is uploaded to the book BPDT first).
-        assert_eq!(BpdtId::new(3, 4).upload_target(), Some(BpdtId::new(2, 2)));
-        // bpdt(3,5) = (101)₂: book true, pub undecided → upload straight to
-        // bpdt(1,1), skipping bpdt(2,2) (Example 7).
-        assert_eq!(BpdtId::new(3, 5).upload_target(), Some(BpdtId::new(1, 1)));
-        // bpdt(3,6) = (110)₂: pub true, book undecided → bpdt(2,3).
-        assert_eq!(BpdtId::new(3, 6).upload_target(), Some(BpdtId::new(2, 3)));
-        // All-true BPDTs flush to output instead.
-        assert_eq!(BpdtId::new(3, 7).upload_target(), None);
-        assert_eq!(BpdtId::new(1, 1).upload_target(), None);
-        // bpdt(2,2) = (10)₂: pub undecided → bpdt(1,1) (Example 5: the
-        // author witness uploads the items to bpdt(1,1)).
-        assert_eq!(BpdtId::new(2, 2).upload_target(), Some(BpdtId::new(1, 1)));
-    }
-
-    #[test]
-    fn ancestor_bits_read_correctly() {
-        // bpdt(3,4) = (100)₂: root true, pub unknown, book unknown.
-        let id = BpdtId::new(3, 4);
-        assert!(id.ancestor_true(0));
-        assert!(!id.ancestor_true(1));
-        assert!(!id.ancestor_true(2));
-        // bpdt(3,5) = (101)₂: root true, pub unknown, book true.
-        let id = BpdtId::new(3, 5);
-        assert!(id.ancestor_true(0));
-        assert!(!id.ancestor_true(1));
-        assert!(id.ancestor_true(2));
     }
 
     #[test]
