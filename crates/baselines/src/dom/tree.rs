@@ -8,7 +8,7 @@
 //! created it, which lets evaluators report results in exact document
 //! (event) order.
 
-use xsq_xml::{Attribute, SaxEvent, StreamParser};
+use xsq_xml::{Attribute, RawEvent, StreamParser};
 
 /// Index of a node in the document arena.
 pub type NodeId = usize;
@@ -95,10 +95,10 @@ impl Document {
         let mut ordinal: u64 = 0;
         let mut element_count = 0usize;
         let mut payload_bytes = 0u64;
-        while let Some(ev) = parser.next_event()? {
+        while let Some(ev) = parser.next_raw()? {
             ordinal += 1;
             match ev {
-                SaxEvent::Begin {
+                RawEvent::Begin {
                     name,
                     attributes,
                     depth,
@@ -114,7 +114,7 @@ impl Document {
                             // A DOM materializes every tag name as its
                             // own string object; model that cost.
                             name: name.as_str().to_string(),
-                            attributes,
+                            attributes: attributes.to_vec(),
                             children: Vec::new(),
                         },
                         parent: stack.last().copied(),
@@ -131,15 +131,15 @@ impl Document {
                     }
                     stack.push(id);
                 }
-                SaxEvent::End { .. } => {
+                RawEvent::End { .. } => {
                     stack.pop();
                 }
-                SaxEvent::Text { text, depth, .. } => {
+                RawEvent::Text { text, depth, .. } => {
                     payload_bytes += text.len() as u64;
                     let id = nodes.len();
                     let parent = stack.last().copied();
                     nodes.push(Node {
-                        kind: NodeKind::Text(text),
+                        kind: NodeKind::Text(text.to_string()),
                         parent,
                         ordinal,
                         depth,
@@ -150,7 +150,7 @@ impl Document {
                         }
                     }
                 }
-                SaxEvent::StartDocument | SaxEvent::EndDocument => {}
+                RawEvent::StartDocument | RawEvent::EndDocument => {}
             }
         }
         // Structural overhead: the Node struct, child vectors, string and

@@ -11,24 +11,33 @@
 //!
 //! Predicates are not supported, exactly as in the study (Fig. 19's
 //! XMLTK query drops the `[author]` predicate).
+//!
+//! Tags are interned [`Sym`]s, so the transition cache is a dense table
+//! per DFA state indexed by the symbol: a cached step is two bounds-checked
+//! loads, with no hashing and no allocation per event.
 
 use std::collections::HashMap;
 use std::time::Instant;
 
 use xsq_core::{Capabilities, MemoryStats, PhaseTimings, RunReport, Unsupported, XPathEngine};
-use xsq_xml::{SaxEvent, StreamParser};
+use xsq_xml::writer::write_raw_event_into;
+use xsq_xml::{RawEvent, StreamParser, Sym};
 use xsq_xpath::{parse_query, AggFunc, Axis, NodeTest, Output, Query};
+
+/// An empty cell of a transition table: that step is not built yet.
+const UNBUILT: u32 = u32::MAX;
 
 /// A lazily built DFA for one location path.
 struct LazyDfa {
     /// Step tests, in order. `None` = wildcard.
-    tests: Vec<(Option<String>, Axis)>,
+    tests: Vec<(Option<Sym>, Axis)>,
     /// NFA state sets per DFA state (bit `i` = "i steps matched").
     states: Vec<u64>,
     /// Interning map for DFA states.
     index: HashMap<u64, usize>,
-    /// Lazy transition cache: (DFA state, tag) → DFA state.
-    transitions: HashMap<(usize, String), usize>,
+    /// Lazy transition cache: `transitions[s][tag.index()]` is the DFA
+    /// state after `tag` from `s`, or [`UNBUILT`].
+    transitions: Vec<Vec<u32>>,
 }
 
 impl LazyDfa {
@@ -51,7 +60,7 @@ impl LazyDfa {
             .iter()
             .map(|s| {
                 let name = match &s.test {
-                    NodeTest::Name(n) => Some(n.clone()),
+                    NodeTest::Name(n) => Some(Sym::intern(n)),
                     NodeTest::Wildcard => None,
                 };
                 (name, s.axis)
@@ -61,7 +70,7 @@ impl LazyDfa {
             tests,
             states: Vec::new(),
             index: HashMap::new(),
-            transitions: HashMap::new(),
+            transitions: Vec::new(),
         };
         dfa.intern(1); // {0}: nothing matched yet
         Ok(dfa)
@@ -73,14 +82,17 @@ impl LazyDfa {
         }
         let i = self.states.len();
         self.states.push(set);
+        self.transitions.push(Vec::new());
         self.index.insert(set, i);
         i
     }
 
     /// Lazy transition: from DFA state `s` on tag `tag`.
-    fn step(&mut self, s: usize, tag: &str) -> usize {
-        if let Some(&t) = self.transitions.get(&(s, tag.to_string())) {
-            return t;
+    fn step(&mut self, s: usize, tag: Sym) -> usize {
+        let cell = tag.index() as usize;
+        match self.transitions[s].get(cell) {
+            Some(&t) if t != UNBUILT => return t as usize,
+            _ => {}
         }
         let set = self.states[s];
         let mut next = 0u64;
@@ -90,7 +102,7 @@ impl LazyDfa {
                 continue;
             }
             let (name, axis) = &self.tests[i];
-            if name.as_deref().is_none_or(|t| t == tag) {
+            if name.is_none_or(|t| t == tag) {
                 next |= 1 << (i + 1);
             }
             // A pending closure step keeps searching below any element.
@@ -103,7 +115,11 @@ impl LazyDfa {
         // (a result element's descendants are not results unless the NFA
         // re-derives them, which closure self-loops above already do).
         let t = self.intern(next);
-        self.transitions.insert((s, tag.to_string()), t);
+        let row = &mut self.transitions[s];
+        if row.len() <= cell {
+            row.resize(cell + 1, UNBUILT);
+        }
+        row[cell] = t as u32;
         t
     }
 
@@ -112,11 +128,11 @@ impl LazyDfa {
     }
 
     /// Memory held by the lazily built automaton: interned state sets
-    /// plus the transition cache (the XMLTK trade-off of §5).
+    /// plus the transition tables (the XMLTK trade-off of §5).
     fn memory_bytes(&self) -> u64 {
         let per_state = std::mem::size_of::<u64>() + 32;
-        let per_transition: usize = 48;
-        (self.states.len() * per_state + self.transitions.len() * per_transition) as u64
+        let cells: usize = self.transitions.iter().map(Vec::len).sum();
+        (self.states.len() * per_state + cells * std::mem::size_of::<u32>()) as u64
     }
 }
 
@@ -152,6 +168,10 @@ impl XPathEngine for XmltkLike {
         ) {
             return Err(Box::new(Unsupported("XMLTK has no aggregation".into())));
         }
+        let attr = match &q.output {
+            Output::Attr(a) => Some(Sym::intern(a)),
+            _ => None,
+        };
         let mut dfa = LazyDfa::new(&q)?;
         let compile = t0.elapsed();
 
@@ -162,62 +182,64 @@ impl XPathEngine for XmltkLike {
         // Stack of DFA states; parallel stack of "accepting" flags.
         let mut stack: Vec<usize> = vec![0];
         let mut accept_stack: Vec<bool> = vec![false];
-        // Open whole-element captures: (start depth, buffer).
-        let mut captures: Vec<(u32, String)> = Vec::new();
+        // Open whole-element captures: (start depth, result slot). The
+        // slot is reserved at the begin event, so nested results come out
+        // in document order although the inner one closes first.
+        let mut captures: Vec<(u32, usize)> = Vec::new();
         let mut events = 0u64;
         let mut peak_capture_bytes = 0u64;
-        while let Some(ev) = parser.next_event()? {
+        while let Some(ev) = parser.next_raw()? {
             events += 1;
             // Feed open captures first (they include everything until
             // their end tag).
             if !captures.is_empty() {
-                for (_, buf) in captures.iter_mut() {
-                    xsq_xml::writer::write_event_into(&ev, buf);
+                for &(_, slot) in &captures {
+                    write_raw_event_into(&ev, &mut results[slot]);
                 }
-                peak_capture_bytes =
-                    peak_capture_bytes.max(captures.iter().map(|(_, b)| b.len() as u64).sum());
+                peak_capture_bytes = peak_capture_bytes.max(
+                    captures
+                        .iter()
+                        .map(|&(_, slot)| results[slot].len() as u64)
+                        .sum(),
+                );
             }
-            match &ev {
-                SaxEvent::Begin { name, depth, .. } => {
+            match ev {
+                RawEvent::Begin { name, depth, .. } => {
                     let s = *stack.last().expect("stack never empty");
-                    let t = dfa.step(s, name.as_str());
+                    let t = dfa.step(s, name);
                     let acc = dfa.accepting(t);
                     stack.push(t);
                     accept_stack.push(acc);
                     if acc {
                         match &q.output {
-                            Output::Attr(a) => {
-                                if let Some(v) = ev.attribute(a) {
+                            Output::Attr(_) => {
+                                if let Some(v) = attr.and_then(|a| ev.attribute_sym(a)) {
                                     results.push(v.to_string());
                                 }
                             }
                             Output::Aggregate(AggFunc::Count) => count += 1,
                             Output::Element => {
                                 let mut buf = String::new();
-                                xsq_xml::writer::write_event_into(&ev, &mut buf);
-                                captures.push((*depth, buf));
+                                write_raw_event_into(&ev, &mut buf);
+                                captures.push((depth, results.len()));
+                                results.push(buf);
                             }
                             _ => {}
                         }
                     }
                 }
-                SaxEvent::End { depth, .. } => {
+                RawEvent::End { depth, .. } => {
                     stack.pop();
                     accept_stack.pop();
-                    // Close captures opened at this depth.
-                    while let Some(&(d, _)) = captures.last() {
-                        if d == *depth {
-                            let (_, buf) = captures.pop().expect("checked");
-                            results.push(buf);
-                        } else {
-                            break;
-                        }
+                    // Close the capture opened at this depth.
+                    if captures.last().is_some_and(|&(d, _)| d == depth) {
+                        captures.pop();
                     }
                 }
-                SaxEvent::Text { text, .. }
+                RawEvent::Text { text, .. }
                     if q.output == Output::Text && *accept_stack.last().expect("nonempty") =>
                 {
-                    results.push(text.clone());
+                    results.push(text.to_string());
                 }
                 _ => {}
             }
@@ -268,8 +290,10 @@ mod tests {
         let doc = b"<a><b><b>x</b></b></a>";
         let r = XmltkLike.run("//b/text()", doc).unwrap();
         assert_eq!(r.results, ["x"]); // only inner b has direct text
+
+        // Whole elements in document order: the outer one opens first.
         let r = XmltkLike.run("//b", doc).unwrap();
-        assert_eq!(r.results, ["<b>x</b>", "<b><b>x</b></b>"]);
+        assert_eq!(r.results, ["<b><b>x</b></b>", "<b>x</b>"]);
     }
 
     #[test]

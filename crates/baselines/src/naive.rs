@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use xsq_core::{Capabilities, MemoryStats, PhaseTimings, RunReport, Unsupported, XPathEngine};
-use xsq_xml::{SaxEvent, StreamParser, Sym};
+use xsq_xml::{RawEvent, StreamParser, Sym};
 use xsq_xpath::{parse_query, Axis, Output, Predicate, Query};
 
 /// Unique id of an open (or closed) element instance.
@@ -75,10 +75,7 @@ impl<'q> NaiveRun<'q> {
         }
     }
 
-    fn on_begin(&mut self, ev: &SaxEvent) {
-        let SaxEvent::Begin { name, depth, .. } = ev else {
-            unreachable!()
-        };
+    fn on_begin(&mut self, ev: &RawEvent<'_>, name: Sym, depth: u32) {
         let id = self.next_id;
         self.next_id += 1;
         let mut matched_steps = Vec::new();
@@ -88,7 +85,7 @@ impl<'q> NaiveRun<'q> {
             }
             let structurally = if i == 0 {
                 match step.axis {
-                    Axis::Child => *depth == 1,
+                    Axis::Child => depth == 1,
                     Axis::Closure => true,
                     _ => false, // reverse axes are rejected at run entry
                 }
@@ -129,9 +126,9 @@ impl<'q> NaiveRun<'q> {
             .iter()
             .flat_map(|f| f.matched_steps.iter().map(move |&s| (f.id, s)))
             .filter(|&(_, s)| match &self.query.steps[s].predicate {
-                Some(Predicate::Child { name: c }) => c == name,
+                Some(Predicate::Child { name: c }) => c == &name,
                 Some(Predicate::ChildAttr { child, attr, cmp }) => {
-                    child == name
+                    child == &name
                         && match ev.attribute(attr) {
                             None => false,
                             Some(v) => cmp.as_ref().is_none_or(|c| c.eval(v)),
@@ -153,7 +150,7 @@ impl<'q> NaiveRun<'q> {
         }
         self.stack.push(OpenElem {
             id,
-            name: *name,
+            name,
             matched_steps,
         });
         if dirty {
@@ -161,10 +158,7 @@ impl<'q> NaiveRun<'q> {
         }
     }
 
-    fn on_text(&mut self, ev: &SaxEvent) {
-        let SaxEvent::Text { text, .. } = ev else {
-            unreachable!()
-        };
+    fn on_text(&mut self, text: &str) {
         let top_idx = self.stack.len() - 1;
         let mut dirty = false;
         // Own-text and child-text witnesses.
@@ -202,7 +196,7 @@ impl<'q> NaiveRun<'q> {
             let chains = self.collect_chains(top_idx, n - 1);
             if !chains.is_empty() {
                 self.buffer.push(BufferedItem {
-                    value: text.clone(),
+                    value: text.to_string(),
                     chains,
                     emitted: false,
                     dropped: false,
@@ -328,11 +322,11 @@ impl NaiveFlags {
         }
         let mut run = NaiveRun::new(&q);
         let mut parser = StreamParser::new(document);
-        while let Some(ev) = parser.next_event()? {
-            match &ev {
-                SaxEvent::Begin { .. } => run.on_begin(&ev),
-                SaxEvent::Text { .. } => run.on_text(&ev),
-                SaxEvent::End { .. } => run.on_end(),
+        while let Some(ev) = parser.next_raw()? {
+            match ev {
+                RawEvent::Begin { name, depth, .. } => run.on_begin(&ev, name, depth),
+                RawEvent::Text { text, .. } => run.on_text(text),
+                RawEvent::End { .. } => run.on_end(),
                 _ => {}
             }
         }

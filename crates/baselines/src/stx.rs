@@ -19,7 +19,8 @@
 use std::time::Instant;
 
 use xsq_core::{Capabilities, MemoryStats, PhaseTimings, RunReport, XPathEngine};
-use xsq_xml::{SaxEvent, StreamParser, Sym};
+use xsq_xml::writer::write_raw_event_into;
+use xsq_xml::{RawEvent, StreamParser, Sym};
 use xsq_xpath::{parse_query, AggFunc, Axis, Output, Predicate, Query};
 
 /// One open element on the stack.
@@ -29,8 +30,11 @@ struct Frame {
     /// the location path structurally; `flag` = predicate of step `i`
     /// known satisfied (from preceding data only).
     matched: Vec<Option<bool>>,
-    /// Open whole-element capture (only if the chain was true at begin).
-    capture: Option<String>,
+    /// The result slot of an open whole-element capture (only if the
+    /// chain was true at begin). It is reserved at the begin event, so
+    /// nested results keep document order although the inner one closes
+    /// first.
+    capture: Option<usize>,
 }
 
 /// The Joost-like study participant.
@@ -77,11 +81,7 @@ impl<'q> StxRun<'q> {
         }
     }
 
-    fn on_begin(&mut self, ev: &SaxEvent) {
-        let SaxEvent::Begin { name, depth, .. } = ev else {
-            unreachable!()
-        };
-        let (name, depth) = (*name, *depth);
+    fn on_begin(&mut self, ev: &RawEvent<'_>, name: Sym, depth: u32) {
         let n = self.query.steps.len();
         let mut matched = vec![None; n];
         for (i, step) in self.query.steps.iter().enumerate() {
@@ -164,18 +164,16 @@ impl<'q> StxRun<'q> {
                 Output::Aggregate(AggFunc::Count) => self.count += 1,
                 Output::Element => {
                     let mut buf = String::new();
-                    xsq_xml::writer::write_event_into(ev, &mut buf);
-                    self.stack[last].capture = Some(buf);
+                    write_raw_event_into(ev, &mut buf);
+                    self.stack[last].capture = Some(self.results.len());
+                    self.results.push(buf);
                 }
                 _ => {}
             }
         }
     }
 
-    fn on_text(&mut self, ev: &SaxEvent) {
-        let SaxEvent::Text { text, .. } = ev else {
-            unreachable!()
-        };
+    fn on_text(&mut self, ev: &RawEvent<'_>, text: &str) {
         let n = self.query.steps.len();
         // Witness text predicates: the top frame's own-text test and the
         // parent frame's child-text test.
@@ -201,7 +199,7 @@ impl<'q> StxRun<'q> {
         // Value productions anchored at text events.
         if self.stack[top].matched[n - 1].is_some() && self.chain_true(top, n - 1) {
             match &self.query.output {
-                Output::Text => self.results.push(text.clone()),
+                Output::Text => self.results.push(text.to_string()),
                 Output::Aggregate(AggFunc::Sum) => {
                     self.sum += xsq_xpath::value::str_to_number(text);
                 }
@@ -212,27 +210,23 @@ impl<'q> StxRun<'q> {
         self.append_captures(ev);
     }
 
-    fn append_captures(&mut self, ev: &SaxEvent) {
+    fn append_captures(&mut self, ev: &RawEvent<'_>) {
         let skip_top_begin = ev.is_begin();
         let len = self.stack.len();
-        for (i, f) in self.stack.iter_mut().enumerate() {
+        for (i, f) in self.stack.iter().enumerate() {
             // The newly pushed frame already serialized its own begin tag.
             if skip_top_begin && i == len - 1 {
                 continue;
             }
-            if let Some(buf) = &mut f.capture {
-                xsq_xml::writer::write_event_into(ev, buf);
+            if let Some(slot) = f.capture {
+                write_raw_event_into(ev, &mut self.results[slot]);
             }
         }
     }
 
-    fn on_end(&mut self, ev: &SaxEvent) {
+    fn on_end(&mut self, ev: &RawEvent<'_>) {
         self.append_captures(ev);
-        if let Some(frame) = self.stack.pop() {
-            if let Some(buf) = frame.capture {
-                self.results.push(buf);
-            }
-        }
+        self.stack.pop();
     }
 
     fn finish(mut self) -> (Vec<String>, u64) {
@@ -287,16 +281,16 @@ impl XPathEngine for JoostLike {
         let mut run = StxRun::new(&q);
         let mut parser = StreamParser::new(document);
         let mut events = 0u64;
-        while let Some(ev) = parser.next_event()? {
+        while let Some(ev) = parser.next_raw()? {
             events += 1;
-            match &ev {
-                SaxEvent::Begin { .. } => {
-                    run.on_begin(&ev);
+            match ev {
+                RawEvent::Begin { name, depth, .. } => {
+                    run.on_begin(&ev, name, depth);
                     // Captures of *enclosing* frames receive this begin.
                     run.append_captures(&ev);
                 }
-                SaxEvent::Text { .. } => run.on_text(&ev),
-                SaxEvent::End { .. } => run.on_end(&ev),
+                RawEvent::Text { text, .. } => run.on_text(&ev, text),
+                RawEvent::End { .. } => run.on_end(&ev),
                 _ => {}
             }
         }
@@ -365,6 +359,12 @@ mod tests {
     fn count_aggregation() {
         let r = JoostLike.run("//b/count()", b"<a><b/><b/></a>").unwrap();
         assert_eq!(r.results, ["2"]);
+    }
+
+    #[test]
+    fn nested_whole_elements_come_out_in_document_order() {
+        let r = JoostLike.run("//b", b"<a><b><b>x</b></b></a>").unwrap();
+        assert_eq!(r.results, ["<b><b>x</b></b>", "<b>x</b>"]);
     }
 
     #[test]

@@ -123,14 +123,14 @@ mod tests {
         assert_eq!(ex.len(), 3);
         assert!(ex[0].1.len() < ex[2].1.len());
         for (_, doc) in &ex {
-            assert!(xsq_xml::parse_to_events(doc.as_bytes()).is_ok());
+            assert!(xsq_xml::PureParser::run(doc.as_bytes()).is_ok());
         }
     }
 
     #[test]
     fn special_datasets_parse() {
         for doc in [ordering(small()), colors(small())] {
-            assert!(xsq_xml::parse_to_events(doc.as_bytes()).is_ok());
+            assert!(xsq_xml::PureParser::run(doc.as_bytes()).is_ok());
         }
         let rs = recursive_sweep(small(), 2);
         assert_eq!(rs.len(), 2);

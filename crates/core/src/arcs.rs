@@ -697,28 +697,31 @@ pub(crate) fn compute_stays(arcs: &[Vec<Arc>]) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xsq_xml::{Attribute, SaxEvent};
+    use std::sync::LazyLock;
+    use xsq_xml::{Attribute, RawEvent};
     use xsq_xpath::value::XPathValue;
     use xsq_xpath::{CmpOp, Comparison};
 
-    fn begin(name: &str, depth: u32) -> SaxEvent {
-        SaxEvent::Begin {
+    static ID_5: LazyLock<[Attribute; 1]> = LazyLock::new(|| [Attribute::new("id", "5")]);
+
+    fn begin(name: &str, depth: u32) -> RawEvent<'static> {
+        RawEvent::Begin {
             name: name.into(),
-            attributes: vec![Attribute::new("id", "5")],
+            attributes: &*ID_5,
             depth,
         }
     }
 
-    fn text(element: &str, content: &str, depth: u32) -> SaxEvent {
-        SaxEvent::Text {
+    fn text<'a>(element: &str, content: &'a str, depth: u32) -> RawEvent<'a> {
+        RawEvent::Text {
             element: element.into(),
-            text: content.into(),
+            text: content,
             depth,
         }
     }
 
-    fn end(name: &str, depth: u32) -> SaxEvent {
-        SaxEvent::End {
+    fn end(name: &str, depth: u32) -> RawEvent<'static> {
+        RawEvent::End {
             name: name.into(),
             depth,
         }
@@ -732,12 +735,12 @@ mod tests {
         Arc::new(label, None, 1, root, vec![])
     }
 
-    fn matches(a: &Arc, ev: &SaxEvent, dv: &DepthVector) -> bool {
-        a.label_matches(&ev.as_raw(), dv)
+    fn matches(a: &Arc, ev: &RawEvent<'_>, dv: &DepthVector) -> bool {
+        a.label_matches(ev, dv)
     }
 
-    fn passes(a: &Arc, ev: &SaxEvent) -> bool {
-        a.guard_passes(&ev.as_raw())
+    fn passes(a: &Arc, ev: &RawEvent<'_>) -> bool {
+        a.guard_passes(ev)
     }
 
     #[test]
@@ -945,18 +948,17 @@ mod tests {
             begin("unknown", 2),
             end("t3", 1),
             text("t3", "v", 2),
-            SaxEvent::StartDocument,
+            RawEvent::StartDocument,
         ];
         let dv = DepthVector::from_depths(&[0, 1]);
         let mut got = Vec::new();
         for ev in &events {
-            let raw = ev.as_raw();
-            table.candidates(raw_event_key(&raw), &mut got);
+            table.candidates(raw_event_key(ev), &mut got);
             // Keyed dispatch is an over-approximation of label_matches:
             // every arc the linear scan would fire must be a candidate,
             // and candidates stay in ascending arc order.
             for (ai, a) in arcs_of_state.iter().enumerate() {
-                if a.label_matches(&raw, &dv) {
+                if a.label_matches(ev, &dv) {
                     assert!(got.contains(&(ai as u32)), "missing arc {ai} for {ev:?}");
                 }
             }
@@ -996,8 +998,8 @@ mod tests {
         // Which events a shallower anchor can fire on at all: with a
         // catchall or `=<*>`, every begin (and with a catchall every other
         // event); with named entry arcs alone, a begin of those names.
-        let key = |n: &str| raw_event_key(&begin(n, 3).as_raw());
-        let text_key = raw_event_key(&text("a", "t", 3).as_raw());
+        let key = |n: &str| raw_event_key(&begin(n, 3));
+        let text_key = raw_event_key(&text("a", "t", 3));
         assert!(index.may_accept(key("zz"), true) && index.may_accept(text_key, false));
         let named = AnyDepthArcs::new(&[vec![arc(ArcLabel::BeginAnyDepth(name("a")))]]);
         assert!(named.may_accept(key("a"), true));

@@ -252,34 +252,34 @@ mod tests {
     use super::*;
     use crate::arcs::{event_key, NamePat};
     use crate::build::{build_hpdt, build_merged_hpdt};
-    use xsq_xml::SaxEvent;
+    use xsq_xml::RawEvent;
     use xsq_xpath::parse_query;
 
-    fn begin(name: &str, depth: u32) -> SaxEvent {
-        SaxEvent::Begin {
+    fn begin(name: &str, depth: u32) -> RawEvent<'static> {
+        RawEvent::Begin {
             name: name.into(),
-            attributes: vec![],
+            attributes: &[],
             depth,
         }
     }
 
     /// Begin, text and end events of one element name.
-    fn events_of(name: &str) -> [SaxEvent; 3] {
-        let text = SaxEvent::Text {
+    fn events_of(name: &str) -> [RawEvent<'static>; 3] {
+        let text = RawEvent::Text {
             element: name.into(),
-            text: "v".into(),
+            text: "v",
             depth: 2,
         };
-        let end = SaxEvent::End {
+        let end = RawEvent::End {
             name: name.into(),
             depth: 2,
         };
         [begin(name, 2), text, end]
     }
 
-    fn candidates(idx: &DispatchIndex, ev: &SaxEvent) -> Vec<u32> {
+    fn candidates(idx: &DispatchIndex, ev: &RawEvent<'_>) -> Vec<u32> {
         let mut out = Vec::new();
-        idx.candidates(&ev.as_raw(), &mut out);
+        idx.candidates(ev, &mut out);
         out
     }
 
@@ -332,8 +332,8 @@ mod tests {
         (keys, wild)
     }
 
-    fn oracle_hears(hpdt: &Hpdt, frontier: &[StateId], ev: &SaxEvent) -> bool {
-        let key = raw_event_key(&ev.as_raw()).expect("an element event");
+    fn oracle_hears(hpdt: &Hpdt, frontier: &[StateId], ev: &RawEvent<'_>) -> bool {
+        let key = raw_event_key(ev).expect("an element event");
         frontier.iter().any(|&s| {
             let (keys, wild) = state_interest(hpdt, s);
             keys.contains(&key) || wild[(key >> 32) as usize]
@@ -386,8 +386,8 @@ mod tests {
         let mut idx = DispatchIndex::new();
         idx.add_group(&hpdt);
         idx.add_group(&hpdt);
-        assert_eq!(candidates(&idx, &SaxEvent::StartDocument), [0, 1]);
-        assert_eq!(candidates(&idx, &SaxEvent::EndDocument), [0, 1]);
+        assert_eq!(candidates(&idx, &RawEvent::StartDocument), [0, 1]);
+        assert_eq!(candidates(&idx, &RawEvent::EndDocument), [0, 1]);
     }
 
     #[test]
@@ -444,11 +444,11 @@ mod tests {
         let (_, one, _) = idx.shape();
         assert!(0 < one && one < both);
         assert_eq!(candidates(&idx, &begin("b", 2)), [1]);
-        assert_eq!(candidates(&idx, &SaxEvent::StartDocument), [1]);
+        assert_eq!(candidates(&idx, &RawEvent::StartDocument), [1]);
         idx.remove_group(1, &hpdts[1]);
         assert_eq!(idx.shape(), (0, 0, 0));
         assert!(candidates(&idx, &begin("b", 2)).is_empty());
-        assert!(candidates(&idx, &SaxEvent::StartDocument).is_empty());
+        assert!(candidates(&idx, &RawEvent::StartDocument).is_empty());
     }
 
     #[test]

@@ -152,9 +152,9 @@ mod tests {
         let hpdt = &groups[0].hpdt;
         let mut core = RunnerCore::new(hpdt);
         let mut sink = TaggedVecSink::new();
-        for e in xsq_xml::parse_to_events(doc).unwrap() {
-            core.feed_raw(hpdt, &e.as_raw(), &mut sink);
-        }
+        crate::runtime::tests::each_event(doc, |e| {
+            core.feed_raw(hpdt, e, &mut sink);
+        });
         core.finish(&mut sink);
         for (tag, q) in texts.iter().enumerate() {
             let solo = crate::engine::evaluate(q, doc).unwrap();

@@ -426,7 +426,7 @@ impl std::fmt::Debug for QueryIndex {
 mod tests {
     use super::*;
     use crate::engine::evaluate;
-    use xsq_xml::SaxEvent;
+    use xsq_xml::RawEvent;
 
     const DOC: &[u8] = b"<pub><book id=\"1\"><name>First</name><author>A</author>\
                          <price>10</price></book><book id=\"2\"><name>Second</name>\
@@ -546,32 +546,32 @@ mod tests {
         let mut index = QueryIndex::new(XsqEngine::full());
         let first = index.subscribe("/a/b/text()").unwrap();
         let mut sink = VecQuerySink::new();
-        let begin = |name: &str, depth| SaxEvent::Begin {
+        let begin = |name: &str, depth| RawEvent::Begin {
             name: name.into(),
-            attributes: vec![],
+            attributes: &[],
             depth,
         };
-        let end = |name: &str, depth| SaxEvent::End {
+        let end = |name: &str, depth| RawEvent::End {
             name: name.into(),
             depth,
         };
-        index.feed_raw(&SaxEvent::StartDocument.as_raw(), &mut sink);
-        index.feed_raw(&begin("a", 1).as_raw(), &mut sink);
+        index.feed_raw(&RawEvent::StartDocument, &mut sink);
+        index.feed_raw(&begin("a", 1), &mut sink);
         // Late subscriber: misses this document entirely.
         let late = index.subscribe("/a/b/text()").unwrap();
         let rest = [
             begin("b", 2),
-            SaxEvent::Text {
+            RawEvent::Text {
                 element: "b".into(),
-                text: "x".into(),
+                text: "x",
                 depth: 2,
             },
             end("b", 2),
             end("a", 1),
-            SaxEvent::EndDocument,
+            RawEvent::EndDocument,
         ];
         for ev in &rest {
-            index.feed_raw(&ev.as_raw(), &mut sink);
+            index.feed_raw(ev, &mut sink);
         }
         index.finish(&mut sink);
         assert_eq!(sink.of(first), ["x"]);

@@ -1070,20 +1070,25 @@ impl<'q> Runner<'q> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::build::build_hpdt;
     use crate::sink::VecSink;
     use xsq_xpath::parse_query;
 
+    /// Call `f` on every event of the well-formed document `doc`.
+    pub(crate) fn each_event(doc: &[u8], mut f: impl FnMut(&RawEvent<'_>)) {
+        let mut parser = xsq_xml::StreamParser::new(doc);
+        while let Some(ev) = parser.next_raw().unwrap() {
+            f(&ev);
+        }
+    }
+
     fn run(query: &str, doc: &str) -> Vec<String> {
         let hpdt = build_hpdt(&parse_query(query).unwrap()).unwrap();
         let mut runner = Runner::new(&hpdt);
         let mut sink = VecSink::new();
-        let events = xsq_xml::parse_to_events(doc.as_bytes()).unwrap();
-        for e in &events {
-            runner.feed_raw(&e.as_raw(), &mut sink);
-        }
+        each_event(doc.as_bytes(), |e| runner.feed_raw(e, &mut sink));
         assert_eq!(runner.buffered_entries(), 0, "buffers must drain");
         runner.finish(&mut sink);
         sink.results
@@ -1173,15 +1178,12 @@ mod tests {
                    <year>2002</year></pub>";
         let mut hpdt = build_hpdt(&parse_query(q).unwrap()).unwrap();
         assert!(hpdt.deterministic);
-        let events = xsq_xml::parse_to_events(doc.as_bytes()).unwrap();
         let mut outs = Vec::new();
         for deterministic in [false, true] {
             hpdt.deterministic = deterministic;
             let mut runner = Runner::new(&hpdt);
             let mut sink = VecSink::new();
-            for e in &events {
-                runner.feed_raw(&e.as_raw(), &mut sink);
-            }
+            each_event(doc.as_bytes(), |e| runner.feed_raw(e, &mut sink));
             runner.finish(&mut sink);
             outs.push(sink.results);
         }
@@ -1194,11 +1196,14 @@ mod tests {
         let hpdt = build_hpdt(&parse_query("/a/b/text()").unwrap()).unwrap();
         let mut runner = Runner::new(&hpdt);
         let mut sink = VecSink::new();
-        let events = xsq_xml::parse_to_events(b"<a><b>early</b><c/></a>").unwrap();
         // Feed only through </b>.
-        for e in &events[..5] {
-            runner.feed_raw(&e.as_raw(), &mut sink);
-        }
+        let mut fed = 0;
+        each_event(b"<a><b>early</b><c/></a>", |e| {
+            if fed < 5 {
+                runner.feed_raw(e, &mut sink);
+                fed += 1;
+            }
+        });
         assert_eq!(sink.results, ["early"]);
     }
 
@@ -1207,9 +1212,7 @@ mod tests {
         let hpdt = build_hpdt(&parse_query("//b/count()").unwrap()).unwrap();
         let mut runner = Runner::new(&hpdt);
         let mut sink = VecSink::new();
-        for e in xsq_xml::parse_to_events(b"<a><b/><b/><b/></a>").unwrap() {
-            runner.feed_raw(&e.as_raw(), &mut sink);
-        }
+        each_event(b"<a><b/><b/><b/></a>", |e| runner.feed_raw(e, &mut sink));
         runner.finish(&mut sink);
         assert_eq!(sink.updates, vec![1.0, 2.0, 3.0]);
         assert_eq!(sink.results, ["3"]);
@@ -1220,11 +1223,10 @@ mod tests {
         let hpdt = build_hpdt(&parse_query("/a/b/text()").unwrap()).unwrap();
         let mut core = RunnerCore::new(&hpdt);
         let mut sink = crate::sink::TaggedVecSink::new();
-        let events = xsq_xml::parse_to_events(b"<a><z>skip</z><b>hit</b></a>").unwrap();
         let mut fired = Vec::new();
-        for e in &events {
-            fired.push(core.feed_raw(&hpdt, &e.as_raw(), &mut sink));
-        }
+        each_event(b"<a><z>skip</z><b>hit</b></a>", |e| {
+            fired.push(core.feed_raw(&hpdt, e, &mut sink))
+        });
         // StartDocument, <a>, <b>, text, </b>, </a>, EndDocument all move
         // configurations; <z> and its text do not.
         assert!(fired[0] && fired[1]);
@@ -1238,7 +1240,6 @@ mod tests {
         // item store's per-event ordinal (appends are deduplicated by it),
         // the second talks to the sink from `drain`.
         let doc = b"<a><z>skip</z><b><c>x</c></b><z>t</z><b>2</b><z/></a>";
-        let events = xsq_xml::parse_to_events(doc).unwrap();
         // What each ignores: the three `z` elements (two with text); the
         // count also everything inside a `b`.
         for (query, want, ignores) in [
@@ -1248,8 +1249,8 @@ mod tests {
             let hpdt = build_hpdt(&parse_query(query).unwrap()).unwrap();
             let mut core = RunnerCore::new(&hpdt);
             let mut sink = crate::sink::TaggedVecSink::new();
-            let mut ignored = 0;
-            for (i, e) in events.iter().enumerate() {
+            let (mut ignored, mut i) = (0, 0);
+            each_event(doc, |e| {
                 let before = (
                     core.configs.clone(),
                     core.items.total_items(),
@@ -1257,7 +1258,7 @@ mod tests {
                     core.memory(),
                     (sink.results.len(), sink.updates.len()),
                 );
-                let fired = core.feed_raw(&hpdt, &e.as_raw(), &mut sink);
+                let fired = core.feed_raw(&hpdt, e, &mut sink);
                 let after = (
                     core.configs.clone(),
                     core.items.total_items(),
@@ -1271,8 +1272,9 @@ mod tests {
                 }
                 // Ignored events still count: the next firing is anchored
                 // at its own ordinal, not at the last one that fired.
-                assert_eq!(core.events, i as u64 + 1);
-            }
+                i += 1;
+                assert_eq!(core.events, i);
+            });
             assert_eq!(ignored, ignores, "{query}");
             core.finish(&mut sink);
             assert_eq!(sink.of(0), want, "{query}");
@@ -1284,11 +1286,10 @@ mod tests {
         let hpdt = build_hpdt(&parse_query("//b/text()").unwrap()).unwrap();
         let mut core = RunnerCore::new(&hpdt);
         let mut sink = crate::sink::TaggedVecSink::new();
-        let events = xsq_xml::parse_to_events(b"<a><z><b>hit</b></z></a>").unwrap();
-        let fired: Vec<bool> = events
-            .iter()
-            .map(|e| core.feed_raw(&hpdt, &e.as_raw(), &mut sink))
-            .collect();
+        let mut fired = Vec::new();
+        each_event(b"<a><z><b>hit</b></z></a>", |e| {
+            fired.push(core.feed_raw(&hpdt, e, &mut sink))
+        });
         // StartDocument fires; <a> and <z> are begin events below the
         // closure state's anchor that only `//` accepts: the state keeps
         // searching, no arc fires, the set does not move.
@@ -1314,9 +1315,7 @@ mod tests {
         let hpdt = build_hpdt(&query).unwrap();
         let mut runner = Runner::new(&hpdt);
         let mut sink = VecSink::new();
-        for e in xsq_xml::parse_to_events(doc.as_bytes()).unwrap() {
-            runner.feed_raw(&e.as_raw(), &mut sink);
-        }
+        each_event(doc.as_bytes(), |e| runner.feed_raw(e, &mut sink));
         let stats = runner.finish(&mut sink);
         assert_eq!((stats.memory.peak_configs, stats.results), (47, 484));
         // A step touches what moves: the runs probed in full are the tail
@@ -1340,9 +1339,9 @@ mod tests {
         let mut stats = Vec::new();
         for _ in 0..2 {
             let mut sink = crate::sink::TaggedVecSink::new();
-            for e in xsq_xml::parse_to_events(b"<a><b/><b/></a>").unwrap() {
-                core.feed_raw(&hpdt, &e.as_raw(), &mut sink);
-            }
+            each_event(b"<a><b/><b/></a>", |e| {
+                core.feed_raw(&hpdt, e, &mut sink);
+            });
             stats.push(core.finish(&mut sink));
             assert_eq!(sink.of(0), ["2"]);
             core.reset(&hpdt);
@@ -1363,9 +1362,9 @@ mod tests {
         let mut core = RunnerCore::new(&hpdt);
         let mut sink = crate::sink::TaggedVecSink::new();
         let doc = br#"<a><b id="7">x</b><c>y</c></a>"#;
-        for e in xsq_xml::parse_to_events(doc).unwrap() {
-            core.feed_raw(&hpdt, &e.as_raw(), &mut sink);
-        }
+        each_event(doc, |e| {
+            core.feed_raw(&hpdt, e, &mut sink);
+        });
         core.finish(&mut sink);
         assert_eq!(sink.of(0), ["x"]);
         assert_eq!(sink.of(1), ["7"]);

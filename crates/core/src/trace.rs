@@ -112,6 +112,7 @@ fn action_str(a: &Action) -> String {
 mod tests {
     use super::*;
     use crate::build::build_hpdt;
+    use crate::runtime::tests::each_event;
     use crate::runtime::Runner;
     use crate::sink::VecSink;
     use xsq_xpath::parse_query;
@@ -125,11 +126,9 @@ mod tests {
             let mut runner = Runner::new(&hpdt);
             runner.set_tracer(&mut tracer);
             let mut sink = VecSink::new();
-            for ev in
-                xsq_xml::parse_to_events(b"<pub><name>N</name><year>2002</year></pub>").unwrap()
-            {
-                runner.feed_raw(&ev.as_raw(), &mut sink);
-            }
+            each_event(b"<pub><name>N</name><year>2002</year></pub>", |ev| {
+                runner.feed_raw(ev, &mut sink)
+            });
             runner.finish(&mut sink);
         }
         // One step per event.
@@ -167,9 +166,9 @@ mod tests {
         let mut steps: Vec<TraceStep> = Vec::new();
         let mut tracer = |s: TraceStep| steps.push(s);
         let doc = b"<r><a><v>one</v><k>1</k></a><z/></r>";
-        for ev in xsq_xml::parse_to_events(doc).unwrap() {
-            core.feed_traced(&hpdt, &ev.as_raw(), &mut sink, Some(&mut tracer));
-        }
+        each_event(doc, |ev| {
+            core.feed_traced(&hpdt, ev, &mut sink, Some(&mut tracer));
+        });
         core.finish(&mut sink);
         assert_eq!((sink.of(0), sink.of(1)), (vec!["one"], vec![]));
         let text = steps
@@ -189,13 +188,14 @@ mod tests {
             .unwrap();
         let doc = b"<root><pub><book><name>X</name><author>A</author></book>\
                     <year>2002</year></pub></root>";
-        let events = xsq_xml::parse_to_events(doc).unwrap();
+        let mut events = 0usize;
         let plain = {
             let mut r = Runner::new(&hpdt);
             let mut s = VecSink::new();
-            for e in &events {
-                r.feed_raw(&e.as_raw(), &mut s);
-            }
+            each_event(doc, |e| {
+                r.feed_raw(e, &mut s);
+                events += 1;
+            });
             r.finish(&mut s);
             s.results
         };
@@ -205,13 +205,11 @@ mod tests {
             let mut r = Runner::new(&hpdt);
             r.set_tracer(&mut tracer);
             let mut s = VecSink::new();
-            for e in &events {
-                r.feed_raw(&e.as_raw(), &mut s);
-            }
+            each_event(doc, |e| r.feed_raw(e, &mut s));
             r.finish(&mut s);
             s.results
         };
         assert_eq!(plain, traced);
-        assert_eq!(count, events.len());
+        assert_eq!(count, events);
     }
 }

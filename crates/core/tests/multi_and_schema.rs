@@ -98,9 +98,10 @@ fn one_runner_per_query_matches_and_buffers_independently() {
     // Invalid nesting? <all><r>... is fine.
     let mut runners: Vec<_> = compiled.iter().map(|c| c.runner()).collect();
     let mut sinks = vec![VecSink::new(), VecSink::new()];
-    for ev in xsq_xml::parse_to_events(doc.as_bytes()).unwrap() {
+    let mut parser = xsq_xml::StreamParser::new(doc.as_bytes());
+    while let Some(ev) = parser.next_raw().unwrap() {
         for (runner, sink) in runners.iter_mut().zip(&mut sinks) {
-            runner.feed_raw(&ev.as_raw(), sink);
+            runner.feed_raw(&ev, sink);
         }
     }
     let configs: u64 = runners.iter().map(|r| r.memory().peak_configs).sum();
@@ -191,11 +192,13 @@ fn trace_step_counts_match_events_for_multi_runner_queries() {
     let mut runner = compiled.runner();
     runner.set_tracer(&mut tracer);
     let mut sink = VecSink::new();
-    let events = xsq_xml::parse_to_events(b"<a><b>1</b><c/></a>").unwrap();
-    for e in &events {
-        runner.feed_raw(&e.as_raw(), &mut sink);
+    let mut parser = xsq_xml::StreamParser::new(&b"<a><b>1</b><c/></a>"[..]);
+    let mut events = 0;
+    while let Some(e) = parser.next_raw().unwrap() {
+        runner.feed_raw(&e, &mut sink);
+        events += 1;
     }
     runner.finish(&mut sink);
-    assert_eq!(steps, events.len());
+    assert_eq!(steps, events);
     assert_eq!(sink.results, ["1"]);
 }

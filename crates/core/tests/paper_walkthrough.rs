@@ -32,16 +32,18 @@ fn example_5_walkthrough_operations_fire_at_the_narrated_events() {
     let mut runner = compiled.runner();
     runner.set_tracer(&mut tracer);
     let mut sink = VecSink::new();
-    let events = xsq_xml::parse_to_events(FIG1.as_bytes()).unwrap();
+    let mut parser = xsq_xml::StreamParser::new(FIG1.as_bytes());
 
     // Record when each result value is emitted (which input event).
     let mut emissions: Vec<(usize, String)> = Vec::new();
-    for (i, ev) in events.iter().enumerate() {
+    let mut i = 0;
+    while let Some(ev) = parser.next_raw().unwrap() {
         let before = sink.results.len();
-        runner.feed_raw(&ev.as_raw(), &mut sink);
+        runner.feed_raw(&ev, &mut sink);
         for v in &sink.results[before..] {
             emissions.push((i, v.clone()));
         }
+        i += 1;
     }
     runner.finish(&mut sink);
     assert_eq!(sink.results, ["First", "Second"]);
@@ -122,8 +124,9 @@ fn failed_predicate_path_clears_at_the_end_tag() {
     let mut runner = compiled.runner();
     runner.set_tracer(&mut tracer);
     let mut sink = VecSink::new();
-    for ev in xsq_xml::parse_to_events(doc.as_bytes()).unwrap() {
-        runner.feed_raw(&ev.as_raw(), &mut sink);
+    let mut parser = xsq_xml::StreamParser::new(doc.as_bytes());
+    while let Some(ev) = parser.next_raw().unwrap() {
+        runner.feed_raw(&ev, &mut sink);
     }
     runner.finish(&mut sink);
     assert!(sink.results.is_empty());

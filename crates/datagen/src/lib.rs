@@ -52,7 +52,7 @@ mod tests {
             let doc = standard_dataset(name, 1, 20_000).unwrap();
             assert!(doc.len() >= 20_000);
             assert!(
-                xsq_xml::parse_to_events(doc.as_bytes()).is_ok(),
+                xsq_xml::PureParser::run(doc.as_bytes()).is_ok(),
                 "{name} must be well-formed"
             );
         }

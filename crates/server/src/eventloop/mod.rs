@@ -1,5 +1,5 @@
 //! The serving model: one thread multiplexes every connection over an
-//! epoll (or `poll(2)`) readiness loop.
+//! epoll readiness loop.
 //!
 //! The loop holds thousands of mostly-idle subscriber connections at a
 //! fixed thread cost, which is what broadcast fan-out needs. The

@@ -19,7 +19,7 @@
 //!   owns the same core, shared.
 //! * [`server`] — configuration, and the handle that drains and stops
 //!   the one loop thread.
-//! * [`eventloop`] (Unix) — the serving model: an epoll/poll poller
+//! * [`eventloop`] (Unix) — the serving model: an epoll poller
 //!   over raw syscalls, bounded per-connection reply queues
 //!   (backpressure), idle timeouts, one session table for wire v1 and
 //!   v2, and broadcast fan-out through one shared

@@ -2,8 +2,8 @@
 //! the one event-loop thread.
 //!
 //! There is one serving model: the readiness loop in
-//! [`crate::eventloop`] — epoll on Linux, `poll(2)` on any other Unix —
-//! which multiplexes every connection, speaks wire v1 and v2, and hosts
+//! [`crate::eventloop`] — epoll, so Linux; elsewhere [`serve`] reports
+//! `Unsupported` — which multiplexes every connection, speaks wire v1 and v2, and hosts
 //! broadcast fan-out. Every connection shares one
 //! [`xsq_core::PlanCache`] (identical SUB batches compile once per
 //! server, not once per connection) and one set of transport counters
@@ -146,12 +146,11 @@ pub fn serve(opts: ServeOptions) -> io::Result<ServerHandle> {
     })
 }
 
-/// The readiness loop needs epoll or `poll(2)`; there is no server
-/// without one.
+/// The readiness loop needs epoll; there is no server without it.
 #[cfg(not(unix))]
 pub fn serve(_: ServeOptions) -> io::Result<ServerHandle> {
     Err(io::Error::new(
         io::ErrorKind::Unsupported,
-        "xsq serve needs a Unix readiness API (epoll or poll)",
+        "xsq serve needs epoll (Linux)",
     ))
 }

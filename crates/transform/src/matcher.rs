@@ -805,8 +805,7 @@ mod tests {
     use std::collections::HashMap;
 
     use super::*;
-    use xsq_xml::parse_to_events;
-    use xsq_xml::SaxEvent;
+    use xsq_xml::{RawEvent, StreamParser};
 
     /// Run the matcher over a document, returning each element's final
     /// verdict in begin-event order. Pending ids restart at quiescent
@@ -815,15 +814,15 @@ mod tests {
         let rs = RuleSet::parse(rules).unwrap();
         let prog = Program::new(&rs);
         let mut m = Matcher::new(&prog);
-        let events = parse_to_events(doc.as_bytes()).unwrap();
+        let mut parser = StreamParser::new(doc.as_bytes());
         let mut order: Vec<Option<usize>> = Vec::new();
         let mut open: HashMap<PendingId, usize> = HashMap::new();
-        for ev in &events {
+        while let Some(ev) = parser.next_raw().unwrap() {
             let res: &[Resolution] = match ev {
-                SaxEvent::Begin {
+                RawEvent::Begin {
                     name, attributes, ..
                 } => {
-                    let (d, res) = m.begin(*name, attributes);
+                    let (d, res) = m.begin(name, attributes);
                     match d {
                         MatchDecision::Decided(v) => order.push(v),
                         MatchDecision::Pending(id) => {
@@ -833,8 +832,8 @@ mod tests {
                     }
                     res
                 }
-                SaxEvent::Text { element, text, .. } => m.text_of(*element, text),
-                SaxEvent::End { .. } => m.end(),
+                RawEvent::Text { element, text, .. } => m.text_of(element, text),
+                RawEvent::End { .. } => m.end(),
                 _ => &[],
             };
             for r in res {

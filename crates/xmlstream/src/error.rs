@@ -112,7 +112,7 @@ impl std::error::Error for Error {}
 ///
 /// ```
 /// let doc = b"<a>\n  <b></a>";
-/// let err = xsq_xml::parse_to_events(doc).unwrap_err();
+/// let err = xsq_xml::PureParser::run(&doc[..]).unwrap_err();
 /// let (line, col) = xsq_xml::error::locate(doc, err.offset());
 /// assert_eq!((line, col), (2, 6));
 /// ```

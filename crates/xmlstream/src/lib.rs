@@ -21,14 +21,15 @@
 //!   All input goes through one window whose boundary scanner
 //!   ([`push`]) hands the parser whole tokens. Push is the native
 //!   interface ([`PushParser`]: `push` chunks split anywhere, `poll_raw`
-//!   the events they complete, `finish`); pulling [`event::RawEvent`]s or
-//!   [`event::SaxEvent`]s from any [`std::io::BufRead`] is the same core
-//!   plus a loop that refills the window from the reader;
+//!   the events they complete, `finish`); pulling events from any
+//!   [`std::io::BufRead`] (`next_raw`) is the same core plus a loop that
+//!   refills the window from the reader. Every event is a borrowed
+//!   [`event::RawEvent`]: there is no owned event type;
 //! * [`pda::WellFormednessPda`] — the "simple PDA" of Fig. 4(a): a pushdown
 //!   automaton that accepts exactly well-formed event streams;
 //! * [`writer`] — the escaping serializer: `write_raw_event_into` for
 //!   `*̄` catchall element output, [`writer::XmlWriter`] for round-trip
-//!   property tests;
+//!   property tests and their document generators;
 //! * [`stats`] — the dataset statistics of Fig. 15 (size, text size, element
 //!   count, avg/max depth, avg tag length);
 //! * [`pure::PureParser`] — the paper's throughput yardstick: parses and
@@ -49,7 +50,7 @@ pub mod symbol;
 pub mod writer;
 
 pub use error::{Error, Result};
-pub use event::{Attribute, RawEvent, SaxEvent};
+pub use event::{Attribute, RawEvent};
 pub use parser::{ParsePoll, StreamParser};
 pub use pda::WellFormednessPda;
 pub use pure::PureParser;
@@ -57,27 +58,3 @@ pub use push::PushParser;
 pub use stats::{dataset_stats, DatasetStats};
 pub use symbol::Sym;
 pub use writer::XmlWriter;
-
-/// Parse a complete document held in memory into a vector of events.
-///
-/// Convenience wrapper over [`StreamParser`] for tests and small inputs;
-/// streaming consumers should drive the pull parser directly.
-pub fn parse_to_events(input: &[u8]) -> Result<Vec<SaxEvent>> {
-    let mut parser = StreamParser::new(input);
-    let mut events = Vec::new();
-    while let Some(ev) = parser.next_event()? {
-        events.push(ev);
-    }
-    Ok(events)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parse_to_events_roundtrips_simple_document() {
-        let events = parse_to_events(b"<a><b>hi</b></a>").unwrap();
-        assert_eq!(events.len(), 7); // startdoc, <a>, <b>, text, </b>, </a>, enddoc
-    }
-}

@@ -22,16 +22,16 @@
 //! the text accumulator are reused across events, and delimiter scanning
 //! runs the SIMD delimiter kernels ([`crate::scan`]). In steady
 //! state (all names interned, buffers grown to the document's token
-//! sizes) producing an event performs **zero heap allocations**.
-//! [`StreamParser::next_event`] is the owned convenience wrapper for
-//! consumers that retain events.
+//! sizes) producing an event performs **zero heap allocations**. A
+//! consumer that keeps part of an event past the next pull copies that
+//! part itself; there is no owned event type.
 
 use std::collections::VecDeque;
 use std::io::BufRead;
 
 use crate::entities::decode_into;
 use crate::error::{Error, Result};
-use crate::event::{Attribute, RawEvent, SaxEvent};
+use crate::event::{Attribute, RawEvent};
 use crate::push::{Token, TokenKind, Window, CDATA_CLOSE, CDATA_OPEN};
 use crate::scan;
 use crate::symbol::Sym;
@@ -101,12 +101,12 @@ const FILL_STEP: usize = 64 * 1024;
 /// A streaming XML parser, pull- or push-fed.
 ///
 /// ```
-/// use xsq_xml::{StreamParser, SaxEvent};
+/// use xsq_xml::{RawEvent, StreamParser};
 ///
 /// let mut p = StreamParser::new(&b"<a x=\"1\"><b>hi</b></a>"[..]);
 /// let mut names = Vec::new();
-/// while let Some(ev) = p.next_event().unwrap() {
-///     if let SaxEvent::Begin { name, depth, .. } = &ev {
+/// while let Some(ev) = p.next_raw().unwrap() {
+///     if let RawEvent::Begin { name, depth, .. } = ev {
 ///         names.push(format!("{name}@{depth}"));
 ///     }
 /// }
@@ -251,13 +251,6 @@ impl<R: BufRead> StreamParser<R> {
         let old = std::mem::replace(&mut self.reader, reader);
         self.reset();
         old
-    }
-
-    /// Pull the next event as an owned [`SaxEvent`], or `Ok(None)` after
-    /// `EndDocument`. Allocates for attribute lists and text payloads;
-    /// hot loops should prefer [`next_raw`](Self::next_raw).
-    pub fn next_event(&mut self) -> Result<Option<SaxEvent>> {
-        Ok(self.next_raw()?.map(|ev| ev.to_owned()))
     }
 
     /// Pull the next event as a zero-copy [`RawEvent`] borrowing the
@@ -762,51 +755,86 @@ fn is_all_whitespace(s: &str) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::parse_to_events;
 
-    fn events(input: &str) -> Vec<SaxEvent> {
-        parse_to_events(input.as_bytes()).unwrap()
+    /// `f` of every event of `input`, pulled in one pass.
+    fn try_map<T>(input: &[u8], mut f: impl FnMut(&RawEvent<'_>) -> T) -> Result<Vec<T>> {
+        let mut p = StreamParser::new(input);
+        let mut out = Vec::new();
+        while let Some(ev) = p.next_raw()? {
+            out.push(f(&ev));
+        }
+        Ok(out)
+    }
+
+    fn map<T>(input: &str, f: impl FnMut(&RawEvent<'_>) -> T) -> Vec<T> {
+        try_map(input.as_bytes(), f).unwrap()
+    }
+
+    /// The events of `input`, each recorded as its `Debug` form: every
+    /// field, names printed as strings.
+    pub(crate) fn record(input: &[u8]) -> Result<Vec<String>> {
+        try_map(input, |ev| format!("{ev:?}"))
+    }
+
+    fn events(input: &str) -> Vec<String> {
+        record(input.as_bytes()).unwrap()
     }
 
     fn err(input: &str) -> Error {
-        parse_to_events(input.as_bytes()).unwrap_err()
+        record(input.as_bytes()).unwrap_err()
+    }
+
+    fn dbg(ev: RawEvent<'_>) -> String {
+        format!("{ev:?}")
+    }
+
+    /// The payloads of the text events of `input`.
+    fn texts(input: &str) -> Vec<String> {
+        map(input, |ev| match ev {
+            RawEvent::Text { text, .. } => Some(text.to_string()),
+            _ => None,
+        })
+        .into_iter()
+        .flatten()
+        .collect()
+    }
+
+    /// The name and attributes of each begin event of `input`.
+    fn begins(input: &str) -> Vec<(Sym, Vec<Attribute>)> {
+        map(input, |ev| match ev {
+            RawEvent::Begin {
+                name, attributes, ..
+            } => Some((*name, attributes.to_vec())),
+            _ => None,
+        })
+        .into_iter()
+        .flatten()
+        .collect()
     }
 
     #[test]
     fn simple_document() {
         let evs = events("<a><b>hi</b></a>");
-        assert_eq!(evs[0], SaxEvent::StartDocument);
+        assert_eq!(evs[0], dbg(RawEvent::StartDocument));
         assert_eq!(
             evs[1],
-            SaxEvent::Begin {
+            dbg(RawEvent::Begin {
                 name: "a".into(),
-                attributes: vec![],
+                attributes: &[],
                 depth: 1
-            }
+            })
         );
         assert_eq!(
             evs[3],
-            SaxEvent::Text {
+            dbg(RawEvent::Text {
                 element: "b".into(),
-                text: "hi".into(),
+                text: "hi",
                 depth: 2
-            }
+            })
         );
-        assert_eq!(evs[6], SaxEvent::EndDocument);
-    }
-
-    #[test]
-    fn raw_events_match_owned_events() {
-        let doc = b"<a id=\"1\"><b>hi &amp; bye</b><c x='2' y='3'/></a>";
-        let owned = parse_to_events(doc).unwrap();
-        let mut p = StreamParser::new(&doc[..]);
-        let mut raws = Vec::new();
-        while let Some(ev) = p.next_raw().unwrap() {
-            raws.push(ev.to_owned());
-        }
-        assert_eq!(owned, raws);
+        assert_eq!(evs[6], dbg(RawEvent::EndDocument));
     }
 
     #[test]
@@ -824,19 +852,18 @@ mod tests {
 
     #[test]
     fn attributes_are_decoded() {
-        let evs = events(r#"<a id="1" name='x &amp; y'/>"#);
-        let SaxEvent::Begin { attributes, .. } = &evs[1] else {
-            panic!("expected begin");
-        };
-        assert_eq!(attributes[0], Attribute::new("id", "1"));
-        assert_eq!(attributes[1], Attribute::new("name", "x & y"));
+        let doc = r#"<a id="1" name='x &amp; y'/>"#;
+        assert_eq!(
+            begins(doc)[0].1,
+            [Attribute::new("id", "1"), Attribute::new("name", "x & y")]
+        );
         // Self-closing yields an immediate end event at the same depth.
         assert_eq!(
-            evs[2],
-            SaxEvent::End {
+            events(doc)[2],
+            dbg(RawEvent::End {
                 name: "a".into(),
                 depth: 1
-            }
+            })
         );
     }
 
@@ -844,126 +871,88 @@ mod tests {
     fn attribute_buffer_is_reused_not_leaked_across_tags() {
         // Second tag has fewer attributes than the first: the stale third
         // slot must not resurface.
-        let evs = events(r#"<a p="1" q="2" r="3"><b s="4"/></a>"#);
-        let SaxEvent::Begin { attributes, .. } = &evs[1] else {
-            panic!();
-        };
-        assert_eq!(attributes.len(), 3);
-        let SaxEvent::Begin {
-            name, attributes, ..
-        } = &evs[2]
-        else {
-            panic!();
-        };
-        assert_eq!(*name, "b");
-        assert_eq!(attributes.len(), 1);
-        assert_eq!(attributes[0], Attribute::new("s", "4"));
+        let b = begins(r#"<a p="1" q="2" r="3"><b s="4"/></a>"#);
+        assert_eq!(b[0].1.len(), 3);
+        assert_eq!(b[1].0, "b");
+        assert_eq!(b[1].1, [Attribute::new("s", "4")]);
     }
 
     #[test]
     fn whitespace_only_text_is_skipped() {
-        let evs = events("<a>\n  <b>x</b>\n</a>");
-        assert!(evs
-            .iter()
-            .filter(|e| e.is_text())
-            .all(|e| matches!(e, SaxEvent::Text { text, .. } if text == "x")));
+        assert_eq!(texts("<a>\n  <b>x</b>\n</a>"), ["x"]);
     }
 
     #[test]
     fn text_entities_are_decoded() {
-        let evs = events("<a>1 &lt; 2 &amp;&amp; 3 &gt; 2</a>");
-        let SaxEvent::Text { text, .. } = &evs[2] else {
-            panic!()
-        };
-        assert_eq!(text, "1 < 2 && 3 > 2");
+        assert_eq!(
+            texts("<a>1 &lt; 2 &amp;&amp; 3 &gt; 2</a>"),
+            ["1 < 2 && 3 > 2"]
+        );
     }
 
     #[test]
     fn cdata_is_raw_text_and_coalesces() {
-        let evs = events("<a>x<![CDATA[<not-a-tag> & raw]]>y</a>");
-        let SaxEvent::Text { text, .. } = &evs[2] else {
-            panic!()
-        };
-        assert_eq!(text, "x<not-a-tag> & rawy");
+        assert_eq!(
+            texts("<a>x<![CDATA[<not-a-tag> & raw]]>y</a>"),
+            ["x<not-a-tag> & rawy"]
+        );
     }
 
     #[test]
     fn crlf_and_bare_cr_normalize_to_lf_in_text() {
         // XML 1.0 §2.11: the three line-ending spellings are one.
-        let evs = events("<a>line1\r\nline2\rline3\nline4</a>");
-        let SaxEvent::Text { text, .. } = &evs[2] else {
-            panic!()
-        };
-        assert_eq!(text, "line1\nline2\nline3\nline4");
+        assert_eq!(
+            texts("<a>line1\r\nline2\rline3\nline4</a>"),
+            ["line1\nline2\nline3\nline4"]
+        );
     }
 
     #[test]
     fn crlf_normalizes_in_cdata() {
-        let evs = events("<a><![CDATA[x\r\ny\rz]]></a>");
-        let SaxEvent::Text { text, .. } = &evs[2] else {
-            panic!()
-        };
-        assert_eq!(text, "x\ny\nz");
+        assert_eq!(texts("<a><![CDATA[x\r\ny\rz]]></a>"), ["x\ny\nz"]);
     }
 
     #[test]
     fn char_ref_cr_stays_literal() {
         // §2.11 normalizes the input stream, not decoded references.
-        let evs = events("<a>x&#13;y&#xD;&#10;z</a>");
-        let SaxEvent::Text { text, .. } = &evs[2] else {
-            panic!()
-        };
-        assert_eq!(text, "x\ry\r\nz");
+        assert_eq!(texts("<a>x&#13;y&#xD;&#10;z</a>"), ["x\ry\r\nz"]);
     }
 
     #[test]
     fn crlf_only_text_is_whitespace_skipped() {
-        let evs = events("<a>\r\n  <b>x</b>\r\n</a>");
-        assert!(evs
-            .iter()
-            .filter(|e| e.is_text())
-            .all(|e| matches!(e, SaxEvent::Text { text, .. } if text == "x")));
+        assert_eq!(texts("<a>\r\n  <b>x</b>\r\n</a>"), ["x"]);
     }
 
     #[test]
     fn attribute_whitespace_normalizes_to_spaces() {
         // XML 1.0 §3.3.3: literal tab/CR/LF become spaces (one per \r\n
         // pair, since line-ending normalization runs first).
-        let evs = events("<a v=\"a\tb\nc\rd\r\ne\"/>");
-        let SaxEvent::Begin { attributes, .. } = &evs[1] else {
-            panic!()
-        };
-        assert_eq!(attributes[0], Attribute::new("v", "a b c d e"));
+        assert_eq!(
+            begins("<a v=\"a\tb\nc\rd\r\ne\"/>")[0].1[0],
+            Attribute::new("v", "a b c d e")
+        );
     }
 
     #[test]
     fn attribute_char_refs_stay_literal_whitespace() {
-        let evs = events("<a v='x&#10;y&#9;z&#13;'/>");
-        let SaxEvent::Begin { attributes, .. } = &evs[1] else {
-            panic!()
-        };
-        assert_eq!(attributes[0], Attribute::new("v", "x\ny\tz\r"));
+        assert_eq!(
+            begins("<a v='x&#10;y&#9;z&#13;'/>")[0].1[0],
+            Attribute::new("v", "x\ny\tz\r")
+        );
     }
 
     #[test]
     fn wrapped_attribute_equality_predicate_shape() {
         // The conformance bug this fixes: a value wrapped across lines
         // must compare equal to its single-space spelling.
-        let evs = events("<a v=\"two\r\nwords\"/>");
-        let SaxEvent::Begin { attributes, .. } = &evs[1] else {
-            panic!()
-        };
-        assert_eq!(attributes[0].value, "two words");
+        assert_eq!(begins("<a v=\"two\r\nwords\"/>")[0].1[0].value, "two words");
     }
 
     #[test]
     fn comments_and_pis_are_skipped() {
-        let evs = events("<?xml version=\"1.0\"?><!-- c --><a><!-- inner -->t<?pi d?></a>");
-        assert_eq!(evs.len(), 5);
-        let SaxEvent::Text { text, .. } = &evs[2] else {
-            panic!()
-        };
-        assert_eq!(text, "t");
+        let doc = "<?xml version=\"1.0\"?><!-- c --><a><!-- inner -->t<?pi d?></a>";
+        assert_eq!(events(doc).len(), 5);
+        assert_eq!(texts(doc), ["t"]);
     }
 
     #[test]
@@ -974,11 +963,9 @@ mod tests {
 
     #[test]
     fn depths_follow_nesting() {
-        let evs = events("<a><b><c/></b><b/></a>");
-        let depths: Vec<(Option<String>, u32)> = evs
-            .iter()
-            .map(|e| (e.name().map(String::from), e.depth()))
-            .collect();
+        let depths = map("<a><b><c/></b><b/></a>", |e| {
+            (e.name().map(String::from), e.depth())
+        });
         assert_eq!(
             depths,
             vec![
@@ -1127,7 +1114,7 @@ mod tests {
     #[test]
     fn offsets_advance() {
         let mut p = StreamParser::new(&b"<a>x</a>"[..]);
-        while p.next_event().unwrap().is_some() {}
+        while p.next_raw().unwrap().is_some() {}
         assert_eq!(p.offset(), 8);
     }
 
@@ -1135,8 +1122,8 @@ mod tests {
     fn reset_with_reuses_a_parser_across_documents() {
         let mut p = StreamParser::new(&b"<a x=\"1\"><b>one</b></a>"[..]);
         let mut first = Vec::new();
-        while let Some(ev) = p.next_event().unwrap() {
-            first.push(ev);
+        while let Some(ev) = p.next_raw().unwrap() {
+            first.push(dbg(ev));
         }
         // Rearm mid-state too: abandon a half-read document cleanly.
         p.reset_with(&b"<a><b>ignored"[..]);
@@ -1144,8 +1131,8 @@ mod tests {
         p.next_raw().unwrap();
         p.reset_with(&b"<a x=\"1\"><b>one</b></a>"[..]);
         let mut second = Vec::new();
-        while let Some(ev) = p.next_event().unwrap() {
-            second.push(ev);
+        while let Some(ev) = p.next_raw().unwrap() {
+            second.push(dbg(ev));
         }
         assert_eq!(first, second);
         assert_eq!(p.offset(), 23);
@@ -1153,15 +1140,7 @@ mod tests {
 
     #[test]
     fn mixed_content_produces_multiple_text_events() {
-        let evs = events("<a>one<b/>two</a>");
-        let texts: Vec<&str> = evs
-            .iter()
-            .filter_map(|e| match e {
-                SaxEvent::Text { text, .. } => Some(text.as_str()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(texts, vec!["one", "two"]);
+        assert_eq!(texts("<a>one<b/>two</a>"), ["one", "two"]);
     }
 
     #[test]
@@ -1174,8 +1153,7 @@ mod tests {
         for _ in 0..200 {
             doc.push_str("</d>");
         }
-        let evs = events(&doc);
-        let max_depth = evs.iter().map(|e| e.depth()).max().unwrap();
+        let max_depth = map(&doc, |e| e.depth()).into_iter().max().unwrap();
         assert_eq!(max_depth, 200);
     }
 }

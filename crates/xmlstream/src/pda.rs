@@ -8,7 +8,7 @@
 //! every BPDT inherits; here it is also used as a property-test oracle for
 //! the parser.
 
-use crate::event::SaxEvent;
+use crate::event::RawEvent;
 use crate::symbol::Sym;
 
 /// Current status of the PDA.
@@ -22,7 +22,7 @@ pub enum PdaStatus {
     Rejected,
 }
 
-/// A streaming well-formedness checker over [`SaxEvent`]s.
+/// A streaming well-formedness checker over [`RawEvent`]s.
 #[derive(Debug, Default)]
 pub struct WellFormednessPda {
     stack: Vec<Sym>,
@@ -38,14 +38,14 @@ impl WellFormednessPda {
     }
 
     /// Feed one event; returns the status after consuming it.
-    pub fn feed(&mut self, event: &SaxEvent) -> PdaStatus {
+    pub fn feed(&mut self, event: &RawEvent<'_>) -> PdaStatus {
         if matches!(self.status, Some(PdaStatus::Accepted | PdaStatus::Rejected)) {
             // Anything after acceptance, or after rejection, is a reject.
             self.status = Some(PdaStatus::Rejected);
             return PdaStatus::Rejected;
         }
         let st = match event {
-            SaxEvent::StartDocument => {
+            RawEvent::StartDocument => {
                 if self.started {
                     PdaStatus::Rejected
                 } else {
@@ -53,14 +53,14 @@ impl WellFormednessPda {
                     PdaStatus::Running
                 }
             }
-            SaxEvent::EndDocument => {
+            RawEvent::EndDocument => {
                 if self.started && self.stack.is_empty() && self.root_seen {
                     PdaStatus::Accepted
                 } else {
                     PdaStatus::Rejected
                 }
             }
-            SaxEvent::Begin { name, depth, .. } => {
+            RawEvent::Begin { name, depth, .. } => {
                 if !self.started
                     || (self.stack.is_empty() && self.root_seen)
                     || *depth as usize != self.stack.len() + 1
@@ -72,14 +72,14 @@ impl WellFormednessPda {
                     PdaStatus::Running
                 }
             }
-            SaxEvent::End { name, depth } => match self.stack.last() {
+            RawEvent::End { name, depth } => match self.stack.last() {
                 Some(top) if *top == *name && *depth as usize == self.stack.len() => {
                     self.stack.pop();
                     PdaStatus::Running
                 }
                 _ => PdaStatus::Rejected,
             },
-            SaxEvent::Text { depth, .. } => {
+            RawEvent::Text { depth, .. } => {
                 if self.stack.is_empty() || *depth as usize != self.stack.len() {
                     PdaStatus::Rejected
                 } else {
@@ -100,9 +100,30 @@ impl WellFormednessPda {
     pub fn depth(&self) -> usize {
         self.stack.len()
     }
+}
 
-    /// Run the PDA over a whole event sequence.
-    pub fn accepts(events: &[SaxEvent]) -> bool {
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::StreamParser;
+
+    fn begin(name: &str, depth: u32) -> RawEvent<'static> {
+        RawEvent::Begin {
+            name: name.into(),
+            attributes: &[],
+            depth,
+        }
+    }
+
+    fn end(name: &str, depth: u32) -> RawEvent<'static> {
+        RawEvent::End {
+            name: name.into(),
+            depth,
+        }
+    }
+
+    /// Run a fresh PDA over a whole event sequence.
+    fn accepts(events: &[RawEvent<'_>]) -> bool {
         let mut pda = WellFormednessPda::new();
         let mut last = PdaStatus::Running;
         for e in events {
@@ -113,110 +134,62 @@ impl WellFormednessPda {
         }
         last == PdaStatus::Accepted
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::parse_to_events;
 
     #[test]
     fn accepts_parser_output() {
-        let evs = parse_to_events(b"<a><b>t</b><b/></a>").unwrap();
-        assert!(WellFormednessPda::accepts(&evs));
+        let mut p = StreamParser::new(&b"<a><b>t</b><b/></a>"[..]);
+        let mut pda = WellFormednessPda::new();
+        let mut last = PdaStatus::Running;
+        while let Some(ev) = p.next_raw().unwrap() {
+            last = pda.feed(&ev);
+        }
+        assert_eq!(last, PdaStatus::Accepted);
     }
 
     #[test]
     fn rejects_mismatched_end() {
-        let evs = vec![
-            SaxEvent::StartDocument,
-            SaxEvent::Begin {
-                name: "a".into(),
-                attributes: vec![],
-                depth: 1,
-            },
-            SaxEvent::End {
-                name: "b".into(),
-                depth: 1,
-            },
-        ];
-        assert!(!WellFormednessPda::accepts(&evs));
+        let evs = [RawEvent::StartDocument, begin("a", 1), end("b", 1)];
+        assert!(!accepts(&evs));
     }
 
     #[test]
     fn rejects_wrong_depth() {
-        let evs = vec![
-            SaxEvent::StartDocument,
-            SaxEvent::Begin {
-                name: "a".into(),
-                attributes: vec![],
-                depth: 2, // should be 1
-            },
-        ];
-        assert!(!WellFormednessPda::accepts(&evs));
+        let evs = [RawEvent::StartDocument, begin("a", 2)]; // should be 1
+        assert!(!accepts(&evs));
     }
 
     #[test]
     fn rejects_truncated_stream() {
-        let evs = vec![
-            SaxEvent::StartDocument,
-            SaxEvent::Begin {
-                name: "a".into(),
-                attributes: vec![],
-                depth: 1,
-            },
-        ];
-        assert!(!WellFormednessPda::accepts(&evs)); // never accepted
+        let evs = [RawEvent::StartDocument, begin("a", 1)];
+        assert!(!accepts(&evs)); // never accepted
     }
 
     #[test]
     fn rejects_second_root() {
-        let evs = vec![
-            SaxEvent::StartDocument,
-            SaxEvent::Begin {
-                name: "a".into(),
-                attributes: vec![],
-                depth: 1,
-            },
-            SaxEvent::End {
-                name: "a".into(),
-                depth: 1,
-            },
-            SaxEvent::Begin {
-                name: "b".into(),
-                attributes: vec![],
-                depth: 1,
-            },
+        let evs = [
+            RawEvent::StartDocument,
+            begin("a", 1),
+            end("a", 1),
+            begin("b", 1),
         ];
-        assert!(!WellFormednessPda::accepts(&evs));
+        assert!(!accepts(&evs));
     }
 
     #[test]
     fn rejects_events_after_end_document() {
         let mut pda = WellFormednessPda::new();
-        pda.feed(&SaxEvent::StartDocument);
-        pda.feed(&SaxEvent::Begin {
-            name: "a".into(),
-            attributes: vec![],
-            depth: 1,
-        });
-        pda.feed(&SaxEvent::End {
-            name: "a".into(),
-            depth: 1,
-        });
-        assert_eq!(pda.feed(&SaxEvent::EndDocument), PdaStatus::Accepted);
-        assert_eq!(pda.feed(&SaxEvent::StartDocument), PdaStatus::Rejected);
+        pda.feed(&RawEvent::StartDocument);
+        pda.feed(&begin("a", 1));
+        pda.feed(&end("a", 1));
+        assert_eq!(pda.feed(&RawEvent::EndDocument), PdaStatus::Accepted);
+        assert_eq!(pda.feed(&RawEvent::StartDocument), PdaStatus::Rejected);
     }
 
     #[test]
     fn depth_tracks_stack() {
         let mut pda = WellFormednessPda::new();
-        pda.feed(&SaxEvent::StartDocument);
-        pda.feed(&SaxEvent::Begin {
-            name: "a".into(),
-            attributes: vec![],
-            depth: 1,
-        });
+        pda.feed(&RawEvent::StartDocument);
+        pda.feed(&begin("a", 1));
         assert_eq!(pda.depth(), 1);
     }
 }

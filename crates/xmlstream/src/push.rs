@@ -489,19 +489,19 @@ impl StreamParser<std::io::Empty> {
 pub(crate) mod tests {
     use super::*;
     use crate::error::Error;
-    use crate::event::SaxEvent;
-    use crate::{parse_to_events, ParsePoll};
+    use crate::parser::tests::record;
+    use crate::ParsePoll;
 
     /// Drive a push parser over `doc` in `chunk`-byte pieces, polling
-    /// to exhaustion between pushes, and collect owned events.
-    pub(crate) fn push_parse(doc: &[u8], chunk: usize) -> crate::Result<Vec<SaxEvent>> {
+    /// to exhaustion between pushes, and record the events.
+    pub(crate) fn push_parse(doc: &[u8], chunk: usize) -> crate::Result<Vec<String>> {
         let mut parser = StreamParser::push_mode();
         let mut events = Vec::new();
         for piece in doc.chunks(chunk.max(1)) {
             parser.push(piece);
             loop {
                 match parser.poll_raw()? {
-                    ParsePoll::Event(ev) => events.push(ev.to_owned()),
+                    ParsePoll::Event(ev) => events.push(format!("{ev:?}")),
                     ParsePoll::NeedMore => break,
                     ParsePoll::End => return Ok(events),
                 }
@@ -510,7 +510,7 @@ pub(crate) mod tests {
         parser.finish();
         loop {
             match parser.poll_raw()? {
-                ParsePoll::Event(ev) => events.push(ev.to_owned()),
+                ParsePoll::Event(ev) => events.push(format!("{ev:?}")),
                 ParsePoll::NeedMore => unreachable!("NeedMore after finish"),
                 ParsePoll::End => return Ok(events),
             }
@@ -520,7 +520,7 @@ pub(crate) mod tests {
     /// Push-parsing at every tiny chunk size must equal one-shot
     /// parsing — same events or same error.
     fn assert_push_equivalent(doc: &str) {
-        let whole = parse_to_events(doc.as_bytes());
+        let whole = record(doc.as_bytes());
         for chunk in [1, 2, 3, 7, 16, doc.len().max(1)] {
             let pushed = push_parse(doc.as_bytes(), chunk);
             match (&whole, &pushed) {
@@ -658,13 +658,13 @@ pub(crate) mod tests {
             for piece in doc.chunks(2) {
                 p.push(piece);
                 while let ParsePoll::Event(ev) = p.poll_raw().unwrap() {
-                    events.push(ev.to_owned());
+                    events.push(format!("{ev:?}"));
                 }
             }
             p.finish();
             loop {
                 match p.poll_raw().unwrap() {
-                    ParsePoll::Event(ev) => events.push(ev.to_owned()),
+                    ParsePoll::Event(ev) => events.push(format!("{ev:?}")),
                     ParsePoll::End => break,
                     ParsePoll::NeedMore => unreachable!(),
                 }
@@ -674,7 +674,7 @@ pub(crate) mod tests {
         }
         assert_eq!(runs[0], runs[1]);
         assert_eq!(runs[1], runs[2]);
-        assert_eq!(runs[0], parse_to_events(doc).unwrap());
+        assert_eq!(runs[0], record(doc).unwrap());
     }
 
     #[test]
@@ -717,16 +717,16 @@ pub(crate) mod tests {
             assert_eq!(before, pushed as u64, "scanner fell behind or rewound");
             p.push(std::slice::from_ref(byte));
             while let ParsePoll::Event(ev) = p.poll_raw().unwrap() {
-                events.push(ev.to_owned());
+                events.push(format!("{ev:?}"));
             }
             examined += p.window.base + p.window.scanned as u64 - before;
         }
         assert_eq!(examined, doc.len() as u64);
         p.finish();
         while let ParsePoll::Event(ev) = p.poll_raw().unwrap() {
-            events.push(ev.to_owned());
+            events.push(format!("{ev:?}"));
         }
-        assert_eq!(events, parse_to_events(doc.as_bytes()).unwrap());
+        assert_eq!(events, record(doc.as_bytes()).unwrap());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! is a well-formed document; [`crate::pda::WellFormednessPda`] does.
 
 use crate::entities::{escape_attr_into, escape_text_into};
-use crate::event::{RawEvent, SaxEvent};
+use crate::event::RawEvent;
 
 /// An incremental XML serializer writing into an owned `String`.
 ///
@@ -30,8 +30,8 @@ impl XmlWriter {
     ///
     /// `StartDocument`/`EndDocument` produce nothing: the writer serializes
     /// fragments, not documents.
-    pub fn write_event(&mut self, event: &SaxEvent) {
-        write_event_into(event, &mut self.out);
+    pub fn write_event(&mut self, event: &RawEvent<'_>) {
+        write_raw_event_into(event, &mut self.out);
     }
 
     /// Append a comment: `<!--text-->`.
@@ -94,11 +94,6 @@ impl XmlWriter {
     }
 }
 
-/// Append the textual form of `event` to `out`.
-pub fn write_event_into(event: &SaxEvent, out: &mut String) {
-    write_raw_event_into(&event.as_raw(), out);
-}
-
 /// Append the textual form of a borrowed [`RawEvent`] to `out` — the
 /// zero-copy serialization path used by the engines' `*̄` catchall output.
 pub fn write_raw_event_into(event: &RawEvent<'_>, out: &mut String) {
@@ -127,35 +122,26 @@ pub fn write_raw_event_into(event: &RawEvent<'_>, out: &mut String) {
     }
 }
 
-/// Serialize a slice of events (e.g. one whole element) to a `String`.
-pub fn events_to_string(events: &[SaxEvent]) -> String {
-    let mut w = XmlWriter::new();
-    for e in events {
-        w.write_event(&e.clone());
-    }
-    w.into_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::Attribute;
-    use crate::parse_to_events;
+    use crate::StreamParser;
 
     #[test]
     fn writes_element_with_escaped_attribute() {
         let mut w = XmlWriter::new();
-        w.write_event(&SaxEvent::Begin {
+        w.write_event(&RawEvent::Begin {
             name: "a".into(),
-            attributes: vec![Attribute::new("t", "x\"<&")],
+            attributes: &[Attribute::new("t", "x\"<&")],
             depth: 1,
         });
-        w.write_event(&SaxEvent::Text {
+        w.write_event(&RawEvent::Text {
             element: "a".into(),
-            text: "1 < 2".into(),
+            text: "1 < 2",
             depth: 1,
         });
-        w.write_event(&SaxEvent::End {
+        w.write_event(&RawEvent::End {
             name: "a".into(),
             depth: 1,
         });
@@ -165,18 +151,27 @@ mod tests {
     #[test]
     fn document_events_write_nothing() {
         let mut w = XmlWriter::new();
-        w.write_event(&SaxEvent::StartDocument);
-        w.write_event(&SaxEvent::EndDocument);
+        w.write_event(&RawEvent::StartDocument);
+        w.write_event(&RawEvent::EndDocument);
         assert!(w.is_empty());
         assert_eq!(w.len(), 0);
     }
 
+    /// The events of `doc`, recorded, and the document the writer makes
+    /// of them.
+    fn rewrite(doc: &str) -> (Vec<String>, String) {
+        let mut p = StreamParser::new(doc.as_bytes());
+        let (mut events, mut w) = (Vec::new(), XmlWriter::new());
+        while let Some(ev) = p.next_raw().unwrap() {
+            events.push(format!("{ev:?}"));
+            w.write_event(&ev);
+        }
+        (events, w.into_string())
+    }
+
     #[test]
     fn roundtrip_parse_write_parse_is_identity_on_events() {
-        let doc = "<pub><book id=\"1\"><name>A &amp; B</name></book></pub>";
-        let evs = parse_to_events(doc.as_bytes()).unwrap();
-        let rewritten = events_to_string(&evs);
-        let evs2 = parse_to_events(rewritten.as_bytes()).unwrap();
-        assert_eq!(evs, evs2);
+        let (evs, rewritten) = rewrite("<pub><book id=\"1\"><name>A &amp; B</name></book></pub>");
+        assert_eq!(evs, rewrite(&rewritten).0);
     }
 }

@@ -14,7 +14,10 @@
 
 use std::io::{BufRead, Read};
 
-use xsq_xml::{parse_to_events, ParsePoll, SaxEvent, StreamParser};
+mod common;
+
+use common::{drain, record, record_doc};
+use xsq_xml::StreamParser;
 
 /// A reader that yields at most `chunk` bytes per `fill_buf` call.
 struct Chunked<'a> {
@@ -42,35 +45,26 @@ impl BufRead for Chunked<'_> {
     }
 }
 
-fn parse_chunked(data: &[u8], chunk: usize) -> Vec<SaxEvent> {
-    let mut parser = StreamParser::new(Chunked {
+fn parse_chunked(data: &[u8], chunk: usize) -> Vec<String> {
+    record(StreamParser::new(Chunked {
         data,
         pos: 0,
         chunk,
-    });
-    let mut out = Vec::new();
-    while let Some(ev) = parser.next_event().expect("chunked parse failed") {
-        out.push(ev);
-    }
-    out
+    }))
+    .expect("chunked parse failed")
 }
 
 /// Push-feed the document in `chunk`-byte pieces, polling to
 /// exhaustion between pushes.
-fn parse_pushed(data: &[u8], chunk: usize) -> Vec<SaxEvent> {
+fn parse_pushed(data: &[u8], chunk: usize) -> Vec<String> {
     let mut parser = StreamParser::push_mode();
     let mut out = Vec::new();
-    let mut drain = |p: &mut xsq_xml::PushParser| {
-        while let ParsePoll::Event(ev) = p.poll_raw().expect("pushed parse failed") {
-            out.push(ev.to_owned());
-        }
-    };
     for piece in data.chunks(chunk) {
         parser.push(piece);
-        drain(&mut parser);
+        drain(&mut parser, &mut out).expect("pushed parse failed");
     }
     parser.finish();
-    drain(&mut parser);
+    drain(&mut parser, &mut out).expect("pushed parse failed");
     out
 }
 
@@ -78,7 +72,7 @@ fn parse_pushed(data: &[u8], chunk: usize) -> Vec<SaxEvent> {
 /// parse — through the pull parser over a starving reader *and*
 /// through the push API.
 fn assert_boundary_independent(doc: &str) {
-    let whole = parse_to_events(doc.as_bytes()).unwrap();
+    let whole = record_doc(doc.as_bytes()).unwrap();
     for chunk in [1, 3, 7] {
         let chunked = parse_chunked(doc.as_bytes(), chunk);
         assert_eq!(chunked, whole, "chunk size {chunk} diverged for {doc:?}");

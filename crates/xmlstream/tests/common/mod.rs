@@ -4,6 +4,37 @@
 
 #![allow(dead_code)] // each suite uses its own subset
 
+use std::io::BufRead;
+
+use xsq_xml::{ParsePoll, PushParser, Result, StreamParser};
+
+/// Every event `parser` pulls, each recorded as its `Debug` form (every
+/// field; names print as strings), or the first error.
+pub fn record<R: BufRead>(mut parser: StreamParser<R>) -> Result<Vec<String>> {
+    let mut out = Vec::new();
+    while let Some(ev) = parser.next_raw()? {
+        out.push(format!("{ev:?}"));
+    }
+    Ok(out)
+}
+
+/// [`record`] of a document held whole in memory.
+pub fn record_doc(doc: &[u8]) -> Result<Vec<String>> {
+    record(StreamParser::new(doc))
+}
+
+/// Record the events a push parser has completed so far; `true` once
+/// the document has ended.
+pub fn drain(parser: &mut PushParser, out: &mut Vec<String>) -> Result<bool> {
+    loop {
+        match parser.poll_raw()? {
+            ParsePoll::Event(ev) => out.push(format!("{ev:?}")),
+            ParsePoll::NeedMore => return Ok(false),
+            ParsePoll::End => return Ok(true),
+        }
+    }
+}
+
 /// Minimal deterministic PRNG (Numerical Recipes LCG constants).
 pub struct Lcg(pub u64);
 

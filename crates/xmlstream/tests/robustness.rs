@@ -12,7 +12,8 @@ mod common;
 use std::io::{BufRead, Read};
 
 use common::Lcg;
-use xsq_xml::{parse_to_events, Error, ParsePoll, SaxEvent, StreamParser};
+use common::{drain, record, record_doc};
+use xsq_xml::{Error, StreamParser};
 
 /// Cases per property (Miri interprets: keep its sweep short).
 const CASES: u64 = if cfg!(miri) { 6 } else { 1500 };
@@ -44,17 +45,12 @@ impl BufRead for Trickle<'_> {
     }
 }
 
-fn parse_trickled(data: &[u8], chunk: usize) -> Result<Vec<SaxEvent>, xsq_xml::Error> {
-    let mut p = StreamParser::new(Trickle {
+fn parse_trickled(data: &[u8], chunk: usize) -> Result<Vec<String>, Error> {
+    record(StreamParser::new(Trickle {
         data,
         pos: 0,
         chunk,
-    });
-    let mut out = Vec::new();
-    while let Some(ev) = p.next_event()? {
-        out.push(ev);
-    }
-    Ok(out)
+    }))
 }
 
 const SAMPLE: &str = r#"<?xml version="1.0"?><!-- c --><pub>
@@ -65,7 +61,7 @@ const SAMPLE: &str = r#"<?xml version="1.0"?><!-- c --><pub>
 
 #[test]
 fn one_byte_chunks_equal_whole_buffer() {
-    let whole = parse_to_events(SAMPLE.as_bytes()).unwrap();
+    let whole = record_doc(SAMPLE.as_bytes()).unwrap();
     for chunk in [1, 2, 3, 7, 64] {
         let trickled = parse_trickled(SAMPLE.as_bytes(), chunk).unwrap();
         assert_eq!(trickled, whole, "chunk size {chunk}");
@@ -82,25 +78,18 @@ fn errors_are_chunk_size_independent() {
 
 /// Push `data` split at `cuts` (ascending offsets), polling to
 /// exhaustion after every push, then finish and drain.
-fn parse_pushed(data: &[u8], cuts: &[usize]) -> Result<Vec<SaxEvent>, Error> {
+fn parse_pushed(data: &[u8], cuts: &[usize]) -> Result<Vec<String>, Error> {
     let mut parser = StreamParser::push_mode();
     let mut out = Vec::new();
     let mut from = 0;
     for &cut in cuts.iter().chain([&data.len()]) {
         parser.push(&data[from..cut]);
         from = cut;
-        while let ParsePoll::Event(ev) = parser.poll_raw()? {
-            out.push(ev.to_owned());
-        }
+        drain(&mut parser, &mut out)?;
     }
     parser.finish();
-    loop {
-        match parser.poll_raw()? {
-            ParsePoll::Event(ev) => out.push(ev.to_owned()),
-            ParsePoll::NeedMore => panic!("NeedMore after finish"),
-            ParsePoll::End => return Ok(out),
-        }
-    }
+    assert!(drain(&mut parser, &mut out)?, "NeedMore after finish");
+    Ok(out)
 }
 
 fn random_bytes(rng: &mut Lcg, max_len: usize, alphabet: &[u8]) -> Vec<u8> {
@@ -115,7 +104,7 @@ fn assert_never_panics(label: &str, max_len: usize, alphabet: &[u8]) {
     for seed in 0..CASES {
         let mut rng = Lcg::seeded(seed);
         let data = random_bytes(&mut rng, max_len, alphabet);
-        let whole = parse_to_events(&data);
+        let whole = record_doc(&data);
         let cut = rng.below(data.len() + 1);
         assert_eq!(parse_pushed(&data, &[cut]), whole, "{label} seed {seed}");
     }
@@ -248,11 +237,21 @@ fn valid_docs_parse_identically_at_every_chunk_size() {
     for seed in 0..CASES {
         let mut rng = Lcg::seeded(seed);
         let doc = gen_document(&mut rng);
-        let whole = parse_to_events(&doc).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let whole = record_doc(&doc).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         let chunk = 1 + rng.below(31);
         let trickled = parse_trickled(&doc, chunk).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert_eq!(whole, trickled, "seed {seed} chunk {chunk}");
     }
+}
+
+/// `doc` parsed and written back out by the serializer.
+fn rewrite(doc: &[u8]) -> Result<String, Error> {
+    let mut p = StreamParser::new(doc);
+    let mut w = xsq_xml::XmlWriter::new();
+    while let Some(ev) = p.next_raw()? {
+        w.write_event(&ev);
+    }
+    Ok(w.into_string())
 }
 
 #[test]
@@ -261,10 +260,8 @@ fn reserialization_is_idempotent() {
     // must be a fixed point.
     for seed in 0..CASES {
         let doc = gen_document(&mut Lcg::seeded(seed));
-        let ev1 = parse_to_events(&doc).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        let s1 = xsq_xml::writer::events_to_string(&ev1);
-        let ev2 = parse_to_events(s1.as_bytes()).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        let s2 = xsq_xml::writer::events_to_string(&ev2);
+        let s1 = rewrite(&doc).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let s2 = rewrite(s1.as_bytes()).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert_eq!(s1, s2, "seed {seed}");
     }
 }
@@ -274,14 +271,14 @@ fn pull_and_push_agree_at_every_cut_point_on_valid_and_mutated_docs() {
     for seed in 0..CASES / 2 {
         let mut rng = Lcg::seeded(seed);
         let valid = gen_document(&mut rng);
-        assert!(parse_to_events(&valid).is_ok(), "seed {seed}: generator");
+        assert!(record_doc(&valid).is_ok(), "seed {seed}: generator");
         let mut docs = vec![valid.clone()];
         for _ in 0..4 {
             docs.push(mutate(&mut rng, &valid));
         }
         for (m, doc) in docs.iter().enumerate() {
             // Events or error (variant, message and offset) — by equality.
-            let whole = parse_to_events(doc);
+            let whole = record_doc(doc);
             let show = || String::from_utf8_lossy(doc).into_owned();
             for cut in 0..=doc.len() {
                 let pushed = parse_pushed(doc, &[cut]);

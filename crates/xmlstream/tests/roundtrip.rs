@@ -6,8 +6,35 @@
 //! The generator is a seeded xorshift PRNG (hermetic — no external
 //! property-testing crate), so failures reproduce exactly.
 
-use xsq_xml::writer::{events_to_string, XmlWriter};
-use xsq_xml::{parse_to_events, SaxEvent};
+mod common;
+
+use common::record_doc;
+use xsq_xml::writer::XmlWriter;
+use xsq_xml::{RawEvent, Result, StreamParser};
+
+/// The events of `doc`, recorded, and the document the writer makes of
+/// them.
+fn rewrite(doc: &[u8]) -> Result<(Vec<String>, String)> {
+    let mut p = StreamParser::new(doc);
+    let (mut events, mut w) = (Vec::new(), XmlWriter::new());
+    while let Some(ev) = p.next_raw()? {
+        events.push(format!("{ev:?}"));
+        w.write_event(&ev);
+    }
+    Ok((events, w.into_string()))
+}
+
+/// The payloads of the text events of `doc`.
+fn texts(doc: &[u8]) -> Result<Vec<String>> {
+    let mut p = StreamParser::new(doc);
+    let mut out = Vec::new();
+    while let Some(ev) = p.next_raw()? {
+        if let RawEvent::Text { text, .. } = ev {
+            out.push(text.to_string());
+        }
+    }
+    Ok(out)
+}
 
 /// Minimal deterministic PRNG (xorshift64*).
 struct Rng(u64);
@@ -128,15 +155,14 @@ fn random_documents_roundtrip_at_event_level() {
     let mut rng = Rng::new(0x5EED_CAFE);
     for case in 0..300 {
         let doc = gen_document(&mut rng);
-        let events = parse_to_events(doc.as_bytes())
+        let (events, rewritten) = rewrite(doc.as_bytes())
             .unwrap_or_else(|e| panic!("case {case}: generated doc failed to parse: {e}\n{doc}"));
-        let rewritten = events_to_string(&events);
-        let events2 = parse_to_events(rewritten.as_bytes()).unwrap_or_else(|e| {
+        let (events2, again) = rewrite(rewritten.as_bytes()).unwrap_or_else(|e| {
             panic!("case {case}: serialized form failed to reparse: {e}\n{rewritten}")
         });
         assert_eq!(events, events2, "case {case}:\n{doc}\n→\n{rewritten}");
         // Serialization is a fixpoint: a second round emits identical bytes.
-        assert_eq!(rewritten, events_to_string(&events2), "case {case}");
+        assert_eq!(rewritten, again, "case {case}");
     }
 }
 
@@ -145,23 +171,17 @@ fn cr_in_text_survives_roundtrip() {
     // A CR reaches the event stream only via &#13;. The writer must
     // re-emit it as a character reference or reparse turns it into \n.
     let doc = "<a>x&#13;y</a>";
-    let events = parse_to_events(doc.as_bytes()).unwrap();
-    let rewritten = events_to_string(&events);
-    let events2 = parse_to_events(rewritten.as_bytes()).unwrap();
-    assert_eq!(events, events2);
-    match &events2[2] {
-        SaxEvent::Text { text, .. } => assert_eq!(text, "x\ry"),
-        other => panic!("expected text event, got {other:?}"),
-    }
+    let (events, rewritten) = rewrite(doc.as_bytes()).unwrap();
+    assert_eq!(events, record_doc(rewritten.as_bytes()).unwrap());
+    assert_eq!(texts(rewritten.as_bytes()).unwrap(), ["x\ry"]);
 }
 
 #[test]
 fn whitespace_attributes_survive_roundtrip() {
     let doc = "<a v=\"x&#10;y&#9;z&#13;\"/>";
-    let events = parse_to_events(doc.as_bytes()).unwrap();
-    let rewritten = events_to_string(&events);
+    let (events, rewritten) = rewrite(doc.as_bytes()).unwrap();
     assert_eq!(rewritten, "<a v=\"x&#10;y&#9;z&#13;\"></a>");
-    assert_eq!(events, parse_to_events(rewritten.as_bytes()).unwrap());
+    assert_eq!(events, record_doc(rewritten.as_bytes()).unwrap());
 }
 
 #[test]
@@ -201,8 +221,10 @@ fn attribute_escaping_is_exact_at_every_run_boundary() {
             assert_eq!(esc, format!("kept:{}", reference(&value)), "{value:?}");
             // And the value survives a parse of the escaped form.
             let doc = format!("<a v=\"{}\"/>", &esc["kept:".len()..]);
-            match &parse_to_events(doc.as_bytes()).unwrap()[1] {
-                SaxEvent::Begin { attributes, .. } => assert_eq!(attributes[0].value, value),
+            let mut p = StreamParser::new(doc.as_bytes());
+            p.next_raw().unwrap(); // StartDocument
+            match p.next_raw().unwrap() {
+                Some(RawEvent::Begin { attributes, .. }) => assert_eq!(attributes[0].value, value),
                 other => panic!("expected a begin event, got {other:?}"),
             }
         }
@@ -215,14 +237,13 @@ fn comment_and_pi_emission_is_always_well_formed() {
         let mut w = XmlWriter::new();
         w.write_comment(c);
         let doc = format!("{}<a/>", w.as_str());
-        parse_to_events(doc.as_bytes())
-            .unwrap_or_else(|e| panic!("comment {c:?} broke parsing: {e}"));
+        record_doc(doc.as_bytes()).unwrap_or_else(|e| panic!("comment {c:?} broke parsing: {e}"));
     }
     for d in PI_DATA {
         let mut w = XmlWriter::new();
         w.write_pi("t", d);
         let doc = format!("{}<a/>", w.as_str());
-        parse_to_events(doc.as_bytes()).unwrap_or_else(|e| panic!("pi {d:?} broke parsing: {e}"));
+        record_doc(doc.as_bytes()).unwrap_or_else(|e| panic!("pi {d:?} broke parsing: {e}"));
     }
 }
 
@@ -232,15 +253,9 @@ fn cdata_sections_decode_to_their_payload() {
         let mut w = XmlWriter::new();
         w.write_cdata(c);
         let doc = format!("<a>{}</a>", w.as_str());
-        let events = parse_to_events(doc.as_bytes())
-            .unwrap_or_else(|e| panic!("cdata {c:?} broke parsing: {e}\n{doc}"));
-        let text: String = events
-            .iter()
-            .filter_map(|e| match e {
-                SaxEvent::Text { text, .. } => Some(text.as_str()),
-                _ => None,
-            })
-            .collect();
+        let text: String = texts(doc.as_bytes())
+            .unwrap_or_else(|e| panic!("cdata {c:?} broke parsing: {e}\n{doc}"))
+            .concat();
         assert_eq!(&text, c);
     }
 }

@@ -11,7 +11,7 @@
 //! ```
 
 use xsq::engine::{Sink, XsqEngine};
-use xsq::xml::{Attribute, SaxEvent};
+use xsq::xml::{ParsePoll, StreamParser};
 
 /// A sink that prints results and running aggregates as they stream out.
 struct Live {
@@ -34,36 +34,13 @@ fn price(i: u32) -> f64 {
     100.0 + ((i * 37) % 50) as f64 - 25.0 + (i % 7) as f64 / 10.0
 }
 
-fn trade_events(i: u32) -> Vec<SaxEvent> {
+/// One trade, serialized as the ticker sends it.
+fn trade(i: u32) -> String {
     let symbol = ["ACME", "GLOBEX", "INITECH"][(i % 3) as usize];
-    let text = |element: &str, text: String| SaxEvent::Text {
-        element: element.into(),
-        text,
-        depth: 3,
-    };
-    let begin = |name: &str, depth: u32| SaxEvent::Begin {
-        name: name.into(),
-        attributes: vec![],
-        depth,
-    };
-    let end = |name: &str, depth: u32| SaxEvent::End {
-        name: name.into(),
-        depth,
-    };
-    vec![
-        SaxEvent::Begin {
-            name: "trade".into(),
-            attributes: vec![Attribute::new("seq", i.to_string())],
-            depth: 2,
-        },
-        begin("symbol", 3),
-        text("symbol", symbol.into()),
-        end("symbol", 3),
-        begin("price", 3),
-        text("price", format!("{:.2}", price(i))),
-        end("price", 3),
-        end("trade", 2),
-    ]
+    format!(
+        "<trade seq=\"{i}\"><symbol>{symbol}</symbol><price>{:.2}</price></trade>",
+        price(i)
+    )
 }
 
 fn main() {
@@ -88,26 +65,21 @@ fn main() {
         results: 0,
     };
 
-    // Open the (never-ending) stream.
-    let prologue = [
-        SaxEvent::StartDocument,
-        SaxEvent::Begin {
-            name: "feed".into(),
-            attributes: vec![],
-            depth: 1,
-        },
-    ];
-    for ev in &prologue {
-        select_run.feed_raw(&ev.as_raw(), &mut select_sink);
-        max_run.feed_raw(&ev.as_raw(), &mut max_sink);
-    }
-
+    // The (never-ending) stream: one push parser, fed a chunk at a time
+    // and never finished. The events a chunk completes go to both
+    // runners at once.
+    let mut parser = StreamParser::push_mode();
+    let mut push = |chunk: &str| {
+        parser.push(chunk.as_bytes());
+        while let ParsePoll::Event(ev) = parser.poll_raw().expect("a well-formed feed") {
+            select_run.feed_raw(&ev, &mut select_sink);
+            max_run.feed_raw(&ev, &mut max_sink);
+        }
+    };
+    push("<feed>");
     for i in 0..12 {
         println!("tick {i}:");
-        for ev in trade_events(i) {
-            select_run.feed_raw(&ev.as_raw(), &mut select_sink);
-            max_run.feed_raw(&ev.as_raw(), &mut max_sink);
-        }
+        push(&trade(i));
     }
 
     println!(

@@ -161,7 +161,6 @@ fn serve_banner_names_the_running_loops_poller() {
     use std::io::BufRead;
     let mut child = xsq()
         .args(["serve", "--addr", "127.0.0.1:0"])
-        .env("XSQ_POLLER", "poll")
         .stdin(Stdio::piped())
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
@@ -170,7 +169,7 @@ fn serve_banner_names_the_running_loops_poller() {
     let mut stderr = std::io::BufReader::new(child.stderr.take().unwrap());
     let mut banner = String::new();
     stderr.read_line(&mut banner).unwrap();
-    assert!(banner.contains("poller=poll"), "{banner}");
+    assert!(banner.contains("poller=epoll"), "{banner}");
     assert!(!banner.contains("loop-threads="), "{banner}");
     drop(child.stdin.take());
     // Keep reading: the drain notice must find stderr open.

@@ -30,7 +30,8 @@ use xsq::engine::{
     TaggedVecSink, VecQuerySink, VecSink, XPathEngine, XsqEngine,
 };
 use xsq::xml::dtd::Dtd;
-use xsq::xml::SaxEvent;
+use xsq::xml::pda::{PdaStatus, WellFormednessPda};
+use xsq::xml::{StreamParser, XmlWriter};
 use xsq::xpath::parse_query;
 
 #[path = "common/schema_gen.rs"]
@@ -132,8 +133,7 @@ fn gen_step(rng: &mut StdRng, closures: bool, preds: bool) -> String {
     step
 }
 
-/// Scalar outputs (the XMLTK fragment; it emits whole elements at their
-/// *end* tag, so element output is out of its comparison).
+/// Scalar outputs: a text run, an attribute or a count.
 fn gen_scalar_output(rng: &mut StdRng) -> String {
     match rng.gen_range(0..3) {
         0 => "/text()".into(),
@@ -192,15 +192,23 @@ fn dom_run(query: &str, doc: &str) -> Vec<String> {
     eval_stepwise(&tree, &parsed)
 }
 
-fn events_of(doc: &str) -> Vec<SaxEvent> {
-    xsq::xml::parse_to_events(doc.as_bytes()).expect("well-formed")
+/// Feed the first `limit` events of `doc` to a runner; the caller
+/// finishes it (or not). Returns how many events `doc` has.
+fn feed_prefix(runner: &mut Runner<'_>, doc: &str, limit: usize, sink: &mut VecSink) -> usize {
+    let mut parser = StreamParser::new(doc.as_bytes());
+    let mut n = 0;
+    while let Some(e) = parser.next_raw().expect("well-formed") {
+        if n < limit {
+            runner.feed_raw(&e, sink);
+        }
+        n += 1;
+    }
+    n
 }
 
-/// Feed stored events to a runner; the caller finishes it (or not).
-fn feed_all(runner: &mut Runner<'_>, events: &[SaxEvent], sink: &mut VecSink) {
-    for e in events {
-        runner.feed_raw(&e.as_raw(), sink);
-    }
+/// Feed every event of `doc` to a runner; the caller finishes it (or not).
+fn feed_all(runner: &mut Runner<'_>, doc: &str, sink: &mut VecSink) {
+    feed_prefix(runner, doc, usize::MAX, sink);
 }
 
 // ---- the properties --------------------------------------------------------
@@ -242,13 +250,37 @@ fn xsq_nc_matches_on_closure_free_queries() {
 fn xmltk_matches_on_predicate_free_queries() {
     cases(0..CASES, |rng| {
         let doc = gen_doc(rng);
-        let query = gen_steps(rng, true, false) + &gen_scalar_output(rng);
-        let report = xsq::baselines::XmltkLike.run(&query, doc.as_bytes());
-        let got = report.expect("path query supported").results;
+        let steps = gen_steps(rng, true, false);
+        // Each path twice: with a scalar output, and selecting whole
+        // elements (which nest, and must still come out in document
+        // order).
+        for output in [gen_scalar_output(rng), String::new()] {
+            let query = format!("{steps}{output}");
+            let report = xsq::baselines::XmltkLike.run(&query, doc.as_bytes());
+            let got = report.expect("path query supported").results;
+            assert_eq!(
+                got,
+                dom_run(&query, &doc),
+                "XMLTK disagrees on {query} over {doc}"
+            );
+        }
+    });
+}
+
+/// Joost only goes wrong where a predicate is decided after the data it
+/// gates; without predicates it must equal the oracle on every output,
+/// whole elements included.
+#[test]
+fn joost_matches_on_predicate_free_queries() {
+    cases(0..CASES, |rng| {
+        let doc = gen_doc(rng);
+        let query = gen_steps(rng, true, false) + &gen_output(rng);
+        let report = xsq::baselines::JoostLike.run(&query, doc.as_bytes());
+        let got = report.expect("Fig. 3 query supported").results;
         assert_eq!(
             got,
             dom_run(&query, &doc),
-            "XMLTK disagrees on {query} over {doc}"
+            "Joost disagrees on {query} over {doc}"
         );
     });
 }
@@ -731,12 +763,8 @@ fn lock_step_groups_equal_the_dom_oracle() {
             set.hpdts().any(|h| !h.keyed.is_empty()),
             "the [year=…] family did not compile to a keyed step"
         );
-        let corpus = [events_of(&docs[0]), events_of(&docs[1])];
         for hpdt in set.hpdts() {
-            let (untraced, traced) = (
-                run_group(hpdt, &corpus, false),
-                run_group(hpdt, &corpus, true),
-            );
+            let (untraced, traced) = (run_group(hpdt, &docs, false), run_group(hpdt, &docs, true));
             assert_eq!(untraced, traced, "traced vs untraced over {docs:?}");
         }
         // The runs are what the family is for: long ones.
@@ -755,26 +783,25 @@ fn lock_step_groups_equal_the_dom_oracle() {
 /// running aggregates in arrival order, and each document's `RunStats`.
 /// With `traced`, a tracer is attached — which must hear of every event,
 /// fired or not.
-fn run_group(
-    hpdt: &Hpdt,
-    corpus: &[Vec<SaxEvent>],
-    traced: bool,
-) -> (Vec<(bool, usize, usize)>, String) {
+fn run_group(hpdt: &Hpdt, corpus: &[String], traced: bool) -> (Vec<(bool, usize, usize)>, String) {
     let mut core = RunnerCore::new(hpdt);
     let (mut fired, mut seen) = (Vec::new(), String::new());
-    for events in corpus {
+    for doc in corpus {
         let mut sink = TaggedVecSink::new();
         let mut steps = 0;
         let mut tracer = |step: xsq::engine::trace::TraceStep| {
             steps += 1;
             assert_eq!(step.ordinal, steps);
         };
-        for e in events {
+        let mut parser = StreamParser::new(doc.as_bytes());
+        let mut events = 0;
+        while let Some(e) = parser.next_raw().expect("well-formed") {
             let tracer: Option<&mut dyn FnMut(_)> = traced.then_some(&mut tracer);
-            let moved = core.feed_traced(hpdt, &e.as_raw(), &mut sink, tracer);
+            let moved = core.feed_traced(hpdt, &e, &mut sink, tracer);
             fired.push((moved, core.config_count(), core.buffered_entries()));
+            events += 1;
         }
-        assert_eq!(steps, if traced { events.len() as u64 } else { 0 });
+        assert_eq!(steps, if traced { events } else { 0 });
         let stats = core.finish(&mut sink);
         seen += &format!("{:?} {:?} {stats:?}\n", sink.results, sink.updates);
         core.reset(hpdt);
@@ -794,12 +821,8 @@ fn traced_runs_equal_untraced_runs() {
     let check = |docs: &[String; 2], queries: &[String]| {
         let refs: Vec<&str> = queries.iter().map(String::as_str).collect();
         let set = QuerySet::compile(XsqEngine::full(), &refs).expect("generated queries compile");
-        let corpus = [events_of(&docs[0]), events_of(&docs[1])];
         for hpdt in set.hpdts() {
-            let (untraced, traced) = (
-                run_group(hpdt, &corpus, false),
-                run_group(hpdt, &corpus, true),
-            );
+            let (untraced, traced) = (run_group(hpdt, docs, false), run_group(hpdt, docs, true));
             assert_eq!(untraced, traced, "{refs:?} over {docs:?}");
         }
     };
@@ -849,14 +872,13 @@ fn first_match_index_groups_equal_forced_scan_all_solo_runners() {
             index
                 .run_document(doc.as_bytes(), &mut sink)
                 .expect("well-formed");
-            let events = events_of(doc);
             for (q, &id) in refs.iter().zip(&ids) {
                 let parsed = parse_query(q).expect("generated queries parse");
                 let mut hpdt = xsq::engine::build_hpdt(&parsed).expect("builds");
                 assert!(hpdt.deterministic, "{q} is closure-free");
                 hpdt.deterministic = false;
                 let (mut runner, mut want) = (Runner::new(&hpdt), VecSink::new());
-                feed_all(&mut runner, &events, &mut want);
+                feed_all(&mut runner, doc, &mut want);
                 runner.finish(&mut want);
                 assert_eq!(sink.of(id), want.results, "{q} in {refs:?} over {doc}");
             }
@@ -945,13 +967,12 @@ fn emission_is_prefix_stable() {
             return; // running updates differ by design
         }
         let compiled = XsqEngine::full().compile(&parsed).expect("compiles");
-        let events = events_of(&doc);
         let (mut runner, mut full) = (compiled.runner(), VecSink::new());
-        feed_all(&mut runner, &events, &mut full);
+        let events = feed_prefix(&mut runner, &doc, usize::MAX, &mut full);
         runner.finish(&mut full);
-        let cut = rng.gen_range(0..=events.len());
+        let cut = rng.gen_range(0..=events);
         let (mut runner, mut partial) = (compiled.runner(), VecSink::new());
-        feed_all(&mut runner, &events[..cut], &mut partial);
+        feed_prefix(&mut runner, &doc, cut, &mut partial);
         assert!(
             full.results.starts_with(&partial.results),
             "prefix after {cut} events {:?} is not a prefix of {:?} ({query} over {doc})",
@@ -975,10 +996,9 @@ fn pruned_hpdt_results_equal_unpruned() {
         let original = xsq::engine::build_hpdt(&parsed).expect("builds");
         let (pruned, stats) = xsq::engine::prune(&original);
         assert!(stats.states_after <= stats.states_before);
-        let events = events_of(&doc);
         let run = |hpdt| {
             let (mut runner, mut sink) = (Runner::new(hpdt), VecSink::new());
-            feed_all(&mut runner, &events, &mut sink);
+            feed_all(&mut runner, &doc, &mut sink);
             runner.finish(&mut sink);
             sink.results
         };
@@ -992,11 +1012,23 @@ fn pruned_hpdt_results_equal_unpruned() {
 
 #[test]
 fn parser_writer_roundtrip_and_pda() {
+    // Each event recorded as its `Debug` form, checked by the PDA and
+    // written back out.
+    let record = |doc: &str| {
+        let mut parser = StreamParser::new(doc.as_bytes());
+        let (mut events, mut writer) = (Vec::new(), XmlWriter::new());
+        let (mut pda, mut status) = (WellFormednessPda::new(), PdaStatus::Running);
+        while let Some(ev) = parser.next_raw().expect("well-formed") {
+            status = pda.feed(&ev);
+            writer.write_event(&ev);
+            events.push(format!("{ev:?}"));
+        }
+        assert_eq!(status, PdaStatus::Accepted, "{doc}");
+        (events, writer.into_string())
+    };
     cases(0..CASES, |rng| {
-        let events = events_of(&gen_doc(rng));
-        assert!(xsq::xml::WellFormednessPda::accepts(&events));
-        let rewritten = xsq::xml::writer::events_to_string(&events);
-        assert_eq!(events, events_of(&rewritten));
+        let (events, rewritten) = record(&gen_doc(rng));
+        assert_eq!(events, record(&rewritten).0);
     });
 }
 
@@ -1006,7 +1038,7 @@ fn buffers_drain_by_end_of_document() {
         let (doc, query) = (gen_doc(rng), gen_query(rng));
         let compiled = XsqEngine::full().compile_str(&query).expect("parses");
         let (mut runner, mut sink) = (compiled.runner(), VecSink::new());
-        feed_all(&mut runner, &events_of(&doc), &mut sink);
+        feed_all(&mut runner, &doc, &mut sink);
         // The paper's invariant: every buffered item resolves by the end
         // event of the element named in the first location step — a
         // fortiori by end of document.

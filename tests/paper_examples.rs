@@ -6,6 +6,7 @@
 //! them satisfies all predicates.
 
 use xsq::engine::{evaluate, Sink, VecSink, XsqEngine};
+use xsq::xml::RawEvent;
 
 /// Figure 1's document (whitespace-normalized).
 const FIG1: &str = r#"<root>
@@ -215,7 +216,6 @@ fn results_stream_as_soon_as_determined() {
     let compiled = XsqEngine::full()
         .compile_str("/root/pub[year=2002]/book[price<11]/author/text()")
         .unwrap();
-    let events = xsq::xml::parse_to_events(FIG1.as_bytes()).unwrap();
     let mut runner = compiled.runner();
 
     struct Probe {
@@ -227,18 +227,19 @@ fn results_stream_as_soon_as_determined() {
         }
     }
     let mut sink = Probe { results: vec![] };
-    let year_text_pos = events
-        .iter()
-        .position(|e| matches!(e, xsq::xml::SaxEvent::Text { text, .. } if text.trim() == "2002"))
-        .unwrap();
-    for e in &events[..year_text_pos] {
-        runner.feed_raw(&e.as_raw(), &mut sink);
-    }
+    let mut parser = xsq::xml::StreamParser::new(FIG1.as_bytes());
+    let year = loop {
+        let e = parser.next_raw().unwrap().expect("a year text event");
+        if matches!(e, RawEvent::Text { text, .. } if text.trim() == "2002") {
+            break e;
+        }
+        runner.feed_raw(&e, &mut sink);
+    };
     assert!(
         sink.results.is_empty(),
         "nothing should emit before the year"
     );
-    runner.feed_raw(&events[year_text_pos].as_raw(), &mut sink);
+    runner.feed_raw(&year, &mut sink);
     assert_eq!(
         sink.results,
         ["A"],

@@ -6,7 +6,9 @@
 //! way a server session does. Same corpus style as
 //! `tests/shard_equivalence.rs`.
 
-use xsq::xml::{parse_to_events, ParsePoll, PushParser, SaxEvent, StreamParser};
+use std::io::BufRead;
+
+use xsq::xml::{ParsePoll, PushParser, StreamParser};
 use xsq::{run_sequential, QuerySet, VecQuerySink, XsqEngine};
 
 const FIG1: &str = r#"<root><pub><book id="1"><price>12.00</price>
@@ -51,11 +53,21 @@ fn corpus() -> Vec<Vec<u8>> {
     docs
 }
 
-/// Drain everything the push parser currently has.
-fn drain(parser: &mut PushParser, out: &mut Vec<SaxEvent>) {
+/// Record everything the push parser currently has, each event as its
+/// `Debug` form.
+fn drain(parser: &mut PushParser, out: &mut Vec<String>) {
     while let ParsePoll::Event(ev) = parser.poll_raw().expect("push parse failed") {
-        out.push(ev.to_owned());
+        out.push(format!("{ev:?}"));
     }
+}
+
+/// Every event `parser` pulls, recorded the same way.
+fn pull_all<R: BufRead>(parser: &mut StreamParser<R>) -> Vec<String> {
+    let mut out = Vec::new();
+    while let Some(ev) = parser.next_raw().expect("parse failed") {
+        out.push(format!("{ev:?}"));
+    }
+    out
 }
 
 #[test]
@@ -66,11 +78,8 @@ fn reset_with_reused_pull_parser_matches_fresh_parsers() {
     let mut reused = StreamParser::new(&b""[..]);
     for (di, doc) in docs.iter().enumerate() {
         reused.reset_with(&doc[..]);
-        let mut got = Vec::new();
-        while let Some(ev) = reused.next_event().expect("reused parse failed") {
-            got.push(ev);
-        }
-        let fresh = parse_to_events(doc).expect("fresh parse failed");
+        let got = pull_all(&mut reused);
+        let fresh = pull_all(&mut StreamParser::new(&doc[..]));
         assert_eq!(got, fresh, "reused parser diverged on doc {di}");
     }
 }
@@ -90,7 +99,7 @@ fn reset_push_reused_push_parser_matches_one_shot_at_every_chunk_size() {
             }
             parser.finish();
             drain(&mut parser, &mut got);
-            let fresh = parse_to_events(doc).expect("fresh parse failed");
+            let fresh = pull_all(&mut StreamParser::new(&doc[..]));
             assert_eq!(got, fresh, "push parser diverged on doc {di} chunk {chunk}");
             parser.reset_push();
         }

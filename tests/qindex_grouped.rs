@@ -7,7 +7,8 @@
 
 use xsq::datagen::rng::StdRng;
 use xsq::datagen::{dblp, words, xmark, xmlgen, xmlgen::XmlGenParams};
-use xsq::engine::evaluate;
+use xsq::engine::{evaluate, VecSink};
+use xsq::xml::{PureParser, StreamParser};
 use xsq::{QueryIndex, QuerySet, VecQuerySink, XsqEngine};
 
 /// Per-query expected results from N independent single-query runs.
@@ -499,25 +500,32 @@ fn pubsub_subscriptions(seed: u64, n: usize) -> Vec<String> {
 #[test]
 fn pubsub_templates_cost_the_same_at_512_subscriptions_as_at_64() {
     let doc = dblp::generate(2003, 256 * 1024);
-    let events = xsq::xml::parse_to_events(doc.as_bytes()).expect("dblp parses");
     let mut peaks = Vec::new();
     for n in [64, 512] {
         let queries = pubsub_subscriptions(2003, n);
         let texts: Vec<&str> = queries.iter().map(String::as_str).collect();
         let mut index = merged_index(&texts);
         assert!(index.group_count() <= 3, "{} groups", index.group_count());
+        // The index and one solo runner per query, over one parse.
+        let compiled: Vec<_> = texts
+            .iter()
+            .map(|q| XsqEngine::full().compile_str(q).expect("compiles"))
+            .collect();
+        let mut solos: Vec<_> = compiled
+            .iter()
+            .map(|c| (c.runner(), VecSink::new()))
+            .collect();
         let mut sink = VecQuerySink::new();
-        for ev in &events {
-            index.feed_raw(&ev.as_raw(), &mut sink);
+        let mut parser = StreamParser::new(doc.as_bytes());
+        while let Some(ev) = parser.next_raw().expect("dblp parses") {
+            index.feed_raw(&ev, &mut sink);
+            for (runner, solo) in &mut solos {
+                runner.feed_raw(&ev, solo);
+            }
         }
         let stats = index.finish(&mut sink);
         let mut fired = 0;
-        for (i, q) in texts.iter().enumerate() {
-            let compiled = XsqEngine::full().compile_str(q).expect("compiles");
-            let (mut runner, mut solo) = (compiled.runner(), xsq::engine::VecSink::new());
-            for ev in &events {
-                runner.feed_raw(&ev.as_raw(), &mut solo);
-            }
+        for (i, (q, (runner, mut solo))) in texts.iter().zip(solos).enumerate() {
             runner.finish(&mut solo);
             assert_eq!(
                 sink.of(xsq::QueryId(i as u32)),
@@ -545,6 +553,32 @@ fn pubsub_templates_cost_the_same_at_512_subscriptions_as_at_64() {
     );
 }
 
+/// Seconds a fresh `build()` index takes to feed on `doc`'s events, best
+/// of three, and the document's event count. The parse is timed alone
+/// (also best of three) and taken out, so what is left is the feeding;
+/// `check` sees each run's results.
+fn feed_secs(
+    build: impl Fn() -> QueryIndex,
+    doc: &str,
+    check: impl Fn(&VecQuerySink),
+) -> (f64, u64) {
+    let (mut parse, mut run, mut events) = (f64::INFINITY, f64::INFINITY, 0);
+    for _ in 0..3 {
+        let t0 = std::time::Instant::now();
+        PureParser::run(doc.as_bytes()).expect("feed parses");
+        parse = parse.min(t0.elapsed().as_secs_f64());
+        let (mut index, mut sink) = (build(), VecQuerySink::new());
+        let t0 = std::time::Instant::now();
+        let stats = index
+            .run_document(doc.as_bytes(), &mut sink)
+            .expect("feed parses");
+        run = run.min(t0.elapsed().as_secs_f64());
+        check(&sink);
+        events = stats.events;
+    }
+    (run - parse, events)
+}
+
 /// The N=512 dispatch cliff: one merged group used to run ~13× slower
 /// than one group per query (ratio 0.07) — dispatch won on touches, but
 /// the frontier state's O(N) arc scan and per-record reindex ate it.
@@ -556,25 +590,12 @@ fn pubsub_templates_cost_the_same_at_512_subscriptions_as_at_64() {
 #[ignore = "timing; CI runs it in release with --include-ignored"]
 fn merged_index_keeps_pace_with_solo_groups_at_512_queries() {
     let doc = generate_feed(16 * FEED_TAGS);
-    let events = xsq::xml::parse_to_events(doc.as_bytes()).expect("feed parses");
     let queries = feed_queries(512);
     let texts: Vec<&str> = queries.iter().map(String::as_str).collect();
 
     let best_of_3 = |build: fn(&[&str]) -> QueryIndex| {
-        (0..3)
-            .map(|_| {
-                let mut index = build(&texts);
-                let mut sink = VecQuerySink::new();
-                let t0 = std::time::Instant::now();
-                for ev in &events {
-                    index.feed_raw(&ev.as_raw(), &mut sink);
-                }
-                index.finish(&mut sink);
-                let secs = t0.elapsed().as_secs_f64();
-                assert_eq!(sink.results.len(), 16 * (512 - 512 / 8));
-                secs
-            })
-            .fold(f64::INFINITY, f64::min)
+        let check = |sink: &VecQuerySink| assert_eq!(sink.results.len(), 16 * (512 - 512 / 8));
+        feed_secs(|| build(&texts), &doc, check).0
     };
     let (solo_secs, merged_secs) = (best_of_3(solo_index), best_of_3(merged_index));
     let ratio = solo_secs / merged_secs;
@@ -597,22 +618,10 @@ fn merged_index_keeps_pace_with_solo_groups_at_512_queries() {
 #[ignore = "timing; CI runs it in release with --include-ignored"]
 fn a_shared_inner_tag_costs_solo_groups_a_bounded_bucket_walk() {
     let best_of_3 = |doc: String, queries: Vec<String>| {
-        let events = xsq::xml::parse_to_events(doc.as_bytes()).expect("feed parses");
         let texts: Vec<&str> = queries.iter().map(String::as_str).collect();
-        (0..3)
-            .map(|_| {
-                let mut index = solo_index(&texts);
-                let mut sink = VecQuerySink::new();
-                let t0 = std::time::Instant::now();
-                for ev in &events {
-                    index.feed_raw(&ev.as_raw(), &mut sink);
-                }
-                index.finish(&mut sink);
-                let secs = t0.elapsed().as_secs_f64();
-                assert!(sink.results.len() >= 64 * (512 - 512 / 8));
-                secs / events.len() as f64
-            })
-            .fold(f64::INFINITY, f64::min)
+        let check = |sink: &VecQuerySink| assert!(sink.results.len() >= 64 * (512 - 512 / 8));
+        let (secs, events) = feed_secs(|| solo_index(&texts), &doc, check);
+        secs / events as f64
     };
     let distinct = best_of_3(generate_feed(64 * FEED_TAGS), feed_queries(512));
     let shared = best_of_3(

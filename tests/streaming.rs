@@ -3,11 +3,42 @@
 //! never-ending feeds.
 
 use xsq::datagen;
-use xsq::engine::{Sink, VecSink, XsqEngine};
-use xsq::xml::{RawEvent, SaxEvent};
+use xsq::engine::{Runner, Sink, VecSink, XsqEngine};
+use xsq::xml::{RawEvent, StreamParser};
 
-fn events_of(doc: &str) -> Vec<SaxEvent> {
-    xsq::xml::parse_to_events(doc.as_bytes()).unwrap()
+/// Feed the events of `doc` one level deeper than parsed and without the
+/// document brackets: `doc` arrives as a child of the element open in
+/// `runner`.
+fn feed_nested(runner: &mut Runner<'_>, doc: &str, sink: &mut dyn Sink) {
+    let mut parser = StreamParser::new(doc.as_bytes());
+    while let Some(ev) = parser.next_raw().unwrap() {
+        let ev = match ev {
+            RawEvent::StartDocument | RawEvent::EndDocument => continue,
+            RawEvent::Begin {
+                name,
+                attributes,
+                depth,
+            } => RawEvent::Begin {
+                name,
+                attributes,
+                depth: depth + 1,
+            },
+            RawEvent::End { name, depth } => RawEvent::End {
+                name,
+                depth: depth + 1,
+            },
+            RawEvent::Text {
+                element,
+                text,
+                depth,
+            } => RawEvent::Text {
+                element,
+                text,
+                depth: depth + 1,
+            },
+        };
+        runner.feed_raw(&ev, sink);
+    }
 }
 
 #[test]
@@ -21,7 +52,7 @@ fn memory_stays_flat_while_the_stream_grows() {
     let one = "<rec><value>0123456789</value><flag>1</flag></rec>";
     let mut runner = compiled.runner();
     let mut sink = VecSink::new();
-    runner.feed_raw(&SaxEvent::StartDocument.as_raw(), &mut sink);
+    runner.feed_raw(&RawEvent::StartDocument, &mut sink);
     runner.feed_raw(
         &RawEvent::Begin {
             name: "feed".into(),
@@ -30,19 +61,9 @@ fn memory_stays_flat_while_the_stream_grows() {
         },
         &mut sink,
     );
-    let mut group_events = Vec::new();
-    for ev in events_of(&format!("<feed>{one}</feed>")) {
-        if !matches!(ev, SaxEvent::StartDocument | SaxEvent::EndDocument)
-            && ev.name() != Some("feed")
-        {
-            group_events.push(ev);
-        }
-    }
     let mut peaks = Vec::new();
     for _ in 0..50 {
-        for ev in &group_events {
-            runner.feed_raw(&ev.as_raw(), &mut sink);
-        }
+        feed_nested(&mut runner, one, &mut sink);
         peaks.push(runner.memory().peak_bytes);
     }
     assert_eq!(sink.results.len(), 50);
@@ -58,7 +79,7 @@ fn aggregation_over_an_unbounded_feed_emits_running_values() {
         .unwrap();
     let mut runner = compiled.runner();
     let mut sink = VecSink::new();
-    runner.feed_raw(&SaxEvent::StartDocument.as_raw(), &mut sink);
+    runner.feed_raw(&RawEvent::StartDocument, &mut sink);
     runner.feed_raw(
         &RawEvent::Begin {
             name: "feed".into(),
@@ -68,49 +89,8 @@ fn aggregation_over_an_unbounded_feed_emits_running_values() {
         &mut sink,
     );
     for i in 1..=5 {
-        for ev in events_of(&format!("<x><trade><price>{i}</price></trade></x>")) {
-            // Re-anchor the fragment one level deeper.
-            let ev = match ev {
-                SaxEvent::StartDocument | SaxEvent::EndDocument => continue,
-                SaxEvent::Begin {
-                    name,
-                    attributes,
-                    depth,
-                } if name != "x" => SaxEvent::Begin {
-                    name,
-                    attributes,
-                    depth: depth + 1,
-                },
-                SaxEvent::End { name, depth } if name != "x" => SaxEvent::End {
-                    name,
-                    depth: depth + 1,
-                },
-                SaxEvent::Text {
-                    element,
-                    text,
-                    depth,
-                } => SaxEvent::Text {
-                    element,
-                    text,
-                    depth: depth + 1,
-                },
-                other => {
-                    // The wrapper <x> becomes a depth-2 element.
-                    match other {
-                        SaxEvent::Begin {
-                            name, attributes, ..
-                        } => SaxEvent::Begin {
-                            name,
-                            attributes,
-                            depth: 2,
-                        },
-                        SaxEvent::End { name, .. } => SaxEvent::End { name, depth: 2 },
-                        e => e,
-                    }
-                }
-            };
-            runner.feed_raw(&ev.as_raw(), &mut sink);
-        }
+        let trade = format!("<x><trade><price>{i}</price></trade></x>");
+        feed_nested(&mut runner, &trade, &mut sink);
     }
     // Running sums 1, 3, 6, 10, 15 appeared while the feed was open.
     assert_eq!(sink.updates, vec![1.0, 3.0, 6.0, 10.0, 15.0]);
@@ -191,8 +171,9 @@ fn runner_reset_reuses_the_compiled_query() {
     ] {
         runner.reset();
         let mut sink = VecSink::new();
-        for ev in events_of(doc) {
-            runner.feed_raw(&ev.as_raw(), &mut sink);
+        let mut parser = StreamParser::new(doc.as_bytes());
+        while let Some(ev) = parser.next_raw().unwrap() {
+            runner.feed_raw(&ev, &mut sink);
         }
         assert_eq!(sink.results, expected, "{doc}");
         assert_eq!(runner.buffered_entries(), 0);
