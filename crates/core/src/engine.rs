@@ -76,35 +76,10 @@ impl XsqEngine {
     /// (`analyze::checked`, which also settles whether the artifact is
     /// deterministic and so runs first-match).
     pub fn compile(&self, query: &Query) -> Result<CompiledQuery, CompileError> {
-        self.compile_with_dtd(query, None)
-    }
-
-    /// [`Self::compile_str`] with schema knowledge: the DTD tightens the
-    /// static memory bound ([`CompiledQuery::bound`]). Semantics are
-    /// unchanged — schema *rewrites* stay behind the explicit
-    /// `schema::optimize` / `analyze::elide_always_true` opt-ins.
-    pub fn compile_str_with_dtd(
-        &self,
-        query: &str,
-        dtd: Option<&xsq_xml::dtd::Dtd>,
-    ) -> Result<CompiledQuery, CompileError> {
-        self.compile_with_dtd(&parse_query(query)?, dtd)
-    }
-
-    /// [`Self::compile`] with schema knowledge (see
-    /// [`Self::compile_str_with_dtd`]).
-    pub fn compile_with_dtd(
-        &self,
-        query: &Query,
-        dtd: Option<&xsq_xml::dtd::Dtd>,
-    ) -> Result<CompiledQuery, CompileError> {
         self.check(query)?;
-        let hpdt = crate::analyze::checked(build_hpdt(query)?)?;
-        let bound = crate::analyze::analyze_bounds(query, hpdt.buffered, dtd).bound;
         Ok(CompiledQuery {
-            hpdt,
+            hpdt: crate::analyze::checked(build_hpdt(query)?)?,
             mode: self.mode,
-            bound,
         })
     }
 }
@@ -114,9 +89,6 @@ impl XsqEngine {
 pub struct CompiledQuery {
     hpdt: Hpdt,
     mode: XsqMode,
-    /// Static memory bound (conservative `Unbounded` when compiled
-    /// without a DTD and the query buffers).
-    bound: crate::analyze::MemoryBound,
 }
 
 impl CompiledQuery {
@@ -145,11 +117,6 @@ impl CompiledQuery {
             XsqMode::Full if self.auto_nc() => "XSQ-NC (auto)",
             XsqMode::Full => "XSQ-F",
         }
-    }
-
-    /// The static memory bound this query was compiled with.
-    pub fn bound(&self) -> &crate::analyze::MemoryBound {
-        &self.bound
     }
 
     /// Start an incremental run — the streaming interface. Feed events as

@@ -309,11 +309,11 @@ mod tests {
         let direct: Vec<MemoryBound> = batch
             .iter()
             .map(|q| {
-                XsqEngine::full()
-                    .compile_str_with_dtd(q, Some(&dtd))
+                let parsed = xsq_xpath::parse_query(q).unwrap();
+                crate::analyze_with_dtd(&parsed, Some(&dtd))
                     .unwrap()
-                    .bound()
-                    .clone()
+                    .bound
+                    .bound
             })
             .collect();
         assert_eq!(plan.bounds(), &direct[..]);

@@ -11,8 +11,8 @@
 //! * **Writes** are encoded once, in place, into a per-connection
 //!   contiguous [`conn::WriteBuf`] and flushed with one `write` per
 //!   readiness; `EPOLLOUT` interest exists only while the queue is
-//!   non-empty. A queue deeper than the serve option's `queue_depth`
-//!   frames pauses *reading* that connection, so backpressure reaches
+//!   non-empty. A queue deeper than `QUEUE_DEPTH` frames pauses
+//!   *reading* that connection, so backpressure reaches
 //!   the client as TCP flow control instead of unbounded buffering.
 //! * **One session table, two framings**: a connection that opens with
 //!   HELLO ≥ 2 prefixes every later frame with a `u32` logical-session
@@ -50,7 +50,7 @@ use std::time::{Duration, Instant};
 
 use xsq_core::PlanCache;
 
-use crate::proto::{err_payload, errcode, op, Frame, CONTROL_SESSION, WIRE_V1, WIRE_V2};
+use crate::proto::{err_payload, errcode, op, Frame, CONTROL_SESSION, MAX_FRAME, WIRE_V1, WIRE_V2};
 use crate::server::{BroadcastPolicy, ServeOptions};
 use crate::session::{Action, Session, TransportStats};
 
@@ -71,6 +71,15 @@ const DRAIN_GRACE: Duration = Duration::from_secs(5);
 /// whatever is left.
 const READ_CHUNK: usize = 64 * 1024;
 const READS_PER_WAKE: usize = 8;
+/// Reply-queue depth, in frames, per *connection* (every wire-v2
+/// session multiplexed on it shares it), past which the loop stops
+/// reading that connection until the queue is back to half. Measured
+/// `server.eventloop.queue_depth_hwm` (`xsq-benchmark --seed 2003
+/// --seconds 2 --trace 1`, 2-CPU x86_64 host): `serve_bulk` 803, the one
+/// workload that crosses it (one 64 KiB FEED stages its replies before
+/// the check); `serve_records` 40, never near it; `broadcast_fanout`
+/// 278 976, which the broadcast queue bound and policy govern, not this.
+const QUEUE_DEPTH: usize = 256;
 
 /// One connection's loop-side state.
 struct Conn {
@@ -104,11 +113,11 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream, fd: RawFd, max_frame: usize) -> Conn {
+    fn new(stream: TcpStream, fd: RawFd) -> Conn {
         Conn {
             stream,
             fd,
-            frames: FrameBuf::new(max_frame),
+            frames: FrameBuf::new(MAX_FRAME),
             write: WriteBuf::default(),
             version: WIRE_V1,
             saw_frame: false,
@@ -253,8 +262,7 @@ impl EventLoop {
                         continue;
                     }
                     self.connections += 1;
-                    self.conns
-                        .insert(token, Conn::new(stream, fd, self.opts.max_frame));
+                    self.conns.insert(token, Conn::new(stream, fd));
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
                 Err(_) => return,
@@ -314,7 +322,7 @@ impl EventLoop {
                         dead = true;
                         break;
                     }
-                    if conn.write.len() > self.opts.queue_depth {
+                    if conn.write.len() > QUEUE_DEPTH {
                         break; // finish_io will pause reads
                     }
                 }
@@ -341,10 +349,7 @@ impl EventLoop {
                 Err(FrameError::TooLarge(len)) => {
                     conn.stage_err(
                         errcode::TOO_LARGE,
-                        &format!(
-                            "frame of {len} bytes exceeds the {}-byte limit",
-                            self.opts.max_frame
-                        ),
+                        &format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte limit"),
                     );
                     conn.closing = true;
                     return false;
@@ -614,10 +619,10 @@ impl EventLoop {
         self.note_queue_hwm(&conn.write);
         let depth = conn.write.len();
         if conn.backpressured {
-            if depth <= self.opts.queue_depth / 2 {
+            if depth <= QUEUE_DEPTH / 2 {
                 conn.backpressured = false;
             }
-        } else if depth > self.opts.queue_depth {
+        } else if depth > QUEUE_DEPTH {
             conn.backpressured = true;
         }
         if conn.closing {

@@ -24,7 +24,6 @@ use std::time::Duration;
 
 use xsq_core::XsqEngine;
 
-use crate::proto::MAX_FRAME;
 use crate::session::SessionLimits;
 
 /// What a broadcast server does when a subscriber's output queue is
@@ -67,12 +66,6 @@ pub struct ServeOptions {
     /// Close a connection when no complete frame arrives within this
     /// window.
     pub idle_timeout: Duration,
-    /// Per-frame size cap.
-    pub max_frame: usize,
-    /// Bounded reply-queue depth, in frames, per *connection* — not
-    /// per logical session: every wire-v2 session multiplexed on a
-    /// connection shares that connection's queue.
-    pub queue_depth: usize,
     /// Engine every session compiles against.
     pub engine: XsqEngine,
     /// Admission policy: per-subscription static-bound budget and the
@@ -88,8 +81,6 @@ impl ServeOptions {
         ServeOptions {
             addr: addr.into(),
             idle_timeout: Duration::from_secs(30),
-            max_frame: MAX_FRAME,
-            queue_depth: 256,
             engine: XsqEngine::full(),
             limits: SessionLimits::default(),
             broadcast: None,

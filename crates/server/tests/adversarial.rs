@@ -108,10 +108,10 @@ fn mid_frame_disconnect_leaves_the_server_serving() {
 
 #[test]
 fn oversized_frame_is_rejected_with_framed_error() {
-    let server = start_server(|o| o.max_frame = 4096);
+    let server = start_server(|_| {});
     let mut stream = connect(&server);
-    // Declare a frame far over the cap; the body is never sent — the
-    // server must reject on the declared length alone.
+    // Declare a frame far over the 16 MiB cap; the body is never sent —
+    // the server must reject on the declared length alone.
     stream
         .write_all(&(64 * 1024 * 1024u32).to_le_bytes())
         .unwrap();

@@ -1,85 +1,16 @@
-//! `xsq` — command-line streaming XPath over XML files or stdin.
-//!
-//! ```text
-//! xsq [OPTIONS] QUERY [FILE...]        evaluate QUERY (stdin if no FILE)
-//! xsq --queries FILE [FILE...]         evaluate a whole query set (one
-//!                                      query per line) in a single pass,
-//!                                      results tagged with the query index
-//! xsq multi [--shard N] (QUERY | --queries QFILE) FILE...
-//!                                      evaluate over a document corpus on
-//!                                      an N-worker pool (0 = one per CPU),
-//!                                      output merged in document order and
-//!                                      tagged doc<TAB>query<TAB>value
-//! xsq --dataset-stats FILE...          print Fig. 15-style statistics
-//! xsq --dump QUERY                     print the compiled HPDT
-//! xsq --queries FILE (--dump | --dot)  print every group's merged HPDT
-//! xsq analyze [--json] [--dot] [--dtd FILE] QUERY
-//!                                      static analysis: verifier
-//!                                      diagnostics, dead-state pruning,
-//!                                      buffer-necessity classes, engine
-//!                                      auto-selection, and (with --dtd)
-//!                                      the static memory bound with its
-//!                                      derivation; exits nonzero if any
-//!                                      diagnostic is an error
-//!
-//! Options:
-//!   --engine NAME   xsq-f (default) | xsq-nc | saxon | galax | xmltk |
-//!                   joost | xqengine
-//!   --stats         print events / results / arc firings / steps (firings
-//!                   of a lock-step run counted once) / runs probed /
-//!                   memory / time to stderr
-//!   --running       for aggregations, print running updates as they occur
-//!   --quiet         suppress result output (timing runs)
-//!   --json          emit results as JSON lines ({"result": …})
-//!   --schema-optimize  use the document's internal DTD (if any) to
-//!                   rewrite provably-child closures and skip provably
-//!                   empty queries
-//! xsq --dot QUERY                      print the HPDT as Graphviz
-//! xsq serve [--addr A] [--dtd FILE] [--max-bound K]
-//!           [--broadcast] [--broadcast-queue N]
-//!           [--broadcast-policy block|drop]
-//!                                      streaming query server: framed
-//!                                      SUB/FEED protocol over TCP on one
-//!                                      event-loop thread; runs until
-//!                                      stdin reaches EOF, then drains
-//!                                      and exits. --max-bound K
-//!                                      rejects subscriptions whose
-//!                                      static memory bound (proven
-//!                                      against --dtd) exceeds K
-//!                                      buffered items. --broadcast: one
-//!                                      feeder fans one stream through a
-//!                                      shared index to every subscriber
-//! xsq connect [--addr A] [--chunk N] [--verify]
-//!             (QUERY | --queries QFILE) [FILE...]
-//!                                      replay a corpus over the wire;
-//!                                      --verify byte-compares the replies
-//!                                      against the sequential driver
-//! xsq connect --broadcast-feed [--wait-subs N] FILE...
-//!                                      claim the broadcast feeder role
-//! xsq connect --broadcast-sub --expect-docs N [--verify]
-//!             (QUERY | --queries QFILE) [FILE...]
-//!                                      subscribe to a broadcast stream
-//! xsq transform [--engine stream|dom] [--chunk N] [--verify]
-//!               RULES.xfm [FILE...]    rewrite documents under .xfm
-//!                                      template rules; stream engine is
-//!                                      one-pass push-mode, dom is the
-//!                                      two-pass reference; --verify
-//!                                      byte-compares the two
-//! ```
-//!
-//! Exit codes: 0 success, 1 analysis found errors, 2 usage, 3 I/O,
-//! 4 query compile error, 5 evaluation error, 6 protocol/server error,
-//! 7 --verify mismatch.
+//! `xsq`: streaming XPath over XML files or stdin, the command-line
+//! face of the engine. `xsq --help` lists every mode, flag and exit code.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::fmt;
+use std::io::{BufRead, BufReader, Read, StdoutLock, Write};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use xsq::baselines::{GalaxLike, JoostLike, SaxonLike, XmltkLike, XqEngineLike};
+use xsq::engine::analyze::Diagnostic;
 use xsq::engine::trace::TraceStep;
 use xsq::engine::{
-    query_lines, run_sharded_with, CompiledQuery, EngineError, QueryId, QuerySet, QuerySink,
-    RunStats, Sink, XPathEngine, XsqEngine,
+    query_lines, run_sharded_with, CompiledQuery, DocOutput, EngineError, QueryId, QuerySet,
+    QuerySink, RunStats, Sink, XsqEngine,
 };
 use xsq::server::proto::json_escape;
 
@@ -101,8 +32,8 @@ struct Options {
     addr: String,
     /// FEED chunk size for `connect`.
     chunk: usize,
-    /// Idle timeout in seconds for `serve`.
-    idle_timeout: f64,
+    /// Idle timeout for `serve`.
+    idle_timeout: Duration,
     /// `connect`: byte-compare replies against the sequential driver.
     verify: bool,
     stats: bool,
@@ -114,7 +45,6 @@ struct Options {
     trace: bool,
     schema_optimize: bool,
     dataset_stats: bool,
-    analyze: bool,
     dtd: Option<String>,
     /// `serve`: per-subscription static-bound budget (buffered items).
     max_bound: Option<u64>,
@@ -142,7 +72,7 @@ fn parse_args() -> Result<Options, String> {
         shard: 0,
         addr: "127.0.0.1:7878".into(),
         chunk: 64 * 1024,
-        idle_timeout: 30.0,
+        idle_timeout: Duration::from_secs(30),
         verify: false,
         stats: false,
         running: false,
@@ -153,7 +83,6 @@ fn parse_args() -> Result<Options, String> {
         trace: false,
         schema_optimize: false,
         dataset_stats: false,
-        analyze: false,
         dtd: None,
         max_bound: None,
         broadcast: false,
@@ -182,8 +111,14 @@ fn parse_args() -> Result<Options, String> {
             }
             "--chunk" => o.chunk = positive(&mut args, "--chunk", "a byte count")?,
             "--idle-timeout" => {
-                o.idle_timeout =
-                    number(&mut args, "--idle-timeout", "seconds (may be fractional)")?;
+                // Not finite, not positive or past `Duration`'s range:
+                // all one usage error.
+                let what = "--idle-timeout needs a positive number of seconds";
+                let v = args.next().ok_or(what)?;
+                o.idle_timeout = (v.parse::<f64>().ok())
+                    .filter(|secs| *secs > 0.0)
+                    .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
+                    .ok_or_else(|| format!("{what}, not '{v}'"))?;
             }
             "--verify" => o.verify = true,
             "--stats" => o.stats = true,
@@ -195,7 +130,6 @@ fn parse_args() -> Result<Options, String> {
             "--trace" => o.trace = true,
             "--schema-optimize" => o.schema_optimize = true,
             "--dataset-stats" => o.dataset_stats = true,
-            "--analyze" => o.analyze = true,
             "--dtd" => {
                 o.dtd = Some(args.next().ok_or("--dtd needs a file")?);
             }
@@ -248,71 +182,137 @@ fn positive(
     }
 }
 
-struct StdoutSink {
+/// Stdout: every byte the binary prints goes through here, `write!` and
+/// `writeln!` included. Std's stdout is line-buffered, so each result
+/// leaves the moment its line is complete. The first failed write (a
+/// reader that hung up) ends the process with exit 3 and its error on
+/// stderr: nothing panics, and a run over an endless feed stops instead
+/// of discarding what it finds.
+struct Out {
+    stdout: StdoutLock<'static>,
+}
+
+impl Out {
+    fn new() -> Out {
+        Out {
+            stdout: std::io::stdout().lock(),
+        }
+    }
+
+    fn with(&mut self, write: impl FnOnce(&mut StdoutLock<'static>) -> std::io::Result<()>) {
+        if let Err(e) = write(&mut self.stdout) {
+            fail_io(&format!("writing to stdout: {e}"));
+            std::process::exit(EXIT_IO.into());
+        }
+    }
+
+    fn write_fmt(&mut self, args: fmt::Arguments<'_>) {
+        self.with(|w| w.write_fmt(args));
+    }
+
+    fn write_all(&mut self, bytes: &[u8]) {
+        self.with(|w| w.write_all(bytes));
+    }
+}
+
+/// The one result printer: results and running aggregate updates as
+/// text or JSON lines, untagged (one query), tagged with the query
+/// (`--queries`), or with the document and the query (`multi`, whose
+/// text is the wire clients' [`xsq::server::render_doc`]).
+struct Printer<'o> {
+    out: &'o mut Out,
     quiet: bool,
     running: bool,
     json: bool,
     results: u64,
 }
 
-impl Sink for StdoutSink {
-    fn result(&mut self, value: &str) {
+/// The tag fields in front of a JSON result: `"doc":D,"query":Q,`.
+struct JsonTag(Option<usize>, Option<QueryId>);
+
+impl fmt::Display for JsonTag {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if let Some(d) = self.0 {
+            write!(f, "\"doc\":{d},")?;
+        }
+        if let Some(q) = self.1 {
+            write!(f, "\"query\":{},", q.0)?;
+        }
+        Ok(())
+    }
+}
+
+impl<'o> Printer<'o> {
+    fn new(out: &'o mut Out, opts: &Options) -> Self {
+        Printer {
+            out,
+            quiet: opts.quiet,
+            running: opts.running,
+            json: opts.json,
+            results: 0,
+        }
+    }
+
+    fn print_result(&mut self, doc: Option<usize>, query: Option<QueryId>, value: &str) {
         self.results += 1;
         if self.quiet {
             return;
         }
-        if self.json {
-            println!("{{\"result\":\"{}\"}}", json_escape(value));
-        } else {
-            println!("{value}");
+        match (self.json, query) {
+            (true, _) => {
+                let tag = JsonTag(doc, query);
+                writeln!(self.out, "{{{tag}\"result\":\"{}\"}}", json_escape(value))
+            }
+            (false, Some(q)) => writeln!(self.out, "{}\t{value}", q.0),
+            (false, None) => writeln!(self.out, "{value}"),
         }
+    }
+
+    fn print_update(&mut self, doc: Option<usize>, query: Option<QueryId>, value: f64) {
+        if !self.running || self.quiet {
+            return;
+        }
+        match (self.json, query) {
+            (true, _) => writeln!(self.out, "{{{}\"running\":{value}}}", JsonTag(doc, query)),
+            (false, Some(q)) => writeln!(self.out, "# running[{}]: {value}", q.0),
+            (false, None) => writeln!(self.out, "# running: {value}"),
+        }
+    }
+
+    /// One document of `multi`: its updates (when asked for), then its
+    /// results.
+    fn print_doc(&mut self, di: usize, doc: &DocOutput) {
+        if self.json || self.quiet {
+            for (id, v) in &doc.updates {
+                self.print_update(Some(di), Some(*id), *v);
+            }
+            for (id, v) in &doc.results {
+                self.print_result(Some(di), Some(*id), v);
+            }
+        } else {
+            self.results += doc.results.len() as u64;
+            let running = self.running;
+            self.out
+                .with(|w| xsq::server::render_doc(w, di, &doc.results, &doc.updates, running));
+        }
+    }
+}
+
+impl Sink for Printer<'_> {
+    fn result(&mut self, value: &str) {
+        self.print_result(None, None, value);
     }
     fn aggregate_update(&mut self, value: f64) {
-        if !self.running || self.quiet {
-            return;
-        }
-        if self.json {
-            println!("{{\"running\":{value}}}");
-        } else {
-            println!("# running: {value}");
-        }
+        self.print_update(None, None, value);
     }
 }
 
-/// Shared sink for `--queries` mode: every line says which query matched.
-struct QueryStdoutSink {
-    quiet: bool,
-    running: bool,
-    json: bool,
-    results: u64,
-}
-
-impl QuerySink for QueryStdoutSink {
+impl QuerySink for Printer<'_> {
     fn result(&mut self, id: QueryId, value: &str) {
-        self.results += 1;
-        if self.quiet {
-            return;
-        }
-        if self.json {
-            println!(
-                "{{\"query\":{},\"result\":\"{}\"}}",
-                id.0,
-                json_escape(value)
-            );
-        } else {
-            println!("{}\t{}", id.0, value);
-        }
+        self.print_result(None, Some(id), value);
     }
-
     fn aggregate_update(&mut self, id: QueryId, value: f64) {
-        if !self.running || self.quiet {
-            return;
-        }
-        if self.json {
-            println!("{{\"query\":{},\"running\":{value}}}", id.0);
-        } else {
-            println!("# running[{}]: {value}", id.0);
-        }
+        self.print_update(None, Some(id), value);
     }
 }
 
@@ -362,10 +362,7 @@ fn compile_set(engine: XsqEngine, queries: &[&str]) -> Result<QuerySet, ExitCode
 }
 
 fn read_docs(files: &[String]) -> Result<Vec<Vec<u8>>, ExitCode> {
-    files
-        .iter()
-        .map(|f| read_input(Some(f)).map_err(|e| fail_io(&e)))
-        .collect()
+    files.iter().map(|f| read_input(Some(f))).collect()
 }
 
 fn load_dtd(path: Option<&String>) -> Result<Option<xsq::xml::dtd::Dtd>, ExitCode> {
@@ -381,76 +378,55 @@ fn load_dtd(path: Option<&String>) -> Result<Option<xsq::xml::dtd::Dtd>, ExitCod
 /// `--queries FILE` mode: the whole standing query set evaluates in one
 /// pass per document via the query index (prefix-shared compilation,
 /// dispatch-indexed event routing).
-fn run_query_file(opts: &Options) -> ExitCode {
-    let (engine, text, _) = match batch_inputs(opts, &opts.positional, "--queries") {
-        Ok(inputs) => inputs,
-        Err(code) => return code,
-    };
-    let set = match compile_set(engine, &query_lines(&text)) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
+fn run_query_file(opts: &Options, out: &mut Out) -> Result<(), ExitCode> {
+    let (engine, text, files) = batch_inputs(opts, &opts.positional, "--queries")?;
+    let set = compile_set(engine, &query_lines(&text))?;
     if opts.dump || opts.dot {
         for (g, hpdt) in set.hpdts().enumerate() {
             if opts.dot {
                 let title = format!("group {g}: HPDT for {} queries", hpdt.merged.len());
                 let name = format!("group{g}");
-                print!("{}", xsq::engine::dot::to_dot_named(hpdt, &name, &title));
+                write!(
+                    out,
+                    "{}",
+                    xsq::engine::dot::to_dot_named(hpdt, &name, &title)
+                );
             } else {
-                print!("{}", hpdt.dump());
+                write!(out, "{}", hpdt.dump());
             }
         }
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
 
-    let files: Vec<Option<String>> = if opts.positional.is_empty() {
-        vec![None]
-    } else {
-        opts.positional.iter().cloned().map(Some).collect()
-    };
-    for file in files {
+    for file in inputs(files) {
         let t0 = Instant::now();
         let mut index = set.index();
-        let mut sink = QueryStdoutSink {
-            quiet: opts.quiet,
-            running: opts.running,
-            json: opts.json,
-            results: 0,
-        };
-        let run = match &file {
-            None => index.run_reader(BufReader::new(std::io::stdin()), &mut sink),
-            Some(p) => match std::fs::File::open(p) {
-                Ok(f) => index.run_reader(BufReader::new(f), &mut sink),
-                Err(e) => return fail_io(&format!("reading {p}: {e}")),
-            },
-        };
-        match run {
-            Err(e) => return fail_run(&e.to_string()),
-            Ok(stats) => {
-                if opts.stats {
-                    let (buckets, entries, longest_bucket) = index.dispatch_shape();
-                    eprintln!(
-                        "# {}: {} results in {:.1} ms [{} queries, {} groups] engine={} \
-                         events={} firings={} steps={} probed={} touches={} (loop path: {}) \
-                         buckets={buckets} entries={entries} longest_bucket={longest_bucket}",
-                        file.as_deref().unwrap_or("<stdin>"),
-                        sink.results,
-                        t0.elapsed().as_secs_f64() * 1e3,
-                        set.len(),
-                        set.group_count(),
-                        opts.engine,
-                        stats.events,
-                        stats.firings,
-                        stats.steps,
-                        stats.probed,
-                        index.touches(),
-                        stats.events * set.len() as u64,
-                    );
-                }
-            }
+        let mut printer = Printer::new(out, opts);
+        let stats = index
+            .run_reader(open_input(file)?, &mut printer)
+            .map_err(|e| fail_run(&e.to_string()))?;
+        if opts.stats {
+            let (buckets, entries, longest_bucket) = index.dispatch_shape();
+            eprintln!(
+                "# {}: {} results in {:.1} ms [{} queries, {} groups] engine={} \
+                 events={} firings={} steps={} probed={} touches={} (loop path: {}) \
+                 buckets={buckets} entries={entries} longest_bucket={longest_bucket}",
+                file.unwrap_or("<stdin>"),
+                printer.results,
+                t0.elapsed().as_secs_f64() * 1e3,
+                set.len(),
+                set.group_count(),
+                opts.engine,
+                stats.events,
+                stats.firings,
+                stats.steps,
+                stats.probed,
+                index.touches(),
+                stats.events * set.len() as u64,
+            );
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `xsq multi [--shard N] (QUERY | --queries QFILE) FILE...`: evaluate
@@ -459,83 +435,50 @@ fn run_query_file(opts: &Options) -> ExitCode {
 /// tagged with the document index and the query index. `--shard 0` (the
 /// default) sizes the pool to the machine; `--shard 1` is the sequential
 /// driver with identical output.
-fn run_multi(opts: &Options) -> ExitCode {
-    let (engine, text, files) = match batch_inputs(opts, &opts.positional[1..], "multi") {
-        Ok(inputs) => inputs,
-        Err(code) => return code,
-    };
+fn run_multi(opts: &Options, out: &mut Out) -> Result<(), ExitCode> {
+    let (engine, text, files) = batch_inputs(opts, &opts.positional[1..], "multi")?;
     if files.is_empty() {
-        return usage("multi needs at least one FILE");
+        return Err(usage("multi needs at least one FILE"));
     }
-    let set = match compile_set(engine, &query_lines(&text)) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
-    let docs = match read_docs(files) {
-        Ok(d) => d,
-        Err(code) => return code,
-    };
+    let set = compile_set(engine, &query_lines(&text))?;
+    let docs = read_docs(files)?;
 
     let t0 = Instant::now();
-    let mut results = 0u64;
     let mut events = 0u64;
-    let run = run_sharded_with(&set, &docs, opts.shard, |di, out| {
-        events += out.events;
-        results += out.results.len() as u64;
-        if opts.quiet {
-            return;
-        }
-        if !opts.json {
-            // The same renderer the wire clients print through.
-            let mut stdout = std::io::stdout().lock();
-            xsq::server::render_doc(&mut stdout, di, &out.results, &out.updates, opts.running)
-                .expect("failed printing to stdout");
-            return;
-        }
-        if opts.running {
-            for (id, v) in &out.updates {
-                println!("{{\"doc\":{di},\"query\":{},\"running\":{v}}}", id.0);
-            }
-        }
-        for (id, v) in &out.results {
-            println!(
-                "{{\"doc\":{di},\"query\":{},\"result\":\"{}\"}}",
-                id.0,
-                json_escape(v)
-            );
-        }
-    });
-    match run {
-        Err(e) => fail_run(&e.to_string()),
-        Ok(workers) => {
-            if opts.stats {
-                let secs = t0.elapsed().as_secs_f64();
-                let corpus_bytes: usize = docs.iter().map(Vec::len).sum();
-                eprintln!(
-                    "# multi: {} docs, {} results in {:.1} ms [{} queries, {} groups] \
-                     engine={} workers={} events={} ingest={:.1} MB/s \
-                     events/s={:.0} kernel={}",
-                    docs.len(),
-                    results,
-                    secs * 1e3,
-                    set.len(),
-                    set.group_count(),
-                    opts.engine,
-                    workers,
-                    events,
-                    corpus_bytes as f64 / (1024.0 * 1024.0) / secs,
-                    events as f64 / secs,
-                    xsq::xml::scan::active_kernel(),
-                );
-            }
-            ExitCode::SUCCESS
-        }
+    let mut printer = Printer::new(out, opts);
+    let workers = run_sharded_with(&set, &docs, opts.shard, |di, doc| {
+        events += doc.events;
+        printer.print_doc(di, &doc);
+    })
+    .map_err(|e| fail_run(&e.to_string()))?;
+    if opts.stats {
+        let secs = t0.elapsed().as_secs_f64();
+        let corpus_bytes: usize = docs.iter().map(Vec::len).sum();
+        eprintln!(
+            "# multi: {} docs, {} results in {:.1} ms [{} queries, {} groups] \
+             engine={} workers={} events={} ingest={:.1} MB/s \
+             events/s={:.0} kernel={}",
+            docs.len(),
+            printer.results,
+            secs * 1e3,
+            set.len(),
+            set.group_count(),
+            opts.engine,
+            workers,
+            events,
+            corpus_bytes as f64 / (1024.0 * 1024.0) / secs,
+            events as f64 / secs,
+            xsq::xml::scan::active_kernel(),
+        );
     }
+    Ok(())
 }
 
 /// Render a [`BoundAnalysis`] as the `"bound"` JSON object of
 /// `xsq analyze --json` — kind, count, display form, and the full
 /// derivation trace (rule names are stable identifiers).
+///
+/// [`BoundAnalysis`]: xsq::engine::BoundAnalysis
 fn bound_json(b: &xsq::engine::BoundAnalysis) -> String {
     use xsq::engine::MemoryBound;
     let mut obj = format!("{{\"kind\":\"{}\"", b.bound.label());
@@ -578,90 +521,110 @@ fn bound_json(b: &xsq::engine::BoundAnalysis) -> String {
     obj
 }
 
+/// `xsq analyze`'s diagnostics as the members of a JSON array. The
+/// anchors a diagnostic lacks are left out, so lints (which anchor to a
+/// step, never to a state or a BPDT) carry `step` alone.
+fn diagnostics_json(diags: &[Diagnostic]) -> String {
+    let rendered: Vec<String> = diags
+        .iter()
+        .map(|d| {
+            let mut obj = format!(
+                "{{\"severity\":\"{}\",\"code\":\"{}\",\"message\":\"{}\"",
+                d.severity.label(),
+                d.code,
+                json_escape(&d.message)
+            );
+            if let Some(s) = d.step {
+                obj.push_str(&format!(",\"step\":{s}"));
+            }
+            if let Some(s) = d.state {
+                obj.push_str(&format!(",\"state\":{s}"));
+            }
+            if let Some(b) = d.bpdt {
+                obj.push_str(&format!(",\"bpdt\":\"{b}\""));
+            }
+            obj.push('}');
+            obj
+        })
+        .collect();
+    rendered.join(",")
+}
+
+/// The text report's `diagnostics:` section.
+fn print_diagnostics(out: &mut Out, diags: &[Diagnostic]) {
+    if diags.is_empty() {
+        writeln!(out, "diagnostics:   none");
+    } else {
+        writeln!(out, "diagnostics:");
+        for d in diags {
+            writeln!(out, "  {d}");
+        }
+    }
+}
+
 /// `xsq analyze QUERY`: run the full static-analysis pipeline (verify,
 /// lint, prune, buffer classification, determinism proof) and report it.
 /// Exit status is nonzero iff any diagnostic is an error — the smoke-test
 /// contract CI relies on.
-fn run_analyze(query: &str, opts: &Options) -> ExitCode {
-    let parsed = match xsq::xpath::parse_query(query) {
-        Ok(q) => q,
-        Err(e) => return fail_query(&e.to_string()),
-    };
+fn run_analyze(query: &str, opts: &Options, out: &mut Out) -> Result<(), ExitCode> {
+    let parsed = xsq::xpath::parse_query(query).map_err(|e| fail_query(&e.to_string()))?;
     // Queries outside the HPDT surface (reverse axes, positional
     // predicates) can't build a transducer; report the streamability
     // diagnostics instead of a bare compile error — spanned, never a
     // panic. Errors exit 1 like any other analysis failure;
     // transform-only findings alone exit 0 (the query is fine for
     // `xsq transform`, just not for selection).
-    if !xsq::xpath::streamability(&parsed).hpdt_supported() {
+    let diagnostics = if xsq::xpath::streamability(&parsed).hpdt_supported() {
+        analyze_hpdt(query, &parsed, opts, out)?
+    } else {
         let mut diags = xsq::engine::analyze::lint_streamability(&parsed);
         diags.extend(xsq::engine::analyze::lint_query(&parsed));
-        let errors = xsq::engine::analyze::has_errors(&diags);
         if opts.json {
-            let rendered: Vec<String> = diags
-                .iter()
-                .map(|d| {
-                    let mut obj = format!(
-                        "{{\"severity\":\"{}\",\"code\":\"{}\",\"message\":\"{}\"",
-                        d.severity.label(),
-                        d.code,
-                        json_escape(&d.message)
-                    );
-                    if let Some(s) = d.step {
-                        obj.push_str(&format!(",\"step\":{s}"));
-                    }
-                    obj.push('}');
-                    obj
-                })
-                .collect();
-            println!(
+            writeln!(
+                out,
                 "{{\"query\":\"{}\",\"engine\":null,\"diagnostics\":[{}]}}",
                 json_escape(query),
-                rendered.join(","),
+                diagnostics_json(&diags),
             );
         } else {
-            println!("query:         {query}");
-            println!("engine:        none (outside the HPDT surface)");
-            println!("diagnostics:");
-            for d in &diags {
-                println!("  {d}");
-            }
+            writeln!(out, "query:         {query}");
+            writeln!(out, "engine:        none (outside the HPDT surface)");
+            print_diagnostics(out, &diags);
         }
-        return if errors {
-            ExitCode::FAILURE
-        } else {
-            ExitCode::SUCCESS
-        };
+        diags
+    };
+    if xsq::engine::analyze::has_errors(&diagnostics) {
+        Err(ExitCode::FAILURE)
+    } else {
+        Ok(())
     }
-    let dtd = match load_dtd(opts.dtd.as_ref()) {
-        Ok(dtd) => dtd,
-        Err(code) => return code,
-    };
-    let analysis = match xsq::engine::analyze_with_dtd(&parsed, dtd.as_ref()) {
-        Ok(a) => a,
-        Err(e) => return fail_query(&e.to_string()),
-    };
+}
 
-    let errors = xsq::engine::analyze::has_errors(&analysis.diagnostics);
+/// [`run_analyze`] for a query inside the HPDT surface: print the
+/// report, return its diagnostics.
+fn analyze_hpdt(
+    query: &str,
+    parsed: &xsq::xpath::Query,
+    opts: &Options,
+    out: &mut Out,
+) -> Result<Vec<Diagnostic>, ExitCode> {
+    let dtd = load_dtd(opts.dtd.as_ref())?;
+    let analysis = xsq::engine::analyze_with_dtd(parsed, dtd.as_ref())
+        .map_err(|e| fail_query(&e.to_string()))?;
     if opts.dot {
         // Both transducers, concatenable into one Graphviz input; the
         // summary still goes to stderr so pipelines stay clean.
-        print!(
-            "{}",
-            xsq::engine::dot::to_dot_named(
-                &analysis.original,
-                "original",
-                &format!("original HPDT for {query}")
-            )
-        );
-        print!(
-            "{}",
-            xsq::engine::dot::to_dot_named(
-                &analysis.pruned,
-                "pruned",
-                &format!("pruned HPDT for {query}")
-            )
-        );
+        for (name, hpdt) in [
+            ("original", &analysis.original),
+            ("pruned", &analysis.pruned),
+        ] {
+            let title = format!("{name} HPDT for {query}");
+            write!(
+                out,
+                "{}",
+                xsq::engine::dot::to_dot_named(hpdt, name, &title)
+            );
+        }
         for d in &analysis.diagnostics {
             eprintln!("{d}");
         }
@@ -678,30 +641,8 @@ fn run_analyze(query: &str, opts: &Options) -> ExitCode {
                 )
             })
             .collect();
-        let diags: Vec<String> = analysis
-            .diagnostics
-            .iter()
-            .map(|d| {
-                let mut obj = format!(
-                    "{{\"severity\":\"{}\",\"code\":\"{}\",\"message\":\"{}\"",
-                    d.severity.label(),
-                    d.code,
-                    json_escape(&d.message)
-                );
-                if let Some(s) = d.step {
-                    obj.push_str(&format!(",\"step\":{s}"));
-                }
-                if let Some(s) = d.state {
-                    obj.push_str(&format!(",\"state\":{s}"));
-                }
-                if let Some(b) = d.bpdt {
-                    obj.push_str(&format!(",\"bpdt\":\"{b}\""));
-                }
-                obj.push('}');
-                obj
-            })
-            .collect();
-        println!(
+        writeln!(
+            out,
             "{{\"query\":\"{}\",\"engine\":\"{}\",\"deterministic\":{},\
              \"states_before\":{},\"states_after\":{},\
              \"arcs_before\":{},\"arcs_after\":{},\
@@ -718,12 +659,13 @@ fn run_analyze(query: &str, opts: &Options) -> ExitCode {
             analysis.plan.live_buffers(),
             buffers.join(","),
             bound_json(&analysis.bound),
-            diags.join(","),
+            diagnostics_json(&analysis.diagnostics),
         );
     } else {
-        println!("query:         {query}");
-        println!("engine:        {}", analysis.engine);
-        println!(
+        writeln!(out, "query:         {query}");
+        writeln!(out, "engine:        {}", analysis.engine);
+        writeln!(
+            out,
             "deterministic: {}",
             if analysis.proven_deterministic {
                 "proven (first-match execution is exact)"
@@ -731,7 +673,8 @@ fn run_analyze(query: &str, opts: &Options) -> ExitCode {
                 "not proven (closure arcs present; scan-all execution)"
             }
         );
-        println!(
+        writeln!(
+            out,
             "states:        {} -> {}{}",
             analysis.stats.states_before,
             analysis.stats.states_after,
@@ -741,43 +684,34 @@ fn run_analyze(query: &str, opts: &Options) -> ExitCode {
                 ""
             }
         );
-        println!(
+        writeln!(
+            out,
             "arcs:          {} -> {}",
             analysis.stats.arcs_before, analysis.stats.arcs_after
         );
         if analysis.plan.buffered {
-            println!(
+            writeln!(
+                out,
                 "buffers:       {} live of {}",
                 analysis.plan.live_buffers(),
                 analysis.plan.buffers.len()
             );
         } else {
-            println!("buffers:       none (buffering statically elided)");
+            writeln!(out, "buffers:       none (buffering statically elided)");
         }
         for b in &analysis.plan.buffers {
-            println!("  {}: {}", b.bpdt, b.class.label());
+            writeln!(out, "  {}: {}", b.bpdt, b.class.label());
         }
-        println!("memory bound:  {}", analysis.bound.bound);
+        writeln!(out, "memory bound:  {}", analysis.bound.bound);
         if !analysis.bound.trace.is_empty() {
-            println!("derivation:");
+            writeln!(out, "derivation:");
             for s in &analysis.bound.trace {
-                println!("  [{}] {}", s.rule, s.detail);
+                writeln!(out, "  [{}] {}", s.rule, s.detail);
             }
         }
-        if analysis.diagnostics.is_empty() {
-            println!("diagnostics:   none");
-        } else {
-            println!("diagnostics:");
-            for d in &analysis.diagnostics {
-                println!("  {d}");
-            }
-        }
+        print_diagnostics(out, &analysis.diagnostics);
     }
-    if errors {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok(analysis.diagnostics)
 }
 
 /// `xsq serve [--addr A] [--engine E] [--idle-timeout S]`:
@@ -785,35 +719,31 @@ fn run_analyze(query: &str, opts: &Options) -> ExitCode {
 /// in-flight sessions and exit. The stdin gate is the clean-shutdown
 /// hook: interactively Ctrl-D stops the server; in scripts, holding a
 /// pipe open keeps it serving and closing the pipe shuts it down.
-fn run_serve(opts: &Options) -> ExitCode {
+fn run_serve(opts: &Options, out: &mut Out) -> Result<(), ExitCode> {
     let Some(engine) = native_engine(&opts.engine) else {
-        return usage(&format!(
+        return Err(usage(&format!(
             "serve runs on xsq-f or xsq-nc, not '{}'",
             opts.engine
-        ));
+        )));
     };
     let mut sopts = xsq::server::ServeOptions::new(opts.addr.clone());
     sopts.engine = engine;
-    sopts.idle_timeout = Duration::from_secs_f64(opts.idle_timeout.max(0.1));
+    sopts.idle_timeout = opts.idle_timeout.max(Duration::from_millis(100));
     // Admission control: `--max-bound K` refuses subscriptions whose
     // static memory bound exceeds K buffered items; `--dtd FILE` gives
     // the analyzer the schema to prove bounds against.
-    let dtd = match load_dtd(opts.dtd.as_ref()) {
-        Ok(dtd) => dtd.map(std::sync::Arc::new),
-        Err(code) => return code,
-    };
     sopts.limits = xsq::server::SessionLimits {
         max_bound: opts.max_bound,
-        dtd,
+        dtd: load_dtd(opts.dtd.as_ref())?.map(std::sync::Arc::new),
     };
     if opts.broadcast {
         let policy = match opts.broadcast_policy.as_str() {
             "block" => xsq::server::BroadcastPolicy::Block,
             "drop" => xsq::server::BroadcastPolicy::Drop,
             other => {
-                return usage(&format!(
+                return Err(usage(&format!(
                     "--broadcast-policy is block or drop, not '{other}'"
-                ))
+                )))
             }
         };
         sopts.broadcast = Some(xsq::server::BroadcastOptions {
@@ -826,14 +756,11 @@ fn run_serve(opts: &Options) -> ExitCode {
     } else {
         "eventloop"
     };
-    let handle = match xsq::server::serve(sopts) {
-        Ok(h) => h,
-        Err(e) => return fail_io(&format!("serving on {}: {e}", opts.addr)),
-    };
+    let handle = xsq::server::serve(sopts)
+        .map_err(|e| fail_io(&format!("serving on {}: {e}", opts.addr)))?;
     // The bound address goes to stdout (machine-readable: with port 0
     // a script learns the real port here), status to stderr.
-    println!("{}", handle.addr());
-    let _ = std::io::stdout().flush();
+    writeln!(out, "{}", handle.addr());
     eprintln!(
         "# xsq serve: listening on {} (model={model_label}, \
          poller={}, engine={}, idle={}s, scan-kernel={}, max-bound={}); EOF on stdin \
@@ -841,7 +768,7 @@ fn run_serve(opts: &Options) -> ExitCode {
         handle.addr(),
         handle.backend(),
         opts.engine,
-        opts.idle_timeout,
+        opts.idle_timeout.as_secs_f64(),
         xsq::xml::scan::active_kernel(),
         match opts.max_bound {
             Some(k) => format!("{k} items"),
@@ -858,7 +785,7 @@ fn run_serve(opts: &Options) -> ExitCode {
     }
     eprintln!("# xsq serve: stdin closed, draining");
     handle.shutdown();
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `xsq connect [--addr A] [--chunk N] [--verify] (QUERY | --queries
@@ -866,7 +793,7 @@ fn run_serve(opts: &Options) -> ExitCode {
 /// FEED chunks, and print replies exactly like `xsq multi --shard 1`.
 /// With `--verify`, the output is additionally byte-compared against
 /// the in-process sequential driver.
-fn run_connect(opts: &Options) -> ExitCode {
+fn run_connect(opts: &Options, out: &mut Out) -> Result<(), ExitCode> {
     // The feeder subscribes nothing, so it has no batch to read — but a
     // bad --engine is still refused below.
     if opts.broadcast_feed && native_engine(&opts.engine).is_some() {
@@ -877,21 +804,14 @@ fn run_connect(opts: &Options) -> ExitCode {
     } else {
         "connect"
     };
-    let (engine, text, files) = match batch_inputs(opts, &opts.positional[1..], what) {
-        Ok(inputs) => inputs,
-        Err(code) => return code,
-    };
+    let (engine, text, files) = batch_inputs(opts, &opts.positional[1..], what)?;
     let queries = query_lines(&text);
     if opts.broadcast_sub {
-        return run_broadcast_sub(engine, &queries, files, opts);
+        return run_broadcast_sub(engine, &queries, files, opts, out);
     }
     let docs = match files {
-        [] => read_input(None).map(|d| vec![d]).map_err(|e| fail_io(&e)),
-        files => read_docs(files),
-    };
-    let docs = match docs {
-        Ok(d) => d,
-        Err(code) => return code,
+        [] => vec![read_input(None)?],
+        files => read_docs(files)?,
     };
 
     let copts = xsq::server::ConnectOptions {
@@ -900,13 +820,11 @@ fn run_connect(opts: &Options) -> ExitCode {
         want_stats: opts.stats,
     };
     let t0 = Instant::now();
-    let mut out = Vec::new();
-    let report = match xsq::server::run_corpus(&opts.addr, &queries, &docs, &copts, &mut out) {
-        Ok(r) => r,
-        Err(e) => return fail_client(&opts.addr, e),
-    };
-    if let Err(code) = print_results(&out, opts) {
-        return code;
+    let mut transcript = Vec::new();
+    let report = xsq::server::run_corpus(&opts.addr, &queries, &docs, &copts, &mut transcript)
+        .map_err(|e| fail_client(&opts.addr, e))?;
+    if !opts.quiet {
+        out.write_all(&transcript);
     }
     if opts.stats {
         eprintln!(
@@ -926,9 +844,9 @@ fn run_connect(opts: &Options) -> ExitCode {
         );
     }
     if opts.verify {
-        return verify_against_driver("server", engine, &queries, &docs, &out, opts);
+        return verify_against_driver("server", engine, &queries, &docs, &transcript, opts);
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// A failed conversation: a dead socket is an I/O failure, anything
@@ -938,18 +856,6 @@ fn fail_client(addr: &str, e: xsq::server::ClientError) -> ExitCode {
         xsq::server::ClientError::Io(e) => fail_io(&format!("talking to {addr}: {e}")),
         e => fail_protocol(&e.to_string()),
     }
-}
-
-/// A client's rendered transcript goes to stdout unless `--quiet`.
-fn print_results(out: &[u8], opts: &Options) -> Result<(), ExitCode> {
-    if opts.quiet {
-        return Ok(());
-    }
-    let mut stdout = std::io::stdout();
-    stdout
-        .write_all(out)
-        .and_then(|()| stdout.flush())
-        .map_err(|_| fail_io("writing results to stdout"))
 }
 
 /// The `--stats` tail of every client role: the server's STAT (when it
@@ -971,27 +877,25 @@ fn verify_against_driver(
     engine: XsqEngine,
     queries: &[&str],
     docs: &[Vec<u8>],
-    out: &[u8],
+    transcript: &[u8],
     opts: &Options,
-) -> ExitCode {
-    let expected = match xsq::server::reference_output(engine, queries, docs, opts.running) {
-        Ok(t) => t,
-        Err(e) => return fail_run(&format!("reference run: {e}")),
-    };
-    if out != expected.as_bytes() {
+) -> Result<(), ExitCode> {
+    let expected = xsq::server::reference_output(engine, queries, docs, opts.running)
+        .map_err(|e| fail_run(&format!("reference run: {e}")))?;
+    if transcript != expected.as_bytes() {
         eprintln!(
             "error: {what} output diverged from the sequential driver \
              ({} vs {} bytes)",
-            out.len(),
+            transcript.len(),
             expected.len()
         );
-        return ExitCode::from(EXIT_VERIFY);
+        return Err(ExitCode::from(EXIT_VERIFY));
     }
     eprintln!(
         "# verify: {what} output matches the sequential driver ({} bytes)",
-        out.len()
+        transcript.len()
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `xsq connect --broadcast-feed [--wait-subs N] FILE...`: claim the
@@ -999,25 +903,20 @@ fn verify_against_driver(
 /// shared index. With `--wait-subs N` the feed starts only once N
 /// subscribers are attached (STAT polling), so scripted fan-outs are
 /// deterministic.
-fn run_broadcast_feed(opts: &Options) -> ExitCode {
+fn run_broadcast_feed(opts: &Options) -> Result<(), ExitCode> {
     let files = &opts.positional[1..];
     if files.is_empty() {
-        return usage("connect --broadcast-feed needs at least one FILE");
+        return Err(usage("connect --broadcast-feed needs at least one FILE"));
     }
-    let docs = match read_docs(files) {
-        Ok(d) => d,
-        Err(code) => return code,
-    };
+    let docs = read_docs(files)?;
     let fopts = xsq::server::FeedOptions {
         chunk: opts.chunk,
         wait_subs: opts.wait_subs,
         want_stats: opts.stats,
     };
     let t0 = Instant::now();
-    let report = match xsq::server::broadcast_feed(&opts.addr, &docs, &fopts) {
-        Ok(r) => r,
-        Err(e) => return fail_client(&opts.addr, e),
-    };
+    let report = xsq::server::broadcast_feed(&opts.addr, &docs, &fopts)
+        .map_err(|e| fail_client(&opts.addr, e))?;
     if opts.stats {
         eprintln!(
             "# feed {}: {} docs, {} bytes in {:.1} ms",
@@ -1032,7 +931,7 @@ fn run_broadcast_feed(opts: &Options) -> ExitCode {
             report.wire_in,
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `xsq connect --broadcast-sub --expect-docs N (QUERY | --queries
@@ -1046,21 +945,20 @@ fn run_broadcast_sub(
     queries: &[&str],
     files: &[String],
     opts: &Options,
-) -> ExitCode {
+    out: &mut Out,
+) -> Result<(), ExitCode> {
     let t0 = Instant::now();
-    let mut out = Vec::new();
-    let report = match xsq::server::broadcast_subscribe(
+    let mut transcript = Vec::new();
+    let report = xsq::server::broadcast_subscribe(
         &opts.addr,
         queries,
         opts.expect_docs,
         opts.running,
-        &mut out,
-    ) {
-        Ok(r) => r,
-        Err(e) => return fail_client(&opts.addr, e),
-    };
-    if let Err(code) = print_results(&out, opts) {
-        return code;
+        &mut transcript,
+    )
+    .map_err(|e| fail_client(&opts.addr, e))?;
+    if !opts.quiet {
+        out.write_all(&transcript);
     }
     if opts.stats {
         eprintln!(
@@ -1076,14 +974,14 @@ fn run_broadcast_sub(
     }
     if opts.verify {
         if files.is_empty() {
-            return usage("--verify on --broadcast-sub needs the corpus FILEs to compare against");
+            return Err(usage(
+                "--verify on --broadcast-sub needs the corpus FILEs to compare against",
+            ));
         }
-        return match read_docs(files) {
-            Ok(docs) => verify_against_driver("broadcast", engine, queries, &docs, &out, opts),
-            Err(code) => code,
-        };
+        let docs = read_docs(files)?;
+        return verify_against_driver("broadcast", engine, queries, &docs, &transcript, opts);
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `xsq transform [--engine stream|dom] [--chunk N] [--verify] [--stats]
@@ -1093,52 +991,38 @@ fn run_broadcast_sub(
 /// verdict is known; `--engine dom` runs the two-pass DOM reference
 /// instead; `--verify` runs both and byte-compares them (exit 7 on
 /// mismatch). Rule compile errors carry line:col spans and exit 4.
-fn run_transform(opts: &Options) -> ExitCode {
+fn run_transform(opts: &Options, out: &mut Out) -> Result<(), ExitCode> {
     let rest = &opts.positional[1..];
     let Some((rules_path, files)) = rest.split_first() else {
-        return usage("transform needs a RULES.xfm file");
+        return Err(usage("transform needs a RULES.xfm file"));
     };
-    let rules_text = match std::fs::read_to_string(rules_path) {
-        Ok(t) => t,
-        Err(e) => return fail_io(&format!("reading {rules_path}: {e}")),
-    };
-    let transformer = match xsq::transform::Transformer::compile(&rules_text) {
-        Ok(t) => t,
-        Err(e) => return fail_query(&format!("{rules_path}:{e}")),
-    };
+    let rules_text = std::fs::read_to_string(rules_path)
+        .map_err(|e| fail_io(&format!("reading {rules_path}: {e}")))?;
+    let transformer = xsq::transform::Transformer::compile(&rules_text)
+        .map_err(|e| fail_query(&format!("{rules_path}:{e}")))?;
     for w in &transformer.warnings {
         eprintln!("warning: {rules_path}: {w}");
     }
-    let rules = match xsq::xpath::RuleSet::parse(&rules_text) {
-        Ok(r) => r,
-        Err(e) => return fail_query(&format!("{rules_path}:{e}")),
-    };
+    let rules = xsq::xpath::RuleSet::parse(&rules_text)
+        .map_err(|e| fail_query(&format!("{rules_path}:{e}")))?;
     let engine = opts.engine.as_str();
     // `xsq transform` ignores the query-engine default; only these two
     // names are meaningful here.
     let engine = if engine == "xsq-f" { "stream" } else { engine };
     if !matches!(engine, "stream" | "dom") {
-        return usage(&format!("transform runs on stream or dom, not '{engine}'"));
+        return Err(usage(&format!(
+            "transform runs on stream or dom, not '{engine}'"
+        )));
     }
 
-    let inputs: Vec<Option<String>> = if files.is_empty() {
-        vec![None]
-    } else {
-        files.iter().cloned().map(Some).collect()
-    };
-    let stdout = std::io::stdout();
-    for file in inputs {
+    for file in inputs(files) {
         let t0 = Instant::now();
-        let data = match read_input(file.as_deref()) {
-            Ok(d) => d,
-            Err(e) => return fail_io(&e),
-        };
-        let label = file.as_deref().unwrap_or("<stdin>");
+        let data = read_input(file)?;
+        let label = file.unwrap_or("<stdin>");
         let dom_out = if engine == "dom" || opts.verify {
-            match xsq::baselines::dom::transform::transform_bytes(&data, &rules) {
-                Ok(x) => Some(x),
-                Err(e) => return fail_run(&format!("{label}: {e}")),
-            }
+            let xml = xsq::baselines::dom::transform::transform_bytes(&data, &rules)
+                .map_err(|e| fail_run(&format!("{label}: {e}")))?;
+            Some(xml)
         } else {
             None
         };
@@ -1148,40 +1032,31 @@ fn run_transform(opts: &Options) -> ExitCode {
             // Push-mode: output streams out as verdicts are decided, in
             // `--chunk`-byte input pieces regardless of file size.
             let mut session = transformer.session();
-            let mut out = stdout.lock();
             let mut stream_xml = String::new();
-            let mut emit = |piece: &str, out: &mut std::io::StdoutLock<'_>| -> Result<(), String> {
+            let mut emit = |piece: &str| {
                 if opts.verify {
                     stream_xml.push_str(piece);
                 }
-                if opts.quiet {
-                    return Ok(());
+                if !opts.quiet {
+                    out.write_all(piece.as_bytes());
                 }
-                out.write_all(piece.as_bytes())
-                    .map_err(|e| format!("writing output: {e}"))
             };
             // One output buffer for the whole document: after the first
             // few chunks a push allocates nothing.
             let mut piece = String::new();
             for chunk in data.chunks(opts.chunk.max(1)) {
                 piece.clear();
-                if let Err(e) = session.push_into(chunk, &mut piece) {
-                    return fail_run(&format!("{label}: {e}"));
-                }
-                if let Err(e) = emit(&piece, &mut out) {
-                    return fail_io(&e);
-                }
+                session
+                    .push_into(chunk, &mut piece)
+                    .map_err(|e| fail_run(&format!("{label}: {e}")))?;
+                emit(&piece);
             }
-            let tail = match session.finish() {
-                Ok(t) => t,
-                Err(e) => return fail_run(&format!("{label}: {e}")),
-            };
-            if let Err(e) = emit(&tail.xml, &mut out) {
-                return fail_io(&e);
-            }
+            let tail = session
+                .finish()
+                .map_err(|e| fail_run(&format!("{label}: {e}")))?;
+            emit(&tail.xml);
             if !opts.quiet {
-                let _ = out.write_all(b"\n");
-                let _ = out.flush();
+                out.write_all(b"\n");
             }
             written = tail.stats.bytes_out;
             stats_line = format!(
@@ -1200,7 +1075,7 @@ fn run_transform(opts: &Options) -> ExitCode {
                         stream_xml.len(),
                         dom.len()
                     );
-                    return ExitCode::from(EXIT_VERIFY);
+                    return Err(ExitCode::from(EXIT_VERIFY));
                 }
                 eprintln!(
                     "# verify: {label}: stream output matches the DOM reference \
@@ -1212,15 +1087,8 @@ fn run_transform(opts: &Options) -> ExitCode {
             let xml = dom_out.expect("dom engine always materializes");
             written = xml.len() as u64;
             if !opts.quiet {
-                let mut out = stdout.lock();
-                if out
-                    .write_all(xml.as_bytes())
-                    .and_then(|_| out.write_all(b"\n"))
-                    .is_err()
-                {
-                    return fail_io("writing output");
-                }
-                let _ = out.flush();
+                out.write_all(xml.as_bytes());
+                out.write_all(b"\n");
             }
         }
         if opts.stats {
@@ -1235,19 +1103,39 @@ fn run_transform(opts: &Options) -> ExitCode {
             );
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn read_input(path: Option<&str>) -> Result<Vec<u8>, String> {
+/// The inputs FILE arguments name: each file, or stdin (`None`) when
+/// there is none.
+fn inputs(files: &[String]) -> Vec<Option<&str>> {
+    if files.is_empty() {
+        vec![None]
+    } else {
+        files.iter().map(|f| Some(f.as_str())).collect()
+    }
+}
+
+/// Input `path` (stdin when `None`), opened for streaming.
+fn open_input(path: Option<&str>) -> Result<Box<dyn BufRead>, ExitCode> {
     match path {
-        None => {
-            let mut buf = Vec::new();
-            BufReader::new(std::io::stdin())
-                .read_to_end(&mut buf)
-                .map_err(|e| format!("reading stdin: {e}"))?;
-            Ok(buf)
-        }
-        Some(p) => std::fs::read(p).map_err(|e| format!("reading {p}: {e}")),
+        None => Ok(Box::new(BufReader::new(std::io::stdin()))),
+        Some(p) => match std::fs::File::open(p) {
+            Ok(f) => Ok(Box::new(BufReader::new(f))),
+            Err(e) => Err(fail_io(&format!("reading {p}: {e}"))),
+        },
+    }
+}
+
+/// All of input `path` (stdin when `None`).
+fn read_input(path: Option<&str>) -> Result<Vec<u8>, ExitCode> {
+    let mut buf = Vec::new();
+    match open_input(path)?.read_to_end(&mut buf) {
+        Ok(_) => Ok(buf),
+        Err(e) => Err(fail_io(&format!(
+            "reading {}: {e}",
+            path.unwrap_or("stdin")
+        ))),
     }
 }
 
@@ -1256,183 +1144,61 @@ fn main() -> ExitCode {
         Ok(o) => o,
         Err(e) => return usage(&e),
     };
+    let mut out = Out::new();
+    let code = run(&opts, &mut out).err().unwrap_or(ExitCode::SUCCESS);
+    out.with(|w| w.flush());
+    code
+}
 
+/// Route to the mode `opts` asks for. `Err` carries the exit code of a
+/// failure whose message is already on stderr.
+fn run(opts: &Options, out: &mut Out) -> Result<(), ExitCode> {
     if opts.dataset_stats {
-        if opts.positional.is_empty() {
-            return usage("--dataset-stats needs at least one file");
-        }
-        println!(
-            "{:<24} {:>9} {:>9} {:>10} {:>12} {:>8}",
-            "file", "size(MB)", "text(MB)", "elements", "avg/max dep", "tag len"
-        );
-        for f in &opts.positional {
-            let data = match read_input(Some(f)) {
-                Ok(d) => d,
-                Err(e) => return fail_io(&e),
-            };
-            match xsq::xml::dataset_stats(&data) {
-                Ok(s) => println!(
-                    "{:<24} {:>9.2} {:>9.2} {:>10} {:>7.2}/{:<4} {:>8.2}",
-                    f,
-                    s.size_bytes as f64 / 1048576.0,
-                    s.text_bytes as f64 / 1048576.0,
-                    s.elements,
-                    s.avg_depth,
-                    s.max_depth,
-                    s.avg_tag_length
-                ),
-                Err(e) => return fail_run(&format!("{f}: {e}")),
-            }
-        }
-        return ExitCode::SUCCESS;
+        return run_dataset_stats(opts, out);
     }
-
     // Subcommands own --queries when present, so route them first.
     match opts.positional.first().map(String::as_str) {
-        Some("multi") => return run_multi(&opts),
-        Some("serve") => return run_serve(&opts),
-        Some("connect") => return run_connect(&opts),
-        Some("transform") => return run_transform(&opts),
-        _ => {}
+        Some("multi") => run_multi(opts, out),
+        Some("serve") => run_serve(opts, out),
+        Some("connect") => run_connect(opts, out),
+        Some("transform") => run_transform(opts, out),
+        _ if opts.queries.is_some() => run_query_file(opts, out),
+        Some("analyze") => match opts.positional.get(1) {
+            Some(query) => run_analyze(query, opts, out),
+            None => Err(usage("analyze needs a QUERY")),
+        },
+        Some(query) if opts.dump || opts.dot => run_dump(query, opts, out),
+        Some(query) => run_solo(query, &opts.positional[1..], opts, out),
+        None => Err(usage("missing QUERY")),
     }
+}
 
-    if opts.queries.is_some() {
-        return run_query_file(&opts);
+/// `xsq --dataset-stats FILE...`: one Fig. 15-style row per file.
+fn run_dataset_stats(opts: &Options, out: &mut Out) -> Result<(), ExitCode> {
+    if opts.positional.is_empty() {
+        return Err(usage("--dataset-stats needs at least one file"));
     }
-
-    let Some(mut query) = opts.positional.first().cloned() else {
-        return usage("missing QUERY");
-    };
-
-    // `xsq analyze QUERY` is an alias for `xsq --analyze QUERY`.
-    let mut analyze_mode = opts.analyze;
-    if query == "analyze" {
-        analyze_mode = true;
-        match opts.positional.get(1) {
-            Some(q) => query = q.clone(),
-            None => return usage("analyze needs a QUERY"),
-        }
+    writeln!(
+        out,
+        "{:<24} {:>9} {:>9} {:>10} {:>12} {:>8}",
+        "file", "size(MB)", "text(MB)", "elements", "avg/max dep", "tag len"
+    );
+    for f in &opts.positional {
+        let s = xsq::xml::dataset_stats(&read_input(Some(f))?)
+            .map_err(|e| fail_run(&format!("{f}: {e}")))?;
+        writeln!(
+            out,
+            "{:<24} {:>9.2} {:>9.2} {:>10} {:>7.2}/{:<4} {:>8.2}",
+            f,
+            s.size_bytes as f64 / 1048576.0,
+            s.text_bytes as f64 / 1048576.0,
+            s.elements,
+            s.avg_depth,
+            s.max_depth,
+            s.avg_tag_length
+        );
     }
-    if analyze_mode {
-        return run_analyze(&query, &opts);
-    }
-
-    if opts.dump || opts.dot {
-        return match XsqEngine::full().compile_str(&query) {
-            Ok(c) => {
-                if opts.dot {
-                    print!("{}", xsq::engine::dot::to_dot(c.hpdt()));
-                } else {
-                    print!("{}", c.hpdt().dump());
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => fail_query(&e.to_string()),
-        };
-    }
-
-    let files: Vec<Option<String>> = if opts.positional.len() > 1 {
-        opts.positional[1..].iter().cloned().map(Some).collect()
-    } else {
-        vec![None]
-    };
-
-    let native = native_engine(&opts.engine);
-    for file in files {
-        let t0 = Instant::now();
-        let Some(engine) = native else {
-            // The study baselines run whole-document.
-            let data = match read_input(file.as_deref()) {
-                Ok(d) => d,
-                Err(e) => return fail_io(&e),
-            };
-            let engine: &dyn XPathEngine = match opts.engine.as_str() {
-                "saxon" => &SaxonLike,
-                "galax" => &GalaxLike,
-                "xmltk" => &XmltkLike,
-                "joost" => &JoostLike,
-                "xqengine" => &XqEngineLike,
-                other => return usage(&format!("unknown engine '{other}'")),
-            };
-            let report = match engine.run(&query, &data) {
-                Ok(r) => r,
-                Err(e) => return fail_run(&e.to_string()),
-            };
-            if !opts.quiet {
-                for v in &report.results {
-                    println!("{v}");
-                }
-            }
-            if opts.stats {
-                eprintln!(
-                    "# {}: {} results in {:.1} ms [{}] engine={} peak_bytes={}",
-                    file.as_deref().unwrap_or("<stdin>"),
-                    report.results.len(),
-                    t0.elapsed().as_secs_f64() * 1e3,
-                    query,
-                    opts.engine,
-                    report.memory.total_peak_bytes()
-                );
-            }
-            continue;
-        };
-        // The native engines stream from the source in constant memory.
-        // Only --schema-optimize reads the whole document first: the DTD
-        // it rewrites the query with is inside it.
-        let (effective, data) = if opts.schema_optimize {
-            let data = match read_input(file.as_deref()) {
-                Ok(d) => d,
-                Err(e) => return fail_io(&e),
-            };
-            let Some(effective) = schema_rewrite(&query, &data) else {
-                eprintln!("# schema: query can never match; skipping stream");
-                continue;
-            };
-            (effective, Some(data))
-        } else {
-            (query.clone(), None)
-        };
-        let compiled = match engine.compile_str(&effective) {
-            Ok(c) => c,
-            Err(e) => return fail_query(&e.to_string()),
-        };
-        let mut sink = StdoutSink {
-            quiet: opts.quiet,
-            running: opts.running,
-            json: opts.json,
-            results: 0,
-        };
-        let reader: Box<dyn BufRead> = match (data, &file) {
-            (Some(data), _) => Box::new(std::io::Cursor::new(data)),
-            (None, None) => Box::new(BufReader::new(std::io::stdin())),
-            (None, Some(p)) => match std::fs::File::open(p) {
-                Ok(f) => Box::new(BufReader::new(f)),
-                Err(e) => return fail_io(&format!("reading {p}: {e}")),
-            },
-        };
-        let stats = match run_solo(&compiled, reader, opts.trace, &mut sink) {
-            Ok(stats) => stats,
-            Err(e) => return fail_run(&e.to_string()),
-        };
-        if opts.stats {
-            eprintln!(
-                "# {}: {} results in {:.1} ms [{}] engine={} events={} \
-                 firings={} steps={} probed={} peak_buffered_bytes={} peak_configs={}",
-                file.as_deref().unwrap_or("<stdin>"),
-                sink.results,
-                t0.elapsed().as_secs_f64() * 1e3,
-                query,
-                opts.engine,
-                stats.events,
-                stats.firings,
-                stats.steps,
-                stats.probed,
-                stats.memory.peak_bytes,
-                stats.memory.peak_configs,
-            );
-        }
-    }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Schema-aware rewrite (paper §5's future-work item) for
@@ -1467,13 +1233,87 @@ fn schema_rewrite(query: &str, data: &[u8]) -> Option<String> {
     Some(optimized)
 }
 
+/// `xsq QUERY [FILE...]`: one query over each input in turn. `--engine`
+/// names a row of the study's engine table; the native engines stream
+/// from the source in constant memory, the baselines run whole-document.
+fn run_solo(query: &str, files: &[String], opts: &Options, out: &mut Out) -> Result<(), ExitCode> {
+    let Some(table_engine) = xsq::baselines::all_engines()
+        .into_iter()
+        .find(|e| e.name().to_lowercase() == opts.engine)
+    else {
+        return Err(usage(&format!("unknown engine '{}'", opts.engine)));
+    };
+    for file in inputs(files) {
+        let t0 = Instant::now();
+        let label = file.unwrap_or("<stdin>");
+        let Some(engine) = native_engine(&opts.engine) else {
+            let report = table_engine
+                .run(query, &read_input(file)?)
+                .map_err(|e| fail_run(&e.to_string()))?;
+            if !opts.quiet {
+                for v in &report.results {
+                    writeln!(out, "{v}");
+                }
+            }
+            if opts.stats {
+                eprintln!(
+                    "# {label}: {} results in {:.1} ms [{query}] engine={} peak_bytes={}",
+                    report.results.len(),
+                    t0.elapsed().as_secs_f64() * 1e3,
+                    opts.engine,
+                    report.memory.total_peak_bytes()
+                );
+            }
+            continue;
+        };
+        // Only --schema-optimize reads the whole document first: the DTD
+        // it rewrites the query with is inside it.
+        let (effective, data) = if opts.schema_optimize {
+            let data = read_input(file)?;
+            let Some(effective) = schema_rewrite(query, &data) else {
+                eprintln!("# schema: query can never match; skipping stream");
+                continue;
+            };
+            (effective, Some(data))
+        } else {
+            (query.to_string(), None)
+        };
+        let compiled = engine
+            .compile_str(&effective)
+            .map_err(|e| fail_query(&e.to_string()))?;
+        let reader: Box<dyn BufRead> = match data {
+            Some(data) => Box::new(std::io::Cursor::new(data)),
+            None => open_input(file)?,
+        };
+        let mut printer = Printer::new(out, opts);
+        let stats = stream(&compiled, reader, opts.trace, &mut printer)
+            .map_err(|e| fail_run(&e.to_string()))?;
+        if opts.stats {
+            eprintln!(
+                "# {label}: {} results in {:.1} ms [{query}] engine={} events={} \
+                 firings={} steps={} probed={} peak_buffered_bytes={} peak_configs={}",
+                printer.results,
+                t0.elapsed().as_secs_f64() * 1e3,
+                opts.engine,
+                stats.events,
+                stats.firings,
+                stats.steps,
+                stats.probed,
+                stats.memory.peak_bytes,
+                stats.memory.peak_configs,
+            );
+        }
+    }
+    Ok(())
+}
+
 /// Stream `reader` through one native run, printing the Example 5-style
 /// walkthrough to stderr under `--trace`.
-fn run_solo(
+fn stream(
     compiled: &CompiledQuery,
     reader: impl BufRead,
     trace: bool,
-    sink: &mut StdoutSink,
+    sink: &mut dyn Sink,
 ) -> Result<RunStats, EngineError> {
     let mut tracer = |step: TraceStep| eprintln!("{step}");
     let mut parser = xsq::xml::StreamParser::new(reader);
@@ -1487,6 +1327,19 @@ fn run_solo(
     Ok(runner.finish(sink))
 }
 
+/// `xsq (--dump | --dot) QUERY`: print the compiled HPDT.
+fn run_dump(query: &str, opts: &Options, out: &mut Out) -> Result<(), ExitCode> {
+    let compiled = XsqEngine::full()
+        .compile_str(query)
+        .map_err(|e| fail_query(&e.to_string()))?;
+    if opts.dot {
+        write!(out, "{}", xsq::engine::dot::to_dot(compiled.hpdt()));
+    } else {
+        write!(out, "{}", compiled.hpdt().dump());
+    }
+    Ok(())
+}
+
 /// Print `error: …` to stderr and exit with the class's code. Every
 /// failure path funnels through here — no subcommand panics or
 /// unwraps on bad input.
@@ -1495,7 +1348,7 @@ fn fail_with(code: u8, err: &str) -> ExitCode {
     ExitCode::from(code)
 }
 
-/// Unreadable file, unwritable socket, dead connection.
+/// Unreadable file, unwritable socket or stdout, dead connection.
 fn fail_io(err: &str) -> ExitCode {
     fail_with(EXIT_IO, err)
 }
@@ -1519,14 +1372,29 @@ fn usage(err: &str) -> ExitCode {
     if !err.is_empty() {
         eprintln!("error: {err}");
     }
+    let engines: Vec<String> = xsq::baselines::all_engines()
+        .iter()
+        .map(|e| e.name().to_lowercase())
+        .collect();
     eprintln!(
-        "usage: xsq [--engine NAME] [--stats] [--running] [--quiet] QUERY [FILE...]\n\
+        "usage: xsq [--engine NAME] [--stats] [--running] [--quiet] [--json] \\\n\
+         \u{20}          [--trace] [--schema-optimize] QUERY [FILE...]\n\
+         \u{20}          evaluate QUERY over each FILE (stdin if none);\n\
+         \u{20}          --stats: events, results, arc firings, steps (a lock-step\n\
+         \u{20}          run's firings counted once), runs probed, memory and time\n\
+         \u{20}          to stderr; --running: running aggregate updates as they\n\
+         \u{20}          occur; --quiet: no result output (timing runs); --json:\n\
+         \u{20}          JSON lines; --trace: the Example 5 walkthrough of every\n\
+         \u{20}          fired arc to stderr; --schema-optimize: use the document's\n\
+         \u{20}          internal DTD to rewrite provably-child closures and skip\n\
+         \u{20}          provably empty queries\n\
          \u{20}      xsq --queries QFILE [FILE...]   (one query per line, '#' comments)\n\
+         \u{20}          the whole set in one pass, results tagged query<TAB>value\n\
          \u{20}      xsq multi [--shard N] (QUERY | --queries QFILE) FILE...\n\
          \u{20}          corpus evaluation on an N-worker pool (0 = one per CPU);\n\
          \u{20}          output merged in document order, doc<TAB>query<TAB>value\n\
-         \u{20}      xsq --dataset-stats FILE...\n\
-         \u{20}      xsq --dump QUERY\n\
+         \u{20}      xsq --dataset-stats FILE...      Fig. 15-style statistics\n\
+         \u{20}      xsq (--dump | --dot) QUERY       the compiled HPDT\n\
          \u{20}      xsq --queries QFILE (--dump | --dot)   every group's merged HPDT\n\
          \u{20}      xsq analyze [--json] [--dot] [--dtd FILE] QUERY\n\
          \u{20}          static analysis: verifier diagnostics, dead-state pruning,\n\
@@ -1537,7 +1405,8 @@ fn usage(err: &str) -> ExitCode {
          \u{20}                [--broadcast-queue N] [--broadcast-policy block|drop]\n\
          \u{20}          streaming query server on one event-loop thread; prints\n\
          \u{20}          the bound address, runs until stdin reaches EOF, then\n\
-         \u{20}          drains and exits;\n\
+         \u{20}          drains and exits; --idle-timeout S (default 30) closes a\n\
+         \u{20}          connection that sends no frame for S seconds;\n\
          \u{20}          --max-bound K rejects subscriptions whose static memory\n\
          \u{20}          bound (proven against --dtd) exceeds K buffered items;\n\
          \u{20}          --broadcast: one feeder fans one stream through a shared\n\
@@ -1556,9 +1425,10 @@ fn usage(err: &str) -> ExitCode {
          \u{20}                    RULES.xfm [FILE...]\n\
          \u{20}          rewrite documents under .xfm template rules; --verify\n\
          \u{20}          byte-compares the streaming engine with the DOM reference\n\
-         engines: xsq-f (default), xsq-nc, saxon, galax, xmltk, joost, xqengine\n\
+         engines: {} (xsq-f is the default)\n\
          exit codes: 0 ok, 1 analysis errors, 2 usage, 3 io, 4 query,\n\
-         \u{20}           5 runtime, 6 protocol, 7 verify mismatch"
+         \u{20}           5 runtime, 6 protocol, 7 verify mismatch",
+        engines.join(", ")
     );
     if err.is_empty() {
         ExitCode::SUCCESS

@@ -444,3 +444,104 @@ fn analyze_with_dtd_reports_a_finite_bound_for_the_paper_query() {
     assert!(stdout.contains("[single-instance]"), "{stdout}");
     assert!(!stdout.contains("unbounded"), "{stdout}");
 }
+
+/// A reader that hangs up early (`xsq … | head -1`) is an I/O error,
+/// exit 3, in every mode that prints; each used to panic on the broken
+/// pipe (exit 101). Every mode here prints well over 1 MiB, far past
+/// what a pipe holds, so a write after the hang-up is certain to fail.
+#[test]
+fn a_closed_stdout_exits_3_without_a_panic() {
+    use std::io::BufRead;
+    let dir = std::env::temp_dir().join("xsq_cli_closed_stdout_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (doc, qfile) = (dir.join("big.xml"), dir.join("q.txt"));
+    let record = format!("<a>{}</a>", "x".repeat(40));
+    std::fs::write(&doc, format!("<r>{}</r>", record.repeat(40_000))).unwrap();
+    std::fs::write(&qfile, "//a/text()\n").unwrap();
+    // 3·2¹² − 1 states: a 2 MB dump, twice that as two DOT graphs.
+    let chain = format!("{}/text()", "//a[b]".repeat(12));
+    let (doc, qfile) = (doc.to_str().unwrap(), qfile.to_str().unwrap());
+    let modes: [&[&str]; 5] = [
+        &["//a/text()", doc],
+        &["--queries", qfile, doc],
+        &["multi", "//a/text()", doc],
+        &["--dump", &chain],
+        &["analyze", "--dot", &chain],
+    ];
+    for args in modes {
+        let mut child = xsq()
+            .args(args)
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let mut stdout = std::io::BufReader::new(child.stdout.take().unwrap());
+        let mut first = String::new();
+        stdout.read_line(&mut first).unwrap();
+        assert!(!first.is_empty(), "{args:?}");
+        drop(stdout);
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(3), "{args:?}: {stderr}");
+        assert!(stderr.contains("error: writing to stdout"), "{stderr}");
+    }
+}
+
+/// `xsq --help` names every flag the parser matches. The flags are read
+/// off the `"--flag" =>` arms of the binary's own source, so a flag added
+/// without a help line fails here.
+#[test]
+fn help_names_every_flag_the_parser_matches() {
+    let source = include_str!("../src/bin/xsq.rs");
+    let flags: Vec<&str> = source
+        .lines()
+        .filter_map(|l| l.trim_start().strip_prefix('"')?.split_once("\" =>"))
+        .map(|(flag, _)| flag)
+        .filter(|f| f.starts_with("--") && !f.contains('"'))
+        .collect();
+    assert!(flags.len() >= 25, "{flags:?}");
+    let out = xsq().arg("--help").output().unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    let help = String::from_utf8(out.stderr).unwrap();
+    for flag in flags {
+        // `--broadcast` must appear by itself, not only inside
+        // `--broadcast-queue`.
+        let named = help.match_indices(flag).any(|(i, _)| {
+            !help[i + flag.len()..].starts_with(|c: char| c.is_alphanumeric() || c == '-')
+        });
+        assert!(named, "--help does not name {flag}");
+    }
+}
+
+/// `analyze` is a subcommand; the `--analyze` spelling of it is gone.
+#[test]
+fn the_analyze_flag_is_an_unknown_option() {
+    let out = xsq()
+        .args(["--analyze", "/a/b/text()"])
+        .stdin(Stdio::null())
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown option '--analyze'"), "{stderr}");
+}
+
+/// An idle timeout that is not finite, not positive or too large for a
+/// `Duration` is a usage error. `inf` and `1e300` used to panic inside
+/// `Duration::from_secs_f64` (exit 101); `NaN` and `-1` were quietly
+/// taken as 0.1 s.
+#[test]
+fn serve_refuses_an_idle_timeout_it_cannot_keep() {
+    for secs in ["inf", "NaN", "-1", "1e300"] {
+        let out = xsq()
+            .args(["serve", "--addr", "127.0.0.1:0", "--idle-timeout", secs])
+            .stdin(Stdio::null())
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{secs}: {stderr}");
+        assert!(stderr.contains("--idle-timeout needs"), "{secs}: {stderr}");
+    }
+}

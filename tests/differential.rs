@@ -888,9 +888,10 @@ fn first_match_index_groups_equal_forced_scan_all_solo_runners() {
 
 /// What a compile reports about `queries` — solo, and as one batch
 /// through a plan cache built on `dtd` — is what `analyze_with_dtd`
-/// (the backend of `xsq analyze`) derives for each query alone: every
-/// member's static bound, and for a solo compile the automaton's size
-/// and the engine that runs it. Returns the batch's group count.
+/// (the backend of `xsq analyze`) derives for each query alone: the
+/// plan's static bound for every member, and for a solo compile the
+/// automaton's size and the engine that runs it. Returns the batch's
+/// group count.
 fn assert_compiled_matches_analysis(queries: &[&str], dtd: Option<&Arc<Dtd>>) -> usize {
     let engine = XsqEngine::full();
     let cache = PlanCache::new(dtd.cloned());
@@ -899,8 +900,7 @@ fn assert_compiled_matches_analysis(queries: &[&str], dtd: Option<&Arc<Dtd>>) ->
     for q in queries {
         let parsed = parse_query(q).expect("generated queries parse");
         let analysis = analyze_with_dtd(&parsed, dtd).expect("analyzes");
-        let solo = engine.compile_str_with_dtd(q, dtd).expect("compiles");
-        assert_eq!(solo.bound(), &analysis.bound.bound, "solo bound of {q}");
+        let solo = engine.compile_str(q).expect("compiles");
         // The artifact's one-bit verdict against the per-queue plan.
         assert_eq!(
             analysis.pruned.buffered, analysis.plan.buffered,
@@ -913,7 +913,11 @@ fn assert_compiled_matches_analysis(queries: &[&str], dtd: Option<&Arc<Dtd>>) ->
         );
         assert_eq!(solo.engine_label(), analysis.engine, "engine of {q}");
         let plan = cache.checkout(engine, &[q]).expect("compiles");
-        assert_eq!(plan.bounds(), [solo.bound().clone()], "plan of {q}");
+        assert_eq!(
+            plan.bounds(),
+            std::slice::from_ref(&analysis.bound.bound),
+            "plan of {q}"
+        );
         bounds.push(analysis.bound.bound);
     }
     let plan = cache.checkout(engine, queries).expect("compiles");
