@@ -3,24 +3,25 @@
 //! The paper builds one HPDT per query and leaves all reasoning about it
 //! to the nondeterministic runtime. This module adds the missing
 //! compile-time layer. Every HPDT — a single query's or a merged
-//! multi-query group's from `qindex` — passes through `checked`
-//! (items 1–3) between `build` and execution:
+//! multi-query group's from `qindex` — passes through `checked` (item 1)
+//! between `build` and execution:
 //!
 //! 1. **Structural verifier** ([`verify()`]) — checks the invariants the
 //!    builder is supposed to maintain (reachability, buffer release/clear
 //!    arcs, depth-vector discipline, BPDT tree positions) and returns
 //!    machine-readable [`Diagnostic`]s instead of letting the runtime
 //!    panic deep inside `execute`.
-//! 2. **Dead-state pruning** ([`prune()`]) — removes arcs whose guards are
-//!    statically unsatisfiable, deduplicates action-free arcs, and drops
-//!    states unreachable from the start state, shrinking the
-//!    configuration sets the runtime scans and the `qindex` dispatch
-//!    buckets.
+//! 2. **Dead structure is never built** — the builder refuses an arc
+//!    whose guard no event passes (`Comparison::unsatisfiable`,
+//!    `FnTest::unsatisfiable`, the same tests [`lint_query`] reports) and
+//!    a second `//` self-loop on a state, and drops the states left
+//!    unreachable before it seals, so a tombstoned query compiles to its
+//!    live part.
 //! 3. **Determinism proof** ([`prove_deterministic`]) — detects automata
-//!    with no closure arcs. `Hpdt::seal`, which the builders and the
-//!    pruner all end in, records the verdict in the artifact
-//!    (`Hpdt::deterministic`), and every runner of it — solo or inside
-//!    an index group — takes the XSQ-NC first-match fast path from that.
+//!    with no closure arcs. `Hpdt::seal`, which both builders end in,
+//!    records the verdict in the artifact (`Hpdt::deterministic`), and
+//!    every runner of it — solo or inside an index group — takes the
+//!    XSQ-NC first-match fast path from that.
 //! 4. **Buffer-necessity analysis** ([`analyze_buffers`]) — classifies
 //!    each buffer per §3.2's predicate templates, for `xsq analyze`. The
 //!    one bit the engine acts on — can anything enqueue at all — is the
@@ -29,15 +30,13 @@
 
 pub mod bounds;
 pub mod buffers;
-pub mod prune;
 pub mod verify;
 
 pub use bounds::{analyze_bounds, elide_always_true, BoundAnalysis, BoundStep, MemoryBound};
 pub use buffers::{analyze_buffers, BufferClass, BufferInfo, BufferPlan};
-pub use prune::{prune, PruneStats};
 pub use verify::verify;
 
-use xsq_xpath::{streamability, CmpOp, Comparison, FnTest, IssueKind, Predicate, Query};
+use xsq_xpath::{streamability, FnTest, IssueKind, Predicate, Query};
 
 use crate::arcs::{Arc, ArcLabel, StateId};
 use crate::build::{build_hpdt, Hpdt};
@@ -162,15 +161,12 @@ pub fn reject_malformed(diagnostics: &[Diagnostic]) -> Result<(), CompileError> 
 }
 
 /// The one post-build step, for a single query's HPDT and a merged
-/// group's alike: verify the builder's invariants, then prune dead
-/// structure — merged transducers accumulate duplicate closure
-/// self-loops (one per trie child expanding a shared state) that pruning
-/// folds back to one. The result carries its own determinism proof
-/// (`deterministic`) and buffering verdict (`buffered`), which is what
-/// the runtime and the bound analysis read.
+/// group's alike: verify the builder's invariants. The HPDT carries its
+/// own determinism proof (`deterministic`) and buffering verdict
+/// (`buffered`), which is what the runtime and the bound analysis read.
 pub(crate) fn checked(hpdt: Hpdt) -> Result<Hpdt, CompileError> {
     reject_malformed(&verify(&hpdt))?;
-    Ok(prune(&hpdt).0)
+    Ok(hpdt)
 }
 
 /// Determinism proof over compiled arcs: with no closure self-loop and no
@@ -178,8 +174,9 @@ pub(crate) fn checked(hpdt: Hpdt) -> Result<Hpdt, CompileError> {
 /// per-state `scan_all` flags make first-match execution exact and the
 /// query can auto-run on the XSQ-NC fast path. `Hpdt::seal` records it as
 /// `Hpdt::deterministic`. Strictly stronger than the query-level
-/// `has_closure` test: pruning can remove every closure arc of a query
-/// that *textually* uses `//`.
+/// `has_closure` test: a query that *textually* uses `//` builds no
+/// closure arc when every closure step lies below a predicate that can
+/// never hold.
 pub fn prove_deterministic(arcs: &[Vec<Arc>]) -> bool {
     !arcs.iter().flatten().any(|a| {
         matches!(
@@ -189,36 +186,29 @@ pub fn prove_deterministic(arcs: &[Vec<Arc>]) -> bool {
     })
 }
 
-/// Is the comparison statically unsatisfiable? XPath 1.0 relational
-/// operators always compare numerically, and `number()` of a non-numeric
-/// constant is NaN — which every relational comparison rejects. So
-/// `[price<abc]` can never hold, regardless of the stream.
-pub fn comparison_unsatisfiable(cmp: &Comparison) -> bool {
-    matches!(cmp.op, CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge) && cmp.rhs.as_number().is_nan()
-}
-
-/// Query-level lints: predicates that can never be true. These are
-/// warnings, not errors — the query is legal and runs fine, it just
-/// provably emits nothing past the offending step.
+/// Query-level lints: predicates that can never be true — the tests the
+/// builder refuses to build an arc for. These are warnings, not errors —
+/// the query is legal and runs fine, it just provably emits nothing past
+/// the offending step.
 pub fn lint_query(query: &Query) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for (i, step) in query.steps.iter().enumerate() {
-        let cmp = match &step.predicate {
+        let (unsatisfiable, kind, cmp) = match &step.predicate {
             Some(Predicate::Attr { cmp: Some(c), .. })
             | Some(Predicate::Text { cmp: Some(c) })
             | Some(Predicate::ChildAttr { cmp: Some(c), .. })
-            | Some(Predicate::ChildText { cmp: c, .. }) => c,
+            | Some(Predicate::ChildText { cmp: c, .. }) => (c.unsatisfiable(), "relational", c),
             Some(Predicate::Func {
-                test: FnTest::StringLength(c) | FnTest::Number(c),
+                test: test @ (FnTest::StringLength(c) | FnTest::Number(c)),
                 ..
-            }) => c,
+            }) => (test.unsatisfiable(), "numeric", c),
             _ => continue,
         };
-        if comparison_unsatisfiable(cmp) {
+        if unsatisfiable {
             let mut d = Diagnostic::warning(
                 "unsatisfiable-predicate",
                 format!(
-                    "predicate of step {} ({}) can never be true: relational \
+                    "predicate of step {} ({}) can never be true: {kind} \
                      comparison against non-numeric constant {}",
                     i + 1,
                     step,
@@ -306,30 +296,27 @@ pub fn lint_schema(query: &Query, dtd: &xsq_xml::dtd::Dtd) -> Vec<Diagnostic> {
     out
 }
 
-/// Full analysis of one query: build, verify, lint, prune, classify
-/// buffers, and prove (or fail to prove) determinism.
+/// Full analysis of one query: build, verify, lint, classify buffers,
+/// and prove (or fail to prove) determinism.
 #[derive(Debug)]
 pub struct Analysis {
     pub query: Query,
     pub diagnostics: Vec<Diagnostic>,
-    /// The freshly built, unpruned transducer.
-    pub original: Hpdt,
-    /// The transducer after dead-state pruning — what the engine runs.
-    pub pruned: Hpdt,
-    pub stats: PruneStats,
-    /// Buffer-necessity classification of the pruned transducer.
+    /// The transducer the engine runs.
+    pub hpdt: Hpdt,
+    /// Buffer-necessity classification of the transducer.
     pub plan: BufferPlan,
     /// Static memory bound from the schema (or the no-schema verdict).
     pub bound: BoundAnalysis,
-    /// True when the pruned transducer has no overlapping-arc sources.
+    /// True when the transducer has no closure arc (`Hpdt::deterministic`).
     pub proven_deterministic: bool,
     /// The engine the `XsqEngine::full` entry point would actually run.
     pub engine: &'static str,
 }
 
 /// Analyze a parsed query end to end. This is the backend of
-/// `xsq analyze`; the engine runs the same verify/prune pipeline through
-/// `checked` and keeps only the pruned transducer.
+/// `xsq analyze`; the engine builds the same transducer and verifies it
+/// through `checked`.
 pub fn analyze(query: &Query) -> Result<Analysis, CompileError> {
     analyze_with_dtd(query, None)
 }
@@ -341,17 +328,16 @@ pub fn analyze_with_dtd(
     query: &Query,
     dtd: Option<&xsq_xml::dtd::Dtd>,
 ) -> Result<Analysis, CompileError> {
-    let original = build_hpdt(query)?;
-    let mut diagnostics = verify(&original);
+    let hpdt = build_hpdt(query)?;
+    let mut diagnostics = verify(&hpdt);
     diagnostics.extend(lint_streamability(query));
     diagnostics.extend(lint_query(query));
     if let Some(dtd) = dtd {
         diagnostics.extend(lint_schema(query, dtd));
     }
-    let (pruned, stats) = prune(&original);
-    let proven_deterministic = pruned.deterministic;
-    let plan = analyze_buffers(&pruned);
-    let bound = analyze_bounds(query, pruned.buffered, dtd);
+    let proven_deterministic = hpdt.deterministic;
+    let plan = analyze_buffers(&hpdt);
+    let bound = analyze_bounds(query, hpdt.buffered, dtd);
     let engine = if proven_deterministic {
         "XSQ-NC (auto)"
     } else {
@@ -360,9 +346,7 @@ pub fn analyze_with_dtd(
     Ok(Analysis {
         query: query.clone(),
         diagnostics,
-        original,
-        pruned,
-        stats,
+        hpdt,
         plan,
         bound,
         proven_deterministic,
@@ -420,6 +404,36 @@ mod tests {
 
         let q = parse_query("/a[number(@price)<10]/b/text()").unwrap();
         assert!(lint_query(&q).is_empty());
+
+        // `number()` and `string-length()` compare numerically under every
+        // operator, so `=` against a non-numeric constant never holds
+        // either; `!=` always can. What the lint reports, the builder
+        // does not build: each tombstone compiles to fewer states than
+        // its satisfiable `=5` twin.
+        let states = |q: &str| build_hpdt(&parse_query(q).unwrap()).unwrap().states.len();
+        for (dead, twin) in [
+            (
+                "/r/a[number(@x)>abc]/b/text()",
+                "/r/a[number(@x)>5]/b/text()",
+            ),
+            (
+                "/r/a[number(@x)=abc]/b/text()",
+                "/r/a[number(@x)=5]/b/text()",
+            ),
+            (
+                "/r/a[string-length(@x)=abc]/b/text()",
+                "/r/a[string-length(@x)=5]/b/text()",
+            ),
+        ] {
+            let lints = lint_query(&parse_query(dead).unwrap());
+            assert_eq!(lints.len(), 1, "{dead}");
+            assert_eq!(lints[0].code, "unsatisfiable-predicate");
+            assert!(lint_query(&parse_query(twin).unwrap()).is_empty(), "{twin}");
+            assert!(states(dead) < states(twin), "{dead}");
+        }
+        let live = "/r/a[number(@x)!=abc]/b/text()";
+        assert!(lint_query(&parse_query(live).unwrap()).is_empty());
+        assert_eq!(states(live), states("/r/a[number(@x)!=5]/b/text()"));
     }
 
     #[test]
@@ -464,14 +478,14 @@ mod tests {
 
     #[test]
     fn a_dead_output_step_is_bounded_by_what_the_engine_runs() {
-        // The only `Emit` sits below an unsatisfiable guard and is pruned;
-        // the upload arcs of the live `[b]`/`[d]` steps stay, so the
+        // The only `Emit` sits below an unsatisfiable guard and is never
+        // built; the upload arcs of the live `[b]`/`[d]` steps are, so the
         // per-queue plan still shows a fed queue. Nothing can enqueue, the
         // runner allocates no queues, and explainer and compiler agree:
         // the bound is read off the artifact the compiler builds.
         let q = parse_query("/a[b]/c[d]/e[@x>nope]/text()").unwrap();
         let a = analyze(&q).unwrap();
-        assert!(a.plan.buffered && !a.pruned.buffered);
+        assert!(a.plan.buffered && !a.hpdt.buffered);
         assert_eq!(a.bound.bound, MemoryBound::Zero);
         let compiled = crate::XsqEngine::full().compile(&q).unwrap();
         assert!(!compiled.hpdt().buffered);

@@ -170,7 +170,7 @@ fn check_queue_index(hpdt: &Hpdt, ids: &[BpdtId], out: &mut Vec<Diagnostic>) {
 
 /// States the start state cannot reach are dead weight: they can never
 /// hold a configuration, but they still cost dispatch-index space. The
-/// pruner removes them; here they are a warning.
+/// builder drops them before sealing; here they are a warning.
 fn check_reachability(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
     let reachable = reachable_states(&hpdt.arcs, hpdt.start);
     let dead: Vec<usize> = (0..hpdt.states.len()).filter(|&s| !reachable[s]).collect();
@@ -180,7 +180,7 @@ fn check_reachability(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
                 "unreachable-state",
                 format!(
                     "{} state(s) unreachable from the start state (first: ${first}, \
-                     owned by {}); run the pruner",
+                     owned by {})",
                     dead.len(),
                     hpdt.states[first].owner
                 ),
@@ -192,8 +192,8 @@ fn check_reachability(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
 }
 
 /// Which states `start` reaches over `arcs` (per state, its outgoing
-/// arcs); out-of-range targets lead nowhere. The pruner keeps exactly
-/// these.
+/// arcs); out-of-range targets lead nowhere. `Builder::finish` keeps
+/// exactly these.
 pub(crate) fn reachable_states(arcs: &[Vec<Arc>], start: StateId) -> Vec<bool> {
     let mut reachable = vec![false; arcs.len()];
     let mut stack = vec![start as usize];
@@ -215,8 +215,8 @@ pub(crate) fn reachable_states(arcs: &[Vec<Arc>], start: StateId) -> Vec<bool> {
 /// elements), and normally also released (flushed or uploaded) on the
 /// predicate-true witness. A receiving queue with no clear arc is an
 /// error; one with no release arc merely means its results are provably
-/// unreachable (this legitimately happens after pruning an unsatisfiable
-/// witness), so it is a warning. One pass over the arcs gathers three
+/// unreachable (this legitimately happens below an unsatisfiable witness,
+/// whose resolving arc is never built), so it is a warning. One pass over the arcs gathers three
 /// flags per queue slot; findings follow in slot order.
 fn check_buffer_release(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
     #[derive(Clone, Copy, Default)]
@@ -504,10 +504,9 @@ fn check_tree_positions(hpdt: &Hpdt, ids: &[BpdtId], out: &mut Vec<Diagnostic>) 
             }
         }
     }
-    // The all-true left spine bpdt(l, 2^l - 1) is complete in every
-    // freshly built HPDT, but pruning an unsatisfiable guard legitimately
-    // severs it (the steps below the dead predicate vanish) — so a gap is
-    // a warning, not an error.
+    // The all-true left spine bpdt(l, 2^l - 1) is complete unless an
+    // unsatisfiable guard legitimately severs it (the steps below the dead
+    // predicate are never built) — so a gap is a warning, not an error.
     for l in 1..=hpdt.layers {
         let spine = BpdtId::new(l, (1u64 << l) - 1);
         if !registered(&spine) {

@@ -118,6 +118,19 @@ pub enum Guard {
     TextFn { test: FnTest },
 }
 
+impl Guard {
+    /// Does no event pass the guard? Read off its test alone
+    /// (`Comparison::unsatisfiable`, `FnTest::unsatisfiable`).
+    pub(crate) fn unsatisfiable(&self) -> bool {
+        match self {
+            Guard::Attr { cmp, .. } | Guard::Text { cmp } => {
+                cmp.as_ref().is_some_and(Comparison::unsatisfiable)
+            }
+            Guard::AttrFn { test, .. } | Guard::TextFn { test } => test.unsatisfiable(),
+        }
+    }
+}
+
 /// A BPDT's queue as an arc addresses it: the id the figures, dumps and
 /// analyses name, and the dense slot the runtime indexes with
 /// (`Hpdt::queues[slot] == id`) — known when the arc is created, because
@@ -290,7 +303,7 @@ impl Action {
     /// enqueued in the owner's own queue ([`Fill::Own`], which names no
     /// queue) or in a named one, or a resolved queue's entries uploaded
     /// into a named one. The one place that reads this off the variants;
-    /// `&mut` so the pruner can re-slot the named queue in place.
+    /// `&mut` so the builder can re-slot the named queue in place.
     pub(crate) fn fill_mut(&mut self) -> Option<(Fill, Option<&mut QueueRef>)> {
         match self {
             Action::Emit { to, .. } | Action::ElementStart { to, .. } => match to {

@@ -18,6 +18,7 @@ use xsq_xpath::classify::{classify, StepCategory};
 use xsq_xpath::{AggFunc, Axis, CmpOp, FnArg, NodeTest, Output, Predicate, Query, Step};
 
 use crate::analyze::prove_deterministic;
+use crate::analyze::verify::reachable_states;
 use crate::arcs::{
     compute_arc_tables, compute_stays, Action, AnyDepthArcs, Arc, ArcLabel, ArcTable, Disposition,
     Fill, Guard, KeyTable, KeyVal, NamePat, QueueRef, StateId, StateInfo, StateRole, ValueSource,
@@ -68,9 +69,9 @@ pub struct Hpdt {
     /// multi-query evaluation.
     pub merged: Vec<Query>,
     /// True when no arc is a closure arc: the HPDT is deterministic (§3.4)
-    /// and eligible for the XSQ-NC runtime. A freshly built HPDT has one
-    /// exactly when its query has no closure axis; pruning can delete
-    /// every closure arc of a query that has one.
+    /// and eligible for the XSQ-NC runtime. A query with no closure axis
+    /// builds one; so does a query whose every closure step lies below a
+    /// predicate that can never hold, since those steps are never built.
     pub deterministic: bool,
     /// True when some action enqueues into a buffer (§3.3). When false,
     /// every predicate resolves before its output node closes, so results
@@ -100,8 +101,9 @@ impl Hpdt {
     /// Seal arcs into an HPDT. Everything else is derived here, from the
     /// arcs alone: what the runtime reads per state (`scan_all`, `stays`,
     /// `arc_tables`, `any_depth`) and the two verdicts the engine acts on
-    /// (`buffered`, `deterministic`). The builders and the pruner all end
-    /// here, so no table can disagree with the arcs it was derived from.
+    /// (`buffered`, `deterministic`). Both builders end here, through
+    /// `Builder::finish`, so no table can disagree with the arcs it was
+    /// derived from.
     /// `merged` is never empty; its first member is [`Self::query`].
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn seal(
@@ -272,6 +274,12 @@ impl Builder {
         Ok(id)
     }
 
+    /// Add an arc, unless it can never fire: its guard passes no event
+    /// (`Guard::unsatisfiable`), or it is a second `//` self-loop on a
+    /// state that has one — the runtime reads the loop only as the
+    /// state's `stays` bit, and the merged builder expands one loop per
+    /// trie child of a shared state. A refused guarded arc leaves the
+    /// states behind it unreachable; [`Self::finish`] drops them.
     fn add_arc(
         &mut self,
         from: StateId,
@@ -281,7 +289,15 @@ impl Builder {
         owner: QueueRef,
         actions: Vec<Action>,
     ) {
-        self.arcs[from as usize].push(Arc::new(label, guard, target, owner, actions));
+        let outgoing = &mut self.arcs[from as usize];
+        let dead = guard.as_ref().is_some_and(Guard::unsatisfiable);
+        let repeat = label == ArcLabel::ClosureSelfLoop
+            && outgoing
+                .iter()
+                .any(|a| a.label == ArcLabel::ClosureSelfLoop);
+        if !dead && !repeat {
+            outgoing.push(Arc::new(label, guard, target, owner, actions));
+        }
     }
 
     /// Give `id` the next queue slot. Each BPDT is registered once,
@@ -303,8 +319,20 @@ impl Builder {
         Ok((start, root_true))
     }
 
-    /// Seal the arcs into an [`Hpdt`] answering `merged`.
-    fn finish(self, start: StateId, layers: u16, merged: Vec<Query>) -> Hpdt {
+    /// Seal the arcs into an [`Hpdt`] answering `merged` — the one point
+    /// before sealing for both builders. The states `start` cannot reach
+    /// are those behind an arc [`Self::add_arc`] refused; they go here, in
+    /// place: the survivors keep their order, every arc is retargeted, and
+    /// the queue slots are re-densified over the queues a surviving arc
+    /// still addresses, keeping their order too (a single query keeps its
+    /// layer-major layout). With no dead state nothing moves.
+    fn finish(mut self, start: StateId, layers: u16, merged: Vec<Query>) -> Hpdt {
+        let live = reachable_states(&self.arcs, start);
+        let start = if live.contains(&false) {
+            self.drop_dead(&live, start)
+        } else {
+            start
+        };
         Hpdt::seal(
             self.states,
             self.arcs,
@@ -315,6 +343,35 @@ impl Builder {
             self.keyed,
             self.leaf_tags,
         )
+    }
+
+    /// Remove the states `live` does not mark, and the queues no
+    /// surviving arc addresses; returns `start`'s new id.
+    fn drop_dead(&mut self, live: &[bool], start: StateId) -> StateId {
+        let remap = ranks(live);
+        retain_flagged(&mut self.states, live);
+        retain_flagged(&mut self.arcs, live);
+        // The queues still addressed: arc owners (the runtime resolves
+        // every acting arc's own queue), upload targets and enqueue
+        // destinations, plus the root, which anchors the id tree.
+        let mut used = vec![false; self.queues.len()];
+        used[0] = true;
+        for arc in self.arcs.iter_mut().flatten() {
+            arc.target = remap[arc.target as usize];
+            for q in queue_refs(arc) {
+                used[q.slot as usize] = true;
+            }
+        }
+        if used.contains(&false) {
+            let slot_of = ranks(&used);
+            retain_flagged(&mut self.queues, &used);
+            for arc in self.arcs.iter_mut().flatten() {
+                for q in queue_refs(arc) {
+                    q.slot = slot_of[q.slot as usize];
+                }
+            }
+        }
+        remap[start as usize]
     }
 
     fn build(mut self, query: &Query) -> Result<Hpdt, CompileError> {
@@ -1096,6 +1153,32 @@ fn keyed_step_name(step: &Step, literals: usize) -> String {
     format!("{}=?×{literals}]", head.trim_start_matches('/'))
 }
 
+/// Per flag, how many set flags precede it: a kept item's new index.
+fn ranks(flags: &[bool]) -> Vec<u32> {
+    let mut next = 0;
+    flags
+        .iter()
+        .map(|&f| {
+            let rank = next;
+            next += f as u32;
+            rank
+        })
+        .collect()
+}
+
+/// Keep the items whose flag is set, in order.
+fn retain_flagged<T>(items: &mut Vec<T>, flags: &[bool]) {
+    let mut flag = flags.iter();
+    items.retain(|_| *flag.next().expect("one flag per item"));
+}
+
+/// Every queue an arc addresses: its owner's, and the queues its actions
+/// fill by name.
+fn queue_refs(arc: &mut Arc) -> impl Iterator<Item = &mut QueueRef> {
+    let targets = arc.actions.iter_mut().filter_map(|a| a.fill_mut()?.1);
+    std::iter::once(&mut arc.owner).chain(targets)
+}
+
 /// Does any action enqueue a value into a buffer? When nothing ever
 /// enqueues, the flush/upload/clear machinery is provably a no-op and the
 /// runner can skip allocating queues entirely (buffer-necessity analysis).
@@ -1331,9 +1414,6 @@ mod tests {
         for hpdt in [&two, &many] {
             let diags = crate::analyze::verify(hpdt);
             assert!(!crate::analyze::has_errors(&diags), "{diags:?}");
-            let (pruned, stats) = crate::analyze::prune(hpdt);
-            assert!(!stats.changed(), "{stats:?}");
-            assert_eq!(pruned.leaf_tags, hpdt.leaf_tags);
         }
     }
 
@@ -1402,7 +1482,9 @@ mod tests {
         // Dump hashes taken from the builder as it was before keyed steps
         // existed: the referee's `serve_bulk` and `broadcast_fanout`
         // batches, and a batch of one-literal "families" (1 ≡ 1.0),
-        // relational and category-1 siblings.
+        // relational and category-1 siblings. The `broadcast_fanout`
+        // hash is of that output with its four `//` self-loops on the
+        // root's TRUE state folded to one, the automaton that always ran.
         let pinned: [(&[&str], u64, usize, usize); 3] = [
             (
                 &[
@@ -1424,7 +1506,7 @@ mod tests {
                     "//price/sum()",
                     "//book/count()",
                 ],
-                0xc750_8ee4_4858_8c24,
+                0xa29f_be36_5466_c7d9,
                 15,
                 12,
             ),
@@ -1449,6 +1531,67 @@ mod tests {
             assert_eq!((h.states.len(), h.bpdt_count), (states, bpdts), "{batch:?}");
             assert_eq!(fnv(&h.dump()), hash, "{batch:?}\n{}", h.dump());
         }
+    }
+
+    #[test]
+    fn clean_queries_reach_every_state() {
+        for q in [
+            "/a/b/text()",
+            "/pub[year=2002]/book[price<11]/author",
+            "//pub[year>2000]//book[author]//name/text()",
+            "/a[@id]/b/text()",
+            "//b/count()",
+        ] {
+            let h = hpdt(q);
+            assert!(reachable_states(&h.arcs, h.start).iter().all(|&r| r), "{q}");
+            let diags = crate::analyze::verify(&h);
+            assert!(diags.is_empty(), "{q}: {diags:?}");
+        }
+    }
+
+    #[test]
+    fn unsatisfiable_guards_build_only_the_live_part() {
+        // `@sev > "critical"` and `b < "xyz"` compare numerically against
+        // NaN: never true. The guarded arc is never made, and the states
+        // behind it — the step's TRUE side and everything below — are
+        // dropped before sealing.
+        for (dead, twin) in [
+            (
+                "/feed/t[@sev>critical]/f/text()",
+                "/feed/t[@sev>5]/f/text()",
+            ),
+            ("/a[b<xyz]/c/text()", "/a[b<5]/c/text()"),
+        ] {
+            let (h, t) = (hpdt(dead), hpdt(twin));
+            assert!(h.states.len() < t.states.len(), "{dead}");
+            assert!(h.queues.len() < t.queues.len(), "{dead}");
+            assert!(reachable_states(&h.arcs, h.start).iter().all(|&r| r));
+            let diags = crate::analyze::verify(&h);
+            assert!(!crate::analyze::has_errors(&diags), "{dead}: {diags:?}");
+        }
+    }
+
+    #[test]
+    fn a_shared_state_has_one_closure_self_loop() {
+        // Both closure steps expand from the shared `/feed` TRUE state;
+        // the runtime reads the loop as one `stays` bit, so one is built.
+        let h = merged(&["/feed//a/text()".into(), "/feed//b/text()".into()]);
+        let loops = |arcs: &Vec<Arc>| {
+            let loops = arcs.iter().filter(|a| a.label == ArcLabel::ClosureSelfLoop);
+            loops.count()
+        };
+        assert_eq!(h.arcs.iter().map(loops).max(), Some(1));
+        assert_eq!(h.arcs.iter().map(loops).sum::<usize>(), 1);
+    }
+
+    #[test]
+    fn a_closure_below_a_dead_predicate_compiles_deterministic() {
+        // The closure lives below an unsatisfiable guard, so it is never
+        // built: the artifact is deterministic although the query says `//`.
+        let h = hpdt("/a[@x>nope]//b/text()");
+        assert!(h.deterministic);
+        let compiled = crate::XsqEngine::full().compile_str("/a[@x>nope]//b/text()");
+        assert_eq!(compiled.unwrap().engine_label(), "XSQ-NC (auto)");
     }
 
     #[test]

@@ -20,9 +20,9 @@ pub fn to_dot(hpdt: &Hpdt) -> String {
     to_dot_named(hpdt, "hpdt", &format!("HPDT for {}", hpdt.query))
 }
 
-/// Render with an explicit graph name and title — the analyzer emits the
-/// original and the pruned transducer side by side, and both must be
-/// distinguishable (and concatenable into one Graphviz input).
+/// Render with an explicit graph name and title — `xsq --queries FILE
+/// --dot` emits one graph per group, and each must be distinguishable
+/// (and concatenable into one Graphviz input).
 pub fn to_dot_named(hpdt: &Hpdt, graph_name: &str, title: &str) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "digraph {graph_name} {{");
@@ -163,9 +163,9 @@ mod tests {
     #[test]
     fn named_rendering_controls_graph_name_and_title() {
         let hpdt = build_hpdt(&parse_query("/a/b/text()").unwrap()).unwrap();
-        let dot = to_dot_named(&hpdt, "pruned", "pruned HPDT");
-        assert!(dot.starts_with("digraph pruned {"));
-        assert!(dot.contains("label=\"pruned HPDT\""));
+        let dot = to_dot_named(&hpdt, "group0", "group 0 HPDT");
+        assert!(dot.starts_with("digraph group0 {"));
+        assert!(dot.contains("label=\"group 0 HPDT\""));
     }
 
     #[test]

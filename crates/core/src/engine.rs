@@ -71,10 +71,10 @@ impl XsqEngine {
         self.compile(&parse_query(query)?)
     }
 
-    /// Compile a parsed query: build the HPDT, then verify the builder's
-    /// structural invariants and prune dead states/arcs
-    /// (`analyze::checked`, which also settles whether the artifact is
-    /// deterministic and so runs first-match).
+    /// Compile a parsed query: build the HPDT (dead structure is never
+    /// built, and sealing settles whether the artifact is deterministic
+    /// and so runs first-match), then verify the builder's structural
+    /// invariants (`analyze::checked`).
     pub fn compile(&self, query: &Query) -> Result<CompiledQuery, CompileError> {
         self.check(query)?;
         Ok(CompiledQuery {
@@ -102,8 +102,8 @@ impl CompiledQuery {
         self.mode
     }
 
-    /// Did pruning leave the automaton deterministic, auto-routing a
-    /// query compiled for `XsqMode::Full` onto the XSQ-NC fast path?
+    /// Is the automaton deterministic, auto-routing a query compiled
+    /// for `XsqMode::Full` onto the XSQ-NC fast path?
     pub fn auto_nc(&self) -> bool {
         self.mode == XsqMode::Full && self.hpdt.deterministic
     }

@@ -59,8 +59,8 @@ pub mod sink;
 pub mod trace;
 
 pub use analyze::{
-    analyze, analyze_with_dtd, prune, verify, Analysis, BoundAnalysis, BufferClass, BufferPlan,
-    Diagnostic, MemoryBound, PruneStats, Severity,
+    analyze, analyze_with_dtd, verify, Analysis, BoundAnalysis, BufferClass, BufferPlan,
+    Diagnostic, MemoryBound, Severity,
 };
 pub use build::{build_hpdt, Hpdt};
 pub use depth_vector::DepthVector;

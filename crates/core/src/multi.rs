@@ -58,8 +58,8 @@ pub struct QuerySet {
 impl QuerySet {
     /// Compile a set of query strings with one engine — the only batch
     /// compiler: parse, engine-variant check (XSQ-NC refuses closures),
-    /// then prefix-sharing planning, which builds, verifies and prunes
-    /// each group's HPDT. Fails naming the offending query's index.
+    /// then prefix-sharing planning, which builds and verifies each
+    /// group's HPDT. Fails naming the offending query's index.
     pub fn compile(engine: XsqEngine, queries: &[&str]) -> Result<QuerySet, (usize, CompileError)> {
         let mut parsed = Vec::with_capacity(queries.len());
         for (i, q) in queries.iter().enumerate() {

@@ -3,7 +3,7 @@
 //! Standing-query serving is templated in practice: thousands of
 //! subscribers ask for the *same* batch of queries (a stock ticker, a
 //! feed filter), and the server used to recompile the whole batch —
-//! parse, HPDT build, merge, verify, prune, bound analysis — once per
+//! parse, HPDT build, merge, verify, bound analysis — once per
 //! connection. [`PlanCache`] compiles a batch **once per distinct
 //! (engine mode, batch text)** and hands out a shared
 //! [`CachedPlan`]: the compiled [`QuerySet`] (each group an

@@ -161,8 +161,8 @@ impl QueryIndex {
     /// compiled batch into runtime state, whoever compiled it (a
     /// subscribe call here, a CLI driver, a shard worker, the server's
     /// plan cache). Pure instantiation: no parsing, no HPDT build, no
-    /// verification — the set's groups were verified and pruned when it
-    /// compiled. Returns one id per query, in input order.
+    /// verification — the set's groups were verified when it compiled.
+    /// Returns one id per query, in input order.
     pub fn subscribe_set(&mut self, set: &QuerySet) -> Vec<QueryId> {
         assert_eq!(
             set.engine().mode(),

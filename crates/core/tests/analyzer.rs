@@ -31,8 +31,8 @@ fn paper_queries_analyze_clean() {
             "{q}: {:?}",
             a.diagnostics
         );
-        // A fresh single-query build has no dead structure to prune.
-        assert!(!a.stats.changed(), "{q}: {:?}", a.stats);
+        // A paper query has no dead structure: nothing to warn about.
+        assert!(a.diagnostics.is_empty(), "{q}: {:?}", a.diagnostics);
     }
 }
 
@@ -106,26 +106,34 @@ fn run_report_engine_field_tracks_auto_selection() {
 }
 
 #[test]
-fn merged_set_with_tombstones_prunes_and_answers_identically() {
+fn merged_set_with_tombstones_builds_smaller_and_answers_identically() {
     // A standing set where some subscriptions are statically dead
-    // (relational comparison against a non-numeric constant). Pruning
-    // must shrink the merged transducer and change no results.
+    // (relational comparison against a non-numeric constant). The
+    // builder must leave the dead part out — fewer states than the same
+    // batch with a satisfiable literal — and change no results.
     let texts = [
         "/pub/book/name/text()",
         "/pub/book[price<11]/name/text()",
         "/pub/book[price<bogus]/name/text()", // tombstone: never true
         "/pub/year/text()",
     ];
-    let queries: Vec<_> = texts.iter().map(|q| parse_query(q).unwrap()).collect();
-    let merged = build_merged_hpdt(&queries).unwrap();
-    let (pruned, stats) = xsq_core::prune(&merged);
+    let merged = |texts: [String; 4]| {
+        let queries: Vec<_> = texts.iter().map(|q| parse_query(q).unwrap()).collect();
+        build_merged_hpdt(&queries).unwrap()
+    };
+    let tombstoned = merged(texts.map(String::from));
+    let live = merged(texts.map(|q| q.replace("bogus", "7")));
     assert!(
-        stats.states_after < stats.states_before,
-        "tombstone did not shrink the merged HPDT: {stats:?}"
+        tombstoned.states.len() < live.states.len(),
+        "tombstone did not shrink the merged HPDT: {} states, {} with a live literal",
+        tombstoned.states.len(),
+        live.states.len()
     );
-    assert!(!xsq_core::analyze::has_errors(&xsq_core::verify(&pruned)));
+    assert!(!xsq_core::analyze::has_errors(&xsq_core::verify(
+        &tombstoned
+    )));
 
-    // The index (which prunes internally) agrees with per-query engines.
+    // The index agrees with per-query engines.
     let mut index = QueryIndex::new(XsqEngine::full());
     let ids = index.subscribe_group(&texts).unwrap();
     let mut sink = VecQuerySink::new();

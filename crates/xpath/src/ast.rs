@@ -110,6 +110,16 @@ impl Comparison {
     pub fn eval(&self, lhs: &str) -> bool {
         crate::value::compare(lhs, self.op, &self.rhs)
     }
+
+    /// Can no stream value ever satisfy the comparison? A relational
+    /// operator always compares numerically (XPath 1.0), and every
+    /// relational comparison against NaN — the number of a non-numeric
+    /// constant — is false. So `[price<abc]` never holds. `=`, `!=` and
+    /// `%` compare strings when the constant is one, and may hold.
+    pub fn unsatisfiable(&self) -> bool {
+        let relational = matches!(self.op, CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge);
+        relational && self.rhs.as_number().is_nan()
+    }
 }
 
 impl fmt::Display for Comparison {
@@ -165,6 +175,20 @@ impl FnTest {
             }
             FnTest::Number(c) => {
                 crate::value::num_compare(crate::value::str_to_number(lhs), c.op, c.rhs.as_number())
+            }
+        }
+    }
+
+    /// Can no stream value ever pass the test? `string-length()` and
+    /// `number()` compare numerically whatever the operator ([`Self::eval`]),
+    /// so against a non-numeric constant (NaN) every operator but `!=`
+    /// and `%` is false: `[number(@x)=abc]` never holds, `[number(@x)!=abc]`
+    /// holds wherever `@x` is present.
+    pub fn unsatisfiable(&self) -> bool {
+        match self {
+            FnTest::Contains(_) | FnTest::StartsWith(_) => false,
+            FnTest::StringLength(c) | FnTest::Number(c) => {
+                !matches!(c.op, CmpOp::Ne | CmpOp::Contains) && c.rhs.as_number().is_nan()
             }
         }
     }
@@ -529,5 +553,49 @@ mod tests {
             cmp: None,
         };
         assert_eq!(p.to_string(), "[@id]");
+    }
+
+    #[test]
+    fn unsatisfiable_tests_pass_no_value() {
+        let cmp = |op, rhs: &str| Comparison {
+            op,
+            rhs: XPathValue::text(rhs),
+        };
+        let values = ["", "5", " 5 ", "5.0", "abc", "NaN", "-1"];
+        for op in [
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Eq,
+            CmpOp::Ge,
+            CmpOp::Gt,
+            CmpOp::Ne,
+            CmpOp::Contains,
+        ] {
+            for rhs in ["abc", "5"] {
+                let c = cmp(op, rhs);
+                let tests = [
+                    (c.unsatisfiable(), values.map(|v| c.eval(v))),
+                    (
+                        FnTest::Number(c.clone()).unsatisfiable(),
+                        values.map(|v| FnTest::Number(c.clone()).eval(v)),
+                    ),
+                    (
+                        FnTest::StringLength(c.clone()).unsatisfiable(),
+                        values.map(|v| FnTest::StringLength(c.clone()).eval(v)),
+                    ),
+                ];
+                for (unsat, passes) in tests {
+                    // Sound: a test called unsatisfiable passes no value.
+                    assert!(!unsat || !passes.contains(&true), "{op} {rhs}");
+                }
+            }
+        }
+        assert!(cmp(CmpOp::Gt, "abc").unsatisfiable());
+        assert!(!cmp(CmpOp::Eq, "abc").unsatisfiable());
+        assert!(FnTest::Number(cmp(CmpOp::Eq, "abc")).unsatisfiable());
+        assert!(FnTest::StringLength(cmp(CmpOp::Eq, "abc")).unsatisfiable());
+        assert!(!FnTest::Number(cmp(CmpOp::Ne, "abc")).unsatisfiable());
+        assert!(!FnTest::Number(cmp(CmpOp::Eq, "5")).unsatisfiable());
+        assert!(!FnTest::Contains(XPathValue::text("abc")).unsatisfiable());
     }
 }

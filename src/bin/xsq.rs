@@ -562,8 +562,8 @@ fn print_diagnostics(out: &mut Out, diags: &[Diagnostic]) {
     }
 }
 
-/// `xsq analyze QUERY`: run the full static-analysis pipeline (verify,
-/// lint, prune, buffer classification, determinism proof) and report it.
+/// `xsq analyze QUERY`: run the full static-analysis pipeline (build,
+/// verify, lint, buffer classification, determinism proof) and report it.
 /// Exit status is nonzero iff any diagnostic is an error — the smoke-test
 /// contract CI relies on.
 fn run_analyze(query: &str, opts: &Options, out: &mut Out) -> Result<(), ExitCode> {
@@ -612,19 +612,9 @@ fn analyze_hpdt(
     let analysis = xsq::engine::analyze_with_dtd(parsed, dtd.as_ref())
         .map_err(|e| fail_query(&e.to_string()))?;
     if opts.dot {
-        // Both transducers, concatenable into one Graphviz input; the
-        // summary still goes to stderr so pipelines stay clean.
-        for (name, hpdt) in [
-            ("original", &analysis.original),
-            ("pruned", &analysis.pruned),
-        ] {
-            let title = format!("{name} HPDT for {query}");
-            write!(
-                out,
-                "{}",
-                xsq::engine::dot::to_dot_named(hpdt, name, &title)
-            );
-        }
+        // The transducer the engine runs; the diagnostics still go to
+        // stderr so pipelines stay clean.
+        write!(out, "{}", xsq::engine::dot::to_dot(&analysis.hpdt));
         for d in &analysis.diagnostics {
             eprintln!("{d}");
         }
@@ -644,17 +634,14 @@ fn analyze_hpdt(
         writeln!(
             out,
             "{{\"query\":\"{}\",\"engine\":\"{}\",\"deterministic\":{},\
-             \"states_before\":{},\"states_after\":{},\
-             \"arcs_before\":{},\"arcs_after\":{},\
+             \"states\":{},\"arcs\":{},\
              \"buffered\":{},\"live_buffers\":{},\
              \"buffers\":[{}],\"bound\":{},\"diagnostics\":[{}]}}",
             json_escape(query),
             analysis.engine,
             analysis.proven_deterministic,
-            analysis.stats.states_before,
-            analysis.stats.states_after,
-            analysis.stats.arcs_before,
-            analysis.stats.arcs_after,
+            analysis.hpdt.states.len(),
+            analysis.hpdt.arc_count(),
             analysis.plan.buffered,
             analysis.plan.live_buffers(),
             buffers.join(","),
@@ -673,22 +660,8 @@ fn analyze_hpdt(
                 "not proven (closure arcs present; scan-all execution)"
             }
         );
-        writeln!(
-            out,
-            "states:        {} -> {}{}",
-            analysis.stats.states_before,
-            analysis.stats.states_after,
-            if analysis.stats.changed() {
-                "  (pruned)"
-            } else {
-                ""
-            }
-        );
-        writeln!(
-            out,
-            "arcs:          {} -> {}",
-            analysis.stats.arcs_before, analysis.stats.arcs_after
-        );
+        writeln!(out, "states:        {}", analysis.hpdt.states.len());
+        writeln!(out, "arcs:          {}", analysis.hpdt.arc_count());
         if analysis.plan.buffered {
             writeln!(
                 out,
@@ -1397,7 +1370,7 @@ fn usage(err: &str) -> ExitCode {
          \u{20}      xsq (--dump | --dot) QUERY       the compiled HPDT\n\
          \u{20}      xsq --queries QFILE (--dump | --dot)   every group's merged HPDT\n\
          \u{20}      xsq analyze [--json] [--dot] [--dtd FILE] QUERY\n\
-         \u{20}          static analysis: verifier diagnostics, dead-state pruning,\n\
+         \u{20}          static analysis: verifier diagnostics, automaton size,\n\
          \u{20}          buffer classes, engine auto-selection, and (with --dtd) the\n\
          \u{20}          static memory bound + derivation; exits nonzero on errors\n\
          \u{20}      xsq serve [--addr A] [--idle-timeout S] [--dtd FILE] \\\n\

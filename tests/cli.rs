@@ -445,6 +445,35 @@ fn analyze_with_dtd_reports_a_finite_bound_for_the_paper_query() {
     assert!(!stdout.contains("unbounded"), "{stdout}");
 }
 
+/// A `number()` or `string-length()` test against a non-numeric
+/// constant compares with NaN, so only `!=` (or `%`) can hold. The stream
+/// engine, which builds no arc for a test no value passes, answers what
+/// the DOM engine does on an `@x` that is numeric, non-numeric and
+/// missing, and `analyze` names each test that can never hold.
+#[test]
+fn function_tests_against_a_word_match_the_dom_engine() {
+    let doc = r#"<r><a x="5"><b>n</b></a><a x="abc"><b>w</b></a><a><b>m</b></a></r>"#;
+    for (query, want) in [
+        ("/r/a[number(@x)>abc]/b/text()", ""),
+        ("/r/a[number(@x)=abc]/b/text()", ""),
+        ("/r/a[string-length(@x)=abc]/b/text()", ""),
+        ("/r/a[number(@x)!=abc]/b/text()", "n\nw"),
+        ("/r/a[number(@x)=5]/b/text()", "n"),
+        ("/r/a[string-length(@x)=3]/b/text()", "w"),
+    ] {
+        let (stream, stderr, ok) = run_with_stdin(&[query], doc);
+        assert!(ok, "{query}: {stderr}");
+        assert_eq!(stream.trim_end(), want, "{query}");
+        let (dom, stderr, ok) = run_with_stdin(&["--engine", "saxon", query], doc);
+        assert!(ok, "{query}: {stderr}");
+        assert_eq!(stream, dom, "{query}");
+        let (report, _, ok) = run_with_stdin(&["analyze", query], "");
+        assert!(ok, "{query}: {report}");
+        let linted = report.contains("warning[unsatisfiable-predicate]");
+        assert_eq!(linted, want.is_empty(), "{query}: {report}");
+    }
+}
+
 /// A reader that hangs up early (`xsq … | head -1`) is an I/O error,
 /// exit 3, in every mode that prints; each used to panic on the broken
 /// pipe (exit 101). Every mode here prints well over 1 MiB, far past
@@ -458,7 +487,7 @@ fn a_closed_stdout_exits_3_without_a_panic() {
     let record = format!("<a>{}</a>", "x".repeat(40));
     std::fs::write(&doc, format!("<r>{}</r>", record.repeat(40_000))).unwrap();
     std::fs::write(&qfile, "//a/text()\n").unwrap();
-    // 3·2¹² − 1 states: a 2 MB dump, twice that as two DOT graphs.
+    // 3·2¹² − 1 states: a 2 MB dump, a little more as a DOT graph.
     let chain = format!("{}/text()", "//a[b]".repeat(12));
     let (doc, qfile) = (doc.to_str().unwrap(), qfile.to_str().unwrap());
     let modes: [&[&str]; 5] = [

@@ -12,7 +12,8 @@
 //!   into one group, on batches that compile to a keyed step, on
 //!   documents nested past the 64 levels a bitmap depth vector holds, and
 //!   on same-name nesting whose configurations move in long lock-step
-//!   runs;
+//!   runs, and on predicates no value can satisfy, which the builder
+//!   leaves out of the automaton;
 //! * the well-formedness PDA accepts every generated document's events.
 //!
 //! Every property runs [`CASES`] cases through `datagen::rng::cases`
@@ -903,12 +904,12 @@ fn assert_compiled_matches_analysis(queries: &[&str], dtd: Option<&Arc<Dtd>>) ->
         let solo = engine.compile_str(q).expect("compiles");
         // The artifact's one-bit verdict against the per-queue plan.
         assert_eq!(
-            analysis.pruned.buffered, analysis.plan.buffered,
+            analysis.hpdt.buffered, analysis.plan.buffered,
             "buffering of {q}"
         );
         assert_eq!(
             (solo.hpdt().states.len(), solo.hpdt().arc_count()),
-            (analysis.pruned.states.len(), analysis.pruned.arc_count()),
+            (analysis.hpdt.states.len(), analysis.hpdt.arc_count()),
             "solo automaton of {q}"
         );
         assert_eq!(solo.engine_label(), analysis.engine, "engine of {q}");
@@ -986,31 +987,56 @@ fn emission_is_prefix_stable() {
     });
 }
 
+/// A predicate that may never hold: a relational, `number()` or
+/// `string-length()` test against a word — a test no value passes, which
+/// the builder leaves out of the automaton — or its twin against a number.
+fn gen_dead_pred(rng: &mut StdRng) -> String {
+    let (tag, attr) = (pick(rng, &TAGS), pick(rng, &ATTRS));
+    let op = pick(rng, &["=", "!=", "<", "<=", ">", ">=", "%"]);
+    let rhs = if rng.gen_bool(0.6) {
+        format!("\"{}\"", pick(rng, &WORDS))
+    } else {
+        rng.gen_range(-2..3).to_string()
+    };
+    match rng.gen_range(0..6) {
+        0 => format!("[@{attr}{op}{rhs}]"),
+        1 => format!("[text(){op}{rhs}]"),
+        2 => format!("[{tag}{op}{rhs}]"),
+        3 => format!("[{tag}@{attr}{op}{rhs}]"),
+        4 => format!("[number(@{attr}){op}{rhs}]"),
+        _ => format!("[string-length(text()){op}{rhs}]"),
+    }
+}
+
+/// The query pool of [`gen_query`], with every predicate drawn from
+/// [`gen_dead_pred`].
+fn gen_dead_query(rng: &mut StdRng) -> String {
+    let steps: String = (0..rng.gen_range(1..4))
+        .map(|_| {
+            let mut step = gen_step(rng, true, false);
+            if rng.gen_bool(0.5) {
+                step.push_str(&gen_dead_pred(rng));
+            }
+            step
+        })
+        .collect();
+    steps + &gen_output(rng)
+}
+
 #[test]
-fn pruned_hpdt_results_equal_unpruned() {
-    // Dead-state pruning must be invisible: the raw builder output
-    // (which `XsqEngine::compile` never exposes anymore) and its pruned
-    // twin produce identical result streams on every document. The
-    // generated predicate pool includes relational comparisons against
-    // non-numeric words, so genuinely prunable automata appear
-    // regularly.
+fn unsatisfiable_predicates_match_the_dom_oracle() {
+    // The builder never makes an arc whose guard no value passes, and
+    // drops the states behind it: a query with such a predicate must
+    // still answer what the DOM answers, solo and down every index road,
+    // merged with its neighbours or not. Attribute values `1` become
+    // words, so `number(@x)` meets NaN on the stream too.
     cases(0..CASES, |rng| {
-        let (doc, query) = (gen_doc(rng), gen_query(rng));
-        let parsed = parse_query(&query).expect("generated queries parse");
-        let original = xsq::engine::build_hpdt(&parsed).expect("builds");
-        let (pruned, stats) = xsq::engine::prune(&original);
-        assert!(stats.states_after <= stats.states_before);
-        let run = |hpdt| {
-            let (mut runner, mut sink) = (Runner::new(hpdt), VecSink::new());
-            feed_all(&mut runner, &doc, &mut sink);
-            runner.finish(&mut sink);
-            sink.results
-        };
-        assert_eq!(
-            run(&original),
-            run(&pruned),
-            "pruning changed results on {query} over {doc}"
-        );
+        let docs = [gen_doc(rng), gen_doc(rng)].map(|d| d.replace("=\"1\"", "=\"lovely\""));
+        let queries: Vec<String> = (0..rng.gen_range(1..5))
+            .map(|_| gen_dead_query(rng))
+            .collect();
+        let refs: Vec<&str> = queries.iter().map(String::as_str).collect();
+        assert_the_four_roads_agree(&docs, &refs);
     });
 }
 
