@@ -104,8 +104,52 @@ fn corpus() -> Vec<(&'static str, Vec<String>)> {
             "closures under a shared prefix",
             batch(&["/feed//a/text()", "/feed//b/text()"]),
         ),
+        // One number spelled two ways (one key), the same digits as a
+        // string (another key), and a duplicate: a keyed step of two
+        // literals.
+        (
+            "number and string literals of one family",
+            batch(&[
+                "/dblp/article[year=1990]/title/text()",
+                "/dblp/article[year=1990.0]/title/text()",
+                "/dblp/article[year=\"1990\"]/title/text()",
+                "/dblp/article[year=1990]/title/text()",
+            ]),
+        ),
+        ("two interleaved families", interleaved_families()),
+        ("64 distinct first steps", distinct_first_steps()),
     ]);
     out
+}
+
+/// `[year=Y]` and `[author="N"]` siblings alternating under one parent;
+/// the members' subtrees diverge below the keyed step and merge again
+/// where their steps are equal.
+fn interleaved_families() -> Vec<String> {
+    let tails = [
+        "title/text()",
+        "journal/text()",
+        "title/@key",
+        "title/sub/text()",
+    ];
+    (0..8)
+        .map(|k| {
+            let tail = tails[k % tails.len()];
+            if k % 2 == 0 {
+                format!("/dblp/article[year={}]/{tail}", 1990 + k)
+            } else {
+                format!("/dblp/article[author=\"a{k}\"]/{tail}")
+            }
+        })
+        .collect()
+}
+
+/// 128 queries over 64 distinct first steps, two each, interleaved: 64
+/// groups in first-seen order.
+fn distinct_first_steps() -> Vec<String> {
+    (0..128)
+        .map(|k| format!("/g{}/c{}/text()", k % 64, k / 64))
+        .collect()
 }
 
 fn dumps() -> String {
