@@ -494,7 +494,8 @@ mod tests {
 
     fn bound(q: &str, dtd: Option<&Dtd>) -> BoundAnalysis {
         let query = parse_query(q).unwrap();
-        let hpdt = checked(build_hpdt(&query).unwrap()).unwrap();
+        let hpdt = build_hpdt(&query).unwrap();
+        checked(&hpdt).unwrap();
         analyze_bounds(&query, hpdt.buffered, dtd)
     }
 

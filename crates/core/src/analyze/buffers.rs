@@ -148,7 +148,7 @@ mod tests {
     fn a_keyed_queue_classifies_by_who_routes_into_it() {
         let plan = |batch: [&str; 2]| {
             let queries: Vec<_> = batch.iter().map(|q| parse_query(q).unwrap()).collect();
-            let h = crate::build::build_merged_hpdt(&queries).unwrap();
+            let h = crate::build::build_merged_hpdt(queries).unwrap();
             let keyed = h.keyed[0].bpdt;
             let p = analyze_buffers(&h);
             assert_eq!(p.buffered, h.buffered);

@@ -164,9 +164,8 @@ pub fn reject_malformed(diagnostics: &[Diagnostic]) -> Result<(), CompileError> 
 /// group's alike: verify the builder's invariants. The HPDT carries its
 /// own determinism proof (`deterministic`) and buffering verdict
 /// (`buffered`), which is what the runtime and the bound analysis read.
-pub(crate) fn checked(hpdt: Hpdt) -> Result<Hpdt, CompileError> {
-    reject_malformed(&verify(&hpdt))?;
-    Ok(hpdt)
+pub(crate) fn checked(hpdt: &Hpdt) -> Result<(), CompileError> {
+    reject_malformed(&verify(hpdt))
 }
 
 /// Determinism proof over compiled arcs: with no closure self-loop and no

@@ -483,7 +483,7 @@ fn check_tree_positions(hpdt: &Hpdt, ids: &[BpdtId], out: &mut Vec<Diagnostic>) 
         }
         // A right child exists iff the *parent's* step has an NA state.
         if id.layer >= 2 && !id.is_left_child() {
-            let parent_step = &hpdt.query.steps[id.layer as usize - 2];
+            let parent_step = &hpdt.merged[0].steps[id.layer as usize - 2];
             let has_na = !matches!(
                 classify(parent_step),
                 StepCategory::NoPredicate | StepCategory::AttrOfSelf
@@ -555,7 +555,7 @@ mod tests {
             .iter()
             .map(|q| parse_query(q).unwrap())
             .collect();
-        let h = crate::build::build_merged_hpdt(&queries).unwrap();
+        let h = crate::build::build_merged_hpdt(queries).unwrap();
         let diags = verify(&h);
         assert!(!has_errors(&diags), "{diags:?}");
     }

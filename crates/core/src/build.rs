@@ -13,6 +13,10 @@
 //! predicate-true transition flushes (all ancestor bits set) or uploads
 //! (to the nearest zero bit), and where produced values are routed.
 
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash};
+
 use xsq_xml::Sym;
 use xsq_xpath::classify::{classify, StepCategory};
 use xsq_xpath::{AggFunc, Axis, CmpOp, FnArg, NodeTest, Output, Predicate, Query, Step};
@@ -60,9 +64,6 @@ pub struct Hpdt {
     pub bpdt_count: usize,
     /// Number of location steps (for a merged HPDT: the longest path).
     pub layers: u16,
-    /// The query this HPDT answers (for a merged HPDT: the first member,
-    /// kept for display purposes).
-    pub query: Query,
     /// All queries this HPDT answers, in tag order: `merged[t]` is the
     /// query whose results carry tag `t`. A single-query HPDT has exactly
     /// one entry. Built by [`build_merged_hpdt`] for prefix-shared
@@ -104,7 +105,7 @@ impl Hpdt {
     /// (`buffered`, `deterministic`). Both builders end here, through
     /// `Builder::finish`, so no table can disagree with the arcs it was
     /// derived from.
-    /// `merged` is never empty; its first member is [`Self::query`].
+    /// `merged` is never empty; its first member names the HPDT in dumps.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn seal(
         states: Vec<StateInfo>,
@@ -129,7 +130,6 @@ impl Hpdt {
             arcs,
             queues,
             layers,
-            query: merged[0].clone(),
             merged,
             keyed,
             leaf_tags,
@@ -168,7 +168,7 @@ impl Hpdt {
         let _ = writeln!(
             s,
             "HPDT for {} — {} states, {} arcs, {} BPDTs{}",
-            self.query,
+            self.merged[0],
             self.states.len(),
             self.arc_count(),
             self.bpdt_count,
@@ -204,7 +204,9 @@ impl Hpdt {
 
 /// Build the HPDT for a parsed query.
 pub fn build_hpdt(query: &Query) -> Result<Hpdt, CompileError> {
-    Builder::default().build(query)
+    let mut b = Builder::default();
+    let (start, layers) = b.build(query)?;
+    Ok(b.finish(start, layers, vec![query.clone()]))
 }
 
 #[derive(Default)]
@@ -374,7 +376,9 @@ impl Builder {
         remap[start as usize]
     }
 
-    fn build(mut self, query: &Query) -> Result<Hpdt, CompileError> {
+    /// The arcs of `query`'s HPDT; returns its start state and layer
+    /// count.
+    fn build(&mut self, query: &Query) -> Result<(StateId, u16), CompileError> {
         let n = query.steps.len() as u16;
         debug_assert!(n > 0, "parser guarantees at least one step");
 
@@ -404,7 +408,7 @@ impl Builder {
             frontier = next;
         }
 
-        Ok(self.finish(start, n, vec![query.clone()]))
+        Ok((start, n))
     }
 
     /// The label of a step's entry arcs. Closure steps: `//` self-loop on
@@ -892,10 +896,59 @@ fn name_pat(test: &NodeTest) -> NamePat {
 
 // ---- prefix-shared multi-query construction (§5 remark) ---------------
 
+/// Items filed under a 64-bit hash of what their equality compares. A
+/// lookup walks the items filed under one hash and confirms each with
+/// that equality, so an item needs no `Eq` (a step may carry an `f64`),
+/// and since nothing ever iterates the map, no output order comes from
+/// it. Items are dense indices into the caller's own vector.
+#[derive(Default)]
+pub(crate) struct HashChains {
+    /// Randomly keyed, as the standard maps are: query texts come from
+    /// outside the program (a server's SUB), and crafted steps that
+    /// collide under a fixed hash would make every lookup a scan.
+    keys: RandomState,
+    /// Per hash: the item filed last under it.
+    head: HashMap<u64, usize>,
+    /// Per item: the item filed before it under the same hash.
+    next: Vec<Option<usize>>,
+}
+
+impl HashChains {
+    /// The hash `key` is filed under; `Hash` must agree with the
+    /// equality a lookup confirms with.
+    pub(crate) fn hash(&self, key: &impl Hash) -> u64 {
+        self.keys.hash_one(key)
+    }
+
+    /// The first item filed under `hash` that `same` confirms.
+    pub(crate) fn find(&self, hash: u64, mut same: impl FnMut(usize) -> bool) -> Option<usize> {
+        let mut item = self.head.get(&hash).copied();
+        while let Some(i) = item {
+            if same(i) {
+                return Some(i);
+            }
+            item = self.next[i];
+        }
+        None
+    }
+
+    /// File `item` under `hash`.
+    pub(crate) fn insert(&mut self, hash: u64, item: usize) {
+        if self.next.len() <= item {
+            self.next.resize(item + 1, None);
+        }
+        self.next[item] = self.head.insert(hash, item);
+    }
+}
+
 /// One node of the location-step trie: a step shared by every query whose
 /// path runs through this node.
-struct TrieNode {
-    step: Step,
+struct TrieNode<'q> {
+    /// Borrowed from the first query through this node; every other
+    /// query through it has an equal step.
+    step: &'q Step,
+    /// `None` for a root.
+    parent: Option<usize>,
     children: Vec<usize>,
     /// Queries whose last step this is, as `(tag, output)`. At or below a
     /// keyed node: the node's leaves instead, one per distinct value
@@ -907,19 +960,53 @@ struct TrieNode {
     keyed: Option<KeyTable>,
 }
 
-impl TrieNode {
-    fn new(step: Step) -> Self {
-        TrieNode {
+/// The location-step trie of a query group. Roots and every child list
+/// keep insertion order; a step finds its node through one hash lookup on
+/// `(parent, step)`, not a scan of the siblings.
+#[derive(Default)]
+struct Trie<'q> {
+    nodes: Vec<TrieNode<'q>>,
+    roots: Vec<usize>,
+    /// Every node made by [`Self::child`], filed by `(parent, step)`.
+    index: HashChains,
+}
+
+impl<'q> Trie<'q> {
+    /// A node for `step` under `parent`, not filed in the index.
+    fn push(&mut self, step: &'q Step, parent: Option<usize>) -> usize {
+        self.nodes.push(TrieNode {
             step,
+            parent,
             children: Vec::new(),
             leaf: Vec::new(),
             keyed: None,
+        });
+        self.nodes.len() - 1
+    }
+
+    /// The child of `parent` (a root for `None`) whose step equals
+    /// `step`, appended to the child list if there is none yet.
+    fn child(&mut self, parent: Option<usize>, step: &'q Step) -> usize {
+        let hash = self.index.hash(&(parent, step));
+        let nodes = &self.nodes;
+        let found = self
+            .index
+            .find(hash, |c| nodes[c].parent == parent && nodes[c].step == step);
+        if let Some(c) = found {
+            return c;
         }
+        let c = self.push(step, parent);
+        self.index.insert(hash, c);
+        match parent {
+            Some(p) => self.nodes[p].children.push(c),
+            None => self.roots.push(c),
+        }
+        c
     }
 }
 
 /// Where a keyable predicate reads the value it compares.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Witness<'a> {
     /// Category 2, `[text() = lit]`.
     SelfText,
@@ -955,18 +1042,18 @@ fn keyable(step: &Step) -> Option<(Witness<'_>, KeyVal<'_>)> {
 /// whichever side of an undecided ancestor reaches it. Steps below merge
 /// by equality, as they do everywhere in the trie.
 fn graft(
-    nodes: &mut Vec<TrieNode>,
+    trie: &mut Trie<'_>,
     leaf_tags: &mut Vec<Vec<(u32, u32)>>,
     into: usize,
     from: usize,
     key: u32,
 ) {
-    for (tag, output) in std::mem::take(&mut nodes[from].leaf) {
+    for (tag, output) in std::mem::take(&mut trie.nodes[from].leaf) {
         let source = match output {
             Output::Attr(_) | Output::Aggregate(AggFunc::Count) | Output::Element => output,
             Output::Text | Output::Aggregate(_) => Output::Text,
         };
-        let leaves = &mut nodes[into].leaf;
+        let leaves = &mut trie.nodes[into].leaf;
         let leaf = match leaves.iter().find(|(_, o)| *o == source) {
             Some((leaf, _)) => leaf & !LEAF_BIT,
             None => {
@@ -977,173 +1064,200 @@ fn graft(
         };
         leaf_tags[leaf as usize].push((key, tag));
     }
-    for child in std::mem::take(&mut nodes[from].children) {
-        let twin = nodes[into]
-            .children
-            .iter()
-            .copied()
-            .find(|&c| nodes[c].step == nodes[child].step);
-        let twin = twin.unwrap_or_else(|| {
-            nodes.push(TrieNode::new(nodes[child].step.clone()));
-            let new = nodes.len() - 1;
-            nodes[into].children.push(new);
-            new
-        });
-        graft(nodes, leaf_tags, twin, child, key);
+    for child in std::mem::take(&mut trie.nodes[from].children) {
+        let twin = trie.child(Some(into), trie.nodes[child].step);
+        graft(trie, leaf_tags, twin, child, key);
     }
+}
+
+/// The siblings of one family class — same witness, axis and node test —
+/// in sibling order, with their literals interned in that order.
+struct FamilyClass<'q> {
+    class: (Witness<'q>, Axis, &'q NodeTest),
+    members: Vec<(usize, u32)>,
+    table: KeyTable,
 }
 
 /// Among `siblings`, replace every family — same axis, node test and
 /// witness, ≥ 2 distinct `=` literals — by one keyed node holding the
-/// members' merged subtrees; then do the same below every node that stayed
-/// classic. Nothing below a keyed node is keyed again: a path has at most
-/// one keyed step, its first. A batch without a family is left as it was.
+/// members' merged subtrees, at its first member's place; then do the
+/// same below every node that stayed classic. One pass files each
+/// keyable sibling in its class, a second forms the families. Nothing
+/// below a keyed node is keyed again: a path has at most one keyed step,
+/// its first. A batch without a family is left as it was.
 fn key_families(
-    nodes: &mut Vec<TrieNode>,
+    trie: &mut Trie<'_>,
     leaf_tags: &mut Vec<Vec<(u32, u32)>>,
     siblings: &mut Vec<usize>,
 ) {
-    for i in 0.. {
-        let Some(&head) = siblings.get(i) else { break };
-        let first = &nodes[head].step;
-        let Some((witness, _)) = keyable(first) else {
+    let mut classes: Vec<FamilyClass<'_>> = Vec::new();
+    let mut class_of: Vec<Option<usize>> = vec![None; siblings.len()];
+    let mut index = HashChains::default();
+    for (pos, &s) in siblings.iter().enumerate() {
+        let step = trie.nodes[s].step;
+        let Some((witness, key)) = keyable(step) else {
             continue;
         };
-        let mut table = KeyTable::default();
-        let family: Vec<(usize, u32)> = siblings[i..]
-            .iter()
-            .filter_map(|&s| {
-                let step = &nodes[s].step;
-                let (w, key) = keyable(step)?;
-                (w == witness && step.axis == first.axis && step.test == first.test)
-                    .then(|| (s, table.intern(key)))
-            })
-            .collect();
-        if table.len() < 2 {
-            continue;
+        let of = (witness, step.axis, &step.test);
+        let hash = index.hash(&of);
+        let class = index.find(hash, |c| classes[c].class == of);
+        let class = class.unwrap_or_else(|| {
+            classes.push(FamilyClass {
+                class: of,
+                members: Vec::new(),
+                table: KeyTable::default(),
+            });
+            index.insert(hash, classes.len() - 1);
+            classes.len() - 1
+        });
+        let key = classes[class].table.intern(key);
+        classes[class].members.push((s, key));
+        class_of[pos] = Some(class);
+    }
+    let family: Vec<bool> = classes.iter().map(|c| c.table.len() >= 2).collect();
+    if family.contains(&true) {
+        let mut kept = Vec::with_capacity(siblings.len());
+        for (pos, &s) in siblings.iter().enumerate() {
+            let class = match class_of[pos] {
+                Some(c) if family[c] => &mut classes[c],
+                _ => {
+                    kept.push(s);
+                    continue;
+                }
+            };
+            if class.members[0].0 != s {
+                continue;
+            }
+            let node = trie.push(trie.nodes[s].step, trie.nodes[s].parent);
+            for &(member, key) in &class.members {
+                graft(trie, leaf_tags, node, member, key);
+            }
+            trie.nodes[node].keyed = Some(std::mem::take(&mut class.table));
+            kept.push(node);
         }
-        nodes.push(TrieNode::new(nodes[head].step.clone()));
-        let node = nodes.len() - 1;
-        for &(member, key) in &family {
-            graft(nodes, leaf_tags, node, member, key);
-        }
-        nodes[node].keyed = Some(table);
-        siblings[i] = node;
-        siblings.retain(|s| family.iter().all(|(member, _)| member != s));
+        *siblings = kept;
     }
     for &s in siblings.iter() {
-        if nodes[s].keyed.is_none() {
-            let mut children = std::mem::take(&mut nodes[s].children);
-            key_families(nodes, leaf_tags, &mut children);
-            nodes[s].children = children;
+        if trie.nodes[s].keyed.is_none() {
+            let mut children = std::mem::take(&mut trie.nodes[s].children);
+            key_families(trie, leaf_tags, &mut children);
+            trie.nodes[s].children = children;
         }
     }
 }
 
-/// Build one HPDT answering several queries at once. Queries whose
-/// location-step prefixes coincide (same axis, node test, and predicate)
-/// share a single BPDT chain up to the divergence point and fan out below
-/// it — the grouping the paper's §5 remark says the HPDT's "simple and
-/// regular structure" makes possible. Every emitted result carries the
-/// tag of its originating query (`merged[tag]`), so attribution survives
-/// the merge.
+/// Build one HPDT answering several queries at once, moving them into it.
+/// Queries whose location-step prefixes coincide (same axis, node test,
+/// and predicate) share a single BPDT chain up to the divergence point
+/// and fan out below it — the grouping the paper's §5 remark says the
+/// HPDT's "simple and regular structure" makes possible. Every emitted
+/// result carries the tag of its originating query (`merged[tag]`), so
+/// attribution survives the merge.
 ///
 /// Whole-element output is only supported for a singleton group: its
 /// catchall serialization machinery assumes the configuration's open
 /// item belongs to it alone, which sharing would violate.
-pub fn build_merged_hpdt(queries: &[Query]) -> Result<Hpdt, CompileError> {
-    if queries.is_empty() {
-        return Err(CompileError::Unsupported {
-            feature: "an empty query group".into(),
-            engine: "XSQ".into(),
-        });
-    }
-    if queries.len() > 1 && queries.iter().any(|q| q.output == Output::Element) {
-        return Err(CompileError::Unsupported {
-            feature: "element output inside a merged query group".into(),
-            engine: "XSQ".into(),
-        });
-    }
-
-    // Build the step trie. Two steps share a node iff they are equal
-    // (axis + node test + predicate), which keeps the shared chain's
-    // buffer semantics identical to each member's private chain.
-    let mut nodes: Vec<TrieNode> = Vec::new();
-    let mut roots: Vec<usize> = Vec::new();
-    for (i, q) in queries.iter().enumerate() {
-        let mut parent: Option<usize> = None;
-        for step in &q.steps {
-            let siblings = match parent {
-                Some(p) => nodes[p].children.clone(),
-                None => roots.clone(),
-            };
-            let found = siblings.iter().copied().find(|&c| nodes[c].step == *step);
-            let node = match found {
-                Some(c) => c,
-                None => {
-                    let c = nodes.len();
-                    nodes.push(TrieNode::new(step.clone()));
-                    match parent {
-                        Some(p) => nodes[p].children.push(c),
-                        None => roots.push(c),
-                    }
-                    c
-                }
-            };
-            parent = Some(node);
-        }
-        let leaf = parent.expect("parser guarantees at least one step");
-        nodes[leaf].leaf.push((i as u32, q.output.clone()));
-    }
-
-    // Expand the trie breadth-first, exactly like the single-query
-    // builder but with (a) fresh sequence numbers per layer — the binary
-    // id encoding cannot describe fan-out beyond two — and (b) the
-    // predicate context carried explicitly.
+pub fn build_merged_hpdt(queries: Vec<Query>) -> Result<Hpdt, CompileError> {
     let mut b = Builder::default();
-    key_families(&mut nodes, &mut b.leaf_tags, &mut roots);
-    for tags in &mut b.leaf_tags {
-        tags.sort_unstable();
-    }
-    let (start, root_true) = b.build_root()?;
+    let (start, layers) = b.build_merged(&queries)?;
+    Ok(b.finish(start, layers, queries))
+}
 
-    let mut layer: u16 = 1;
-    let mut layers: u16 = 0;
-    let mut frontier: Vec<(usize, PredCx, StateId)> = roots
-        .iter()
-        .map(|&r| (r, PredCx::ROOT, root_true))
-        .collect();
-    while !frontier.is_empty() {
-        layers = layer;
-        let mut next = Vec::new();
-        for (seq, (node_idx, cx, start_state)) in frontier.into_iter().enumerate() {
-            let own = b.register_queue(BpdtId::new(layer, seq as u64));
-            let node = &nodes[node_idx];
-            let (na, true_state) = match &node.keyed {
-                None => {
-                    let built = b.build_bpdt(&node.step, own, cx, start_state, &node.leaf)?;
-                    (built.na, Some(built.true_state))
-                }
-                Some(family) => {
-                    let step = &node.step;
-                    let na = b.build_keyed_bpdt(step, family, own, cx, start_state, &node.leaf)?;
-                    (Some(na), None)
-                }
-            };
-            for &child in &node.children {
-                if let Some(na) = na {
-                    next.push((child, cx.na_side(own), na));
-                }
-                if let Some(t) = true_state {
-                    next.push((child, cx.true_side(), t));
+/// Compile one planned group, moving its queries into the HPDT: a lone
+/// query on the single-query path, bit-identical to [`build_hpdt`],
+/// several through [`build_merged_hpdt`]'s trie. A failure hands the
+/// group back beside the error, for the planner to blame a member.
+pub(crate) fn build_group(queries: Vec<Query>) -> Result<Hpdt, (CompileError, Vec<Query>)> {
+    let mut b = Builder::default();
+    let built = match queries.as_slice() {
+        [query] => b.build(query),
+        _ => b.build_merged(&queries),
+    };
+    match built {
+        Ok((start, layers)) => Ok(b.finish(start, layers, queries)),
+        Err(e) => Err((e, queries)),
+    }
+}
+
+impl Builder {
+    /// The arcs of a merged HPDT over `queries`; returns its start state
+    /// and layer count.
+    fn build_merged(&mut self, queries: &[Query]) -> Result<(StateId, u16), CompileError> {
+        if queries.is_empty() {
+            return Err(CompileError::Unsupported {
+                feature: "an empty query group".into(),
+                engine: "XSQ".into(),
+            });
+        }
+        if queries.len() > 1 && queries.iter().any(|q| q.output == Output::Element) {
+            return Err(CompileError::Unsupported {
+                feature: "element output inside a merged query group".into(),
+                engine: "XSQ".into(),
+            });
+        }
+
+        // Build the step trie. Two steps share a node iff they are equal
+        // (axis + node test + predicate), which keeps the shared chain's
+        // buffer semantics identical to each member's private chain.
+        let mut trie = Trie::default();
+        for (i, q) in queries.iter().enumerate() {
+            let mut parent: Option<usize> = None;
+            for step in &q.steps {
+                parent = Some(trie.child(parent, step));
+            }
+            let leaf = parent.expect("parser guarantees at least one step");
+            trie.nodes[leaf].leaf.push((i as u32, q.output.clone()));
+        }
+
+        // Expand the trie breadth-first, exactly like the single-query
+        // builder but with (a) fresh sequence numbers per layer — the
+        // binary id encoding cannot describe fan-out beyond two — and (b)
+        // the predicate context carried explicitly.
+        let mut roots = std::mem::take(&mut trie.roots);
+        key_families(&mut trie, &mut self.leaf_tags, &mut roots);
+        for tags in &mut self.leaf_tags {
+            tags.sort_unstable();
+        }
+        let (start, root_true) = self.build_root()?;
+
+        let mut layer: u16 = 1;
+        let mut layers: u16 = 0;
+        let mut frontier: Vec<(usize, PredCx, StateId)> = roots
+            .iter()
+            .map(|&r| (r, PredCx::ROOT, root_true))
+            .collect();
+        while !frontier.is_empty() {
+            layers = layer;
+            let mut next = Vec::new();
+            for (seq, (node_idx, cx, start_state)) in frontier.into_iter().enumerate() {
+                let own = self.register_queue(BpdtId::new(layer, seq as u64));
+                let node = &trie.nodes[node_idx];
+                let (na, true_state) = match &node.keyed {
+                    None => {
+                        let built = self.build_bpdt(node.step, own, cx, start_state, &node.leaf)?;
+                        (built.na, Some(built.true_state))
+                    }
+                    Some(family) => {
+                        let step = node.step;
+                        let na =
+                            self.build_keyed_bpdt(step, family, own, cx, start_state, &node.leaf)?;
+                        (Some(na), None)
+                    }
+                };
+                for &child in &node.children {
+                    if let Some(na) = na {
+                        next.push((child, cx.na_side(own), na));
+                    }
+                    if let Some(t) = true_state {
+                        next.push((child, cx.true_side(), t));
+                    }
                 }
             }
+            frontier = next;
+            layer += 1;
         }
-        frontier = next;
-        layer += 1;
+        Ok((start, layers))
     }
-
-    Ok(b.finish(start, layers, queries.to_vec()))
 }
 
 /// A keyed step as dumps name it: `tag[child=?×N]`.
@@ -1382,7 +1496,7 @@ mod tests {
 
     fn merged(queries: &[String]) -> Hpdt {
         let parsed: Vec<_> = queries.iter().map(|q| parse_query(q).unwrap()).collect();
-        build_merged_hpdt(&parsed).unwrap()
+        build_merged_hpdt(parsed).unwrap()
     }
 
     #[test]

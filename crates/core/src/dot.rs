@@ -17,7 +17,7 @@ use crate::ids::BpdtId;
 
 /// Render the HPDT as a Graphviz `digraph`.
 pub fn to_dot(hpdt: &Hpdt) -> String {
-    to_dot_named(hpdt, "hpdt", &format!("HPDT for {}", hpdt.query))
+    to_dot_named(hpdt, "hpdt", &format!("HPDT for {}", hpdt.merged[0]))
 }
 
 /// Render with an explicit graph name and title — `xsq --queries FILE
@@ -155,7 +155,7 @@ mod tests {
             .iter()
             .map(|q| parse_query(q).unwrap())
             .collect();
-        let dot = to_dot(&crate::build::build_merged_hpdt(&queries).unwrap());
+        let dot = to_dot(&crate::build::build_merged_hpdt(queries).unwrap());
         assert!(dot.contains("label=\"bpdt(1,0) a[k=?×2]\""), "{dot}");
         assert!(dot.contains("{key.record}") && dot.contains("{key.resolve}"));
     }

@@ -77,8 +77,10 @@ impl XsqEngine {
     /// invariants (`analyze::checked`).
     pub fn compile(&self, query: &Query) -> Result<CompiledQuery, CompileError> {
         self.check(query)?;
+        let hpdt = build_hpdt(query)?;
+        crate::analyze::checked(&hpdt)?;
         Ok(CompiledQuery {
-            hpdt: crate::analyze::checked(build_hpdt(query)?)?,
+            hpdt,
             mode: self.mode,
         })
     }

@@ -70,7 +70,7 @@ impl QuerySet {
         Ok(QuerySet {
             engine,
             queries: queries.iter().map(|q| q.to_string()).collect(),
-            plan: plan_groups(&parsed)?,
+            plan: plan_groups(parsed)?,
         })
     }
 
@@ -214,6 +214,20 @@ mod tests {
         let err = QuerySet::compile(XsqEngine::full(), &batch).unwrap_err();
         assert_eq!(err.0, 2);
         assert!(err.1.to_string().contains("last()"), "{}", err.1);
+    }
+
+    #[test]
+    fn a_failing_member_of_a_keyed_family_is_reported_with_its_index() {
+        // Siblings that differ only in an `=` literal; the middle one is
+        // unsupported further down its path.
+        let batch = [
+            "/a[b=\"x\"]/c/text()",
+            "/a[b=\"y\"]/c[position()=2]/text()",
+            "/a[b=\"z\"]/c/text()",
+        ];
+        let err = QuerySet::compile(XsqEngine::full(), &batch).unwrap_err();
+        assert_eq!(err.0, 1);
+        assert!(err.1.to_string().contains("position()"), "{}", err.1);
     }
 
     #[test]

@@ -283,6 +283,15 @@ mod tests {
         let (i, e) = cache.checkout(XsqEngine::full(), &batch).unwrap_err();
         assert_eq!(i, 2);
         assert!(e.to_string().contains("position()"), "{e}");
+        // So is one inside a keyed family.
+        let batch = [
+            "/a[b=\"x\"]/c/text()",
+            "/a[b=\"y\"]/c[position()=2]/text()",
+            "/a[b=\"z\"]/c/text()",
+        ];
+        let (i, e) = cache.checkout(XsqEngine::full(), &batch).unwrap_err();
+        assert_eq!(i, 1);
+        assert!(e.to_string().contains("position()"), "{e}");
         assert_eq!(cache.stats().entries, 0);
     }
 

@@ -304,7 +304,7 @@ mod tests {
 
     fn merged(queries: &[String]) -> Hpdt {
         let parsed: Vec<_> = queries.iter().map(|q| parse_query(q).unwrap()).collect();
-        build_merged_hpdt(&parsed).unwrap()
+        build_merged_hpdt(parsed).unwrap()
     }
 
     /// The definition the table replaced, kept as its oracle: what one

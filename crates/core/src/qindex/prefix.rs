@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use xsq_xpath::{Output, Query};
 
-use crate::build::{build_hpdt, build_merged_hpdt, Hpdt};
+use crate::build::{build_group, build_hpdt, HashChains, Hpdt};
 use crate::error::CompileError;
 
 /// One compiled group: a (possibly merged) HPDT plus the indices of the
@@ -36,7 +36,8 @@ pub struct QueryGroup {
     pub members: Vec<usize>,
 }
 
-/// Partition `queries` into prefix-sharing groups and compile each.
+/// Partition `queries` into prefix-sharing groups and compile each,
+/// moving every query into its group's HPDT.
 ///
 /// Grouping is by the first location step's axis and node test — what
 /// the dispatch index can tell apart. Queries that disagree there wake
@@ -45,50 +46,49 @@ pub struct QueryGroup {
 /// their predicates say, so N subscriptions differing in a predicate
 /// constant are one group (one dispatch touch; one trie root per distinct
 /// predicate, except that roots differing only in an `=` literal are one
-/// keyed root) rather than N. Group order follows first appearance, and
+/// keyed root) rather than N. A query finds its group through one hash
+/// lookup on that pair. Group order follows first appearance, and
 /// members keep their input order inside a group, so result attribution
 /// is stable across runs. A failure names the offending query by its
 /// index in `queries`.
-pub fn plan_groups(queries: &[Query]) -> Result<Vec<QueryGroup>, (usize, CompileError)> {
-    // (representative of the first step, member indices) in first-seen
-    // order.
-    let mut buckets: Vec<(usize, Vec<usize>)> = Vec::new();
-    let mut singles: Vec<usize> = Vec::new();
-    for (i, q) in queries.iter().enumerate() {
+pub fn plan_groups(queries: Vec<Query>) -> Result<Vec<QueryGroup>, (usize, CompileError)> {
+    // (member indices, member queries) per group, in first-seen order;
+    // element-output queries after them, one per group.
+    let mut buckets: Vec<(Vec<usize>, Vec<Query>)> = Vec::new();
+    let mut singles: Vec<(Vec<usize>, Vec<Query>)> = Vec::new();
+    let mut index = HashChains::default();
+    for (i, q) in queries.into_iter().enumerate() {
         if q.output == Output::Element || q.is_empty() {
-            singles.push(i);
+            singles.push((vec![i], vec![q]));
             continue;
         }
         let first = &q.steps[0];
-        match buckets.iter_mut().find(|(rep, _)| {
-            let rep = &queries[*rep].steps[0];
+        let hash = index.hash(&(first.axis, &first.test));
+        let same = |b: usize| {
+            let rep = &buckets[b].1[0].steps[0];
             rep.axis == first.axis && rep.test == first.test
-        }) {
-            Some((_, members)) => members.push(i),
-            None => buckets.push((i, vec![i])),
-        }
+        };
+        let b = index.find(hash, same).unwrap_or_else(|| {
+            buckets.push((Vec::new(), Vec::new()));
+            index.insert(hash, buckets.len() - 1);
+            buckets.len() - 1
+        });
+        buckets[b].0.push(i);
+        buckets[b].1.push(q);
     }
 
     let mut groups = Vec::with_capacity(buckets.len() + singles.len());
-    for members in buckets
-        .into_iter()
-        .map(|(_, members)| members)
-        .chain(singles.into_iter().map(|i| vec![i]))
-    {
-        let built = if members.len() == 1 {
-            // A lone query compiles on the classic single-query path,
-            // bit-identical to what `XsqEngine::compile` produces.
-            build_hpdt(&queries[members[0]])
-        } else {
-            let group: Vec<Query> = members.iter().map(|&i| queries[i].clone()).collect();
-            build_merged_hpdt(&group)
-        };
-        match built.and_then(crate::analyze::checked) {
+    for (members, group) in buckets.into_iter().chain(singles) {
+        let built = build_group(group).and_then(|hpdt| match crate::analyze::checked(&hpdt) {
+            Ok(()) => Ok(hpdt),
+            Err(e) => Err((e, hpdt.merged)),
+        });
+        match built {
             Ok(hpdt) => groups.push(QueryGroup {
                 hpdt: Arc::new(hpdt),
                 members,
             }),
-            Err(e) => return Err(blame(queries, &members, e)),
+            Err((e, group)) => return Err(blame(&group, &members, e)),
         }
     }
     Ok(groups)
@@ -97,11 +97,13 @@ pub fn plan_groups(queries: &[Query]) -> Result<Vec<QueryGroup>, (usize, Compile
 /// Attribute a group's build failure to one member: the first that does
 /// not build alone, with its own error (an unsupported step names that
 /// query's step). A failure only the merge exhibits — the state ceiling
-/// — falls to the group's first member. Runs on the error path only.
-fn blame(queries: &[Query], members: &[usize], error: CompileError) -> (usize, CompileError) {
+/// — falls to the group's first member. `group[k]` is the query of
+/// `members[k]`. Runs on the error path only.
+fn blame(group: &[Query], members: &[usize], error: CompileError) -> (usize, CompileError) {
     members
         .iter()
-        .find_map(|&i| build_hpdt(&queries[i]).err().map(|e| (i, e)))
+        .zip(group)
+        .find_map(|(&i, q)| build_hpdt(q).err().map(|e| (i, e)))
         .unwrap_or((members[0], error))
 }
 
@@ -117,7 +119,7 @@ mod tests {
     #[test]
     fn shared_first_step_merges_into_one_group() {
         let qs = queries(&["/a/b/text()", "/a/c/text()", "/a/b/@id"]);
-        let groups = plan_groups(&qs).unwrap();
+        let groups = plan_groups(qs).unwrap();
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].members, [0, 1, 2]);
         assert_eq!(groups[0].hpdt.merged.len(), 3);
@@ -126,7 +128,7 @@ mod tests {
     #[test]
     fn distinct_first_steps_stay_separate() {
         let qs = queries(&["/a/b/text()", "/x/y/text()"]);
-        let groups = plan_groups(&qs).unwrap();
+        let groups = plan_groups(qs).unwrap();
         assert_eq!(groups.len(), 2);
         assert_eq!(groups[0].members, [0]);
         assert_eq!(groups[1].members, [1]);
@@ -137,12 +139,12 @@ mod tests {
         use crate::runtime::RunnerCore;
         use crate::sink::TaggedVecSink;
         let texts = ["/a[b]/c/text()", "/a/c/text()"];
-        let groups = plan_groups(&queries(&texts)).unwrap();
+        let groups = plan_groups(queries(&texts)).unwrap();
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].members, [0, 1]);
         // Same name, other axis: woken by other events, so another group.
         assert_eq!(
-            plan_groups(&queries(&["/a/c/text()", "//a/c/text()"]))
+            plan_groups(queries(&["/a/c/text()", "//a/c/text()"]))
                 .unwrap()
                 .len(),
             2
@@ -165,7 +167,7 @@ mod tests {
     #[test]
     fn element_output_queries_get_singleton_groups() {
         let qs = queries(&["/a/b", "/a/b/text()", "/a/c"]);
-        let groups = plan_groups(&qs).unwrap();
+        let groups = plan_groups(qs).unwrap();
         // text() query groups alone (nothing shares its category), the
         // two element queries each stand alone at the end.
         assert_eq!(groups.len(), 3);
@@ -179,17 +181,17 @@ mod tests {
         // Query 2 shares a first step with 0 and 1, so the failure
         // surfaces from the merged build; query 3 fails alone.
         let qs = queries(&["/a/b/text()", "/a/c/text()", "/a/b[position()=2]/text()"]);
-        let (i, e) = plan_groups(&qs).unwrap_err();
+        let (i, e) = plan_groups(qs).unwrap_err();
         assert_eq!(i, 2);
         assert!(e.to_string().contains("position()"), "{e}");
         let qs = queries(&["/a/b/text()", "/x/y/text()", "/z/preceding-sibling::w"]);
-        assert_eq!(plan_groups(&qs).unwrap_err().0, 2);
+        assert_eq!(plan_groups(qs).unwrap_err().0, 2);
     }
 
     #[test]
     fn lone_member_compiles_on_the_single_query_path() {
         let qs = queries(&["/a/b/text()"]);
-        let groups = plan_groups(&qs).unwrap();
+        let groups = plan_groups(qs.clone()).unwrap();
         let direct = build_hpdt(&qs[0]).unwrap();
         assert_eq!(groups[0].hpdt.states.len(), direct.states.len());
         assert_eq!(groups[0].hpdt.bpdt_count, direct.bpdt_count);

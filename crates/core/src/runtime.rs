@@ -1358,7 +1358,7 @@ pub(crate) mod tests {
             .iter()
             .map(|q| parse_query(q).unwrap())
             .collect();
-        let hpdt = build_merged_hpdt(&queries).unwrap();
+        let hpdt = build_merged_hpdt(queries).unwrap();
         let mut core = RunnerCore::new(&hpdt);
         let mut sink = crate::sink::TaggedVecSink::new();
         let doc = br#"<a><b id="7">x</b><c>y</c></a>"#;

@@ -160,7 +160,7 @@ mod tests {
             .iter()
             .map(|q| parse_query(q).unwrap())
             .collect();
-        let hpdt = crate::build::build_merged_hpdt(&queries).unwrap();
+        let hpdt = crate::build::build_merged_hpdt(queries).unwrap();
         let mut core = RunnerCore::new(&hpdt);
         let mut sink = crate::sink::TaggedVecSink::new();
         let mut steps: Vec<TraceStep> = Vec::new();

@@ -119,7 +119,7 @@ fn merged_set_with_tombstones_builds_smaller_and_answers_identically() {
     ];
     let merged = |texts: [String; 4]| {
         let queries: Vec<_> = texts.iter().map(|q| parse_query(q).unwrap()).collect();
-        build_merged_hpdt(&queries).unwrap()
+        build_merged_hpdt(queries).unwrap()
     };
     let tombstoned = merged(texts.map(String::from));
     let live = merged(texts.map(|q| q.replace("bogus", "7")));

@@ -7,6 +7,7 @@
 //! one-to-one, since each category instantiates a different BPDT template.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::value::XPathValue;
 
@@ -16,7 +17,7 @@ use crate::value::XPathValue;
 /// parse (so diagnostics can point at them by span) but no streaming
 /// engine evaluates them — `classify::streamability` rejects them with a
 /// clear message instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Axis {
     /// `/tag` — child axis.
     Child,
@@ -50,7 +51,7 @@ impl Axis {
 }
 
 /// The node test of a location step.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum NodeTest {
     /// A tag name.
     Name(String),
@@ -71,7 +72,7 @@ impl NodeTest {
 /// Comparison operators (`OP` in Fig. 3). `Contains` is spelled `%` in the
 /// paper's example queries (e.g. `SPEECH[LINE%love]`) and also accepted as
 /// the word `contains`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     Lt,
     Le,
@@ -98,7 +99,7 @@ impl fmt::Display for CmpOp {
 }
 
 /// `OP constant` — the right-hand side of a predicate test.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Comparison {
     pub op: CmpOp,
     pub rhs: XPathValue,
@@ -131,7 +132,7 @@ impl fmt::Display for Comparison {
 /// The argument of a streaming-safe string/number function: `X` in
 /// `contains(X, v)`. Only values already visible at the element — its own
 /// text runs or an attribute — keep the function evaluable in one pass.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum FnArg {
     /// `text()` — the element's own text content.
     Text,
@@ -152,7 +153,7 @@ impl fmt::Display for FnArg {
 /// one string drawn from the stream (the [`FnArg`]) and decides a boolean
 /// with no lookahead, so the BPDT timing of categories 1 and 2 carries
 /// over unchanged.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum FnTest {
     /// `contains(X, v)`.
     Contains(XPathValue),
@@ -205,7 +206,7 @@ impl FnTest {
 }
 
 /// A predicate, one of the five categories of §3.2.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Predicate {
     /// Category 1: `[@attr]` / `[@attr op v]` — decided at the begin event
     /// of the element itself.
@@ -319,6 +320,17 @@ pub struct Step {
 impl PartialEq for Step {
     fn eq(&self, other: &Self) -> bool {
         self.axis == other.axis && self.test == other.test && self.predicate == other.predicate
+    }
+}
+
+/// Hashes what [`PartialEq`] compares and nothing else, so equal steps
+/// hash equal whatever their spans: the planner files trie nodes by this
+/// hash and confirms a hit with `==`.
+impl Hash for Step {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.axis.hash(state);
+        self.test.hash(state);
+        self.predicate.hash(state);
     }
 }
 

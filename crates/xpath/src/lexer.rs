@@ -2,16 +2,18 @@
 
 use crate::error::{ParseError, ParseResult};
 
-/// A lexical token with its character offset.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
-    pub kind: TokenKind,
+/// A lexical token with its byte offset. Names and literals are lent
+/// from the query text: a token is a few words, copied for free, and the
+/// parser allocates each string once, where it builds the AST.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Token<'a> {
+    pub kind: TokenKind<'a>,
     pub position: usize,
 }
 
 /// Token kinds.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TokenKind<'a> {
     /// `/`
     Slash,
     /// `//`
@@ -31,18 +33,18 @@ pub enum TokenKind {
     /// `,` — separates function arguments (`contains(text(),"x")`).
     Comma,
     /// A name: tag, attribute, or function identifier.
-    Name(String),
+    Name(&'a str),
     /// A numeric literal; the raw spelling is preserved.
-    Number { value: f64, raw: String },
+    Number { value: f64, raw: &'a str },
     /// A quoted string literal (quotes removed).
-    Str(String),
+    Str(&'a str),
     /// A comparison operator. `%` and the word `contains` both lex to
     /// `Op("%")` at the parser level via [`crate::ast::CmpOp::Contains`].
     Op(crate::ast::CmpOp),
 }
 
 /// Tokenize a query string.
-pub fn tokenize(input: &str) -> ParseResult<Vec<Token>> {
+pub fn tokenize(input: &str) -> ParseResult<Vec<Token<'_>>> {
     let bytes = input.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0;
@@ -139,7 +141,7 @@ pub fn tokenize(input: &str) -> ParseResult<Vec<Token>> {
                 if i >= bytes.len() {
                     return Err(ParseError::new(start, "unterminated string literal"));
                 }
-                let s = input[lit_start..i].to_string();
+                let s = &input[lit_start..i];
                 i += 1;
                 TokenKind::Str(s)
             }
@@ -158,7 +160,7 @@ pub fn tokenize(input: &str) -> ParseResult<Vec<Token>> {
                 while i < bytes.len() && is_name_byte(bytes[i]) {
                     i += 1;
                 }
-                TokenKind::Name(input[start..i].to_string())
+                TokenKind::Name(&input[start..i])
             }
             _ => {
                 return Err(ParseError::new(
@@ -183,7 +185,12 @@ pub fn tokenize(input: &str) -> ParseResult<Vec<Token>> {
 /// already consumed, and `start` covers it so `raw` keeps the spelling.
 /// A second `.` gets a positioned error instead of being swallowed into
 /// a string `f64::parse` can only reject generically.
-fn lex_number(input: &str, bytes: &[u8], i: &mut usize, start: usize) -> ParseResult<TokenKind> {
+fn lex_number<'a>(
+    input: &'a str,
+    bytes: &[u8],
+    i: &mut usize,
+    start: usize,
+) -> ParseResult<TokenKind<'a>> {
     let mut seen_dot = false;
     while let Some(&b) = bytes.get(*i) {
         match b {
@@ -205,18 +212,20 @@ fn lex_number(input: &str, bytes: &[u8], i: &mut usize, start: usize) -> ParseRe
     let value = raw
         .parse::<f64>()
         .map_err(|_| ParseError::new(start, format!("bad number '{raw}'")))?;
-    Ok(TokenKind::Number {
-        value,
-        raw: raw.to_string(),
-    })
+    Ok(TokenKind::Number { value, raw })
 }
 
-fn is_name_start(b: u8) -> bool {
-    b.is_ascii_alphabetic() || b == b'_'
+/// The one name rule of the query and rule languages: can `b` start a
+/// name? XML 1.0 names and XPath 1.0 NCNames admit non-ASCII letters, so
+/// every byte of a multi-byte character counts; the input is a `&str`,
+/// so a name never ends inside a character.
+pub(crate) fn is_name_start(b: u8) -> bool {
+    b.is_ascii_alphabetic() || b == b'_' || b >= 0x80
 }
 
-fn is_name_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b':')
+/// Can `b` continue a name? See [`is_name_start`].
+pub(crate) fn is_name_byte(b: u8) -> bool {
+    is_name_start(b) || b.is_ascii_digit() || matches!(b, b'-' | b'.' | b':')
 }
 
 #[cfg(test)]
@@ -224,7 +233,7 @@ mod tests {
     use super::*;
     use crate::ast::CmpOp;
 
-    fn kinds(q: &str) -> Vec<TokenKind> {
+    fn kinds(q: &str) -> Vec<TokenKind<'_>> {
         tokenize(q).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -232,9 +241,9 @@ mod tests {
     fn lexes_a_full_query() {
         let ks = kinds("//pub[year>2000]//book[author]//name/text()");
         assert_eq!(ks[0], TokenKind::DoubleSlash);
-        assert_eq!(ks[1], TokenKind::Name("pub".into()));
+        assert_eq!(ks[1], TokenKind::Name("pub"));
         assert_eq!(ks[2], TokenKind::LBracket);
-        assert_eq!(ks[3], TokenKind::Name("year".into()));
+        assert_eq!(ks[3], TokenKind::Name("year"));
         assert_eq!(ks[4], TokenKind::Op(CmpOp::Gt));
         assert!(matches!(&ks[5], TokenKind::Number { value, .. } if *value == 2000.0));
         assert_eq!(*ks.last().unwrap(), TokenKind::RParen);
@@ -261,7 +270,7 @@ mod tests {
     #[test]
     fn number_keeps_raw_spelling() {
         let ks = kinds("10.00");
-        assert!(matches!(&ks[0], TokenKind::Number { raw, .. } if raw == "10.00"));
+        assert!(matches!(&ks[0], TokenKind::Number { raw, .. } if *raw == "10.00"));
     }
 
     #[test]
@@ -272,33 +281,42 @@ mod tests {
 
     #[test]
     fn string_literals_both_quote_styles() {
-        assert_eq!(kinds("'abc'")[0], TokenKind::Str("abc".into()));
-        assert_eq!(kinds("\"a b\"")[0], TokenKind::Str("a b".into()));
+        assert_eq!(kinds("'abc'")[0], TokenKind::Str("abc"));
+        assert_eq!(kinds("\"a b\"")[0], TokenKind::Str("a b"));
     }
 
     #[test]
     fn names_allow_xml_chars() {
         assert_eq!(
             kinds("ns:tag-name_1.x")[0],
-            TokenKind::Name("ns:tag-name_1.x".into())
+            TokenKind::Name("ns:tag-name_1.x")
         );
+    }
+
+    #[test]
+    fn names_allow_non_ascii_letters() {
+        assert_eq!(kinds("café")[0], TokenKind::Name("café"));
+        assert_eq!(kinds("été-2")[0], TokenKind::Name("été-2"));
+        assert_eq!(kinds("/r/名前")[3], TokenKind::Name("名前"));
+        let ks = kinds("/a[b=\"é\"]");
+        assert_eq!(ks[5], TokenKind::Str("é"));
     }
 
     #[test]
     fn leading_dot_numbers_lex() {
         assert!(
-            matches!(&kinds(".5")[0], TokenKind::Number { value, raw } if *value == 0.5 && raw == ".5")
+            matches!(&kinds(".5")[0], TokenKind::Number { value, raw } if *value == 0.5 && *raw == ".5")
         );
         assert!(matches!(&kinds("[x=.25]")[3], TokenKind::Number { value, .. } if *value == 0.25));
         assert!(
-            matches!(&kinds("[x=-.5]")[3], TokenKind::Number { value, raw } if *value == -0.5 && raw == "-.5")
+            matches!(&kinds("[x=-.5]")[3], TokenKind::Number { value, raw } if *value == -0.5 && *raw == "-.5")
         );
     }
 
     #[test]
     fn trailing_dot_number_lexes() {
         assert!(
-            matches!(&kinds("1.")[0], TokenKind::Number { value, raw } if *value == 1.0 && raw == "1.")
+            matches!(&kinds("1.")[0], TokenKind::Number { value, raw } if *value == 1.0 && *raw == "1.")
         );
     }
 

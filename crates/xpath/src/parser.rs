@@ -32,23 +32,26 @@ pub fn parse_query(input: &str) -> ParseResult<Query> {
     p.query()
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+/// The token cursor. Tokens lend their names and literals from the
+/// query text, so handing one over copies a few words; each string is
+/// allocated once, in the AST node that keeps it.
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
     input_len: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&TokenKind> {
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<&TokenKind<'a>> {
         self.tokens.get(self.pos).map(|t| &t.kind)
     }
 
-    fn peek2(&self) -> Option<&TokenKind> {
+    fn peek2(&self) -> Option<&TokenKind<'a>> {
         self.tokens.get(self.pos + 1).map(|t| &t.kind)
     }
 
-    fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
+    fn next(&mut self) -> Option<Token<'a>> {
+        let t = self.tokens.get(self.pos).copied();
         if t.is_some() {
             self.pos += 1;
         }
@@ -66,7 +69,7 @@ impl Parser {
         ParseError::new(self.here(), msg)
     }
 
-    fn expect(&mut self, kind: &TokenKind, what: &str) -> ParseResult<()> {
+    fn expect(&mut self, kind: &TokenKind<'a>, what: &str) -> ParseResult<()> {
         match self.next() {
             Some(t) if t.kind == *kind => Ok(()),
             Some(t) => Err(ParseError::new(t.position, format!("expected {what}"))),
@@ -100,7 +103,7 @@ impl Parser {
                     }
                     self.next();
                     let name = self.name("attribute name")?;
-                    output = Output::Attr(name);
+                    output = Output::Attr(name.to_string());
                     self.end_of_query()?;
                     break;
                 }
@@ -166,7 +169,7 @@ impl Parser {
                         };
                         (resolved, test)
                     } else {
-                        (axis, NodeTest::Name(name))
+                        (axis, NodeTest::Name(name.to_string()))
                     };
                     let predicate = self.maybe_predicate()?;
                     steps.push(Step {
@@ -198,7 +201,7 @@ impl Parser {
         Ok(())
     }
 
-    fn name(&mut self, what: &str) -> ParseResult<String> {
+    fn name(&mut self, what: &str) -> ParseResult<&'a str> {
         match self.next() {
             Some(Token {
                 kind: TokenKind::Name(n),
@@ -226,11 +229,11 @@ impl Parser {
         match self.peek() {
             Some(TokenKind::At) => {
                 self.next();
-                let name = self.name("attribute name")?;
+                let name = self.name("attribute name")?.to_string();
                 let cmp = self.maybe_comparison()?;
                 Ok(Predicate::Attr { name, cmp })
             }
-            Some(TokenKind::Name(n)) if n == "text" && self.peek2() == Some(&TokenKind::LParen) => {
+            Some(TokenKind::Name("text")) if self.peek2() == Some(&TokenKind::LParen) => {
                 self.next();
                 self.expect(&TokenKind::LParen, "'('")?;
                 self.expect(&TokenKind::RParen, "')'")?;
@@ -250,11 +253,11 @@ impl Parser {
                 self.predicate_function()
             }
             Some(TokenKind::Name(_)) => {
-                let child = self.name("child tag")?;
+                let child = self.name("child tag")?.to_string();
                 match self.peek() {
                     Some(TokenKind::At) => {
                         self.next();
-                        let attr = self.name("attribute name")?;
+                        let attr = self.name("attribute name")?.to_string();
                         let cmp = self.maybe_comparison()?;
                         Ok(Predicate::ChildAttr { child, attr, cmp })
                     }
@@ -276,7 +279,7 @@ impl Parser {
     fn predicate_function(&mut self) -> ParseResult<Predicate> {
         let name = self.name("function name")?;
         self.expect(&TokenKind::LParen, "'('")?;
-        match name.as_str() {
+        match name {
             "position" => {
                 self.expect(&TokenKind::RParen, "')'")?;
                 self.position_comparison()
@@ -336,7 +339,7 @@ impl Parser {
                     cmp: Comparison { op, rhs },
                 })
             }
-            Some(TokenKind::Name(n)) if n == "last" && self.peek2() == Some(&TokenKind::LParen) => {
+            Some(TokenKind::Name("last")) if self.peek2() == Some(&TokenKind::LParen) => {
                 self.next();
                 self.expect(&TokenKind::LParen, "'('")?;
                 self.expect(&TokenKind::RParen, "')'")?;
@@ -355,9 +358,9 @@ impl Parser {
         match self.peek() {
             Some(TokenKind::At) => {
                 self.next();
-                Ok(FnArg::Attr(self.name("attribute name")?))
+                Ok(FnArg::Attr(self.name("attribute name")?.to_string()))
             }
-            Some(TokenKind::Name(n)) if n == "text" && self.peek2() == Some(&TokenKind::LParen) => {
+            Some(TokenKind::Name("text")) if self.peek2() == Some(&TokenKind::LParen) => {
                 self.next();
                 self.expect(&TokenKind::LParen, "'('")?;
                 self.expect(&TokenKind::RParen, "')'")?;
@@ -377,11 +380,11 @@ impl Parser {
             Some(Token {
                 kind: TokenKind::Str(s),
                 ..
-            }) => Ok(XPathValue::Text(s)),
+            }) => Ok(XPathValue::text(s)),
             Some(Token {
                 kind: TokenKind::Name(n),
                 ..
-            }) => Ok(XPathValue::Text(n)),
+            }) => Ok(XPathValue::text(n)),
             Some(t) => Err(ParseError::new(t.position, "expected a constant")),
             None => Err(ParseError::new(self.input_len, "expected a constant")),
         }
@@ -394,7 +397,7 @@ impl Parser {
                 self.next();
                 op
             }
-            Some(TokenKind::Name(n)) if n == "contains" => {
+            Some(TokenKind::Name("contains")) => {
                 self.next();
                 CmpOp::Contains
             }

@@ -26,6 +26,7 @@ use std::fmt;
 
 use crate::ast::{Output, Query};
 use crate::classify::{streamability, IssueKind};
+use crate::lexer::{is_name_byte, is_name_start};
 use crate::parser::parse_query;
 
 /// The shape action of a rule: what becomes of the matched element.
@@ -325,14 +326,11 @@ fn unquote(s: &str) -> Option<String> {
     }
 }
 
-/// Validate an XML name used in `rename`/`wrap`/attribute operations.
+/// Validate an XML name used in `rename`/`wrap`/attribute operations:
+/// the query lexer's name rule, less the `::` of an explicit axis.
 fn check_name(name: &str, line: usize, col: usize) -> Result<(), RuleError> {
-    let bytes = name.as_bytes();
-    let ok = !bytes.is_empty()
-        && (bytes[0].is_ascii_alphabetic() || bytes[0] == b'_')
-        && bytes
-            .iter()
-            .all(|&b| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b':'))
+    let ok = name.bytes().next().is_some_and(is_name_start)
+        && name.bytes().all(is_name_byte)
         && !name.contains("::");
     if ok {
         Ok(())
@@ -429,10 +427,21 @@ mod tests {
     #[test]
     fn non_ascii_text_is_an_error_or_data_never_a_panic() {
         // The arrow search used to slice the line at every byte offset
-        // and panicked inside the two-byte `é`.
-        let e = RuleSet::parse("//café => drop").unwrap_err();
-        assert_eq!((e.line, e.col), (1, 6), "{e}");
-        assert!(e.message.contains("unexpected character 'é'"), "{e}");
+        // and panicked inside the two-byte `é`. Names may be non-ASCII,
+        // in patterns and actions alike (XML 1.0 names).
+        let rs = RuleSet::parse("//café => rename(été) +@ñ=\"1\" -@ü").unwrap();
+        assert_eq!(rs.rules[0].action.shape, Shape::Rename("été".into()));
+        assert_eq!(
+            rs.rules[0].action.attr_ops,
+            vec![
+                AttrOp::Set("ñ".into(), "1".into()),
+                AttrOp::Remove("ü".into())
+            ]
+        );
+        // An error after a wide character points at its byte column.
+        let e = RuleSet::parse("//café ☕ => drop").unwrap_err();
+        assert_eq!((e.line, e.col), (1, 9), "{e}");
+        assert!(RuleSet::parse("//a => rename(1é)").is_err());
 
         // Where the language takes free text, non-ASCII is just text.
         let rs = RuleSet::parse(

@@ -13,6 +13,7 @@
 //!   *both* sides to numbers (XPath 1.0 relational operators are numeric).
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::ast::CmpOp;
 
@@ -61,6 +62,19 @@ impl XPathValue {
         match self {
             XPathValue::Number { raw, .. } => raw,
             XPathValue::Text(s) => s,
+        }
+    }
+}
+
+/// Agrees with the derived `PartialEq`, which compares a number's `value`
+/// and `raw`: equal numbers have equal spellings, so a number hashes by
+/// its spelling and no `f64` is hashed.
+impl Hash for XPathValue {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            XPathValue::Number { raw, .. } => raw.hash(state),
+            XPathValue::Text(s) => s.hash(state),
         }
     }
 }

@@ -218,6 +218,81 @@ fn query_files_fail_alike_in_every_batch_mode() {
     }
 }
 
+/// A member that fails inside a keyed family — its siblings differ only
+/// in the `=` literal — is blamed by its own line, not by the family's
+/// first member.
+#[test]
+fn a_failing_member_of_a_keyed_family_is_blamed_by_its_line() {
+    let dir = std::env::temp_dir().join("xsq_cli_keyed_blame_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (qfile, doc) = (dir.join("q.txt"), dir.join("d.xml"));
+    std::fs::write(
+        &qfile,
+        "/a[b=\"x\"]/c/text()\n/a[b=\"y\"]/c[position()=2]/text()\n/a[b=\"z\"]/c/text()\n",
+    )
+    .unwrap();
+    std::fs::write(&doc, "<a><b>x</b><c>1</c></a>").unwrap();
+    let out = xsq()
+        .arg("--queries")
+        .arg(&qfile)
+        .arg(&doc)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(4), "{stderr}");
+    assert!(
+        stderr.contains("query 2 (/a[b=\"y\"]/c[position()=2]/text())"),
+        "{stderr}"
+    );
+}
+
+/// XML 1.0 names admit non-ASCII letters, and so do queries: the stream
+/// engine selects what the DOM engine selects, a batch with a family of
+/// non-ASCII literals equals its solo runs, and a rule renames into a
+/// non-ASCII name.
+#[test]
+fn non_ascii_names_select_what_the_dom_engine_selects() {
+    let doc = "<r><café>x</café><été a=\"1\">y</été><auteur>é</auteur></r>";
+    for q in ["/r/café/text()", "/r/été/@a", "/r[été]/café/text()"] {
+        let (stream, stderr, ok) = run_with_stdin(&[q], doc);
+        assert!(ok, "{q}: {stderr}");
+        let (dom, stderr, ok) = run_with_stdin(&["--engine", "saxon", q], doc);
+        assert!(ok, "{q}: {stderr}");
+        assert_eq!(stream, dom, "{q}");
+        assert!(!stream.is_empty(), "{q} selects nothing");
+    }
+
+    let dir = std::env::temp_dir().join("xsq_cli_non_ascii_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (qfile, rules) = (dir.join("q.txt"), dir.join("r.xfm"));
+    let family = [
+        "/r[auteur=\"é\"]/café/text()",
+        "/r[auteur=\"è\"]/café/text()",
+    ];
+    std::fs::write(&qfile, family.join("\n")).unwrap();
+    let (dump, stderr, ok) = run_with_stdin(&["--queries", qfile.to_str().unwrap(), "--dump"], "");
+    assert!(ok, "{stderr}");
+    assert!(dump.contains("keyed bpdt(1,0): r[auteur=?×2]"), "{dump}");
+    let (batch, stderr, ok) = run_with_stdin(&["--queries", qfile.to_str().unwrap()], doc);
+    assert!(ok, "{stderr}");
+    let mut solo = String::new();
+    for (i, q) in family.iter().enumerate() {
+        let (out, stderr, ok) = run_with_stdin(&[q], doc);
+        assert!(ok, "{q}: {stderr}");
+        for line in out.lines() {
+            solo.push_str(&format!("{i}\t{line}\n"));
+        }
+    }
+    assert_eq!(batch, solo);
+    assert_eq!(batch, "0\tx\n");
+
+    std::fs::write(&rules, "//café => rename(été)\n").unwrap();
+    let (out, stderr, ok) =
+        run_with_stdin(&["transform", "--verify", rules.to_str().unwrap()], doc);
+    assert!(ok, "{stderr}");
+    assert!(out.contains("<été>x</été>"), "{out}");
+}
+
 /// `--queries --stats` says what a dispatch walk costs beside what it
 /// touched: three groups filed under thirteen named buckets, their few
 /// states all in one word of the live bits, so one entry a bucket.
@@ -245,19 +320,20 @@ fn multi_query_stats_report_the_dispatch_table_shape() {
     );
 }
 
-/// A rules file is bytes from outside: a character the pattern language
-/// has no use for is a positioned compile error (exit 4) — it used to
-/// abort the process (exit 101) — and is plain data inside a quoted
+/// A rules file is bytes from outside: a misplaced token after a wide
+/// character is a compile error at its byte column (exit 4) — a wide
+/// character used to abort the process (exit 101) — and non-ASCII is a
+/// name like any other (XML 1.0 names) and plain data inside a quoted
 /// value or a comment.
 #[test]
 fn transform_rules_with_non_ascii_text_are_diagnosed_not_fatal() {
     let dir = std::env::temp_dir().join("xsq_cli_xfm_test");
     std::fs::create_dir_all(&dir).unwrap();
     let (bad, good, doc) = (dir.join("bad.xfm"), dir.join("good.xfm"), dir.join("d.xml"));
-    std::fs::write(&bad, "//café => drop\n").unwrap();
+    std::fs::write(&bad, "//café ☕ => drop\n").unwrap();
     std::fs::write(
         &good,
-        "# règle ☕\n//name => rename(nom) +@lang=\"français\"\n",
+        "# règle ☕\n//name => rename(nom) +@lang=\"français\"\n//café => drop\n",
     )
     .unwrap();
     std::fs::write(&doc, DOC).unwrap();
@@ -277,7 +353,7 @@ fn transform_rules_with_non_ascii_text_are_diagnosed_not_fatal() {
     let (code, _, stderr) = run(&bad);
     assert_eq!(code, Some(4), "{stderr}");
     assert!(
-        stderr.contains("line 1, column 6: unexpected character 'é'"),
+        stderr.contains("line 1, column 9: expected '/' or '//'"),
         "{stderr}"
     );
     let (code, stdout, stderr) = run(&good);

@@ -282,7 +282,7 @@ fn dispatch_touches_a_fraction_of_what_a_runner_loop_would() {
                     .iter()
                     .map(|q| xsq::xpath::parse_query(q).expect("queries parse"))
                     .collect();
-                let hpdt = xsq::engine::build::build_merged_hpdt(&parsed).expect("set merges");
+                let hpdt = xsq::engine::build::build_merged_hpdt(parsed).expect("set merges");
                 hpdt.states.len()
             };
             let live: Vec<String> = queries.iter().map(|q| q.replace("none", "5")).collect();
