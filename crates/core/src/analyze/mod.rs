@@ -307,8 +307,6 @@ pub struct Analysis {
     pub plan: BufferPlan,
     /// Static memory bound from the schema (or the no-schema verdict).
     pub bound: BoundAnalysis,
-    /// True when the transducer has no closure arc (`Hpdt::deterministic`).
-    pub proven_deterministic: bool,
     /// The engine the `XsqEngine::full` entry point would actually run.
     pub engine: &'static str,
 }
@@ -334,10 +332,9 @@ pub fn analyze_with_dtd(
     if let Some(dtd) = dtd {
         diagnostics.extend(lint_schema(query, dtd));
     }
-    let proven_deterministic = hpdt.deterministic;
     let plan = analyze_buffers(&hpdt);
     let bound = analyze_bounds(query, hpdt.buffered, dtd);
-    let engine = if proven_deterministic {
+    let engine = if hpdt.deterministic {
         "XSQ-NC (auto)"
     } else {
         "XSQ-F"
@@ -348,7 +345,6 @@ pub fn analyze_with_dtd(
         hpdt,
         plan,
         bound,
-        proven_deterministic,
         engine,
     })
 }
@@ -494,12 +490,12 @@ mod tests {
     fn closure_free_queries_are_proven_deterministic() {
         let q = parse_query("/pub[year=2002]/book[price<11]/author/text()").unwrap();
         let a = analyze(&q).unwrap();
-        assert!(a.proven_deterministic);
+        assert!(a.hpdt.deterministic);
         assert_eq!(a.engine, "XSQ-NC (auto)");
 
         let q = parse_query("//pub[year>2000]//book[author]//name/text()").unwrap();
         let a = analyze(&q).unwrap();
-        assert!(!a.proven_deterministic);
+        assert!(!a.hpdt.deterministic);
         assert_eq!(a.engine, "XSQ-F");
     }
 }

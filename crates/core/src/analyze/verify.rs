@@ -14,8 +14,10 @@
 
 use xsq_xpath::classify::{classify, StepCategory};
 
-use crate::arcs::{execution_order, Action, Arc, ArcLabel, Fill, QueueRef, StateId};
-use crate::build::{compute_scan_all, Hpdt};
+use crate::arcs::{
+    compute_scan_all, execution_order, Action, Arc, ArcLabel, EventKind, Fill, QueueRef, StateId,
+};
+use crate::build::Hpdt;
 use crate::ids::BpdtId;
 
 use super::{prove_deterministic, Diagnostic};
@@ -149,17 +151,7 @@ fn check_queue_index(hpdt: &Hpdt, ids: &[BpdtId], out: &mut Vec<Diagnostic>) {
             }
         }
     }
-    // Density: one queue per BPDT, each BPDT once.
-    if hpdt.queues.len() != hpdt.bpdt_count {
-        out.push(Diagnostic::error(
-            "queue-index-dense",
-            format!(
-                "bpdt_count is {} but {} queues are registered",
-                hpdt.bpdt_count,
-                hpdt.queues.len()
-            ),
-        ));
-    }
+    // Density: each BPDT once.
     if ids.windows(2).any(|w| w[0] == w[1]) {
         out.push(Diagnostic::error(
             "queue-index-dense",
@@ -277,20 +269,18 @@ fn check_buffer_release(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Classify an arc label by the event kinds it can accept, for the
+/// Classify an arc label by the event kind it accepts, for the
 /// depth-vector model: `Some(+1)` pushes, `Some(-1)` pops, `Some(0)` is
-/// depth-neutral, `None` is ambiguous (catchall).
+/// depth-neutral, `None` is ambiguous (several kinds: the catchall). A
+/// closure self-loop accepts begin events but never changes state, so
+/// it neither pushes nor pops (the runtime pushes only on
+/// state-changing transitions). If corrupted into a non-loop it would
+/// push; `check_depth_discipline` handles both cases.
 fn depth_effect(label: &ArcLabel) -> Option<i32> {
-    match label {
-        ArcLabel::StartDoc | ArcLabel::BeginChild(_) | ArcLabel::BeginAnyDepth(_) => Some(1),
-        ArcLabel::End(_) | ArcLabel::EndDoc => Some(-1),
-        ArcLabel::TextSelf(_) | ArcLabel::TextChild(_) => Some(0),
-        // A closure self-loop accepts begin events but never changes
-        // state, so it neither pushes nor pops (the runtime pushes only
-        // on state-changing transitions). If corrupted into a non-loop it
-        // would push; `check_depth_discipline` handles both cases.
-        ArcLabel::ClosureSelfLoop => Some(1),
-        ArcLabel::Catchall => None,
+    match label.pattern().kind()? {
+        EventKind::StartDoc | EventKind::Begin => Some(1),
+        EventKind::End | EventKind::EndDoc => Some(-1),
+        EventKind::Text => Some(0),
     }
 }
 
@@ -408,10 +398,10 @@ fn buffer_op_depth(arc: &Arc) -> Option<u16> {
         .then_some(arc.owner.id.layer)
 }
 
-/// The stored per-state `scan_all` flags must match a fresh conservative
-/// recomputation. A state stored as first-match-safe that actually has
-/// overlapping arcs makes XSQ-NC drop matches (unsound); the converse is
-/// merely pessimistic.
+/// The stored per-state `scan_all` flags must match a fresh
+/// recomputation (`compute_scan_all`, linear in the arcs). A state stored
+/// as first-match-safe that actually has overlapping arcs makes XSQ-NC
+/// drop matches (unsound); the converse is merely pessimistic.
 fn check_scan_all(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
     let fresh = compute_scan_all(&hpdt.arcs);
     for (s, (&stored, &computed)) in hpdt.scan_all.iter().zip(fresh.iter()).enumerate() {
@@ -567,7 +557,6 @@ mod tests {
         // queue registration, so the slots arcs carry point elsewhere.
         let id = BpdtId::new(1, 1);
         h.queues.retain(|q| *q != id);
-        h.bpdt_count -= 1;
         let diags = verify(&h);
         assert!(
             diags

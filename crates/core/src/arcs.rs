@@ -8,10 +8,16 @@
 //! their tag at any depth, and the catchall `*̄` that accepts any event
 //! strictly below the current anchor (used for whole-element output).
 //!
+//! What a label accepts is written once, as its row in
+//! `ArcLabel::pattern` (event kinds, name, depth relative to the
+//! anchor). Every consumer reads that `Pattern`: `label_matches`, the
+//! per-state arc tables and any-depth runs, the overlap check behind
+//! `scan_all`, the query index's buckets and the verifier's depth model.
+//!
 //! Everything the runtime would otherwise recompute per firing is
-//! resolved when an arc is created: its place in the within-event
-//! execution order ([`Arc::order`]) and the dense queue slot of every
-//! BPDT it addresses ([`QueueRef`]).
+//! resolved when an arc is created: its pattern, its place in the
+//! within-event execution order ([`Arc::order`]) and the dense queue
+//! slot of every BPDT it addresses ([`QueueRef`]).
 
 use std::collections::HashMap;
 
@@ -57,16 +63,6 @@ pub enum NamePat {
     Any,
 }
 
-impl NamePat {
-    #[inline]
-    pub fn matches(&self, tag: Sym) -> bool {
-        match self {
-            NamePat::Name(n) => *n == tag,
-            NamePat::Any => true,
-        }
-    }
-}
-
 /// What events an arc accepts, including the depth discipline of §4.3.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArcLabel {
@@ -91,12 +87,188 @@ pub enum ArcLabel {
     End(NamePat),
     /// A text event of the anchor element itself: `e.d == dv.top()`.
     TextSelf(NamePat),
-    /// A text event of a direct child: `e.d == dv.top() + 1` with the
-    /// child's tag.
-    TextChild(NamePat),
     /// The catchall `*̄`: any event with `e.d > dv.top()` (strict
     /// descendants of the anchor). Used for whole-element output.
     Catchall,
+}
+
+impl ArcLabel {
+    /// What the label accepts: its row of event kinds, name and depth
+    /// relative to the anchor. The one description every consumer reads
+    /// (DESIGN.md reproduces this table).
+    pub(crate) fn pattern(&self) -> Pattern {
+        use ArcLabel as L;
+        use EventKind as K;
+        let (kinds, name, depth) = match *self {
+            L::StartDoc => (K::StartDoc.mask(), NamePat::Any, ANY_DEPTH),
+            L::EndDoc => (K::EndDoc.mask(), NamePat::Any, ANY_DEPTH),
+            L::BeginChild(p) => (K::Begin.mask(), p, CHILD),
+            L::BeginAnyDepth(p) => (K::Begin.mask(), p, BELOW),
+            L::ClosureSelfLoop => (K::Begin.mask(), NamePat::Any, BELOW),
+            L::End(p) => (K::End.mask(), p, ANCHOR),
+            L::TextSelf(p) => (K::Text.mask(), p, ANCHOR),
+            L::Catchall => (K::ELEMENT_MASK, NamePat::Any, BELOW),
+        };
+        let name = match name {
+            NamePat::Name(n) => Some(n),
+            NamePat::Any => None,
+        };
+        let transition = !matches!(self, L::ClosureSelfLoop);
+        Pattern {
+            kinds,
+            name,
+            depth,
+            transition,
+        }
+    }
+}
+
+/// The paper's notation (`--dot`, `--trace`).
+impl std::fmt::Display for ArcLabel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let name = |p: &NamePat| match p {
+            NamePat::Name(n) => n.as_str(),
+            NamePat::Any => "*",
+        };
+        match self {
+            ArcLabel::StartDoc => f.write_str("<root>"),
+            ArcLabel::EndDoc => f.write_str("</root>"),
+            ArcLabel::BeginChild(p) => write!(f, "<{}>", name(p)),
+            ArcLabel::BeginAnyDepth(p) => write!(f, "=<{}>", name(p)),
+            ArcLabel::ClosureSelfLoop => f.write_str("//"),
+            ArcLabel::End(p) => write!(f, "</{}>", name(p)),
+            ArcLabel::TextSelf(p) => write!(f, "<{}.text()>", name(p)),
+            ArcLabel::Catchall => f.write_str("*̄"),
+        }
+    }
+}
+
+/// The kind of an event. The element kinds come first: their
+/// discriminant is the kind half of a dispatch key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum EventKind {
+    Begin,
+    End,
+    Text,
+    StartDoc,
+    EndDoc,
+}
+
+impl EventKind {
+    /// The cells of the element kinds: begin, end and text.
+    const ELEMENT_MASK: u32 = 0xFFF;
+
+    /// Where the kind's four offset classes sit in `Pattern::cells`.
+    const fn mask(self) -> u32 {
+        0xF << (4 * self as u32)
+    }
+}
+
+/// An event's kind, tag and depth.
+#[inline]
+fn parts(event: &RawEvent<'_>) -> (EventKind, Option<Sym>, u32) {
+    match *event {
+        RawEvent::Begin { name, depth, .. } => (EventKind::Begin, Some(name), depth),
+        RawEvent::End { name, depth } => (EventKind::End, Some(name), depth),
+        RawEvent::Text { element, depth, .. } => (EventKind::Text, Some(element), depth),
+        RawEvent::StartDocument => (EventKind::StartDoc, None, 0),
+        RawEvent::EndDocument => (EventKind::EndDoc, None, 0),
+    }
+}
+
+/// Where an accepted event lies relative to the configuration's anchor
+/// (§4.3), as the classes of `e.d − dv.top()` it admits, one bit each:
+/// below 0, 0, 1, 2 and more.
+type Depth = u8;
+/// `e.d == dv.top()`: the anchor element's own text and end tag.
+const ANCHOR: Depth = 0b0010;
+/// `e.d == dv.top() + 1`: a child of the anchor.
+const CHILD: Depth = 0b0100;
+/// `e.d > dv.top()`: anywhere below the anchor.
+const BELOW: Depth = 0b1100;
+/// The document brackets.
+const ANY_DEPTH: Depth = 0b1111;
+
+/// What an arc label accepts (§3.4's input-symbol pattern under §4.3's
+/// depth discipline): its row — and whether it is a transition at all.
+/// The `//` self-loop is not: it keeps its pattern, so it overlaps what
+/// it would have fired beside, but it compiles to its state's stays bit
+/// (`compute_stays`), [`Arc::label_matches`] never accepts it and no
+/// dispatch table files it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Pattern {
+    /// The row's kinds, each as its [`EventKind::mask`].
+    kinds: u32,
+    /// `None` for `*`.
+    name: Option<Sym>,
+    depth: Depth,
+    transition: bool,
+}
+
+impl Pattern {
+    /// Does an event fit the pattern, seen from a configuration whose
+    /// depth vector is `dv`? (For the `//` self-loop too: see
+    /// `transition`.) The anchor is read only when the kind fits.
+    #[inline]
+    fn fits(self, event: &RawEvent<'_>, dv: &DepthVector) -> bool {
+        let (kind, tag, depth) = parts(event);
+        self.kinds & kind.mask() != 0
+            && match self.depth {
+                ANCHOR => depth == dv.top(),
+                CHILD => depth == dv.top() + 1,
+                BELOW => depth > dv.top(),
+                _ => true,
+            }
+            && self.name.is_none_or(|n| tag == Some(n))
+    }
+
+    /// The (event kind, offset class) pairs the pattern accepts, one bit
+    /// each: the depth's classes under every kind of the row. Two
+    /// patterns meet exactly where their cells do and their names meet.
+    fn cells(self) -> u32 {
+        self.kinds & (u32::from(self.depth) * 0x11111)
+    }
+
+    /// The cells an arc fires on: its pattern's, none for the stays bit.
+    fn fired(self) -> u32 {
+        self.cells() * u32::from(self.transition)
+    }
+
+    /// The one kind the pattern accepts, if it accepts one.
+    pub(crate) fn kind(self) -> Option<EventKind> {
+        use EventKind::*;
+        let kinds = [Begin, End, Text, StartDoc, EndDoc];
+        kinds.into_iter().find(|k| self.kinds & !k.mask() == 0)
+    }
+
+    /// The dispatch buckets the label is filed under: `(kind, name)` per
+    /// element kind it accepts, `None` naming the wildcard bucket.
+    /// Document brackets reach every state unfiled, and the stays bit is
+    /// not a transition: neither files anything.
+    pub(crate) fn filings(self) -> impl Iterator<Item = (EventKind, Option<Sym>)> {
+        let filed = self.fired() & EventKind::ELEMENT_MASK;
+        let kinds = [EventKind::Begin, EventKind::End, EventKind::Text].into_iter();
+        kinds.filter_map(move |k| (filed & k.mask() != 0).then_some((k, self.name)))
+    }
+
+    /// The dispatch key every event the pattern accepts carries, if they
+    /// all carry one: an exact tag on one element kind.
+    fn key(self) -> Option<u64> {
+        let (kind, name) = self.filings().next()?;
+        (self.kinds & !kind.mask() == 0).then_some(event_key(kind, name?))
+    }
+
+    /// The cells a configuration anchored above the event's parent —
+    /// above the event's own element, for an end — can fire the label
+    /// on: those `RunnerCore::feed_traced` asks only for
+    /// [`AnyDepthArcs`].
+    fn shallow_cells(self) -> u32 {
+        // In the begin, end and text nibbles: two levels down and more
+        // for a begin or a text, one and more for an end.
+        let deeper = u32::from(BELOW & !CHILD);
+        let shallow = deeper | u32::from(BELOW) << 4 | deeper << 8;
+        self.fired() & shallow
+    }
 }
 
 /// A predicate guard evaluated against the matched event. A failing guard
@@ -340,6 +512,9 @@ pub(crate) enum Fill {
 #[derive(Debug, Clone)]
 pub struct Arc {
     pub label: ArcLabel,
+    /// `label.pattern()`, fixed when the arc is created: what
+    /// [`Self::label_matches`] reads on every probe.
+    pub(crate) pattern: Pattern,
     pub guard: Option<Guard>,
     pub target: StateId,
     /// The BPDT owning this arc (whose queue `*Self` actions address).
@@ -386,6 +561,7 @@ impl Arc {
         actions: Vec<Action>,
     ) -> Self {
         Arc {
+            pattern: label.pattern(),
             label,
             guard,
             target,
@@ -396,33 +572,13 @@ impl Arc {
     }
 
     /// Does this arc accept `event` for a configuration whose depth
-    /// vector is `dv`? (Guards are evaluated separately.) Tag checks are
-    /// `u32` compares on interned symbols. (A `//` self-loop accepts
-    /// nothing: it is the state's stays bit.)
+    /// vector is `dv`? (Guards are evaluated separately.) Read off the
+    /// label's `Pattern`; tag checks are `u32` compares on interned
+    /// symbols. (A `//` self-loop accepts nothing: it is the state's
+    /// stays bit.)
     #[inline]
     pub fn label_matches(&self, event: &RawEvent<'_>, dv: &DepthVector) -> bool {
-        use RawEvent as E;
-        match (&self.label, event) {
-            (ArcLabel::StartDoc, E::StartDocument) => true,
-            (ArcLabel::EndDoc, E::EndDocument) => true,
-            (ArcLabel::BeginChild(pat), E::Begin { name, depth, .. }) => {
-                *depth == dv.top() + 1 && pat.matches(*name)
-            }
-            (ArcLabel::BeginAnyDepth(pat), E::Begin { name, depth, .. }) => {
-                *depth > dv.top() && pat.matches(*name)
-            }
-            (ArcLabel::End(pat), E::End { name, depth }) => {
-                *depth == dv.top() && pat.matches(*name)
-            }
-            (ArcLabel::TextSelf(pat), E::Text { element, depth, .. }) => {
-                *depth == dv.top() && pat.matches(*element)
-            }
-            (ArcLabel::TextChild(pat), E::Text { element, depth, .. }) => {
-                *depth == dv.top() + 1 && pat.matches(*element)
-            }
-            (ArcLabel::Catchall, e) => e.depth() > dv.top(),
-            _ => false,
-        }
+        self.pattern.transition && self.pattern.fits(event, dv)
     }
 
     /// Evaluate the guard against the event (label already matched).
@@ -466,44 +622,18 @@ impl Arc {
     }
 }
 
-/// Event-kind half of a dispatch key (shared by the per-state arc tables
-/// below and the query index's inverted dispatch).
-pub(crate) const KIND_BEGIN: u64 = 0;
-pub(crate) const KIND_END: u64 = 1;
-pub(crate) const KIND_TEXT: u64 = 2;
-
 /// Dense dispatch key for a (kind, tag) pair.
 #[inline]
-pub(crate) fn event_key(kind: u64, sym: Sym) -> u64 {
-    (kind << 32) | sym.index() as u64
+pub(crate) fn event_key(kind: EventKind, sym: Sym) -> u64 {
+    ((kind as u64) << 32) | sym.index() as u64
 }
 
 /// The dispatch key of an event, if it has one (document start/end do
 /// not — only `rest` arcs can accept those).
 #[inline]
 pub(crate) fn raw_event_key(event: &RawEvent<'_>) -> Option<u64> {
-    match event {
-        RawEvent::Begin { name, .. } => Some(event_key(KIND_BEGIN, *name)),
-        RawEvent::End { name, .. } => Some(event_key(KIND_END, *name)),
-        RawEvent::Text { element, .. } => Some(event_key(KIND_TEXT, *element)),
-        RawEvent::StartDocument | RawEvent::EndDocument => None,
-    }
-}
-
-/// How an arc label participates in keyed dispatch: either it only ever
-/// accepts events with one exact (kind, tag) key, or it must be probed
-/// for every event (wildcard patterns, catchalls, document events).
-pub(crate) fn label_dispatch_key(label: &ArcLabel) -> Option<u64> {
-    match label {
-        ArcLabel::BeginChild(NamePat::Name(s)) | ArcLabel::BeginAnyDepth(NamePat::Name(s)) => {
-            Some(event_key(KIND_BEGIN, *s))
-        }
-        ArcLabel::End(NamePat::Name(s)) => Some(event_key(KIND_END, *s)),
-        ArcLabel::TextSelf(NamePat::Name(s)) | ArcLabel::TextChild(NamePat::Name(s)) => {
-            Some(event_key(KIND_TEXT, *s))
-        }
-        _ => None,
-    }
+    let (kind, tag, _) = parts(event);
+    Some(event_key(kind, tag?))
 }
 
 /// Keyed index over one state's outgoing arcs. `label_matches` makes the
@@ -589,10 +719,10 @@ pub(crate) fn compute_arc_tables(arcs: &[Vec<Arc>]) -> Vec<Option<ArcTable>> {
             }
             let mut table = ArcTable::default();
             for (ai, arc) in state_arcs.iter().enumerate() {
-                match label_dispatch_key(&arc.label) {
+                match arc.pattern.key() {
                     Some(key) => table.named.push((key, ai as u32)),
-                    None if arc.label == ArcLabel::ClosureSelfLoop => {}
-                    None => table.rest.push(ai as u32),
+                    None if arc.pattern.transition => table.rest.push(ai as u32),
+                    None => {}
                 }
             }
             table.named.sort_unstable();
@@ -609,65 +739,62 @@ pub(crate) fn compute_arc_tables(arcs: &[Vec<Arc>]) -> Vec<Option<ArcTable>> {
 /// closures or whole-element output.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct AnyDepthArcs {
-    /// Per state, where its begin-event run (`BeginAnyDepth`, `Catchall`)
-    /// and its text/end-event run (`Catchall`) start in `arcs`; a
-    /// sentinel closes the last state's. Empty when `arcs` is.
+    /// Per state, where its begin-event run and its text/end-event run
+    /// start in `arcs`; a sentinel closes the last state's. Empty when
+    /// `arcs` is.
     spans: Vec<(u32, u32)>,
     /// Arc indices, each run ascending — first-match stays first-match.
     arcs: Vec<u32>,
-    /// The dispatch keys of the named `BeginAnyDepth` arcs, sorted.
-    begin_keys: Vec<u64>,
-    /// Is there a `BeginAnyDepth(*)` or a `Catchall` (every begin event
-    /// may fire it)? A `Catchall` (every text and end event may)?
-    any_begin: bool,
-    catchall: bool,
+    /// The dispatch keys those arcs are filed under, sorted, and per
+    /// element kind whether one of them is a wildcard.
+    keys: Vec<u64>,
+    wild: [bool; 3],
 }
 
 impl AnyDepthArcs {
     pub(crate) fn new(arcs: &[Vec<Arc>]) -> Self {
-        let any_depth: fn(&ArcLabel) -> bool =
-            |l| matches!(l, ArcLabel::BeginAnyDepth(_) | ArcLabel::Catchall);
         let mut index = AnyDepthArcs::default();
-        if !arcs.iter().flatten().any(|a| any_depth(&a.label)) {
+        let shallow_arcs = arcs
+            .iter()
+            .flatten()
+            .filter(|a| a.pattern.shallow_cells() != 0);
+        for p in shallow_arcs.map(|a| a.pattern) {
+            let shallow = p.shallow_cells();
+            for (kind, name) in p.filings().filter(|(k, _)| shallow & k.mask() != 0) {
+                match name {
+                    Some(name) => index.keys.push(event_key(kind, name)),
+                    None => index.wild[kind as usize] = true,
+                }
+            }
+        }
+        if index.keys.is_empty() && index.wild == [false; 3] {
             return index;
         }
+        index.keys.sort_unstable();
+        index.keys.dedup();
         index.spans.reserve_exact(arcs.len() + 1);
         for state_arcs in arcs {
-            let indices_of = |keep: fn(&ArcLabel) -> bool| {
+            let indices_of = |run: u32| {
                 (0u32..)
                     .zip(state_arcs)
-                    .filter_map(move |(ai, a)| keep(&a.label).then_some(ai))
+                    .filter_map(move |(ai, a)| (a.pattern.shallow_cells() & run != 0).then_some(ai))
             };
-            let begin = index.arcs.len() as u32;
-            index.arcs.extend(indices_of(any_depth));
-            index.spans.push((begin, index.arcs.len() as u32));
-            index.arcs.extend(indices_of(|l| *l == ArcLabel::Catchall));
+            let at = index.arcs.len() as u32;
+            index.arcs.extend(indices_of(EventKind::Begin.mask()));
+            index.spans.push((at, index.arcs.len() as u32));
+            index.arcs.extend(indices_of(!EventKind::Begin.mask()));
         }
         let end = index.arcs.len() as u32;
         index.spans.push((end, end));
-        for label in arcs.iter().flatten().map(|a| &a.label) {
-            match (label, label_dispatch_key(label)) {
-                (ArcLabel::BeginAnyDepth(_), Some(key)) => index.begin_keys.push(key),
-                (ArcLabel::BeginAnyDepth(_), None) => index.any_begin = true,
-                (ArcLabel::Catchall, _) => (index.any_begin, index.catchall) = (true, true),
-                _ => {}
-            }
-        }
-        index.begin_keys.sort_unstable();
-        index.begin_keys.dedup();
         index
     }
 
-    /// Can some state's any-depth arc accept an event with dispatch `key`
-    /// (`begin`: a begin event)? If not, no configuration anchored above
-    /// the event's parent has anything to fire.
+    /// Can some state's any-depth arc accept an event with dispatch
+    /// `key`? If not, no configuration anchored above the event's parent
+    /// has anything to fire.
     #[inline]
-    pub(crate) fn may_accept(&self, key: Option<u64>, begin: bool) -> bool {
-        if begin {
-            self.any_begin || key.is_some_and(|k| self.begin_keys.binary_search(&k).is_ok())
-        } else {
-            self.catchall
-        }
+    pub(crate) fn may_accept(&self, key: Option<u64>) -> bool {
+        key.is_some_and(|k| self.wild[(k >> 32) as usize] || self.keys.binary_search(&k).is_ok())
     }
 
     /// The arcs of `state` that can accept a begin event (`begin`), or a
@@ -699,10 +826,45 @@ impl AnyDepthArcs {
 /// self-loops on one state, as the merged builder leaves, are one bit.
 pub(crate) fn compute_stays(arcs: &[Vec<Arc>]) -> Vec<bool> {
     arcs.iter()
+        .map(|outgoing| outgoing.iter().any(|a| !a.pattern.transition))
+        .collect()
+}
+
+/// Per state: could two outgoing arcs accept one event? Two labels
+/// overlap exactly when their patterns share a cell and their names
+/// meet (`Pattern::cells`) — the `//` self-loop by its pattern too.
+/// Where none do, a deterministic runtime may stop at the first matching
+/// arc (the XSQ-NC fast path of §6.2). Named patterns are bucketed by
+/// name, so a state costs its arcs, not their pairs.
+pub(crate) fn compute_scan_all(arcs: &[Vec<Arc>]) -> Vec<bool> {
+    let mut named = Vec::new();
+    arcs.iter()
         .map(|outgoing| {
-            outgoing
-                .iter()
-                .any(|a| a.label == ArcLabel::ClosureSelfLoop)
+            // A wildcard meets every name: its cells against all others'.
+            let (mut wild, mut taken, mut shared) = (0, 0, false);
+            named.clear();
+            for p in outgoing.iter().map(|a| a.pattern) {
+                let cells = p.cells();
+                match p.name {
+                    None if taken & cells != 0 => return true,
+                    None => wild |= cells,
+                    Some(_) if wild & cells != 0 => return true,
+                    Some(n) => named.push((n.index(), cells)),
+                }
+                // Only a name sharing a cell with another name gets here.
+                shared |= taken & cells != 0;
+                taken |= cells;
+            }
+            // Two names meet when they are one name: bucket by name, and
+            // a bucket overlaps when its cells do not add up to its union.
+            shared && {
+                named.sort_unstable();
+                named.chunk_by(|a, b| a.0 == b.0).any(|bucket| {
+                    let union = bucket.iter().fold(0, |union, &(_, cells)| union | cells);
+                    let sum: u32 = bucket.iter().map(|&(_, cells)| cells.count_ones()).sum();
+                    union.count_ones() < sum
+                })
+            }
         })
         .collect()
 }
@@ -804,17 +966,6 @@ mod tests {
         ];
         assert_eq!(keys[1], keys[2]);
         assert!(keys[0] < keys[1] && keys[2] < keys[3] && keys[3] < keys[4] && keys[4] < keys[5]);
-    }
-
-    #[test]
-    fn text_self_vs_text_child_depths() {
-        let dv = DepthVector::from_depths(&[0, 2]);
-        let self_arc = arc(ArcLabel::TextSelf(NamePat::Name("year".into())));
-        let child_arc = arc(ArcLabel::TextChild(NamePat::Name("year".into())));
-        assert!(matches(&self_arc, &text("year", "2002", 2), &dv));
-        assert!(!matches(&self_arc, &text("year", "2002", 3), &dv));
-        assert!(matches(&child_arc, &text("year", "2002", 3), &dv));
-        assert!(!matches(&child_arc, &text("other", "2002", 3), &dv));
     }
 
     #[test]
@@ -949,7 +1100,7 @@ mod tests {
         arcs_of_state.push(arc(ArcLabel::ClosureSelfLoop));
         arcs_of_state.push(arc(ArcLabel::BeginChild(NamePat::Any)));
         arcs_of_state.push(arc(ArcLabel::End(NamePat::Name("t3".into()))));
-        arcs_of_state.push(arc(ArcLabel::TextChild(NamePat::Name("t3".into()))));
+        arcs_of_state.push(arc(ArcLabel::TextSelf(NamePat::Name("t3".into()))));
         arcs_of_state.push(arc(ArcLabel::StartDoc));
         let tables = compute_arc_tables(std::slice::from_ref(&arcs_of_state));
         let table = tables[0].as_ref().expect("above cutoff");
@@ -993,7 +1144,6 @@ mod tests {
             ArcLabel::Catchall,
             ArcLabel::End(name("a")),
             ArcLabel::TextSelf(name("a")),
-            ArcLabel::TextChild(name("a")),
             ArcLabel::BeginAnyDepth(NamePat::Any),
             ArcLabel::EndDoc,
         ];
@@ -1002,7 +1152,7 @@ mod tests {
             labels.iter().cloned().map(arc).collect::<Vec<_>>(),
         ];
         let index = AnyDepthArcs::new(&states);
-        assert_eq!(index.of(1, true), [1, 3, 7]);
+        assert_eq!(index.of(1, true), [1, 3, 6]);
         assert_eq!(index.of(1, false), [3]);
         assert!(index.of(0, true).is_empty() && index.of(0, false).is_empty());
         // An HPDT without such arcs stores nothing and answers alike.
@@ -1013,11 +1163,11 @@ mod tests {
         // event); with named entry arcs alone, a begin of those names.
         let key = |n: &str| raw_event_key(&begin(n, 3));
         let text_key = raw_event_key(&text("a", "t", 3));
-        assert!(index.may_accept(key("zz"), true) && index.may_accept(text_key, false));
+        assert!(index.may_accept(key("zz")) && index.may_accept(text_key));
         let named = AnyDepthArcs::new(&[vec![arc(ArcLabel::BeginAnyDepth(name("a")))]]);
-        assert!(named.may_accept(key("a"), true));
-        assert!(!named.may_accept(key("b"), true) && !named.may_accept(text_key, false));
-        assert!(!none.may_accept(key("a"), true) && !none.may_accept(None, false));
+        assert!(named.may_accept(key("a")));
+        assert!(!named.may_accept(key("b")) && !named.may_accept(text_key));
+        assert!(!none.may_accept(key("a")) && !none.may_accept(None));
         // The lists are exact: anchored at depth 1, an event at depth 3
         // (4 for the element whose end it is) is accepted by those arcs
         // and no others.
@@ -1033,5 +1183,243 @@ mod tests {
                 .collect();
             assert_eq!(accepted, index.of(1, begin), "{ev:?}");
         }
+    }
+
+    /// Every label form, with the names `a` and `b` and the `*` pattern
+    /// where it takes one. The `match` fails to compile when a variant is
+    /// added, so the oracle below cannot miss it.
+    fn every_label() -> Vec<ArcLabel> {
+        let _every_variant = |l: &ArcLabel| match l {
+            ArcLabel::StartDoc
+            | ArcLabel::EndDoc
+            | ArcLabel::BeginChild(_)
+            | ArcLabel::BeginAnyDepth(_)
+            | ArcLabel::ClosureSelfLoop
+            | ArcLabel::End(_)
+            | ArcLabel::TextSelf(_)
+            | ArcLabel::Catchall => {}
+        };
+        let mut labels = vec![
+            ArcLabel::StartDoc,
+            ArcLabel::EndDoc,
+            ArcLabel::ClosureSelfLoop,
+            ArcLabel::Catchall,
+        ];
+        for p in [
+            NamePat::Name("a".into()),
+            NamePat::Name("b".into()),
+            NamePat::Any,
+        ] {
+            labels.extend([
+                ArcLabel::BeginChild(p),
+                ArcLabel::BeginAnyDepth(p),
+                ArcLabel::End(p),
+                ArcLabel::TextSelf(p),
+            ]);
+        }
+        labels
+    }
+
+    /// The anchor the universe is seen from.
+    const TOP: u32 = 2;
+
+    /// Every event kind, two names, depths `TOP − 1` to `TOP + 2` (the
+    /// document brackets have depth 0).
+    fn every_event() -> Vec<RawEvent<'static>> {
+        let mut events = vec![RawEvent::StartDocument, RawEvent::EndDocument];
+        for name in ["a", "b"] {
+            for d in TOP - 1..=TOP + 2 {
+                events.extend([begin(name, d), text(name, "t", d), end(name, d)]);
+            }
+        }
+        events
+    }
+
+    fn kind_of(event: &RawEvent<'_>) -> EventKind {
+        match event {
+            RawEvent::Begin { .. } => EventKind::Begin,
+            RawEvent::End { .. } => EventKind::End,
+            RawEvent::Text { .. } => EventKind::Text,
+            RawEvent::StartDocument => EventKind::StartDoc,
+            RawEvent::EndDocument => EventKind::EndDoc,
+        }
+    }
+
+    /// The label's row read as a set: its kinds, its name, and its
+    /// depth relative to the anchor at `TOP`. Ignores `transition`.
+    fn described(l: &ArcLabel, ev: &RawEvent<'_>) -> bool {
+        let Pattern {
+            kinds, name, depth, ..
+        } = l.pattern();
+        let d = ev.depth();
+        let at = match depth {
+            ANY_DEPTH => true,
+            ANCHOR => d == TOP,
+            CHILD => d == TOP + 1,
+            BELOW => d > TOP,
+            _ => unreachable!("a depth no row uses"),
+        };
+        let name = name.is_none_or(|n| ev.name_sym() == Some(n));
+        kinds & kind_of(ev).mask() != 0 && name && at
+    }
+
+    /// Exhaustive over the universe above: what `label_matches`
+    /// accepts, which states `compute_scan_all` flags, and where every
+    /// dispatch table files a label are all what the label's pattern
+    /// says.
+    #[test]
+    fn every_consumer_of_a_label_agrees_with_its_pattern() {
+        let (labels, events) = (every_label(), every_event());
+        let dv = DepthVector::from_depths(&[0, TOP]);
+        let accepts = |l: &ArcLabel, ev: &RawEvent<'_>| arc(l.clone()).label_matches(ev, &dv);
+        for l in &labels {
+            let p = l.pattern();
+            for ev in &events {
+                assert_eq!(
+                    accepts(l, ev),
+                    p.transition && described(l, ev),
+                    "{l:?} on {ev:?}"
+                );
+                assert_eq!(p.fits(ev, &dv), described(l, ev), "{l:?} on {ev:?}");
+            }
+        }
+
+        // Two labels overlap exactly when some event fits both; a state
+        // is flagged exactly when two of its labels overlap. States: every
+        // set of up to four labels.
+        let overlap: Vec<Vec<bool>> = labels
+            .iter()
+            .map(|x| {
+                let both = |y| events.iter().any(|e| described(x, e) && described(y, e));
+                labels.iter().map(both).collect()
+            })
+            .collect();
+        let sets: Vec<u32> = (0u32..1 << labels.len())
+            .filter(|set| set.count_ones() <= 4)
+            .collect();
+        let states: Vec<Vec<Arc>> = (sets.iter())
+            .map(|&set| {
+                let members = labels
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| set & (1 << i) != 0);
+                members.map(|(_, l)| arc(l.clone())).collect()
+            })
+            .collect();
+        let flags = compute_scan_all(&states);
+        for ((set, flagged), state) in sets.iter().zip(flags).zip(&states) {
+            let members: Vec<usize> = (0..labels.len()).filter(|i| set & (1 << i) != 0).collect();
+            let want = members
+                .iter()
+                .enumerate()
+                .any(|(k, &i)| members[k + 1..].iter().any(|&j| overlap[i][j]));
+            assert_eq!(flagged, want, "{state:?}");
+        }
+        for (i, l) in labels.iter().enumerate() {
+            let pair = compute_scan_all(&[vec![arc(l.clone()), arc(l.clone())]]);
+            assert_eq!(pair[0], overlap[i][i], "{l:?} twice");
+        }
+
+        // Filing. The keys of the events a label accepts, and from a
+        // configuration anchored above the event's parent (above its
+        // element, for an end) — the ones `feed_traced` does not probe.
+        let keys: Vec<Option<u64>> = events.iter().map(raw_event_key).collect();
+        let from_above = |ev: &RawEvent<'_>| match ev {
+            RawEvent::End { depth, .. } => *depth > TOP,
+            RawEvent::Begin { depth, .. } | RawEvent::Text { depth, .. } => *depth > TOP + 1,
+            RawEvent::StartDocument | RawEvent::EndDocument => false,
+        };
+        for l in &labels {
+            let taken = |shallow: bool| {
+                let mut k: Vec<Option<u64>> = (events.iter().zip(&keys))
+                    .filter(|(ev, _)| accepts(l, ev) && (!shallow || from_above(ev)))
+                    .map(|(_, &key)| key)
+                    .collect();
+                k.sort_unstable();
+                k.dedup();
+                k
+            };
+            let (accepted, shallow) = (taken(false), taken(true));
+            // The query index's buckets, a wildcard standing for both
+            // names: exactly the accepted keys (document events, which
+            // have none, reach every group unfiled).
+            let mut filed: Vec<Option<u64>> = l
+                .pattern()
+                .filings()
+                .flat_map(|(kind, name)| match name {
+                    Some(n) => vec![Some(event_key(kind, n))],
+                    None => ["a", "b"].map(|n| Some(event_key(kind, n.into()))).to_vec(),
+                })
+                .collect();
+            filed.sort_unstable();
+            let accepted_keys: Vec<Option<u64>> =
+                accepted.iter().copied().filter(Option::is_some).collect();
+            assert_eq!(filed, accepted_keys, "{l:?} filings");
+            // A state's arc table files it under its one key, probes it
+            // for every event when it accepts several (or an unkeyed
+            // document event), and never when it accepts none.
+            let tables = compute_arc_tables(&[vec![arc(l.clone()); ARC_TABLE_CUTOFF]]);
+            let table = tables[0].as_ref().expect("at the cutoff");
+            let mut got = Vec::new();
+            for key in keys.iter().copied().chain([None]) {
+                table.candidates(key, &mut got);
+                let want = match &accepted[..] {
+                    [] => false,
+                    [Some(only)] => key == Some(*only),
+                    _ => true,
+                };
+                assert_eq!(!got.is_empty(), want, "{l:?} table under {key:?}");
+            }
+            // The any-depth runs hold it exactly when a shallower anchor
+            // can fire it, and `may_accept` says which keys can.
+            let index = AnyDepthArcs::new(&[vec![arc(l.clone())]]);
+            let run = |kinds: &[EventKind]| {
+                let fires = events
+                    .iter()
+                    .any(|ev| kinds.contains(&kind_of(ev)) && from_above(ev) && accepts(l, ev));
+                if fires {
+                    vec![0]
+                } else {
+                    vec![]
+                }
+            };
+            assert_eq!(
+                index.of(0, true),
+                run(&[EventKind::Begin]),
+                "{l:?} begin run"
+            );
+            let other = run(&[EventKind::End, EventKind::Text]);
+            assert_eq!(index.of(0, false), other, "{l:?} text/end run");
+            for key in keys.iter().copied().chain([None]) {
+                let want = key.is_some() && shallow.contains(&key);
+                assert_eq!(index.may_accept(key), want, "{l:?} may_accept {key:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn labels_print_in_the_paper_notation() {
+        let shown: Vec<String> = every_label().iter().map(ToString::to_string).collect();
+        assert_eq!(
+            shown,
+            [
+                "<root>",
+                "</root>",
+                "//",
+                "*̄",
+                "<a>",
+                "=<a>",
+                "</a>",
+                "<a.text()>",
+                "<b>",
+                "=<b>",
+                "</b>",
+                "<b.text()>",
+                "<*>",
+                "=<*>",
+                "</*>",
+                "<*.text()>"
+            ]
+        );
     }
 }

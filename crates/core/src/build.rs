@@ -24,8 +24,9 @@ use xsq_xpath::{AggFunc, Axis, CmpOp, FnArg, NodeTest, Output, Predicate, Query,
 use crate::analyze::prove_deterministic;
 use crate::analyze::verify::reachable_states;
 use crate::arcs::{
-    compute_arc_tables, compute_stays, Action, AnyDepthArcs, Arc, ArcLabel, ArcTable, Disposition,
-    Fill, Guard, KeyTable, KeyVal, NamePat, QueueRef, StateId, StateInfo, StateRole, ValueSource,
+    compute_arc_tables, compute_scan_all, compute_stays, Action, AnyDepthArcs, Arc, ArcLabel,
+    ArcTable, Disposition, Fill, Guard, KeyTable, KeyVal, NamePat, QueueRef, StateId, StateInfo,
+    StateRole, ValueSource,
 };
 use crate::error::CompileError;
 use crate::ids::BpdtId;
@@ -60,8 +61,6 @@ pub struct Hpdt {
     /// The BPDT behind every dense queue slot (buffer storage at
     /// runtime); arcs carry the slot beside the id ([`QueueRef`]).
     pub queues: Vec<BpdtId>,
-    /// Number of BPDTs (= number of queues).
-    pub bpdt_count: usize,
     /// Number of location steps (for a merged HPDT: the longest path).
     pub layers: u16,
     /// All queries this HPDT answers, in tag order: `merged[t]` is the
@@ -124,7 +123,6 @@ impl Hpdt {
             any_depth: AnyDepthArcs::new(&arcs),
             buffered: uses_buffers(&arcs),
             deterministic: prove_deterministic(&arcs),
-            bpdt_count: queues.len(),
             start,
             states,
             arcs,
@@ -134,6 +132,11 @@ impl Hpdt {
             keyed,
             leaf_tags,
         }
+    }
+
+    /// Number of BPDTs (one queue each).
+    pub fn bpdt_count(&self) -> usize {
+        self.queues.len()
     }
 
     /// Total number of transition arcs.
@@ -171,7 +174,7 @@ impl Hpdt {
             self.merged[0],
             self.states.len(),
             self.arc_count(),
-            self.bpdt_count,
+            self.bpdt_count(),
             if self.deterministic {
                 " (deterministic)"
             } else {
@@ -1303,50 +1306,6 @@ fn uses_buffers(arcs: &[Vec<Arc>]) -> bool {
         .any(|a| matches!(a.fill(), Some((Fill::Own | Fill::Enqueue, _))))
 }
 
-/// Conservative static check: for each state, could two outgoing arcs
-/// accept the same event? If not, a deterministic runtime may stop at the
-/// first matching arc (the XSQ-NC fast path of §6.2).
-pub(crate) fn compute_scan_all(arcs: &[Vec<Arc>]) -> Vec<bool> {
-    arcs.iter()
-        .map(|outgoing| {
-            for (i, a) in outgoing.iter().enumerate() {
-                for b in &outgoing[i + 1..] {
-                    if labels_may_overlap(a, b) {
-                        return true;
-                    }
-                }
-            }
-            false
-        })
-        .collect()
-}
-
-fn labels_may_overlap(a: &Arc, b: &Arc) -> bool {
-    use ArcLabel::*;
-    let names_overlap = |x: &NamePat, y: &NamePat| match (x, y) {
-        (NamePat::Any, _) | (_, NamePat::Any) => true,
-        (NamePat::Name(p), NamePat::Name(q)) => p == q,
-    };
-    match (&a.label, &b.label) {
-        // Catchall overlaps everything except the document brackets and
-        // anchor-depth labels… being conservative, treat it as
-        // overlapping all element/text labels.
-        (Catchall, l) | (l, Catchall) => !matches!(l, StartDoc | EndDoc),
-        (ClosureSelfLoop, BeginChild(_) | BeginAnyDepth(_) | ClosureSelfLoop)
-        | (BeginChild(_) | BeginAnyDepth(_), ClosureSelfLoop) => true,
-        (BeginChild(x), BeginChild(y)) => names_overlap(x, y),
-        (BeginAnyDepth(x), BeginAnyDepth(y)) => names_overlap(x, y),
-        (BeginChild(x), BeginAnyDepth(y)) | (BeginAnyDepth(x), BeginChild(y)) => {
-            names_overlap(x, y)
-        }
-        (End(x), End(y)) => names_overlap(x, y),
-        (TextSelf(x), TextSelf(y)) => names_overlap(x, y),
-        (TextChild(x), TextChild(y)) => names_overlap(x, y),
-        // TextSelf and TextChild differ in depth: disjoint.
-        _ => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1360,7 +1319,7 @@ mod tests {
     fn fig11_structure_has_expected_bpdts() {
         let h = hpdt("//pub[year>2000]//book[author]//name/text()");
         // Fig. 11: root, (1,1), (2,2), (2,3), (3,4), (3,5), (3,6), (3,7).
-        assert_eq!(h.bpdt_count, 8);
+        assert_eq!(h.bpdt_count(), 8);
         assert!(!h.deterministic);
         assert_eq!(h.layers, 3);
         for id in [
@@ -1381,7 +1340,7 @@ mod tests {
     fn no_predicate_steps_spawn_no_right_children() {
         let h = hpdt("/a/b/c/text()");
         // Root + one BPDT per layer: no predicates, so no NA states.
-        assert_eq!(h.bpdt_count, 4);
+        assert_eq!(h.bpdt_count(), 4);
         assert!(h.deterministic);
     }
 
@@ -1389,7 +1348,7 @@ mod tests {
     fn attr_predicates_have_no_na_state() {
         let h = hpdt("/a[@id]/b/text()");
         // Category 1 is decided at begin: right child of layer 1 is NULL.
-        assert_eq!(h.bpdt_count, 3); // root, (1,1), (2,3)
+        assert_eq!(h.bpdt_count(), 3); // root, (1,1), (2,3)
         assert!(h.queues.contains(&BpdtId::new(2, 3)));
         assert!(!h.queues.contains(&BpdtId::new(2, 2)));
     }
@@ -1514,8 +1473,8 @@ mod tests {
         let (two, many) = (merged(&family(2)), merged(&family(64)));
         // root, dblp, the keyed article step, title: NA and witness state
         // once, however many subscriptions hang off them.
-        assert_eq!((two.states.len(), two.bpdt_count), (6, 4));
-        assert_eq!((many.states.len(), many.bpdt_count), (6, 4));
+        assert_eq!((two.states.len(), two.bpdt_count()), (6, 4));
+        assert_eq!((many.states.len(), many.bpdt_count()), (6, 4));
         assert_eq!(many.arc_count(), two.arc_count());
         assert_eq!(many.keyed.len(), 1);
         assert_eq!(many.keyed[0].step, "article[year=?×64]");
@@ -1572,7 +1531,7 @@ mod tests {
         assert_eq!(h.keyed[0].step, "a[k=?×2]");
         // Below it b[y=1], b[y=2], b[y=3] are three classic BPDTs — each
         // hanging off the keyed NA state only — with their guards intact.
-        assert_eq!(h.bpdt_count, 3 + 3);
+        assert_eq!(h.bpdt_count(), 3 + 3);
         let guards = h.arcs.iter().flatten().filter(|a| a.guard.is_some());
         assert_eq!(guards.count(), 3);
         // A lone literal at the first keyable step leaves it classic and
@@ -1642,7 +1601,11 @@ mod tests {
             let queries: Vec<String> = batch.iter().map(|q| q.to_string()).collect();
             let h = merged(&queries);
             assert!(h.keyed.is_empty() && h.leaf_tags.is_empty());
-            assert_eq!((h.states.len(), h.bpdt_count), (states, bpdts), "{batch:?}");
+            assert_eq!(
+                (h.states.len(), h.bpdt_count()),
+                (states, bpdts),
+                "{batch:?}"
+            );
             assert_eq!(fnv(&h.dump()), hash, "{batch:?}\n{}", h.dump());
         }
     }

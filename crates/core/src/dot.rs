@@ -11,7 +11,7 @@
 
 use std::fmt::Write;
 
-use crate::arcs::{ArcLabel, NamePat, StateRole};
+use crate::arcs::{ArcLabel, StateRole};
 use crate::build::Hpdt;
 use crate::ids::BpdtId;
 
@@ -71,7 +71,7 @@ pub fn to_dot_named(hpdt: &Hpdt, graph_name: &str, title: &str) -> String {
 
     for (from, arcs) in hpdt.arcs.iter().enumerate() {
         for arc in arcs {
-            let mut label = label_text(&arc.label);
+            let mut label = arc.label.to_string();
             if arc.guard.is_some() {
                 label.push_str("\\n[guard]");
             }
@@ -96,27 +96,6 @@ pub fn to_dot_named(hpdt: &Hpdt, graph_name: &str, title: &str) -> String {
     }
     let _ = writeln!(out, "}}");
     out
-}
-
-fn name_text(pat: &NamePat) -> String {
-    match pat {
-        NamePat::Name(n) => n.as_str().to_string(),
-        NamePat::Any => "*".to_string(),
-    }
-}
-
-fn label_text(label: &ArcLabel) -> String {
-    match label {
-        ArcLabel::StartDoc => "<root>".into(),
-        ArcLabel::EndDoc => "</root>".into(),
-        ArcLabel::BeginChild(p) => format!("<{}>", name_text(p)),
-        ArcLabel::BeginAnyDepth(p) => format!("=<{}>", name_text(p)),
-        ArcLabel::ClosureSelfLoop => "//".into(),
-        ArcLabel::End(p) => format!("</{}>", name_text(p)),
-        ArcLabel::TextSelf(p) => format!("<{}.text()>", name_text(p)),
-        ArcLabel::TextChild(p) => format!("<{}.text()>", name_text(p)),
-        ArcLabel::Catchall => "*̄".into(),
-    }
 }
 
 fn escape(s: &str) -> String {

@@ -44,9 +44,7 @@
 
 use xsq_xml::RawEvent;
 
-use crate::arcs::{
-    label_dispatch_key, raw_event_key, ArcLabel, StateId, KIND_BEGIN, KIND_END, KIND_TEXT,
-};
+use crate::arcs::{raw_event_key, StateId};
 use crate::build::Hpdt;
 
 /// The states of one word of [`DispatchIndex::live`] that hold an arc
@@ -80,34 +78,18 @@ pub struct DispatchIndex {
     check: Vec<u64>,
 }
 
-/// `(event kind, symbol index)` of a dispatch key.
-fn key_parts(key: u64) -> (usize, usize) {
-    ((key >> 32) as usize, key as u32 as usize)
-}
-
 /// Call `f(state, kind, symbol index or None for the wildcard bucket)`
-/// for every bucket an arc of `hpdt` files its state in.
+/// for every bucket an arc of `hpdt` files its state in (its label's
+/// `Pattern::filings`).
 fn for_each_filing(hpdt: &Hpdt, mut f: impl FnMut(StateId, usize, Option<usize>)) {
     for (state, arcs) in hpdt.arcs.iter().enumerate() {
         for arc in arcs {
-            if let Some(key) = label_dispatch_key(&arc.label) {
-                let (kind, sym) = key_parts(key);
-                f(state as StateId, kind, Some(sym));
-                continue;
-            }
-            let kinds: &[u64] = match &arc.label {
-                ArcLabel::BeginChild(_) | ArcLabel::BeginAnyDepth(_) => &[KIND_BEGIN],
-                ArcLabel::End(_) => &[KIND_END],
-                ArcLabel::TextSelf(_) | ArcLabel::TextChild(_) => &[KIND_TEXT],
-                // The catchall accepts begin, end, and text events alike.
-                ArcLabel::Catchall => &[KIND_BEGIN, KIND_END, KIND_TEXT],
-                // Document brackets reach every group unconditionally, and
-                // the `//` self-loop is the stays bit, not a transition:
-                // nothing to wake for.
-                ArcLabel::StartDoc | ArcLabel::EndDoc | ArcLabel::ClosureSelfLoop => &[],
-            };
-            for &kind in kinds {
-                f(state as StateId, kind as usize, None);
+            for (kind, name) in arc.pattern.filings() {
+                f(
+                    state as StateId,
+                    kind as usize,
+                    name.map(|s| s.index() as usize),
+                );
             }
         }
     }
@@ -215,7 +197,10 @@ impl DispatchIndex {
     /// interleaving in shared sinks).
     pub fn candidates(&self, event: &RawEvent<'_>, out: &mut Vec<u32>) {
         out.clear();
-        let Some((kind, sym)) = raw_event_key(event).map(key_parts) else {
+        // A dispatch key is `(event kind, symbol index)`.
+        let Some((kind, sym)) =
+            raw_event_key(event).map(|k| ((k >> 32) as usize, k as u32 as usize))
+        else {
             out.extend_from_slice(&self.all);
             return;
         };
@@ -250,7 +235,7 @@ impl DispatchIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arcs::{event_key, NamePat};
+    use crate::arcs::event_key;
     use crate::build::{build_hpdt, build_merged_hpdt};
     use xsq_xml::RawEvent;
     use xsq_xpath::parse_query;
@@ -314,19 +299,11 @@ mod tests {
     fn state_interest(hpdt: &Hpdt, state: StateId) -> (Vec<u64>, [bool; 3]) {
         let (mut keys, mut wild) = (Vec::new(), [false; 3]);
         for arc in &hpdt.arcs[state as usize] {
-            let (kind, pat) = match &arc.label {
-                ArcLabel::StartDoc | ArcLabel::EndDoc | ArcLabel::ClosureSelfLoop => continue,
-                ArcLabel::BeginChild(pat) | ArcLabel::BeginAnyDepth(pat) => (KIND_BEGIN, pat),
-                ArcLabel::End(pat) => (KIND_END, pat),
-                ArcLabel::TextSelf(pat) | ArcLabel::TextChild(pat) => (KIND_TEXT, pat),
-                ArcLabel::Catchall => {
-                    wild = [true; 3];
-                    continue;
+            for (kind, name) in arc.pattern.filings() {
+                match name {
+                    Some(n) => keys.push(event_key(kind, n)),
+                    None => wild[kind as usize] = true,
                 }
-            };
-            match pat {
-                NamePat::Name(n) => keys.push(event_key(kind, *n)),
-                NamePat::Any => wild[kind as usize] = true,
             }
         }
         (keys, wild)

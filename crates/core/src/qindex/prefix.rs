@@ -194,6 +194,6 @@ mod tests {
         let groups = plan_groups(qs.clone()).unwrap();
         let direct = build_hpdt(&qs[0]).unwrap();
         assert_eq!(groups[0].hpdt.states.len(), direct.states.len());
-        assert_eq!(groups[0].hpdt.bpdt_count, direct.bpdt_count);
+        assert_eq!(groups[0].hpdt.bpdt_count(), direct.bpdt_count());
     }
 }

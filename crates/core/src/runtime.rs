@@ -338,7 +338,7 @@ impl RunnerCore {
         };
         let tail = self.configs.partition_point(|c| c.top < floor);
         let (mut probed, mut firings) = (0, 0);
-        let mut start = if hpdt.any_depth.may_accept(key, begin) {
+        let mut start = if hpdt.any_depth.may_accept(key) {
             0
         } else {
             tail

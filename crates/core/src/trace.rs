@@ -69,36 +69,15 @@ impl fmt::Display for TraceStep {
 pub type Tracer<'a> = &'a mut dyn FnMut(TraceStep);
 
 pub(crate) fn fired_arc(arc: &Arc, from: StateId, dv: &DepthVector) -> FiredArc {
+    let guard = if arc.guard.is_some() { "[guard]" } else { "" };
     FiredArc {
         from,
         to: arc.target,
         owner: arc.owner.to_string(),
-        label: label_str(arc),
+        label: format!("{}{guard}", arc.label),
         actions: arc.actions.iter().map(action_str).collect(),
         dv: dv.to_string(),
     }
-}
-
-fn label_str(arc: &Arc) -> String {
-    use crate::arcs::{ArcLabel::*, NamePat};
-    let name = |p: &NamePat| match p {
-        NamePat::Name(n) => n.as_str().to_string(),
-        NamePat::Any => "*".to_string(),
-    };
-    let mut s = match &arc.label {
-        StartDoc => "<root>".to_string(),
-        EndDoc => "</root>".to_string(),
-        BeginChild(p) => format!("<{}>", name(p)),
-        BeginAnyDepth(p) => format!("=<{}>", name(p)),
-        ClosureSelfLoop => "//".to_string(),
-        End(p) => format!("</{}>", name(p)),
-        TextSelf(p) | TextChild(p) => format!("<{}.text()>", name(p)),
-        Catchall => "*̄".to_string(),
-    };
-    if arc.guard.is_some() {
-        s.push_str("[guard]");
-    }
-    s
 }
 
 fn action_str(a: &Action) -> String {

@@ -173,6 +173,6 @@ fn analysis_reports_buffer_classes_for_fig_11_query() {
     let a = analyze(&parse_query("//pub[year>2000]//book[author]//name/text()").unwrap()).unwrap();
     assert!(a.plan.buffered);
     assert!(a.plan.live_buffers() > 0);
-    assert!(!a.proven_deterministic);
+    assert!(!a.hpdt.deterministic);
     assert_eq!(a.engine, "XSQ-F");
 }

@@ -639,7 +639,7 @@ fn analyze_hpdt(
              \"buffers\":[{}],\"bound\":{},\"diagnostics\":[{}]}}",
             json_escape(query),
             analysis.engine,
-            analysis.proven_deterministic,
+            analysis.hpdt.deterministic,
             analysis.hpdt.states.len(),
             analysis.hpdt.arc_count(),
             analysis.plan.buffered,
@@ -654,7 +654,7 @@ fn analyze_hpdt(
         writeln!(
             out,
             "deterministic: {}",
-            if analysis.proven_deterministic {
+            if analysis.hpdt.deterministic {
                 "proven (first-match execution is exact)"
             } else {
                 "not proven (closure arcs present; scan-all execution)"
