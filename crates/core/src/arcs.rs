@@ -165,7 +165,6 @@ impl EventKind {
 }
 
 /// An event's kind, tag and depth.
-#[inline]
 fn parts(event: &RawEvent<'_>) -> (EventKind, Option<Sym>, u32) {
     match *event {
         RawEvent::Begin { name, depth, .. } => (EventKind::Begin, Some(name), depth),
@@ -209,7 +208,6 @@ impl Pattern {
     /// Does an event fit the pattern, seen from a configuration whose
     /// depth vector is `dv`? (For the `//` self-loop too: see
     /// `transition`.) The anchor is read only when the kind fits.
-    #[inline]
     fn fits(self, event: &RawEvent<'_>, dv: &DepthVector) -> bool {
         let (kind, tag, depth) = parts(event);
         self.kinds & kind.mask() != 0
@@ -258,15 +256,15 @@ impl Pattern {
         (self.kinds & !kind.mask() == 0).then_some(event_key(kind, name?))
     }
 
-    /// The cells a configuration anchored above the event's parent —
-    /// above the event's own element, for an end — can fire the label
-    /// on: those `RunnerCore::feed_traced` asks only for
-    /// [`AnyDepthArcs`].
+    /// The cells a configuration anchored above a begin event's parent —
+    /// above a text or end event's own element — can fire the label on:
+    /// those `RunnerCore::feed_traced` asks only for [`AnyDepthArcs`].
     fn shallow_cells(self) -> u32 {
         // In the begin, end and text nibbles: two levels down and more
-        // for a begin or a text, one and more for an end.
+        // for a begin, one and more for an end or a text.
         let deeper = u32::from(BELOW & !CHILD);
-        let shallow = deeper | u32::from(BELOW) << 4 | deeper << 8;
+        let below = u32::from(BELOW);
+        let shallow = deeper | below << 4 | below << 8;
         self.fired() & shallow
     }
 }
@@ -399,7 +397,6 @@ impl KeyTable {
 
     /// Call `hit` with the id of every key a stream value equals — at
     /// most one text key and one numeric key.
-    #[inline]
     pub fn probe(&self, lhs: &str, mut hit: impl FnMut(u32)) {
         if let Some(&id) = self.text.get(lhs) {
             hit(id);
@@ -576,13 +573,11 @@ impl Arc {
     /// label's `Pattern`; tag checks are `u32` compares on interned
     /// symbols. (A `//` self-loop accepts nothing: it is the state's
     /// stays bit.)
-    #[inline]
     pub fn label_matches(&self, event: &RawEvent<'_>, dv: &DepthVector) -> bool {
         self.pattern.transition && self.pattern.fits(event, dv)
     }
 
     /// Evaluate the guard against the event (label already matched).
-    #[inline]
     pub fn guard_passes(&self, event: &RawEvent<'_>) -> bool {
         match &self.guard {
             None => true,
@@ -623,14 +618,12 @@ impl Arc {
 }
 
 /// Dense dispatch key for a (kind, tag) pair.
-#[inline]
 pub(crate) fn event_key(kind: EventKind, sym: Sym) -> u64 {
     ((kind as u64) << 32) | sym.index() as u64
 }
 
 /// The dispatch key of an event, if it has one (document start/end do
 /// not — only `rest` arcs can accept those).
-#[inline]
 pub(crate) fn raw_event_key(event: &RawEvent<'_>) -> Option<u64> {
     let (kind, tag, _) = parts(event);
     Some(event_key(kind, tag?))
@@ -659,7 +652,6 @@ impl ArcTable {
     /// preserves the exact probe order of a linear scan, which the
     /// stop-early XSQ-NC mode relies on). `None` key (document events)
     /// yields `rest` alone.
-    #[inline]
     pub(crate) fn candidates(&self, key: Option<u64>, out: &mut Vec<u32>) {
         out.clear();
         let run = match key {
@@ -732,9 +724,10 @@ pub(crate) fn compute_arc_tables(arcs: &[Vec<Arc>]) -> Vec<Option<ArcTable>> {
 }
 
 /// Per state, the arcs that accept an event at *any* depth below the
-/// anchor. Every other label pins the anchor to the event's depth or the
-/// one above (`label_matches`), so a configuration anchored any shallower
-/// can fire only these — which most states, and most HPDTs, do not have.
+/// anchor. Every other label pins the anchor to the event's depth, or to
+/// the one above for a begin (`label_matches`), so a configuration
+/// anchored any shallower can fire only these — which most states, and
+/// most HPDTs, do not have.
 /// Stored flat: one allocation pair per HPDT, none for an HPDT without
 /// closures or whole-element output.
 #[derive(Debug, Clone, Default)]
@@ -790,17 +783,16 @@ impl AnyDepthArcs {
     }
 
     /// Can some state's any-depth arc accept an event with dispatch
-    /// `key`? If not, no configuration anchored above the event's parent
-    /// has anything to fire.
-    #[inline]
+    /// `key`? If not, no configuration anchored above a begin event's
+    /// parent, or above a text or end event's element, has anything to
+    /// fire.
     pub(crate) fn may_accept(&self, key: Option<u64>) -> bool {
         key.is_some_and(|k| self.wild[(k >> 32) as usize] || self.keys.binary_search(&k).is_ok())
     }
 
-    /// The arcs of `state` that can accept a begin event (`begin`), or a
-    /// text or end event, from a configuration anchored above the
-    /// event's parent (above the event's own element, for an end).
-    #[inline]
+    /// The arcs of `state` that can accept a begin event (`begin`) from
+    /// a configuration anchored above the event's parent, or a text or
+    /// end event from one anchored above the event's own element.
     pub(crate) fn of(&self, state: StateId, begin: bool) -> &[u32] {
         let Some(&[(begin_at, other_at), (next, _)]) =
             self.spans.get(state as usize..state as usize + 2)
@@ -1168,13 +1160,13 @@ mod tests {
         assert!(named.may_accept(key("a")));
         assert!(!named.may_accept(key("b")) && !named.may_accept(text_key));
         assert!(!none.may_accept(key("a")) && !none.may_accept(None));
-        // The lists are exact: anchored at depth 1, an event at depth 3
-        // (4 for the element whose end it is) is accepted by those arcs
-        // and no others.
+        // The lists are exact: anchored at depth 1, a begin at depth 3,
+        // or a text or end at depth 2, is accepted by those arcs and no
+        // others.
         let dv = DepthVector::from_depths(&[0, 1]);
         for (ev, begin) in [
             (begin("a", 3), true),
-            (text("a", "t", 3), false),
+            (text("a", "t", 2), false),
             (end("a", 2), false),
         ] {
             let accepted: Vec<u32> = (0u32..)
@@ -1321,12 +1313,13 @@ mod tests {
         }
 
         // Filing. The keys of the events a label accepts, and from a
-        // configuration anchored above the event's parent (above its
-        // element, for an end) — the ones `feed_traced` does not probe.
+        // configuration anchored above a begin event's parent (above a
+        // text or end event's element) — the ones `feed_traced` does not
+        // probe.
         let keys: Vec<Option<u64>> = events.iter().map(raw_event_key).collect();
         let from_above = |ev: &RawEvent<'_>| match ev {
-            RawEvent::End { depth, .. } => *depth > TOP,
-            RawEvent::Begin { depth, .. } | RawEvent::Text { depth, .. } => *depth > TOP + 1,
+            RawEvent::End { depth, .. } | RawEvent::Text { depth, .. } => *depth > TOP,
+            RawEvent::Begin { depth, .. } => *depth > TOP + 1,
             RawEvent::StartDocument | RawEvent::EndDocument => false,
         };
         for l in &labels {

@@ -546,6 +546,16 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn non_xml_whitespace_split_across_pushes() {
+        // U+00A0 and U+3000 are content, inside the root and outside it, with
+        // their bytes split by every push boundary.
+        let inside = crate::parser::tests::NON_XML_WHITESPACE;
+        for doc in inside.into_iter().chain(["<r/>\u{a0}", "\u{3000}<r/>"]) {
+            assert_push_equivalent(doc);
+        }
+    }
+
+    #[test]
     fn cdata_terminator_split_across_pushes() {
         assert_push_equivalent("<doc><![CDATA[a]b]]x]]]><t>after</t><![CDATA[]]]]><t>b</t></doc>");
     }

@@ -164,25 +164,21 @@ pub fn cpu_features() -> String {
 pub const TEXT_DELIMS: [u8; 4] = *b"<&\r]";
 
 /// Position of the first occurrence of `needle` in `haystack`.
-#[inline]
 pub fn find_byte(haystack: &[u8], needle: u8) -> Option<usize> {
     imp::find1(haystack, needle)
 }
 
 /// Position of the first occurrence of either `n1` or `n2` in `haystack`.
-#[inline]
 pub fn find_byte2(haystack: &[u8], n1: u8, n2: u8) -> Option<usize> {
     imp::find2(haystack, n1, n2)
 }
 
 /// Position of the first occurrence of `n1`, `n2`, or `n3`.
-#[inline]
 pub fn find_byte3(haystack: &[u8], n1: u8, n2: u8, n3: u8) -> Option<usize> {
     imp::find3(haystack, n1, n2, n3)
 }
 
 /// Position of the first occurrence of `n1`, `n2`, `n3`, or `n4`.
-#[inline]
 pub fn find_byte4(haystack: &[u8], n1: u8, n2: u8, n3: u8, n4: u8) -> Option<usize> {
     imp::find4(haystack, n1, n2, n3, n4)
 }
@@ -191,7 +187,6 @@ pub fn find_byte4(haystack: &[u8], n1: u8, n2: u8, n3: u8, n4: u8) -> Option<usi
 /// before the first [`TEXT_DELIMS`] byte (`<`, `&`, `\r`, `]`), or the
 /// whole slice when none occurs. The text tokenizer copies this prefix
 /// wholesale and only then inspects one delimiter.
-#[inline]
 pub fn classify_run(haystack: &[u8]) -> usize {
     let [a, b, c, d] = TEXT_DELIMS;
     find_byte4(haystack, a, b, c, d).unwrap_or(haystack.len())
@@ -205,30 +200,25 @@ mod swar {
     /// matching position has its high bit set, and any spurious bits sit
     /// strictly above the first true match, so `trailing_zeros()/8` is
     /// exact even after OR-combining several needles' masks.
-    #[inline(always)]
     fn match_mask(w: u64, broadcast: u64) -> u64 {
         let x = w ^ broadcast;
         x.wrapping_sub(LO) & !x & HI
     }
 
-    #[inline(always)]
     fn broadcast(b: u8) -> u64 {
         LO * b as u64
     }
 
-    #[inline(always)]
     fn word(haystack: &[u8], i: usize) -> u64 {
         u64::from_le_bytes(haystack[i..i + 8].try_into().unwrap())
     }
 
-    #[inline(always)]
     fn lane(mask: u64) -> usize {
         (mask.trailing_zeros() / 8) as usize
     }
 
     macro_rules! define_swar {
         ($name:ident, $($bc:ident = $n:ident),+) => {
-            #[inline]
             pub(super) fn $name(haystack: &[u8], $($n: u8),+) -> Option<usize> {
                 $(let $bc = broadcast($n);)+
                 let len = haystack.len();
@@ -282,7 +272,6 @@ mod sse2 {
     // functions with no feature gate: they inline into every caller.
     macro_rules! define_sse2 {
         ($name:ident, $($v:ident = $n:ident),+) => {
-            #[inline]
             pub(super) fn $name(haystack: &[u8], $($n: u8),+) -> Option<usize> {
                 let len = haystack.len();
                 if len < 16 {

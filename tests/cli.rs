@@ -470,7 +470,7 @@ fn solo_stats_count_a_lock_step_run_once() {
     let tail = &line[line.find("events=").expect(line)..];
     assert_eq!(
         tail,
-        "events=73 firings=254 steps=130 probed=109 peak_buffered_bytes=530 peak_configs=22"
+        "events=73 firings=254 steps=130 probed=106 peak_buffered_bytes=530 peak_configs=22"
     );
 }
 
@@ -495,7 +495,7 @@ fn traced_stats_equal_plain_stats() {
     let tail = &stats[stats.find("events=").expect(stats)..];
     assert_eq!(
         tail,
-        "events=73 firings=254 steps=130 probed=109 peak_buffered_bytes=530 peak_configs=22\n"
+        "events=73 firings=254 steps=130 probed=106 peak_buffered_bytes=530 peak_configs=22\n"
     );
 }
 
