@@ -13,7 +13,7 @@
 //!   paper's own footnotes.
 
 use xsq_baselines::{GalaxLike, JoostLike, SaxonLike, XmltkLike, XqEngineLike};
-use xsq_core::{XPathEngine, XsqF, XsqNc};
+use xsq_core::{XPathEngine, XsqEngine, XsqF, XsqNc};
 use xsq_xml::dataset_stats;
 
 use crate::datasets::{self, Scale};
@@ -279,7 +279,8 @@ pub fn fig19(cfg: Config) -> Table {
             xsq_xml::dtd::Dtd::parse(&dtd_text),
             xsq_xpath::parse_query(query),
         ) {
-            if let Ok(analysis) = xsq_core::analyze_with_dtd(&parsed, Some(&dtd)) {
+            if let Ok(analysis) = xsq_core::analyze_with_dtd(XsqEngine::full(), &parsed, Some(&dtd))
+            {
                 t.note(format!(
                     "static bound (data/dblp.dtd): {} — XSQ rows must stay under it",
                     analysis.bound.bound

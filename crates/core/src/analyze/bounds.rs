@@ -35,6 +35,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use xsq_xml::dtd::{Dtd, Occurs};
 use xsq_xpath::{classify, Axis, Output, Predicate, Query, Span};
 
+use super::Diagnostic;
 use crate::schema;
 
 /// The bound lattice: `Zero < Items(K) < PerDepth(K) < Unbounded`.
@@ -98,19 +99,14 @@ impl std::fmt::Display for MemoryBound {
     }
 }
 
-/// One rule application in the derivation.
-#[derive(Debug, Clone)]
-pub struct BoundStep {
-    /// Stable kebab-case rule name.
-    pub rule: &'static str,
-    pub detail: String,
-}
-
 /// The bound plus how it was derived.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoundAnalysis {
     pub bound: MemoryBound,
-    pub trace: Vec<BoundStep>,
+    /// One [`Diagnostic::info`] per rule application, in order: the
+    /// rule's stable kebab-case name as the code, what it found as the
+    /// message.
+    pub trace: Vec<Diagnostic>,
     /// 0-based indices of steps whose existence predicate the DTD proves
     /// always true on valid input — candidates for
     /// [`elide_always_true`], the earliest-flush rewrite.
@@ -119,10 +115,7 @@ pub struct BoundAnalysis {
 
 impl BoundAnalysis {
     fn rule(mut self, rule: &'static str, detail: impl Into<String>) -> Self {
-        self.trace.push(BoundStep {
-            rule,
-            detail: detail.into(),
-        });
+        self.trace.push(Diagnostic::info(rule, detail));
         self
     }
 
@@ -515,7 +508,7 @@ mod tests {
     fn predicate_free_queries_are_zero_without_any_schema() {
         let b = bound("/a/b/c/text()", None);
         assert_eq!(b.bound, MemoryBound::Zero);
-        assert_eq!(b.trace[0].rule, "buffer-free");
+        assert_eq!(b.trace[0].code, "buffer-free");
     }
 
     #[test]
@@ -540,16 +533,16 @@ mod tests {
             Some(&dblp_dtd()),
         );
         assert_eq!(b.bound, MemoryBound::Items(1), "trace: {:#?}", b.trace);
-        assert!(b.trace.iter().any(|s| s.rule == "outermost-undecided-step"));
-        assert!(b.trace.iter().any(|s| s.rule == "level-count"));
-        assert!(b.trace.iter().any(|s| s.rule == "output-multiplier"));
+        assert!(b.trace.iter().any(|s| s.code == "outermost-undecided-step"));
+        assert!(b.trace.iter().any(|s| s.code == "level-count"));
+        assert!(b.trace.iter().any(|s| s.code == "output-multiplier"));
     }
 
     #[test]
     fn unsatisfiable_queries_are_zero() {
         let b = bound("/pub[year=2002]/book[price<11]/author", Some(&dblp_dtd()));
         assert_eq!(b.bound, MemoryBound::Zero);
-        assert_eq!(b.trace.last().unwrap().rule, "schema-unsatisfiable");
+        assert_eq!(b.trace.last().unwrap().code, "schema-unsatisfiable");
     }
 
     #[test]
@@ -594,7 +587,7 @@ mod tests {
         // pub nests in pub; [year=…] is undecided until the year child.
         let b = bound("//pub[year=2002]/book/name/text()", Some(&dtd));
         assert_eq!(b.bound, MemoryBound::PerDepth(1), "trace: {:#?}", b.trace);
-        assert!(b.trace.iter().any(|s| s.rule == "recursive-nesting"));
+        assert!(b.trace.iter().any(|s| s.code == "recursive-nesting"));
     }
 
     #[test]

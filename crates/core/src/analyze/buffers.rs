@@ -1,9 +1,12 @@
 //! Buffer-necessity analysis (§3.2's templates, read off the artifact).
 //!
 //! Each BPDT owns one queue. Whether that queue can ever hold anything
-//! is statically determined by the arcs: a queue only fills through an
-//! `Emit`/`ElementStart` routed `OwnQueue` or `Queue(id)`, or through an
-//! upload from a descendant. Classifying every queue tells us which §3.2
+//! is statically determined by the arcs: a value reaches a queue only
+//! through an `Emit`/`ElementStart` routed `OwnQueue` or `Queue(id)`, or
+//! through an upload out of a descendant's queue that a value reaches
+//! in turn — an upload out of a queue nothing fills carries nothing.
+//! So some queue is live exactly when some action enqueues, which is
+//! `Hpdt::buffered`. Classifying every queue tells us which §3.2
 //! template actually *needs* its buffer for this query:
 //!
 //! * a query with no predicates (or only attribute-of-self predicates,
@@ -15,7 +18,7 @@
 //! * below an undecided ancestor, values go to the nearest such
 //!   ancestor's queue instead ([`BufferClass::UpstreamPredicate`]).
 
-use crate::arcs::Action;
+use crate::arcs::{Action, Fill};
 use crate::build::Hpdt;
 use crate::ids::BpdtId;
 
@@ -27,8 +30,8 @@ pub enum BufferClass {
     /// Holds this BPDT's own pending values until its predicate resolves
     /// (the §3.2 category 2–5 templates on an all-ancestors-true path).
     OwnPredicate,
-    /// Holds values (its own or uploaded) pending an *ancestor*
-    /// predicate: some descendant routes into this queue.
+    /// Holds values pending an *ancestor* predicate: a value reaches
+    /// this queue from below, enqueued or uploaded out of a live queue.
     UpstreamPredicate,
 }
 
@@ -52,11 +55,9 @@ pub struct BufferInfo {
 /// The full buffer plan of one HPDT.
 #[derive(Debug, Clone)]
 pub struct BufferPlan {
-    /// One entry per BPDT, in queue-slot order.
+    /// One entry per BPDT, in queue-slot order. Some entry is live
+    /// exactly when `Hpdt::buffered` holds.
     pub buffers: Vec<BufferInfo>,
-    /// False when every buffer is [`BufferClass::Unused`]: the runner
-    /// allocates no queues and every result is emitted directly.
-    pub buffered: bool,
 }
 
 impl BufferPlan {
@@ -80,28 +81,44 @@ pub fn analyze_buffers(hpdt: &Hpdt) -> BufferPlan {
         })
         .collect();
 
-    // `UpstreamPredicate` (someone routes *into* this queue from below)
+    // `UpstreamPredicate` (a value reaches this queue from below)
     // dominates `OwnPredicate` (the queue holds only its owner's pending
-    // values): an own-queue routing never downgrades a slot.
-    // A keyed resolve releases into its target like an upload; the keyed
-    // queue itself classifies like any other — by who routes values into it.
+    // values): an own-queue routing never downgrades a slot. A keyed
+    // resolve releases into its target like an upload; the keyed queue
+    // itself classifies like any other — by what reaches it.
+    let mut uploads = Vec::new();
     for arc in hpdt.arcs.iter().flatten() {
-        for (_, named) in arc.actions.iter().filter_map(Action::fill) {
-            match named {
-                // `Fill::Own`: a value waiting on the owner's predicate.
-                None => {
-                    let own = &mut buffers[arc.owner.slot as usize];
-                    if own.class == BufferClass::Unused {
-                        own.class = BufferClass::OwnPredicate;
+        let owner = arc.owner.slot as usize;
+        for (how, named) in arc.actions.iter().filter_map(Action::fill) {
+            let slot = named.map_or(owner, |q| q.slot as usize);
+            match how {
+                Fill::Own => {
+                    if buffers[slot].class == BufferClass::Unused {
+                        buffers[slot].class = BufferClass::OwnPredicate;
                     }
                 }
-                Some(q) => buffers[q.slot as usize].class = BufferClass::UpstreamPredicate,
+                Fill::Enqueue => buffers[slot].class = BufferClass::UpstreamPredicate,
+                Fill::Upload => uploads.push((owner, slot)),
             }
         }
     }
 
-    let buffered = buffers.iter().any(|b| b.class != BufferClass::Unused);
-    BufferPlan { buffers, buffered }
+    // An upload carries values only out of a queue some value reaches:
+    // walk the uploads from every live queue, once per queue.
+    uploads.sort_unstable();
+    let mut live: Vec<usize> = (0..buffers.len())
+        .filter(|&slot| buffers[slot].class != BufferClass::Unused)
+        .collect();
+    while let Some(from) = live.pop() {
+        let first = uploads.partition_point(|&(f, _)| f < from);
+        for &(_, to) in uploads[first..].iter().take_while(|&&(f, _)| f == from) {
+            if buffers[to].class == BufferClass::Unused {
+                live.push(to);
+            }
+            buffers[to].class = BufferClass::UpstreamPredicate;
+        }
+    }
+    BufferPlan { buffers }
 }
 
 #[cfg(test)]
@@ -114,7 +131,8 @@ mod tests {
         let h = build_hpdt(&parse_query(q).unwrap()).unwrap();
         let p = analyze_buffers(&h);
         assert_eq!(
-            p.buffered, h.buffered,
+            p.live_buffers() > 0,
+            h.buffered,
             "plan and builder disagree on buffering for {q}"
         );
         p
@@ -123,7 +141,6 @@ mod tests {
     #[test]
     fn predicate_free_queries_elide_all_buffers() {
         let p = plan("/a/b/c/text()");
-        assert!(!p.buffered);
         assert_eq!(p.live_buffers(), 0);
     }
 
@@ -131,13 +148,12 @@ mod tests {
     fn attr_of_self_predicates_still_elide() {
         // Category 1 resolves at the begin event itself: direct emission.
         let p = plan("/a[@id]/b/text()");
-        assert!(!p.buffered);
+        assert_eq!(p.live_buffers(), 0);
     }
 
     #[test]
     fn own_text_predicate_buffers_in_own_queue() {
         let p = plan("/a[text()=x]/@id");
-        assert!(p.buffered);
         assert!(p
             .buffers
             .iter()
@@ -151,7 +167,7 @@ mod tests {
             let h = crate::build::build_merged_hpdt(queries).unwrap();
             let keyed = h.keyed[0].bpdt;
             let p = analyze_buffers(&h);
-            assert_eq!(p.buffered, h.buffered);
+            assert_eq!(p.live_buffers() > 0, h.buffered);
             let class = |id| p.buffers.iter().find(|b| b.bpdt == id).unwrap().class;
             (class(keyed), class(BpdtId::new(1, 0)))
         };
@@ -174,7 +190,6 @@ mod tests {
     fn child_predicate_buffers_upstream() {
         // The leaf below the undecided [b] routes into bpdt(1,1)'s queue.
         let p = plan("/a[b]/c/text()");
-        assert!(p.buffered);
         let slot11 = p
             .buffers
             .iter()

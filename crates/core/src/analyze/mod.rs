@@ -32,7 +32,7 @@ pub mod bounds;
 pub mod buffers;
 pub mod verify;
 
-pub use bounds::{analyze_bounds, elide_always_true, BoundAnalysis, BoundStep, MemoryBound};
+pub use bounds::{analyze_bounds, elide_always_true, BoundAnalysis, MemoryBound};
 pub use buffers::{analyze_buffers, BufferClass, BufferInfo, BufferPlan};
 pub use verify::verify;
 
@@ -40,6 +40,7 @@ use xsq_xpath::{streamability, FnTest, IssueKind, Predicate, Query};
 
 use crate::arcs::{Arc, ArcLabel, StateId};
 use crate::build::{build_hpdt, Hpdt};
+use crate::engine::XsqEngine;
 use crate::error::CompileError;
 use crate::ids::BpdtId;
 
@@ -63,8 +64,11 @@ impl Severity {
     }
 }
 
-/// One machine-readable finding from the analyzer.
-#[derive(Debug, Clone)]
+/// One machine-readable finding from the analyzer: a verifier or lint
+/// finding, a bound-derivation step, or a server's reason for refusing
+/// a subscription. `xsq analyze --json` and ERR frames render it alike
+/// (`xsq_server::proto::json_diagnostics`).
+#[derive(Debug, Clone, PartialEq)]
 pub struct Diagnostic {
     pub severity: Severity,
     /// Stable kebab-case identifier for the class of finding.
@@ -307,24 +311,27 @@ pub struct Analysis {
     pub plan: BufferPlan,
     /// Static memory bound from the schema (or the no-schema verdict).
     pub bound: BoundAnalysis,
-    /// The engine the `XsqEngine::full` entry point would actually run.
+    /// The engine that runs the query, by the rule
+    /// [`crate::CompiledQuery::engine_label`] reads.
     pub engine: &'static str,
 }
 
-/// Analyze a parsed query end to end. This is the backend of
-/// `xsq analyze`; the engine builds the same transducer and verifies it
-/// through `checked`.
+/// [`analyze_with_dtd`] on XSQ-F with no schema.
 pub fn analyze(query: &Query) -> Result<Analysis, CompileError> {
-    analyze_with_dtd(query, None)
+    analyze_with_dtd(XsqEngine::full(), query, None)
 }
 
-/// [`analyze`], with schema knowledge when a DTD is at hand: adds the
-/// schema lints and derives the static memory bound from the content
-/// models instead of the conservative no-schema `Unbounded`.
+/// Analyze a parsed query end to end for `engine`. This is the backend
+/// of `xsq analyze`: it refuses what `engine` refuses, builds the
+/// transducer the engine compiles and verifies it. With a DTD at hand it
+/// adds the schema lints and derives the static memory bound from the
+/// content models instead of the conservative no-schema `Unbounded`.
 pub fn analyze_with_dtd(
+    engine: XsqEngine,
     query: &Query,
     dtd: Option<&xsq_xml::dtd::Dtd>,
 ) -> Result<Analysis, CompileError> {
+    engine.check(query)?;
     let hpdt = build_hpdt(query)?;
     let mut diagnostics = verify(&hpdt);
     diagnostics.extend(lint_streamability(query));
@@ -332,20 +339,13 @@ pub fn analyze_with_dtd(
     if let Some(dtd) = dtd {
         diagnostics.extend(lint_schema(query, dtd));
     }
-    let plan = analyze_buffers(&hpdt);
-    let bound = analyze_bounds(query, hpdt.buffered, dtd);
-    let engine = if hpdt.deterministic {
-        "XSQ-NC (auto)"
-    } else {
-        "XSQ-F"
-    };
     Ok(Analysis {
         query: query.clone(),
         diagnostics,
+        plan: analyze_buffers(&hpdt),
+        bound: analyze_bounds(query, hpdt.buffered, dtd),
+        engine: engine.mode().label(&hpdt),
         hpdt,
-        plan,
-        bound,
-        engine,
     })
 }
 
@@ -474,16 +474,31 @@ mod tests {
     #[test]
     fn a_dead_output_step_is_bounded_by_what_the_engine_runs() {
         // The only `Emit` sits below an unsatisfiable guard and is never
-        // built; the upload arcs of the live `[b]`/`[d]` steps are, so the
-        // per-queue plan still shows a fed queue. Nothing can enqueue, the
-        // runner allocates no queues, and explainer and compiler agree:
-        // the bound is read off the artifact the compiler builds.
+        // built; the upload arcs of the live `[b]`/`[d]` steps are, but
+        // nothing reaches the queues they upload out of. Nothing can
+        // enqueue, the runner allocates no queues, and the per-queue plan,
+        // the bound and the compiler agree on the artifact it builds.
         let q = parse_query("/a[b]/c[d]/e[@x>nope]/text()").unwrap();
         let a = analyze(&q).unwrap();
-        assert!(a.plan.buffered && !a.hpdt.buffered);
+        assert!(!a.hpdt.buffered);
+        assert!(a
+            .plan
+            .buffers
+            .iter()
+            .all(|b| b.class == BufferClass::Unused));
         assert_eq!(a.bound.bound, MemoryBound::Zero);
         let compiled = crate::XsqEngine::full().compile(&q).unwrap();
         assert!(!compiled.hpdt().buffered);
+    }
+
+    #[test]
+    fn an_analysis_refuses_and_names_what_its_engine_runs() {
+        let nc = XsqEngine::no_closure();
+        let q = parse_query("/a/b/text()").unwrap();
+        assert_eq!(analyze_with_dtd(nc, &q, None).unwrap().engine, "XSQ-NC");
+        let q = parse_query("//a/text()").unwrap();
+        let refused = analyze_with_dtd(nc, &q, None).unwrap_err();
+        assert_eq!(refused.to_string(), nc.compile(&q).unwrap_err().to_string());
     }
 
     #[test]

@@ -28,6 +28,21 @@ pub enum XsqMode {
     NoClosure,
 }
 
+impl XsqMode {
+    /// The engine that runs an HPDT compiled for this mode: `"XSQ-NC"`
+    /// when the caller asked for it, `"XSQ-NC (auto)"` when the
+    /// determinism proof routes a full-mode HPDT onto the fast path,
+    /// `"XSQ-F"` otherwise. The one rule behind
+    /// [`CompiledQuery::engine_label`] and `Analysis::engine`.
+    pub(crate) fn label(self, hpdt: &Hpdt) -> &'static str {
+        match self {
+            XsqMode::NoClosure => "XSQ-NC",
+            XsqMode::Full if hpdt.deterministic => "XSQ-NC (auto)",
+            XsqMode::Full => "XSQ-F",
+        }
+    }
+}
+
 /// The XSQ engine: compiles XPath queries into HPDTs.
 #[derive(Debug, Clone, Copy)]
 pub struct XsqEngine {
@@ -114,11 +129,7 @@ impl CompiledQuery {
     /// caller asked for it, `"XSQ-NC (auto)"` when the determinism proof
     /// routed a full-mode query onto the fast path, `"XSQ-F"` otherwise.
     pub fn engine_label(&self) -> &'static str {
-        match self.mode {
-            XsqMode::NoClosure => "XSQ-NC",
-            XsqMode::Full if self.auto_nc() => "XSQ-NC (auto)",
-            XsqMode::Full => "XSQ-F",
-        }
+        self.mode.label(&self.hpdt)
     }
 
     /// Start an incremental run — the streaming interface. Feed events as

@@ -76,4 +76,4 @@ pub use shard::{
     run_sequential, run_sequential_with, run_sharded, run_sharded_with, DocOutput, ShardError,
     ShardRun,
 };
-pub use sink::{CountingSink, FnSink, IgnoreTags, Sink, TaggedSink, TaggedVecSink, VecSink};
+pub use sink::{CountingSink, FnSink, Sink, VecSink};

@@ -7,8 +7,8 @@
 //! connection. [`PlanCache`] compiles a batch **once per distinct
 //! (engine mode, batch text)** and hands out a shared
 //! [`CachedPlan`]: the compiled [`QuerySet`] (each group an
-//! `Arc<Hpdt>`) plus the per-query static memory bounds, read off those
-//! same groups. Subscribing a cached set into a [`QueryIndex`] is pure
+//! `Arc<Hpdt>`) plus each query's static memory bound and its
+//! derivation, read off those same groups. Subscribing a cached set into a [`QueryIndex`] is pure
 //! runtime-state instantiation — no compilation at all — via
 //! [`QueryIndex::subscribe_set`], the same call every other holder of
 //! a `QuerySet` makes, so the artifact that was bounded at admission
@@ -28,19 +28,20 @@ use std::sync::{Arc, Mutex, Weak};
 
 use xsq_xml::dtd::Dtd;
 
-use crate::analyze::{analyze_bounds, MemoryBound};
+use crate::analyze::{analyze_bounds, BoundAnalysis};
 use crate::engine::{XsqEngine, XsqMode};
 use crate::error::CompileError;
 use crate::multi::QuerySet;
 
 /// One cached batch: the compiled [`QuerySet`] and each query's static
-/// memory bound (derived against the cache's DTD, if any). Immutable
-/// and shared — every subscriber of the same batch holds the same `Arc`.
+/// memory bound with its derivation (against the cache's DTD, if any).
+/// Immutable and shared — every subscriber of the same batch holds the
+/// same `Arc`.
 #[derive(Debug)]
 pub struct CachedPlan {
     key: String,
     set: QuerySet,
-    bounds: Vec<MemoryBound>,
+    bounds: Vec<BoundAnalysis>,
 }
 
 impl CachedPlan {
@@ -55,8 +56,9 @@ impl CachedPlan {
         &self.set
     }
 
-    /// Per-query static memory bounds, in input order.
-    pub fn bounds(&self) -> &[MemoryBound] {
+    /// Per-query static memory bounds and their derivations, in input
+    /// order: what admission enforces and what a refused client reads.
+    pub fn bounds(&self) -> &[BoundAnalysis] {
         &self.bounds
     }
 }
@@ -169,16 +171,20 @@ impl PlanCache {
     /// group that runs it: the parsed query and whether that member can
     /// enqueue both come from the group's HPDT. The cache's own work —
     /// plain subscriptions never pay for it.
-    fn bounds(&self, set: &QuerySet) -> Vec<MemoryBound> {
-        let mut bounds = vec![MemoryBound::Zero; set.len()];
+    fn bounds(&self, set: &QuerySet) -> Vec<BoundAnalysis> {
+        let mut bounds = Vec::with_capacity(set.len());
         for group in set.groups() {
             let buffered = group.hpdt.buffered_members();
             for (tag, &member) in group.members.iter().enumerate() {
                 let query = &group.hpdt.merged[tag];
-                bounds[member] = analyze_bounds(query, buffered[tag], self.dtd.as_deref()).bound;
+                bounds.push((
+                    member,
+                    analyze_bounds(query, buffered[tag], self.dtd.as_deref()),
+                ));
             }
         }
-        bounds
+        bounds.sort_unstable_by_key(|&(member, _)| member);
+        bounds.into_iter().map(|(_, b)| b).collect()
     }
 }
 
@@ -315,13 +321,12 @@ mod tests {
             "/dblp/inproceedings[booktitle]/author/text()",
         ];
         let plan = cache.checkout(XsqEngine::full(), &batch).unwrap();
-        let direct: Vec<MemoryBound> = batch
+        let direct: Vec<BoundAnalysis> = batch
             .iter()
             .map(|q| {
                 let parsed = xsq_xpath::parse_query(q).unwrap();
-                crate::analyze_with_dtd(&parsed, Some(&dtd))
+                crate::analyze_with_dtd(XsqEngine::full(), &parsed, Some(&dtd))
                     .unwrap()
-                    .bound
                     .bound
             })
             .collect();

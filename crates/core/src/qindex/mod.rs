@@ -32,6 +32,7 @@ pub mod dispatch;
 pub mod prefix;
 pub mod subscribe;
 
+pub use crate::sink::{QueryId, QuerySink, VecQuerySink};
 pub use dispatch::DispatchIndex;
 pub use prefix::{plan_groups, QueryGroup};
-pub use subscribe::{QueryId, QueryIndex, QuerySink, VecQuerySink};
+pub use subscribe::QueryIndex;

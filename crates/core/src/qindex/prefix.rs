@@ -137,7 +137,7 @@ mod tests {
     #[test]
     fn predicate_differences_on_step_one_share_a_group() {
         use crate::runtime::RunnerCore;
-        use crate::sink::TaggedVecSink;
+        use crate::sink::{QueryId, VecQuerySink};
         let texts = ["/a[b]/c/text()", "/a/c/text()"];
         let groups = plan_groups(queries(&texts)).unwrap();
         assert_eq!(groups.len(), 1);
@@ -153,14 +153,14 @@ mod tests {
         let doc = b"<r><a><c>1</c><b/><c>2</c></a><a><c>3</c></a></r>";
         let hpdt = &groups[0].hpdt;
         let mut core = RunnerCore::new(hpdt);
-        let mut sink = TaggedVecSink::new();
+        let mut sink = VecQuerySink::new();
         crate::runtime::tests::each_event(doc, |e| {
             core.feed_raw(hpdt, e, &mut sink);
         });
         core.finish(&mut sink);
         for (tag, q) in texts.iter().enumerate() {
             let solo = crate::engine::evaluate(q, doc).unwrap();
-            assert_eq!(sink.of(tag as u32), solo, "{q}");
+            assert_eq!(sink.of(QueryId(tag as u32)), solo, "{q}");
         }
     }
 

@@ -36,54 +36,9 @@ use crate::error::{CompileError, EngineError};
 use crate::multi::QuerySet;
 use crate::report::MemoryStats;
 use crate::runtime::{RunStats, RunnerCore};
-use crate::sink::TaggedSink;
+use crate::sink::{QueryId, QuerySink};
 
 use super::dispatch::DispatchIndex;
-
-/// Stable handle for one subscribed query. Ids are never reused, so a
-/// stale handle after `unsubscribe` is harmless.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct QueryId(pub u32);
-
-/// Where shared-mode results go: like [`crate::sink::Sink`], but every callback says
-/// which query produced the value.
-pub trait QuerySink {
-    fn result(&mut self, id: QueryId, value: &str);
-    /// Running aggregate update (count/sum/… queries only).
-    fn aggregate_update(&mut self, _id: QueryId, _value: f64) {}
-}
-
-/// Shared sink that collects `(id, value)` pairs in arrival order.
-#[derive(Debug, Default)]
-pub struct VecQuerySink {
-    pub results: Vec<(QueryId, String)>,
-    pub updates: Vec<(QueryId, f64)>,
-}
-
-impl VecQuerySink {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The values one query produced, in document order.
-    pub fn of(&self, id: QueryId) -> Vec<&str> {
-        self.results
-            .iter()
-            .filter(|(i, _)| *i == id)
-            .map(|(_, v)| v.as_str())
-            .collect()
-    }
-}
-
-impl QuerySink for VecQuerySink {
-    fn result(&mut self, id: QueryId, value: &str) {
-        self.results.push((id, value.to_string()));
-    }
-
-    fn aggregate_update(&mut self, id: QueryId, value: f64) {
-        self.updates.push((id, value));
-    }
-}
 
 /// One subscription.
 struct Sub {
@@ -112,16 +67,16 @@ struct RouteSink<'a> {
     shared: &'a mut dyn QuerySink,
 }
 
-impl TaggedSink for RouteSink<'_> {
-    fn result(&mut self, tag: u32, value: &str) {
-        let id = self.members[tag as usize];
+impl QuerySink for RouteSink<'_> {
+    fn result(&mut self, tag: QueryId, value: &str) {
+        let id = self.members[tag.0 as usize];
         if self.subs[id.0 as usize].active {
             self.shared.result(id, value);
         }
     }
 
-    fn aggregate_update(&mut self, tag: u32, value: f64) {
-        let id = self.members[tag as usize];
+    fn aggregate_update(&mut self, tag: QueryId, value: f64) {
+        let id = self.members[tag.0 as usize];
         if self.subs[id.0 as usize].active {
             self.shared.aggregate_update(id, value);
         }
@@ -426,6 +381,7 @@ impl std::fmt::Debug for QueryIndex {
 mod tests {
     use super::*;
     use crate::engine::evaluate;
+    use crate::sink::VecQuerySink;
     use xsq_xml::RawEvent;
 
     const DOC: &[u8] = b"<pub><book id=\"1\"><name>First</name><author>A</author>\

@@ -86,7 +86,7 @@ use crate::build::Hpdt;
 use crate::depth_vector::DepthVector;
 use crate::items::{ItemId, ItemStore};
 use crate::report::MemoryStats;
-use crate::sink::{IgnoreTags, Sink, TaggedSink};
+use crate::sink::{QueryId, QuerySink, Sink};
 use crate::trace::TraceStep;
 
 /// One runtime configuration. Field order is sort order: by anchor
@@ -158,9 +158,10 @@ pub struct RunStats {
 /// decide how the automaton is owned (plain borrow in [`Runner`],
 /// `Arc<Hpdt>` in the multi-query index).
 ///
-/// Results leave through a [`TaggedSink`]; for an ordinary single-query
-/// HPDT every result carries tag 0, while a merged multi-query HPDT tags
-/// each result with the index of its originating query in `hpdt.merged`.
+/// Results leave through a [`QuerySink`]; for an ordinary single-query
+/// HPDT every result carries `QueryId(0)`, while a merged multi-query
+/// HPDT labels each result `QueryId(t)`, `t` the index of its
+/// originating query in `hpdt.merged`.
 pub struct RunnerCore {
     /// Mirror of `hpdt.buffered`: when false, buffer-necessity analysis
     /// proved no action ever enqueues, so no queues are allocated and the
@@ -301,7 +302,7 @@ impl RunnerCore {
         &mut self,
         hpdt: &Hpdt,
         event: &RawEvent<'_>,
-        sink: &mut dyn TaggedSink,
+        sink: &mut dyn QuerySink,
     ) -> bool {
         self.feed_traced(hpdt, event, sink, None)
     }
@@ -312,7 +313,7 @@ impl RunnerCore {
         &mut self,
         hpdt: &Hpdt,
         event: &RawEvent<'_>,
-        sink: &mut dyn TaggedSink,
+        sink: &mut dyn QuerySink,
         tracer: Option<&mut dyn FnMut(TraceStep)>,
     ) -> bool {
         self.events += 1;
@@ -909,22 +910,37 @@ impl RunnerCore {
         }
     }
 
-    fn drain(&mut self, sink: &mut dyn TaggedSink) {
-        let aggs = &mut self.aggs;
-        let results = &mut self.results;
-        self.items.drain(|tag, v| {
-            if let Some(Some(agg)) = aggs.get_mut(tag as usize) {
-                agg.add(v);
-            } else {
+    /// The one delivery step: every resolved item at the emission cursor
+    /// goes into its query's aggregate or out as a result. At the end of
+    /// the stream (`end`) anything still pending dies first.
+    fn deliver(&mut self, sink: &mut dyn QuerySink, end: bool) {
+        let Self {
+            items,
+            aggs,
+            results,
+            ..
+        } = self;
+        let deliver = |tag: u32, v: &str| match aggs.get_mut(tag as usize) {
+            Some(Some(agg)) => agg.add(v),
+            _ => {
                 *results += 1;
-                sink.result(tag, v);
+                sink.result(QueryId(tag), v);
             }
-        });
+        };
+        if end {
+            items.finish(deliver);
+        } else {
+            items.drain(deliver);
+        }
+    }
+
+    fn drain(&mut self, sink: &mut dyn QuerySink) {
+        self.deliver(sink, false);
         if self.agg_count > 0 {
-            for (t, agg) in aggs.iter_mut().enumerate() {
+            for (t, agg) in self.aggs.iter_mut().enumerate() {
                 if let Some(agg) = agg {
                     if agg.take_dirty() {
-                        sink.aggregate_update(t as u32, agg.current());
+                        sink.aggregate_update(QueryId(t as u32), agg.current());
                     }
                 }
             }
@@ -937,21 +953,12 @@ impl RunnerCore {
     /// invariant that all buffers resolve by the closing tag of the
     /// outermost queried element. The core stays usable (call
     /// [`Self::reset`] for the next document).
-    pub fn finish(&mut self, sink: &mut dyn TaggedSink) -> RunStats {
-        let aggs = &mut self.aggs;
-        let results = &mut self.results;
-        self.items.finish(|tag, v| {
-            if let Some(Some(agg)) = aggs.get_mut(tag as usize) {
-                agg.add(v);
-            } else {
-                *results += 1;
-                sink.result(tag, v);
-            }
-        });
+    pub fn finish(&mut self, sink: &mut dyn QuerySink) -> RunStats {
+        self.deliver(sink, true);
         if self.agg_count > 0 {
             for (t, agg) in self.aggs.iter().enumerate() {
                 if let Some(agg) = agg {
-                    sink.result(t as u32, &agg.render());
+                    sink.result(QueryId(t as u32), &agg.render());
                     self.results += 1;
                 }
             }
@@ -1014,6 +1021,20 @@ impl RunnerCore {
     }
 }
 
+/// A plain [`Sink`] behind the tagged interface: a single query's runner
+/// labels every result `QueryId(0)`, so the label carries nothing.
+struct Untagged<'a>(&'a mut dyn Sink);
+
+impl QuerySink for Untagged<'_> {
+    fn result(&mut self, _id: QueryId, value: &str) {
+        self.0.result(value);
+    }
+
+    fn aggregate_update(&mut self, _id: QueryId, value: f64) {
+        self.0.aggregate_update(value);
+    }
+}
+
 /// An incremental evaluator: feed it SAX events, results stream out of
 /// the sink as soon as the paper's semantics allow. The single-query
 /// facade over [`RunnerCore`].
@@ -1050,15 +1071,15 @@ impl<'q> Runner<'q> {
     /// Process one borrowed SAX event — the zero-copy hot path for
     /// callers driving [`xsq_xml::StreamParser::next_raw`].
     pub fn feed_raw(&mut self, event: &RawEvent<'_>, sink: &mut dyn Sink) {
-        let mut tagged = IgnoreTags(sink);
         let tracer: Option<&mut dyn FnMut(TraceStep)> = self.tracer.as_mut().map(|t| &mut **t as _);
-        self.core.feed_traced(self.hpdt, event, &mut tagged, tracer);
+        self.core
+            .feed_traced(self.hpdt, event, &mut Untagged(sink), tracer);
     }
 
     /// Finish the stream: resolve stragglers, emit the aggregation
     /// result, and return run statistics.
     pub fn finish(mut self, sink: &mut dyn Sink) -> RunStats {
-        self.core.finish(&mut IgnoreTags(sink))
+        self.core.finish(&mut Untagged(sink))
     }
 
     /// Current memory accounting.
@@ -1236,7 +1257,7 @@ pub(crate) mod tests {
     fn core_feed_reports_whether_arcs_fired() {
         let hpdt = build_hpdt(&parse_query("/a/b/text()").unwrap()).unwrap();
         let mut core = RunnerCore::new(&hpdt);
-        let mut sink = crate::sink::TaggedVecSink::new();
+        let mut sink = crate::sink::VecQuerySink::new();
         let mut fired = Vec::new();
         each_event(b"<a><z>skip</z><b>hit</b></a>", |e| {
             fired.push(core.feed_raw(&hpdt, e, &mut sink))
@@ -1245,7 +1266,7 @@ pub(crate) mod tests {
         // configurations; <z> and its text do not.
         assert!(fired[0] && fired[1]);
         assert!(!fired[2] && !fired[3], "irrelevant element must not fire");
-        assert_eq!(sink.of(0), ["hit"]);
+        assert_eq!(sink.of(QueryId(0)), ["hit"]);
     }
 
     #[test]
@@ -1262,7 +1283,7 @@ pub(crate) mod tests {
         ] {
             let hpdt = build_hpdt(&parse_query(query).unwrap()).unwrap();
             let mut core = RunnerCore::new(&hpdt);
-            let mut sink = crate::sink::TaggedVecSink::new();
+            let mut sink = crate::sink::VecQuerySink::new();
             let (mut ignored, mut i) = (0, 0);
             each_event(doc, |e| {
                 let before = (
@@ -1291,7 +1312,7 @@ pub(crate) mod tests {
             });
             assert_eq!(ignored, ignores, "{query}");
             core.finish(&mut sink);
-            assert_eq!(sink.of(0), want, "{query}");
+            assert_eq!(sink.of(QueryId(0)), want, "{query}");
         }
     }
 
@@ -1299,7 +1320,7 @@ pub(crate) mod tests {
     fn a_descent_only_the_closure_self_loop_would_accept_fires_nothing() {
         let hpdt = build_hpdt(&parse_query("//b/text()").unwrap()).unwrap();
         let mut core = RunnerCore::new(&hpdt);
-        let mut sink = crate::sink::TaggedVecSink::new();
+        let mut sink = crate::sink::VecQuerySink::new();
         let mut fired = Vec::new();
         each_event(b"<a><z><b>hit</b></z></a>", |e| {
             fired.push(core.feed_raw(&hpdt, e, &mut sink))
@@ -1311,7 +1332,7 @@ pub(crate) mod tests {
         // <b> fires the entry arc — and the closure configuration stays
         // beside its successor; text and </b> fire, </z> and </a> do not.
         assert_eq!(fired[3..8], [true, true, true, false, false]);
-        assert_eq!(sink.of(0), ["hit"]);
+        assert_eq!(sink.of(QueryId(0)), ["hit"]);
     }
 
     #[test]
@@ -1352,12 +1373,12 @@ pub(crate) mod tests {
         let mut core = RunnerCore::new(&hpdt);
         let mut stats = Vec::new();
         for _ in 0..2 {
-            let mut sink = crate::sink::TaggedVecSink::new();
+            let mut sink = crate::sink::VecQuerySink::new();
             each_event(b"<a><b/><b/></a>", |e| {
                 core.feed_raw(&hpdt, e, &mut sink);
             });
             stats.push(core.finish(&mut sink));
-            assert_eq!(sink.of(0), ["2"]);
+            assert_eq!(sink.of(QueryId(0)), ["2"]);
             core.reset(&hpdt);
         }
         // Every count is per document, the event count included.
@@ -1374,14 +1395,14 @@ pub(crate) mod tests {
             .collect();
         let hpdt = build_merged_hpdt(queries).unwrap();
         let mut core = RunnerCore::new(&hpdt);
-        let mut sink = crate::sink::TaggedVecSink::new();
+        let mut sink = crate::sink::VecQuerySink::new();
         let doc = br#"<a><b id="7">x</b><c>y</c></a>"#;
         each_event(doc, |e| {
             core.feed_raw(&hpdt, e, &mut sink);
         });
         core.finish(&mut sink);
-        assert_eq!(sink.of(0), ["x"]);
-        assert_eq!(sink.of(1), ["7"]);
-        assert_eq!(sink.of(2), ["y"]);
+        assert_eq!(sink.of(QueryId(0)), ["x"]);
+        assert_eq!(sink.of(QueryId(1)), ["7"]);
+        assert_eq!(sink.of(QueryId(2)), ["y"]);
     }
 }

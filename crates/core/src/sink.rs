@@ -71,65 +71,56 @@ impl<F: FnMut(&str)> Sink for FnSink<F> {
     }
 }
 
-/// Receives results together with the tag of the query that produced
-/// them. This is the attribution-preserving interface the multi-query
-/// machinery runs on: a merged HPDT evaluates several queries at once and
-/// labels every emitted item with its originating query's tag, so a
-/// shared consumer can tell the streams apart (the single-query engine
-/// always uses tag 0).
-pub trait TaggedSink {
-    /// One result item from the query identified by `tag`.
-    fn result(&mut self, tag: u32, value: &str);
+/// Stable handle for one query: its index in a merged HPDT's `merged`
+/// list inside the runtime, its subscription id in a
+/// [`crate::qindex::QueryIndex`]. Ids are never reused, so a stale
+/// handle after `unsubscribe` is harmless.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct QueryId(pub u32);
 
-    /// A running aggregation update from the query identified by `tag`.
-    /// Default: ignored.
-    fn aggregate_update(&mut self, _tag: u32, _value: f64) {}
+/// Receives results together with the query that produced them. This is
+/// the interface every runner delivers through: a merged HPDT evaluates
+/// several queries at once and labels each item with its originating
+/// query, so a shared consumer can tell the streams apart (a
+/// single-query HPDT always labels `QueryId(0)`).
+pub trait QuerySink {
+    /// One result item from query `id`.
+    fn result(&mut self, id: QueryId, value: &str);
+    /// Running aggregate update (count/sum/… queries only). Default:
+    /// ignored.
+    fn aggregate_update(&mut self, _id: QueryId, _value: f64) {}
 }
 
-/// Adapts a plain [`Sink`] to the tagged interface by discarding the tag
-/// (correct whenever only one query feeds the sink).
-pub struct IgnoreTags<'a>(pub &'a mut dyn Sink);
-
-impl TaggedSink for IgnoreTags<'_> {
-    fn result(&mut self, _tag: u32, value: &str) {
-        self.0.result(value);
-    }
-
-    fn aggregate_update(&mut self, _tag: u32, value: f64) {
-        self.0.aggregate_update(value);
-    }
-}
-
-/// Collects tagged results in arrival order — the tagged analogue of
-/// [`VecSink`], for tests and small result sets.
+/// Collects `(id, value)` pairs in arrival order — the tagged analogue
+/// of [`VecSink`], for tests and small result sets.
 #[derive(Debug, Default)]
-pub struct TaggedVecSink {
-    pub results: Vec<(u32, String)>,
-    pub updates: Vec<(u32, f64)>,
+pub struct VecQuerySink {
+    pub results: Vec<(QueryId, String)>,
+    pub updates: Vec<(QueryId, f64)>,
 }
 
-impl TaggedVecSink {
+impl VecQuerySink {
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The results of one tag, in arrival (= document) order.
-    pub fn of(&self, tag: u32) -> Vec<&str> {
+    /// The values one query produced, in document order.
+    pub fn of(&self, id: QueryId) -> Vec<&str> {
         self.results
             .iter()
-            .filter(|(t, _)| *t == tag)
+            .filter(|(i, _)| *i == id)
             .map(|(_, v)| v.as_str())
             .collect()
     }
 }
 
-impl TaggedSink for TaggedVecSink {
-    fn result(&mut self, tag: u32, value: &str) {
-        self.results.push((tag, value.to_string()));
+impl QuerySink for VecQuerySink {
+    fn result(&mut self, id: QueryId, value: &str) {
+        self.results.push((id, value.to_string()));
     }
 
-    fn aggregate_update(&mut self, tag: u32, value: f64) {
-        self.updates.push((tag, value));
+    fn aggregate_update(&mut self, id: QueryId, value: f64) {
+        self.updates.push((id, value));
     }
 }
 
@@ -166,24 +157,12 @@ mod tests {
     }
 
     #[test]
-    fn ignore_tags_forwards_to_plain_sink() {
-        let mut inner = VecSink::new();
-        {
-            let mut s = IgnoreTags(&mut inner);
-            s.result(3, "a");
-            s.aggregate_update(7, 2.0);
-        }
-        assert_eq!(inner.results, ["a"]);
-        assert_eq!(inner.updates, [2.0]);
-    }
-
-    #[test]
-    fn tagged_vec_sink_separates_tags() {
-        let mut s = TaggedVecSink::new();
-        s.result(0, "a");
-        s.result(1, "b");
-        s.result(0, "c");
-        assert_eq!(s.of(0), ["a", "c"]);
-        assert_eq!(s.of(1), ["b"]);
+    fn vec_query_sink_separates_queries() {
+        let mut s = VecQuerySink::new();
+        s.result(QueryId(0), "a");
+        s.result(QueryId(1), "b");
+        s.result(QueryId(0), "c");
+        assert_eq!(s.of(QueryId(0)), ["a", "c"]);
+        assert_eq!(s.of(QueryId(1)), ["b"]);
     }
 }

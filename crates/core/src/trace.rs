@@ -93,7 +93,7 @@ mod tests {
     use crate::build::build_hpdt;
     use crate::runtime::tests::each_event;
     use crate::runtime::Runner;
-    use crate::sink::VecSink;
+    use crate::sink::{QueryId, VecSink};
     use xsq_xpath::parse_query;
 
     #[test]
@@ -141,7 +141,7 @@ mod tests {
             .collect();
         let hpdt = crate::build::build_merged_hpdt(queries).unwrap();
         let mut core = RunnerCore::new(&hpdt);
-        let mut sink = crate::sink::TaggedVecSink::new();
+        let mut sink = crate::sink::VecQuerySink::new();
         let mut steps: Vec<TraceStep> = Vec::new();
         let mut tracer = |s: TraceStep| steps.push(s);
         let doc = b"<r><a><v>one</v><k>1</k></a><z/></r>";
@@ -149,7 +149,10 @@ mod tests {
             core.feed_traced(&hpdt, ev, &mut sink, Some(&mut tracer));
         });
         core.finish(&mut sink);
-        assert_eq!((sink.of(0), sink.of(1)), (vec!["one"], vec![]));
+        assert_eq!(
+            (sink.of(QueryId(0)), sink.of(QueryId(1))),
+            (vec!["one"], vec![])
+        );
         let text = steps
             .iter()
             .map(ToString::to_string)

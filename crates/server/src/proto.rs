@@ -18,7 +18,10 @@
 //! opcode). The full protocol contract — per-opcode payloads, error
 //! codes, ordering guarantees — is specified in `DESIGN.md`.
 
+use std::fmt::Write as _;
 use std::io::{self, Read, Write};
+
+use xsq_core::Diagnostic;
 
 /// Largest accepted frame: opcode + payload. FEED chunks larger than
 /// this must be split by the client (the reference client never sends
@@ -178,6 +181,38 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
+/// A list of diagnostics as one JSON array of
+/// `{"severity","code","message","step"?,"state"?,"bpdt"?}` objects, an
+/// anchor present only when the finding has one. ERR frames and
+/// `xsq analyze --json` both render through here.
+pub fn json_diagnostics(diagnostics: &[Diagnostic]) -> String {
+    let mut json = String::from("[");
+    for (i, d) in diagnostics.iter().enumerate() {
+        if i > 0 {
+            json.push(',');
+        }
+        let _ = write!(
+            json,
+            "{{\"severity\":\"{}\",\"code\":\"{}\",\"message\":\"{}\"",
+            d.severity.label(),
+            json_escape(d.code),
+            json_escape(&d.message)
+        );
+        if let Some(s) = d.step {
+            let _ = write!(json, ",\"step\":{s}");
+        }
+        if let Some(s) = d.state {
+            let _ = write!(json, ",\"state\":{s}");
+        }
+        if let Some(b) = d.bpdt {
+            let _ = write!(json, ",\"bpdt\":\"{b}\"");
+        }
+        json.push('}');
+    }
+    json.push(']');
+    json
+}
+
 /// Stable machine-readable error codes carried in ERR frames. Fatal
 /// codes close the connection after the reply; recoverable ones leave
 /// the session usable.
@@ -261,39 +296,17 @@ impl std::fmt::Display for WireBound {
     }
 }
 
-/// One machine-readable diagnostic inside an ERR payload.
-pub struct ErrDiagnostic {
-    pub severity: &'static str,
-    pub code: String,
-    pub message: String,
-    pub step: Option<usize>,
-}
-
 /// Build an ERR frame payload:
-/// `{"code":…,"message":…,"diagnostics":[{severity,code,message,step?}…]}`.
-pub fn err_payload(code: &str, message: &str, diagnostics: &[ErrDiagnostic]) -> Vec<u8> {
-    let mut json = format!(
-        "{{\"code\":\"{}\",\"message\":\"{}\",\"diagnostics\":[",
+/// `{"code":…,"message":…,"diagnostics":[…]}`, the diagnostics as
+/// [`json_diagnostics`] renders them.
+pub fn err_payload(code: &str, message: &str, diagnostics: &[Diagnostic]) -> Vec<u8> {
+    format!(
+        "{{\"code\":\"{}\",\"message\":\"{}\",\"diagnostics\":{}}}",
         json_escape(code),
-        json_escape(message)
-    );
-    for (i, d) in diagnostics.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        json.push_str(&format!(
-            "{{\"severity\":\"{}\",\"code\":\"{}\",\"message\":\"{}\"",
-            d.severity,
-            json_escape(&d.code),
-            json_escape(&d.message)
-        ));
-        if let Some(s) = d.step {
-            json.push_str(&format!(",\"step\":{s}"));
-        }
-        json.push('}');
-    }
-    json.push_str("]}");
-    json.into_bytes()
+        json_escape(message),
+        json_diagnostics(diagnostics)
+    )
+    .into_bytes()
 }
 
 /// Pull the `"code"` field back out of an ERR payload (clients report
@@ -386,17 +399,26 @@ mod tests {
         let payload = err_payload(
             errcode::BAD_QUERY,
             "query 1: no such axis",
-            &[ErrDiagnostic {
-                severity: "error",
-                code: "parse-error".into(),
-                message: "no such axis \"child::\"".into(),
-                step: Some(2),
-            }],
+            &[Diagnostic::error("parse-error", "no such axis \"child::\"").at_step(2)],
         );
         let text = std::str::from_utf8(&payload).unwrap();
         assert!(text.contains("\"code\":\"bad-query\""));
         assert!(text.contains("\\\"child::\\\""));
         assert!(text.contains("\"step\":2"));
         assert_eq!(err_code(&payload), Some(errcode::BAD_QUERY));
+    }
+
+    #[test]
+    fn a_diagnostic_renders_the_anchors_it_has() {
+        let anchored = Diagnostic::error("unreachable-state", "no path")
+            .at_state(3)
+            .at_bpdt(xsq_core::BpdtId::new(1, 1));
+        assert_eq!(
+            json_diagnostics(&[Diagnostic::info("level-count", "≤ 1"), anchored]),
+            r#"[{"severity":"info","code":"level-count","message":"≤ 1"},"#.to_string()
+                + r#"{"severity":"error","code":"unreachable-state","message":"no path","#
+                + r#""state":3,"bpdt":"bpdt(1,1)"}]"#
+        );
+        assert_eq!(json_diagnostics(&[]), "[]");
     }
 }

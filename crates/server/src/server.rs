@@ -104,7 +104,8 @@ impl ServerHandle {
         self.addr
     }
 
-    /// The running loop's readiness backend (`epoll` or `poll`).
+    /// The running loop's readiness backend: `epoll`, the one poller.
+    /// On a Unix without it `serve` fails with `Unsupported`.
     pub fn backend(&self) -> &'static str {
         self.backend
     }

@@ -25,13 +25,13 @@
 use std::sync::Arc;
 
 use xsq_core::{
-    query_lines, CachedPlan, CompileError, MemoryBound, PlanCache, PlanCacheStats, QueryId,
-    QuerySink, XsqEngine,
+    query_lines, CachedPlan, CompileError, Diagnostic, MemoryBound, PlanCache, PlanCacheStats,
+    QueryId, QuerySink, XsqEngine,
 };
 use xsq_xml::dtd::Dtd;
 
 use crate::ingest::Ingest;
-use crate::proto::{err_payload, errcode, json_escape, op, ErrDiagnostic, Frame, WireBound};
+use crate::proto::{err_payload, errcode, json_escape, op, Frame, WireBound};
 
 /// Per-session admission policy, shared by every connection of one
 /// server: an optional per-subscription item budget and the schema the
@@ -464,24 +464,32 @@ pub(crate) fn admit_sub(
             let err = err_payload(
                 errcode::BAD_QUERY,
                 &format!("query {} ({}): {e}", i + 1, queries[i]),
-                &query_diagnostics(queries[i], &e),
+                &query_diagnostics(engine, queries[i], &e),
             );
             return (op::ERR, err);
         }
     };
     let bounds = plan.bounds();
     if let Some(budget) = limits.max_bound {
-        if let Some(i) = bounds.iter().position(|b| !b.admits(budget)) {
+        if let Some(i) = bounds.iter().position(|b| !b.bound.admits(budget)) {
+            // The derivation admission read, so the client sees *why*
+            // the bound is what it is (which multiplicity is starred,
+            // which step stays undecided).
+            let bound = &bounds[i].bound;
+            let mut diagnostics = vec![Diagnostic::error(
+                "memory-bound",
+                format!("static memory bound: {bound}"),
+            )];
+            diagnostics.extend_from_slice(&bounds[i].trace);
             let err = err_payload(
                 errcode::OVER_BUDGET,
                 &format!(
-                    "query {} ({}): static memory bound {} exceeds the \
+                    "query {} ({}): static memory bound {bound} exceeds the \
                      server budget of {budget} buffered item(s)",
                     i + 1,
                     queries[i],
-                    bounds[i],
                 ),
-                &bound_diagnostics(queries[i], limits.dtd.as_deref()),
+                &diagnostics,
             );
             return (op::ERR, err);
         }
@@ -494,35 +502,10 @@ pub(crate) fn admit_sub(
     for id in &ids {
         reply.extend_from_slice(&id.0.to_le_bytes());
     }
-    for bound in bounds {
-        wire_bound(bound).encode(&mut reply);
+    for b in bounds {
+        wire_bound(&b.bound).encode(&mut reply);
     }
     (op::SUB_OK, reply)
-}
-
-/// Diagnostics for an over-budget rejection: the analyzer's full
-/// derivation trace, so the client sees *why* the bound is what it is
-/// (which multiplicity is starred, which step stays undecided).
-fn bound_diagnostics(query: &str, dtd: Option<&Dtd>) -> Vec<ErrDiagnostic> {
-    let Ok(parsed) = xsq_xpath::parse_query(query) else {
-        return Vec::new();
-    };
-    let Ok(analysis) = xsq_core::analyze_with_dtd(&parsed, dtd) else {
-        return Vec::new();
-    };
-    let mut out = vec![ErrDiagnostic {
-        severity: "error",
-        code: "memory-bound".into(),
-        message: format!("static memory bound: {}", analysis.bound.bound),
-        step: None,
-    }];
-    out.extend(analysis.bound.trace.iter().map(|s| ErrDiagnostic {
-        severity: "info",
-        code: s.rule.to_string(),
-        message: s.detail.clone(),
-        step: None,
-    }));
-    out
 }
 
 /// `MemoryBound` → its wire form (the derivation stays server-side;
@@ -540,21 +523,11 @@ fn wire_bound(bound: &MemoryBound) -> WireBound {
 /// itself first, then whatever the static analyzer can add (it sees
 /// queries that parse but misbuild; a parse failure carries only the
 /// parser's message).
-fn query_diagnostics(query: &str, error: &CompileError) -> Vec<ErrDiagnostic> {
-    let mut out = vec![ErrDiagnostic {
-        severity: "error",
-        code: "compile-error".into(),
-        message: error.to_string(),
-        step: None,
-    }];
+fn query_diagnostics(engine: XsqEngine, query: &str, error: &CompileError) -> Vec<Diagnostic> {
+    let mut out = vec![Diagnostic::error("compile-error", error.to_string())];
     if let Ok(parsed) = xsq_xpath::parse_query(query) {
-        if let Ok(analysis) = xsq_core::analyze(&parsed) {
-            out.extend(analysis.diagnostics.iter().map(|d| ErrDiagnostic {
-                severity: d.severity.label(),
-                code: d.code.to_string(),
-                message: d.message.clone(),
-                step: d.step,
-            }));
+        if let Ok(analysis) = xsq_core::analyze_with_dtd(engine, &parsed, None) {
+            out.extend(analysis.diagnostics);
         }
     }
     out
@@ -956,6 +929,44 @@ mod tests {
         assert_eq!(cache.stats().entries, 2);
         drop(session);
         assert_eq!(cache.stats().entries, 0);
+    }
+
+    /// The ERR payloads of three refused SUBs, byte for byte: one that
+    /// does not parse, one the builder refuses (`position()`), and one
+    /// over the budget of `xsq serve --max-bound 0 --dtd data/dblp.dtd`.
+    #[test]
+    fn refused_subs_carry_pinned_err_payloads() {
+        let dtd = Dtd::parse(include_str!("../../../data/dblp.dtd")).unwrap();
+        let mut session = Session::with_limits(
+            XsqEngine::full(),
+            SessionLimits {
+                max_bound: Some(0),
+                dtd: Some(Arc::new(dtd)),
+            },
+        );
+        let replies = drive(
+            &mut session,
+            &[
+                sub_frame("/a/b[/text()"),
+                sub_frame("/a/b[position()=2]/text()"),
+                sub_frame("/dblp/inproceedings[author]/title/text()"),
+            ],
+        );
+        let payloads: Vec<&str> = replies
+            .iter()
+            .map(|(o, p)| {
+                assert_eq!(*o, op::ERR);
+                std::str::from_utf8(p).unwrap()
+            })
+            .collect();
+        assert_eq!(
+            payloads,
+            [
+                r#"{"code":"bad-query","message":"query 1 (/a/b[/text()): query parse error: XPath parse error at position 5: expected a predicate","diagnostics":[{"severity":"error","code":"compile-error","message":"query parse error: XPath parse error at position 5: expected a predicate"}]}"#,
+                r#"{"code":"bad-query","message":"query 1 (/a/b[position()=2]/text()): hpdt does not support `position()` (step `/b[position()=2]`): supported in transform match patterns (`xsq transform`), not by the HPDT selection engine","diagnostics":[{"severity":"error","code":"compile-error","message":"hpdt does not support `position()` (step `/b[position()=2]`): supported in transform match patterns (`xsq transform`), not by the HPDT selection engine"}]}"#,
+                r#"{"code":"over-budget","message":"query 1 (/dblp/inproceedings[author]/title/text()): static memory bound ≤ 1 items exceeds the server budget of 0 buffered item(s)","diagnostics":[{"severity":"error","code":"memory-bound","message":"static memory bound: ≤ 1 items"},{"severity":"info","code":"outermost-undecided-step","message":"step 2 (/inproceedings[author]) is the outermost step whose predicate can stay undecided past its begin event; candidate tags: {inproceedings}"},{"severity":"info","code":"level-count","message":"step 3 (/title): ≤ 1 matches per instance of step 2 (sum of child multiplicities, max over context tags)"},{"severity":"info","code":"output-multiplier","message":"text output: ≤ 1 coalesced text runs per matching element under the DTD's content models"},{"severity":"info","code":"single-instance","message":"candidate tags of step 2 cannot nest within themselves, so at most one undecided instance is open: ≤ 1 items total"}]}"#,
+            ]
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@ use xsq::engine::{
     query_lines, run_sharded_with, CompiledQuery, DocOutput, EngineError, QueryId, QuerySet,
     QuerySink, RunStats, Sink, XsqEngine,
 };
-use xsq::server::proto::json_escape;
+use xsq::server::proto::{json_diagnostics, json_escape};
 
 /// Distinct exit codes per error class, so scripts (and CI) can tell
 /// a bad query from a dead server from an unreadable file.
@@ -503,8 +503,8 @@ fn bound_json(b: &xsq::engine::BoundAnalysis) -> String {
         .map(|s| {
             format!(
                 "{{\"rule\":\"{}\",\"detail\":\"{}\"}}",
-                s.rule,
-                json_escape(&s.detail)
+                s.code,
+                json_escape(&s.message)
             )
         })
         .collect();
@@ -519,35 +519,6 @@ fn bound_json(b: &xsq::engine::BoundAnalysis) -> String {
     }
     obj.push('}');
     obj
-}
-
-/// `xsq analyze`'s diagnostics as the members of a JSON array. The
-/// anchors a diagnostic lacks are left out, so lints (which anchor to a
-/// step, never to a state or a BPDT) carry `step` alone.
-fn diagnostics_json(diags: &[Diagnostic]) -> String {
-    let rendered: Vec<String> = diags
-        .iter()
-        .map(|d| {
-            let mut obj = format!(
-                "{{\"severity\":\"{}\",\"code\":\"{}\",\"message\":\"{}\"",
-                d.severity.label(),
-                d.code,
-                json_escape(&d.message)
-            );
-            if let Some(s) = d.step {
-                obj.push_str(&format!(",\"step\":{s}"));
-            }
-            if let Some(s) = d.state {
-                obj.push_str(&format!(",\"state\":{s}"));
-            }
-            if let Some(b) = d.bpdt {
-                obj.push_str(&format!(",\"bpdt\":\"{b}\""));
-            }
-            obj.push('}');
-            obj
-        })
-        .collect();
-    rendered.join(",")
 }
 
 /// The text report's `diagnostics:` section.
@@ -567,6 +538,12 @@ fn print_diagnostics(out: &mut Out, diags: &[Diagnostic]) {
 /// Exit status is nonzero iff any diagnostic is an error — the smoke-test
 /// contract CI relies on.
 fn run_analyze(query: &str, opts: &Options, out: &mut Out) -> Result<(), ExitCode> {
+    let Some(engine) = native_engine(&opts.engine) else {
+        return Err(usage(&format!(
+            "analyze runs on xsq-f or xsq-nc, not '{}'",
+            opts.engine
+        )));
+    };
     let parsed = xsq::xpath::parse_query(query).map_err(|e| fail_query(&e.to_string()))?;
     // Queries outside the HPDT surface (reverse axes, positional
     // predicates) can't build a transducer; report the streamability
@@ -575,16 +552,16 @@ fn run_analyze(query: &str, opts: &Options, out: &mut Out) -> Result<(), ExitCod
     // transform-only findings alone exit 0 (the query is fine for
     // `xsq transform`, just not for selection).
     let diagnostics = if xsq::xpath::streamability(&parsed).hpdt_supported() {
-        analyze_hpdt(query, &parsed, opts, out)?
+        analyze_hpdt(engine, query, &parsed, opts, out)?
     } else {
         let mut diags = xsq::engine::analyze::lint_streamability(&parsed);
         diags.extend(xsq::engine::analyze::lint_query(&parsed));
         if opts.json {
             writeln!(
                 out,
-                "{{\"query\":\"{}\",\"engine\":null,\"diagnostics\":[{}]}}",
+                "{{\"query\":\"{}\",\"engine\":null,\"diagnostics\":{}}}",
                 json_escape(query),
-                diagnostics_json(&diags),
+                json_diagnostics(&diags),
             );
         } else {
             writeln!(out, "query:         {query}");
@@ -603,13 +580,14 @@ fn run_analyze(query: &str, opts: &Options, out: &mut Out) -> Result<(), ExitCod
 /// [`run_analyze`] for a query inside the HPDT surface: print the
 /// report, return its diagnostics.
 fn analyze_hpdt(
+    engine: XsqEngine,
     query: &str,
     parsed: &xsq::xpath::Query,
     opts: &Options,
     out: &mut Out,
 ) -> Result<Vec<Diagnostic>, ExitCode> {
     let dtd = load_dtd(opts.dtd.as_ref())?;
-    let analysis = xsq::engine::analyze_with_dtd(parsed, dtd.as_ref())
+    let analysis = xsq::engine::analyze_with_dtd(engine, parsed, dtd.as_ref())
         .map_err(|e| fail_query(&e.to_string()))?;
     if opts.dot {
         // The transducer the engine runs; the diagnostics still go to
@@ -636,17 +614,17 @@ fn analyze_hpdt(
             "{{\"query\":\"{}\",\"engine\":\"{}\",\"deterministic\":{},\
              \"states\":{},\"arcs\":{},\
              \"buffered\":{},\"live_buffers\":{},\
-             \"buffers\":[{}],\"bound\":{},\"diagnostics\":[{}]}}",
+             \"buffers\":[{}],\"bound\":{},\"diagnostics\":{}}}",
             json_escape(query),
             analysis.engine,
             analysis.hpdt.deterministic,
             analysis.hpdt.states.len(),
             analysis.hpdt.arc_count(),
-            analysis.plan.buffered,
+            analysis.hpdt.buffered,
             analysis.plan.live_buffers(),
             buffers.join(","),
             bound_json(&analysis.bound),
-            diagnostics_json(&analysis.diagnostics),
+            json_diagnostics(&analysis.diagnostics),
         );
     } else {
         writeln!(out, "query:         {query}");
@@ -662,7 +640,7 @@ fn analyze_hpdt(
         );
         writeln!(out, "states:        {}", analysis.hpdt.states.len());
         writeln!(out, "arcs:          {}", analysis.hpdt.arc_count());
-        if analysis.plan.buffered {
+        if analysis.hpdt.buffered {
             writeln!(
                 out,
                 "buffers:       {} live of {}",
@@ -679,7 +657,7 @@ fn analyze_hpdt(
         if !analysis.bound.trace.is_empty() {
             writeln!(out, "derivation:");
             for s in &analysis.bound.trace {
-                writeln!(out, "  [{}] {}", s.rule, s.detail);
+                writeln!(out, "  [{}] {}", s.code, s.message);
             }
         }
         print_diagnostics(out, &analysis.diagnostics);
@@ -976,8 +954,7 @@ fn run_transform(opts: &Options, out: &mut Out) -> Result<(), ExitCode> {
     for w in &transformer.warnings {
         eprintln!("warning: {rules_path}: {w}");
     }
-    let rules = xsq::xpath::RuleSet::parse(&rules_text)
-        .map_err(|e| fail_query(&format!("{rules_path}:{e}")))?;
+    let rules = transformer.rules();
     let engine = opts.engine.as_str();
     // `xsq transform` ignores the query-engine default; only these two
     // names are meaningful here.
@@ -993,7 +970,7 @@ fn run_transform(opts: &Options, out: &mut Out) -> Result<(), ExitCode> {
         let data = read_input(file)?;
         let label = file.unwrap_or("<stdin>");
         let dom_out = if engine == "dom" || opts.verify {
-            let xml = xsq::baselines::dom::transform::transform_bytes(&data, &rules)
+            let xml = xsq::baselines::dom::transform::transform_bytes(&data, rules)
                 .map_err(|e| fail_run(&format!("{label}: {e}")))?;
             Some(xml)
         } else {
@@ -1300,9 +1277,15 @@ fn stream(
     Ok(runner.finish(sink))
 }
 
-/// `xsq (--dump | --dot) QUERY`: print the compiled HPDT.
+/// `xsq (--dump | --dot) QUERY`: print the HPDT `--engine` compiles.
 fn run_dump(query: &str, opts: &Options, out: &mut Out) -> Result<(), ExitCode> {
-    let compiled = XsqEngine::full()
+    let Some(engine) = native_engine(&opts.engine) else {
+        return Err(usage(&format!(
+            "--dump and --dot run on xsq-f or xsq-nc, not '{}'",
+            opts.engine
+        )));
+    };
+    let compiled = engine
         .compile_str(query)
         .map_err(|e| fail_query(&e.to_string()))?;
     if opts.dot {
@@ -1367,9 +1350,9 @@ fn usage(err: &str) -> ExitCode {
          \u{20}          corpus evaluation on an N-worker pool (0 = one per CPU);\n\
          \u{20}          output merged in document order, doc<TAB>query<TAB>value\n\
          \u{20}      xsq --dataset-stats FILE...      Fig. 15-style statistics\n\
-         \u{20}      xsq (--dump | --dot) QUERY       the compiled HPDT\n\
+         \u{20}      xsq [--engine E] (--dump | --dot) QUERY   the compiled HPDT\n\
          \u{20}      xsq --queries QFILE (--dump | --dot)   every group's merged HPDT\n\
-         \u{20}      xsq analyze [--json] [--dot] [--dtd FILE] QUERY\n\
+         \u{20}      xsq analyze [--engine E] [--json] [--dot] [--dtd FILE] QUERY\n\
          \u{20}          static analysis: verifier diagnostics, automaton size,\n\
          \u{20}          buffer classes, engine auto-selection, and (with --dtd) the\n\
          \u{20}          static memory bound + derivation; exits nonzero on errors\n\

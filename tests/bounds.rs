@@ -30,7 +30,10 @@ fn observed_peak(query: &str, doc: &[u8]) -> u64 {
 
 fn claimed(query: &str, dtd: &Dtd) -> MemoryBound {
     let parsed = parse_query(query).unwrap();
-    analyze_with_dtd(&parsed, Some(dtd)).unwrap().bound.bound
+    analyze_with_dtd(XsqEngine::full(), &parsed, Some(dtd))
+        .unwrap()
+        .bound
+        .bound
 }
 
 /// Maximum simultaneous open `<tag …>` elements in `doc` — the nesting

@@ -650,3 +650,72 @@ fn serve_refuses_an_idle_timeout_it_cannot_keep() {
         assert!(stderr.contains("--idle-timeout needs"), "{secs}: {stderr}");
     }
 }
+
+/// `analyze`, `--dump` and `--dot` describe the engine `--engine` names:
+/// XSQ-NC refuses the closure axis there exactly as a run does (exit 4,
+/// the run's message), a name that is not a native engine is a usage
+/// error (exit 2), and the label is the engine that runs.
+#[test]
+fn analyze_and_dump_compile_for_the_engine_named() {
+    let status = |args: &[&str]| {
+        let out = xsq().args(args).stdin(Stdio::null()).output().unwrap();
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        (out.status.code(), stdout, stderr)
+    };
+    let (code, _, run) = status(&["--engine", "xsq-nc", "//a/text()"]);
+    assert_eq!(code, Some(4), "{run}");
+    assert!(run.contains("closure axis"), "{run}");
+    for args in [
+        &["analyze", "--engine", "xsq-nc", "//a/text()"][..],
+        &["analyze", "--engine", "xsq-nc", "--json", "//a/text()"],
+        &["--dump", "--engine", "xsq-nc", "//a/text()"],
+        &["--dot", "--engine", "xsq-nc", "//a/text()"],
+    ] {
+        let (code, stdout, stderr) = status(args);
+        assert_eq!((code, stdout.as_str()), (Some(4), ""), "{args:?}: {stderr}");
+        assert_eq!(stderr, run, "{args:?}");
+    }
+    for args in [
+        &["analyze", "--engine", "bogus", "/a/text()"][..],
+        &["analyze", "--engine", "saxon", "/a/text()"],
+        &["--dump", "--engine", "bogus", "/a/text()"],
+        &["--dot", "--engine", "saxon", "/a/text()"],
+    ] {
+        let (code, _, stderr) = status(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("on xsq-f or xsq-nc"), "{args:?}: {stderr}");
+    }
+    let (code, report, _) = status(&["analyze", "--engine", "xsq-nc", "/a/b/text()"]);
+    assert_eq!(code, Some(0));
+    assert!(report.contains("engine:        XSQ-NC\n"), "{report}");
+}
+
+/// The tombstone `/a[b]/c[d]/e[@x>nope]/text()` builds upload arcs for
+/// `[b]` and `[d]` but no arc that enqueues a value: every queue is
+/// unused, in the text report and the JSON one alike, and the bound
+/// agrees.
+#[test]
+fn a_query_that_enqueues_nothing_reports_every_buffer_unused() {
+    let query = "/a[b]/c[d]/e[@x>nope]/text()";
+    let (json, _, ok) = run_with_stdin(&["analyze", "--json", query], "");
+    assert!(ok, "{json}");
+    assert!(
+        json.contains("\"buffered\":false,\"live_buffers\":0"),
+        "{json}"
+    );
+    assert!(!json.contains("-predicate\"}"), "{json}");
+    let (text, _, ok) = run_with_stdin(&["analyze", query], "");
+    assert!(ok, "{text}");
+    assert!(
+        text.contains("buffers:       none (buffering statically elided)"),
+        "{text}"
+    );
+    for class in ["own-predicate", "upstream-predicate"] {
+        assert!(!text.contains(class), "{text}");
+    }
+    assert!(
+        text.contains("memory bound:  zero (no buffering)"),
+        "{text}"
+    );
+}

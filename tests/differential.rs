@@ -26,9 +26,10 @@ use std::sync::Arc;
 use xsq::baselines::dom::{eval_pathcheck, eval_stepwise, Document};
 use xsq::datagen::rng::{cases, StdRng};
 use xsq::datagen::xmlgen::{self, XmlGenParams};
+use xsq::engine::analyze::analyze_buffers;
 use xsq::engine::{
     analyze_with_dtd, run_sequential, Hpdt, PlanCache, QueryIndex, QuerySet, Runner, RunnerCore,
-    TaggedVecSink, VecQuerySink, VecSink, XPathEngine, XsqEngine,
+    VecQuerySink, VecSink, XPathEngine, XsqEngine,
 };
 use xsq::xml::dtd::Dtd;
 use xsq::xml::pda::{PdaStatus, WellFormednessPda};
@@ -788,7 +789,7 @@ fn run_group(hpdt: &Hpdt, corpus: &[String], traced: bool) -> (Vec<(bool, usize,
     let mut core = RunnerCore::new(hpdt);
     let (mut fired, mut seen) = (Vec::new(), String::new());
     for doc in corpus {
-        let mut sink = TaggedVecSink::new();
+        let mut sink = VecQuerySink::new();
         let mut steps = 0;
         let mut tracer = |step: xsq::engine::trace::TraceStep| {
             steps += 1;
@@ -890,23 +891,27 @@ fn first_match_index_groups_equal_forced_scan_all_solo_runners() {
 /// What a compile reports about `queries` — solo, and as one batch
 /// through a plan cache built on `dtd` — is what `analyze_with_dtd`
 /// (the backend of `xsq analyze`) derives for each query alone: the
-/// plan's static bound for every member, and for a solo compile the
-/// automaton's size and the engine that runs it. Returns the batch's
-/// group count.
+/// plan's static bound and its whole derivation for every member, and
+/// for a solo compile the automaton's size and the engine that runs it.
+/// Every HPDT either side builds has a live queue in its buffer plan
+/// exactly when it can enqueue. Returns the batch's group count.
 fn assert_compiled_matches_analysis(queries: &[&str], dtd: Option<&Arc<Dtd>>) -> usize {
     let engine = XsqEngine::full();
     let cache = PlanCache::new(dtd.cloned());
     let dtd = dtd.map(|d| &**d);
+    let buffers_agree = |hpdt: &Hpdt, what: &dyn std::fmt::Display| {
+        assert_eq!(
+            analyze_buffers(hpdt).live_buffers() > 0,
+            hpdt.buffered,
+            "buffering of {what}"
+        );
+    };
     let mut bounds = Vec::new();
     for q in queries {
         let parsed = parse_query(q).expect("generated queries parse");
-        let analysis = analyze_with_dtd(&parsed, dtd).expect("analyzes");
+        let analysis = analyze_with_dtd(engine, &parsed, dtd).expect("analyzes");
         let solo = engine.compile_str(q).expect("compiles");
-        // The artifact's one-bit verdict against the per-queue plan.
-        assert_eq!(
-            analysis.hpdt.buffered, analysis.plan.buffered,
-            "buffering of {q}"
-        );
+        buffers_agree(&analysis.hpdt, q);
         assert_eq!(
             (solo.hpdt().states.len(), solo.hpdt().arc_count()),
             (analysis.hpdt.states.len(), analysis.hpdt.arc_count()),
@@ -916,13 +921,16 @@ fn assert_compiled_matches_analysis(queries: &[&str], dtd: Option<&Arc<Dtd>>) ->
         let plan = cache.checkout(engine, &[q]).expect("compiles");
         assert_eq!(
             plan.bounds(),
-            std::slice::from_ref(&analysis.bound.bound),
+            std::slice::from_ref(&analysis.bound),
             "plan of {q}"
         );
-        bounds.push(analysis.bound.bound);
+        bounds.push(analysis.bound);
     }
     let plan = cache.checkout(engine, queries).expect("compiles");
     assert_eq!(plan.bounds(), bounds, "batch {queries:?}");
+    for hpdt in plan.set().hpdts() {
+        buffers_agree(hpdt, &format!("a group of {queries:?}"));
+    }
     plan.set().group_count()
 }
 

@@ -16,6 +16,7 @@
 
 use std::fmt::Write;
 
+use xsq::engine::analyze::analyze_buffers;
 use xsq::{QuerySet, XsqEngine};
 
 /// Tags of the tombstone feed (`tests/qindex_grouped.rs`'s shape).
@@ -184,5 +185,24 @@ fn compiled_groups_equal_the_golden_dumps() {
              this build's dumps are in {path}",
             line + 1
         );
+    }
+}
+
+/// `xsq analyze`'s per-queue plan finds a live queue exactly when the
+/// artifact says something can enqueue (`Hpdt::buffered`), on every
+/// group of the corpus.
+#[test]
+fn a_group_buffers_exactly_when_its_buffer_plan_has_a_live_queue() {
+    for (name, queries) in corpus() {
+        let texts: Vec<&str> = queries.iter().map(String::as_str).collect();
+        let set = QuerySet::compile(XsqEngine::full(), &texts).expect("corpus compiles");
+        for hpdt in set.hpdts() {
+            assert_eq!(
+                analyze_buffers(hpdt).live_buffers() > 0,
+                hpdt.buffered,
+                "{name}: group of {}",
+                hpdt.merged[0]
+            );
+        }
     }
 }
