@@ -818,6 +818,7 @@ fn run_group(hpdt: &Hpdt, corpus: &[String], traced: bool) -> (Vec<(bool, usize,
 /// same-name batches, keyed batches, and the documents deeper than the
 /// bitmap), each compiled group fires on the same events and produces the
 /// same results, updates and `RunStats` with a tracer attached as without.
+/// Each group's buffer plan has a live queue exactly when it can enqueue.
 #[test]
 fn traced_runs_equal_untraced_runs() {
     let check = |docs: &[String; 2], queries: &[String]| {
@@ -826,6 +827,8 @@ fn traced_runs_equal_untraced_runs() {
         for hpdt in set.hpdts() {
             let (untraced, traced) = (run_group(hpdt, docs, false), run_group(hpdt, docs, true));
             assert_eq!(untraced, traced, "{refs:?} over {docs:?}");
+            let live = analyze_buffers(hpdt).live_buffers() > 0;
+            assert_eq!(live, hpdt.buffered, "buffering of a group of {refs:?}");
         }
     };
     cases(0..CASES, |rng| {
