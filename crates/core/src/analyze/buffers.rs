@@ -87,9 +87,9 @@ pub fn analyze_buffers(hpdt: &Hpdt) -> BufferPlan {
     // resolve releases into its target like an upload; the keyed queue
     // itself classifies like any other — by what reaches it.
     let mut uploads = Vec::new();
-    for arc in hpdt.arcs.iter().flatten() {
+    for arc in &hpdt.arcs {
         let owner = arc.owner.slot as usize;
-        for (how, named) in arc.actions.iter().filter_map(Action::fill) {
+        for (how, named) in hpdt.actions_of(arc).iter().filter_map(Action::fill) {
             let slot = named.map_or(owner, |q| q.slot as usize);
             match how {
                 Fill::Own => {

@@ -180,8 +180,8 @@ pub(crate) fn checked(hpdt: &Hpdt) -> Result<(), CompileError> {
 /// `has_closure` test: a query that *textually* uses `//` builds no
 /// closure arc when every closure step lies below a predicate that can
 /// never hold.
-pub fn prove_deterministic(arcs: &[Vec<Arc>]) -> bool {
-    !arcs.iter().flatten().any(|a| {
+pub fn prove_deterministic(arcs: &[Arc]) -> bool {
+    !arcs.iter().any(|a| {
         matches!(
             a.label,
             ArcLabel::ClosureSelfLoop | ArcLabel::BeginAnyDepth(_)

@@ -10,12 +10,17 @@
 //!
 //! Every check is linear in the states, arcs and queues (a BPDT lookup is
 //! a binary search of the sorted ids), because a chain of predicated
-//! closure steps builds 3·2ⁿ − 1 states.
+//! closure steps builds 3·2ⁿ − 1 states. The checks walk the flat arrays
+//! (`Hpdt::arcs` by state through `Hpdt::offsets`, actions through their
+//! pool), which the shape check proves in bounds first.
+
+use std::borrow::Cow;
 
 use xsq_xpath::classify::{classify, StepCategory};
 
 use crate::arcs::{
-    compute_scan_all, execution_order, Action, Arc, ArcLabel, EventKind, Fill, QueueRef, StateId,
+    compute_scan_all, execution_order, runs, Action, Arc, ArcLabel, EventKind, Fill, QueueRef,
+    StateId,
 };
 use crate::build::Hpdt;
 use crate::ids::BpdtId;
@@ -27,19 +32,25 @@ use super::{prove_deterministic, Diagnostic};
 pub fn verify(hpdt: &Hpdt) -> Vec<Diagnostic> {
     let mut out = Vec::new();
 
-    // Shape: the three per-state tables must agree. Everything else
-    // indexes by state, so a mismatch aborts verification immediately.
+    // Shape: the per-state tables must agree, and every run of the flat
+    // arrays must lie inside what it indexes. Everything else indexes by
+    // state and reads those runs, so a mismatch aborts verification
+    // immediately.
     let n = hpdt.states.len();
-    if hpdt.arcs.len() != n || hpdt.scan_all.len() != n {
+    if hpdt.offsets.len() != n + 1 || hpdt.scan_all.len() != n {
         out.push(Diagnostic::error(
             "table-shape",
             format!(
                 "per-state tables disagree: {} states, {} arc lists, {} scan-all flags",
                 n,
-                hpdt.arcs.len(),
+                hpdt.offsets.len().saturating_sub(1),
                 hpdt.scan_all.len()
             ),
         ));
+        return out;
+    }
+    if let Some(finding) = flat_shape(hpdt) {
+        out.push(Diagnostic::error("table-shape", finding));
         return out;
     }
     if (hpdt.start as usize) >= n {
@@ -50,8 +61,14 @@ pub fn verify(hpdt: &Hpdt) -> Vec<Diagnostic> {
         return out;
     }
 
-    let mut ids = hpdt.queues.clone();
-    ids.sort_unstable();
+    // The builders register BPDTs layer by layer, so the ids come sorted.
+    let ids: Cow<[BpdtId]> = if hpdt.queues.is_sorted() {
+        Cow::Borrowed(&hpdt.queues)
+    } else {
+        let mut ids = hpdt.queues.clone();
+        ids.sort_unstable();
+        Cow::Owned(ids)
+    };
     check_arc_targets(hpdt, &mut out);
     check_queue_index(hpdt, &ids, &mut out);
     check_reachability(hpdt, &mut out);
@@ -65,6 +82,55 @@ pub fn verify(hpdt: &Hpdt) -> Vec<Diagnostic> {
     out
 }
 
+/// Does each flat array index only what it runs over? `None` when every
+/// run does, else what breaks first: the arc offsets (they ascend from 0
+/// to the arc count, with one pattern per arc), an arc's action range or
+/// guard index (inside their pools), or the leaf-tag offsets.
+fn flat_shape(hpdt: &Hpdt) -> Option<String> {
+    let arcs = hpdt.arcs.len();
+    if !csr(&hpdt.offsets, arcs) || hpdt.patterns.len() != arcs {
+        return Some(format!(
+            "arc offsets do not ascend from 0 to the arc count {arcs}, or the \
+             {} patterns are not one per arc",
+            hpdt.patterns.len()
+        ));
+    }
+    for (s, state) in runs(&hpdt.arcs, &hpdt.offsets).enumerate() {
+        for arc in state {
+            let (r, pool) = (arc.actions, hpdt.actions.len());
+            if r.start > r.end || r.end as usize > pool {
+                return Some(format!(
+                    "arc {:?} from state ${s} runs actions {}..{} of a pool of {pool}",
+                    arc.label, r.start, r.end
+                ));
+            }
+            if let Some(g) = arc.guard.filter(|&g| g as usize >= hpdt.guards.len()) {
+                return Some(format!(
+                    "arc {:?} from state ${s} tests guard {g} of a pool of {}",
+                    arc.label,
+                    hpdt.guards.len()
+                ));
+            }
+        }
+    }
+    let tags = &hpdt.leaf_tags;
+    if !(tags.offsets.is_empty() && tags.tags.is_empty() || csr(&tags.offsets, tags.tags.len())) {
+        return Some(format!(
+            "leaf-tag offsets do not ascend from 0 to the pool's {} pairs",
+            tags.tags.len()
+        ));
+    }
+    None
+}
+
+/// Are `offsets` CSR offsets over a pool of `len`: at least one entry,
+/// ascending from 0 to `len`?
+fn csr(offsets: &[u32], len: usize) -> bool {
+    offsets.first() == Some(&0)
+        && offsets.windows(2).all(|w| w[0] <= w[1])
+        && offsets.last() == Some(&(len as u32))
+}
+
 /// The queue `q` names, when its slot really holds it: a slot that does
 /// not is `check_queue_index`'s finding, and the checks after it skip it.
 fn resolved(hpdt: &Hpdt, q: QueueRef) -> Option<usize> {
@@ -73,7 +139,7 @@ fn resolved(hpdt: &Hpdt, q: QueueRef) -> Option<usize> {
 
 fn check_arc_targets(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
     let n = hpdt.states.len();
-    for (s, arcs) in hpdt.arcs.iter().enumerate() {
+    for (s, arcs) in runs(&hpdt.arcs, &hpdt.offsets).enumerate() {
         for arc in arcs {
             if (arc.target as usize) >= n {
                 out.push(
@@ -87,14 +153,15 @@ fn check_arc_targets(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
                     .at_state(s as u32),
                 );
             }
-            if arc.order != execution_order(arc.owner.id.layer, &arc.actions) {
+            let actions = hpdt.actions_of(arc);
+            if arc.order != execution_order(arc.owner.id.layer, actions) {
                 out.push(
                     Diagnostic::error(
                         "arc-order-stale",
                         format!(
                             "arc {:?} from state ${s} caches execution order {} but its \
                              owner {} and actions {:?} give another",
-                            arc.label, arc.order, arc.owner, arc.actions
+                            arc.label, arc.order, arc.owner, actions
                         ),
                     )
                     .at_state(s as u32),
@@ -124,12 +191,13 @@ fn check_queue_index(hpdt: &Hpdt, ids: &[BpdtId], out: &mut Vec<Diagnostic>) {
             );
         }
     };
-    for (s, arcs) in hpdt.arcs.iter().enumerate() {
+    for (s, arcs) in runs(&hpdt.arcs, &hpdt.offsets).enumerate() {
         for arc in arcs {
-            if !arc.actions.is_empty() {
+            let actions = hpdt.actions_of(arc);
+            if !actions.is_empty() {
                 require(arc.owner, "an arc with actions", s, out);
             }
-            for action in &arc.actions {
+            for action in actions {
                 match (action, action.fill()) {
                     (_, Some((Fill::Upload, Some(q)))) => require(q, "an upload", s, out),
                     (_, Some((Fill::Enqueue, Some(q)))) => require(q, "an enqueue", s, out),
@@ -164,7 +232,7 @@ fn check_queue_index(hpdt: &Hpdt, ids: &[BpdtId], out: &mut Vec<Diagnostic>) {
 /// hold a configuration, but they still cost dispatch-index space. The
 /// builder drops them before sealing; here they are a warning.
 fn check_reachability(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
-    let reachable = reachable_states(&hpdt.arcs, hpdt.start);
+    let reachable = reachable_states(&hpdt.arcs, &hpdt.offsets, hpdt.start);
     let dead: Vec<usize> = (0..hpdt.states.len()).filter(|&s| !reachable[s]).collect();
     if let Some(&first) = dead.first() {
         out.push(
@@ -183,15 +251,16 @@ fn check_reachability(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Which states `start` reaches over `arcs` (per state, its outgoing
-/// arcs); out-of-range targets lead nowhere. `Builder::finish` keeps
+/// Which states `start` reaches over `arcs` grouped by state through
+/// `offsets`; out-of-range targets lead nowhere. `Builder::finish` keeps
 /// exactly these.
-pub(crate) fn reachable_states(arcs: &[Vec<Arc>], start: StateId) -> Vec<bool> {
-    let mut reachable = vec![false; arcs.len()];
-    let mut stack = vec![start as usize];
+pub(crate) fn reachable_states(arcs: &[Arc], offsets: &[u32], start: StateId) -> Vec<bool> {
+    let mut reachable = vec![false; offsets.len() - 1];
+    let mut stack = Vec::with_capacity(reachable.len());
+    stack.push(start as usize);
     reachable[start as usize] = true;
     while let Some(s) = stack.pop() {
-        for arc in &arcs[s] {
+        for arc in &arcs[offsets[s] as usize..offsets[s + 1] as usize] {
             let t = arc.target as usize;
             if t < reachable.len() && !reachable[t] {
                 reachable[t] = true;
@@ -218,9 +287,9 @@ fn check_buffer_release(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
         released: bool,
     }
     let mut life = vec![Life::default(); hpdt.queues.len()];
-    for arc in hpdt.arcs.iter().flatten() {
+    for arc in &hpdt.arcs {
         let own = resolved(hpdt, arc.owner);
-        for action in &arc.actions {
+        for action in hpdt.actions_of(arc) {
             if let Some((_, named)) = action.fill() {
                 if let Some(slot) = named.map_or(own, |q| resolved(hpdt, q)) {
                     life[slot].receives = true;
@@ -295,10 +364,11 @@ fn check_depth_discipline(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
     let n = hpdt.states.len();
     let mut depth: Vec<Option<i64>> = vec![None; n];
     depth[hpdt.start as usize] = Some(0);
-    let mut stack = vec![hpdt.start as usize];
+    let mut stack = Vec::with_capacity(n);
+    stack.push(hpdt.start as usize);
     while let Some(s) = stack.pop() {
         let len = depth[s].expect("pushed states have depth");
-        for arc in &hpdt.arcs[s] {
+        for arc in hpdt.arcs_of(s as StateId) {
             if (arc.target as usize) >= n {
                 continue; // already reported by check_arc_targets
             }
@@ -323,7 +393,7 @@ fn check_depth_discipline(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
             };
             let inside = if changes && effect > 0 { len + 1 } else { len };
             // Buffer operations of a layer-l owner read depth slots 0..=l.
-            let needs = buffer_op_depth(arc);
+            let needs = buffer_op_depth(arc, hpdt.actions_of(arc));
             if let Some(layer) = needs {
                 if inside < layer as i64 + 1 {
                     out.push(
@@ -381,9 +451,9 @@ fn check_depth_discipline(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// The highest layer whose depth slots an arc's actions read, if any.
-fn buffer_op_depth(arc: &Arc) -> Option<u16> {
-    arc.actions
+/// The highest layer whose depth slots an arc's `actions` read, if any.
+fn buffer_op_depth(arc: &Arc, actions: &[Action]) -> Option<u16> {
+    actions
         .iter()
         .any(|a| {
             matches!(
@@ -403,8 +473,8 @@ fn buffer_op_depth(arc: &Arc) -> Option<u16> {
 /// as first-match-safe that actually has overlapping arcs makes XSQ-NC
 /// drop matches (unsound); the converse is merely pessimistic.
 fn check_scan_all(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
-    let fresh = compute_scan_all(&hpdt.arcs);
-    for (s, (&stored, &computed)) in hpdt.scan_all.iter().zip(fresh.iter()).enumerate() {
+    let fresh = compute_scan_all(&hpdt.patterns, &hpdt.offsets);
+    for (s, (&stored, computed)) in hpdt.scan_all.iter().zip(fresh).enumerate() {
         if !stored && computed {
             out.push(
                 Diagnostic::error(
@@ -569,7 +639,8 @@ mod tests {
     #[test]
     fn out_of_bounds_arc_target_is_caught() {
         let mut h = built("/a/b/text()");
-        h.arcs[h.start as usize][0].target = 999;
+        let first = h.offsets[h.start as usize] as usize;
+        h.arcs[first].target = 999;
         let diags = verify(&h);
         assert!(
             diags
@@ -601,11 +672,17 @@ mod tests {
     /// each arc's cached execution order kept honest, so the finding under
     /// test is the only error.
     fn strip(h: &mut Hpdt, owner: BpdtId, drop: fn(&Action) -> bool) {
-        for arc in h.arcs.iter_mut().flatten() {
-            if arc.owner.id == owner {
-                arc.actions.retain(|a| !drop(a));
-                arc.order = execution_order(owner.layer, &arc.actions);
-            }
+        for arc in h.arcs.iter_mut().filter(|arc| arc.owner.id == owner) {
+            // The kept actions move to the front of the arc's run.
+            let run = arc.actions.range();
+            let kept: Vec<Action> = h.actions[run.clone()]
+                .iter()
+                .copied()
+                .filter(|a| !drop(a))
+                .collect();
+            h.actions[run.start..run.start + kept.len()].copy_from_slice(&kept);
+            arc.actions.end = arc.actions.start + kept.len() as u32;
+            arc.order = execution_order(owner.layer, &kept);
         }
     }
 
@@ -621,7 +698,7 @@ mod tests {
                 *id = to;
             }
         }
-        for arc in h.arcs.iter_mut().flatten() {
+        for arc in h.arcs.iter_mut() {
             if arc.owner.id == from {
                 arc.owner.id = to;
             }
@@ -694,11 +771,11 @@ mod tests {
     #[test]
     fn out_of_range_slots_are_findings_not_panics() {
         let mut h = built("//a[b]//c[d]/text()");
-        for arc in h.arcs.iter_mut().flatten() {
+        for arc in h.arcs.iter_mut() {
             arc.owner.slot += 100;
-            for q in arc.actions.iter_mut().filter_map(|a| a.fill_mut()?.1) {
-                q.slot += 100;
-            }
+        }
+        for q in h.actions.iter_mut().filter_map(|a| a.fill_mut()?.1) {
+            q.slot += 100;
         }
         let diags = verify(&h);
         assert!(diags.iter().any(|d| d.code == "queue-index-missing"));
@@ -723,6 +800,64 @@ mod tests {
         }
     }
 
+    /// The codes of the errors `verify` reports, in order.
+    fn error_codes(h: &Hpdt) -> Vec<&'static str> {
+        verify(h)
+            .iter()
+            .filter(|d| d.is_error())
+            .map(|d| d.code)
+            .collect()
+    }
+
+    #[test]
+    fn a_corrupted_arc_offset_is_a_shape_finding_not_a_panic() {
+        let mut h = built("//pub[year>2000]//book[price]/title/text()");
+        // Past the arcs, and out of order with the offsets after it.
+        h.offsets[3] = h.arcs.len() as u32 + 5;
+        assert_eq!(error_codes(&h), ["table-shape"]);
+        // In range but descending.
+        let mut h = built("//pub[year>2000]//book[price]/title/text()");
+        h.offsets.swap(2, 4);
+        assert_eq!(error_codes(&h), ["table-shape"]);
+        // Not ending at the arc count.
+        let mut h = built("/a/b/text()");
+        h.arcs.pop();
+        assert_eq!(error_codes(&h), ["table-shape"]);
+    }
+
+    #[test]
+    fn an_action_range_past_the_pool_is_a_shape_finding_not_a_panic() {
+        let mut h = built("/a[b]/c/text()");
+        let end = h.actions.len() as u32 + 1;
+        h.arcs.last_mut().expect("an arc").actions.end = end;
+        assert_eq!(error_codes(&h), ["table-shape"]);
+        // A range that runs backwards.
+        let mut h = built("/a[b]/c/text()");
+        let arc = h.arcs.iter_mut().find(|a| a.actions.end > a.actions.start);
+        let arc = arc.expect("an arc with actions");
+        arc.actions.start = arc.actions.end + 1;
+        assert_eq!(error_codes(&h), ["table-shape"]);
+    }
+
+    #[test]
+    fn a_guard_index_out_of_range_is_a_shape_finding_not_a_panic() {
+        let mut h = built("/a[@id=1]/b/text()");
+        let guards = h.guards.len() as u32;
+        let arc = h.arcs.iter_mut().find(|a| a.guard.is_some());
+        arc.expect("a guarded arc").guard = Some(guards);
+        assert_eq!(error_codes(&h), ["table-shape"]);
+    }
+
+    #[test]
+    fn corrupted_leaf_tag_offsets_are_a_shape_finding_not_a_panic() {
+        let queries = ["/r/a[k=1]/v/text()", "/r/a[k=2]/v/text()"];
+        let parsed = queries.iter().map(|q| parse_query(q).unwrap()).collect();
+        let mut h = crate::build::build_merged_hpdt(parsed).unwrap();
+        assert!(!h.leaf_tags.is_empty() && error_codes(&h).is_empty());
+        h.leaf_tags.offsets[1] = h.leaf_tags.tags.len() as u32 + 1;
+        assert_eq!(error_codes(&h), ["table-shape"]);
+    }
+
     #[test]
     fn depth_discipline_violation_is_caught() {
         let mut h = built("/a/b/text()");
@@ -731,11 +866,12 @@ mod tests {
         // routes into the start state disagree on depth-vector length.
         let deep = h.states.len() - 1;
         let start = h.start;
-        let end_idx = h.arcs[deep]
+        let end_idx = h
+            .arcs_of(deep as StateId)
             .iter()
             .position(|a| matches!(a.label, ArcLabel::End(_)))
             .expect("state has an end arc");
-        h.arcs[deep][end_idx].target = start;
+        h.arcs[h.offsets[deep] as usize + end_idx].target = start;
         let diags = verify(&h);
         assert!(
             diags

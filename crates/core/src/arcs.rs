@@ -10,14 +10,20 @@
 //!
 //! What a label accepts is written once, as its row in
 //! `ArcLabel::pattern` (event kinds, name, depth relative to the
-//! anchor). Every consumer reads that `Pattern`: `label_matches`, the
+//! anchor). Every consumer reads that `Pattern`: `Pattern::accepts`, the
 //! per-state arc tables and any-depth runs, the overlap check behind
 //! `scan_all`, the query index's buckets and the verifier's depth model.
 //!
 //! Everything the runtime would otherwise recompute per firing is
-//! resolved when an arc is created: its pattern, its place in the
-//! within-event execution order ([`Arc::order`]) and the dense queue
-//! slot of every BPDT it addresses ([`QueueRef`]).
+//! resolved when an arc is created: its place in the within-event
+//! execution order ([`Arc::order`]) and the dense queue slot of every
+//! BPDT it addresses ([`QueueRef`]); its pattern is fixed when the HPDT
+//! is sealed, in a column beside the arcs.
+//!
+//! The arcs are stored flat (`Hpdt::arcs`, grouped by state through
+//! `Hpdt::offsets`): an arc is plain data that names its actions and
+//! its guard by position in the HPDT's pools, so the per-state tables
+//! below read runs of one `Pattern` slice (`runs`).
 
 use std::collections::HashMap;
 
@@ -64,7 +70,7 @@ pub enum NamePat {
 }
 
 /// What events an arc accepts, including the depth discipline of §4.3.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArcLabel {
     /// The document-start event (consumed by the root BPDT, Fig. 12).
     StartDoc,
@@ -192,7 +198,7 @@ const ANY_DEPTH: Depth = 0b1111;
 /// depth discipline): its row — and whether it is a transition at all.
 /// The `//` self-loop is not: it keeps its pattern, so it overlaps what
 /// it would have fired beside, but it compiles to its state's stays bit
-/// (`compute_stays`), [`Arc::label_matches`] never accepts it and no
+/// (`compute_stays`), [`Pattern::accepts`] never accepts it and no
 /// dispatch table files it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Pattern {
@@ -205,6 +211,14 @@ pub(crate) struct Pattern {
 }
 
 impl Pattern {
+    /// Does an arc with this pattern accept `event` for a configuration
+    /// whose depth vector is `dv`? (Guards are evaluated separately.) Tag
+    /// checks are `u32` compares on interned symbols. (A `//` self-loop
+    /// accepts nothing: it is the state's stays bit.)
+    pub(crate) fn accepts(self, event: &RawEvent<'_>, dv: &DepthVector) -> bool {
+        self.transition && self.fits(event, dv)
+    }
+
     /// Does an event fit the pattern, seen from a configuration whose
     /// depth vector is `dv`? (For the `//` self-loop too: see
     /// `transition`.) The anchor is read only when the kind fits.
@@ -299,6 +313,28 @@ impl Guard {
             Guard::AttrFn { test, .. } | Guard::TextFn { test } => test.unsatisfiable(),
         }
     }
+
+    /// Evaluate the guard against the event (label already matched).
+    pub fn passes(&self, event: &RawEvent<'_>) -> bool {
+        match self {
+            Guard::Attr { name, cmp } => match event.attribute_sym(*name) {
+                None => false,
+                Some(v) => cmp.as_ref().is_none_or(|c| c.eval(v)),
+            },
+            Guard::Text { cmp } => match event {
+                RawEvent::Text { text, .. } => cmp.as_ref().is_none_or(|c| c.eval(text)),
+                _ => false,
+            },
+            Guard::AttrFn { name, test } => match event.attribute_sym(*name) {
+                None => false,
+                Some(v) => test.eval(v),
+            },
+            Guard::TextFn { test } => match event {
+                RawEvent::Text { text, .. } => test.eval(text),
+                _ => false,
+            },
+        }
+    }
 }
 
 /// A BPDT's queue as an arc addresses it: the id the figures, dumps and
@@ -333,7 +369,7 @@ pub enum Disposition {
 }
 
 /// The value extracted for a result item.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ValueSource {
     /// The text of the current text event (`text()` output, `sum()`…).
     Text,
@@ -410,8 +446,9 @@ impl KeyTable {
 }
 
 /// Buffer and output operations attached to an arc. `Self` refers to the
-/// BPDT owning the arc.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// BPDT owning the arc. Plain data: the HPDT keeps every arc's actions
+/// in one pool (`Hpdt::actions`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
     /// Predicate resolved true and every ancestor predicate is true:
     /// mark all depth-matching items in this BPDT's queue as output.
@@ -485,11 +522,10 @@ impl Action {
         }
     }
 
-    /// [`Self::fill_mut`], read through a copy: an action owns no heap data.
+    /// [`Self::fill_mut`], read through a copy.
     pub(crate) fn fill(&self) -> Option<(Fill, Option<QueueRef>)> {
-        self.clone()
-            .fill_mut()
-            .map(|(how, queue)| (how, queue.copied()))
+        let mut action = *self;
+        action.fill_mut().map(|(how, queue)| (how, queue.copied()))
     }
 }
 
@@ -505,14 +541,26 @@ pub(crate) enum Fill {
     Upload,
 }
 
-/// One transition arc.
-#[derive(Debug, Clone)]
+/// A run of one of the HPDT's pools: `start..end`.
+#[derive(Debug, Clone, Copy)]
+pub struct PoolRange {
+    pub start: u32,
+    pub end: u32,
+}
+
+impl PoolRange {
+    pub fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..self.end as usize
+    }
+}
+
+/// One transition arc. Its source state is where it stands in
+/// `Hpdt::arcs`; its pattern stands beside it (`Hpdt::patterns`).
+#[derive(Debug, Clone, Copy)]
 pub struct Arc {
     pub label: ArcLabel,
-    /// `label.pattern()`, fixed when the arc is created: what
-    /// [`Self::label_matches`] reads on every probe.
-    pub(crate) pattern: Pattern,
-    pub guard: Option<Guard>,
+    /// Index of the arc's guard in `Hpdt::guards`.
+    pub guard: Option<u32>,
     pub target: StateId,
     /// The BPDT owning this arc (whose queue `*Self` actions address).
     pub owner: QueueRef,
@@ -520,7 +568,8 @@ pub struct Arc {
     /// (ascending; see [`execution_order`]), fixed when the arc is
     /// created.
     pub order: u32,
-    pub actions: Vec<Action>,
+    /// The arc's run of `Hpdt::actions`.
+    pub actions: PoolRange,
 }
 
 /// The within-event execution order of an arc owned by a BPDT of `layer`
@@ -550,71 +599,29 @@ pub fn execution_order(layer: u16, actions: &[Action]) -> u32 {
 }
 
 impl Arc {
-    pub fn new(
-        label: ArcLabel,
-        guard: Option<Guard>,
-        target: StateId,
-        owner: QueueRef,
-        actions: Vec<Action>,
-    ) -> Self {
-        Arc {
-            pattern: label.pattern(),
-            label,
-            guard,
-            target,
-            owner,
-            order: execution_order(owner.id.layer, &actions),
-            actions,
-        }
-    }
-
-    /// Does this arc accept `event` for a configuration whose depth
-    /// vector is `dv`? (Guards are evaluated separately.) Read off the
-    /// label's `Pattern`; tag checks are `u32` compares on interned
-    /// symbols. (A `//` self-loop accepts nothing: it is the state's
-    /// stays bit.)
-    pub fn label_matches(&self, event: &RawEvent<'_>, dv: &DepthVector) -> bool {
-        self.pattern.transition && self.pattern.fits(event, dv)
-    }
-
-    /// Evaluate the guard against the event (label already matched).
-    pub fn guard_passes(&self, event: &RawEvent<'_>) -> bool {
-        match &self.guard {
-            None => true,
-            Some(Guard::Attr { name, cmp }) => match event.attribute_sym(*name) {
-                None => false,
-                Some(v) => cmp.as_ref().is_none_or(|c| c.eval(v)),
-            },
-            Some(Guard::Text { cmp }) => match event {
-                RawEvent::Text { text, .. } => cmp.as_ref().is_none_or(|c| c.eval(text)),
-                _ => false,
-            },
-            Some(Guard::AttrFn { name, test }) => match event.attribute_sym(*name) {
-                None => false,
-                Some(v) => test.eval(v),
-            },
-            Some(Guard::TextFn { test }) => match event {
-                RawEvent::Text { text, .. } => test.eval(text),
-                _ => false,
-            },
-        }
-    }
-
-    /// True when firing this arc sets the open element item of every
-    /// configuration that takes it alike (whole-element output opening or
-    /// closing one), which can make configurations that differed only in
-    /// their item equal.
-    pub(crate) fn sets_item(&self) -> bool {
-        self.actions
-            .iter()
-            .any(|a| matches!(a, Action::ElementStart { .. } | Action::ElementEnd))
-    }
-
     /// True when firing this arc changes the configuration's state (the
     /// paper's dv rules only apply to real transitions: `s' ≠ s`).
     pub fn changes_state(&self, source: StateId) -> bool {
         self.target != source
     }
+}
+
+/// Each run of a pool grouped by `offsets` (CSR: run `i` is
+/// `pool[offsets[i]..offsets[i + 1]]`), in order.
+pub(crate) fn runs<'a, T>(pool: &'a [T], offsets: &'a [u32]) -> impl Iterator<Item = &'a [T]> {
+    offsets
+        .windows(2)
+        .map(move |w| &pool[w[0] as usize..w[1] as usize])
+}
+
+/// True when firing an arc with these actions sets the open element
+/// item of every configuration that takes it alike (whole-element output
+/// opening or closing one), which can make configurations that differed
+/// only in their item equal.
+pub(crate) fn sets_item(actions: &[Action]) -> bool {
+    actions
+        .iter()
+        .any(|a| matches!(a, Action::ElementStart { .. } | Action::ElementEnd))
 }
 
 /// Dense dispatch key for a (kind, tag) pair.
@@ -629,7 +636,7 @@ pub(crate) fn raw_event_key(event: &RawEvent<'_>) -> Option<u64> {
     Some(event_key(kind, tag?))
 }
 
-/// Keyed index over one state's outgoing arcs. `label_matches` makes the
+/// Keyed index over one state's outgoing arcs. `Pattern::accepts` makes the
 /// exact tag compare a *necessary* condition for every named label, so an
 /// event only needs to probe the arcs filed under its own (kind, tag) key
 /// plus the `rest` bucket — turning the per-event cost on a frontier
@@ -678,7 +685,7 @@ impl ArcTable {
     }
 
     /// Would a linear scan be just as fast? Small states skip the table
-    /// (`compute_arc_tables` applies the cutoff; this is the test hook).
+    /// (`ArcTables::new` applies the cutoff; this is the test hook).
     #[cfg(test)]
     pub(crate) fn worthwhile(&self) -> bool {
         self.named.len() + self.rest.len() >= ARC_TABLE_CUTOFF
@@ -699,33 +706,52 @@ const ARC_TABLE_CUTOFF: usize = 8;
 /// The candidates of a state below the cutoff: every arc, in order.
 pub(crate) static LINEAR_SCAN: [u32; ARC_TABLE_CUTOFF] = [0, 1, 2, 3, 4, 5, 6, 7];
 
-/// Build per-state arc tables for the HPDT's transition function. States
-/// whose arc count is below the cutoff get `None` (linear scan). `//`
-/// self-loops are not transitions (see `compute_stays`) and are filed
-/// nowhere.
-pub(crate) fn compute_arc_tables(arcs: &[Vec<Arc>]) -> Vec<Option<ArcTable>> {
-    arcs.iter()
-        .map(|state_arcs| {
-            if state_arcs.len() < ARC_TABLE_CUTOFF {
-                return None;
-            }
+/// The arc tables of the states of the HPDT's transition function that
+/// have at least the cutoff's arcs; the others are scanned linearly and
+/// have no entry. `//` self-loops are not transitions (see
+/// `compute_stays`) and are filed nowhere.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ArcTables {
+    /// The states that have a table, ascending.
+    states: Vec<StateId>,
+    /// Their tables, in the same order.
+    tables: Vec<ArcTable>,
+}
+
+impl ArcTables {
+    pub(crate) fn new(patterns: &[Pattern], offsets: &[u32]) -> Self {
+        let mut built = ArcTables::default();
+        let big = runs(patterns, offsets).enumerate();
+        for (s, state) in big.filter(|(_, state)| state.len() >= ARC_TABLE_CUTOFF) {
             let mut table = ArcTable::default();
-            for (ai, arc) in state_arcs.iter().enumerate() {
-                match arc.pattern.key() {
-                    Some(key) => table.named.push((key, ai as u32)),
-                    None if arc.pattern.transition => table.rest.push(ai as u32),
+            for (ai, p) in (0u32..).zip(state) {
+                match p.key() {
+                    Some(key) => table.named.push((key, ai)),
+                    None if p.transition => table.rest.push(ai),
                     None => {}
                 }
             }
             table.named.sort_unstable();
-            Some(table)
-        })
-        .collect()
+            built.states.push(s as StateId);
+            built.tables.push(table);
+        }
+        built
+    }
+
+    /// The table of `state`, which has `arcs` arcs: none below the
+    /// cutoff, and those are not looked up.
+    pub(crate) fn of(&self, state: StateId, arcs: usize) -> Option<&ArcTable> {
+        if arcs < ARC_TABLE_CUTOFF {
+            return None;
+        }
+        let at = self.states.binary_search(&state).ok()?;
+        Some(&self.tables[at])
+    }
 }
 
 /// Per state, the arcs that accept an event at *any* depth below the
 /// anchor. Every other label pins the anchor to the event's depth, or to
-/// the one above for a begin (`label_matches`), so a configuration
+/// the one above for a begin (`Pattern::accepts`), so a configuration
 /// anchored any shallower can fire only these — which most states, and
 /// most HPDTs, do not have.
 /// Stored flat: one allocation pair per HPDT, none for an HPDT without
@@ -745,13 +771,9 @@ pub(crate) struct AnyDepthArcs {
 }
 
 impl AnyDepthArcs {
-    pub(crate) fn new(arcs: &[Vec<Arc>]) -> Self {
+    pub(crate) fn new(patterns: &[Pattern], offsets: &[u32]) -> Self {
         let mut index = AnyDepthArcs::default();
-        let shallow_arcs = arcs
-            .iter()
-            .flatten()
-            .filter(|a| a.pattern.shallow_cells() != 0);
-        for p in shallow_arcs.map(|a| a.pattern) {
+        for p in patterns.iter().filter(|p| p.shallow_cells() != 0) {
             let shallow = p.shallow_cells();
             for (kind, name) in p.filings().filter(|(k, _)| shallow & k.mask() != 0) {
                 match name {
@@ -765,12 +787,12 @@ impl AnyDepthArcs {
         }
         index.keys.sort_unstable();
         index.keys.dedup();
-        index.spans.reserve_exact(arcs.len() + 1);
-        for state_arcs in arcs {
+        index.spans.reserve_exact(offsets.len());
+        for state in runs(patterns, offsets) {
             let indices_of = |run: u32| {
                 (0u32..)
-                    .zip(state_arcs)
-                    .filter_map(move |(ai, a)| (a.pattern.shallow_cells() & run != 0).then_some(ai))
+                    .zip(state)
+                    .filter_map(move |(ai, p)| (p.shallow_cells() & run != 0).then_some(ai))
             };
             let at = index.arcs.len() as u32;
             index.arcs.extend(indices_of(EventKind::Begin.mask()));
@@ -816,9 +838,9 @@ impl AnyDepthArcs {
 /// nothing survives anyway — §4.3's "simply ignores the event" — so the
 /// bit costs nothing on events the state has no arc for.) Several
 /// self-loops on one state, as the merged builder leaves, are one bit.
-pub(crate) fn compute_stays(arcs: &[Vec<Arc>]) -> Vec<bool> {
-    arcs.iter()
-        .map(|outgoing| outgoing.iter().any(|a| !a.pattern.transition))
+pub(crate) fn compute_stays(patterns: &[Pattern], offsets: &[u32]) -> Vec<bool> {
+    runs(patterns, offsets)
+        .map(|outgoing| outgoing.iter().any(|p| !p.transition))
         .collect()
 }
 
@@ -826,39 +848,52 @@ pub(crate) fn compute_stays(arcs: &[Vec<Arc>]) -> Vec<bool> {
 /// overlap exactly when their patterns share a cell and their names
 /// meet (`Pattern::cells`) — the `//` self-loop by its pattern too.
 /// Where none do, a deterministic runtime may stop at the first matching
-/// arc (the XSQ-NC fast path of §6.2). Named patterns are bucketed by
-/// name, so a state costs its arcs, not their pairs.
-pub(crate) fn compute_scan_all(arcs: &[Vec<Arc>]) -> Vec<bool> {
-    let mut named = Vec::new();
-    arcs.iter()
-        .map(|outgoing| {
-            // A wildcard meets every name: its cells against all others'.
-            let (mut wild, mut taken, mut shared) = (0, 0, false);
-            named.clear();
-            for p in outgoing.iter().map(|a| a.pattern) {
-                let cells = p.cells();
-                match p.name {
-                    None if taken & cells != 0 => return true,
-                    None => wild |= cells,
-                    Some(_) if wild & cells != 0 => return true,
-                    Some(n) => named.push((n.index(), cells)),
-                }
-                // Only a name sharing a cell with another name gets here.
-                shared |= taken & cells != 0;
-                taken |= cells;
+/// arc (the XSQ-NC fast path of §6.2). A large state's named patterns
+/// are bucketed by name, so it costs its arcs, not their pairs. Lazy, so
+/// the verifier compares without storing the flags.
+pub(crate) fn compute_scan_all<'a>(
+    patterns: &'a [Pattern],
+    offsets: &'a [u32],
+) -> impl Iterator<Item = bool> + 'a {
+    let mut buckets = Vec::new();
+    runs(patterns, offsets).map(move |outgoing| {
+        // A wildcard meets every name: its cells against all others'.
+        let (mut wild, mut taken, mut shared) = (0, 0, false);
+        for &p in outgoing {
+            let cells = p.cells();
+            match p.name {
+                None if taken & cells != 0 => return true,
+                None => wild |= cells,
+                Some(_) if wild & cells != 0 => return true,
+                Some(_) => {}
             }
-            // Two names meet when they are one name: bucket by name, and
-            // a bucket overlaps when its cells do not add up to its union.
-            shared && {
-                named.sort_unstable();
-                named.chunk_by(|a, b| a.0 == b.0).any(|bucket| {
+            // Only a name sharing a cell with another name gets here.
+            shared |= taken & cells != 0;
+            taken |= cells;
+        }
+        // Two names meet when they are one name. A state below the table
+        // cutoff compares its pairs; a larger one buckets by name, and a
+        // bucket overlaps when its cells do not add up to its union.
+        let meet = |a: &Pattern, b: &Pattern| a.name == b.name && a.cells() & b.cells() != 0;
+        shared
+            && if outgoing.len() < ARC_TABLE_CUTOFF {
+                let mut named = outgoing
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, a)| a.name.is_some());
+                named.any(|(i, a)| outgoing[i + 1..].iter().any(|b| meet(a, b)))
+            } else {
+                buckets.clear();
+                let of = |p: &Pattern| Some((p.name?.index(), p.cells()));
+                buckets.extend(outgoing.iter().filter_map(of));
+                buckets.sort_unstable();
+                buckets.chunk_by(|a, b| a.0 == b.0).any(|bucket| {
                     let union = bucket.iter().fold(0, |union, &(_, cells)| union | cells);
                     let sum: u32 = bucket.iter().map(|&(_, cells)| cells.count_ones()).sum();
                     union.count_ones() < sum
                 })
             }
-        })
-        .collect()
+    })
 }
 
 #[cfg(test)]
@@ -894,20 +929,45 @@ mod tests {
         }
     }
 
-    fn arc(label: ArcLabel) -> Arc {
-        let root = QueueRef {
-            id: BpdtId::ROOT,
-            slot: 0,
-        };
-        Arc::new(label, None, 1, root, vec![])
+    fn arc(label: ArcLabel) -> Pattern {
+        label.pattern()
     }
 
-    fn matches(a: &Arc, ev: &RawEvent<'_>, dv: &DepthVector) -> bool {
-        a.label_matches(ev, dv)
+    fn matches(a: &Pattern, ev: &RawEvent<'_>, dv: &DepthVector) -> bool {
+        a.accepts(ev, dv)
     }
 
-    fn passes(a: &Arc, ev: &RawEvent<'_>) -> bool {
-        a.guard_passes(ev)
+    /// Per-state pattern lists, stored as the HPDT stores them: one
+    /// column and its CSR offsets.
+    fn flat(states: &[Vec<Pattern>]) -> (Vec<Pattern>, Vec<u32>) {
+        let mut offsets = vec![0];
+        for state in states {
+            offsets.push(offsets[offsets.len() - 1] + state.len() as u32);
+        }
+        (states.concat(), offsets)
+    }
+
+    fn stays(states: &[Vec<Pattern>]) -> Vec<bool> {
+        let (patterns, offsets) = flat(states);
+        compute_stays(&patterns, &offsets)
+    }
+
+    fn scan_all(states: &[Vec<Pattern>]) -> Vec<bool> {
+        let (patterns, offsets) = flat(states);
+        compute_scan_all(&patterns, &offsets).collect()
+    }
+
+    /// The table of a state, if it gets one.
+    fn table_of(state: &[Pattern]) -> Option<ArcTable> {
+        let (patterns, offsets) = flat(&[state.to_vec()]);
+        let tables = ArcTables::new(&patterns, &offsets);
+        assert_eq!(tables.states.len(), tables.tables.len());
+        tables.of(0, state.len()).cloned()
+    }
+
+    fn any_depth(states: &[Vec<Pattern>]) -> AnyDepthArcs {
+        let (patterns, offsets) = flat(states);
+        AnyDepthArcs::new(&patterns, &offsets)
     }
 
     #[test]
@@ -936,8 +996,8 @@ mod tests {
         assert!(!matches(&a, &text("x", "t", 5), &dv));
         let entry = arc(ArcLabel::BeginAnyDepth(NamePat::Name("b".into())));
         // Duplicate self-loops (the merged builder's) fold into one bit.
-        let states = [vec![a.clone(), entry.clone(), a], vec![entry]];
-        assert_eq!(compute_stays(&states), [true, false]);
+        let states = [vec![a, entry, a], vec![entry]];
+        assert_eq!(stays(&states), [true, false]);
     }
 
     #[test]
@@ -949,7 +1009,7 @@ mod tests {
             tag: 0,
         };
         let keys = [
-            execution_order(3, &[Action::ElementEnd, emit.clone()]),
+            execution_order(3, &[Action::ElementEnd, emit]),
             execution_order(3, &[Action::FlushSelf]),
             execution_order(3, &[]),
             execution_order(3, &[Action::ElementEnd, Action::ClearSelf]),
@@ -974,39 +1034,37 @@ mod tests {
 
     #[test]
     fn attr_guard_checks_existence_and_comparison() {
-        let mut a = arc(ArcLabel::BeginChild(NamePat::Any));
-        a.guard = Some(Guard::Attr {
+        let guard = Guard::Attr {
             name: "id".into(),
             cmp: None,
-        });
-        assert!(passes(&a, &begin("b", 1)));
-        a.guard = Some(Guard::Attr {
+        };
+        assert!(guard.passes(&begin("b", 1)));
+        let guard = Guard::Attr {
             name: "id".into(),
             cmp: Some(Comparison {
                 op: CmpOp::Le,
                 rhs: XPathValue::number(10.0),
             }),
-        });
-        assert!(passes(&a, &begin("b", 1))); // id=5 <= 10
-        a.guard = Some(Guard::Attr {
+        };
+        assert!(guard.passes(&begin("b", 1))); // id=5 <= 10
+        let guard = Guard::Attr {
             name: "missing".into(),
             cmp: None,
-        });
-        assert!(!passes(&a, &begin("b", 1)));
+        };
+        assert!(!guard.passes(&begin("b", 1)));
     }
 
     #[test]
     fn text_guard_evaluates_content() {
-        let mut a = arc(ArcLabel::TextSelf(NamePat::Any));
-        a.guard = Some(Guard::Text {
+        let guard = Guard::Text {
             cmp: Some(Comparison {
                 op: CmpOp::Gt,
                 rhs: XPathValue::number(2000.0),
             }),
-        });
-        assert!(passes(&a, &text("year", "2002", 1)));
-        assert!(!passes(&a, &text("year", "1999", 1)));
-        assert!(!passes(&a, &begin("year", 1)));
+        };
+        assert!(guard.passes(&text("year", "2002", 1)));
+        assert!(!guard.passes(&text("year", "1999", 1)));
+        assert!(!guard.passes(&begin("year", 1)));
     }
 
     #[test]
@@ -1094,8 +1152,7 @@ mod tests {
         arcs_of_state.push(arc(ArcLabel::End(NamePat::Name("t3".into()))));
         arcs_of_state.push(arc(ArcLabel::TextSelf(NamePat::Name("t3".into()))));
         arcs_of_state.push(arc(ArcLabel::StartDoc));
-        let tables = compute_arc_tables(std::slice::from_ref(&arcs_of_state));
-        let table = tables[0].as_ref().expect("above cutoff");
+        let table = table_of(&arcs_of_state).expect("above cutoff");
         assert!(table.worthwhile());
 
         let events = [
@@ -1110,11 +1167,11 @@ mod tests {
         let mut got = Vec::new();
         for ev in &events {
             table.candidates(raw_event_key(ev), &mut got);
-            // Keyed dispatch is an over-approximation of label_matches:
+            // Keyed dispatch is an over-approximation of `Pattern::accepts`:
             // every arc the linear scan would fire must be a candidate,
             // and candidates stay in ascending arc order.
             for (ai, a) in arcs_of_state.iter().enumerate() {
-                if a.label_matches(ev, &dv) {
+                if a.accepts(ev, &dv) {
                     assert!(got.contains(&(ai as u32)), "missing arc {ai} for {ev:?}");
                 }
             }
@@ -1122,8 +1179,7 @@ mod tests {
         }
 
         // Small states skip the table entirely.
-        let small = compute_arc_tables(&[vec![arc(ArcLabel::Catchall)]]);
-        assert!(small[0].is_none());
+        assert!(table_of(&[arc(ArcLabel::Catchall)]).is_none());
     }
 
     #[test]
@@ -1143,12 +1199,12 @@ mod tests {
             vec![arc(ArcLabel::TextSelf(NamePat::Any))],
             labels.iter().cloned().map(arc).collect::<Vec<_>>(),
         ];
-        let index = AnyDepthArcs::new(&states);
+        let index = any_depth(&states);
         assert_eq!(index.of(1, true), [1, 3, 6]);
         assert_eq!(index.of(1, false), [3]);
         assert!(index.of(0, true).is_empty() && index.of(0, false).is_empty());
         // An HPDT without such arcs stores nothing and answers alike.
-        let none = AnyDepthArcs::new(&states[..1]);
+        let none = any_depth(&states[..1]);
         assert!(none.spans.is_empty() && none.of(0, true).is_empty());
         // Which events a shallower anchor can fire on at all: with a
         // catchall or `=<*>`, every begin (and with a catchall every other
@@ -1156,7 +1212,7 @@ mod tests {
         let key = |n: &str| raw_event_key(&begin(n, 3));
         let text_key = raw_event_key(&text("a", "t", 3));
         assert!(index.may_accept(key("zz")) && index.may_accept(text_key));
-        let named = AnyDepthArcs::new(&[vec![arc(ArcLabel::BeginAnyDepth(name("a")))]]);
+        let named = any_depth(&[vec![arc(ArcLabel::BeginAnyDepth(name("a")))]]);
         assert!(named.may_accept(key("a")));
         assert!(!named.may_accept(key("b")) && !named.may_accept(text_key));
         assert!(!none.may_accept(key("a")) && !none.may_accept(None));
@@ -1255,7 +1311,7 @@ mod tests {
         kinds & kind_of(ev).mask() != 0 && name && at
     }
 
-    /// Exhaustive over the universe above: what `label_matches`
+    /// Exhaustive over the universe above: what `Pattern::accepts`
     /// accepts, which states `compute_scan_all` flags, and where every
     /// dispatch table files a label are all what the label's pattern
     /// says.
@@ -1263,7 +1319,7 @@ mod tests {
     fn every_consumer_of_a_label_agrees_with_its_pattern() {
         let (labels, events) = (every_label(), every_event());
         let dv = DepthVector::from_depths(&[0, TOP]);
-        let accepts = |l: &ArcLabel, ev: &RawEvent<'_>| arc(l.clone()).label_matches(ev, &dv);
+        let accepts = |l: &ArcLabel, ev: &RawEvent<'_>| arc(*l).accepts(ev, &dv);
         for l in &labels {
             let p = l.pattern();
             for ev in &events {
@@ -1289,16 +1345,16 @@ mod tests {
         let sets: Vec<u32> = (0u32..1 << labels.len())
             .filter(|set| set.count_ones() <= 4)
             .collect();
-        let states: Vec<Vec<Arc>> = (sets.iter())
+        let states: Vec<Vec<Pattern>> = (sets.iter())
             .map(|&set| {
                 let members = labels
                     .iter()
                     .enumerate()
                     .filter(|(i, _)| set & (1 << i) != 0);
-                members.map(|(_, l)| arc(l.clone())).collect()
+                members.map(|(_, l)| arc(*l)).collect()
             })
             .collect();
-        let flags = compute_scan_all(&states);
+        let flags = scan_all(&states);
         for ((set, flagged), state) in sets.iter().zip(flags).zip(&states) {
             let members: Vec<usize> = (0..labels.len()).filter(|i| set & (1 << i) != 0).collect();
             let want = members
@@ -1308,7 +1364,7 @@ mod tests {
             assert_eq!(flagged, want, "{state:?}");
         }
         for (i, l) in labels.iter().enumerate() {
-            let pair = compute_scan_all(&[vec![arc(l.clone()), arc(l.clone())]]);
+            let pair = scan_all(&[vec![arc(*l), arc(*l)]]);
             assert_eq!(pair[0], overlap[i][i], "{l:?} twice");
         }
 
@@ -1351,8 +1407,7 @@ mod tests {
             // A state's arc table files it under its one key, probes it
             // for every event when it accepts several (or an unkeyed
             // document event), and never when it accepts none.
-            let tables = compute_arc_tables(&[vec![arc(l.clone()); ARC_TABLE_CUTOFF]]);
-            let table = tables[0].as_ref().expect("at the cutoff");
+            let table = table_of(&[arc(*l); ARC_TABLE_CUTOFF]).expect("at the cutoff");
             let mut got = Vec::new();
             for key in keys.iter().copied().chain([None]) {
                 table.candidates(key, &mut got);
@@ -1365,7 +1420,7 @@ mod tests {
             }
             // The any-depth runs hold it exactly when a shallower anchor
             // can fire it, and `may_accept` says which keys can.
-            let index = AnyDepthArcs::new(&[vec![arc(l.clone())]]);
+            let index = any_depth(&[vec![arc(*l)]]);
             let run = |kinds: &[EventKind]| {
                 let fires = events
                     .iter()

@@ -25,6 +25,7 @@
 //! writes. Within a bucket entries keep insertion order, which is the
 //! order a scan of one flat queue would visit them in.
 
+use crate::build::LeafTags;
 use crate::depth_vector::DepthVector;
 use crate::items::{ItemId, ItemStore, LEAF_BIT};
 
@@ -166,7 +167,7 @@ impl QueueSet {
     }
 
     /// A keyed step's element ends: every depth-matching item is bound to
-    /// the tags `leaf_tags[its leaf]` (sorted by key) lists under the
+    /// the tags `leaf_tags.of(its leaf)` (sorted by key) lists under the
     /// depth-matching truths — directly when `upload` is `None`, else as
     /// one tag-bound entry per tag in the `upload` queue — and the
     /// instance's entries, truths included, leave the queue.
@@ -175,7 +176,7 @@ impl QueueSet {
         queue: usize,
         upload: Option<usize>,
         dv: &DepthVector,
-        leaf_tags: &[Vec<(u32, u32)>],
+        leaf_tags: &LeafTags,
         items: &mut ItemStore,
     ) {
         let Some(taken) = self.take(queue, dv) else {
@@ -186,7 +187,7 @@ impl QueueSet {
         keys.sort_unstable();
         keys.dedup();
         for entry in taken.iter().filter(|e| e.bound != TRUTH) {
-            let tags = &leaf_tags[(items.tag(entry.item) & !LEAF_BIT) as usize];
+            let tags = leaf_tags.of(items.tag(entry.item) & !LEAF_BIT);
             for &key in &keys {
                 let from = tags.partition_point(|&(k, _)| k < key);
                 for &(_, tag) in tags[from..].iter().take_while(|&&(k, _)| k == key) {
@@ -425,8 +426,11 @@ mod tests {
         (qs, items, z)
     }
 
-    fn leaf_tags() -> [Vec<(u32, u32)>; 1] {
-        [vec![(0, 10), (1, 11), (1, 12)]]
+    fn leaf_tags() -> LeafTags {
+        LeafTags {
+            tags: vec![(0, 10), (1, 11), (1, 12)],
+            offsets: vec![0, 3],
+        }
     }
 
     fn drained(items: &mut ItemStore) -> Vec<u32> {
@@ -472,8 +476,12 @@ mod tests {
     #[test]
     fn an_instance_without_a_witnessed_key_drops_its_entries() {
         let (mut qs, mut items, z) = keyed_setup();
-        qs.resolve_keyed(0, None, &dv(&[1, 9]), &[vec![(5, 10)]], &mut items);
-        qs.resolve_keyed(0, None, &dv(&[1, 2]), &[vec![]], &mut items);
+        let tags = |tags: Vec<(u32, u32)>| LeafTags {
+            offsets: vec![0, tags.len() as u32],
+            tags,
+        };
+        qs.resolve_keyed(0, None, &dv(&[1, 9]), &tags(vec![(5, 10)]), &mut items);
+        qs.resolve_keyed(0, None, &dv(&[1, 2]), &tags(vec![]), &mut items);
         assert!(qs.all_empty());
         assert_eq!(items.state(z), crate::items::ItemState::Dead);
     }

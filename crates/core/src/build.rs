@@ -9,6 +9,12 @@
 //! arcs, and the lowest layer gets the output machinery (direct output in
 //! `bpdt(n, 2^n − 1)`, buffered output elsewhere — Fig. 11).
 //!
+//! A step is resolved once, before any of its BPDTs is instantiated
+//! (`StepPlan`): its names interned, its guard placed in the guard pool,
+//! its template chosen. Every instance copies the plan, and appends its
+//! arcs and their actions to flat arrays that `Builder::finish` groups by
+//! state.
+//!
 //! Every buffer decision is precomputed from the BPDT id: whether a
 //! predicate-true transition flushes (all ancestor bits set) or uploads
 //! (to the nearest zero bit), and where produced values are routed.
@@ -24,9 +30,9 @@ use xsq_xpath::{AggFunc, Axis, CmpOp, FnArg, NodeTest, Output, Predicate, Query,
 use crate::analyze::prove_deterministic;
 use crate::analyze::verify::reachable_states;
 use crate::arcs::{
-    compute_arc_tables, compute_scan_all, compute_stays, Action, AnyDepthArcs, Arc, ArcLabel,
-    ArcTable, Disposition, Fill, Guard, KeyTable, KeyVal, NamePat, QueueRef, StateId, StateInfo,
-    StateRole, ValueSource,
+    compute_scan_all, compute_stays, execution_order, Action, AnyDepthArcs, Arc, ArcLabel,
+    ArcTables, Disposition, Fill, Guard, KeyTable, KeyVal, NamePat, Pattern, PoolRange, QueueRef,
+    StateId, StateInfo, StateRole, ValueSource,
 };
 use crate::error::CompileError;
 use crate::ids::BpdtId;
@@ -37,22 +43,38 @@ use crate::items::LEAF_BIT;
 /// the cap turns pathological inputs into a clean error.
 const MAX_STATES: usize = 100_000;
 
-/// A compiled hierarchical pushdown transducer.
+/// A compiled hierarchical pushdown transducer, stored flat: one arc
+/// array grouped by state (CSR), one pool each for the arcs' actions and
+/// guards, and one for the keyed leaves' tags.
 #[derive(Debug)]
 pub struct Hpdt {
     pub states: Vec<StateInfo>,
-    /// Outgoing arcs per state.
-    pub arcs: Vec<Vec<Arc>>,
+    /// Every arc, grouped by source state, each state's in the order the
+    /// builder made them: state `s` owns `arcs[offsets[s]..offsets[s + 1]]`
+    /// ([`Self::arcs_of`]).
+    pub arcs: Vec<Arc>,
+    /// Where each state's arcs start, ascending, and one past the last:
+    /// one more entry than `states`, the last equal to `arcs.len()`.
+    pub offsets: Vec<u32>,
+    /// `arcs[i].label.pattern()`, a dense column beside the arcs: what
+    /// the runtime's probe reads, back to back.
+    pub(crate) patterns: Vec<Pattern>,
+    /// The action pool: an arc's actions are `actions[arc.actions]`
+    /// ([`Self::actions_of`]), in the order they execute.
+    pub actions: Vec<Action>,
+    /// The guard pool, one guard per guarded step, shared by every
+    /// instance of the step (`Arc::guard`).
+    pub guards: Vec<Guard>,
     /// Per state: `true` when several arcs might accept the same event,
     /// so a runtime must scan all arcs even in deterministic mode.
     pub scan_all: Vec<bool>,
     /// Per state: the `//` self-loop, compiled (`compute_stays`).
     pub(crate) stays: Vec<bool>,
-    /// Per state: keyed index over the outgoing arcs, present only where
-    /// the arc count makes probing cheaper than a linear scan (merged
-    /// frontier states with hundreds of named arcs). Shared by every
-    /// runner of this HPDT.
-    pub(crate) arc_tables: Vec<Option<ArcTable>>,
+    /// Keyed indexes over the outgoing arcs of the states where probing
+    /// is cheaper than a linear scan (merged frontier states with hundreds
+    /// of named arcs); the other states have none. Shared by every runner
+    /// of this HPDT.
+    pub(crate) arc_tables: ArcTables,
     /// Per state: the arcs a configuration anchored above the event's
     /// parent can still fire (closure entry arcs, the catchall).
     pub(crate) any_depth: AnyDepthArcs,
@@ -84,7 +106,7 @@ pub struct Hpdt {
     /// `LEAF_BIT | leaf`): the `(key, query tag)` pairs it answers, sorted
     /// — a resolve binds an item to the tags listed under the keys its
     /// instance witnessed.
-    pub leaf_tags: Vec<Vec<(u32, u32)>>,
+    pub leaf_tags: LeafTags,
 }
 
 /// A family of sibling steps equal up to the literal of an `=` predicate,
@@ -97,41 +119,110 @@ pub struct KeyedStep {
     pub table: KeyTable,
 }
 
+/// The `(key, query tag)` pairs of every keyed leaf, in one pool: leaf
+/// `l`'s are `tags[offsets[l]..offsets[l + 1]]` ([`Self::of`]). Both are
+/// empty when no step is keyed.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LeafTags {
+    pub tags: Vec<(u32, u32)>,
+    pub offsets: Vec<u32>,
+}
+
+impl LeafTags {
+    /// Pool per-leaf lists, keeping their order.
+    fn pooled(lists: &[Vec<(u32, u32)>]) -> Self {
+        if lists.is_empty() {
+            return LeafTags::default();
+        }
+        let mut offsets = Vec::with_capacity(lists.len() + 1);
+        let mut tags = Vec::with_capacity(lists.iter().map(Vec::len).sum());
+        offsets.push(0);
+        for list in lists {
+            tags.extend_from_slice(list);
+            offsets.push(tags.len() as u32);
+        }
+        LeafTags { tags, offsets }
+    }
+
+    /// The pairs of leaf `leaf`, sorted.
+    pub fn of(&self, leaf: u32) -> &[(u32, u32)] {
+        let l = leaf as usize;
+        &self.tags[self.offsets[l] as usize..self.offsets[l + 1] as usize]
+    }
+
+    /// Number of leaves.
+    pub fn len(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
 impl Hpdt {
-    /// Seal arcs into an HPDT. Everything else is derived here, from the
-    /// arcs alone: what the runtime reads per state (`scan_all`, `stays`,
-    /// `arc_tables`, `any_depth`) and the two verdicts the engine acts on
-    /// (`buffered`, `deterministic`). Both builders end here, through
-    /// `Builder::finish`, so no table can disagree with the arcs it was
-    /// derived from.
+    /// Seal flat arrays into an HPDT. Everything else is derived here,
+    /// from the arcs alone: their pattern column, what the runtime reads
+    /// per state (`scan_all`, `stays`, `arc_tables`, `any_depth`) and the
+    /// two verdicts the engine acts on (`buffered`, `deterministic`). Both
+    /// builders end here, through `Builder::finish`, so no table can
+    /// disagree with the arcs it was derived from.
     /// `merged` is never empty; its first member names the HPDT in dumps.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn seal(
         states: Vec<StateInfo>,
-        arcs: Vec<Vec<Arc>>,
+        (arcs, offsets): (Vec<Arc>, Vec<u32>),
+        actions: Vec<Action>,
+        guards: Vec<Guard>,
         start: StateId,
         queues: Vec<BpdtId>,
         layers: u16,
         merged: Vec<Query>,
         keyed: Vec<KeyedStep>,
-        leaf_tags: Vec<Vec<(u32, u32)>>,
+        leaf_tags: LeafTags,
     ) -> Hpdt {
+        let patterns: Vec<Pattern> = arcs.iter().map(|a| a.label.pattern()).collect();
         Hpdt {
-            scan_all: compute_scan_all(&arcs),
-            stays: compute_stays(&arcs),
-            arc_tables: compute_arc_tables(&arcs),
-            any_depth: AnyDepthArcs::new(&arcs),
-            buffered: uses_buffers(&arcs),
+            scan_all: compute_scan_all(&patterns, &offsets).collect(),
+            stays: compute_stays(&patterns, &offsets),
+            arc_tables: ArcTables::new(&patterns, &offsets),
+            any_depth: AnyDepthArcs::new(&patterns, &offsets),
+            buffered: uses_buffers(&arcs, &actions),
             deterministic: prove_deterministic(&arcs),
+            patterns,
             start,
             states,
             arcs,
+            offsets,
+            actions,
+            guards,
             queues,
             layers,
             merged,
             keyed,
             leaf_tags,
         }
+    }
+
+    /// The outgoing arcs of `state`, in the order the builder made them.
+    pub fn arcs_of(&self, state: StateId) -> &[Arc] {
+        &self.arcs[self.run_of(state)]
+    }
+
+    /// `state`'s patterns and arcs, index for index: what a probe reads.
+    pub(crate) fn probe_of(&self, state: StateId) -> (&[Pattern], &[Arc]) {
+        let run = self.run_of(state);
+        (&self.patterns[run.clone()], &self.arcs[run])
+    }
+
+    fn run_of(&self, state: StateId) -> std::ops::Range<usize> {
+        let s = state as usize;
+        self.offsets[s] as usize..self.offsets[s + 1] as usize
+    }
+
+    /// The actions `arc` performs, in order.
+    pub fn actions_of(&self, arc: &Arc) -> &[Action] {
+        &self.actions[arc.actions.range()]
     }
 
     /// Number of BPDTs (one queue each).
@@ -141,7 +232,7 @@ impl Hpdt {
 
     /// Total number of transition arcs.
     pub fn arc_count(&self) -> usize {
-        self.arcs.iter().map(Vec::len).sum()
+        self.arcs.len()
     }
 
     /// [`Self::buffered`] per answered query, in tag order: does any
@@ -149,13 +240,13 @@ impl Hpdt {
     /// group answers for each member what that member's own HPDT would.
     pub(crate) fn buffered_members(&self) -> Vec<bool> {
         let mut buffered = vec![false; self.merged.len()];
-        for action in self.arcs.iter().flatten().flat_map(|arc| &arc.actions) {
+        for action in self.arcs.iter().flat_map(|arc| self.actions_of(arc)) {
             if let Action::Emit { to, tag, .. } | Action::ElementStart { to, tag } = action {
                 let enqueues = !matches!(to, Disposition::Direct);
                 if tag & LEAF_BIT == 0 {
                     buffered[*tag as usize] |= enqueues;
                 } else {
-                    for &(_, t) in &self.leaf_tags[(tag & !LEAF_BIT) as usize] {
+                    for &(_, t) in self.leaf_tags.of(tag & !LEAF_BIT) {
                         buffered[t as usize] |= enqueues;
                     }
                 }
@@ -181,16 +272,16 @@ impl Hpdt {
                 ""
             }
         );
-        for (i, info) in self.states.iter().enumerate() {
+        for (i, info) in (0..).zip(&self.states) {
             let _ = writeln!(s, "  ${i} {:?} of {}", info.role, info.owner);
-            for a in &self.arcs[i] {
+            for a in self.arcs_of(i) {
                 let _ = writeln!(
                     s,
                     "    --{:?}{}--> ${} {:?}",
                     a.label,
                     if a.guard.is_some() { " [guarded]" } else { "" },
                     a.target,
-                    a.actions
+                    self.actions_of(a)
                 );
             }
         }
@@ -205,20 +296,28 @@ impl Hpdt {
     }
 }
 
-/// Build the HPDT for a parsed query.
+/// Build the HPDT for a parsed query (a copy of it goes into
+/// `Hpdt::merged`; [`crate::XsqEngine::compile_str`] moves its own in).
 pub fn build_hpdt(query: &Query) -> Result<Hpdt, CompileError> {
-    let mut b = Builder::default();
-    let (start, layers) = b.build(query)?;
-    Ok(b.finish(start, layers, vec![query.clone()]))
+    build_group(vec![query.clone()]).map_err(|(e, _)| e)
 }
 
 #[derive(Default)]
 struct Builder {
     states: Vec<StateInfo>,
-    arcs: Vec<Vec<Arc>>,
+    /// Every arc made, beside its source state, in the order made;
+    /// [`Self::finish`] groups them by state.
+    arcs: Vec<(StateId, Arc)>,
+    /// The action pool, in the order the arcs were made.
+    actions: Vec<Action>,
+    /// The guard pool, one per guarded step ([`StepPlan`]).
+    guards: Vec<Guard>,
     queues: Vec<BpdtId>,
     keyed: Vec<KeyedStep>,
     leaf_tags: Vec<Vec<(u32, u32)>>,
+    /// Did [`Self::add_arc`] refuse an arc? Only then can a state be
+    /// unreachable.
+    refused: bool,
 }
 
 /// The externally visible states of a freshly built BPDT.
@@ -265,6 +364,77 @@ impl PredCx {
     }
 }
 
+/// A step's guard as the arcs that test it carry it.
+#[derive(Debug, Clone, Copy)]
+enum GuardRef {
+    /// `Hpdt::guards[i]`.
+    Pool(u32),
+    /// No event passes it (`Guard::unsatisfiable`): its arcs are never
+    /// built.
+    Never,
+}
+
+/// A location step resolved once for all its BPDTs: names interned, the
+/// guard pooled, the template chosen. Instances copy it.
+#[derive(Debug, Clone, Copy)]
+struct StepPlan {
+    tag: NamePat,
+    closure: bool,
+    template: Template,
+}
+
+/// The predicate template a step instantiates (Figs. 5–9), with what
+/// its arcs carry.
+#[derive(Debug, Clone, Copy)]
+enum Template {
+    /// No predicate.
+    Plain,
+    /// Categories 1 and 1f: decided at the begin event, by the entry
+    /// arc's guard.
+    AttrOfSelf(GuardRef),
+    /// Categories 2 and 2f: the element's own text, guarded.
+    TextOfSelf(GuardRef),
+    /// Categories 3 and 4: a witness child, its attribute guarded for 4.
+    Child { child: Sym, guard: Option<GuardRef> },
+    /// Category 5: a witness child whose text is guarded (Fig. 9).
+    TextOfChild { child: Sym, guard: GuardRef },
+    /// A keyed family's step ([`Builder::build_keyed_bpdt`]).
+    Keyed(KeyWitness),
+}
+
+/// Where a keyed step's witness value is read, names interned.
+#[derive(Debug, Clone, Copy)]
+enum KeyWitness {
+    SelfText,
+    ChildText(Sym),
+    ChildAttr(Sym, Sym),
+}
+
+/// What a query's last step produces, as its leaf's actions read it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LeafValue {
+    /// Text-anchored: `text()` and the numeric aggregates.
+    Text,
+    /// Begin-anchored: `@attr`.
+    Attr(Sym),
+    /// Begin-anchored: `count()`'s unit.
+    Unit,
+    /// The whole element.
+    Element,
+}
+
+impl LeafValue {
+    fn of(output: &Output) -> Self {
+        match output {
+            Output::Text | Output::Aggregate(AggFunc::Sum | AggFunc::Avg) => LeafValue::Text,
+            Output::Aggregate(AggFunc::Min | AggFunc::Max) => LeafValue::Text,
+            Output::Attr(a) => LeafValue::Attr(Sym::intern(a)),
+            Output::Aggregate(AggFunc::Count) => LeafValue::Unit,
+            Output::Element => LeafValue::Element,
+        }
+    }
+}
+
 impl Builder {
     fn add_state(&mut self, owner: BpdtId, role: StateRole) -> Result<StateId, CompileError> {
         if self.states.len() >= MAX_STATES {
@@ -275,34 +445,53 @@ impl Builder {
         }
         let id = self.states.len() as StateId;
         self.states.push(StateInfo { owner, role });
-        self.arcs.push(Vec::new());
         Ok(id)
     }
 
-    /// Add an arc, unless it can never fire: its guard passes no event
-    /// (`Guard::unsatisfiable`), or it is a second `//` self-loop on a
-    /// state that has one — the runtime reads the loop only as the
-    /// state's `stays` bit, and the merged builder expands one loop per
-    /// trie child of a shared state. A refused guarded arc leaves the
-    /// states behind it unreachable; [`Self::finish`] drops them.
+    /// Add an arc, its actions appended to the pool, unless it can never
+    /// fire: its guard passes no event. A refused arc leaves the states
+    /// behind it unreachable; [`Self::finish`] drops them.
     fn add_arc(
         &mut self,
         from: StateId,
         label: ArcLabel,
-        guard: Option<Guard>,
+        guard: Option<GuardRef>,
         target: StateId,
         owner: QueueRef,
-        actions: Vec<Action>,
+        actions: impl IntoIterator<Item = Action>,
     ) {
-        let outgoing = &mut self.arcs[from as usize];
-        let dead = guard.as_ref().is_some_and(Guard::unsatisfiable);
-        let repeat = label == ArcLabel::ClosureSelfLoop
-            && outgoing
-                .iter()
-                .any(|a| a.label == ArcLabel::ClosureSelfLoop);
-        if !dead && !repeat {
-            outgoing.push(Arc::new(label, guard, target, owner, actions));
+        let guard = match guard {
+            Some(GuardRef::Never) => {
+                self.refused = true;
+                return;
+            }
+            Some(GuardRef::Pool(g)) => Some(g),
+            None => None,
+        };
+        let start = self.actions.len() as u32;
+        self.actions.extend(actions);
+        let actions = PoolRange {
+            start,
+            end: self.actions.len() as u32,
+        };
+        let arc = Arc {
+            label,
+            guard,
+            target,
+            owner,
+            order: execution_order(owner.id.layer, &self.actions[actions.range()]),
+            actions,
+        };
+        self.arcs.push((from, arc));
+    }
+
+    /// Place a step's guard in the pool, unless no event passes it.
+    fn pool_guard(&mut self, guard: Guard) -> GuardRef {
+        if guard.unsatisfiable() {
+            return GuardRef::Never;
         }
+        self.guards.push(guard);
+        GuardRef::Pool(self.guards.len() as u32 - 1)
     }
 
     /// Give `id` the next queue slot. Each BPDT is registered once,
@@ -319,187 +508,114 @@ impl Builder {
         let root = self.register_queue(BpdtId::ROOT);
         let start = self.add_state(BpdtId::ROOT, StateRole::Start)?;
         let root_true = self.add_state(BpdtId::ROOT, StateRole::True)?;
-        self.add_arc(start, ArcLabel::StartDoc, None, root_true, root, vec![]);
-        self.add_arc(root_true, ArcLabel::EndDoc, None, start, root, vec![]);
+        self.add_arc(start, ArcLabel::StartDoc, None, root_true, root, []);
+        self.add_arc(root_true, ArcLabel::EndDoc, None, start, root, []);
         Ok((start, root_true))
     }
 
     /// Seal the arcs into an [`Hpdt`] answering `merged` — the one point
-    /// before sealing for both builders. The states `start` cannot reach
-    /// are those behind an arc [`Self::add_arc`] refused; they go here, in
-    /// place: the survivors keep their order, every arc is retargeted, and
-    /// the queue slots are re-densified over the queues a surviving arc
-    /// still addresses, keeping their order too (a single query keeps its
-    /// layer-major layout). With no dead state nothing moves.
+    /// before sealing for both builders. The arcs are grouped by state in
+    /// one counting pass that keeps each state's in the order made, and
+    /// their actions are copied out in that order, so the pool runs state
+    /// by state. The states `start` cannot reach are those behind an arc
+    /// [`Self::add_arc`] refused; with none refused, every state is
+    /// reachable and nothing moves.
     fn finish(mut self, start: StateId, layers: u16, merged: Vec<Query>) -> Hpdt {
-        let live = reachable_states(&self.arcs, start);
-        let start = if live.contains(&false) {
-            self.drop_dead(&live, start)
-        } else {
-            start
-        };
+        let mut start = start;
+        if self.refused {
+            let (arcs, offsets) = group_by_state(&self.arcs, self.states.len());
+            let live = reachable_states(&arcs, &offsets, start);
+            if live.contains(&false) {
+                start = self.drop_dead(&live, start);
+            }
+        }
+        let (mut arcs, offsets) = group_by_state(&self.arcs, self.states.len());
+        let pooled = arcs.iter().map(|a| a.actions.range().len()).sum();
+        let mut actions = Vec::with_capacity(pooled);
+        for arc in &mut arcs {
+            let at = actions.len() as u32;
+            actions.extend_from_slice(&self.actions[arc.actions.range()]);
+            arc.actions = PoolRange {
+                start: at,
+                end: actions.len() as u32,
+            };
+        }
         Hpdt::seal(
             self.states,
-            self.arcs,
+            (arcs, offsets),
+            actions,
+            self.guards,
             start,
             self.queues,
             layers,
             merged,
             self.keyed,
-            self.leaf_tags,
+            LeafTags::pooled(&self.leaf_tags),
         )
     }
 
-    /// Remove the states `live` does not mark, and the queues no
-    /// surviving arc addresses; returns `start`'s new id.
+    /// Remove the states `live` does not mark, the arcs leaving them and
+    /// the guards and queues nothing surviving addresses, in place: the
+    /// survivors keep their order, every arc is retargeted, and the queue
+    /// slots are re-densified (a single query keeps its layer-major
+    /// layout). The dropped arcs' actions stay behind in the builder's
+    /// pool; `finish` copies out only what a surviving arc runs. Returns
+    /// `start`'s new id.
     fn drop_dead(&mut self, live: &[bool], start: StateId) -> StateId {
         let remap = ranks(live);
         retain_flagged(&mut self.states, live);
-        retain_flagged(&mut self.arcs, live);
+        self.arcs.retain(|&(from, _)| live[from as usize]);
+        for (from, arc) in &mut self.arcs {
+            *from = remap[*from as usize];
+            arc.target = remap[arc.target as usize];
+        }
+        let mut carried = vec![false; self.guards.len()];
+        for g in self.arcs.iter().filter_map(|(_, arc)| arc.guard) {
+            carried[g as usize] = true;
+        }
+        if carried.contains(&false) {
+            let index = ranks(&carried);
+            retain_flagged(&mut self.guards, &carried);
+            for g in self
+                .arcs
+                .iter_mut()
+                .filter_map(|(_, arc)| arc.guard.as_mut())
+            {
+                *g = index[*g as usize];
+            }
+        }
         // The queues still addressed: arc owners (the runtime resolves
         // every acting arc's own queue), upload targets and enqueue
         // destinations, plus the root, which anchors the id tree.
         let mut used = vec![false; self.queues.len()];
         used[0] = true;
-        for arc in self.arcs.iter_mut().flatten() {
-            arc.target = remap[arc.target as usize];
-            for q in queue_refs(arc) {
-                used[q.slot as usize] = true;
+        for (_, arc) in &self.arcs {
+            used[arc.owner.slot as usize] = true;
+            for a in &self.actions[arc.actions.range()] {
+                if let Some((_, Some(q))) = a.fill() {
+                    used[q.slot as usize] = true;
+                }
             }
         }
         if used.contains(&false) {
             let slot_of = ranks(&used);
             retain_flagged(&mut self.queues, &used);
-            for arc in self.arcs.iter_mut().flatten() {
-                for q in queue_refs(arc) {
-                    q.slot = slot_of[q.slot as usize];
+            for (_, arc) in &mut self.arcs {
+                arc.owner.slot = slot_of[arc.owner.slot as usize];
+                for a in &mut self.actions[arc.actions.range()] {
+                    if let Some((_, Some(q))) = a.fill_mut() {
+                        q.slot = slot_of[q.slot as usize];
+                    }
                 }
             }
         }
         remap[start as usize]
     }
 
-    /// The arcs of `query`'s HPDT; returns its start state and layer
-    /// count.
-    fn build(&mut self, query: &Query) -> Result<(StateId, u16), CompileError> {
-        let n = query.steps.len() as u16;
-        debug_assert!(n > 0, "parser guarantees at least one step");
-
-        let (start, root_true) = self.build_root()?;
-
-        // Layer-by-layer expansion. The root has no NA state, so its right
-        // child is NULL and layer 1 contains only bpdt(1,1).
-        let leaf_spec = [(0u32, query.output.clone())];
-        let mut frontier: Vec<(BpdtId, PredCx, StateId)> =
-            vec![(BpdtId::ROOT.left_child(), PredCx::ROOT, root_true)];
-        for (i, step) in query.steps.iter().enumerate() {
-            let layer = i as u16 + 1;
-            let is_leaf = layer == n;
-            let leaf_specs: &[(u32, Output)] = if is_leaf { &leaf_spec } else { &[] };
-            let mut next = Vec::new();
-            for (id, cx, start_state) in frontier {
-                debug_assert_eq!(id.layer, layer);
-                let own = self.register_queue(id);
-                let built = self.build_bpdt(step, own, cx, start_state, leaf_specs)?;
-                if !is_leaf {
-                    if let Some(na) = built.na {
-                        next.push((id.right_child(), cx.na_side(own), na));
-                    }
-                    next.push((id.left_child(), cx.true_side(), built.true_state));
-                }
-            }
-            frontier = next;
-        }
-
-        Ok((start, n))
-    }
-
-    /// The label of a step's entry arcs. Closure steps: `//` self-loop on
-    /// the START state so the search keeps descending, and any-depth
-    /// (`=`-marked) entry arcs.
-    fn entry_label(&mut self, step: &Step, start: StateId, own: QueueRef) -> ArcLabel {
-        let tag = name_pat(&step.test);
-        if step.axis == Axis::Closure {
-            self.add_arc(start, ArcLabel::ClosureSelfLoop, None, start, own, vec![]);
-            ArcLabel::BeginAnyDepth(tag)
-        } else {
-            ArcLabel::BeginChild(tag)
-        }
-    }
-
-    /// Instantiate a keyed step — a family of siblings equal up to the
-    /// literal of `[witness = literal]` — as one BPDT that never reaches
-    /// TRUE: the witness events probe the family's key table and record
-    /// the hits, values buffer in the own queue as for any undecided
-    /// predicate, and the element's end tag resolves them per key
-    /// ([`Action::ResolveKeyed`]). Returns the NA state, the only one
-    /// children hang off.
-    fn build_keyed_bpdt(
-        &mut self,
-        step: &Step,
-        table: &KeyTable,
-        own: QueueRef,
-        cx: PredCx,
-        start: StateId,
-        leaf_specs: &[(u32, Output)],
-    ) -> Result<StateId, CompileError> {
-        self.keyed.push(KeyedStep {
-            bpdt: own.id,
-            step: keyed_step_name(step, table.len()),
-            table: table.clone(),
-        });
-        let table = self.keyed.len() as u32 - 1;
-        let (witness, _) = keyable(step).expect("a keyed node's step is keyable");
-        let tag = name_pat(&step.test);
-        let entry_label = self.entry_label(step, start, own);
-        let na = self.add_state(own.id, StateRole::Na)?;
-        let entry_values = entry_value_actions(leaf_specs, Disposition::OwnQueue);
-        self.add_arc(start, entry_label, None, na, own, entry_values);
-        let record = |attr| Action::RecordKey { table, attr };
-        let mut own_text = text_value_actions(leaf_specs, Disposition::OwnQueue);
-        match witness {
-            Witness::SelfText => own_text.insert(0, record(None)),
-            // Through a state of its own, as in Fig. 9: the witness child
-            // may carry the next step's tag, and its begin event then both
-            // enters the witness and continues the path.
-            Witness::ChildText(child) => {
-                let child = NamePat::Name(Sym::intern(child));
-                let w = self.add_state(own.id, StateRole::Witness)?;
-                self.add_arc(na, ArcLabel::BeginChild(child), None, w, own, vec![]);
-                let probe = vec![record(None)];
-                self.add_arc(w, ArcLabel::TextSelf(child), None, w, own, probe);
-                self.add_arc(w, ArcLabel::End(child), None, na, own, vec![]);
-            }
-            Witness::ChildAttr(child, attr) => {
-                let label = ArcLabel::BeginChild(NamePat::Name(Sym::intern(child)));
-                let probe = vec![record(Some(Sym::intern(attr)))];
-                self.add_arc(na, label, None, na, own, probe);
-            }
-        }
-        if !own_text.is_empty() {
-            self.add_arc(na, ArcLabel::TextSelf(tag), None, na, own, own_text);
-        }
-        let resolve = vec![Action::ResolveKeyed(cx.upload)];
-        self.add_arc(na, ArcLabel::End(tag), None, start, own, resolve);
-        Ok(na)
-    }
-
-    /// Instantiate the template for one location step as `bpdt(id)`,
-    /// entered from `start` (the parent's TRUE or NA state). `leaf_specs`
-    /// lists the queries whose *last* step this is, as `(tag, output)`
-    /// pairs — empty for interior steps, one entry for a plain build, and
-    /// possibly several for a merged HPDT where queries of different
-    /// output kinds end at the same shared step.
-    fn build_bpdt(
-        &mut self,
-        step: &Step,
-        own: QueueRef,
-        cx: PredCx,
-        start: StateId,
-        leaf_specs: &[(u32, Output)],
-    ) -> Result<BuiltBpdt, CompileError> {
-        let id = own.id;
-        let tag = name_pat(&step.test);
+    /// Resolve `step` for all its instances: reject what the HPDT cannot
+    /// run, intern its names, pool its guard and pick its template —
+    /// for a keyed family's step, the keyed template.
+    fn plan_step(&mut self, step: &Step, keyed: bool) -> Result<StepPlan, CompileError> {
         if !step.axis.is_forward() {
             return Err(CompileError::Unsupported {
                 feature: format!(
@@ -510,8 +626,278 @@ impl Builder {
                 engine: "hpdt".into(),
             });
         }
-        let category = classify(step);
-        let entry_label = self.entry_label(step, start, own);
+        let template = if keyed {
+            let (witness, _) = keyable(step).expect("a keyed node's step is keyable");
+            Template::Keyed(match witness {
+                Witness::SelfText => KeyWitness::SelfText,
+                Witness::ChildText(child) => KeyWitness::ChildText(Sym::intern(child)),
+                Witness::ChildAttr(child, attr) => {
+                    KeyWitness::ChildAttr(Sym::intern(child), Sym::intern(attr))
+                }
+            })
+        } else {
+            self.template(step)?
+        };
+        Ok(StepPlan {
+            tag: name_pat(&step.test),
+            closure: step.axis == Axis::Closure,
+            template,
+        })
+    }
+
+    /// The template of a classic step's predicate category.
+    fn template(&mut self, step: &Step) -> Result<Template, CompileError> {
+        let Some(predicate) = &step.predicate else {
+            return Ok(Template::Plain);
+        };
+        let guard = match predicate {
+            Predicate::Attr { name, cmp } => Guard::Attr {
+                name: Sym::intern(name),
+                cmp: cmp.clone(),
+            },
+            Predicate::Func {
+                arg: FnArg::Attr(name),
+                test,
+            } => Guard::AttrFn {
+                name: Sym::intern(name),
+                test: test.clone(),
+            },
+            Predicate::Text { cmp } => Guard::Text { cmp: cmp.clone() },
+            Predicate::Func {
+                arg: FnArg::Text,
+                test,
+            } => Guard::TextFn { test: test.clone() },
+            Predicate::Child { name } => {
+                let child = Sym::intern(name);
+                return Ok(Template::Child { child, guard: None });
+            }
+            Predicate::ChildAttr { child, attr, cmp } => {
+                let child = Sym::intern(child);
+                let guard = Guard::Attr {
+                    name: Sym::intern(attr),
+                    cmp: cmp.clone(),
+                };
+                let guard = Some(self.pool_guard(guard));
+                return Ok(Template::Child { child, guard });
+            }
+            Predicate::ChildText { child, cmp } => {
+                let child = Sym::intern(child);
+                let guard = self.pool_guard(Guard::Text {
+                    cmp: Some(cmp.clone()),
+                });
+                return Ok(Template::TextOfChild { child, guard });
+            }
+            // Streamable via sibling counters / parent-end hold-back,
+            // which only the transformation engine implements; the HPDT
+            // machinery has no per-parent counter state.
+            Predicate::Position { .. } | Predicate::Last => {
+                let what = match predicate {
+                    Predicate::Last => "last()",
+                    _ => "position()",
+                };
+                return Err(CompileError::Unsupported {
+                    feature: format!(
+                        "`{what}` (step `{step}`): supported in transform match \
+                         patterns (`xsq transform`), not by the HPDT selection engine"
+                    ),
+                    engine: "hpdt".into(),
+                });
+            }
+        };
+        let attr = matches!(guard, Guard::Attr { .. } | Guard::AttrFn { .. });
+        let guard = self.pool_guard(guard);
+        Ok(if attr {
+            Template::AttrOfSelf(guard)
+        } else {
+            Template::TextOfSelf(guard)
+        })
+    }
+
+    /// The arcs of `query`'s HPDT; returns its start state and layer
+    /// count.
+    fn build(&mut self, query: &Query) -> Result<(StateId, u16), CompileError> {
+        let n = query.steps.len() as u16;
+        debug_assert!(n > 0, "parser guarantees at least one step");
+
+        let leaf = [(0u32, LeafValue::of(&query.output))];
+        let bpdts = self.reserve(query, leaf[0].1);
+        let (start, root_true) = self.build_root()?;
+
+        // Layer-by-layer expansion, one queue of BPDTs to instantiate in
+        // layer order. The root has no NA state, so its right child is
+        // NULL and layer 1 contains only bpdt(1,1).
+        let mut bpdts: Vec<(BpdtId, PredCx, StateId)> = Vec::with_capacity(bpdts);
+        bpdts.push((BpdtId::ROOT.left_child(), PredCx::ROOT, root_true));
+        let mut layer_start = 0;
+        for (i, step) in query.steps.iter().enumerate() {
+            let layer = i as u16 + 1;
+            let is_leaf = layer == n;
+            let leaf: &[(u32, LeafValue)] = if is_leaf { &leaf } else { &[] };
+            let plan = self.plan_step(step, false)?;
+            let layer_end = bpdts.len();
+            for k in layer_start..layer_end {
+                let (id, cx, start_state) = bpdts[k];
+                debug_assert_eq!(id.layer, layer);
+                let own = self.register_queue(id);
+                // In a single query's tree one BPDT grows out of each
+                // state, so a closure step always adds its start's loop.
+                let built = self.build_bpdt(plan, own, cx, start_state, leaf, true)?;
+                if !is_leaf {
+                    if let Some(na) = built.na {
+                        bpdts.push((id.right_child(), cx.na_side(own), na));
+                    }
+                    bpdts.push((id.left_child(), cx.true_side(), built.true_state));
+                }
+            }
+            layer_start = layer_end;
+        }
+        debug_assert!(
+            (self.states.len(), self.queues.len())
+                == (self.states.capacity(), self.queues.capacity()),
+            "`Builder::reserve` sizes the states and queues exactly"
+        );
+        Ok((start, n))
+    }
+
+    /// Size the arrays a single query's build fills, so that each is
+    /// allocated once: every step is instantiated once per BPDT of its
+    /// layer, and a layer has twice the BPDTs of the one above where that
+    /// step has an NA state. The states and queues are exact; the arcs
+    /// and actions are bounds, copied out exactly by `finish`. Returns
+    /// the number of BPDTs below the root.
+    fn reserve(&mut self, query: &Query, leaf: LeafValue) -> usize {
+        // The root's two states and two arcs.
+        let (mut width, mut leaf_width, mut bpdts) = (1usize, 0, 0usize);
+        let (mut states, mut arcs, mut actions) = (2usize, 2usize, 0usize);
+        for step in &query.steps {
+            let (s, a, x) = footprint(classify(step));
+            let a = a + usize::from(step.axis == Axis::Closure);
+            (leaf_width, bpdts) = (width, bpdts.saturating_add(width));
+            states = states.saturating_add(width.saturating_mul(s));
+            arcs = arcs.saturating_add(width.saturating_mul(a));
+            actions = actions.saturating_add(width.saturating_mul(x));
+            if s > 1 {
+                width = width.saturating_mul(2);
+            }
+        }
+        // The leaf layer's output: text loops on NA and TRUE; or a value
+        // on each entry arc; or element start, appends and ends.
+        let (a, x) = match leaf {
+            LeafValue::Text => (2, 2),
+            LeafValue::Attr(_) | LeafValue::Unit => (0, 1),
+            LeafValue::Element => (4, 7),
+        };
+        if states <= MAX_STATES {
+            self.states.reserve_exact(states);
+            self.arcs.reserve_exact(arcs + leaf_width * a);
+            self.actions.reserve_exact(actions + leaf_width * x);
+            self.queues.reserve_exact(bpdts + 1);
+        }
+        bpdts.min(MAX_STATES)
+    }
+
+    /// The label of a step's entry arcs. Closure steps: `//` self-loop on
+    /// the START state so the search keeps descending — unless an earlier
+    /// sibling's instance put one there (`adds_loop` false: the runtime
+    /// reads the loop only as the state's `stays` bit) — and any-depth
+    /// (`=`-marked) entry arcs.
+    fn entry_label(
+        &mut self,
+        plan: StepPlan,
+        start: StateId,
+        own: QueueRef,
+        adds_loop: bool,
+    ) -> ArcLabel {
+        if !plan.closure {
+            return ArcLabel::BeginChild(plan.tag);
+        }
+        if adds_loop {
+            self.add_arc(start, ArcLabel::ClosureSelfLoop, None, start, own, []);
+        }
+        ArcLabel::BeginAnyDepth(plan.tag)
+    }
+
+    /// Instantiate a keyed step — a family of siblings equal up to the
+    /// literal of `[witness = literal]` — as one BPDT that never reaches
+    /// TRUE: the witness events probe the family's key table and record
+    /// the hits, values buffer in the own queue as for any undecided
+    /// predicate, and the element's end tag resolves them per key
+    /// ([`Action::ResolveKeyed`]). Returns the NA state, the only one
+    /// children hang off.
+    #[allow(clippy::too_many_arguments)]
+    fn build_keyed_bpdt(
+        &mut self,
+        step: &Step,
+        plan: StepPlan,
+        table: &KeyTable,
+        own: QueueRef,
+        cx: PredCx,
+        start: StateId,
+        leaf: &[(u32, LeafValue)],
+        adds_loop: bool,
+    ) -> Result<StateId, CompileError> {
+        self.keyed.push(KeyedStep {
+            bpdt: own.id,
+            step: keyed_step_name(step, table.len()),
+            table: table.clone(),
+        });
+        let table = self.keyed.len() as u32 - 1;
+        let Template::Keyed(witness) = plan.template else {
+            unreachable!("a keyed node's plan is keyed");
+        };
+        let tag = plan.tag;
+        let entry_label = self.entry_label(plan, start, own, adds_loop);
+        let na = self.add_state(own.id, StateRole::Na)?;
+        let entry_values = entry_values(leaf, Disposition::OwnQueue);
+        self.add_arc(start, entry_label, None, na, own, entry_values);
+        let record = |attr| Action::RecordKey { table, attr };
+        let mut self_text = None;
+        match witness {
+            KeyWitness::SelfText => self_text = Some(record(None)),
+            // Through a state of its own, as in Fig. 9: the witness child
+            // may carry the next step's tag, and its begin event then both
+            // enters the witness and continues the path.
+            KeyWitness::ChildText(child) => {
+                let child = NamePat::Name(child);
+                let w = self.add_state(own.id, StateRole::Witness)?;
+                self.add_arc(na, ArcLabel::BeginChild(child), None, w, own, []);
+                let probe = [record(None)];
+                self.add_arc(w, ArcLabel::TextSelf(child), None, w, own, probe);
+                self.add_arc(w, ArcLabel::End(child), None, na, own, []);
+            }
+            KeyWitness::ChildAttr(child, attr) => {
+                let label = ArcLabel::BeginChild(NamePat::Name(child));
+                self.add_arc(na, label, None, na, own, [record(Some(attr))]);
+            }
+        }
+        let own_text = text_values(leaf, Disposition::OwnQueue);
+        let mut own_text = self_text.into_iter().chain(own_text).peekable();
+        if own_text.peek().is_some() {
+            self.add_arc(na, ArcLabel::TextSelf(tag), None, na, own, own_text);
+        }
+        let resolve = [Action::ResolveKeyed(cx.upload)];
+        self.add_arc(na, ArcLabel::End(tag), None, start, own, resolve);
+        Ok(na)
+    }
+
+    /// Instantiate the template of one planned location step as
+    /// `bpdt(id)`, entered from `start` (the parent's TRUE or NA state).
+    /// `leaf` lists the queries whose *last* step this is, as `(tag,
+    /// value)` pairs — empty for interior steps, one entry for a plain
+    /// build, and possibly several for a merged HPDT where queries of
+    /// different output kinds end at the same shared step.
+    fn build_bpdt(
+        &mut self,
+        plan: StepPlan,
+        own: QueueRef,
+        cx: PredCx,
+        start: StateId,
+        leaf: &[(u32, LeafValue)],
+        adds_loop: bool,
+    ) -> Result<BuiltBpdt, CompileError> {
+        let id = own.id;
+        let tag = plan.tag;
+        let entry_label = self.entry_label(plan, start, own, adds_loop);
 
         // Dispositions and the predicate-true resolution action are fixed
         // by the BPDT's position (§4.2), carried in the explicit context.
@@ -528,246 +914,117 @@ impl Builder {
 
         // Value-producing actions for the leaf layer: attached to the
         // entry arcs (begin-anchored values) or as text self-loops.
-        let entry_value = |disp: Disposition| entry_value_actions(leaf_specs, disp);
+        let entry_value = |disp: Disposition| entry_values(leaf, disp);
+        // Whole-element output (Fig. 10) closes the element item on the
+        // way back to START: the exit arcs from NA and TRUE close it
+        // before anything else they do.
+        let close = leaf
+            .iter()
+            .any(|&(_, v)| v == LeafValue::Element)
+            .then_some(Action::ElementEnd);
+        let clear = close.into_iter().chain([Action::ClearSelf]);
 
         // --- instantiate the category template --------------------------
-        let built = match category {
-            StepCategory::NoPredicate => {
+        let built = match plan.template {
+            Template::Plain => {
                 let t = self.add_state(id, StateRole::True)?;
                 self.add_arc(start, entry_label, None, t, own, entry_value(disp_true));
-                self.add_arc(t, ArcLabel::End(tag), None, start, own, vec![]);
+                self.add_arc(t, ArcLabel::End(tag), None, start, own, close);
                 BuiltBpdt {
                     na: None,
                     true_state: t,
                 }
             }
-            StepCategory::PositionOfSelf | StepCategory::LastOfSelf => {
-                // Streamable via sibling counters / parent-end hold-back,
-                // which only the transformation engine implements; the
-                // HPDT machinery has no per-parent counter state.
-                let what = if category == StepCategory::LastOfSelf {
-                    "last()"
-                } else {
-                    "position()"
-                };
-                return Err(CompileError::Unsupported {
-                    feature: format!(
-                        "`{what}` (step `{step}`): supported in transform match \
-                         patterns (`xsq transform`), not by the HPDT selection engine"
-                    ),
-                    engine: "hpdt".into(),
-                });
-            }
-            StepCategory::AttrOfSelf | StepCategory::FnAttrOfSelf => {
-                let guard = match &step.predicate {
-                    Some(Predicate::Attr { name, cmp }) => Guard::Attr {
-                        name: Sym::intern(name),
-                        cmp: cmp.clone(),
-                    },
-                    Some(Predicate::Func {
-                        arg: FnArg::Attr(name),
-                        test,
-                    }) => Guard::AttrFn {
-                        name: Sym::intern(name),
-                        test: test.clone(),
-                    },
-                    _ => unreachable!("classified attr-of-self category"),
-                };
+            Template::AttrOfSelf(guard) => {
                 let t = self.add_state(id, StateRole::True)?;
-                self.add_arc(
-                    start,
-                    entry_label,
-                    Some(guard),
-                    t,
-                    own,
-                    entry_value(disp_true),
-                );
-                self.add_arc(t, ArcLabel::End(tag), None, start, own, vec![]);
+                let values = entry_value(disp_true);
+                self.add_arc(start, entry_label, Some(guard), t, own, values);
+                self.add_arc(t, ArcLabel::End(tag), None, start, own, close);
                 BuiltBpdt {
                     na: None,
                     true_state: t,
                 }
             }
-            StepCategory::TextOfSelf | StepCategory::FnTextOfSelf => {
-                let guard = match &step.predicate {
-                    Some(Predicate::Text { cmp }) => Guard::Text { cmp: cmp.clone() },
-                    Some(Predicate::Func {
-                        arg: FnArg::Text,
-                        test,
-                    }) => Guard::TextFn { test: test.clone() },
-                    _ => unreachable!("classified text-of-self category"),
-                };
+            Template::TextOfSelf(guard) => {
                 let na = self.add_state(id, StateRole::Na)?;
                 let t = self.add_state(id, StateRole::True)?;
-                self.add_arc(
-                    start,
-                    entry_label,
-                    None,
-                    na,
-                    own,
-                    entry_value(Disposition::OwnQueue),
-                );
+                let values = entry_value(Disposition::OwnQueue);
+                self.add_arc(start, entry_label, None, na, own, values);
                 // Witness: the element's own text satisfying the test.
-                self.add_arc(
-                    na,
-                    ArcLabel::TextSelf(tag),
-                    Some(guard),
-                    t,
-                    own,
-                    vec![resolution.clone()],
-                );
-                self.add_arc(
-                    na,
-                    ArcLabel::End(tag),
-                    None,
-                    start,
-                    own,
-                    vec![Action::ClearSelf],
-                );
-                self.add_arc(t, ArcLabel::End(tag), None, start, own, vec![]);
+                let label = ArcLabel::TextSelf(tag);
+                self.add_arc(na, label, Some(guard), t, own, [resolution]);
+                self.add_arc(na, ArcLabel::End(tag), None, start, own, clear);
+                self.add_arc(t, ArcLabel::End(tag), None, start, own, close);
                 BuiltBpdt {
                     na: Some(na),
                     true_state: t,
                 }
             }
-            StepCategory::ChildExists | StepCategory::AttrOfChild => {
-                let (child, guard) = match &step.predicate {
-                    Some(Predicate::Child { name }) => (Sym::intern(name), None),
-                    Some(Predicate::ChildAttr { child, attr, cmp }) => (
-                        Sym::intern(child),
-                        Some(Guard::Attr {
-                            name: Sym::intern(attr),
-                            cmp: cmp.clone(),
-                        }),
-                    ),
-                    _ => unreachable!("classified child-witness category"),
-                };
+            Template::Child { child, guard } => {
+                let child = NamePat::Name(child);
                 let na = self.add_state(id, StateRole::Na)?;
                 let wit = self.add_state(id, StateRole::Witness)?;
                 let t = self.add_state(id, StateRole::True)?;
-                self.add_arc(
-                    start,
-                    entry_label,
-                    None,
-                    na,
-                    own,
-                    entry_value(Disposition::OwnQueue),
-                );
+                let values = entry_value(Disposition::OwnQueue);
+                self.add_arc(start, entry_label, None, na, own, values);
                 // Witness child: enter at its begin event (guard checks
                 // the attribute for category 4), resolve at its end event
                 // so that same-event uploads from the child's subtree are
                 // already in this queue (Fig. 8 places the upload on
                 // `</child>`).
-                self.add_arc(
-                    na,
-                    ArcLabel::BeginChild(NamePat::Name(child)),
-                    guard,
-                    wit,
-                    own,
-                    vec![],
-                );
-                self.add_arc(
-                    wit,
-                    ArcLabel::End(NamePat::Name(child)),
-                    None,
-                    t,
-                    own,
-                    vec![resolution.clone()],
-                );
-                self.add_arc(
-                    na,
-                    ArcLabel::End(tag),
-                    None,
-                    start,
-                    own,
-                    vec![Action::ClearSelf],
-                );
-                self.add_arc(t, ArcLabel::End(tag), None, start, own, vec![]);
+                self.add_arc(na, ArcLabel::BeginChild(child), guard, wit, own, []);
+                self.add_arc(wit, ArcLabel::End(child), None, t, own, [resolution]);
+                self.add_arc(na, ArcLabel::End(tag), None, start, own, clear);
+                self.add_arc(t, ArcLabel::End(tag), None, start, own, close);
                 BuiltBpdt {
                     na: Some(na),
                     true_state: t,
                 }
             }
-            StepCategory::TextOfChild => {
-                let Some(Predicate::ChildText { child, cmp }) = &step.predicate else {
-                    unreachable!("classified TextOfChild");
-                };
-                let child = Sym::intern(child);
+            Template::TextOfChild { child, guard } => {
+                let child = NamePat::Name(child);
                 let na = self.add_state(id, StateRole::Na)?;
                 let child_na = self.add_state(id, StateRole::Witness)?;
                 let child_true = self.add_state(id, StateRole::Witness)?;
                 let t = self.add_state(id, StateRole::True)?;
-                self.add_arc(
-                    start,
-                    entry_label,
-                    None,
-                    na,
-                    own,
-                    entry_value(Disposition::OwnQueue),
-                );
+                let values = entry_value(Disposition::OwnQueue);
+                self.add_arc(start, entry_label, None, na, own, values);
                 // Fig. 9: descend into each child, test its text, come
                 // back. Descending through its own states (rather than a
                 // flat text-at-depth+1 arc) matters when the predicate
                 // child carries the same tag as the next location step:
                 // the begin event then nondeterministically both enters
                 // the witness and continues the path.
-                self.add_arc(
-                    na,
-                    ArcLabel::BeginChild(NamePat::Name(child)),
-                    None,
-                    child_na,
-                    own,
-                    vec![],
-                );
+                self.add_arc(na, ArcLabel::BeginChild(child), None, child_na, own, []);
+                let witness = ArcLabel::TextSelf(child);
                 self.add_arc(
                     child_na,
-                    ArcLabel::TextSelf(NamePat::Name(child)),
-                    Some(Guard::Text {
-                        cmp: Some(cmp.clone()),
-                    }),
+                    witness,
+                    Some(guard),
                     child_true,
                     own,
-                    vec![resolution.clone()],
+                    [resolution],
                 );
-                self.add_arc(
-                    child_na,
-                    ArcLabel::End(NamePat::Name(child)),
-                    None,
-                    na,
-                    own,
-                    vec![],
-                );
+                self.add_arc(child_na, ArcLabel::End(child), None, na, own, []);
                 // The second resolution on `</child>` is Example 7 / the
                 // Fig. 10 flush on $5→$6: it catches result items
                 // enqueued *between* the witness text event and the end
                 // of the witness child (mixed content, nested matches
                 // under closure).
-                self.add_arc(
-                    child_true,
-                    ArcLabel::End(NamePat::Name(child)),
-                    None,
-                    t,
-                    own,
-                    vec![resolution.clone()],
-                );
-                self.add_arc(
-                    na,
-                    ArcLabel::End(tag),
-                    None,
-                    start,
-                    own,
-                    vec![Action::ClearSelf],
-                );
-                self.add_arc(t, ArcLabel::End(tag), None, start, own, vec![]);
+                let end = ArcLabel::End(child);
+                self.add_arc(child_true, end, None, t, own, [resolution]);
+                self.add_arc(na, ArcLabel::End(tag), None, start, own, clear);
+                self.add_arc(t, ArcLabel::End(tag), None, start, own, close);
                 BuiltBpdt {
                     na: Some(na),
                     true_state: t,
                 }
             }
+            Template::Keyed(_) => unreachable!("keyed steps build through build_keyed_bpdt"),
         };
 
-        if !leaf_specs.is_empty() {
-            self.attach_leaf_output(own, start, &built, &tag, disp_true, leaf_specs)?;
+        if !leaf.is_empty() {
+            self.attach_leaf_output(own, &built, tag, disp_true, leaf);
         }
         Ok(built)
     }
@@ -777,117 +1034,83 @@ impl Builder {
     fn attach_leaf_output(
         &mut self,
         own: QueueRef,
-        start: StateId,
         built: &BuiltBpdt,
-        tag: &NamePat,
+        tag: NamePat,
         disp_true: Disposition,
-        leaf_specs: &[(u32, Output)],
-    ) -> Result<(), CompileError> {
+        leaf: &[(u32, LeafValue)],
+    ) {
         // Text-anchored values (`text()`, `sum()`, …): self-loops on the
         // NA state (buffer in own queue, pending the own predicate) and
         // the TRUE state (direct or to the nearest undecided ancestor).
-        let actions = text_value_actions(leaf_specs, Disposition::OwnQueue);
-        if !actions.is_empty() {
+        if leaf.iter().any(|&(_, v)| v == LeafValue::Text) {
             if let Some(na) = built.na {
-                self.add_arc(na, ArcLabel::TextSelf(*tag), None, na, own, actions);
+                let values = text_values(leaf, Disposition::OwnQueue);
+                self.add_arc(na, ArcLabel::TextSelf(tag), None, na, own, values);
             }
-        }
-        let actions = text_value_actions(leaf_specs, disp_true);
-        if !actions.is_empty() {
             let t = built.true_state;
-            self.add_arc(t, ArcLabel::TextSelf(*tag), None, t, own, actions);
+            let values = text_values(leaf, disp_true);
+            self.add_arc(t, ArcLabel::TextSelf(tag), None, t, own, values);
         }
         // Whole-element output (`*̄` catchall, Fig. 10): every event
         // strictly inside the matched element is appended, plus the
-        // element's own text (which shares its depth), plus the closing
-        // tag on the exit arcs. The exit from the NA side also clears —
-        // the ClearSelf added by the category template already handles
-        // that; here we only append/close.
-        if leaf_specs.iter().any(|(_, o)| *o == Output::Element) {
-            let mut exit_states = vec![built.true_state];
-            if let Some(na) = built.na {
-                exit_states.push(na);
-            }
-            for &s in &exit_states {
-                self.add_arc(
-                    s,
-                    ArcLabel::Catchall,
-                    None,
-                    s,
-                    own,
-                    vec![Action::ElementAppend],
-                );
-                self.add_arc(
-                    s,
-                    ArcLabel::TextSelf(*tag),
-                    None,
-                    s,
-                    own,
-                    vec![Action::ElementAppend],
-                );
-            }
-            // Close the element item on the way back to START. The
-            // template's end arcs already exist; prepend the close action
-            // to each end(tag) arc leaving NA or TRUE toward START.
-            for &s in &exit_states {
-                for arc in self.arcs[s as usize].iter_mut() {
-                    if arc.target == start && matches!(arc.label, ArcLabel::End(_)) {
-                        arc.actions.insert(0, Action::ElementEnd);
-                    }
-                }
+        // element's own text (which shares its depth); the template's
+        // exit arcs close the item (`build_bpdt`'s `close`).
+        if leaf.iter().any(|&(_, v)| v == LeafValue::Element) {
+            for s in std::iter::once(built.true_state).chain(built.na) {
+                let append = [Action::ElementAppend];
+                self.add_arc(s, ArcLabel::Catchall, None, s, own, append);
+                self.add_arc(s, ArcLabel::TextSelf(tag), None, s, own, append);
             }
         }
-        Ok(())
+    }
+}
+
+/// What one instance of a category's template adds: its states
+/// (exactly), and at most its arcs and actions — without the closure
+/// self-loop and the leaf output. Read off the templates in
+/// `Builder::build_bpdt`.
+fn footprint(category: StepCategory) -> (usize, usize, usize) {
+    use StepCategory as C;
+    match category {
+        C::NoPredicate | C::AttrOfSelf | C::FnAttrOfSelf => (1, 2, 0),
+        C::TextOfSelf | C::FnTextOfSelf => (2, 4, 2),
+        C::ChildExists | C::AttrOfChild => (3, 5, 2),
+        C::TextOfChild => (4, 7, 3),
+        C::PositionOfSelf | C::LastOfSelf => (0, 0, 0),
     }
 }
 
 /// Actions producing begin-anchored values (`@attr`, `count()`, element
 /// output) on a leaf BPDT's entry arcs — one action per ending query
 /// whose output is begin-anchored, each attributed to its tag.
-fn entry_value_actions(leaf_specs: &[(u32, Output)], disp: Disposition) -> Vec<Action> {
-    let mut actions = Vec::new();
-    for (tag, output) in leaf_specs {
-        match output {
-            Output::Attr(a) => actions.push(Action::Emit {
-                source: ValueSource::Attr(Sym::intern(a)),
-                to: disp,
-                tag: *tag,
-            }),
-            Output::Aggregate(AggFunc::Count) => actions.push(Action::Emit {
-                source: ValueSource::Unit,
-                to: disp,
-                tag: *tag,
-            }),
-            Output::Element => actions.push(Action::ElementStart {
-                to: disp,
-                tag: *tag,
-            }),
-            _ => {}
-        }
-    }
-    actions
+fn entry_values(leaf: &[(u32, LeafValue)], to: Disposition) -> impl Iterator<Item = Action> + '_ {
+    leaf.iter().filter_map(move |&(tag, value)| match value {
+        LeafValue::Attr(a) => Some(Action::Emit {
+            source: ValueSource::Attr(a),
+            to,
+            tag,
+        }),
+        LeafValue::Unit => Some(Action::Emit {
+            source: ValueSource::Unit,
+            to,
+            tag,
+        }),
+        LeafValue::Element => Some(Action::ElementStart { to, tag }),
+        LeafValue::Text => None,
+    })
 }
 
 /// Actions producing text-anchored values (`text()`, numeric aggregates)
 /// as self-loops on a leaf BPDT's NA/TRUE states — one per ending query
 /// with text-anchored output.
-fn text_value_actions(leaf_specs: &[(u32, Output)], disp: Disposition) -> Vec<Action> {
-    let mut actions = Vec::new();
-    for (tag, output) in leaf_specs {
-        match output {
-            Output::Text
-            | Output::Aggregate(AggFunc::Sum)
-            | Output::Aggregate(AggFunc::Avg)
-            | Output::Aggregate(AggFunc::Min)
-            | Output::Aggregate(AggFunc::Max) => actions.push(Action::Emit {
-                source: ValueSource::Text,
-                to: disp,
-                tag: *tag,
-            }),
-            _ => {}
-        }
-    }
-    actions
+fn text_values(leaf: &[(u32, LeafValue)], to: Disposition) -> impl Iterator<Item = Action> + '_ {
+    leaf.iter()
+        .filter(|&&(_, v)| v == LeafValue::Text)
+        .map(move |&(tag, _)| Action::Emit {
+            source: ValueSource::Text,
+            to,
+            tag,
+        })
 }
 
 fn name_pat(test: &NodeTest) -> NamePat {
@@ -953,14 +1176,16 @@ struct TrieNode<'q> {
     /// `None` for a root.
     parent: Option<usize>,
     children: Vec<usize>,
-    /// Queries whose last step this is, as `(tag, output)`. At or below a
+    /// Queries whose last step this is, as `(tag, value)`. At or below a
     /// keyed node: the node's leaves instead, one per distinct value
-    /// source among those queries, as `(LEAF_BIT | leaf, output)` — the
-    /// queries themselves are filed in `leaf_tags[leaf]`.
-    leaf: Vec<(u32, Output)>,
+    /// among those queries, as `(LEAF_BIT | leaf, value)` — the queries
+    /// themselves are filed in `leaf_tags[leaf]`.
+    leaf: Vec<(u32, LeafValue)>,
     /// Set on a keyed node: `step` stands for its whole family, whose
     /// literals these are.
     keyed: Option<KeyTable>,
+    /// The step resolved for its BPDTs, at the first one built.
+    plan: Option<StepPlan>,
 }
 
 /// The location-step trie of a query group. Roots and every child list
@@ -983,6 +1208,7 @@ impl<'q> Trie<'q> {
             children: Vec::new(),
             leaf: Vec::new(),
             keyed: None,
+            plan: None,
         });
         self.nodes.len() - 1
     }
@@ -1040,10 +1266,10 @@ fn keyable(step: &Step) -> Option<(Witness<'_>, KeyVal<'_>)> {
 
 /// Fold `from`'s subtree into `into`'s, every query in it filed under the
 /// family member `key` it came through: a query ending at a node joins
-/// the node's leaf for its value source (text-anchored outputs share the
-/// text, `count()` the unit) — one shared item per event per leaf,
-/// whichever side of an undecided ancestor reaches it. Steps below merge
-/// by equality, as they do everywhere in the trie.
+/// the node's leaf for its value (text-anchored outputs share the text,
+/// `count()` the unit) — one shared item per event per leaf, whichever
+/// side of an undecided ancestor reaches it. Steps below merge by
+/// equality, as they do everywhere in the trie.
 fn graft(
     trie: &mut Trie<'_>,
     leaf_tags: &mut Vec<Vec<(u32, u32)>>,
@@ -1051,16 +1277,12 @@ fn graft(
     from: usize,
     key: u32,
 ) {
-    for (tag, output) in std::mem::take(&mut trie.nodes[from].leaf) {
-        let source = match output {
-            Output::Attr(_) | Output::Aggregate(AggFunc::Count) | Output::Element => output,
-            Output::Text | Output::Aggregate(_) => Output::Text,
-        };
+    for (tag, value) in std::mem::take(&mut trie.nodes[from].leaf) {
         let leaves = &mut trie.nodes[into].leaf;
-        let leaf = match leaves.iter().find(|(_, o)| *o == source) {
+        let leaf = match leaves.iter().find(|&&(_, v)| v == value) {
             Some((leaf, _)) => leaf & !LEAF_BIT,
             None => {
-                leaves.push((LEAF_BIT | leaf_tags.len() as u32, source));
+                leaves.push((LEAF_BIT | leaf_tags.len() as u32, value));
                 leaf_tags.push(Vec::new());
                 leaf_tags.len() as u32 - 1
             }
@@ -1209,7 +1431,9 @@ impl Builder {
                 parent = Some(trie.child(parent, step));
             }
             let leaf = parent.expect("parser guarantees at least one step");
-            trie.nodes[leaf].leaf.push((i as u32, q.output.clone()));
+            trie.nodes[leaf]
+                .leaf
+                .push((i as u32, LeafValue::of(&q.output)));
         }
 
         // Expand the trie breadth-first, exactly like the single-query
@@ -1225,34 +1449,59 @@ impl Builder {
 
         let mut layer: u16 = 1;
         let mut layers: u16 = 0;
-        let mut frontier: Vec<(usize, PredCx, StateId)> = roots
-            .iter()
-            .map(|&r| (r, PredCx::ROOT, root_true))
-            .collect();
+        // A state that several closure steps grow out of carries one `//`
+        // self-loop, put there by the first of them: `(node, context,
+        // start, adds the loop)`.
+        let mut looped = false;
+        let mut frontier: Vec<(usize, PredCx, StateId, bool)> = Vec::with_capacity(roots.len());
+        for &r in &roots {
+            let closure = trie.nodes[r].step.axis == Axis::Closure;
+            frontier.push((r, PredCx::ROOT, root_true, closure && !looped));
+            looped |= closure;
+        }
         while !frontier.is_empty() {
             layers = layer;
             let mut next = Vec::new();
-            for (seq, (node_idx, cx, start_state)) in frontier.into_iter().enumerate() {
+            for (seq, (node_idx, cx, start_state, adds_loop)) in frontier.into_iter().enumerate() {
                 let own = self.register_queue(BpdtId::new(layer, seq as u64));
+                let node = &trie.nodes[node_idx];
+                let plan = match node.plan {
+                    Some(plan) => plan,
+                    None => self.plan_step(node.step, node.keyed.is_some())?,
+                };
+                trie.nodes[node_idx].plan = Some(plan);
                 let node = &trie.nodes[node_idx];
                 let (na, true_state) = match &node.keyed {
                     None => {
-                        let built = self.build_bpdt(node.step, own, cx, start_state, &node.leaf)?;
+                        let built =
+                            self.build_bpdt(plan, own, cx, start_state, &node.leaf, adds_loop)?;
                         (built.na, Some(built.true_state))
                     }
                     Some(family) => {
-                        let step = node.step;
-                        let na =
-                            self.build_keyed_bpdt(step, family, own, cx, start_state, &node.leaf)?;
+                        let (step, leaf) = (node.step, &node.leaf);
+                        let na = self.build_keyed_bpdt(
+                            step,
+                            plan,
+                            family,
+                            own,
+                            cx,
+                            start_state,
+                            leaf,
+                            adds_loop,
+                        )?;
                         (Some(na), None)
                     }
                 };
+                let (mut na_looped, mut true_looped) = (false, false);
                 for &child in &node.children {
+                    let closure = trie.nodes[child].step.axis == Axis::Closure;
                     if let Some(na) = na {
-                        next.push((child, cx.na_side(own), na));
+                        next.push((child, cx.na_side(own), na, closure && !na_looped));
+                        na_looped |= closure;
                     }
                     if let Some(t) = true_state {
-                        next.push((child, cx.true_side(), t));
+                        next.push((child, cx.true_side(), t, closure && !true_looped));
+                        true_looped |= closure;
                     }
                 }
             }
@@ -1289,20 +1538,40 @@ fn retain_flagged<T>(items: &mut Vec<T>, flags: &[bool]) {
     items.retain(|_| *flag.next().expect("one flag per item"));
 }
 
-/// Every queue an arc addresses: its owner's, and the queues its actions
-/// fill by name.
-fn queue_refs(arc: &mut Arc) -> impl Iterator<Item = &mut QueueRef> {
-    let targets = arc.actions.iter_mut().filter_map(|a| a.fill_mut()?.1);
-    std::iter::once(&mut arc.owner).chain(targets)
+/// The arcs made, grouped by source state in one counting pass that
+/// keeps each state's in the order made: the arc array and its CSR
+/// offsets (`Hpdt::offsets`) over `states` states.
+fn group_by_state(made: &[(StateId, Arc)], states: usize) -> (Vec<Arc>, Vec<u32>) {
+    let mut offsets = vec![0u32; states + 1];
+    for &(from, _) in made {
+        offsets[from as usize] += 1;
+    }
+    // Each state's count becomes where its run starts.
+    let mut at = 0;
+    for slot in &mut offsets {
+        (*slot, at) = (at, at + *slot);
+    }
+    let Some(&(_, filler)) = made.first() else {
+        return (Vec::new(), offsets);
+    };
+    let mut arcs = vec![filler; made.len()];
+    for &(from, arc) in made {
+        let next = &mut offsets[from as usize];
+        arcs[*next as usize] = arc;
+        *next += 1;
+    }
+    // Each start has moved to its run's end — the next state's start.
+    offsets.copy_within(..states, 1);
+    offsets[0] = 0;
+    (arcs, offsets)
 }
 
 /// Does any action enqueue a value into a buffer? When nothing ever
 /// enqueues, the flush/upload/clear machinery is provably a no-op and the
 /// runner can skip allocating queues entirely (buffer-necessity analysis).
-fn uses_buffers(arcs: &[Vec<Arc>]) -> bool {
+fn uses_buffers(arcs: &[Arc], actions: &[Action]) -> bool {
     arcs.iter()
-        .flatten()
-        .flat_map(|arc| &arc.actions)
+        .flat_map(|arc| &actions[arc.actions.range()])
         .any(|a| matches!(a.fill(), Some((Fill::Own | Fill::Enqueue, _))))
 }
 
@@ -1359,7 +1628,6 @@ mod tests {
         let self_loops = h
             .arcs
             .iter()
-            .flatten()
             .filter(|a| a.label == ArcLabel::ClosureSelfLoop)
             .count();
         assert_eq!(self_loops, 1);
@@ -1382,16 +1650,8 @@ mod tests {
     #[test]
     fn element_output_adds_catchall() {
         let h = hpdt("//book[author]");
-        assert!(h
-            .arcs
-            .iter()
-            .flatten()
-            .any(|a| a.label == ArcLabel::Catchall));
-        assert!(h
-            .arcs
-            .iter()
-            .flatten()
-            .any(|a| a.actions.contains(&Action::ElementEnd)));
+        assert!(h.arcs.iter().any(|a| a.label == ArcLabel::Catchall));
+        assert!(h.actions.contains(&Action::ElementEnd));
     }
 
     #[test]
@@ -1419,12 +1679,12 @@ mod tests {
         // to the output. Every named queue is named both ways, by id and
         // by slot.
         let routes = |owner: BpdtId, emits: bool| -> Vec<Option<BpdtId>> {
-            let arcs = h.arcs.iter().flatten().filter(|a| a.owner.id == owner);
+            let arcs = h.arcs.iter().filter(|a| a.owner.id == owner);
             let queue = |q: &QueueRef| {
                 assert_eq!(h.queues[q.slot as usize], q.id);
                 Some(Some(q.id))
             };
-            arcs.flat_map(|a| &a.actions)
+            arcs.flat_map(|a| h.actions_of(a))
                 .filter_map(|act| match (act, emits) {
                     (Action::Emit { to, .. }, true) => match to {
                         Disposition::Direct => Some(None),
@@ -1481,7 +1741,7 @@ mod tests {
         assert_eq!(many.keyed[0].table.len(), 64);
         // One leaf per value source; each lists its 64 (key, tag) pairs.
         assert_eq!(many.leaf_tags.len(), 2);
-        assert!(many.leaf_tags.iter().all(|tags| tags.len() == 64));
+        assert!((0..2).all(|leaf| many.leaf_tags.of(leaf).len() == 64));
         assert_eq!(many.buffered_members(), [true; 128]);
         assert!(many.dump().contains("keyed bpdt(2,0): article[year=?×64]"));
         for hpdt in [&two, &many] {
@@ -1532,7 +1792,7 @@ mod tests {
         // Below it b[y=1], b[y=2], b[y=3] are three classic BPDTs — each
         // hanging off the keyed NA state only — with their guards intact.
         assert_eq!(h.bpdt_count(), 3 + 3);
-        let guards = h.arcs.iter().flatten().filter(|a| a.guard.is_some());
+        let guards = h.arcs.iter().filter(|a| a.guard.is_some());
         assert_eq!(guards.count(), 3);
         // A lone literal at the first keyable step leaves it classic and
         // moves the keyed step down the path.
@@ -1620,7 +1880,8 @@ mod tests {
             "//b/count()",
         ] {
             let h = hpdt(q);
-            assert!(reachable_states(&h.arcs, h.start).iter().all(|&r| r), "{q}");
+            let reachable = reachable_states(&h.arcs, &h.offsets, h.start);
+            assert!(reachable.iter().all(|&r| r), "{q}");
             let diags = crate::analyze::verify(&h);
             assert!(diags.is_empty(), "{q}: {diags:?}");
         }
@@ -1642,7 +1903,9 @@ mod tests {
             let (h, t) = (hpdt(dead), hpdt(twin));
             assert!(h.states.len() < t.states.len(), "{dead}");
             assert!(h.queues.len() < t.queues.len(), "{dead}");
-            assert!(reachable_states(&h.arcs, h.start).iter().all(|&r| r));
+            assert!(reachable_states(&h.arcs, &h.offsets, h.start)
+                .iter()
+                .all(|&r| r));
             let diags = crate::analyze::verify(&h);
             assert!(!crate::analyze::has_errors(&diags), "{dead}: {diags:?}");
         }
@@ -1653,12 +1916,13 @@ mod tests {
         // Both closure steps expand from the shared `/feed` TRUE state;
         // the runtime reads the loop as one `stays` bit, so one is built.
         let h = merged(&["/feed//a/text()".into(), "/feed//b/text()".into()]);
-        let loops = |arcs: &Vec<Arc>| {
+        let loops = |arcs: &[Arc]| {
             let loops = arcs.iter().filter(|a| a.label == ArcLabel::ClosureSelfLoop);
             loops.count()
         };
-        assert_eq!(h.arcs.iter().map(loops).max(), Some(1));
-        assert_eq!(h.arcs.iter().map(loops).sum::<usize>(), 1);
+        let per_state = crate::arcs::runs(&h.arcs, &h.offsets).map(loops);
+        assert_eq!(per_state.max(), Some(1));
+        assert_eq!(loops(&h.arcs), 1);
     }
 
     #[test]

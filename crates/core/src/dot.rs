@@ -69,13 +69,13 @@ pub fn to_dot_named(hpdt: &Hpdt, graph_name: &str, title: &str) -> String {
         let _ = writeln!(out, "  }}");
     }
 
-    for (from, arcs) in hpdt.arcs.iter().enumerate() {
+    for (from, arcs) in crate::arcs::runs(&hpdt.arcs, &hpdt.offsets).enumerate() {
         for arc in arcs {
             let mut label = arc.label.to_string();
             if arc.guard.is_some() {
                 label.push_str("\\n[guard]");
             }
-            for a in &arc.actions {
+            for a in hpdt.actions_of(arc) {
                 label.push_str("\\n{");
                 label.push_str(a.name());
                 label.push('}');

@@ -13,7 +13,7 @@ use std::time::Instant;
 use xsq_xml::StreamParser;
 use xsq_xpath::{parse_query, Query};
 
-use crate::build::{build_hpdt, Hpdt};
+use crate::build::{build_group, Hpdt};
 use crate::error::{CompileError, EngineError};
 use crate::report::{Capabilities, PhaseTimings, RunReport, XPathEngine};
 use crate::runtime::{RunStats, Runner};
@@ -81,18 +81,25 @@ impl XsqEngine {
         Ok(())
     }
 
-    /// Compile a query string.
+    /// Compile a query string; the parsed query moves into the HPDT.
     pub fn compile_str(&self, query: &str) -> Result<CompiledQuery, CompileError> {
-        self.compile(&parse_query(query)?)
+        let query = parse_query(query)?;
+        self.check(&query)?;
+        self.compile_checked(query)
     }
 
-    /// Compile a parsed query: build the HPDT (dead structure is never
-    /// built, and sealing settles whether the artifact is deterministic
-    /// and so runs first-match), then verify the builder's structural
-    /// invariants (`analyze::checked`).
+    /// Compile a parsed query (a copy of it goes into the HPDT).
     pub fn compile(&self, query: &Query) -> Result<CompiledQuery, CompileError> {
         self.check(query)?;
-        let hpdt = build_hpdt(query)?;
+        self.compile_checked(query.clone())
+    }
+
+    /// Build the HPDT of a query the engine accepts (dead structure is
+    /// never built, and sealing settles whether the artifact is
+    /// deterministic and so runs first-match), then verify the builder's
+    /// structural invariants (`analyze::checked`).
+    fn compile_checked(&self, query: Query) -> Result<CompiledQuery, CompileError> {
+        let hpdt = build_group(vec![query]).map_err(|(e, _)| e)?;
         crate::analyze::checked(&hpdt)?;
         Ok(CompiledQuery {
             hpdt,

@@ -38,7 +38,7 @@
 //! hashing, no string comparison — and buckets are sorted `Vec`s read
 //! sequentially. Interest is a deliberate *over*-approximation — it
 //! ignores the depth discipline and guards that
-//! [`crate::arcs::Arc::label_matches`] enforces — so a dispatched group
+//! `Pattern::accepts` enforces — so a dispatched group
 //! may still match nothing; skipping a group is safe precisely because a
 //! no-match feed is a no-op.
 
@@ -82,15 +82,9 @@ pub struct DispatchIndex {
 /// for every bucket an arc of `hpdt` files its state in (its label's
 /// `Pattern::filings`).
 fn for_each_filing(hpdt: &Hpdt, mut f: impl FnMut(StateId, usize, Option<usize>)) {
-    for (state, arcs) in hpdt.arcs.iter().enumerate() {
-        for arc in arcs {
-            for (kind, name) in arc.pattern.filings() {
-                f(
-                    state as StateId,
-                    kind as usize,
-                    name.map(|s| s.index() as usize),
-                );
-            }
+    for (state, patterns) in (0..).zip(crate::arcs::runs(&hpdt.patterns, &hpdt.offsets)) {
+        for (kind, name) in patterns.iter().flat_map(|p| p.filings()) {
+            f(state, kind as usize, name.map(|s| s.index() as usize));
         }
     }
 }
@@ -129,7 +123,7 @@ impl DispatchIndex {
     /// only until its frontier is marked.
     pub(crate) fn add_group(&mut self, hpdt: &Hpdt) -> u32 {
         let group = self.spans.len() as u32;
-        let (end, states) = (self.spans.last().map_or(0, |s| s.end), hpdt.arcs.len());
+        let (end, states) = (self.spans.last().map_or(0, |s| s.end), hpdt.states.len());
         let start = if end % 64 + states > 64 {
             end.next_multiple_of(64)
         } else {
@@ -298,8 +292,8 @@ mod tests {
     /// its frontier states.
     fn state_interest(hpdt: &Hpdt, state: StateId) -> (Vec<u64>, [bool; 3]) {
         let (mut keys, mut wild) = (Vec::new(), [false; 3]);
-        for arc in &hpdt.arcs[state as usize] {
-            for (kind, name) in arc.pattern.filings() {
+        for p in hpdt.probe_of(state).0 {
+            for (kind, name) in p.filings() {
                 match name {
                     Some(n) => keys.push(event_key(kind, n)),
                     None => wild[kind as usize] = true,
@@ -335,12 +329,16 @@ mod tests {
         let names = ["a", "b", "c", "pub", "year", "book", "name", "zzz"];
         // Every frontier of up to two states, the same in every group (a
         // state number a smaller group lacks is skipped there).
-        let most = hpdts.iter().map(|h| h.arcs.len()).max().unwrap() as StateId;
+        let most = hpdts.iter().map(|h| h.states.len()).max().unwrap() as StateId;
         for s in 0..most {
             for t in s..most {
                 let frontiers: Vec<Vec<StateId>> = hpdts
                     .iter()
-                    .map(|h| [s, t].into_iter().filter(|&x| (x as usize) < h.arcs.len()))
+                    .map(|h| {
+                        [s, t]
+                            .into_iter()
+                            .filter(|&x| (x as usize) < h.states.len())
+                    })
                     .map(Iterator::collect)
                     .collect();
                 for (g, frontier) in frontiers.iter().enumerate() {
@@ -380,7 +378,7 @@ mod tests {
         assert!(candidates(&idx, &begin("a", 1)).is_empty());
         // After StartDocument the root's TRUE state is live, and its
         // entry arc on `a` with it.
-        let root_true = hpdt.arcs[hpdt.start as usize][0].target;
+        let root_true = hpdt.arcs_of(hpdt.start)[0].target;
         mark(&mut idx, 0, &[root_true]);
         assert_eq!(candidates(&idx, &begin("a", 1)), [0]);
         assert!(candidates(&idx, &begin("zzz", 1)).is_empty());
@@ -398,7 +396,7 @@ mod tests {
         {
             let hpdt = compile(q);
             idx.add_group(&hpdt);
-            let all: Vec<StateId> = (0..hpdt.arcs.len() as StateId).collect();
+            let all: Vec<StateId> = (0..hpdt.states.len() as StateId).collect();
             mark(&mut idx, g as u32, &all);
         }
         // The `//` self-loop wakes nobody: a named closure is a candidate
@@ -413,7 +411,7 @@ mod tests {
         let hpdts = [compile("//b/text()"), compile("/a/*/c")];
         for (g, hpdt) in hpdts.iter().enumerate() {
             idx.add_group(hpdt);
-            let all: Vec<StateId> = (0..hpdt.arcs.len() as StateId).collect();
+            let all: Vec<StateId> = (0..hpdt.states.len() as StateId).collect();
             mark(&mut idx, g as u32, &all);
         }
         let (_, both, _) = idx.shape();
@@ -437,18 +435,18 @@ mod tests {
         // the small one after it.
         let queries: Vec<String> = (0..100).map(|k| format!("/feed/t{k}/x/text()")).collect();
         let big = merged(&queries);
-        assert!(big.arcs.len() > 3 * 64);
+        assert!(big.states.len() > 3 * 64);
         let small = compile("/feed/t7/x/text()");
         let mut idx = DispatchIndex::new();
         for hpdt in [&small, &small, &big, &small] {
             idx.add_group(hpdt);
         }
-        assert_eq!(idx.spans[1].start, small.arcs.len());
+        assert_eq!(idx.spans[1].start, small.states.len());
         assert_eq!(idx.spans[2].start, 64);
         assert_eq!(idx.spans[3].start, idx.spans[2].end);
         let (_, _, longest) = idx.shape();
         assert!(longest >= 4, "the x bucket holds {longest} entries");
-        let hears_x: Vec<StateId> = (0..big.arcs.len() as StateId)
+        let hears_x: Vec<StateId> = (0..big.states.len() as StateId)
             .filter(|&s| oracle_hears(&big, &[s], &begin("x", 3)))
             .collect();
         assert_eq!(hears_x.len(), 100);
@@ -458,12 +456,12 @@ mod tests {
         // oracle says, on every key of the feed, never through another
         // group's bits.
         let names = ["feed", "t0", "t7", "t99", "x", "zzz"];
-        let all_small: Vec<StateId> = (0..small.arcs.len() as StateId).collect();
+        let all_small: Vec<StateId> = (0..small.states.len() as StateId).collect();
         for neighbours in [&[][..], &all_small[..]] {
             for g in [0, 1, 3] {
                 mark(&mut idx, g, neighbours);
             }
-            for s in 0..big.arcs.len() as StateId {
+            for s in 0..big.states.len() as StateId {
                 mark(&mut idx, 2, &[s]);
                 for ev in names.iter().flat_map(|n| events_of(n)) {
                     let small_hears = oracle_hears(&small, neighbours, &ev);

@@ -351,12 +351,12 @@ impl RunnerCore {
                 .iter()
                 .position(|c| (c.top, c.state) != (cfg.top, cfg.state))
                 .unwrap_or(self.configs.len() - start);
-            let arcs = &hpdt.arcs[cfg.state as usize];
+            let (patterns, arcs) = hpdt.probe_of(cfg.state);
             let candidates = if start < tail {
                 hpdt.any_depth.of(cfg.state, begin)
             } else {
                 probed += 1;
-                if let Some(table) = &hpdt.arc_tables[cfg.state as usize] {
+                if let Some(table) = hpdt.arc_tables.of(cfg.state, arcs.len()) {
                     // Keyed candidates come out in ascending arc order, so
                     // stop-early sees the same first match as a scan.
                     table.candidates(key, &mut self.scratch_candidates);
@@ -367,8 +367,15 @@ impl RunnerCore {
             };
             let stop_early = hpdt.deterministic && !hpdt.scan_all[cfg.state as usize];
             for &ai in candidates {
-                let arc = &arcs[ai as usize];
-                if arc.label_matches(event, &cfg.dv) && arc.guard_passes(event) {
+                let at = ai as usize;
+                if !patterns[at].accepts(event, &cfg.dv) {
+                    continue;
+                }
+                let arc = &arcs[at];
+                if arc
+                    .guard
+                    .is_none_or(|g| hpdt.guards[g as usize].passes(event))
+                {
                     firings += len as u64;
                     self.scratch_matches
                         .push((arc.order, cfg.state, start as u32, len as u32, ai));
@@ -443,6 +450,8 @@ impl RunnerCore {
     /// As a call, under the release profile (fat LTO, one codegen unit),
     /// it reads `match_recursive` throughput 0.90× — ≈ 17 firings (4.4
     /// steps) a fired event — in 4 alternating referee pairs, 0 won.
+    /// `actions` are the arc's, looked up once for the run.
+    #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn step_arc(
         &mut self,
@@ -450,6 +459,7 @@ impl RunnerCore {
         event: &RawEvent<'_>,
         state: StateId,
         arc: &crate::arcs::Arc,
+        actions: &[Action],
         c: &mut Config,
         fired: Option<&mut Vec<crate::trace::FiredArc>>,
     ) {
@@ -462,10 +472,10 @@ impl RunnerCore {
             }
         }
         if let Some(fired) = fired {
-            fired.push(crate::trace::fired_arc(arc, state, &c.dv));
+            fired.push(crate::trace::fired_arc(hpdt, arc, state, &c.dv));
         }
         let item = c.item;
-        for action in &arc.actions {
+        for action in actions {
             self.execute(hpdt, action, arc.owner, event, &c.dv, item, &mut c.item);
         }
         if changes && matches!(event, RawEvent::End { .. } | RawEvent::EndDocument) {
@@ -490,7 +500,7 @@ impl RunnerCore {
         ai: u32,
         fired: Option<&mut Vec<crate::trace::FiredArc>>,
     ) {
-        let arc = &hpdt.arcs[state as usize][ai as usize];
+        let arc = &hpdt.arcs_of(state)[ai as usize];
         if closure_keeps(hpdt, state, event, self.configs[run.start].top) {
             let mut block = std::mem::take(&mut self.scratch_successors);
             block.extend_from_slice(&self.configs[run]);
@@ -499,7 +509,7 @@ impl RunnerCore {
             self.scratch_successors = block;
         } else {
             self.rewrite_run(hpdt, event, state, arc, run.clone(), fired);
-            if !self.stands_in_order(run.clone(), arc) {
+            if !self.stands_in_order(hpdt, run.clone(), arc) {
                 self.move_run(run);
             }
         }
@@ -582,7 +592,7 @@ impl RunnerCore {
             let top = self.configs[run.start].top;
             let leaves = uses[run.start] == 0 && !closure_keeps(hpdt, state, event, top);
             if let (true, &[(.., ai)]) = (leaves, taken) {
-                let arc = &hpdt.arcs[state as usize][ai as usize];
+                let arc = &hpdt.arcs_of(state)[ai as usize];
                 let fired = traced.then_some(&mut fired);
                 self.rewrite_run(hpdt, event, state, arc, run.clone(), fired);
                 rewritten.push((run, state, ai));
@@ -598,7 +608,7 @@ impl RunnerCore {
                     } else {
                         c.clone()
                     });
-                    let arc = &hpdt.arcs[state as usize][ai as usize];
+                    let arc = &hpdt.arcs_of(state)[ai as usize];
                     let fired = traced.then_some(&mut fired);
                     let at = successors.len() - 1;
                     self.step_members(hpdt, event, state, arc, &mut successors[at..], fired);
@@ -619,7 +629,7 @@ impl RunnerCore {
         // which are merged in block by block when the blocks came out in
         // order.
         if !rewritten.iter().all(|(run, state, ai)| {
-            self.stands_in_order(run.clone(), &hpdt.arcs[*state as usize][*ai as usize])
+            self.stands_in_order(hpdt, run.clone(), &hpdt.arcs_of(*state)[*ai as usize])
         }) {
             for (run, ..) in &rewritten {
                 first_left = first_left.min(run.start);
@@ -679,8 +689,9 @@ impl RunnerCore {
         members: &mut [Config],
         mut fired: Option<&mut Vec<crate::trace::FiredArc>>,
     ) {
+        let actions = hpdt.actions_of(arc);
         for c in members {
-            self.step_arc(hpdt, event, state, arc, c, fired.as_deref_mut());
+            self.step_arc(hpdt, event, state, arc, actions, c, fired.as_deref_mut());
         }
     }
 
@@ -691,7 +702,7 @@ impl RunnerCore {
     /// Inlined: as a call it reads `multi_sub` throughput 0.95× and
     /// `match_recursive` 0.975× (8 referee pairs each, 0 won).
     #[inline(always)]
-    fn stands_in_order(&self, run: Range<usize>, arc: &crate::arcs::Arc) -> bool {
+    fn stands_in_order(&self, hpdt: &Hpdt, run: Range<usize>, arc: &crate::arcs::Arc) -> bool {
         let set = &self.configs;
         let block = &set[run.clone()];
         debug_assert!(
@@ -702,7 +713,9 @@ impl RunnerCore {
             && set
                 .get(run.end)
                 .is_none_or(|next| next.state != LEFT && block[block.len() - 1] < *next)
-            && (block.len() == 1 || !arc.sets_item() || block.windows(2).all(|w| w[0] < w[1]))
+            && (block.len() == 1
+                || !crate::arcs::sets_item(hpdt.actions_of(arc))
+                || block.windows(2).all(|w| w[0] < w[1]))
     }
 
     /// Move `run` out to `successors`, leaving its members marked

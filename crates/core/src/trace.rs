@@ -14,6 +14,7 @@
 use std::fmt;
 
 use crate::arcs::{Action, Arc, StateId};
+use crate::build::Hpdt;
 use crate::depth_vector::DepthVector;
 
 /// One fired transition.
@@ -68,14 +69,14 @@ impl fmt::Display for TraceStep {
 /// Receives trace steps as the runner executes.
 pub type Tracer<'a> = &'a mut dyn FnMut(TraceStep);
 
-pub(crate) fn fired_arc(arc: &Arc, from: StateId, dv: &DepthVector) -> FiredArc {
+pub(crate) fn fired_arc(hpdt: &Hpdt, arc: &Arc, from: StateId, dv: &DepthVector) -> FiredArc {
     let guard = if arc.guard.is_some() { "[guard]" } else { "" };
     FiredArc {
         from,
         to: arc.target,
         owner: arc.owner.to_string(),
         label: format!("{}{guard}", arc.label),
-        actions: arc.actions.iter().map(action_str).collect(),
+        actions: hpdt.actions_of(arc).iter().map(action_str).collect(),
         dv: dv.to_string(),
     }
 }

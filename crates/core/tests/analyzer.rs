@@ -59,7 +59,7 @@ fn corrupted_hpdt_yields_a_useful_diagnostic() {
 fn arc_retargeting_is_caught_by_the_verifier() {
     let mut hpdt = build_hpdt(&parse_query("/a/b/text()").unwrap()).unwrap();
     // Point some arc out of bounds — the classic deserialization bug.
-    hpdt.arcs[0][0].target = 999;
+    hpdt.arcs[0].target = 999;
     let diags = xsq_core::verify(&hpdt);
     assert!(diags.iter().any(|d| d.code == "arc-target-out-of-bounds"));
 }
