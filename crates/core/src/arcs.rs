@@ -708,13 +708,14 @@ pub(crate) static LINEAR_SCAN: [u32; ARC_TABLE_CUTOFF] = [0, 1, 2, 3, 4, 5, 6, 7
 
 /// The arc tables of the states of the HPDT's transition function that
 /// have at least the cutoff's arcs; the others are scanned linearly and
-/// have no entry. `//` self-loops are not transitions (see
+/// have no table. `//` self-loops are not transitions (see
 /// `compute_stays`) and are filed nowhere.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ArcTables {
-    /// The states that have a table, ascending.
-    states: Vec<StateId>,
-    /// Their tables, in the same order.
+    /// Per state, the place of its table in `tables` (`u32::MAX`, never
+    /// read, for a state below the cutoff); empty when no state has a
+    /// table, so an HPDT of small states allocates nothing here.
+    slots: Vec<u32>,
     tables: Vec<ArcTable>,
 }
 
@@ -732,7 +733,10 @@ impl ArcTables {
                 }
             }
             table.named.sort_unstable();
-            built.states.push(s as StateId);
+            if built.slots.is_empty() {
+                built.slots = vec![u32::MAX; offsets.len() - 1];
+            }
+            built.slots[s] = built.tables.len() as u32;
             built.tables.push(table);
         }
         built
@@ -744,8 +748,8 @@ impl ArcTables {
         if arcs < ARC_TABLE_CUTOFF {
             return None;
         }
-        let at = self.states.binary_search(&state).ok()?;
-        Some(&self.tables[at])
+        let &slot = self.slots.get(state as usize)?;
+        self.tables.get(slot as usize)
     }
 }
 
@@ -848,9 +852,9 @@ pub(crate) fn compute_stays(patterns: &[Pattern], offsets: &[u32]) -> Vec<bool> 
 /// overlap exactly when their patterns share a cell and their names
 /// meet (`Pattern::cells`) — the `//` self-loop by its pattern too.
 /// Where none do, a deterministic runtime may stop at the first matching
-/// arc (the XSQ-NC fast path of §6.2). A large state's named patterns
-/// are bucketed by name, so it costs its arcs, not their pairs. Lazy, so
-/// the verifier compares without storing the flags.
+/// arc (the XSQ-NC fast path of §6.2). Named patterns are bucketed by
+/// name, so a state costs its arcs, not their pairs. Lazy, so the
+/// verifier compares without storing the flags.
 pub(crate) fn compute_scan_all<'a>(
     patterns: &'a [Pattern],
     offsets: &'a [u32],
@@ -871,28 +875,20 @@ pub(crate) fn compute_scan_all<'a>(
             shared |= taken & cells != 0;
             taken |= cells;
         }
-        // Two names meet when they are one name. A state below the table
-        // cutoff compares its pairs; a larger one buckets by name, and a
+        // Two names meet when they are one name: bucket by name, and a
         // bucket overlaps when its cells do not add up to its union.
-        let meet = |a: &Pattern, b: &Pattern| a.name == b.name && a.cells() & b.cells() != 0;
-        shared
-            && if outgoing.len() < ARC_TABLE_CUTOFF {
-                let mut named = outgoing
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, a)| a.name.is_some());
-                named.any(|(i, a)| outgoing[i + 1..].iter().any(|b| meet(a, b)))
-            } else {
-                buckets.clear();
-                let of = |p: &Pattern| Some((p.name?.index(), p.cells()));
-                buckets.extend(outgoing.iter().filter_map(of));
-                buckets.sort_unstable();
-                buckets.chunk_by(|a, b| a.0 == b.0).any(|bucket| {
-                    let union = bucket.iter().fold(0, |union, &(_, cells)| union | cells);
-                    let sum: u32 = bucket.iter().map(|&(_, cells)| cells.count_ones()).sum();
-                    union.count_ones() < sum
-                })
-            }
+        shared && {
+            buckets.clear();
+            buckets.reserve(outgoing.len());
+            let of = |p: &Pattern| Some((p.name?.index(), p.cells()));
+            buckets.extend(outgoing.iter().filter_map(of));
+            buckets.sort_unstable();
+            buckets.chunk_by(|a, b| a.0 == b.0).any(|bucket| {
+                let union = bucket.iter().fold(0, |union, &(_, cells)| union | cells);
+                let sum: u32 = bucket.iter().map(|&(_, cells)| cells.count_ones()).sum();
+                union.count_ones() < sum
+            })
+        }
     })
 }
 
@@ -961,7 +957,7 @@ mod tests {
     fn table_of(state: &[Pattern]) -> Option<ArcTable> {
         let (patterns, offsets) = flat(&[state.to_vec()]);
         let tables = ArcTables::new(&patterns, &offsets);
-        assert_eq!(tables.states.len(), tables.tables.len());
+        assert_eq!(tables.slots.len(), tables.tables.len());
         tables.of(0, state.len()).cloned()
     }
 

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash};
 
 use xsq_xml::Sym;
-use xsq_xpath::classify::{classify, StepCategory};
+use xsq_xpath::classify::classify;
 use xsq_xpath::{AggFunc, Axis, CmpOp, FnArg, NodeTest, Output, Predicate, Query, Step};
 
 use crate::analyze::prove_deterministic;
@@ -720,7 +720,7 @@ impl Builder {
         debug_assert!(n > 0, "parser guarantees at least one step");
 
         let leaf = [(0u32, LeafValue::of(&query.output))];
-        let bpdts = self.reserve(query, leaf[0].1);
+        let bpdts = self.reserve(query);
         let (start, root_true) = self.build_root()?;
 
         // Layer-by-layer expansion, one queue of BPDTs to instantiate in
@@ -751,46 +751,30 @@ impl Builder {
             }
             layer_start = layer_end;
         }
-        debug_assert!(
-            (self.states.len(), self.queues.len())
-                == (self.states.capacity(), self.queues.capacity()),
-            "`Builder::reserve` sizes the states and queues exactly"
-        );
         Ok((start, n))
     }
 
     /// Size the arrays a single query's build fills, so that each is
-    /// allocated once: every step is instantiated once per BPDT of its
-    /// layer, and a layer has twice the BPDTs of the one above where that
-    /// step has an NA state. The states and queues are exact; the arcs
-    /// and actions are bounds, copied out exactly by `finish`. Returns
-    /// the number of BPDTs below the root.
-    fn reserve(&mut self, query: &Query, leaf: LeafValue) -> usize {
-        // The root's two states and two arcs.
-        let (mut width, mut leaf_width, mut bpdts) = (1usize, 0, 0usize);
-        let (mut states, mut arcs, mut actions) = (2usize, 2usize, 0usize);
+    /// usually allocated once: every step is instantiated once per BPDT
+    /// of its layer, and a layer has twice the BPDTs of the one above
+    /// where that step has an NA state. The queues are exact; the states,
+    /// arcs and actions take each BPDT at `BPDT_BOUND`, and `finish`
+    /// copies the arcs and actions out exactly. Returns the number of
+    /// BPDTs below the root.
+    fn reserve(&mut self, query: &Query) -> usize {
+        let (mut width, mut bpdts) = (1usize, 0usize);
         for step in &query.steps {
-            let (s, a, x) = footprint(classify(step));
-            let a = a + usize::from(step.axis == Axis::Closure);
-            (leaf_width, bpdts) = (width, bpdts.saturating_add(width));
-            states = states.saturating_add(width.saturating_mul(s));
-            arcs = arcs.saturating_add(width.saturating_mul(a));
-            actions = actions.saturating_add(width.saturating_mul(x));
-            if s > 1 {
+            bpdts = bpdts.saturating_add(width);
+            if classify(step).has_na_state() {
                 width = width.saturating_mul(2);
             }
         }
-        // The leaf layer's output: text loops on NA and TRUE; or a value
-        // on each entry arc; or element start, appends and ends.
-        let (a, x) = match leaf {
-            LeafValue::Text => (2, 2),
-            LeafValue::Attr(_) | LeafValue::Unit => (0, 1),
-            LeafValue::Element => (4, 7),
-        };
-        if states <= MAX_STATES {
-            self.states.reserve_exact(states);
-            self.arcs.reserve_exact(arcs + leaf_width * a);
-            self.actions.reserve_exact(actions + leaf_width * x);
+        let (states, arcs, actions) = BPDT_BOUND;
+        // The root's two states and two arcs.
+        if bpdts.saturating_mul(states).saturating_add(2) <= MAX_STATES {
+            self.states.reserve_exact(bpdts * states + 2);
+            self.arcs.reserve_exact(bpdts * arcs + 2);
+            self.actions.reserve_exact(bpdts * actions);
             self.queues.reserve_exact(bpdts + 1);
         }
         bpdts.min(MAX_STATES)
@@ -1065,20 +1049,12 @@ impl Builder {
     }
 }
 
-/// What one instance of a category's template adds: its states
-/// (exactly), and at most its arcs and actions — without the closure
-/// self-loop and the leaf output. Read off the templates in
-/// `Builder::build_bpdt`.
-fn footprint(category: StepCategory) -> (usize, usize, usize) {
-    use StepCategory as C;
-    match category {
-        C::NoPredicate | C::AttrOfSelf | C::FnAttrOfSelf => (1, 2, 0),
-        C::TextOfSelf | C::FnTextOfSelf => (2, 4, 2),
-        C::ChildExists | C::AttrOfChild => (3, 5, 2),
-        C::TextOfChild => (4, 7, 3),
-        C::PositionOfSelf | C::LastOfSelf => (0, 0, 0),
-    }
-}
+/// At most what one BPDT instance adds, in states, arcs and actions:
+/// the largest template's (text-of-child, Fig. 9: four states, seven
+/// arcs, three actions), plus a closure self-loop and a whole-element
+/// leaf's four arcs and seven actions. Read off `Builder::build_bpdt`;
+/// an instance above it only costs the builder's arrays a regrowth.
+const BPDT_BOUND: (usize, usize, usize) = (4, 12, 10);
 
 /// Actions producing begin-anchored values (`@attr`, `count()`, element
 /// output) on a leaf BPDT's entry arcs — one action per ending query
@@ -1945,12 +1921,15 @@ mod tests {
 
     #[test]
     fn deep_predicate_queries_hit_the_state_cap() {
-        // 20 predicated closure steps would want 2^20 BPDTs.
-        let q = "//a[b]".repeat(20) + "/text()";
-        let parsed = parse_query(&q).unwrap();
-        assert!(matches!(
-            build_hpdt(&parsed),
-            Err(CompileError::Unsupported { .. })
-        ));
+        // 20 predicated closure steps would want 2^20 BPDTs; 70 more
+        // than a `usize` counts, which the sizing must survive.
+        for steps in [20, 70] {
+            let q = "//a[b]".repeat(steps) + "/text()";
+            let parsed = parse_query(&q).unwrap();
+            assert!(matches!(
+                build_hpdt(&parsed),
+                Err(CompileError::Unsupported { .. })
+            ));
+        }
     }
 }
