@@ -10,7 +10,6 @@
 //! | [`xqengine::XqEngineLike`] | XQEngine | full-text/tag index preprocessing, 32K-element limit |
 //! | [`lazydfa::XmltkLike`] | XMLTK | lazy DFA, paths without predicates |
 //! | [`stx::JoostLike`] | Joost (STX) | one pass, forward-only predicate flags, no buffering |
-//! | [`naive::NaiveFlags`] | the §3.1 strawman | per-item predicate flags + whole-buffer rescans (ablation) |
 //!
 //! All engines implement [`xsq_core::XPathEngine`], report Fig. 18-style phase
 //! timings, and account their memory the way Figs. 19–20 need: resident
@@ -27,13 +26,11 @@
 
 pub mod dom;
 pub mod lazydfa;
-pub mod naive;
 pub mod stx;
 pub mod xqengine;
 
 pub use dom::{GalaxLike, SaxonLike};
 pub use lazydfa::XmltkLike;
-pub use naive::NaiveFlags;
 pub use stx::JoostLike;
 pub use xqengine::XqEngineLike;
 

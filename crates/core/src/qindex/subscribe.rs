@@ -14,16 +14,22 @@
 //!   runner,
 //! - results land in the shared [`QuerySink`], tagged with the
 //!   originating `QueryId`,
-//! - [`QueryIndex::unsubscribe`] mutes a query immediately, without
-//!   recompiling anything.
+//! - [`QueryIndex::unsubscribe`] mutes a query without recompiling
+//!   anything.
 //!
-//! A subscription made mid-document stays silent until the next
-//! document: its runner starts at the HPDT start state, whose only arc
-//! consumes the document-start event. [`QueryIndex::finish`] emits
-//! pending aggregates, then resets every runner so the same index can
-//! process the next document in the stream;
-//! [`QueryIndex::abort_document`] is the same reset without the
+//! [`QueryIndex::finish`] emits pending aggregates, then resets every
+//! runner so the same index can process the next document in the
+//! stream; [`QueryIndex::abort_document`] is the same reset without the
 //! emission, for a document that broke off mid-stream.
+//!
+//! A document's results come from one query set. A subscription change
+//! made while a document is in flight (an event was fed since the last
+//! reset) takes effect at that reset: a group subscribed mid-document
+//! joins dispatch at its start state, whose only arc consumes the
+//! document-start event, and `finish` skips it; a query unsubscribed
+//! mid-document keeps answering the document in flight. Between
+//! documents both take effect at once. Ids are allocated at once either
+//! way.
 
 use std::io::BufRead;
 use std::sync::Arc;
@@ -46,7 +52,17 @@ struct Sub {
     group: u32,
     /// This query's tag inside its group's (possibly merged) HPDT.
     tag: u32,
-    active: bool,
+    state: SubState,
+}
+
+/// Where a subscription stands; only `Muted` drops results.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum SubState {
+    Active,
+    /// Unsubscribed while a document was in flight: answers that
+    /// document, mutes at the reset.
+    Leaving,
+    Muted,
 }
 
 /// One compiled group and its runtime state.
@@ -70,14 +86,14 @@ struct RouteSink<'a> {
 impl QuerySink for RouteSink<'_> {
     fn result(&mut self, tag: QueryId, value: &str) {
         let id = self.members[tag.0 as usize];
-        if self.subs[id.0 as usize].active {
+        if self.subs[id.0 as usize].state != SubState::Muted {
             self.shared.result(id, value);
         }
     }
 
     fn aggregate_update(&mut self, tag: QueryId, value: f64) {
         let id = self.members[tag.0 as usize];
-        if self.subs[id.0 as usize].active {
+        if self.subs[id.0 as usize].state != SubState::Muted {
             self.shared.aggregate_update(id, value);
         }
     }
@@ -87,7 +103,12 @@ impl QuerySink for RouteSink<'_> {
 pub struct QueryIndex {
     engine: XsqEngine,
     groups: Vec<Group>,
+    /// `groups[..armed]` answer the document in flight; the rest joined
+    /// during it and are armed by the next reset.
+    armed: usize,
     subs: Vec<Sub>,
+    /// Unsubscribed during the document in flight; muted at the reset.
+    leaving: Vec<QueryId>,
     dispatch: DispatchIndex,
     scratch_candidates: Vec<u32>,
     events: u64,
@@ -102,7 +123,9 @@ impl QueryIndex {
         QueryIndex {
             engine,
             groups: Vec::new(),
+            armed: 0,
             subs: Vec::new(),
+            leaving: Vec::new(),
             dispatch: DispatchIndex::new(),
             scratch_candidates: Vec::new(),
             events: 0,
@@ -129,7 +152,7 @@ impl QueryIndex {
             text: t.to_string(),
             group: 0,
             tag: 0,
-            active: true,
+            state: SubState::Active,
         }));
         for g in set.groups() {
             let members = g.members.iter().map(|&i| QueryId(base + i as u32));
@@ -157,6 +180,14 @@ impl QueryIndex {
             core,
             members,
         });
+        if !self.in_flight() {
+            self.armed = self.groups.len();
+        }
+    }
+
+    /// Some event was fed since the last reset.
+    fn in_flight(&self) -> bool {
+        self.events > self.events_before
     }
 
     /// Subscribe one query: a batch of one (see
@@ -174,25 +205,35 @@ impl QueryIndex {
         Ok(self.subscribe_set(&set))
     }
 
-    /// Mute a query immediately. Its group keeps running while other
-    /// members need it — and a group is every subscription of its batch
-    /// whose first step has the same axis and name, whatever their
-    /// predicates; once the last member unsubscribes the group is
-    /// dropped from the dispatch index and costs nothing per event.
-    /// Returns false if the id was already unsubscribed.
+    /// Mute a query: at once between documents, at the next reset while
+    /// a document is in flight (which it still answers). Its group keeps
+    /// running while other members need it — and a group is every
+    /// subscription of its batch whose first step has the same axis and
+    /// name, whatever their predicates; once the last member is muted
+    /// the group is dropped from the dispatch index and costs nothing
+    /// per event. Returns false if the id was already unsubscribed.
     pub fn unsubscribe(&mut self, id: QueryId) -> bool {
-        let sub = &mut self.subs[id.0 as usize];
-        if !sub.active {
+        if self.subs[id.0 as usize].state != SubState::Active {
             return false;
         }
-        sub.active = false;
+        if self.in_flight() {
+            self.subs[id.0 as usize].state = SubState::Leaving;
+            self.leaving.push(id);
+        } else {
+            self.mute(id);
+        }
+        true
+    }
+
+    fn mute(&mut self, id: QueryId) {
+        let sub = &mut self.subs[id.0 as usize];
+        sub.state = SubState::Muted;
         let gi = sub.group;
         let group = &mut self.groups[gi as usize];
         group.live -= 1;
         if group.live == 0 {
             self.dispatch.remove_group(gi, &group.hpdt);
         }
-        true
     }
 
     /// Push one borrowed event. Only runners whose dispatch buckets match
@@ -234,7 +275,8 @@ impl QueryIndex {
 
     /// End of document: emit pending aggregates, then reset every runner
     /// (and its live states) so the index is ready for the next
-    /// document. Stats are this document's, summed over all live groups.
+    /// document. Stats are this document's, summed over the live groups
+    /// that were armed for it.
     pub fn finish(&mut self, shared: &mut dyn QuerySink) -> RunStats {
         let mut total = RunStats {
             events: self.events - self.events_before,
@@ -245,7 +287,7 @@ impl QueryIndex {
             memory: MemoryStats::default(),
         };
         let subs = &self.subs[..];
-        for group in self.groups.iter_mut().filter(|g| g.live > 0) {
+        for group in self.groups[..self.armed].iter_mut().filter(|g| g.live > 0) {
             let mut route = RouteSink {
                 members: &group.members,
                 subs,
@@ -270,9 +312,14 @@ impl QueryIndex {
     /// go back to the document start, so the next document evaluates
     /// exactly as on a fresh index. The one reset: a driver whose parser
     /// failed mid-document calls this, and [`QueryIndex::finish`] ends
-    /// with it.
+    /// with it. Subscription changes made during the document take
+    /// effect here.
     pub fn abort_document(&mut self) {
         self.events_before = self.events;
+        self.armed = self.groups.len();
+        while let Some(id) = self.leaving.pop() {
+            self.mute(id);
+        }
         for (gi, group) in self.groups.iter_mut().enumerate() {
             if group.live > 0 {
                 group.core.reset(&group.hpdt);
@@ -329,9 +376,12 @@ impl QueryIndex {
         self.subs.is_empty()
     }
 
-    /// Active (unmuted) subscriptions.
+    /// Unmuted subscriptions.
     pub fn active_len(&self) -> usize {
-        self.subs.iter().filter(|s| s.active).count()
+        self.subs
+            .iter()
+            .filter(|s| s.state != SubState::Muted)
+            .count()
     }
 
     /// Number of compiled runner groups (≤ number of subscriptions when
@@ -537,5 +587,63 @@ mod tests {
         index.run_document(b"<a><b>y</b></a>", &mut sink).unwrap();
         assert_eq!(sink.of(first), ["x", "y"]);
         assert_eq!(sink.of(late), ["y"]);
+    }
+
+    /// Run `doc` through `index`, calling `mid` after its first `k`
+    /// events: a subscription change with the document in flight.
+    fn run_with_change(
+        index: &mut QueryIndex,
+        doc: &[u8],
+        k: usize,
+        sink: &mut VecQuerySink,
+        mid: impl FnOnce(&mut QueryIndex),
+    ) {
+        let mut parser = StreamParser::new(doc);
+        let mut mid = Some(mid);
+        let mut fed = 0;
+        while let Some(ev) = parser.next_raw().unwrap() {
+            if fed == k {
+                mid.take().unwrap()(index);
+            }
+            index.feed_raw(&ev, sink);
+            fed += 1;
+        }
+        assert!(mid.is_none(), "the document has more than {k} events");
+        index.finish(sink);
+    }
+
+    #[test]
+    fn an_aggregate_subscribed_mid_document_reports_from_the_next() {
+        let mut index = QueryIndex::new(XsqEngine::full());
+        let first = index.subscribe("//b/count()").unwrap();
+        let mut sink = VecQuerySink::new();
+        let mut late = None;
+        run_with_change(&mut index, b"<a><b/></a>", 2, &mut sink, |index| {
+            late = Some(index.subscribe("//b/count()").unwrap());
+        });
+        let late = late.unwrap();
+        // The late count saw no document, so it reports none.
+        assert_eq!(sink.of(first), ["1"]);
+        assert_eq!(sink.of(late), Vec::<&str>::new());
+        index.run_document(b"<a><b/></a>", &mut sink).unwrap();
+        assert_eq!(sink.of(first), ["1", "1"]);
+        assert_eq!(sink.of(late), ["1"]);
+    }
+
+    #[test]
+    fn an_unsubscribe_mid_document_answers_the_document_in_flight() {
+        let mut index = QueryIndex::new(XsqEngine::full());
+        let id = index.subscribe("/a/b/text()").unwrap();
+        let mut sink = VecQuerySink::new();
+        run_with_change(&mut index, b"<a><b>x</b></a>", 2, &mut sink, |index| {
+            assert!(index.unsubscribe(id));
+            assert!(!index.unsubscribe(id), "a second unsubscribe is refused");
+        });
+        assert_eq!(sink.of(id), ["x"]);
+        assert!(!index.unsubscribe(id));
+        assert_eq!(index.active_len(), 0);
+        index.run_document(b"<a><b>y</b></a>", &mut sink).unwrap();
+        assert_eq!(sink.of(id), ["x"]);
+        assert_eq!(index.dispatch_shape(), (0, 0, 0), "the group left dispatch");
     }
 }

@@ -13,13 +13,11 @@
 //! * the SUB/UNSUB bookkeeping: compiled batches come out of a
 //!   [`PlanCache`] — the server's shared one, or the session's own when
 //!   nothing shares it — and the session holds each plan's `Arc` for as
-//!   long as a member of the batch is subscribed or promised.
+//!   long as a member of the batch is subscribed.
 //!
-//! Subscription changes that arrive *mid-document* (between the first
-//! FEED and its END-DOC) are deferred to the document boundary: the
-//! ids are promised immediately (SUB_OK) after the queries are
-//! validated, but the index only changes once the in-flight document
-//! finishes, so a document's result set is always produced by one
+//! SUB and UNSUB go straight to the index, which allocates ids at once
+//! and applies a change that arrives *mid-document* at the document
+//! boundary, so a document's result set is always produced by one
 //! consistent query set.
 
 use std::sync::Arc;
@@ -187,14 +185,6 @@ struct BatchRef {
 pub struct Session {
     engine: XsqEngine,
     ingest: Ingest,
-    /// SUB batches promised mid-document, applied at the next boundary.
-    /// Each was checked out of the cache at SUB time, so applying it
-    /// cannot fail.
-    pending_subs: Vec<Arc<CachedPlan>>,
-    /// UNSUBs received mid-document, applied after pending subs.
-    pending_unsubs: Vec<QueryId>,
-    /// Ids promised to pending subs but not yet allocated by the index.
-    promised: u32,
     limits: SessionLimits,
     /// Where SUB batches compile: the server's cross-connection cache,
     /// or one of this session's own.
@@ -216,9 +206,6 @@ impl Session {
         Session {
             engine,
             ingest: Ingest::new(engine),
-            pending_subs: Vec::new(),
-            pending_unsubs: Vec::new(),
-            promised: 0,
             // The cache analyzes bounds against the admission DTD.
             cache: PlanCache::new(limits.dtd.clone()),
             limits,
@@ -292,17 +279,14 @@ impl Session {
     fn on_sub(&mut self, payload: &[u8], out: &mut dyn Outbox) -> Action {
         let (engine, limits, cache) = (self.engine, &self.limits, &self.cache);
         let (opcode, reply) = admit_sub(engine, limits, cache, payload, |plan| {
-            if self.ingest.doc_active() {
-                // Promise the ids now; the index changes at the boundary.
-                let base = self.ingest.index.len() as u32 + self.promised;
-                self.promised += plan.set().len() as u32;
-                self.pending_subs.push(Arc::clone(plan));
-                (base..self.ingest.index.len() as u32 + self.promised)
-                    .map(QueryId)
-                    .collect()
-            } else {
-                apply_sub(&mut self.ingest, &mut self.batches, Arc::clone(plan))
-            }
+            let first = self.ingest.index.len() as u32;
+            let ids = self.ingest.index.subscribe_set(plan.set());
+            self.batches.push(BatchRef {
+                first,
+                live: ids.len(),
+                plan: Arc::clone(plan),
+            });
+            ids
         });
         out.send(opcode, &reply);
         Action::Continue
@@ -317,7 +301,7 @@ impl Session {
             return Action::Continue;
         };
         let id = QueryId(u32::from_le_bytes(bytes));
-        if id.0 >= self.ingest.index.len() as u32 + self.promised {
+        if id.0 as usize >= self.ingest.index.len() {
             out.send(
                 op::ERR,
                 &err_payload(
@@ -328,11 +312,7 @@ impl Session {
             );
             return Action::Continue;
         }
-        if self.ingest.doc_active() {
-            self.pending_unsubs.push(id);
-        } else {
-            self.apply_unsub(id);
-        }
+        self.apply_unsub(id);
         out.send(op::OK, &[op::UNSUB]);
         Action::Continue
     }
@@ -380,15 +360,6 @@ impl Session {
             Ok(doc) => out.send(op::DOC_OK, &doc.to_le_bytes()),
             Err(message) => return fail_stream(&message, out),
         }
-        // Deferred subscription changes: promised subs first (their ids
-        // must exist before an interleaved UNSUB can name them).
-        for plan in std::mem::take(&mut self.pending_subs) {
-            apply_sub(&mut self.ingest, &mut self.batches, plan);
-        }
-        self.promised = 0;
-        for id in std::mem::take(&mut self.pending_unsubs) {
-            self.apply_unsub(id);
-        }
         Action::Continue
     }
 
@@ -405,23 +376,6 @@ impl Session {
     }
 }
 
-/// Instantiate an admitted batch in the index and keep its plan.
-/// Returns the ids the index allocated.
-fn apply_sub(
-    ingest: &mut Ingest,
-    batches: &mut Vec<BatchRef>,
-    plan: Arc<CachedPlan>,
-) -> Vec<QueryId> {
-    let first = ingest.index.len() as u32;
-    let ids = ingest.index.subscribe_set(plan.set());
-    batches.push(BatchRef {
-        first,
-        live: ids.len(),
-        plan,
-    });
-    ids
-}
-
 /// A parse error is fatal for the session: the byte stream position is
 /// unrecoverable, so the client gets one framed error (fail-fast, like
 /// the sharded driver's lowest-doc report) and the connection closes.
@@ -433,7 +387,7 @@ fn fail_stream(message: &str, out: &mut dyn Outbox) -> Action {
 /// The one SUB admission path, for a private session and the broadcast
 /// hub alike: payload text → plan-cache checkout → budget check →
 /// `subscribe` → SUB_OK. Returns the reply frame. Every query's static
-/// memory bound is known before `subscribe` runs or any id is promised,
+/// memory bound is known before `subscribe` runs or any id is allocated,
 /// so a rejected batch changes nothing: the ERR is recoverable and the
 /// plan, which nobody kept, leaves the cache.
 ///
@@ -653,7 +607,7 @@ mod tests {
             &[
                 sub_frame("/a/b/text()"),
                 feed_frame(&doc[..5]),
-                // Mid-document: promised id 1, active from the next doc.
+                // Mid-document: id 1 at once, answering from the next doc.
                 sub_frame("//b/text()"),
                 feed_frame(&doc[5..]),
                 END,
@@ -832,7 +786,7 @@ mod tests {
         );
         assert_eq!(replies[0].0, op::SUB_OK);
         assert_eq!(results_of(&replies), [(0, "T".to_string())]);
-        // …and the rejected batch promised no ids: the admitted query
+        // …and the rejected batch allocated no ids: the admitted query
         // got id 0.
     }
 
@@ -921,7 +875,7 @@ mod tests {
             &[
                 sub_frame("/a/b/text()"),
                 feed_frame(b"<a>"),
-                // Promised mid-document, never applied.
+                // Subscribed mid-document; no boundary ever arms it.
                 sub_frame("//b/text()"),
             ],
         );

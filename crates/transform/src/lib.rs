@@ -36,8 +36,8 @@ pub mod rewrite;
 
 use std::fmt;
 
-use matcher::{MatchDecision, Matcher, Program};
-use rewrite::{BeginDecision, Rewriter};
+use matcher::{Matcher, Program};
+use rewrite::Rewriter;
 use xsq_xml::{ParsePoll, PushParser, RawEvent, StreamParser};
 use xsq_xpath::{RuleError, RuleSet};
 
@@ -198,11 +198,7 @@ impl TransformSession<'_> {
                         name, attributes, ..
                     } => {
                         let (decision, resolutions) = self.matcher.begin(name, attributes);
-                        let d = match decision {
-                            MatchDecision::Decided(r) => BeginDecision::Decided(r),
-                            MatchDecision::Pending(p) => BeginDecision::Pending(p),
-                        };
-                        self.rewriter.begin(out, name, attributes, d);
+                        self.rewriter.begin(out, name, attributes, decision);
                         resolutions
                     }
                     RawEvent::Text { element, text, .. } => {

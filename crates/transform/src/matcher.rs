@@ -31,6 +31,15 @@
 //! undecided while an earlier rule's conditions are pending even if a
 //! later rule already matched.
 //!
+//! A state or candidate carries only the conditions still pending when
+//! it is made: a parent state with a condition already false derives
+//! nothing, and conditions already true are left out of what it passes
+//! on. So derivations that differ only in settled conditions (which
+//! ancestor matched which closure step, once each one's predicate held)
+//! are one state, and a frame holds at most steps × distinct
+//! pending-condition sets — the lazy counterpart of the HPDT's 2^k BPDT
+//! positions, paid only for conditions the stream has not yet decided.
+//!
 //! # Storage
 //!
 //! The matcher allocates while it warms up and then stops. Rules are
@@ -337,10 +346,11 @@ impl Frame {
             + self.last_conds.len()
     }
 
-    /// Add the state `(step, inherited ∪ extra)` unless it is already
-    /// there: two derivations that agree on step and conditions are one.
-    fn add_state(&mut self, step: u32, inherited: &[CondId], extra: Option<CondId>) {
-        let conds = append_conds(&mut self.cond_ids, inherited, extra);
+    /// Add the state `(step, pending(inherited) ∪ extra)` unless it is
+    /// already there: two derivations that agree on step and conditions
+    /// are one.
+    fn add_state(&mut self, step: u32, conds: &Conds, inherited: &[CondId], extra: Option<CondId>) {
+        let conds = append_conds(&mut self.cond_ids, conds, inherited, extra);
         let (old, new) = self.cond_ids.split_at(conds.start as usize);
         if self
             .states
@@ -354,10 +364,16 @@ impl Frame {
     }
 }
 
-/// Append the condition set `inherited ∪ extra` to `arena`.
-fn append_conds(arena: &mut Vec<CondId>, inherited: &[CondId], extra: Option<CondId>) -> Span {
+/// Append the condition set `pending(inherited) ∪ extra` to `arena`:
+/// the inherited conditions `conds` has not settled yet, then `extra`.
+fn append_conds(
+    arena: &mut Vec<CondId>,
+    conds: &Conds,
+    inherited: &[CondId],
+    extra: Option<CondId>,
+) -> Span {
     let start = arena.len();
-    arena.extend_from_slice(inherited);
+    arena.extend(inherited.iter().filter(|&&c| conds.value(c).is_none()));
     arena.extend(extra.filter(|c| !inherited.contains(c)));
     Span {
         start: start as u32,
@@ -543,9 +559,16 @@ impl<'p> Matcher<'p> {
             let state = parent.states[si];
             let step = &prog.steps[state.step as usize];
             let inherited = &parent.cond_ids[state.conds.range()];
+            if inherited
+                .iter()
+                .any(|&c| self.conds.value(c) == Some(false))
+            {
+                // This derivation has already failed.
+                continue;
+            }
             if step.closure {
                 // Descendant steps stay live arbitrarily deep.
-                frame.add_state(state.step, inherited, None);
+                frame.add_state(state.step, &self.conds, inherited, None);
             }
             if !step.accepts(name) {
                 continue;
@@ -569,13 +592,13 @@ impl<'p> Matcher<'p> {
                 Outcome::Deferred(cid) => Some(cid),
             };
             if step.last {
-                let conds = append_conds(&mut self.cand_conds, inherited, extra);
+                let conds = append_conds(&mut self.cand_conds, &self.conds, inherited, extra);
                 self.cands.push(Candidate {
                     rule: step.rule,
                     conds,
                 });
             } else {
-                frame.add_state(state.step + 1, inherited, extra);
+                frame.add_state(state.step + 1, &self.conds, inherited, extra);
             }
         }
         self.held += frame.holds() + parent.last_conds.len() - watching;

@@ -45,7 +45,7 @@ use xsq_xml::entities::{escape_attr_into, escape_text_into};
 use xsq_xml::{Attribute, Sym};
 use xsq_xpath::{AttrOp, Rule, RuleAction, Shape};
 
-use crate::matcher::PendingId;
+use crate::matcher::{MatchDecision, PendingId};
 
 /// "No record": a root-level parent, an open close offset, an unmapped
 /// pending id.
@@ -205,7 +205,7 @@ impl<'r> Rewriter<'r> {
         out: &mut String,
         name: Sym,
         attributes: &[Attribute],
-        decision: BeginDecision,
+        decision: MatchDecision,
     ) {
         self.stats.elements += 1;
         if self.suppressed() {
@@ -215,7 +215,7 @@ impl<'r> Rewriter<'r> {
             return;
         }
         match decision {
-            BeginDecision::Decided(rule) => {
+            MatchDecision::Decided(rule) => {
                 self.stats.matched += u64::from(rule.is_some());
                 let action = rule.map(|r| &self.rules[r].action);
                 if action.is_some_and(|a| a.shape == Shape::Drop) {
@@ -227,7 +227,7 @@ impl<'r> Rewriter<'r> {
                 });
                 self.open.push(OpenElem::Streamed { name, rule });
             }
-            BeginDecision::Pending(pid) => {
+            MatchDecision::Pending(pid) => {
                 self.stats.deferred += 1;
                 let id = self.next_id();
                 let parent = self.current;
@@ -442,13 +442,6 @@ impl<'r> Rewriter<'r> {
     }
 }
 
-/// A begin-event verdict as the rewriter consumes it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BeginDecision {
-    Decided(Option<usize>),
-    Pending(PendingId),
-}
-
 /// The element and wrapper names an action rewrites a tag to.
 fn tag_names(name: Sym, action: Option<&RuleAction>) -> (&str, Option<&str>) {
     let orig = name.as_str();
@@ -609,10 +602,10 @@ mod tests {
             &mut out,
             Sym::intern("r"),
             &[],
-            BeginDecision::Decided(None),
+            MatchDecision::Decided(None),
         );
         for pid in 0..10_000u32 {
-            rw.begin(&mut out, a, &[], BeginDecision::Pending(pid));
+            rw.begin(&mut out, a, &[], MatchDecision::Pending(pid));
             if pid > 0 {
                 rw.resolve(&mut out, pid - 1, Some(0));
             }

@@ -287,20 +287,6 @@ fn joost_matches_on_predicate_free_queries() {
     });
 }
 
-#[test]
-fn naive_flags_engine_matches_on_text_queries() {
-    cases(0..CASES, |rng| {
-        let doc = gen_doc(rng);
-        let query = gen_steps(rng, true, true) + "/text()";
-        let naive = xsq::baselines::NaiveFlags
-            .run(&query, doc.as_bytes())
-            .expect("text queries supported")
-            .results;
-        let expected = xsq_run(XsqEngine::full(), &query, doc.as_bytes());
-        assert_eq!(naive, expected, "naive disagrees on {query} over {doc}");
-    });
-}
-
 /// Three to six queries whose first step has one axis and one name but
 /// different predicates — attribute, child-exists and child-text
 /// categories in rotation, then none — one of them an aggregate. The
