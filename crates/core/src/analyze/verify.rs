@@ -20,7 +20,7 @@ use xsq_xpath::classify::{classify, StepCategory};
 
 use crate::arcs::{
     compute_scan_all, execution_order, runs, Action, Arc, ArcLabel, EventKind, Fill, QueueRef,
-    StateId,
+    StateId, StateRole,
 };
 use crate::build::Hpdt;
 use crate::ids::BpdtId;
@@ -76,6 +76,7 @@ pub fn verify(hpdt: &Hpdt) -> Vec<Diagnostic> {
     check_depth_discipline(hpdt, &mut out);
     check_scan_all(hpdt, &mut out);
     check_deterministic_flag(hpdt, &mut out);
+    check_dominance_marks(hpdt, &mut out);
     if hpdt.merged.len() == 1 {
         check_tree_positions(hpdt, &ids, &mut out);
     }
@@ -507,6 +508,44 @@ fn check_deterministic_flag(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
     }
 }
 
+/// The dominance mark (DESIGN.md, *Dominated configurations*) may sit
+/// only on the TRUE state of a solo HPDT's all-TRUE BPDT `bpdt(l, 2^l −
+/// 1)`, `0 < l < 64`, that stays (its next step is a closure), and
+/// `Hpdt::marks` must name exactly the marked layers. A mark anywhere
+/// else lets the runtime withdraw match paths no TRUE configuration
+/// covers.
+fn check_dominance_marks(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
+    let solo = hpdt.merged.len() == 1 && hpdt.keyed.is_empty();
+    let mut layers = 0u64;
+    for (s, info) in hpdt.states.iter().enumerate().filter(|(_, i)| i.dominates) {
+        let layer = info.owner.layer;
+        let all_true = (1..64).contains(&layer) && info.owner.seq == (1u64 << layer) - 1;
+        if !(solo && all_true && info.role == StateRole::True && hpdt.stays[s]) {
+            out.push(
+                Diagnostic::error(
+                    "dominance-mark-unsound",
+                    format!(
+                        "state ${s} of {} carries the dominance mark but is not the TRUE \
+                         state of a solo HPDT's all-TRUE BPDT whose next step is a closure",
+                        info.owner
+                    ),
+                )
+                .at_state(s as u32),
+            );
+        }
+        layers |= 1u64.checked_shl(u32::from(layer)).unwrap_or(0);
+    }
+    if layers != hpdt.marks {
+        out.push(Diagnostic::error(
+            "dominance-mark-unsound",
+            format!(
+                "the marked states lie on layers {layers:#b}, the runtime reads {:#b}",
+                hpdt.marks
+            ),
+        ));
+    }
+}
+
 /// For a single-query HPDT the BPDT ids follow the binary-tree encoding
 /// of §4.2: every non-root id's parent must exist, the all-true left
 /// spine must be complete, and right children (even sequence numbers)
@@ -753,6 +792,41 @@ mod tests {
             findings(&h, Warning),
             [("bpdt-spine-missing", BpdtId::new(2, 3))]
         );
+    }
+
+    #[test]
+    fn a_dominance_mark_off_an_all_true_true_state_is_caught() {
+        let q = "//pub[year>2000]//book[price]/title/text()";
+        let h = built(q);
+        let marked: Vec<_> = (0..).zip(&h.states).filter(|(_, i)| i.dominates).collect();
+        assert_eq!(marked.len(), 1, "the TRUE state of bpdt(1,1)");
+        assert_eq!((marked[0].1.owner, h.marks), (BpdtId::new(1, 1), 0b10));
+        // On the NA state beside it, on the TRUE state below an undecided
+        // `pub`, and on a TRUE state whose next step is not a closure.
+        let role = |h: &Hpdt, owner: BpdtId, role: StateRole| {
+            (0..h.states.len())
+                .find(|&s| h.states[s].owner == owner && h.states[s].role == role)
+                .unwrap()
+        };
+        for (owner, role_of) in [
+            (BpdtId::new(1, 1), StateRole::Na),
+            (BpdtId::new(2, 2), StateRole::True),
+            (BpdtId::new(2, 3), StateRole::True),
+        ] {
+            let mut h = built(q);
+            let s = role(&h, owner, role_of);
+            h.states[s].dominates = true;
+            h.marks |= 1 << owner.layer;
+            assert_eq!(
+                error_codes(&h),
+                ["dominance-mark-unsound"],
+                "{owner} {role_of:?}"
+            );
+        }
+        // The runtime's layer bits must agree with the marks.
+        let mut h = built(q);
+        h.marks = 0;
+        assert_eq!(error_codes(&h), ["dominance-mark-unsound"]);
     }
 
     #[test]

@@ -58,6 +58,14 @@ pub struct StateInfo {
     /// BPDT; the states listed here are the owned ones plus the root's.)
     pub owner: BpdtId,
     pub role: StateRole,
+    /// The dominance mark (DESIGN.md, *Dominated configurations*): the
+    /// TRUE state of a solo HPDT's all-TRUE BPDT whose next step is a
+    /// closure. A configuration here selects, through the steps below,
+    /// everything a deeper instance of its step could, so while one is
+    /// live no deeper instance is entered. Set by the solo builder on
+    /// layers below 64 (one bit of [`Hpdt::marks`](crate::build::Hpdt)
+    /// each); lives in what was padding.
+    pub dominates: bool,
 }
 
 /// Tag pattern on begin/end/text labels. Names are interned at query

@@ -78,6 +78,10 @@ pub struct Hpdt {
     /// Per state: the arcs a configuration anchored above the event's
     /// parent can still fire (closure entry arcs, the catchall).
     pub(crate) any_depth: AnyDepthArcs,
+    /// Bit `l` set when layer `l`'s TRUE state carries the dominance
+    /// mark ([`StateInfo::dominates`]); 0 for an HPDT with none, whose
+    /// runner then never looks at the rule.
+    pub(crate) marks: u64,
     /// The global start state.
     pub start: StateId,
     /// The BPDT behind every dense queue slot (buffer storage at
@@ -182,9 +186,19 @@ impl Hpdt {
         leaf_tags: LeafTags,
     ) -> Hpdt {
         let patterns: Vec<Pattern> = arcs.iter().map(|a| a.label.pattern()).collect();
+        let stays = compute_stays(&patterns, &offsets);
+        let marks = states
+            .iter()
+            .zip(&stays)
+            .filter(|(info, _)| info.dominates)
+            .fold(0u64, |marks, (info, &stays)| {
+                debug_assert!(stays && info.role == StateRole::True && merged.len() == 1);
+                marks | 1 << info.owner.layer
+            });
         Hpdt {
             scan_all: compute_scan_all(&patterns, &offsets).collect(),
-            stays: compute_stays(&patterns, &offsets),
+            stays,
+            marks,
             arc_tables: ArcTables::new(&patterns, &offsets),
             any_depth: AnyDepthArcs::new(&patterns, &offsets),
             buffered: uses_buffers(&arcs, &actions),
@@ -223,6 +237,12 @@ impl Hpdt {
     /// The actions `arc` performs, in order.
     pub fn actions_of(&self, arc: &Arc) -> &[Action] {
         &self.actions[arc.actions.range()]
+    }
+
+    /// Does some state carry the dominance mark? Only then does a runner
+    /// apply the rule (DESIGN.md, *Dominated configurations*).
+    pub fn has_dominance_marks(&self) -> bool {
+        self.marks != 0
     }
 
     /// Number of BPDTs (one queue each).
@@ -444,7 +464,11 @@ impl Builder {
             });
         }
         let id = self.states.len() as StateId;
-        self.states.push(StateInfo { owner, role });
+        self.states.push(StateInfo {
+            owner,
+            role,
+            dominates: false,
+        });
         Ok(id)
     }
 
@@ -734,6 +758,10 @@ impl Builder {
             let is_leaf = layer == n;
             let leaf: &[(u32, LeafValue)] = if is_leaf { &leaf } else { &[] };
             let plan = self.plan_step(step, false)?;
+            let closure_follows = query
+                .steps
+                .get(i + 1)
+                .is_some_and(|next| next.axis == Axis::Closure);
             let layer_end = bpdts.len();
             for k in layer_start..layer_end {
                 let (id, cx, start_state) = bpdts[k];
@@ -742,6 +770,11 @@ impl Builder {
                 // In a single query's tree one BPDT grows out of each
                 // state, so a closure step always adds its start's loop.
                 let built = self.build_bpdt(plan, own, cx, start_state, leaf, true)?;
+                // The dominance mark: every predicate on the path to this
+                // TRUE state holds, and the next step searches below it.
+                if cx.all_true && closure_follows && layer < 64 {
+                    self.states[built.true_state as usize].dominates = true;
+                }
                 if !is_leaf {
                     if let Some(na) = built.na {
                         bpdts.push((id.right_child(), cx.na_side(own), na));

@@ -440,8 +440,10 @@ const RECURSIVE_DOC: &str = concat!(
 /// [`RECURSIVE_DOC`]: every fired arc, one line per configuration that
 /// took it, in execution order, with the set and buffer sizes after each
 /// event. A change to how the runtime steps its set must leave this
-/// transcript as it is. Regenerate (only for a deliberate format change)
-/// with `xsq --trace QUERY < doc 2> tests/golden/trace_recursive.txt`.
+/// transcript as it is. Regenerate only for a deliberate format change,
+/// or for a rule that changes which arcs fire (the dominance rule did,
+/// DESIGN.md *Dominated configurations*), with
+/// `xsq --trace QUERY < doc 2> tests/golden/trace_recursive.txt`.
 #[test]
 fn trace_of_a_recursive_document_matches_the_golden_transcript() {
     let (stdout, stderr, ok) = run_with_stdin(
@@ -456,22 +458,42 @@ fn trace_of_a_recursive_document_matches_the_golden_transcript() {
     assert!(stderr == golden, "trace drift:\n{stderr}");
 }
 
+/// Three nested `pub`s whose `year`s all come after their books, so the
+/// books are matched while every enclosing `pub` is still undecided: one
+/// configuration per enclosing `pub`, moving in lock step.
+const LATE_YEARS_DOC: &str = concat!(
+    "<r><pub><pub><pub><book><price>1</price><title>t1</title></book>",
+    "<pub><book><title>t2</title><price>2</price></book></pub>",
+    "<year>2001</year></pub><year>1999</year></pub><year>2002</year></pub></r>",
+);
+
 /// `--stats` counts what a lock-step run costs: each arc a run of
 /// configurations takes together is one step, however many members fired
-/// it. Over [`RECURSIVE_DOC`] 254 firings are 130 steps.
+/// it. Over [`LATE_YEARS_DOC`] 69 firings are 39 steps. Over
+/// [`RECURSIVE_DOC`] the runs are gone: a `pub` already TRUE enters no
+/// `pub` below it (DESIGN.md, *Dominated configurations*), and 88
+/// firings are 88 steps (254 and 130 before that rule).
 #[test]
 fn solo_stats_count_a_lock_step_run_once() {
-    let (_, stderr, ok) = run_with_stdin(
-        &["--stats", "//pub[year>2000]//book[price]/title/text()"],
-        RECURSIVE_DOC,
-    );
-    assert!(ok, "{stderr}");
-    let line = stderr.lines().find(|l| l.starts_with("# ")).expect(&stderr);
-    let tail = &line[line.find("events=").expect(line)..];
-    assert_eq!(
-        tail,
-        "events=73 firings=254 steps=130 probed=106 peak_buffered_bytes=530 peak_configs=22"
-    );
+    for (doc, want) in [
+        (
+            LATE_YEARS_DOC,
+            "events=37 firings=69 steps=39 probed=33 peak_buffered_bytes=172 peak_configs=9",
+        ),
+        (
+            RECURSIVE_DOC,
+            "events=73 firings=88 steps=88 probed=79 peak_buffered_bytes=146 peak_configs=7",
+        ),
+    ] {
+        let (_, stderr, ok) = run_with_stdin(
+            &["--stats", "//pub[year>2000]//book[price]/title/text()"],
+            doc,
+        );
+        assert!(ok, "{stderr}");
+        let line = stderr.lines().find(|l| l.starts_with("# ")).expect(&stderr);
+        let tail = &line[line.find("events=").expect(line)..];
+        assert_eq!(tail, want);
+    }
 }
 
 /// A traced run is the same streaming run with a tracer installed: its
@@ -495,7 +517,7 @@ fn traced_stats_equal_plain_stats() {
     let tail = &stats[stats.find("events=").expect(stats)..];
     assert_eq!(
         tail,
-        "events=73 firings=254 steps=130 probed=106 peak_buffered_bytes=530 peak_configs=22\n"
+        "events=73 firings=88 steps=88 probed=79 peak_buffered_bytes=146 peak_configs=7\n"
     );
 }
 

@@ -1,4 +1,4 @@
-//! Allocation count of one solo compile.
+//! Allocation counts of the µs-scale set-ups the benchmark times.
 //!
 //! `XsqEngine::compile_str` parses a query, builds its HPDT into flat
 //! arrays (one arc array grouped by state, one action pool, one guard
@@ -6,24 +6,37 @@
 //! those arrays is allocated once, sized from the query's shape, so a
 //! compile costs a fixed number of allocations that does not grow with
 //! the arcs. This pins a ceiling on that number for the benchmark's two
-//! solo queries: a change that allocates per arc, per action or per
-//! derived table again shows up here as a count, not as a timing.
+//! solo queries, and on each set-up the benchmark's `setup_s` times:
+//! a compile with its runner and parser, and a transform compile with
+//! its session. A change that allocates per arc, per action, per
+//! derived table or per runner again shows up here as a count, not as
+//! a timing taken on a host whose speed drifts.
 //!
-//! One `#[test]`, because the counter is global to the test binary:
-//! concurrent tests would pollute the count.
+//! The counter is per thread, so each `#[test]` counts its own
+//! allocations whatever runs beside it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::hint::black_box;
 
+use xsq::transform::Transformer;
+use xsq::xml::StreamParser;
 use xsq::XsqEngine;
 
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: a thread being torn down has no counter left.
+    let _ = ALLOC_CALLS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -32,12 +45,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -45,33 +58,75 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-fn allocations() -> u64 {
-    ALLOC_CALLS.load(Ordering::Relaxed)
+/// The allocations this thread makes while running `f` the second time:
+/// the first run interns the names, which the symbol table keeps.
+fn allocations_of(mut f: impl FnMut()) -> u64 {
+    f();
+    let before = ALLOC_CALLS.with(Cell::get);
+    f();
+    ALLOC_CALLS.with(Cell::get) - before
 }
+
+const SCAN_DBLP: &str = "/dblp/article/title/text()";
+const MATCH_RECURSIVE: &str = "//pub[year>2000]//book[price]/title/text()";
+
+/// `transform_deferred`'s two rules.
+const TRANSFORM_RULES: &str =
+    "//inproceedings[author] => wrap(talk)\n//article[year=2002] => rename(recent)";
 
 /// The benchmark's solo queries (`scan_dblp`, `match_recursive`) and the
 /// most allocations one `compile_str` of each may make, parse included.
 /// Before the automaton was stored flat they read 41 and 82. A ceiling,
 /// not an exact count: fewer is an improvement.
-const PINNED: [(&str, u64); 2] = [
-    ("/dblp/article/title/text()", 24),
-    ("//pub[year>2000]//book[price]/title/text()", 35),
-];
+const PINNED: [(&str, u64); 2] = [(SCAN_DBLP, 24), (MATCH_RECURSIVE, 35)];
 
 #[test]
 fn a_solo_compile_allocates_a_fixed_handful() {
     let engine = XsqEngine::full();
     for (query, pinned) in PINNED {
-        // The first compile interns the query's names; the symbol table
-        // keeps them, so every later compile finds them.
-        drop(engine.compile_str(query).expect("compiles"));
-        let before = allocations();
-        let compiled = engine.compile_str(query).expect("compiles");
-        let count = allocations() - before;
-        drop(compiled);
+        let count = allocations_of(|| {
+            drop(engine.compile_str(query).expect("compiles"));
+        });
         assert!(
             count <= pinned,
             "{query}: one compile_str allocated {count} times, capped at {pinned}"
         );
     }
+}
+
+/// What the benchmark's `setup_s` times for a solo workload: a compile,
+/// its runner and a pull parser over the document, with the most
+/// allocations each may make. Measured 27 and 39 when first pinned.
+const SOLO_SET_UPS: [(&str, u64); 2] = [(SCAN_DBLP, 27), (MATCH_RECURSIVE, 39)];
+
+/// `transform_deferred`'s `setup_s`: `Transformer::compile` of its two
+/// rules and one session. Measured 24 when first pinned.
+const TRANSFORM_SET_UP: u64 = 24;
+
+#[test]
+fn each_timed_set_up_allocates_a_fixed_handful() {
+    let doc = b"<dblp><article><title>T</title></article></dblp>";
+    let engine = XsqEngine::full();
+    for (query, pinned) in SOLO_SET_UPS {
+        let count = allocations_of(|| {
+            let compiled = engine.compile_str(query).expect("compiles");
+            let runner = compiled.runner();
+            let parser = StreamParser::new(&doc[..]);
+            black_box((&runner, &parser));
+        });
+        assert!(
+            count <= pinned,
+            "{query}: compile_str + runner() + StreamParser::new allocated {count} times, \
+             capped at {pinned}"
+        );
+    }
+    let count = allocations_of(|| {
+        let t = Transformer::compile(TRANSFORM_RULES).expect("compiles");
+        let session = t.session();
+        black_box(&session);
+    });
+    assert!(
+        count <= TRANSFORM_SET_UP,
+        "Transformer::compile + session() allocated {count} times, capped at {TRANSFORM_SET_UP}"
+    );
 }

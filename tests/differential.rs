@@ -28,12 +28,12 @@ use xsq::datagen::rng::{cases, StdRng};
 use xsq::datagen::xmlgen::{self, XmlGenParams};
 use xsq::engine::analyze::analyze_buffers;
 use xsq::engine::{
-    analyze_with_dtd, run_sequential, Hpdt, PlanCache, QueryIndex, QuerySet, Runner, RunnerCore,
-    VecQuerySink, VecSink, XPathEngine, XsqEngine,
+    analyze_with_dtd, run_sequential, run_sharded, Hpdt, PlanCache, QueryIndex, QuerySet, Runner,
+    RunnerCore, VecQuerySink, VecSink, XPathEngine, XsqEngine,
 };
 use xsq::xml::dtd::Dtd;
 use xsq::xml::pda::{PdaStatus, WellFormednessPda};
-use xsq::xml::{StreamParser, XmlWriter};
+use xsq::xml::{ParsePoll, StreamParser, XmlWriter};
 use xsq::xpath::parse_query;
 
 #[path = "common/schema_gen.rs"]
@@ -723,13 +723,16 @@ fn gen_pub_spine(rng: &mut StdRng, depth: u32, levels: u32, out: &mut String) {
 
 /// The shapes whose configurations move in lock step: the referee's
 /// closure under a predicate, whole-element output (one item opened and
-/// appended to by every member of a run), a keyed family, and `count()`.
-const LOCK_STEP_QUERIES: [&str; 5] = [
+/// appended to by every member of a run), a keyed family, `count()`, and
+/// the referee's shape under a predicate no generated `pub` satisfies,
+/// whose runs no TRUE `pub` shortens.
+const LOCK_STEP_QUERIES: [&str; 6] = [
     "//pub[year>2000]//book[price]/title/text()",
     "//pub//book",
     "//pub[year=2001]//title/text()",
     "//pub[year=2002]//title/text()",
     "//pub[year>2000]//book/count()",
+    "//pub[year<1990]//book[price]/title/text()",
 ];
 
 /// Same-name nesting 20–80 deep makes the runs of equal `(top, state)`
@@ -755,9 +758,13 @@ fn lock_step_groups_equal_the_dom_oracle() {
             let (untraced, traced) = (run_group(hpdt, &docs, false), run_group(hpdt, &docs, true));
             assert_eq!(untraced, traced, "traced vs untraced over {docs:?}");
         }
-        // The runs are what the family is for: long ones.
+        // The runs are what the family is for: long ones, one member per
+        // enclosing `pub` whose `year` is still open. A `pub` proved TRUE
+        // enters no `pub` below it (DESIGN.md, *Dominated
+        // configurations*), so the runs are counted on the query no
+        // `pub` here satisfies.
         let stats = XsqEngine::full()
-            .compile_str(LOCK_STEP_QUERIES[0])
+            .compile_str(LOCK_STEP_QUERIES[5])
             .expect("compiles")
             .run_document(docs[0].as_bytes(), &mut VecSink::new())
             .expect("well-formed");
@@ -955,6 +962,151 @@ fn compiled_plans_report_what_the_analyzer_explains() {
         "/dblp/inproceedings[booktitle]/author/text()",
     ];
     assert_eq!(assert_compiled_matches_analysis(&dblp, Some(&dtd)), 1);
+}
+
+// ---- dominated configurations ------------------------------------------
+
+/// The two tags of the dominance corpus: every step and every predicate
+/// child is one of them, so an element constantly nests its own name and
+/// a predicate's witness is also an instance of a step.
+const PAIR: [&str; 2] = ["a", "b"];
+
+/// What sits around a spine element's nested child: nothing, a number,
+/// or a leaf child of either tag — a predicate witness and a step match
+/// at once.
+fn gen_pair_leaf(rng: &mut StdRng, out: &mut String) {
+    match rng.gen_range(0..4) {
+        0 => out.push_str(&rng.gen_range(-1..3).to_string()),
+        1 => {
+            let tag = pick(rng, &PAIR);
+            let x = rng.gen_range(-1..3);
+            let v = rng.gen_range(-1..3);
+            out.push_str(&format!("<{tag} x=\"{x}\">{v}</{tag}>"));
+        }
+        2 => out.push_str(&format!("<{0}/>", pick(rng, &PAIR))),
+        _ => {}
+    }
+}
+
+/// A spine of same-name-prone elements from `depth` down to `levels`,
+/// each with an optional `x` attribute and leaves before and after its
+/// nested child, so a predicate resolves now above, now below the
+/// nested matches; now and then a second, shorter branch.
+fn gen_pair_spine(rng: &mut StdRng, depth: u32, levels: u32, out: &mut String) {
+    let tag = pick(rng, &PAIR);
+    out.push('<');
+    out.push_str(tag);
+    if rng.gen_bool(0.5) {
+        out.push_str(&format!(" x=\"{}\"", rng.gen_range(-1..3)));
+    }
+    out.push('>');
+    gen_pair_leaf(rng, out);
+    if depth < levels {
+        gen_pair_spine(rng, depth + 1, levels, out);
+    }
+    gen_pair_leaf(rng, out);
+    if depth < levels && rng.gen_bool(0.25) {
+        gen_pair_spine(rng, depth + 1, levels.min(depth + 3), out);
+    }
+    gen_pair_leaf(rng, out);
+    out.push_str(&format!("</{tag}>"));
+}
+
+/// A predicate over [`PAIR`]: a child, a child's text or attribute, the
+/// element's own attribute or text.
+fn gen_pair_pred(rng: &mut StdRng) -> String {
+    let (tag, op, v) = (pick(rng, &PAIR), pick(rng, &REL_OPS), rng.gen_range(-1..3));
+    match rng.gen_range(0..5) {
+        0 => format!("[{tag}]"),
+        1 => format!("[{tag}{op}{v}]"),
+        2 => format!("[{tag}@x{op}{v}]"),
+        3 => format!("[@x{op}{v}]"),
+        _ => format!("[text(){op}{v}]"),
+    }
+}
+
+/// `//T[p]//U[q]?/out`: a closure below a predicated closure step, the
+/// shape whose TRUE state carries the dominance mark, with scalar or
+/// whole-element output. One time in three a predicated closure step
+/// `//S[r]` goes first, so a second mark sits below it and the marked
+/// `T` instances below an undecided `S` are not all-TRUE.
+fn gen_dominance_query(rng: &mut StdRng) -> String {
+    let prefix = if rng.gen_bool(1.0 / 3.0) {
+        format!("//{}{}", pick(rng, &PAIR), gen_pair_pred(rng))
+    } else {
+        String::new()
+    };
+    let (t, u) = (pick(rng, &PAIR), pick(rng, &PAIR));
+    let p = gen_pair_pred(rng);
+    let q = if rng.gen_bool(0.5) {
+        gen_pair_pred(rng)
+    } else {
+        String::new()
+    };
+    let out = match rng.gen_range(0..5) {
+        0 => "",
+        1 => "/@x",
+        2 => "/count()",
+        _ => "/text()",
+    };
+    format!("{prefix}//{t}{p}//{u}{q}{out}")
+}
+
+/// The dominance rule (DESIGN.md, *Dominated configurations*) withdraws
+/// every match path that enters an instance of a step below one already
+/// TRUE. Over same-name nesting 8–14 deep from two tags, each query must
+/// still answer what the DOM oracle answers down every road — solo, an
+/// index group of one (the four roads of
+/// [`assert_the_four_roads_agree`]), the sharded driver, and a push
+/// parser fed one byte at a time — and a traced run must equal an
+/// untraced one.
+#[test]
+fn dominated_configurations_change_no_answer() {
+    cases(0..CASES, |rng| {
+        let docs = [rng.gen_range(8..15), rng.gen_range(8..15)].map(|levels| {
+            let mut doc = String::from("<r>");
+            gen_pair_spine(rng, 2, levels, &mut doc);
+            doc + "</r>"
+        });
+        let query = gen_dominance_query(rng);
+        let set = assert_the_four_roads_agree(&docs, &[query.as_str()]);
+        let hpdt = set.hpdts().next().expect("one group");
+        assert!(hpdt.has_dominance_marks(), "{query}: no mark");
+
+        let sharded = run_sharded(&set, &docs, 2).expect("well-formed");
+        let mut index = set.index();
+        let mut parser = StreamParser::push_mode();
+        for (di, doc) in docs.iter().enumerate() {
+            let want = dom_run(&query, doc);
+            let got: Vec<String> = sharded.per_doc[di]
+                .results
+                .iter()
+                .map(|(_, v)| v.clone())
+                .collect();
+            assert_eq!(got, want, "sharded: {query} over {doc}");
+            let mut sink = VecQuerySink::new();
+            for byte in doc.as_bytes().chunks(1) {
+                parser.push(byte);
+                while let ParsePoll::Event(ev) = parser.poll_raw().expect("well-formed") {
+                    index.feed_raw(&ev, &mut sink);
+                }
+            }
+            parser.finish();
+            while let ParsePoll::Event(ev) = parser.poll_raw().expect("well-formed") {
+                index.feed_raw(&ev, &mut sink);
+            }
+            index.finish(&mut sink);
+            parser.reset_push();
+            let got: Vec<String> = sink.results.into_iter().map(|(_, v)| v).collect();
+            assert_eq!(got, want, "push, 1-byte chunks: {query} over {doc}");
+        }
+
+        let (untraced, traced) = (run_group(hpdt, &docs, false), run_group(hpdt, &docs, true));
+        assert_eq!(
+            untraced, traced,
+            "traced vs untraced: {query} over {docs:?}"
+        );
+    });
 }
 
 #[test]

@@ -246,3 +246,140 @@ fn results_stream_as_soon_as_determined() {
         "the year event releases the buffered author"
     );
 }
+
+// ---- Dominated configurations -------------------------------------------
+//
+// Beyond the paper: while a `pub` is proved TRUE, XSQ-F enters no `pub`
+// below it (DESIGN.md, *Dominated configurations*), since everything an
+// inner `pub` could select through `//book…` the outer one selects too.
+// The paper keeps those match paths and drops their duplicates at output.
+
+const RECURSIVE_QUERY: &str = "//pub[year>2000]//book[price]/title/text()";
+
+/// Run `query` over `doc` event by event: each result beside the event
+/// whose feed emitted it, and the depth vector of every configuration
+/// that entered a `pub`. Checks the results against the DOM evaluator.
+fn walk(query: &str, doc: &str) -> (Vec<(String, String)>, Vec<String>) {
+    let compiled = XsqEngine::full().compile_str(query).unwrap();
+    assert!(compiled.hpdt().has_dominance_marks(), "{query}");
+    let mut steps = Vec::new();
+    let mut tracer = |step: xsq::engine::trace::TraceStep| steps.push(step);
+    let mut runner = compiled.runner();
+    runner.set_tracer(&mut tracer);
+    let (mut sink, mut emitted) = (VecSink::new(), Vec::new());
+    let mut parser = xsq::xml::StreamParser::new(doc.as_bytes());
+    while let Some(e) = parser.next_raw().unwrap() {
+        let before = sink.results.len();
+        runner.feed_raw(&e, &mut sink);
+        let event = e.to_string();
+        emitted.extend(
+            sink.results[before..]
+                .iter()
+                .map(|r| (r.clone(), event.clone())),
+        );
+    }
+    runner.finish(&mut sink);
+    let tree = xsq::baselines::dom::Document::parse(doc.as_bytes()).unwrap();
+    let parsed = xsq::xpath::parse_query(query).unwrap();
+    let dom = xsq::baselines::dom::eval_stepwise(&tree, &parsed);
+    assert_eq!(sink.results, dom, "{query} over {doc}");
+    let entered = steps
+        .iter()
+        .flat_map(|s| &s.fired)
+        .filter(|a| a.label == "=<pub>")
+        .map(|a| a.dv.clone())
+        .collect();
+    (emitted, entered)
+}
+
+fn pairs(expected: &[(&str, &str)]) -> Vec<(String, String)> {
+    expected
+        .iter()
+        .map(|&(r, e)| (r.to_string(), e.to_string()))
+        .collect()
+}
+
+#[test]
+fn dominance_an_inner_pub_whose_year_comes_first_is_never_entered() {
+    // The inner `pub`'s year comes first, so in the paper's run it turns
+    // TRUE and then duplicates every match of the TRUE `pub` around it.
+    // Here it is never entered; its book is the outer one's match.
+    let doc = "<r><pub><year>2001</year><book><price>1</price><title>o1</title></book>\
+               <pub><year>2002</year><book><title>i1</title><price>2</price></book></pub>\
+               <book><title>o2</title><price>3</price></book></pub></r>";
+    let (emitted, entered) = walk(RECURSIVE_QUERY, doc);
+    assert_eq!(entered, ["(0,2)"]);
+    assert_eq!(
+        emitted,
+        pairs(&[
+            ("o1", "(title,text(),4)"),
+            ("i1", "(/price,5)"),
+            ("o2", "(/price,4)"),
+        ])
+    );
+    // One level down: the outer `pub` stays undecided, the middle one
+    // turns TRUE first and covers the innermost, which is never entered;
+    // the outer one is TRUE only after the middle one has closed.
+    let doc = "<r><pub><pub><year>2002</year>\
+               <pub><year>2003</year><book><price>1</price><title>t1</title></book></pub>\
+               <book><title>t2</title><price>2</price></book></pub>\
+               <year>2001</year><book><price>3</price><title>t3</title></book></pub></r>";
+    let (emitted, entered) = walk(RECURSIVE_QUERY, doc);
+    assert_eq!(entered, ["(0,2)", "(0,3)"]);
+    assert_eq!(
+        emitted,
+        pairs(&[
+            ("t1", "(title,text(),6)"),
+            ("t2", "(/price,5)"),
+            ("t3", "(title,text(),4)"),
+        ])
+    );
+}
+
+#[test]
+fn dominance_entries_buffered_before_the_outer_pub_resolves_are_kept() {
+    // The outer `year` comes after a nested `pub`'s book: that book's
+    // title is buffered along both match paths before the outer `pub`
+    // is TRUE. The inner path's entries leave with the inner `pub` (its
+    // year fails); the outer path's stay in the outer queue and are
+    // flushed by the outer year's text. A `pub` nested after that is
+    // covered.
+    let doc = "<r><pub><pub><book><price>1</price><title>t1</title></book>\
+               <year>1999</year></pub>\
+               <book><title>t2</title><price>2</price></book><year>2001</year>\
+               <pub><book><price>3</price><title>t3</title></book></pub></pub></r>";
+    let (emitted, entered) = walk(RECURSIVE_QUERY, doc);
+    assert_eq!(entered, ["(0,2)", "(0,3)"]);
+    assert_eq!(
+        emitted,
+        pairs(&[
+            ("t1", "(year,text(),3)"),
+            ("t2", "(year,text(),3)"),
+            ("t3", "(title,text(),5)"),
+        ])
+    );
+}
+
+#[test]
+fn dominance_waits_for_true_in_example_7s_window() {
+    // Example 7's timing: between the witness text `2002` and `</year>`
+    // the outer `pub` is not yet TRUE, so a `pub` nested in that window
+    // is entered as in the paper; its item reaches the outer queue and
+    // is flushed at `</year>` before any clear on that event. After
+    // `</year>` the outer `pub` is TRUE and the `pub` nested next is
+    // covered.
+    let query = "//pub[year=2002]//book[author]//name/text()";
+    let doc = "<root><pub><year>2002<pub><book><author>A</author><name>Inner</name>\
+               </book></pub></year><book><author>B</author><name>Late</name></book>\
+               <pub><book><author>C</author><name>Covered</name></book></pub></pub></root>";
+    let (emitted, entered) = walk(query, doc);
+    assert_eq!(entered, ["(0,2)", "(0,4)"]);
+    assert_eq!(
+        emitted,
+        pairs(&[
+            ("Inner", "(/year,3)"),
+            ("Late", "(name,text(),4)"),
+            ("Covered", "(name,text(),5)"),
+        ])
+    );
+}
