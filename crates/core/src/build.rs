@@ -186,18 +186,13 @@ impl Hpdt {
         leaf_tags: LeafTags,
     ) -> Hpdt {
         let patterns: Vec<Pattern> = arcs.iter().map(|a| a.label.pattern()).collect();
-        let stays = compute_stays(&patterns, &offsets);
         let marks = states
             .iter()
-            .zip(&stays)
-            .filter(|(info, _)| info.dominates)
-            .fold(0u64, |marks, (info, &stays)| {
-                debug_assert!(stays && info.role == StateRole::True && merged.len() == 1);
-                marks | 1 << info.owner.layer
-            });
+            .filter(|info| info.dominates)
+            .fold(0u64, |marks, info| marks | 1 << info.owner.layer);
         Hpdt {
             scan_all: compute_scan_all(&patterns, &offsets).collect(),
-            stays,
+            stays: compute_stays(&patterns, &offsets),
             marks,
             arc_tables: ArcTables::new(&patterns, &offsets),
             any_depth: AnyDepthArcs::new(&patterns, &offsets),
