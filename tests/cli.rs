@@ -441,8 +441,8 @@ const RECURSIVE_DOC: &str = concat!(
 /// took it, in execution order, with the set and buffer sizes after each
 /// event. A change to how the runtime steps its set must leave this
 /// transcript as it is. Regenerate only for a deliberate format change,
-/// or for a rule that changes which arcs fire (the dominance rule did,
-/// DESIGN.md *Dominated configurations*), with
+/// or for a rule that changes which arcs fire (the dominance rule and
+/// dropping the NA twin did, DESIGN.md *Dominated configurations*), with
 /// `xsq --trace QUERY < doc 2> tests/golden/trace_recursive.txt`.
 #[test]
 fn trace_of_a_recursive_document_matches_the_golden_transcript() {
@@ -469,20 +469,21 @@ const LATE_YEARS_DOC: &str = concat!(
 
 /// `--stats` counts what a lock-step run costs: each arc a run of
 /// configurations takes together is one step, however many members fired
-/// it. Over [`LATE_YEARS_DOC`] 69 firings are 39 steps. Over
+/// it. Over [`LATE_YEARS_DOC`] 67 firings are 37 steps. Over
 /// [`RECURSIVE_DOC`] the runs are gone: a `pub` already TRUE enters no
-/// `pub` below it (DESIGN.md, *Dominated configurations*), and 88
-/// firings are 88 steps (254 and 130 before that rule).
+/// `pub` below it, nor keeps its NA twin (DESIGN.md, *Dominated
+/// configurations*), and 47 firings are 47 steps (254 and 130 before the
+/// first rule, 88 and 88 before the second).
 #[test]
 fn solo_stats_count_a_lock_step_run_once() {
     for (doc, want) in [
         (
             LATE_YEARS_DOC,
-            "events=37 firings=69 steps=39 probed=33 peak_buffered_bytes=172 peak_configs=9",
+            "events=37 firings=67 steps=37 probed=31 peak_buffered_bytes=172 peak_configs=9",
         ),
         (
             RECURSIVE_DOC,
-            "events=73 firings=88 steps=88 probed=79 peak_buffered_bytes=146 peak_configs=7",
+            "events=73 firings=47 steps=47 probed=42 peak_buffered_bytes=26 peak_configs=4",
         ),
     ] {
         let (_, stderr, ok) = run_with_stdin(
@@ -517,7 +518,7 @@ fn traced_stats_equal_plain_stats() {
     let tail = &stats[stats.find("events=").expect(stats)..];
     assert_eq!(
         tail,
-        "events=73 firings=88 steps=88 probed=79 peak_buffered_bytes=146 peak_configs=7\n"
+        "events=73 firings=47 steps=47 probed=42 peak_buffered_bytes=26 peak_configs=4\n"
     );
 }
 
