@@ -24,15 +24,6 @@ impl Default for Scale {
     }
 }
 
-impl Scale {
-    pub fn with_bytes(bytes: usize) -> Self {
-        Scale {
-            bytes,
-            ..Default::default()
-        }
-    }
-}
-
 /// The four Fig. 15 datasets at the given scale, preserving the paper's
 /// *relative* sizes (SHAKE : NASA : DBLP : PSD ≈ 1 : 3.2 : 15 : 91,
 /// capped at 8× base so a laptop run stays quick).

@@ -69,11 +69,16 @@ pub fn verify(hpdt: &Hpdt) -> Vec<Diagnostic> {
         ids.sort_unstable();
         Cow::Owned(ids)
     };
+    // The two walks' per-state marks and work list, and the per-queue
+    // lifecycle flags, share one allocation.
+    let mut scratch = vec![0u32; 2 * n + hpdt.queues.len()];
+    let (marks, rest) = scratch.split_at_mut(n);
+    let (stack, life) = rest.split_at_mut(n);
     check_arc_targets(hpdt, &mut out);
     check_queue_index(hpdt, &ids, &mut out);
-    check_reachability(hpdt, &mut out);
-    check_buffer_release(hpdt, &mut out);
-    check_depth_discipline(hpdt, &mut out);
+    check_reachability(hpdt, marks, stack, &mut out);
+    check_buffer_release(hpdt, life, &mut out);
+    check_depth_discipline(hpdt, marks, stack, &mut out);
     check_scan_all(hpdt, &mut out);
     check_deterministic_flag(hpdt, &mut out);
     check_dominance_marks(hpdt, &mut out);
@@ -231,18 +236,19 @@ fn check_queue_index(hpdt: &Hpdt, ids: &[BpdtId], out: &mut Vec<Diagnostic>) {
 
 /// States the start state cannot reach are dead weight: they can never
 /// hold a configuration, but they still cost dispatch-index space. The
-/// builder drops them before sealing; here they are a warning.
-fn check_reachability(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
-    let reachable = reachable_states(&hpdt.arcs, &hpdt.offsets, hpdt.start);
-    let dead: Vec<usize> = (0..hpdt.states.len()).filter(|&s| !reachable[s]).collect();
-    if let Some(&first) = dead.first() {
+/// builder drops them before sealing; here they are a warning. `seen`
+/// and `stack` hold a mark and a work-list slot per state.
+fn check_reachability(hpdt: &Hpdt, seen: &mut [u32], stack: &mut [u32], out: &mut Vec<Diagnostic>) {
+    mark_reachable(&hpdt.arcs, &hpdt.offsets, hpdt.start, seen, stack);
+    let mut dead = (0..seen.len()).filter(|&s| seen[s] == 0);
+    if let Some(first) = dead.next() {
         out.push(
             Diagnostic::warning(
                 "unreachable-state",
                 format!(
                     "{} state(s) unreachable from the start state (first: ${first}, \
                      owned by {})",
-                    dead.len(),
+                    1 + dead.count(),
                     hpdt.states[first].owner
                 ),
             )
@@ -256,20 +262,39 @@ fn check_reachability(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
 /// `offsets`; out-of-range targets lead nowhere. `Builder::finish` keeps
 /// exactly these.
 pub(crate) fn reachable_states(arcs: &[Arc], offsets: &[u32], start: StateId) -> Vec<bool> {
-    let mut reachable = vec![false; offsets.len() - 1];
-    let mut stack = Vec::with_capacity(reachable.len());
-    stack.push(start as usize);
-    reachable[start as usize] = true;
-    while let Some(s) = stack.pop() {
+    let n = offsets.len() - 1;
+    let mut scratch = vec![0u32; 2 * n];
+    let (seen, stack) = scratch.split_at_mut(n);
+    mark_reachable(arcs, offsets, start, seen, stack);
+    seen.iter().map(|&s| s != 0).collect()
+}
+
+/// Set `seen[s]` to 1 for every state `s` that `start` (in range)
+/// reaches, and to 0 for the others. `stack` is the work list: each
+/// state enters it once, so it needs a slot per state.
+fn mark_reachable(
+    arcs: &[Arc],
+    offsets: &[u32],
+    start: StateId,
+    seen: &mut [u32],
+    stack: &mut [u32],
+) {
+    seen.fill(0);
+    seen[start as usize] = 1;
+    stack[0] = start;
+    let mut top = 1;
+    while top > 0 {
+        top -= 1;
+        let s = stack[top] as usize;
         for arc in &arcs[offsets[s] as usize..offsets[s + 1] as usize] {
             let t = arc.target as usize;
-            if t < reachable.len() && !reachable[t] {
-                reachable[t] = true;
-                stack.push(t);
+            if t < seen.len() && seen[t] == 0 {
+                seen[t] = 1;
+                stack[top] = arc.target;
+                top += 1;
             }
         }
     }
-    reachable
 }
 
 /// §3.3's buffer lifecycle: a queue that can receive entries must be
@@ -279,40 +304,37 @@ pub(crate) fn reachable_states(arcs: &[Arc], offsets: &[u32], start: StateId) ->
 /// error; one with no release arc merely means its results are provably
 /// unreachable (this legitimately happens below an unsatisfiable witness,
 /// whose resolving arc is never built), so it is a warning. One pass over the arcs gathers three
-/// flags per queue slot; findings follow in slot order.
-fn check_buffer_release(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
-    #[derive(Clone, Copy, Default)]
-    struct Life {
-        receives: bool,
-        cleared: bool,
-        released: bool,
-    }
-    let mut life = vec![Life::default(); hpdt.queues.len()];
+/// flags per queue slot into `life`; findings follow in slot order.
+fn check_buffer_release(hpdt: &Hpdt, life: &mut [u32], out: &mut Vec<Diagnostic>) {
+    const RECEIVES: u32 = 1;
+    const CLEARED: u32 = 2;
+    const RELEASED: u32 = 4;
+    life.fill(0);
     for arc in &hpdt.arcs {
         let own = resolved(hpdt, arc.owner);
         for action in hpdt.actions_of(arc) {
             if let Some((_, named)) = action.fill() {
                 if let Some(slot) = named.map_or(own, |q| resolved(hpdt, q)) {
-                    life[slot].receives = true;
+                    life[slot] |= RECEIVES;
                 }
             }
             let Some(own) = own.map(|slot| &mut life[slot]) else {
                 continue;
             };
             match action {
-                Action::ClearSelf => own.cleared = true,
-                Action::FlushSelf | Action::UploadSelf(_) => own.released = true,
+                Action::ClearSelf => *own |= CLEARED,
+                Action::FlushSelf | Action::UploadSelf(_) => *own |= RELEASED,
                 // A keyed resolve is both: release, then clear.
-                Action::ResolveKeyed(_) => (own.cleared, own.released) = (true, true),
+                Action::ResolveKeyed(_) => *own |= CLEARED | RELEASED,
                 _ => {}
             }
         }
     }
-    for (&id, life) in hpdt.queues.iter().zip(&life) {
-        if !life.receives {
+    for (&id, &life) in hpdt.queues.iter().zip(&*life) {
+        if life & RECEIVES == 0 {
             continue;
         }
-        if !life.cleared {
+        if life & CLEARED == 0 {
             out.push(
                 Diagnostic::error(
                     "buffer-never-cleared",
@@ -324,7 +346,7 @@ fn check_buffer_release(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
                 .at_bpdt(id),
             );
         }
-        if !life.released {
+        if life & RELEASED == 0 {
             out.push(
                 Diagnostic::warning(
                     "buffer-never-released",
@@ -360,15 +382,24 @@ fn depth_effect(label: &ArcLabel) -> Option<i32> {
 /// every buffer operation of a layer-`l` BPDT reads the first `l+1` depth
 /// slots. Two paths assigning one state different lengths, a pop of an
 /// empty vector, or a buffer op before its slots are written are all
-/// builder bugs that corrupt matching silently.
-fn check_depth_discipline(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
+/// builder bugs that corrupt matching silently. `depth` and `stack` hold
+/// a length and a work-list slot per state.
+fn check_depth_discipline(
+    hpdt: &Hpdt,
+    depth: &mut [u32],
+    stack: &mut [u32],
+    out: &mut Vec<Diagnostic>,
+) {
+    const UNSEEN: u32 = u32::MAX;
     let n = hpdt.states.len();
-    let mut depth: Vec<Option<i64>> = vec![None; n];
-    depth[hpdt.start as usize] = Some(0);
-    let mut stack = Vec::with_capacity(n);
-    stack.push(hpdt.start as usize);
-    while let Some(s) = stack.pop() {
-        let len = depth[s].expect("pushed states have depth");
+    depth.fill(UNSEEN);
+    depth[hpdt.start as usize] = 0;
+    stack[0] = hpdt.start;
+    let mut top = 1;
+    while top > 0 {
+        top -= 1;
+        let s = stack[top] as usize;
+        let len = i64::from(depth[s]);
         for arc in hpdt.arcs_of(s as StateId) {
             if (arc.target as usize) >= n {
                 continue; // already reported by check_arc_targets
@@ -429,24 +460,22 @@ fn check_depth_discipline(hpdt: &Hpdt, out: &mut Vec<Diagnostic>) {
                 len
             };
             let t = arc.target as usize;
-            match depth[t] {
-                None => {
-                    depth[t] = Some(after);
-                    stack.push(t);
-                }
-                Some(prev) if prev != after => {
-                    out.push(
-                        Diagnostic::error(
-                            "depth-inconsistent",
-                            format!(
-                                "state ${t} is reached with depth-vector lengths {prev} \
-                                 and {after} on different paths"
-                            ),
-                        )
-                        .at_state(t as u32),
-                    );
-                }
-                Some(_) => {}
+            let prev = depth[t];
+            if prev == UNSEEN {
+                depth[t] = after as u32;
+                stack[top] = arc.target;
+                top += 1;
+            } else if i64::from(prev) != after {
+                out.push(
+                    Diagnostic::error(
+                        "depth-inconsistent",
+                        format!(
+                            "state ${t} is reached with depth-vector lengths {prev} \
+                             and {after} on different paths"
+                        ),
+                    )
+                    .at_state(t as u32),
+                );
             }
         }
     }

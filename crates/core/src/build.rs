@@ -536,29 +536,49 @@ impl Builder {
     /// before sealing for both builders. The arcs are grouped by state in
     /// one counting pass that keeps each state's in the order made, and
     /// their actions are copied out in that order, so the pool runs state
-    /// by state. The states `start` cannot reach are those behind an arc
+    /// by state. Arcs made in state order already would not move, so they
+    /// are only counted and the pool is kept as built, spare capacity
+    /// included. The states `start` cannot reach are those behind an arc
     /// [`Self::add_arc`] refused; with none refused, every state is
     /// reachable and nothing moves.
     fn finish(mut self, start: StateId, layers: u16, merged: Vec<Query>) -> Hpdt {
         let mut start = start;
+        let mut pruned = false;
         if self.refused {
             let (arcs, offsets) = group_by_state(&self.arcs, self.states.len());
             let live = reachable_states(&arcs, &offsets, start);
             if live.contains(&false) {
                 start = self.drop_dead(&live, start);
+                pruned = true;
             }
         }
-        let (mut arcs, offsets) = group_by_state(&self.arcs, self.states.len());
-        let pooled = arcs.iter().map(|a| a.actions.range().len()).sum();
-        let mut actions = Vec::with_capacity(pooled);
-        for arc in &mut arcs {
-            let at = actions.len() as u32;
-            actions.extend_from_slice(&self.actions[arc.actions.range()]);
-            arc.actions = PoolRange {
-                start: at,
-                end: actions.len() as u32,
-            };
-        }
+        let (arcs, offsets, actions) = if !pruned && self.arcs.is_sorted_by_key(|&(from, _)| from) {
+            // Made in state order (every state's arcs made together, as
+            // for a query with no predicate): grouping would keep every
+            // arc where it is, and every action with it.
+            let mut offsets = vec![0u32; self.states.len() + 1];
+            for &(from, _) in &self.arcs {
+                offsets[from as usize + 1] += 1;
+            }
+            for s in 1..offsets.len() {
+                offsets[s] += offsets[s - 1];
+            }
+            let arcs = self.arcs.iter().map(|&(_, arc)| arc).collect();
+            (arcs, offsets, self.actions)
+        } else {
+            let (mut arcs, offsets) = group_by_state(&self.arcs, self.states.len());
+            let pooled = arcs.iter().map(|a| a.actions.range().len()).sum();
+            let mut actions = Vec::with_capacity(pooled);
+            for arc in &mut arcs {
+                let at = actions.len() as u32;
+                actions.extend_from_slice(&self.actions[arc.actions.range()]);
+                arc.actions = PoolRange {
+                    start: at,
+                    end: actions.len() as u32,
+                };
+            }
+            (arcs, offsets, actions)
+        };
         Hpdt::seal(
             self.states,
             (arcs, offsets),
@@ -787,7 +807,8 @@ impl Builder {
     /// of its layer, and a layer has twice the BPDTs of the one above
     /// where that step has an NA state. The queues are exact; the states,
     /// arcs and actions take each BPDT at `BPDT_BOUND`, and `finish`
-    /// copies the arcs and actions out exactly. Returns the number of
+    /// copies the arcs out exactly, and the actions unless the arcs came
+    /// in state order. Returns the number of
     /// BPDTs below the root.
     fn reserve(&mut self, query: &Query) -> usize {
         let (mut width, mut bpdts) = (1usize, 0usize);

@@ -69,10 +69,15 @@
 //! path holds and the next step is a closure
 //! ([`crate::arcs::StateInfo::dominates`]) — its own search selects
 //! everything a path through a deeper instance of its step could, so no
-//! such instance is entered (`RunnerCore::dominate`). Results, their
-//! order and the event that emits each are the paper's; on the Fig. 20
-//! shape the rule withdraws 84.6 % of the firings at 64 KiB (DESIGN.md,
-//! *Dominated configurations*). An HPDT with no mark never runs it.
+//! such instance is entered (`RunnerCore::dominate`). And when a
+//! configuration resolves into that state, the NA configuration of its
+//! BPDT at the same element — its twin, which would enter a copy of
+//! every child instance it enters — leaves the set
+//! (`RunnerCore::drop_twins`). Results, their order and the event that
+//! emits each are the paper's; on the Fig. 20 shape the rule withdraws
+//! 84.6 % of the firings at 64 KiB, and the twin a third of the rest
+//! (DESIGN.md, *Dominated configurations*). An HPDT with no mark never
+//! runs either.
 //!
 //! The deterministic fast path (XSQ-NC, §6.2) runs the same machinery but
 //! stops scanning a state's arcs at the first match — the paper's "XSQ-NC
@@ -90,7 +95,7 @@
 use std::ops::Range;
 
 use xsq_xml::RawEvent;
-use xsq_xpath::Output;
+use xsq_xpath::{Output, Query};
 
 use crate::aggregate::Aggregator;
 use crate::arcs::{Action, Disposition, QueueRef, StateId, StateRole, ValueSource};
@@ -185,7 +190,7 @@ pub struct RunnerCore {
     items: ItemStore,
     queues: QueueSet,
     /// Per-tag aggregation state (`aggs[t]` is `Some` iff `merged[t]` is
-    /// an aggregation query).
+    /// an aggregation query); empty when no query aggregates.
     aggs: Vec<Option<Aggregator>>,
     agg_count: usize,
     /// Events fed this document; the current one's ordinal.
@@ -224,8 +229,15 @@ fn queue_scopes(hpdt: &Hpdt) -> impl ExactSizeIterator<Item = usize> + '_ {
     queues.iter().map(|q| q.layer as usize + 1)
 }
 
+/// Per-tag aggregation state, and how many queries aggregate. Empty,
+/// with nothing allocated, when none does.
 fn make_aggs(hpdt: &Hpdt) -> (Vec<Option<Aggregator>>, usize) {
-    let aggs: Vec<Option<Aggregator>> = hpdt
+    let aggregates = |q: &&Query| matches!(q.output, Output::Aggregate(_));
+    let count = hpdt.merged.iter().filter(aggregates).count();
+    if count == 0 {
+        return (Vec::new(), 0);
+    }
+    let aggs = hpdt
         .merged
         .iter()
         .map(|q| match &q.output {
@@ -233,7 +245,6 @@ fn make_aggs(hpdt: &Hpdt) -> (Vec<Option<Aggregator>>, usize) {
             _ => None,
         })
         .collect();
-    let count = aggs.iter().filter(|a| a.is_some()).count();
     (aggs, count)
 }
 
@@ -921,7 +932,10 @@ impl RunnerCore {
             assert_eq!(self.dominating >> layer & 1 != 0, first.is_some());
             let Some(first) = first else { continue };
             let (anchor, owner) = (first.top, info(first).owner);
-            assert!(marked.all(|c| c.top == anchor), "one anchor per marked state");
+            assert!(
+                marked.all(|c| c.top == anchor),
+                "one anchor per marked state"
+            );
             assert!(
                 !self.configs.iter().any(|c| c.top == anchor
                     && info(c).owner == owner

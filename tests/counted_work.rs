@@ -93,6 +93,39 @@ fn serve_bulk_counts_stay_put() {
     );
 }
 
+/// `match_recursive`'s query on a seeded 64 KiB document of its Fig. 20
+/// shape: the one referee query that carries a dominance mark, so what
+/// the rule and the NA twin's drop withdraw shows here as a count. Before
+/// the twin was dropped the run read (484, 17 544, 12 668, 9 762, 9).
+#[test]
+fn match_recursive_counts() {
+    let params = xsq::datagen::xmlgen::XmlGenParams {
+        nested_levels: 15,
+        max_repeats: 20,
+        seed: 2003,
+    };
+    let doc = xsq::datagen::xmlgen::generate(params, 64 * 1024);
+    let compiled = XsqEngine::full()
+        .compile_str("//pub[year>2000]//book[price]/title/text()")
+        .expect("compiles");
+    assert!(compiled.hpdt().has_dominance_marks());
+    let stats = compiled
+        .run_document(doc.as_bytes(), &mut VecSink::new())
+        .expect("well-formed");
+    let counts = (
+        stats.results,
+        stats.firings,
+        stats.steps,
+        stats.probed,
+        stats.memory.peak_configs,
+    );
+    assert_eq!(
+        counts,
+        (484, 11_699, 9_261, 7_326, 7),
+        "(results, firings, steps, probed, peak_configs)"
+    );
+}
+
 #[test]
 fn the_workloads_that_must_not_move_carry_no_mark() {
     for batch in [&SERVE_BULK[..], &MULTI_SUB, &BROADCAST_FANOUT, &[SCAN_DBLP]] {

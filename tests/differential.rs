@@ -1052,14 +1052,63 @@ fn gen_dominance_query(rng: &mut StdRng) -> String {
     format!("{prefix}//{t}{p}//{u}{q}{out}")
 }
 
+/// A `p` spine for the NA twin of a resolved `//p[…]`: each `p` holds,
+/// in random order, several `w` witnesses whose values and attributes
+/// fall on both sides of the predicates' thresholds, `b` elements before
+/// and after them, a `w` with a `b` inside (Example 7's window: after the
+/// witness text, before `</w>`), and, down to `levels`, a nested `p`.
+fn gen_twin_spine(rng: &mut StdRng, depth: u32, levels: u32, out: &mut String) {
+    out.push_str("<p>");
+    let parts = rng.gen_range(2..7);
+    let nested_at = (depth < levels).then(|| rng.gen_range(0..=parts));
+    for i in 0..=parts {
+        if nested_at == Some(i) {
+            gen_twin_spine(rng, depth + 1, levels, out);
+        }
+        if i == parts {
+            break;
+        }
+        let (x, v) = (rng.gen_range(-1..3), rng.gen_range(-1..3));
+        match rng.gen_range(0..4) {
+            0 | 1 => out.push_str(&format!("<w x=\"{x}\">{v}</w>")),
+            2 => {
+                let c = if rng.gen_bool(0.5) { "<c/>" } else { "" };
+                out.push_str(&format!("<b x=\"{x}\">{c}{}</b>", rng.gen_range(0..9)));
+            }
+            _ => out.push_str(&format!(
+                "<w>{v}<b x=\"{x}\"><c/>{}</b></w>",
+                rng.gen_range(0..9)
+            )),
+        }
+    }
+    out.push_str("</p>");
+}
+
+/// `//p[w…]//b[c]?/out` over [`gen_twin_spine`]: a child-witness
+/// predicate — presence, value or attribute — whose TRUE state carries
+/// the dominance mark, so its NA twin is dropped when it resolves; the
+/// output is text, an attribute, a count or the whole element.
+fn gen_twin_query(rng: &mut StdRng) -> String {
+    let (op, v) = (pick(rng, &REL_OPS), rng.gen_range(-1..3));
+    let p = match rng.gen_range(0..3) {
+        0 => "[w]".to_string(),
+        1 => format!("[w{op}{v}]"),
+        _ => format!("[w@x{op}{v}]"),
+    };
+    let q = if rng.gen_bool(0.5) { "[c]" } else { "" };
+    let out = pick(rng, &["", "/text()", "/@x", "/count()"]);
+    format!("//p{p}//b{q}{out}")
+}
+
 /// The dominance rule (DESIGN.md, *Dominated configurations*) withdraws
 /// every match path that enters an instance of a step below one already
-/// TRUE. Over same-name nesting 8–14 deep from two tags, each query must
-/// still answer what the DOM oracle answers down every road — solo, an
-/// index group of one (the four roads of
-/// [`assert_the_four_roads_agree`]), the sharded driver, and a push
-/// parser fed one byte at a time — and a traced run must equal an
-/// untraced one.
+/// TRUE, and drops a resolved match's NA twin. Over same-name nesting
+/// 8–14 deep from two tags, and over [`gen_twin_spine`]'s witnesses
+/// mixed with the step's matches, each query must still answer what the
+/// DOM oracle answers down every road — solo, an index group of one (the
+/// four roads of [`assert_the_four_roads_agree`]), the sharded driver,
+/// and a push parser fed one byte at a time — and a traced run must
+/// equal an untraced one.
 #[test]
 fn dominated_configurations_change_no_answer() {
     cases(0..CASES, |rng| {
@@ -1068,45 +1117,55 @@ fn dominated_configurations_change_no_answer() {
             gen_pair_spine(rng, 2, levels, &mut doc);
             doc + "</r>"
         });
-        let query = gen_dominance_query(rng);
-        let set = assert_the_four_roads_agree(&docs, &[query.as_str()]);
-        let hpdt = set.hpdts().next().expect("one group");
-        assert!(hpdt.has_dominance_marks(), "{query}: no mark");
+        assert_dominance_changes_no_answer(&docs, &gen_dominance_query(rng));
+        let docs = [rng.gen_range(2..6), rng.gen_range(2..6)].map(|levels| {
+            let mut doc = String::from("<r>");
+            gen_twin_spine(rng, 2, levels, &mut doc);
+            doc + "</r>"
+        });
+        assert_dominance_changes_no_answer(&docs, &gen_twin_query(rng));
+    });
+}
 
-        let sharded = run_sharded(&set, &docs, 2).expect("well-formed");
-        let mut index = set.index();
-        let mut parser = StreamParser::push_mode();
-        for (di, doc) in docs.iter().enumerate() {
-            let want = dom_run(&query, doc);
-            let got: Vec<String> = sharded.per_doc[di]
-                .results
-                .iter()
-                .map(|(_, v)| v.clone())
-                .collect();
-            assert_eq!(got, want, "sharded: {query} over {doc}");
-            let mut sink = VecQuerySink::new();
-            for byte in doc.as_bytes().chunks(1) {
-                parser.push(byte);
-                while let ParsePoll::Event(ev) = parser.poll_raw().expect("well-formed") {
-                    index.feed_raw(&ev, &mut sink);
-                }
-            }
-            parser.finish();
+/// [`dominated_configurations_change_no_answer`]'s roads for one query.
+fn assert_dominance_changes_no_answer(docs: &[String; 2], query: &str) {
+    let set = assert_the_four_roads_agree(docs, &[query]);
+    let hpdt = set.hpdts().next().expect("one group");
+    assert!(hpdt.has_dominance_marks(), "{query}: no mark");
+
+    let sharded = run_sharded(&set, docs, 2).expect("well-formed");
+    let mut index = set.index();
+    let mut parser = StreamParser::push_mode();
+    for (di, doc) in docs.iter().enumerate() {
+        let want = dom_run(query, doc);
+        let got: Vec<String> = sharded.per_doc[di]
+            .results
+            .iter()
+            .map(|(_, v)| v.clone())
+            .collect();
+        assert_eq!(got, want, "sharded: {query} over {doc}");
+        let mut sink = VecQuerySink::new();
+        for byte in doc.as_bytes().chunks(1) {
+            parser.push(byte);
             while let ParsePoll::Event(ev) = parser.poll_raw().expect("well-formed") {
                 index.feed_raw(&ev, &mut sink);
             }
-            index.finish(&mut sink);
-            parser.reset_push();
-            let got: Vec<String> = sink.results.into_iter().map(|(_, v)| v).collect();
-            assert_eq!(got, want, "push, 1-byte chunks: {query} over {doc}");
         }
+        parser.finish();
+        while let ParsePoll::Event(ev) = parser.poll_raw().expect("well-formed") {
+            index.feed_raw(&ev, &mut sink);
+        }
+        index.finish(&mut sink);
+        parser.reset_push();
+        let got: Vec<String> = sink.results.into_iter().map(|(_, v)| v).collect();
+        assert_eq!(got, want, "push, 1-byte chunks: {query} over {doc}");
+    }
 
-        let (untraced, traced) = (run_group(hpdt, &docs, false), run_group(hpdt, &docs, true));
-        assert_eq!(
-            untraced, traced,
-            "traced vs untraced: {query} over {docs:?}"
-        );
-    });
+    let (untraced, traced) = (run_group(hpdt, docs, false), run_group(hpdt, docs, true));
+    assert_eq!(
+        untraced, traced,
+        "traced vs untraced: {query} over {docs:?}"
+    );
 }
 
 #[test]

@@ -383,3 +383,118 @@ fn dominance_waits_for_true_in_example_7s_window() {
         ])
     );
 }
+
+// ---- The NA twin -----------------------------------------------------------
+//
+// Beyond the paper, with the dominance rule: once a `pub`'s predicate
+// resolves, the NA configuration at the same `pub` (its twin) leaves
+// instead of entering an NA-side copy of every later `book` (DESIGN.md,
+// *Dominated configurations*). Each case's results and the events that
+// emit them are the ones the runner read before the twin was dropped.
+
+/// The results and the events that emitted them, as the runner read them
+/// before the twin was dropped (the twin then entered 5, 2, 2, 2 and 3
+/// books in these cases).
+const TWIN_MIXED: [(&str, &str); 4] = [
+    ("a", "(year,text(),3)"),
+    ("b", "(year,text(),3)"),
+    ("c", "(/price,4)"),
+    ("e", "(title,text(),4)"),
+];
+const TWIN_BEFORE: [(&str, &str); 2] = [("a", "(/price,4)"), ("b", "(title,text(),4)")];
+const TWIN_AFTER: [(&str, &str); 2] = [("a", "(year,text(),3)"), ("b", "(year,text(),3)")];
+const TWIN_WINDOW: [(&str, &str); 2] = [("in", "(/year,3)"), ("after", "(title,text(),4)")];
+const TWIN_ELEMENTS: [(&str, &str); 3] = [
+    (
+        "<book><price>1</price><title>a</title></book>",
+        "(year,text(),3)",
+    ),
+    ("<book><title>b</title><price>2</price></book>", "(/book,3)"),
+    ("<book><price>3</price></book>", "(/book,4)"),
+];
+
+/// The depth vectors at which the NA side of the outermost predicated
+/// step (`bpdt(2,2)`, grown from `bpdt(1,1)`'s NA state) entered a `book`.
+fn na_side_entries(query: &str, doc: &str) -> Vec<String> {
+    let compiled = XsqEngine::full().compile_str(query).unwrap();
+    let mut steps = Vec::new();
+    let mut tracer = |step: xsq::engine::trace::TraceStep| steps.push(step);
+    let mut runner = compiled.runner();
+    runner.set_tracer(&mut tracer);
+    let mut sink = VecSink::new();
+    let mut parser = xsq::xml::StreamParser::new(doc.as_bytes());
+    while let Some(e) = parser.next_raw().unwrap() {
+        runner.feed_raw(&e, &mut sink);
+    }
+    runner.finish(&mut sink);
+    steps
+        .iter()
+        .flat_map(|s| &s.fired)
+        .filter(|a| a.label == "=<book>" && a.owner == "bpdt(2,2)")
+        .map(|a| a.dv.clone())
+        .collect()
+}
+
+#[test]
+fn twin_several_witnesses_true_and_false_mixed() {
+    // Four `year`s, false, true, true, false, with books between them:
+    // the twin enters the two books before the first true `year` and
+    // none after it; a later `year`, true or false, changes nothing.
+    let doc = "<r><pub><book><title>a</title><price>1</price></book><year>1999</year>\
+               <book><title>b</title><price>2</price></book><year>2001</year>\
+               <book><title>c</title><price>3</price></book><year>2002</year>\
+               <book><title>d</title></book><year>1998</year>\
+               <book><price>5</price><title>e</title></book></pub></r>";
+    let (emitted, _) = walk(RECURSIVE_QUERY, doc);
+    assert_eq!(emitted, pairs(&TWIN_MIXED));
+    assert_eq!(
+        na_side_entries(RECURSIVE_QUERY, doc),
+        ["(0,2,3)", "(0,2,3)"]
+    );
+}
+
+#[test]
+fn twin_witness_before_and_after_the_books() {
+    // Before: the `pub` resolves at once and no NA-side book is entered.
+    // After: every book is entered on both sides, as in the paper, and
+    // the twin leaves at `</year>` with nothing left to enter.
+    let before = "<r><pub><year>2001</year><book><title>a</title><price>1</price></book>\
+                  <book><price>2</price><title>b</title></book></pub></r>";
+    let after = "<r><pub><book><title>a</title><price>1</price></book>\
+                 <book><price>2</price><title>b</title></book><year>2001</year></pub></r>";
+    let (emitted, _) = walk(RECURSIVE_QUERY, before);
+    assert_eq!(emitted, pairs(&TWIN_BEFORE));
+    assert!(na_side_entries(RECURSIVE_QUERY, before).is_empty());
+    let (emitted, _) = walk(RECURSIVE_QUERY, after);
+    assert_eq!(emitted, pairs(&TWIN_AFTER));
+    assert_eq!(
+        na_side_entries(RECURSIVE_QUERY, after),
+        ["(0,2,3)", "(0,2,3)"]
+    );
+}
+
+#[test]
+fn twin_keeps_example_7s_window() {
+    // A book inside the witness, after its text: the `pub` is not TRUE
+    // until `</year>`, so the twin still enters it; its item reaches the
+    // `pub`'s queue and `</year>`'s flush releases it. The book after
+    // `</year>` is the TRUE side's alone.
+    let doc = "<r><pub><year>2001<book><price>1</price><title>in</title></book></year>\
+               <book><price>2</price><title>after</title></book></pub></r>";
+    let (emitted, _) = walk(RECURSIVE_QUERY, doc);
+    assert_eq!(emitted, pairs(&TWIN_WINDOW));
+    assert_eq!(na_side_entries(RECURSIVE_QUERY, doc), ["(0,2,4)"]);
+}
+
+#[test]
+fn twin_whole_element_output() {
+    // Whole `book`s out: the serialized items are the TRUE side's, each
+    // emitted where it was before the twin was dropped.
+    let query = "//pub[year>2000]//book[price]";
+    let doc = "<r><pub><book><price>1</price><title>a</title></book><year>2001</year>\
+               <book><title>b</title><price>2</price></book>\
+               <pub><book><price>3</price></book></pub></pub></r>";
+    let (emitted, _) = walk(query, doc);
+    assert_eq!(emitted, pairs(&TWIN_ELEMENTS));
+    assert_eq!(na_side_entries(query, doc), ["(0,2,3)"]);
+}
