@@ -536,9 +536,10 @@ impl Builder {
     /// before sealing for both builders. The arcs are grouped by state in
     /// one counting pass that keeps each state's in the order made, and
     /// their actions are copied out in that order, so the pool runs state
-    /// by state. Arcs made in state order already would not move, so they
-    /// are only counted and the pool is kept as built, spare capacity
-    /// included. The states `start` cannot reach are those behind an arc
+    /// by state — unless the arcs were made in state order, as a
+    /// predicate-free query's are: then grouping moves none, and the pool
+    /// is kept as built, spare capacity included. The states `start`
+    /// cannot reach are those behind an arc
     /// [`Self::add_arc`] refused; with none refused, every state is
     /// reachable and nothing moves.
     fn finish(mut self, start: StateId, layers: u16, merged: Vec<Query>) -> Hpdt {
@@ -552,21 +553,12 @@ impl Builder {
                 pruned = true;
             }
         }
-        let (arcs, offsets, actions) = if !pruned && self.arcs.is_sorted_by_key(|&(from, _)| from) {
-            // Made in state order (every state's arcs made together, as
-            // for a query with no predicate): grouping would keep every
-            // arc where it is, and every action with it.
-            let mut offsets = vec![0u32; self.states.len() + 1];
-            for &(from, _) in &self.arcs {
-                offsets[from as usize + 1] += 1;
-            }
-            for s in 1..offsets.len() {
-                offsets[s] += offsets[s - 1];
-            }
-            let arcs = self.arcs.iter().map(|&(_, arc)| arc).collect();
-            (arcs, offsets, self.actions)
+        let in_state_order = self.arcs.is_sorted_by_key(|&(from, _)| from);
+        let (mut arcs, offsets) = group_by_state(&self.arcs, self.states.len());
+        let actions = if in_state_order && !pruned {
+            // Grouping moved no arc, so every action range still holds.
+            self.actions
         } else {
-            let (mut arcs, offsets) = group_by_state(&self.arcs, self.states.len());
             let pooled = arcs.iter().map(|a| a.actions.range().len()).sum();
             let mut actions = Vec::with_capacity(pooled);
             for arc in &mut arcs {
@@ -577,7 +569,7 @@ impl Builder {
                     end: actions.len() as u32,
                 };
             }
-            (arcs, offsets, actions)
+            actions
         };
         Hpdt::seal(
             self.states,

@@ -95,7 +95,7 @@
 use std::ops::Range;
 
 use xsq_xml::RawEvent;
-use xsq_xpath::{Output, Query};
+use xsq_xpath::Output;
 
 use crate::aggregate::Aggregator;
 use crate::arcs::{Action, Disposition, QueueRef, StateId, StateRole, ValueSource};
@@ -232,8 +232,11 @@ fn queue_scopes(hpdt: &Hpdt) -> impl ExactSizeIterator<Item = usize> + '_ {
 /// Per-tag aggregation state, and how many queries aggregate. Empty,
 /// with nothing allocated, when none does.
 fn make_aggs(hpdt: &Hpdt) -> (Vec<Option<Aggregator>>, usize) {
-    let aggregates = |q: &&Query| matches!(q.output, Output::Aggregate(_));
-    let count = hpdt.merged.iter().filter(aggregates).count();
+    let count = hpdt
+        .merged
+        .iter()
+        .filter(|q| matches!(q.output, Output::Aggregate(_)))
+        .count();
     if count == 0 {
         return (Vec::new(), 0);
     }
