@@ -7,10 +7,11 @@
 //! compile costs a fixed number of allocations that does not grow with
 //! the arcs. This pins a ceiling on that number for the benchmark's two
 //! solo queries, and on each set-up the benchmark's `setup_s` times:
-//! a compile with its runner and parser, and a transform compile with
-//! its session. A change that allocates per arc, per action, per
-//! derived table or per runner again shows up here as a count, not as
-//! a timing taken on a host whose speed drifts.
+//! a compile with its runner and parser, a transform compile with its
+//! session, and `multi_sub`'s batch compile into one `QueryIndex`. A
+//! change that allocates per arc, per action, per derived table or per
+//! runner again shows up here as a count, not as a timing taken on a
+//! host whose speed drifts.
 //!
 //! The counter is per thread, so each `#[test]` counts its own
 //! allocations whatever runs beside it.
@@ -19,9 +20,13 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
+use xsq::engine::QueryIndex;
 use xsq::transform::Transformer;
 use xsq::xml::StreamParser;
 use xsq::XsqEngine;
+
+#[path = "common/subscriptions.rs"]
+mod subscriptions;
 
 struct CountingAlloc;
 
@@ -132,5 +137,28 @@ fn each_timed_set_up_allocates_a_fixed_handful() {
     assert!(
         count <= TRANSFORM_SET_UP,
         "Transformer::compile + session() allocated {count} times, capped at {TRANSFORM_SET_UP}"
+    );
+}
+
+/// `multi_sub`'s `setup_s`: its 512 seeded subscriptions compiled into
+/// one `QueryIndex` as one group, the most allocations it may make: the
+/// count when first pinned. It reads 7 057 or 7 058 since a
+/// non-aggregating group's runner allocates no aggregator table (the
+/// count moves by one from run to run, so the ceiling is not exact).
+const MULTI_SUB_SET_UP: u64 = 7_072;
+
+#[test]
+fn multi_subs_batch_compile_allocates_what_it_did() {
+    let queries = subscriptions::subscriptions(2003, 512);
+    let refs: Vec<&str> = queries.iter().map(String::as_str).collect();
+    let count = allocations_of(|| {
+        let mut index = QueryIndex::new(XsqEngine::full());
+        index.subscribe_group(&refs).expect("compiles");
+        black_box(&index);
+    });
+    assert!(
+        count <= MULTI_SUB_SET_UP,
+        "QueryIndex::subscribe_group of 512 subscriptions allocated {count} times, \
+         capped at {MULTI_SUB_SET_UP}"
     );
 }

@@ -6,8 +6,10 @@
 //! drift: the arcs it fires, the lock-step runs it steps, the runs it
 //! probes, its peak configuration count and the index entries an event
 //! touches. These are pinned exactly, on a seeded 64 KiB DBLP document,
-//! for `scan_dblp`'s query run solo and for `serve_bulk`'s four queries
-//! through one `QueryIndex`. Equal counts with a slower wall clock point
+//! for `scan_dblp`'s query run solo, for `serve_bulk`'s four queries and
+//! `multi_sub`'s 512 subscriptions through one `QueryIndex` each, and for
+//! `transform_deferred`'s rules streamed through a `TransformSession`;
+//! and for `match_recursive`'s query on a document of its own shape. Equal counts with a slower wall clock point
 //! at the host, or at layout and cache, not at work.
 //!
 //! None of these automata carries a dominance mark (a TRUE state whose
@@ -18,7 +20,12 @@
 
 use xsq::datagen::dblp;
 use xsq::engine::{QueryIndex, VecQuerySink, VecSink, XsqEngine};
+use xsq::transform::Transformer;
 use xsq::QuerySet;
+
+#[path = "common/subscriptions.rs"]
+mod subscriptions;
+use subscriptions::subscriptions;
 
 const SCAN_DBLP: &str = "/dblp/article/title/text()";
 
@@ -123,6 +130,60 @@ fn match_recursive_counts() {
         counts,
         (484, 11_699, 9_261, 7_326, 7),
         "(results, firings, steps, probed, peak_configs)"
+    );
+}
+
+/// `multi_sub`'s whole batch, subscribed as one group as the benchmark
+/// does, over the 64 KiB document.
+#[test]
+fn multi_sub_counts_stay_put() {
+    let queries = subscriptions(2003, 512);
+    let refs: Vec<&str> = queries.iter().map(String::as_str).collect();
+    let mut index = QueryIndex::new(XsqEngine::full());
+    index.subscribe_group(&refs).expect("compiles");
+    let mut sink = VecQuerySink::new();
+    let stats = index
+        .run_document(doc().as_bytes(), &mut sink)
+        .expect("well-formed");
+    let counts = (
+        sink.results.len(),
+        stats.firings,
+        stats.steps,
+        stats.probed,
+        stats.memory.peak_configs,
+        index.touches(),
+    );
+    assert_eq!(
+        counts,
+        (2145, 11_249, 11_249, 11_249, 6, 7833),
+        "(results, firings, steps, probed, peak_configs, touches)"
+    );
+}
+
+/// `transform_deferred`'s two rules streamed over the 64 KiB document in
+/// the benchmark's 64 KiB pieces.
+#[test]
+fn transform_deferred_counts_stay_put() {
+    let t = Transformer::compile(
+        "//inproceedings[author] => wrap(talk)\n//article[year=2002] => rename(recent)",
+    )
+    .expect("compiles");
+    let mut session = t.session();
+    let doc = doc();
+    for piece in doc.as_bytes().chunks(64 * 1024) {
+        session.push(piece).expect("well-formed");
+    }
+    let s = session.finish().expect("well-formed").stats;
+    assert_eq!(
+        (
+            s.elements,
+            s.matched,
+            s.deferred,
+            s.peak_buffered,
+            s.bytes_out
+        ),
+        (2103, 174, 331, 287, 67_737),
+        "(elements, matched, deferred, peak_buffered, bytes_out)"
     );
 }
 
